@@ -7,7 +7,8 @@ Usage::
              [--point a1,..,ac] [--points K] [--chain FILE]
 
 Exit codes: 0 on success, 1 on input error, 2 on an internal assertion
-failure (for example, the fast and explicit dual routes disagreeing).
+failure (for example, X and its explicitly built dual having different
+jump loci).
 Setting ``JUMPLOCI_VERBOSE=1`` prints cumulative engine statistics on
 standard error.
 
@@ -149,7 +150,11 @@ def cmd_betti(session: Session, args) -> dict:
     if session.module.kind != "coker":
         raise PipelineError(
             "the betti command needs a module given as a cokernel")
-    n = args.n or session.options.get("truncation", 20)
+    n = args.n
+    if n is None:
+        n = session.options.get("truncation", 20)
+    if n <= 0:
+        raise PipelineError(f"the truncation must be positive, not {n}")
     pipe = build_pipeline(session, need_dual=True)
     res = resolve_over_b(pipe.rd, pipe.presentation, n)
     table = BettiTable.of(res)
@@ -207,7 +212,9 @@ def cmd_oracle(session: Session, args) -> dict:
         raise PipelineError("the oracle sweep needs a finite prime field")
     pipe = build_pipeline(session)
     rng = random.Random(args.seed)
-    count = args.points or 20
+    count = args.points if args.points is not None else 20
+    if count <= 0:
+        raise PipelineError(f"--points must be positive, not {count}")
     results = []
     for _ in range(count):
         while True:
@@ -239,7 +246,10 @@ def parse_chain_file(text: str):
             if rest == "QQ":
                 fld = QQ
             elif rest.startswith("GF(") and rest.endswith(")"):
-                fld = GF(int(rest[3:-1]))
+                try:
+                    fld = GF(int(rest[3:-1]))
+                except ValueError as exc:
+                    raise SessionError(str(exc), line_no) from exc
             else:
                 raise SessionError(f"unknown field '{rest}'", line_no)
         elif directive == "ring":

@@ -33,10 +33,12 @@ class Field:
         if self.p < 0:
             raise ValueError("characteristic must be nonnegative")
         if self.p > 0:
-            if not _is_prime(self.p):
-                raise ValueError(f"{self.p} is not prime")
+            # the size check comes first: trial division of a huge
+            # number would not finish
             if self.p >= 1 << 31:
                 raise ValueError("prime must be < 2^31")
+            if not _is_prime(self.p):
+                raise ValueError(f"{self.p} is not prime")
 
     @property
     def is_prime_field(self) -> bool:
@@ -83,4 +85,6 @@ QQ = Field(0)
 
 
 def GF(p: int) -> Field:
+    if p == 0:  # Field(0) is the rationals
+        raise ValueError("0 is not prime")
     return Field(p)

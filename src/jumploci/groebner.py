@@ -165,12 +165,8 @@ class ModuleGB:
         fld = self.ring.field
         pairs = []
         for v in seeded:
-            w = self._reduce_full(v)
-            lead = self._real_lead(w)
-            if lead is None:
-                self._record_zero(w)
-            else:
-                self._add_element(w, lead, pairs)
+            if self._take(self._reduce_full(v), pairs):
+                return
         while pairs:
             _, i, j, lcm = heapq.heappop(pairs)
             GBStats.pairs_processed += 1
@@ -179,12 +175,23 @@ class ModuleGB:
             sj = tuple(a - b for a, b in zip(lcm, lj[1]))
             s = _vec_add(fld, {}, gi, fld.one(), si)
             s = _vec_add(fld, s, gj, fld.neg(fld.one()), sj)
-            s = self._reduce_full(s)
-            lead = self._real_lead(s)
-            if lead is None:
-                self._record_zero(s)
-            else:
-                self._add_element(s, lead, pairs)
+            if self._take(self._reduce_full(s), pairs):
+                return
+
+    def _take(self, w, pairs) -> bool:
+        """Add a reduced element to the basis, or record it as zero.
+
+        Returns True when the run can stop: an untracked rank-one run has
+        met a constant, so the ideal is the unit ideal, and interreduction
+        leaves the reduced basis ``[1]`` whatever the remaining pairs
+        would add.
+        """
+        lead = self._real_lead(w)
+        if lead is None:
+            self._record_zero(w)
+            return False
+        self._add_element(w, lead, pairs)
+        return not (self.track or self.rank != 1 or any(lead[1]))
 
     def _record_zero(self, v):
         GBStats.zero_reductions += 1
@@ -264,10 +271,6 @@ class ModuleGB:
 # -- convenience builders -----------------------------------------------
 
 
-def columns_of(mat: PolyMatrix):
-    return mat.columns_as_vectors()
-
-
 def vector_of(polys, ring: PolyRing):
     """Module vector from a list of polynomials (one per component)."""
     out = {}
@@ -328,7 +331,9 @@ class Ideal:
 
     def reduced(self) -> "Ideal":
         """Same ideal, regenerated by its reduced Groebner basis."""
-        return Ideal(self.ring, self.groebner_generators())
+        out = Ideal(self.ring, self.groebner_generators())
+        out._gb = self._basis()  # the reduced basis is unique
+        return out
 
     def contains(self, p: Polynomial) -> bool:
         if p.is_zero():
@@ -348,11 +353,33 @@ class Ideal:
         return not self.gens
 
     def radical_contains(self, p: Polynomial) -> bool:
-        """Membership in the radical, by the auxiliary-variable trick."""
-        if p.is_zero():
+        """Membership of ``p`` in the radical of the ideal, decided in stages.
+
+        The first three stages work on the ideal's cached Groebner basis:
+
+        1. ``p`` lies in the ideal: True.
+        2. The basis is monomial, so the ideal is: its radical is generated
+           by the squarefree parts of the basis monomials, and ``p`` lies in
+           that monomial ideal exactly when each of its terms does.  This
+           stage decides both ways.
+        3. One of ``p^2, p^4, p^8`` lies in the ideal: True.  This is a
+           certificate only; failing it proves nothing.
+        4. Otherwise the Rabinowitsch trick decides: ``p`` is in the radical
+           exactly when the ideal and ``1 - y*p`` generate the unit ideal
+           of the ring with one more variable ``y``.
+        """
+        if self.contains(p):
             return True
-        if self.is_unit_ideal():
-            return True
+        basis = self._basis().basis
+        if all(len(v) == 1 for v, _ in basis):
+            roots = [tuple(min(e, 1) for e in lead[1]) for _, lead in basis]
+            return all(any(all(a <= b for a, b in zip(r, m)) for r in roots)
+                       for m in p.terms)
+        q = p
+        for _ in range(3):
+            q = q * q
+            if self.contains(q):
+                return True
         aux = self.ring.extend(_fresh_name(self.ring))
         var_map = list(range(self.ring.nvars))
         gens = [g.map_ring(aux, var_map) for g in self.gens]
@@ -364,6 +391,9 @@ class Ideal:
         return all(self.radical_contains(g) for g in other.gens)
 
     def same_variety(self, other: "Ideal") -> bool:
+        # equal reduced bases mean equal ideals
+        if self._basis().basis == other._basis().basis:
+            return True
         return (self.radical_contains_ideal(other)
                 and other.radical_contains_ideal(self))
 

@@ -6,6 +6,13 @@ crk >= i, cut out by the minor ideal I_t(D) with t = floor((r-i)/2) + 1.
 A second route through the exterior-power Fitting ideal of coker(D) + its
 shift expands I_{r-i+1}(D + D) by minor convolution; the two routes must
 agree up to radical and are cross-checked on demand.
+
+The duality check compares the jump loci of X with those of the dual
+built explicitly from the dualized resolution and homotopies; the fast
+dual s_dual(X) is a transpose with the same minor ideals as X, so it
+needs no computation of its own.  Where X and the explicit dual disagree
+the check raises RouteDisagreement, which the command line reports with
+exit code 2.
 """
 
 from __future__ import annotations
@@ -19,12 +26,12 @@ from .groebner import Ideal, module_hilbert_data
 from .resolution import (RingData, FreeResolution, PipelineError,
                          TruncationNeeded, resolve_over_b, BettiTable)
 from .twisted import (TwistedComplex, minimalize, tbetti,
-                      homology_presentation, s_dual, direct_sum,
+                      homology_presentation, direct_sum,
                       koszul_object_list, free_complex)
 
 
 class RouteDisagreement(AssertionError):
-    """The fast dual route and the explicit dual route disagree."""
+    """X and its explicitly built dual have different jump loci."""
 
 
 # -- cohomological rank ---------------------------------------------------
@@ -157,7 +164,9 @@ def jump_loci_report(X: TwistedComplex, seed: int = 0) -> JumpLociReport:
     idx = sorted(ideals)
     for pos, i in enumerate(idx):
         nxt = ideals[idx[pos + 1]] if pos + 1 < len(idx) else _unit_ideal(S)
-        if not ideals[i].same_variety(nxt):
+        # minor ideals are nested, I_t(D) <= I_{t-1}(D), so V^i contains
+        # V^{i+2} by construction and only the other inclusion needs a test
+        if not ideals[i].radical_contains_ideal(nxt):
             jump_numbers.append(i)
     cx = dimension_of_v1(ideals, r, S)
     bdeg = None
@@ -234,35 +243,41 @@ def betti_degree(X: TwistedComplex, crk_generic: int = None,
 class DualityReport:
     per_index_equal: list   # (i, bool)
     bdeg_equal: bool
-    routes_agree: bool
 
     @property
     def all_equal(self) -> bool:
-        return (self.bdeg_equal and self.routes_agree
-                and all(ok for _, ok in self.per_index_equal))
+        return self.bdeg_equal and all(ok for _, ok in self.per_index_equal)
 
 
 def duality_check(X: TwistedComplex, X_dual_explicit: TwistedComplex,
                   seed: int = 0) -> DualityReport:
-    """Compare jump data of X with both dual routes.
+    """Compare the jump data of X with that of its explicit dual.
 
     ``X_dual_explicit`` is the twisted complex built from the dualized
-    resolution and homotopy system; the fast route is s_dual(X).  A
-    disagreement between the two dual routes raises RouteDisagreement.
+    resolution and homotopy system.  The fast dual s_dual(X) is a transpose
+    and has the same minor ideals as X, so comparing X with the explicit
+    dual is the cross-check of the two dual routes; a disagreement at any
+    jump index raises RouteDisagreement.
     """
     Xm = minimalize(X)
-    fast = minimalize(s_dual(Xm))
     explicit = minimalize(X_dual_explicit)
-    r = max(Xm.rank, fast.rank, explicit.rank)
+    g_x = generic_rank_certified(Xm.D, seed)
+    g_exp = generic_rank_certified(explicit.D, seed)
+    r = max(Xm.rank, explicit.rank)
+    # the jump ideal at i >= 1 depends only on t = floor((rank - i)/2) + 1,
+    # so indices sharing both minor sizes share one comparison
+    agree = {}
     per_index = []
     for i in range(1, r + 1):
-        I = jump_locus_ideal(Xm, i, seed=seed)
-        J_fast = jump_locus_ideal(fast, i, seed=seed)
-        J_exp = jump_locus_ideal(explicit, i, seed=seed)
-        if not J_fast.same_variety(J_exp):
+        key = ((Xm.rank - i) // 2, (explicit.rank - i) // 2)
+        if key not in agree:
+            I = jump_locus_ideal(Xm, i, seed=seed, generic_rank=g_x)
+            J = jump_locus_ideal(explicit, i, seed=seed, generic_rank=g_exp)
+            agree[key] = I.same_variety(J)
+        if not agree[key]:
             raise RouteDisagreement(
-                f"dual routes disagree at jump index {i}")
-        per_index.append((i, I.same_variety(J_fast)))
+                f"X and its explicit dual disagree at jump index {i}")
+        per_index.append((i, True))
     cx = complexity_of(Xm)
     cx_dual = complexity_of(explicit)
     if cx == 0 and cx_dual == 0:
@@ -272,7 +287,7 @@ def duality_check(X: TwistedComplex, X_dual_explicit: TwistedComplex,
     else:
         bdeg_equal = (betti_degree(X, complexity=cx)
                       == betti_degree(explicit, complexity=cx_dual))
-    return DualityReport(per_index, bdeg_equal, True)
+    return DualityReport(per_index, bdeg_equal)
 
 
 def additivity_check(X: TwistedComplex, Y: TwistedComplex,

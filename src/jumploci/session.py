@@ -75,17 +75,6 @@ class Session:
         return self.ring_data.ring
 
 
-def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 1
-    return True
-
-
 _NAME = re.compile(r"[A-Za-z_][A-Za-z_0-9]*")
 
 
@@ -194,10 +183,10 @@ def parse_session(text: str) -> Session:
             if rest == "QQ":
                 fld = QQ
             elif gm:
-                p = int(gm.group(1))
-                if not _is_prime(p):
-                    raise SessionError(f"{p} is not prime", line_no)
-                fld = GF(p)
+                try:
+                    fld = GF(int(gm.group(1)))
+                except ValueError as exc:
+                    raise SessionError(str(exc), line_no) from exc
             else:
                 raise SessionError(f"unknown field '{rest}'", line_no)
 

@@ -14,8 +14,8 @@ from jumploci.homotopy import compute_higher_homotopies, ingest_dg_structure
 from jumploci.matrix import PolyMatrix
 from jumploci.resolution import FreeResolution
 from jumploci.twisted import (TwistedComplex, build_twisted_complex,
-                              free_complex, koszul_object_list, direct_sum,
-                              shift)
+                              free_complex, koszul_object, koszul_object_list,
+                              direct_sum, shift)
 
 REPO = Path(__file__).resolve().parent.parent
 SESSIONS = REPO / "sessions"
@@ -141,6 +141,13 @@ def random_twisted_complex(S: PolyRing, rng: random.Random) -> TwistedComplex:
     if rng.random() < 0.3:
         X = shift(X, rng.randrange(-1, 2))
     return X
+
+
+def koszul_block(X: TwistedComplex) -> TwistedComplex:
+    """A rank-four complex over the ring of X, with jump loci on chi1 = 0;
+    summed onto a dual, it makes a complex that is not the dual."""
+    base = free_complex(X.S, 2, X.chi_internal, degrees=[(0, 0), (1, 0)])
+    return koszul_object(base, X.S.gen(0))
 
 
 def random_monomial_rows(rng: random.Random):

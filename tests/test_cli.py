@@ -5,9 +5,11 @@ import os
 
 import pytest
 
+from jumploci import cli
 from jumploci.cli import main
+from jumploci.twisted import direct_sum
 
-from conftest import SESSIONS, CHAINS
+from conftest import SESSIONS, CHAINS, koszul_block
 
 FLAG = str(SESSIONS / "flag.session")
 FINAL = str(SESSIONS / "final.session")
@@ -103,6 +105,20 @@ def test_dual_on_final_example(capfd):
     assert data["bass_degree"] == 3
 
 
+def test_dual_exits_2_when_the_explicit_dual_disagrees(capfd, monkeypatch):
+    real = cli.build_pipeline
+
+    def skewed(session, need_dual=False):
+        pipe = real(session, need_dual)
+        pipe.X_dual = direct_sum(pipe.X_dual, koszul_block(pipe.X))
+        return pipe
+
+    monkeypatch.setattr(cli, "build_pipeline", skewed)
+    code, out, err = _run(capfd, ["dual", "--input", FINAL])
+    assert code == 2 and out == ""
+    assert err.startswith("error (route disagreement):")
+
+
 # -- betti ------------------------------------------------------------------
 
 
@@ -115,6 +131,13 @@ def test_betti_command(capfd):
     assert data["quasi"]["odd"] == ["3/2", "3/2"]
     assert data["dual"]["betti"]["0"] == 2
     assert data["dual"]["quasi"]["even"] == ["2", "3/2"]
+
+
+@pytest.mark.parametrize("value", ["0", "-3"])
+def test_betti_rejects_a_nonpositive_truncation(capfd, value):
+    code, out, err = _run(capfd, ["betti", "--input", FINAL, "--n", value])
+    assert code == 1 and out == ""
+    assert err == f"error: the truncation must be positive, not {value}\n"
 
 
 def test_betti_rejects_complex_input(capfd):
@@ -161,6 +184,14 @@ def test_oracle_reports_disagreement_faithfully(capfd):
         assert s["crk"] == 2 * s["stable_betti"]
 
 
+@pytest.mark.parametrize("value", ["0", "-1"])
+def test_oracle_rejects_a_nonpositive_point_count(capfd, value):
+    code, out, err = _run(capfd, ["oracle", "--input", PERFECT,
+                                  "--points", value])
+    assert code == 1 and out == ""
+    assert err == f"error: --points must be positive, not {value}\n"
+
+
 # -- realize ----------------------------------------------------------------
 
 
@@ -194,6 +225,21 @@ def test_bad_session_reports_line(capfd, tmp_path):
     code, out, err = _run(capfd, ["compute", "--input", str(bad)])
     assert code == 1
     assert "4 is not prime (line 1)" in err
+
+
+@pytest.mark.parametrize("prime", ["2147483659", "1" + "0" * 40, "0"])
+def test_unusable_prime_is_an_input_error(capfd, tmp_path, prime):
+    session = tmp_path / "big.session"
+    session.write_text(f"field GF({prime})\nring x\nci x^2\n"
+                       "module coker [[x]]\n")
+    chain = tmp_path / "big.chain"
+    chain.write_text(f"field GF({prime})\nring chi1\nmember 0\nmember 1\n")
+    for argv in (["compute", "--input", str(session)],
+                 ["realize", "--chain", str(chain)]):
+        code, out, err = _run(capfd, argv)
+        assert code == 1 and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "(line 1)" in err and "Traceback" not in err
 
 
 def test_session_options_provide_defaults(capfd, tmp_path):

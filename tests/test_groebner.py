@@ -4,10 +4,12 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from jumploci import GF, QQ, PolyRing
-from jumploci.groebner import (Ideal, ModuleGB, syzygy_matrix, vector_of,
-                               module_hilbert_data)
+from jumploci.groebner import (GBStats, Ideal, ModuleGB, syzygy_matrix,
+                               vector_of, module_hilbert_data)
+from jumploci.poly import Polynomial
 from jumploci.matrix import PolyMatrix
 
 from conftest import matrix_of
@@ -256,6 +258,96 @@ def test_variety_equality_is_an_equivalence():
             for K in ideals:
                 if I.same_variety(J) and J.same_variety(K):
                     assert I.same_variety(K)
+
+
+# Reference for the staged radical test: the plain Rabinowitsch trick with
+# one Groebner basis per generator.  The basis is tracked, so it runs every
+# S-pair and never takes the unit shortcut of untracked ideal runs.
+
+
+def _reference_radical_contains(I, p):
+    if p.is_zero():
+        return True
+    aux = I.ring.extend("y_ref")
+    var_map = list(range(I.ring.nvars))
+    gens = [g.map_ring(aux, var_map) for g in I.gens]
+    y = aux.gen(aux.nvars - 1)
+    gens.append(aux.one() - y * p.map_ring(aux, var_map))
+    gb = ModuleGB(aux, 1, [vector_of([g], aux) for g in gens], track=True)
+    return gb.contains(vector_of([aux.one()], aux))
+
+
+def _reference_same_variety(I, J):
+    return (all(_reference_radical_contains(I, g) for g in J.gens)
+            and all(_reference_radical_contains(J, g) for g in I.gens))
+
+
+S3 = PolyRing(GF5, ("chi1", "chi2", "chi3"), (2, 2, 2))
+_EXPONENTS = [m for m in itertools.product(range(3), repeat=3) if sum(m) <= 3]
+_MONOMIALS = st.sampled_from([m for m in _EXPONENTS if any(m)]).map(
+    S3.monomial)
+_POLYNOMIALS = st.dictionaries(
+    st.sampled_from(_EXPONENTS), st.integers(min_value=1, max_value=4),
+    min_size=1, max_size=3).map(lambda terms: Polynomial(S3, terms))
+_GENERATORS = st.one_of(
+    st.lists(_MONOMIALS, max_size=3),                    # monomial ideals
+    st.lists(st.one_of(_MONOMIALS, _POLYNOMIALS), max_size=3),
+    st.just([S3.one()]))                                 # the unit ideal
+
+
+@settings(max_examples=80, deadline=None)
+@given(I_gens=_GENERATORS, J_gens=_GENERATORS, nested=st.booleans(),
+       probe=_POLYNOMIALS)
+def test_staged_radical_test_matches_rabinowitsch(I_gens, J_gens, nested,
+                                                  probe):
+    I = Ideal(S3, I_gens)
+    J = Ideal(S3, I_gens + J_gens if nested else J_gens)
+    for A, B in ((I, J), (J, I)):
+        for p in B.gens + [probe, probe * probe, S3.zero()]:
+            assert A.radical_contains(p) == _reference_radical_contains(A, p)
+    same = _reference_same_variety(I, J)
+    assert I.same_variety(J) == same
+    assert J.same_variety(I) == same
+    assert I.same_variety(I.reduced())
+
+
+def test_radical_of_zero_and_unit_ideals():
+    zero, unit = Ideal(S3, []), Ideal(S3, [S3.one()])
+    chi1 = S3.parse("chi1")
+    assert not zero.radical_contains(chi1)
+    assert zero.radical_contains(S3.zero())
+    assert unit.radical_contains(chi1)
+    assert not zero.same_variety(unit)
+    assert zero.same_variety(Ideal(S3, [S3.zero()]))
+
+
+@pytest.mark.parametrize("gens, expected", [
+    # one case per stage that decides; the last fails the powers
+    (["chi1^2", "chi2"], {"chi1": True, "chi3": False}),           # monomial
+    (["chi1^2", "chi2 - chi3"], {"chi1 + chi2 - chi3": True}),     # p^2
+    (["chi1^9", "chi2 - chi3"], {"chi1": True, "chi2": False}),    # y-trick
+    (["chi1^2 + chi1"], {"chi1": False, "chi1^2 + chi1": True}),
+])
+def test_each_stage_of_the_radical_test(gens, expected):
+    I = Ideal(S3, [S3.parse(g) for g in gens])
+    for text, answer in expected.items():
+        p = S3.parse(text)
+        assert _reference_radical_contains(I, p) == answer
+        assert I.radical_contains(p) == answer
+
+
+@pytest.mark.parametrize("gens", [
+    ["x^2 - y", "x*y", "3"],    # a constant among the inputs
+    ["x*y + 1", "x^2"],         # the unit appears from an S-pair
+])
+def test_untracked_ideal_basis_with_a_unit_is_one(gens):
+    R = PolyRing(GF101, ("x", "y"))
+    before = GBStats.pairs_processed
+    gb = ModuleGB(R, 1, [vector_of([R.parse(g)], R) for g in gens])
+    assert gb.basis == [({(0, (0, 0)): 1}, (0, (0, 0)))]
+    if "3" in gens:
+        # the run stops at the constant, before any S-pair
+        assert GBStats.pairs_processed == before
 
 
 def test_dimension_and_multiplicity_of_ideals():

@@ -15,9 +15,10 @@ from jumploci.twisted import (build_twisted_complex, minimalize, tbetti,
 from jumploci.loci import (crk_at, jump_locus_ideal,
                            jump_locus_via_exterior_power, jump_loci_report,
                            complexity_of, betti_degree, duality_check,
-                           additivity_check, realize, stable_betti_oracle)
+                           additivity_check, realize, stable_betti_oracle,
+                           RouteDisagreement)
 
-from conftest import matrix_of, random_monomial_rows
+from conftest import koszul_block, matrix_of, random_monomial_rows
 
 GF101 = GF(101)
 
@@ -202,6 +203,13 @@ def test_duality_on_nonregular_model(nonregular_action):
     dual_sys = dualize_homotopies(sys, dc, rd)
     X_dual = build_twisted_complex(dual_sys.resolution, dual_sys, rd, S=X.S)
     assert duality_check(X, X_dual).all_equal
+
+
+def test_duality_rejects_a_complex_that_is_not_the_dual(final_pipeline):
+    X = final_pipeline[4]
+    wrong = direct_sum(_explicit_dual(final_pipeline), koszul_block(X))
+    with pytest.raises(RouteDisagreement):
+        duality_check(X, wrong)
 
 
 def test_duality_on_random_monomial_modules():

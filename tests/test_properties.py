@@ -88,6 +88,16 @@ def check_dual_involution(X):
     assert XX.basis_degrees == X.basis_degrees
 
 
+def check_dual_has_the_jump_ideals(X):
+    """s_dual is a transpose and I_t(D^T) = I_t(D), so the fast dual has
+    the reduced jump ideals of X; the duality check relies on this."""
+    X = minimalize(X)
+    Y = s_dual(X)
+    for i in range(0, X.rank + 2):
+        assert (jump_locus_ideal(Y, i).groebner_generators()
+                == jump_locus_ideal(X, i).groebner_generators()), i
+
+
 def check_degree_counts(X):
     """Computing the Betti degree must never produce mismatched parity
     counts; it either returns a nonnegative integer or declines because
@@ -106,6 +116,7 @@ ALL_CHECKS = [check_differential_squares_to_zero,
               check_jump_endpoints,
               check_shift_and_minimalization_invariance,
               check_dual_involution,
+              check_dual_has_the_jump_ideals,
               check_degree_counts]
 
 
