@@ -36,11 +36,11 @@ from fractions import Fraction
 from .field import GF, QQ
 from .poly import PolyRing
 from .groebner import Ideal, GBStats
-from .resolution import (PipelineError, TruncationNeeded, resolve_over_b,
-                         BettiTable, fit_quasi_polynomial)
-from .loci import (jump_loci_report, complexity_of, betti_degree, crk_at,
-                   duality_check, realize, stable_betti_oracle,
-                   RouteDisagreement, JumpLociReport)
+from .resolution import (PipelineError, TruncationNeeded, BettiTable,
+                         fit_quasi_polynomial)
+from .loci import (jump_loci_report, complexity_of, betti_degree,
+                   betti_numbers, crk_at, duality_check, realize,
+                   stable_betti_oracle, RouteDisagreement, JumpLociReport)
 from .session import (Session, SessionError, parse_session, build_pipeline)
 
 
@@ -156,16 +156,14 @@ def cmd_betti(session: Session, args) -> dict:
     if n <= 0:
         raise PipelineError(f"the truncation must be positive, not {n}")
     pipe = build_pipeline(session, need_dual=True)
-    res = resolve_over_b(pipe.rd, pipe.presentation, n)
-    table = BettiTable.of(res)
+    table = BettiTable("B", betti_numbers(pipe.X, n))
     out = {"n": n, "betti": {str(i): b for i, b in sorted(table.beta.items())}}
     try:
         out["quasi"] = _quasi_dict(fit_quasi_polynomial(table, n + 1))
     except TruncationNeeded as exc:
         out["quasi"] = {"error": str(exc)}
     if pipe.dual_presentation is not None:
-        res_d = resolve_over_b(pipe.rd, pipe.dual_presentation, n)
-        table_d = BettiTable.of(res_d)
+        table_d = BettiTable("B", betti_numbers(pipe.X_dual, n))
         dual = {"betti": {str(i): b for i, b in sorted(table_d.beta.items())}}
         try:
             dual["quasi"] = _quasi_dict(fit_quasi_polynomial(table_d, n + 1))
@@ -304,7 +302,7 @@ def build_argument_parser() -> argparse.ArgumentParser:
                                  "crk", "oracle"])
     parser.add_argument("--input", help="session file")
     parser.add_argument("--n", type=int, default=None,
-                        help="resolution truncation (betti)")
+                        help="last Betti number to compute (betti)")
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--format", choices=["json", "text"], default="json")
     parser.add_argument("--output", default=None)

@@ -21,9 +21,9 @@ import itertools
 from dataclasses import dataclass
 
 from .matrix import PolyMatrix
-from .groebner import ModuleGB, vector_of
+from .groebner import ModuleGB
 from .resolution import (FreeResolution, RingData, PipelineError,
-                         DualComplex, columns_to_matrix)
+                         DualComplex, check_annihilation)
 
 
 @dataclass
@@ -59,7 +59,11 @@ def _compose_or_none(a, b):
 
 def compute_higher_homotopies(res: FreeResolution,
                               rd: RingData) -> HigherHomotopySystem:
-    """Solve for a full homotopy system on a resolution over A."""
+    """Solve for a full homotopy system on a resolution over A.
+
+    A resolution of length zero gets the empty system unchecked: F_0 is
+    then the module itself, and the caller decides whether f annihilates it.
+    """
     ring = rd.ring
     L = res.length
     ranks = _ranks(res)
@@ -70,13 +74,7 @@ def compute_higher_homotopies(res: FreeResolution,
             "f is not a regular sequence; supply an explicit complex "
             "with dg actions instead")
     # f_i must annihilate H_0(F) = coker d_1
-    d1 = res.differentials[0]
-    gb0 = ModuleGB(ring, ranks[0], d1.columns_as_vectors())
-    for i, f in enumerate(rd.ci):
-        for j in range(ranks[0]):
-            if not gb0.contains({(j, m): c for m, c in f.terms.items()}):
-                raise PipelineError(
-                    f"f_{i + 1} = {f} does not annihilate the module")
+    check_annihilation(rd, res.differentials[0])
     # tracked bases of im(d_t) for lifting, built lazily
     lift_bases = {}
 

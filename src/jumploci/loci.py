@@ -20,14 +20,13 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-from .poly import Polynomial, PolyRing
+from .poly import PolyRing
 from .matrix import PolyMatrix
 from .groebner import Ideal, module_hilbert_data
-from .resolution import (RingData, FreeResolution, PipelineError,
-                         TruncationNeeded, resolve_over_b, BettiTable)
-from .twisted import (TwistedComplex, minimalize, tbetti,
-                      homology_presentation, direct_sum,
-                      koszul_object_list, free_complex)
+from .resolution import (RingData, PipelineError, TruncationNeeded,
+                         resolve_over_b)
+from .twisted import (TwistedComplex, minimalize, homology_presentation,
+                      direct_sum, koszul_object_list, free_complex)
 
 
 class RouteDisagreement(AssertionError):
@@ -191,6 +190,28 @@ def complexity_of(X: TwistedComplex) -> int:
     dim, _, _ = module_hilbert_data(mat, [0] * mat.nrows,
                                     (1,) * X.S.nvars)
     return max(dim, 0) if dim >= 0 else 0
+
+
+def betti_numbers(X: TwistedComplex, n: int) -> dict:
+    """beta_0..beta_n over B of the module M with X = X(M).
+
+    H(X) = Ext_B(M, k) is a finitely generated module over S, so the
+    Poincare series of M is h(t)/(1 - t^2)^c, with h the Hilbert numerator
+    of H(X) in the cohomological grading (each chi of weight 2).  A zero
+    beta_i forces every later one to vanish, so the dict stops at the last
+    nonzero entry, as a finite resolution does; the zero module gives
+    {0: 0}.
+    """
+    mat, degs = homology_presentation(minimalize(X))
+    c = X.S.nvars
+    _, _, num = module_hilbert_data(mat, [coh for coh, _ in degs], (2,) * c)
+    beta = [num.get(i, 0) for i in range(n + 1)]
+    for _ in range(c):
+        for i in range(2, n + 1):
+            beta[i] += beta[i - 2]
+    while len(beta) > 1 and not beta[-1]:
+        beta.pop()
+    return dict(enumerate(beta))
 
 
 def betti_degree(X: TwistedComplex, crk_generic: int = None,

@@ -167,8 +167,13 @@ class Polynomial:
 
     def __pow__(self, n: int):
         out = self.ring.one()
-        for _ in range(n):
-            out = out * self
+        base = self
+        while n > 0:
+            if n & 1:
+                out = out * base
+            n >>= 1
+            if n:
+                base = base * base
         return out
 
     def monic(self) -> "Polynomial":
@@ -289,6 +294,9 @@ class Polynomial:
         return f"<{self} over {self.ring.field}[{','.join(self.ring.variables)}]>"
 
 
+# Largest exponent the parser accepts; larger ones are input errors.
+MAX_EXPONENT = 1000
+
 _TOKEN = re.compile(r"\s*(\d+/\d+|\d+|[A-Za-z_][A-Za-z_0-9']*|\^|\*|\+|-|\(|\))")
 
 
@@ -342,6 +350,9 @@ def _parse_polynomial(ring: PolyRing, text: str) -> Polynomial:
             e = take()
             if e is None or not e.isdigit():
                 raise ValueError("exponent must be a nonnegative integer")
+            if int(e) > MAX_EXPONENT:
+                raise ValueError(
+                    f"exponent {e} exceeds the limit {MAX_EXPONENT}")
             base = base ** int(e)
         return base
 

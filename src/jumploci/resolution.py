@@ -4,19 +4,21 @@ A is a weighted polynomial ring; B is its quotient by the declared
 homogeneous elements f_1..f_c.  Resolutions over A are finite and built by
 iterated syzygies, pruning each syzygy stage to a minimal generating set
 (over a graded ring this yields the minimal resolution).  Resolutions over
-B are truncated: an artinian B gets a fast pure-linear-algebra path over
-the standard monomial basis, the general case emulates module arithmetic
-over B inside A by adjoining the columns f_k e_j.
+B are truncated and emulate module arithmetic over B inside A by adjoining
+the columns f_k e_j.  ``resolve_over_b`` is the oracle route: the Betti
+numbers the command line prints come from H(X) = Ext_B(M, k) (see
+``loci.betti_numbers``); it drives the hypersurface point oracle and
+serves as the independent check of that closed form in the tests.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 from fractions import Fraction
 
 from .poly import Polynomial, PolyRing
-from .matrix import PolyMatrix, scalar_rank
-from .groebner import (Ideal, ModuleGB, coeffs_to_matrix, vector_of)
+from .matrix import PolyMatrix
+from .groebner import Ideal, ModuleGB, vector_of
 
 
 class PipelineError(ValueError):
@@ -63,9 +65,6 @@ class RingData:
         if self.c > self.n:
             return False
         return self.ci_ideal().dimension() == self.n - self.c
-
-    def b_is_artinian(self) -> bool:
-        return self.ci_ideal().dimension() == 0
 
     def operator_ring(self, names=None) -> PolyRing:
         """S = k[chi_1..chi_c], each operator of cohomological degree 2."""
@@ -271,28 +270,8 @@ def resolve_over_b(rd: RingData, presentation: PolyMatrix,
     nf = rd.ci_ideal().normal_form
     cols = [_reduce_column(c, nf, ring) for c in cols]
     cols = [c for c in cols if c]
-    if rd.b_is_artinian():
-        return _resolve_artinian(rd, cols, row_degrees, truncation)
-    return _resolve_over_b_gb(rd, cols, row_degrees, truncation)
-
-
-def _reduce_column(col, nf, ring):
-    per_row = {}
-    for (r, m), c in col.items():
-        per_row.setdefault(r, {})[m] = c
-    out = {}
-    for r, terms in per_row.items():
-        p = nf(Polynomial(ring, terms))
-        for m, c in p.terms.items():
-            out[(r, m)] = c
-    return out
-
-
-def _resolve_over_b_gb(rd, cols, row_degrees, truncation):
-    ring = rd.ring
     rank = len(row_degrees)
     cols = minimal_generator_columns(ring, rank, cols, row_degrees, over_b=rd)
-    nf = rd.ci_ideal().normal_form
     degrees = [list(row_degrees)]
     diffs = []
     complete = not cols
@@ -317,214 +296,16 @@ def _resolve_over_b_gb(rd, cols, row_degrees, truncation):
                           truncation=truncation)
 
 
-# -- artinian fast path ---------------------------------------------------
-
-
-def _standard_monomials(rd: RingData):
-    """Monomial k-basis of the artinian quotient B, with degrees."""
-    ring = rd.ring
-    leads = rd.ci_ideal().lead_monomials()
-    out = []
-    stack = [(0,) * ring.nvars]
-    seen = {stack[0]}
-    while stack:
-        m = stack.pop()
-        if any(all(a >= b for a, b in zip(m, l)) for l in leads):
-            continue
-        out.append(m)
-        for i in range(ring.nvars):
-            m2 = tuple(e + (1 if j == i else 0) for j, e in enumerate(m))
-            if m2 not in seen:
-                seen.add(m2)
-                stack.append(m2)
-    out.sort(key=ring.mono_key)
-    return out
-
-
-def _resolve_artinian(rd, cols, row_degrees, truncation):
-    ring = rd.ring
-    fld = ring.field
-    nf = rd.ci_ideal().normal_form
-    std = _standard_monomials(rd)
-    std_index = {m: i for i, m in enumerate(std)}
-    std_deg = [ring.wdeg(m) for m in std]
-
-    def expand(col, tgt_degrees, want_deg):
-        """Coordinates of a reduced column in the (row, std monomial) basis."""
-        vec = {}
-        for (r, m), c in col.items():
-            vec[(r, std_index[m])] = c
-        return vec
-
-    def mult_column(col, mono):
-        out = {}
-        per_row = {}
-        for (r, m), c in col.items():
-            mm = tuple(a + b for a, b in zip(m, mono))
-            per_row.setdefault(r, {})[mm] = c
-        for r, terms in per_row.items():
-            p = nf(Polynomial(ring, terms))
-            for m, c in p.terms.items():
-                out[(r, m)] = c
-        return out
-
-    rank = len(row_degrees)
-    cols = minimal_generator_columns(ring, rank, cols, row_degrees, over_b=rd)
-    degrees = [list(row_degrees)]
-    diffs = []
-    complete = not cols
-    for hom in range(1, truncation + 1):
-        if not cols:
-            complete = True
-            break
-        mat = columns_to_matrix(ring, cols, rank, degrees[-1], hom)
-        diffs.append(mat)
-        col_degrees = [d[1] for d in mat.col_degrees]
-        degrees.append(col_degrees)
-        # kernel of F_hom -> F_{hom-1} by degree stratum
-        dom_basis = []
-        for j, cd in enumerate(col_degrees):
-            for s, m in enumerate(std):
-                dom_basis.append((j, s, cd + std_deg[s]))
-        strata = sorted({d for _, _, d in dom_basis})
-        kernel_by_deg = {}
-        for d in strata:
-            basis_d = [(j, s) for j, s, dd in dom_basis if dd == d]
-            if not basis_d:
-                continue
-            images = []
-            for j, s in basis_d:
-                img = mult_column(cols[j], std[s])
-                images.append(expand(img, degrees[-2], d))
-            null = _nullspace_sparse(images, fld)
-            if null:
-                kernel_by_deg[d] = (basis_d, null)
-        # minimal generators: quotient each stratum by B_+ . K
-        new_cols = []
-        kernel_vectors = {}   # degree -> list of coordinate dicts over (j, s)
-        for d in strata:
-            got = kernel_by_deg.get(d)
-            vecs = []
-            if got:
-                basis_d, null = got
-                for nv in null:
-                    vecs.append({basis_d[t]: c for t, c in nv.items()})
-            kernel_vectors[d] = vecs
-        for d in strata:
-            vecs = kernel_vectors[d]
-            if not vecs:
-                continue
-            shifted = []
-            for i in range(ring.nvars):
-                w = ring.weights[i]
-                mono = tuple(1 if t == i else 0 for t in range(ring.nvars))
-                for prev in kernel_vectors.get(d - w, []):
-                    col = _coords_to_column(prev, std, ring)
-                    moved = mult_column(col, mono)
-                    shifted.append({(j, std_index[m]): c
-                                    for (j, m), c in moved.items()})
-            reps = _complement_basis(vecs, shifted, fld)
-            for rep in reps:
-                new_cols.append(_coords_to_column(rep, std, ring))
-        rank = len(cols)
-        cols = new_cols
-    return FreeResolution(rd, "B", diffs, degrees, complete,
-                          truncation=truncation)
-
-
-def _coords_to_column(coords, std, ring):
+def _reduce_column(col, nf, ring):
+    per_row = {}
+    for (r, m), c in col.items():
+        per_row.setdefault(r, {})[m] = c
     out = {}
-    for (j, s), c in coords.items():
-        out[(j, std[s])] = c
+    for r, terms in per_row.items():
+        p = nf(Polynomial(ring, terms))
+        for m, c in p.terms.items():
+            out[(r, m)] = c
     return out
-
-
-def _nullspace_sparse(images, fld):
-    """Null space of the map sending basis vector t to images[t] (dict)."""
-    keys = sorted({k for img in images for k in img}, key=str)
-    kidx = {k: i for i, k in enumerate(keys)}
-    nr = len(keys)
-    nc = len(images)
-    rows = [[fld.zero()] * nc for _ in range(nr)]
-    for t, img in enumerate(images):
-        for k, c in img.items():
-            rows[kidx[k]][t] = c
-    return _nullspace_dense(rows, nc, fld)
-
-
-def _nullspace_dense(rows, nc, fld):
-    m = [list(r) for r in rows]
-    nr = len(m)
-    pivots = {}
-    pr = 0
-    for pc in range(nc):
-        piv = None
-        for r in range(pr, nr):
-            if m[r][pc]:
-                piv = r
-                break
-        if piv is None:
-            continue
-        m[pr], m[piv] = m[piv], m[pr]
-        inv = fld.inv(m[pr][pc])
-        m[pr] = [fld.mul(x, inv) for x in m[pr]]
-        for r in range(nr):
-            if r != pr and m[r][pc]:
-                f = m[r][pc]
-                m[r] = [fld.sub(a, fld.mul(f, b)) for a, b in zip(m[r], m[pr])]
-        pivots[pc] = pr
-        pr += 1
-    free = [c for c in range(nc) if c not in pivots]
-    out = []
-    for fc in free:
-        vec = {fc: fld.one()}
-        for pc, r in pivots.items():
-            v = fld.neg(m[r][fc])
-            if v:
-                vec[pc] = v
-        out.append(vec)
-    return out
-
-
-def _complement_basis(vectors, span, fld):
-    """Representatives of span(vectors) modulo span(span)."""
-    keys = sorted({k for v in vectors for k in v}
-                  | {k for v in span for k in v}, key=str)
-    kidx = {k: i for i, k in enumerate(keys)}
-    n = len(keys)
-
-    basis = []  # reduced echelon rows as dicts idx -> coeff, with pivot
-
-    def reduce_vec(dense):
-        for pivot, row in basis:
-            c = dense.get(pivot)
-            if c:
-                for i, v in row.items():
-                    s = fld.sub(dense.get(i, fld.zero()), fld.mul(c, v))
-                    if s:
-                        dense[i] = s
-                    else:
-                        dense.pop(i, None)
-        return dense
-
-    def insert(dense):
-        dense = reduce_vec(dense)
-        if not dense:
-            return False
-        pivot = min(dense)
-        inv = fld.inv(dense[pivot])
-        dense = {i: fld.mul(c, inv) for i, c in dense.items()}
-        basis.append((pivot, dense))
-        basis.sort(key=lambda t: t[0])
-        return True
-
-    for v in span:
-        insert({kidx[k]: c for k, c in v.items()})
-    reps = []
-    for v in vectors:
-        if insert({kidx[k]: c for k, c in v.items()}):
-            reps.append(v)
-    return reps
 
 
 # -- dualization over A ---------------------------------------------------
@@ -588,10 +369,6 @@ def _check_concentration(res: FreeResolution) -> bool:
 class BettiTable:
     over: str
     beta: dict
-
-    @classmethod
-    def of(cls, res: FreeResolution) -> "BettiTable":
-        return cls(res.over, res.betti())
 
 
 @dataclass

@@ -33,8 +33,8 @@ from .field import Field, GF, QQ
 from .poly import PolyRing, Polynomial
 from .matrix import PolyMatrix
 from .resolution import (RingData, FreeResolution, PipelineError,
-                         presentation_from_rows, resolve_over_a,
-                         dualize_over_a, DualComplex)
+                         check_annihilation, presentation_from_rows,
+                         resolve_over_a, dualize_over_a, DualComplex)
 from .homotopy import (compute_higher_homotopies, ingest_dg_structure,
                        dualize_homotopies)
 from .twisted import TwistedComplex, build_twisted_complex
@@ -454,6 +454,10 @@ def build_pipeline(session: Session, need_dual: bool = False) -> Pipeline:
     if mod.kind == "coker":
         pres = presentation_from_rows(ring, mod.rows)
         res = resolve_over_a(rd, pres)
+        if res.length == 0:
+            # M = F_0 is free, and only the zero free module is annihilated
+            # by f; compute_higher_homotopies does not check a length-zero F
+            check_annihilation(rd, pres)
         sys = compute_higher_homotopies(res, rd)
     else:
         res = FreeResolution(rd, "A", mod.differentials, mod.degrees,

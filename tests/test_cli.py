@@ -2,11 +2,15 @@
 
 import json
 import os
+import time
 
 import pytest
 
 from jumploci import cli
 from jumploci.cli import main
+from jumploci.resolution import (BettiTable, TruncationNeeded,
+                                 fit_quasi_polynomial, resolve_over_b)
+from jumploci.session import build_pipeline, parse_session
 from jumploci.twisted import direct_sum
 
 from conftest import SESSIONS, CHAINS, koszul_block
@@ -17,6 +21,8 @@ KOSZUL = str(SESSIONS / "koszul_residue.session")
 NONREG = str(SESSIONS / "dg_nonregular.session")
 PERFECT = str(SESSIONS / "perfect.session")
 CHAIN = str(CHAINS / "complete_flag.chain")
+COKER_SESSIONS = sorted(p.name for p in SESSIONS.glob("*.session")
+                        if "module coker" in p.read_text())
 
 
 def _run(capfd, argv):
@@ -146,6 +152,35 @@ def test_betti_rejects_complex_input(capfd):
     assert "cokernel" in err
 
 
+def _oracle_betti_report(path, n):
+    """The betti report with every table taken from resolve_over_b."""
+    pipe = build_pipeline(parse_session(path.read_text()), need_dual=True)
+
+    def block(presentation):
+        table = BettiTable("B", resolve_over_b(pipe.rd, presentation,
+                                               n).betti())
+        out = {"betti": {str(i): b for i, b in sorted(table.beta.items())}}
+        try:
+            out["quasi"] = cli._quasi_dict(fit_quasi_polynomial(table, n + 1))
+        except TruncationNeeded as exc:
+            out["quasi"] = {"error": str(exc)}
+        return out
+
+    report = {"n": n, **block(pipe.presentation)}
+    report["dual"] = (None if pipe.dual_presentation is None
+                      else block(pipe.dual_presentation))
+    return report
+
+
+@pytest.mark.parametrize("name", COKER_SESSIONS)
+def test_betti_json_equals_the_resolution_oracle(capfd, name):
+    path = SESSIONS / name
+    code, out, err = _run(capfd, ["betti", "--input", str(path), "--n", "6"])
+    assert code == 0, err
+    assert out.encode() == cli.emit_report(_oracle_betti_report(path, 6),
+                                           "json")
+
+
 # -- crk --------------------------------------------------------------------
 
 
@@ -240,6 +275,29 @@ def test_unusable_prime_is_an_input_error(capfd, tmp_path, prime):
         assert code == 1 and out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "(line 1)" in err and "Traceback" not in err
+
+
+def test_module_not_annihilated_by_f_is_an_input_error(capfd, tmp_path):
+    """M = A, the cokernel of a zero map, is not a B-module."""
+    session = tmp_path / "free.session"
+    session.write_text("field GF(101)\nring x, y\nci x^2, y^2\n"
+                       "module coker [[0]]\n")
+    for command in ("crk", "compute", "dual", "betti"):
+        code, out, err = _run(capfd, [command, "--input", str(session)])
+        assert code == 1 and out == ""
+        assert err == "error: f_1 = x^2 does not annihilate the module\n"
+
+
+def test_huge_exponent_is_an_input_error(capfd, tmp_path):
+    session = tmp_path / "huge.session"
+    session.write_text("field GF(101)\nring x\nci x^2\n"
+                       "module coker [[x^99999999]]\n")
+    start = time.perf_counter()
+    code, out, err = _run(capfd, ["compute", "--input", str(session)])
+    assert time.perf_counter() - start < 5
+    assert code == 1 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "exceeds the limit 1000" in err and "(line 4, column" in err
 
 
 def test_session_options_provide_defaults(capfd, tmp_path):

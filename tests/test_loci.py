@@ -7,18 +7,19 @@ import pytest
 from jumploci import GF, PolyRing
 from jumploci.groebner import Ideal
 from jumploci.resolution import (RingData, presentation_from_rows,
-                                 resolve_over_a, dualize_over_a,
-                                 PipelineError)
+                                 resolve_over_a, resolve_over_b,
+                                 dualize_over_a, PipelineError)
+from jumploci.session import parse_session, build_pipeline
 from jumploci.homotopy import compute_higher_homotopies, dualize_homotopies
 from jumploci.twisted import (build_twisted_complex, minimalize, tbetti,
                               free_complex, koszul_object_list, direct_sum)
 from jumploci.loci import (crk_at, jump_locus_ideal,
                            jump_locus_via_exterior_power, jump_loci_report,
-                           complexity_of, betti_degree, duality_check,
-                           additivity_check, realize, stable_betti_oracle,
-                           RouteDisagreement)
+                           complexity_of, betti_degree, betti_numbers,
+                           duality_check, additivity_check, realize,
+                           stable_betti_oracle, RouteDisagreement)
 
-from conftest import koszul_block, matrix_of, random_monomial_rows
+from conftest import SESSIONS, koszul_block, matrix_of, random_monomial_rows
 
 GF101 = GF(101)
 
@@ -180,6 +181,66 @@ def test_bass_degree_via_dual_pipeline(final_pipeline, flag_pipeline):
         X_dual = build_twisted_complex(dual_sys.resolution, dual_sys, rd,
                                        S=X.S)
         assert betti_degree(X_dual) == expected
+
+
+# -- Betti numbers from H(X) -----------------------------------------------
+
+
+def _coker_pipeline(ring, ci, entries):
+    return build_pipeline(parse_session(
+        f"field GF(101)\nring {ring}\nci {ci}\n"
+        f"module coker [[{', '.join(entries)}]]\n"), need_dual=True)
+
+
+def _monomial(names, exponents):
+    return "*".join(f"{v}^{e}" for v, e in zip(names, exponents) if e)
+
+
+def _assert_betti_routes_agree(pipe, n):
+    """betti_numbers of X and of X_dual equal the B-resolution oracle."""
+    assert betti_numbers(pipe.X, n) == \
+        resolve_over_b(pipe.rd, pipe.presentation, n).betti()
+    if pipe.dual_presentation is not None:
+        assert betti_numbers(pipe.X_dual, n) == \
+            resolve_over_b(pipe.rd, pipe.dual_presentation, n).betti()
+
+
+def test_betti_numbers_match_the_resolution_over_artinian_b():
+    rng = random.Random(23)
+    for _ in range(6):
+        gens = [_monomial("xy", m) for m in random_monomial_rows(rng)]
+        _assert_betti_routes_agree(_coker_pipeline("x, y", "x^3, y^3", gens),
+                                   7)
+
+
+def test_betti_numbers_match_the_resolution_over_non_artinian_b():
+    """B = k[x,y,z]/(x^3, y^3) has dimension one (c = 2 < n = 3); a power
+    of z, when present, makes M artinian while B stays not."""
+    rng = random.Random(29)
+    for _ in range(6):
+        gens = [_monomial("xy", m) for m in random_monomial_rows(rng)]
+        if rng.random() < 0.5:
+            gens.append(f"z^{rng.randrange(1, 3)}")
+        _assert_betti_routes_agree(
+            _coker_pipeline("x, y, z", "x^3, y^3", gens), 5)
+
+
+def test_betti_numbers_stop_at_a_finite_projective_dimension():
+    perfect = build_pipeline(
+        parse_session((SESSIONS / "perfect.session").read_text()),
+        need_dual=True)
+    assert betti_numbers(perfect.X, 6) == {0: 1}
+    _assert_betti_routes_agree(perfect, 6)
+    # z is regular on k[x,y,z]/(x^2, y^2), so B/(z) has projective dimension 1
+    hyper = _coker_pipeline("x, y, z", "x^2, y^2", ["x^2", "y^2", "z"])
+    assert betti_numbers(hyper.X, 6) == {0: 1, 1: 1}
+    _assert_betti_routes_agree(hyper, 6)
+
+
+def test_betti_numbers_of_the_zero_module():
+    pipe = _coker_pipeline("x, y", "x^2, y^2", ["1"])
+    assert betti_numbers(pipe.X, 5) == {0: 0}
+    _assert_betti_routes_agree(pipe, 5)
 
 
 # -- duality ---------------------------------------------------------------

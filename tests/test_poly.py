@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from jumploci import GF, QQ, PolyRing, ring_arithmetic
+from jumploci.poly import MAX_EXPONENT
 
 
 GF5 = GF(5)
@@ -129,6 +130,15 @@ def test_binomial_square_over_rationals():
     assert sq == S.parse("chi1^2 + 2*chi1*chi2 + chi2^2")
 
 
+def test_power_by_squaring_matches_repeated_products():
+    ring = PolyRing(GF101, ("x", "y"))
+    p = ring.parse("x + 2*y - 3")
+    product = ring.one()
+    for n in range(12):
+        assert p ** n == product
+        product = product * p
+
+
 def test_mismatched_rings_rejected():
     r1 = PolyRing(GF5, ("x",))
     r2 = PolyRing(GF5, ("y",))
@@ -150,6 +160,13 @@ def test_parse_rejects_unknown_variable():
     ring = PolyRing(GF5, ("x", "y"))
     with pytest.raises(ValueError):
         ring.parse("x + w")
+
+
+def test_parse_caps_the_exponent():
+    ring = PolyRing(GF5, ("x",))
+    assert ring.parse(f"x^{MAX_EXPONENT}").degree() == MAX_EXPONENT
+    with pytest.raises(ValueError, match="exceeds the limit"):
+        ring.parse(f"x^{MAX_EXPONENT + 1}")
 
 
 def test_weighted_degrees():

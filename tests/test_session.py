@@ -105,6 +105,15 @@ def test_unknown_variable_in_entry():
     assert "bad entry" in str(err) and err.line == 4
 
 
+def test_oversized_exponent_located():
+    err = _err("field GF(101)\nring x, y\nci x^2, y^99999999\n"
+               "module coker [[x, y]]\n")
+    assert "exceeds the limit" in str(err) and err.line == 3
+    err = _err("field GF(101)\nring x, y\nci x^2, y^2\n"
+               "module coker [[x, y^1001]]\n")
+    assert "exceeds the limit" in str(err) and err.line == 4
+
+
 def test_ragged_rows_rejected():
     err = _err("field GF(101)\nring x, y\nci x^2, y^2\n"
                "module coker [[x, y], [x]]\n")
