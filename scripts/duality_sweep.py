@@ -2,8 +2,9 @@
 """Duality sweep over random monomial-ideal modules.
 
 For each trial, draw a random monomial module over GF(101)[x,y]/(x^3,y^3),
-build the twisted complex and its explicit dual, and compare every jump
-variety and the Betti/Bass degrees.
+build the twisted complex and its explicit dual, compute one jump-loci
+report for each, and compare every jump variety and the Betti degree of
+the module with that of its dual (the Bass degree of the module).
 
 Usage: python scripts/duality_sweep.py [--trials N] [--seed N]
 """
@@ -23,7 +24,8 @@ from jumploci.resolution import (RingData, presentation_from_rows,  # noqa: E402
 from jumploci.homotopy import (compute_higher_homotopies,  # noqa: E402
                                dualize_homotopies)
 from jumploci.twisted import build_twisted_complex  # noqa: E402
-from jumploci.loci import duality_check  # noqa: E402
+from jumploci.loci import (duality_check, jump_loci_report,  # noqa: E402
+                           RouteDisagreement)
 
 from conftest import random_monomial_rows  # noqa: E402
 
@@ -49,10 +51,15 @@ def main() -> int:
         dual_sys = dualize_homotopies(sys_, dc, rd)
         X_dual = build_twisted_complex(dual_sys.resolution, dual_sys, rd,
                                        S=X.S)
-        report = duality_check(X, X_dual)
+        try:
+            bdeg_equal = duality_check(jump_loci_report(X),
+                                       jump_loci_report(X_dual))
+            label = "ok" if bdeg_equal else "MISMATCH (Betti degrees)"
+        except RouteDisagreement as exc:
+            bdeg_equal = False
+            label = f"MISMATCH ({exc})"
         elapsed = time.perf_counter() - start
-        label = "ok" if report.all_equal else "MISMATCH"
-        if not report.all_equal:
+        if not bdeg_equal:
             failures += 1
         names = ", ".join(str(A.monomial(m)) for m in gens)
         print(f"trial {trial}: coker [{names}] -> {label} "

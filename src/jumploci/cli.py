@@ -8,7 +8,8 @@ Usage::
 
 Exit codes: 0 on success, 1 on input error, 2 on an internal assertion
 failure (for example, X and its explicitly built dual having different
-jump loci).
+jump loci).  ``--seed`` picks the sample points of ``oracle``; no other
+command depends on it.
 Setting ``JUMPLOCI_VERBOSE=1`` prints cumulative engine statistics on
 standard error.
 
@@ -22,6 +23,9 @@ The JSON report uses a stable key order::
 The unit ideal (empty variety) serializes as ``["1"]`` and the zero
 ideal (all of Spec S) as ``[]``; the final unbounded plateau of empty
 loci is recorded with ``i_to`` equal to ``i_from`` and dimension -1.
+``dual`` builds one report for X and one for its explicit dual and
+compares them; since a differing jump locus is exit 2, a printed
+``per_index_equal`` is always true.
 """
 
 from __future__ import annotations
@@ -33,15 +37,15 @@ import random
 import sys
 from fractions import Fraction
 
-from .field import GF, QQ
 from .poly import PolyRing
 from .groebner import Ideal, GBStats
 from .resolution import (PipelineError, TruncationNeeded, BettiTable,
                          fit_quasi_polynomial)
-from .loci import (jump_loci_report, complexity_of, betti_degree,
-                   betti_numbers, crk_at, duality_check, realize,
-                   stable_betti_oracle, RouteDisagreement, JumpLociReport)
-from .session import (Session, SessionError, parse_session, build_pipeline)
+from .loci import (jump_loci_report, betti_degree, betti_numbers, crk_at,
+                   duality_check, realize, stable_betti_oracle,
+                   RouteDisagreement, JumpLociReport)
+from .session import (Session, SessionError, parse_session, build_pipeline,
+                      parse_field, parse_variable_names)
 
 
 # -- report assembly -------------------------------------------------------
@@ -112,32 +116,33 @@ def _report_text(report: dict, indent: str = "") -> str:
 # -- commands --------------------------------------------------------------
 
 
-def _load_session(path: str) -> Session:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_session(fh.read())
+def _read_text(path: str) -> str:
+    """A session or chain file as text; bytes that are not UTF-8 are an
+    input error naming their line."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line = data.count(b"\n", 0, exc.start) + 1
+        raise SessionError("the file is not valid UTF-8", line) from exc
 
 
 def cmd_compute(session: Session, args) -> dict:
     pipe = build_pipeline(session, need_dual=True)
-    rep = jump_loci_report(pipe.X, seed=args.seed)
-    bass = None
-    cx_dual = complexity_of(pipe.X_dual)
-    if cx_dual >= 1:
-        bass = betti_degree(pipe.X_dual, complexity=cx_dual, seed=args.seed)
-    return report_dict(rep, bass_degree=bass)
+    rep = jump_loci_report(pipe.X)
+    return report_dict(rep, bass_degree=betti_degree(pipe.X_dual))
 
 
 def cmd_dual(session: Session, args) -> dict:
     pipe = build_pipeline(session, need_dual=True)
-    rep = jump_loci_report(pipe.X, seed=args.seed)
-    dr = duality_check(pipe.X, pipe.X_dual, seed=args.seed)
-    bass = None
-    cx_dual = complexity_of(pipe.X_dual)
-    if cx_dual >= 1:
-        bass = betti_degree(pipe.X_dual, complexity=cx_dual, seed=args.seed)
-    duality = {"per_index_equal": all(ok for _, ok in dr.per_index_equal),
-               "bdeg_equal": dr.bdeg_equal}
-    return report_dict(rep, bass_degree=bass, duality=duality)
+    rep = jump_loci_report(pipe.X)
+    rep_dual = jump_loci_report(pipe.X_dual)
+    # duality_check raises on the first jump index where the loci differ
+    duality = {"per_index_equal": True,
+               "bdeg_equal": duality_check(rep, rep_dual)}
+    return report_dict(rep, bass_degree=rep_dual.betti_degree,
+                       duality=duality)
 
 
 def _quasi_dict(qp):
@@ -195,9 +200,9 @@ def cmd_crk(session: Session, args) -> dict:
     pipe = build_pipeline(session)
     if args.point:
         point = _parse_point(args.point, session)
-        value = crk_at(pipe.X, point, seed=args.seed)
+        value = crk_at(pipe.X, point)
         return {"point": [str(a) for a in point], "crk": value}
-    value = crk_at(pipe.X, None, seed=args.seed)
+    value = crk_at(pipe.X, None)
     return {"point": None, "crk": value}
 
 
@@ -220,7 +225,7 @@ def cmd_oracle(session: Session, args) -> dict:
             if any(a):
                 break
         stable = stable_betti_oracle(pipe.rd, pipe.presentation, a)
-        crk = crk_at(pipe.X, a, seed=args.seed)
+        crk = crk_at(pipe.X, a)
         results.append({"point": a, "stable_betti": stable, "crk": crk,
                         "equal": stable == crk})
     return {"points": results,
@@ -241,20 +246,15 @@ def parse_chain_file(text: str):
         directive, _, rest = line.partition(" ")
         rest = rest.strip()
         if directive == "field":
-            if rest == "QQ":
-                fld = QQ
-            elif rest.startswith("GF(") and rest.endswith(")"):
-                try:
-                    fld = GF(int(rest[3:-1]))
-                except ValueError as exc:
-                    raise SessionError(str(exc), line_no) from exc
-            else:
-                raise SessionError(f"unknown field '{rest}'", line_no)
+            fld = parse_field(rest, line_no)
         elif directive == "ring":
             if fld is None:
                 raise SessionError("ring declared before field", line_no)
-            names = tuple(v.strip() for v in rest.split(","))
-            ring = PolyRing(fld, names, (2,) * len(names))
+            names = parse_variable_names(rest, line_no)
+            try:
+                ring = PolyRing(fld, names, (2,) * len(names))
+            except ValueError as exc:
+                raise SessionError(str(exc), line_no) from exc
         elif directive == "member":
             if ring is None:
                 raise SessionError("member declared before ring", line_no)
@@ -279,9 +279,8 @@ def parse_chain_file(text: str):
 def cmd_realize(args) -> dict:
     if not args.chain:
         raise PipelineError("realize needs --chain FILE")
-    with open(args.chain, "r", encoding="utf-8") as fh:
-        S, chain = parse_chain_file(fh.read())
-    X, rep, ok = realize(S, chain, seed=args.seed)
+    S, chain = parse_chain_file(_read_text(args.chain))
+    X, rep, ok = realize(S, chain)
     out = report_dict(rep)
     out["realized"] = ok
     if not ok:
@@ -327,7 +326,7 @@ def main(argv=None) -> int:
         else:
             if not args.input:
                 raise PipelineError(f"{args.command} needs --input FILE")
-            session = _load_session(args.input)
+            session = parse_session(_read_text(args.input))
             if args.seed == 0 and "seed" in session.options:
                 args.seed = session.options["seed"]
             if args.output is None and "output" in session.options:

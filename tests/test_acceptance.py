@@ -138,7 +138,7 @@ def test_criterion_5_duality():
         ("x", "y", "z"), ("x^3", "y^3", "z^3"),
         ("x^3", "y^3", "z^3", "x*z", "y*z^2"))
     X_dual, _ = _explicit_dual(res, sys, rd, X.S)
-    assert duality_check(X, X_dual).all_equal
+    assert duality_check(jump_loci_report(X), jump_loci_report(X_dual))
     rng = random.Random(7)
     A = PolyRing(GF101, ("x", "y"))
     rd2 = RingData(A, [A.parse("x^3"), A.parse("y^3")])
@@ -149,7 +149,7 @@ def test_criterion_5_duality():
         sys2 = compute_higher_homotopies(res2, rd2)
         Y = build_twisted_complex(res2, sys2, rd2)
         Y_dual, _ = _explicit_dual(res2, sys2, rd2, Y.S)
-        assert duality_check(Y, Y_dual).all_equal
+        assert duality_check(jump_loci_report(Y), jump_loci_report(Y_dual))
 
 
 @criterion(6, 300)

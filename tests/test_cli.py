@@ -300,6 +300,46 @@ def test_huge_exponent_is_an_input_error(capfd, tmp_path):
     assert "exceeds the limit 1000" in err and "(line 4, column" in err
 
 
+def test_power_of_a_sum_is_an_input_error(capfd, tmp_path):
+    session = tmp_path / "power.session"
+    session.write_text("field GF(101)\nring x, y, z, w\n"
+                       "ci x^2, y^2, z^2, w^2\n"
+                       "module coker [[(x + y + z + w)^80]]\n")
+    start = time.perf_counter()
+    code, out, err = _run(capfd, ["compute", "--input", str(session)])
+    assert time.perf_counter() - start < 5
+    assert code == 1 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "term products" in err and "(line 4, column" in err
+
+
+def test_duplicate_variable_names_are_input_errors(capfd, tmp_path):
+    session = tmp_path / "dup.session"
+    session.write_text("field GF(101)\nring x, x\nci x^2\n"
+                       "module coker [[x]]\n")
+    chain = tmp_path / "comma.chain"
+    chain.write_text("field GF(101)\nring chi1,\nmember 0\nmember 1\n")
+    for argv, message in (
+            (["compute", "--input", str(session)],
+             "error: duplicate variable name 'x' (line 2)\n"),
+            (["realize", "--chain", str(chain)],
+             "error: bad variable name '' (line 2)\n")):
+        code, out, err = _run(capfd, argv)
+        assert code == 1 and out == "" and err == message
+
+
+def test_input_that_is_not_utf8_is_an_input_error(capfd, tmp_path):
+    session = tmp_path / "latin1.session"
+    session.write_bytes(b"field GF(101)\nring x\xff\nci x^2\n")
+    chain = tmp_path / "latin1.chain"
+    chain.write_bytes(b"field GF(101)\n# \xe9\nring chi1\nmember 0\n")
+    for argv in (["compute", "--input", str(session)],
+                 ["realize", "--chain", str(chain)]):
+        code, out, err = _run(capfd, argv)
+        assert code == 1 and out == ""
+        assert err == "error: the file is not valid UTF-8 (line 2)\n"
+
+
 def test_session_options_provide_defaults(capfd, tmp_path):
     target = tmp_path / "opt.json"
     text = (SESSIONS / "koszul_residue.session").read_text()

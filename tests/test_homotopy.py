@@ -37,11 +37,12 @@ def test_residue_field_system_verifies():
 
 
 def test_free_module_needs_no_homotopies():
+    """f annihilates no nonzero free module, so M = A has no system."""
     A = PolyRing(GF101, ("x", "y"))
     rd = RingData(A, [A.parse("x^2"), A.parse("y^2")])
     res = resolve_over_a(rd, presentation_from_rows(A, [[]]))
-    sys = compute_higher_homotopies(res, rd)
-    assert sys.sigma == {}
+    with pytest.raises(PipelineError, match="does not annihilate"):
+        compute_higher_homotopies(res, rd)
 
 
 def test_nonregular_sequence_rejected():

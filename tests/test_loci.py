@@ -173,6 +173,16 @@ def test_betti_degree_examples(flag_pipeline, final_pipeline, koszul_action):
     assert betti_degree(_b_module_pipeline()[1]) is None
 
 
+def test_betti_degree_cross_checks_the_even_and_odd_parts():
+    """H(Kos(chi1)) on a rank-one base is S/(chi1) in even degrees only:
+    the complexity is 1 and the odd part has no multiplicity to match."""
+    S = PolyRing(GF101, ("chi1", "chi2"), (2, 2))
+    X = koszul_object_list(free_complex(S, 1), [S.parse("chi1")])
+    assert complexity_of(X) == 1
+    with pytest.raises(AssertionError, match="disagree: 1 != 0"):
+        betti_degree(X)
+
+
 def test_bass_degree_via_dual_pipeline(final_pipeline, flag_pipeline):
     for pipeline, expected in ((final_pipeline, 3), (flag_pipeline, 4)):
         rd, pres, res, sys, X = pipeline
@@ -254,8 +264,8 @@ def _explicit_dual(pipeline):
 
 
 def test_duality_on_final_example(final_pipeline):
-    report = duality_check(final_pipeline[4], _explicit_dual(final_pipeline))
-    assert report.all_equal
+    assert duality_check(jump_loci_report(final_pipeline[4]),
+                         jump_loci_report(_explicit_dual(final_pipeline)))
 
 
 def test_duality_on_nonregular_model(nonregular_action):
@@ -263,14 +273,17 @@ def test_duality_on_nonregular_model(nonregular_action):
     dc = dualize_over_a(res)
     dual_sys = dualize_homotopies(sys, dc, rd)
     X_dual = build_twisted_complex(dual_sys.resolution, dual_sys, rd, S=X.S)
-    assert duality_check(X, X_dual).all_equal
+    assert duality_check(jump_loci_report(X), jump_loci_report(X_dual))
 
 
 def test_duality_rejects_a_complex_that_is_not_the_dual(final_pipeline):
     X = final_pipeline[4]
     wrong = direct_sum(_explicit_dual(final_pipeline), koszul_block(X))
-    with pytest.raises(RouteDisagreement):
-        duality_check(X, wrong)
+    assert minimalize(wrong).rank != minimalize(X).rank
+    rep, rep_wrong = jump_loci_report(X), jump_loci_report(wrong)
+    for pair in ((rep, rep_wrong), (rep_wrong, rep)):
+        with pytest.raises(RouteDisagreement):
+            duality_check(*pair)
 
 
 def test_duality_on_random_monomial_modules():
@@ -289,8 +302,63 @@ def test_duality_on_random_monomial_modules():
         dual_sys = dualize_homotopies(sys, dc, rd)
         X_dual = build_twisted_complex(dual_sys.resolution, dual_sys, rd,
                                        S=X.S)
-        assert duality_check(X, X_dual).all_equal
+        assert duality_check(jump_loci_report(X), jump_loci_report(X_dual))
         done += 1
+
+
+def _per_index_agree(X, Y):
+    """Test-local reference for duality_check: compare jump_locus_ideal of
+    X and of Y at every index up to the larger rank."""
+    top = max(minimalize(X).rank, minimalize(Y).rank)
+    return all(jump_locus_ideal(X, i).same_variety(jump_locus_ideal(Y, i))
+               for i in range(1, top + 1))
+
+
+def _report_disagrees(rep, rep_other):
+    try:
+        duality_check(rep, rep_other)
+    except RouteDisagreement:
+        return True
+    return False
+
+
+def test_report_duality_check_matches_a_per_index_comparison():
+    """On every pair from a pool of random monomial modules, their explicit
+    duals and the zero module (rank 0), the report-based check raises
+    exactly when the per-index comparison finds a differing jump ideal."""
+    rng = random.Random(37)
+    pool = [_coker_pipeline("x, y", "x^2, y^2", ["1"]).X]
+    for _ in range(4):
+        gens = [_monomial("xy", m) for m in random_monomial_rows(rng)]
+        pipe = _coker_pipeline("x, y", "x^3, y^3", gens)
+        rep, rep_dual = jump_loci_report(pipe.X), jump_loci_report(pipe.X_dual)
+        assert _per_index_agree(pipe.X, pipe.X_dual)
+        assert duality_check(rep, rep_dual) == \
+            (betti_degree(pipe.X) == betti_degree(pipe.X_dual))
+        pool += [pipe.X, pipe.X_dual]
+    assert minimalize(pool[0]).rank == 0
+    reports = [jump_loci_report(X) for X in pool]
+    disagreeing = 0
+    for a, X in enumerate(pool):
+        for b, Y in enumerate(pool):
+            expected = not _per_index_agree(X, Y)
+            assert _report_disagrees(reports[a], reports[b]) == expected
+            disagreeing += expected
+    assert disagreeing > 0
+
+
+def test_duality_check_returns_whether_the_betti_degrees_agree():
+    """Kos(chi1) and Kos(chi1^2) have the same jump loci, but H(X) has
+    multiplicity 1 and 2: the loci pass and the degrees differ."""
+    S = PolyRing(GF101, ("chi1", "chi2"), (2, 2))
+    base = free_complex(S, 2, degrees=[(0, 0), (1, 0)])
+    X = koszul_object_list(base, [S.parse("chi1")])
+    Y = koszul_object_list(base, [S.parse("chi1^2")])
+    assert _per_index_agree(X, Y)
+    rep_x, rep_y = jump_loci_report(X), jump_loci_report(Y)
+    assert (rep_x.betti_degree, rep_y.betti_degree) == (1, 2)
+    assert duality_check(rep_x, rep_y) is False
+    assert duality_check(rep_x, rep_x) is True
 
 
 # -- additivity ------------------------------------------------------------

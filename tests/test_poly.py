@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from jumploci import GF, QQ, PolyRing, ring_arithmetic
-from jumploci.poly import MAX_EXPONENT
+from jumploci.poly import MAX_EXPONENT, MAX_PARSE_WORK
 
 
 GF5 = GF(5)
@@ -167,6 +167,21 @@ def test_parse_caps_the_exponent():
     assert ring.parse(f"x^{MAX_EXPONENT}").degree() == MAX_EXPONENT
     with pytest.raises(ValueError, match="exceeds the limit"):
         ring.parse(f"x^{MAX_EXPONENT + 1}")
+
+
+def test_parse_caps_the_work_of_expanding_a_power_of_a_sum():
+    ring = PolyRing(GF101, ("x", "y", "z", "w"))
+    total = ring.parse("x + y + z + w")
+    assert ring.parse("(x + y + z + w)^16") == total ** 16
+    for text in ("(x + y + z + w)^28", "(x + y + z + w)^80",
+                 "(x + y + z + w)^16 * (x + y + z + w)^16"):
+        with pytest.raises(ValueError, match=str(MAX_PARSE_WORK)):
+            ring.parse(text)
+
+
+def test_duplicate_variable_names_rejected():
+    with pytest.raises(ValueError, match="duplicate variable name 'x'"):
+        PolyRing(GF5, ("x", "y", "x"))
 
 
 def test_weighted_degrees():

@@ -136,11 +136,16 @@ def test_additivity_on_random_pairs():
 
 
 def test_generic_crk_bounds():
+    rng = random.Random(19)
     for X in RANDOMS:
         r = minimalize(X).rank
         generic = crk_at(X, None)
         assert 0 <= generic <= r
         assert (r - generic) % 2 == 0
+        # the rank at a point never exceeds the generic rank
+        for _ in range(5):
+            a = [rng.randrange(X.S.field.p) for _ in range(X.S.nvars)]
+            assert X.D.rank_at(a) <= X.D.generic_rank()
 
 
 def run_invariant_suite(instances):

@@ -114,6 +114,11 @@ def test_oversized_exponent_located():
     assert "exceeds the limit" in str(err) and err.line == 4
 
 
+def test_duplicate_variable_rejected():
+    err = _err("field GF(101)\nring x, x\nci x^2\nmodule coker [[x]]\n")
+    assert "duplicate variable name 'x'" in str(err) and err.line == 2
+
+
 def test_ragged_rows_rejected():
     err = _err("field GF(101)\nring x, y\nci x^2, y^2\n"
                "module coker [[x, y], [x]]\n")
@@ -238,3 +243,25 @@ def test_chain_file_errors():
         parse_chain_file("field GF(101)\nmember 0\n")
     with pytest.raises(SessionError):
         parse_chain_file("field GF(101)\nring chi1\nmember foo\n")
+
+
+@pytest.mark.parametrize("ring_line, message", [
+    ("ring chi1,", "bad variable name ''"),
+    ("ring chi1, chi1", "duplicate variable name 'chi1'"),
+    ("ring", "ring needs at least one variable"),
+    ("ring chi1 weights 2", "bad variable name 'chi1 weights 2'"),
+])
+def test_chain_ring_line_is_checked_like_a_session(ring_line, message):
+    with pytest.raises(SessionError, match=message) as info:
+        parse_chain_file(f"field GF(101)\n{ring_line}\nmember 0\n"
+                         "member 1\n")
+    assert info.value.line == 2
+
+
+def test_chain_field_line_is_parsed_like_a_session():
+    for field in ("GF( 101 )", "QQ"):
+        S, _ = parse_chain_file(f"field {field}\nring chi1\nmember 0\n"
+                                "member 1\n")
+        assert S.field.p == (101 if field != "QQ" else 0)
+    with pytest.raises(SessionError, match=r"unknown field 'GF\(-5\)'"):
+        parse_chain_file("field GF(-5)\nring chi1\nmember 0\n")
