@@ -45,7 +45,7 @@ from .loci import (jump_loci_report, betti_degree, betti_numbers, crk_at,
                    duality_check, realize, stable_betti_oracle,
                    RouteDisagreement, JumpLociReport)
 from .session import (Session, SessionError, parse_session, build_pipeline,
-                      parse_field, parse_variable_names)
+                      parse_field, parse_variable_names, split_commas)
 
 
 # -- report assembly -------------------------------------------------------
@@ -259,13 +259,13 @@ def parse_chain_file(text: str):
             if ring is None:
                 raise SessionError("member declared before ring", line_no)
             gens = []
-            for piece in rest.split(","):
-                piece = piece.strip()
+            rest_col = len(raw) - len(raw.lstrip()) + len(line) - len(rest) + 1
+            for piece, off in split_commas(rest):
                 try:
                     g = ring.parse(piece)
                 except ValueError as exc:
-                    raise SessionError(f"bad generator '{piece}'",
-                                       line_no) from exc
+                    raise SessionError(f"bad generator '{piece}': {exc}",
+                                       line_no, rest_col + off) from exc
                 if not g.is_zero():
                     gens.append(g)
             chain.append(Ideal(ring, gens))

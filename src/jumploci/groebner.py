@@ -218,10 +218,7 @@ class ModuleGB:
         self.basis = []
         for g, lead in sorted(keep, key=lambda t: self._term_key(t[1])):
             tail = {k: c for k, c in g.items() if k != lead}
-            saved = self.basis
-            self.basis = [b for b in saved]
             red = self._reduce_full(tail)
-            self.basis = saved
             red[lead] = g[lead]
             self.basis.append((red, lead))
         self.basis.sort(key=lambda t: self._term_key(t[1]), reverse=True)

@@ -3,9 +3,13 @@
 A is a weighted polynomial ring; B is its quotient by the declared
 homogeneous elements f_1..f_c.  Resolutions over A are finite and built by
 iterated syzygies, pruning each syzygy stage to a minimal generating set
-(over a graded ring this yields the minimal resolution).  Resolutions over
-B are truncated and emulate module arithmetic over B inside A by adjoining
-the columns f_k e_j.  ``resolve_over_b`` is the oracle route: the Betti
+(over a graded ring this yields the minimal resolution).  By graded
+Nakayama a degree-d column is redundant exactly when it is redundant in
+degree d, so the pruning builds one Groebner basis per column degree, of
+the columns kept below it, and settles the degree-d columns by linear
+algebra over k on their normal forms.  Resolutions over B are truncated
+and emulate module arithmetic over B inside A by adjoining the columns
+f_k e_j.  ``resolve_over_b`` is the oracle route: the Betti
 numbers the command line prints come from H(X) = Ext_B(M, k) (see
 ``loci.betti_numbers``); it drives the hypersurface point oracle and
 serves as the independent check of that closed form in the tests.
@@ -18,7 +22,7 @@ from fractions import Fraction
 
 from .poly import Polynomial, PolyRing
 from .matrix import PolyMatrix
-from .groebner import Ideal, ModuleGB, vector_of
+from .groebner import Ideal, ModuleGB, _vec_add, vector_of
 
 
 class PipelineError(ValueError):
@@ -111,23 +115,53 @@ def minimal_generator_columns(ring: PolyRing, rank: int, cols, row_degrees,
                               over_b: RingData = None):
     """Prune columns to a minimal generating set of their span.
 
-    Processes candidates in ascending degree; a column is dropped when it
-    lies in the span of the remaining ones (over B when ``over_b`` is
-    given, by adjoining the f_k e_j columns).
+    The rule: go through the columns in ascending (degree, index) order,
+    drop each one that lies in the span of the columns not yet dropped
+    (over B when ``over_b`` is given, by adjoining the f_k e_j columns),
+    and return the rest in that order.
+
+    It is applied one degree d at a time, with one Groebner basis per
+    degree, of L_d: the columns kept below degree d, and the f_k e_j.
+    Columns of degree > d cannot reach degree d, and the weights are
+    positive, so a degree-d column lies in the span of the others exactly
+    when its normal form modulo L_d is a k-linear combination of the normal
+    forms of the other degree-d columns.  Going through the degree-d group
+    from its last column to its first, a column is kept exactly when its
+    normal form is outside the k-span of those of the later columns.  This
+    is the rule above: had the rule dropped j, with v_j = sum a_i v_i over
+    kept earlier columns i and all later ones, and a_i != 0 for some
+    earlier i, then the earliest such i lies in the span of the columns
+    after it, and the rule would have dropped it in its turn.
     """
     cols = [c for c in cols if c]
     degs = [column_degree(ring, c, row_degrees) for c in cols]
-    order = sorted(range(len(cols)), key=lambda j: (degs[j], j))
-    kept = list(order)
-    for j in order:
-        others = [cols[i] for i in kept if i != j]
-        test = others + (over_b.quotient_columns(rank) if over_b else [])
-        if not test:
-            continue
-        gb = ModuleGB(ring, rank, test)
-        if gb.contains(cols[j]):
-            kept.remove(j)
-    return [cols[i] for i in sorted(kept, key=lambda j: (degs[j], j))]
+    extra = over_b.quotient_columns(rank) if over_b else []
+    kept = []
+    for d in sorted(set(degs)):
+        lower = [cols[i] for i in kept] + extra
+        nf = ModuleGB(ring, rank, lower).normal_form if lower else dict
+        echelon = {}
+        kept_d = []
+        for j in reversed([j for j, dj in enumerate(degs) if dj == d]):
+            if _extend_echelon(ring.field, echelon, nf(cols[j])):
+                kept_d.append(j)
+        kept.extend(reversed(kept_d))
+    return [cols[i] for i in kept]
+
+
+def _extend_echelon(fld, echelon, v) -> bool:
+    """Reduce the sparse vector ``v`` by ``echelon`` (pivot -> monic row
+    whose largest key is the pivot); add it and return True when it is
+    outside their span."""
+    while v:
+        pivot = max(v)
+        row = echelon.get(pivot)
+        if row is None:
+            inv = fld.inv(v[pivot])
+            echelon[pivot] = {k: fld.mul(c, inv) for k, c in v.items()}
+            return True
+        v = _vec_add(fld, v, row, fld.neg(v[pivot]))
+    return False
 
 
 # -- resolutions ----------------------------------------------------------

@@ -102,7 +102,7 @@ def parse_variable_names(text: str, line_no: int) -> tuple:
     return names
 
 
-def _split_commas(text: str):
+def split_commas(text: str):
     """Split on top-level commas, keeping each piece's start column."""
     pieces, depth, start = [], 0, 0
     for i, ch in enumerate(text):
@@ -147,7 +147,7 @@ def _parse_matrix_text(text: str, pos: int, line_no: int):
             raise SessionError("unterminated row", line_no, i + 1)
         body = text[i + 1:j]
         entries = []
-        for piece, off in _split_commas(body):
+        for piece, off in split_commas(body):
             if not piece:
                 raise SessionError("empty matrix entry", line_no, i + 2 + off)
             entries.append((piece, i + 2 + off))
@@ -200,7 +200,7 @@ def parse_session(text: str) -> Session:
                                len(line) - len(line.lstrip()) + 1)
         directive = m.group(0)
         rest = line.strip()[len(directive):].strip()
-        offset = len(raw) - len(raw.lstrip()) + len(directive)
+        rest_col = len(line) - len(rest) + 1
 
         if directive == "field":
             fld = parse_field(rest, line_no)
@@ -228,19 +228,19 @@ def parse_session(text: str) -> Session:
             if ring is None:
                 raise SessionError("ci declared before ring", line_no)
             ci = []
-            for piece, off in _split_commas(rest):
+            for piece, off in split_commas(rest):
                 try:
                     f = ring.parse(piece)
                 except ValueError as exc:
                     raise SessionError(f"bad element '{piece}': {exc}",
-                                       line_no, offset + off) from exc
+                                       line_no, rest_col + off) from exc
                 if not f.is_homogeneous():
                     raise SessionError(f"inhomogeneous element '{piece}'",
-                                       line_no, offset + off)
+                                       line_no, rest_col + off)
                 if f.is_constant():
                     raise SessionError(
                         f"'{piece}' is not in the irrelevant maximal ideal",
-                        line_no, offset + off)
+                        line_no, rest_col + off)
                 ci.append(f)
 
         elif directive == "module":

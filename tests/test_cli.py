@@ -175,9 +175,9 @@ def _oracle_betti_report(path, n):
 @pytest.mark.parametrize("name", COKER_SESSIONS)
 def test_betti_json_equals_the_resolution_oracle(capfd, name):
     path = SESSIONS / name
-    code, out, err = _run(capfd, ["betti", "--input", str(path), "--n", "6"])
+    code, out, err = _run(capfd, ["betti", "--input", str(path), "--n", "10"])
     assert code == 0, err
-    assert out.encode() == cli.emit_report(_oracle_betti_report(path, 6),
+    assert out.encode() == cli.emit_report(_oracle_betti_report(path, 10),
                                            "json")
 
 
@@ -311,6 +311,17 @@ def test_power_of_a_sum_is_an_input_error(capfd, tmp_path):
     assert code == 1 and out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
     assert "term products" in err and "(line 4, column" in err
+
+
+def test_chain_member_error_keeps_the_reason_and_column(capfd, tmp_path):
+    chain = tmp_path / "power.chain"
+    chain.write_text("field GF(101)\nring chi1, chi2, chi3, chi4\n"
+                     "member 0\n  member 1, (chi1 + chi2 + chi3 + chi4)^80\n")
+    code, out, err = _run(capfd, ["realize", "--chain", str(chain)])
+    assert code == 1 and out == ""
+    assert err.startswith("error: bad generator '(chi1 + chi2 + chi3 + chi4)"
+                          "^80': ") and err.count("\n") == 1
+    assert "term products" in err and err.endswith("(line 4, column 13)\n")
 
 
 def test_duplicate_variable_names_are_input_errors(capfd, tmp_path):

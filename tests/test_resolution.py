@@ -1,19 +1,24 @@
 """Resolutions over the polynomial ring and its quotients, duals, tails."""
 
+import itertools
+import random
 from fractions import Fraction
 
 import pytest
 
 from jumploci import GF, PolyRing
+from jumploci.groebner import ModuleGB, _vec_add
 from jumploci.resolution import (RingData, PipelineError, TruncationNeeded,
                                  presentation_from_rows, resolve_over_a,
                                  resolve_over_b, dualize_over_a, BettiTable,
-                                 fit_quasi_polynomial,
+                                 fit_quasi_polynomial, column_degree,
+                                 minimal_generator_columns,
                                  resolution_euler_numerator)
 
 from conftest import matrix_of
 
 GF101 = GF(101)
+A3 = PolyRing(GF101, ("x", "y", "z"))
 
 
 def _pres(ring, entries):
@@ -91,6 +96,87 @@ def test_annihilation_precondition_names_the_offender():
     rd = RingData(A, [A.parse("x^3"), A.parse("y^3")])
     with pytest.raises(PipelineError, match="f_1"):
         resolve_over_b(rd, _pres(A, ["x^4"]), 4)
+
+
+# -- pruning to minimal generators ------------------------------------------
+
+
+def _per_column_pruning(ring, rank, cols, row_degrees, over_b=None):
+    """Reference route: one Groebner basis of the kept others per column."""
+    cols = [c for c in cols if c]
+    degs = [column_degree(ring, c, row_degrees) for c in cols]
+    kept = sorted(range(len(cols)), key=lambda j: (degs[j], j))
+    for j in list(kept):
+        test = [cols[i] for i in kept if i != j]
+        test += over_b.quotient_columns(rank) if over_b else []
+        if test and ModuleGB(ring, rank, test).contains(cols[j]):
+            kept.remove(j)
+    return [cols[i] for i in kept]
+
+
+def _random_form(rng, degree):
+    """Up to two random terms of the given degree in three variables."""
+    if degree < 0:
+        return {}
+    monos = [m for m in itertools.product(range(degree + 1), repeat=3)
+             if sum(m) == degree]
+    return {m: rng.randrange(1, 101)
+            for m in rng.sample(monos, min(2, len(monos)))}
+
+
+def _random_column(rng, degree, row_degrees):
+    col = {}
+    for r, shift in enumerate(row_degrees):
+        if rng.random() < 0.7:
+            col.update({(r, m): c
+                        for m, c in _random_form(rng, degree - shift).items()})
+    return col
+
+
+def _column_set(rng, row_degrees):
+    """Random columns plus every kind of redundancy the pruning must see."""
+    top = max(row_degrees)
+    cols = [c for c in (_random_column(rng, top + rng.randrange(0, 3),
+                                       row_degrees) for _ in range(5)) if c]
+    base = list(cols)
+    for a in base:
+        same = [b for b in base if b is not a and
+                column_degree(A3, b, row_degrees)
+                == column_degree(A3, a, row_degrees)]
+        choice = rng.randrange(4)
+        if choice == 0:
+            cols.append(dict(a))                                # duplicate
+        elif choice == 1:
+            cols.append(_vec_add(GF101, {}, a, rng.randrange(2, 101)))
+        elif choice == 2 and same:
+            cols.append(_vec_add(GF101, a, rng.choice(same)))   # a sum
+        else:
+            multiple = {}                      # a linear form times a
+            for m, c in _random_form(rng, 1).items():
+                multiple = _vec_add(GF101, multiple, a, c, m)
+            cols.append(multiple)
+    cols.append({})
+    rng.shuffle(cols)
+    return cols
+
+
+@pytest.mark.parametrize("over_b", [False, True])
+@pytest.mark.parametrize("row_degrees",
+                         [(0,), (0, 0), (0, 1), (2, 0), (0, 0, 0)])
+def test_pruning_per_degree_equals_pruning_per_column(over_b, row_degrees):
+    """Same kept columns, in the same order, as the per-column route, on
+    random column sets with zero columns, duplicates, scalar multiples,
+    sums of two columns of one degree and multiples of lower columns."""
+    rd = RingData(A3, [A3.parse("x^3"), A3.parse("y^3")]) if over_b else None
+    rank = len(row_degrees)
+    rng = random.Random(f"{over_b}{row_degrees}")
+    for _ in range(12):
+        cols = _column_set(rng, row_degrees)
+        position = {id(c): j for j, c in enumerate(cols)}
+        got = minimal_generator_columns(A3, rank, cols, row_degrees, rd)
+        want = _per_column_pruning(A3, rank, cols, row_degrees, rd)
+        assert [position[id(c)] for c in got] == \
+            [position[id(c)] for c in want]
 
 
 # -- duals -----------------------------------------------------------------

@@ -109,9 +109,11 @@ def test_oversized_exponent_located():
     err = _err("field GF(101)\nring x, y\nci x^2, y^99999999\n"
                "module coker [[x, y]]\n")
     assert "exceeds the limit" in str(err) and err.line == 3
+    assert err.column == 9
     err = _err("field GF(101)\nring x, y\nci x^2, y^2\n"
                "module coker [[x, y^1001]]\n")
     assert "exceeds the limit" in str(err) and err.line == 4
+    assert err.column == 19
 
 
 def test_duplicate_variable_rejected():
