@@ -419,10 +419,9 @@ class Ideal:
 
     def dimension(self) -> int:
         """Krull dimension of ring/ideal (-1 for the unit ideal)."""
-        if self.is_unit_ideal():
-            return -1
-        num = self.hilbert_numerator()
-        return self.ring.nvars - _order_at_one(num)
+        dim, _ = dimension_and_multiplicity(self.hilbert_numerator(),
+                                            self.ring.nvars)
+        return dim
 
     def multiplicity(self, weights=None) -> int:
         """Degree of ring/ideal: Q(1) where numerator = (1-t)^codim * Q.
@@ -430,12 +429,11 @@ class Ideal:
         With all-one weights this is the standard multiplicity (total
         length when the dimension is zero).  Weighted denominators scale
         the answer, so callers wanting the classical count should regrade.
+        The unit ideal has multiplicity 0.
         """
-        num = self.hilbert_numerator(weights)
-        q = dict(num)
-        while _eval_at_one(q) == 0 and any(q.values()):
-            q = _divide_by_one_minus_t(q)
-        return _eval_at_one(q)
+        _, mult = dimension_and_multiplicity(self.hilbert_numerator(weights),
+                                             self.ring.nvars)
+        return mult or 0
 
 
 def module_hilbert_data(mat: PolyMatrix, row_shifts=None, weights=None):
@@ -457,8 +455,7 @@ def module_hilbert_data(mat: PolyMatrix, row_shifts=None, weights=None):
         per_comp[comp].append(mono)
     memo = {}
     total = {}
-    base = -min((s for s in row_shifts), default=0)
-    base = max(base, 0)
+    base = max(-min(row_shifts, default=0), 0)
     for r in range(mat.nrows):
         num = _hilbert_num(_minimalize(per_comp[r]), tuple(weights), memo)
         shift = row_shifts[r] + base
@@ -466,13 +463,27 @@ def module_hilbert_data(mat: PolyMatrix, row_shifts=None, weights=None):
             total[d + shift] = total.get(d + shift, 0) + c
             if not total[d + shift]:
                 del total[d + shift]
-    if not total:
-        return (-1, None, {})
-    dim = ring.nvars - _order_at_one(total)
-    q = dict(total)
-    while _eval_at_one(q) == 0:
+    dim, mult = dimension_and_multiplicity(total, ring.nvars)
+    return (dim, mult, total)
+
+
+def dimension_and_multiplicity(num, nvars: int):
+    """Dimension and multiplicity read off a Hilbert numerator.
+
+    ``num`` (dict deg -> int, degrees >= 0) is the numerator of the Hilbert series
+    num / prod_i (1 - t^{w_i}) of a graded module over a ring in ``nvars``
+    variables of positive weights.  Writing num = (1 - t)^s * Q with
+    Q(1) != 0, the dimension is nvars - s and the multiplicity is Q(1).
+    A zero numerator (the zero module) gives ``(-1, None)``.
+    """
+    if not any(num.values()):
+        return (-1, None)
+    order = 0
+    q = dict(num)
+    while sum(q.values()) == 0:
         q = _divide_by_one_minus_t(q)
-    return (dim, _eval_at_one(q), total)
+        order += 1
+    return (nvars - order, sum(q.values()))
 
 
 def _fresh_name(ring: PolyRing) -> str:
@@ -516,23 +527,8 @@ def _hilbert_num(monos, weights, memo):
     return out
 
 
-def _eval_at_one(num) -> int:
-    return sum(num.values())
-
-
-def _order_at_one(num) -> int:
-    order = 0
-    q = dict(num)
-    while any(q.values()) and _eval_at_one(q) == 0:
-        q = _divide_by_one_minus_t(q)
-        order += 1
-    return order
-
-
 def _divide_by_one_minus_t(num):
     """Exact quotient num / (1 - t) for integer coefficient dicts."""
-    if not num:
-        return {}
     top = max(num)
     coeffs = [num.get(d, 0) for d in range(top + 1)]
     # (1 - t) * q = num  =>  q_d = num_d + q_{d-1}

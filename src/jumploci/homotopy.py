@@ -126,16 +126,6 @@ def compute_higher_homotopies(res: FreeResolution,
                     "homotopy right-hand side is not a boundary")
             if h is not None:
                 blocks[t] = h
-        # remaining identities (no room for a new block) must close exactly
-        for t in range(max(0, L - deg + 1), L + 1):
-            rhs = rhs_blocks(t)
-            prev = blocks.get(t - 1)
-            dt = _diff(res, t)
-            correction = _compose_or_none(prev, dt)
-            residual = rhs if correction is None else rhs - correction
-            if not residual.is_zero():
-                raise AssertionError(
-                    "homotopy system relation fails to close at the top")
         sigma[J] = blocks
 
     c = rd.c
@@ -162,14 +152,9 @@ def compute_higher_homotopies(res: FreeResolution,
                     if prod is not None:
                         out = out - prod
                 return out
-            if 2 * sum(J) - 1 <= L:
-                solve_for(J, rhs)
-            else:
-                # forced zero; relation must already hold
-                for t in range(0, L + 1):
-                    if not rhs(t).is_zero():
-                        raise AssertionError(
-                            "higher relation fails with forced zero homotopy")
+            solve_for(J, rhs)
+    # verify_system checks every identity, also those with no block left to
+    # solve for: at the top of F, and for every J with 2|J| - 1 > L
     sys = HigherHomotopySystem(res, sigma, strict=False)
     verify_system(sys, rd)
     return sys

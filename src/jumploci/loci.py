@@ -7,7 +7,13 @@ A second route through the exterior-power Fitting ideal of coker(D) + its
 shift expands I_{r-i+1}(D + D) by minor convolution; the two routes must
 agree up to radical, and the tests cross-check them.
 
-A JumpLociReport holds every jump ideal of one complex, computed once.
+A JumpLociReport holds every jump ideal of one complex, computed once;
+its jump numbers are computed when first read.  Every Betti-side
+invariant comes from one Hilbert numerator h of H(X) over S, with
+P_M(t) = h(t)/(1 - t^2)^c: the Betti numbers expand it, and the Betti
+degree reads the dimension and multiplicity of its even and odd parts.
+These are invariants of M when X = X(M) is built from the minimal
+A-free resolution of M, as ``build_pipeline`` builds it for a cokernel.
 The duality check compares the report of X with the report of the dual
 built explicitly from the dualized resolution and homotopies (the fast
 dual s_dual(X) is a transpose with the same minor ideals as X, so it
@@ -19,10 +25,12 @@ code 2.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from .poly import PolyRing
 from .matrix import PolyMatrix
-from .groebner import Ideal, module_hilbert_data
+from .groebner import (Ideal, module_hilbert_data,
+                       dimension_and_multiplicity)
 from .resolution import (RingData, PipelineError, TruncationNeeded,
                          resolve_over_b)
 from .twisted import (TwistedComplex, minimalize, homology_presentation,
@@ -118,7 +126,6 @@ def jump_locus_via_exterior_power(X: TwistedComplex, i: int) -> Ideal:
 class JumpLociReport:
     rank: int
     per_index: list         # (i, Ideal, dimension of V^i)
-    jump_numbers: list
     crk_generic: int
     complexity: int
     betti_degree: int       # None when complexity is 0
@@ -130,13 +137,28 @@ class JumpLociReport:
         i += (self.rank - i) % 2
         return next((I for j, I, _ in self.per_index if j == i), None)
 
+    @cached_property
+    def jump_numbers(self) -> list:
+        """The indices i with V^i != V^{i+2}, computed on first read."""
+        out = []
+        for pos, (i, I, _) in enumerate(self.per_index):
+            # minor ideals are nested, I_t(D) <= I_{t-1}(D), so V^i contains
+            # V^{i+2} by construction and only the other inclusion needs a
+            # test; above the last index V^{i+2} is empty
+            if pos + 1 < len(self.per_index):
+                same = I.radical_contains_ideal(self.per_index[pos + 1][1])
+            else:
+                same = I.is_unit_ideal()
+            if not same:
+                out.append(i)
+        return out
+
 
 def jump_loci_report(X: TwistedComplex) -> JumpLociReport:
     X = minimalize(X)
-    S = X.S
     r = X.rank
     if r == 0:
-        return JumpLociReport(0, [], [], 0, 0, None)
+        return JumpLociReport(0, [], 0, 0, None)
     g = X.D.generic_rank()
     crk_gen = r - 2 * g
     # only indices of the rank's parity can jump
@@ -145,18 +167,10 @@ def jump_loci_report(X: TwistedComplex) -> JumpLociReport:
     for i in range(start, r + 1, 2):
         I = jump_locus_ideal(X, i, generic_rank=g)
         per_index.append((i, I, I.dimension()))
-    jump_numbers = []
-    for pos, (i, I, _) in enumerate(per_index):
-        nxt = (per_index[pos + 1][1] if pos + 1 < len(per_index)
-               else _unit_ideal(S))
-        # minor ideals are nested, I_t(D) <= I_{t-1}(D), so V^i contains
-        # V^{i+2} by construction and only the other inclusion needs a test
-        if not I.radical_contains_ideal(nxt):
-            jump_numbers.append(i)
     # the complexity is dim V^1, and V^1 = V^2 when the rank is even
     cx = per_index[0][2]
     bdeg = betti_degree(X, crk_generic=crk_gen) if cx >= 1 else None
-    return JumpLociReport(r, per_index, jump_numbers, crk_gen, cx, bdeg)
+    return JumpLociReport(r, per_index, crk_gen, cx, bdeg)
 
 
 def complexity_of(X: TwistedComplex) -> int:
@@ -165,12 +179,26 @@ def complexity_of(X: TwistedComplex) -> int:
     The reports read the complexity as dim V^1 and ``betti_degree`` from
     the parts of H(X); this independent route is the tests' oracle.
     """
+    mat, _ = homology_presentation(minimalize(X))
+    dim, _, _ = module_hilbert_data(mat, [0] * mat.nrows, (1,) * X.S.nvars)
+    return max(dim, 0)
+
+
+def _ext_numerator(X: TwistedComplex):
+    """(h, c): the Hilbert numerator h of H(X) = Ext_B(M, k) over S, keyed
+    by cohomological degree, and c = the number of chi.
+
+    Each chi has weight 2, so the Hilbert series of H(X) is h(t)/(1 - t^2)^c.
+    ``module_hilbert_data`` shifts its numerator up to nonnegative degrees;
+    the shift is taken back here so that the parity of a key is that of its
+    cohomological degree.
+    """
     mat, degs = homology_presentation(minimalize(X))
-    if mat.nrows == 0:
-        return 0
-    dim, _, _ = module_hilbert_data(mat, [0] * mat.nrows,
-                                    (1,) * X.S.nvars)
-    return max(dim, 0) if dim >= 0 else 0
+    c = X.S.nvars
+    shifts = [coh for coh, _ in degs]
+    _, _, num = module_hilbert_data(mat, shifts, (2,) * c)
+    base = max(-min(shifts, default=0), 0)
+    return {d - base: v for d, v in num.items()}, c
 
 
 def betti_numbers(X: TwistedComplex, n: int) -> dict:
@@ -183,10 +211,8 @@ def betti_numbers(X: TwistedComplex, n: int) -> dict:
     nonzero entry, as a finite resolution does; the zero module gives
     {0: 0}.
     """
-    mat, degs = homology_presentation(minimalize(X))
-    c = X.S.nvars
-    _, _, num = module_hilbert_data(mat, [coh for coh, _ in degs], (2,) * c)
-    beta = [num.get(i, 0) for i in range(n + 1)]
+    h, c = _ext_numerator(X)
+    beta = [h.get(i, 0) for i in range(n + 1)]
     for _ in range(c):
         for i in range(2, n + 1):
             beta[i] += beta[i - 2]
@@ -199,31 +225,24 @@ def betti_degree(X: TwistedComplex, crk_generic: int = None) -> int:
     """Multiplicity of the even part of Ext in the degree-1 regrading, or
     None when the complexity is 0.
 
-    H(X) = Ext is the direct sum of its even and odd parts, so the
-    complexity is the larger of their dimensions, and only a part of that
+    H(X) = Ext is the direct sum of its even and odd parts, S-modules whose
+    Hilbert series are the parts of h(t)/(1 - t^2)^c of that parity (the
+    denominator is even).  With u = t^2 the part of parity e is
+    t^e * h_e(u)/(1 - u)^c, where h_e collects the h_j with j = e mod 2, so
+    its dimension and multiplicity are read off h_e over k[u].  The
+    complexity is the larger of the two dimensions, and only a part of that
     dimension carries a multiplicity.  Cross-checked against the odd part,
-    and against the generic crk when the complexity is maximal.
+    and against the generic crk when the complexity is maximal.  For
+    X = X(M) from the minimal resolution of M these are the complexity and
+    the Betti degree of M.
     """
-    X = minimalize(X)
-    S = X.S
-    mat, degs = homology_presentation(X)
+    h, c = _ext_numerator(X)
     parts = []
     for parity in (0, 1):
-        rows = [idx for idx, (coh, _) in enumerate(degs)
-                if coh % 2 == parity]
-        if not rows:
-            parts.append((-1, 0))
-            continue
-        row_set = set(rows)
-        cols = []
-        for j in range(mat.ncols):
-            support = {rr for (rr, cc) in mat.entries if cc == j}
-            if support and support <= row_set:
-                cols.append(j)
-        sub = mat.submatrix(rows, cols)
-        shifts = [degs[idx][0] // 2 for idx in rows]
-        dim, mult, _ = module_hilbert_data(sub, shifts, (1,) * S.nvars)
-        parts.append((dim, mult))
+        keys = [j for j in h if j % 2 == parity]
+        low = min(keys, default=0)
+        part = {(j - low) // 2: h[j] for j in keys}
+        parts.append(dimension_and_multiplicity(part, c))
     complexity = max(dim for dim, _ in parts)
     if complexity <= 0:
         return None
@@ -231,7 +250,7 @@ def betti_degree(X: TwistedComplex, crk_generic: int = None) -> int:
     if e_even != e_odd:
         raise AssertionError(
             f"even/odd multiplicities disagree: {e_even} != {e_odd}")
-    if complexity == S.nvars and crk_generic is not None:
+    if complexity == c and crk_generic is not None:
         if 2 * e_even != crk_generic:
             raise AssertionError(
                 "betti degree disagrees with the generic rank cross-check")

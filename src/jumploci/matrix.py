@@ -145,19 +145,6 @@ class PolyMatrix:
                           {(c, r): p for (r, c), p in self.entries.items()},
                           self.col_degrees, self.row_degrees)
 
-    def submatrix(self, rows, cols) -> "PolyMatrix":
-        rows = list(rows)
-        cols = list(cols)
-        rmap = {r: i for i, r in enumerate(rows)}
-        cmap = {c: i for i, c in enumerate(cols)}
-        out = {}
-        for (r, c), p in self.entries.items():
-            if r in rmap and c in cmap:
-                out[(rmap[r], cmap[c])] = p
-        rd = [self.row_degrees[r] for r in rows] if self.row_degrees else None
-        cd = [self.col_degrees[c] for c in cols] if self.col_degrees else None
-        return PolyMatrix(self.ring, len(rows), len(cols), out, rd, cd)
-
     @staticmethod
     def block_diag(blocks):
         ring = blocks[0].ring

@@ -22,7 +22,8 @@ from fractions import Fraction
 
 from .poly import Polynomial, PolyRing
 from .matrix import PolyMatrix
-from .groebner import Ideal, ModuleGB, _vec_add, vector_of
+from .groebner import (Ideal, ModuleGB, _vec_add, vector_of,
+                       module_hilbert_data)
 
 
 class PipelineError(ValueError):
@@ -284,7 +285,18 @@ def check_annihilation(rd: RingData, presentation: PolyMatrix):
             v = {(j, m): c for m, c in f.terms.items()}
             if gb is None or not gb.contains(v):
                 raise PipelineError(
-                    f"f_{i + 1} = {f} does not annihilate the module")
+                    f"f_{i + 1} = {_brief(f)} does not annihilate the module")
+
+
+def _brief(p: Polynomial) -> str:
+    """``p`` in full, or its leading term and term count when it prints
+    longer than 60 characters."""
+    text = str(p)
+    if len(text) <= 60:
+        return text
+    lead = p.lead_monomial()
+    return (f"{p.ring.monomial(lead, p.terms[lead])} + ... "
+            f"({len(p.terms)} terms)")
 
 
 def resolve_over_b(rd: RingData, presentation: PolyMatrix,
@@ -371,23 +383,20 @@ def dualize_over_a(res: FreeResolution) -> DualComplex:
 
 
 def _check_concentration(res: FreeResolution) -> bool:
-    """True when Hom_A(F, A) is exact except at the final spot."""
-    ring = res.ring_data.ring
+    """True when Hom_A(F, A) is exact except at the final spot.
+
+    F must be the minimal resolution of M = coker d_1 over A, as
+    ``resolve_over_a`` builds it, so that its length L is pd M.  The
+    cohomology of Hom_A(F, A) is Ext_A^i(M, A), which vanishes below
+    grade M = n - dim M and not at grade M or at pd M (Bruns-Herzog,
+    Cohen-Macaulay Rings, 1.3.3).  So the dual is concentrated exactly
+    when L = 0 or n - dim M = L: one Hilbert computation on d_1.
+    """
     L = res.length
-    from .groebner import syzygy_matrix
-    for j in range(L):
-        up = res.differentials[j].transpose()     # maps F_j^* -> F_{j+1}^*
-        syz = syzygy_matrix(up)
-        if j == 0:
-            if syz.ncols != 0:
-                return False
-            continue
-        down = res.differentials[j - 1].transpose()
-        gb = ModuleGB(ring, down.nrows, down.columns_as_vectors())
-        for col in syz.columns_as_vectors():
-            if not gb.contains(col):
-                return False
-    return True
+    if L == 0:
+        return True
+    dim, _, _ = module_hilbert_data(res.differentials[0])
+    return L == res.ring_data.n - dim
 
 
 # -- Betti tables and quasi-polynomial tails -------------------------------

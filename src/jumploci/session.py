@@ -34,7 +34,7 @@ from .poly import PolyRing, Polynomial
 from .matrix import PolyMatrix
 from .resolution import (RingData, FreeResolution, PipelineError,
                          presentation_from_rows, resolve_over_a,
-                         dualize_over_a, DualComplex)
+                         dualize_over_a)
 from .homotopy import (compute_higher_homotopies, ingest_dg_structure,
                        dualize_homotopies)
 from .twisted import TwistedComplex, build_twisted_complex
@@ -452,7 +452,6 @@ class Pipeline:
     resolution: FreeResolution
     X: TwistedComplex
     presentation: PolyMatrix = None        # of M over A, coker inputs only
-    dual_complex: DualComplex = None
     X_dual: TwistedComplex = None          # explicit dual route
     dual_presentation: PolyMatrix = None   # of M*, when Ext is concentrated
 
@@ -475,7 +474,6 @@ def build_pipeline(session: Session, need_dual: bool = False) -> Pipeline:
     if need_dual:
         dc = dualize_over_a(res)
         dual_sys = dualize_homotopies(sys, dc, rd)
-        pipe.dual_complex = dc
         pipe.X_dual = build_twisted_complex(dual_sys.resolution, dual_sys,
                                             rd, S=X.S)
         if dc.concentrated:

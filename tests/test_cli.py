@@ -181,6 +181,26 @@ def test_betti_json_equals_the_resolution_oracle(capfd, name):
                                            "json")
 
 
+@pytest.mark.parametrize("entries, has_dual", [
+    ("x^3, y^3, x*z, y*z", False),
+    ("x^3, y^3, x*y", True),
+])
+def test_betti_json_when_b_is_not_artinian(capfd, tmp_path, entries,
+                                           has_dual):
+    """Over k[x,y,z]/(x^3, y^3) (c = 2 < n = 3), M* is defined exactly when
+    M is perfect: (x^3, y^3, x*z, y*z) has depth 0 and dimension 1,
+    (x^3, y^3, x*y) is Cohen-Macaulay of dimension 1.  Every table equals
+    the resolution oracle."""
+    path = tmp_path / "m.session"
+    path.write_text("field GF(101)\nring x, y, z\nci x^3, y^3\n"
+                    f"module coker [[{entries}]]\n")
+    code, out, err = _run(capfd, ["betti", "--input", str(path), "--n", "10"])
+    assert code == 0, err
+    assert (json.loads(out)["dual"] is not None) == has_dual
+    assert out.encode() == cli.emit_report(_oracle_betti_report(path, 10),
+                                           "json")
+
+
 # -- crk --------------------------------------------------------------------
 
 
@@ -286,6 +306,18 @@ def test_module_not_annihilated_by_f_is_an_input_error(capfd, tmp_path):
         code, out, err = _run(capfd, [command, "--input", str(session)])
         assert code == 1 and out == ""
         assert err == "error: f_1 = x^2 does not annihilate the module\n"
+
+
+def test_long_element_that_does_not_annihilate_is_named_briefly(capfd,
+                                                                 tmp_path):
+    """A long ci element is named by its leading term and term count."""
+    session = tmp_path / "long.session"
+    session.write_text("field GF(101)\nring x, y\nci x^2, (x+y)^800\n"
+                       "module coker [[x]]\n")
+    code, out, err = _run(capfd, ["compute", "--input", str(session)])
+    assert code == 1 and out == ""
+    assert err == ("error: f_2 = x^800 + ... (752 terms) does not annihilate "
+                   "the module\n")
 
 
 def test_huge_exponent_is_an_input_error(capfd, tmp_path):

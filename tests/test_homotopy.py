@@ -1,5 +1,7 @@
 """Higher homotopy systems: construction, validation, dualization."""
 
+import re
+
 import pytest
 
 from jumploci import GF, PolyRing
@@ -7,8 +9,9 @@ from jumploci.matrix import PolyMatrix
 from jumploci.resolution import (RingData, FreeResolution, PipelineError,
                                  presentation_from_rows, resolve_over_a,
                                  dualize_over_a)
-from jumploci.homotopy import (compute_higher_homotopies, verify_system,
-                               ingest_dg_structure, dualize_homotopies)
+from jumploci.homotopy import (HigherHomotopySystem, compute_higher_homotopies,
+                               verify_system, ingest_dg_structure,
+                               dualize_homotopies)
 
 from conftest import matrix_of
 
@@ -58,6 +61,24 @@ def test_flag_system_verifies(flag_pipeline):
     rd, pres, res, sys, X = flag_pipeline
     verify_system(sys, rd)
     assert (1, 1, 0) in sys.sigma  # some quadratic coherence block exists
+
+
+def test_perturbing_one_block_breaks_verification(flag_pipeline):
+    """Adding x to one entry of one block of a computed system breaks the
+    identity of that multi-index at that degree: d o sigma_J changes, as
+    d is injective on x times a basis vector of a free module."""
+    rd, pres, res, sys, X = flag_pipeline
+    x = rd.ring.gen(0)
+    for J, blocks in sys.sigma.items():
+        for t, block in blocks.items():
+            sigma = {K: dict(b) for K, b in sys.sigma.items()}
+            sigma[J][t] = block + PolyMatrix(rd.ring, block.nrows,
+                                             block.ncols, {(0, 0): x})
+            broken = HigherHomotopySystem(res, sigma, strict=False)
+            with pytest.raises(AssertionError,
+                               match=rf"fails for J={re.escape(str(J))} "
+                                     rf"at degree {t}$"):
+                verify_system(broken, rd)
 
 
 def test_strict_action_accepted(koszul_action):

@@ -5,21 +5,24 @@ import random
 import pytest
 
 from jumploci import GF, PolyRing
-from jumploci.groebner import Ideal
+from jumploci.groebner import Ideal, module_hilbert_data
+from jumploci.matrix import PolyMatrix
 from jumploci.resolution import (RingData, presentation_from_rows,
                                  resolve_over_a, resolve_over_b,
                                  dualize_over_a, PipelineError)
 from jumploci.session import parse_session, build_pipeline
 from jumploci.homotopy import compute_higher_homotopies, dualize_homotopies
 from jumploci.twisted import (build_twisted_complex, minimalize, tbetti,
-                              free_complex, koszul_object_list, direct_sum)
+                              free_complex, koszul_object_list, direct_sum,
+                              homology_presentation, shift)
 from jumploci.loci import (crk_at, jump_locus_ideal,
                            jump_locus_via_exterior_power, jump_loci_report,
                            complexity_of, betti_degree, betti_numbers,
                            duality_check, additivity_check, realize,
                            stable_betti_oracle, RouteDisagreement)
 
-from conftest import SESSIONS, koszul_block, matrix_of, random_monomial_rows
+from conftest import (SESSIONS, koszul_block, matrix_of, random_monomial_rows,
+                      random_homogeneous, random_twisted_complex)
 
 GF101 = GF(101)
 
@@ -175,12 +178,98 @@ def test_betti_degree_examples(flag_pipeline, final_pipeline, koszul_action):
 
 def test_betti_degree_cross_checks_the_even_and_odd_parts():
     """H(Kos(chi1)) on a rank-one base is S/(chi1) in even degrees only:
-    the complexity is 1 and the odd part has no multiplicity to match."""
+    the complexity is 1 and the odd part has no multiplicity to match.
+    Shifted by an odd degree, up or below zero, H(X) is odd only."""
     S = PolyRing(GF101, ("chi1", "chi2"), (2, 2))
     X = koszul_object_list(free_complex(S, 1), [S.parse("chi1")])
     assert complexity_of(X) == 1
     with pytest.raises(AssertionError, match="disagree: 1 != 0"):
         betti_degree(X)
+    for s in (1, -1, -3):
+        with pytest.raises(AssertionError, match="disagree: 0 != 1"):
+            betti_degree(shift(X, s))
+    with pytest.raises(AssertionError, match="disagree: 1 != 0"):
+        betti_degree(shift(X, -2))
+
+
+def _parity_split_betti_degree(X, crk_generic=None):
+    """Test-local reference for betti_degree: split the presentation of
+    H(X) into the submatrices of its even and odd rows and read each part's
+    Hilbert data with chi in degree 1."""
+    X = minimalize(X)
+    S = X.S
+    mat, degs = homology_presentation(X)
+    parts = []
+    for parity in (0, 1):
+        rows = [idx for idx, (coh, _) in enumerate(degs)
+                if coh % 2 == parity]
+        if not rows:
+            parts.append((-1, 0))
+            continue
+        row_set = set(rows)
+        cols = []
+        for j in range(mat.ncols):
+            support = {rr for (rr, cc) in mat.entries if cc == j}
+            if support and support <= row_set:
+                cols.append(j)
+        rmap = {r: i for i, r in enumerate(rows)}
+        cmap = {c: i for i, c in enumerate(cols)}
+        sub = PolyMatrix(S, len(rows), len(cols),
+                         {(rmap[r], cmap[c]): p
+                          for (r, c), p in mat.entries.items()
+                          if r in rmap and c in cmap})
+        shifts = [degs[idx][0] // 2 for idx in rows]
+        dim, mult, _ = module_hilbert_data(sub, shifts, (1,) * S.nvars)
+        parts.append((dim, mult))
+    complexity = max(dim for dim, _ in parts)
+    if complexity <= 0:
+        return None
+    e_even, e_odd = (mult if dim == complexity else 0 for dim, mult in parts)
+    if e_even != e_odd:
+        raise AssertionError(
+            f"even/odd multiplicities disagree: {e_even} != {e_odd}")
+    if complexity == S.nvars and crk_generic is not None:
+        if 2 * e_even != crk_generic:
+            raise AssertionError(
+                "betti degree disagrees with the generic rank cross-check")
+    return e_even
+
+
+def _outcome(route, X):
+    try:
+        return route(X)
+    except AssertionError as exc:
+        return str(exc)
+
+
+def test_betti_degree_equals_the_parity_split_route():
+    """On X(M) and X(M*) of random monomial modules, on random twisted
+    complexes (some shifted below degree zero) and on shifted Kos(eta) on a
+    rank-one base (H(X) of one parity only), the value or the error equals
+    that of the parity split."""
+    rng = random.Random(41)
+    complexes = []
+    for ring, ci in (("x, y", "x^3, y^3"), ("x, y, z", "x^3, y^3")):
+        for _ in range(4):
+            gens = [_monomial("xy", m) for m in random_monomial_rows(rng)]
+            if ring == "x, y, z" and rng.random() < 0.5:
+                gens.append(f"x*z^{rng.randrange(1, 3)}")
+            pipe = _coker_pipeline(ring, ci, gens)
+            complexes += [pipe.X, pipe.X_dual]
+    S = PolyRing(GF101, ("chi1", "chi2"), (2, 2))
+    complexes += [random_twisted_complex(S, rng) for _ in range(12)]
+    for _ in range(6):
+        eta = random_homogeneous(S, rng, 2 * rng.randrange(1, 3))
+        X = koszul_object_list(free_complex(S, 1), [eta])
+        complexes.append(shift(X, rng.randrange(-3, 3)))
+    values = []
+    for X in complexes:
+        want = _outcome(_parity_split_betti_degree, X)
+        assert _outcome(betti_degree, X) == want
+        values.append(want)
+    assert any(isinstance(v, int) and v > 1 for v in values)
+    assert any(isinstance(v, str) and v.endswith(" != 0") for v in values)
+    assert any(isinstance(v, str) and " 0 != " in v for v in values)
 
 
 def test_bass_degree_via_dual_pipeline(final_pipeline, flag_pipeline):

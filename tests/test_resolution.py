@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 
 from jumploci import GF, PolyRing
-from jumploci.groebner import ModuleGB, _vec_add
+from jumploci.groebner import ModuleGB, _vec_add, syzygy_matrix
 from jumploci.resolution import (RingData, PipelineError, TruncationNeeded,
                                  presentation_from_rows, resolve_over_a,
                                  resolve_over_b, dualize_over_a, BettiTable,
@@ -207,6 +207,68 @@ def test_dual_of_final_module_has_length_three():
     dim, mult, num = module_hilbert_data(
         mat, [d[1] for d in mat.row_degrees], A.weights)
     assert (dim, mult) == (0, 3)
+
+
+def _syzygy_concentration(res):
+    """Test-local reference for the concentration test: Hom_A(F, A) is
+    exact at every spot below the last, checked with the syzygies of each
+    transposed differential and membership in the image of the previous."""
+    ring = res.ring_data.ring
+    for j in range(res.length):
+        syz = syzygy_matrix(res.differentials[j].transpose())
+        if j == 0:
+            if syz.ncols != 0:
+                return False
+            continue
+        down = res.differentials[j - 1].transpose()
+        gb = ModuleGB(ring, down.nrows, down.columns_as_vectors())
+        if not all(gb.contains(col) for col in syz.columns_as_vectors()):
+            return False
+    return True
+
+
+def _exponent_word(exps):
+    return "*".join(f"{v}^{e}" for v, e in zip("xyz", exps) if e)
+
+
+def _random_presentation_rows(rng):
+    """One or two rows over GF(101)[x,y,z], each row's generator killed by
+    x^3 and y^3, plus random monomial and binomial relations."""
+    nrows = rng.choice((1, 1, 2))
+    words = []
+    for _ in range(rng.randrange(1, 4) + nrows):
+        exps = [rng.randrange(0, 3) for _ in range(3)]
+        exps[rng.randrange(3)] += 1
+        other = exps[:]
+        rng.shuffle(other)
+        word = _exponent_word(exps)
+        if other != exps and rng.random() < 0.3:
+            word += f" + {rng.randrange(1, 101)}*{_exponent_word(other)}"
+        words.append(word)
+    cols = [{k: p} for k in range(nrows) for p in ("x^3", "y^3")]
+    for word in words:
+        if nrows == 2 and rng.random() < 0.5:
+            cols.append({0: word, 1: word})
+        else:
+            cols.append({rng.randrange(nrows): word})
+    return [[A3.parse(col.get(r, "0")) for col in cols] for r in range(nrows)]
+
+
+def test_concentration_by_auslander_buchsbaum_equals_the_syzygy_route():
+    """On random modules over GF(101)[x,y,z]/(x^3, y^3), of dimension 0
+    or 1 and depth 0 or 1, the dual of the minimal resolution is
+    concentrated exactly when the syzygy route finds it exact below the
+    top; both outcomes occur."""
+    rd = RingData(A3, [A3.parse("x^3"), A3.parse("y^3")])
+    rng = random.Random(43)
+    outcomes = []
+    for _ in range(60):
+        rows = _random_presentation_rows(rng)
+        res = resolve_over_a(rd, presentation_from_rows(A3, rows))
+        concentrated = dualize_over_a(res).concentrated
+        assert concentrated == _syzygy_concentration(res)
+        outcomes.append(concentrated)
+    assert True in outcomes and False in outcomes
 
 
 # -- regular sequences -----------------------------------------------------
