@@ -12,7 +12,11 @@ element whose real part reduces to zero then carries, in its shadow block,
 a syzygy of the input columns; reducing an augmented inclusion ``v + 0``
 to zero real part yields the coefficients expressing ``v`` in the columns.
 For completeness of the syzygy generators, tracked runs process every
-S-pair and apply no pair-discarding criteria.
+S-pair and apply no pair-discarding criteria.  Untracked runs skip the
+pairs whose S-vector is known to reduce to zero: in rank one a pair with
+coprime leads (Buchberger's first criterion), and in any rank a pair of
+two single-term vectors, whose S-vector is identically zero.  So a
+monomial input processes no pair at all.
 """
 
 from __future__ import annotations
@@ -112,15 +116,27 @@ class ModuleGB:
     # -- division --------------------------------------------------------
 
     def _reduce_full(self, v):
-        """Full normal form of the real part; shadow terms ride along."""
+        """Full normal form of the real part; shadow terms ride along.
+
+        The real terms wait in a heap ordered by ``PolyRing.mono_key_desc``
+        (largest term first, then smallest component, as ``_term_key``).
+        A reduction step pushes only the terms it creates, and a popped
+        term that has since cancelled is skipped, so each step reduces the
+        largest live term, with no rescan of the vector.
+        """
         fld = self.ring.field
+        rank = self.rank
+        desc = self.ring.mono_key_desc
         v = dict(v)
+        heap = [(desc(m), comp, m) for comp, m in v if comp < rank]
+        heapq.heapify(heap)
         remainder = {}
-        while True:
-            lt = self._real_lead(v)
-            if lt is None:
-                break
-            comp, mono = lt
+        while heap:
+            _, comp, mono = heapq.heappop(heap)
+            lt = (comp, mono)
+            lc = v.get(lt)
+            if lc is None:
+                continue
             reducer = None
             for g, glead in self.basis:
                 gc, gm = glead
@@ -132,8 +148,22 @@ class ModuleGB:
                 continue
             g, gm = reducer
             shift = tuple(a - b for a, b in zip(mono, gm))
-            coeff = fld.neg(v[lt])  # basis elements are monic
-            v = _vec_add(fld, v, g, coeff, shift)
+            coeff = fld.neg(lc)  # basis elements are monic
+            for (gc, m), c in g.items():
+                m = tuple(x + y for x, y in zip(m, shift))
+                term = (gc, m)
+                c = fld.mul(c, coeff)
+                old = v.get(term)
+                if old is None:
+                    v[term] = c
+                    if gc < rank:
+                        heapq.heappush(heap, (desc(m), gc, m))
+                    continue
+                c = fld.add(old, c)
+                if c:
+                    v[term] = c
+                else:
+                    del v[term]
         # remainder real terms plus surviving shadow terms
         for k, c in v.items():
             remainder[k] = c
@@ -149,11 +179,15 @@ class ModuleGB:
 
     def _add_element(self, v, lead, pairs):
         idx = len(self.basis)
-        self.basis.append((self._monic(v, lead), lead))
+        v = self._monic(v, lead)
+        self.basis.append((v, lead))
         GBStats.basis_elements += 1
-        for j, (_, jlead) in enumerate(self.basis[:-1]):
+        single = not self.track and len(v) == 1
+        for j, (g, jlead) in enumerate(self.basis[:-1]):
             if jlead[0] != lead[0]:
                 continue
+            if single and len(g) == 1:
+                continue  # two terms in one component: the S-vector is zero
             lcm = tuple(max(a, b) for a, b in zip(jlead[1], lead[1]))
             if (not self.track and self.rank == 1
                     and all(a + b == l for a, b, l in

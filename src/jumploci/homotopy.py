@@ -66,12 +66,13 @@ def compute_higher_homotopies(res: FreeResolution,
     if L == 0:
         check_annihilation(rd, PolyMatrix.zero(ring, ranks[0], 0))
         return HigherHomotopySystem(res, {}, strict=False)
+    # f_i must annihilate H_0(F) = coker d_1; this input check comes
+    # before the costlier regular-sequence test
+    check_annihilation(rd, res.differentials[0])
     if not rd.is_regular_sequence():
         raise PipelineError(
             "f is not a regular sequence; supply an explicit complex "
             "with dg actions instead")
-    # f_i must annihilate H_0(F) = coker d_1
-    check_annihilation(rd, res.differentials[0])
     # tracked bases of im(d_t) for lifting, built lazily
     lift_bases = {}
 

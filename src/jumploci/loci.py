@@ -103,15 +103,16 @@ def jump_locus_via_exterior_power(X: TwistedComplex, i: int) -> Ideal:
     g = X.D.generic_rank()
     if s > 2 * g:
         return _zero_ideal(S)
-    minors_cache = {0: [S.one()]}
-    for u in range(1, min(g, s) + 1):
-        minors_cache[u] = X.D.minors(u)
+
+    def minors(u):
+        return [S.one()] if u == 0 else X.D.minors(u)
+
     gens = []
     seen = set()
     for u in range(max(0, s - g), min(g, s) + 1):
-        v = s - u
-        for a in minors_cache.get(u, []):
-            for b in minors_cache.get(v, []):
+        right = minors(s - u)
+        for a in minors(u):
+            for b in right:
                 p = (a * b).monic()
                 if p not in seen:
                     seen.add(p)

@@ -15,7 +15,10 @@ internal weights are the declared variable weights).
 The determinantal kernel enumerates structurally nonzero minors only: the
 matrix is split into connected components, candidate row/column subsets are
 generated through systems of distinct representatives, and determinants are
-expanded by memoized Laplace expansion shared across all subsets.
+expanded by memoized Laplace expansion shared across all subsets of a
+component and from one size to the next.  The minors of every size are
+built together on the first request and cached on the matrix (see
+``PolyMatrix.minors``).
 """
 
 from __future__ import annotations
@@ -24,7 +27,8 @@ from .poly import Polynomial, PolyRing
 
 
 class PolyMatrix:
-    __slots__ = ("ring", "nrows", "ncols", "entries", "row_degrees", "col_degrees")
+    __slots__ = ("ring", "nrows", "ncols", "entries", "row_degrees",
+                 "col_degrees", "_minor_table")
 
     def __init__(self, ring: PolyRing, nrows: int, ncols: int, entries=None,
                  row_degrees=None, col_degrees=None):
@@ -40,6 +44,7 @@ class PolyMatrix:
                     self.entries[(r, c)] = p
         self.row_degrees = list(row_degrees) if row_degrees is not None else None
         self.col_degrees = list(col_degrees) if col_degrees is not None else None
+        self._minor_table = None   # t -> minors, built by the first minors()
 
     # -- constructors ---------------------------------------------------
 
@@ -247,38 +252,42 @@ class PolyMatrix:
 
         Deterministic output order.  Connected components of the support
         graph are processed independently and recombined by minor products
-        (a minor meeting several components factors block-diagonally).
+        (a minor meeting several components factors block-diagonally, so
+        I_t = sum over s_1 + ... + s_m = t of prod_k I_{s_k}(C_k)).
+
+        The first call builds the table t -> minors for every t at once and
+        caches it on the matrix; every later call reads from it.  Its
+        premise is that the entries of a PolyMatrix are set in ``__init__``
+        and never changed afterwards; every operation builds a new matrix.
+        Inside a component, sizes are enumerated upwards and stop at the
+        first size without a nonzero minor: by Laplace expansion every
+        larger minor of that component vanishes too.  The components are
+        convolved once, with no cut at t.  Bucket t of the convolution only
+        receives products from buckets below it, and deduplication keeps
+        the first occurrence, so each bucket holds the same minors in the
+        same order as a convolution cut at t would.
         """
         if t < 1:
             raise ValueError("minor size must be >= 1")
-        if t > min(self.nrows, self.ncols):
-            return []
-        comps = self._components()
-        per_comp = []
-        for rows, cols in comps:
-            cap = min(len(rows), len(cols), t)
-            sizes = {}
-            for s in range(1, cap + 1):
-                ms = _component_minors(self, rows, cols, s)
-                if ms:
-                    sizes[s] = ms
-            per_comp.append(sizes)
-        # DP convolution over components
+        if self._minor_table is None:
+            self._minor_table = self._build_minor_table()
+        return list(self._minor_table.get(t, ()))
+
+    def _build_minor_table(self):
         acc = {0: [self.ring.one()]}
-        for sizes in per_comp:
+        for rows, cols in self._components():
+            sizes = _component_minor_table(self, rows, cols)
             nxt = {}
             for got, polys in acc.items():
                 # size-0 contribution from this component
                 nxt.setdefault(got, []).extend(polys)
                 for s, ms in sizes.items():
-                    if got + s > t:
-                        continue
                     bucket = nxt.setdefault(got + s, [])
                     for p in polys:
                         for q in ms:
                             bucket.append(p * q)
             acc = {k: _dedupe_monic(v) for k, v in nxt.items()}
-        return acc.get(t, [])
+        return acc
 
     def _components(self):
         """Connected components of the bipartite support graph."""
@@ -321,8 +330,13 @@ def _dedupe_monic(polys):
     return out
 
 
-def _component_minors(mat: PolyMatrix, rows, cols, t: int):
-    """t x t minors within one connected component, via SDR enumeration."""
+def _component_minor_table(mat: PolyMatrix, rows, cols):
+    """Nonzero minors of one connected component as size -> list, via SDR
+    enumeration, sizes ascending up to the first size with none.
+
+    The determinant memo carries the minors of one size into the Laplace
+    expansions of the next size, and drops smaller sizes.
+    """
     cols = sorted(cols)
     rows = sorted(rows)
     col_support = {c: sorted(r for r in rows if (r, c) in mat.entries)
@@ -355,41 +369,47 @@ def _component_minors(mat: PolyMatrix, rows, cols, t: int):
         det_memo[key] = total
         return total
 
-    results = []
-    seen_pairs = set()
+    def minors_of_size(t):
+        results = []
 
-    # enumerate column subsets (increasing), pruning by reachable rows
-    def choose_cols(start, chosen):
-        if len(chosen) == t:
-            support = set()
-            for c in chosen:
-                support.update(col_support[c])
-            if len(support) < t:
+        # enumerate column subsets (increasing), pruning by reachable rows
+        def choose_cols(start, chosen):
+            if len(chosen) == t:
+                support = set()
+                for c in chosen:
+                    support.update(col_support[c])
+                if len(support) < t:
+                    return
+                if _max_matching(chosen, col_support) < t:
+                    return
+                for rset in _row_subsets(chosen, col_support, t):
+                    d = det(rset, tuple(chosen))
+                    if not d.is_zero():
+                        results.append(d)
                 return
-            if _max_matching(chosen, col_support) < t:
-                return
-            for rset in _row_subsets(chosen, col_support, t):
-                key = (rset, tuple(chosen))
-                if key in seen_pairs:
+            for i in range(start, len(cols)):
+                c = cols[i]
+                if not col_support[c]:
                     continue
-                seen_pairs.add(key)
-                d = det(rset, tuple(chosen))
-                if not d.is_zero():
-                    results.append(d)
-            return
-        for i in range(start, len(cols)):
-            c = cols[i]
-            if not col_support[c]:
-                continue
-            # feasibility: enough columns left
-            if len(chosen) + (len(cols) - i) < t:
-                break
-            chosen.append(c)
-            choose_cols(i + 1, chosen)
-            chosen.pop()
+                # feasibility: enough columns left
+                if len(chosen) + (len(cols) - i) < t:
+                    break
+                chosen.append(c)
+                choose_cols(i + 1, chosen)
+                chosen.pop()
 
-    choose_cols(0, [])
-    return _dedupe_monic(results)
+        choose_cols(0, [])
+        return _dedupe_monic(results)
+
+    table = {}
+    for t in range(1, min(len(rows), len(cols)) + 1):
+        ms = minors_of_size(t)
+        if not ms:
+            break
+        table[t] = ms
+        # size t + 1 expands into size t; smaller sizes would only hold memory
+        det_memo = {k: d for k, d in det_memo.items() if len(k[1]) == t}
+    return table
 
 
 def _row_subsets(chosen_cols, col_support, t):

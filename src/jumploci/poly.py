@@ -70,6 +70,11 @@ class PolyRing:
         """Sort key realizing weighted grevlex (larger key = larger monomial)."""
         return (self.wdeg(mono), tuple(-e for e in reversed(mono)))
 
+    def mono_key_desc(self, mono: Monomial):
+        """``mono_key`` with every entry negated: ascending order of this key
+        is descending term order, for min-heaps of terms."""
+        return (-self.wdeg(mono), tuple(reversed(mono)))
+
     def extend(self, extra_var: str, weight: int = 1) -> "PolyRing":
         """Ring with one auxiliary variable appended (radical-membership trick)."""
         return PolyRing(self.field, self.variables + (extra_var,),

@@ -18,6 +18,7 @@ serves as the independent check of that closed form in the tests.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 
 from .poly import Polynomial, PolyRing
@@ -356,12 +357,31 @@ def _reduce_column(col, nf, ring):
 
 @dataclass
 class DualComplex:
-    """Hom_A(F, A) with degrees negated, shifted so it resolves the dual."""
+    """Hom_A(F, A) with degrees negated, shifted so it resolves the dual.
+
+    Whether it is concentrated, and the presentation of the dual module,
+    are computed on first read; only the ``betti`` command reads them.
+    """
 
     matrices: list        # delta_1..delta_L of the reversed complex
     degrees: list         # degrees of H_0..H_L (negated, reversed)
-    presentation: PolyMatrix = None   # of the dual module, when concentrated
-    concentrated: bool = False
+    resolution: FreeResolution   # F, the complex that was dualized
+
+    @cached_property
+    def concentrated(self) -> bool:
+        return _check_concentration(self.resolution)
+
+    @cached_property
+    def presentation(self):
+        """Presentation of the dual module when concentrated, else None."""
+        res = self.resolution
+        L = res.length
+        if not self.concentrated or L < 1:
+            return None
+        pres = res.differentials[L - 1].transpose()
+        pres.row_degrees = [(0, -d) for d in res.degrees[L]]
+        pres.col_degrees = [(1, -d) for d in res.degrees[L - 1]]
+        return pres
 
 
 def dualize_over_a(res: FreeResolution) -> DualComplex:
@@ -373,13 +393,7 @@ def dualize_over_a(res: FreeResolution) -> DualComplex:
         t.row_degrees = [(j - 1, d) for d in degrees[j - 1]]
         t.col_degrees = [(j, d) for d in degrees[j]]
         matrices.append(t)
-    concentrated = _check_concentration(res)
-    pres = None
-    if concentrated and L >= 1:
-        pres = res.differentials[L - 1].transpose()
-        pres.row_degrees = [(0, -d) for d in res.degrees[L]]
-        pres.col_degrees = [(1, -d) for d in res.degrees[L - 1]]
-    return DualComplex(matrices, degrees, pres, concentrated)
+    return DualComplex(matrices, degrees, res)
 
 
 def _check_concentration(res: FreeResolution) -> bool:

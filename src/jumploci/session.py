@@ -33,8 +33,8 @@ from .field import Field, GF, QQ
 from .poly import PolyRing, Polynomial
 from .matrix import PolyMatrix
 from .resolution import (RingData, FreeResolution, PipelineError,
-                         presentation_from_rows, resolve_over_a,
-                         dualize_over_a)
+                         DualComplex, presentation_from_rows,
+                         resolve_over_a, dualize_over_a)
 from .homotopy import (compute_higher_homotopies, ingest_dg_structure,
                        dualize_homotopies)
 from .twisted import TwistedComplex, build_twisted_complex
@@ -453,7 +453,13 @@ class Pipeline:
     X: TwistedComplex
     presentation: PolyMatrix = None        # of M over A, coker inputs only
     X_dual: TwistedComplex = None          # explicit dual route
-    dual_presentation: PolyMatrix = None   # of M*, when Ext is concentrated
+    dual: DualComplex = None               # Hom_A(F, A), with X_dual
+
+    @property
+    def dual_presentation(self) -> PolyMatrix:
+        """Presentation of M* when Ext is concentrated, else None; the
+        concentration test runs on first read."""
+        return None if self.dual is None else self.dual.presentation
 
 
 def build_pipeline(session: Session, need_dual: bool = False) -> Pipeline:
@@ -476,6 +482,5 @@ def build_pipeline(session: Session, need_dual: bool = False) -> Pipeline:
         dual_sys = dualize_homotopies(sys, dc, rd)
         pipe.X_dual = build_twisted_complex(dual_sys.resolution, dual_sys,
                                             rd, S=X.S)
-        if dc.concentrated:
-            pipe.dual_presentation = dc.presentation
+        pipe.dual = dc
     return pipe

@@ -1,5 +1,6 @@
 """Groebner engine: bases, normal forms, syzygies, Hilbert data, radicals."""
 
+import heapq
 import itertools
 import random
 
@@ -7,8 +8,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from jumploci import GF, QQ, PolyRing
-from jumploci.groebner import (GBStats, Ideal, ModuleGB, syzygy_matrix,
-                               vector_of, module_hilbert_data)
+from jumploci.groebner import (GBStats, Ideal, ModuleGB, _vec_add,
+                               syzygy_matrix, vector_of, module_hilbert_data)
 from jumploci.poly import Polynomial
 from jumploci.matrix import PolyMatrix
 
@@ -356,3 +357,120 @@ def test_dimension_and_multiplicity_of_ideals():
     assert Ideal(S, [S.parse("chi1")]).dimension() == 1
     assert Ideal(S, [S.parse("chi1"), S.parse("chi2")]).dimension() == 0
     assert Ideal(S, [S.one()]).is_unit_ideal()
+
+
+# -- single-term pairs and heap-ordered reduction --------------------------
+
+
+class _EveryPairGB(ModuleGB):
+    """Keeps the S-pair of two single-term vectors in untracked runs."""
+
+    def _add_element(self, v, lead, pairs):
+        idx = len(self.basis)
+        self.basis.append((self._monic(v, lead), lead))
+        GBStats.basis_elements += 1
+        for j, (_, jlead) in enumerate(self.basis[:-1]):
+            if jlead[0] != lead[0]:
+                continue
+            lcm = tuple(max(a, b) for a, b in zip(jlead[1], lead[1]))
+            if (not self.track and self.rank == 1
+                    and all(a + b == l for a, b, l in
+                            zip(jlead[1], lead[1], lcm))):
+                continue
+            heapq.heappush(pairs, (self.ring.mono_key(lcm), j, idx, lcm))
+
+
+def _scanning_reduce_full(gb, v):
+    """Reference division: rescan the vector for its lead term each step."""
+    fld = gb.ring.field
+    v = dict(v)
+    remainder = {}
+    while True:
+        lt = gb._real_lead(v)
+        if lt is None:
+            break
+        comp, mono = lt
+        reducer = None
+        for g, glead in gb.basis:
+            gc, gm = glead
+            if gc == comp and all(a <= b for a, b in zip(gm, mono)):
+                reducer = (g, gm)
+                break
+        if reducer is None:
+            remainder[lt] = v.pop(lt)
+            continue
+        g, gm = reducer
+        shift = tuple(a - b for a, b in zip(mono, gm))
+        v = _vec_add(fld, v, g, fld.neg(v[lt]), shift)
+    for k, c in v.items():
+        remainder[k] = c
+    return remainder
+
+
+class _ScanningGB(ModuleGB):
+    _reduce_full = _scanning_reduce_full
+
+
+def _random_vector(rng, ring, rank, nterms, comps=None):
+    """Homogeneous vector with up to ``nterms`` terms, in ``comps``
+    (default: the real components)."""
+    comps = range(rank) if comps is None else comps
+    d = rng.randrange(1, 4)
+    monos = [m for m in itertools.product(range(d + 1), repeat=ring.nvars)
+             if sum(m) == d]
+    return {(rng.choice(comps), rng.choice(monos)):
+            ring.field.coerce(rng.randrange(1, 101))
+            for _ in range(nterms)}
+
+
+def _random_columns(rng, ring, rank, kind):
+    sizes = {"monomial": [1], "binomial": [2], "mixed": [1, 1, 2, 3]}[kind]
+    return [_random_vector(rng, ring, rank, rng.choice(sizes))
+            for _ in range(rng.randrange(2, 6))]
+
+
+def test_skipping_single_term_pairs_keeps_the_reduced_basis():
+    rng = random.Random(5)
+    R = PolyRing(GF101, ("x", "y", "z"))
+    for kind in ("monomial", "binomial", "mixed"):
+        for rank in (1, 1, 2):
+            for _ in range(8):
+                cols = _random_columns(rng, R, rank, kind)
+                assert (ModuleGB(R, rank, cols).basis
+                        == _EveryPairGB(R, rank, cols).basis), cols
+
+
+def test_monomial_input_processes_no_pair():
+    R = PolyRing(GF101, ("x", "y", "z"))
+    cols = [{(0, (2, 0, 0)): 1}, {(0, (1, 1, 0)): 3}, {(1, (0, 1, 1)): 1},
+            {(1, (0, 0, 2)): 7}, {(1, (1, 0, 1)): 1}]
+    before = GBStats.pairs_processed
+    gb = ModuleGB(R, 2, cols)
+    assert GBStats.pairs_processed == before
+    assert len(gb.basis) == 5
+    _EveryPairGB(R, 2, cols)
+    assert GBStats.pairs_processed > before
+
+
+def test_heap_reduction_equals_the_scanning_reduction():
+    """Same remainders, term for term and in the same order, and the same
+    bases and syzygies, tracked and untracked, rank 1 and rank 2."""
+    rng = random.Random(12)
+    rings = [PolyRing(GF101, ("x", "y", "z")), PolyRing(QQ, ("x", "y"))]
+    for R in rings:
+        for track in (False, True):
+            for rank in (1, 2):
+                for _ in range(4):
+                    cols = _random_columns(rng, R, rank, "mixed")
+                    gb = ModuleGB(R, rank, cols, track=track)
+                    ref = _ScanningGB(R, rank, cols, track=track)
+                    assert gb.basis == ref.basis
+                    if track:
+                        assert gb.syzygies() == ref.syzygies()
+                    shadow = range(rank, rank + len(cols)) if track else None
+                    for _ in range(6):
+                        v = _random_vector(rng, R, rank, rng.randrange(1, 6))
+                        if shadow is not None:
+                            v.update(_random_vector(rng, R, rank, 2, shadow))
+                        assert (list(gb._reduce_full(v).items())
+                                == list(_scanning_reduce_full(gb, v).items()))

@@ -48,6 +48,22 @@ def test_free_module_needs_no_homotopies():
         compute_higher_homotopies(res, rd)
 
 
+def test_annihilation_is_checked_before_the_regular_sequence(monkeypatch):
+    """An input error is found without the Groebner basis and Hilbert
+    series of the ci ideal that the regular-sequence test builds."""
+    A = PolyRing(GF101, ("x", "y"))
+    rd = RingData(A, [A.parse("x^2"), A.parse("y^2")])
+    res = resolve_over_a(rd, presentation_from_rows(A, [[A.parse("x")]]))
+
+    def not_called(self):
+        raise AssertionError("the regular-sequence test ran first")
+
+    monkeypatch.setattr(RingData, "is_regular_sequence", not_called)
+    with pytest.raises(PipelineError,
+                       match=re.escape("f_2 = y^2 does not annihilate")):
+        compute_higher_homotopies(res, rd)
+
+
 def test_nonregular_sequence_rejected():
     A = PolyRing(GF101, ("x", "y"))
     rd = RingData(A, [A.parse("x^2*y"), A.parse("x*y^2")])

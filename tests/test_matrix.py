@@ -1,9 +1,12 @@
 """Sparse polynomial matrices: minors, ranks, bihomogeneity."""
 
+import itertools
 import random
 
+import pytest
+
 from jumploci import GF, PolyRing
-from jumploci.matrix import PolyMatrix
+from jumploci.matrix import PolyMatrix, _dedupe_monic
 
 from conftest import matrix_of
 
@@ -81,3 +84,118 @@ def test_block_diag_shapes():
     assert str(C.get(0, 0)) == "chi1"
     assert str(C.get(2, 2)) == "chi2"
     assert C.get(0, 1).is_zero()
+
+
+# -- the minor table against the per-size enumeration ---------------------
+
+
+S3 = PolyRing(GF101, ("chi1", "chi2", "chi3"), (2, 2, 2))
+
+
+def _per_t_minors(mat, t):
+    """Reference: the t x t minors enumerated for this t alone, every
+    component to every size up to t, convolved with a cut at t."""
+    if t > min(mat.nrows, mat.ncols):
+        return []
+    acc = {0: [mat.ring.one()]}
+    for rows, cols in mat._components():
+        sizes = {}
+        for s in range(1, min(len(rows), len(cols), t) + 1):
+            ms = _component_minors_of_size(mat, rows, cols, s)
+            if ms:
+                sizes[s] = ms
+        nxt = {}
+        for got, polys in acc.items():
+            nxt.setdefault(got, []).extend(polys)
+            for s, ms in sizes.items():
+                if got + s > t:
+                    continue
+                bucket = nxt.setdefault(got + s, [])
+                for p in polys:
+                    for q in ms:
+                        bucket.append(p * q)
+        acc = {k: _dedupe_monic(v) for k, v in nxt.items()}
+    return acc.get(t, [])
+
+
+def _component_minors_of_size(mat, rows, cols, t):
+    """Every nonzero t x t minor of one component, by cofactor expansion
+    over all row and column subsets."""
+    out = []
+    for ctup in itertools.combinations(sorted(cols), t):
+        for rtup in itertools.combinations(sorted(rows), t):
+            d = _det(mat, rtup, ctup)
+            if not d.is_zero():
+                out.append(d)
+    return _dedupe_monic(out)
+
+
+def _det(mat, rtup, ctup):
+    if not ctup:
+        return mat.ring.one()
+    total = mat.ring.zero()
+    for i, r in enumerate(rtup):
+        p = mat.entries.get((r, ctup[0]))
+        if p is not None:
+            term = p * _det(mat, rtup[:i] + rtup[i + 1:], ctup[1:])
+            total = total - term if i % 2 else total + term
+    return total
+
+
+def _random_block(rng, nrows, ncols):
+    pool = ["chi1", "chi2", "chi3", "chi1 + chi2", "chi2 - chi3", "2*chi3",
+            "0", "0"]
+    rows = [[rng.choice(pool) for _ in range(ncols)] for _ in range(nrows)]
+    if nrows >= 2 and ncols >= 2 and rng.random() < 0.5:
+        # a multiple of another row: generic rank below the size
+        k = rng.randrange(1, nrows)
+        rows[k] = [f"{rng.choice(['chi1', '3'])}*({e})" for e in rows[0]]
+    return matrix_of(S3, rows)
+
+
+def _scrambled_block_matrix(rng):
+    shapes = [(1, rng.randrange(1, 4)), (rng.randrange(1, 4), 1),
+              (3, 3), (rng.randrange(2, 4), rng.randrange(2, 4))]
+    rng.shuffle(shapes)
+    blocks = [_random_block(rng, r, c) for r, c in shapes[:rng.randrange(2, 5)]]
+    B = PolyMatrix.block_diag(blocks)
+    rperm = list(range(B.nrows))
+    cperm = list(range(B.ncols))
+    rng.shuffle(rperm)
+    rng.shuffle(cperm)
+    return PolyMatrix(S3, B.nrows, B.ncols,
+                      {(rperm[r], cperm[c]): p
+                       for (r, c), p in B.entries.items()})
+
+
+def test_minor_table_equals_the_per_size_enumeration():
+    """Every t from 1 to min(rows, cols) + 1, asked in ascending and in
+    descending order: same minors in the same order."""
+    rng = random.Random(8)
+    matrices = [_scrambled_block_matrix(rng) for _ in range(12)]
+    matrices.append(PolyMatrix.zero(S3, 3, 4))
+    matrices.append(matrix_of(S3, [["chi1", "chi2", "chi3"]]))
+    matrices.append(matrix_of(S3, [["chi1"], ["chi2"], ["0"]]))
+    deficient = 0
+    for P in matrices:
+        top = min(P.nrows, P.ncols) + 1
+        expected = {t: _per_t_minors(P, t) for t in range(1, top + 1)}
+        deficient += not expected[top - 1]
+        for order in (range(1, top + 1), range(top, 0, -1)):
+            Q = PolyMatrix(S3, P.nrows, P.ncols, P.entries)
+            for t in order:
+                assert Q.minors(t) == expected[t], (P.entries, t)
+    assert deficient >= 3   # some matrices stop below their full size
+
+
+def test_minor_table_is_built_once_per_matrix(monkeypatch):
+    P = matrix_of(S3, [["chi1", "chi2"], ["chi3", "0"]])
+    calls = []
+    build = PolyMatrix._build_minor_table
+    monkeypatch.setattr(PolyMatrix, "_build_minor_table",
+                        lambda self: calls.append(1) or build(self))
+    assert [P.minors(t) for t in (2, 1, 3, 2)] == \
+        [P.minors(2), P.minors(1), [], P.minors(2)]
+    assert len(calls) == 1
+    with pytest.raises(ValueError):
+        P.minors(0)
