@@ -8,11 +8,14 @@ of F of homological degree 2|J| - 1, subject to (with sigma_empty := d)
                                                   =  0           (|J| >= 2).
 
 Blocks are stored per source homological degree: ``sigma[J][t]`` maps
-F_t -> F_{t + 2|J| - 1}.  Construction solves the defining relations
-degreewise by lifting through the acyclic complex; every identity is
-re-verified exactly after construction.  Dualization along Hom_A(-, A) is
-plain blockwise transposition, which preserves all identities because
-each relation is symmetric in the compositions being transposed.
+F_t -> F_{t + 2|J| - 1}.  Zero blocks are not stored: an absent block is
+the zero block, and ``sigma[J]`` may be empty.  Construction solves the
+defining relations degreewise by lifting through the acyclic complex,
+column by column, and lifts no zero target and no zero column; every
+identity is re-verified exactly after construction.  Dualization along
+Hom_A(-, A) is plain blockwise transposition, which preserves all
+identities because each relation is symmetric in the compositions being
+transposed.
 """
 
 from __future__ import annotations
@@ -33,6 +36,8 @@ class HigherHomotopySystem:
     strict: bool           # sourced from a dg action (sigma_J = 0, |J| >= 2)
 
     def block(self, J, t) -> PolyMatrix:
+        """sigma_J on F_t; None is the zero block (zero blocks are not
+        stored)."""
         return self.sigma.get(tuple(J), {}).get(t)
 
 
@@ -77,27 +82,26 @@ def compute_higher_homotopies(res: FreeResolution,
     lift_bases = {}
 
     def lift_through(t, target_mat):
-        """h with d_t o h = target_mat, via tracked division; None if absent."""
-        if t > L:
-            return None if target_mat.is_zero() else False
-        if t not in lift_bases:
+        """h with d_t o h = target_mat, via tracked division.
+
+        None for a zero target: the zero block, which is not stored.  False
+        when the target is not in the image of d_t.  The tracked basis of
+        d_t is built only when a nonzero target needs it.
+        """
+        if target_mat.is_zero():
+            return None
+        gb = lift_bases.get(t)
+        if gb is None:
             dt = res.differentials[t - 1]
-            lift_bases[t] = ModuleGB(ring, dt.nrows, dt.columns_as_vectors(),
-                                     track=True)
-        gb = lift_bases[t]
-        cols = []
-        for j in range(target_mat.ncols):
-            v = {}
-            for (r, c), p in target_mat.entries.items():
-                if c == j:
-                    for m, co in p.terms.items():
-                        v[(r, m)] = co
+            gb = lift_bases[t] = ModuleGB(ring, dt.nrows,
+                                          dt.columns_as_vectors(), track=True)
+        entries = {}
+        for j, v in enumerate(target_mat.columns_as_vectors()):
+            if not v:
+                continue
             coeffs = gb.lift(v)
             if coeffs is None:
                 return False
-            cols.append(coeffs)
-        entries = {}
-        for j, coeffs in enumerate(cols):
             for r, p in enumerate(coeffs):
                 if not p.is_zero():
                     entries[(r, j)] = p
@@ -144,8 +148,7 @@ def compute_higher_homotopies(res: FreeResolution,
         for J in _multi_indices(c, total):
             def rhs(t, J=J):
                 deg = 2 * sum(J) - 2
-                shape = (ranks[t + deg] if t + deg <= L else 0, ranks[t])
-                out = PolyMatrix.zero(ring, *shape)
+                out = PolyMatrix.zero(ring, ranks[t + deg], ranks[t])
                 for Jp, Jpp in _splittings(J):
                     a = get_block(Jp, t + 2 * sum(Jpp) - 1)
                     b = get_block(Jpp, t)
@@ -189,13 +192,13 @@ def verify_system(sys: HigherHomotopySystem, rd: RingData):
     ranks = _ranks(res)
     L = res.length
     c = rd.c
-    top = max(2, L // 2 + 2)
+    # the identity of J at degree t lands in F_{t + 2|J| - 2}, so identities
+    # exist only for 2|J| - 2 <= L: the totals the construction solves for
+    top = L // 2 + 1
     for total in range(1, top + 1):
         deg = 2 * total - 2
         for J in _multi_indices(c, total):
-            for t in range(0, L + 1):
-                if t + deg > L:
-                    continue
+            for t in range(0, L - deg + 1):
                 acc = PolyMatrix.zero(ring, ranks[t + deg], ranks[t])
                 sJt = sys.block(J, t)
                 dtop = _diff(res, t + deg + 1)

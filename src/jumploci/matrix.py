@@ -23,7 +23,17 @@ built together on the first request and cached on the matrix (see
 
 from __future__ import annotations
 
+from operator import add
+
 from .poly import Polynomial, PolyRing
+
+
+# Most units of work, one per determinant expansion and one per pair of
+# terms multiplied, that the minor table of one matrix may take (a few
+# seconds and about 100 MB); a matrix whose table needs more is refused
+# with a PipelineError before its memory runs out.  The largest tables of
+# the example sessions and scripts take about 4,000 and 20,000 units.
+MAX_MINOR_WORK = 500_000
 
 
 class PolyMatrix:
@@ -117,8 +127,13 @@ class PolyMatrix:
         return PolyMatrix(self.ring, self.nrows, self.ncols, out,
                           self.row_degrees, self.col_degrees)
 
+    def __neg__(self):
+        return PolyMatrix(self.ring, self.nrows, self.ncols,
+                          {k: -p for k, p in self.entries.items()},
+                          self.row_degrees, self.col_degrees)
+
     def __sub__(self, other):
-        return self + other.scale(self.ring.const(-1))
+        return self + (-other)
 
     def scale(self, p: Polynomial):
         if isinstance(p, (int,)) or not isinstance(p, Polynomial):
@@ -131,17 +146,25 @@ class PolyMatrix:
         if self.ncols != other.nrows:
             raise ValueError("composition shape mismatch")
         by_row = {}
-        for (r, c), p in other.entries.items():
-            by_row.setdefault(r, []).append((c, p))
-        out = {}
+        for (r, c), q in other.entries.items():
+            by_row.setdefault(r, []).append((c, q.terms))
+        # each output entry sums its term products exactly in one dict of
+        # plain coefficients, reduced mod p once at the end (over QQ the
+        # sums are already Fractions)
+        acc = {}
         for (r, k), p in self.entries.items():
             for c, q in by_row.get(k, ()):
-                s = out.get((r, c))
-                s = p * q if s is None else s + p * q
-                if s.is_zero():
-                    out.pop((r, c), None)
-                else:
-                    out[(r, c)] = s
+                terms = acc.setdefault((r, c), {})
+                for m1, c1 in p.terms.items():
+                    for m2, c2 in q.items():
+                        m = tuple(map(add, m1, m2))
+                        terms[m] = terms.get(m, 0) + c1 * c2
+        char = self.ring.field.p
+        out = {}
+        for key, terms in acc.items():
+            if char:
+                terms = {m: v % char for m, v in terms.items()}
+            out[key] = Polynomial._make(self.ring, terms)
         return PolyMatrix(self.ring, self.nrows, other.ncols, out,
                           self.row_degrees, other.col_degrees)
 
@@ -208,42 +231,17 @@ class PolyMatrix:
         return scalar_rank(self.evaluate(point), self.ring.field)
 
     def generic_rank(self) -> int:
-        """Rank over the fraction field, by fraction-free Gaussian elimination."""
-        work = {k: p for k, p in self.entries.items()}
-        prev = self.ring.one()
-        rank = 0
-        live_rows = set(r for r, _ in work)
-        live_cols = set(c for _, c in work)
-        while work:
-            (pr, pc) = min(work, key=lambda k: (len(work[k].terms), k))
-            pivot = work[pr, pc]
-            rank += 1
-            live_rows.discard(pr)
-            live_cols.discard(pc)
-            col_entries = {r: work[r, pc] for r in live_rows if (r, pc) in work}
-            row_entries = {c: work[pr, c] for c in live_cols if (pr, c) in work}
-            nxt = {}
-            for (r, c), a in work.items():
-                if r == pr or c == pc:
-                    continue
-                b = col_entries.get(r)
-                d = row_entries.get(c)
-                num = pivot * a
-                if b is not None and d is not None:
-                    num = num - b * d
-                if not num.is_zero():
-                    nxt[(r, c)] = num.exact_divide(prev)
-            # fill-in where a was zero but b*d is not
-            for r, b in col_entries.items():
-                for c, d in row_entries.items():
-                    if (r, c) not in work:
-                        num = -(b * d)
-                        nxt[(r, c)] = num.exact_divide(prev)
-            work = nxt
-            prev = pivot
-            live_rows = set(r for r, _ in work)
-            live_cols = set(c for _, c in work)
-        return rank
+        """Rank over the fraction field.
+
+        The rank is the sum of the ranks of the blocks of the support graph
+        (``_components``), as for the minor table; each block is eliminated
+        on its own by fraction-free Gaussian elimination, so no pivot
+        multiplies entries of another block.
+        """
+        one = self.ring.one()
+        return sum(_bareiss_rank({k: p for k, p in self.entries.items()
+                                  if k[0] in rows}, one)
+                   for rows, _ in self._components())
 
     # -- minors ----------------------------------------------------------
 
@@ -265,7 +263,9 @@ class PolyMatrix:
         convolved once, with no cut at t.  Bucket t of the convolution only
         receives products from buckets below it, and deduplication keeps
         the first occurrence, so each bucket holds the same minors in the
-        same order as a convolution cut at t would.
+        same order as a convolution cut at t would.  A table that takes more
+        than ``MAX_MINOR_WORK`` is refused with a ``PipelineError``, and
+        nothing is cached.
         """
         if t < 1:
             raise ValueError("minor size must be >= 1")
@@ -274,9 +274,21 @@ class PolyMatrix:
         return list(self._minor_table.get(t, ()))
 
     def _build_minor_table(self):
+        work = 0
+
+        def spend(units):
+            nonlocal work
+            work += units
+            if work > MAX_MINOR_WORK:
+                from .resolution import PipelineError  # imports this module
+                raise PipelineError(
+                    f"the minors of a {self.nrows}x{self.ncols} matrix take "
+                    f"more than {MAX_MINOR_WORK} determinant expansions and "
+                    f"term products (MAX_MINOR_WORK)")
+
         acc = {0: [self.ring.one()]}
         for rows, cols in self._components():
-            sizes = _component_minor_table(self, rows, cols)
+            sizes = _component_minor_table(self, rows, cols, spend)
             nxt = {}
             for got, polys in acc.items():
                 # size-0 contribution from this component
@@ -285,6 +297,7 @@ class PolyMatrix:
                     bucket = nxt.setdefault(got + s, [])
                     for p in polys:
                         for q in ms:
+                            spend(len(p.terms) * len(q.terms))
                             bucket.append(p * q)
             acc = {k: _dedupe_monic(v) for k, v in nxt.items()}
         return acc
@@ -317,6 +330,45 @@ class PolyMatrix:
         return [comps[k] for k in sorted(comps, key=str)]
 
 
+def _bareiss_rank(work, one) -> int:
+    """Rank of the sparse matrix ``work`` ({(r, c): poly}) by fraction-free
+    Gaussian elimination."""
+    prev = one
+    rank = 0
+    live_rows = set(r for r, _ in work)
+    live_cols = set(c for _, c in work)
+    while work:
+        (pr, pc) = min(work, key=lambda k: (len(work[k].terms), k))
+        pivot = work[pr, pc]
+        rank += 1
+        live_rows.discard(pr)
+        live_cols.discard(pc)
+        col_entries = {r: work[r, pc] for r in live_rows if (r, pc) in work}
+        row_entries = {c: work[pr, c] for c in live_cols if (pr, c) in work}
+        nxt = {}
+        for (r, c), a in work.items():
+            if r == pr or c == pc:
+                continue
+            b = col_entries.get(r)
+            d = row_entries.get(c)
+            num = pivot * a
+            if b is not None and d is not None:
+                num = num - b * d
+            if not num.is_zero():
+                nxt[(r, c)] = num.exact_divide(prev)
+        # fill-in where a was zero but b*d is not
+        for r, b in col_entries.items():
+            for c, d in row_entries.items():
+                if (r, c) not in work:
+                    num = -(b * d)
+                    nxt[(r, c)] = num.exact_divide(prev)
+        work = nxt
+        prev = pivot
+        live_rows = set(r for r, _ in work)
+        live_cols = set(c for _, c in work)
+    return rank
+
+
 def _dedupe_monic(polys):
     seen = set()
     out = []
@@ -330,12 +382,13 @@ def _dedupe_monic(polys):
     return out
 
 
-def _component_minor_table(mat: PolyMatrix, rows, cols):
+def _component_minor_table(mat: PolyMatrix, rows, cols, spend):
     """Nonzero minors of one connected component as size -> list, via SDR
     enumeration, sizes ascending up to the first size with none.
 
     The determinant memo carries the minors of one size into the Laplace
-    expansions of the next size, and drops smaller sizes.
+    expansions of the next size, and drops smaller sizes.  ``spend(n)`` is
+    told of every determinant expansion and of every n term products.
     """
     cols = sorted(cols)
     rows = sorted(rows)
@@ -351,6 +404,7 @@ def _component_minor_table(mat: PolyMatrix, rows, cols):
         got = det_memo.get(key)
         if got is not None:
             return got
+        spend(1)
         c0 = ctup[0]
         rest = ctup[1:]
         srows = sorted(rset)
@@ -362,6 +416,7 @@ def _component_minor_table(mat: PolyMatrix, rows, cols):
             sub = det(rset - {r}, rest)
             if sub.is_zero():
                 continue
+            spend(len(p.terms) * len(sub.terms))
             term = p * sub
             if i % 2:
                 term = -term

@@ -6,7 +6,7 @@ import time
 
 import pytest
 
-from jumploci import cli
+from jumploci import cli, matrix
 from jumploci.cli import main
 from jumploci.resolution import (BettiTable, TruncationNeeded,
                                  fit_quasi_polynomial, resolve_over_b)
@@ -330,6 +330,17 @@ def test_huge_exponent_is_an_input_error(capfd, tmp_path):
     assert code == 1 and out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
     assert "exceeds the limit 1000" in err and "(line 4, column" in err
+
+
+def test_oversized_minor_table_is_an_input_error(capfd, monkeypatch):
+    """The flag session's minor table takes 45 units of work, so a limit of
+    10 refuses it with one error line that names the limit."""
+    monkeypatch.setattr(matrix, "MAX_MINOR_WORK", 10)
+    code, out, err = _run(capfd, ["compute", "--input", FLAG])
+    assert code == 1 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "take more than 10 determinant expansions" in err
+    assert "(MAX_MINOR_WORK)" in err
 
 
 def test_power_of_a_sum_is_an_input_error(capfd, tmp_path):

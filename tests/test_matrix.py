@@ -5,8 +5,10 @@ import random
 
 import pytest
 
-from jumploci import GF, PolyRing
+from jumploci import GF, QQ, PolyRing
+from jumploci import matrix
 from jumploci.matrix import PolyMatrix, _dedupe_monic
+from jumploci.resolution import PipelineError
 
 from conftest import matrix_of
 
@@ -199,3 +201,128 @@ def test_minor_table_is_built_once_per_matrix(monkeypatch):
     assert len(calls) == 1
     with pytest.raises(ValueError):
         P.minors(0)
+
+
+def test_an_oversized_minor_table_is_refused(monkeypatch):
+    """Past MAX_MINOR_WORK the table is refused with an error that names
+    the limit, and nothing is cached: the next call builds it again."""
+    P = PolyMatrix.block_diag([matrix_of(S3, [["chi1", "chi2"],
+                                              ["chi3", "chi1"]]),
+                               matrix_of(S3, [["chi2", "chi3"]])])
+    monkeypatch.setattr(matrix, "MAX_MINOR_WORK", 10)
+    with pytest.raises(PipelineError,
+                       match=r"minors of a 3x4 matrix take more than 10 "
+                             r".*\(MAX_MINOR_WORK\)"):
+        P.minors(2)
+    monkeypatch.undo()
+    assert P.minors(3) == _per_t_minors(P, 3)
+
+
+# -- generic rank summed over the blocks -----------------------------------
+
+
+def _whole_matrix_rank(mat):
+    """Reference: one fraction-free elimination of the whole matrix, the
+    route before the rank was summed over the blocks."""
+    work = dict(mat.entries)
+    prev = mat.ring.one()
+    rank = 0
+    while work:
+        (pr, pc) = min(work, key=lambda k: (len(work[k].terms), k))
+        pivot = work[pr, pc]
+        rank += 1
+        col = {r: p for (r, c), p in work.items() if c == pc and r != pr}
+        row = {c: p for (r, c), p in work.items() if r == pr and c != pc}
+        nxt = {}
+        for r in {r for r, _ in work} - {pr}:
+            for c in {c for _, c in work} - {pc}:
+                num = pivot * work.get((r, c), mat.ring.zero())
+                if r in col and c in row:
+                    num = num - col[r] * row[c]
+                if not num.is_zero():
+                    nxt[(r, c)] = num.exact_divide(prev)
+        work = nxt
+        prev = pivot
+    return rank
+
+
+def test_generic_rank_equals_the_whole_matrix_elimination():
+    """Random block matrices with rows and columns in shuffled order, with
+    1 x n, n x 1 and rank-deficient blocks, and a zero block of rows and
+    columns without entries placed at random."""
+    rng = random.Random(9)
+    matrices = [PolyMatrix.zero(S3, 3, 2),
+                matrix_of(S3, [["chi1", "chi2", "chi3"]]),
+                matrix_of(S3, [["chi1"], ["chi2"], ["0"]])]
+    for _ in range(15):
+        B = _scrambled_block_matrix(rng)
+        nrows, ncols = B.nrows + rng.randrange(1, 3), B.ncols + 1
+        rmap = rng.sample(range(nrows), B.nrows)
+        cmap = rng.sample(range(ncols), B.ncols)
+        matrices.append(PolyMatrix(S3, nrows, ncols,
+                                   {(rmap[r], cmap[c]): p
+                                    for (r, c), p in B.entries.items()}))
+    deficient = 0
+    for P in matrices:
+        rank = _whole_matrix_rank(P)
+        assert P.generic_rank() == rank, P.entries
+        blocks = P._components()
+        deficient += rank < sum(min(len(r), len(c)) for r, c in blocks)
+    assert deficient >= 3
+
+
+# -- products and negation against per-entry polynomial arithmetic ---------
+
+
+def _random_sparse(rng, ring, nrows, ncols):
+    """Entries of one or two terms from 1, a, b with coefficients +-1."""
+    monos = [ring.one()] + ring.gens()
+    entries = {}
+    for r in range(nrows):
+        for c in range(ncols):
+            if rng.random() < 0.5:
+                entries[(r, c)] = sum(
+                    (rng.choice(monos).scale(rng.choice([1, -1]))
+                     for _ in range(rng.choice([1, 1, 2]))), ring.zero())
+    return PolyMatrix(ring, nrows, ncols, entries)
+
+
+def test_product_and_negation_equal_per_entry_arithmetic():
+    """Over GF(3) and QQ, on random sparse matrices built so that some
+    products cancel to zero entries, which must not be stored."""
+    rng = random.Random(12)
+    cancelled = 0
+    for field in (GF(3), QQ):
+        ring = PolyRing(field, ("a", "b"))
+        for _ in range(40):
+            n, k, m = (rng.randrange(1, 5) for _ in range(3))
+            A = _random_sparse(rng, ring, n, k)
+            B = _random_sparse(rng, ring, k, m)
+            if k >= 2:
+                # column 0 of B is (A[0,1], -A[0,0], 0, ...), so entry
+                # (0, 0) of the product cancels to zero
+                entries = {key: p for key, p in B.entries.items()
+                           if key[1] != 0}
+                entries[(0, 0)] = A.get(0, 1)
+                entries[(1, 0)] = -A.get(0, 0)
+                B = PolyMatrix(ring, k, m, entries)
+            C = A @ B
+            for r in range(n):
+                for c in range(m):
+                    s = ring.zero()
+                    for j in range(k):
+                        s = s + A.get(r, j) * B.get(j, c)
+                    assert C.get(r, c) == s
+                    met = any((r, j) in A.entries and (j, c) in B.entries
+                              for j in range(k))
+                    cancelled += met and s.is_zero()
+            assert all(not p.is_zero() for p in C.entries.values())
+            assert (-A).entries == {key: -p for key, p in A.entries.items()}
+            A2 = _random_sparse(rng, ring, n, k)
+            D = A - A2
+            for r in range(n):
+                for c in range(k):
+                    assert D.get(r, c) == A.get(r, c) - A2.get(r, c)
+            assert all(not p.is_zero() for p in D.entries.values())
+            assert (A - A).is_zero()
+    assert cancelled >= 5
