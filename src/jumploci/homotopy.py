@@ -11,8 +11,8 @@ Blocks are stored per source homological degree: ``sigma[J][t]`` maps
 F_t -> F_{t + 2|J| - 1}.  Zero blocks are not stored: an absent block is
 the zero block, and ``sigma[J]`` may be empty.  Construction solves the
 defining relations degreewise by lifting through the acyclic complex,
-column by column, and lifts no zero target and no zero column; every
-identity is re-verified exactly after construction.  Dualization along
+column by column, and lifts no zero target and no zero column; each
+identity is checked exactly as it is solved.  Dualization along
 Hom_A(-, A) is plain blockwise transposition, which preserves all
 identities because each relation is symmetric in the compositions being
 transposed.
@@ -33,7 +33,6 @@ from .resolution import (FreeResolution, RingData, PipelineError,
 class HigherHomotopySystem:
     resolution: FreeResolution
     sigma: dict            # multi-index tuple J -> {t: PolyMatrix}
-    strict: bool           # sourced from a dg action (sigma_J = 0, |J| >= 2)
 
     def block(self, J, t) -> PolyMatrix:
         """sigma_J on F_t; None is the zero block (zero blocks are not
@@ -52,116 +51,8 @@ def _diff(res: FreeResolution, t: int):
     return None
 
 
-def _compose_or_none(a, b):
-    if a is None or b is None:
-        return None
-    return a @ b
-
-
-def compute_higher_homotopies(res: FreeResolution,
-                              rd: RingData) -> HigherHomotopySystem:
-    """Solve for a full homotopy system on a resolution over A.
-
-    A resolution of length zero has the empty system only when F_0, the
-    module itself, is zero: f annihilates no nonzero free module.
-    """
-    ring = rd.ring
-    L = res.length
-    ranks = _ranks(res)
-    if L == 0:
-        check_annihilation(rd, PolyMatrix.zero(ring, ranks[0], 0))
-        return HigherHomotopySystem(res, {}, strict=False)
-    # f_i must annihilate H_0(F) = coker d_1; this input check comes
-    # before the costlier regular-sequence test
-    check_annihilation(rd, res.differentials[0])
-    if not rd.is_regular_sequence():
-        raise PipelineError(
-            "f is not a regular sequence; supply an explicit complex "
-            "with dg actions instead")
-    # tracked bases of im(d_t) for lifting, built lazily
-    lift_bases = {}
-
-    def lift_through(t, target_mat):
-        """h with d_t o h = target_mat, via tracked division.
-
-        None for a zero target: the zero block, which is not stored.  False
-        when the target is not in the image of d_t.  The tracked basis of
-        d_t is built only when a nonzero target needs it.
-        """
-        if target_mat.is_zero():
-            return None
-        gb = lift_bases.get(t)
-        if gb is None:
-            dt = res.differentials[t - 1]
-            gb = lift_bases[t] = ModuleGB(ring, dt.nrows,
-                                          dt.columns_as_vectors(), track=True)
-        entries = {}
-        for j, v in enumerate(target_mat.columns_as_vectors()):
-            if not v:
-                continue
-            coeffs = gb.lift(v)
-            if coeffs is None:
-                return False
-            for r, p in enumerate(coeffs):
-                if not p.is_zero():
-                    entries[(r, j)] = p
-        return PolyMatrix(ring, ranks[t], target_mat.ncols, entries)
-
-    sigma = {}
-
-    def get_block(J, t):
-        blocks = sigma.get(J)
-        if blocks is None:
-            return None
-        return blocks.get(t)
-
-    def solve_for(J, rhs_blocks):
-        """sigma_J with d o sigma_J + sigma_J o d = rhs, blockwise in t."""
-        deg = 2 * sum(J) - 1
-        blocks = {}
-        for t in range(0, L - deg + 1):
-            rhs = rhs_blocks(t)
-            prev = blocks.get(t - 1)
-            dt = _diff(res, t)
-            correction = _compose_or_none(prev, dt)
-            target = rhs if correction is None else rhs - correction
-            h = lift_through(t + deg, target)
-            if h is False:
-                raise AssertionError(
-                    "homotopy right-hand side is not a boundary")
-            if h is not None:
-                blocks[t] = h
-        sigma[J] = blocks
-
-    c = rd.c
-    # unit multi-indices
-    for i in range(c):
-        J = tuple(1 if a == i else 0 for a in range(c))
-        f = rd.ci[i]
-
-        def rhs(t, f=f):
-            return PolyMatrix.identity(ring, ranks[t], scalar=f)
-        solve_for(J, rhs)
-    # higher multi-indices by total degree
-    top = L // 2 + 1
-    for total in range(2, top + 1):
-        for J in _multi_indices(c, total):
-            def rhs(t, J=J):
-                deg = 2 * sum(J) - 2
-                out = PolyMatrix.zero(ring, ranks[t + deg], ranks[t])
-                for Jp, Jpp in _splittings(J):
-                    a = get_block(Jp, t + 2 * sum(Jpp) - 1)
-                    b = get_block(Jpp, t)
-                    prod = _compose_or_none(a, b)
-                    if prod is not None:
-                        out = out - prod
-                return out
-            solve_for(J, rhs)
-    # verify_system checks every identity, also those with no block left to
-    # solve for: at the top of F, and for every J with 2|J| - 1 > L
-    sys = HigherHomotopySystem(res, sigma, strict=False)
-    verify_system(sys, rd)
-    return sys
+def _unit(c, i):
+    return tuple(int(a == i) for a in range(c))
 
 
 def _multi_indices(c, total):
@@ -185,41 +76,128 @@ def _splittings(J):
         yield Jp, Jpp
 
 
+def _identities(c, L):
+    """(J, splittings of J, t) for every defining identity, in an order in
+    which they can be solved: by |J|, then J (e_1..e_c, then each higher
+    total in the order of ``_multi_indices``), then t upwards.  The
+    identity of J at degree t lands in F_{t + 2|J| - 2}, so identities
+    exist only for 2|J| - 2 <= L."""
+    for total in range(1, L // 2 + 2):
+        Js = ([_unit(c, i) for i in range(c)] if total == 1
+              else _multi_indices(c, total))
+        for J in Js:
+            splits = list(_splittings(J))
+            for t in range(0, L - 2 * total + 3):
+                yield J, splits, t
+
+
+def _residual(sys: HigherHomotopySystem, rd: RingData, J, splits, t):
+    """The identity of J at degree t, as a map F_t -> F_{t + 2|J| - 2}:
+    the sum over all ordered splittings J' + J'' = J of sigma_J' o sigma_J''
+    (sigma_empty = d), minus f_i * id when J = e_i.  Absent blocks count as
+    zero; the identity holds exactly when the residual is zero."""
+    res = sys.resolution
+    ranks = _ranks(res)
+    deg = 2 * sum(J) - 1
+    pairs = [(_diff(res, t + deg), sys.block(J, t)),
+             (sys.block(J, t - 1), _diff(res, t))]
+    pairs += [(sys.block(Jp, t + 2 * sum(Jpp) - 1), sys.block(Jpp, t))
+              for Jp, Jpp in splits]
+    if deg == 1:
+        acc = PolyMatrix.identity(rd.ring, ranks[t],
+                                  scalar=-rd.ci[J.index(1)])
+    else:
+        acc = PolyMatrix.zero(rd.ring, ranks[t + deg - 1], ranks[t])
+    for a, b in pairs:
+        if a is not None and b is not None:
+            acc = acc + a @ b
+    return acc
+
+
+def compute_higher_homotopies(res: FreeResolution,
+                              rd: RingData) -> HigherHomotopySystem:
+    """Solve for a full homotopy system on a resolution over A.
+
+    Each identity is solved and checked in one step: with r its residual
+    while sigma_J(t) is still absent, sigma_J(t) = h lifts -r through d,
+    and r + d o h must vanish.  Where sigma_J(t) would leave F, r itself
+    must vanish.  A resolution of length zero has the empty system only
+    when F_0, the module itself, is zero: f annihilates no nonzero free
+    module.
+    """
+    ring = rd.ring
+    L = res.length
+    ranks = _ranks(res)
+    if L == 0:
+        check_annihilation(rd, PolyMatrix.zero(ring, ranks[0], 0))
+        return HigherHomotopySystem(res, {})
+    # f_i must annihilate H_0(F) = coker d_1; this input check comes
+    # before the costlier regular-sequence test
+    check_annihilation(rd, res.differentials[0])
+    if not rd.is_regular_sequence():
+        raise PipelineError(
+            "f is not a regular sequence; supply an explicit complex "
+            "with dg actions instead")
+    # tracked bases of im(d_t) for lifting, built lazily
+    lift_bases = {}
+
+    def lift_through(t, target_mat):
+        """h with d_t o h = target_mat, via tracked division.
+
+        None for a zero target: the zero block, which is not stored.  A
+        column not in the image of d_t is left zero, so the identity check
+        fails on it.  The tracked basis of d_t is built only when a nonzero
+        target needs it.
+        """
+        if target_mat.is_zero():
+            return None
+        gb = lift_bases.get(t)
+        if gb is None:
+            dt = res.differentials[t - 1]
+            gb = lift_bases[t] = ModuleGB(ring, dt.nrows,
+                                          dt.columns_as_vectors(), track=True)
+        entries = {}
+        for j, v in enumerate(target_mat.columns_as_vectors()):
+            coeffs = gb.lift(v) if v else None
+            for row, p in enumerate(coeffs or ()):
+                if not p.is_zero():
+                    entries[(row, j)] = p
+        return PolyMatrix(ring, ranks[t], target_mat.ncols, entries)
+
+    sys = HigherHomotopySystem(res, {})
+    for J, splits, t in _identities(rd.c, L):
+        blocks = sys.sigma.setdefault(J, {})
+        r = _residual(sys, rd, J, splits, t)
+        up = t + 2 * sum(J) - 1
+        if up <= L:
+            h = lift_through(up, -r)
+            if h is not None:
+                blocks[t] = h
+                r = r + res.differentials[up - 1] @ h
+        if not r.is_zero():
+            raise AssertionError(
+                f"homotopy identity fails for J={J} at degree {t}")
+    return sys
+
+
 def verify_system(sys: HigherHomotopySystem, rd: RingData):
     """Assert every defining identity exactly; raises on any failure."""
-    res = sys.resolution
-    ring = rd.ring
-    ranks = _ranks(res)
-    L = res.length
-    c = rd.c
-    # the identity of J at degree t lands in F_{t + 2|J| - 2}, so identities
-    # exist only for 2|J| - 2 <= L: the totals the construction solves for
-    top = L // 2 + 1
-    for total in range(1, top + 1):
-        deg = 2 * total - 2
-        for J in _multi_indices(c, total):
-            for t in range(0, L - deg + 1):
-                acc = PolyMatrix.zero(ring, ranks[t + deg], ranks[t])
-                sJt = sys.block(J, t)
-                dtop = _diff(res, t + deg + 1)
-                if sJt is not None and dtop is not None:
-                    acc = acc + (dtop @ sJt)
-                sJprev = sys.block(J, t - 1)
-                dt = _diff(res, t)
-                if sJprev is not None and dt is not None:
-                    acc = acc + (sJprev @ dt)
-                for Jp, Jpp in _splittings(J):
-                    a = sys.block(Jp, t + 2 * sum(Jpp) - 1)
-                    b = sys.block(Jpp, t)
-                    if a is not None and b is not None:
-                        acc = acc + (a @ b)
-                if total == 1:
-                    i = J.index(1)
-                    acc = acc - PolyMatrix.identity(ring, ranks[t],
-                                                    scalar=rd.ci[i])
-                if not acc.is_zero():
-                    raise AssertionError(
-                        f"homotopy identity fails for J={J} at degree {t}")
+    for J, splits, t in _identities(rd.c, sys.resolution.length):
+        if not _residual(sys, rd, J, splits, t).is_zero():
+            raise AssertionError(
+                f"homotopy identity fails for J={J} at degree {t}")
+
+
+def _dg_identity(J):
+    """How the identity of J reads for a strict action: for |J| >= 3 every
+    product has a factor sigma_J' with |J'| >= 2, which is zero, so only
+    |J| <= 2 can fail."""
+    e = [f"e{i + 1}" for i, a in enumerate(J) for _ in range(a)]
+    if len(e) == 1:
+        return f"d*{e[0]} + {e[0]}*d != f_{e[0][1:]}*id"
+    if e[0] == e[1]:
+        return f"{e[0]}*{e[0]} != 0"
+    return f"{e[0]}*{e[1]} + {e[1]}*{e[0]} != 0"
 
 
 def ingest_dg_structure(res: FreeResolution, actions,
@@ -227,10 +205,11 @@ def ingest_dg_structure(res: FreeResolution, actions,
     """Validate strict dg actions e_1..e_c and wrap them as a system.
 
     ``actions[i]`` is the list of blocks e_i^(t): F_t -> F_{t+1} for
-    t = 0..L-1.  Checks e_i e_j + e_j e_i = 0 (including i = j) and
-    d e_i + e_i d = f_i id, reporting the offending indices.
+    t = 0..L-1.  As a system, sigma_{e_i} = e_i and sigma_J = 0 for
+    |J| >= 2, so its identities read d e_i + e_i d = f_i id,
+    e_i e_j + e_j e_i = 0 (i != j) and e_i e_i = 0, in every
+    characteristic; the first that fails is reported with its indices.
     """
-    ring = rd.ring
     ranks = _ranks(res)
     L = res.length
     if len(actions) != rd.c:
@@ -245,50 +224,14 @@ def ingest_dg_structure(res: FreeResolution, actions,
                 raise PipelineError(
                     f"action e{i + 1} block {t}: shape "
                     f"{(b.nrows, b.ncols)} != {(ranks[t + 1], ranks[t])}")
-
-    def block(i, t):
-        if 0 <= t < L:
-            return actions[i][t]
-        return None
-
-    # anticommutation, including squares
-    for i in range(rd.c):
-        for j in range(i, rd.c):
-            for t in range(0, L):
-                a = _compose_or_none(block(i, t + 1), block(j, t))
-                b = _compose_or_none(block(j, t + 1), block(i, t))
-                total = None
-                if a is not None and b is not None:
-                    total = a + b
-                elif a is not None or b is not None:
-                    total = a if a is not None else b
-                if total is not None and not total.is_zero():
-                    pos = sorted(total.entries)[0]
-                    raise PipelineError(
-                        f"e{i + 1}*e{j + 1} + e{j + 1}*e{i + 1} != 0 "
-                        f"at block {t}, entry {pos}")
-    # d e_i + e_i d = f_i id
-    for i in range(rd.c):
-        for t in range(0, L + 1):
-            acc = PolyMatrix.zero(ring, ranks[t], ranks[t])
-            up = block(i, t)
-            if up is not None:
-                acc = acc + (_diff(res, t + 1) @ up)
-            down = block(i, t - 1)
-            dt = _diff(res, t)
-            if down is not None and dt is not None:
-                acc = acc + (down @ dt)
-            acc = acc - PolyMatrix.identity(ring, ranks[t], scalar=rd.ci[i])
-            if not acc.is_zero():
-                pos = sorted(acc.entries)[0]
-                raise PipelineError(
-                    f"d*e{i + 1} + e{i + 1}*d != f_{i + 1}*id at block {t}, "
-                    f"entry {pos}")
-    sigma = {}
-    for i in range(rd.c):
-        J = tuple(1 if a == i else 0 for a in range(rd.c))
-        sigma[J] = {t: actions[i][t] for t in range(L)}
-    return HigherHomotopySystem(res, sigma, strict=True)
+    sys = HigherHomotopySystem(res, {_unit(rd.c, i): dict(enumerate(blocks))
+                                     for i, blocks in enumerate(actions)})
+    for J, splits, t in _identities(rd.c, L):
+        r = _residual(sys, rd, J, splits, t)
+        if not r.is_zero():
+            raise PipelineError(f"{_dg_identity(J)} at block {t}, "
+                                f"entry {min(r.entries)}")
+    return sys
 
 
 def dualize_homotopies(sys: HigherHomotopySystem, dual: DualComplex,
@@ -308,6 +251,6 @@ def dualize_homotopies(sys: HigherHomotopySystem, dual: DualComplex,
                 continue
             out[s] = mat.transpose()
         sigma[J] = out
-    dual_sys = HigherHomotopySystem(dual_res, sigma, strict=sys.strict)
+    dual_sys = HigherHomotopySystem(dual_res, sigma)
     verify_system(dual_sys, rd)
     return dual_sys

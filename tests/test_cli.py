@@ -320,6 +320,26 @@ def test_long_element_that_does_not_annihilate_is_named_briefly(capfd,
                    "the module\n")
 
 
+def test_dg_action_that_squares_to_nonzero_is_an_input_error(capfd,
+                                                             tmp_path):
+    """Over GF(2) an action with d e1 + e1 d = x^2 id but e1*e1 != 0 is not
+    a strict action; e1*e1 + e1*e1 = 0 holds there, so a check of that
+    form would let it through."""
+    session = tmp_path / "square.session"
+    session.write_text(
+        "field GF(2)\n"
+        "ring x, y, z weights 1, 1, 1\n"
+        "ci x^2\n"
+        "complex d1 [[x, y, z]] d2 [[y, z, 0], [x, 0, z], [0, x, y]] "
+        "d3 [[z], [y], [x]]\n"
+        "action e1 [[x], [z], [y]] [[0, x + z, z], [0, y, x + y], "
+        "[x, x + y, x + z]] [[x, x, x + y + z]]\n")
+    for command in ("crk", "compute", "dual"):
+        code, out, err = _run(capfd, [command, "--input", str(session)])
+        assert code == 1 and out == ""
+        assert err == "error: e1*e1 != 0 at block 0, entry (0, 0)\n"
+
+
 def test_huge_exponent_is_an_input_error(capfd, tmp_path):
     session = tmp_path / "huge.session"
     session.write_text("field GF(101)\nring x\nci x^2\n"

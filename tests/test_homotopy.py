@@ -1,5 +1,6 @@
 """Higher homotopy systems: construction, validation, dualization."""
 
+import ast
 import random
 import re
 
@@ -101,7 +102,7 @@ def test_perturbing_one_block_breaks_verification(flag_pipeline):
             block = blocks.get(t)
             sigma = {K: dict(b) for K, b in sys.sigma.items()}
             sigma[J][t] = bump if block is None else block + bump
-            broken = HigherHomotopySystem(res, sigma, strict=False)
+            broken = HigherHomotopySystem(res, sigma)
             with pytest.raises(AssertionError,
                                match=rf"fails for J={re.escape(str(J))} "
                                      rf"at degree {t}$"):
@@ -118,11 +119,62 @@ def test_verification_checks_the_top_of_the_complex():
     rd = RingData(A, [A.parse("x^2")])
     res = FreeResolution(rd, "A", [matrix_of(A, [["x", "0"]])],
                          [[0], [1, 1]], complete=True)
-    sys = HigherHomotopySystem(res, {(1,): {0: matrix_of(A, [["x"], ["0"]])}},
-                               strict=False)
+    sys = HigherHomotopySystem(res, {(1,): {0: matrix_of(A, [["x"], ["0"]])}})
     with pytest.raises(AssertionError,
                        match=r"fails for J=\(1,\) at degree 1$"):
         verify_system(sys, rd)
+
+
+def test_a_bad_lift_fails_the_identity_it_solves(flag_pipeline, monkeypatch):
+    """No verification pass follows the construction: each identity is
+    checked as it is solved.  A lift with one coefficient off by x (d has
+    no zero column, so d o h changes) must fail the identity of the very
+    slot (J, t) it solves, whichever of the lifts it is."""
+    rd, pres, res, sys, X = flag_pipeline
+    x = rd.ring.gen(0)
+    lift = ModuleGB.lift
+    calls = []
+
+    def counting(self, v):
+        calls.append(v)
+        return lift(self, v)
+
+    monkeypatch.setattr(ModuleGB, "lift", counting)
+    compute_higher_homotopies(res, rd)
+    named = set()
+    for n in range(len(calls)):
+        seen = []
+
+        def off_by_x(self, v, n=n):
+            coeffs = lift(self, v)
+            if len(seen) == n:
+                coeffs[0] = coeffs[0] + x
+            seen.append(v)
+            return coeffs
+
+        monkeypatch.setattr(ModuleGB, "lift", off_by_x)
+        with pytest.raises(AssertionError) as info:
+            compute_higher_homotopies(res, rd)
+        m = re.fullmatch(r"homotopy identity fails for J=(\(.*\)) "
+                         r"at degree (\d+)", str(info.value))
+        assert m, info.value
+        named.add((ast.literal_eval(m[1]), int(m[2])))
+    stored = {(J, t) for J, blocks in sys.sigma.items() for t in blocks}
+    assert len(calls) > len(stored) > 0
+    assert named == stored
+
+
+def test_construction_checks_the_top_of_the_complex():
+    """The same complex as above, given to the construction: sigma = [x; 0]
+    solves the identity at degree 0, and at the top, where there is no
+    block left to solve for, the identity itself must hold; it does not."""
+    A = PolyRing(GF101, ("x",))
+    rd = RingData(A, [A.parse("x^2")])
+    res = FreeResolution(rd, "A", [matrix_of(A, [["x", "0"]])],
+                         [[0], [1, 1]], complete=True)
+    with pytest.raises(AssertionError,
+                       match=r"fails for J=\(1,\) at degree 1$"):
+        compute_higher_homotopies(res, rd)
 
 
 # -- zero blocks against the construction that stores every block ---------
@@ -235,7 +287,7 @@ def test_no_zero_block_is_stored_and_the_rest_are_unchanged():
                        if not m.is_zero()}
             assert {t: m.entries for t, m in sys.sigma[J].items()} == nonzero
             skipped += len(blocks) - len(nonzero)
-        reference = HigherHomotopySystem(res, every, strict=False)
+        reference = HigherHomotopySystem(res, every)
         assert build_twisted_complex(res, sys, rd).D.entries == \
             build_twisted_complex(res, reference, rd).D.entries
     assert skipped > 0
@@ -243,7 +295,7 @@ def test_no_zero_block_is_stored_and_the_rest_are_unchanged():
 
 def test_strict_action_accepted(koszul_action):
     rd, res, sys, X = koszul_action
-    assert sys.strict
+    assert set(sys.sigma) == {(1, 0), (0, 1)}
     verify_system(sys, rd)
 
 
@@ -271,6 +323,172 @@ def test_wrong_block_shape_rejected():
     e2 = [matrix_of(A, [["0"], ["y"]]), matrix_of(A, [["-y", "0"]])]
     with pytest.raises(PipelineError, match="shape"):
         ingest_dg_structure(res, [e1, e2], rd)
+
+
+# -- strict dg actions against the two-loop validator ------------------------
+
+
+def _two_loop_dg_check(res, actions, rd):
+    """Reference: the validator before strict actions were checked as a
+    homotopy system.  It tests e_i e_j + e_j e_i = 0 for i <= j, so that a
+    square is counted twice (and so not at all over GF(2)), then
+    d e_i + e_i d = f_i id; the first failure as a message, or None."""
+    ranks = [len(d) for d in res.degrees]
+    L = res.length
+    for i in range(rd.c):
+        for j in range(i, rd.c):
+            for t in range(L - 1):
+                total = (actions[i][t + 1] @ actions[j][t]
+                         + actions[j][t + 1] @ actions[i][t])
+                if not total.is_zero():
+                    return (f"e{i + 1}*e{j + 1} + e{j + 1}*e{i + 1} != 0 "
+                            f"at block {t}, entry {min(total.entries)}")
+    for i in range(rd.c):
+        for t in range(L + 1):
+            acc = PolyMatrix.identity(rd.ring, ranks[t], scalar=-rd.ci[i])
+            if t < L:
+                acc = acc + res.differentials[t] @ actions[i][t]
+            if t >= 1:
+                acc = acc + actions[i][t - 1] @ res.differentials[t - 1]
+            if not acc.is_zero():
+                return (f"d*e{i + 1} + e{i + 1}*d != f_{i + 1}*id "
+                        f"at block {t}, entry {min(acc.entries)}")
+    return None
+
+
+def _dg_verdict(res, actions, rd):
+    try:
+        ingest_dg_structure(res, actions, rd)
+    except PipelineError as exc:
+        return str(exc)
+    return None
+
+
+DG_MESSAGE = re.compile(r"(d\*e(\d+) \+ e\2\*d != f_\2\*id"
+                        r"|e(\d+)\*e(\d+) \+ e\4\*e\3 != 0"
+                        r"|e(\d+)\*e\5 != 0) at block \d+, entry \(\d+, \d+\)")
+
+# The Koszul complex on x, y, z with ci x^2, and e_1 = x times the exterior
+# product with the first basis vector.
+KOSZUL_XYZ = """ring x, y, z weights 1, 1, 1
+ci x^2
+complex d1 [[x, y, z]] d2 [[-y, -z, 0], [x, 0, -z], [0, x, y]]
+complex d3 [[z], [-y], [x]]
+"""
+WEDGE_X = ("action e1 [[x], [0], [0]] [[0, x, 0], [0, 0, x], [0, 0, 0]] "
+           "[[0, 0, x]]\n")
+
+
+def _dg_inputs(texts):
+    """(rd, F, actions) of each complex session text."""
+    out = []
+    for text in texts:
+        session = parse_session(text)
+        rd, mod = session.ring_data, session.module
+        res = FreeResolution(rd, "A", mod.differentials, mod.degrees,
+                             complete=True)
+        out.append((rd, res, mod.actions))
+    return out
+
+
+def _random_term(rng, ring):
+    mono = tuple(rng.randrange(2) for _ in range(ring.nvars))
+    return ring.monomial(mono, rng.randrange(1, ring.field.p))
+
+
+def _perturbed(rng, rd, res, actions):
+    """The actions with one e_i changed in one of three ways: a random term
+    added to one entry of one block, which breaks d e_i + e_i d = f_i id
+    and mostly the products too; e_i scaled by a random term g != 1, which
+    breaks only d e_i + e_i d = f_i id; or e_i + d s - s d for a random s
+    of homological degree 2, which keeps that identity and leaves the
+    products to decide."""
+    ranks = [len(d) for d in res.degrees]
+    L = res.length
+    out = [list(blocks) for blocks in actions]
+    i = rng.randrange(rd.c)
+    kind = rng.choice(["term", "scale"] + (["homotopy"] * 2 if L >= 2 else []))
+    if kind == "term":
+        t = rng.randrange(L)
+        b = out[i][t]
+        bump = {(rng.randrange(b.nrows), rng.randrange(b.ncols)):
+                _random_term(rng, rd.ring)}
+        out[i][t] = b + PolyMatrix(rd.ring, b.nrows, b.ncols, bump)
+    elif kind == "scale":
+        g = _random_term(rng, rd.ring)
+        while g == rd.ring.one():
+            g = _random_term(rng, rd.ring)
+        out[i] = [b.scale(g) for b in out[i]]
+    else:
+        for t in range(L - 1):
+            s = PolyMatrix(rd.ring, ranks[t + 2], ranks[t],
+                           {(r, c): _random_term(rng, rd.ring)
+                            for r in range(ranks[t + 2])
+                            for c in range(ranks[t]) if rng.random() < 0.6})
+            out[i][t] = out[i][t] + res.differentials[t + 1] @ s
+            out[i][t + 1] = out[i][t + 1] - s @ res.differentials[t]
+    return out
+
+
+def test_strict_actions_are_judged_as_by_the_two_loop_validator():
+    """Over GF(101) the identity check of the system accepts and rejects
+    exactly the actions the two-loop validator does; where that one fails
+    only on d e_i + e_i d, both name the same identity and entry."""
+    rng = random.Random(5)
+    texts = [(SESSIONS / name).read_text()
+             for name in ("koszul_residue.session", "dg_nonregular.session")]
+    texts.append("field GF(101)\n" + KOSZUL_XYZ + WEDGE_X)
+    seen = {"accept": 0, "d*e": 0, "products": 0}
+    for rd, res, actions in _dg_inputs(texts):
+        assert _two_loop_dg_check(res, actions, rd) is None
+        for k in range(40):
+            acts = actions if k == 0 else _perturbed(rng, rd, res, actions)
+            old = _two_loop_dg_check(res, acts, rd)
+            new = _dg_verdict(res, acts, rd)
+            assert (old is None) == (new is None), (old, new)
+            if old is None:
+                seen["accept"] += 1
+                continue
+            assert DG_MESSAGE.fullmatch(new), new
+            if old.startswith("d*"):
+                assert new == old
+                seen["d*e"] += 1
+            else:
+                seen["products"] += 1
+    assert min(seen.values()) > 0, seen
+
+
+def test_over_gf2_a_square_that_is_not_zero_is_rejected():
+    """Over GF(2) the two-loop validator tests e_i e_i + e_i e_i = 0, which
+    always holds; the system check also rejects exactly when some
+    e_i e_i != 0.  Among the inputs: the Koszul complex on x, y, z with its
+    action, and the same complex with an e_1 that satisfies
+    d e_1 + e_1 d = x^2 id but squares to a nonzero map."""
+    rng = random.Random(7)
+    texts = ["field GF(2)\n" + KOSZUL_XYZ + WEDGE_X,
+             "field GF(2)\n" + KOSZUL_XYZ
+             + "action e1 [[x], [z], [y]] [[0, x + z, z], [0, y, x + y], "
+               "[x, x + y, x + z]] [[x, x, x + y + z]]\n",
+             (SESSIONS / "koszul_residue.session").read_text()
+             .replace("GF(101)", "GF(2)")]
+    seen = {"accept": 0, "square only": 0, "both": 0}
+    for rd, res, actions in _dg_inputs(texts):
+        for k in range(40):
+            acts = actions if k == 0 else _perturbed(rng, rd, res, actions)
+            old = _two_loop_dg_check(res, acts, rd)
+            new = _dg_verdict(res, acts, rd)
+            square = any(not (blocks[t + 1] @ blocks[t]).is_zero()
+                         for blocks in acts for t in range(res.length - 1))
+            assert (new is not None) == (old is not None or square), \
+                (old, new)
+            if new is None:
+                seen["accept"] += 1
+            elif old is None:
+                assert re.fullmatch(r"e(\d+)\*e\1 != 0 .*", new), new
+                seen["square only"] += 1
+            else:
+                seen["both"] += 1
+    assert min(seen.values()) > 0, seen
 
 
 def test_dualized_system_verifies(final_pipeline):
