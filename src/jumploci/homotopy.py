@@ -15,7 +15,8 @@ column by column, and lifts no zero target and no zero column; each
 identity is checked exactly as it is solved.  Dualization along
 Hom_A(-, A) is plain blockwise transposition, which preserves all
 identities because each relation is symmetric in the compositions being
-transposed.
+transposed; ``dualize_homotopies`` and ``verify_system`` are the tests'
+oracle for ``twisted.s_dual``, the program's route to X(M*).
 """
 
 from __future__ import annotations
@@ -104,14 +105,12 @@ def _residual(sys: HigherHomotopySystem, rd: RingData, J, splits, t):
     pairs += [(sys.block(Jp, t + 2 * sum(Jpp) - 1), sys.block(Jpp, t))
               for Jp, Jpp in splits]
     if deg == 1:
-        acc = PolyMatrix.identity(rd.ring, ranks[t],
-                                  scalar=-rd.ci[J.index(1)])
+        base = PolyMatrix.identity(rd.ring, ranks[t],
+                                   scalar=-rd.ci[J.index(1)])
     else:
-        acc = PolyMatrix.zero(rd.ring, ranks[t + deg - 1], ranks[t])
-    for a, b in pairs:
-        if a is not None and b is not None:
-            acc = acc + a @ b
-    return acc
+        base = PolyMatrix.zero(rd.ring, ranks[t + deg - 1], ranks[t])
+    return PolyMatrix.sum_of_products(
+        base, [(a, b) for a, b in pairs if a is not None and b is not None])
 
 
 def compute_higher_homotopies(res: FreeResolution,
@@ -173,7 +172,8 @@ def compute_higher_homotopies(res: FreeResolution,
             h = lift_through(up, -r)
             if h is not None:
                 blocks[t] = h
-                r = r + res.differentials[up - 1] @ h
+                r = PolyMatrix.sum_of_products(
+                    r, [(res.differentials[up - 1], h)])
         if not r.is_zero():
             raise AssertionError(
                 f"homotopy identity fails for J={J} at degree {t}")
@@ -181,7 +181,8 @@ def compute_higher_homotopies(res: FreeResolution,
 
 
 def verify_system(sys: HigherHomotopySystem, rd: RingData):
-    """Assert every defining identity exactly; raises on any failure."""
+    """Assert every defining identity exactly; raises on any failure.
+    A test oracle: construction checks each identity as it solves it."""
     for J, splits, t in _identities(rd.c, sys.resolution.length):
         if not _residual(sys, rd, J, splits, t).is_zero():
             raise AssertionError(
@@ -236,7 +237,8 @@ def ingest_dg_structure(res: FreeResolution, actions,
 
 def dualize_homotopies(sys: HigherHomotopySystem, dual: DualComplex,
                        rd: RingData) -> HigherHomotopySystem:
-    """Transport a system to the dualized complex by blockwise transpose."""
+    """Transport a system to the dualized complex by blockwise transpose;
+    the tests' explicit route to X(M*), which s_dual must equal."""
     res = sys.resolution
     L = res.length
     dual_res = FreeResolution(rd, "A", dual.matrices, dual.degrees,

@@ -14,12 +14,9 @@ P_M(t) = h(t)/(1 - t^2)^c: the Betti numbers expand it, and the Betti
 degree reads the dimension and multiplicity of its even and odd parts.
 These are invariants of M when X = X(M) is built from the minimal
 A-free resolution of M, as ``build_pipeline`` builds it for a cokernel.
-The duality check compares the report of X with the report of the dual
-built explicitly from the dualized resolution and homotopies (the fast
-dual s_dual(X) is a transpose with the same minor ideals as X, so it
-needs no computation of its own).  Where the two reports disagree the
-check raises RouteDisagreement, which the command line reports with exit
-code 2.
+X(M*) is s_dual(X), a transpose with the minor ideals of X, so M and M*
+have the same jump loci by construction; ``duality_check``, which
+compares two reports index by index, is the tests' oracle for it.
 """
 
 from __future__ import annotations
@@ -38,7 +35,7 @@ from .twisted import (TwistedComplex, minimalize, homology_presentation,
 
 
 class RouteDisagreement(AssertionError):
-    """X and its explicitly built dual have different jump loci."""
+    """Two complexes given to ``duality_check`` differ in a jump locus."""
 
 
 # -- cohomological rank ---------------------------------------------------
@@ -134,7 +131,7 @@ class JumpLociReport:
     def ideal_at(self, i: int):
         """The jump ideal of V^i for i >= 1, or None (the unit ideal)
         above the rank.  An index of the other parity than the rank has
-        the ideal of i + 1."""
+        the ideal of i + 1.  Read only by ``duality_check``."""
         i += (self.rank - i) % 2
         return next((I for j, I, _ in self.per_index if j == i), None)
 
@@ -262,15 +259,10 @@ def betti_degree(X: TwistedComplex, crk_generic: int = None) -> int:
 
 
 def duality_check(rep: JumpLociReport, rep_dual: JumpLociReport) -> bool:
-    """Compare the jump loci of X with those of its explicit dual; return
-    whether their Betti degrees agree.
-
-    ``rep`` is the report of X, ``rep_dual`` that of the twisted complex
-    built from the dualized resolution and homotopy system.  The fast dual
-    s_dual(X) is a transpose and has the same minor ideals as X, so
-    comparing X with the explicit dual is the cross-check of the two dual
-    routes; a disagreement at any jump index raises RouteDisagreement.
-    """
+    """Compare the jump loci of two reports, raising RouteDisagreement at
+    the first index where they differ; return whether their Betti degrees
+    agree.  A test oracle: the tests pass X and the dual built from the
+    dualized resolution and homotopies."""
     # the jump ideal at i >= 1 depends only on t = floor((rank - i)/2) + 1,
     # so indices sharing both minor sizes share one comparison
     checked = set()

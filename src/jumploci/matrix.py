@@ -145,28 +145,41 @@ class PolyMatrix:
     def __matmul__(self, other: "PolyMatrix") -> "PolyMatrix":
         if self.ncols != other.nrows:
             raise ValueError("composition shape mismatch")
-        by_row = {}
-        for (r, c), q in other.entries.items():
-            by_row.setdefault(r, []).append((c, q.terms))
-        # each output entry sums its term products exactly in one dict of
-        # plain coefficients, reduced mod p once at the end (over QQ the
-        # sums are already Fractions)
-        acc = {}
-        for (r, k), p in self.entries.items():
-            for c, q in by_row.get(k, ()):
-                terms = acc.setdefault((r, c), {})
-                for m1, c1 in p.terms.items():
-                    for m2, c2 in q.items():
-                        m = tuple(map(add, m1, m2))
-                        terms[m] = terms.get(m, 0) + c1 * c2
-        char = self.ring.field.p
+        return PolyMatrix.sum_of_products(
+            PolyMatrix.zero(self.ring, self.nrows, other.ncols,
+                            self.row_degrees, other.col_degrees),
+            [(self, other)])
+
+    @staticmethod
+    def sum_of_products(base: "PolyMatrix", pairs) -> "PolyMatrix":
+        """base + the sum of a @ b over ``pairs``, shaped and graded as
+        base.  Each entry sums the term products of every pair in one dict
+        of plain coefficients, reduced mod p once at the end (over QQ the
+        sums are already Fractions)."""
+        acc = {key: dict(p.terms) for key, p in base.entries.items()}
+        for a, b in pairs:
+            if (a.nrows, a.ncols, b.ncols) != (base.nrows, b.nrows,
+                                               base.ncols):
+                raise ValueError("composition shape mismatch")
+            by_row = {}
+            for (r, c), q in b.entries.items():
+                by_row.setdefault(r, []).append((c, q.terms))
+            for (r, k), p in a.entries.items():
+                for c, q in by_row.get(k, ()):
+                    terms = acc.setdefault((r, c), {})
+                    for m1, c1 in p.terms.items():
+                        for m2, c2 in q.items():
+                            m = tuple(map(add, m1, m2))
+                            terms[m] = terms.get(m, 0) + c1 * c2
+        ring = base.ring
+        char = ring.field.p
         out = {}
         for key, terms in acc.items():
             if char:
                 terms = {m: v % char for m, v in terms.items()}
-            out[key] = Polynomial._make(self.ring, terms)
-        return PolyMatrix(self.ring, self.nrows, other.ncols, out,
-                          self.row_degrees, other.col_degrees)
+            out[key] = Polynomial._make(ring, terms)
+        return PolyMatrix(ring, base.nrows, base.ncols, out,
+                          base.row_degrees, base.col_degrees)
 
     def transpose(self) -> "PolyMatrix":
         return PolyMatrix(self.ring, self.ncols, self.nrows,

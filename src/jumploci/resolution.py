@@ -430,18 +430,6 @@ class QuasiPoly:
     q_odd: tuple
     valid_from: int
 
-    def eval(self, i: int) -> Fraction:
-        coeffs = self.q_ev if i % 2 == 0 else self.q_odd
-        return sum((c * Fraction(i) ** e for e, c in enumerate(coeffs)),
-                   Fraction(0))
-
-    @property
-    def degree(self) -> int:
-        return max(len(self.q_ev), len(self.q_odd)) - 1
-
-    def leading_coefficient(self) -> Fraction:
-        return self.q_ev[-1] if self.q_ev else Fraction(0)
-
 
 def _interpolate(points):
     """Coefficients (ascending) of the poly through (x, y) pairs, exact."""

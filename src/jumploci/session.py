@@ -28,16 +28,16 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field as dc_field
+from functools import cached_property
 
 from .field import Field, GF, QQ
 from .poly import PolyRing, Polynomial
 from .matrix import PolyMatrix
 from .resolution import (RingData, FreeResolution, PipelineError,
-                         DualComplex, presentation_from_rows,
-                         resolve_over_a, dualize_over_a)
-from .homotopy import (compute_higher_homotopies, ingest_dg_structure,
-                       dualize_homotopies)
-from .twisted import TwistedComplex, build_twisted_complex
+                         presentation_from_rows, resolve_over_a,
+                         dualize_over_a)
+from .homotopy import compute_higher_homotopies, ingest_dg_structure
+from .twisted import TwistedComplex, build_twisted_complex, s_dual
 
 
 class SessionError(ValueError):
@@ -208,15 +208,13 @@ def parse_session(text: str) -> Session:
         elif directive == "ring":
             if fld is None:
                 raise SessionError("ring declared before field", line_no)
-            if "weights" in rest:
-                var_part, weight_part = rest.split("weights", 1)
-            else:
-                var_part, weight_part = rest, None
-            names = parse_variable_names(var_part, line_no)
+            # the keyword only as a word of its own: ``myweights`` is a name
+            parts = re.split(r"(?<!\S)weights(?!\S)", rest, maxsplit=1)
+            names = parse_variable_names(parts[0], line_no)
             weights = ()
-            if weight_part is not None:
+            if len(parts) == 2:
                 try:
-                    weights = tuple(int(w) for w in weight_part.split(","))
+                    weights = tuple(int(w) for w in parts[1].split(","))
                 except ValueError:
                     raise SessionError("weights must be integers", line_no)
             try:
@@ -445,21 +443,21 @@ def print_session(session: Session) -> str:
 
 @dataclass
 class Pipeline:
-    """Everything the commands need, built once from a session."""
+    """Everything the commands need, built once from a session; with
+    ``need_dual`` also X(M*) = s_dual(X)."""
 
     rd: RingData
     S: PolyRing
     resolution: FreeResolution
     X: TwistedComplex
     presentation: PolyMatrix = None        # of M over A, coker inputs only
-    X_dual: TwistedComplex = None          # explicit dual route
-    dual: DualComplex = None               # Hom_A(F, A), with X_dual
+    X_dual: TwistedComplex = None          # X(M*) = s_dual(X)
 
-    @property
+    @cached_property
     def dual_presentation(self) -> PolyMatrix:
-        """Presentation of M* when Ext is concentrated, else None; the
-        concentration test runs on first read."""
-        return None if self.dual is None else self.dual.presentation
+        """Presentation of M* when Hom_A(F, A) is concentrated, else None;
+        Hom_A(F, A) is formed on first read, which only ``betti`` makes."""
+        return dualize_over_a(self.resolution).presentation
 
 
 def build_pipeline(session: Session, need_dual: bool = False) -> Pipeline:
@@ -478,9 +476,5 @@ def build_pipeline(session: Session, need_dual: bool = False) -> Pipeline:
     X = build_twisted_complex(res, sys, rd)
     pipe = Pipeline(rd, X.S, res, X, presentation=pres)
     if need_dual:
-        dc = dualize_over_a(res)
-        dual_sys = dualize_homotopies(sys, dc, rd)
-        pipe.X_dual = build_twisted_complex(dual_sys.resolution, dual_sys,
-                                            rd, S=X.S)
-        pipe.dual = dc
+        pipe.X_dual = s_dual(X)
     return pipe

@@ -10,9 +10,9 @@ with chi-degree colcoh_j - rowcoh_i + 1 (chi_i has cohomological weight 2)
 and internal degree colint_j - rowint_i (chi_i has the internal degree of
 f_i).
 
-Duality is plain transposition with all basis degrees negated; this
-preserves D^2 = 0 and the degree contract and is the fixed sign
-convention used module-wide.
+Duality (``s_dual``) is transposition with all basis degrees negated and
+shifted back by the length of F; it preserves D^2 = 0 and the degree
+contract, and it is the one route to X(M*).
 """
 
 from __future__ import annotations
@@ -194,10 +194,19 @@ def homology_presentation(X: TwistedComplex):
 
 
 def s_dual(X: TwistedComplex) -> TwistedComplex:
-    degs = [(-a, -b) for (a, b) in X.basis_degrees]
-    D = X.D.transpose()
-    D.row_degrees = list(degs)
-    D.col_degrees = list(degs)
+    """Hom_S(X, S), shifted: D transposed and each basis degree (u, a)
+    sent to (L - u, -a), with L the top plus the bottom u.  The basis
+    lists u from the top down, in the order of X within each u, so the
+    S-dual of X(M) is X(M*) entry for entry, and s_dual(s_dual(X)) = X
+    when X lists u upwards, as X(M) and every dual do."""
+    coh = [u for u, _ in X.basis_degrees]
+    L = max(coh, default=0) + min(coh, default=0)
+    order = sorted(range(X.rank), key=lambda i: -coh[i])
+    new = {old: pos for pos, old in enumerate(order)}
+    degs = [(L - X.basis_degrees[i][0], -X.basis_degrees[i][1])
+            for i in order]
+    entries = {(new[c], new[r]): p for (r, c), p in X.D.entries.items()}
+    D = PolyMatrix(X.S, X.rank, X.rank, entries, degs, degs)
     return TwistedComplex(X.S, degs, D, X.chi_internal).verify()
 
 

@@ -11,9 +11,8 @@ from jumploci.cli import main
 from jumploci.resolution import (BettiTable, TruncationNeeded,
                                  fit_quasi_polynomial, resolve_over_b)
 from jumploci.session import build_pipeline, parse_session
-from jumploci.twisted import direct_sum
 
-from conftest import SESSIONS, CHAINS, koszul_block
+from conftest import SESSIONS, CHAINS
 
 FLAG = str(SESSIONS / "flag.session")
 FINAL = str(SESSIONS / "final.session")
@@ -109,20 +108,6 @@ def test_dual_on_final_example(capfd):
     data = _run_json(capfd, ["dual", "--input", FINAL])
     assert data["duality"]["per_index_equal"] is True
     assert data["bass_degree"] == 3
-
-
-def test_dual_exits_2_when_the_explicit_dual_disagrees(capfd, monkeypatch):
-    real = cli.build_pipeline
-
-    def skewed(session, need_dual=False):
-        pipe = real(session, need_dual)
-        pipe.X_dual = direct_sum(pipe.X_dual, koszul_block(pipe.X))
-        return pipe
-
-    monkeypatch.setattr(cli, "build_pipeline", skewed)
-    code, out, err = _run(capfd, ["dual", "--input", FINAL])
-    assert code == 2 and out == ""
-    assert err.startswith("error (route disagreement):")
 
 
 # -- betti ------------------------------------------------------------------

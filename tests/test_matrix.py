@@ -9,8 +9,9 @@ from jumploci import GF, QQ, PolyRing
 from jumploci import matrix
 from jumploci.matrix import PolyMatrix, _dedupe_monic
 from jumploci.resolution import PipelineError
+from jumploci.session import parse_session, build_pipeline
 
-from conftest import matrix_of
+from conftest import REPO, matrix_of, random_monomial_rows
 
 GF101 = GF(101)
 S2 = PolyRing(GF101, ("chi1", "chi2"), (2, 2))
@@ -326,3 +327,95 @@ def test_product_and_negation_equal_per_entry_arithmetic():
             assert all(not p.is_zero() for p in D.entries.values())
             assert (A - A).is_zero()
     assert cancelled >= 5
+
+
+# -- sums of products against a per-pair sum --------------------------------
+
+
+def _per_pair_sum(base, pairs):
+    """Test-local reference for ``sum_of_products``: each product formed
+    with polynomial arithmetic and added to base with ``+``, one pair at
+    a time."""
+    ring = base.ring
+    acc = base
+    for a, b in pairs:
+        by_row = {}
+        for (j, c), q in b.entries.items():
+            by_row.setdefault(j, []).append((c, q))
+        entries = {}
+        for (r, j), p in a.entries.items():
+            for c, q in by_row.get(j, ()):
+                entries[(r, c)] = entries.get((r, c), ring.zero()) + p * q
+        acc = acc + PolyMatrix(ring, base.nrows, base.ncols, entries)
+    return acc
+
+
+def _assert_equals_per_pair_sum(base, pairs):
+    got = PolyMatrix.sum_of_products(base, pairs)
+    want = _per_pair_sum(base, pairs)
+    assert got.entries == want.entries
+    assert (got.nrows, got.ncols) == (base.nrows, base.ncols)
+    assert all(not p.is_zero() for p in got.entries.values())
+    return got
+
+
+def test_sum_of_products_equals_the_per_pair_sum():
+    """Over GF(3) and QQ, on random sums of up to four products, and on
+    sums built to cancel: A B + (-A) B, and -(A B) + A B as base and pair."""
+    rng = random.Random(31)
+    for field in (GF(3), QQ):
+        ring = PolyRing(field, ("a", "b"))
+        for _ in range(30):
+            n, m = rng.randrange(1, 5), rng.randrange(1, 5)
+            base = _random_sparse(rng, ring, n, m)
+            pairs = []
+            for _ in range(rng.randrange(0, 5)):
+                k = rng.randrange(1, 4)
+                pairs.append((_random_sparse(rng, ring, n, k),
+                              _random_sparse(rng, ring, k, m)))
+            _assert_equals_per_pair_sum(base, pairs)
+            A, B = pairs[0] if pairs else (base, PolyMatrix.identity(ring, m))
+            zero = PolyMatrix.zero(ring, n, m)
+            assert _assert_equals_per_pair_sum(zero, [(A, B), (-A, B)]) \
+                .is_zero()
+            assert _assert_equals_per_pair_sum(-(A @ B), [(A, B)]).is_zero()
+        with pytest.raises(ValueError, match="composition shape mismatch"):
+            PolyMatrix.sum_of_products(PolyMatrix.zero(ring, 2, 2),
+                                       [(PolyMatrix.zero(ring, 2, 3),
+                                         PolyMatrix.zero(ring, 2, 2))])
+
+
+def _checking_every_sum(monkeypatch):
+    """Make every ``sum_of_products`` call, ``@`` included, compare its
+    result with the per-pair sum; return the list of call counts."""
+    real = PolyMatrix.sum_of_products
+    calls = [0]
+
+    def checked(base, pairs):
+        pairs = list(pairs)
+        got = real(base, pairs)
+        assert got.entries == _per_pair_sum(base, pairs).entries
+        calls[0] += 1
+        return got
+
+    monkeypatch.setattr(PolyMatrix, "sum_of_products", staticmethod(checked))
+    return calls
+
+
+def test_homotopy_systems_sum_as_the_per_pair_sum(monkeypatch):
+    """Every residual, correction and product formed while building the
+    pipelines of the three ``build`` inputs of the benchmark, and of
+    random monomial modules over GF(3) and QQ, equals the per-pair sum."""
+    calls = _checking_every_sum(monkeypatch)
+    for stem in ("res_n7_e2", "m2_n5_e2", "sq_n6_e2"):
+        path = REPO / "perfbench" / "inputs" / f"{stem}.session"
+        build_pipeline(parse_session(path.read_text()))
+    rng = random.Random(41)
+    for field in ("GF(3)", "QQ"):
+        for _ in range(3):
+            gens = ", ".join(f"x^{i}*y^{j}" for i, j in
+                             random_monomial_rows(rng))
+            build_pipeline(parse_session(
+                f"field {field}\nring x, y\nci x^3, y^3\n"
+                f"module coker [[{gens}]]\n"))
+    assert calls[0] > 1000

@@ -298,7 +298,6 @@ def test_fit_constant_tail():
     beta = {i: 2 for i in range(8)}
     qp = fit_quasi_polynomial(BettiTable("B", beta), 8)
     assert qp.q_ev == (Fraction(2),) and qp.q_odd == (Fraction(2),)
-    assert qp.degree == 0
 
 
 def test_fit_zero_tail():

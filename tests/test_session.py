@@ -121,6 +121,20 @@ def test_duplicate_variable_rejected():
     assert "duplicate variable name 'x'" in str(err) and err.line == 2
 
 
+def test_ring_weights_keyword_is_a_word_of_its_own():
+    """A variable whose name contains ``weights`` is a name, not the
+    keyword; the keyword itself still splits the line."""
+    body = "ci y^2\nmodule coker [[y]]\n"
+    session = parse_session(f"field GF(101)\nring myweights, y\n{body}")
+    assert session.ring.variables == ("myweights", "y")
+    assert session.ring.weights == (1, 1)
+    session = parse_session(f"field GF(101)\nring x, y weights 1, 2\n{body}")
+    assert session.ring.variables == ("x", "y")
+    assert session.ring.weights == (1, 2)
+    err = _err(f"field GF(101)\nring x weights a\n{body}")
+    assert str(err) == "weights must be integers (line 2)"
+
+
 def test_ragged_rows_rejected():
     err = _err("field GF(101)\nring x, y\nci x^2, y^2\n"
                "module coker [[x, y], [x]]\n")

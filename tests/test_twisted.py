@@ -8,16 +8,18 @@ from jumploci import GF, PolyRing
 from jumploci.groebner import module_hilbert_data
 from jumploci.matrix import PolyMatrix
 from jumploci.resolution import (RingData, presentation_from_rows,
-                                 resolve_over_a)
-from jumploci.homotopy import compute_higher_homotopies
+                                 resolve_over_a, dualize_over_a)
+from jumploci.homotopy import (compute_higher_homotopies, dualize_homotopies,
+                               ingest_dg_structure)
+from jumploci.session import parse_session, build_pipeline
 from jumploci.twisted import (TwistedComplex, build_twisted_complex,
                               minimalize, tbetti, homology_presentation,
                               s_dual, direct_sum, shift, koszul_object,
                               koszul_object_list, free_complex)
 from jumploci.loci import crk_at, jump_locus_ideal
 
-from conftest import (matrix_of, koszul_action_pipeline,
-                      random_twisted_complex)
+from conftest import (REPO, SESSIONS, matrix_of, koszul_action_pipeline,
+                      random_twisted_complex, random_monomial_rows)
 
 GF101 = GF(101)
 GF5 = GF(5)
@@ -117,8 +119,67 @@ def test_s_dual_is_involution(nonregular_action):
 
 
 def test_s_dual_of_zero_differential(koszul_action):
+    """F = Kos(x, y) has degrees 0, 1, 1, 2 in blocks 0, 1, 2; its dual
+    runs through the blocks from 2 down to 0 with degrees negated."""
     rd, res, sys, X = koszul_action
-    assert s_dual(X).D.is_zero()
+    Y = s_dual(X)
+    assert Y.D.is_zero()
+    assert X.basis_degrees == [(0, 0), (1, 1), (1, 1), (2, 2)]
+    assert Y.basis_degrees == [(0, -2), (1, -1), (1, -1), (2, 0)]
+
+
+# -- the S-dual of X(M) is X(M*) built the explicit way ---------------------
+
+
+def _assert_s_dual_is_the_explicit_dual(res, sys, rd):
+    """s_dual(X) equals, entry for entry, the twisted complex built from
+    Hom_A(F, A) and the transposed homotopies; returns (X, s_dual(X))."""
+    X = build_twisted_complex(res, sys, rd)
+    dual_sys = dualize_homotopies(sys, dualize_over_a(res), rd)
+    Z = build_twisted_complex(dual_sys.resolution, dual_sys, rd, S=X.S)
+    Y = s_dual(X)
+    assert Y.D.entries == Z.D.entries
+    assert Y.basis_degrees == Z.basis_degrees
+    assert Y.chi_internal == Z.chi_internal
+    return X, Y
+
+
+SESSION_FILES = (sorted(SESSIONS.glob("*.session"))
+                 + sorted((REPO / "perfbench" / "inputs").glob("*.session")))
+
+
+@pytest.mark.parametrize("path", SESSION_FILES, ids=lambda p: p.name)
+def test_s_dual_is_the_explicit_dual_on_every_session(path):
+    """On cokernels and DG complexes alike; the pipeline's X_dual is it."""
+    session = parse_session(path.read_text())
+    pipe = build_pipeline(session, need_dual=True)
+    rd, res, mod = pipe.rd, pipe.resolution, session.module
+    if mod.kind == "coker":
+        sys = compute_higher_homotopies(res, rd)
+    else:
+        sys = ingest_dg_structure(res, mod.actions, rd)
+    X, Y = _assert_s_dual_is_the_explicit_dual(res, sys, rd)
+    assert X.D.entries == pipe.X.D.entries
+    assert pipe.X_dual.D.entries == Y.D.entries
+    assert pipe.X_dual.basis_degrees == Y.basis_degrees
+
+
+@pytest.mark.parametrize("names", ["x, y", "x, y, z"])
+def test_s_dual_is_the_explicit_dual_on_random_monomial_modules(names):
+    """Over GF(101)[x,y] and GF(101)[x,y,z], both modulo (x^3, y^3)."""
+    rng = random.Random(29)
+    A = PolyRing(GF101, tuple(names.split(", ")))
+    rd = RingData(A, [A.parse("x^3"), A.parse("y^3")])
+    for _ in range(6):
+        gens = {m + (0,) * (A.nvars - 2) for m in random_monomial_rows(rng)}
+        if A.nvars == 3:
+            gens |= {(rng.randrange(3), rng.randrange(3), rng.randrange(1, 3))
+                     for _ in range(rng.randrange(1, 3))}
+        pres = presentation_from_rows(A, [[A.monomial(m)
+                                           for m in sorted(gens)]])
+        res = resolve_over_a(rd, pres)
+        _assert_s_dual_is_the_explicit_dual(
+            res, compute_higher_homotopies(res, rd), rd)
 
 
 def test_shift_preserves_jump_ideals(nonregular_action):
