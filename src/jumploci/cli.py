@@ -330,7 +330,7 @@ def main(argv=None) -> int:
                        "dual": cmd_dual, "crk": cmd_crk,
                        "oracle": cmd_oracle}[args.command]
             report = handler(session, args)
-    except (SessionError, PipelineError, TruncationNeeded, OSError) as exc:
+    except (SessionError, PipelineError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except AssertionError as exc:

@@ -141,7 +141,7 @@ def compute_higher_homotopies(res: FreeResolution,
     lift_bases = {}
 
     def lift_through(t, target_mat):
-        """h with d_t o h = target_mat, via tracked division.
+        """h with d_t o h = -target_mat, via tracked division.
 
         None for a zero target: the zero block, which is not stored.  A
         column not in the image of d_t is left zero, so the identity check
@@ -160,7 +160,7 @@ def compute_higher_homotopies(res: FreeResolution,
             coeffs = gb.lift(v) if v else None
             for row, p in enumerate(coeffs or ()):
                 if not p.is_zero():
-                    entries[(row, j)] = p
+                    entries[(row, j)] = -p
         return PolyMatrix(ring, ranks[t], target_mat.ncols, entries)
 
     sys = HigherHomotopySystem(res, {})
@@ -169,7 +169,7 @@ def compute_higher_homotopies(res: FreeResolution,
         r = _residual(sys, rd, J, splits, t)
         up = t + 2 * sum(J) - 1
         if up <= L:
-            h = lift_through(up, -r)
+            h = lift_through(up, r)
             if h is not None:
                 blocks[t] = h
                 r = PolyMatrix.sum_of_products(

@@ -28,8 +28,7 @@ from .poly import PolyRing
 from .matrix import PolyMatrix
 from .groebner import (Ideal, module_hilbert_data,
                        dimension_and_multiplicity)
-from .resolution import (RingData, PipelineError, TruncationNeeded,
-                         resolve_over_b)
+from .resolution import RingData, PipelineError, resolve_over_b
 from .twisted import (TwistedComplex, minimalize, homology_presentation,
                       direct_sum, koszul_object_list, free_complex)
 
@@ -347,34 +346,33 @@ def realize(S: PolyRing, chain):
 # -- stable Betti oracle --------------------------------------------------
 
 
-def stable_betti_oracle(rd: RingData, presentation: PolyMatrix, a,
-                        truncation: int = 12, cap: int = 40) -> int:
-    """Stable Betti number of M over the hypersurface section at ``a``.
+def stable_betti_oracle(rd: RingData, presentation: PolyMatrix, a) -> int:
+    """Stable Betti number of M over B_a = A/(g), g = sum a_i f_i.
 
-    Resolves M over A/(sum a_i f_i) and returns the stabilized value of
-    the periodic tail, extending the truncation (doubling) up to ``cap``.
+    For a nonzero form g (the f_i share one degree) in the domain A,
+    syzygy n - 1 of M over B_a is maximal Cohen-Macaulay, so by Eisenbud's
+    matrix factorizations (Trans. AMS 260, 1980) beta_i is constant for
+    i >= n and a finite resolution ends by step n.  M is resolved through
+    N = n + 1: 0 when complete, else beta_N; beta_n != beta_N is an
+    internal error.
     """
     if len(a) != rd.c:
         raise PipelineError("point arity mismatch")
+    if len(set(rd.ci_degrees)) > 1:
+        raise PipelineError("the oracle needs ci generators of one degree, "
+                            f"not {', '.join(map(str, rd.ci_degrees))}")
     fld = rd.ring.field
     fa = rd.ring.zero()
     for ai, f in zip(a, rd.ci):
         fa = fa + f.scale(fld.coerce(ai))
     if fa.is_zero():
         raise PipelineError("the section sum a_i f_i vanishes")
-    rd_a = RingData(rd.ring, [fa])
-    if not rd_a.is_regular_sequence():
-        raise PipelineError("hypersurface section is a zerodivisor")
-    N = truncation
-    while True:
-        res = resolve_over_b(rd_a, presentation, N)
-        beta = res.betti()
-        if res.complete:
-            return 0
-        tail = [beta.get(N - i, None) for i in range(3)]
-        if None not in tail and len(set(tail)) == 1:
-            return tail[0]
-        if N >= cap:
-            raise TruncationNeeded(
-                "hypersurface resolution tail not stabilized")
-        N = min(2 * N, cap)
+    N = rd.n + 1
+    res = resolve_over_b(RingData(rd.ring, [fa]), presentation, N)
+    if res.complete:
+        return 0
+    beta = res.betti()
+    if beta[N - 1] != beta[N]:
+        raise AssertionError(f"hypersurface Betti numbers {beta[N - 1]} and "
+                             f"{beta[N]} at steps {N - 1} and {N} differ")
+    return beta[N]

@@ -7,12 +7,13 @@ iterated syzygies, pruning each syzygy stage to a minimal generating set
 Nakayama a degree-d column is redundant exactly when it is redundant in
 degree d, so the pruning builds one Groebner basis per column degree, of
 the columns kept below it, and settles the degree-d columns by linear
-algebra over k on their normal forms.  Resolutions over B are truncated
-and emulate module arithmetic over B inside A by adjoining the columns
-f_k e_j.  ``resolve_over_b`` is the oracle route: the Betti
-numbers the command line prints come from H(X) = Ext_B(M, k) (see
-``loci.betti_numbers``); it drives the hypersurface point oracle and
-serves as the independent check of that closed form in the tests.
+algebra over k on their normal forms.  Resolutions over B are truncated,
+with no syzygies of the last stage kept, and emulate module arithmetic
+over B inside A by adjoining the columns f_k e_j.  ``resolve_over_b`` is
+the oracle route: the Betti numbers the command line prints come from
+H(X) = Ext_B(M, k) (see ``loci.betti_numbers``); it drives the
+hypersurface point oracle and serves as the independent check of that
+closed form in the tests.
 """
 
 from __future__ import annotations
@@ -302,7 +303,8 @@ def _brief(p: Polynomial) -> str:
 
 def resolve_over_b(rd: RingData, presentation: PolyMatrix,
                    truncation: int) -> FreeResolution:
-    """Minimal B-free resolution through homological degree ``truncation``."""
+    """Minimal B-free resolution through homological degree ``truncation``,
+    not resolved past it: complete exactly when it has fewer stages."""
     if truncation < 1:
         raise PipelineError("truncation bound must be >= 1")
     check_annihilation(rd, presentation)
@@ -319,14 +321,12 @@ def resolve_over_b(rd: RingData, presentation: PolyMatrix,
     cols = minimal_generator_columns(ring, rank, cols, row_degrees, over_b=rd)
     degrees = [list(row_degrees)]
     diffs = []
-    complete = not cols
-    for hom in range(1, truncation + 1):
-        if not cols:
-            complete = True
-            break
-        mat = columns_to_matrix(ring, cols, rank, degrees[-1], hom)
+    while cols:
+        mat = columns_to_matrix(ring, cols, rank, degrees[-1], len(diffs) + 1)
         diffs.append(mat)
         degrees.append([d[1] for d in mat.col_degrees])
+        if len(diffs) == truncation:
+            break
         ncols = len(cols)
         gb = ModuleGB(ring, rank, cols + rd.quotient_columns(rank), track=True)
         projected = []
@@ -337,7 +337,8 @@ def resolve_over_b(rd: RingData, presentation: PolyMatrix,
         rank = ncols
         cols = minimal_generator_columns(ring, rank, projected, degrees[-1],
                                          over_b=rd)
-    return FreeResolution(rd, "B", diffs, degrees, complete)
+    return FreeResolution(rd, "B", diffs, degrees,
+                          complete=len(diffs) < truncation)
 
 
 def _reduce_column(col, nf, ring):

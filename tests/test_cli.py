@@ -232,6 +232,19 @@ def test_oracle_rejects_a_nonpositive_point_count(capfd, value):
     assert err == f"error: --points must be positive, not {value}\n"
 
 
+def test_oracle_rejects_ci_generators_of_unequal_degree(capfd, tmp_path):
+    """A section sum a_i f_i of unequal degrees is not homogeneous; the
+    error names the declared degrees, not a generator never declared."""
+    session = tmp_path / "weights.session"
+    session.write_text("field GF(101)\nring x, y weights 1, 2\n"
+                       "ci x^2, y^2\nmodule coker [[x, y]]\n")
+    code, out, err = _run(capfd, ["oracle", "--input", str(session),
+                                  "--points", "3", "--seed", "1"])
+    assert code == 1 and out == ""
+    assert err == ("error: the oracle needs ci generators of one degree, "
+                   "not 2, 4\n")
+
+
 # -- realize ----------------------------------------------------------------
 
 

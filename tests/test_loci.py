@@ -552,3 +552,183 @@ def test_oracle_is_half_of_crk(final_pipeline):
         if not any(a):
             continue
         assert 2 * stable_betti_oracle(rd, pres, a) == crk_at(X, a)
+
+
+# -- stable Betti oracle: resolved through n + 1 ----------------------------
+
+
+BENCH_INPUTS = SESSIONS.parent / "perfbench" / "inputs"
+
+
+def _section(rd, a):
+    fld = rd.ring.field
+    g = rd.ring.zero()
+    for ai, f in zip(a, rd.ci):
+        g = g + f.scale(fld.coerce(ai))
+    return g
+
+
+def _doubling_oracle(rd, pres, a, truncation=12, cap=40):
+    """The point oracle before the bound n + 1: resolve 12 stages over the
+    section, doubling up to 40 until the last three Betti numbers agree."""
+    rd_a = RingData(rd.ring, [_section(rd, a)])
+    assert rd_a.is_regular_sequence()
+    N = truncation
+    while True:
+        res = resolve_over_b(rd_a, pres, N)
+        if res.complete:
+            return 0
+        beta = res.betti()
+        tail = [beta.get(N - i) for i in range(3)]
+        if None not in tail and len(set(tail)) == 1:
+            return tail[0]
+        assert N < cap, "hypersurface resolution tail not stabilized"
+        N = min(2 * N, cap)
+
+
+def _session_case(path):
+    session = parse_session(path.read_text())
+    rd = session.ring_data
+    return path.stem, rd, presentation_from_rows(rd.ring, session.module.rows)
+
+
+def _random_monomial_case(rng, names):
+    """M = A/I or A/I + A/I' over GF(101)[names], I a monomial ideal that
+    holds the ci x_i^e (one e for all, on all variables or all but one)."""
+    A = PolyRing(GF101, names)
+    n = len(names)
+    e = rng.choice((2, 3))
+    c = rng.choice((n - 1, n)) if n > 2 else n
+    powers = [tuple(e * (k == i) for k in range(n)) for i in range(c)]
+    rd = RingData(A, [A.monomial(m, 1) for m in powers])
+
+    def ideal():
+        gens = set(powers)
+        for _ in range(rng.randrange(1, 4)):
+            gens.add(tuple(rng.randrange(e) for _ in range(n)))
+        gens.discard((0,) * n)
+        return [A.monomial(m, 1) for m in sorted(gens)]
+
+    blocks = [ideal() for _ in range(rng.choice((1, 1, 2)))]
+    rows = [[A.zero()] * sum(map(len, blocks)) for _ in blocks]
+    col = 0
+    for r, gens in enumerate(blocks):
+        for g in gens:
+            rows[r][col] = g
+            col += 1
+    label = " ".join(str(f) for f in rd.ci) + " on " + \
+        str([[str(g) for g in row] for row in rows])
+    return label, rd, presentation_from_rows(A, rows)
+
+
+def _residue_plus_perfect_case():
+    """k + A/(x^2, y^2) over (x^2, y^2): over a section B_a the second
+    summand has projective dimension 1, so beta_1 = 3 but beta_i = 2 for
+    i >= 2 = n; the bound n cannot be lowered."""
+    A = PolyRing(GF101, ("x", "y"))
+    rd = RingData(A, [A.parse("x^2"), A.parse("y^2")])
+    z = A.zero()
+    rows = [[A.parse("x"), A.parse("y"), z, z],
+            [z, z, A.parse("x^2"), A.parse("y^2")]]
+    return "k + perfect", rd, presentation_from_rows(A, rows)
+
+
+def _oracle_cases():
+    cases = [_session_case(p) for p in sorted(SESSIONS.glob("*.session"))
+             if "module coker" in p.read_text()]
+    cases += [_session_case(BENCH_INPUTS / f"{name}.session")
+              for name in ("m2_n3_e2", "res_n3_e2")]
+    rng = random.Random(41)
+    cases += [_random_monomial_case(rng, names)
+              for names in [("x", "y")] * 6 + [("x", "y", "z")] * 6]
+    cases.append(_residue_plus_perfect_case())
+    return cases
+
+
+def _points(rd, rng, count):
+    """``count`` random nonzero points and the first coordinate axis."""
+    out = [tuple(int(i == 0) for i in range(rd.c))]
+    while len(out) < count + 1:
+        a = tuple(rng.randrange(101) for _ in range(rd.c))
+        if any(a):
+            out.append(a)
+    return out
+
+
+def test_oracle_equals_the_doubling_loop_it_replaces():
+    rng = random.Random(43)
+    for label, rd, pres in _oracle_cases():
+        for a in _points(rd, rng, 2):
+            assert stable_betti_oracle(rd, pres, a) == \
+                _doubling_oracle(rd, pres, a), (label, a)
+
+
+def test_hypersurface_betti_numbers_are_constant_from_step_n():
+    """Eisenbud's theorem behind the bound: beta_i = beta_n for i >= n.
+    Some input has beta_(n-1) != beta_n, and some a finite resolution,
+    so the oracle can stop neither earlier nor without the complete
+    flag."""
+    rng = random.Random(47)
+    early_jump = finite = False
+    for label, rd, pres in _oracle_cases():
+        n = rd.n
+        for a in _points(rd, rng, 1):
+            res = resolve_over_b(RingData(rd.ring, [_section(rd, a)]), pres,
+                                 n + 4)
+            beta = res.betti()
+            if res.complete:
+                assert res.length <= n - 1, (label, a)
+                finite = True
+                continue
+            assert {beta[i] for i in range(n, n + 5)} == {beta[n]}, \
+                (label, a, beta)
+            early_jump |= beta[n - 1] != beta[n]
+    assert early_jump and finite
+
+
+def _assert_prefix(short, long, N):
+    """``short`` = resolve_over_b(.., N) is ``long`` = (.., N + 2) cut
+    after stage N."""
+    assert len(short.differentials) == min(N, long.length)
+    for d, e in zip(short.differentials, long.differentials):
+        assert d == e
+        assert (d.row_degrees, d.col_degrees) == (e.row_degrees,
+                                                  e.col_degrees)
+    assert short.degrees == long.degrees[:N + 1]
+    assert short.complete == (long.complete and long.length < N)
+
+
+def test_truncated_resolution_is_a_prefix_of_a_longer_one():
+    rng = random.Random(53)
+    for label, rd, pres in _oracle_cases():
+        for N in (1, rd.n + 1):
+            _assert_prefix(resolve_over_b(rd, pres, N),
+                           resolve_over_b(rd, pres, N + 2), N)
+            rd_a = RingData(rd.ring, [_section(rd, _points(rd, rng, 1)[1])])
+            _assert_prefix(resolve_over_b(rd_a, pres, N),
+                           resolve_over_b(rd_a, pres, N + 2), N)
+
+
+def test_truncation_at_the_length_of_a_finite_resolution():
+    """F_(N+1) = 0: the resolution of B/(y, z) over B = k[x,y,z]/(x^2)
+    has length N = 2.  Cut at N it is not known to be complete; two stages
+    further it is, with the same differentials."""
+    A = PolyRing(GF101, ("x", "y", "z"))
+    rd = RingData(A, [A.parse("x^2")])
+    pres = presentation_from_rows(A, [[A.parse(e) for e in ("x^2", "y", "z")]])
+    short, long = resolve_over_b(rd, pres, 2), resolve_over_b(rd, pres, 4)
+    assert long.complete and long.length == 2
+    assert not short.complete
+    _assert_prefix(short, long, 2)
+    assert resolve_over_b(rd, pres, 3).complete
+    assert stable_betti_oracle(rd, pres, (1,)) == 0
+
+
+def test_oracle_needs_ci_generators_of_one_degree():
+    A = PolyRing(GF101, ("x", "y"), (1, 2))
+    rd = RingData(A, [A.parse("x^2"), A.parse("y^2")])
+    pres = presentation_from_rows(A, [[A.parse("x"), A.parse("y")]])
+    for a in ((1, 1), (0, 1)):
+        with pytest.raises(PipelineError, match="^the oracle needs ci "
+                           "generators of one degree, not 2, 4$"):
+            stable_betti_oracle(rd, pres, a)
