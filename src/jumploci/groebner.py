@@ -17,11 +17,20 @@ pairs whose S-vector is known to reduce to zero: in rank one a pair with
 coprime leads (Buchberger's first criterion), and in any rank a pair of
 two single-term vectors, whose S-vector is identically zero.  So a
 monomial input processes no pair at all.
+
+Krull dimensions are read off the leading monomials alone: dim F/U =
+dim F/in(U), the largest dimension of S/J_r over the components r of
+in(U) = sum J_r e_r, and dim S/J is the size of the largest set of
+variables containing the support of no minimal generator of J
+(Kredel-Weispfenning, J. Symb. Comp. 6, 1988).  Hilbert numerators, which
+``module_hilbert_data`` needs for the multiplicity and the Betti numbers,
+come from Bigatti's pivot recursion (J. Pure Appl. Algebra 119, 1997).
 """
 
 from __future__ import annotations
 
 import heapq
+import itertools
 
 from .poly import Polynomial, PolyRing
 from .matrix import PolyMatrix
@@ -267,6 +276,23 @@ class ModuleGB:
     def contains(self, v) -> bool:
         return not self.normal_form(v)
 
+    def dimension(self) -> int:
+        """Krull dimension of the cokernel F/U, from the leading monomials.
+
+        It is the largest n - tau_r over the components r, where tau_r is
+        the size of a smallest set of variables meeting the support of
+        every lead in component r; a component with no lead counts n, and
+        one with a constant lead counts nothing.  The zero module gives -1.
+        Tracked and untracked bases both serve: their leads generate
+        in(U).
+        """
+        n = self.ring.nvars
+        supports = [set() for _ in range(self.rank)]
+        for _, (comp, mono) in self.basis:
+            supports[comp].add(sum(1 << i for i, e in enumerate(mono) if e))
+        return max((n - _min_transversal(s) for s in supports
+                    if 0 not in s), default=-1)
+
     def lift(self, v):
         """Coefficients expressing ``v`` in the input columns, or None.
 
@@ -447,27 +473,13 @@ class Ideal:
         """
         if weights is None:
             weights = self.ring.weights
-        leads = self.lead_monomials()
-        memo = {}
-        return _hilbert_num(_minimalize(leads), tuple(weights), memo)
+        return _hilbert_num(_minimalize(self.lead_monomials()),
+                            tuple(weights))
 
     def dimension(self) -> int:
-        """Krull dimension of ring/ideal (-1 for the unit ideal)."""
-        dim, _ = dimension_and_multiplicity(self.hilbert_numerator(),
-                                            self.ring.nvars)
-        return dim
-
-    def multiplicity(self, weights=None) -> int:
-        """Degree of ring/ideal: Q(1) where numerator = (1-t)^codim * Q.
-
-        With all-one weights this is the standard multiplicity (total
-        length when the dimension is zero).  Weighted denominators scale
-        the answer, so callers wanting the classical count should regrade.
-        The unit ideal has multiplicity 0.
-        """
-        _, mult = dimension_and_multiplicity(self.hilbert_numerator(weights),
-                                             self.ring.nvars)
-        return mult or 0
+        """Krull dimension of ring/ideal (-1 for the unit ideal), read off
+        the leading monomials of the basis (``ModuleGB.dimension``)."""
+        return self._basis().dimension()
 
 
 def module_hilbert_data(mat: PolyMatrix, row_shifts=None, weights=None):
@@ -487,11 +499,10 @@ def module_hilbert_data(mat: PolyMatrix, row_shifts=None, weights=None):
     per_comp = {r: [] for r in range(mat.nrows)}
     for _, (comp, mono) in gb.basis:
         per_comp[comp].append(mono)
-    memo = {}
     total = {}
     base = max(-min(row_shifts, default=0), 0)
     for r in range(mat.nrows):
-        num = _hilbert_num(_minimalize(per_comp[r]), tuple(weights), memo)
+        num = _hilbert_num(_minimalize(per_comp[r]), tuple(weights))
         shift = row_shifts[r] + base
         for d, c in num.items():
             total[d + shift] = total.get(d + shift, 0) + c
@@ -530,35 +541,93 @@ def _fresh_name(ring: PolyRing) -> str:
     return name
 
 
+def _min_transversal(supports) -> int:
+    """Size of a smallest set of variables meeting every support.
+
+    Supports are nonempty bitmasks of variables.  The search branches on
+    the variables of a smallest support not yet met, one of which any
+    transversal contains, and cuts a branch that cannot beat the best
+    transversal found; it never enumerates all subsets of the variables.
+    """
+    best = len(supports)  # one variable from each support
+    stack = [(list(supports), 0)]
+    while stack:
+        unmet, size = stack.pop()
+        if not unmet:
+            best = min(best, size)
+            continue
+        if size + 1 >= best:
+            continue
+        pick = min(unmet, key=lambda s: bin(s).count("1"))
+        while pick:
+            bit = pick & -pick
+            pick ^= bit
+            stack.append(([s for s in unmet if not s & bit], size + 1))
+    return best
+
+
 def _minimalize(monos):
-    monos = sorted(set(monos), key=lambda m: (sum(m), m))
+    """Minimal generators of the monomial ideal, by total degree.  A
+    monomial is divided only by one of smaller total degree: distinct
+    monomials of one degree never divide each other."""
     out = []
-    for m in monos:
-        if not any(all(a >= b for a, b in zip(m, g)) for g in out):
+    lower = 0  # out[:lower] are of smaller total degree than m
+    for m in sorted(set(monos), key=lambda m: (sum(m), m)):
+        if lower < len(out) and sum(out[lower]) < sum(m):
+            lower = len(out)
+        if not any(all(a >= b for a, b in zip(m, g))
+                   for g in itertools.islice(out, lower)):
             out.append(m)
     return tuple(out)
 
 
-def _hilbert_num(monos, weights, memo):
-    """Hilbert series numerator for a monomial ideal, by colon recursion."""
-    if not monos:
-        return {0: 1}
-    key = monos
-    got = memo.get(key)
-    if got is not None:
-        return got
-    rest, last = monos[:-1], monos[-1]
-    n1 = _hilbert_num(_minimalize(rest), weights, memo)
-    colon = tuple(tuple(max(a - b, 0) for a, b in zip(m, last)) for m in rest)
-    n2 = _hilbert_num(_minimalize(colon), weights, memo)
-    shift = sum(e * w for e, w in zip(last, weights))
-    out = dict(n1)
-    for d, c in n2.items():
-        out[d + shift] = out.get(d + shift, 0) - c
-        if not out[d + shift]:
-            del out[d + shift]
-    memo[key] = out
-    return out
+def _hilbert_num(monos, weights):
+    """Hilbert series numerator of S/I for the monomial ideal I minimally
+    generated by ``monos``, by Bigatti's pivot recursion.
+
+    With p = x_i^e, the sequence 0 -> S/(I : p)(-deg p) -> S/I ->
+    S/(I + p) -> 0 gives N(I) = N(I + p) + t^{deg p} N(I : p).  The pivot
+    variable x_i lies in the most generators, and e is the median of its
+    exponents in those that are not pure powers of x_i, so e lies below
+    any pure power of x_i in I and both ideals grow.  The leaves are
+    closed forms: the zero ideal gives 1, the unit ideal 0, and pairwise
+    coprime generators m give prod (1 - t^{deg m}).  The recursion runs
+    on an explicit stack, so its depth is not bounded by the interpreter.
+    """
+    total = {}
+    stack = [(monos, 0)]
+    while stack:
+        gens, shift = stack.pop()
+        counts = [0] * len(weights)
+        for m in gens:
+            for i, e in enumerate(m):
+                if e:
+                    counts[i] += 1
+        top = max(counts, default=0)
+        if top <= 1:
+            leaf = {0: 1}
+            for m in gens:
+                leaf = _times_one_minus(
+                    leaf, sum(e * w for e, w in zip(m, weights)))
+            for d, c in leaf.items():
+                total[d + shift] = total.get(d + shift, 0) + c
+            continue
+        i = counts.index(top)
+        exps = sorted(m[i] for m in gens if 0 < m[i] < sum(m))
+        e = exps[len(exps) // 2]
+        pivot = tuple(e if j == i else 0 for j in range(len(weights)))
+        stack.append(((pivot,) + tuple(m for m in gens if m[i] < e), shift))
+        colon = [m[:i] + (max(m[i] - e, 0),) + m[i + 1:] for m in gens]
+        stack.append((_minimalize(colon), shift + e * weights[i]))
+    return {d: c for d, c in total.items() if c}
+
+
+def _times_one_minus(num, d):
+    """num * (1 - t^d), for an integer coefficient dict; d = 0 gives 0."""
+    out = dict(num)
+    for k, c in num.items():
+        out[k + d] = out.get(k + d, 0) - c
+    return {k: c for k, c in out.items() if c}
 
 
 def _divide_by_one_minus_t(num):

@@ -25,7 +25,6 @@ import itertools
 from dataclasses import dataclass
 
 from .matrix import PolyMatrix
-from .groebner import ModuleGB
 from .resolution import (FreeResolution, RingData, PipelineError,
                          DualComplex, check_annihilation)
 
@@ -137,24 +136,17 @@ def compute_higher_homotopies(res: FreeResolution,
         raise PipelineError(
             "f is not a regular sequence; supply an explicit complex "
             "with dg actions instead")
-    # tracked bases of im(d_t) for lifting, built lazily
-    lift_bases = {}
-
     def lift_through(t, target_mat):
         """h with d_t o h = -target_mat, via tracked division.
 
         None for a zero target: the zero block, which is not stored.  A
         column not in the image of d_t is left zero, so the identity check
-        fails on it.  The tracked basis of d_t is built only when a nonzero
-        target needs it.
+        fails on it.  The tracked basis of d_t comes from the resolution,
+        which builds it only when a nonzero target needs it.
         """
         if target_mat.is_zero():
             return None
-        gb = lift_bases.get(t)
-        if gb is None:
-            dt = res.differentials[t - 1]
-            gb = lift_bases[t] = ModuleGB(ring, dt.nrows,
-                                          dt.columns_as_vectors(), track=True)
+        gb = res.image_basis(t)
         entries = {}
         for j, v in enumerate(target_mat.columns_as_vectors()):
             coeffs = gb.lift(v) if v else None

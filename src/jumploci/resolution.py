@@ -18,14 +18,13 @@ closed form in the tests.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from fractions import Fraction
 
 from .poly import Polynomial, PolyRing
 from .matrix import PolyMatrix
-from .groebner import (Ideal, ModuleGB, _vec_add, vector_of,
-                       module_hilbert_data)
+from .groebner import Ideal, ModuleGB, _vec_add, vector_of
 
 
 class PipelineError(ValueError):
@@ -177,10 +176,24 @@ class FreeResolution:
     differentials: list          # d_1..d_L as PolyMatrix
     degrees: list                # internal degrees of F_0..F_L generators
     complete: bool               # kernel exhausted at the last stage
+    # t -> tracked basis of im d_t (see ``image_basis``)
+    image_bases: dict = field(default_factory=dict, repr=False,
+                              compare=False)
 
     @property
     def length(self) -> int:
         return len(self.differentials)
+
+    def image_basis(self, t: int) -> ModuleGB:
+        """Tracked Groebner basis of the columns of d_t, for lifting through
+        d_t; ``resolve_over_a`` stores the one it took the syzygies from."""
+        gb = self.image_bases.get(t)
+        if gb is None:
+            dt = self.differentials[t - 1]
+            gb = self.image_bases[t] = ModuleGB(
+                self.ring_data.ring, dt.nrows, dt.columns_as_vectors(),
+                track=True)
+        return gb
 
     def betti(self) -> dict:
         return {i: len(d) for i, d in enumerate(self.degrees)}
@@ -262,6 +275,7 @@ def resolve_over_a(rd: RingData, presentation: PolyMatrix) -> FreeResolution:
     cols = minimal_generator_columns(ring, rank, cols, row_degrees)
     degrees = [list(row_degrees)]
     diffs = []
+    bases = {}
     hom = 1
     while cols:
         if hom > rd.n + 1:
@@ -269,13 +283,14 @@ def resolve_over_a(rd: RingData, presentation: PolyMatrix) -> FreeResolution:
         mat = columns_to_matrix(ring, cols, rank, degrees[-1], hom)
         diffs.append(mat)
         degrees.append([d[1] for d in mat.col_degrees])
-        gb = ModuleGB(ring, rank, cols, track=True)
+        gb = bases[hom] = ModuleGB(ring, rank, cols, track=True)
         syz = [vector_of(s, ring) for s in gb.syzygies()]
         syz = [s for s in syz if s]
         rank = len(cols)
         cols = minimal_generator_columns(ring, rank, syz, degrees[-1])
         hom += 1
-    return FreeResolution(rd, "A", diffs, degrees, complete=True)
+    return FreeResolution(rd, "A", diffs, degrees, complete=True,
+                          image_bases=bases)
 
 
 def check_annihilation(rd: RingData, presentation: PolyMatrix):
@@ -405,13 +420,13 @@ def _check_concentration(res: FreeResolution) -> bool:
     cohomology of Hom_A(F, A) is Ext_A^i(M, A), which vanishes below
     grade M = n - dim M and not at grade M or at pd M (Bruns-Herzog,
     Cohen-Macaulay Rings, 1.3.3).  So the dual is concentrated exactly
-    when L = 0 or n - dim M = L: one Hilbert computation on d_1.
+    when L = 0 or n - dim M = L, with dim M read off the leading monomials
+    of the resolution's tracked basis of im d_1.
     """
     L = res.length
     if L == 0:
         return True
-    dim, _, _ = module_hilbert_data(res.differentials[0])
-    return L == res.ring_data.n - dim
+    return L == res.ring_data.n - res.image_basis(1).dimension()
 
 
 # -- Betti tables and quasi-polynomial tails -------------------------------

@@ -350,6 +350,20 @@ def test_huge_exponent_is_an_input_error(capfd, tmp_path):
     assert "exceeds the limit 1000" in err and "(line 4, column" in err
 
 
+def test_many_ring_variables_compute_quickly(capfd, tmp_path):
+    """The regular-sequence test reads the dimension of (a0^2) in 22
+    variables off its leading monomial.  A search over all 2^22 subsets of
+    the variables takes seconds; the branching search takes milliseconds."""
+    names = ", ".join(f"a{i}" for i in range(22))
+    session = tmp_path / "wide.session"
+    session.write_text(f"field GF(101)\nring {names}\nci a0^2\n"
+                       "module coker [[a0]]\n")
+    start = time.perf_counter()
+    data = _run_json(capfd, ["compute", "--input", str(session)])
+    assert time.perf_counter() - start < 1.0
+    assert data["rank"] == 2
+
+
 def test_oversized_minor_table_is_an_input_error(capfd, monkeypatch):
     """The flag session's minor table takes 45 units of work, so a limit of
     10 refuses it with one error line that names the limit."""

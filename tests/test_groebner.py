@@ -3,13 +3,16 @@
 import heapq
 import itertools
 import random
+import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from jumploci import GF, QQ, PolyRing
-from jumploci.groebner import (GBStats, Ideal, ModuleGB, _vec_add,
-                               syzygy_matrix, vector_of, module_hilbert_data)
+from jumploci.groebner import (GBStats, Ideal, ModuleGB, _hilbert_num,
+                               _minimalize, _vec_add,
+                               dimension_and_multiplicity, module_hilbert_data,
+                               syzygy_matrix, vector_of)
 from jumploci.poly import Polynomial
 from jumploci.matrix import PolyMatrix
 
@@ -357,6 +360,130 @@ def test_dimension_and_multiplicity_of_ideals():
     assert Ideal(S, [S.parse("chi1")]).dimension() == 1
     assert Ideal(S, [S.parse("chi1"), S.parse("chi2")]).dimension() == 0
     assert Ideal(S, [S.one()]).is_unit_ideal()
+    assert Ideal(S, [S.one()]).dimension() == -1
+
+
+# -- dimension from leading monomials, Hilbert numerator by pivots ---------
+
+
+def _colon_hilbert_num(monos, weights, memo):
+    """Reference: the colon recursion on the last generator that the pivot
+    recursion replaced, N(I) = N(I') - t^{deg m} N(I' : m) with
+    I = I' + (m).  It recurses once per generator."""
+    if not monos:
+        return {0: 1}
+    got = memo.get(monos)
+    if got is not None:
+        return got
+    rest, last = monos[:-1], monos[-1]
+    n1 = _colon_hilbert_num(_minimalize(rest), weights, memo)
+    colon = tuple(tuple(max(a - b, 0) for a, b in zip(m, last)) for m in rest)
+    n2 = _colon_hilbert_num(_minimalize(colon), weights, memo)
+    shift = sum(e * w for e, w in zip(last, weights))
+    out = dict(n1)
+    for d, c in n2.items():
+        out[d + shift] = out.get(d + shift, 0) - c
+        if not out[d + shift]:
+            del out[d + shift]
+    memo[monos] = out
+    return out
+
+
+def _hilbert_dimension(gb):
+    """Reference: the dimension of F/U from the Hilbert numerator of the
+    leading monomials of each component, summed over the components."""
+    weights = tuple(gb.ring.weights)
+    total = {}
+    for r in range(gb.rank):
+        leads = _minimalize([m for _, (c, m) in gb.basis if c == r])
+        for d, c in _colon_hilbert_num(leads, weights, {}).items():
+            total[d] = total.get(d, 0) + c
+    return dimension_and_multiplicity(total, gb.ring.nvars)[0]
+
+
+R4 = PolyRing(GF101, ("x", "y", "z", "w"), (1, 2, 1, 3))
+_EXPONENTS4 = st.tuples(*[st.integers(min_value=0, max_value=2)] * 4)
+_COLUMNS4 = st.lists(st.dictionaries(
+    st.tuples(st.integers(min_value=0, max_value=2), _EXPONENTS4),
+    st.integers(min_value=1, max_value=100), min_size=1, max_size=3),
+    max_size=5)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(rank=st.integers(min_value=1, max_value=3), columns=_COLUMNS4,
+       track=st.booleans())
+def test_module_dimension_from_leads_equals_the_hilbert_dimension(
+        rank, columns, track):
+    """Random modules in four weighted variables, monomial or not, tracked
+    or not, of rank 1 to 3; no columns is the free module, and a column
+    with a constant term may make a component, or all, zero."""
+    cols = [{(comp % rank, m): c for (comp, m), c in col.items()}
+            for col in columns]
+    gb = ModuleGB(R4, rank, cols, track=track)
+    assert gb.dimension() == _hilbert_dimension(gb)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(gens=_GENERATORS)
+def test_ideal_dimension_from_leads_equals_the_hilbert_dimension(gens):
+    """Monomial, mixed, zero and unit ideals of S3, against the Hilbert
+    numerator that ``Ideal.hilbert_numerator`` reads off the same basis."""
+    I = Ideal(S3, gens)
+    want, _ = dimension_and_multiplicity(I.hilbert_numerator(), S3.nvars)
+    assert I.dimension() == want
+
+
+def test_module_dimension_is_taken_per_component():
+    """x e_0 and y e_1 each leave a component of dimension n - 1; the
+    supports pooled across components would give n - 2."""
+    gb = ModuleGB(R4, 2, [{(0, (1, 0, 0, 0)): 1}, {(1, (0, 1, 0, 0)): 1}])
+    assert gb.dimension() == 3
+    gb = ModuleGB(R4, 2, [{(0, (0, 0, 0, 0)): 1}, {(1, (1, 1, 0, 0)): 1}])
+    assert gb.dimension() == 3
+    assert ModuleGB(R4, 2, [{(0, (0,) * 4): 1}, {(1, (0,) * 4): 1}],
+                    track=True).dimension() == -1
+
+
+def test_dimension_branches_instead_of_enumerating_subsets():
+    """In 40 variables, x_0^2 and x_1 x_2 leave dimension 38, and squares
+    of the first 30 variables leave 10; an enumeration of the 2^40 subsets
+    would never finish."""
+    R = PolyRing(GF101, tuple(f"a{i}" for i in range(40)))
+    assert Ideal(R, [R.parse("a0^2"), R.parse("a1*a2")]).dimension() == 38
+    squares = [R.parse(f"a{i}^2") for i in range(30)]
+    assert Ideal(R, squares).dimension() == 10
+
+
+_MONOMIAL_IDEALS = st.lists(
+    st.tuples(*[st.integers(min_value=0, max_value=4)] * 3), max_size=7)
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(monos=_MONOMIAL_IDEALS,
+       weights=st.tuples(*[st.integers(min_value=1, max_value=4)] * 3))
+def test_pivot_numerator_equals_the_colon_recursion(monos, weights):
+    """Random monomial ideals in three variables of mixed weights,
+    including the zero ideal and, through the zero exponent, the unit
+    ideal."""
+    gens = _minimalize(monos)
+    assert _hilbert_num(gens, weights) == _colon_hilbert_num(gens, weights,
+                                                             {})
+
+
+def _staircase(N):
+    """The minimal generators x^i y^{N - i}, 0 <= i <= N, of (x, y)^N,
+    whose numerator is 1 - (N + 1) t^N + N t^{N + 1}."""
+    return tuple((i, N - i) for i in range(N + 1))
+
+
+@pytest.mark.parametrize("N, limit_s", [(300, 0.5), (2000, 5.0)])
+def test_pivot_numerator_of_a_long_staircase(N, limit_s):
+    """The colon recursion recursed once per generator: N = 300 took
+    seconds, and N = 1,200 passed the interpreter's recursion limit."""
+    start = time.perf_counter()
+    num = _hilbert_num(_staircase(N), (1, 1))
+    assert time.perf_counter() - start < limit_s
+    assert num == {0: 1, N: -(N + 1), N + 1: N}
 
 
 # -- single-term pairs and heap-ordered reduction --------------------------

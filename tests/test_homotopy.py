@@ -275,11 +275,17 @@ def _homotopy_inputs():
 def test_no_zero_block_is_stored_and_the_rest_are_unchanged():
     """Every nonzero block equals the one the every-block loop solves,
     entry for entry; no zero block is stored; every solved multi-index
-    keeps its (possibly empty) dict; and X(M) has the same differential."""
+    keeps its (possibly empty) dict; and X(M) has the same differential.
+    The construction lifts through the tracked bases that
+    ``resolve_over_a`` kept from its syzygy steps, one per d_t, and builds
+    no other; the every-block loop builds fresh ones from d_t."""
     skipped = 0
     for rd, pres in _homotopy_inputs():
         res = resolve_over_a(rd, pres)
+        kept = dict(res.image_bases)
+        assert set(kept) == set(range(1, res.length + 1))
         sys = compute_higher_homotopies(res, rd)
+        assert res.image_bases == kept
         every = _every_block_sigma(res, rd)
         assert set(sys.sigma) == set(every)
         for J, blocks in every.items():
