@@ -30,7 +30,6 @@ come from Bigatti's pivot recursion (J. Pure Appl. Algebra 119, 1997).
 from __future__ import annotations
 
 import heapq
-import itertools
 
 from .poly import Polynomial, PolyRing
 from .matrix import PolyMatrix
@@ -567,16 +566,10 @@ def _min_transversal(supports) -> int:
 
 
 def _minimalize(monos):
-    """Minimal generators of the monomial ideal, by total degree.  A
-    monomial is divided only by one of smaller total degree: distinct
-    monomials of one degree never divide each other."""
+    monos = sorted(set(monos), key=lambda m: (sum(m), m))
     out = []
-    lower = 0  # out[:lower] are of smaller total degree than m
-    for m in sorted(set(monos), key=lambda m: (sum(m), m)):
-        if lower < len(out) and sum(out[lower]) < sum(m):
-            lower = len(out)
-        if not any(all(a >= b for a, b in zip(m, g))
-                   for g in itertools.islice(out, lower)):
+    for m in monos:
+        if not any(all(a >= b for a, b in zip(m, g)) for g in out):
             out.append(m)
     return tuple(out)
 

@@ -421,12 +421,17 @@ def _check_concentration(res: FreeResolution) -> bool:
     grade M = n - dim M and not at grade M or at pd M (Bruns-Herzog,
     Cohen-Macaulay Rings, 1.3.3).  So the dual is concentrated exactly
     when L = 0 or n - dim M = L, with dim M read off the leading monomials
-    of the resolution's tracked basis of im d_1.
+    of a basis of im d_1: the tracked one ``resolve_over_a`` kept, or else
+    an untracked one, which needs no syzygies.
     """
     L = res.length
     if L == 0:
         return True
-    return L == res.ring_data.n - res.image_basis(1).dimension()
+    gb = res.image_bases.get(1)
+    if gb is None:
+        d1 = res.differentials[0]
+        gb = ModuleGB(res.ring_data.ring, d1.nrows, d1.columns_as_vectors())
+    return L == res.ring_data.n - gb.dimension()
 
 
 # -- Betti tables and quasi-polynomial tails -------------------------------
