@@ -18,6 +18,11 @@ coprime leads (Buchberger's first criterion), and in any rank a pair of
 two single-term vectors, whose S-vector is identically zero.  So a
 monomial input processes no pair at all.
 
+A graded run, given the degrees of the free generators, keys its pairs by
+module degree and settles the columns one degree at a time, keeping only
+minimal generators (see ``ModuleGB``); a resolution over B takes one such
+run per stage.
+
 Krull dimensions are read off the leading monomials alone: dim F/U =
 dim F/in(U), the largest dimension of S/J_r over the components r of
 in(U) = sum J_r e_r, and dim S/J is the size of the largest set of
@@ -80,14 +85,38 @@ class ModuleGB:
 
     ``track=True`` enables the shadow block, making :meth:`syzygies` and
     :meth:`lift` available at the cost of processing all S-pairs.
+
+    Given ``row_degrees``, the degrees of the free generators, the run is
+    graded and keeps only minimal generators of the columns plus
+    ``modulo``.  It settles one module degree d at a time: every pair of
+    degree <= d is processed, the ``modulo`` vectors of degree d are
+    added, and the degree-d columns are walked from the last to the
+    first.  A column whose reduction has a nonzero real part is added to
+    the basis; one that reduces to zero is dropped and gets no shadow
+    coordinate.  The basis is then a Groebner basis through degree d, so
+    a column is kept exactly when it lies outside the span of the kept
+    columns of lower degree, the later columns of its degree and
+    ``modulo``.  ``kept`` lists the positions of the kept columns in
+    ascending (degree, position) order, and syzygies and lifts are given
+    in those coordinates; the ``modulo`` vectors have none.  A tracked
+    graded run then processes the remaining pairs, but an untracked one
+    stops once its top column degree is settled: its basis is a Groebner
+    basis through that degree only.
     """
 
-    def __init__(self, ring: PolyRing, rank: int, columns, track: bool = False):
+    def __init__(self, ring: PolyRing, rank: int, columns, track: bool = False,
+                 row_degrees=None, modulo=()):
         self.ring = ring
         self.rank = rank
         self.ncols = len(columns)
         self.track = track
+        self.row_degrees = row_degrees
         self._syzygies = []
+        self.basis = []
+        if row_degrees is not None:
+            self.kept = self._run_by_degree(columns, modulo)
+            return
+        self.kept = range(self.ncols)  # an ungraded run keeps every column
         seeded = []
         for i, col in enumerate(columns):
             v = dict(col)
@@ -98,7 +127,6 @@ class ModuleGB:
             elif track:
                 # zero column: its syzygy is a unit vector
                 self._syzygies.append(v)
-        self.basis = []
         self._run_buchberger(seeded)
         if not track:
             self._interreduce()
@@ -201,24 +229,79 @@ class ModuleGB:
                     and all(a + b == l for a, b, l in
                             zip(jlead[1], lead[1], lcm))):
                 continue  # coprime leads reduce to zero (rank-one only)
-            heapq.heappush(pairs, (self.ring.mono_key(lcm), j, idx, lcm))
+            key = self.ring.mono_key(lcm)
+            if self.row_degrees is not None:
+                key = (key[0] + self.row_degrees[lead[0]], key)
+            heapq.heappush(pairs, (key, j, idx, lcm))
 
     def _run_buchberger(self, seeded):
-        fld = self.ring.field
         pairs = []
         for v in seeded:
             if self._take(self._reduce_full(v), pairs):
                 return
         while pairs:
-            _, i, j, lcm = heapq.heappop(pairs)
-            GBStats.pairs_processed += 1
-            (gi, li), (gj, lj) = self.basis[i], self.basis[j]
-            si = tuple(a - b for a, b in zip(lcm, li[1]))
-            sj = tuple(a - b for a, b in zip(lcm, lj[1]))
-            s = _vec_add(fld, {}, gi, fld.one(), si)
-            s = _vec_add(fld, s, gj, fld.neg(fld.one()), sj)
-            if self._take(self._reduce_full(s), pairs):
+            if self._next_pair(pairs):
                 return
+
+    def _next_pair(self, pairs) -> bool:
+        """Reduce the S-vector of the least queued pair and take it."""
+        fld = self.ring.field
+        _, i, j, lcm = heapq.heappop(pairs)
+        GBStats.pairs_processed += 1
+        (gi, li), (gj, lj) = self.basis[i], self.basis[j]
+        si = tuple(a - b for a, b in zip(lcm, li[1]))
+        sj = tuple(a - b for a, b in zip(lcm, lj[1]))
+        s = _vec_add(fld, {}, gi, fld.one(), si)
+        s = _vec_add(fld, s, gj, fld.neg(fld.one()), sj)
+        return self._take(self._reduce_full(s), pairs)
+
+    def _run_by_degree(self, columns, modulo):
+        """The graded run of the class docstring; returns ``kept``.
+
+        Pairs are keyed by module degree, so the pairs of degree <= d are
+        the least queued ones.  An element added at degree d forms no
+        pair of degree d: its lead is divisible by no earlier lead, and
+        no later lead of degree d divides it.
+        """
+        ring = self.ring
+        groups = {}
+        for v in modulo:
+            groups.setdefault(self._degree(v), ([], []))[0].append(v)
+        for j, col in enumerate(columns):
+            if col:
+                groups.setdefault(self._degree(col), ([], []))[1].append(j)
+        top = max((d for d, (_, cols) in groups.items() if cols), default=None)
+        if top is None:
+            return []
+        pairs = []
+        kept = []
+        for d in sorted(groups):
+            if d > top and not self.track:
+                break
+            while pairs and pairs[0][0][0] <= d:
+                self._next_pair(pairs)
+            fixed, group = groups[d]
+            for v in fixed:
+                self._take(self._reduce_full(v), pairs)
+            kept_d = []
+            for j in reversed(group):
+                v = dict(columns[j])
+                if self.track:
+                    v[(self.rank + j, (0,) * ring.nvars)] = ring.field.one()
+                w = self._reduce_full(v)
+                lead = self._real_lead(w)
+                if lead is not None:
+                    self._add_element(w, lead, pairs)
+                    kept_d.append(j)
+            kept.extend(reversed(kept_d))
+        while self.track and pairs:
+            self._next_pair(pairs)
+        return kept
+
+    def _degree(self, v) -> int:
+        """Module degree of a homogeneous vector, read off one term."""
+        comp, mono = next(iter(v))
+        return self.ring.wdeg(mono) + self.row_degrees[comp]
 
     def _take(self, w, pairs) -> bool:
         """Add a reduced element to the basis, or record it as zero.
@@ -295,7 +378,7 @@ class ModuleGB:
     def lift(self, v):
         """Coefficients expressing ``v`` in the input columns, or None.
 
-        Returns a list of polynomials, one per input column, with
+        Returns a list of polynomials, one per kept column, with
         ``v = sum coeff_i * column_i``.
         """
         if not self.track:
@@ -308,7 +391,7 @@ class ModuleGB:
     def syzygies(self):
         """Generators of the syzygy module of the input columns.
 
-        Each syzygy is a list of polynomials of length ``ncols``.
+        Each syzygy is a list of polynomials, one per kept column.
         """
         if not self.track:
             raise ValueError("syzygies require a tracked basis")
@@ -321,7 +404,7 @@ class ModuleGB:
             if comp < self.rank:
                 continue
             per[comp - self.rank][m] = fld.neg(c) if negate else c
-        return [Polynomial(self.ring, t) for t in per]
+        return [Polynomial(self.ring, per[j]) for j in self.kept]
 
 
 # -- convenience builders -----------------------------------------------
@@ -494,7 +577,7 @@ def module_hilbert_data(mat: PolyMatrix, row_shifts=None, weights=None):
         weights = ring.weights
     if row_shifts is None:
         row_shifts = [0] * mat.nrows
-    gb = ModuleGB(ring, mat.nrows, mat.columns_as_vectors())
+    gb = mat.column_basis()
     per_comp = {r: [] for r in range(mat.nrows)}
     for _, (comp, mono) in gb.basis:
         per_comp[comp].append(mono)

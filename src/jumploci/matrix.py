@@ -38,7 +38,7 @@ MAX_MINOR_WORK = 500_000
 
 class PolyMatrix:
     __slots__ = ("ring", "nrows", "ncols", "entries", "row_degrees",
-                 "col_degrees", "_minor_table")
+                 "col_degrees", "_minor_table", "_column_basis")
 
     def __init__(self, ring: PolyRing, nrows: int, ncols: int, entries=None,
                  row_degrees=None, col_degrees=None):
@@ -55,6 +55,7 @@ class PolyMatrix:
         self.row_degrees = list(row_degrees) if row_degrees is not None else None
         self.col_degrees = list(col_degrees) if col_degrees is not None else None
         self._minor_table = None   # t -> minors, built by the first minors()
+        self._column_basis = None  # built by the first column_basis()
 
     # -- constructors ---------------------------------------------------
 
@@ -91,6 +92,16 @@ class PolyMatrix:
 
     def get(self, r: int, c: int) -> Polynomial:
         return self.entries.get((r, c), self.ring.zero())
+
+    def column_basis(self):
+        """Untracked Groebner basis of the column span, built on the first
+        call and kept, on the premise of ``minors``: the entries are set in
+        ``__init__`` and never changed."""
+        if self._column_basis is None:
+            from .groebner import ModuleGB  # imports this module
+            self._column_basis = ModuleGB(self.ring, self.nrows,
+                                          self.columns_as_vectors())
+        return self._column_basis
 
     def columns_as_vectors(self):
         """Each column as {(component, monomial): coeff} over free module rows."""

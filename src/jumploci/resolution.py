@@ -5,12 +5,17 @@ homogeneous elements f_1..f_c.  Resolutions over A are finite and built by
 iterated syzygies, pruning each syzygy stage to a minimal generating set
 (over a graded ring this yields the minimal resolution).  By graded
 Nakayama a degree-d column is redundant exactly when it is redundant in
-degree d, so the pruning builds one Groebner basis per column degree, of
-the columns kept below it, and settles the degree-d columns by linear
-algebra over k on their normal forms.  Resolutions over B are truncated,
-with no syzygies of the last stage kept, and emulate module arithmetic
-over B inside A by adjoining the columns f_k e_j.  ``resolve_over_b`` is
-the oracle route: the Betti numbers the command line prints come from
+degree d, so the pruning over A builds one Groebner basis per column
+degree, of the columns kept below it, and settles the degree-d columns by
+linear algebra over k on their normal forms.  Resolutions over B are
+truncated and emulate module arithmetic over B inside A by adjoining the
+columns f_k e_j.  Each of their stages is one tracked Groebner run that
+goes degree by degree: it settles the degree-d columns once every pair
+of degree <= d is processed, keeps the minimal ones with shadow
+coordinates, and its syzygies give the next stage, as in the degree by
+degree construction of La Scala and Stillman (J. Symb. Comp. 26, 1998).
+The last stage takes no syzygies.  ``resolve_over_b`` is the oracle
+route: the Betti numbers the command line prints come from
 H(X) = Ext_B(M, k) (see ``loci.betti_numbers``); it drives the
 hypersurface point oracle and serves as the independent check of that
 closed form in the tests.
@@ -113,34 +118,32 @@ def columns_to_matrix(ring: PolyRing, cols, nrows: int,
                       [(hom_index, d) for d in col_degs])
 
 
-def minimal_generator_columns(ring: PolyRing, rank: int, cols, row_degrees,
-                              over_b: RingData = None):
-    """Prune columns to a minimal generating set of their span.
+def minimal_generator_columns(ring: PolyRing, rank: int, cols, row_degrees):
+    """Prune columns to a minimal generating set of their span over A.
 
     The rule: go through the columns in ascending (degree, index) order,
-    drop each one that lies in the span of the columns not yet dropped
-    (over B when ``over_b`` is given, by adjoining the f_k e_j columns),
+    drop each one that lies in the span of the columns not yet dropped,
     and return the rest in that order.
 
     It is applied one degree d at a time, with one Groebner basis per
-    degree, of L_d: the columns kept below degree d, and the f_k e_j.
-    Columns of degree > d cannot reach degree d, and the weights are
-    positive, so a degree-d column lies in the span of the others exactly
-    when its normal form modulo L_d is a k-linear combination of the normal
+    degree, of the columns kept below degree d.  Columns of degree > d
+    cannot reach degree d, and the weights are positive, so a degree-d
+    column lies in the span of the others exactly when its normal form
+    modulo the lower kept columns is a k-linear combination of the normal
     forms of the other degree-d columns.  Going through the degree-d group
     from its last column to its first, a column is kept exactly when its
     normal form is outside the k-span of those of the later columns.  This
     is the rule above: had the rule dropped j, with v_j = sum a_i v_i over
     kept earlier columns i and all later ones, and a_i != 0 for some
     earlier i, then the earliest such i lies in the span of the columns
-    after it, and the rule would have dropped it in its turn.
+    after it, and the rule would have dropped it in its turn.  Over B the
+    graded ``ModuleGB`` run applies the same rule (see ``resolve_over_b``).
     """
     cols = [c for c in cols if c]
     degs = [column_degree(ring, c, row_degrees) for c in cols]
-    extra = over_b.quotient_columns(rank) if over_b else []
     kept = []
     for d in sorted(set(degs)):
-        lower = [cols[i] for i in kept] + extra
+        lower = [cols[i] for i in kept]
         nf = ModuleGB(ring, rank, lower).normal_form if lower else dict
         echelon = {}
         kept_d = []
@@ -218,44 +221,27 @@ def presentation_from_rows(ring: PolyRing, rows, row_degrees=None) -> PolyMatrix
 def split_unit_entries(cols, rank: int, row_degrees, field):
     """Cancel constant entries of a presentation by Schur complements.
 
+    A constant entry u at row r of a homogeneous column j is the whole
+    entry there.  Every other column subtracts its row-r entry over u
+    times column j, which clears its row r; then column j and row r go.
     Returns pruned columns, surviving row indices and their degrees; the
     cokernel is unchanged.
     """
     cols = [dict(c) for c in cols]
     live_rows = list(range(rank))
-    zero_mono = None
     while True:
-        unit = None
-        for j, col in enumerate(cols):
-            for (r, m), c in col.items():
-                if all(e == 0 for e in m):
-                    unit = (j, r, c, m)
-                    zero_mono = m
-                    break
-            if unit:
-                break
+        unit = next(((j, r, c) for j, col in enumerate(cols)
+                     for (r, m), c in col.items() if not any(m)), None)
         if unit is None:
             break
-        j, r, u, _ = unit
-        pivot_col = cols[j]
-        inv = field.inv(u)
-        for jj, col in enumerate(cols):
-            if jj == j:
-                continue
-            coeff = col.get((r, zero_mono))
-            if coeff is None:
-                continue
-            factor = field.neg(field.mul(coeff, inv))
-            for key, c in pivot_col.items():
-                s = field.add(col.get(key, field.zero()), field.mul(factor, c))
-                if s:
-                    col[key] = s
-                else:
-                    col.pop(key, None)
-        cols.pop(j)
-        for col in cols:
-            for key in [k for k in col if k[0] == r]:
-                del col[key]
+        j, r, u = unit
+        pivot_col = cols.pop(j)
+        inv = field.neg(field.inv(u))
+        for k, col in enumerate(cols):
+            entry = [(m, c) for (rr, m), c in col.items() if rr == r]
+            for m, c in entry:
+                col = _vec_add(field, col, pivot_col, field.mul(c, inv), m)
+            cols[k] = col
         live_rows.remove(r)
     # compress row indices
     remap = {r: i for i, r in enumerate(live_rows)}
@@ -294,13 +280,14 @@ def resolve_over_a(rd: RingData, presentation: PolyMatrix) -> FreeResolution:
 
 
 def check_annihilation(rd: RingData, presentation: PolyMatrix):
-    """Verify f_i . coker(presentation) = 0; raise naming the offender."""
-    cols = presentation.columns_as_vectors()
-    gb = ModuleGB(rd.ring, presentation.nrows, cols) if cols else None
+    """Verify f_i . coker(presentation) = 0; raise naming the offender.
+
+    The basis of the columns is kept on the presentation, so the point
+    oracle builds it once for all its sections."""
+    gb = presentation.column_basis()
     for i, f in enumerate(rd.ci):
         for j in range(presentation.nrows):
-            v = {(j, m): c for m, c in f.terms.items()}
-            if gb is None or not gb.contains(v):
+            if not gb.contains({(j, m): c for m, c in f.terms.items()}):
                 raise PipelineError(
                     f"f_{i + 1} = {_brief(f)} does not annihilate the module")
 
@@ -319,7 +306,14 @@ def _brief(p: Polynomial) -> str:
 def resolve_over_b(rd: RingData, presentation: PolyMatrix,
                    truncation: int) -> FreeResolution:
     """Minimal B-free resolution through homological degree ``truncation``,
-    not resolved past it: complete exactly when it has fewer stages."""
+    not resolved past it: complete exactly when it has fewer stages.
+
+    Each stage is one graded ``ModuleGB`` run over its candidate columns
+    modulo the f_k e_j: it keeps a minimal generating set over B (the rule
+    of ``minimal_generator_columns``), and its syzygies, reduced modulo
+    (f), are the candidates of the next stage.  The last stage takes no
+    syzygies, so its run is untracked and stops at its top column degree.
+    """
     if truncation < 1:
         raise PipelineError("truncation bound must be >= 1")
     check_annihilation(rd, presentation)
@@ -329,29 +323,28 @@ def resolve_over_b(rd: RingData, presentation: PolyMatrix,
     cols = presentation.columns_as_vectors()
     cols, _, row_degrees = split_unit_entries(cols, presentation.nrows,
                                               row_degrees, ring.field)
+    for c in cols:
+        if c:
+            column_degree(ring, c, row_degrees)
     nf = rd.ci_ideal().normal_form
     cols = [_reduce_column(c, nf, ring) for c in cols]
-    cols = [c for c in cols if c]
-    rank = len(row_degrees)
-    cols = minimal_generator_columns(ring, rank, cols, row_degrees, over_b=rd)
     degrees = [list(row_degrees)]
     diffs = []
-    while cols:
+    while True:
+        rank = len(degrees[-1])
+        last = len(diffs) + 1 == truncation
+        gb = ModuleGB(ring, rank, cols, not last, degrees[-1],
+                      rd.quotient_columns(rank))
+        if not gb.kept:
+            break
+        cols = [cols[j] for j in gb.kept]
         mat = columns_to_matrix(ring, cols, rank, degrees[-1], len(diffs) + 1)
         diffs.append(mat)
         degrees.append([d[1] for d in mat.col_degrees])
-        if len(diffs) == truncation:
+        if last:
             break
-        ncols = len(cols)
-        gb = ModuleGB(ring, rank, cols + rd.quotient_columns(rank), track=True)
-        projected = []
-        for s in gb.syzygies():
-            v = _reduce_column(vector_of(s[:ncols], ring), nf, ring)
-            if v:
-                projected.append(v)
-        rank = ncols
-        cols = minimal_generator_columns(ring, rank, projected, degrees[-1],
-                                         over_b=rd)
+        cols = [_reduce_column(vector_of(s, ring), nf, ring)
+                for s in gb.syzygies()]
     return FreeResolution(rd, "B", diffs, degrees,
                           complete=len(diffs) < truncation)
 
@@ -422,15 +415,12 @@ def _check_concentration(res: FreeResolution) -> bool:
     Cohen-Macaulay Rings, 1.3.3).  So the dual is concentrated exactly
     when L = 0 or n - dim M = L, with dim M read off the leading monomials
     of a basis of im d_1: the tracked one ``resolve_over_a`` kept, or else
-    an untracked one, which needs no syzygies.
+    the untracked ``column_basis``, which needs no syzygies.
     """
     L = res.length
     if L == 0:
         return True
-    gb = res.image_bases.get(1)
-    if gb is None:
-        d1 = res.differentials[0]
-        gb = ModuleGB(res.ring_data.ring, d1.nrows, d1.columns_as_vectors())
+    gb = res.image_bases.get(1) or res.differentials[0].column_basis()
     return L == res.ring_data.n - gb.dimension()
 
 

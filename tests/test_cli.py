@@ -306,6 +306,22 @@ def test_module_not_annihilated_by_f_is_an_input_error(capfd, tmp_path):
         assert err == "error: f_1 = x^2 does not annihilate the module\n"
 
 
+def test_unit_entry_is_cancelled_with_its_whole_row(capfd, tmp_path):
+    """coker [[1, x, y], [1, 0, 0]] is k = coker [[x, y]]: cancelling the
+    unit subtracts x and y times its column, so they move to the other
+    row instead of being lost with row 1."""
+    reports = []
+    for name, rows in (("unit", "[[1, x, y], [1, 0, 0]]"),
+                       ("residue", "[[x, y]]")):
+        session = tmp_path / f"{name}.session"
+        session.write_text("field GF(101)\nring x, y\nci x^2, y^2\n"
+                           f"module coker {rows}\n")
+        reports.append([_run(capfd, [command, "--input", str(session)])
+                        for command in ("crk", "compute")])
+    assert reports[0] == reports[1]
+    assert reports[0][0] == (0, '{\n  "point": null,\n  "crk": 4\n}\n', "")
+
+
 def test_long_element_that_does_not_annihilate_is_named_briefly(capfd,
                                                                  tmp_path):
     """A long ci element is named by its leading term and term count."""

@@ -7,13 +7,16 @@ from fractions import Fraction
 import pytest
 
 from jumploci import GF, PolyRing
-from jumploci.groebner import ModuleGB, _vec_add, syzygy_matrix
+from jumploci.groebner import (ModuleGB, _vec_add, module_hilbert_data,
+                               syzygy_matrix, vector_of)
 from jumploci.resolution import (RingData, PipelineError, TruncationNeeded,
                                  presentation_from_rows, resolve_over_a,
                                  resolve_over_b, dualize_over_a, BettiTable,
                                  fit_quasi_polynomial, column_degree,
-                                 minimal_generator_columns,
-                                 resolution_euler_numerator)
+                                 columns_to_matrix, minimal_generator_columns,
+                                 resolution_euler_numerator,
+                                 split_unit_entries, _extend_echelon,
+                                 _reduce_column)
 
 from conftest import matrix_of
 
@@ -166,17 +169,191 @@ def _column_set(rng, row_degrees):
 def test_pruning_per_degree_equals_pruning_per_column(over_b, row_degrees):
     """Same kept columns, in the same order, as the per-column route, on
     random column sets with zero columns, duplicates, scalar multiples,
-    sums of two columns of one degree and multiples of lower columns."""
+    sums of two columns of one degree and multiples of lower columns:
+    over A by ``minimal_generator_columns``, over B by the graded run of a
+    resolution stage, untracked (a last stage) and tracked."""
     rd = RingData(A3, [A3.parse("x^3"), A3.parse("y^3")]) if over_b else None
     rank = len(row_degrees)
     rng = random.Random(f"{over_b}{row_degrees}")
     for _ in range(12):
         cols = _column_set(rng, row_degrees)
         position = {id(c): j for j, c in enumerate(cols)}
-        got = minimal_generator_columns(A3, rank, cols, row_degrees, rd)
-        want = _per_column_pruning(A3, rank, cols, row_degrees, rd)
-        assert [position[id(c)] for c in got] == \
-            [position[id(c)] for c in want]
+        want = [position[id(c)] for c in
+                _per_column_pruning(A3, rank, cols, row_degrees, rd)]
+        if not over_b:
+            got = minimal_generator_columns(A3, rank, cols, row_degrees)
+            assert [position[id(c)] for c in got] == want
+            continue
+        for track in (False, True):
+            gb = ModuleGB(A3, rank, cols, track, row_degrees,
+                          rd.quotient_columns(rank))
+            assert list(gb.kept) == want
+
+
+def _module_degree(vector, row_degrees):
+    comp, mono = next(iter(vector))
+    return A3.wdeg(mono) + row_degrees[comp]
+
+
+def test_graded_run_settles_one_degree_at_a_time():
+    """The basis of a graded run grows in ascending module degree, so no
+    pair above degree d is processed before the degree-d columns are
+    settled; an untracked run adds nothing above its top column degree,
+    where a tracked one goes on."""
+    rd = RingData(A3, [A3.parse("x^3"), A3.parse("y^3")])
+    rng = random.Random(59)
+    above_top = False
+    for row_degrees in [(0,), (0, 1), (2, 0, 0)] * 6:
+        rank = len(row_degrees)
+        cols = _column_set(rng, row_degrees)
+        top = max(_module_degree(c, row_degrees) for c in cols if c)
+        for track in (False, True):
+            gb = ModuleGB(A3, rank, cols, track, row_degrees,
+                          rd.quotient_columns(rank))
+            degrees = [_module_degree(g, row_degrees) for g, _ in gb.basis]
+            assert degrees == sorted(degrees)
+            if track:
+                above_top |= degrees[-1] > top
+            else:
+                assert degrees[-1] <= top
+    assert above_top
+
+
+def _column_times(syzygy, cols):
+    """sum_i s_i * cols[i] as a module vector."""
+    out = {}
+    for s, col in zip(syzygy, cols):
+        for m, c in s.terms.items():
+            out = _vec_add(GF101, out, col, c, m)
+    return out
+
+
+@pytest.mark.parametrize("row_degrees", [(0,), (0, 0), (0, 1), (2, 0)])
+def test_stage_syzygies_are_the_kernel_over_b(row_degrees):
+    """Each syzygy of a tracked graded run has one entry per kept column
+    and maps the kept columns into the span of the f_k e_j; together they
+    generate the same module as the syzygies of a separate tracked basis
+    of the kept columns and the f_k e_j, cut to the kept coordinates."""
+    rd = RingData(A3, [A3.parse("x^3"), A3.parse("y^3")])
+    rank = len(row_degrees)
+    quotient = rd.quotient_columns(rank)
+    span = ModuleGB(A3, rank, quotient)
+    rng = random.Random(f"kernel{row_degrees}")
+    for _ in range(6):
+        cols = _column_set(rng, row_degrees)
+        gb = ModuleGB(A3, rank, cols, True, row_degrees, quotient)
+        kept = [cols[j] for j in gb.kept]
+        new = gb.syzygies()
+        assert all(len(s) == len(kept) for s in new)
+        assert all(span.contains(_column_times(s, kept)) for s in new)
+        old = ModuleGB(A3, rank, kept + quotient, track=True).syzygies()
+        old = [vector_of(s[:len(kept)], A3) for s in old]
+        new = [vector_of(s, A3) for s in new]
+        for these, those in ((old, new), (new, old)):
+            gb = ModuleGB(A3, len(kept), those)
+            assert all(gb.contains(v) for v in these)
+
+
+def _per_degree_pruning_over_b(rd, rank, cols, row_degrees):
+    """The pruning over B before the graded run: per degree, a fresh
+    untracked basis of the kept lower columns and the f_k e_j."""
+    ring = rd.ring
+    cols = [c for c in cols if c]
+    degs = [column_degree(ring, c, row_degrees) for c in cols]
+    kept = []
+    for d in sorted(set(degs)):
+        lower = [cols[i] for i in kept] + rd.quotient_columns(rank)
+        nf = ModuleGB(ring, rank, lower).normal_form
+        echelon = {}
+        kept_d = []
+        for j in reversed([j for j, dj in enumerate(degs) if dj == d]):
+            if _extend_echelon(ring.field, echelon, nf(cols[j])):
+                kept_d.append(j)
+        kept.extend(reversed(kept_d))
+    return [cols[i] for i in kept]
+
+
+def _two_run_resolution_over_b(rd, pres, truncation):
+    """The loop of resolve_over_b before one run per stage: prune, then
+    take syzygies from a separate tracked basis of the kept columns and
+    the f_k e_j.  Returns the generator degrees per stage and whether the
+    resolution is complete."""
+    ring = rd.ring
+    row_degrees = [d[1] for d in pres.row_degrees]
+    cols, _, row_degrees = split_unit_entries(
+        pres.columns_as_vectors(), pres.nrows, row_degrees, ring.field)
+    nf = rd.ci_ideal().normal_form
+    cols = [_reduce_column(c, nf, ring) for c in cols]
+    degrees = [row_degrees]
+    while True:
+        rank = len(degrees[-1])
+        cols = _per_degree_pruning_over_b(rd, rank, cols, degrees[-1])
+        if not cols:
+            return degrees, True
+        degrees.append([column_degree(ring, c, degrees[-1]) for c in cols])
+        if len(degrees) > truncation:
+            return degrees, False
+        gb = ModuleGB(ring, rank, cols + rd.quotient_columns(rank),
+                      track=True)
+        cols = [_reduce_column(vector_of(s[:len(cols)], ring), nf, ring)
+                for s in gb.syzygies()]
+
+
+def test_one_run_per_stage_equals_the_two_run_loop():
+    """Same graded Betti numbers and completeness as the loop with a
+    separate pruning and syzygy basis per stage, on random monomial and
+    non-monomial modules over GF(101)[x,y,z]/(x^3, y^3) and over random
+    sections a x^3 + b y^3, at truncations 1, 2, n + 1 and n + 3."""
+    full = RingData(A3, [A3.parse("x^3"), A3.parse("y^3")])
+    rng = random.Random(61)
+    kinds = set()
+    for binomials in (0.0, 0.5) * 4:
+        rows = _random_presentation_rows(rng, binomials)
+        pres = presentation_from_rows(A3, rows)
+        kinds.add(all(len(p.terms) <= 1 for row in rows for p in row))
+        section = A3.parse(f"{rng.randrange(1, 101)}*x^3 + "
+                           f"{rng.randrange(1, 101)}*y^3")
+        for rd in (full, RingData(A3, [section])):
+            want, complete = _two_run_resolution_over_b(rd, pres, 6)
+            for truncation in (1, 2, 4, 6):
+                res = resolve_over_b(rd, pres, truncation)
+                assert [sorted(d) for d in res.degrees] == \
+                    [sorted(d) for d in want[:truncation + 1]]
+                assert res.complete == (complete and
+                                        len(want) <= truncation)
+    assert kinds == {True, False}
+
+
+def test_unit_split_keeps_the_hilbert_data():
+    """Cancelling unit entries leaves the cokernel's Hilbert data as it
+    was, on random homogeneous presentations over GF(101)[x,y,z] with
+    units in columns that have entries in other rows too."""
+    rng = random.Random(67)
+    split_rows = 0
+    for _ in range(40):
+        row_degrees = [rng.randrange(3) for _ in range(rng.randrange(2, 4))]
+        cols = []
+        for _ in range(rng.randrange(2, 6)):
+            if rng.random() < 0.5:
+                degree = rng.choice(row_degrees)
+            else:
+                degree = max(row_degrees) + rng.randrange(1, 3)
+            col = _random_column(rng, degree, row_degrees)
+            for r, shift in enumerate(row_degrees):
+                if shift == degree and rng.random() < 0.5:
+                    col[(r, (0, 0, 0))] = rng.randrange(1, 101)
+            if col:
+                cols.append(col)
+        nrows = len(row_degrees)
+        out, live, degrees = split_unit_entries(cols, nrows, row_degrees,
+                                                GF101)
+        split_rows += nrows - len(live)
+        before = columns_to_matrix(A3, cols, nrows, row_degrees, 1)
+        after = columns_to_matrix(A3, [c for c in out if c], len(live),
+                                  degrees, 1)
+        assert module_hilbert_data(before, row_degrees) == \
+            module_hilbert_data(after, degrees)
+    assert split_rows > 20
 
 
 # -- duals -----------------------------------------------------------------
@@ -231,9 +408,10 @@ def _exponent_word(exps):
     return "*".join(f"{v}^{e}" for v, e in zip("xyz", exps) if e)
 
 
-def _random_presentation_rows(rng):
+def _random_presentation_rows(rng, binomials=0.3):
     """One or two rows over GF(101)[x,y,z], each row's generator killed by
-    x^3 and y^3, plus random monomial and binomial relations."""
+    x^3 and y^3, plus random monomial relations, each one a binomial with
+    probability ``binomials``."""
     nrows = rng.choice((1, 1, 2))
     words = []
     for _ in range(rng.randrange(1, 4) + nrows):
@@ -242,7 +420,7 @@ def _random_presentation_rows(rng):
         other = exps[:]
         rng.shuffle(other)
         word = _exponent_word(exps)
-        if other != exps and rng.random() < 0.3:
+        if other != exps and rng.random() < binomials:
             word += f" + {rng.randrange(1, 101)}*{_exponent_word(other)}"
         words.append(word)
     cols = [{k: p} for k in range(nrows) for p in ("x^3", "y^3")]
