@@ -219,19 +219,21 @@ def presentation_from_rows(ring: PolyRing, rows, row_degrees=None) -> PolyMatrix
 
 
 def split_unit_entries(cols, rank: int, row_degrees, field):
-    """Cancel constant entries of a presentation by Schur complements.
+    """Cancel unit entries of a presentation by Schur complements.
 
-    A constant entry u at row r of a homogeneous column j is the whole
-    entry there.  Every other column subtracts its row-r entry over u
-    times column j, which clears its row r; then column j and row r go.
-    Returns pruned columns, surviving row indices and their degrees; the
-    cokernel is unchanged.
+    A unit is an entry that is a nonzero constant u, at row r of column j.
+    Every other column subtracts its row-r entry over u times column j,
+    which clears its row r; then column j and row r go.  Returns pruned
+    columns, surviving row indices and their degrees; the cokernel is
+    unchanged.
     """
     cols = [dict(c) for c in cols]
     live_rows = list(range(rank))
     while True:
         unit = next(((j, r, c) for j, col in enumerate(cols)
-                     for (r, m), c in col.items() if not any(m)), None)
+                     for (r, m), c in col.items()
+                     if not any(m) and sum(k[0] == r for k in col) == 1),
+                    None)
         if unit is None:
             break
         j, r, u = unit

@@ -324,6 +324,19 @@ def test_one_run_per_stage_equals_the_two_run_loop():
     assert kinds == {True, False}
 
 
+def test_an_entry_with_a_constant_term_is_not_a_unit():
+    """1 + x is not a unit of A, so it is not cancelled; the column it
+    sits in is inhomogeneous, which the resolution reports."""
+    A = PolyRing(GF101, ("x", "y"))
+    rd = RingData(A, [A.parse("x^2"), A.parse("y^2")])
+    rows = [[A.parse("1 + x"), A.parse("y")], [A.parse("x"), A.zero()]]
+    cols = presentation_from_rows(A, rows).columns_as_vectors()
+    assert split_unit_entries(cols, 2, [0, 0], GF101) == (cols, [0, 1],
+                                                         [0, 0])
+    with pytest.raises(PipelineError, match="inhomogeneous module column"):
+        resolve_over_a(rd, presentation_from_rows(A, rows))
+
+
 def test_unit_split_keeps_the_hilbert_data():
     """Cancelling unit entries leaves the cokernel's Hilbert data as it
     was, on random homogeneous presentations over GF(101)[x,y,z] with
