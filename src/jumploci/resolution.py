@@ -325,11 +325,11 @@ def resolve_over_b(rd: RingData, presentation: PolyMatrix,
     cols = presentation.columns_as_vectors()
     cols, _, row_degrees = split_unit_entries(cols, presentation.nrows,
                                               row_degrees, ring.field)
+    nf = rd.ci_ideal().normal_form
+    cols = [_reduce_column(c, nf, ring) for c in cols]
     for c in cols:
         if c:
             column_degree(ring, c, row_degrees)
-    nf = rd.ci_ideal().normal_form
-    cols = [_reduce_column(c, nf, ring) for c in cols]
     degrees = [list(row_degrees)]
     diffs = []
     while True:

@@ -94,6 +94,17 @@ def test_quotient_ring_is_free_over_itself():
     assert res.betti() == {0: 1}
 
 
+def test_columns_are_reduced_modulo_f_before_their_degree_is_read():
+    """x + y^2 is x over B, so the presentation is homogeneous over B."""
+    A = PolyRing(GF101, ("x", "y"))
+    rd = RingData(A, [A.parse("x^2"), A.parse("y^2")])
+    got = resolve_over_b(rd, _pres(A, ["x + y^2", "y^2"]), 4)
+    want = resolve_over_b(rd, _pres(A, ["x", "y^2"]), 4)
+    assert (got.degrees, got.complete) == (want.degrees, want.complete)
+    with pytest.raises(PipelineError, match="inhomogeneous module column"):
+        resolve_over_b(rd, _pres(A, ["x + x*y", "x^2", "y^2"]), 4)
+
+
 def test_annihilation_precondition_names_the_offender():
     A = PolyRing(GF101, ("x", "y"))
     rd = RingData(A, [A.parse("x^3"), A.parse("y^3")])
