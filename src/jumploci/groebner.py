@@ -20,8 +20,8 @@ monomial input processes no pair at all.
 
 A graded run, given the degrees of the free generators, keys its pairs by
 module degree and settles the columns one degree at a time, keeping only
-minimal generators (see ``ModuleGB``); a resolution over B takes one such
-run per stage.
+minimal generators (see ``ModuleGB``); each stage of a resolution, over A
+or over B, is one such run.
 
 Krull dimensions are read off the leading monomials alone: dim F/U =
 dim F/in(U), the largest dimension of S/J_r over the components r of
@@ -35,6 +35,7 @@ come from Bigatti's pivot recursion (J. Pure Appl. Algebra 119, 1997).
 from __future__ import annotations
 
 import heapq
+from functools import cached_property
 
 from .poly import Polynomial, PolyRing
 from .matrix import PolyMatrix
@@ -130,6 +131,14 @@ class ModuleGB:
         self._run_buchberger(seeded)
         if not track:
             self._interreduce()
+
+    @classmethod
+    def of_basis(cls, ring: PolyRing, rank: int, basis):
+        """An untracked basis for division only, from (monic vector, lead)
+        pairs that already form a Groebner basis; no run is made."""
+        gb = cls.__new__(cls)
+        gb.ring, gb.rank, gb.track, gb.basis = ring, rank, False, basis
+        return gb
 
     # -- term order ------------------------------------------------------
 
@@ -376,17 +385,30 @@ class ModuleGB:
                     if 0 not in s), default=-1)
 
     def lift(self, v):
-        """Coefficients expressing ``v`` in the input columns, or None.
+        """Coefficients c_i with ``v + sum c_i * column_i = 0``, or None
+        when ``v`` is outside the span of the columns.
 
-        Returns a list of polynomials, one per kept column, with
-        ``v = sum coeff_i * column_i``.
+        Returns the nonzero c_i only, as polynomials keyed by the position
+        of column i in ``kept``: the shadow terms of the normal form of
+        ``v``, read as they stand.
         """
         if not self.track:
             raise ValueError("lifting requires a tracked basis")
-        w = self._reduce_full({k: c for k, c in v.items() if k[0] < self.rank})
-        if any(k[0] < self.rank for k in w):
-            return None
-        return self._shadow_to_coeffs(w, negate=True)
+        rank = self.rank
+        w = self._reduce_full({k: c for k, c in v.items() if k[0] < rank})
+        per = {}
+        for (comp, m), c in w.items():
+            if comp < rank:
+                return None
+            per.setdefault(comp - rank, {})[m] = c
+        at = self._position
+        return {at[j]: Polynomial(self.ring, terms)
+                for j, terms in per.items()}
+
+    @cached_property
+    def _position(self):
+        """Input column index -> its position in ``kept``."""
+        return {j: p for p, j in enumerate(self.kept)}
 
     def syzygies(self):
         """Generators of the syzygy module of the input columns.
@@ -397,13 +419,10 @@ class ModuleGB:
             raise ValueError("syzygies require a tracked basis")
         return [self._shadow_to_coeffs(s) for s in self._syzygies]
 
-    def _shadow_to_coeffs(self, v, negate: bool = False):
-        fld = self.ring.field
+    def _shadow_to_coeffs(self, v):
         per = [dict() for _ in range(self.ncols)]
         for (comp, m), c in v.items():
-            if comp < self.rank:
-                continue
-            per[comp - self.rank][m] = fld.neg(c) if negate else c
+            per[comp - self.rank][m] = c
         return [Polynomial(self.ring, per[j]) for j in self.kept]
 
 
@@ -419,14 +438,12 @@ def vector_of(polys, ring: PolyRing):
     return out
 
 
-def coeffs_to_matrix(ring: PolyRing, coeff_lists, nrows: int) -> PolyMatrix:
-    """Column-per-list matrix from lift/syzygy output."""
-    entries = {}
-    for c, lst in enumerate(coeff_lists):
-        for r, p in enumerate(lst):
-            if not p.is_zero():
-                entries[(r, c)] = p
-    return PolyMatrix(ring, nrows, len(coeff_lists), entries)
+def coeffs_to_matrix(ring: PolyRing, columns, nrows: int) -> PolyMatrix:
+    """Matrix with one column per mapping row -> polynomial (a ``lift``
+    result, or ``dict(enumerate(s))`` of a syzygy s); zeros are skipped."""
+    entries = {(r, c): p for c, col in enumerate(columns)
+               for r, p in col.items() if not p.is_zero()}
+    return PolyMatrix(ring, nrows, len(columns), entries)
 
 
 def syzygy_matrix(mat: PolyMatrix, extra_columns=None) -> PolyMatrix:
@@ -441,7 +458,8 @@ def syzygy_matrix(mat: PolyMatrix, extra_columns=None) -> PolyMatrix:
     if extra_columns:
         cols = cols + list(extra_columns)
     gb = ModuleGB(mat.ring, mat.nrows, cols, track=True)
-    return coeffs_to_matrix(mat.ring, gb.syzygies(), len(cols))
+    return coeffs_to_matrix(mat.ring, [dict(enumerate(s))
+                                       for s in gb.syzygies()], len(cols))
 
 
 class Ideal:
@@ -484,6 +502,13 @@ class Ideal:
             return p
         w = self._basis().normal_form(vector_of([p], self.ring))
         return Polynomial(self.ring, {m: c for (_, m), c in w.items()})
+
+    def in_every_component(self, rank: int) -> ModuleGB:
+        """Basis of I e_1 + ... + I e_rank, for division: the ideal's basis
+        placed in every component is already a Groebner basis of it."""
+        return ModuleGB.of_basis(self.ring, rank, [
+            ({(j, m): c for (_, m), c in g.items()}, (j, lead[1]))
+            for j in range(rank) for g, lead in self._basis().basis])
 
     def is_unit_ideal(self) -> bool:
         return self.contains(self.ring.one())

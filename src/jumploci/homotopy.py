@@ -140,19 +140,19 @@ def compute_higher_homotopies(res: FreeResolution,
         """h with d_t o h = -target_mat, via tracked division.
 
         None for a zero target: the zero block, which is not stored.  A
-        column not in the image of d_t is left zero, so the identity check
-        fails on it.  The tracked basis of d_t comes from the resolution,
-        which builds it only when a nonzero target needs it.
+        column's lift gives the c with v + d_t c = 0, so h takes it as
+        it stands.  A column not in the image of d_t is left zero, so the
+        identity check fails on it.  The tracked basis of d_t comes from
+        the resolution, in d_t's own coordinates.
         """
         if target_mat.is_zero():
             return None
         gb = res.image_basis(t)
         entries = {}
         for j, v in enumerate(target_mat.columns_as_vectors()):
-            coeffs = gb.lift(v) if v else None
-            for row, p in enumerate(coeffs or ()):
-                if not p.is_zero():
-                    entries[(row, j)] = -p
+            if v:
+                for row, p in (gb.lift(v) or {}).items():
+                    entries[(row, j)] = p
         return PolyMatrix(ring, ranks[t], target_mat.ncols, entries)
 
     sys = HigherHomotopySystem(res, {})

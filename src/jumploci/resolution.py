@@ -1,20 +1,19 @@
 """Minimal graded free resolutions over A and over B = A/(f).
 
 A is a weighted polynomial ring; B is its quotient by the declared
-homogeneous elements f_1..f_c.  Resolutions over A are finite and built by
-iterated syzygies, pruning each syzygy stage to a minimal generating set
-(over a graded ring this yields the minimal resolution).  By graded
-Nakayama a degree-d column is redundant exactly when it is redundant in
-degree d, so the pruning over A builds one Groebner basis per column
-degree, of the columns kept below it, and settles the degree-d columns by
-linear algebra over k on their normal forms.  Resolutions over B are
+homogeneous elements f_1..f_c.  Both are built by one loop: each stage is
+one Groebner run over its candidate columns (the presentation, then the
+previous run's syzygies) that goes degree by degree.  It settles the
+degree-d columns once every pair of degree <= d is processed, keeps a
+minimal generating set of their span (over a graded ring this yields the
+minimal resolution), and its syzygies, in the coordinates of the kept
+columns, are the next stage's candidates, as in the degree by degree
+construction of La Scala and Stillman (J. Symb. Comp. 26, 1998).
+Resolutions over A are finite, and each run stays on the resolution as
+the basis the higher homotopies lift through d_t.  Resolutions over B are
 truncated and emulate module arithmetic over B inside A by adjoining the
-columns f_k e_j.  Each of their stages is one tracked Groebner run that
-goes degree by degree: it settles the degree-d columns once every pair
-of degree <= d is processed, keeps the minimal ones with shadow
-coordinates, and its syzygies give the next stage, as in the degree by
-degree construction of La Scala and Stillman (J. Symb. Comp. 26, 1998).
-The last stage takes no syzygies.  ``resolve_over_b`` is the oracle
+columns f_k e_j to each run and reducing each syzygy modulo (f); their
+last stage takes no syzygies.  ``resolve_over_b`` is the oracle
 route: the Betti numbers the command line prints come from
 H(X) = Ext_B(M, k) (see ``loci.betti_numbers``); it drives the
 hypersurface point oracle and serves as the independent check of that
@@ -118,57 +117,6 @@ def columns_to_matrix(ring: PolyRing, cols, nrows: int,
                       [(hom_index, d) for d in col_degs])
 
 
-def minimal_generator_columns(ring: PolyRing, rank: int, cols, row_degrees):
-    """Prune columns to a minimal generating set of their span over A.
-
-    The rule: go through the columns in ascending (degree, index) order,
-    drop each one that lies in the span of the columns not yet dropped,
-    and return the rest in that order.
-
-    It is applied one degree d at a time, with one Groebner basis per
-    degree, of the columns kept below degree d.  Columns of degree > d
-    cannot reach degree d, and the weights are positive, so a degree-d
-    column lies in the span of the others exactly when its normal form
-    modulo the lower kept columns is a k-linear combination of the normal
-    forms of the other degree-d columns.  Going through the degree-d group
-    from its last column to its first, a column is kept exactly when its
-    normal form is outside the k-span of those of the later columns.  This
-    is the rule above: had the rule dropped j, with v_j = sum a_i v_i over
-    kept earlier columns i and all later ones, and a_i != 0 for some
-    earlier i, then the earliest such i lies in the span of the columns
-    after it, and the rule would have dropped it in its turn.  Over B the
-    graded ``ModuleGB`` run applies the same rule (see ``resolve_over_b``).
-    """
-    cols = [c for c in cols if c]
-    degs = [column_degree(ring, c, row_degrees) for c in cols]
-    kept = []
-    for d in sorted(set(degs)):
-        lower = [cols[i] for i in kept]
-        nf = ModuleGB(ring, rank, lower).normal_form if lower else dict
-        echelon = {}
-        kept_d = []
-        for j in reversed([j for j, dj in enumerate(degs) if dj == d]):
-            if _extend_echelon(ring.field, echelon, nf(cols[j])):
-                kept_d.append(j)
-        kept.extend(reversed(kept_d))
-    return [cols[i] for i in kept]
-
-
-def _extend_echelon(fld, echelon, v) -> bool:
-    """Reduce the sparse vector ``v`` by ``echelon`` (pivot -> monic row
-    whose largest key is the pivot); add it and return True when it is
-    outside their span."""
-    while v:
-        pivot = max(v)
-        row = echelon.get(pivot)
-        if row is None:
-            inv = fld.inv(v[pivot])
-            echelon[pivot] = {k: fld.mul(c, inv) for k, c in v.items()}
-            return True
-        v = _vec_add(fld, v, row, fld.neg(v[pivot]))
-    return False
-
-
 # -- resolutions ----------------------------------------------------------
 
 
@@ -188,8 +136,10 @@ class FreeResolution:
         return len(self.differentials)
 
     def image_basis(self, t: int) -> ModuleGB:
-        """Tracked Groebner basis of the columns of d_t, for lifting through
-        d_t; ``resolve_over_a`` stores the one it took the syzygies from."""
+        """Tracked Groebner basis whose coordinates are the columns of d_t,
+        in order, for lifting through d_t: the graded run
+        ``resolve_over_a`` took d_t from, or else, for a resolution built
+        another way, an ungraded run of d_t's columns, built here once."""
         gb = self.image_bases.get(t)
         if gb is None:
             dt = self.differentials[t - 1]
@@ -252,33 +202,13 @@ def split_unit_entries(cols, rank: int, row_degrees, field):
 
 
 def resolve_over_a(rd: RingData, presentation: PolyMatrix) -> FreeResolution:
-    """Finite minimal graded free resolution of coker(presentation) over A."""
-    ring = rd.ring
-    row_degrees = [d[1] for d in (presentation.row_degrees
-                                  or [(0, 0)] * presentation.nrows)]
-    cols = presentation.columns_as_vectors()
-    cols, _, row_degrees = split_unit_entries(cols, presentation.nrows,
-                                              row_degrees, ring.field)
-    rank = len(row_degrees)
-    cols = minimal_generator_columns(ring, rank, cols, row_degrees)
-    degrees = [list(row_degrees)]
-    diffs = []
-    bases = {}
-    hom = 1
-    while cols:
-        if hom > rd.n + 1:
-            raise AssertionError("resolution over A exceeded the ring dimension")
-        mat = columns_to_matrix(ring, cols, rank, degrees[-1], hom)
-        diffs.append(mat)
-        degrees.append([d[1] for d in mat.col_degrees])
-        gb = bases[hom] = ModuleGB(ring, rank, cols, track=True)
-        syz = [vector_of(s, ring) for s in gb.syzygies()]
-        syz = [s for s in syz if s]
-        rank = len(cols)
-        cols = minimal_generator_columns(ring, rank, syz, degrees[-1])
-        hom += 1
-    return FreeResolution(rd, "A", diffs, degrees, complete=True,
-                          image_bases=bases)
+    """Finite minimal graded free resolution of coker(presentation) over A.
+
+    Each stage is one tracked graded ``ModuleGB`` run with no ``modulo``
+    columns; d_t is its kept columns, in ``kept`` order, so the run, kept
+    in ``image_bases``, lifts through d_t in d_t's own coordinates.
+    """
+    return _resolve(rd, presentation, None)
 
 
 def check_annihilation(rd: RingData, presentation: PolyMatrix):
@@ -311,56 +241,76 @@ def resolve_over_b(rd: RingData, presentation: PolyMatrix,
     not resolved past it: complete exactly when it has fewer stages.
 
     Each stage is one graded ``ModuleGB`` run over its candidate columns
-    modulo the f_k e_j: it keeps a minimal generating set over B (the rule
-    of ``minimal_generator_columns``), and its syzygies, reduced modulo
-    (f), are the candidates of the next stage.  The last stage takes no
-    syzygies, so its run is untracked and stops at its top column degree.
+    modulo the f_k e_j, which keeps a minimal generating set over B.  The
+    candidates are reduced modulo (f) first, and the last stage's run,
+    which takes no syzygies, is untracked and stops at its top column
+    degree.
     """
     if truncation < 1:
         raise PipelineError("truncation bound must be >= 1")
     check_annihilation(rd, presentation)
+    return _resolve(rd, presentation, truncation)
+
+
+def _resolve(rd: RingData, presentation: PolyMatrix,
+             truncation) -> FreeResolution:
+    """The stages of a resolution over A (``truncation`` None) or over B.
+
+    A stage's run keeps a column exactly when it lies outside the span of
+    the kept columns of lower degree, the later columns of its degree and
+    (over B) the f_k e_j (see ``ModuleGB``).  That is the rule that goes
+    through the columns in ascending (degree, index) order and drops each
+    one in the span of the columns not yet dropped: had it dropped j, with
+    v_j a combination of kept earlier columns and later ones in which some
+    earlier i has a nonzero coefficient, then the earliest such i lies in
+    the span of the columns after it and would have been dropped in turn.
+    """
+    over_b = truncation is not None
     ring = rd.ring
     row_degrees = [d[1] for d in (presentation.row_degrees
                                   or [(0, 0)] * presentation.nrows)]
-    cols = presentation.columns_as_vectors()
-    cols, _, row_degrees = split_unit_entries(cols, presentation.nrows,
-                                              row_degrees, ring.field)
-    nf = rd.ci_ideal().normal_form
-    cols = [_reduce_column(c, nf, ring) for c in cols]
-    for c in cols:
-        if c:
-            column_degree(ring, c, row_degrees)
+    cols, _, row_degrees = split_unit_entries(
+        presentation.columns_as_vectors(), presentation.nrows, row_degrees,
+        ring.field)
+
+    def candidates(cols, rank):
+        """The nonzero columns, over B reduced modulo (f) first."""
+        if over_b:
+            nf = rd.ci_ideal().in_every_component(rank).normal_form
+            cols = [nf(c) for c in cols]
+        return [c for c in cols if c]
+
+    cols = candidates(cols, len(row_degrees))
+    for c in cols:  # a graded run reads a column's degree off one term
+        column_degree(ring, c, row_degrees)
     degrees = [list(row_degrees)]
     diffs = []
-    while True:
+    bases = {}
+    while cols:
         rank = len(degrees[-1])
-        last = len(diffs) + 1 == truncation
+        hom = len(diffs) + 1
+        if not over_b and hom > rd.n + 1:
+            raise AssertionError("resolution over A exceeded the ring dimension")
+        last = hom == truncation
         gb = ModuleGB(ring, rank, cols, not last, degrees[-1],
-                      rd.quotient_columns(rank))
+                      rd.quotient_columns(rank) if over_b else ())
         if not gb.kept:
             break
         cols = [cols[j] for j in gb.kept]
-        mat = columns_to_matrix(ring, cols, rank, degrees[-1], len(diffs) + 1)
+        mat = columns_to_matrix(ring, cols, rank, degrees[-1], hom)
         diffs.append(mat)
         degrees.append([d[1] for d in mat.col_degrees])
         if last:
             break
-        cols = [_reduce_column(vector_of(s, ring), nf, ring)
-                for s in gb.syzygies()]
-    return FreeResolution(rd, "B", diffs, degrees,
-                          complete=len(diffs) < truncation)
-
-
-def _reduce_column(col, nf, ring):
-    per_row = {}
-    for (r, m), c in col.items():
-        per_row.setdefault(r, {})[m] = c
-    out = {}
-    for r, terms in per_row.items():
-        p = nf(Polynomial(ring, terms))
-        for m, c in p.terms.items():
-            out[(r, m)] = c
-    return out
+        if not over_b:
+            bases[hom] = gb
+        cols = candidates([vector_of(s, ring) for s in gb.syzygies()],
+                          len(cols))
+    if over_b:
+        return FreeResolution(rd, "B", diffs, degrees,
+                              complete=len(diffs) < truncation)
+    return FreeResolution(rd, "A", diffs, degrees, complete=True,
+                          image_bases=bases)
 
 
 # -- dualization over A ---------------------------------------------------

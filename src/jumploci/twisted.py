@@ -174,20 +174,21 @@ def homology_presentation(X: TwistedComplex):
             raise AssertionError("inhomogeneous homology generator")
         gen_degrees.append(degs.pop())
     gb_z = ModuleGB(S, r, cycles, track=True)
+    fld = S.field
     relations = []
     for j in range(X.D.ncols):
-        col = {}
+        col = {}  # minus column j, so that its lift expresses column j
         for (rr, cc), p in X.D.entries.items():
             if cc == j:
                 for m, co in p.terms.items():
-                    col[(rr, m)] = co
+                    col[(rr, m)] = fld.neg(co)
         if not col:
             continue
         coeffs = gb_z.lift(col)
         if coeffs is None:
             raise AssertionError("boundary does not lie in the cycle span")
         relations.append(coeffs)
-    relations.extend(gb_z.syzygies())
+    relations.extend(dict(enumerate(s)) for s in gb_z.syzygies())
     mat = coeffs_to_matrix(S, relations, len(cycles))
     mat.row_degrees = list(gen_degrees)
     return (mat, gen_degrees)

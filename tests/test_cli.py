@@ -306,6 +306,22 @@ def test_module_not_annihilated_by_f_is_an_input_error(capfd, tmp_path):
         assert err == "error: f_1 = x^2 does not annihilate the module\n"
 
 
+@pytest.mark.parametrize("rows", ["[[x, 0, x], [0, y^2, y^2]]",
+                                  "[[y^2, 0, y^2], [x, x, 0]]"])
+def test_inhomogeneous_column_is_an_input_error(capfd, tmp_path, rows):
+    """A column with entries x and y^2 has degrees 1 and 2 in its two
+    rows.  A graded run reads a column's degree off one term, so the
+    resolution over A checks every column before its first run, also the
+    second presentation's, which the run would drop as the sum of the
+    other two."""
+    session = tmp_path / "inhomogeneous.session"
+    session.write_text("field GF(101)\nring x, y\nci x^2, y^2\n"
+                       f"module coker {rows}\n")
+    code, out, err = _run(capfd, ["crk", "--input", str(session)])
+    assert code == 1 and out == ""
+    assert err == "error: inhomogeneous module column\n"
+
+
 def test_unit_entry_is_cancelled_with_its_whole_row(capfd, tmp_path):
     """coker [[1, x, y], [1, 0, 0]] is k = coker [[x, y]]: cancelling the
     unit subtracts x and y times its column, so they move to the other

@@ -127,9 +127,10 @@ def test_verification_checks_the_top_of_the_complex():
 
 def test_a_bad_lift_fails_the_identity_it_solves(flag_pipeline, monkeypatch):
     """No verification pass follows the construction: each identity is
-    checked as it is solved.  A lift with one coefficient off by x (d has
-    no zero column, so d o h changes) must fail the identity of the very
-    slot (J, t) it solves, whichever of the lifts it is."""
+    checked as it is solved.  A lift with its coefficient at column 0 of
+    d off by x, stored or absent from the sparse result (d has no zero
+    column, so d o h changes), must fail the identity of the very slot
+    (J, t) it solves, whichever of the lifts it is."""
     rd, pres, res, sys, X = flag_pipeline
     x = rd.ring.gen(0)
     lift = ModuleGB.lift
@@ -148,7 +149,7 @@ def test_a_bad_lift_fails_the_identity_it_solves(flag_pipeline, monkeypatch):
         def off_by_x(self, v, n=n):
             coeffs = lift(self, v)
             if len(seen) == n:
-                coeffs[0] = coeffs[0] + x
+                coeffs[0] = coeffs.get(0, rd.ring.zero()) + x
             seen.append(v)
             return coeffs
 
@@ -183,7 +184,9 @@ def test_construction_checks_the_top_of_the_complex():
 def _every_block_sigma(res, rd):
     """Reference: the solve loop before zero blocks were skipped.  It lifts
     every target, zero or not, one column at a time from a scan of all
-    entries, and stores every block it solves, zero blocks included."""
+    entries, and stores every block it solves, zero blocks included.  It
+    lifts through fresh bases built as the resolution builds its stages:
+    graded tracked runs over the columns of d_t."""
     ring = rd.ring
     L = res.length
     ranks = [len(d) for d in res.degrees]
@@ -193,20 +196,20 @@ def _every_block_sigma(res, rd):
         if t not in bases:
             dt = res.differentials[t - 1]
             bases[t] = ModuleGB(ring, dt.nrows, dt.columns_as_vectors(),
-                                track=True)
+                                True, res.degrees[t - 1])
         cols = []
         for j in range(target.ncols):
-            v = {}
+            v = {}  # minus column j: its lift c solves d_t c = column j
             for (r, c), p in target.entries.items():
                 if c == j:
                     for m, co in p.terms.items():
-                        v[(r, m)] = co
+                        v[(r, m)] = ring.field.neg(co)
             coeffs = bases[t].lift(v)
             assert coeffs is not None
             cols.append(coeffs)
         return PolyMatrix(ring, ranks[t], target.ncols,
                           {(r, j): p for j, coeffs in enumerate(cols)
-                           for r, p in enumerate(coeffs)})
+                           for r, p in coeffs.items()})
 
     sigma = {}
 
@@ -276,9 +279,9 @@ def test_no_zero_block_is_stored_and_the_rest_are_unchanged():
     """Every nonzero block equals the one the every-block loop solves,
     entry for entry; no zero block is stored; every solved multi-index
     keeps its (possibly empty) dict; and X(M) has the same differential.
-    The construction lifts through the tracked bases that
-    ``resolve_over_a`` kept from its syzygy steps, one per d_t, and builds
-    no other; the every-block loop builds fresh ones from d_t."""
+    The construction lifts through the graded runs that
+    ``resolve_over_a`` took each d_t from, and builds no other; the
+    every-block loop builds fresh graded runs over d_t's columns."""
     skipped = 0
     for rd, pres in _homotopy_inputs():
         res = resolve_over_a(rd, pres)

@@ -1,5 +1,6 @@
 """Resolutions over the polynomial ring and its quotients, duals, tails."""
 
+import functools
 import itertools
 import random
 from fractions import Fraction
@@ -7,18 +8,24 @@ from fractions import Fraction
 import pytest
 
 from jumploci import GF, PolyRing
+from jumploci.poly import Polynomial
 from jumploci.groebner import (ModuleGB, _vec_add, module_hilbert_data,
                                syzygy_matrix, vector_of)
 from jumploci.resolution import (RingData, PipelineError, TruncationNeeded,
-                                 presentation_from_rows, resolve_over_a,
-                                 resolve_over_b, dualize_over_a, BettiTable,
+                                 FreeResolution, presentation_from_rows,
+                                 resolve_over_a, resolve_over_b,
+                                 dualize_over_a, BettiTable,
                                  fit_quasi_polynomial, column_degree,
-                                 columns_to_matrix, minimal_generator_columns,
+                                 columns_to_matrix,
                                  resolution_euler_numerator,
-                                 split_unit_entries, _extend_echelon,
-                                 _reduce_column)
+                                 split_unit_entries)
 
-from conftest import matrix_of
+from jumploci.homotopy import compute_higher_homotopies
+from jumploci.loci import crk_at
+from jumploci.session import parse_session
+from jumploci.twisted import build_twisted_complex
+
+from conftest import REPO, SESSIONS, matrix_of, random_monomial_rows
 
 GF101 = GF(101)
 A3 = PolyRing(GF101, ("x", "y", "z"))
@@ -180,24 +187,20 @@ def _column_set(rng, row_degrees):
 def test_pruning_per_degree_equals_pruning_per_column(over_b, row_degrees):
     """Same kept columns, in the same order, as the per-column route, on
     random column sets with zero columns, duplicates, scalar multiples,
-    sums of two columns of one degree and multiples of lower columns:
-    over A by ``minimal_generator_columns``, over B by the graded run of a
-    resolution stage, untracked (a last stage) and tracked."""
+    sums of two columns of one degree and multiples of lower columns, for
+    the graded run of a resolution stage, untracked and tracked: over A
+    with no ``modulo`` columns, over B modulo the f_k e_j."""
     rd = RingData(A3, [A3.parse("x^3"), A3.parse("y^3")]) if over_b else None
     rank = len(row_degrees)
+    modulo = rd.quotient_columns(rank) if over_b else ()
     rng = random.Random(f"{over_b}{row_degrees}")
     for _ in range(12):
         cols = _column_set(rng, row_degrees)
         position = {id(c): j for j, c in enumerate(cols)}
         want = [position[id(c)] for c in
                 _per_column_pruning(A3, rank, cols, row_degrees, rd)]
-        if not over_b:
-            got = minimal_generator_columns(A3, rank, cols, row_degrees)
-            assert [position[id(c)] for c in got] == want
-            continue
         for track in (False, True):
-            gb = ModuleGB(A3, rank, cols, track, row_degrees,
-                          rd.quotient_columns(rank))
+            gb = ModuleGB(A3, rank, cols, track, row_degrees, modulo)
             assert list(gb.kept) == want
 
 
@@ -239,17 +242,15 @@ def _column_times(syzygy, cols):
     return out
 
 
-@pytest.mark.parametrize("row_degrees", [(0,), (0, 0), (0, 1), (2, 0)])
-def test_stage_syzygies_are_the_kernel_over_b(row_degrees):
+def _check_stage_syzygies(row_degrees, quotient, seed):
     """Each syzygy of a tracked graded run has one entry per kept column
-    and maps the kept columns into the span of the f_k e_j; together they
-    generate the same module as the syzygies of a separate tracked basis
-    of the kept columns and the f_k e_j, cut to the kept coordinates."""
-    rd = RingData(A3, [A3.parse("x^3"), A3.parse("y^3")])
+    and maps the kept columns into the span of the ``quotient`` columns;
+    together they generate the same module as the syzygies of a separate
+    tracked basis of the kept columns and the quotient columns, cut to the
+    kept coordinates."""
     rank = len(row_degrees)
-    quotient = rd.quotient_columns(rank)
     span = ModuleGB(A3, rank, quotient)
-    rng = random.Random(f"kernel{row_degrees}")
+    rng = random.Random(seed)
     for _ in range(6):
         cols = _column_set(rng, row_degrees)
         gb = ModuleGB(A3, rank, cols, True, row_degrees, quotient)
@@ -265,16 +266,62 @@ def test_stage_syzygies_are_the_kernel_over_b(row_degrees):
             assert all(gb.contains(v) for v in these)
 
 
-def _per_degree_pruning_over_b(rd, rank, cols, row_degrees):
-    """The pruning over B before the graded run: per degree, a fresh
-    untracked basis of the kept lower columns and the f_k e_j."""
-    ring = rd.ring
+@pytest.mark.parametrize("row_degrees", [(0,), (0, 0), (0, 1), (2, 0)])
+def test_stage_syzygies_are_the_kernel_over_b(row_degrees):
+    """The stage syzygies of a run modulo the f_k e_j (see
+    ``_check_stage_syzygies``)."""
+    rd = RingData(A3, [A3.parse("x^3"), A3.parse("y^3")])
+    _check_stage_syzygies(row_degrees, rd.quotient_columns(len(row_degrees)),
+                          f"kernel{row_degrees}")
+
+
+@pytest.mark.parametrize("row_degrees", [(0,), (0, 0), (0, 1), (2, 0)])
+def test_stage_syzygies_are_the_kernel_over_a(row_degrees):
+    """The stage syzygies of a run with no quotient columns, as over A:
+    they map the kept columns to zero."""
+    _check_stage_syzygies(row_degrees, [], f"kernel over A{row_degrees}")
+
+
+def _extend_echelon(fld, echelon, v) -> bool:
+    """Reduce the sparse vector ``v`` by ``echelon`` (pivot -> monic row
+    whose largest key is the pivot); add it and return True when it is
+    outside their span."""
+    while v:
+        pivot = max(v)
+        row = echelon.get(pivot)
+        if row is None:
+            inv = fld.inv(v[pivot])
+            echelon[pivot] = {k: fld.mul(c, inv) for k, c in v.items()}
+            return True
+        v = _vec_add(fld, v, row, fld.neg(v[pivot]))
+    return False
+
+
+def _reduce_column(col, nf, ring):
+    """Reference for the reduction modulo (f): each row entry on its own,
+    through the normal form ``nf`` of a polynomial."""
+    per_row = {}
+    for (r, m), c in col.items():
+        per_row.setdefault(r, {})[m] = c
+    out = {}
+    for r, terms in per_row.items():
+        p = nf(Polynomial(ring, terms))
+        for m, c in p.terms.items():
+            out[(r, m)] = c
+    return out
+
+
+def _per_degree_pruning(ring, rank, cols, row_degrees, quotient=()):
+    """The pruning before the graded run: per degree, a fresh untracked
+    basis of the kept lower columns and the ``quotient`` columns, and the
+    degree-d columns settled from last to first by linear algebra over k
+    on their normal forms."""
     cols = [c for c in cols if c]
     degs = [column_degree(ring, c, row_degrees) for c in cols]
     kept = []
     for d in sorted(set(degs)):
-        lower = [cols[i] for i in kept] + rd.quotient_columns(rank)
-        nf = ModuleGB(ring, rank, lower).normal_form
+        lower = [cols[i] for i in kept] + list(quotient)
+        nf = ModuleGB(ring, rank, lower).normal_form if lower else dict
         echelon = {}
         kept_d = []
         for j in reversed([j for j, dj in enumerate(degs) if dj == d]):
@@ -298,7 +345,8 @@ def _two_run_resolution_over_b(rd, pres, truncation):
     degrees = [row_degrees]
     while True:
         rank = len(degrees[-1])
-        cols = _per_degree_pruning_over_b(rd, rank, cols, degrees[-1])
+        cols = _per_degree_pruning(ring, rank, cols, degrees[-1],
+                                   rd.quotient_columns(rank))
         if not cols:
             return degrees, True
         degrees.append([column_degree(ring, c, degrees[-1]) for c in cols])
@@ -333,6 +381,129 @@ def test_one_run_per_stage_equals_the_two_run_loop():
                 assert res.complete == (complete and
                                         len(want) <= truncation)
     assert kinds == {True, False}
+
+
+def _two_run_resolution_over_a(rd, pres):
+    """The loop of resolve_over_a before one run per stage: prune each
+    stage per degree, then take its syzygies from a separate ungraded
+    tracked basis of the kept columns.  The homotopies lift through the
+    same kind of basis, which ``FreeResolution.image_basis`` builds for a
+    resolution that keeps none."""
+    ring = rd.ring
+    row_degrees = [d[1] for d in pres.row_degrees]
+    cols, _, row_degrees = split_unit_entries(
+        pres.columns_as_vectors(), pres.nrows, row_degrees, ring.field)
+    degrees = [row_degrees]
+    diffs = []
+    while True:
+        rank = len(degrees[-1])
+        cols = _per_degree_pruning(ring, rank, cols, degrees[-1])
+        if not cols:
+            return FreeResolution(rd, "A", diffs, degrees, complete=True)
+        diffs.append(columns_to_matrix(ring, cols, rank, degrees[-1],
+                                       len(diffs) + 1))
+        degrees.append([d[1] for d in diffs[-1].col_degrees])
+        gb = ModuleGB(ring, rank, cols, track=True)
+        cols = [vector_of(s, ring) for s in gb.syzygies()]
+
+
+@functools.cache
+def _coker_inputs():
+    """(rd, presentation) for every coker session of the examples and of
+    the benchmark ladder, for random monomial modules over GF(101)[x,y] /
+    (x^3, y^3), and for random non-monomial ones over GF(101)[x,y,z] /
+    (x^3, y^3)."""
+    out = []
+    paths = sorted(SESSIONS.glob("*.session")) + \
+        sorted((REPO / "perfbench" / "inputs").glob("*.session"))
+    for path in paths:
+        session = parse_session(path.read_text())
+        if session.module.kind == "coker":
+            rd = session.ring_data
+            out.append((rd, presentation_from_rows(rd.ring,
+                                                   session.module.rows)))
+    rng = random.Random(71)
+    A2 = PolyRing(GF101, ("x", "y"))
+    rd = RingData(A2, [A2.parse("x^3"), A2.parse("y^3")])
+    for _ in range(6):
+        out.append((rd, presentation_from_rows(
+            A2, [[A2.monomial(m) for m in random_monomial_rows(rng)]])))
+    rd = RingData(A3, [A3.parse("x^3"), A3.parse("y^3")])
+    for _ in range(8):
+        out.append((rd, presentation_from_rows(
+            A3, _random_presentation_rows(rng, 0.5))))
+    return tuple(out)
+
+
+def _generic_crk(res, rd):
+    sys = compute_higher_homotopies(res, rd)
+    return crk_at(build_twisted_complex(res, sys, rd), None)
+
+
+def test_one_run_per_stage_over_a_equals_the_two_run_loop():
+    """Same generator degrees at every stage and the same generic crk as
+    the loop with a separate pruning and syzygy basis per stage, and a
+    minimal complex, on every coker session of the examples and of the
+    benchmark ladder and on random monomial and non-monomial modules."""
+    kinds = set()
+    for rd, pres in _coker_inputs():
+        kinds.add(all(len(p.terms) <= 1 for p in pres.entries.values()))
+        res = resolve_over_a(rd, pres)
+        old = _two_run_resolution_over_a(rd, pres)
+        assert res.degrees == old.degrees
+        assert res.check_complex() and res.is_minimal()
+        assert _generic_crk(res, rd) == _generic_crk(old, rd)
+    assert kinds == {True, False}
+
+
+def test_resolution_over_a_builds_one_tracked_run_per_stage(monkeypatch):
+    """``resolve_over_a`` constructs one ``ModuleGB`` per stage of its
+    result, tracked, graded and with no ``modulo`` columns: no untracked
+    run, none for the empty stage after the last, and these are the
+    bases it keeps in ``image_bases``."""
+    runs = []
+    init = ModuleGB.__init__
+
+    def counting(self, ring, rank, columns, track=False, row_degrees=None,
+                 modulo=()):
+        runs.append((self, track, row_degrees is not None, tuple(modulo)))
+        init(self, ring, rank, columns, track, row_degrees, modulo)
+
+    monkeypatch.setattr(ModuleGB, "__init__", counting)
+    A = PolyRing(GF101, ("x", "y"))
+    rd = RingData(A, [A.parse("x^2"), A.parse("y^2")])
+    free = [(rd, presentation_from_rows(A, [[]])),
+            (rd, presentation_from_rows(A, [[A.zero(), A.zero()]]))]
+    lengths = set()
+    for rd, pres in _coker_inputs() + tuple(free):
+        runs.clear()
+        res = resolve_over_a(rd, pres)
+        lengths.add(res.length)
+        assert [(True, True, ())] * res.length == [r[1:] for r in runs]
+        assert all(res.image_bases[t] is gb
+                   for t, (gb, *_) in enumerate(runs, 1))
+    assert 0 in lengths and max(lengths) >= 3
+
+
+@pytest.mark.parametrize("ci", [("x^3", "y^3"), ("x^2 + y*z", "y^3 - x*z^2")])
+def test_one_division_modulo_f_equals_the_normal_form_per_row(ci):
+    """Dividing a whole vector once by the ci ideal's reduced basis, placed
+    in every component, gives ``Ideal.normal_form`` of each row entry, on
+    random vectors of rank 1 to 3 with a monomial and a non-monomial ci."""
+    rd = RingData(A3, [A3.parse(f) for f in ci])
+    ideal = rd.ci_ideal()
+    rng = random.Random(f"modulo{ci}")
+    changed = 0
+    for _ in range(30):
+        rank = rng.randrange(1, 4)
+        v = {}
+        for _ in range(rng.randrange(1, 8)):
+            m = tuple(rng.randrange(0, 4) for _ in range(3))
+            v[(rng.randrange(rank), m)] = rng.randrange(1, 101)
+        got = ideal.in_every_component(rank).normal_form(v)
+        assert got == _reduce_column(v, ideal.normal_form, A3)
+        changed += got != v
+    assert changed > 10
 
 
 def test_an_entry_with_a_constant_term_is_not_a_unit():
