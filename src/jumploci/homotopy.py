@@ -11,18 +11,25 @@ Blocks are stored per source homological degree: ``sigma[J][t]`` maps
 F_t -> F_{t + 2|J| - 1}.  Zero blocks are not stored: an absent block is
 the zero block, and ``sigma[J]`` may be empty.  Construction solves the
 defining relations degreewise by lifting through the acyclic complex,
-column by column, and lifts no zero target and no zero column; each
-identity is checked exactly as it is solved.  Dualization along
-Hom_A(-, A) is plain blockwise transposition, which preserves all
-identities because each relation is symmetric in the compositions being
-transposed; ``dualize_homotopies`` and ``verify_system`` are the tests'
-oracle for ``twisted.s_dual``, the program's route to X(M*).
+column by column, and lifts no zero target and no zero column.  It walks
+only the identities whose residual can be nonzero (``_walk``): for each
+total |J| the products sigma_J' o sigma_J'' are formed over pairs of
+stored blocks only, grouped by (J' + J'', t), and an identity with no such
+product, no stored sigma_J next to it and |J| >= 2 is zero by
+construction; each identity walked is checked exactly as it is solved.
+Dualization along Hom_A(-, A) is plain blockwise transposition, which
+preserves all identities because each relation is symmetric in the
+compositions being transposed; ``dualize_homotopies`` and
+``verify_system``, which checks every identity from its splittings, are
+the tests' oracle for the walk and for ``twisted.s_dual``, the program's
+route to X(M*).
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from operator import add
 
 from .matrix import PolyMatrix
 from .resolution import (FreeResolution, RingData, PipelineError,
@@ -76,15 +83,20 @@ def _splittings(J):
         yield Jp, Jpp
 
 
-def _identities(c, L):
-    """(J, splittings of J, t) for every defining identity, in an order in
-    which they can be solved: by |J|, then J (e_1..e_c, then each higher
-    total in the order of ``_multi_indices``), then t upwards.  The
-    identity of J at degree t lands in F_{t + 2|J| - 2}, so identities
-    exist only for 2|J| - 2 <= L."""
+def _solving_order(c, L):
+    """(total, the multi-indices J with |J| = total) in an order in which
+    the identities can be solved: e_1..e_c, then each higher total in the
+    order of ``_multi_indices``.  The identity of J at degree t lands in
+    F_{t + 2|J| - 2}, so identities exist only for 2|J| - 2 <= L."""
     for total in range(1, L // 2 + 2):
-        Js = ([_unit(c, i) for i in range(c)] if total == 1
-              else _multi_indices(c, total))
+        yield total, ([_unit(c, i) for i in range(c)] if total == 1
+                      else list(_multi_indices(c, total)))
+
+
+def _identities(c, L):
+    """(J, splittings of J, t) for every defining identity, in solving
+    order, t upwards; the walk of ``verify_system``."""
+    for total, Js in _solving_order(c, L):
         for J in Js:
             splits = list(_splittings(J))
             for t in range(0, L - 2 * total + 3):
@@ -112,16 +124,68 @@ def _residual(sys: HigherHomotopySystem, rd: RingData, J, splits, t):
         base, [(a, b) for a, b in pairs if a is not None and b is not None])
 
 
+def _walk(sys: HigherHomotopySystem, rd: RingData):
+    """(J, t, r) for every identity whose residual r can be nonzero, in
+    solving order, with r formed from the blocks stored so far as
+    ``_residual`` forms it; the caller may store sigma_J[t] before the
+    walk goes on.
+
+    Before the multi-indices of one total are walked, the products
+    sigma_J'[t + 2|J''| - 1] o sigma_J''[t] are paired up over the stored
+    nonzero blocks of lower totals only, grouped by (J' + J'', t).  An
+    identity is visited when it has such a product, when sigma_J[t - 1]
+    or sigma_J[t] is stored (the terms with d), or when |J| = 1 (the term
+    f_i * id); every other residual is zero by construction.
+    """
+    res = sys.resolution
+    L = res.length
+    ranks = _ranks(res)
+    d = res.differentials
+    levels = [None]  # levels[s]: t -> [(J, sigma_J[t])] for |J| = s
+    for total, Js in _solving_order(rd.c, L):
+        deg = 2 * total - 1
+        products = {}
+        for s in range(1, total):  # s = |J''|, total - s = |J'|
+            highs = levels[total - s]
+            for t, lows in levels[s].items():
+                for Jp, a in highs.get(t + 2 * s - 1, ()):
+                    for Jpp, b in lows:
+                        products.setdefault(
+                            (tuple(map(add, Jp, Jpp)), t), []).append((a, b))
+        level = {}
+        for J in Js:
+            blocks = sys.sigma.get(J, {})
+            for t in range(0, L - deg + 2):
+                pairs = products.get((J, t), [])
+                if t - 1 in blocks:
+                    pairs.append((blocks[t - 1], d[t - 1]))
+                if t in blocks:
+                    pairs.append((d[t + deg - 1], blocks[t]))
+                if total == 1:
+                    base = PolyMatrix.identity(rd.ring, ranks[t],
+                                               scalar=-rd.ci[J.index(1)])
+                elif pairs:
+                    base = PolyMatrix.zero(rd.ring, ranks[t + deg - 1],
+                                           ranks[t])
+                else:
+                    continue
+                yield J, t, PolyMatrix.sum_of_products(base, pairs)
+            for t, b in blocks.items():
+                if not b.is_zero():
+                    level.setdefault(t, []).append((J, b))
+        levels.append(level)
+
+
 def compute_higher_homotopies(res: FreeResolution,
                               rd: RingData) -> HigherHomotopySystem:
     """Solve for a full homotopy system on a resolution over A.
 
-    Each identity is solved and checked in one step: with r its residual
-    while sigma_J(t) is still absent, sigma_J(t) = h lifts -r through d,
-    and r + d o h must vanish.  Where sigma_J(t) would leave F, r itself
-    must vanish.  A resolution of length zero has the empty system only
-    when F_0, the module itself, is zero: f annihilates no nonzero free
-    module.
+    Each identity the walk visits is solved and checked in one step: with
+    r its residual while sigma_J(t) is still absent, sigma_J(t) = h lifts
+    -r through d, and r + d o h must vanish.  Where sigma_J(t) would leave
+    F, r itself must vanish.  A resolution of length zero has the empty
+    system only when F_0, the module itself, is zero: f annihilates no
+    nonzero free module.
     """
     ring = rd.ring
     L = res.length
@@ -142,12 +206,12 @@ def compute_higher_homotopies(res: FreeResolution,
         None for a zero target: the zero block, which is not stored.  A
         column's lift gives the c with v + d_t c = 0, so h takes it as
         it stands.  A column not in the image of d_t is left zero, so the
-        identity check fails on it.  The tracked basis of d_t comes from
-        the resolution, in d_t's own coordinates.
+        identity check fails on it.  The tracked basis of d_t is the run
+        ``resolve_over_a`` took d_t from, in d_t's own coordinates.
         """
         if target_mat.is_zero():
             return None
-        gb = res.image_basis(t)
+        gb = res.image_bases[t]
         entries = {}
         for j, v in enumerate(target_mat.columns_as_vectors()):
             if v:
@@ -155,15 +219,14 @@ def compute_higher_homotopies(res: FreeResolution,
                     entries[(row, j)] = p
         return PolyMatrix(ring, ranks[t], target_mat.ncols, entries)
 
-    sys = HigherHomotopySystem(res, {})
-    for J, splits, t in _identities(rd.c, L):
-        blocks = sys.sigma.setdefault(J, {})
-        r = _residual(sys, rd, J, splits, t)
+    sys = HigherHomotopySystem(res, {J: {} for _, Js in
+                                     _solving_order(rd.c, L) for J in Js})
+    for J, t, r in _walk(sys, rd):
         up = t + 2 * sum(J) - 1
         if up <= L:
             h = lift_through(up, r)
             if h is not None:
-                blocks[t] = h
+                sys.sigma[J][t] = h
                 r = PolyMatrix.sum_of_products(
                     r, [(res.differentials[up - 1], h)])
         if not r.is_zero():
@@ -174,7 +237,8 @@ def compute_higher_homotopies(res: FreeResolution,
 
 def verify_system(sys: HigherHomotopySystem, rd: RingData):
     """Assert every defining identity exactly; raises on any failure.
-    A test oracle: construction checks each identity as it solves it."""
+    A test oracle: it forms every identity from all splittings of J,
+    where the construction checks each identity it walks as it solves it."""
     for J, splits, t in _identities(rd.c, sys.resolution.length):
         if not _residual(sys, rd, J, splits, t).is_zero():
             raise AssertionError(
@@ -201,7 +265,8 @@ def ingest_dg_structure(res: FreeResolution, actions,
     t = 0..L-1.  As a system, sigma_{e_i} = e_i and sigma_J = 0 for
     |J| >= 2, so its identities read d e_i + e_i d = f_i id,
     e_i e_j + e_j e_i = 0 (i != j) and e_i e_i = 0, in every
-    characteristic; the first that fails is reported with its indices.
+    characteristic.  They are walked as the construction walks them, with
+    no lift; the first that fails is reported with its indices.
     """
     ranks = _ranks(res)
     L = res.length
@@ -219,8 +284,7 @@ def ingest_dg_structure(res: FreeResolution, actions,
                     f"{(b.nrows, b.ncols)} != {(ranks[t + 1], ranks[t])}")
     sys = HigherHomotopySystem(res, {_unit(rd.c, i): dict(enumerate(blocks))
                                      for i, blocks in enumerate(actions)})
-    for J, splits, t in _identities(rd.c, L):
-        r = _residual(sys, rd, J, splits, t)
+    for J, t, r in _walk(sys, rd):
         if not r.is_zero():
             raise PipelineError(f"{_dg_identity(J)} at block {t}, "
                                 f"entry {min(r.entries)}")

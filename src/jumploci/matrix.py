@@ -165,8 +165,9 @@ class PolyMatrix:
     def sum_of_products(base: "PolyMatrix", pairs) -> "PolyMatrix":
         """base + the sum of a @ b over ``pairs``, shaped and graded as
         base.  Each entry sums the term products of every pair in one dict
-        of plain coefficients, reduced mod p once at the end (over QQ the
-        sums are already Fractions)."""
+        of plain coefficients; one pass at the end reduces them mod p (over
+        QQ the sums are already Fractions), drops the zero terms and stores
+        the nonzero entries as they stand, all in range by construction."""
         acc = {key: dict(p.terms) for key, p in base.entries.items()}
         for a, b in pairs:
             if (a.nrows, a.ncols, b.ncols) != (base.nrows, b.nrows,
@@ -184,13 +185,17 @@ class PolyMatrix:
                             terms[m] = terms.get(m, 0) + c1 * c2
         ring = base.ring
         char = ring.field.p
-        out = {}
+        out = PolyMatrix(ring, base.nrows, base.ncols, None,
+                         base.row_degrees, base.col_degrees)
+        entries = out.entries
         for key, terms in acc.items():
             if char:
-                terms = {m: v % char for m, v in terms.items()}
-            out[key] = Polynomial._make(ring, terms)
-        return PolyMatrix(ring, base.nrows, base.ncols, out,
-                          base.row_degrees, base.col_degrees)
+                terms = {m: r for m, v in terms.items() if (r := v % char)}
+            else:
+                terms = {m: v for m, v in terms.items() if v}
+            if terms:
+                entries[key] = Polynomial(ring, terms)
+        return out
 
     def transpose(self) -> "PolyMatrix":
         return PolyMatrix(self.ring, self.ncols, self.nrows,

@@ -127,26 +127,14 @@ class FreeResolution:
     differentials: list          # d_1..d_L as PolyMatrix
     degrees: list                # internal degrees of F_0..F_L generators
     complete: bool               # kernel exhausted at the last stage
-    # t -> tracked basis of im d_t (see ``image_basis``)
+    # t -> the tracked run d_t was taken from, whose coordinates are the
+    # columns of d_t in order; the higher homotopies lift through it
     image_bases: dict = field(default_factory=dict, repr=False,
                               compare=False)
 
     @property
     def length(self) -> int:
         return len(self.differentials)
-
-    def image_basis(self, t: int) -> ModuleGB:
-        """Tracked Groebner basis whose coordinates are the columns of d_t,
-        in order, for lifting through d_t: the graded run
-        ``resolve_over_a`` took d_t from, or else, for a resolution built
-        another way, an ungraded run of d_t's columns, built here once."""
-        gb = self.image_bases.get(t)
-        if gb is None:
-            dt = self.differentials[t - 1]
-            gb = self.image_bases[t] = ModuleGB(
-                self.ring_data.ring, dt.nrows, dt.columns_as_vectors(),
-                track=True)
-        return gb
 
     def betti(self) -> dict:
         return {i: len(d) for i, d in enumerate(self.degrees)}

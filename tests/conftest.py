@@ -98,6 +98,15 @@ def nonregular_action():
 # -- random generators -----------------------------------------------------
 
 
+# A module over k[x,y,z] / (x^3, y^3, z^3) whose system of higher
+# homotopies has nonzero blocks at |J| = 2, five of them over GF(101) and
+# over QQ; prepend a ``field`` line to make a session.
+PAIR_BLOCK_SESSION = """ring x, y, z
+ci x^3, y^3, z^3
+module coker [[x^3, y^3, z^3, 19*x^2 + 100*y^2 + 20*x*y, 89*x*z + 86*z^2 + 39*x*y, 11*y*z + 86*x*z + 16*y^2]]
+"""
+
+
 def random_homogeneous(S: PolyRing, rng: random.Random, coh_degree: int):
     """Random homogeneous element of S of the given (even) degree; the
     chi variables have cohomological weight two."""
@@ -157,4 +166,14 @@ def random_monomial_rows(rng: random.Random):
     for _ in range(rng.randrange(1, 4)):
         gens.add((rng.randrange(0, 3), rng.randrange(0, 3)))
     gens.discard((0, 0))
+    return sorted(gens)
+
+
+def random_monomial_rows_3(rng: random.Random):
+    """Exponents of a random monomial ideal of k[x,y,z] that contains
+    x^3, y^3 and z^3."""
+    gens = {(3, 0, 0), (0, 3, 0), (0, 0, 3)}
+    for _ in range(rng.randrange(1, 4)):
+        gens.add(tuple(rng.randrange(0, 3) for _ in range(3)))
+    gens.discard((0, 0, 0))
     return sorted(gens)

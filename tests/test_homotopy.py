@@ -18,7 +18,8 @@ from jumploci.homotopy import (HigherHomotopySystem, compute_higher_homotopies,
 from jumploci.session import parse_session
 from jumploci.twisted import build_twisted_complex
 
-from conftest import REPO, SESSIONS, matrix_of, random_monomial_rows
+from conftest import (REPO, SESSIONS, PAIR_BLOCK_SESSION, matrix_of,
+                      random_monomial_rows, random_monomial_rows_3)
 
 GF101 = GF(101)
 
@@ -168,11 +169,14 @@ def test_a_bad_lift_fails_the_identity_it_solves(flag_pipeline, monkeypatch):
 def test_construction_checks_the_top_of_the_complex():
     """The same complex as above, given to the construction: sigma = [x; 0]
     solves the identity at degree 0, and at the top, where there is no
-    block left to solve for, the identity itself must hold; it does not."""
+    block left to solve for, the identity itself must hold; it does not.
+    The lift goes through a tracked run of d_1's columns, in order."""
     A = PolyRing(GF101, ("x",))
     rd = RingData(A, [A.parse("x^2")])
-    res = FreeResolution(rd, "A", [matrix_of(A, [["x", "0"]])],
-                         [[0], [1, 1]], complete=True)
+    d1 = matrix_of(A, [["x", "0"]])
+    res = FreeResolution(rd, "A", [d1], [[0], [1, 1]], complete=True,
+                         image_bases={1: ModuleGB(A, 1, d1.columns_as_vectors(),
+                                                  track=True)})
     with pytest.raises(AssertionError,
                        match=r"fails for J=\(1,\) at degree 1$"):
         compute_higher_homotopies(res, rd)
@@ -244,14 +248,18 @@ def _every_block_sigma(res, rd):
 
 def _homotopy_inputs():
     """(rd, presentation) for every coker session of the examples and of the
-    benchmark ladder, for random monomial modules over GF(101)[x,y] /
+    benchmark ladder, for the module with nonzero blocks at |J| = 2 over
+    GF(101) and QQ, for random monomial modules over GF(101)[x,y] /
     (x^3, y^3), and for random ones in three variables, whose systems have
     zero blocks."""
     out = []
     paths = sorted(SESSIONS.glob("*.session")) + \
         sorted((REPO / "perfbench" / "inputs").glob("*.session"))
-    for path in paths:
-        session = parse_session(path.read_text())
+    texts = [path.read_text() for path in paths]
+    texts += [f"field {field}\n{PAIR_BLOCK_SESSION}"
+              for field in ("GF(101)", "QQ")]
+    for text in texts:
+        session = parse_session(text)
         if session.module.kind == "coker":
             rd = session.ring_data
             out.append((rd, presentation_from_rows(rd.ring,
@@ -266,12 +274,8 @@ def _homotopy_inputs():
     A = PolyRing(GF101, ("x", "y", "z"))
     rd = RingData(A, [A.parse("x^3"), A.parse("y^3"), A.parse("z^3")])
     for _ in range(6):
-        gens = {(3, 0, 0), (0, 3, 0), (0, 0, 3)}
-        for _ in range(rng.randrange(1, 4)):
-            gens.add(tuple(rng.randrange(0, 3) for _ in range(3)))
-        gens.discard((0, 0, 0))
         out.append((rd, presentation_from_rows(
-            A, [[A.monomial(m) for m in sorted(gens)]])))
+            A, [[A.monomial(m) for m in random_monomial_rows_3(rng)]])))
     return out
 
 
@@ -281,8 +285,11 @@ def test_no_zero_block_is_stored_and_the_rest_are_unchanged():
     keeps its (possibly empty) dict; and X(M) has the same differential.
     The construction lifts through the graded runs that
     ``resolve_over_a`` took each d_t from, and builds no other; the
-    every-block loop builds fresh graded runs over d_t's columns."""
+    every-block loop builds fresh graded runs over d_t's columns.  Some
+    inputs have nonzero blocks at |J| = 2, so that the walk's pair
+    products are compared too."""
     skipped = 0
+    pair_blocks = 0
     for rd, pres in _homotopy_inputs():
         res = resolve_over_a(rd, pres)
         kept = dict(res.image_bases)
@@ -296,10 +303,12 @@ def test_no_zero_block_is_stored_and_the_rest_are_unchanged():
                        if not m.is_zero()}
             assert {t: m.entries for t, m in sys.sigma[J].items()} == nonzero
             skipped += len(blocks) - len(nonzero)
+            pair_blocks += len(nonzero) if sum(J) >= 2 else 0
         reference = HigherHomotopySystem(res, every)
         assert build_twisted_complex(res, sys, rd).D.entries == \
             build_twisted_complex(res, reference, rd).D.entries
     assert skipped > 0
+    assert pair_blocks >= 10
 
 
 def test_strict_action_accepted(koszul_action):

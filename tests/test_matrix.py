@@ -11,7 +11,8 @@ from jumploci.matrix import PolyMatrix, _dedupe_monic
 from jumploci.resolution import PipelineError
 from jumploci.session import parse_session, build_pipeline
 
-from conftest import REPO, matrix_of, random_monomial_rows
+from conftest import (REPO, PAIR_BLOCK_SESSION, matrix_of,
+                      random_monomial_rows, random_monomial_rows_3)
 
 GF101 = GF(101)
 S2 = PolyRing(GF101, ("chi1", "chi2"), (2, 2))
@@ -404,18 +405,26 @@ def _checking_every_sum(monkeypatch):
 
 def test_homotopy_systems_sum_as_the_per_pair_sum(monkeypatch):
     """Every residual, correction and product formed while building the
-    pipelines of the three ``build`` inputs of the benchmark, and of
-    random monomial modules over GF(3) and QQ, equals the per-pair sum."""
+    pipelines of the three ``build`` inputs of the benchmark, of the
+    module with nonzero blocks at |J| = 2, and of random monomial modules
+    in two and three variables over GF(3) and QQ, equals the per-pair
+    sum."""
     calls = _checking_every_sum(monkeypatch)
-    for stem in ("res_n7_e2", "m2_n5_e2", "sq_n6_e2"):
-        path = REPO / "perfbench" / "inputs" / f"{stem}.session"
-        build_pipeline(parse_session(path.read_text()))
+    texts = [(REPO / "perfbench" / "inputs" / f"{stem}.session").read_text()
+             for stem in ("res_n7_e2", "m2_n5_e2", "sq_n6_e2")]
     rng = random.Random(41)
     for field in ("GF(3)", "QQ"):
+        texts.append(f"field {field}\n{PAIR_BLOCK_SESSION}")
         for _ in range(3):
             gens = ", ".join(f"x^{i}*y^{j}" for i, j in
                              random_monomial_rows(rng))
-            build_pipeline(parse_session(
-                f"field {field}\nring x, y\nci x^3, y^3\n"
-                f"module coker [[{gens}]]\n"))
+            texts.append(f"field {field}\nring x, y\nci x^3, y^3\n"
+                         f"module coker [[{gens}]]\n")
+        for _ in range(6):
+            gens = ", ".join(f"x^{i}*y^{j}*z^{k}" for i, j, k in
+                             random_monomial_rows_3(rng))
+            texts.append(f"field {field}\nring x, y, z\n"
+                         f"ci x^3, y^3, z^3\nmodule coker [[{gens}]]\n")
+    for text in texts:
+        build_pipeline(parse_session(text))
     assert calls[0] > 1000

@@ -386,24 +386,25 @@ def test_one_run_per_stage_equals_the_two_run_loop():
 def _two_run_resolution_over_a(rd, pres):
     """The loop of resolve_over_a before one run per stage: prune each
     stage per degree, then take its syzygies from a separate ungraded
-    tracked basis of the kept columns.  The homotopies lift through the
-    same kind of basis, which ``FreeResolution.image_basis`` builds for a
-    resolution that keeps none."""
+    tracked basis of the kept columns.  The homotopies lift through those
+    bases, kept as the resolution's ``image_bases``."""
     ring = rd.ring
     row_degrees = [d[1] for d in pres.row_degrees]
     cols, _, row_degrees = split_unit_entries(
         pres.columns_as_vectors(), pres.nrows, row_degrees, ring.field)
     degrees = [row_degrees]
     diffs = []
+    bases = {}
     while True:
         rank = len(degrees[-1])
         cols = _per_degree_pruning(ring, rank, cols, degrees[-1])
         if not cols:
-            return FreeResolution(rd, "A", diffs, degrees, complete=True)
+            return FreeResolution(rd, "A", diffs, degrees, complete=True,
+                                  image_bases=bases)
         diffs.append(columns_to_matrix(ring, cols, rank, degrees[-1],
                                        len(diffs) + 1))
         degrees.append([d[1] for d in diffs[-1].col_degrees])
-        gb = ModuleGB(ring, rank, cols, track=True)
+        gb = bases[len(diffs)] = ModuleGB(ring, rank, cols, track=True)
         cols = [vector_of(s, ring) for s in gb.syzygies()]
 
 
