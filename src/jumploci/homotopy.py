@@ -12,17 +12,13 @@ F_t -> F_{t + 2|J| - 1}.  Zero blocks are not stored: an absent block is
 the zero block, and ``sigma[J]`` may be empty.  Construction solves the
 defining relations degreewise by lifting through the acyclic complex,
 column by column, and lifts no zero target and no zero column.  It walks
-only the identities whose residual can be nonzero (``_walk``): for each
-total |J| the products sigma_J' o sigma_J'' are formed over pairs of
-stored blocks only, grouped by (J' + J'', t), and an identity with no such
-product, no stored sigma_J next to it and |J| >= 2 is zero by
-construction; each identity walked is checked exactly as it is solved.
+only the identities whose residual can be nonzero, with products of
+stored blocks only (``_walk``), and checks each exactly as it is solved.
 Dualization along Hom_A(-, A) is plain blockwise transposition, which
 preserves all identities because each relation is symmetric in the
 compositions being transposed; ``dualize_homotopies`` and
-``verify_system``, which checks every identity from its splittings, are
-the tests' oracle for the walk and for ``twisted.s_dual``, the program's
-route to X(M*).
+``verify_system``, which checks every identity, are the tests' oracle for
+the walk and for ``twisted.s_dual``, the program's route to X(M*).
 """
 
 from __future__ import annotations
