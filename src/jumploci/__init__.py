@@ -6,12 +6,12 @@ Betti degree and Bass degree, with a small session-file CLI.
 """
 
 from .field import Field, GF, QQ
-from .poly import PolyRing, Polynomial, ring_arithmetic
+from .poly import PolyRing, Polynomial
 from .matrix import PolyMatrix
 
 __all__ = [
     "Field", "GF", "QQ",
-    "PolyRing", "Polynomial", "ring_arithmetic",
+    "PolyRing", "Polynomial",
     "PolyMatrix",
 ]
 

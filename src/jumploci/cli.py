@@ -46,6 +46,10 @@ from .loci import (jump_loci_report, betti_degree, betti_numbers, crk_at,
 from .session import (Session, SessionError, parse_session, build_pipeline,
                       parse_field, parse_variable_names, split_commas)
 
+# Largest truncation ``betti`` accepts: ``betti --n 100000`` on the flag
+# session takes a few seconds, and the list of Betti numbers grows with n.
+MAX_TRUNCATION = 100_000
+
 
 # -- report assembly -------------------------------------------------------
 
@@ -168,6 +172,9 @@ def cmd_betti(session: Session, args) -> dict:
         n = session.options.get("truncation", 20)
     if n <= 0:
         raise PipelineError(f"the truncation must be positive, not {n}")
+    if n > MAX_TRUNCATION:
+        raise PipelineError(
+            f"the truncation must be at most {MAX_TRUNCATION}, not {n}")
     pipe = build_pipeline(session, need_dual=True)
     out = {"n": n, **_betti_block(pipe.X, n)}
     out["dual"] = (None if pipe.dual_presentation is None

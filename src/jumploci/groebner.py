@@ -572,17 +572,6 @@ class Ideal:
 
     # -- Hilbert data ---------------------------------------------------
 
-    def hilbert_numerator(self, weights=None):
-        """Numerator of the Hilbert series of ring/ideal as dict deg -> int.
-
-        The series is numerator / prod_i (1 - t^{w_i}).  Defaults to the
-        ring weights; pass explicit weights to regrade.
-        """
-        if weights is None:
-            weights = self.ring.weights
-        return _hilbert_num(_minimalize(self.lead_monomials()),
-                            tuple(weights))
-
     def dimension(self) -> int:
         """Krull dimension of ring/ideal (-1 for the unit ideal), read off
         the leading monomials of the basis (``ModuleGB.dimension``)."""
@@ -594,7 +583,8 @@ def module_hilbert_data(mat: PolyMatrix, row_shifts=None, weights=None):
 
     ``row_shifts`` are integer degree shifts of the target generators in
     the chosen regrading; ``weights`` regrade the variables (defaults to
-    the ring weights).  Returns ``(dimension, multiplicity, numerator)``;
+    the ring weights).  Returns ``(dimension, multiplicity, numerator)``,
+    the numerator keyed by degree, below 0 too when a shift is negative;
     the zero module reports ``(-1, None, {})``.
     """
     ring = mat.ring
@@ -607,10 +597,9 @@ def module_hilbert_data(mat: PolyMatrix, row_shifts=None, weights=None):
     for _, (comp, mono) in gb.basis:
         per_comp[comp].append(mono)
     total = {}
-    base = max(-min(row_shifts, default=0), 0)
     for r in range(mat.nrows):
         num = _hilbert_num(_minimalize(per_comp[r]), tuple(weights))
-        shift = row_shifts[r] + base
+        shift = row_shifts[r]
         for d, c in num.items():
             total[d + shift] = total.get(d + shift, 0) + c
             if not total[d + shift]:
@@ -622,11 +611,12 @@ def module_hilbert_data(mat: PolyMatrix, row_shifts=None, weights=None):
 def dimension_and_multiplicity(num, nvars: int):
     """Dimension and multiplicity read off a Hilbert numerator.
 
-    ``num`` (dict deg -> int, degrees >= 0) is the numerator of the Hilbert series
-    num / prod_i (1 - t^{w_i}) of a graded module over a ring in ``nvars``
-    variables of positive weights.  Writing num = (1 - t)^s * Q with
-    Q(1) != 0, the dimension is nvars - s and the multiplicity is Q(1).
-    A zero numerator (the zero module) gives ``(-1, None)``.
+    ``num`` (dict deg -> int, degrees of either sign) is the numerator of
+    the Hilbert series num / prod_i (1 - t^{w_i}) of a graded module over
+    a ring in ``nvars`` variables of positive weights.  Writing
+    num = (1 - t)^s * Q with Q(1) != 0, the dimension is nvars - s and the
+    multiplicity is Q(1).  A zero numerator (the zero module) gives
+    ``(-1, None)``.
     """
     if not any(num.values()):
         return (-1, None)
@@ -732,15 +722,15 @@ def _times_one_minus(num, d):
 
 
 def _divide_by_one_minus_t(num):
-    """Exact quotient num / (1 - t) for integer coefficient dicts."""
-    top = max(num)
-    coeffs = [num.get(d, 0) for d in range(top + 1)]
+    """Exact quotient num / (1 - t) for integer coefficient dicts, whose
+    keys may lie below 0."""
     # (1 - t) * q = num  =>  q_d = num_d + q_{d-1}
-    q = []
+    q = {}
     carry = 0
-    for d in range(top + 1):
-        carry = coeffs[d] + carry
-        q.append(carry)
-    if q and q[-1] != 0:
+    for d in range(min(num), max(num) + 1):
+        carry += num.get(d, 0)
+        if carry:
+            q[d] = carry
+    if carry:
         raise ArithmeticError("division by (1 - t) is not exact")
-    return {d: c for d, c in enumerate(q[:-1]) if c}
+    return q

@@ -12,6 +12,10 @@ its jump numbers are computed when first read.  Every Betti-side
 invariant comes from one Hilbert numerator h of H(X) over S, with
 P_M(t) = h(t)/(1 - t^2)^c: the Betti numbers expand it, and the Betti
 degree reads the dimension and multiplicity of its even and odd parts.
+h is read off the numerator h_C of coker D, one untracked column basis:
+D raises the cohomological degree u by one and D^2 = 0, so
+h = (1 + 1/t) h_C - (1/t) sum_i t^{u_i} for any D, minimal or not.  The
+presentation of H(X) in ``homology_presentation`` is the tests' oracle.
 These are invariants of M when X = X(M) is built from the minimal
 A-free resolution of M, as ``build_pipeline`` builds it for a cokernel.
 X(M*) is s_dual(X), a transpose with the minor ideals of X, so M and M*
@@ -186,16 +190,24 @@ def _ext_numerator(X: TwistedComplex):
     by cohomological degree, and c = the number of chi.
 
     Each chi has weight 2, so the Hilbert series of H(X) is h(t)/(1 - t^2)^c.
-    ``module_hilbert_data`` shifts its numerator up to nonnegative degrees;
-    the shift is taken back here so that the parity of a key is that of its
-    cohomological degree.
+    D raises the cohomological degree by one, so rank-nullity in each
+    degree gives HS(H) = HS(X) - (1 + 1/t) HS(im D).  With HS(im D) =
+    HS(X) - HS(coker D) this is h = (1 + 1/t) h_C - (1/t) sum_i t^{u_i},
+    where h_C is the numerator of coker D and u_i are the basis degrees.
+    Only D^2 = 0 is used, so the identity holds for any D, minimal or not;
+    the minimalized D is the smaller matrix to take the basis of.
     """
-    mat, degs = homology_presentation(minimalize(X))
+    X = minimalize(X)
     c = X.S.nvars
-    shifts = [coh for coh, _ in degs]
-    _, _, num = module_hilbert_data(mat, shifts, (2,) * c)
-    base = max(-min(shifts, default=0), 0)
-    return {d - base: v for d, v in num.items()}, c
+    u = [coh for coh, _ in X.basis_degrees]
+    _, _, h_c = module_hilbert_data(X.D, u, (2,) * c)
+    h = {}
+    for d, v in h_c.items():
+        h[d] = h.get(d, 0) + v
+        h[d - 1] = h.get(d - 1, 0) + v
+    for d in u:
+        h[d - 1] = h.get(d - 1, 0) - 1
+    return {d: v for d, v in h.items() if v}, c
 
 
 def betti_numbers(X: TwistedComplex, n: int) -> dict:
@@ -236,9 +248,7 @@ def betti_degree(X: TwistedComplex, crk_generic: int = None) -> int:
     h, c = _ext_numerator(X)
     parts = []
     for parity in (0, 1):
-        keys = [j for j in h if j % 2 == parity]
-        low = min(keys, default=0)
-        part = {(j - low) // 2: h[j] for j in keys}
+        part = {j // 2: v for j, v in h.items() if j % 2 == parity}
         parts.append(dimension_and_multiplicity(part, c))
     complexity = max(dim for dim, _ in parts)
     if complexity <= 0:

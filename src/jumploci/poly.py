@@ -412,13 +412,3 @@ def _parse_polynomial(ring: PolyRing, text: str) -> Polynomial:
         raise ValueError(f"trailing tokens in polynomial: {peek()!r}")
     return out
 
-
-def ring_arithmetic(a: Polynomial, b: Polynomial, op: str) -> Polynomial:
-    """Binary arithmetic with explicit ring-tag checking."""
-    if a.ring != b.ring:
-        raise ValueError("mismatched ring tags")
-    if op == "add":
-        return a + b
-    if op == "mul":
-        return a * b
-    raise ValueError(f"unknown operation {op!r}")

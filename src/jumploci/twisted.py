@@ -153,7 +153,9 @@ def homology_presentation(X: TwistedComplex):
 
     Generators are the kernel cycles of D; relations express the columns
     of D in the cycle generators together with the syzygies among the
-    cycles.
+    cycles.  Production reads the Hilbert numerator of H(X) off coker D
+    (``loci._ext_numerator``); this route is the tests' oracle for it and
+    for the complexity, kept under the name the benchmark tracer wraps.
     """
     S = X.S
     r = X.rank

@@ -131,6 +131,26 @@ def test_betti_rejects_a_nonpositive_truncation(capfd, value):
     assert err == f"error: the truncation must be positive, not {value}\n"
 
 
+def test_betti_rejects_a_truncation_past_the_limit(capfd, monkeypatch):
+    monkeypatch.setattr(cli, "build_pipeline", None)  # never reached
+    code, out, err = _run(capfd, ["betti", "--input", FINAL,
+                                  "--n", "1000000000"])
+    assert code == 1 and out == ""
+    assert err == ("error: the truncation must be at most 100000, "
+                   "not 1000000000\n")
+
+
+def test_betti_rejects_a_session_truncation_past_the_limit(capfd, tmp_path,
+                                                           monkeypatch):
+    path = tmp_path / "big.session"
+    path.write_text((SESSIONS / "final.session").read_text()
+                    + "option truncation 100001\n")
+    monkeypatch.setattr(cli, "build_pipeline", None)  # never reached
+    code, out, err = _run(capfd, ["betti", "--input", str(path)])
+    assert code == 1 and out == ""
+    assert err == "error: the truncation must be at most 100000, not 100001\n"
+
+
 def test_betti_rejects_complex_input(capfd):
     code, out, err = _run(capfd, ["betti", "--input", KOSZUL])
     assert code == 1

@@ -427,9 +427,10 @@ def test_module_dimension_from_leads_equals_the_hilbert_dimension(
 @given(gens=_GENERATORS)
 def test_ideal_dimension_from_leads_equals_the_hilbert_dimension(gens):
     """Monomial, mixed, zero and unit ideals of S3, against the Hilbert
-    numerator that ``Ideal.hilbert_numerator`` reads off the same basis."""
+    dimension that ``module_hilbert_data`` reads off the one-row matrix of
+    the generators."""
     I = Ideal(S3, gens)
-    want, _ = dimension_and_multiplicity(I.hilbert_numerator(), S3.nvars)
+    want, _, _ = module_hilbert_data(PolyMatrix.from_rows(S3, [gens]))
     assert I.dimension() == want
 
 

@@ -4,7 +4,8 @@ import random
 
 import pytest
 
-from jumploci import GF, PolyRing
+from jumploci import GF, PolyRing, loci, twisted
+from jumploci.cli import parse_chain_file
 from jumploci.groebner import Ideal, module_hilbert_data
 from jumploci.matrix import PolyMatrix
 from jumploci.resolution import (RingData, presentation_from_rows,
@@ -14,15 +15,16 @@ from jumploci.session import parse_session, build_pipeline
 from jumploci.homotopy import compute_higher_homotopies, dualize_homotopies
 from jumploci.twisted import (build_twisted_complex, minimalize, tbetti,
                               free_complex, koszul_object_list, direct_sum,
-                              homology_presentation, shift)
+                              homology_presentation, shift, s_dual)
 from jumploci.loci import (crk_at, jump_locus_ideal,
                            jump_locus_via_exterior_power, jump_loci_report,
                            complexity_of, betti_degree, betti_numbers,
                            duality_check, additivity_check, realize,
                            stable_betti_oracle, RouteDisagreement)
 
-from conftest import (SESSIONS, koszul_block, matrix_of, random_monomial_rows,
-                      random_homogeneous, random_twisted_complex)
+from conftest import (SESSIONS, PAIR_BLOCK_SESSION, koszul_block, matrix_of,
+                      random_monomial_rows, random_homogeneous,
+                      random_twisted_complex)
 
 GF101 = GF(101)
 
@@ -340,6 +342,100 @@ def test_betti_numbers_of_the_zero_module():
     pipe = _coker_pipeline("x, y", "x^2, y^2", ["1"])
     assert betti_numbers(pipe.X, 5) == {0: 0}
     _assert_betti_routes_agree(pipe, 5)
+
+
+# -- the Hilbert numerator of H(X) ------------------------------------------
+
+
+# Non-monomial inputs whose jump loci take seconds to minutes; their
+# Betti-side data takes well under a second.
+_SLOW_LOCI_SESSIONS = {
+    "nm_n4_e2": (4, "x0*x1 + x2*x3, x0*x2 + 3*x1*x3"),
+    "lin2_n5_e2": (5, "x0 + x1 + x2, x1 + 2*x3 + 5*x4, x2*x3 + x0*x4"),
+    "nm_n5_e2": (5, "x0*x1 + x2*x3, x1*x2 + 2*x3*x4"),
+}
+
+
+def _slow_loci_session(name):
+    n, entries = _SLOW_LOCI_SESSIONS[name]
+    names = [f"x{i}" for i in range(n)]
+    squares = ", ".join(f"{v}^2" for v in names)
+    return (f"field GF(101)\nring {', '.join(names)}\nci {squares}\n"
+            f"module coker [[{entries}, {squares}]]\n")
+
+
+def _random_module_session(rng, field, binomials):
+    """A cyclic module over k[x,y,z]/(x^3, y^3, z^3) or k[x,y,z]/(x^2, y^2)
+    with one to three random homogeneous relations of degree 1 to 3, each
+    one a binomial with probability ``binomials``."""
+    ci = rng.choice(("x^3, y^3, z^3", "x^2, y^2"))
+    words = []
+    for _ in range(rng.randrange(1, 4)):
+        deg = rng.randrange(1, 4)
+        monos = set()
+        for _ in range(2 if rng.random() < binomials else 1):
+            cuts = sorted(rng.randrange(deg + 1) for _ in range(2))
+            monos.add((cuts[0], cuts[1] - cuts[0], deg - cuts[1]))
+        words.append(" + ".join(f"{rng.randrange(1, 50)}*{_monomial('xyz', m)}"
+                                for m in sorted(monos)))
+    return (f"field {field}\nring x, y, z\nci {ci}\n"
+            f"module coker [[{ci}, {', '.join(words)}]]\n")
+
+
+def _numerator_inputs():
+    """Twisted complexes of every kind the Betti-side invariants read."""
+    texts = [p.read_text() for p in sorted(SESSIONS.glob("*.session"))
+             + sorted(BENCH_INPUTS.glob("*.session"))]
+    texts += [f"field {field}\n{PAIR_BLOCK_SESSION}"
+              for field in ("GF(101)", "QQ")]
+    texts += [_slow_loci_session(name) for name in _SLOW_LOCI_SESSIONS]
+    rng = random.Random(83)
+    texts += [_random_module_session(rng, field, binomials)
+              for field in ("GF(101)", "QQ") for binomials in (0.0, 0.6)
+              for _ in range(4)]
+    out = []
+    for text in texts:
+        X = build_pipeline(parse_session(text)).X
+        out += [X, s_dual(X)]
+        out += [shift(X, s) for s in (-3, -2, -1, 1, 2)]
+    S, chain = parse_chain_file((SESSIONS.parent / "chains"
+                                 / "complete_flag.chain").read_text())
+    out += [free_complex(S, 0), realize(S, chain)[0]]
+    for p in (2, 3, 101):
+        S = PolyRing(GF(p), ("chi1", "chi2"), (2, 2))
+        out += [random_twisted_complex(S, rng) for _ in range(8)]
+    return out
+
+
+def _presentation_numerator(X):
+    """The route ``_ext_numerator`` replaced: the Hilbert numerator of a
+    presentation of H(X), keyed by cohomological degree."""
+    mat, degs = homology_presentation(minimalize(X))
+    _, _, num = module_hilbert_data(mat, [coh for coh, _ in degs],
+                                    (2,) * X.S.nvars)
+    return num
+
+
+def test_ext_numerator_equals_the_presentation_route(monkeypatch):
+    """h read off coker D equals the numerator of the presentation of H(X)
+    on sessions, benchmark inputs and their duals and shifts, on the
+    rank-0 and ``realize`` complexes, on random complexes in
+    characteristic 2, 3 and 101, and on random monomial and non-monomial
+    modules over GF(101) and QQ.  The presentation is unreachable while
+    the new route runs, so the two routes stay independent."""
+    complexes = _numerator_inputs()
+    want = [_presentation_numerator(X) for X in complexes]
+
+    def unreachable(X):
+        raise AssertionError("the presentation of H(X) was built")
+
+    monkeypatch.setattr(twisted, "homology_presentation", unreachable)
+    monkeypatch.setattr(loci, "homology_presentation", unreachable)
+    for X, num in zip(complexes, want):
+        assert loci._ext_numerator(X) == (num, X.S.nvars)
+    assert any(min(num, default=0) < 0 for num in want)
+    assert any(len(num) > 2 for num in want)
+    assert {} in want
 
 
 # -- duality ---------------------------------------------------------------

@@ -66,11 +66,9 @@ def test_euler_characteristic_reproduces_hilbert_numerator(flag_pipeline):
     """Alternating sum of generator degrees equals the numerator of the
     Hilbert series of the module (free-resolution Euler characteristic)."""
     rd, pres, res, sys, X = flag_pipeline
-    from jumploci.groebner import Ideal
-    A = rd.ring
-    I = Ideal(A, [A.parse(e) for e in
-                  ("x^3", "y^3", "z^3", "x*z", "y*z^2")])
-    assert resolution_euler_numerator(res) == I.hilbert_numerator()
+    row = ["x^3", "y^3", "z^3", "x*z", "y*z^2"]
+    _, _, num = module_hilbert_data(matrix_of(rd.ring, [row]))
+    assert resolution_euler_numerator(res) == num
 
 
 # -- over the quotient ring ------------------------------------------------
