@@ -132,7 +132,7 @@ def _read_text(path: str) -> str:
 
 
 def cmd_compute(session: Session, args) -> dict:
-    pipe = build_pipeline(session, need_dual=True)
+    pipe = build_pipeline(session)
     rep = jump_loci_report(pipe.X)
     return report_dict(rep, bass_degree=betti_degree(pipe.X_dual))
 
@@ -175,7 +175,7 @@ def cmd_betti(session: Session, args) -> dict:
     if n > MAX_TRUNCATION:
         raise PipelineError(
             f"the truncation must be at most {MAX_TRUNCATION}, not {n}")
-    pipe = build_pipeline(session, need_dual=True)
+    pipe = build_pipeline(session)
     out = {"n": n, **_betti_block(pipe.X, n)}
     out["dual"] = (None if pipe.dual_presentation is None
                    else _betti_block(pipe.X_dual, n))

@@ -65,9 +65,9 @@ def _zero_ideal(S: PolyRing) -> Ideal:
     return Ideal(S, [])
 
 
-def jump_locus_ideal(X: TwistedComplex, i: int,
-                     generic_rank: int = None) -> Ideal:
-    """I_t(D) with t = floor((r - i)/2) + 1; V^i = V(result)."""
+def jump_locus_ideal(X: TwistedComplex, i: int) -> Ideal:
+    """I_t(D) with t = floor((r - i)/2) + 1; V^i = V(result).  Above the
+    generic rank of D every t-minor vanishes and the ideal is zero."""
     X = minimalize(X)
     S = X.S
     if i == 0:
@@ -80,12 +80,7 @@ def jump_locus_ideal(X: TwistedComplex, i: int,
     t = (r - i) // 2 + 1
     if t <= 0:
         return _unit_ideal(S)
-    if generic_rank is None:
-        generic_rank = X.D.generic_rank()
-    if t > generic_rank:
-        return _zero_ideal(S)
-    gens = X.D.minors(t)
-    return Ideal(S, gens).reduced()
+    return Ideal(S, X.D.minors(t)).reduced()
 
 
 def jump_locus_via_exterior_power(X: TwistedComplex, i: int) -> Ideal:
@@ -166,7 +161,7 @@ def jump_loci_report(X: TwistedComplex) -> JumpLociReport:
     start = 2 if r % 2 == 0 else 1
     per_index = []
     for i in range(start, r + 1, 2):
-        I = jump_locus_ideal(X, i, generic_rank=g)
+        I = jump_locus_ideal(X, i)
         per_index.append((i, I, I.dimension()))
     # the complexity is dim V^1, and V^1 = V^2 when the rank is even
     cx = per_index[0][2]

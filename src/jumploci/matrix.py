@@ -12,12 +12,11 @@ weight vectors supplied by the caller (for the operator ring S the
 cohomological weight of every variable is 2; for the base ring A the
 internal weights are the declared variable weights).
 
-The determinantal kernel enumerates structurally nonzero minors only: the
-matrix is split into connected components, candidate row/column subsets are
-generated through systems of distinct representatives, and determinants are
-expanded by memoized Laplace expansion shared across all subsets of a
-component and from one size to the next.  The minors of every size are
-built together on the first request and cached on the matrix (see
+The determinantal kernel finds the nonzero minors only: the matrix is split
+into the connected components of its support graph, and inside a component
+the nonzero minors of each size grow from those of the size below, one
+Laplace expansion each (``_component_minor_table``).  The minors of every
+size are built together on the first request and cached on the matrix (see
 ``PolyMatrix.minors``).
 """
 
@@ -31,8 +30,9 @@ from .poly import Polynomial, PolyRing
 # Most units of work, one per determinant expansion and one per pair of
 # terms multiplied, that the minor table of one matrix may take (a few
 # seconds and about 100 MB); a matrix whose table needs more is refused
-# with a PipelineError before its memory runs out.  The largest tables of
-# the example sessions and scripts take about 4,000 and 20,000 units.
+# with a PipelineError before its memory runs out.  The largest table of
+# the example sessions takes 31 units, of the benchmark inputs 756, and of
+# the scripts about 20,000 (``realizability_demo.py``).
 MAX_MINOR_WORK = 500_000
 
 
@@ -286,15 +286,15 @@ class PolyMatrix:
         caches it on the matrix; every later call reads from it.  Its
         premise is that the entries of a PolyMatrix are set in ``__init__``
         and never changed afterwards; every operation builds a new matrix.
-        Inside a component, sizes are enumerated upwards and stop at the
-        first size without a nonzero minor: by Laplace expansion every
-        larger minor of that component vanishes too.  The components are
-        convolved once, with no cut at t.  Bucket t of the convolution only
-        receives products from buckets below it, and deduplication keeps
-        the first occurrence, so each bucket holds the same minors in the
-        same order as a convolution cut at t would.  A table that takes more
-        than ``MAX_MINOR_WORK`` is refused with a ``PipelineError``, and
-        nothing is cached.
+        Inside a component, sizes grow upwards and stop at the first size
+        without a nonzero minor: by Laplace expansion every larger minor of
+        that component vanishes too.  The components are convolved once,
+        with no cut at t.  Bucket t of the convolution only receives
+        products from buckets below it, and deduplication keeps the first
+        occurrence, so each bucket holds the same minors in the same order
+        as a convolution cut at t would.  A table that takes more than
+        ``MAX_MINOR_WORK`` is refused with a ``PipelineError``, and nothing
+        is cached.
         """
         if t < 1:
             raise ValueError("minor size must be >= 1")
@@ -412,127 +412,56 @@ def _dedupe_monic(polys):
 
 
 def _component_minor_table(mat: PolyMatrix, rows, cols, spend):
-    """Nonzero minors of one connected component as size -> list, via SDR
-    enumeration, sizes ascending up to the first size with none.
+    """Nonzero minors of one connected component as size -> list, sizes
+    ascending up to the first size with none.
 
-    The determinant memo carries the minors of one size into the Laplace
-    expansions of the next size, and drops smaller sizes.  ``spend(n)`` is
-    told of every determinant expansion and of every n term products.
+    Size t + 1 grows from the nonzero t-minors alone.  Expanded along its
+    last column c, a nonzero minor on rows R and columns C has a nonzero
+    term e(r, c) * M(R - r, C - c).  So every candidate adds to a nonzero
+    t-minor one column c after its columns and one row r with e(r, c) != 0.
+    Each candidate is one Laplace sum over the stored t-minors, and only
+    the last size is kept.  Each size is ordered by (columns, rows).
+    ``spend(n)`` is told of every determinant expansion and of every n
+    term products.
     """
+    entries = mat.entries
     cols = sorted(cols)
-    rows = sorted(rows)
-    col_support = {c: sorted(r for r in rows if (r, c) in mat.entries)
+    later = {c: cols[i + 1:] for i, c in enumerate(cols)}
+    col_support = {c: [r for r in sorted(rows) if (r, c) in entries]
                    for c in cols}
-    det_memo = {}
     ring = mat.ring
-
-    def det(rset, ctup):
-        if not ctup:
-            return ring.one()
-        key = (rset, ctup)
-        got = det_memo.get(key)
-        if got is not None:
-            return got
-        spend(1)
-        c0 = ctup[0]
-        rest = ctup[1:]
-        srows = sorted(rset)
-        total = ring.zero()
-        for i, r in enumerate(srows):
-            p = mat.entries.get((r, c0))
-            if p is None:
-                continue
-            sub = det(rset - {r}, rest)
-            if sub.is_zero():
-                continue
-            spend(len(p.terms) * len(sub.terms))
-            term = p * sub
-            if i % 2:
-                term = -term
-            total = total + term
-        det_memo[key] = total
-        return total
-
-    def minors_of_size(t):
-        results = []
-
-        # enumerate column subsets (increasing), pruning by reachable rows
-        def choose_cols(start, chosen):
-            if len(chosen) == t:
-                support = set()
-                for c in chosen:
-                    support.update(col_support[c])
-                if len(support) < t:
-                    return
-                if _max_matching(chosen, col_support) < t:
-                    return
-                for rset in _row_subsets(chosen, col_support, t):
-                    d = det(rset, tuple(chosen))
-                    if not d.is_zero():
-                        results.append(d)
-                return
-            for i in range(start, len(cols)):
-                c = cols[i]
-                if not col_support[c]:
-                    continue
-                # feasibility: enough columns left
-                if len(chosen) + (len(cols) - i) < t:
-                    break
-                chosen.append(c)
-                choose_cols(i + 1, chosen)
-                chosen.pop()
-
-        choose_cols(0, [])
-        return _dedupe_monic(results)
-
+    # (sorted rows, columns) -> nonzero minor, for the last size
+    prev = {((r,), (c,)): p for (r, c), p in entries.items() if r in rows}
     table = {}
-    for t in range(1, min(len(rows), len(cols)) + 1):
-        ms = minors_of_size(t)
-        if not ms:
-            break
-        table[t] = ms
-        # size t + 1 expands into size t; smaller sizes would only hold memory
-        det_memo = {k: d for k, d in det_memo.items() if len(k[1]) == t}
+    t = 1
+    while prev:
+        table[t] = _dedupe_monic(
+            prev[k] for k in sorted(prev, key=lambda k: (k[1], k[0])))
+        grown = {}
+        for R, C in prev:
+            for c in later[C[-1]]:
+                for r in col_support[c]:
+                    if r in R:
+                        continue
+                    rset = tuple(sorted(R + (r,)))
+                    if (rset, C + (c,)) in grown:
+                        continue
+                    spend(1)
+                    # along c, the last of t + 1 columns: row i has sign
+                    # (-1)^(i + t)
+                    total = ring.zero()
+                    for i, s in enumerate(rset):
+                        p = entries.get((s, c))
+                        sub = prev.get((rset[:i] + rset[i + 1:], C))
+                        if p is None or sub is None:
+                            continue
+                        spend(len(p.terms) * len(sub.terms))
+                        term = p * sub
+                        total = total - term if (i + t) % 2 else total + term
+                    grown[rset, C + (c,)] = total
+        prev = {k: d for k, d in grown.items() if not d.is_zero()}
+        t += 1
     return table
-
-
-def _row_subsets(chosen_cols, col_support, t):
-    """Distinct row sets admitting a perfect matching with chosen_cols."""
-    out = set()
-    cols = sorted(chosen_cols, key=lambda c: len(col_support[c]))
-
-    def rec(i, used):
-        if i == len(cols):
-            out.add(frozenset(used))
-            return
-        for r in col_support[cols[i]]:
-            if r not in used:
-                used.add(r)
-                rec(i + 1, used)
-                used.remove(r)
-
-    rec(0, set())
-    return sorted(out, key=lambda fs: sorted(fs))
-
-
-def _max_matching(cols, col_support):
-    match = {}
-
-    def augment(c, visited):
-        for r in col_support[c]:
-            if r in visited:
-                continue
-            visited.add(r)
-            if r not in match or augment(match[r], visited):
-                match[r] = c
-                return True
-        return False
-
-    size = 0
-    for c in cols:
-        if augment(c, set()):
-            size += 1
-    return size
 
 
 def scalar_rank(rows, field) -> int:

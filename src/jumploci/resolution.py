@@ -409,32 +409,31 @@ def _interpolate(points):
 
 
 def _fit_branch(points):
-    """Least-degree polynomial fitting a stable tail of the points.
+    """Least-degree polynomial fitting a stable tail of the points, whose
+    abscissae are equally spaced.
 
-    Returns (coeffs, valid_from); raises TruncationNeeded when no degree
-    is confirmed by at least two extra points.
+    The last d + 3 points lie on one polynomial of degree <= d exactly when
+    the last two (d + 1)-th differences vanish, and the fit holds from
+    where the trailing run of zero (d + 1)-th differences starts.  Returns
+    (coeffs, valid_from); raises TruncationNeeded when no degree is
+    confirmed by at least two extra points.
     """
     if not points:
         raise TruncationNeeded("empty tail")
-    for d in range(0, len(points) - 2):
-        coeffs = _interpolate(points[-(d + 1):])
-        poly = lambda x: sum((c * Fraction(x) ** e
-                              for e, c in enumerate(coeffs)), Fraction(0))
-        tail_ok = all(poly(x) == y for x, y in points[-(d + 3):])
-        if not tail_ok:
-            continue
-        valid_from = points[-1][0]
-        for x, y in reversed(points):
-            if poly(x) == y:
-                valid_from = x
-            else:
-                break
-        return coeffs, valid_from
+    diffs = [y for _, y in points]
+    for d in range(len(points) - 2):
+        diffs = [b - a for a, b in zip(diffs, diffs[1:])]
+        if diffs[-1] == diffs[-2] == 0:
+            start = len(diffs)
+            while start and diffs[start - 1] == 0:
+                start -= 1
+            return _interpolate(points[-(d + 1):]), points[start][0]
     raise TruncationNeeded("tail is not yet quasi-polynomial")
 
 
 def fit_quasi_polynomial(betti: BettiTable, window: int) -> QuasiPoly:
-    """Fit the even/odd tails of a Betti sequence by exact interpolation."""
+    """Fit the even/odd tails of a Betti sequence by exact interpolation;
+    its indices are consecutive, as ``betti_numbers`` gives them."""
     idx = sorted(betti.beta)
     if len(idx) < window:
         raise TruncationNeeded("window exceeds available Betti numbers")

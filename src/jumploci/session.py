@@ -443,15 +443,18 @@ def print_session(session: Session) -> str:
 
 @dataclass
 class Pipeline:
-    """Everything the commands need, built once from a session; with
-    ``need_dual`` also X(M*) = s_dual(X)."""
+    """Everything the commands need, built once from a session."""
 
     rd: RingData
     S: PolyRing
     resolution: FreeResolution
     X: TwistedComplex
     presentation: PolyMatrix = None        # of M over A, coker inputs only
-    X_dual: TwistedComplex = None          # X(M*) = s_dual(X)
+
+    @cached_property
+    def X_dual(self) -> TwistedComplex:
+        """X(M*) = s_dual(X), formed on first read."""
+        return s_dual(self.X)
 
     @cached_property
     def dual_presentation(self) -> PolyMatrix:
@@ -460,7 +463,7 @@ class Pipeline:
         return dualize_over_a(self.resolution).presentation
 
 
-def build_pipeline(session: Session, need_dual: bool = False) -> Pipeline:
+def build_pipeline(session: Session) -> Pipeline:
     rd = session.ring_data
     ring = rd.ring
     mod = session.module
@@ -474,7 +477,4 @@ def build_pipeline(session: Session, need_dual: bool = False) -> Pipeline:
         sys = ingest_dg_structure(res, mod.actions, rd)
         pres = None
     X = build_twisted_complex(res, sys, rd)
-    pipe = Pipeline(rd, X.S, res, X, presentation=pres)
-    if need_dual:
-        pipe.X_dual = s_dual(X)
-    return pipe
+    return Pipeline(rd, X.S, res, X, presentation=pres)

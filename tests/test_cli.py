@@ -159,7 +159,7 @@ def test_betti_rejects_complex_input(capfd):
 
 def _oracle_betti_report(path, n):
     """The betti report with every table taken from resolve_over_b."""
-    pipe = build_pipeline(parse_session(path.read_text()), need_dual=True)
+    pipe = build_pipeline(parse_session(path.read_text()))
 
     def block(presentation):
         table = BettiTable("B", resolve_over_b(pipe.rd, presentation,
@@ -417,7 +417,7 @@ def test_many_ring_variables_compute_quickly(capfd, tmp_path):
 
 
 def test_oversized_minor_table_is_an_input_error(capfd, monkeypatch):
-    """The flag session's minor table takes 45 units of work, so a limit of
+    """The flag session's minor table takes 31 units of work, so a limit of
     10 refuses it with one error line that names the limit."""
     monkeypatch.setattr(matrix, "MAX_MINOR_WORK", 10)
     code, out, err = _run(capfd, ["compute", "--input", FLAG])

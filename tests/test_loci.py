@@ -290,7 +290,7 @@ def test_bass_degree_via_dual_pipeline(final_pipeline, flag_pipeline):
 def _coker_pipeline(ring, ci, entries):
     return build_pipeline(parse_session(
         f"field GF(101)\nring {ring}\nci {ci}\n"
-        f"module coker [[{', '.join(entries)}]]\n"), need_dual=True)
+        f"module coker [[{', '.join(entries)}]]\n"))
 
 
 def _monomial(names, exponents):
@@ -328,8 +328,7 @@ def test_betti_numbers_match_the_resolution_over_non_artinian_b():
 
 def test_betti_numbers_stop_at_a_finite_projective_dimension():
     perfect = build_pipeline(
-        parse_session((SESSIONS / "perfect.session").read_text()),
-        need_dual=True)
+        parse_session((SESSIONS / "perfect.session").read_text()))
     assert betti_numbers(perfect.X, 6) == {0: 1}
     _assert_betti_routes_agree(perfect, 6)
     # z is regular on k[x,y,z]/(x^2, y^2), so B/(z) has projective dimension 1

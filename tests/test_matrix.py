@@ -96,16 +96,22 @@ def test_block_diag_shapes():
 S3 = PolyRing(GF101, ("chi1", "chi2", "chi3"), (2, 2, 2))
 
 
-def _per_t_minors(mat, t):
+def _per_t_minors(mat, t, memo=None):
     """Reference: the t x t minors enumerated for this t alone, every
-    component to every size up to t, convolved with a cut at t."""
+    component to every size up to t, convolved with a cut at t.  ``memo``
+    may keep the minors of each component and size across calls on the
+    same matrix."""
     if t > min(mat.nrows, mat.ncols):
         return []
+    memo = {} if memo is None else memo
     acc = {0: [mat.ring.one()]}
     for rows, cols in mat._components():
         sizes = {}
         for s in range(1, min(len(rows), len(cols), t) + 1):
-            ms = _component_minors_of_size(mat, rows, cols, s)
+            key = (min(rows), s)
+            if key not in memo:
+                memo[key] = _component_minors_of_size(mat, rows, cols, s)
+            ms = memo[key]
             if ms:
                 sizes[s] = ms
         nxt = {}
@@ -126,24 +132,30 @@ def _component_minors_of_size(mat, rows, cols, t):
     """Every nonzero t x t minor of one component, by cofactor expansion
     over all row and column subsets."""
     out = []
+    memo = {}
     for ctup in itertools.combinations(sorted(cols), t):
         for rtup in itertools.combinations(sorted(rows), t):
-            d = _det(mat, rtup, ctup)
+            d = _det(mat, rtup, ctup, memo)
             if not d.is_zero():
                 out.append(d)
     return _dedupe_monic(out)
 
 
-def _det(mat, rtup, ctup):
+def _det(mat, rtup, ctup, memo=None):
+    """Cofactor expansion along the first column; ``memo`` may keep the
+    subdeterminants."""
+    memo = {} if memo is None else memo
     if not ctup:
         return mat.ring.one()
-    total = mat.ring.zero()
-    for i, r in enumerate(rtup):
-        p = mat.entries.get((r, ctup[0]))
-        if p is not None:
-            term = p * _det(mat, rtup[:i] + rtup[i + 1:], ctup[1:])
-            total = total - term if i % 2 else total + term
-    return total
+    if (rtup, ctup) not in memo:
+        total = mat.ring.zero()
+        for i, r in enumerate(rtup):
+            p = mat.entries.get((r, ctup[0]))
+            if p is not None:
+                term = p * _det(mat, rtup[:i] + rtup[i + 1:], ctup[1:], memo)
+                total = total - term if i % 2 else total + term
+        memo[rtup, ctup] = total
+    return memo[rtup, ctup]
 
 
 def _random_block(rng, nrows, ncols):
@@ -157,12 +169,26 @@ def _random_block(rng, nrows, ncols):
     return matrix_of(S3, rows)
 
 
-def _scrambled_block_matrix(rng):
-    shapes = [(1, rng.randrange(1, 4)), (rng.randrange(1, 4), 1),
-              (3, 3), (rng.randrange(2, 4), rng.randrange(2, 4))]
-    rng.shuffle(shapes)
-    blocks = [_random_block(rng, r, c) for r, c in shapes[:rng.randrange(2, 5)]]
-    B = PolyMatrix.block_diag(blocks)
+def _dense_block(rng, n):
+    """n x n with no zero entry, of linear forms; row n - 1 is a multiple
+    of row 0, so every n-minor and every minor on both rows cancels."""
+    pool = ["chi1 + chi2", "chi2 - chi3", "chi1 - 2*chi3", "3*chi2",
+            "chi1 + chi2 + chi3", "chi3", "2*chi1 + chi3"]
+    rows = [[rng.choice(pool) for _ in range(n)] for _ in range(n - 1)]
+    rows.append([f"{rng.choice(['chi1', '5', 'chi2 + chi3'])}*({e})"
+                 for e in rows[0]])
+    return matrix_of(S3, rows)
+
+
+def _cancelling_block(rng):
+    """2 x 2 with four nonzero entries and a zero determinant."""
+    a, b = rng.sample(["chi1", "chi2 + chi3", "2*chi3", "chi1 - chi2"], 2)
+    f = rng.choice(["chi2", "3", "chi1 + chi3"])
+    return matrix_of(S3, [[a, b], [f"{f}*({a})", f"{f}*({b})"]])
+
+
+def _scrambled(rng, B):
+    """B with its rows and its columns permuted at random."""
     rperm = list(range(B.nrows))
     cperm = list(range(B.ncols))
     rng.shuffle(rperm)
@@ -172,24 +198,65 @@ def _scrambled_block_matrix(rng):
                        for (r, c), p in B.entries.items()})
 
 
-def test_minor_table_equals_the_per_size_enumeration():
-    """Every t from 1 to min(rows, cols) + 1, asked in ascending and in
-    descending order: same minors in the same order."""
-    rng = random.Random(8)
+def _scrambled_block_matrix(rng):
+    shapes = [(1, rng.randrange(1, 4)), (rng.randrange(1, 4), 1),
+              (3, 3), (rng.randrange(2, 4), rng.randrange(2, 4))]
+    rng.shuffle(shapes)
+    blocks = [_random_block(rng, r, c) for r, c in shapes[:rng.randrange(2, 5)]]
+    if rng.random() < 0.5:
+        blocks.append(_cancelling_block(rng))
+    return _scrambled(rng, PolyMatrix.block_diag(blocks))
+
+
+def _kernel_matrices(rng):
+    """Scrambled block matrices, dense blocks with a dependent row, alone
+    and beside a cancelling block, and three small edge cases."""
     matrices = [_scrambled_block_matrix(rng) for _ in range(12)]
+    for n in (5, 6):
+        matrices.append(_scrambled(rng, _dense_block(rng, n)))
+    matrices.append(_scrambled(rng, PolyMatrix.block_diag(
+        [_dense_block(rng, 3), _cancelling_block(rng),
+         _cancelling_block(rng)])))
     matrices.append(PolyMatrix.zero(S3, 3, 4))
     matrices.append(matrix_of(S3, [["chi1", "chi2", "chi3"]]))
     matrices.append(matrix_of(S3, [["chi1"], ["chi2"], ["0"]]))
+    return matrices
+
+
+def test_minor_table_equals_the_per_size_enumeration():
+    """Every t from 1 to min(rows, cols) + 1, asked in ascending and in
+    descending order: same minors in the same order."""
     deficient = 0
-    for P in matrices:
+    for P in _kernel_matrices(random.Random(8)):
         top = min(P.nrows, P.ncols) + 1
-        expected = {t: _per_t_minors(P, t) for t in range(1, top + 1)}
+        memo = {}
+        expected = {t: _per_t_minors(P, t, memo) for t in range(1, top + 1)}
         deficient += not expected[top - 1]
         for order in (range(1, top + 1), range(top, 0, -1)):
             Q = PolyMatrix(S3, P.nrows, P.ncols, P.entries)
             for t in order:
                 assert Q.minors(t) == expected[t], (P.entries, t)
-    assert deficient >= 3   # some matrices stop below their full size
+    assert deficient >= 6   # some matrices stop below their full size
+
+
+def test_block_minors_are_the_signed_determinants(monkeypatch):
+    """Before deduplication, each size of a block lists every nonzero
+    minor with its sign, ordered by (columns, rows)."""
+    monkeypatch.setattr(matrix, "_dedupe_monic", list)
+    sizes = set()
+    for P in _kernel_matrices(random.Random(9)):
+        for rows, cols in P._components():
+            table = matrix._component_minor_table(P, rows, cols,
+                                                   lambda units: None)
+            for t in range(1, min(len(rows), len(cols)) + 2):
+                expected = [
+                    d for ctup in itertools.combinations(sorted(cols), t)
+                    for rtup in itertools.combinations(sorted(rows), t)
+                    if not (d := _det(P, rtup, ctup)).is_zero()]
+                assert table.get(t, []) == expected, (P.entries, t)
+                if expected:
+                    sizes.add(t)
+    assert sizes >= {1, 2, 3, 4, 5}
 
 
 def test_minor_table_is_built_once_per_matrix(monkeypatch):

@@ -8,6 +8,7 @@ from fractions import Fraction
 import pytest
 
 from jumploci import GF, PolyRing
+from jumploci import resolution
 from jumploci.poly import Polynomial
 from jumploci.groebner import (ModuleGB, _vec_add, module_hilbert_data,
                                syzygy_matrix, vector_of)
@@ -682,3 +683,73 @@ def test_fit_rejects_unstable_tail():
     beta = {i: 2 ** i for i in range(8)}
     with pytest.raises(TruncationNeeded):
         fit_quasi_polynomial(BettiTable("B", beta), 8)
+
+
+def _interpolation_fit_branch(points):
+    """Reference for resolution._fit_branch: interpolate each degree in
+    turn and evaluate the polynomial at every point of the tail."""
+    if not points:
+        raise TruncationNeeded("empty tail")
+    for d in range(0, len(points) - 2):
+        coeffs = resolution._interpolate(points[-(d + 1):])
+        poly = lambda x: sum((c * Fraction(x) ** e
+                              for e, c in enumerate(coeffs)), Fraction(0))
+        if not all(poly(x) == y for x, y in points[-(d + 3):]):
+            continue
+        valid_from = points[-1][0]
+        for x, y in reversed(points):
+            if poly(x) == y:
+                valid_from = x
+            else:
+                break
+        return coeffs, valid_from
+    raise TruncationNeeded("tail is not yet quasi-polynomial")
+
+
+def _random_betti_sequence(rng):
+    """beta_0..beta_(n-1): a polynomial of degree below 3 on each parity
+    after a random head, or noise.  The odd branch mostly shares the even
+    branch's leading term."""
+    n = rng.randrange(0, 24)
+    polys = [[rng.randrange(-3, 4) for _ in range(rng.randrange(0, 4))]
+             for _ in range(2)]
+    if polys[0] and rng.random() < 0.7:
+        polys[1] = [rng.randrange(-3, 4) for _ in polys[0][1:]] + polys[0][-1:]
+    head = rng.randrange(0, n // 2 + 1)
+    noise = rng.random() < 0.2
+    beta = {}
+    for i in range(n):
+        if i < head or noise:
+            beta[i] = rng.randrange(-2, 30)
+        else:
+            beta[i] = sum(a * i ** e for e, a in enumerate(polys[i % 2]))
+    return beta
+
+
+def _fit_or_error(beta, window):
+    try:
+        qp = fit_quasi_polynomial(BettiTable("B", beta), window)
+    except TruncationNeeded as exc:
+        return str(exc)
+    return qp.q_ev, qp.q_odd, qp.valid_from
+
+
+def test_branch_fit_equals_the_interpolation_route(monkeypatch):
+    """The difference-table fit gives the same polynomials, start index and
+    error message as interpolating and evaluating each degree in turn."""
+    rng = random.Random(18)
+    cases = []
+    for _ in range(1500):
+        beta = _random_betti_sequence(rng)
+        cases.append((beta, max(1, len(beta) + rng.randrange(-12, 3))))
+    got = [_fit_or_error(beta, window) for beta, window in cases]
+    monkeypatch.setattr(resolution, "_fit_branch", _interpolation_fit_branch)
+    assert got == [_fit_or_error(beta, window) for beta, window in cases]
+    messages = {r for r in got if isinstance(r, str)}
+    assert messages == {"empty tail", "tail is not yet quasi-polynomial",
+                        "window exceeds available Betti numbers",
+                        "even and odd branches disagree in degree"}
+    fits = [r for r in got if not isinstance(r, str)]
+    assert len(fits) >= 200
+    assert {len(q) for q, _, _ in fits} == {0, 1, 2, 3}
+    assert len({v for _, _, v in fits}) >= 8

@@ -152,7 +152,7 @@ SESSION_FILES = (sorted(SESSIONS.glob("*.session"))
 def test_s_dual_is_the_explicit_dual_on_every_session(path):
     """On cokernels and DG complexes alike; the pipeline's X_dual is it."""
     session = parse_session(path.read_text())
-    pipe = build_pipeline(session, need_dual=True)
+    pipe = build_pipeline(session)
     rd, res, mod = pipe.rd, pipe.resolution, session.module
     if mod.kind == "coker":
         sys = compute_higher_homotopies(res, rd)
