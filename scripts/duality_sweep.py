@@ -46,11 +46,10 @@ def main() -> int:
         start = time.perf_counter()
         res = resolve_over_a(rd, pres)
         sys_ = compute_higher_homotopies(res, rd)
-        X = build_twisted_complex(res, sys_, rd)
+        X = build_twisted_complex(sys_, rd)
         dc = dualize_over_a(res)
         dual_sys = dualize_homotopies(sys_, dc, rd)
-        X_dual = build_twisted_complex(dual_sys.resolution, dual_sys, rd,
-                                       S=X.S)
+        X_dual = build_twisted_complex(dual_sys, rd)
         try:
             bdeg_equal = duality_check(jump_loci_report(X),
                                        jump_loci_report(X_dual))

@@ -39,8 +39,7 @@ from fractions import Fraction
 
 from .poly import PolyRing
 from .groebner import Ideal, GBStats
-from .resolution import (PipelineError, TruncationNeeded, BettiTable,
-                         fit_quasi_polynomial)
+from .resolution import PipelineError, TruncationNeeded, fit_quasi_polynomial
 from .loci import (jump_loci_report, betti_degree, betti_numbers, crk_at,
                    realize, stable_betti_oracle, JumpLociReport)
 from .session import (Session, SessionError, parse_session, build_pipeline,
@@ -154,10 +153,10 @@ def _quasi_dict(qp):
 def _betti_block(X, n: int) -> dict:
     """beta_0..beta_n of the module with twisted complex X, and the
     quasi-polynomial fit of their tail (or why it failed)."""
-    table = BettiTable("B", betti_numbers(X, n))
-    out = {"betti": {str(i): b for i, b in sorted(table.beta.items())}}
+    beta = betti_numbers(X, n)
+    out = {"betti": {str(i): b for i, b in sorted(beta.items())}}
     try:
-        out["quasi"] = _quasi_dict(fit_quasi_polynomial(table, n + 1))
+        out["quasi"] = _quasi_dict(fit_quasi_polynomial(beta, n + 1))
     except TruncationNeeded as exc:
         out["quasi"] = {"error": str(exc)}
     return out

@@ -534,9 +534,8 @@ class Ideal:
         """
         if self.contains(p):
             return True
-        basis = self._basis().basis
-        if all(len(v) == 1 for v, _ in basis):
-            roots = [tuple(min(e, 1) for e in lead[1]) for _, lead in basis]
+        roots = self._squarefree_roots
+        if roots is not None:
             return all(any(all(a <= b for a, b in zip(r, m)) for r in roots)
                        for m in p.terms)
         q = p
@@ -550,6 +549,15 @@ class Ideal:
         y = aux.gen(aux.nvars - 1)
         gens.append(aux.one() - y * p.map_ring(aux, var_map))
         return Ideal(aux, gens).is_unit_ideal()
+
+    @cached_property
+    def _squarefree_roots(self):
+        """The squarefree parts of the basis monomials, which generate the
+        radical, or None when the basis is not monomial."""
+        basis = self._basis().basis
+        if all(len(v) == 1 for v, _ in basis):
+            return [tuple(min(e, 1) for e in lead[1]) for _, lead in basis]
+        return None
 
     def radical_contains_ideal(self, other: "Ideal") -> bool:
         return all(self.radical_contains(g) for g in other.gens)

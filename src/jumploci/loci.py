@@ -77,10 +77,7 @@ def jump_locus_ideal(X: TwistedComplex, i: int) -> Ideal:
     r = X.rank
     if i > r:
         return _unit_ideal(S)
-    t = (r - i) // 2 + 1
-    if t <= 0:
-        return _unit_ideal(S)
-    return Ideal(S, X.D.minors(t)).reduced()
+    return Ideal(S, X.D.minors((r - i) // 2 + 1)).reduced()
 
 
 def jump_locus_via_exterior_power(X: TwistedComplex, i: int) -> Ideal:
@@ -93,8 +90,6 @@ def jump_locus_via_exterior_power(X: TwistedComplex, i: int) -> Ideal:
     if i > r:
         return _unit_ideal(S)
     s = r - i + 1
-    if s <= 0:
-        return _unit_ideal(S)
     g = X.D.generic_rank()
     if s > 2 * g:
         return _zero_ideal(S)

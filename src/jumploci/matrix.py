@@ -1,16 +1,9 @@
 """Sparse matrices over a polynomial ring, with bigraded bookkeeping.
 
-Row and column degrees are (cohomological, internal) pairs.  A matrix
-representing a graded map of bidegree ``(coh_shift, int_shift)`` satisfies,
-for every stored entry ``P[r, c]``::
-
-    cohdeg(entry) = colcoh[c] - rowcoh[r] + coh_shift
-    intdeg(entry) = colint[c] - rowint[r] + int_shift
-
-where the two degrees of a polynomial are measured against per-variable
-weight vectors supplied by the caller (for the operator ring S the
-cohomological weight of every variable is 2; for the base ring A the
-internal weights are the declared variable weights).
+Row and column degrees are (cohomological, internal) pairs, carried along
+by every operation.  ``cancel_unit`` is the one Gaussian elimination of a
+unit entry, shared by the presentations of modules and the minimalization
+of twisted complexes: the cokernel and its Fitting ideals stay the same.
 
 The determinantal kernel finds the nonzero minors only: the matrix is split
 into the connected components of its support graph, and inside a component
@@ -223,27 +216,6 @@ class PolyMatrix:
         return PolyMatrix(ring, nrows, ncols, out,
                           rd if have_deg else None, cd if have_deg else None)
 
-    # -- grading --------------------------------------------------------
-
-    def is_bihomogeneous(self, coh_weights=None, int_weights=None,
-                         coh_shift: int = 0, int_shift: int = 0) -> bool:
-        """Check the degree contract stated in the module docstring."""
-        def wdeg_set(p, w):
-            return {sum(e * wi for e, wi in zip(m, w)) for m in p.terms}
-        for (r, c), p in self.entries.items():
-            for weights, shift, idx in (
-                    (coh_weights, coh_shift, 0), (int_weights, int_shift, 1)):
-                if weights is None:
-                    continue
-                degs = wdeg_set(p, weights)
-                if len(degs) != 1:
-                    return False
-                expected = (self.col_degrees[c][idx] - self.row_degrees[r][idx]
-                            + shift)
-                if degs.pop() != expected:
-                    return False
-        return True
-
     # -- evaluation and rank --------------------------------------------
 
     def evaluate(self, point):
@@ -328,7 +300,8 @@ class PolyMatrix:
                         for q in ms:
                             spend(len(p.terms) * len(q.terms))
                             bucket.append(p * q)
-            acc = {k: _dedupe_monic(v) for k, v in nxt.items()}
+            # products of monic minors are monic and nonzero
+            acc = {k: list(dict.fromkeys(v)) for k, v in nxt.items()}
         return acc
 
     def _components(self):
@@ -396,6 +369,33 @@ def _bareiss_rank(work, one) -> int:
         live_rows = set(r for r, _ in work)
         live_cols = set(c for _, c in work)
     return rank
+
+
+def least_unit(entries):
+    """The least (row, column) of ``entries`` ({(r, c): poly}) whose entry
+    is a nonzero constant, or None; 1 + x is not a unit."""
+    return min((k for k, p in entries.items() if p.is_constant()),
+               default=None)
+
+
+def cancel_unit(entries, r, c, field):
+    """Schur complement on the unit u = entries[r, c], in place: every
+    entry (i, j) off row r and column c gains -e(i, c) e(r, j) / u, and
+    then row r and column c go."""
+    factor = field.neg(field.inv(entries[r, c].constant_term()))
+    col = {i: p.scale(factor) for (i, j), p in entries.items()
+           if j == c and i != r}
+    row = {j: p for (i, j), p in entries.items() if i == r and j != c}
+    for key in [k for k in entries if k[0] == r or k[1] == c]:
+        del entries[key]
+    for i, a in col.items():
+        for j, b in row.items():
+            s = entries.get((i, j))
+            s = a * b if s is None else s + a * b
+            if s.is_zero():
+                del entries[i, j]
+            else:
+                entries[i, j] = s
 
 
 def _dedupe_monic(polys):

@@ -1,14 +1,16 @@
 """Minimal graded free resolutions over A and over B = A/(f).
 
 A is a weighted polynomial ring; B is its quotient by the declared
-homogeneous elements f_1..f_c.  Both are built by one loop: each stage is
-one Groebner run over its candidate columns (the presentation, then the
-previous run's syzygies) that goes degree by degree.  It settles the
-degree-d columns once every pair of degree <= d is processed, keeps a
-minimal generating set of their span (over a graded ring this yields the
-minimal resolution), and its syzygies, in the coordinates of the kept
-columns, are the next stage's candidates, as in the degree by degree
-construction of La Scala and Stillman (J. Symb. Comp. 26, 1998).
+homogeneous elements f_1..f_c.  Both are built by one loop, after the
+unit entries of the presentation are cancelled (``split_unit_entries``,
+one ``matrix.cancel_unit`` each): each stage is one Groebner run over
+its candidate columns (the presentation, then the previous run's
+syzygies) that goes degree by degree.  It settles the degree-d columns
+once every pair of degree <= d is processed, keeps a minimal generating
+set of their span (over a graded ring this yields the minimal
+resolution), and its syzygies, in the coordinates of the kept columns,
+are the next stage's candidates, as in the degree by degree construction
+of La Scala and Stillman (J. Symb. Comp. 26, 1998).
 Resolutions over A are finite, and each run stays on the resolution as
 the basis the higher homotopies lift through d_t.  Resolutions over B are
 truncated and emulate module arithmetic over B inside A by adjoining the
@@ -27,8 +29,8 @@ from functools import cached_property
 from fractions import Fraction
 
 from .poly import Polynomial, PolyRing
-from .matrix import PolyMatrix
-from .groebner import Ideal, ModuleGB, _vec_add, vector_of
+from .matrix import PolyMatrix, cancel_unit, least_unit
+from .groebner import Ideal, ModuleGB, vector_of
 
 
 class PipelineError(ValueError):
@@ -156,37 +158,23 @@ def presentation_from_rows(ring: PolyRing, rows, row_degrees=None) -> PolyMatrix
     return mat
 
 
-def split_unit_entries(cols, rank: int, row_degrees, field):
-    """Cancel unit entries of a presentation by Schur complements.
-
-    A unit is an entry that is a nonzero constant u, at row r of column j.
-    Every other column subtracts its row-r entry over u times column j,
-    which clears its row r; then column j and row r go.  Returns pruned
-    columns, surviving row indices and their degrees; the cokernel is
-    unchanged.
-    """
-    cols = [dict(c) for c in cols]
-    live_rows = list(range(rank))
-    while True:
-        unit = next(((j, r, c) for j, col in enumerate(cols)
-                     for (r, m), c in col.items()
-                     if not any(m) and sum(k[0] == r for k in col) == 1),
-                    None)
-        if unit is None:
-            break
-        j, r, u = unit
-        pivot_col = cols.pop(j)
-        inv = field.neg(field.inv(u))
-        for k, col in enumerate(cols):
-            entry = [(m, c) for (rr, m), c in col.items() if rr == r]
-            for m, c in entry:
-                col = _vec_add(field, col, pivot_col, field.mul(c, inv), m)
-            cols[k] = col
-        live_rows.remove(r)
-    # compress row indices
-    remap = {r: i for i, r in enumerate(live_rows)}
-    out = [{(remap[r], m): c for (r, m), c in col.items()} for col in cols]
-    return out, live_rows, [row_degrees[r] for r in live_rows]
+def split_unit_entries(presentation: PolyMatrix, row_degrees):
+    """Cancel the unit entries of a presentation by ``cancel_unit``, the
+    least (row, column) first; the cokernel is unchanged.  Returns the
+    surviving columns as vectors and the degrees of the surviving rows."""
+    entries = dict(presentation.entries)
+    rows = list(range(presentation.nrows))
+    cols = list(range(presentation.ncols))
+    while (unit := least_unit(entries)) is not None:
+        cancel_unit(entries, *unit, presentation.ring.field)
+        rows.remove(unit[0])
+        cols.remove(unit[1])
+    row_at = {r: i for i, r in enumerate(rows)}
+    col_at = {c: j for j, c in enumerate(cols)}
+    left = PolyMatrix(presentation.ring, len(rows), len(cols),
+                      {(row_at[r], col_at[c]): p
+                       for (r, c), p in entries.items()})
+    return left.columns_as_vectors(), [row_degrees[r] for r in rows]
 
 
 def resolve_over_a(rd: RingData, presentation: PolyMatrix) -> FreeResolution:
@@ -257,9 +245,7 @@ def _resolve(rd: RingData, presentation: PolyMatrix,
     ring = rd.ring
     row_degrees = [d[1] for d in (presentation.row_degrees
                                   or [(0, 0)] * presentation.nrows)]
-    cols, _, row_degrees = split_unit_entries(
-        presentation.columns_as_vectors(), presentation.nrows, row_degrees,
-        ring.field)
+    cols, row_degrees = split_unit_entries(presentation, row_degrees)
 
     def candidates(cols, rank):
         """The nonzero columns, over B reduced modulo (f) first."""
@@ -368,12 +354,6 @@ def _check_concentration(res: FreeResolution) -> bool:
 
 
 @dataclass
-class BettiTable:
-    over: str
-    beta: dict
-
-
-@dataclass
 class QuasiPoly:
     """Period-2 quasi-polynomial: separate even and odd branch polynomials."""
 
@@ -431,15 +411,16 @@ def _fit_branch(points):
     raise TruncationNeeded("tail is not yet quasi-polynomial")
 
 
-def fit_quasi_polynomial(betti: BettiTable, window: int) -> QuasiPoly:
-    """Fit the even/odd tails of a Betti sequence by exact interpolation;
-    its indices are consecutive, as ``betti_numbers`` gives them."""
-    idx = sorted(betti.beta)
+def fit_quasi_polynomial(betti: dict, window: int) -> QuasiPoly:
+    """Fit the even/odd tails of a Betti sequence {i: beta_i} by exact
+    interpolation; its indices are consecutive, as ``betti_numbers``
+    gives them."""
+    idx = sorted(betti)
     if len(idx) < window:
         raise TruncationNeeded("window exceeds available Betti numbers")
     tail = idx[-window:]
-    ev = [(i, betti.beta[i]) for i in tail if i % 2 == 0]
-    od = [(i, betti.beta[i]) for i in tail if i % 2 == 1]
+    ev = [(i, betti[i]) for i in tail if i % 2 == 0]
+    od = [(i, betti[i]) for i in tail if i % 2 == 1]
     q_ev, v_ev = _fit_branch(ev)
     q_odd, v_odd = _fit_branch(od)
     deg_ev = len(q_ev) - 1 if q_ev else -1

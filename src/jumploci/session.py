@@ -476,5 +476,5 @@ def build_pipeline(session: Session) -> Pipeline:
                              complete=True)
         sys = ingest_dg_structure(res, mod.actions, rd)
         pres = None
-    X = build_twisted_complex(res, sys, rd)
+    X = build_twisted_complex(sys, rd)
     return Pipeline(rd, X.S, res, X, presentation=pres)

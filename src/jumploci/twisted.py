@@ -10,9 +10,15 @@ with chi-degree colcoh_j - rowcoh_i + 1 (chi_i has cohomological weight 2)
 and internal degree colint_j - rowint_i (chi_i has the internal degree of
 f_i).
 
+D^2 = 0 and the degrees hold by construction and are not checked again:
+the homotopy identities, checked exactly as they are solved or ingested,
+give D^2 = 0 modulo the irrelevant ideal, and sigma_J maps F_t to
+F_{t+2|J|-1}.  Minimalization (a Schur complement per contractible pair,
+``matrix.cancel_unit``), the S-dual, sums, shifts and Koszul objects on a
+homogeneous eta keep both.  The tests check them on every constructor.
+
 Duality (``s_dual``) is transposition with all basis degrees negated and
-shifted back by the length of F; it preserves D^2 = 0 and the degree
-contract, and it is the one route to X(M*).
+shifted back by the length of F, and it is the one route to X(M*).
 """
 
 from __future__ import annotations
@@ -20,9 +26,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .poly import Polynomial, PolyRing
-from .matrix import PolyMatrix
+from .matrix import PolyMatrix, cancel_unit, least_unit
 from .groebner import ModuleGB, coeffs_to_matrix, vector_of
-from .resolution import RingData, FreeResolution, PipelineError
+from .resolution import RingData, PipelineError
 from .homotopy import HigherHomotopySystem
 
 
@@ -37,34 +43,16 @@ class TwistedComplex:
     def rank(self) -> int:
         return len(self.basis_degrees)
 
-    def verify(self):
-        if (self.D.nrows, self.D.ncols) != (self.rank, self.rank):
-            raise AssertionError("differential shape mismatch")
-        if not (self.D @ self.D).is_zero():
-            raise AssertionError("twisted differential does not square to zero")
-        self.D.row_degrees = list(self.basis_degrees)
-        self.D.col_degrees = list(self.basis_degrees)
-        if not self.D.is_bihomogeneous(coh_weights=self.S.weights,
-                                       coh_shift=1,
-                                       int_weights=self.chi_internal,
-                                       int_shift=0):
-            raise AssertionError("twisted differential is not bihomogeneous")
-        return self
-
     def is_minimal(self) -> bool:
         return all(not p.constant_term() for p in self.D.entries.values())
 
 
-def build_twisted_complex(res: FreeResolution, sys: HigherHomotopySystem,
-                          rd: RingData, S: PolyRing = None) -> TwistedComplex:
-    """Assemble D = sum_J (sigma_J mod m)^T chi^J on the duals of F."""
-    if sys.resolution is not res:
-        if [m.entries for m in sys.resolution.differentials] != \
-                [m.entries for m in res.differentials]:
-            raise PipelineError("homotopy system is not carried by F")
-    if S is None:
-        S = rd.operator_ring()
-    ranks = [len(d) for d in res.degrees]
+def build_twisted_complex(sys: HigherHomotopySystem,
+                          rd: RingData) -> TwistedComplex:
+    """Assemble D = sum_J (sigma_J mod m)^T chi^J on the duals of F, the
+    resolution that carries ``sys``."""
+    res = sys.resolution
+    S = rd.operator_ring()
     L = res.length
     index = {}
     basis = []
@@ -94,54 +82,31 @@ def build_twisted_complex(res: FreeResolution, sys: HigherHomotopySystem,
             add_block(mat, t, m, J)
     entries = {k: v for k, v in entries.items() if not v.is_zero()}
     D = PolyMatrix(S, len(basis), len(basis), entries, basis, basis)
-    return TwistedComplex(S, basis, D, rd.ci_degrees).verify()
+    return TwistedComplex(S, basis, D, rd.ci_degrees)
 
 
 def minimalize(X: TwistedComplex) -> TwistedComplex:
-    """Split off all entries with nonzero constant term by Gaussian
-    cancellation of basis pairs; jump-locus data is unchanged.  A complex
-    that is already minimal is returned as it is."""
+    """Cancel the contractible pairs: for the least unit entry (p, q) a
+    Schur complement (``cancel_unit``), then basis elements p and q go;
+    jump-locus data is unchanged.  A complex that is already minimal is
+    returned as it is."""
     if X.is_minimal():
         return X
-    fld = X.S.field
-    entries = {k: v for k, v in X.D.entries.items()}
-    live = list(range(X.rank))
-    while True:
-        unit = None
-        for (p, q), poly in sorted(entries.items()):
-            u = poly.constant_term()
-            if u:
-                unit = (p, q, u)
-                break
-        if unit is None:
-            break
-        p, q, u = unit
-        inv_entries = {}
-        col_q = {r: poly for (r, cc), poly in entries.items() if cc == q}
-        row_p = {cc: poly for (r, cc), poly in entries.items() if r == p}
-        inv = fld.inv(u)
-        for r, a in col_q.items():
-            if r == p:
-                continue
-            for cc, b in row_p.items():
-                if cc == q:
-                    continue
-                delta = (a * b).scale(fld.neg(inv))
-                key = (r, cc)
-                s = entries.get(key, X.S.zero()) + delta
-                if s.is_zero():
-                    entries.pop(key, None)
-                else:
-                    entries[key] = s
-        entries = {(r, cc): poly for (r, cc), poly in entries.items()
-                   if r not in (p, q) and cc not in (p, q)}
-        live = [i for i in live if i not in (p, q)]
+    entries = dict(X.D.entries)
+    live = set(range(X.rank))
+    while (unit := least_unit(entries)) is not None:
+        p, q = unit
+        cancel_unit(entries, p, q, X.S.field)
+        entries = {(r, c): poly for (r, c), poly in entries.items()
+                   if r != q and c != p}
+        live -= {p, q}
+    live = sorted(live)
     remap = {old: new for new, old in enumerate(live)}
-    new_entries = {(remap[r], remap[c]): poly
-                   for (r, c), poly in entries.items()}
     degs = [X.basis_degrees[i] for i in live]
-    D = PolyMatrix(X.S, len(live), len(live), new_entries, degs, degs)
-    return TwistedComplex(X.S, degs, D, X.chi_internal).verify()
+    D = PolyMatrix(X.S, len(live), len(live),
+                   {(remap[r], remap[c]): poly
+                    for (r, c), poly in entries.items()}, degs, degs)
+    return TwistedComplex(X.S, degs, D, X.chi_internal)
 
 
 def tbetti(X: TwistedComplex) -> int:
@@ -210,7 +175,7 @@ def s_dual(X: TwistedComplex) -> TwistedComplex:
             for i in order]
     entries = {(new[c], new[r]): p for (r, c), p in X.D.entries.items()}
     D = PolyMatrix(X.S, X.rank, X.rank, entries, degs, degs)
-    return TwistedComplex(X.S, degs, D, X.chi_internal).verify()
+    return TwistedComplex(X.S, degs, D, X.chi_internal)
 
 
 def direct_sum(X: TwistedComplex, Y: TwistedComplex) -> TwistedComplex:
@@ -221,13 +186,13 @@ def direct_sum(X: TwistedComplex, Y: TwistedComplex) -> TwistedComplex:
     D.row_degrees = list(degs)
     D.col_degrees = list(degs)
     chi_int = X.chi_internal or Y.chi_internal
-    return TwistedComplex(X.S, degs, D, chi_int).verify()
+    return TwistedComplex(X.S, degs, D, chi_int)
 
 
 def shift(X: TwistedComplex, s: int) -> TwistedComplex:
     degs = [(a + s, b) for (a, b) in X.basis_degrees]
     D = PolyMatrix(X.S, X.rank, X.rank, dict(X.D.entries), degs, degs)
-    return TwistedComplex(X.S, degs, D, X.chi_internal).verify()
+    return TwistedComplex(X.S, degs, D, X.chi_internal)
 
 
 def koszul_object(X: TwistedComplex, eta: Polynomial) -> TwistedComplex:
@@ -242,8 +207,10 @@ def koszul_object(X: TwistedComplex, eta: Polynomial) -> TwistedComplex:
         raise PipelineError("Koszul element must have even degree")
     int_shift = 0
     if X.chi_internal and not eta.is_zero():
-        int_shift = {sum(e * wi for e, wi in zip(m, X.chi_internal))
-                     for m in eta.terms}.pop()
+        int_shift, *other = {sum(e * wi for e, wi in zip(m, X.chi_internal))
+                             for m in eta.terms}
+        if other:
+            raise PipelineError("Koszul element must have one internal degree")
     r = X.rank
     entries = {}
     for (i, j), p in X.D.entries.items():
@@ -256,7 +223,7 @@ def koszul_object(X: TwistedComplex, eta: Polynomial) -> TwistedComplex:
     degs = list(X.basis_degrees) + [(a + shift_coh, b + int_shift)
                                     for (a, b) in X.basis_degrees]
     D = PolyMatrix(S, 2 * r, 2 * r, entries, degs, degs)
-    return TwistedComplex(S, degs, D, X.chi_internal).verify()
+    return TwistedComplex(S, degs, D, X.chi_internal)
 
 
 def koszul_object_list(X: TwistedComplex, etas) -> TwistedComplex:
@@ -271,4 +238,4 @@ def free_complex(S: PolyRing, rank: int, chi_internal=None,
     degs = degrees if degrees is not None else [(0, 0)] * rank
     return TwistedComplex(S, list(degs),
                           PolyMatrix.zero(S, rank, rank, degs, degs),
-                          chi_internal).verify()
+                          chi_internal)

@@ -27,6 +27,24 @@ def matrix_of(ring, rows):
                                        for row in rows])
 
 
+def assert_twisted_complex(X: TwistedComplex) -> TwistedComplex:
+    """The contract every constructor of a twisted complex keeps, checked
+    from scratch: D is square of size rank, D^2 = 0, and each entry at
+    (i, j) is bihomogeneous, of chi-degree coh_j - coh_i + 1 (each chi of
+    weight 2) and, when the chi carry internal degrees, of internal degree
+    int_j - int_i.  Returns X."""
+    D = X.D
+    assert (D.nrows, D.ncols) == (X.rank, X.rank), "D is not square"
+    assert (D @ D).is_zero(), "D does not square to zero"
+    for (i, j), p in D.entries.items():
+        (coh_i, int_i), (coh_j, int_j) = X.basis_degrees[i], X.basis_degrees[j]
+        assert {X.S.wdeg(m) for m in p.terms} == {coh_j - coh_i + 1}, (i, j)
+        if X.chi_internal:
+            assert {sum(e * w for e, w in zip(m, X.chi_internal))
+                    for m in p.terms} == {int_j - int_i}, (i, j)
+    return X
+
+
 # -- fixed pipelines -------------------------------------------------------
 
 
@@ -39,7 +57,7 @@ def flag_pipeline():
         A, [[A.parse(e) for e in ("x^3", "y^3", "z^3", "x*z", "y*z^2")]])
     res = resolve_over_a(rd, pres)
     sys = compute_higher_homotopies(res, rd)
-    X = build_twisted_complex(res, sys, rd)
+    X = assert_twisted_complex(build_twisted_complex(sys, rd))
     return rd, pres, res, sys, X
 
 
@@ -53,7 +71,7 @@ def final_pipeline():
         A, [[A.parse(e) for e in ("x^2", "x*y", "y^2")]])
     res = resolve_over_a(rd, pres)
     sys = compute_higher_homotopies(res, rd)
-    X = build_twisted_complex(res, sys, rd)
+    X = assert_twisted_complex(build_twisted_complex(sys, rd))
     return rd, pres, res, sys, X
 
 
@@ -68,7 +86,8 @@ def koszul_action_pipeline():
     e1 = [matrix_of(A, [["x"], ["0"]]), matrix_of(A, [["0", "x"]])]
     e2 = [matrix_of(A, [["0"], ["y"]]), matrix_of(A, [["-y", "0"]])]
     sys = ingest_dg_structure(res, [e1, e2], rd)
-    return rd, res, sys, build_twisted_complex(res, sys, rd)
+    X = assert_twisted_complex(build_twisted_complex(sys, rd))
+    return rd, res, sys, X
 
 
 def nonregular_action_pipeline():
@@ -82,7 +101,8 @@ def nonregular_action_pipeline():
     e1 = [matrix_of(A, [["1"], ["0"]]), matrix_of(A, [["0", "x*y"]])]
     e2 = [matrix_of(A, [["0"], ["1"]]), matrix_of(A, [["-x*y", "0"]])]
     sys = ingest_dg_structure(res, [e1, e2], rd)
-    return rd, res, sys, build_twisted_complex(res, sys, rd)
+    X = assert_twisted_complex(build_twisted_complex(sys, rd))
+    return rd, res, sys, X
 
 
 @pytest.fixture(scope="session")
@@ -149,7 +169,7 @@ def random_twisted_complex(S: PolyRing, rng: random.Random) -> TwistedComplex:
         X = direct_sum(X, shift(base, rng.randrange(0, 2)))
     if rng.random() < 0.3:
         X = shift(X, rng.randrange(-1, 2))
-    return X
+    return assert_twisted_complex(X)
 
 
 def koszul_block(X: TwistedComplex) -> TwistedComplex:

@@ -19,7 +19,7 @@ from jumploci.groebner import Ideal, syzygy_matrix, module_hilbert_data
 from jumploci.matrix import PolyMatrix
 from jumploci.resolution import (RingData, presentation_from_rows,
                                  resolve_over_a, resolve_over_b,
-                                 dualize_over_a, BettiTable)
+                                 dualize_over_a)
 from jumploci.homotopy import compute_higher_homotopies, dualize_homotopies
 from jumploci.twisted import build_twisted_complex, tbetti
 from jumploci.loci import (jump_locus_ideal, jump_loci_report, crk_at,
@@ -57,13 +57,13 @@ def _coker_pipeline(variables, ci, gens):
     pres = presentation_from_rows(A, [[A.parse(g) for g in gens]])
     res = resolve_over_a(rd, pres)
     sys = compute_higher_homotopies(res, rd)
-    return rd, pres, res, sys, build_twisted_complex(res, sys, rd)
+    return rd, pres, res, sys, build_twisted_complex(sys, rd)
 
 
-def _explicit_dual(res, sys, rd, S):
+def _explicit_dual(res, sys, rd):
     dc = dualize_over_a(res)
     dual_sys = dualize_homotopies(sys, dc, rd)
-    return build_twisted_complex(dual_sys.resolution, dual_sys, rd, S=S), dc
+    return build_twisted_complex(dual_sys, rd), dc
 
 
 @criterion(1, 10)
@@ -128,7 +128,7 @@ def test_criterion_4_betti_growth_and_degrees():
             assert beta_dual[i] == (3 * i + 3) // 2, i
     assert complexity_of(X) == 2
     assert betti_degree(X) == 3
-    X_dual, _ = _explicit_dual(res, sys, rd, X.S)
+    X_dual, _ = _explicit_dual(res, sys, rd)
     assert betti_degree(X_dual) == 3  # Bass degree of the module itself
 
 
@@ -137,7 +137,7 @@ def test_criterion_5_duality():
     rd, pres, res, sys, X = _coker_pipeline(
         ("x", "y", "z"), ("x^3", "y^3", "z^3"),
         ("x^3", "y^3", "z^3", "x*z", "y*z^2"))
-    X_dual, _ = _explicit_dual(res, sys, rd, X.S)
+    X_dual, _ = _explicit_dual(res, sys, rd)
     assert duality_check(jump_loci_report(X), jump_loci_report(X_dual))
     rng = random.Random(7)
     A = PolyRing(GF101, ("x", "y"))
@@ -147,8 +147,8 @@ def test_criterion_5_duality():
         pres2 = presentation_from_rows(A, [[A.monomial(m) for m in gens]])
         res2 = resolve_over_a(rd2, pres2)
         sys2 = compute_higher_homotopies(res2, rd2)
-        Y = build_twisted_complex(res2, sys2, rd2)
-        Y_dual, _ = _explicit_dual(res2, sys2, rd2, Y.S)
+        Y = build_twisted_complex(sys2, rd2)
+        Y_dual, _ = _explicit_dual(res2, sys2, rd2)
         assert duality_check(jump_loci_report(Y), jump_loci_report(Y_dual))
 
 

@@ -8,8 +8,8 @@ import pytest
 
 from jumploci import cli, matrix
 from jumploci.cli import main
-from jumploci.resolution import (BettiTable, TruncationNeeded,
-                                 fit_quasi_polynomial, resolve_over_b)
+from jumploci.resolution import (TruncationNeeded, fit_quasi_polynomial,
+                                 resolve_over_b)
 from jumploci.session import build_pipeline, parse_session
 
 from conftest import SESSIONS, CHAINS
@@ -162,11 +162,10 @@ def _oracle_betti_report(path, n):
     pipe = build_pipeline(parse_session(path.read_text()))
 
     def block(presentation):
-        table = BettiTable("B", resolve_over_b(pipe.rd, presentation,
-                                               n).betti())
-        out = {"betti": {str(i): b for i, b in sorted(table.beta.items())}}
+        beta = resolve_over_b(pipe.rd, presentation, n).betti()
+        out = {"betti": {str(i): b for i, b in sorted(beta.items())}}
         try:
-            out["quasi"] = cli._quasi_dict(fit_quasi_polynomial(table, n + 1))
+            out["quasi"] = cli._quasi_dict(fit_quasi_polynomial(beta, n + 1))
         except TruncationNeeded as exc:
             out["quasi"] = {"error": str(exc)}
         return out

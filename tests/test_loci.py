@@ -22,9 +22,9 @@ from jumploci.loci import (crk_at, jump_locus_ideal,
                            duality_check, additivity_check, realize,
                            stable_betti_oracle, RouteDisagreement)
 
-from conftest import (SESSIONS, PAIR_BLOCK_SESSION, koszul_block, matrix_of,
-                      random_monomial_rows, random_homogeneous,
-                      random_twisted_complex)
+from conftest import (SESSIONS, PAIR_BLOCK_SESSION, assert_twisted_complex,
+                      koszul_block, matrix_of, random_monomial_rows,
+                      random_homogeneous, random_twisted_complex)
 
 GF101 = GF(101)
 
@@ -35,7 +35,7 @@ def _b_module_pipeline():
     pres = presentation_from_rows(A, [[A.parse("x^2"), A.parse("y^2")]])
     res = resolve_over_a(rd, pres)
     sys = compute_higher_homotopies(res, rd)
-    return rd, build_twisted_complex(res, sys, rd)
+    return rd, build_twisted_complex(sys, rd)
 
 
 # -- cohomological rank ----------------------------------------------------
@@ -279,8 +279,7 @@ def test_bass_degree_via_dual_pipeline(final_pipeline, flag_pipeline):
         rd, pres, res, sys, X = pipeline
         dc = dualize_over_a(res)
         dual_sys = dualize_homotopies(sys, dc, rd)
-        X_dual = build_twisted_complex(dual_sys.resolution, dual_sys, rd,
-                                       S=X.S)
+        X_dual = build_twisted_complex(dual_sys, rd)
         assert betti_degree(X_dual) == expected
 
 
@@ -399,7 +398,8 @@ def _numerator_inputs():
         out += [shift(X, s) for s in (-3, -2, -1, 1, 2)]
     S, chain = parse_chain_file((SESSIONS.parent / "chains"
                                  / "complete_flag.chain").read_text())
-    out += [free_complex(S, 0), realize(S, chain)[0]]
+    X = assert_twisted_complex(realize(S, chain)[0])
+    out += [free_complex(S, 0), X]
     for p in (2, 3, 101):
         S = PolyRing(GF(p), ("chi1", "chi2"), (2, 2))
         out += [random_twisted_complex(S, rng) for _ in range(8)]
@@ -444,7 +444,7 @@ def _explicit_dual(pipeline):
     rd, pres, res, sys, X = pipeline
     dc = dualize_over_a(res)
     dual_sys = dualize_homotopies(sys, dc, rd)
-    return build_twisted_complex(dual_sys.resolution, dual_sys, rd, S=X.S)
+    return build_twisted_complex(dual_sys, rd)
 
 
 def test_duality_on_final_example(final_pipeline):
@@ -456,7 +456,7 @@ def test_duality_on_nonregular_model(nonregular_action):
     rd, res, sys, X = nonregular_action
     dc = dualize_over_a(res)
     dual_sys = dualize_homotopies(sys, dc, rd)
-    X_dual = build_twisted_complex(dual_sys.resolution, dual_sys, rd, S=X.S)
+    X_dual = build_twisted_complex(dual_sys, rd)
     assert duality_check(jump_loci_report(X), jump_loci_report(X_dual))
 
 
@@ -481,11 +481,10 @@ def test_duality_on_random_monomial_modules():
             A, [[A.monomial(m) for m in gens]])
         res = resolve_over_a(rd, pres)
         sys = compute_higher_homotopies(res, rd)
-        X = build_twisted_complex(res, sys, rd)
+        X = build_twisted_complex(sys, rd)
         dc = dualize_over_a(res)
         dual_sys = dualize_homotopies(sys, dc, rd)
-        X_dual = build_twisted_complex(dual_sys.resolution, dual_sys, rd,
-                                       S=X.S)
+        X_dual = build_twisted_complex(dual_sys, rd)
         assert duality_check(jump_loci_report(X), jump_loci_report(X_dual))
         done += 1
 
@@ -585,6 +584,7 @@ def test_realize_two_variable_chain():
     chain = [Ideal(S, []), Ideal(S, [S.parse("chi1")]), Ideal(S, [S.one()])]
     X, rep, ok = realize(S, chain)
     assert ok
+    assert_twisted_complex(X)
 
 
 def test_realize_trivial_chain():
@@ -592,6 +592,7 @@ def test_realize_trivial_chain():
     chain = [Ideal(S, []), Ideal(S, [S.one()])]
     X, rep, ok = realize(S, chain)
     assert ok
+    assert_twisted_complex(X)
     assert rep.jump_numbers[0] == 2  # first plateau covers the free rank
 
 
@@ -603,6 +604,7 @@ def test_realize_three_variable_chain():
              Ideal(S, [S.one()])]
     X, rep, ok = realize(S, chain)
     assert ok
+    assert_twisted_complex(X)
     plateau_varieties = [I for _, I, _ in rep.per_index]
     for member in chain[1:-1]:
         assert any(member.same_variety(I) for I in plateau_varieties)

@@ -1,4 +1,5 @@
-"""Sparse polynomial matrices: minors, ranks, bihomogeneity."""
+"""Sparse polynomial matrices: minors, ranks, unit cancellation, and the
+bihomogeneity contract of twisted complexes."""
 
 import itertools
 import random
@@ -10,9 +11,10 @@ from jumploci import matrix
 from jumploci.matrix import PolyMatrix, _dedupe_monic
 from jumploci.resolution import PipelineError
 from jumploci.session import parse_session, build_pipeline
+from jumploci.twisted import TwistedComplex
 
-from conftest import (REPO, PAIR_BLOCK_SESSION, matrix_of,
-                      random_monomial_rows, random_monomial_rows_3)
+from conftest import (REPO, PAIR_BLOCK_SESSION, assert_twisted_complex,
+                      matrix_of, random_monomial_rows, random_monomial_rows_3)
 
 GF101 = GF(101)
 S2 = PolyRing(GF101, ("chi1", "chi2"), (2, 2))
@@ -73,11 +75,66 @@ def test_composition_and_transpose():
 
 
 def test_bihomogeneity_contract():
+    """The tests' oracle for twisted complexes accepts entries of the
+    bidegrees the basis asks for and rejects any other entry, and a D
+    that does not square to zero."""
     degs = [(0, 0), (1, 2)]
-    M = PolyMatrix(S2, 2, 2, {(0, 1): S2.parse("chi1")}, degs, degs)
-    # entry chi-degree must be (col coh) - (row coh) + 1 = 2
-    assert M.is_bihomogeneous(coh_weights=S2.weights, coh_shift=1,
-                              int_weights=(2, 2), int_shift=0)
+
+    def complex_of(entries, chi_internal=(2, 2)):
+        D = PolyMatrix(S2, 2, 2, {k: S2.parse(p) for k, p in entries.items()},
+                       degs, degs)
+        return TwistedComplex(S2, degs, D, chi_internal)
+
+    # entry chi-degree must be (col coh) - (row coh) + 1 = 2, and its
+    # internal degree (col int) - (row int) = 2
+    assert_twisted_complex(complex_of({(0, 1): "chi1"}))
+    assert_twisted_complex(complex_of({(0, 1): "chi2"}, (3, 2)))
+    for entries, chi_internal in (({(0, 1): "chi1^2"}, (2, 2)),
+                                  ({(0, 1): "chi1 + 1"}, (2, 2)),
+                                  ({(1, 0): "chi1"}, (2, 2)),
+                                  ({(0, 1): "chi1 + chi2"}, (2, 3)),
+                                  ({(0, 1): "chi1", (1, 0): "1"}, None)):
+        with pytest.raises(AssertionError):
+            assert_twisted_complex(complex_of(entries, chi_internal))
+    with pytest.raises(AssertionError, match="square"):
+        assert_twisted_complex(TwistedComplex(
+            S2, degs, PolyMatrix.zero(S2, 2, 3, degs, degs), None))
+
+
+def test_cancel_unit_is_the_schur_complement():
+    """On random sparse matrices over GF(101)[chi1, chi2] with a constant
+    u at (r, c), every entry (i, j) off row r and column c becomes
+    e(i, j) - e(i, c) e(r, j) / u, entry by entry, and row r and column c
+    go."""
+    rng = random.Random(83)
+    filled = 0
+    for _ in range(60):
+        n, m = rng.randrange(1, 5), rng.randrange(1, 5)
+        entries = {}
+        for i in range(n):
+            for j in range(m):
+                if rng.random() < 0.6:
+                    entries[i, j] = S2.monomial(
+                        (rng.randrange(2), rng.randrange(2)),
+                        rng.randrange(1, 101))
+        r, c = rng.randrange(n), rng.randrange(m)
+        u = rng.randrange(1, 101)
+        entries[r, c] = S2.const(u)
+        zero = S2.zero()
+        want = {}
+        for i in range(n):
+            for j in range(m):
+                if i != r and j != c:
+                    fill = (entries.get((i, c), zero)
+                            * entries.get((r, j), zero)).scale(GF101.inv(u))
+                    e = entries.get((i, j), zero) - fill
+                    if not e.is_zero():
+                        want[i, j] = e
+                    filled += not fill.is_zero()
+        got = dict(entries)
+        matrix.cancel_unit(got, r, c, GF101)
+        assert got == want
+    assert filled > 30
 
 
 def test_block_diag_shapes():

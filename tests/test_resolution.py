@@ -10,12 +10,12 @@ import pytest
 from jumploci import GF, PolyRing
 from jumploci import resolution
 from jumploci.poly import Polynomial
-from jumploci.groebner import (ModuleGB, _vec_add, module_hilbert_data,
+from jumploci.groebner import (Ideal, ModuleGB, _vec_add, module_hilbert_data,
                                syzygy_matrix, vector_of)
 from jumploci.resolution import (RingData, PipelineError, TruncationNeeded,
                                  FreeResolution, presentation_from_rows,
                                  resolve_over_a, resolve_over_b,
-                                 dualize_over_a, BettiTable,
+                                 dualize_over_a,
                                  fit_quasi_polynomial, column_degree,
                                  columns_to_matrix,
                                  resolution_euler_numerator,
@@ -337,8 +337,7 @@ def _two_run_resolution_over_b(rd, pres, truncation):
     resolution is complete."""
     ring = rd.ring
     row_degrees = [d[1] for d in pres.row_degrees]
-    cols, _, row_degrees = split_unit_entries(
-        pres.columns_as_vectors(), pres.nrows, row_degrees, ring.field)
+    cols, row_degrees = split_unit_entries(pres, row_degrees)
     nf = rd.ci_ideal().normal_form
     cols = [_reduce_column(c, nf, ring) for c in cols]
     degrees = [row_degrees]
@@ -389,8 +388,7 @@ def _two_run_resolution_over_a(rd, pres):
     bases, kept as the resolution's ``image_bases``."""
     ring = rd.ring
     row_degrees = [d[1] for d in pres.row_degrees]
-    cols, _, row_degrees = split_unit_entries(
-        pres.columns_as_vectors(), pres.nrows, row_degrees, ring.field)
+    cols, row_degrees = split_unit_entries(pres, row_degrees)
     degrees = [row_degrees]
     diffs = []
     bases = {}
@@ -437,7 +435,7 @@ def _coker_inputs():
 
 def _generic_crk(res, rd):
     sys = compute_higher_homotopies(res, rd)
-    return crk_at(build_twisted_complex(res, sys, rd), None)
+    return crk_at(build_twisted_complex(sys, rd), None)
 
 
 def test_one_run_per_stage_over_a_equals_the_two_run_loop():
@@ -506,23 +504,63 @@ def test_one_division_modulo_f_equals_the_normal_form_per_row(ci):
     assert changed > 10
 
 
+def _old_split_unit_entries(cols, rank: int, row_degrees, field):
+    """``split_unit_entries`` before it was a loop of ``matrix.cancel_unit``:
+    the first unit of the first column that has one, each other column
+    cleared at its row by the pivot column.  Returns the surviving columns,
+    row indices and row degrees."""
+    cols = [dict(c) for c in cols]
+    live_rows = list(range(rank))
+    while True:
+        unit = next(((j, r, c) for j, col in enumerate(cols)
+                     for (r, m), c in col.items()
+                     if not any(m) and sum(k[0] == r for k in col) == 1),
+                    None)
+        if unit is None:
+            break
+        j, r, u = unit
+        pivot_col = cols.pop(j)
+        inv = field.neg(field.inv(u))
+        for k, col in enumerate(cols):
+            for m, c in [(m, c) for (rr, m), c in col.items() if rr == r]:
+                col = _vec_add(field, col, pivot_col, field.mul(c, inv), m)
+            cols[k] = col
+        live_rows.remove(r)
+    remap = {r: i for i, r in enumerate(live_rows)}
+    out = [{(remap[r], m): c for (r, m), c in col.items()} for col in cols]
+    return out, live_rows, [row_degrees[r] for r in live_rows]
+
+
 def test_an_entry_with_a_constant_term_is_not_a_unit():
-    """1 + x is not a unit of A, so it is not cancelled; the column it
-    sits in is inhomogeneous, which the resolution reports."""
+    """1 + x is not a unit of A, so it is not cancelled, by the old
+    routine either; the column it sits in is inhomogeneous, which the
+    resolution reports.  Beside a true unit, 1 + x only takes the fill."""
     A = PolyRing(GF101, ("x", "y"))
     rd = RingData(A, [A.parse("x^2"), A.parse("y^2")])
     rows = [[A.parse("1 + x"), A.parse("y")], [A.parse("x"), A.zero()]]
-    cols = presentation_from_rows(A, rows).columns_as_vectors()
-    assert split_unit_entries(cols, 2, [0, 0], GF101) == (cols, [0, 1],
-                                                         [0, 0])
+    pres = presentation_from_rows(A, rows)
+    cols = pres.columns_as_vectors()
+    assert split_unit_entries(pres, [0, 0]) == (cols, [0, 0])
+    assert _old_split_unit_entries(cols, 2, [0, 0], GF101) == \
+        (cols, [0, 1], [0, 0])
     with pytest.raises(PipelineError, match="inhomogeneous module column"):
-        resolve_over_a(rd, presentation_from_rows(A, rows))
+        resolve_over_a(rd, pres)
+    rows = [[A.parse("1 + x"), A.one()], [A.parse("x"), A.parse("y")]]
+    pres = presentation_from_rows(A, rows)
+    want = presentation_from_rows(A, [[A.parse("x - y - x*y")]])
+    assert split_unit_entries(pres, [0, 1]) == \
+        (want.columns_as_vectors(), [1])
+    out, _, degrees = _old_split_unit_entries(pres.columns_as_vectors(), 2,
+                                              [0, 1], GF101)
+    assert (out, degrees) == (want.columns_as_vectors(), [1])
 
 
 def test_unit_split_keeps_the_hilbert_data():
-    """Cancelling unit entries leaves the cokernel's Hilbert data as it
-    was, on random homogeneous presentations over GF(101)[x,y,z] with
-    units in columns that have entries in other rows too."""
+    """Cancelling unit entries, least (row, column) first, leaves the
+    cokernel's Hilbert data and Fitting ideals as they were, and the row
+    degrees the old column-by-column routine leaves, on random homogeneous
+    presentations over GF(101)[x,y,z] with units in columns that have
+    entries in other rows too."""
     rng = random.Random(67)
     split_rows = 0
     for _ in range(40):
@@ -540,15 +578,27 @@ def test_unit_split_keeps_the_hilbert_data():
             if col:
                 cols.append(col)
         nrows = len(row_degrees)
-        out, live, degrees = split_unit_entries(cols, nrows, row_degrees,
-                                                GF101)
-        split_rows += nrows - len(live)
         before = columns_to_matrix(A3, cols, nrows, row_degrees, 1)
-        after = columns_to_matrix(A3, [c for c in out if c], len(live),
-                                  degrees, 1)
-        assert module_hilbert_data(before, row_degrees) == \
-            module_hilbert_data(after, degrees)
+        out, degrees = split_unit_entries(before, row_degrees)
+        old, _, old_degrees = _old_split_unit_entries(cols, nrows,
+                                                      row_degrees, GF101)
+        assert sorted(degrees) == sorted(old_degrees)
+        split_rows += nrows - len(degrees)
+        want = module_hilbert_data(before, row_degrees)
+        fitting = [_reduced_minor_ideal(before, t + nrows - len(degrees))
+                   for t in range(1, len(degrees) + 1)]
+        for cols_after in (out, old):
+            after = columns_to_matrix(A3, [c for c in cols_after if c],
+                                      len(degrees), degrees, 1)
+            assert module_hilbert_data(after, degrees) == want
+            assert [_reduced_minor_ideal(after, t)
+                    for t in range(1, len(degrees) + 1)] == fitting
     assert split_rows > 20
+
+
+def _reduced_minor_ideal(mat, t):
+    """The generators of the reduced basis of I_t(mat), as a set."""
+    return set(Ideal(mat.ring, mat.minors(t)).reduced().gens)
 
 
 # -- duals -----------------------------------------------------------------
@@ -662,27 +712,27 @@ def test_regular_sequence_detection():
 def test_fit_final_example_tail():
     beta = {4: 7, 5: 9, 6: 10, 7: 12, 8: 13, 9: 15, 10: 16, 11: 18,
             12: 19, 13: 21}
-    qp = fit_quasi_polynomial(BettiTable("B", beta), 10)
+    qp = fit_quasi_polynomial(beta, 10)
     assert qp.q_ev == (Fraction(1), Fraction(3, 2))
     assert qp.q_odd == (Fraction(3, 2), Fraction(3, 2))
 
 
 def test_fit_constant_tail():
     beta = {i: 2 for i in range(8)}
-    qp = fit_quasi_polynomial(BettiTable("B", beta), 8)
+    qp = fit_quasi_polynomial(beta, 8)
     assert qp.q_ev == (Fraction(2),) and qp.q_odd == (Fraction(2),)
 
 
 def test_fit_zero_tail():
     beta = {i: 0 for i in range(8)}
-    qp = fit_quasi_polynomial(BettiTable("B", beta), 8)
+    qp = fit_quasi_polynomial(beta, 8)
     assert qp.q_ev == () and qp.q_odd == ()
 
 
 def test_fit_rejects_unstable_tail():
     beta = {i: 2 ** i for i in range(8)}
     with pytest.raises(TruncationNeeded):
-        fit_quasi_polynomial(BettiTable("B", beta), 8)
+        fit_quasi_polynomial(beta, 8)
 
 
 def _interpolation_fit_branch(points):
@@ -728,7 +778,7 @@ def _random_betti_sequence(rng):
 
 def _fit_or_error(beta, window):
     try:
-        qp = fit_quasi_polynomial(BettiTable("B", beta), window)
+        qp = fit_quasi_polynomial(beta, window)
     except TruncationNeeded as exc:
         return str(exc)
     return qp.q_ev, qp.q_odd, qp.valid_from

@@ -6,9 +6,10 @@ import pytest
 
 from jumploci import GF, PolyRing
 from jumploci.groebner import module_hilbert_data
-from jumploci.matrix import PolyMatrix
-from jumploci.resolution import (RingData, presentation_from_rows,
-                                 resolve_over_a, dualize_over_a)
+from jumploci.matrix import PolyMatrix, least_unit
+from jumploci.resolution import (RingData, PipelineError,
+                                 presentation_from_rows, resolve_over_a,
+                                 dualize_over_a)
 from jumploci.homotopy import (compute_higher_homotopies, dualize_homotopies,
                                ingest_dg_structure)
 from jumploci.session import parse_session, build_pipeline
@@ -18,7 +19,8 @@ from jumploci.twisted import (TwistedComplex, build_twisted_complex,
                               koszul_object_list, free_complex)
 from jumploci.loci import crk_at, jump_locus_ideal
 
-from conftest import (REPO, SESSIONS, matrix_of, koszul_action_pipeline,
+from conftest import (REPO, SESSIONS, assert_twisted_complex, matrix_of,
+                      koszul_action_pipeline, random_homogeneous,
                       random_twisted_complex, random_monomial_rows)
 
 GF101 = GF(101)
@@ -33,7 +35,7 @@ def _b_as_module_complex():
     pres = presentation_from_rows(A, [[A.parse("x^2"), A.parse("y^2")]])
     res = resolve_over_a(rd, pres)
     sys = compute_higher_homotopies(res, rd)
-    return rd, build_twisted_complex(res, sys, rd)
+    return rd, build_twisted_complex(sys, rd)
 
 
 def test_residue_field_model_is_zero_differential(koszul_action):
@@ -91,6 +93,7 @@ def test_nonminimal_build_gives_same_jump_ideals():
                           PolyMatrix(S, 2, 2, {(1, 0): S.one()}, degs, degs),
                           X.chi_internal)
     inflated = direct_sum(X, cone)
+    assert_twisted_complex(minimalize(inflated))
     for i in (2, 4):
         assert jump_locus_ideal(inflated, i).same_variety(
             jump_locus_ideal(X, i))
@@ -134,10 +137,10 @@ def test_s_dual_of_zero_differential(koszul_action):
 def _assert_s_dual_is_the_explicit_dual(res, sys, rd):
     """s_dual(X) equals, entry for entry, the twisted complex built from
     Hom_A(F, A) and the transposed homotopies; returns (X, s_dual(X))."""
-    X = build_twisted_complex(res, sys, rd)
+    X = assert_twisted_complex(build_twisted_complex(sys, rd))
     dual_sys = dualize_homotopies(sys, dualize_over_a(res), rd)
-    Z = build_twisted_complex(dual_sys.resolution, dual_sys, rd, S=X.S)
-    Y = s_dual(X)
+    Z = assert_twisted_complex(build_twisted_complex(dual_sys, rd))
+    Y = assert_twisted_complex(s_dual(X))
     assert Y.D.entries == Z.D.entries
     assert Y.basis_degrees == Z.basis_degrees
     assert Y.chi_internal == Z.chi_internal
@@ -160,6 +163,8 @@ def test_s_dual_is_the_explicit_dual_on_every_session(path):
         sys = ingest_dg_structure(res, mod.actions, rd)
     X, Y = _assert_s_dual_is_the_explicit_dual(res, sys, rd)
     assert X.D.entries == pipe.X.D.entries
+    assert_twisted_complex(minimalize(pipe.X))
+    assert_twisted_complex(minimalize(pipe.X_dual))
     assert pipe.X_dual.D.entries == Y.D.entries
     assert pipe.X_dual.basis_degrees == Y.basis_degrees
 
@@ -221,6 +226,17 @@ def test_koszul_object_rejects_odd_degree():
         koszul_object(X, bad)
 
 
+def test_koszul_object_rejects_mixed_internal_degree():
+    """With chi1, chi2 of internal degrees 2 and 3, chi1 + chi2 has one
+    cohomological degree but two internal ones, so its cone would not be
+    bihomogeneous."""
+    S = PolyRing(GF101, ("chi1", "chi2"), (2, 2))
+    X = free_complex(S, 1, (2, 3))
+    assert_twisted_complex(koszul_object(X, S.parse("chi2")))
+    with pytest.raises(PipelineError, match="one internal degree"):
+        koszul_object(X, S.parse("chi1 + chi2"))
+
+
 def test_minimalize_preserves_hilbert_series_of_homology():
     rng = random.Random(5)
     S = PolyRing(GF5, ("chi1", "chi2"), (2, 2))
@@ -245,3 +261,105 @@ def test_tbetti_examples(flag_pipeline):
                           PolyMatrix(S, 2, 2, {(1, 0): S.one()}, degs, degs),
                           X2.chi_internal)
     assert tbetti(cone) == 0
+
+
+# -- minimalize against the elimination it replaced ------------------------
+
+
+def _old_minimalize(X: TwistedComplex) -> TwistedComplex:
+    """``minimalize`` before it was a loop of ``matrix.cancel_unit``: the
+    first entry with a nonzero constant term in sorted order, its update
+    written out, then both basis elements dropped."""
+    if X.is_minimal():
+        return X
+    fld = X.S.field
+    entries = dict(X.D.entries)
+    live = list(range(X.rank))
+    while True:
+        unit = next(((p, q, poly.constant_term())
+                     for (p, q), poly in sorted(entries.items())
+                     if poly.constant_term()), None)
+        if unit is None:
+            break
+        p, q, u = unit
+        col_q = {r: poly for (r, cc), poly in entries.items() if cc == q}
+        row_p = {cc: poly for (r, cc), poly in entries.items() if r == p}
+        inv = fld.inv(u)
+        for r, a in col_q.items():
+            for cc, b in row_p.items():
+                if r == p or cc == q:
+                    continue
+                s = entries.get((r, cc), X.S.zero()) + \
+                    (a * b).scale(fld.neg(inv))
+                if s.is_zero():
+                    entries.pop((r, cc), None)
+                else:
+                    entries[r, cc] = s
+        entries = {(r, cc): poly for (r, cc), poly in entries.items()
+                   if r not in (p, q) and cc not in (p, q)}
+        live = [i for i in live if i not in (p, q)]
+    remap = {old: new for new, old in enumerate(live)}
+    degs = [X.basis_degrees[i] for i in live]
+    D = PolyMatrix(X.S, len(live), len(live),
+                   {(remap[r], remap[c]): poly
+                    for (r, c), poly in entries.items()}, degs, degs)
+    return TwistedComplex(X.S, degs, D, X.chi_internal)
+
+
+def _conjugate(X: TwistedComplex, rng) -> TwistedComplex:
+    """E D E^-1 for a random elementary change of basis E = 1 + s e_ij,
+    i != j, with s of the degree coh_j - coh_i; the result is again a
+    twisted complex, isomorphic to X."""
+    coh = [u for u, _ in X.basis_degrees]
+    pairs = [(i, j) for i in range(X.rank) for j in range(X.rank)
+             if i != j and coh[j] >= coh[i] and (coh[j] - coh[i]) % 2 == 0]
+    if not pairs:
+        return X
+    i, j = rng.choice(pairs)
+    s = random_homogeneous(X.S, rng, coh[j] - coh[i])
+    degs = X.basis_degrees
+    one = PolyMatrix.identity(X.S, X.rank, degrees=degs)
+    N = PolyMatrix(X.S, X.rank, X.rank, {(i, j): s}, degs, degs)
+    return TwistedComplex(X.S, degs, (one + N) @ X.D @ (one - N),
+                          X.chi_internal)
+
+
+def _random_nonminimal_complex(S, rng) -> TwistedComplex:
+    """A random complex plus one to three contractible pairs, the basis
+    mixed by a few random changes of basis so that the units share rows
+    and columns with other entries."""
+    X = random_twisted_complex(S, rng)
+    for _ in range(rng.randrange(1, 4)):
+        u = rng.randrange(-1, 3)
+        degs = [(u, 0), (u + 1, 0)]
+        pair = PolyMatrix(S, 2, 2, {(1, 0): S.const(rng.randrange(1, 5))},
+                          degs, degs)
+        X = direct_sum(X, TwistedComplex(S, degs, pair, X.chi_internal))
+    for _ in range(rng.randrange(4, 10)):
+        X = _conjugate(X, rng)
+    return assert_twisted_complex(X)
+
+
+def test_minimalize_equals_the_old_elimination():
+    """On random non-minimal complexes over GF(5)[chi1, chi2], the
+    Schur-complement loop gives the old elimination's D entry for entry,
+    the same rank, and the same reduced jump ideals."""
+    rng = random.Random(97)
+    S = PolyRing(GF5, ("chi1", "chi2"), (2, 2))
+    cancelled = mixed = 0
+    for _ in range(30):
+        X = _random_nonminimal_complex(S, rng)
+        new, old = minimalize(X), _old_minimalize(X)
+        assert_twisted_complex(new)
+        assert new.basis_degrees == old.basis_degrees
+        assert new.D.entries == old.D.entries
+        assert new.rank == old.rank == minimalize(new).rank
+        for i in range(1, new.rank + 1):
+            assert set(jump_locus_ideal(new, i).gens) == \
+                set(jump_locus_ideal(old, i).gens)
+        cancelled += (X.rank - new.rank) // 2
+        # the first unit shares its row and its column with other entries
+        p, q = least_unit(X.D.entries)
+        mixed += (any(c == q and r != p for r, c in X.D.entries)
+                  and any(r == p and c != q for r, c in X.D.entries))
+    assert cancelled >= 40 and mixed >= 10
