@@ -5,6 +5,14 @@ exponent_tuple)`` to a nonzero field scalar.  The module term order is
 term-over-position: terms are compared first by the ring's weighted grevlex
 key on the monomial, then by preferring smaller component index.
 
+Division (``ModuleGB._reduce_full``) never scans.  A basis indexes its
+leads by component, in basis order, so a term looks for its reducer only
+among the leads of its own component and takes the first that divides
+it: the reducer a scan of the whole basis would pick.  The terms wait in
+a heap keyed by the grevlex keys that the ring caches per monomial, and
+the division returns the lead of its remainder, the first term it moved
+there, so no caller rescans the remainder for it.
+
 Syzygies and lifting are computed by the annihilator-column device: each
 input column is augmented with a unit vector in a shadow block of
 components, the shadow block ordered strictly below every real term.  Any
@@ -36,6 +44,7 @@ from __future__ import annotations
 
 import heapq
 from functools import cached_property
+from operator import add, le, sub
 
 from .poly import Polynomial, PolyRing
 from .matrix import PolyMatrix
@@ -66,7 +75,7 @@ def _vec_add(fld, a, b, coeff=None, shift=None):
     out = dict(a)
     for (comp, m), c in b.items():
         if shift is not None:
-            m = tuple(x + y for x, y in zip(m, shift))
+            m = tuple(map(add, m, shift))
         if coeff is not None:
             c = fld.mul(c, coeff)
         s = fld.add(out.get((comp, m), fld.zero()), c)
@@ -113,7 +122,7 @@ class ModuleGB:
         self.track = track
         self.row_degrees = row_degrees
         self._syzygies = []
-        self.basis = []
+        self._set_basis([])
         if row_degrees is not None:
             self.kept = self._run_by_degree(columns, modulo)
             return
@@ -137,8 +146,24 @@ class ModuleGB:
         """An untracked basis for division only, from (monic vector, lead)
         pairs that already form a Groebner basis; no run is made."""
         gb = cls.__new__(cls)
-        gb.ring, gb.rank, gb.track, gb.basis = ring, rank, False, basis
+        gb.ring, gb.rank, gb.track = ring, rank, False
+        gb._set_basis(basis)
         return gb
+
+    # -- basis and lead index ----------------------------------------------
+
+    def _set_basis(self, basis):
+        """Replace the basis, and index its leads: ``_leads[r]`` lists the
+        (lead monomial, vector) of the elements with lead in component r,
+        in basis order."""
+        self.basis = []
+        self._leads = [[] for _ in range(self.rank)]
+        for v, lead in basis:
+            self._append(v, lead)
+
+    def _append(self, v, lead):
+        self.basis.append((v, lead))
+        self._leads[lead[0]].append((lead[1], v))
 
     # -- term order ------------------------------------------------------
 
@@ -146,56 +171,50 @@ class ModuleGB:
         comp, mono = term
         return (self.ring.mono_key(mono), -comp)
 
-    def _real_lead(self, v):
-        best = None
-        bk = None
-        for term in v:
-            if term[0] >= self.rank:
-                continue
-            k = self._term_key(term)
-            if bk is None or k > bk:
-                bk = k
-                best = term
-        return best
-
     # -- division --------------------------------------------------------
 
     def _reduce_full(self, v):
-        """Full normal form of the real part; shadow terms ride along.
+        """Full normal form of the real part, and its lead term (None when
+        the real part reduces to zero); shadow terms ride along.
 
         The real terms wait in a heap ordered by ``PolyRing.mono_key_desc``
-        (largest term first, then smallest component, as ``_term_key``).
-        A reduction step pushes only the terms it creates, and a popped
-        term that has since cancelled is skipped, so each step reduces the
-        largest live term, with no rescan of the vector.
+        (largest term first, then smallest component, as ``_term_key``),
+        whose keys the ring caches per monomial.  A reduction step pushes
+        only the terms it creates, and a popped term that has since
+        cancelled is skipped, so each step reduces the largest live term,
+        with no rescan of the vector.  The reducer of a term is the first
+        divisor of its monomial in the lead index of its own component,
+        that is, the first in basis order.  A term with no reducer moves
+        to the remainder, and no later step creates a term above it, so
+        the first term moved is the lead of the remainder.
         """
         fld = self.ring.field
         rank = self.rank
+        leads = self._leads
         desc = self.ring.mono_key_desc
         v = dict(v)
         heap = [(desc(m), comp, m) for comp, m in v if comp < rank]
         heapq.heapify(heap)
         remainder = {}
+        lead = None
         while heap:
             _, comp, mono = heapq.heappop(heap)
             lt = (comp, mono)
             lc = v.get(lt)
             if lc is None:
                 continue
-            reducer = None
-            for g, glead in self.basis:
-                gc, gm = glead
-                if gc == comp and all(a <= b for a, b in zip(gm, mono)):
-                    reducer = (g, gm)
+            for gm, g in leads[comp]:
+                if all(map(le, gm, mono)):
                     break
-            if reducer is None:
+            else:
                 remainder[lt] = v.pop(lt)
+                if lead is None:
+                    lead = lt
                 continue
-            g, gm = reducer
-            shift = tuple(a - b for a, b in zip(mono, gm))
+            shift = tuple(map(sub, mono, gm))
             coeff = fld.neg(lc)  # basis elements are monic
             for (gc, m), c in g.items():
-                m = tuple(x + y for x, y in zip(m, shift))
+                m = tuple(map(add, m, shift))
                 term = (gc, m)
                 c = fld.mul(c, coeff)
                 old = v.get(term)
@@ -210,9 +229,8 @@ class ModuleGB:
                 else:
                     del v[term]
         # remainder real terms plus surviving shadow terms
-        for k, c in v.items():
-            remainder[k] = c
-        return remainder
+        remainder.update(v)
+        return remainder, lead
 
     def _monic(self, v, lead):
         c = v[lead]
@@ -225,7 +243,7 @@ class ModuleGB:
     def _add_element(self, v, lead, pairs):
         idx = len(self.basis)
         v = self._monic(v, lead)
-        self.basis.append((v, lead))
+        self._append(v, lead)
         GBStats.basis_elements += 1
         single = not self.track and len(v) == 1
         for j, (g, jlead) in enumerate(self.basis[:-1]):
@@ -233,10 +251,9 @@ class ModuleGB:
                 continue
             if single and len(g) == 1:
                 continue  # two terms in one component: the S-vector is zero
-            lcm = tuple(max(a, b) for a, b in zip(jlead[1], lead[1]))
+            lcm = tuple(map(max, jlead[1], lead[1]))
             if (not self.track and self.rank == 1
-                    and all(a + b == l for a, b, l in
-                            zip(jlead[1], lead[1], lcm))):
+                    and not any(map(min, jlead[1], lead[1]))):
                 continue  # coprime leads reduce to zero (rank-one only)
             key = self.ring.mono_key(lcm)
             if self.row_degrees is not None:
@@ -246,7 +263,7 @@ class ModuleGB:
     def _run_buchberger(self, seeded):
         pairs = []
         for v in seeded:
-            if self._take(self._reduce_full(v), pairs):
+            if self._take(*self._reduce_full(v), pairs):
                 return
         while pairs:
             if self._next_pair(pairs):
@@ -258,11 +275,11 @@ class ModuleGB:
         _, i, j, lcm = heapq.heappop(pairs)
         GBStats.pairs_processed += 1
         (gi, li), (gj, lj) = self.basis[i], self.basis[j]
-        si = tuple(a - b for a, b in zip(lcm, li[1]))
-        sj = tuple(a - b for a, b in zip(lcm, lj[1]))
+        si = tuple(map(sub, lcm, li[1]))
+        sj = tuple(map(sub, lcm, lj[1]))
         s = _vec_add(fld, {}, gi, fld.one(), si)
         s = _vec_add(fld, s, gj, fld.neg(fld.one()), sj)
-        return self._take(self._reduce_full(s), pairs)
+        return self._take(*self._reduce_full(s), pairs)
 
     def _run_by_degree(self, columns, modulo):
         """The graded run of the class docstring; returns ``kept``.
@@ -291,14 +308,13 @@ class ModuleGB:
                 self._next_pair(pairs)
             fixed, group = groups[d]
             for v in fixed:
-                self._take(self._reduce_full(v), pairs)
+                self._take(*self._reduce_full(v), pairs)
             kept_d = []
             for j in reversed(group):
                 v = dict(columns[j])
                 if self.track:
                     v[(self.rank + j, (0,) * ring.nvars)] = ring.field.one()
-                w = self._reduce_full(v)
-                lead = self._real_lead(w)
+                w, lead = self._reduce_full(v)
                 if lead is not None:
                     self._add_element(w, lead, pairs)
                     kept_d.append(j)
@@ -312,15 +328,15 @@ class ModuleGB:
         comp, mono = next(iter(v))
         return self.ring.wdeg(mono) + self.row_degrees[comp]
 
-    def _take(self, w, pairs) -> bool:
-        """Add a reduced element to the basis, or record it as zero.
+    def _take(self, w, lead, pairs) -> bool:
+        """Add a reduced element with real lead ``lead`` to the basis, or
+        record it as zero when ``lead`` is None.
 
         Returns True when the run can stop: an untracked rank-one run has
         met a constant, so the ideal is the unit ideal, and interreduction
         leaves the reduced basis ``[1]`` whatever the remaining pairs
         would add.
         """
-        lead = self._real_lead(w)
         if lead is None:
             self._record_zero(w)
             return False
@@ -335,33 +351,30 @@ class ModuleGB:
                 self._syzygies.append(shadow)
 
     def _interreduce(self):
-        # drop elements whose lead is divisible by another lead, then
-        # tail-reduce for a unique reduced basis
+        """Drop the elements whose lead another lead of their component
+        divides (of equal leads, all but the first), then tail-reduce, in
+        ascending lead order, for the unique reduced basis."""
         keep = []
-        for i, (g, lead) in enumerate(self.basis):
-            redundant = False
-            for j, (_, l2) in enumerate(self.basis):
-                if i == j or lead[0] != l2[0]:
-                    continue
-                if all(a <= b for a, b in zip(l2[1], lead[1])):
-                    if not all(a == b for a, b in zip(l2[1], lead[1])) or j < i:
-                        redundant = True
-                        break
-            if not redundant:
-                keep.append((g, lead))
-        self.basis = []
-        for g, lead in sorted(keep, key=lambda t: self._term_key(t[1])):
+        for comp, leads in enumerate(self._leads):
+            for i, (mono, g) in enumerate(leads):
+                if not any(all(map(le, m2, mono)) and (j < i or m2 != mono)
+                           for j, (m2, _) in enumerate(leads) if j != i):
+                    keep.append((g, (comp, mono)))
+        keep.sort(key=lambda t: self._term_key(t[1]))
+        self._set_basis([])
+        for g, lead in keep:
             tail = {k: c for k, c in g.items() if k != lead}
-            red = self._reduce_full(tail)
+            red, _ = self._reduce_full(tail)
             red[lead] = g[lead]
-            self.basis.append((red, lead))
-        self.basis.sort(key=lambda t: self._term_key(t[1]), reverse=True)
+            self._append(red, lead)
+        self._set_basis(self.basis[::-1])
 
     # -- public API ------------------------------------------------------
 
     def normal_form(self, v):
         """Remainder of ``v`` on division by the basis (real components)."""
-        w = self._reduce_full({k: c for k, c in v.items() if k[0] < self.rank})
+        w, _ = self._reduce_full(
+            {k: c for k, c in v.items() if k[0] < self.rank})
         return {k: c for k, c in w.items() if k[0] < self.rank}
 
     def contains(self, v) -> bool:
@@ -395,11 +408,12 @@ class ModuleGB:
         if not self.track:
             raise ValueError("lifting requires a tracked basis")
         rank = self.rank
-        w = self._reduce_full({k: c for k, c in v.items() if k[0] < rank})
+        w, lead = self._reduce_full(
+            {k: c for k, c in v.items() if k[0] < rank})
+        if lead is not None:
+            return None
         per = {}
         for (comp, m), c in w.items():
-            if comp < rank:
-                return None
             per.setdefault(comp - rank, {})[m] = c
         at = self._position
         return {at[j]: Polynomial(self.ring, terms)
@@ -444,22 +458,6 @@ def coeffs_to_matrix(ring: PolyRing, columns, nrows: int) -> PolyMatrix:
     entries = {(r, c): p for c, col in enumerate(columns)
                for r, p in col.items() if not p.is_zero()}
     return PolyMatrix(ring, nrows, len(columns), entries)
-
-
-def syzygy_matrix(mat: PolyMatrix, extra_columns=None) -> PolyMatrix:
-    """Syzygies of the columns of ``mat`` (plus optional extra columns).
-
-    Returns a matrix K with mat @ K = 0 whose columns generate all
-    syzygies.  ``extra_columns`` (module vectors) are appended after the
-    matrix columns; the result keeps one row per column of the combined
-    input.
-    """
-    cols = mat.columns_as_vectors()
-    if extra_columns:
-        cols = cols + list(extra_columns)
-    gb = ModuleGB(mat.ring, mat.nrows, cols, track=True)
-    return coeffs_to_matrix(mat.ring, [dict(enumerate(s))
-                                       for s in gb.syzygies()], len(cols))
 
 
 class Ideal:
@@ -536,7 +534,7 @@ class Ideal:
             return True
         roots = self._squarefree_roots
         if roots is not None:
-            return all(any(all(a <= b for a, b in zip(r, m)) for r in roots)
+            return all(any(all(map(le, r, m)) for r in roots)
                        for m in p.terms)
         q = p
         for _ in range(3):
@@ -675,7 +673,7 @@ def _minimalize(monos):
     monos = sorted(set(monos), key=lambda m: (sum(m), m))
     out = []
     for m in monos:
-        if not any(all(a >= b for a, b in zip(m, g)) for g in out):
+        if not any(all(map(le, g, m)) for g in out):
             out.append(m)
     return tuple(out)
 

@@ -9,11 +9,18 @@ graded reverse lexicographic.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field as _field
+from operator import add, mul, sub
 
 from .field import Field
 
 Monomial = tuple  # exponent tuple, one entry per ring variable
+
+
+def _cache():
+    """A per-ring memo that takes no part in equality, hashing or repr."""
+    return _field(default_factory=dict, init=False, compare=False,
+                  hash=False, repr=False)
 
 
 @dataclass(frozen=True)
@@ -21,6 +28,11 @@ class PolyRing:
     field: Field
     variables: tuple
     weights: tuple = ()
+    # monomial -> mono_key / mono_key_desc, filled on first use
+    _keys: dict = _cache()
+    _desc_keys: dict = _cache()
+    _unit_weights: bool = _field(default=False, init=False, compare=False,
+                                 hash=False, repr=False)
 
     def __post_init__(self):
         if not self.weights:
@@ -29,6 +41,8 @@ class PolyRing:
             raise ValueError("weights/variables length mismatch")
         if any(w <= 0 for w in self.weights):
             raise ValueError("weights must be positive")
+        object.__setattr__(self, "_unit_weights",
+                           all(w == 1 for w in self.weights))
         for i, name in enumerate(self.variables):
             if name in self.variables[:i]:
                 raise ValueError(f"duplicate variable name '{name}'")
@@ -64,16 +78,26 @@ class PolyRing:
         return Polynomial(self, {tuple(exps): c})
 
     def wdeg(self, mono: Monomial) -> int:
-        return sum(e * w for e, w in zip(mono, self.weights))
+        if self._unit_weights:
+            return sum(mono)
+        return sum(map(mul, mono, self.weights))
 
     def mono_key(self, mono: Monomial):
         """Sort key realizing weighted grevlex (larger key = larger monomial)."""
-        return (self.wdeg(mono), tuple(-e for e in reversed(mono)))
+        key = self._keys.get(mono)
+        if key is None:
+            key = self._keys[mono] = (self.wdeg(mono),
+                                      tuple(-e for e in reversed(mono)))
+        return key
 
     def mono_key_desc(self, mono: Monomial):
         """``mono_key`` with every entry negated: ascending order of this key
         is descending term order, for min-heaps of terms."""
-        return (-self.wdeg(mono), tuple(reversed(mono)))
+        key = self._desc_keys.get(mono)
+        if key is None:
+            key = self._desc_keys[mono] = (-self.wdeg(mono),
+                                           tuple(reversed(mono)))
+        return key
 
     def extend(self, extra_var: str, weight: int = 1) -> "PolyRing":
         """Ring with one auxiliary variable appended (radical-membership trick)."""
@@ -155,7 +179,7 @@ class Polynomial:
         out = {}
         for m1, c1 in self.terms.items():
             for m2, c2 in other.terms.items():
-                m = tuple(a + b for a, b in zip(m1, m2))
+                m = tuple(map(add, m1, m2))
                 s = fld.add(out.get(m, fld.zero()), fld.mul(c1, c2))
                 if s:
                     out[m] = s
@@ -241,13 +265,13 @@ class Polynomial:
         key = self.ring.mono_key
         while rem:
             lm = max(rem, key=key)
-            quot = tuple(a - b for a, b in zip(lm, dlm))
+            quot = tuple(map(sub, lm, dlm))
             if any(e < 0 for e in quot):
                 raise ArithmeticError("division is not exact")
             qc = fld.div(rem[lm], dlc)
             out[quot] = qc
             for m, c in divisor.terms.items():
-                mm = tuple(a + b for a, b in zip(quot, m))
+                mm = tuple(map(add, quot, m))
                 s = fld.sub(rem.get(mm, fld.zero()), fld.mul(qc, c))
                 if s:
                     rem[mm] = s

@@ -182,6 +182,14 @@ def _parse_entries(ring: PolyRing, rows, line_no, require_homogeneous=True):
     return out
 
 
+def _once(seen, directive, line_no):
+    """Reject a second ``field``, ``ring``, ``ci``, ``module`` or
+    ``option <name>`` line: a repeat would silently replace the first."""
+    if directive in seen:
+        raise SessionError(f"duplicate {directive} declaration", line_no)
+    seen.add(directive)
+
+
 def parse_session(text: str) -> Session:
     fld = None
     ring = None
@@ -190,6 +198,7 @@ def parse_session(text: str) -> Session:
     diffs = {}           # label index -> rows (as polynomials)
     actions = {}         # label index -> list of matrices (as rows)
     options = {}
+    seen = set()         # the header directives given so far
     for line_no, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].rstrip()
         if not line.strip():
@@ -201,6 +210,8 @@ def parse_session(text: str) -> Session:
         directive = m.group(0)
         rest = line.strip()[len(directive):].strip()
         rest_col = len(line) - len(rest) + 1
+        if directive in ("field", "ring", "ci", "module"):
+            _once(seen, directive, line_no)
 
         if directive == "field":
             fld = parse_field(rest, line_no)
@@ -298,6 +309,7 @@ def parse_session(text: str) -> Session:
             if len(parts) != 2:
                 raise SessionError("option needs a name and a value", line_no)
             name, value = parts
+            _once(seen, f"option {name}", line_no)
             if name in ("truncation", "seed"):
                 try:
                     options[name] = int(value)

@@ -15,7 +15,7 @@ import time
 import pytest
 
 from jumploci import GF, QQ, PolyRing
-from jumploci.groebner import Ideal, syzygy_matrix, module_hilbert_data
+from jumploci.groebner import Ideal, module_hilbert_data
 from jumploci.matrix import PolyMatrix
 from jumploci.resolution import (RingData, presentation_from_rows,
                                  resolve_over_a, resolve_over_b,
@@ -27,7 +27,7 @@ from jumploci.loci import (jump_locus_ideal, jump_loci_report, crk_at,
                            realize, stable_betti_oracle)
 
 from conftest import (koszul_action_pipeline, nonregular_action_pipeline,
-                      matrix_of, random_monomial_rows)
+                      matrix_of, random_monomial_rows, syzygy_matrix)
 from test_properties import RANDOMS, run_invariant_suite
 
 GF101 = GF(101)

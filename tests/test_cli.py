@@ -465,6 +465,30 @@ def test_duplicate_variable_names_are_input_errors(capfd, tmp_path):
         assert code == 1 and out == "" and err == message
 
 
+@pytest.mark.parametrize("repeat, directive", [
+    ("field GF(7)", "field"),
+    ("ring x", "ring"),
+    ("ci x^3, y^3", "ci"),
+    ("module coker [[1]]", "module"),
+    ("option truncation 5", "option truncation"),
+    ("option seed 3", "option seed"),
+    ("option output other.json", "option output"),
+])
+def test_a_repeated_header_directive_is_an_input_error(capfd, tmp_path,
+                                                       repeat, directive):
+    """A second header line used to replace the first with no message:
+    ``module coker [[1]]`` after ``module coker [[x, x]]`` printed rank 0,
+    and ``field GF(7)`` after the ring kept the ring over GF(101)."""
+    session = tmp_path / "repeat.session"
+    session.write_text("field GF(101)\nring x, y\nci x^2, y^2\n"
+                       "module coker [[x, x]]\noption truncation 4\n"
+                       "option seed 2\noption output out.json\n"
+                       f"{repeat}\n")
+    code, out, err = _run(capfd, ["compute", "--input", str(session)])
+    assert (code, out) == (1, "")
+    assert err == f"error: duplicate {directive} declaration (line 8)\n"
+
+
 def test_input_that_is_not_utf8_is_an_input_error(capfd, tmp_path):
     session = tmp_path / "latin1.session"
     session.write_bytes(b"field GF(101)\nring x\xff\nci x^2\n")

@@ -5,6 +5,9 @@ for byte against ``perfbench/expected/<id>.json``, each in a forked child.
 This test runs the same jobs in process, so a change to what the command
 line prints fails the suite, not only the benchmark.  It reads
 ``perfbench/`` and writes nothing there, not even bytecode.
+
+The benchmark checks its ``oracle`` jobs only by crk = 2 * stable Betti
+number, so their output at seed 1 is pinned here, in ``tests/expected/``.
 """
 
 import importlib.util
@@ -51,3 +54,20 @@ def test_job_prints_its_recorded_output(job, capsysbinary, monkeypatch):
     out, err = capsysbinary.readouterr()
     assert (code, err) == (0, b"")
     assert out == (PERFBENCH / "expected" / f"{job['id']}.json").read_bytes()
+
+
+ORACLE_INPUTS = {"final": "sessions/final.session",
+                 "flag": "sessions/flag.session",
+                 "m2_n3_e2": "perfbench/inputs/m2_n3_e2.session",
+                 "res_n3_e2": "perfbench/inputs/res_n3_e2.session"}
+
+
+@pytest.mark.parametrize("stem", sorted(ORACLE_INPUTS))
+def test_oracle_prints_its_pinned_output(stem, capsysbinary, monkeypatch):
+    monkeypatch.chdir(REPO)
+    code = cli.main(["oracle", "--input", ORACLE_INPUTS[stem],
+                     "--points", "10", "--seed", "1"])
+    out, err = capsysbinary.readouterr()
+    assert (code, err) == (0, b"")
+    assert out == (REPO / "tests" / "expected"
+                   / f"oracle-{stem}.json").read_bytes()

@@ -12,11 +12,11 @@ from jumploci import GF, QQ, PolyRing
 from jumploci.groebner import (GBStats, Ideal, ModuleGB, _hilbert_num,
                                _minimalize, _vec_add,
                                dimension_and_multiplicity, module_hilbert_data,
-                               syzygy_matrix, vector_of)
+                               vector_of)
 from jumploci.poly import Polynomial
 from jumploci.matrix import PolyMatrix
 
-from conftest import matrix_of
+from conftest import matrix_of, syzygy_matrix
 
 GF5 = GF(5)
 GF101 = GF(101)
@@ -495,7 +495,7 @@ class _EveryPairGB(ModuleGB):
 
     def _add_element(self, v, lead, pairs):
         idx = len(self.basis)
-        self.basis.append((self._monic(v, lead), lead))
+        self._append(self._monic(v, lead), lead)
         GBStats.basis_elements += 1
         for j, (_, jlead) in enumerate(self.basis[:-1]):
             if jlead[0] != lead[0]:
@@ -508,13 +508,20 @@ class _EveryPairGB(ModuleGB):
             heapq.heappush(pairs, (self.ring.mono_key(lcm), j, idx, lcm))
 
 
+def _real_lead(gb, v):
+    """The largest real term of ``v``, found by a scan, or None."""
+    real = [term for term in v if term[0] < gb.rank]
+    return max(real, key=gb._term_key, default=None)
+
+
 def _scanning_reduce_full(gb, v):
-    """Reference division: rescan the vector for its lead term each step."""
+    """Reference division: rescan the vector for its lead term each step,
+    and the whole basis for the first reducer."""
     fld = gb.ring.field
     v = dict(v)
     remainder = {}
     while True:
-        lt = gb._real_lead(v)
+        lt = _real_lead(gb, v)
         if lt is None:
             break
         comp, mono = lt
@@ -532,7 +539,7 @@ def _scanning_reduce_full(gb, v):
         v = _vec_add(fld, v, g, fld.neg(v[lt]), shift)
     for k, c in v.items():
         remainder[k] = c
-    return remainder
+    return remainder, _real_lead(gb, remainder)
 
 
 class _ScanningGB(ModuleGB):
@@ -581,13 +588,16 @@ def test_monomial_input_processes_no_pair():
 
 
 def test_heap_reduction_equals_the_scanning_reduction():
-    """Same remainders, term for term and in the same order, and the same
-    bases and syzygies, tracked and untracked, rank 1 and rank 2."""
+    """Same remainders, term for term and in the same order, the same
+    leads, and the same bases and syzygies, tracked and untracked, in
+    ranks 1 to 3, over GF(101) and QQ, with unit and unequal weights."""
     rng = random.Random(12)
-    rings = [PolyRing(GF101, ("x", "y", "z")), PolyRing(QQ, ("x", "y"))]
+    rings = [PolyRing(GF101, ("x", "y", "z")), PolyRing(QQ, ("x", "y")),
+             PolyRing(GF101, ("x", "y", "z"), (1, 2, 3)),
+             PolyRing(QQ, ("x", "y", "z"), (1, 2, 3))]
     for R in rings:
         for track in (False, True):
-            for rank in (1, 2):
+            for rank in (1, 2, 3):
                 for _ in range(4):
                     cols = _random_columns(rng, R, rank, "mixed")
                     gb = ModuleGB(R, rank, cols, track=track)
@@ -600,5 +610,7 @@ def test_heap_reduction_equals_the_scanning_reduction():
                         v = _random_vector(rng, R, rank, rng.randrange(1, 6))
                         if shadow is not None:
                             v.update(_random_vector(rng, R, rank, 2, shadow))
-                        assert (list(gb._reduce_full(v).items())
-                                == list(_scanning_reduce_full(gb, v).items()))
+                        rem, lead = gb._reduce_full(v)
+                        ref_rem, ref_lead = _scanning_reduce_full(gb, v)
+                        assert list(rem.items()) == list(ref_rem.items())
+                        assert lead == ref_lead == _real_lead(gb, rem)

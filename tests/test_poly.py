@@ -190,6 +190,62 @@ def test_weighted_degrees():
     assert ring.parse("x^2 + y").is_homogeneous()
 
 
+# -- term order and its per-ring caches -------------------------------------
+
+
+def _monomials(nvars, top):
+    return [m for m in itertools.product(range(top + 1), repeat=nvars)
+            if sum(m) <= top]
+
+
+def _grevlex_greater(a, b, weights):
+    """a > b in weighted grevlex: larger weighted degree, or the same
+    degree and a negative last nonzero entry of a - b."""
+    da = sum(e * w for e, w in zip(a, weights))
+    db = sum(e * w for e, w in zip(b, weights))
+    if da != db:
+        return da > db
+    diff = [x - y for x, y in zip(a, b) if x != y]
+    return bool(diff) and diff[-1] < 0
+
+
+@pytest.mark.parametrize("weights", [(1, 1, 1), (1, 2, 3), (3, 1, 2)])
+def test_mono_key_is_the_closed_grevlex_formula(weights):
+    """Every monomial of degree <= 4 in three variables, once to fill the
+    cache and once to read it."""
+    ring = PolyRing(GF101, ("x", "y", "z"), weights)
+    monos = _monomials(3, 4)
+    for _ in range(2):
+        for m in monos:
+            deg = sum(e * w for e, w in zip(m, weights))
+            assert ring.wdeg(m) == deg
+            assert ring.mono_key(m) == (deg, (-m[2], -m[1], -m[0]))
+            assert ring.mono_key_desc(m) == (-deg, (m[2], m[1], m[0]))
+    for a in monos:
+        for b in monos:
+            assert ((ring.mono_key(a) > ring.mono_key(b))
+                    == _grevlex_greater(a, b, weights)), (a, b)
+
+
+def test_key_caches_cannot_be_observed():
+    """Two rings built alike stay equal, with one hash and one repr, after
+    only one of them has filled its caches, and their polynomials mix."""
+    for weights in ((), (1, 2, 3)):
+        r1 = PolyRing(GF101, ("x", "y", "z"), weights)
+        r2 = PolyRing(GF101, ("x", "y", "z"), weights)
+        p = r1.parse("x^2*y + 3*z^2 - y")
+        str(p)  # sorts the terms by mono_key
+        for m in _monomials(3, 4):
+            r1.mono_key_desc(m)
+        assert r1._keys and r1._desc_keys and not r2._desc_keys
+        assert r1 == r2 and hash(r1) == hash(r2) and repr(r1) == repr(r2)
+        assert len({r1, r2}) == 1
+        q = r2.parse("x*z - y^2")
+        assert p * q == q * p == r2.parse(str(p)) * r1.parse(str(q))
+        assert (p + q) - q == p and hash(p + q) == hash(q + p)
+        assert (p * q).lead_monomial() == (q * p).lead_monomial()
+
+
 def test_no_zero_coefficients_stored():
     ring = PolyRing(GF5, ("x",))
     p = ring.parse("x + 4*x")

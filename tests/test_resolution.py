@@ -11,7 +11,7 @@ from jumploci import GF, PolyRing
 from jumploci import resolution
 from jumploci.poly import Polynomial
 from jumploci.groebner import (Ideal, ModuleGB, _vec_add, module_hilbert_data,
-                               syzygy_matrix, vector_of)
+                               vector_of)
 from jumploci.resolution import (RingData, PipelineError, TruncationNeeded,
                                  FreeResolution, presentation_from_rows,
                                  resolve_over_a, resolve_over_b,
@@ -26,7 +26,8 @@ from jumploci.loci import crk_at
 from jumploci.session import parse_session
 from jumploci.twisted import build_twisted_complex
 
-from conftest import REPO, SESSIONS, matrix_of, random_monomial_rows
+from conftest import (REPO, SESSIONS, matrix_of, random_monomial_rows,
+                      syzygy_matrix)
 
 GF101 = GF(101)
 A3 = PolyRing(GF101, ("x", "y", "z"))
