@@ -20,14 +20,14 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tests"))
 
 from jumploci import GF, PolyRing  # noqa: E402
 from jumploci.resolution import (RingData, presentation_from_rows,  # noqa: E402
-                                 resolve_over_a, dualize_over_a)
-from jumploci.homotopy import (compute_higher_homotopies,  # noqa: E402
-                               dualize_homotopies)
+                                 resolve_over_a)
+from jumploci.homotopy import compute_higher_homotopies  # noqa: E402
 from jumploci.twisted import build_twisted_complex  # noqa: E402
 from jumploci.loci import (duality_check, jump_loci_report,  # noqa: E402
                            RouteDisagreement)
 
 from conftest import random_monomial_rows  # noqa: E402
+from oracles import explicit_dual  # noqa: E402
 
 
 def main() -> int:
@@ -47,9 +47,7 @@ def main() -> int:
         res = resolve_over_a(rd, pres)
         sys_ = compute_higher_homotopies(res, rd)
         X = build_twisted_complex(sys_, rd)
-        dc = dualize_over_a(res)
-        dual_sys = dualize_homotopies(sys_, dc, rd)
-        X_dual = build_twisted_complex(dual_sys, rd)
+        X_dual = explicit_dual(res, sys_, rd)
         try:
             bdeg_equal = duality_check(jump_loci_report(X),
                                        jump_loci_report(X_dual))

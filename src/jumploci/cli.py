@@ -43,11 +43,15 @@ from .resolution import PipelineError, TruncationNeeded, fit_quasi_polynomial
 from .loci import (jump_loci_report, betti_degree, betti_numbers, crk_at,
                    realize, stable_betti_oracle, JumpLociReport)
 from .session import (Session, SessionError, parse_session, build_pipeline,
-                      parse_field, parse_variable_names, split_commas)
+                      parse_field, parse_variable_names, split_commas, _once)
 
 # Largest truncation ``betti`` accepts: ``betti --n 100000`` on the flag
 # session takes a few seconds, and the list of Betti numbers grows with n.
 MAX_TRUNCATION = 100_000
+
+# Most points ``oracle`` samples: each resolves M over one hypersurface,
+# about 2.4 ms on the flag session, so 1,000 points take a few seconds.
+MAX_POINTS = 1_000
 
 
 # -- report assembly -------------------------------------------------------
@@ -176,8 +180,8 @@ def cmd_betti(session: Session, args) -> dict:
             f"the truncation must be at most {MAX_TRUNCATION}, not {n}")
     pipe = build_pipeline(session)
     out = {"n": n, **_betti_block(pipe.X, n)}
-    out["dual"] = (None if pipe.dual_presentation is None
-                   else _betti_block(pipe.X_dual, n))
+    out["dual"] = (_betti_block(pipe.X_dual, n) if pipe.dual_is_module
+                   else None)
     return out
 
 
@@ -214,11 +218,14 @@ def cmd_oracle(session: Session, args) -> dict:
     fld = session.ring.field
     if not fld.p:
         raise PipelineError("the oracle sweep needs a finite prime field")
-    pipe = build_pipeline(session)
-    rng = random.Random(args.seed)
     count = args.points if args.points is not None else 20
     if count <= 0:
         raise PipelineError(f"--points must be positive, not {count}")
+    if count > MAX_POINTS:
+        raise PipelineError(
+            f"--points must be at most {MAX_POINTS}, not {count}")
+    pipe = build_pipeline(session)
+    rng = random.Random(args.seed)
     results = []
     for _ in range(count):
         while True:
@@ -236,16 +243,20 @@ def cmd_oracle(session: Session, args) -> dict:
 def parse_chain_file(text: str):
     """Chain files: ``field``/``ring`` headers, then one ``member`` line
     per chain element.  ``member 0`` is the zero ideal (all of Spec S)
-    and ``member 1`` the unit ideal (the empty set)."""
+    and ``member 1`` the unit ideal (the empty set).  As in a session, a
+    second ``field`` or ``ring`` line is an input error."""
     fld = None
     ring = None
     chain = []
+    seen = set()         # the header directives given so far
     for line_no, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
         directive, _, rest = line.partition(" ")
         rest = rest.strip()
+        if directive in ("field", "ring"):
+            _once(seen, directive, line_no)
         if directive == "field":
             fld = parse_field(rest, line_no)
         elif directive == "ring":

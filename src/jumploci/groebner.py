@@ -481,9 +481,6 @@ class Ideal:
             out.append(Polynomial(self.ring, terms))
         return out
 
-    def lead_monomials(self):
-        return [lead[1] for _, lead in self._basis().basis]
-
     def reduced(self) -> "Ideal":
         """Same ideal, regenerated by its reduced Groebner basis."""
         out = Ideal(self.ring, self.groebner_generators())
@@ -566,15 +563,6 @@ class Ideal:
             return True
         return (self.radical_contains_ideal(other)
                 and other.radical_contains_ideal(self))
-
-    def __add__(self, other: "Ideal") -> "Ideal":
-        return Ideal(self.ring, self.gens + other.gens)
-
-    def product(self, other: "Ideal") -> "Ideal":
-        """Generators g*h; cuts out the union of the two varieties."""
-        if self.is_zero_ideal() or other.is_zero_ideal():
-            return Ideal(self.ring, [])
-        return Ideal(self.ring, [g * h for g in self.gens for h in other.gens])
 
     # -- Hilbert data ---------------------------------------------------
 

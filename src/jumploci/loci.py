@@ -3,9 +3,8 @@
 Every prime p of S assigns to a twisted complex X the cohomological rank
 crk_p = r - 2 rank D(p); the jump locus V^i is the closed set where
 crk >= i, cut out by the minor ideal I_t(D) with t = floor((r-i)/2) + 1.
-A second route through the exterior-power Fitting ideal of coker(D) + its
-shift expands I_{r-i+1}(D + D) by minor convolution; the two routes must
-agree up to radical, and the tests cross-check them.
+The tests check it against the exterior-power Fitting route and the
+additivity of the loci over direct sums (``tests/oracles.py``).
 
 A JumpLociReport holds every jump ideal of one complex, computed once;
 its jump numbers are computed when first read.  Every Betti-side
@@ -14,13 +13,15 @@ P_M(t) = h(t)/(1 - t^2)^c: the Betti numbers expand it, and the Betti
 degree reads the dimension and multiplicity of its even and odd parts.
 h is read off the numerator h_C of coker D, one untracked column basis:
 D raises the cohomological degree u by one and D^2 = 0, so
-h = (1 + 1/t) h_C - (1/t) sum_i t^{u_i} for any D, minimal or not.  The
-presentation of H(X) in ``homology_presentation`` is the tests' oracle.
+h = (1 + 1/t) h_C - (1/t) sum_i t^{u_i} for any D, minimal or not.
 These are invariants of M when X = X(M) is built from the minimal
 A-free resolution of M, as ``build_pipeline`` builds it for a cokernel.
 X(M*) is s_dual(X), a transpose with the minor ideals of X, so M and M*
-have the same jump loci by construction; ``duality_check``, which
-compares two reports index by index, is the tests' oracle for it.
+have the same jump loci by construction.
+
+``complexity_of`` (through ``homology_presentation``) and
+``duality_check`` run in no command.  They are test oracles, kept here
+only because the benchmark tracer wraps them by name.
 """
 
 from __future__ import annotations
@@ -57,57 +58,19 @@ def crk_at(X: TwistedComplex, point=None) -> int:
 # -- jump locus ideals ----------------------------------------------------
 
 
-def _unit_ideal(S: PolyRing) -> Ideal:
-    return Ideal(S, [S.one()])
-
-
-def _zero_ideal(S: PolyRing) -> Ideal:
-    return Ideal(S, [])
-
-
 def jump_locus_ideal(X: TwistedComplex, i: int) -> Ideal:
     """I_t(D) with t = floor((r - i)/2) + 1; V^i = V(result).  Above the
     generic rank of D every t-minor vanishes and the ideal is zero."""
     X = minimalize(X)
     S = X.S
     if i == 0:
-        return _zero_ideal(S)
+        return Ideal(S, [])
     if i < 0:
         raise PipelineError("jump index must be nonnegative")
     r = X.rank
     if i > r:
-        return _unit_ideal(S)
+        return Ideal(S, [S.one()])
     return Ideal(S, X.D.minors((r - i) // 2 + 1)).reduced()
-
-
-def jump_locus_via_exterior_power(X: TwistedComplex, i: int) -> Ideal:
-    """Fitting-ideal route: I_{r-i+1}(D + D) by minor convolution."""
-    X = minimalize(X)
-    S = X.S
-    if i == 0:
-        return _zero_ideal(S)
-    r = X.rank
-    if i > r:
-        return _unit_ideal(S)
-    s = r - i + 1
-    g = X.D.generic_rank()
-    if s > 2 * g:
-        return _zero_ideal(S)
-
-    def minors(u):
-        return [S.one()] if u == 0 else X.D.minors(u)
-
-    gens = []
-    seen = set()
-    for u in range(max(0, s - g), min(g, s) + 1):
-        right = minors(s - u)
-        for a in minors(u):
-            for b in right:
-                p = (a * b).monic()
-                if p not in seen:
-                    seen.add(p)
-                    gens.append(p)
-    return Ideal(S, gens).reduced()
 
 
 # -- reports --------------------------------------------------------------
@@ -254,7 +217,7 @@ def betti_degree(X: TwistedComplex, crk_generic: int = None) -> int:
     return e_even
 
 
-# -- duality and additivity ----------------------------------------------
+# -- duality --------------------------------------------------------------
 
 
 def duality_check(rep: JumpLociReport, rep_dual: JumpLociReport) -> bool:
@@ -279,24 +242,6 @@ def duality_check(rep: JumpLociReport, rep_dual: JumpLociReport) -> bool:
             raise RouteDisagreement(
                 f"X and its explicit dual disagree at jump index {i}")
     return rep.betti_degree == rep_dual.betti_degree
-
-
-def additivity_check(X: TwistedComplex, Y: TwistedComplex) -> bool:
-    """V^l(X + Y) = union over i+j=l of V^i(X) int V^j(Y), up to radical."""
-    Z = minimalize(direct_sum(X, Y))
-    S = Z.S
-    top = Z.rank
-    for l in range(1, top + 1):
-        left = jump_locus_ideal(Z, l)
-        rhs = None
-        for i in range(0, l + 1):
-            j = l - i
-            term = (jump_locus_ideal(X, i)
-                    + jump_locus_ideal(Y, j)).reduced()
-            rhs = term if rhs is None else rhs.product(term).reduced()
-        if not left.same_variety(rhs):
-            return False
-    return True
 
 
 # -- realizability --------------------------------------------------------

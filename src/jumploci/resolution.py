@@ -25,7 +25,6 @@ closed form in the tests.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
 from fractions import Fraction
 
 from .poly import Polynomial, PolyRing
@@ -140,14 +139,6 @@ class FreeResolution:
 
     def betti(self) -> dict:
         return {i: len(d) for i, d in enumerate(self.degrees)}
-
-    def is_minimal(self) -> bool:
-        return all(not p.constant_term()
-                   for d in self.differentials for p in d.entries.values())
-
-    def check_complex(self) -> bool:
-        return all((self.differentials[i] @ self.differentials[i + 1]).is_zero()
-                   for i in range(self.length - 1))
 
 
 def presentation_from_rows(ring: PolyRing, rows, row_degrees=None) -> PolyMatrix:
@@ -292,31 +283,14 @@ def _resolve(rd: RingData, presentation: PolyMatrix,
 
 @dataclass
 class DualComplex:
-    """Hom_A(F, A) with degrees negated, shifted so it resolves the dual.
-
-    Whether it is concentrated, and the presentation of the dual module,
-    are computed on first read; only the ``betti`` command reads them.
-    """
+    """Hom_A(F, A) with degrees negated, shifted so it resolves the dual
+    when it is concentrated (``_check_concentration``).  No command builds
+    it: with ``homotopy.dualize_homotopies`` it is the tests' explicit
+    route to X(M*), kept here only because the benchmark tracer wraps
+    ``dualize_over_a`` by name."""
 
     matrices: list        # delta_1..delta_L of the reversed complex
     degrees: list         # degrees of H_0..H_L (negated, reversed)
-    resolution: FreeResolution   # F, the complex that was dualized
-
-    @cached_property
-    def concentrated(self) -> bool:
-        return _check_concentration(self.resolution)
-
-    @cached_property
-    def presentation(self):
-        """Presentation of the dual module when concentrated, else None."""
-        res = self.resolution
-        L = res.length
-        if not self.concentrated or L < 1:
-            return None
-        pres = res.differentials[L - 1].transpose()
-        pres.row_degrees = [(0, -d) for d in res.degrees[L]]
-        pres.col_degrees = [(1, -d) for d in res.degrees[L - 1]]
-        return pres
 
 
 def dualize_over_a(res: FreeResolution) -> DualComplex:
@@ -328,11 +302,13 @@ def dualize_over_a(res: FreeResolution) -> DualComplex:
         t.row_degrees = [(j - 1, d) for d in degrees[j - 1]]
         t.col_degrees = [(j, d) for d in degrees[j]]
         matrices.append(t)
-    return DualComplex(matrices, degrees, res)
+    return DualComplex(matrices, degrees)
 
 
 def _check_concentration(res: FreeResolution) -> bool:
-    """True when Hom_A(F, A) is exact except at the final spot.
+    """True when Hom_A(F, A) is exact except at the final spot, so that
+    the dual module M* = Ext_A^L(M, A) exists; ``betti`` reads it through
+    ``Pipeline.dual_is_module``, with no dual complex built.
 
     F must be the minimal resolution of M = coker d_1 over A, as
     ``resolve_over_a`` builds it, so that its length L is pd M.  The
@@ -429,15 +405,3 @@ def fit_quasi_polynomial(betti: dict, window: int) -> QuasiPoly:
                             (q_ev and q_odd and q_ev[-1] != q_odd[-1])):
         raise TruncationNeeded("even and odd branches disagree in degree")
     return QuasiPoly(q_ev, q_odd, max(v_ev, v_odd))
-
-
-def resolution_euler_numerator(res: FreeResolution):
-    """Alternating sum of generator-degree monomials, as dict deg -> int."""
-    out = {}
-    for i, degs in enumerate(res.degrees):
-        s = 1 if i % 2 == 0 else -1
-        for d in degs:
-            out[d] = out.get(d, 0) + s
-            if not out[d]:
-                del out[d]
-    return out

@@ -20,8 +20,7 @@ Matrices are written as lists of rows; ``dK`` maps the free module in
 homological degree K to the one in degree K-1, and ``action eI`` lists
 the blocks F_t -> F_{t+1} for t = 0..L-1.  Optional ``option NAME VALUE``
 lines set truncation, seed or output path.  Parsing reports line and
-column of the offending token; ``print_session`` emits the canonical
-form, on which parse and print are mutually inverse.
+column of the offending token.
 """
 
 from __future__ import annotations
@@ -31,11 +30,11 @@ from dataclasses import dataclass, field as dc_field
 from functools import cached_property
 
 from .field import Field, GF, QQ
-from .poly import PolyRing, Polynomial
+from .poly import PolyRing
 from .matrix import PolyMatrix
 from .resolution import (RingData, FreeResolution, PipelineError,
                          presentation_from_rows, resolve_over_a,
-                         dualize_over_a)
+                         _check_concentration)
 from .homotopy import compute_higher_homotopies, ingest_dg_structure
 from .twisted import TwistedComplex, build_twisted_complex, s_dual
 
@@ -183,8 +182,9 @@ def _parse_entries(ring: PolyRing, rows, line_no, require_homogeneous=True):
 
 
 def _once(seen, directive, line_no):
-    """Reject a second ``field``, ``ring``, ``ci``, ``module`` or
-    ``option <name>`` line: a repeat would silently replace the first."""
+    """Reject a second header line (``field``, ``ring``, ``ci``,
+    ``module`` or ``option <name>`` in a session, ``field`` or ``ring`` in
+    a chain file): a repeat would silently replace the first."""
     if directive in seen:
         raise SessionError(f"duplicate {directive} declaration", line_no)
     seen.add(directive)
@@ -409,47 +409,6 @@ def _assemble_actions(ring: PolyRing, actions, rd: RingData, length: int):
     return out
 
 
-# -- canonical printing ----------------------------------------------------
-
-
-def _fmt_matrix(rows) -> str:
-    return "[" + ", ".join(
-        "[" + ", ".join(str(p) for p in row) + "]" for row in rows) + "]"
-
-
-def _matrix_rows(mat: PolyMatrix):
-    return [[mat.get(i, j) for j in range(mat.ncols)]
-            for i in range(mat.nrows)]
-
-
-def print_session(session: Session) -> str:
-    rd = session.ring_data
-    ring = rd.ring
-    lines = []
-    if ring.field.p == 0:
-        lines.append("field QQ")
-    else:
-        lines.append(f"field GF({ring.field.p})")
-    lines.append("ring " + ", ".join(ring.variables)
-                 + " weights " + ", ".join(str(w) for w in ring.weights))
-    lines.append("ci " + ", ".join(str(f) for f in rd.ci))
-    mod = session.module
-    if mod.kind == "coker":
-        lines.append("module coker " + _fmt_matrix(mod.rows))
-    else:
-        parts = []
-        for k, mat in enumerate(mod.differentials, start=1):
-            parts.append(f"d{k} " + _fmt_matrix(_matrix_rows(mat)))
-        lines.append("complex " + " ".join(parts))
-        for i, blocks in enumerate(mod.actions, start=1):
-            lines.append(f"action e{i} " + " ".join(
-                _fmt_matrix(_matrix_rows(b)) for b in blocks))
-    for name in ("truncation", "seed", "output"):
-        if name in session.options:
-            lines.append(f"option {name} {session.options[name]}")
-    return "\n".join(lines) + "\n"
-
-
 # -- pipeline glue ---------------------------------------------------------
 
 
@@ -469,10 +428,13 @@ class Pipeline:
         return s_dual(self.X)
 
     @cached_property
-    def dual_presentation(self) -> PolyMatrix:
-        """Presentation of M* when Hom_A(F, A) is concentrated, else None;
-        Hom_A(F, A) is formed on first read, which only ``betti`` makes."""
-        return dualize_over_a(self.resolution).presentation
+    def dual_is_module(self) -> bool:
+        """Whether M has a dual module M*, whose Betti numbers ``betti``
+        prints: Hom_A(F, A) is concentrated.  A resolution of length 0
+        resolves the zero module here (f annihilates no nonzero free
+        module), and ``betti`` prints no dual for it."""
+        return (self.resolution.length > 0
+                and _check_concentration(self.resolution))
 
 
 def build_pipeline(session: Session) -> Pipeline:

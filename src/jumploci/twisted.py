@@ -14,7 +14,7 @@ D^2 = 0 and the degrees hold by construction and are not checked again:
 the homotopy identities, checked exactly as they are solved or ingested,
 give D^2 = 0 modulo the irrelevant ideal, and sigma_J maps F_t to
 F_{t+2|J|-1}.  Minimalization (a Schur complement per contractible pair,
-``matrix.cancel_unit``), the S-dual, sums, shifts and Koszul objects on a
+``matrix.cancel_unit``), the S-dual, sums and Koszul objects on a
 homogeneous eta keep both.  The tests check them on every constructor.
 
 Duality (``s_dual``) is transposition with all basis degrees negated and
@@ -109,10 +109,6 @@ def minimalize(X: TwistedComplex) -> TwistedComplex:
     return TwistedComplex(X.S, degs, D, X.chi_internal)
 
 
-def tbetti(X: TwistedComplex) -> int:
-    return minimalize(X).rank
-
-
 def homology_presentation(X: TwistedComplex):
     """Presentation of H(X) over S: (matrix, generator degree pairs).
 
@@ -187,12 +183,6 @@ def direct_sum(X: TwistedComplex, Y: TwistedComplex) -> TwistedComplex:
     D.col_degrees = list(degs)
     chi_int = X.chi_internal or Y.chi_internal
     return TwistedComplex(X.S, degs, D, chi_int)
-
-
-def shift(X: TwistedComplex, s: int) -> TwistedComplex:
-    degs = [(a + s, b) for (a, b) in X.basis_degrees]
-    D = PolyMatrix(X.S, X.rank, X.rank, dict(X.D.entries), degs, degs)
-    return TwistedComplex(X.S, degs, D, X.chi_internal)
 
 
 def koszul_object(X: TwistedComplex, eta: Polynomial) -> TwistedComplex:

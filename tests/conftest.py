@@ -8,14 +8,15 @@ from pathlib import Path
 import pytest
 
 from jumploci import GF, QQ, PolyRing
-from jumploci.groebner import Ideal, ModuleGB, coeffs_to_matrix
 from jumploci.resolution import RingData, presentation_from_rows, resolve_over_a
 from jumploci.homotopy import compute_higher_homotopies, ingest_dg_structure
 from jumploci.matrix import PolyMatrix
 from jumploci.resolution import FreeResolution
 from jumploci.twisted import (TwistedComplex, build_twisted_complex,
                               free_complex, koszul_object, koszul_object_list,
-                              direct_sum, shift)
+                              direct_sum)
+
+from oracles import shift
 
 REPO = Path(__file__).resolve().parent.parent
 SESSIONS = REPO / "sessions"
@@ -25,14 +26,6 @@ CHAINS = REPO / "chains"
 def matrix_of(ring, rows):
     return PolyMatrix.from_rows(ring, [[ring.parse(e) for e in row]
                                        for row in rows])
-
-
-def syzygy_matrix(mat: PolyMatrix) -> PolyMatrix:
-    """A matrix K with mat @ K = 0 whose columns generate all syzygies of
-    the columns of ``mat``, from one tracked run."""
-    gb = ModuleGB(mat.ring, mat.nrows, mat.columns_as_vectors(), track=True)
-    return coeffs_to_matrix(mat.ring, [dict(enumerate(s))
-                                       for s in gb.syzygies()], mat.ncols)
 
 
 def assert_twisted_complex(X: TwistedComplex) -> TwistedComplex:

@@ -19,15 +19,16 @@ from jumploci.groebner import Ideal, module_hilbert_data
 from jumploci.matrix import PolyMatrix
 from jumploci.resolution import (RingData, presentation_from_rows,
                                  resolve_over_a, resolve_over_b,
-                                 dualize_over_a)
-from jumploci.homotopy import compute_higher_homotopies, dualize_homotopies
-from jumploci.twisted import build_twisted_complex, tbetti
+                                 _check_concentration)
+from jumploci.homotopy import compute_higher_homotopies
+from jumploci.twisted import build_twisted_complex, minimalize
 from jumploci.loci import (jump_locus_ideal, jump_loci_report, crk_at,
                            complexity_of, betti_degree, duality_check,
                            realize, stable_betti_oracle)
 
 from conftest import (koszul_action_pipeline, nonregular_action_pipeline,
-                      matrix_of, random_monomial_rows, syzygy_matrix)
+                      matrix_of, random_monomial_rows)
+from oracles import dual_presentation, explicit_dual, syzygy_matrix
 from test_properties import RANDOMS, run_invariant_suite
 
 GF101 = GF(101)
@@ -60,12 +61,6 @@ def _coker_pipeline(variables, ci, gens):
     return rd, pres, res, sys, build_twisted_complex(sys, rd)
 
 
-def _explicit_dual(res, sys, rd):
-    dc = dualize_over_a(res)
-    dual_sys = dualize_homotopies(sys, dc, rd)
-    return build_twisted_complex(dual_sys, rd), dc
-
-
 @criterion(1, 10)
 def test_criterion_1_residue_field_model():
     rd, res, sys, X = koszul_action_pipeline()
@@ -96,7 +91,7 @@ def test_criterion_3_flag_module():
     rep = jump_loci_report(X)
     assert rep.jump_numbers == [8, 12, 14, 16]
     assert rep.complexity == 3
-    assert tbetti(X) == 16
+    assert minimalize(X).rank == 16
     assert rep.betti_degree == 4
     S = X.S
     chis = [S.parse(v) for v in ("chi1", "chi2", "chi3")]
@@ -116,9 +111,8 @@ def test_criterion_4_betti_growth_and_degrees():
     rd, pres, res, sys, X = _coker_pipeline(
         ("x", "y"), ("x^3", "y^3"), ("x^2", "x*y", "y^2"))
     beta = resolve_over_b(rd, pres, 20).betti()
-    dc = dualize_over_a(res)
-    assert dc.concentrated
-    beta_dual = resolve_over_b(rd, dc.presentation, 20).betti()
+    assert _check_concentration(res)
+    beta_dual = resolve_over_b(rd, dual_presentation(res), 20).betti()
     for i in range(4, 21):
         if i % 2 == 0:
             assert beta[i] == 3 * i // 2 + 1, i
@@ -128,7 +122,7 @@ def test_criterion_4_betti_growth_and_degrees():
             assert beta_dual[i] == (3 * i + 3) // 2, i
     assert complexity_of(X) == 2
     assert betti_degree(X) == 3
-    X_dual, _ = _explicit_dual(res, sys, rd)
+    X_dual = explicit_dual(res, sys, rd)
     assert betti_degree(X_dual) == 3  # Bass degree of the module itself
 
 
@@ -137,7 +131,7 @@ def test_criterion_5_duality():
     rd, pres, res, sys, X = _coker_pipeline(
         ("x", "y", "z"), ("x^3", "y^3", "z^3"),
         ("x^3", "y^3", "z^3", "x*z", "y*z^2"))
-    X_dual, _ = _explicit_dual(res, sys, rd)
+    X_dual = explicit_dual(res, sys, rd)
     assert duality_check(jump_loci_report(X), jump_loci_report(X_dual))
     rng = random.Random(7)
     A = PolyRing(GF101, ("x", "y"))
@@ -148,7 +142,7 @@ def test_criterion_5_duality():
         res2 = resolve_over_a(rd2, pres2)
         sys2 = compute_higher_homotopies(res2, rd2)
         Y = build_twisted_complex(sys2, rd2)
-        Y_dual, _ = _explicit_dual(res2, sys2, rd2)
+        Y_dual = explicit_dual(res2, sys2, rd2)
         assert duality_check(jump_loci_report(Y), jump_loci_report(Y_dual))
 
 

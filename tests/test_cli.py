@@ -13,6 +13,7 @@ from jumploci.resolution import (TruncationNeeded, fit_quasi_polynomial,
 from jumploci.session import build_pipeline, parse_session
 
 from conftest import SESSIONS, CHAINS
+from oracles import dual_presentation
 
 FLAG = str(SESSIONS / "flag.session")
 FINAL = str(SESSIONS / "final.session")
@@ -170,9 +171,9 @@ def _oracle_betti_report(path, n):
             out["quasi"] = {"error": str(exc)}
         return out
 
+    pres_dual = dual_presentation(pipe.resolution)
     report = {"n": n, **block(pipe.presentation)}
-    report["dual"] = (None if pipe.dual_presentation is None
-                      else block(pipe.dual_presentation))
+    report["dual"] = None if pres_dual is None else block(pres_dual)
     return report
 
 
@@ -249,6 +250,25 @@ def test_oracle_rejects_a_nonpositive_point_count(capfd, value):
                                   "--points", value])
     assert code == 1 and out == ""
     assert err == f"error: --points must be positive, not {value}\n"
+
+
+@pytest.mark.parametrize("count, message", [
+    (0, "--points must be positive, not 0"),
+    (cli.MAX_POINTS + 1,
+     f"--points must be at most {cli.MAX_POINTS}, not {cli.MAX_POINTS + 1}"),
+])
+def test_oracle_checks_the_point_count_before_the_pipeline(
+        capfd, monkeypatch, count, message):
+    """A count out of range is an input error before any resolution is
+    built; with no upper bound, ``--points 1000000000`` ran for weeks."""
+    def not_called(session):
+        raise AssertionError("the pipeline was built")
+
+    monkeypatch.setattr(cli, "build_pipeline", not_called)
+    code, out, err = _run(capfd, ["oracle", "--input", FLAG,
+                                  "--points", str(count)])
+    assert code == 1 and out == ""
+    assert err == f"error: {message}\n"
 
 
 def test_oracle_rejects_ci_generators_of_unequal_degree(capfd, tmp_path):
@@ -487,6 +507,23 @@ def test_a_repeated_header_directive_is_an_input_error(capfd, tmp_path,
     code, out, err = _run(capfd, ["compute", "--input", str(session)])
     assert (code, out) == (1, "")
     assert err == f"error: duplicate {directive} declaration (line 8)\n"
+
+
+@pytest.mark.parametrize("repeat, directive", [
+    ("field GF(7)", "field"),
+    ("ring c, d", "ring"),
+])
+def test_a_repeated_chain_header_is_an_input_error(capfd, tmp_path,
+                                                   repeat, directive):
+    """``field GF(7)`` after the ring was accepted with the ring still
+    over GF(101), and a second ``ring`` after members ended in "Koszul
+    element lives in the wrong ring"."""
+    chain = tmp_path / "repeat.chain"
+    chain.write_text("field GF(101)\nring a, b\nmember 0\nmember a\n"
+                     f"{repeat}\nmember 1\n")
+    code, out, err = _run(capfd, ["realize", "--chain", str(chain)])
+    assert (code, out) == (1, "")
+    assert err == f"error: duplicate {directive} declaration (line 5)\n"
 
 
 def test_input_that_is_not_utf8_is_an_input_error(capfd, tmp_path):

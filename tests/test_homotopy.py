@@ -13,13 +13,13 @@ from jumploci.resolution import (RingData, FreeResolution, PipelineError,
                                  presentation_from_rows, resolve_over_a,
                                  dualize_over_a)
 from jumploci.homotopy import (HigherHomotopySystem, compute_higher_homotopies,
-                               verify_system, ingest_dg_structure,
-                               dualize_homotopies, _multi_indices, _splittings)
+                               ingest_dg_structure, _multi_indices)
 from jumploci.session import parse_session
 from jumploci.twisted import build_twisted_complex
 
 from conftest import (REPO, SESSIONS, PAIR_BLOCK_SESSION, matrix_of,
                       random_monomial_rows, random_monomial_rows_3)
+from oracles import _splittings, dualize_and_verify, verify_system
 
 GF101 = GF(101)
 
@@ -30,7 +30,7 @@ def test_single_hypersurface_homotopy_is_identity():
     pres = presentation_from_rows(A, [[A.parse("x^2")]])
     res = resolve_over_a(rd, pres)
     sys = compute_higher_homotopies(res, rd)
-    sigma = sys.block((1,), 0)
+    sigma = sys.sigma[(1,)][0]
     assert sigma.nrows == sigma.ncols == 1
     assert str(sigma.get(0, 0)) == "1"
 
@@ -511,17 +511,14 @@ def test_over_gf2_a_square_that_is_not_zero_is_rejected():
 
 def test_dualized_system_verifies(final_pipeline):
     rd, pres, res, sys, X = final_pipeline
-    dc = dualize_over_a(res)
-    dual_sys = dualize_homotopies(sys, dc, rd)
-    verify_system(dual_sys, rd)
+    dualize_and_verify(sys, dualize_over_a(res), rd)
 
 
 def test_dualize_twice_restores_blocks(final_pipeline):
     rd, pres, res, sys, X = final_pipeline
-    dc = dualize_over_a(res)
-    dual_sys = dualize_homotopies(sys, dc, rd)
-    dc2 = dualize_over_a(dual_sys.resolution)
-    back = dualize_homotopies(dual_sys, dc2, rd)
+    dual_sys = dualize_and_verify(sys, dualize_over_a(res), rd)
+    back = dualize_and_verify(dual_sys, dualize_over_a(dual_sys.resolution),
+                              rd)
     for J, blocks in sys.sigma.items():
         for t, mat in blocks.items():
             assert back.sigma[J][t].entries == mat.entries

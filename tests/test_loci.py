@@ -10,21 +10,22 @@ from jumploci.groebner import Ideal, module_hilbert_data
 from jumploci.matrix import PolyMatrix
 from jumploci.resolution import (RingData, presentation_from_rows,
                                  resolve_over_a, resolve_over_b,
-                                 dualize_over_a, PipelineError)
+                                 PipelineError)
 from jumploci.session import parse_session, build_pipeline
-from jumploci.homotopy import compute_higher_homotopies, dualize_homotopies
-from jumploci.twisted import (build_twisted_complex, minimalize, tbetti,
+from jumploci.homotopy import compute_higher_homotopies
+from jumploci.twisted import (build_twisted_complex, minimalize,
                               free_complex, koszul_object_list, direct_sum,
-                              homology_presentation, shift, s_dual)
-from jumploci.loci import (crk_at, jump_locus_ideal,
-                           jump_locus_via_exterior_power, jump_loci_report,
+                              homology_presentation, s_dual)
+from jumploci.loci import (crk_at, jump_locus_ideal, jump_loci_report,
                            complexity_of, betti_degree, betti_numbers,
-                           duality_check, additivity_check, realize,
+                           duality_check, realize,
                            stable_betti_oracle, RouteDisagreement)
 
 from conftest import (SESSIONS, PAIR_BLOCK_SESSION, assert_twisted_complex,
                       koszul_block, matrix_of, random_monomial_rows,
                       random_homogeneous, random_twisted_complex)
+from oracles import (additivity_check, dual_presentation, explicit_dual,
+                     jump_locus_via_exterior_power, shift)
 
 GF101 = GF(101)
 
@@ -150,7 +151,7 @@ def test_flag_report(flag_pipeline):
     assert rep.jump_numbers == [8, 12, 14, 16]
     assert rep.complexity == 3
     assert rep.betti_degree == 4
-    assert rep.jump_numbers[-1] == tbetti(X)
+    assert rep.jump_numbers[-1] == minimalize(X).rank
     dims = {i: d for i, _, d in rep.per_index}
     assert dims[8] == 3 and dims[12] == 2 and dims[14] == 1 and dims[16] == 0
 
@@ -159,7 +160,7 @@ def test_first_jump_even_and_last_is_tbetti(final_pipeline):
     rd, pres, res, sys, X = final_pipeline
     rep = jump_loci_report(X)
     assert rep.jump_numbers[0] % 2 == 0
-    assert rep.jump_numbers[-1] == tbetti(X)
+    assert rep.jump_numbers[-1] == minimalize(X).rank
 
 
 # -- complexity and degrees ------------------------------------------------
@@ -277,10 +278,7 @@ def test_betti_degree_equals_the_parity_split_route():
 def test_bass_degree_via_dual_pipeline(final_pipeline, flag_pipeline):
     for pipeline, expected in ((final_pipeline, 3), (flag_pipeline, 4)):
         rd, pres, res, sys, X = pipeline
-        dc = dualize_over_a(res)
-        dual_sys = dualize_homotopies(sys, dc, rd)
-        X_dual = build_twisted_complex(dual_sys, rd)
-        assert betti_degree(X_dual) == expected
+        assert betti_degree(explicit_dual(res, sys, rd)) == expected
 
 
 # -- Betti numbers from H(X) -----------------------------------------------
@@ -300,9 +298,10 @@ def _assert_betti_routes_agree(pipe, n):
     """betti_numbers of X and of X_dual equal the B-resolution oracle."""
     assert betti_numbers(pipe.X, n) == \
         resolve_over_b(pipe.rd, pipe.presentation, n).betti()
-    if pipe.dual_presentation is not None:
+    pres_dual = dual_presentation(pipe.resolution)
+    if pres_dual is not None:
         assert betti_numbers(pipe.X_dual, n) == \
-            resolve_over_b(pipe.rd, pipe.dual_presentation, n).betti()
+            resolve_over_b(pipe.rd, pres_dual, n).betti()
 
 
 def test_betti_numbers_match_the_resolution_over_artinian_b():
@@ -440,29 +439,21 @@ def test_ext_numerator_equals_the_presentation_route(monkeypatch):
 # -- duality ---------------------------------------------------------------
 
 
-def _explicit_dual(pipeline):
-    rd, pres, res, sys, X = pipeline
-    dc = dualize_over_a(res)
-    dual_sys = dualize_homotopies(sys, dc, rd)
-    return build_twisted_complex(dual_sys, rd)
-
-
 def test_duality_on_final_example(final_pipeline):
-    assert duality_check(jump_loci_report(final_pipeline[4]),
-                         jump_loci_report(_explicit_dual(final_pipeline)))
+    rd, pres, res, sys, X = final_pipeline
+    assert duality_check(jump_loci_report(X),
+                         jump_loci_report(explicit_dual(res, sys, rd)))
 
 
 def test_duality_on_nonregular_model(nonregular_action):
     rd, res, sys, X = nonregular_action
-    dc = dualize_over_a(res)
-    dual_sys = dualize_homotopies(sys, dc, rd)
-    X_dual = build_twisted_complex(dual_sys, rd)
+    X_dual = explicit_dual(res, sys, rd)
     assert duality_check(jump_loci_report(X), jump_loci_report(X_dual))
 
 
 def test_duality_rejects_a_complex_that_is_not_the_dual(final_pipeline):
-    X = final_pipeline[4]
-    wrong = direct_sum(_explicit_dual(final_pipeline), koszul_block(X))
+    rd, pres, res, sys, X = final_pipeline
+    wrong = direct_sum(explicit_dual(res, sys, rd), koszul_block(X))
     assert minimalize(wrong).rank != minimalize(X).rank
     rep, rep_wrong = jump_loci_report(X), jump_loci_report(wrong)
     for pair in ((rep, rep_wrong), (rep_wrong, rep)):
@@ -482,9 +473,7 @@ def test_duality_on_random_monomial_modules():
         res = resolve_over_a(rd, pres)
         sys = compute_higher_homotopies(res, rd)
         X = build_twisted_complex(sys, rd)
-        dc = dualize_over_a(res)
-        dual_sys = dualize_homotopies(sys, dc, rd)
-        X_dual = build_twisted_complex(dual_sys, rd)
+        X_dual = explicit_dual(res, sys, rd)
         assert duality_check(jump_loci_report(X), jump_loci_report(X_dual))
         done += 1
 

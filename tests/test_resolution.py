@@ -15,19 +15,18 @@ from jumploci.groebner import (Ideal, ModuleGB, _vec_add, module_hilbert_data,
 from jumploci.resolution import (RingData, PipelineError, TruncationNeeded,
                                  FreeResolution, presentation_from_rows,
                                  resolve_over_a, resolve_over_b,
-                                 dualize_over_a,
+                                 dualize_over_a, _check_concentration,
                                  fit_quasi_polynomial, column_degree,
-                                 columns_to_matrix,
-                                 resolution_euler_numerator,
-                                 split_unit_entries)
+                                 columns_to_matrix, split_unit_entries)
 
 from jumploci.homotopy import compute_higher_homotopies
 from jumploci.loci import crk_at
 from jumploci.session import parse_session
 from jumploci.twisted import build_twisted_complex
 
-from conftest import (REPO, SESSIONS, matrix_of, random_monomial_rows,
-                      syzygy_matrix)
+from conftest import REPO, SESSIONS, matrix_of, random_monomial_rows
+from oracles import (check_complex, dual_presentation, is_minimal,
+                     resolution_euler_numerator, syzygy_concentration)
 
 GF101 = GF(101)
 A3 = PolyRing(GF101, ("x", "y", "z"))
@@ -45,7 +44,7 @@ def test_residue_field_gets_koszul_resolution():
     rd = RingData(A, [A.parse("x^2"), A.parse("y^2")])
     res = resolve_over_a(rd, _pres(A, ["x", "y"]))
     assert res.betti() == {0: 1, 1: 2, 2: 1}
-    assert res.is_minimal() and res.check_complex()
+    assert is_minimal(res) and check_complex(res)
 
 
 def test_free_module_resolves_in_length_zero():
@@ -61,7 +60,7 @@ def test_flag_module_total_rank(flag_pipeline):
     rd, pres, res, sys, X = flag_pipeline
     assert sum(res.betti().values()) == 16
     assert res.betti() == {0: 1, 1: 5, 2: 7, 3: 3}
-    assert res.is_minimal() and res.check_complex()
+    assert is_minimal(res) and check_complex(res)
 
 
 def test_euler_characteristic_reproduces_hilbert_numerator(flag_pipeline):
@@ -86,9 +85,9 @@ def test_final_module_betti_numbers(final_pipeline):
 
 def test_dual_of_final_module_betti_numbers(final_pipeline):
     rd, pres, res, sys, X = final_pipeline
-    dc = dualize_over_a(res)
-    assert dc.concentrated and dc.presentation is not None
-    res_b = resolve_over_b(rd, dc.presentation, 6)
+    pres_dual = dual_presentation(res)
+    assert _check_concentration(res) and pres_dual is not None
+    res_b = resolve_over_b(rd, pres_dual, 6)
     beta = res_b.betti()
     assert beta[0] == 2 and beta[4] == 8 and beta[5] == 9
 
@@ -450,7 +449,7 @@ def test_one_run_per_stage_over_a_equals_the_two_run_loop():
         res = resolve_over_a(rd, pres)
         old = _two_run_resolution_over_a(rd, pres)
         assert res.degrees == old.degrees
-        assert res.check_complex() and res.is_minimal()
+        assert check_complex(res) and is_minimal(res)
         assert _generic_crk(res, rd) == _generic_crk(old, rd)
     assert kinds == {True, False}
 
@@ -610,7 +609,7 @@ def test_koszul_complex_is_self_dual():
     rd = RingData(A, [A.parse("x^2"), A.parse("y^2")])
     res = resolve_over_a(rd, _pres(A, ["x", "y"]))
     dc = dualize_over_a(res)
-    assert dc.concentrated
+    assert _check_concentration(res)
     assert [m.nrows for m in dc.matrices] == [1, 2]
     for j, mat in enumerate(dc.matrices):
         assert mat.entries == res.differentials[res.length - 1 - j] \
@@ -623,31 +622,11 @@ def test_dual_of_final_module_has_length_three():
     rd = RingData(A, [A.parse("x^3"), A.parse("y^3")])
     pres = _pres(A, ["x^2", "x*y", "y^2"])
     res = resolve_over_a(rd, pres)
-    dc = dualize_over_a(res)
-    assert dc.concentrated
-    from jumploci.groebner import module_hilbert_data
-    mat = dc.presentation
+    assert _check_concentration(res)
+    mat = dual_presentation(res)
     dim, mult, num = module_hilbert_data(
         mat, [d[1] for d in mat.row_degrees], A.weights)
     assert (dim, mult) == (0, 3)
-
-
-def _syzygy_concentration(res):
-    """Test-local reference for the concentration test: Hom_A(F, A) is
-    exact at every spot below the last, checked with the syzygies of each
-    transposed differential and membership in the image of the previous."""
-    ring = res.ring_data.ring
-    for j in range(res.length):
-        syz = syzygy_matrix(res.differentials[j].transpose())
-        if j == 0:
-            if syz.ncols != 0:
-                return False
-            continue
-        down = res.differentials[j - 1].transpose()
-        gb = ModuleGB(ring, down.nrows, down.columns_as_vectors())
-        if not all(gb.contains(col) for col in syz.columns_as_vectors()):
-            return False
-    return True
 
 
 def _exponent_word(exps):
@@ -689,8 +668,8 @@ def test_concentration_by_auslander_buchsbaum_equals_the_syzygy_route():
     for _ in range(60):
         rows = _random_presentation_rows(rng)
         res = resolve_over_a(rd, presentation_from_rows(A3, rows))
-        concentrated = dualize_over_a(res).concentrated
-        assert concentrated == _syzygy_concentration(res)
+        concentrated = _check_concentration(res)
+        assert concentrated == syzygy_concentration(res)
         outcomes.append(concentrated)
     assert True in outcomes and False in outcomes
 

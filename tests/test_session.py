@@ -3,10 +3,11 @@
 import pytest
 
 from jumploci.session import (Session, SessionError, parse_session,
-                              print_session, build_pipeline)
+                              build_pipeline)
 from jumploci.cli import parse_chain_file
 
-from conftest import SESSIONS, CHAINS
+from conftest import REPO, SESSIONS, CHAINS
+from oracles import dual_presentation, print_session
 
 FIXTURES = ["flag.session", "final.session", "koszul_residue.session",
             "dg_nonregular.session", "perfect.session"]
@@ -225,7 +226,8 @@ def test_build_pipeline_coker_with_dual():
     assert "X_dual" not in vars(pipeline)
     assert pipeline.X_dual is vars(pipeline)["X_dual"]
     assert pipeline.X_dual.rank == pipeline.X.rank
-    assert pipeline.dual_presentation is not None
+    assert pipeline.dual_is_module
+    assert dual_presentation(pipeline.resolution) is not None
 
 
 def test_build_pipeline_complex_route():
@@ -238,6 +240,27 @@ def test_build_pipeline_complex_route_with_dual():
     pipeline = build_pipeline(parse_session(_read("dg_nonregular.session")))
     assert "X_dual" not in vars(pipeline)
     assert pipeline.X_dual.rank == pipeline.X.rank
+
+
+def test_dual_is_module_equals_the_syzygy_route():
+    """``dual_is_module`` (Auslander-Buchsbaum on the minimal resolution)
+    says what the syzygies of the transposed differentials say, on every
+    session and benchmark input, on the zero module (no dual printed) and
+    on a module of depth 0 and dimension 1 (not concentrated)."""
+    texts = [p.read_text() for p in
+             sorted(SESSIONS.glob("*.session"))
+             + sorted((REPO / "perfbench" / "inputs").glob("*.session"))]
+    texts += ["field GF(101)\nring x, y\nci x^2, y^2\nmodule coker [[1]]\n",
+              "field GF(101)\nring x, y, z\nci x^3, y^3\n"
+              "module coker [[x^3, y^3, x*z]]\n"]
+    outcomes = set()
+    for text in texts:
+        pipeline = build_pipeline(parse_session(text))
+        assert "dual_is_module" not in vars(pipeline)
+        expected = dual_presentation(pipeline.resolution) is not None
+        assert pipeline.dual_is_module == expected, text
+        outcomes.add(expected)
+    assert outcomes == {True, False}
 
 
 # -- chain files -----------------------------------------------------------
