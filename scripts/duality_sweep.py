@@ -19,8 +19,8 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tests"))
 
 from jumploci import GF, PolyRing  # noqa: E402
-from jumploci.resolution import (RingData, presentation_from_rows,  # noqa: E402
-                                 resolve_over_a)
+from jumploci.matrix import PolyMatrix  # noqa: E402
+from jumploci.resolution import RingData, resolve_over_a  # noqa: E402
 from jumploci.homotopy import compute_higher_homotopies  # noqa: E402
 from jumploci.twisted import build_twisted_complex  # noqa: E402
 from jumploci.loci import (duality_check, jump_loci_report,  # noqa: E402
@@ -42,7 +42,7 @@ def main() -> int:
     failures = 0
     for trial in range(args.trials):
         gens = random_monomial_rows(rng)
-        pres = presentation_from_rows(A, [[A.monomial(m) for m in gens]])
+        pres = PolyMatrix.from_rows(A, [[A.monomial(m) for m in gens]])
         start = time.perf_counter()
         res = resolve_over_a(rd, pres)
         sys_ = compute_higher_homotopies(res, rd)

@@ -58,11 +58,12 @@ MAX_POINTS = 1_000
 
 
 def _ideal_strings(I: Ideal):
+    """The generators of a jump ideal, which ``jump_locus_ideal`` reduced."""
     if I.is_unit_ideal():
         return ["1"]
     if I.is_zero_ideal():
         return []
-    return [str(g) for g in I.reduced().gens]
+    return [str(g) for g in I.gens]
 
 
 def _loci_entries(rep: JumpLociReport):
@@ -347,6 +348,12 @@ def main(argv=None) -> int:
                        "dual": cmd_dual, "crk": cmd_crk,
                        "oracle": cmd_oracle}[args.command]
             report = handler(session, args)
+        payload = emit_report(report, args.format)
+        if args.output:
+            with open(args.output, "wb") as fh:
+                fh.write(payload)
+        else:
+            sys.stdout.buffer.write(payload)
     except (SessionError, PipelineError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
@@ -359,13 +366,6 @@ def main(argv=None) -> int:
             print("engine: "
                   + ", ".join(f"{k}={v}" for k, v in stats.items()),
                   file=sys.stderr)
-    payload = emit_report(report, args.format)
-    out_path = args.output
-    if out_path:
-        with open(out_path, "wb") as fh:
-            fh.write(payload)
-    else:
-        sys.stdout.buffer.write(payload)
     return 0
 
 

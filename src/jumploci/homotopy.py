@@ -235,7 +235,7 @@ def dualize_homotopies(sys: HigherHomotopySystem, dual: DualComplex,
     the tests' explicit route to X(M*), which s_dual must equal."""
     res = sys.resolution
     L = res.length
-    dual_res = FreeResolution(rd, "A", dual.matrices, dual.degrees,
+    dual_res = FreeResolution(rd, dual.matrices, dual.degrees,
                               complete=True)
     sigma = {}
     for J, blocks in sys.sigma.items():

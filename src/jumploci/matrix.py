@@ -1,9 +1,9 @@
-"""Sparse matrices over a polynomial ring, with bigraded bookkeeping.
+"""Sparse matrices over a polynomial ring, entries only: the degrees live
+on what holds the matrix (``FreeResolution.degrees``, ``basis_degrees``).
 
-Row and column degrees are (cohomological, internal) pairs, carried along
-by every operation.  ``cancel_unit`` is the one Gaussian elimination of a
-unit entry, shared by the presentations of modules and the minimalization
-of twisted complexes: the cokernel and its Fitting ideals stay the same.
+``cancel_unit`` is the one Gaussian elimination of a unit entry, shared by
+the presentations of modules and the minimalization of twisted complexes:
+the cokernel and its Fitting ideals stay the same.
 
 The determinantal kernel finds the nonzero minors only: the matrix is split
 into the connected components of its support graph, and inside a component
@@ -30,11 +30,10 @@ MAX_MINOR_WORK = 500_000
 
 
 class PolyMatrix:
-    __slots__ = ("ring", "nrows", "ncols", "entries", "row_degrees",
-                 "col_degrees", "_minor_table", "_column_basis")
+    __slots__ = ("ring", "nrows", "ncols", "entries", "_minor_table",
+                 "_column_basis")
 
-    def __init__(self, ring: PolyRing, nrows: int, ncols: int, entries=None,
-                 row_degrees=None, col_degrees=None):
+    def __init__(self, ring: PolyRing, nrows: int, ncols: int, entries=None):
         self.ring = ring
         self.nrows = nrows
         self.ncols = ncols
@@ -45,15 +44,13 @@ class PolyMatrix:
                     raise IndexError("entry out of range")
                 if isinstance(p, Polynomial) and not p.is_zero():
                     self.entries[(r, c)] = p
-        self.row_degrees = list(row_degrees) if row_degrees is not None else None
-        self.col_degrees = list(col_degrees) if col_degrees is not None else None
         self._minor_table = None   # t -> minors, built by the first minors()
         self._column_basis = None  # built by the first column_basis()
 
     # -- constructors ---------------------------------------------------
 
     @classmethod
-    def from_rows(cls, ring: PolyRing, rows, row_degrees=None, col_degrees=None):
+    def from_rows(cls, ring: PolyRing, rows):
         """Build from a list of lists of polynomials (or parseable strings)."""
         nrows = len(rows)
         ncols = len(rows[0]) if nrows else 0
@@ -68,18 +65,16 @@ class PolyMatrix:
                     p = ring.const(p)
                 if not p.is_zero():
                     entries[(r, c)] = p
-        return cls(ring, nrows, ncols, entries, row_degrees, col_degrees)
+        return cls(ring, nrows, ncols, entries)
 
     @classmethod
-    def identity(cls, ring: PolyRing, n: int, scalar=None, degrees=None):
+    def identity(cls, ring: PolyRing, n: int, scalar=None):
         p = ring.one() if scalar is None else scalar
-        return cls(ring, n, n, {(i, i): p for i in range(n)},
-                   degrees, degrees)
+        return cls(ring, n, n, {(i, i): p for i in range(n)})
 
     @classmethod
-    def zero(cls, ring: PolyRing, nrows: int, ncols: int,
-             row_degrees=None, col_degrees=None):
-        return cls(ring, nrows, ncols, {}, row_degrees, col_degrees)
+    def zero(cls, ring: PolyRing, nrows: int, ncols: int):
+        return cls(ring, nrows, ncols, {})
 
     # -- basic access ---------------------------------------------------
 
@@ -128,13 +123,11 @@ class PolyMatrix:
                 out.pop(k, None)
             else:
                 out[k] = s
-        return PolyMatrix(self.ring, self.nrows, self.ncols, out,
-                          self.row_degrees, self.col_degrees)
+        return PolyMatrix(self.ring, self.nrows, self.ncols, out)
 
     def __neg__(self):
         return PolyMatrix(self.ring, self.nrows, self.ncols,
-                          {k: -p for k, p in self.entries.items()},
-                          self.row_degrees, self.col_degrees)
+                          {k: -p for k, p in self.entries.items()})
 
     def __sub__(self, other):
         return self + (-other)
@@ -143,24 +136,22 @@ class PolyMatrix:
         if isinstance(p, (int,)) or not isinstance(p, Polynomial):
             p = self.ring.const(p)
         return PolyMatrix(self.ring, self.nrows, self.ncols,
-                          {k: v * p for k, v in self.entries.items()},
-                          self.row_degrees, self.col_degrees)
+                          {k: v * p for k, v in self.entries.items()})
 
     def __matmul__(self, other: "PolyMatrix") -> "PolyMatrix":
         if self.ncols != other.nrows:
             raise ValueError("composition shape mismatch")
         return PolyMatrix.sum_of_products(
-            PolyMatrix.zero(self.ring, self.nrows, other.ncols,
-                            self.row_degrees, other.col_degrees),
+            PolyMatrix.zero(self.ring, self.nrows, other.ncols),
             [(self, other)])
 
     @staticmethod
     def sum_of_products(base: "PolyMatrix", pairs) -> "PolyMatrix":
-        """base + the sum of a @ b over ``pairs``, shaped and graded as
-        base.  Each entry sums the term products of every pair in one dict
-        of plain coefficients; one pass at the end reduces them mod p (over
-        QQ the sums are already Fractions), drops the zero terms and stores
-        the nonzero entries as they stand, all in range by construction."""
+        """base + the sum of a @ b over ``pairs``, shaped as base.  Each
+        entry sums the term products of every pair in one dict of plain
+        coefficients; one pass at the end reduces them mod p (over QQ the
+        sums are already Fractions), drops the zero terms and stores the
+        nonzero entries as they stand, all in range by construction."""
         acc = {key: dict(p.terms) for key, p in base.entries.items()}
         for a, b in pairs:
             if (a.nrows, a.ncols, b.ncols) != (base.nrows, b.nrows,
@@ -178,8 +169,7 @@ class PolyMatrix:
                             terms[m] = terms.get(m, 0) + c1 * c2
         ring = base.ring
         char = ring.field.p
-        out = PolyMatrix(ring, base.nrows, base.ncols, None,
-                         base.row_degrees, base.col_degrees)
+        out = PolyMatrix(ring, base.nrows, base.ncols)
         entries = out.entries
         for key, terms in acc.items():
             if char:
@@ -192,8 +182,7 @@ class PolyMatrix:
 
     def transpose(self) -> "PolyMatrix":
         return PolyMatrix(self.ring, self.ncols, self.nrows,
-                          {(c, r): p for (r, c), p in self.entries.items()},
-                          self.col_degrees, self.row_degrees)
+                          {(c, r): p for (r, c), p in self.entries.items()})
 
     @staticmethod
     def block_diag(blocks):
@@ -201,20 +190,13 @@ class PolyMatrix:
         nrows = sum(b.nrows for b in blocks)
         ncols = sum(b.ncols for b in blocks)
         out = {}
-        rd, cd = [], []
         r0 = c0 = 0
-        have_deg = all(b.row_degrees is not None and b.col_degrees is not None
-                       for b in blocks)
         for b in blocks:
             for (r, c), p in b.entries.items():
                 out[(r0 + r, c0 + c)] = p
-            if have_deg:
-                rd.extend(b.row_degrees)
-                cd.extend(b.col_degrees)
             r0 += b.nrows
             c0 += b.ncols
-        return PolyMatrix(ring, nrows, ncols, out,
-                          rd if have_deg else None, cd if have_deg else None)
+        return PolyMatrix(ring, nrows, ncols, out)
 
     # -- evaluation and rank --------------------------------------------
 

@@ -392,6 +392,8 @@ def _parse_polynomial(ring: PolyRing, text: str) -> Polynomial:
             if ring.field.p:
                 raise ValueError("fractional coefficient over a prime field")
             num, den = t.split("/")
+            if not int(den):
+                raise ValueError(f"zero denominator in {t!r}")
             base = ring.const(ring.field.coerce(int(num)) / int(den))
         elif t.isdigit():
             base = ring.const(int(t))

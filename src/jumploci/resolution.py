@@ -102,10 +102,8 @@ def column_degree(ring: PolyRing, col, row_degrees) -> int:
     return degs.pop()
 
 
-def columns_to_matrix(ring: PolyRing, cols, nrows: int,
-                      row_degrees, hom_index: int) -> PolyMatrix:
-    """Matrix with per-column degrees inferred from the row degrees."""
-    col_degs = [column_degree(ring, c, row_degrees) for c in cols]
+def columns_to_matrix(ring: PolyRing, cols, nrows: int) -> PolyMatrix:
+    """The matrix whose columns are the module vectors ``cols``."""
     entries = {}
     for j, col in enumerate(cols):
         per_row = {}
@@ -113,9 +111,7 @@ def columns_to_matrix(ring: PolyRing, cols, nrows: int,
             per_row.setdefault(r, {})[m] = c
         for r, terms in per_row.items():
             entries[(r, j)] = Polynomial(ring, terms)
-    return PolyMatrix(ring, nrows, len(cols), entries,
-                      [(hom_index - 1, d) for d in row_degrees],
-                      [(hom_index, d) for d in col_degs])
+    return PolyMatrix(ring, nrows, len(cols), entries)
 
 
 # -- resolutions ----------------------------------------------------------
@@ -124,7 +120,6 @@ def columns_to_matrix(ring: PolyRing, cols, nrows: int,
 @dataclass
 class FreeResolution:
     ring_data: RingData
-    over: str                    # "A" or "B"
     differentials: list          # d_1..d_L as PolyMatrix
     degrees: list                # internal degrees of F_0..F_L generators
     complete: bool               # kernel exhausted at the last stage
@@ -139,14 +134,6 @@ class FreeResolution:
 
     def betti(self) -> dict:
         return {i: len(d) for i, d in enumerate(self.degrees)}
-
-
-def presentation_from_rows(ring: PolyRing, rows, row_degrees=None) -> PolyMatrix:
-    if row_degrees is None:
-        row_degrees = [0] * len(rows)
-    mat = PolyMatrix.from_rows(ring, rows)
-    mat.row_degrees = [(0, d) for d in row_degrees]
-    return mat
 
 
 def split_unit_entries(presentation: PolyMatrix, row_degrees):
@@ -202,10 +189,11 @@ def _brief(p: Polynomial) -> str:
             f"({len(p.terms)} terms)")
 
 
-def resolve_over_b(rd: RingData, presentation: PolyMatrix,
-                   truncation: int) -> FreeResolution:
+def resolve_over_b(rd: RingData, presentation: PolyMatrix, truncation: int,
+                   row_degrees=None) -> FreeResolution:
     """Minimal B-free resolution through homological degree ``truncation``,
-    not resolved past it: complete exactly when it has fewer stages.
+    not resolved past it: complete exactly when it has fewer stages.  The
+    rows of the presentation lie in ``row_degrees``, all 0 by default.
 
     Each stage is one graded ``ModuleGB`` run over its candidate columns
     modulo the f_k e_j, which keeps a minimal generating set over B.  The
@@ -216,11 +204,11 @@ def resolve_over_b(rd: RingData, presentation: PolyMatrix,
     if truncation < 1:
         raise PipelineError("truncation bound must be >= 1")
     check_annihilation(rd, presentation)
-    return _resolve(rd, presentation, truncation)
+    return _resolve(rd, presentation, truncation, row_degrees)
 
 
-def _resolve(rd: RingData, presentation: PolyMatrix,
-             truncation) -> FreeResolution:
+def _resolve(rd: RingData, presentation: PolyMatrix, truncation,
+             row_degrees=None) -> FreeResolution:
     """The stages of a resolution over A (``truncation`` None) or over B.
 
     A stage's run keeps a column exactly when it lies outside the span of
@@ -234,9 +222,8 @@ def _resolve(rd: RingData, presentation: PolyMatrix,
     """
     over_b = truncation is not None
     ring = rd.ring
-    row_degrees = [d[1] for d in (presentation.row_degrees
-                                  or [(0, 0)] * presentation.nrows)]
-    cols, row_degrees = split_unit_entries(presentation, row_degrees)
+    cols, row_degrees = split_unit_entries(
+        presentation, row_degrees or [0] * presentation.nrows)
 
     def candidates(cols, rank):
         """The nonzero columns, over B reduced modulo (f) first."""
@@ -262,9 +249,8 @@ def _resolve(rd: RingData, presentation: PolyMatrix,
         if not gb.kept:
             break
         cols = [cols[j] for j in gb.kept]
-        mat = columns_to_matrix(ring, cols, rank, degrees[-1], hom)
-        diffs.append(mat)
-        degrees.append([d[1] for d in mat.col_degrees])
+        diffs.append(columns_to_matrix(ring, cols, rank))
+        degrees.append([column_degree(ring, c, degrees[-1]) for c in cols])
         if last:
             break
         if not over_b:
@@ -272,9 +258,9 @@ def _resolve(rd: RingData, presentation: PolyMatrix,
         cols = candidates([vector_of(s, ring) for s in gb.syzygies()],
                           len(cols))
     if over_b:
-        return FreeResolution(rd, "B", diffs, degrees,
+        return FreeResolution(rd, diffs, degrees,
                               complete=len(diffs) < truncation)
-    return FreeResolution(rd, "A", diffs, degrees, complete=True,
+    return FreeResolution(rd, diffs, degrees, complete=True,
                           image_bases=bases)
 
 
@@ -295,14 +281,9 @@ class DualComplex:
 
 def dualize_over_a(res: FreeResolution) -> DualComplex:
     L = res.length
-    matrices = []
-    degrees = [[-d for d in res.degrees[L - j]] for j in range(L + 1)]
-    for j in range(1, L + 1):
-        t = res.differentials[L - j].transpose()
-        t.row_degrees = [(j - 1, d) for d in degrees[j - 1]]
-        t.col_degrees = [(j, d) for d in degrees[j]]
-        matrices.append(t)
-    return DualComplex(matrices, degrees)
+    return DualComplex(
+        [res.differentials[L - j].transpose() for j in range(1, L + 1)],
+        [[-d for d in res.degrees[L - j]] for j in range(L + 1)])
 
 
 def _check_concentration(res: FreeResolution) -> bool:

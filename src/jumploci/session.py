@@ -33,8 +33,7 @@ from .field import Field, GF, QQ
 from .poly import PolyRing
 from .matrix import PolyMatrix
 from .resolution import (RingData, FreeResolution, PipelineError,
-                         presentation_from_rows, resolve_over_a,
-                         _check_concentration)
+                         resolve_over_a, _check_concentration)
 from .homotopy import compute_higher_homotopies, ingest_dg_structure
 from .twisted import TwistedComplex, build_twisted_complex, s_dual
 
@@ -354,7 +353,7 @@ def parse_session(text: str) -> Session:
 
 
 def _assemble_complex(ring: PolyRing, diff_rows):
-    """Build PolyMatrix differentials and infer bigraded generator degrees.
+    """Build PolyMatrix differentials and infer the generator degrees.
 
     Generators of the 0-th free module sit in internal degree 0; each
     later degree is forced by homogeneity of the matrix columns.
@@ -385,8 +384,6 @@ def _assemble_complex(ring: PolyRing, diff_rows):
                 raise SessionError(f"column {j + 1} of d{k} is zero; its "
                                    "degree cannot be inferred")
             col_degs.append(deg)
-        mat.row_degrees = [(k - 1, d) for d in degrees[-1]]
-        mat.col_degrees = [(k, d) for d in col_degs]
         matrices.append(mat)
         degrees.append(col_degs)
     for a, b in zip(matrices, matrices[1:]):
@@ -417,7 +414,6 @@ class Pipeline:
     """Everything the commands need, built once from a session."""
 
     rd: RingData
-    S: PolyRing
     resolution: FreeResolution
     X: TwistedComplex
     presentation: PolyMatrix = None        # of M over A, coker inputs only
@@ -442,13 +438,13 @@ def build_pipeline(session: Session) -> Pipeline:
     ring = rd.ring
     mod = session.module
     if mod.kind == "coker":
-        pres = presentation_from_rows(ring, mod.rows)
+        pres = PolyMatrix.from_rows(ring, mod.rows)
         res = resolve_over_a(rd, pres)
         sys = compute_higher_homotopies(res, rd)
     else:
-        res = FreeResolution(rd, "A", mod.differentials, mod.degrees,
+        res = FreeResolution(rd, mod.differentials, mod.degrees,
                              complete=True)
         sys = ingest_dg_structure(res, mod.actions, rd)
         pres = None
     X = build_twisted_complex(sys, rd)
-    return Pipeline(rd, X.S, res, X, presentation=pres)
+    return Pipeline(rd, res, X, presentation=pres)

@@ -81,7 +81,7 @@ def build_twisted_complex(sys: HigherHomotopySystem,
         for t, mat in blocks.items():
             add_block(mat, t, m, J)
     entries = {k: v for k, v in entries.items() if not v.is_zero()}
-    D = PolyMatrix(S, len(basis), len(basis), entries, basis, basis)
+    D = PolyMatrix(S, len(basis), len(basis), entries)
     return TwistedComplex(S, basis, D, rd.ci_degrees)
 
 
@@ -105,7 +105,7 @@ def minimalize(X: TwistedComplex) -> TwistedComplex:
     degs = [X.basis_degrees[i] for i in live]
     D = PolyMatrix(X.S, len(live), len(live),
                    {(remap[r], remap[c]): poly
-                    for (r, c), poly in entries.items()}, degs, degs)
+                    for (r, c), poly in entries.items()})
     return TwistedComplex(X.S, degs, D, X.chi_internal)
 
 
@@ -152,9 +152,7 @@ def homology_presentation(X: TwistedComplex):
             raise AssertionError("boundary does not lie in the cycle span")
         relations.append(coeffs)
     relations.extend(dict(enumerate(s)) for s in gb_z.syzygies())
-    mat = coeffs_to_matrix(S, relations, len(cycles))
-    mat.row_degrees = list(gen_degrees)
-    return (mat, gen_degrees)
+    return (coeffs_to_matrix(S, relations, len(cycles)), gen_degrees)
 
 
 def s_dual(X: TwistedComplex) -> TwistedComplex:
@@ -170,7 +168,7 @@ def s_dual(X: TwistedComplex) -> TwistedComplex:
     degs = [(L - X.basis_degrees[i][0], -X.basis_degrees[i][1])
             for i in order]
     entries = {(new[c], new[r]): p for (r, c), p in X.D.entries.items()}
-    D = PolyMatrix(X.S, X.rank, X.rank, entries, degs, degs)
+    D = PolyMatrix(X.S, X.rank, X.rank, entries)
     return TwistedComplex(X.S, degs, D, X.chi_internal)
 
 
@@ -179,8 +177,6 @@ def direct_sum(X: TwistedComplex, Y: TwistedComplex) -> TwistedComplex:
         raise PipelineError("direct sum over different operator rings")
     D = PolyMatrix.block_diag([X.D, Y.D])
     degs = list(X.basis_degrees) + list(Y.basis_degrees)
-    D.row_degrees = list(degs)
-    D.col_degrees = list(degs)
     chi_int = X.chi_internal or Y.chi_internal
     return TwistedComplex(X.S, degs, D, chi_int)
 
@@ -212,7 +208,7 @@ def koszul_object(X: TwistedComplex, eta: Polynomial) -> TwistedComplex:
     shift_coh = (w - 1) if w >= 0 else 1
     degs = list(X.basis_degrees) + [(a + shift_coh, b + int_shift)
                                     for (a, b) in X.basis_degrees]
-    D = PolyMatrix(S, 2 * r, 2 * r, entries, degs, degs)
+    D = PolyMatrix(S, 2 * r, 2 * r, entries)
     return TwistedComplex(S, degs, D, X.chi_internal)
 
 
@@ -226,6 +222,5 @@ def free_complex(S: PolyRing, rank: int, chi_internal=None,
                  degrees=None) -> TwistedComplex:
     """Rank-r complex with zero differential (e.g. the residue-field model)."""
     degs = degrees if degrees is not None else [(0, 0)] * rank
-    return TwistedComplex(S, list(degs),
-                          PolyMatrix.zero(S, rank, rank, degs, degs),
+    return TwistedComplex(S, list(degs), PolyMatrix.zero(S, rank, rank),
                           chi_internal)

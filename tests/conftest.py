@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 from jumploci import GF, QQ, PolyRing
-from jumploci.resolution import RingData, presentation_from_rows, resolve_over_a
+from jumploci.resolution import RingData, resolve_over_a
 from jumploci.homotopy import compute_higher_homotopies, ingest_dg_structure
 from jumploci.matrix import PolyMatrix
 from jumploci.resolution import FreeResolution
@@ -54,7 +54,7 @@ def flag_pipeline():
     """GF(101)[x,y,z] mod (x^3,y^3,z^3) acting on coker of the flag row."""
     A = PolyRing(GF(101), ("x", "y", "z"))
     rd = RingData(A, [A.parse("x^3"), A.parse("y^3"), A.parse("z^3")])
-    pres = presentation_from_rows(
+    pres = PolyMatrix.from_rows(
         A, [[A.parse(e) for e in ("x^3", "y^3", "z^3", "x*z", "y*z^2")]])
     res = resolve_over_a(rd, pres)
     sys = compute_higher_homotopies(res, rd)
@@ -68,7 +68,7 @@ def final_pipeline():
     ideal's quotient."""
     A = PolyRing(GF(101), ("x", "y"))
     rd = RingData(A, [A.parse("x^3"), A.parse("y^3")])
-    pres = presentation_from_rows(
+    pres = PolyMatrix.from_rows(
         A, [[A.parse(e) for e in ("x^2", "x*y", "y^2")]])
     res = resolve_over_a(rd, pres)
     sys = compute_higher_homotopies(res, rd)
@@ -83,7 +83,7 @@ def koszul_action_pipeline():
     rd = RingData(A, [A.parse("x^2"), A.parse("y^2")])
     d1 = matrix_of(A, [["x", "y"]])
     d2 = matrix_of(A, [["-y"], ["x"]])
-    res = FreeResolution(rd, "A", [d1, d2], [[0], [1, 1], [2]], complete=True)
+    res = FreeResolution(rd, [d1, d2], [[0], [1, 1], [2]], complete=True)
     e1 = [matrix_of(A, [["x"], ["0"]]), matrix_of(A, [["0", "x"]])]
     e2 = [matrix_of(A, [["0"], ["y"]]), matrix_of(A, [["-y", "0"]])]
     sys = ingest_dg_structure(res, [e1, e2], rd)
@@ -98,7 +98,7 @@ def nonregular_action_pipeline():
     rd = RingData(A, [A.parse("x^2*y"), A.parse("x*y^2")])
     d1 = matrix_of(A, [["x^2*y", "x*y^2"]])
     d2 = matrix_of(A, [["-y"], ["x"]])
-    res = FreeResolution(rd, "A", [d1, d2], [[0], [3, 3], [4]], complete=True)
+    res = FreeResolution(rd, [d1, d2], [[0], [3, 3], [4]], complete=True)
     e1 = [matrix_of(A, [["1"], ["0"]]), matrix_of(A, [["0", "x*y"]])]
     e2 = [matrix_of(A, [["0"], ["1"]]), matrix_of(A, [["-x*y", "0"]])]
     sys = ingest_dg_structure(res, [e1, e2], rd)

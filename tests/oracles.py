@@ -48,9 +48,8 @@ def syzygy_matrix(mat: PolyMatrix) -> PolyMatrix:
 
 def shift(X: TwistedComplex, s: int) -> TwistedComplex:
     """X with every cohomological degree raised by s."""
-    degs = [(a + s, b) for (a, b) in X.basis_degrees]
-    D = PolyMatrix(X.S, X.rank, X.rank, dict(X.D.entries), degs, degs)
-    return TwistedComplex(X.S, degs, D, X.chi_internal)
+    return TwistedComplex(X.S, [(a + s, b) for (a, b) in X.basis_degrees],
+                          X.D, X.chi_internal)
 
 
 # -- jump loci --------------------------------------------------------------
@@ -235,13 +234,14 @@ def syzygy_concentration(res: FreeResolution) -> bool:
 
 
 def dual_presentation(res: FreeResolution):
-    """Presentation of the dual module M* = coker d_L^T when Hom_A(F, A)
-    is concentrated (by ``syzygy_concentration``) and F has length at
-    least one, else None."""
+    """Presentation of the dual module M* = coker d_L^T and the degrees of
+    its rows, -deg F_L, when Hom_A(F, A) is concentrated (by
+    ``syzygy_concentration``) and F has length at least one, else None."""
     L = res.length
     if L < 1 or not syzygy_concentration(res):
         return None
-    return dualize_over_a(res).matrices[0]
+    dual = dualize_over_a(res)
+    return dual.matrices[0], dual.degrees[0]
 
 
 # -- sessions ---------------------------------------------------------------

@@ -17,8 +17,7 @@ import pytest
 from jumploci import GF, QQ, PolyRing
 from jumploci.groebner import Ideal, module_hilbert_data
 from jumploci.matrix import PolyMatrix
-from jumploci.resolution import (RingData, presentation_from_rows,
-                                 resolve_over_a, resolve_over_b,
+from jumploci.resolution import (RingData, resolve_over_a, resolve_over_b,
                                  _check_concentration)
 from jumploci.homotopy import compute_higher_homotopies
 from jumploci.twisted import build_twisted_complex, minimalize
@@ -55,7 +54,7 @@ def criterion(number, bound_seconds):
 def _coker_pipeline(variables, ci, gens):
     A = PolyRing(GF101, variables)
     rd = RingData(A, [A.parse(f) for f in ci])
-    pres = presentation_from_rows(A, [[A.parse(g) for g in gens]])
+    pres = PolyMatrix.from_rows(A, [[A.parse(g) for g in gens]])
     res = resolve_over_a(rd, pres)
     sys = compute_higher_homotopies(res, rd)
     return rd, pres, res, sys, build_twisted_complex(sys, rd)
@@ -112,7 +111,8 @@ def test_criterion_4_betti_growth_and_degrees():
         ("x", "y"), ("x^3", "y^3"), ("x^2", "x*y", "y^2"))
     beta = resolve_over_b(rd, pres, 20).betti()
     assert _check_concentration(res)
-    beta_dual = resolve_over_b(rd, dual_presentation(res), 20).betti()
+    pres_dual, row_degrees = dual_presentation(res)
+    beta_dual = resolve_over_b(rd, pres_dual, 20, row_degrees).betti()
     for i in range(4, 21):
         if i % 2 == 0:
             assert beta[i] == 3 * i // 2 + 1, i
@@ -138,7 +138,7 @@ def test_criterion_5_duality():
     rd2 = RingData(A, [A.parse("x^3"), A.parse("y^3")])
     for _ in range(3):
         gens = random_monomial_rows(rng)
-        pres2 = presentation_from_rows(A, [[A.monomial(m) for m in gens]])
+        pres2 = PolyMatrix.from_rows(A, [[A.monomial(m) for m in gens]])
         res2 = resolve_over_a(rd2, pres2)
         sys2 = compute_higher_homotopies(res2, rd2)
         Y = build_twisted_complex(sys2, rd2)

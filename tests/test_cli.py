@@ -162,8 +162,8 @@ def _oracle_betti_report(path, n):
     """The betti report with every table taken from resolve_over_b."""
     pipe = build_pipeline(parse_session(path.read_text()))
 
-    def block(presentation):
-        beta = resolve_over_b(pipe.rd, presentation, n).betti()
+    def block(presentation, row_degrees=None):
+        beta = resolve_over_b(pipe.rd, presentation, n, row_degrees).betti()
         out = {"betti": {str(i): b for i, b in sorted(beta.items())}}
         try:
             out["quasi"] = cli._quasi_dict(fit_quasi_polynomial(beta, n + 1))
@@ -173,7 +173,7 @@ def _oracle_betti_report(path, n):
 
     pres_dual = dual_presentation(pipe.resolution)
     report = {"n": n, **block(pipe.presentation)}
-    report["dual"] = None if pres_dual is None else block(pres_dual)
+    report["dual"] = None if pres_dual is None else block(*pres_dual)
     return report
 
 
@@ -536,6 +536,67 @@ def test_input_that_is_not_utf8_is_an_input_error(capfd, tmp_path):
         code, out, err = _run(capfd, argv)
         assert code == 1 and out == ""
         assert err == "error: the file is not valid UTF-8 (line 2)\n"
+
+
+_QQ_KOSZUL = ("field QQ\nring x, y\nci x^2, y^2\n"
+              "complex d1 [[x, y]] d2 [[-y], [x]]\n"
+              "action e1 [[x], [0]] [[0, x]]\n"
+              "action e2 [[0], [y]] [[-y, 0]]\n")
+
+
+_ZERO_DENOMINATOR = {
+    "ci": "field QQ\nring x, y\nci x^2, 1/0*y^2\nmodule coker [[x, y]]\n",
+    "module": "field QQ\nring x, y\nci x^2, y^2\n"
+              "module coker [[x, 1/0*y]]\n",
+    "complex": _QQ_KOSZUL.replace("[x]]\n", "[3/0*x]]\n"),
+    "action": _QQ_KOSZUL.replace("[[-y, 0]]", "[[-y, 1/0]]"),
+    "member": "field QQ\nring chi1, chi2\nmember 0\n"
+              "member chi1, 2/0*chi2\nmember 1\n",
+}
+
+
+@pytest.mark.parametrize("kind", list(_ZERO_DENOMINATOR))
+def test_a_zero_denominator_is_an_input_error(capfd, tmp_path, kind):
+    """Over QQ, ``a/0`` used to end every command in a ZeroDivisionError
+    traceback; it is an input error naming the line and column of the
+    entry, which starts at its one-digit numerator."""
+    text = _ZERO_DENOMINATOR[kind]
+    line, bad = next((i, t) for i, t in enumerate(text.splitlines(), 1)
+                     if "/0" in t)
+    column = bad.index("/0")
+    path = tmp_path / f"{kind}.input"
+    path.write_text(text)
+    commands = ([["realize", "--chain", str(path)]] if kind == "member" else
+                [[cmd, "--input", str(path)] for cmd in
+                 ("compute", "betti", "dual", "crk", "oracle")])
+    for argv in commands:
+        code, out, err = _run(capfd, argv)
+        assert code == 1 and out == "", argv
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "zero denominator" in err
+        assert err.endswith(f"(line {line}, column {column})\n"), err
+
+
+@pytest.mark.parametrize("via", ["--output", "option output"])
+@pytest.mark.parametrize("target", ["directory", "missing/out.json"])
+def test_an_unwritable_output_path_is_an_input_error(capfd, tmp_path, via,
+                                                     target):
+    """Writing the report to a directory or into a missing directory used
+    to end in an OSError traceback; it is one error line and exit 1."""
+    path = tmp_path / target
+    if target == "directory":
+        path.mkdir()
+    if via == "--output":
+        argv = ["compute", "--input", KOSZUL, "--output", str(path)]
+    else:
+        session = tmp_path / "out.session"
+        session.write_text((SESSIONS / "koszul_residue.session").read_text()
+                           + f"option output {path}\n")
+        argv = ["compute", "--input", str(session)]
+    code, out, err = _run(capfd, argv)
+    assert code == 1 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert str(path) in err and "Traceback" not in err
 
 
 def test_session_options_provide_defaults(capfd, tmp_path):

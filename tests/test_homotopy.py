@@ -10,8 +10,7 @@ from jumploci import GF, PolyRing
 from jumploci.groebner import ModuleGB
 from jumploci.matrix import PolyMatrix
 from jumploci.resolution import (RingData, FreeResolution, PipelineError,
-                                 presentation_from_rows, resolve_over_a,
-                                 dualize_over_a)
+                                 resolve_over_a, dualize_over_a)
 from jumploci.homotopy import (HigherHomotopySystem, compute_higher_homotopies,
                                ingest_dg_structure, _multi_indices)
 from jumploci.session import parse_session
@@ -27,7 +26,7 @@ GF101 = GF(101)
 def test_single_hypersurface_homotopy_is_identity():
     A = PolyRing(GF101, ("x",))
     rd = RingData(A, [A.parse("x^2")])
-    pres = presentation_from_rows(A, [[A.parse("x^2")]])
+    pres = PolyMatrix.from_rows(A, [[A.parse("x^2")]])
     res = resolve_over_a(rd, pres)
     sys = compute_higher_homotopies(res, rd)
     sigma = sys.sigma[(1,)][0]
@@ -38,7 +37,7 @@ def test_single_hypersurface_homotopy_is_identity():
 def test_residue_field_system_verifies():
     A = PolyRing(GF101, ("x", "y"))
     rd = RingData(A, [A.parse("x^3"), A.parse("y^3")])
-    pres = presentation_from_rows(A, [[A.parse("x"), A.parse("y")]])
+    pres = PolyMatrix.from_rows(A, [[A.parse("x"), A.parse("y")]])
     res = resolve_over_a(rd, pres)
     sys = compute_higher_homotopies(res, rd)
     verify_system(sys, rd)
@@ -49,7 +48,7 @@ def test_free_module_needs_no_homotopies():
     """f annihilates no nonzero free module, so M = A has no system."""
     A = PolyRing(GF101, ("x", "y"))
     rd = RingData(A, [A.parse("x^2"), A.parse("y^2")])
-    res = resolve_over_a(rd, presentation_from_rows(A, [[]]))
+    res = resolve_over_a(rd, PolyMatrix.from_rows(A, [[]]))
     with pytest.raises(PipelineError, match="does not annihilate"):
         compute_higher_homotopies(res, rd)
 
@@ -59,7 +58,7 @@ def test_annihilation_is_checked_before_the_regular_sequence(monkeypatch):
     series of the ci ideal that the regular-sequence test builds."""
     A = PolyRing(GF101, ("x", "y"))
     rd = RingData(A, [A.parse("x^2"), A.parse("y^2")])
-    res = resolve_over_a(rd, presentation_from_rows(A, [[A.parse("x")]]))
+    res = resolve_over_a(rd, PolyMatrix.from_rows(A, [[A.parse("x")]]))
 
     def not_called(self):
         raise AssertionError("the regular-sequence test ran first")
@@ -73,7 +72,7 @@ def test_annihilation_is_checked_before_the_regular_sequence(monkeypatch):
 def test_nonregular_sequence_rejected():
     A = PolyRing(GF101, ("x", "y"))
     rd = RingData(A, [A.parse("x^2*y"), A.parse("x*y^2")])
-    pres = presentation_from_rows(A, [[A.parse("x^2*y"), A.parse("x*y^2")]])
+    pres = PolyMatrix.from_rows(A, [[A.parse("x^2*y"), A.parse("x*y^2")]])
     res = resolve_over_a(rd, pres)
     with pytest.raises(PipelineError, match="regular"):
         compute_higher_homotopies(res, rd)
@@ -118,7 +117,7 @@ def test_verification_checks_the_top_of_the_complex():
     top, sigma o d_1 = x^2 * id on F_1, fails; no block is solved there."""
     A = PolyRing(GF101, ("x",))
     rd = RingData(A, [A.parse("x^2")])
-    res = FreeResolution(rd, "A", [matrix_of(A, [["x", "0"]])],
+    res = FreeResolution(rd, [matrix_of(A, [["x", "0"]])],
                          [[0], [1, 1]], complete=True)
     sys = HigherHomotopySystem(res, {(1,): {0: matrix_of(A, [["x"], ["0"]])}})
     with pytest.raises(AssertionError,
@@ -174,7 +173,7 @@ def test_construction_checks_the_top_of_the_complex():
     A = PolyRing(GF101, ("x",))
     rd = RingData(A, [A.parse("x^2")])
     d1 = matrix_of(A, [["x", "0"]])
-    res = FreeResolution(rd, "A", [d1], [[0], [1, 1]], complete=True,
+    res = FreeResolution(rd, [d1], [[0], [1, 1]], complete=True,
                          image_bases={1: ModuleGB(A, 1, d1.columns_as_vectors(),
                                                   track=True)})
     with pytest.raises(AssertionError,
@@ -262,19 +261,19 @@ def _homotopy_inputs():
         session = parse_session(text)
         if session.module.kind == "coker":
             rd = session.ring_data
-            out.append((rd, presentation_from_rows(rd.ring,
-                                                   session.module.rows)))
+            out.append((rd, PolyMatrix.from_rows(rd.ring,
+                                                 session.module.rows)))
     rng = random.Random(11)
     A = PolyRing(GF101, ("x", "y"))
     rd = RingData(A, [A.parse("x^3"), A.parse("y^3")])
     for _ in range(6):
         gens = random_monomial_rows(rng)
-        out.append((rd, presentation_from_rows(
+        out.append((rd, PolyMatrix.from_rows(
             A, [[A.monomial(m) for m in gens]])))
     A = PolyRing(GF101, ("x", "y", "z"))
     rd = RingData(A, [A.parse("x^3"), A.parse("y^3"), A.parse("z^3")])
     for _ in range(6):
-        out.append((rd, presentation_from_rows(
+        out.append((rd, PolyMatrix.from_rows(
             A, [[A.monomial(m) for m in random_monomial_rows_3(rng)]])))
     return out
 
@@ -322,7 +321,7 @@ def test_perturbed_action_rejected():
     rd = RingData(A, [A.parse("x^2"), A.parse("y^2")])
     d1 = matrix_of(A, [["x", "y"]])
     d2 = matrix_of(A, [["-y"], ["x"]])
-    res = FreeResolution(rd, "A", [d1, d2], [[0], [1, 1], [2]],
+    res = FreeResolution(rd, [d1, d2], [[0], [1, 1], [2]],
                          complete=True)
     e1 = [matrix_of(A, [["x"], ["x"]]), matrix_of(A, [["0", "x"]])]
     e2 = [matrix_of(A, [["0"], ["y"]]), matrix_of(A, [["-y", "0"]])]
@@ -335,7 +334,7 @@ def test_wrong_block_shape_rejected():
     rd = RingData(A, [A.parse("x^2"), A.parse("y^2")])
     d1 = matrix_of(A, [["x", "y"]])
     d2 = matrix_of(A, [["-y"], ["x"]])
-    res = FreeResolution(rd, "A", [d1, d2], [[0], [1, 1], [2]],
+    res = FreeResolution(rd, [d1, d2], [[0], [1, 1], [2]],
                          complete=True)
     e1 = [matrix_of(A, [["x"]]), matrix_of(A, [["0", "x"]])]
     e2 = [matrix_of(A, [["0"], ["y"]]), matrix_of(A, [["-y", "0"]])]
@@ -403,7 +402,7 @@ def _dg_inputs(texts):
     for text in texts:
         session = parse_session(text)
         rd, mod = session.ring_data, session.module
-        res = FreeResolution(rd, "A", mod.differentials, mod.degrees,
+        res = FreeResolution(rd, mod.differentials, mod.degrees,
                              complete=True)
         out.append((rd, res, mod.actions))
     return out

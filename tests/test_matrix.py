@@ -81,8 +81,7 @@ def test_bihomogeneity_contract():
     degs = [(0, 0), (1, 2)]
 
     def complex_of(entries, chi_internal=(2, 2)):
-        D = PolyMatrix(S2, 2, 2, {k: S2.parse(p) for k, p in entries.items()},
-                       degs, degs)
+        D = PolyMatrix(S2, 2, 2, {k: S2.parse(p) for k, p in entries.items()})
         return TwistedComplex(S2, degs, D, chi_internal)
 
     # entry chi-degree must be (col coh) - (row coh) + 1 = 2, and its
@@ -98,7 +97,7 @@ def test_bihomogeneity_contract():
             assert_twisted_complex(complex_of(entries, chi_internal))
     with pytest.raises(AssertionError, match="square"):
         assert_twisted_complex(TwistedComplex(
-            S2, degs, PolyMatrix.zero(S2, 2, 3, degs, degs), None))
+            S2, degs, PolyMatrix.zero(S2, 2, 3), None))
 
 
 def test_cancel_unit_is_the_schur_complement():

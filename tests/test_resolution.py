@@ -9,12 +9,12 @@ import pytest
 
 from jumploci import GF, PolyRing
 from jumploci import resolution
+from jumploci.matrix import PolyMatrix
 from jumploci.poly import Polynomial
 from jumploci.groebner import (Ideal, ModuleGB, _vec_add, module_hilbert_data,
                                vector_of)
 from jumploci.resolution import (RingData, PipelineError, TruncationNeeded,
-                                 FreeResolution, presentation_from_rows,
-                                 resolve_over_a, resolve_over_b,
+                                 FreeResolution, resolve_over_a, resolve_over_b,
                                  dualize_over_a, _check_concentration,
                                  fit_quasi_polynomial, column_degree,
                                  columns_to_matrix, split_unit_entries)
@@ -33,7 +33,7 @@ A3 = PolyRing(GF101, ("x", "y", "z"))
 
 
 def _pres(ring, entries):
-    return presentation_from_rows(ring, [[ring.parse(e) for e in entries]])
+    return PolyMatrix.from_rows(ring, [[ring.parse(e) for e in entries]])
 
 
 # -- over the polynomial ring ----------------------------------------------
@@ -50,7 +50,7 @@ def test_residue_field_gets_koszul_resolution():
 def test_free_module_resolves_in_length_zero():
     A = PolyRing(GF101, ("x", "y"))
     rd = RingData(A, [A.parse("x^2"), A.parse("y^2")])
-    pres = presentation_from_rows(A, [[]])
+    pres = PolyMatrix.from_rows(A, [[]])
     res = resolve_over_a(rd, pres)
     assert res.length == 0
     assert res.betti() == {0: 1}
@@ -87,7 +87,7 @@ def test_dual_of_final_module_betti_numbers(final_pipeline):
     rd, pres, res, sys, X = final_pipeline
     pres_dual = dual_presentation(res)
     assert _check_concentration(res) and pres_dual is not None
-    res_b = resolve_over_b(rd, pres_dual, 6)
+    res_b = resolve_over_b(rd, pres_dual[0], 6, pres_dual[1])
     beta = res_b.betti()
     assert beta[0] == 2 and beta[4] == 8 and beta[5] == 9
 
@@ -336,8 +336,7 @@ def _two_run_resolution_over_b(rd, pres, truncation):
     the f_k e_j.  Returns the generator degrees per stage and whether the
     resolution is complete."""
     ring = rd.ring
-    row_degrees = [d[1] for d in pres.row_degrees]
-    cols, row_degrees = split_unit_entries(pres, row_degrees)
+    cols, row_degrees = split_unit_entries(pres, [0] * pres.nrows)
     nf = rd.ci_ideal().normal_form
     cols = [_reduce_column(c, nf, ring) for c in cols]
     degrees = [row_degrees]
@@ -366,7 +365,7 @@ def test_one_run_per_stage_equals_the_two_run_loop():
     kinds = set()
     for binomials in (0.0, 0.5) * 4:
         rows = _random_presentation_rows(rng, binomials)
-        pres = presentation_from_rows(A3, rows)
+        pres = PolyMatrix.from_rows(A3, rows)
         kinds.add(all(len(p.terms) <= 1 for row in rows for p in row))
         section = A3.parse(f"{rng.randrange(1, 101)}*x^3 + "
                            f"{rng.randrange(1, 101)}*y^3")
@@ -387,8 +386,7 @@ def _two_run_resolution_over_a(rd, pres):
     tracked basis of the kept columns.  The homotopies lift through those
     bases, kept as the resolution's ``image_bases``."""
     ring = rd.ring
-    row_degrees = [d[1] for d in pres.row_degrees]
-    cols, row_degrees = split_unit_entries(pres, row_degrees)
+    cols, row_degrees = split_unit_entries(pres, [0] * pres.nrows)
     degrees = [row_degrees]
     diffs = []
     bases = {}
@@ -396,11 +394,10 @@ def _two_run_resolution_over_a(rd, pres):
         rank = len(degrees[-1])
         cols = _per_degree_pruning(ring, rank, cols, degrees[-1])
         if not cols:
-            return FreeResolution(rd, "A", diffs, degrees, complete=True,
+            return FreeResolution(rd, diffs, degrees, complete=True,
                                   image_bases=bases)
-        diffs.append(columns_to_matrix(ring, cols, rank, degrees[-1],
-                                       len(diffs) + 1))
-        degrees.append([d[1] for d in diffs[-1].col_degrees])
+        diffs.append(columns_to_matrix(ring, cols, rank))
+        degrees.append([column_degree(ring, c, degrees[-1]) for c in cols])
         gb = bases[len(diffs)] = ModuleGB(ring, rank, cols, track=True)
         cols = [vector_of(s, ring) for s in gb.syzygies()]
 
@@ -418,17 +415,17 @@ def _coker_inputs():
         session = parse_session(path.read_text())
         if session.module.kind == "coker":
             rd = session.ring_data
-            out.append((rd, presentation_from_rows(rd.ring,
-                                                   session.module.rows)))
+            out.append((rd, PolyMatrix.from_rows(rd.ring,
+                                                 session.module.rows)))
     rng = random.Random(71)
     A2 = PolyRing(GF101, ("x", "y"))
     rd = RingData(A2, [A2.parse("x^3"), A2.parse("y^3")])
     for _ in range(6):
-        out.append((rd, presentation_from_rows(
+        out.append((rd, PolyMatrix.from_rows(
             A2, [[A2.monomial(m) for m in random_monomial_rows(rng)]])))
     rd = RingData(A3, [A3.parse("x^3"), A3.parse("y^3")])
     for _ in range(8):
-        out.append((rd, presentation_from_rows(
+        out.append((rd, PolyMatrix.from_rows(
             A3, _random_presentation_rows(rng, 0.5))))
     return tuple(out)
 
@@ -470,8 +467,8 @@ def test_resolution_over_a_builds_one_tracked_run_per_stage(monkeypatch):
     monkeypatch.setattr(ModuleGB, "__init__", counting)
     A = PolyRing(GF101, ("x", "y"))
     rd = RingData(A, [A.parse("x^2"), A.parse("y^2")])
-    free = [(rd, presentation_from_rows(A, [[]])),
-            (rd, presentation_from_rows(A, [[A.zero(), A.zero()]]))]
+    free = [(rd, PolyMatrix.from_rows(A, [[]])),
+            (rd, PolyMatrix.from_rows(A, [[A.zero(), A.zero()]]))]
     lengths = set()
     for rd, pres in _coker_inputs() + tuple(free):
         runs.clear()
@@ -538,7 +535,7 @@ def test_an_entry_with_a_constant_term_is_not_a_unit():
     A = PolyRing(GF101, ("x", "y"))
     rd = RingData(A, [A.parse("x^2"), A.parse("y^2")])
     rows = [[A.parse("1 + x"), A.parse("y")], [A.parse("x"), A.zero()]]
-    pres = presentation_from_rows(A, rows)
+    pres = PolyMatrix.from_rows(A, rows)
     cols = pres.columns_as_vectors()
     assert split_unit_entries(pres, [0, 0]) == (cols, [0, 0])
     assert _old_split_unit_entries(cols, 2, [0, 0], GF101) == \
@@ -546,8 +543,8 @@ def test_an_entry_with_a_constant_term_is_not_a_unit():
     with pytest.raises(PipelineError, match="inhomogeneous module column"):
         resolve_over_a(rd, pres)
     rows = [[A.parse("1 + x"), A.one()], [A.parse("x"), A.parse("y")]]
-    pres = presentation_from_rows(A, rows)
-    want = presentation_from_rows(A, [[A.parse("x - y - x*y")]])
+    pres = PolyMatrix.from_rows(A, rows)
+    want = PolyMatrix.from_rows(A, [[A.parse("x - y - x*y")]])
     assert split_unit_entries(pres, [0, 1]) == \
         (want.columns_as_vectors(), [1])
     out, _, degrees = _old_split_unit_entries(pres.columns_as_vectors(), 2,
@@ -578,7 +575,7 @@ def test_unit_split_keeps_the_hilbert_data():
             if col:
                 cols.append(col)
         nrows = len(row_degrees)
-        before = columns_to_matrix(A3, cols, nrows, row_degrees, 1)
+        before = columns_to_matrix(A3, cols, nrows)
         out, degrees = split_unit_entries(before, row_degrees)
         old, _, old_degrees = _old_split_unit_entries(cols, nrows,
                                                       row_degrees, GF101)
@@ -589,7 +586,7 @@ def test_unit_split_keeps_the_hilbert_data():
                    for t in range(1, len(degrees) + 1)]
         for cols_after in (out, old):
             after = columns_to_matrix(A3, [c for c in cols_after if c],
-                                      len(degrees), degrees, 1)
+                                      len(degrees))
             assert module_hilbert_data(after, degrees) == want
             assert [_reduced_minor_ideal(after, t)
                     for t in range(1, len(degrees) + 1)] == fitting
@@ -623,9 +620,8 @@ def test_dual_of_final_module_has_length_three():
     pres = _pres(A, ["x^2", "x*y", "y^2"])
     res = resolve_over_a(rd, pres)
     assert _check_concentration(res)
-    mat = dual_presentation(res)
-    dim, mult, num = module_hilbert_data(
-        mat, [d[1] for d in mat.row_degrees], A.weights)
+    mat, row_degrees = dual_presentation(res)
+    dim, mult, num = module_hilbert_data(mat, row_degrees, A.weights)
     assert (dim, mult) == (0, 3)
 
 
@@ -667,7 +663,7 @@ def test_concentration_by_auslander_buchsbaum_equals_the_syzygy_route():
     outcomes = []
     for _ in range(60):
         rows = _random_presentation_rows(rng)
-        res = resolve_over_a(rd, presentation_from_rows(A3, rows))
+        res = resolve_over_a(rd, PolyMatrix.from_rows(A3, rows))
         concentrated = _check_concentration(res)
         assert concentrated == syzygy_concentration(res)
         outcomes.append(concentrated)

@@ -7,8 +7,7 @@ import pytest
 from jumploci import GF, PolyRing
 from jumploci.groebner import module_hilbert_data
 from jumploci.matrix import PolyMatrix, least_unit
-from jumploci.resolution import (RingData, PipelineError,
-                                 presentation_from_rows, resolve_over_a)
+from jumploci.resolution import RingData, PipelineError, resolve_over_a
 from jumploci.homotopy import compute_higher_homotopies, ingest_dg_structure
 from jumploci.session import parse_session, build_pipeline
 from jumploci.twisted import (TwistedComplex, build_twisted_complex,
@@ -31,7 +30,7 @@ def _b_as_module_complex():
     c = 2: the operator Koszul complex of rank 4."""
     A = PolyRing(GF101, ("x", "y"))
     rd = RingData(A, [A.parse("x^2"), A.parse("y^2")])
-    pres = presentation_from_rows(A, [[A.parse("x^2"), A.parse("y^2")]])
+    pres = PolyMatrix.from_rows(A, [[A.parse("x^2"), A.parse("y^2")]])
     res = resolve_over_a(rd, pres)
     sys = compute_higher_homotopies(res, rd)
     return rd, build_twisted_complex(sys, rd)
@@ -68,7 +67,7 @@ def test_quotient_ring_model_is_operator_koszul():
 def test_minimalize_removes_contractible_summand():
     S = PolyRing(GF101, ("chi1", "chi2"), (2, 2))
     degs = [(0, 0), (1, 0), (1, 0), (0, 0)]
-    D = PolyMatrix(S, 4, 4, {(1, 3): S.one()}, degs, degs)
+    D = PolyMatrix(S, 4, 4, {(1, 3): S.one()})
     X = TwistedComplex(S, degs, D, (2, 2))
     Xm = minimalize(X)
     assert Xm.rank == 2
@@ -89,7 +88,7 @@ def test_nonminimal_build_gives_same_jump_ideals():
     S = X.S
     degs = [(0, 0), (1, 0)]
     cone = TwistedComplex(S, degs,
-                          PolyMatrix(S, 2, 2, {(1, 0): S.one()}, degs, degs),
+                          PolyMatrix(S, 2, 2, {(1, 0): S.one()}),
                           X.chi_internal)
     inflated = direct_sum(X, cone)
     assert_twisted_complex(minimalize(inflated))
@@ -178,8 +177,8 @@ def test_s_dual_is_the_explicit_dual_on_random_monomial_modules(names):
         if A.nvars == 3:
             gens |= {(rng.randrange(3), rng.randrange(3), rng.randrange(1, 3))
                      for _ in range(rng.randrange(1, 3))}
-        pres = presentation_from_rows(A, [[A.monomial(m)
-                                           for m in sorted(gens)]])
+        pres = PolyMatrix.from_rows(A, [[A.monomial(m)
+                                         for m in sorted(gens)]])
         res = resolve_over_a(rd, pres)
         _assert_s_dual_is_the_explicit_dual(
             res, compute_higher_homotopies(res, rd), rd)
@@ -256,7 +255,7 @@ def test_tbetti_examples(flag_pipeline):
     S = X2.S
     degs = [(0, 0), (1, 0)]
     cone = TwistedComplex(S, degs,
-                          PolyMatrix(S, 2, 2, {(1, 0): S.one()}, degs, degs),
+                          PolyMatrix(S, 2, 2, {(1, 0): S.one()}),
                           X2.chi_internal)
     assert minimalize(cone).rank == 0
 
@@ -300,7 +299,7 @@ def _old_minimalize(X: TwistedComplex) -> TwistedComplex:
     degs = [X.basis_degrees[i] for i in live]
     D = PolyMatrix(X.S, len(live), len(live),
                    {(remap[r], remap[c]): poly
-                    for (r, c), poly in entries.items()}, degs, degs)
+                    for (r, c), poly in entries.items()})
     return TwistedComplex(X.S, degs, D, X.chi_internal)
 
 
@@ -315,10 +314,9 @@ def _conjugate(X: TwistedComplex, rng) -> TwistedComplex:
         return X
     i, j = rng.choice(pairs)
     s = random_homogeneous(X.S, rng, coh[j] - coh[i])
-    degs = X.basis_degrees
-    one = PolyMatrix.identity(X.S, X.rank, degrees=degs)
-    N = PolyMatrix(X.S, X.rank, X.rank, {(i, j): s}, degs, degs)
-    return TwistedComplex(X.S, degs, (one + N) @ X.D @ (one - N),
+    one = PolyMatrix.identity(X.S, X.rank)
+    N = PolyMatrix(X.S, X.rank, X.rank, {(i, j): s})
+    return TwistedComplex(X.S, X.basis_degrees, (one + N) @ X.D @ (one - N),
                           X.chi_internal)
 
 
@@ -330,8 +328,7 @@ def _random_nonminimal_complex(S, rng) -> TwistedComplex:
     for _ in range(rng.randrange(1, 4)):
         u = rng.randrange(-1, 3)
         degs = [(u, 0), (u + 1, 0)]
-        pair = PolyMatrix(S, 2, 2, {(1, 0): S.const(rng.randrange(1, 5))},
-                          degs, degs)
+        pair = PolyMatrix(S, 2, 2, {(1, 0): S.const(rng.randrange(1, 5))})
         X = direct_sum(X, TwistedComplex(S, degs, pair, X.chi_internal))
     for _ in range(rng.randrange(4, 10)):
         X = _conjugate(X, rng)
