@@ -8,8 +8,10 @@ Usage::
 
 Exit codes: 0 on success, 1 on input error, 2 on an internal assertion
 failure (for example, the even and odd parts of Ext disagreeing on the
-Betti degree).  ``--seed`` picks the sample points of ``oracle``; no other
-command depends on it.
+Betti degree).  ``--seed`` (default 0) picks the sample points of
+``oracle``; no other command depends on it.  ``--n`` defaults to 20 and
+the report goes to standard output unless ``--output`` names a file: the
+input file declares only the ring, f and the module, and sets nothing.
 Setting ``JUMPLOCI_VERBOSE=1`` prints cumulative engine statistics on
 standard error.
 
@@ -37,13 +39,12 @@ import random
 import sys
 from fractions import Fraction
 
-from .poly import PolyRing
 from .groebner import Ideal, GBStats
 from .resolution import PipelineError, TruncationNeeded, fit_quasi_polynomial
 from .loci import (jump_loci_report, betti_degree, betti_numbers, crk_at,
                    realize, stable_betti_oracle, JumpLociReport)
 from .session import (Session, SessionError, parse_session, build_pipeline,
-                      parse_field, parse_variable_names, split_commas, _once)
+                      parse_chain_file)
 
 # Largest truncation ``betti`` accepts: ``betti --n 100000`` on the flag
 # session takes a few seconds, and the list of Betti numbers grows with n.
@@ -172,8 +173,6 @@ def cmd_betti(session: Session, args) -> dict:
         raise PipelineError(
             "the betti command needs a module given as a cokernel")
     n = args.n
-    if n is None:
-        n = session.options.get("truncation", 20)
     if n <= 0:
         raise PipelineError(f"the truncation must be positive, not {n}")
     if n > MAX_TRUNCATION:
@@ -241,54 +240,6 @@ def cmd_oracle(session: Session, args) -> dict:
             "all_equal": all(r["equal"] for r in results)}
 
 
-def parse_chain_file(text: str):
-    """Chain files: ``field``/``ring`` headers, then one ``member`` line
-    per chain element.  ``member 0`` is the zero ideal (all of Spec S)
-    and ``member 1`` the unit ideal (the empty set).  As in a session, a
-    second ``field`` or ``ring`` line is an input error."""
-    fld = None
-    ring = None
-    chain = []
-    seen = set()         # the header directives given so far
-    for line_no, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        directive, _, rest = line.partition(" ")
-        rest = rest.strip()
-        if directive in ("field", "ring"):
-            _once(seen, directive, line_no)
-        if directive == "field":
-            fld = parse_field(rest, line_no)
-        elif directive == "ring":
-            if fld is None:
-                raise SessionError("ring declared before field", line_no)
-            names = parse_variable_names(rest, line_no)
-            try:
-                ring = PolyRing(fld, names, (2,) * len(names))
-            except ValueError as exc:
-                raise SessionError(str(exc), line_no) from exc
-        elif directive == "member":
-            if ring is None:
-                raise SessionError("member declared before ring", line_no)
-            gens = []
-            rest_col = len(raw) - len(raw.lstrip()) + len(line) - len(rest) + 1
-            for piece, off in split_commas(rest):
-                try:
-                    g = ring.parse(piece)
-                except ValueError as exc:
-                    raise SessionError(f"bad generator '{piece}': {exc}",
-                                       line_no, rest_col + off) from exc
-                if not g.is_zero():
-                    gens.append(g)
-            chain.append(Ideal(ring, gens))
-        else:
-            raise SessionError(f"unknown directive '{directive}'", line_no)
-    if ring is None or not chain:
-        raise SessionError("chain file needs a ring and members")
-    return ring, chain
-
-
 def cmd_realize(args) -> dict:
     if not args.chain:
         raise PipelineError("realize needs --chain FILE")
@@ -313,7 +264,7 @@ def build_argument_parser() -> argparse.ArgumentParser:
                         choices=["compute", "betti", "dual", "realize",
                                  "crk", "oracle"])
     parser.add_argument("--input", help="session file")
-    parser.add_argument("--n", type=int, default=None,
+    parser.add_argument("--n", type=int, default=20,
                         help="last Betti number to compute (betti)")
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--format", choices=["json", "text"], default="json")
@@ -340,10 +291,6 @@ def main(argv=None) -> int:
             if not args.input:
                 raise PipelineError(f"{args.command} needs --input FILE")
             session = parse_session(_read_text(args.input))
-            if args.seed == 0 and "seed" in session.options:
-                args.seed = session.options["seed"]
-            if args.output is None and "output" in session.options:
-                args.output = session.options["output"]
             handler = {"compute": cmd_compute, "betti": cmd_betti,
                        "dual": cmd_dual, "crk": cmd_crk,
                        "oracle": cmd_oracle}[args.command]

@@ -1,4 +1,5 @@
-"""Session files: a line-oriented input format for the command line tool.
+"""Session and chain files: the line-oriented inputs of the command line
+tool.
 
 A session declares the coefficient field, the ambient graded polynomial
 ring, the quotient sequence, and the module -- either as the cokernel of
@@ -18,20 +19,22 @@ starts a comment)::
 
 Matrices are written as lists of rows; ``dK`` maps the free module in
 homological degree K to the one in degree K-1, and ``action eI`` lists
-the blocks F_t -> F_{t+1} for t = 0..L-1.  Optional ``option NAME VALUE``
-lines set truncation, seed or output path.  Parsing reports line and
-column of the offending token.
+the blocks F_t -> F_{t+1} for t = 0..L-1.  A chain file for ``realize``
+has the same ``field`` and ``ring`` lines, then one ``member`` line per
+chain element.  Both are read by one line reader; parsing reports line
+and column of the offending token.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 from functools import cached_property
 
 from .field import Field, GF, QQ
 from .poly import PolyRing
 from .matrix import PolyMatrix
+from .groebner import Ideal
 from .resolution import (RingData, FreeResolution, PipelineError,
                          resolve_over_a, _check_concentration)
 from .homotopy import compute_higher_homotopies, ingest_dg_structure
@@ -66,7 +69,6 @@ class ModuleInput:
 class Session:
     ring_data: RingData
     module: ModuleInput
-    options: dict = dc_field(default_factory=dict)
 
     @property
     def ring(self) -> PolyRing:
@@ -74,6 +76,42 @@ class Session:
 
 
 _NAME = re.compile(r"[A-Za-z_][A-Za-z_0-9]*")
+
+# directive -> (the header it must follow, whether it may appear only once)
+_SESSION = {"field": (None, True), "ring": ("field", True),
+            "ci": ("ring", True), "module": ("ring", True),
+            "complex": ("ring", False), "action": ("ring", False)}
+_CHAIN = {"field": (None, True), "ring": ("field", True),
+          "member": ("ring", False)}
+
+
+def _directives(text: str, grammar: dict):
+    """Yield (line number, directive, rest, column of rest, line text) for
+    each line of ``text`` that is not blank once its comment is cut.  A
+    directive outside ``grammar``, one before the header it must follow,
+    and a second copy of a header are input errors: a repeat would
+    silently replace the first."""
+    seen = set()
+    for line_no, raw in enumerate(text.splitlines(), start=1):
+        line = raw.split("#", 1)[0].rstrip()
+        if not line.strip():
+            continue
+        m = _NAME.match(line.strip())
+        if not m:
+            raise SessionError("expected a directive", line_no,
+                               len(line) - len(line.lstrip()) + 1)
+        directive = m.group(0)
+        if directive not in grammar:
+            raise SessionError(f"unknown directive '{directive}'", line_no)
+        after, once = grammar[directive]
+        if once and directive in seen:
+            raise SessionError(f"duplicate {directive} declaration", line_no)
+        if after is not None and after not in seen:
+            raise SessionError(f"{directive} declared before {after}",
+                               line_no)
+        seen.add(directive)
+        rest = line.strip()[len(directive):].strip()
+        yield line_no, directive, rest, len(line) - len(rest) + 1, line
 
 
 def parse_field(text: str, line_no: int) -> Field:
@@ -113,6 +151,20 @@ def split_commas(text: str):
             start = i + 1
     pieces.append((text[start:], start))
     return [(p.strip(), s + len(p) - len(p.lstrip())) for p, s in pieces]
+
+
+def _polynomials(ring: PolyRing, rest: str, line_no: int, rest_col: int,
+                 what: str):
+    """The comma-separated polynomials of a ``ci`` or ``member`` line, as
+    (polynomial, text, column) triples."""
+    out = []
+    for piece, off in split_commas(rest):
+        try:
+            out.append((ring.parse(piece), piece, rest_col + off))
+        except ValueError as exc:
+            raise SessionError(f"bad {what} '{piece}': {exc}",
+                               line_no, rest_col + off) from exc
+    return out
 
 
 def _parse_matrix_text(text: str, pos: int, line_no: int):
@@ -180,44 +232,16 @@ def _parse_entries(ring: PolyRing, rows, line_no, require_homogeneous=True):
     return out
 
 
-def _once(seen, directive, line_no):
-    """Reject a second header line (``field``, ``ring``, ``ci``,
-    ``module`` or ``option <name>`` in a session, ``field`` or ``ring`` in
-    a chain file): a repeat would silently replace the first."""
-    if directive in seen:
-        raise SessionError(f"duplicate {directive} declaration", line_no)
-    seen.add(directive)
-
-
 def parse_session(text: str) -> Session:
-    fld = None
-    ring = None
-    ci = None
-    coker_rows = None
+    fld = ring = ci = coker_rows = None
     diffs = {}           # label index -> rows (as polynomials)
     actions = {}         # label index -> list of matrices (as rows)
-    options = {}
-    seen = set()         # the header directives given so far
-    for line_no, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].rstrip()
-        if not line.strip():
-            continue
-        m = _NAME.match(line.strip())
-        if not m:
-            raise SessionError("expected a directive", line_no,
-                               len(line) - len(line.lstrip()) + 1)
-        directive = m.group(0)
-        rest = line.strip()[len(directive):].strip()
-        rest_col = len(line) - len(rest) + 1
-        if directive in ("field", "ring", "ci", "module"):
-            _once(seen, directive, line_no)
-
+    for line_no, directive, rest, rest_col, line in _directives(text,
+                                                                _SESSION):
         if directive == "field":
             fld = parse_field(rest, line_no)
 
         elif directive == "ring":
-            if fld is None:
-                raise SessionError("ring declared before field", line_no)
             # the keyword only as a word of its own: ``myweights`` is a name
             parts = re.split(r"(?<!\S)weights(?!\S)", rest, maxsplit=1)
             names = parse_variable_names(parts[0], line_no)
@@ -233,27 +257,22 @@ def parse_session(text: str) -> Session:
                 raise SessionError(str(exc), line_no)
 
         elif directive == "ci":
-            if ring is None:
-                raise SessionError("ci declared before ring", line_no)
             ci = []
-            for piece, off in split_commas(rest):
-                try:
-                    f = ring.parse(piece)
-                except ValueError as exc:
-                    raise SessionError(f"bad element '{piece}': {exc}",
-                                       line_no, rest_col + off) from exc
+            for f, piece, col in _polynomials(ring, rest, line_no, rest_col,
+                                              "element"):
+                if f.is_zero():
+                    raise SessionError(f"ci generator '{piece}' is zero",
+                                       line_no, col)
                 if not f.is_homogeneous():
                     raise SessionError(f"inhomogeneous element '{piece}'",
-                                       line_no, rest_col + off)
+                                       line_no, col)
                 if f.is_constant():
                     raise SessionError(
                         f"'{piece}' is not in the irrelevant maximal ideal",
-                        line_no, rest_col + off)
+                        line_no, col)
                 ci.append(f)
 
         elif directive == "module":
-            if ring is None:
-                raise SessionError("module declared before ring", line_no)
             if not rest.startswith("coker"):
                 raise SessionError("module input must be 'coker [[...]]'",
                                    line_no)
@@ -265,8 +284,6 @@ def parse_session(text: str) -> Session:
             coker_rows = _parse_entries(ring, rows, line_no)
 
         elif directive == "complex":
-            if ring is None:
-                raise SessionError("complex declared before ring", line_no)
             pos = line.find(directive) + len(directive)
             while line[pos:].strip():
                 lm = _NAME.match(line[pos:].lstrip())
@@ -283,9 +300,7 @@ def parse_session(text: str) -> Session:
                 diffs[k] = _parse_entries(ring, rows, line_no,
                                           require_homogeneous=False)
 
-        elif directive == "action":
-            if ring is None:
-                raise SessionError("action declared before ring", line_no)
+        else:  # action
             pos = line.find(directive) + len(directive)
             lm = _NAME.match(line[pos:].lstrip())
             if lm is None or not re.fullmatch(r"e\d+", lm.group(0)):
@@ -302,26 +317,6 @@ def parse_session(text: str) -> Session:
             if idx in actions:
                 raise SessionError(f"duplicate action {label}", line_no)
             actions[idx] = blocks
-
-        elif directive == "option":
-            parts = rest.split(None, 1)
-            if len(parts) != 2:
-                raise SessionError("option needs a name and a value", line_no)
-            name, value = parts
-            _once(seen, f"option {name}", line_no)
-            if name in ("truncation", "seed"):
-                try:
-                    options[name] = int(value)
-                except ValueError:
-                    raise SessionError(f"option {name} must be an integer",
-                                       line_no)
-            elif name == "output":
-                options[name] = value
-            else:
-                raise SessionError(f"unknown option '{name}'", line_no)
-
-        else:
-            raise SessionError(f"unknown directive '{directive}'", line_no)
 
     if fld is None:
         raise SessionError("missing field declaration")
@@ -344,12 +339,41 @@ def parse_session(text: str) -> Session:
             raise SessionError("differentials must be labelled d1..dL "
                                "consecutively")
         matrices, degrees = _assemble_complex(ring, [diffs[k] for k in labels])
-        acts = _assemble_actions(ring, actions, rd, len(matrices))
-        module = ModuleInput("complex", differentials=matrices, actions=acts)
-        module.degrees = degrees
+        if sorted(actions) != list(range(1, rd.c + 1)):
+            raise SessionError(
+                f"a complex module needs actions e1..e{rd.c}")
+        acts = [[PolyMatrix.from_rows(ring, rows) for rows in actions[i]]
+                for i in range(1, rd.c + 1)]
+        module = ModuleInput("complex", differentials=matrices,
+                             actions=acts, degrees=degrees)
     else:
         raise SessionError("missing module declaration")
-    return Session(rd, module, options)
+    return Session(rd, module)
+
+
+def parse_chain_file(text: str):
+    """A chain file: ``field`` and ``ring`` lines as in a session (the
+    operator ring, each variable of weight 2, with no ``weights``), then
+    one ``member`` line per chain element.  ``member 0`` is the zero ideal
+    (all of Spec S) and ``member 1`` the unit ideal (the empty set)."""
+    fld = ring = None
+    chain = []
+    for line_no, directive, rest, rest_col, _ in _directives(text, _CHAIN):
+        if directive == "field":
+            fld = parse_field(rest, line_no)
+        elif directive == "ring":
+            names = parse_variable_names(rest, line_no)
+            try:
+                ring = PolyRing(fld, names, (2,) * len(names))
+            except ValueError as exc:
+                raise SessionError(str(exc), line_no) from exc
+        else:  # member
+            gens = _polynomials(ring, rest, line_no, rest_col, "generator")
+            chain.append(Ideal(ring, [g for g, _, _ in gens
+                                      if not g.is_zero()]))
+    if ring is None or not chain:
+        raise SessionError("chain file needs a ring and members")
+    return ring, chain
 
 
 def _assemble_complex(ring: PolyRing, diff_rows):
@@ -390,20 +414,6 @@ def _assemble_complex(ring: PolyRing, diff_rows):
         if not (a @ b).is_zero():
             raise SessionError("differentials do not compose to zero")
     return matrices, degrees
-
-
-def _assemble_actions(ring: PolyRing, actions, rd: RingData, length: int):
-    if sorted(actions) != list(range(1, rd.c + 1)):
-        raise SessionError(
-            f"a complex module needs actions e1..e{rd.c}")
-    out = []
-    for i in range(1, rd.c + 1):
-        blocks = [PolyMatrix.from_rows(ring, rows) for rows in actions[i]]
-        if len(blocks) != length:
-            raise SessionError(
-                f"action e{i}: expected {length} blocks, got {len(blocks)}")
-        out.append(blocks)
-    return out
 
 
 # -- pipeline glue ---------------------------------------------------------

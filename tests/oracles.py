@@ -281,7 +281,4 @@ def print_session(session: Session) -> str:
         for i, blocks in enumerate(mod.actions, start=1):
             lines.append(f"action e{i} " + " ".join(
                 _fmt_matrix(_matrix_rows(b)) for b in blocks))
-    for name in ("truncation", "seed", "output"):
-        if name in session.options:
-            lines.append(f"option {name} {session.options[name]}")
     return "\n".join(lines) + "\n"

@@ -143,13 +143,16 @@ def test_betti_rejects_a_truncation_past_the_limit(capfd, monkeypatch):
 
 def test_betti_rejects_a_session_truncation_past_the_limit(capfd, tmp_path,
                                                            monkeypatch):
+    """A session sets no truncation: an ``option truncation`` line is an
+    unknown directive, reported before any resolution is built."""
+    text = (SESSIONS / "final.session").read_text()
     path = tmp_path / "big.session"
-    path.write_text((SESSIONS / "final.session").read_text()
-                    + "option truncation 100001\n")
+    path.write_text(text + "option truncation 100001\n")
     monkeypatch.setattr(cli, "build_pipeline", None)  # never reached
     code, out, err = _run(capfd, ["betti", "--input", str(path)])
     assert code == 1 and out == ""
-    assert err == "error: the truncation must be at most 100000, not 100001\n"
+    line = len(text.splitlines()) + 1
+    assert err == f"error: unknown directive 'option' (line {line})\n"
 
 
 def test_betti_rejects_complex_input(capfd):
@@ -490,9 +493,6 @@ def test_duplicate_variable_names_are_input_errors(capfd, tmp_path):
     ("ring x", "ring"),
     ("ci x^3, y^3", "ci"),
     ("module coker [[1]]", "module"),
-    ("option truncation 5", "option truncation"),
-    ("option seed 3", "option seed"),
-    ("option output other.json", "option output"),
 ])
 def test_a_repeated_header_directive_is_an_input_error(capfd, tmp_path,
                                                        repeat, directive):
@@ -501,12 +501,10 @@ def test_a_repeated_header_directive_is_an_input_error(capfd, tmp_path,
     and ``field GF(7)`` after the ring kept the ring over GF(101)."""
     session = tmp_path / "repeat.session"
     session.write_text("field GF(101)\nring x, y\nci x^2, y^2\n"
-                       "module coker [[x, x]]\noption truncation 4\n"
-                       "option seed 2\noption output out.json\n"
-                       f"{repeat}\n")
+                       f"module coker [[x, x]]\n{repeat}\n")
     code, out, err = _run(capfd, ["compute", "--input", str(session)])
     assert (code, out) == (1, "")
-    assert err == f"error: duplicate {directive} declaration (line 8)\n"
+    assert err == f"error: duplicate {directive} declaration (line 5)\n"
 
 
 @pytest.mark.parametrize("repeat, directive", [
@@ -577,7 +575,7 @@ def test_a_zero_denominator_is_an_input_error(capfd, tmp_path, kind):
         assert err.endswith(f"(line {line}, column {column})\n"), err
 
 
-@pytest.mark.parametrize("via", ["--output", "option output"])
+@pytest.mark.parametrize("via", ["--output"])
 @pytest.mark.parametrize("target", ["directory", "missing/out.json"])
 def test_an_unwritable_output_path_is_an_input_error(capfd, tmp_path, via,
                                                      target):
@@ -586,28 +584,63 @@ def test_an_unwritable_output_path_is_an_input_error(capfd, tmp_path, via,
     path = tmp_path / target
     if target == "directory":
         path.mkdir()
-    if via == "--output":
-        argv = ["compute", "--input", KOSZUL, "--output", str(path)]
-    else:
-        session = tmp_path / "out.session"
-        session.write_text((SESSIONS / "koszul_residue.session").read_text()
-                           + f"option output {path}\n")
-        argv = ["compute", "--input", str(session)]
+    argv = ["compute", "--input", KOSZUL, via, str(path)]
     code, out, err = _run(capfd, argv)
     assert code == 1 and out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
     assert str(path) in err and "Traceback" not in err
 
 
-def test_session_options_provide_defaults(capfd, tmp_path):
+@pytest.mark.parametrize("command", ["compute", "oracle"])
+def test_an_option_line_is_an_input_error(capfd, tmp_path, command):
+    """``option seed 3`` used to override an explicit ``--seed 0``, and
+    ``option output PATH`` chose where the report went.  Settings come
+    from the flags only; an ``option`` line is an unknown directive and
+    nothing is written."""
     target = tmp_path / "opt.json"
-    text = (SESSIONS / "koszul_residue.session").read_text()
-    with_opts = text + f"option output {target}\n"
     sess = tmp_path / "opt.session"
-    sess.write_text(with_opts)
-    code, out, err = _run(capfd, ["compute", "--input", str(sess)])
-    assert code == 0 and out == ""
-    assert json.loads(target.read_text())["rank"] == 4
+    sess.write_text((SESSIONS / "final.session").read_text()
+                    + f"option seed 3\noption output {target}\n")
+    line = len((SESSIONS / "final.session").read_text().splitlines()) + 1
+    code, out, err = _run(capfd, [command, "--input", str(sess),
+                                  "--seed", "0"])
+    assert (code, out) == (1, "")
+    assert err == f"error: unknown directive 'option' (line {line})\n"
+    assert not target.exists()
+
+
+def test_flag_defaults(capfd):
+    """``--n`` is 20, ``--seed`` 0 and the report goes to stdout."""
+    args = cli.build_argument_parser().parse_args(["betti"])
+    assert (args.n, args.seed, args.output) == (20, 0, None)
+    assert _run_json(capfd, ["betti", "--input", FINAL])["n"] == 20
+
+
+def test_an_action_with_too_few_blocks_is_an_input_error(capfd, tmp_path):
+    """The block count of an action is checked once, where the actions
+    are validated, and reported with its label."""
+    session = tmp_path / "blocks.session"
+    session.write_text((SESSIONS / "koszul_residue.session").read_text()
+                       .replace("action e2 [[0], [y]] [[-y, 0]]",
+                                "action e2 [[0], [y]]"))
+    code, out, err = _run(capfd, ["compute", "--input", str(session)])
+    assert (code, out) == (1, "")
+    assert err == "error: action e2: expected 2 blocks, got 1\n"
+
+
+@pytest.mark.parametrize("field", ["GF(101)", "QQ"])
+@pytest.mark.parametrize("ci, column", [("0", 4), ("x^2, 0", 9)])
+def test_a_zero_ci_generator_is_named_as_zero(capfd, tmp_path, field, ci,
+                                             column):
+    """A zero ``ci`` generator used to be reported as "'0' is not in the
+    irrelevant maximal ideal", which is false."""
+    session = tmp_path / "zero.session"
+    session.write_text(f"field {field}\nring x, y\nci {ci}\n"
+                       "module coker [[x, y]]\n")
+    code, out, err = _run(capfd, ["compute", "--input", str(session)])
+    assert (code, out) == (1, "")
+    assert err == (f"error: ci generator '0' is zero "
+                   f"(line 3, column {column})\n")
 
 
 def test_verbose_prints_engine_stats(capfd, monkeypatch):

@@ -1,8 +1,10 @@
 """Fuzzing the input grammars.
 
 Mutated copies of the example session and chain files either parse or
-raise a SessionError, and ``crk`` on small generated sessions exits 0, 1
-or 2 with no traceback.
+raise a SessionError.  ``crk`` on small generated coker sessions,
+``compute``, ``dual``, ``crk`` and ``betti`` on small generated complex
+sessions and ``realize`` on mutated chain files exit 0, 1 or 2 with no
+traceback, and print one ``error:`` line exactly when they do not exit 0.
 """
 
 import re
@@ -75,23 +77,46 @@ def test_mutated_inputs_raise_only_session_errors(name, over_qq, edits):
         pass
 
 
-@st.composite
-def small_sessions(draw):
-    """A coker session over k[x, y] with forms of degree at most 3: one or
-    two ci generators (pure powers, or random forms), and a presentation
-    whose columns are homogeneous, often with the f_k e_r among them so
-    that the f annihilate the module.  Over QQ a coefficient may be a/b,
-    a/0 included."""
-    field = draw(st.sampled_from(["GF(2)", "GF(101)", "QQ"]))
+def _run(capfd, argv):
+    """Run the command line; assert a documented exit code, no traceback,
+    and one ``error:`` line on stderr exactly when the code is not 0."""
+    code = main(argv)
+    out, err = capfd.readouterr()
+    assert code in (0, 1, 2), (argv, err)
+    assert "Traceback" not in err
+    if code:
+        assert err.startswith("error") and err.count("\n") == 1, err
+    else:
+        assert err == "" and out
+    return code, out, err
+
+
+def _form_drawer(draw, field, zero_denominators=True):
+    """A function giving a random form in x, y of a degree over ``field``
+    (the zero form when every drawn coefficient is 0).  Over QQ a
+    coefficient may be a/b, and a/0 when ``zero_denominators``."""
     coeffs = ["0", "1", "-1", "2", "3"]
     if field == "QQ":
-        coeffs += ["1/2", "-2/3", "1/0"]
+        coeffs += ["1/2", "-2/3"] + ["1/0"] * zero_denominators
 
     def form(degree):
         terms = [f"{c}*x^{a}*y^{degree - a}" for a in range(degree + 1)
                  if (c := draw(st.sampled_from(coeffs))) != "0"]
         return " + ".join(terms) or "0"
+    return form
 
+
+FIELDS = st.sampled_from(["GF(2)", "GF(101)", "QQ"])
+
+
+@st.composite
+def small_sessions(draw):
+    """A coker session over k[x, y] with forms of degree at most 3: one or
+    two ci generators (pure powers, or random forms), and a presentation
+    whose columns are homogeneous, often with the f_k e_r among them so
+    that the f annihilate the module."""
+    field = draw(FIELDS)
+    form = _form_drawer(draw, field)
     c = draw(st.integers(1, 2))
     if draw(st.booleans()):
         ci = [f"{v}^{draw(st.integers(1, 3))}" for v in "xy"[:c]]
@@ -123,8 +148,62 @@ def test_crk_on_small_sessions_exits_cleanly(capfd, tmp_path, case):
     argv = ["crk", "--input", str(path)]
     if point is not None:
         argv += ["--point", point]
-    code = main(argv)
-    out, err = capfd.readouterr()
-    assert code in (0, 1, 2), (text, err)
-    assert "Traceback" not in err
-    assert (code == 0) == (err == "") and (code == 0) == bool(out)
+    _run(capfd, argv)
+
+
+@st.composite
+def complex_sessions(draw):
+    """A session over k[x, y] whose module is the Koszul complex on forms
+    g1, g2 of degree 1 or 2, with d1 = [g1, g2] and d2 = [-g2; g1].  Each
+    f_i is written as a_i1 g1 + a_i2 g2, and e_i has the blocks [a_i1; a_i2]
+    and [-a_i2, a_i1], a strict action.  Often one edit breaks it: a block
+    dropped, an entry replaced by a random form, or an action left out."""
+    field = draw(FIELDS)
+    form = _form_drawer(draw, field, zero_denominators=False)
+    g_degrees = [draw(st.integers(1, 2)) for _ in range(2)]
+    g = [form(d) for d in g_degrees]
+    c = draw(st.integers(1, 2))
+    ci, actions, coefficients = [], [], []
+    for _ in range(c):
+        degree = draw(st.integers(2, 3))
+        a = [form(degree - d) for d in g_degrees]
+        coefficients.append(a)
+        ci.append(f"({a[0]})*({g[0]}) + ({a[1]})*({g[1]})")
+        actions.append([f"[[{a[0]}], [{a[1]}]]", f"[[-({a[1]}), {a[0]}]]"])
+    edit = draw(st.sampled_from(["none"] * 3 + ["drop block", "entry",
+                                              "drop action"]))
+    i = draw(st.integers(0, c - 1))
+    if edit == "drop block":
+        del actions[i][draw(st.integers(0, 1))]
+    elif edit == "entry":
+        entry = form(draw(st.integers(0, 2)))
+        actions[i][0] = f"[[{entry}], [{coefficients[i][1]}]]"
+    elif edit == "drop action":
+        del actions[i]
+    text = (f"field {field}\nring x, y\nci {', '.join(ci)}\n"
+            f"complex d1 [[{g[0]}, {g[1]}]] d2 [[-({g[1]})], [{g[0]}]]\n"
+            + "".join(f"action e{k} {' '.join(blocks)}\n"
+                      for k, blocks in enumerate(actions, start=1)))
+    return text
+
+
+@settings(max_examples=25, deadline=10000, database=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(complex_sessions())
+def test_commands_on_small_complex_sessions_exit_cleanly(capfd, tmp_path,
+                                                         text):
+    path = tmp_path / "small.session"
+    path.write_text(text)
+    for command in ("compute", "dual", "crk", "betti"):
+        _run(capfd, [command, "--input", str(path)])
+
+
+@settings(max_examples=60, deadline=5000, database=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(st.booleans(), EDITS)
+@example(True, [("zero", 0, 0)])
+def test_realize_on_mutated_chains_exits_cleanly(capfd, tmp_path, over_qq,
+                                                 edits):
+    path = tmp_path / "mutated.chain"
+    path.write_text(_mutate(FILES["complete_flag.chain"], over_qq, edits))
+    _run(capfd, ["realize", "--chain", str(path)])

@@ -1,5 +1,7 @@
 """Session file parsing, printing, and pipeline assembly."""
 
+import re
+
 import pytest
 
 from jumploci.session import (Session, SessionError, parse_session,
@@ -57,15 +59,6 @@ def test_comments_and_blank_lines_ignored():
             "ci x^2, y^2\n\nmodule coker [[x, y]]\n")
     session = parse_session(text)
     assert session.module.kind == "coker"
-
-
-def test_options_parsed():
-    text = ("field GF(101)\nring x, y\nci x^2, y^2\n"
-            "module coker [[x, y]]\noption truncation 9\n"
-            "option seed 4\noption output out.json\n")
-    session = parse_session(text)
-    assert session.options == {"truncation": 9, "seed": 4,
-                               "output": "out.json"}
 
 
 def test_rational_field():
@@ -143,7 +136,7 @@ def test_ragged_rows_rejected():
 
 
 def test_missing_directives_reported():
-    assert "missing field" in str(_err("option seed 1\n"))
+    assert "missing field" in str(_err("# no directive\n"))
     assert "missing ring" in str(_err("field GF(101)\n"))
     assert "missing ci" in str(_err("field GF(101)\nring x\n"
                                     "module coker [[x]]\n"))
@@ -207,9 +200,12 @@ def test_unknown_directive_rejected():
 
 
 def test_unknown_option_rejected():
-    err = _err("field GF(101)\nring x\nci x^2\nmodule coker [[x]]\n"
-               "option colour blue\n")
-    assert "unknown option" in str(err)
+    """A session sets no options: every ``option`` line is an unknown
+    directive."""
+    for name in ("colour blue", "seed 3", "truncation 9", "output out.json"):
+        err = _err("field GF(101)\nring x\nci x^2\nmodule coker [[x]]\n"
+                   f"option {name}\n")
+        assert str(err) == "unknown directive 'option' (line 5)"
 
 
 # -- pipeline assembly -----------------------------------------------------
@@ -261,6 +257,32 @@ def test_dual_is_module_equals_the_syzygy_route():
         assert pipeline.dual_is_module == expected, text
         outcomes.add(expected)
     assert outcomes == {True, False}
+
+
+# -- the README's examples ------------------------------------------------
+
+
+README_INPUTS = [block for block in
+                 re.findall(r"^```[^\n]*\n(.*?)^```", (REPO / "README.md")
+                            .read_text(), re.M | re.S)
+                 if block.startswith("field")]
+
+
+@pytest.mark.parametrize("text", README_INPUTS,
+                         ids=[f"block{k}" for k in range(len(README_INPUTS))])
+def test_readme_examples_parse(text):
+    """Every input file shown in the README parses, so the documented
+    grammar cannot drift from the parser."""
+    if re.search(r"^member\b", text, re.M):
+        parse_chain_file(text)
+    else:
+        parse_session(text)
+
+
+def test_readme_shows_sessions_and_a_chain():
+    members = [re.search(r"^member\b", t, re.M) is not None
+               for t in README_INPUTS]
+    assert members.count(True) >= 1 and members.count(False) >= 2
 
 
 # -- chain files -----------------------------------------------------------
