@@ -9,9 +9,10 @@ Usage::
 Exit codes: 0 on success, 1 on input error, 2 on an internal assertion
 failure (for example, the even and odd parts of Ext disagreeing on the
 Betti degree).  ``--seed`` (default 0) picks the sample points of
-``oracle``; no other command depends on it.  ``--n`` defaults to 20 and
-the report goes to standard output unless ``--output`` names a file: the
-input file declares only the ring, f and the module, and sets nothing.
+``oracle``; no other command depends on it.  ``--n`` and ``--points``
+default to 20 and the report goes to standard output unless ``--output``
+names a file: the input file declares only the ring, f and the module,
+and sets nothing.
 Setting ``JUMPLOCI_VERBOSE=1`` prints cumulative engine statistics on
 standard error.
 
@@ -162,7 +163,10 @@ def _betti_block(X, n: int) -> dict:
     beta = betti_numbers(X, n)
     out = {"betti": {str(i): b for i, b in sorted(beta.items())}}
     try:
-        out["quasi"] = _quasi_dict(fit_quasi_polynomial(beta, n + 1))
+        # the fit reads beta_0..beta_n, with the zeros past a finite
+        # resolution that the printed dict leaves out
+        out["quasi"] = _quasi_dict(fit_quasi_polynomial(
+            {i: beta.get(i, 0) for i in range(n + 1)}, n + 1))
     except TruncationNeeded as exc:
         out["quasi"] = {"error": str(exc)}
     return out
@@ -218,7 +222,11 @@ def cmd_oracle(session: Session, args) -> dict:
     fld = session.ring.field
     if not fld.p:
         raise PipelineError("the oracle sweep needs a finite prime field")
-    count = args.points if args.points is not None else 20
+    degrees = session.ring_data.ci_degrees
+    if len(set(degrees)) > 1:
+        raise PipelineError("the oracle needs ci generators of one degree, "
+                            f"not {', '.join(map(str, degrees))}")
+    count = args.points
     if count <= 0:
         raise PipelineError(f"--points must be positive, not {count}")
     if count > MAX_POINTS:
@@ -271,7 +279,7 @@ def build_argument_parser() -> argparse.ArgumentParser:
     parser.add_argument("--output", default=None)
     parser.add_argument("--point", default=None,
                         help="comma-separated coordinates (crk)")
-    parser.add_argument("--points", type=int, default=None,
+    parser.add_argument("--points", type=int, default=20,
                         help="number of sample points (oracle)")
     parser.add_argument("--chain", default=None,
                         help="chain file (realize)")

@@ -141,15 +141,6 @@ class ModuleGB:
         if not track:
             self._interreduce()
 
-    @classmethod
-    def of_basis(cls, ring: PolyRing, rank: int, basis):
-        """An untracked basis for division only, from (monic vector, lead)
-        pairs that already form a Groebner basis; no run is made."""
-        gb = cls.__new__(cls)
-        gb.ring, gb.rank, gb.track = ring, rank, False
-        gb._set_basis(basis)
-        return gb
-
     # -- basis and lead index ----------------------------------------------
 
     def _set_basis(self, basis):
@@ -498,13 +489,6 @@ class Ideal:
         w = self._basis().normal_form(vector_of([p], self.ring))
         return Polynomial(self.ring, {m: c for (_, m), c in w.items()})
 
-    def in_every_component(self, rank: int) -> ModuleGB:
-        """Basis of I e_1 + ... + I e_rank, for division: the ideal's basis
-        placed in every component is already a Groebner basis of it."""
-        return ModuleGB.of_basis(self.ring, rank, [
-            ({(j, m): c for (_, m), c in g.items()}, (j, lead[1]))
-            for j in range(rank) for g, lead in self._basis().basis])
-
     def is_unit_ideal(self) -> bool:
         return self.contains(self.ring.one())
 
@@ -586,7 +570,7 @@ def module_hilbert_data(mat: PolyMatrix, row_shifts=None, weights=None):
         weights = ring.weights
     if row_shifts is None:
         row_shifts = [0] * mat.nrows
-    gb = mat.column_basis()
+    gb = ModuleGB(ring, mat.nrows, mat.columns_as_vectors())
     per_comp = {r: [] for r in range(mat.nrows)}
     for _, (comp, mono) in gb.basis:
         per_comp[comp].append(mono)

@@ -138,12 +138,12 @@ def compute_higher_homotopies(res: FreeResolution,
     ring = rd.ring
     L = res.length
     ranks = _ranks(res)
+    # f_i must annihilate H_0(F) = coker d_1, checked on the basis d_1 was
+    # taken from; this input check comes before the costlier
+    # regular-sequence test
+    check_annihilation(rd, ranks[0], res.image_bases[1] if L else None)
     if L == 0:
-        check_annihilation(rd, PolyMatrix.zero(ring, ranks[0], 0))
         return HigherHomotopySystem(res, {})
-    # f_i must annihilate H_0(F) = coker d_1; this input check comes
-    # before the costlier regular-sequence test
-    check_annihilation(rd, res.differentials[0])
     if not rd.is_regular_sequence():
         raise PipelineError(
             "f is not a regular sequence; supply an explicit complex "

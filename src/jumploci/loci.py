@@ -294,18 +294,18 @@ def realize(S: PolyRing, chain):
 def stable_betti_oracle(rd: RingData, presentation: PolyMatrix, a) -> int:
     """Stable Betti number of M over B_a = A/(g), g = sum a_i f_i.
 
-    For a nonzero form g (the f_i share one degree) in the domain A,
-    syzygy n - 1 of M over B_a is maximal Cohen-Macaulay, so by Eisenbud's
-    matrix factorizations (Trans. AMS 260, 1980) beta_i is constant for
-    i >= n and a finite resolution ends by step n.  M is resolved through
-    N = n + 1: 0 when complete, else beta_N; beta_n != beta_N is an
-    internal error.
+    The f_i must share one degree, so that g is a form (``cmd_oracle``
+    checks this), and must annihilate M = coker(presentation), so that g
+    does (``build_pipeline`` checks this); the presentation is resolved
+    as it stands, with no basis of its columns built here.  For a nonzero
+    g in the domain A, syzygy n - 1 of M over B_a is maximal
+    Cohen-Macaulay, so by Eisenbud's matrix factorizations (Trans. AMS
+    260, 1980) beta_i is constant for i >= n and a finite resolution ends
+    by step n.  M is resolved through N = n + 1: 0 when complete, else
+    beta_N; beta_n != beta_N is an internal error.
     """
     if len(a) != rd.c:
         raise PipelineError("point arity mismatch")
-    if len(set(rd.ci_degrees)) > 1:
-        raise PipelineError("the oracle needs ci generators of one degree, "
-                            f"not {', '.join(map(str, rd.ci_degrees))}")
     fld = rd.ring.field
     fa = rd.ring.zero()
     for ai, f in zip(a, rd.ci):

@@ -30,8 +30,7 @@ MAX_MINOR_WORK = 500_000
 
 
 class PolyMatrix:
-    __slots__ = ("ring", "nrows", "ncols", "entries", "_minor_table",
-                 "_column_basis")
+    __slots__ = ("ring", "nrows", "ncols", "entries", "_minor_table")
 
     def __init__(self, ring: PolyRing, nrows: int, ncols: int, entries=None):
         self.ring = ring
@@ -44,8 +43,7 @@ class PolyMatrix:
                     raise IndexError("entry out of range")
                 if isinstance(p, Polynomial) and not p.is_zero():
                     self.entries[(r, c)] = p
-        self._minor_table = None   # t -> minors, built by the first minors()
-        self._column_basis = None  # built by the first column_basis()
+        self._minor_table = None  # t -> minors, built by the first minors()
 
     # -- constructors ---------------------------------------------------
 
@@ -80,16 +78,6 @@ class PolyMatrix:
 
     def get(self, r: int, c: int) -> Polynomial:
         return self.entries.get((r, c), self.ring.zero())
-
-    def column_basis(self):
-        """Untracked Groebner basis of the column span, built on the first
-        call and kept, on the premise of ``minors``: the entries are set in
-        ``__init__`` and never changed."""
-        if self._column_basis is None:
-            from .groebner import ModuleGB  # imports this module
-            self._column_basis = ModuleGB(self.ring, self.nrows,
-                                          self.columns_as_vectors())
-        return self._column_basis
 
     def columns_as_vectors(self):
         """Each column as {(component, monomial): coeff} over free module rows."""

@@ -14,8 +14,8 @@ of La Scala and Stillman (J. Symb. Comp. 26, 1998).
 Resolutions over A are finite, and each run stays on the resolution as
 the basis the higher homotopies lift through d_t.  Resolutions over B are
 truncated and emulate module arithmetic over B inside A by adjoining the
-columns f_k e_j to each run and reducing each syzygy modulo (f); their
-last stage takes no syzygies.  ``resolve_over_b`` is the oracle
+columns f_k e_j to each run, which is all the reduction modulo (f) there
+is; their last stage takes no syzygies.  ``resolve_over_b`` is the oracle
 route: the Betti numbers the command line prints come from
 H(X) = Ext_B(M, k) (see ``loci.betti_numbers``); it drives the
 hypersurface point oracle and serves as the independent check of that
@@ -165,15 +165,14 @@ def resolve_over_a(rd: RingData, presentation: PolyMatrix) -> FreeResolution:
     return _resolve(rd, presentation, None)
 
 
-def check_annihilation(rd: RingData, presentation: PolyMatrix):
-    """Verify f_i . coker(presentation) = 0; raise naming the offender.
-
-    The basis of the columns is kept on the presentation, so the point
-    oracle builds it once for all its sections."""
-    gb = presentation.column_basis()
+def check_annihilation(rd: RingData, rank: int, gb: ModuleGB = None):
+    """Verify f_i . A^rank / U = 0, with U the span of the Groebner basis
+    ``gb`` (None for U = 0); raise naming the first offender.  f
+    annihilates no nonzero free module, so U = 0 needs no run."""
     for i, f in enumerate(rd.ci):
-        for j in range(presentation.nrows):
-            if not gb.contains({(j, m): c for m, c in f.terms.items()}):
+        for j in range(rank):
+            if gb is None or not gb.contains(
+                    {(j, m): c for m, c in f.terms.items()}):
                 raise PipelineError(
                     f"f_{i + 1} = {_brief(f)} does not annihilate the module")
 
@@ -195,15 +194,16 @@ def resolve_over_b(rd: RingData, presentation: PolyMatrix, truncation: int,
     not resolved past it: complete exactly when it has fewer stages.  The
     rows of the presentation lie in ``row_degrees``, all 0 by default.
 
+    f must annihilate the cokernel; this is not checked here (the one
+    caller, the point oracle, resolves modules the pipeline has checked).
     Each stage is one graded ``ModuleGB`` run over its candidate columns
     modulo the f_k e_j, which keeps a minimal generating set over B.  The
-    candidates are reduced modulo (f) first, and the last stage's run,
-    which takes no syzygies, is untracked and stops at its top column
-    degree.
+    candidates are taken as they stand, not reduced modulo (f), and the
+    last stage's run, which takes no syzygies, is untracked and stops at
+    its top column degree.
     """
     if truncation < 1:
         raise PipelineError("truncation bound must be >= 1")
-    check_annihilation(rd, presentation)
     return _resolve(rd, presentation, truncation, row_degrees)
 
 
@@ -219,20 +219,15 @@ def _resolve(rd: RingData, presentation: PolyMatrix, truncation,
     v_j a combination of kept earlier columns and later ones in which some
     earlier i has a nonzero coefficient, then the earliest such i lies in
     the span of the columns after it and would have been dropped in turn.
+    Over B the rule reads only the classes of the columns modulo (f), and
+    so do the syzygies, whose f_k e_j coordinates are dropped: no
+    candidate needs reducing modulo (f) first.
     """
     over_b = truncation is not None
     ring = rd.ring
     cols, row_degrees = split_unit_entries(
         presentation, row_degrees or [0] * presentation.nrows)
-
-    def candidates(cols, rank):
-        """The nonzero columns, over B reduced modulo (f) first."""
-        if over_b:
-            nf = rd.ci_ideal().in_every_component(rank).normal_form
-            cols = [nf(c) for c in cols]
-        return [c for c in cols if c]
-
-    cols = candidates(cols, len(row_degrees))
+    cols = [c for c in cols if c]
     for c in cols:  # a graded run reads a column's degree off one term
         column_degree(ring, c, row_degrees)
     degrees = [list(row_degrees)]
@@ -255,8 +250,7 @@ def _resolve(rd: RingData, presentation: PolyMatrix, truncation,
             break
         if not over_b:
             bases[hom] = gb
-        cols = candidates([vector_of(s, ring) for s in gb.syzygies()],
-                          len(cols))
+        cols = [vector_of(s, ring) for s in gb.syzygies()]
     if over_b:
         return FreeResolution(rd, diffs, degrees,
                               complete=len(diffs) < truncation)
@@ -298,12 +292,14 @@ def _check_concentration(res: FreeResolution) -> bool:
     Cohen-Macaulay Rings, 1.3.3).  So the dual is concentrated exactly
     when L = 0 or n - dim M = L, with dim M read off the leading monomials
     of a basis of im d_1: the tracked one ``resolve_over_a`` kept, or else
-    the untracked ``column_basis``, which needs no syzygies.
+    one untracked run of the columns of d_1, which needs no syzygies.
     """
     L = res.length
     if L == 0:
         return True
-    gb = res.image_bases.get(1) or res.differentials[0].column_basis()
+    d1 = res.differentials[0]
+    gb = res.image_bases.get(1) or ModuleGB(d1.ring, d1.nrows,
+                                            d1.columns_as_vectors())
     return L == res.ring_data.n - gb.dimension()
 
 

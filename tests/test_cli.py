@@ -162,14 +162,16 @@ def test_betti_rejects_complex_input(capfd):
 
 
 def _oracle_betti_report(path, n):
-    """The betti report with every table taken from resolve_over_b."""
+    """The betti report with every table taken from resolve_over_b.  The
+    fit reads beta_0..beta_n, zeros past a finite resolution included."""
     pipe = build_pipeline(parse_session(path.read_text()))
 
     def block(presentation, row_degrees=None):
         beta = resolve_over_b(pipe.rd, presentation, n, row_degrees).betti()
         out = {"betti": {str(i): b for i, b in sorted(beta.items())}}
         try:
-            out["quasi"] = cli._quasi_dict(fit_quasi_polynomial(beta, n + 1))
+            out["quasi"] = cli._quasi_dict(fit_quasi_polynomial(
+                {i: beta.get(i, 0) for i in range(n + 1)}, n + 1))
         except TruncationNeeded as exc:
             out["quasi"] = {"error": str(exc)}
         return out
@@ -207,6 +209,29 @@ def test_betti_json_when_b_is_not_artinian(capfd, tmp_path, entries,
     assert (json.loads(out)["dual"] is not None) == has_dual
     assert out.encode() == cli.emit_report(_oracle_betti_report(path, 10),
                                            "json")
+
+
+def test_betti_of_a_module_of_finite_projective_dimension(capfd):
+    """B over itself (``sessions/perfect.session``) and its dual B have
+    beta_0..beta_20 = 1, 0, ..., 0.  The printed dict stops at beta_0 and
+    the fit reads the zeros as the zero quasi-polynomial; a fit of the cut
+    dict reported "window exceeds available Betti numbers" at any --n."""
+    block = {"betti": {"0": 1},
+             "quasi": {"even": [], "odd": [], "valid_from": 2}}
+    data = _run_json(capfd, ["betti", "--input", PERFECT, "--n", "20"])
+    assert data == {"n": 20, **block, "dual": block}
+
+
+def test_betti_of_the_zero_module(capfd, tmp_path):
+    """coker [[1]] = 0: every beta_i is 0, so its tail is the zero
+    quasi-polynomial too, and there is no dual."""
+    path = tmp_path / "zero.session"
+    path.write_text("field GF(101)\nring x, y\nci x^2, y^2\n"
+                    "module coker [[1]]\n")
+    data = _run_json(capfd, ["betti", "--input", str(path), "--n", "20"])
+    assert data == {"n": 20, "betti": {"0": 0},
+                    "quasi": {"even": [], "odd": [], "valid_from": 1},
+                    "dual": None}
 
 
 # -- crk --------------------------------------------------------------------
@@ -274,9 +299,15 @@ def test_oracle_checks_the_point_count_before_the_pipeline(
     assert err == f"error: {message}\n"
 
 
-def test_oracle_rejects_ci_generators_of_unequal_degree(capfd, tmp_path):
+def test_oracle_rejects_ci_generators_of_unequal_degree(capfd, monkeypatch,
+                                                       tmp_path):
     """A section sum a_i f_i of unequal degrees is not homogeneous; the
-    error names the declared degrees, not a generator never declared."""
+    error names the declared degrees, not a generator never declared, and
+    comes before any resolution is built."""
+    def not_called(session):
+        raise AssertionError("the pipeline was built")
+
+    monkeypatch.setattr(cli, "build_pipeline", not_called)
     session = tmp_path / "weights.session"
     session.write_text("field GF(101)\nring x, y weights 1, 2\n"
                        "ci x^2, y^2\nmodule coker [[x, y]]\n")
@@ -610,9 +641,10 @@ def test_an_option_line_is_an_input_error(capfd, tmp_path, command):
 
 
 def test_flag_defaults(capfd):
-    """``--n`` is 20, ``--seed`` 0 and the report goes to stdout."""
+    """``--n`` and ``--points`` are 20, ``--seed`` 0 and the report goes
+    to stdout."""
     args = cli.build_argument_parser().parse_args(["betti"])
-    assert (args.n, args.seed, args.output) == (20, 0, None)
+    assert (args.n, args.points, args.seed, args.output) == (20, 20, 0, None)
     assert _run_json(capfd, ["betti", "--input", FINAL])["n"] == 20
 
 

@@ -6,7 +6,7 @@ import pytest
 
 from jumploci import GF, PolyRing, loci, twisted
 from jumploci.cli import parse_chain_file
-from jumploci.groebner import Ideal, module_hilbert_data
+from jumploci.groebner import Ideal, ModuleGB, module_hilbert_data
 from jumploci.matrix import PolyMatrix
 from jumploci.resolution import (RingData, resolve_over_a, resolve_over_b,
                                  PipelineError)
@@ -807,11 +807,26 @@ def test_truncation_at_the_length_of_a_finite_resolution():
     assert stable_betti_oracle(rd, pres, (1,)) == 0
 
 
-def test_oracle_needs_ci_generators_of_one_degree():
-    A = PolyRing(GF101, ("x", "y"), (1, 2))
-    rd = RingData(A, [A.parse("x^2"), A.parse("y^2")])
-    pres = PolyMatrix.from_rows(A, [[A.parse("x"), A.parse("y")]])
-    for a in ((1, 1), (0, 1)):
-        with pytest.raises(PipelineError, match="^the oracle needs ci "
-                           "generators of one degree, not 2, 4$"):
-            stable_betti_oracle(rd, pres, a)
+def test_oracle_builds_no_basis_of_the_presentation(monkeypatch):
+    """Every run the point oracle makes is a graded stage of its
+    resolution over the section, with the f_k e_j as ``modulo`` columns.
+    It builds no basis of the presentation's own columns: only the check
+    that f annihilates M needed one, and ``build_pipeline`` makes that
+    check once, on the basis the resolution over A keeps."""
+    runs = []
+    init = ModuleGB.__init__
+
+    def counting(self, ring, rank, columns, track=False, row_degrees=None,
+                 modulo=()):
+        runs.append((row_degrees is not None, bool(modulo)))
+        init(self, ring, rank, columns, track, row_degrees, modulo)
+
+    monkeypatch.setattr(ModuleGB, "__init__", counting)
+    rng = random.Random(59)
+    for label, rd, pres in _oracle_cases():
+        for a in _points(rd, rng, 1):
+            fresh = PolyMatrix(pres.ring, pres.nrows, pres.ncols,
+                               pres.entries)
+            runs.clear()
+            stable_betti_oracle(rd, fresh, a)
+            assert runs and set(runs) == {(True, True)}, (label, a)

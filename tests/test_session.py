@@ -4,6 +4,7 @@ import re
 
 import pytest
 
+from jumploci.groebner import ModuleGB
 from jumploci.session import (Session, SessionError, parse_session,
                               build_pipeline)
 from jumploci.cli import parse_chain_file
@@ -224,6 +225,33 @@ def test_build_pipeline_coker_with_dual():
     assert pipeline.X_dual.rank == pipeline.X.rank
     assert pipeline.dual_is_module
     assert dual_presentation(pipeline.resolution) is not None
+
+
+@pytest.mark.parametrize("name", ["final.session", "flag.session",
+                                  "perfect.session"])
+def test_build_pipeline_makes_one_run_per_stage_and_the_ci_ideals(
+        monkeypatch, name):
+    """A coker session costs one tracked graded run per stage of its
+    resolution over A, then the ci ideal's run for the regular-sequence
+    test, and no other: that f annihilates M is checked on the stage-1
+    run, with no basis of d_1 of its own."""
+    runs = []
+    init = ModuleGB.__init__
+
+    def counting(self, ring, rank, columns, track=False, row_degrees=None,
+                 modulo=()):
+        runs.append((self, track, row_degrees is not None))
+        init(self, ring, rank, columns, track, row_degrees, modulo)
+
+    monkeypatch.setattr(ModuleGB, "__init__", counting)
+    session = parse_session(_read(name))
+    pipeline = build_pipeline(session)
+    stages = pipeline.resolution.length
+    assert stages >= 2
+    assert [r[1:] for r in runs] == [(True, True)] * stages + [(False, False)]
+    assert [r[0] for r in runs[:stages]] == \
+        [pipeline.resolution.image_bases[t] for t in range(1, stages + 1)]
+    assert runs[-1][0] is session.ring_data.ci_ideal()._basis()
 
 
 def test_build_pipeline_complex_route():
