@@ -20,16 +20,25 @@ element whose real part reduces to zero then carries, in its shadow block,
 a syzygy of the input columns; reducing an augmented inclusion ``v + 0``
 to zero real part yields the coefficients expressing ``v`` in the columns.
 For completeness of the syzygy generators, tracked runs process every
-S-pair and apply no pair-discarding criteria.  Untracked runs skip the
-pairs whose S-vector is known to reduce to zero: in rank one a pair with
-coprime leads (Buchberger's first criterion), and in any rank a pair of
-two single-term vectors, whose S-vector is identically zero.  So a
+S-pair and apply no pair-discarding criteria.  Untracked runs install
+their pairs the Gebauer-Moeller way (J. Symb. Comp. 6, 1988), within each
+component.  Of the new pairs of an element h, only those whose lcm no
+other new lcm properly divides are queued, one per lcm; a queued pair
+(i, j) is dropped when an element k added after it has a lead dividing
+lcm(i, j) while lcm(i, k) and lcm(j, k) both differ from it, a test made
+when the pair leaves the queue.  Among the pairs with one lcm, none is
+queued when one of them is known to reduce to zero: in rank one a pair
+with coprime leads (Buchberger's first criterion), and in any rank a pair
+of two single-term vectors, whose S-vector is identically zero.  So a
 monomial input processes no pair at all.
 
 A graded run, given the degrees of the free generators, keys its pairs by
 module degree and settles the columns one degree at a time, keeping only
 minimal generators (see ``ModuleGB``); each stage of a resolution, over A
 or over B, is one such run.
+
+A monomial ideal needs no run: its reduced basis is its set of minimal
+generators, monic (``Ideal._basis``).
 
 Krull dimensions are read off the leading monomials alone: dim F/U =
 dim F/in(U), the largest dimension of S/J_r over the components r of
@@ -51,23 +60,30 @@ from .matrix import PolyMatrix
 
 
 class GBStats:
-    """Cumulative engine counters, reported when verbose mode is on."""
+    """Cumulative engine counters, reported when verbose mode is on.
+
+    ``pairs_processed`` counts the S-vectors reduced and ``pairs_skipped``
+    the pairs of one component that untracked runs never reduce;
+    ``monomial_bases`` counts the ideals settled with no run."""
 
     pairs_processed = 0
+    pairs_skipped = 0
     zero_reductions = 0
     basis_elements = 0
+    monomial_bases = 0
 
     @classmethod
     def snapshot(cls):
         return {"pairs_processed": cls.pairs_processed,
+                "pairs_skipped": cls.pairs_skipped,
                 "zero_reductions": cls.zero_reductions,
-                "basis_elements": cls.basis_elements}
+                "basis_elements": cls.basis_elements,
+                "monomial_bases": cls.monomial_bases}
 
     @classmethod
     def reset(cls):
-        cls.pairs_processed = 0
-        cls.zero_reductions = 0
-        cls.basis_elements = 0
+        for name in cls.snapshot():
+            setattr(cls, name, 0)
 
 
 def _vec_add(fld, a, b, coeff=None, shift=None):
@@ -140,6 +156,16 @@ class ModuleGB:
         self._run_buchberger(seeded)
         if not track:
             self._interreduce()
+
+    @classmethod
+    def of_basis(cls, ring: PolyRing, rank: int, basis):
+        """An untracked, ungraded basis installed as it stands, with no
+        run: ``basis`` lists monic (vector, lead) pairs in the order a run
+        leaves them."""
+        gb = cls.__new__(cls)
+        gb.ring, gb.rank, gb.track = ring, rank, False
+        gb._set_basis(basis)
+        return gb
 
     # -- basis and lead index ----------------------------------------------
 
@@ -232,24 +258,49 @@ class ModuleGB:
     # -- Buchberger ------------------------------------------------------
 
     def _add_element(self, v, lead, pairs):
+        """Append ``v`` to the basis and queue its pairs: in a tracked run
+        every pair of its component, in an untracked one the
+        Gebauer-Moeller pairs of the module docstring, one per minimal
+        lcm, and none for an lcm that a pair reducing to zero shares."""
         idx = len(self.basis)
         v = self._monic(v, lead)
         self._append(v, lead)
         GBStats.basis_elements += 1
-        single = not self.track and len(v) == 1
-        for j, (g, jlead) in enumerate(self.basis[:-1]):
-            if jlead[0] != lead[0]:
+        comp, mono = lead
+        if self.track:
+            for j, (_, (jc, jm)) in enumerate(self.basis[:-1]):
+                if jc == comp:
+                    self._queue(pairs, comp, j, idx, tuple(map(max, jm, mono)))
+            return
+        single = len(v) == 1
+        rank_one = self.rank == 1
+        by_lcm = {}  # lcm -> (first partner, whether a pair reduces to 0)
+        for j, (g, (jc, jm)) in enumerate(self.basis[:-1]):
+            if jc != comp:
                 continue
-            if single and len(g) == 1:
-                continue  # two terms in one component: the S-vector is zero
-            lcm = tuple(map(max, jlead[1], lead[1]))
-            if (not self.track and self.rank == 1
-                    and not any(map(min, jlead[1], lead[1]))):
-                continue  # coprime leads reduce to zero (rank-one only)
-            key = self.ring.mono_key(lcm)
-            if self.row_degrees is not None:
-                key = (key[0] + self.row_degrees[lead[0]], key)
-            heapq.heappush(pairs, (key, j, idx, lcm))
+            lcm = tuple(map(max, jm, mono))
+            # a zero S-vector, or coprime leads (rank one only)
+            zero = ((single and len(g) == 1)
+                    or (rank_one and not any(map(min, jm, mono))))
+            first, known = by_lcm.get(lcm, (j, False))
+            by_lcm[lcm] = (first, known or zero)
+        queued = 0
+        minimal = []
+        for lcm in sorted(by_lcm, key=self.ring.wdeg):
+            if any(all(map(le, m, lcm)) for m in minimal):
+                continue
+            minimal.append(lcm)
+            j, zero = by_lcm[lcm]
+            if not zero:
+                self._queue(pairs, comp, j, idx, lcm)
+                queued += 1
+        GBStats.pairs_skipped += len(self._leads[comp]) - 1 - queued
+
+    def _queue(self, pairs, comp, j, idx, lcm):
+        key = self.ring.mono_key(lcm)
+        if self.row_degrees is not None:
+            key = (key[0] + self.row_degrees[comp], key)
+        heapq.heappush(pairs, (key, j, idx, lcm))
 
     def _run_buchberger(self, seeded):
         pairs = []
@@ -261,9 +312,13 @@ class ModuleGB:
                 return
 
     def _next_pair(self, pairs) -> bool:
-        """Reduce the S-vector of the least queued pair and take it."""
+        """Reduce the S-vector of the least queued pair and take it, unless
+        the run is untracked and the pair is superseded."""
         fld = self.ring.field
         _, i, j, lcm = heapq.heappop(pairs)
+        if not self.track and self._superseded(i, j, lcm):
+            GBStats.pairs_skipped += 1
+            return False
         GBStats.pairs_processed += 1
         (gi, li), (gj, lj) = self.basis[i], self.basis[j]
         si = tuple(map(sub, lcm, li[1]))
@@ -271,6 +326,19 @@ class ModuleGB:
         s = _vec_add(fld, {}, gi, fld.one(), si)
         s = _vec_add(fld, s, gj, fld.neg(fld.one()), sj)
         return self._take(*self._reduce_full(s), pairs)
+
+    def _superseded(self, i, j, lcm) -> bool:
+        """Whether an element k of the component, added after the pair
+        (i, j) was queued, has a lead dividing its lcm that neither
+        lcm(i, k) nor lcm(j, k) equals (the module docstring)."""
+        comp, mi = self.basis[i][1]
+        mj = self.basis[j][1][1]
+        for _, (kc, km) in self.basis[j + 1:]:
+            if (kc == comp and all(map(le, km, lcm))
+                    and tuple(map(max, km, mi)) != lcm
+                    and tuple(map(max, km, mj)) != lcm):
+                return True
+        return False
 
     def _run_by_degree(self, columns, modulo):
         """The graded run of the class docstring; returns ``kept``.
@@ -460,9 +528,22 @@ class Ideal:
         self._gb = None
 
     def _basis(self) -> ModuleGB:
+        """The reduced Groebner basis, computed once.  A monomial ideal
+        takes no run: its reduced basis is its minimal generators, monic,
+        in descending term order as ``ModuleGB._interreduce`` leaves it."""
         if self._gb is None:
-            self._gb = ModuleGB(self.ring, 1,
-                                [vector_of([g], self.ring) for g in self.gens])
+            ring = self.ring
+            if all(len(g.terms) == 1 for g in self.gens):
+                GBStats.monomial_bases += 1
+                one = ring.field.one()
+                monos = sorted(_minimalize(m for g in self.gens
+                                           for m in g.terms),
+                               key=ring.mono_key, reverse=True)
+                self._gb = ModuleGB.of_basis(
+                    ring, 1, [({(0, m): one}, (0, m)) for m in monos])
+            else:
+                self._gb = ModuleGB(ring, 1,
+                                    [vector_of([g], ring) for g in self.gens])
         return self._gb
 
     def groebner_generators(self):
@@ -483,12 +564,6 @@ class Ideal:
             return True
         return self._basis().contains(vector_of([p], self.ring))
 
-    def normal_form(self, p: Polynomial) -> Polynomial:
-        if p.is_zero():
-            return p
-        w = self._basis().normal_form(vector_of([p], self.ring))
-        return Polynomial(self.ring, {m: c for (_, m), c in w.items()})
-
     def is_unit_ideal(self) -> bool:
         return self.contains(self.ring.one())
 
@@ -500,23 +575,24 @@ class Ideal:
 
         The first three stages work on the ideal's cached Groebner basis:
 
-        1. ``p`` lies in the ideal: True.
-        2. The basis is monomial, so the ideal is: its radical is generated
+        1. The basis is monomial, so the ideal is: its radical is generated
            by the squarefree parts of the basis monomials, and ``p`` lies in
            that monomial ideal exactly when each of its terms does.  This
-           stage decides both ways.
+           stage decides both ways, and needs no division: ``p`` in the
+           ideal puts each of its terms in it.
+        2. ``p`` lies in the ideal: True.
         3. One of ``p^2, p^4, p^8`` lies in the ideal: True.  This is a
            certificate only; failing it proves nothing.
         4. Otherwise the Rabinowitsch trick decides: ``p`` is in the radical
            exactly when the ideal and ``1 - y*p`` generate the unit ideal
            of the ring with one more variable ``y``.
         """
-        if self.contains(p):
-            return True
         roots = self._squarefree_roots
         if roots is not None:
             return all(any(all(map(le, r, m)) for r in roots)
                        for m in p.terms)
+        if self.contains(p):
+            return True
         q = p
         for _ in range(3):
             q = q * q
@@ -642,10 +718,20 @@ def _min_transversal(supports) -> int:
 
 
 def _minimalize(monos):
+    """The minimal monomials of ``monos`` under divisibility, by total
+    degree and then exponents.  A proper divisor has a smaller total
+    degree, so each monomial is tested only against the kept ones of
+    smaller degree: monomials of one degree, such as the minors of one
+    size, take no test at all."""
     monos = sorted(set(monos), key=lambda m: (sum(m), m))
     out = []
+    lower = 0  # out[:lower] have a smaller total degree than m
+    deg = None
     for m in monos:
-        if not any(all(map(le, g, m)) for g in out):
+        d = sum(m)
+        if d != deg:
+            deg, lower = d, len(out)
+        if not any(all(map(le, out[i], m)) for i in range(lower)):
             out.append(m)
     return tuple(out)
 

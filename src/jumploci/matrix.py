@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from operator import add
 
-from .poly import Polynomial, PolyRing
+from .poly import Polynomial, PolyRing, product_terms
 
 
 # Most units of work, one per determinant expansion and one per pair of
@@ -257,22 +257,33 @@ class PolyMatrix:
                     f"more than {MAX_MINOR_WORK} determinant expansions and "
                     f"term products (MAX_MINOR_WORK)")
 
-        acc = {0: [self.ring.one()]}
+        # size -> {slot: minor}, in order of first occurrence (see _slot)
+        ring = self.ring
+        one = ring.one()
+        acc = {0: {(hash(frozenset(one.terms.items())), 0): one}}
         for rows, cols in self._components():
             sizes = _component_minor_table(self, rows, cols, spend)
             nxt = {}
             for got, polys in acc.items():
                 # size-0 contribution from this component
-                nxt.setdefault(got, []).extend(polys)
+                bucket = nxt.setdefault(got, {})
+                for (h, _), p in polys.items():
+                    slot = _slot(bucket, h, p.terms)
+                    if slot is not None:
+                        bucket[slot] = p
                 for s, ms in sizes.items():
-                    bucket = nxt.setdefault(got + s, [])
-                    for p in polys:
+                    bucket = nxt.setdefault(got + s, {})
+                    for p in polys.values():
                         for q in ms:
                             spend(len(p.terms) * len(q.terms))
-                            bucket.append(p * q)
-            # products of monic minors are monic and nonzero
-            acc = {k: list(dict.fromkeys(v)) for k, v in nxt.items()}
-        return acc
+                            # products of monic minors are monic and nonzero
+                            terms = product_terms(ring.field, p.terms, q.terms)
+                            h = hash(frozenset(terms.items()))
+                            slot = _slot(bucket, h, terms)
+                            if slot is not None:
+                                bucket[slot] = Polynomial(ring, terms)
+            acc = nxt
+        return {t: list(bucket.values()) for t, bucket in acc.items()}
 
     def _components(self):
         """Connected components of the bipartite support graph."""
@@ -366,6 +377,20 @@ def cancel_unit(entries, r, c, field):
                 del entries[i, j]
             else:
                 entries[i, j] = s
+
+
+def _slot(bucket, h, terms):
+    """Where the polynomial with ``terms`` goes in ``bucket``, or None when
+    it is there already.  A bucket keys its polynomials by (h, i): h is the
+    hash of the term set, and i counts the distinct polynomials before it
+    that share h.  So a product is compared with a stored polynomial only
+    on equal hashes, and no polynomial is built for a duplicate."""
+    i = 0
+    while (have := bucket.get((h, i))) is not None:
+        if have.terms == terms:
+            return None
+        i += 1
+    return h, i
 
 
 def _dedupe_monic(polys):

@@ -175,17 +175,9 @@ class Polynomial:
         if not isinstance(other, Polynomial):
             return self.scale(other)
         self._check(other)
-        fld = self.ring.field
-        out = {}
-        for m1, c1 in self.terms.items():
-            for m2, c2 in other.terms.items():
-                m = tuple(map(add, m1, m2))
-                s = fld.add(out.get(m, fld.zero()), fld.mul(c1, c2))
-                if s:
-                    out[m] = s
-                else:
-                    out.pop(m, None)
-        return Polynomial(self.ring, out)
+        return Polynomial(self.ring,
+                          product_terms(self.ring.field, self.terms,
+                                        other.terms))
 
     def __rmul__(self, other):
         return self.scale(other)
@@ -334,6 +326,24 @@ MAX_EXPONENT = 1000
 MAX_PARSE_WORK = 250_000
 
 _TOKEN = re.compile(r"\s*(\d+/\d+|\d+|[A-Za-z_][A-Za-z_0-9']*|\^|\*|\+|-|\(|\))")
+
+
+def product_terms(fld, a, b):
+    """The terms of the product of two term dicts, zero sums dropped."""
+    if len(a) == 1 and len(b) == 1:  # one term each: nothing to sum
+        (m1, c1), = a.items()
+        (m2, c2), = b.items()
+        return {tuple(map(add, m1, m2)): fld.mul(c1, c2)}
+    out = {}
+    for m1, c1 in a.items():
+        for m2, c2 in b.items():
+            m = tuple(map(add, m1, m2))
+            s = fld.add(out.get(m, fld.zero()), fld.mul(c1, c2))
+            if s:
+                out[m] = s
+            else:
+                out.pop(m, None)
+    return out
 
 
 def _parse_polynomial(ring: PolyRing, text: str) -> Polynomial:

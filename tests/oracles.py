@@ -15,19 +15,20 @@ construction, and no command runs them:
   the syzygies of the transposed differentials rather than from
   Auslander-Buchsbaum as ``Pipeline.dual_is_module`` decides it;
 - properties of a resolution (a complex, minimal, its Euler
-  characteristic), syzygy matrices, shifted complexes and the canonical
-  printing of a session.
+  characteristic), syzygy matrices, shifted complexes, the normal form of
+  a polynomial modulo an ideal and the canonical printing of a session.
 """
 
 from __future__ import annotations
 
 import itertools
 
-from jumploci.groebner import Ideal, ModuleGB, coeffs_to_matrix
+from jumploci.groebner import Ideal, ModuleGB, coeffs_to_matrix, vector_of
 from jumploci.homotopy import (HigherHomotopySystem, _solving_order,
                                dualize_homotopies)
 from jumploci.loci import jump_locus_ideal
 from jumploci.matrix import PolyMatrix
+from jumploci.poly import Polynomial
 from jumploci.resolution import (DualComplex, FreeResolution, RingData,
                                  dualize_over_a)
 from jumploci.session import Session
@@ -44,6 +45,14 @@ def syzygy_matrix(mat: PolyMatrix) -> PolyMatrix:
 
 
 # -- twisted complexes ------------------------------------------------------
+
+
+def normal_form(I: Ideal, p: Polynomial) -> Polynomial:
+    """Remainder of ``p`` on division by the reduced basis of ``I``."""
+    if p.is_zero():
+        return p
+    w = I._basis().normal_form(vector_of([p], I.ring))
+    return Polynomial(I.ring, {m: c for (_, m), c in w.items()})
 
 
 def shift(X: TwistedComplex, s: int) -> TwistedComplex:

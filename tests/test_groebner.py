@@ -1,12 +1,11 @@
 """Groebner engine: bases, normal forms, syzygies, Hilbert data, radicals."""
 
-import heapq
 import itertools
 import random
 import time
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from jumploci import GF, QQ, PolyRing
 from jumploci.groebner import (GBStats, Ideal, ModuleGB, _hilbert_num,
@@ -17,7 +16,7 @@ from jumploci.poly import Polynomial
 from jumploci.matrix import PolyMatrix
 
 from conftest import matrix_of
-from oracles import syzygy_matrix
+from oracles import normal_form, syzygy_matrix
 
 GF5 = GF(5)
 GF101 = GF(101)
@@ -33,6 +32,18 @@ def test_monomial_ideal_is_its_own_basis():
     assert leads == ["x*y", "x^2"]
 
 
+def test_monomial_run_is_its_own_basis():
+    """The run's own monomial handling, which ``Ideal`` no longer uses:
+    no pair, and the reduced basis in descending order."""
+    R = PolyRing(GF101, ("x", "y"))
+    before = GBStats.pairs_processed
+    gb = ModuleGB(R, 1, [vector_of([R.parse(g)], R)
+                         for g in ("x^2", "3*x*y", "x^2*y")])
+    assert GBStats.pairs_processed == before
+    assert gb.basis == [({(0, (2, 0)): 1}, (0, (2, 0))),
+                        ({(0, (1, 1)): 1}, (0, (1, 1)))]
+
+
 def test_hand_buchberger_fixture_over_rationals():
     R = PolyRing(QQ, ("x", "y"))
     I = Ideal(R, [R.parse("x^2 - y^2"), R.parse("x^2 + y^2")]).reduced()
@@ -44,13 +55,14 @@ def test_zero_ideal_has_empty_basis():
     I = Ideal(R, [])
     assert I.is_zero_ideal()
     assert I.groebner_generators() == []
+    assert ModuleGB(R, 1, []).basis == []
 
 
 def test_normal_form_membership():
     R = PolyRing(GF101, ("x", "y"))
     I = Ideal(R, [R.parse("x^2"), R.parse("x*y")])
-    assert I.normal_form(R.parse("x^2*y")).is_zero()
-    assert str(I.normal_form(R.parse("y^3"))) == "y^3"
+    assert normal_form(I, R.parse("x^2*y")).is_zero()
+    assert str(normal_form(I, R.parse("y^3"))) == "y^3"
 
 
 def test_basis_is_idempotent():
@@ -316,6 +328,38 @@ def test_staged_radical_test_matches_rabinowitsch(I_gens, J_gens, nested,
     assert I.same_variety(I.reduced())
 
 
+_TERMS = st.lists(st.tuples(st.tuples(*[st.integers(0, 2)] * 3),
+                           st.integers(-3, 3).filter(bool)), max_size=6)
+
+
+@settings(max_examples=120, deadline=None, derandomize=True)
+@given(field=st.sampled_from([GF5, GF101, QQ]), terms=_TERMS,
+       probes=st.lists(st.dictionaries(st.tuples(*[st.integers(0, 3)] * 3),
+                                       st.integers(1, 4), min_size=1,
+                                       max_size=3), max_size=2))
+@example(field=QQ, terms=[], probes=[{(1, 0, 0): 1}])
+@example(field=GF101, terms=[((0, 0, 0), 3), ((1, 0, 0), 1)], probes=[])
+@example(field=QQ, terms=[((1, 1, 0), 2), ((1, 1, 0), -3), ((2, 1, 0), 1)],
+         probes=[{(1, 0, 0): 1, (0, 1, 0): 1}])
+def test_monomial_ideal_basis_equals_the_run(field, terms, probes):
+    """A monomial ideal's installed basis against a forced run of
+    ``ModuleGB`` on its generators, in weights (1, 2, 1): the same
+    vectors in the same order, the same dimension, and the radical test
+    of the Rabinowitsch reference.  The generators repeat monomials, carry
+    coefficients other than 1, and may be the constant 1 or none."""
+    R = PolyRing(field, ("x", "y", "z"), (1, 2, 1))
+    gens = [R.monomial(m, c) for m, c in terms]
+    I = Ideal(R, gens)
+    run = ModuleGB(R, 1, [vector_of([g], R) for g in gens])
+    assert I._basis().basis == run.basis
+    assert all(type(c) is type(field.one())
+               for v, _ in I._basis().basis for c in v.values())
+    assert I.dimension() == run.dimension()
+    for terms in probes:
+        p = Polynomial(R, {m: field.coerce(c) for m, c in terms.items()})
+        assert I.radical_contains(p) == _reference_radical_contains(I, p)
+
+
 def test_radical_of_zero_and_unit_ideals():
     zero, unit = Ideal(S3, []), Ideal(S3, [S3.one()])
     chi1 = S3.parse("chi1")
@@ -472,6 +516,19 @@ def test_pivot_numerator_equals_the_colon_recursion(monos, weights):
                                                              {})
 
 
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(monos=st.lists(st.tuples(*[st.integers(min_value=0, max_value=3)] * 3),
+                      max_size=20))
+def test_minimalize_keeps_exactly_the_minimal_monomials(monos):
+    """Against the definition, every pair tested: the monomials no other
+    one divides, once each, by total degree and then exponents."""
+    want = {m for m in monos
+            if not any(g != m and all(a <= b for a, b in zip(g, m))
+                       for g in monos)}
+    assert _minimalize(monos) == tuple(sorted(want,
+                                              key=lambda m: (sum(m), m)))
+
+
 def _staircase(N):
     """The minimal generators x^i y^{N - i}, 0 <= i <= N, of (x, y)^N,
     whose numerator is 1 - (N + 1) t^N + N t^{N + 1}."""
@@ -492,21 +549,20 @@ def test_pivot_numerator_of_a_long_staircase(N, limit_s):
 
 
 class _EveryPairGB(ModuleGB):
-    """Keeps the S-pair of two single-term vectors in untracked runs."""
+    """Reduces every pair of one component, tracked or not: no coprime or
+    single-term skip, and no Gebauer-Moeller pruning."""
 
     def _add_element(self, v, lead, pairs):
         idx = len(self.basis)
         self._append(self._monic(v, lead), lead)
         GBStats.basis_elements += 1
         for j, (_, jlead) in enumerate(self.basis[:-1]):
-            if jlead[0] != lead[0]:
-                continue
-            lcm = tuple(max(a, b) for a, b in zip(jlead[1], lead[1]))
-            if (not self.track and self.rank == 1
-                    and all(a + b == l for a, b, l in
-                            zip(jlead[1], lead[1], lcm))):
-                continue
-            heapq.heappush(pairs, (self.ring.mono_key(lcm), j, idx, lcm))
+            if jlead[0] == lead[0]:
+                lcm = tuple(max(a, b) for a, b in zip(jlead[1], lead[1]))
+                self._queue(pairs, lead[0], j, idx, lcm)
+
+    def _superseded(self, i, j, lcm):
+        return False
 
 
 def _real_lead(gb, v):
@@ -586,6 +642,73 @@ def test_monomial_input_processes_no_pair():
     assert len(gb.basis) == 5
     _EveryPairGB(R, 2, cols)
     assert GBStats.pairs_processed > before
+
+
+R3W = PolyRing(GF101, ("x", "y", "z"), (1, 2, 1))
+_EXPONENTS3 = st.tuples(*[st.integers(min_value=0, max_value=2)] * 3)
+
+
+@st.composite
+def _pair_criteria_input(draw):
+    """Rank 1 to 3 over x, y, z of weights (1, 2, 1), and columns of one
+    to three terms; graded inputs get row degrees, homogeneous columns
+    and ``modulo`` vectors."""
+    rank = draw(st.integers(min_value=1, max_value=3))
+    graded = draw(st.booleans())
+    row_degrees = ([draw(st.integers(min_value=0, max_value=2))
+                    for _ in range(rank)] if graded else None)
+
+    def vector():
+        terms = draw(st.lists(st.tuples(
+            st.integers(min_value=0, max_value=rank - 1), _EXPONENTS3,
+            st.integers(min_value=1, max_value=100)), min_size=1, max_size=3))
+        if graded:  # keep the terms of the first term's degree
+            deg = [R3W.wdeg(m) + row_degrees[c] for c, m, _ in terms]
+            terms = [t for t, d in zip(terms, deg) if d == deg[0]]
+        return {(c, m): a for c, m, a in terms}
+
+    columns = [vector() for _ in range(draw(st.integers(0, 6)))]
+    modulo = ([vector() for _ in range(draw(st.integers(0, 2)))]
+              if graded else ())
+    return rank, columns, row_degrees, modulo
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(case=_pair_criteria_input())
+def test_gebauer_moeller_pairs_keep_the_basis(case):
+    """Untracked runs with the Gebauer-Moeller pairs against the run that
+    reduces every pair: the same reduced basis, and for a graded run the
+    same ``kept`` and two bases that reduce each other's elements to zero
+    (both are Groebner bases through the top column degree)."""
+    rank, columns, row_degrees, modulo = case
+    gb = ModuleGB(R3W, rank, columns, row_degrees=row_degrees, modulo=modulo)
+    ref = _EveryPairGB(R3W, rank, columns, row_degrees=row_degrees,
+                       modulo=modulo)
+    if row_degrees is None:
+        assert gb.basis == ref.basis
+        return
+    assert list(gb.kept) == list(ref.kept)
+    for a, b in ((gb, ref), (ref, gb)):
+        assert all(not a.normal_form(v) for v, _ in b.basis)
+
+
+def test_gebauer_moeller_pairs_are_fewer():
+    """The Gebauer-Moeller pairs reduce fewer S-vectors than every pair,
+    and count the pairs they skip."""
+    R = PolyRing(GF101, ("x", "y", "z", "w"))
+    cols = [vector_of([R.parse(g)], R)
+            for g in ("x*y + z*w", "x*z + 3*y*w", "x^2 - y*z", "y^2 + x*w")]
+    before = GBStats.snapshot()
+    gb = ModuleGB(R, 1, cols)
+    mid = GBStats.snapshot()
+    ref = _EveryPairGB(R, 1, cols)
+    after = GBStats.snapshot()
+    assert gb.basis == ref.basis
+    processed = mid["pairs_processed"] - before["pairs_processed"]
+    skipped = mid["pairs_skipped"] - before["pairs_skipped"]
+    assert 0 < processed < after["pairs_processed"] - mid["pairs_processed"]
+    assert skipped > 0
+    assert after["pairs_skipped"] == mid["pairs_skipped"]
 
 
 def test_heap_reduction_equals_the_scanning_reduction():

@@ -249,7 +249,7 @@ def _scrambled(rng, B):
     cperm = list(range(B.ncols))
     rng.shuffle(rperm)
     rng.shuffle(cperm)
-    return PolyMatrix(S3, B.nrows, B.ncols,
+    return PolyMatrix(B.ring, B.nrows, B.ncols,
                       {(rperm[r], cperm[c]): p
                        for (r, c), p in B.entries.items()})
 
@@ -279,17 +279,37 @@ def _kernel_matrices(rng):
     return matrices
 
 
+S3_QQ = PolyRing(QQ, ("chi1", "chi2", "chi3"), (2, 2, 2))
+
+
+def _coinciding_blocks(rng, ring):
+    """Blocks over ``ring`` whose minors multiply to the same polynomial
+    in several ways (chi1 * chi2 from four pairs of blocks, and so on),
+    with coefficients other than 1, scrambled."""
+    blocks = [matrix_of(ring, rows) for rows in (
+        [["2*chi1"]], [["chi2"]], [["chi1", "-3*chi2"]], [["chi2"], ["chi1"]],
+        [["chi1 + chi2"]], [["5*chi1 + 5*chi2"]],
+        [["chi1", "chi2"], ["chi2", "chi3"]])]
+    rng.shuffle(blocks)
+    return _scrambled(rng, PolyMatrix.block_diag(blocks))
+
+
 def test_minor_table_equals_the_per_size_enumeration():
     """Every t from 1 to min(rows, cols) + 1, asked in ascending and in
-    descending order: same minors in the same order."""
+    descending order: same minors in the same order, over GF(101) and QQ,
+    and for blocks whose products coincide."""
+    rng = random.Random(8)
     deficient = 0
-    for P in _kernel_matrices(random.Random(8)):
+    matrices = _kernel_matrices(rng)
+    matrices += [_coinciding_blocks(rng, ring) for ring in (S3, S3_QQ)
+                 for _ in range(2)]
+    for P in matrices:
         top = min(P.nrows, P.ncols) + 1
         memo = {}
         expected = {t: _per_t_minors(P, t, memo) for t in range(1, top + 1)}
         deficient += not expected[top - 1]
         for order in (range(1, top + 1), range(top, 0, -1)):
-            Q = PolyMatrix(S3, P.nrows, P.ncols, P.entries)
+            Q = PolyMatrix(P.ring, P.nrows, P.ncols, P.entries)
             for t in order:
                 assert Q.minors(t) == expected[t], (P.entries, t)
     assert deficient >= 6   # some matrices stop below their full size

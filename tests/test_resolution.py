@@ -26,7 +26,8 @@ from jumploci.twisted import build_twisted_complex
 
 from conftest import REPO, SESSIONS, matrix_of, random_monomial_rows
 from oracles import (check_complex, dual_presentation, is_minimal,
-                     resolution_euler_numerator, syzygy_concentration)
+                     normal_form, resolution_euler_numerator,
+                     syzygy_concentration)
 
 GF101 = GF(101)
 A3 = PolyRing(GF101, ("x", "y", "z"))
@@ -341,7 +342,7 @@ def _two_run_resolution_over_b(rd, pres, truncation):
     resolution is complete."""
     ring = rd.ring
     cols, row_degrees = split_unit_entries(pres, [0] * pres.nrows)
-    nf = rd.ci_ideal().normal_form
+    nf = functools.partial(normal_form, rd.ci_ideal())
     cols = [_reduce_column(c, nf, ring) for c in cols]
     degrees = [row_degrees]
     while True:

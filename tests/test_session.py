@@ -227,14 +227,20 @@ def test_build_pipeline_coker_with_dual():
     assert dual_presentation(pipeline.resolution) is not None
 
 
+# x^2 - y^2, x*y is a regular sequence whose ideal is not monomial
+_BINOMIAL_CI = ("field GF(101)\nring x, y\nci x^2 - y^2, x*y\n"
+                "module coker [[x, y]]\n")
+
+
 @pytest.mark.parametrize("name", ["final.session", "flag.session",
-                                  "perfect.session"])
+                                  "perfect.session", "binomial-ci"])
 def test_build_pipeline_makes_one_run_per_stage_and_the_ci_ideals(
         monkeypatch, name):
     """A coker session costs one tracked graded run per stage of its
-    resolution over A, then the ci ideal's run for the regular-sequence
-    test, and no other: that f annihilates M is checked on the stage-1
-    run, with no basis of d_1 of its own."""
+    resolution over A, then, for the regular-sequence test, the ci
+    ideal's run when that ideal is not monomial, and no other: a monomial
+    ci ideal is its own basis, and that f annihilates M is checked on the
+    stage-1 run, with no basis of d_1 of its own."""
     runs = []
     init = ModuleGB.__init__
 
@@ -244,14 +250,20 @@ def test_build_pipeline_makes_one_run_per_stage_and_the_ci_ideals(
         init(self, ring, rank, columns, track, row_degrees, modulo)
 
     monkeypatch.setattr(ModuleGB, "__init__", counting)
-    session = parse_session(_read(name))
+    text = _BINOMIAL_CI if name == "binomial-ci" else _read(name)
+    session = parse_session(text)
     pipeline = build_pipeline(session)
     stages = pipeline.resolution.length
     assert stages >= 2
-    assert [r[1:] for r in runs] == [(True, True)] * stages + [(False, False)]
+    ci_runs = [(False, False)] if name == "binomial-ci" else []
+    assert [r[1:] for r in runs] == [(True, True)] * stages + ci_runs
     assert [r[0] for r in runs[:stages]] == \
         [pipeline.resolution.image_bases[t] for t in range(1, stages + 1)]
-    assert runs[-1][0] is session.ring_data.ci_ideal()._basis()
+    ci_basis = session.ring_data.ci_ideal()._basis()
+    if ci_runs:
+        assert runs[-1][0] is ci_basis
+    else:
+        assert all(len(v) == 1 for v, _ in ci_basis.basis)
 
 
 def test_build_pipeline_complex_route():
