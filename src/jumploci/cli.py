@@ -6,13 +6,13 @@ Usage::
              [--n INT] [--seed INT] [--format json|text] [--output FILE]
              [--point a1,..,ac] [--points K] [--chain FILE]
 
-Exit codes: 0 on success, 1 on input error, 2 on an internal assertion
-failure (for example, the even and odd parts of Ext disagreeing on the
-Betti degree).  ``--seed`` (default 0) picks the sample points of
-``oracle``; no other command depends on it.  ``--n`` and ``--points``
-default to 20 and the report goes to standard output unless ``--output``
-names a file: the input file declares only the ring, f and the module,
-and sets nothing.
+Exit codes: 0 on success, 1 on input error (a malformed command line
+too), 2 on an internal assertion failure (for example, the even and odd
+parts of Ext disagreeing on the Betti degree).  ``--seed`` (default 0)
+picks the sample points of ``oracle``; no other command depends on it.
+``--n`` and ``--points`` default to 20 and the report goes to standard
+output unless ``--output`` names a file: the input file declares only the
+ring, f and the module, and sets nothing.
 Setting ``JUMPLOCI_VERBOSE=1`` prints cumulative engine statistics on
 standard error.
 
@@ -283,6 +283,9 @@ def build_argument_parser() -> argparse.ArgumentParser:
                         help="number of sample points (oracle)")
     parser.add_argument("--chain", default=None,
                         help="chain file (realize)")
+    # a malformed command line is an input error: one ``error:`` line and
+    # exit 1, with no usage block
+    parser.error = lambda message: parser.exit(1, f"error: {message}\n")
     return parser
 
 

@@ -19,6 +19,10 @@ components, the shadow block ordered strictly below every real term.  Any
 element whose real part reduces to zero then carries, in its shadow block,
 a syzygy of the input columns; reducing an augmented inclusion ``v + 0``
 to zero real part yields the coefficients expressing ``v`` in the columns.
+Both leave the engine as they go in, as module vectors: the shadow terms
+keyed by the position of their column in ``kept`` (``ModuleGB._rekey``),
+which a next stage takes as its columns and ``PolyMatrix.from_columns``
+turns into a matrix.
 For completeness of the syzygy generators, tracked runs process every
 S-pair and apply no pair-discarding criteria.  Untracked runs install
 their pairs the Gebauer-Moeller way (J. Symb. Comp. 6, 1988), within each
@@ -457,66 +461,43 @@ class ModuleGB:
                     if 0 not in s), default=-1)
 
     def lift(self, v):
-        """Coefficients c_i with ``v + sum c_i * column_i = 0``, or None
-        when ``v`` is outside the span of the columns.
-
-        Returns the nonzero c_i only, as polynomials keyed by the position
-        of column i in ``kept``: the shadow terms of the normal form of
-        ``v``, read as they stand.
-        """
+        """The coefficients c with ``v + sum_i c_i * column_i = 0``, as a
+        module vector keyed (position of column i in ``kept``, monomial),
+        or None when ``v`` is outside the span of the columns: the shadow
+        terms of the normal form of ``v`` (``_rekey``)."""
         if not self.track:
             raise ValueError("lifting requires a tracked basis")
-        rank = self.rank
         w, lead = self._reduce_full(
-            {k: c for k, c in v.items() if k[0] < rank})
-        if lead is not None:
-            return None
-        per = {}
-        for (comp, m), c in w.items():
-            per.setdefault(comp - rank, {})[m] = c
+            {k: c for k, c in v.items() if k[0] < self.rank})
+        return None if lead is not None else self._rekey(w)
+
+    def syzygies(self):
+        """Generators of the syzygy module of the kept columns, as module
+        vectors keyed (position in ``kept``, monomial) (``_rekey``)."""
+        if not self.track:
+            raise ValueError("syzygies require a tracked basis")
+        return [self._rekey(s) for s in self._syzygies]
+
+    def _rekey(self, shadow):
+        """The terms of ``shadow``, keyed (rank + input column index,
+        monomial), rekeyed (position of that column in ``kept``, monomial);
+        only kept columns have a shadow coordinate."""
+        rank = self.rank
         at = self._position
-        return {at[j]: Polynomial(self.ring, terms)
-                for j, terms in per.items()}
+        return {(at[comp - rank], m): c for (comp, m), c in shadow.items()}
 
     @cached_property
     def _position(self):
         """Input column index -> its position in ``kept``."""
         return {j: p for p, j in enumerate(self.kept)}
 
-    def syzygies(self):
-        """Generators of the syzygy module of the input columns.
-
-        Each syzygy is a list of polynomials, one per kept column.
-        """
-        if not self.track:
-            raise ValueError("syzygies require a tracked basis")
-        return [self._shadow_to_coeffs(s) for s in self._syzygies]
-
-    def _shadow_to_coeffs(self, v):
-        per = [dict() for _ in range(self.ncols)]
-        for (comp, m), c in v.items():
-            per[comp - self.rank][m] = c
-        return [Polynomial(self.ring, per[j]) for j in self.kept]
-
 
 # -- convenience builders -----------------------------------------------
 
 
-def vector_of(polys, ring: PolyRing):
-    """Module vector from a list of polynomials (one per component)."""
-    out = {}
-    for comp, p in enumerate(polys):
-        for m, c in p.terms.items():
-            out[(comp, m)] = c
-    return out
-
-
-def coeffs_to_matrix(ring: PolyRing, columns, nrows: int) -> PolyMatrix:
-    """Matrix with one column per mapping row -> polynomial (a ``lift``
-    result, or ``dict(enumerate(s))`` of a syzygy s); zeros are skipped."""
-    entries = {(r, c): p for c, col in enumerate(columns)
-               for r, p in col.items() if not p.is_zero()}
-    return PolyMatrix(ring, nrows, len(columns), entries)
+def vector_of(p: Polynomial):
+    """The polynomial ``p`` as a module vector of rank one."""
+    return {(0, m): c for m, c in p.terms.items()}
 
 
 class Ideal:
@@ -543,7 +524,7 @@ class Ideal:
                     ring, 1, [({(0, m): one}, (0, m)) for m in monos])
             else:
                 self._gb = ModuleGB(ring, 1,
-                                    [vector_of([g], ring) for g in self.gens])
+                                    [vector_of(g) for g in self.gens])
         return self._gb
 
     def groebner_generators(self):
@@ -562,7 +543,7 @@ class Ideal:
     def contains(self, p: Polynomial) -> bool:
         if p.is_zero():
             return True
-        return self._basis().contains(vector_of([p], self.ring))
+        return self._basis().contains(vector_of(p))
 
     def is_unit_ideal(self) -> bool:
         return self.contains(self.ring.one())

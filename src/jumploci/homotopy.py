@@ -151,21 +151,20 @@ def compute_higher_homotopies(res: FreeResolution,
     def lift_through(t, target_mat):
         """h with d_t o h = -target_mat, via tracked division.
 
-        None for a zero target: the zero block, which is not stored.  A
-        column's lift gives the c with v + d_t c = 0, so h takes it as
-        it stands.  A column not in the image of d_t is left zero, so the
-        identity check fails on it.  The tracked basis of d_t is the run
-        ``resolve_over_a`` took d_t from, in d_t's own coordinates.
+        None for a zero target: the zero block, which is not stored.  The
+        lift of a column v is the module vector c with v + d_t c = 0, so
+        it is h's column as it stands (``PolyMatrix.from_columns``).  A
+        zero column is not lifted, and a column not in the image of d_t
+        is left zero, so the identity check fails on it.  The tracked
+        basis of d_t is the run ``resolve_over_a`` took d_t from, in d_t's
+        own coordinates.
         """
         if target_mat.is_zero():
             return None
         gb = res.image_bases[t]
-        entries = {}
-        for j, v in enumerate(target_mat.columns_as_vectors()):
-            if v:
-                for row, p in (gb.lift(v) or {}).items():
-                    entries[(row, j)] = p
-        return PolyMatrix(ring, ranks[t], target_mat.ncols, entries)
+        return PolyMatrix.from_columns(
+            ring, ranks[t], [v and (gb.lift(v) or {})
+                             for v in target_mat.columns_as_vectors()])
 
     sys = HigherHomotopySystem(res, {J: {} for _, Js in
                                      _solving_order(rd.c, L) for J in Js})

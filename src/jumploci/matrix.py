@@ -10,7 +10,13 @@ into the connected components of its support graph, and inside a component
 the nonzero minors of each size grow from those of the size below, one
 Laplace expansion each (``_component_minor_table``).  The minors of every
 size are built together on the first request and cached on the matrix (see
-``PolyMatrix.minors``).
+``PolyMatrix.minors``).  The rank, generic or at a point, is one
+fraction-free elimination per block of a support graph (``_rank``): that
+of the entries, or that of their nonzero values at the point.
+
+Module vectors ``{(row, monomial): coeff}``, the Groebner engine's format,
+are the columns of a matrix (``columns_as_vectors``) and build one back
+(``PolyMatrix.from_columns``).
 """
 
 from __future__ import annotations
@@ -27,6 +33,10 @@ from .poly import Polynomial, PolyRing, product_terms
 # the example sessions takes 31 units, of the benchmark inputs 756, and of
 # the scripts about 20,000 (``realizability_demo.py``).
 MAX_MINOR_WORK = 500_000
+
+
+class PipelineError(ValueError):
+    """Domain-level rejection (bad ring data, failed precondition)."""
 
 
 class PolyMatrix:
@@ -64,6 +74,18 @@ class PolyMatrix:
                 if not p.is_zero():
                     entries[(r, c)] = p
         return cls(ring, nrows, ncols, entries)
+
+    @classmethod
+    def from_columns(cls, ring: PolyRing, nrows: int, cols):
+        """The matrix whose columns are the module vectors ``cols``, one
+        column each, empty ones too: the inverse of ``columns_as_vectors``."""
+        per_entry = {}
+        for c, col in enumerate(cols):
+            for (r, m), co in col.items():
+                per_entry.setdefault((r, c), {})[m] = co
+        return cls(ring, nrows, len(cols),
+                   {k: Polynomial(ring, terms)
+                    for k, terms in per_entry.items()})
 
     @classmethod
     def identity(cls, ring: PolyRing, n: int, scalar=None):
@@ -186,33 +208,24 @@ class PolyMatrix:
             c0 += b.ncols
         return PolyMatrix(ring, nrows, ncols, out)
 
-    # -- evaluation and rank --------------------------------------------
-
-    def evaluate(self, point):
-        """Substitute scalars for the ring variables; dense scalar matrix."""
-        if len(point) != self.ring.nvars:
-            raise ValueError("point arity mismatch")
-        fld = self.ring.field
-        rows = [[fld.zero()] * self.ncols for _ in range(self.nrows)]
-        for (r, c), p in self.entries.items():
-            rows[r][c] = p.evaluate(point)
-        return rows
+    # -- rank -----------------------------------------------------------
 
     def rank_at(self, point) -> int:
-        return scalar_rank(self.evaluate(point), self.ring.field)
+        """Rank of the values at ``point``, by the elimination of
+        ``generic_rank`` on the nonzero values as constants."""
+        if len(point) != self.ring.nvars:
+            raise ValueError("point arity mismatch")
+        const = self.ring.const
+        values = {}
+        for k, p in self.entries.items():
+            c = p.evaluate(point)
+            if c:
+                values[k] = const(c)
+        return _rank(values, self.ring.one())
 
     def generic_rank(self) -> int:
-        """Rank over the fraction field.
-
-        The rank is the sum of the ranks of the blocks of the support graph
-        (``_components``), as for the minor table; each block is eliminated
-        on its own by fraction-free Gaussian elimination, so no pivot
-        multiplies entries of another block.
-        """
-        one = self.ring.one()
-        return sum(_bareiss_rank({k: p for k, p in self.entries.items()
-                                  if k[0] in rows}, one)
-                   for rows, _ in self._components())
+        """Rank over the fraction field (``_rank``)."""
+        return _rank(self.entries, self.ring.one())
 
     # -- minors ----------------------------------------------------------
 
@@ -251,7 +264,6 @@ class PolyMatrix:
             nonlocal work
             work += units
             if work > MAX_MINOR_WORK:
-                from .resolution import PipelineError  # imports this module
                 raise PipelineError(
                     f"the minors of a {self.nrows}x{self.ncols} matrix take "
                     f"more than {MAX_MINOR_WORK} determinant expansions and "
@@ -261,7 +273,7 @@ class PolyMatrix:
         ring = self.ring
         one = ring.one()
         acc = {0: {(hash(frozenset(one.terms.items())), 0): one}}
-        for rows, cols in self._components():
+        for rows, cols in _components(self.entries):
             sizes = _component_minor_table(self, rows, cols, spend)
             nxt = {}
             for got, polys in acc.items():
@@ -285,32 +297,44 @@ class PolyMatrix:
             acc = nxt
         return {t: list(bucket.values()) for t, bucket in acc.items()}
 
-    def _components(self):
-        """Connected components of the bipartite support graph."""
-        parent = {}
 
-        def find(x):
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
+def _components(entries):
+    """Connected components of the bipartite support graph of ``entries``
+    ({(r, c): entry}), as (rows, columns) pairs."""
+    parent = {}
 
-        def union(a, b):
-            ra, rb = find(a), find(b)
-            if ra != rb:
-                parent[ra] = rb
+    def find(x):
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
 
-        for (r, c) in self.entries:
-            for node in (("r", r), ("c", c)):
-                parent.setdefault(node, node)
-            union(("r", r), ("c", c))
-        comps = {}
-        for (r, c) in self.entries:
-            root = find(("r", r))
-            rows, cols = comps.setdefault(root, (set(), set()))
-            rows.add(r)
-            cols.add(c)
-        return [comps[k] for k in sorted(comps, key=str)]
+    def union(a, b):
+        ra, rb = find(a), find(b)
+        if ra != rb:
+            parent[ra] = rb
+
+    for (r, c) in entries:
+        for node in (("r", r), ("c", c)):
+            parent.setdefault(node, node)
+        union(("r", r), ("c", c))
+    comps = {}
+    for (r, c) in entries:
+        root = find(("r", r))
+        rows, cols = comps.setdefault(root, (set(), set()))
+        rows.add(r)
+        cols.add(c)
+    return [comps[k] for k in sorted(comps, key=str)]
+
+
+def _rank(entries, one) -> int:
+    """Rank of ``entries`` ({(r, c): poly}): the sum of the ranks of the
+    blocks of its support graph (``_components``), as for the minor table,
+    each eliminated on its own by ``_bareiss_rank``, so no pivot
+    multiplies entries of another block."""
+    return sum(_bareiss_rank({k: p for k, p in entries.items()
+                              if k[0] in rows}, one)
+               for rows, _ in _components(entries))
 
 
 def _bareiss_rank(work, one) -> int:
@@ -457,32 +481,3 @@ def _component_minor_table(mat: PolyMatrix, rows, cols, spend):
         prev = {k: d for k, d in grown.items() if not d.is_zero()}
         t += 1
     return table
-
-
-def scalar_rank(rows, field) -> int:
-    """Rank of a dense scalar matrix by exact Gaussian elimination."""
-    m = [list(r) for r in rows]
-    nr = len(m)
-    nc = len(m[0]) if nr else 0
-    rank = 0
-    pr = 0
-    for pc in range(nc):
-        piv = None
-        for r in range(pr, nr):
-            if m[r][pc]:
-                piv = r
-                break
-        if piv is None:
-            continue
-        m[pr], m[piv] = m[piv], m[pr]
-        inv = field.inv(m[pr][pc])
-        for r in range(pr + 1, nr):
-            if m[r][pc]:
-                f = field.mul(m[r][pc], inv)
-                for c in range(pc, nc):
-                    m[r][c] = field.sub(m[r][c], field.mul(f, m[pr][c]))
-        pr += 1
-        rank += 1
-        if pr == nr:
-            break
-    return rank

@@ -28,12 +28,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .poly import Polynomial, PolyRing
-from .matrix import PolyMatrix, cancel_unit, least_unit
-from .groebner import Ideal, ModuleGB, vector_of
-
-
-class PipelineError(ValueError):
-    """Domain-level rejection (bad ring data, failed precondition)."""
+from .matrix import PipelineError, PolyMatrix, cancel_unit, least_unit
+from .groebner import Ideal, ModuleGB
 
 
 class TruncationNeeded(Exception):
@@ -102,18 +98,6 @@ def column_degree(ring: PolyRing, col, row_degrees) -> int:
     return degs.pop()
 
 
-def columns_to_matrix(ring: PolyRing, cols, nrows: int) -> PolyMatrix:
-    """The matrix whose columns are the module vectors ``cols``."""
-    entries = {}
-    for j, col in enumerate(cols):
-        per_row = {}
-        for (r, m), c in col.items():
-            per_row.setdefault(r, {})[m] = c
-        for r, terms in per_row.items():
-            entries[(r, j)] = Polynomial(ring, terms)
-    return PolyMatrix(ring, nrows, len(cols), entries)
-
-
 # -- resolutions ----------------------------------------------------------
 
 
@@ -167,14 +151,15 @@ def resolve_over_a(rd: RingData, presentation: PolyMatrix) -> FreeResolution:
 
 def check_annihilation(rd: RingData, rank: int, gb: ModuleGB = None):
     """Verify f_i . A^rank / U = 0, with U the span of the Groebner basis
-    ``gb`` (None for U = 0); raise naming the first offender.  f
+    ``gb`` (None for U = 0): every f_i e_j of ``rd.quotient_columns`` lies
+    in U.  Raise naming the f_i of the first that does not.  f
     annihilates no nonzero free module, so U = 0 needs no run."""
-    for i, f in enumerate(rd.ci):
-        for j in range(rank):
-            if gb is None or not gb.contains(
-                    {(j, m): c for m, c in f.terms.items()}):
-                raise PipelineError(
-                    f"f_{i + 1} = {_brief(f)} does not annihilate the module")
+    for k, v in enumerate(rd.quotient_columns(rank)):
+        if gb is None or not gb.contains(v):
+            f = rd.ci[k // rank]
+            raise PipelineError(
+                f"f_{k // rank + 1} = {_brief(f)} does not annihilate "
+                f"the module")
 
 
 def _brief(p: Polynomial) -> str:
@@ -221,7 +206,10 @@ def _resolve(rd: RingData, presentation: PolyMatrix, truncation,
     the span of the columns after it and would have been dropped in turn.
     Over B the rule reads only the classes of the columns modulo (f), and
     so do the syzygies, whose f_k e_j coordinates are dropped: no
-    candidate needs reducing modulo (f) first.
+    candidate needs reducing modulo (f) first.  A stage's syzygies are
+    module vectors in the coordinates of its kept columns, so they are the
+    next stage's candidates as they stand, and d_t is its kept columns
+    (``PolyMatrix.from_columns``).
     """
     over_b = truncation is not None
     ring = rd.ring
@@ -244,13 +232,13 @@ def _resolve(rd: RingData, presentation: PolyMatrix, truncation,
         if not gb.kept:
             break
         cols = [cols[j] for j in gb.kept]
-        diffs.append(columns_to_matrix(ring, cols, rank))
+        diffs.append(PolyMatrix.from_columns(ring, rank, cols))
         degrees.append([column_degree(ring, c, degrees[-1]) for c in cols])
         if last:
             break
         if not over_b:
             bases[hom] = gb
-        cols = [vector_of(s, ring) for s in gb.syzygies()]
+        cols = gb.syzygies()
     if over_b:
         return FreeResolution(rd, diffs, degrees,
                               complete=len(diffs) < truncation)

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 from .poly import Polynomial, PolyRing
 from .matrix import PolyMatrix, cancel_unit, least_unit
-from .groebner import ModuleGB, coeffs_to_matrix, vector_of
+from .groebner import ModuleGB
 from .resolution import RingData, PipelineError
 from .homotopy import HigherHomotopySystem
 
@@ -121,8 +121,7 @@ def homology_presentation(X: TwistedComplex):
     S = X.S
     r = X.rank
     gb_d = ModuleGB(S, r, X.D.columns_as_vectors(), track=True)
-    cycles = [vector_of(s, S) for s in gb_d.syzygies()]
-    cycles = [c for c in cycles if c]
+    cycles = gb_d.syzygies()
     if not cycles:
         return (PolyMatrix.zero(S, 0, 0), [])
     gen_degrees = []
@@ -137,22 +136,17 @@ def homology_presentation(X: TwistedComplex):
             raise AssertionError("inhomogeneous homology generator")
         gen_degrees.append(degs.pop())
     gb_z = ModuleGB(S, r, cycles, track=True)
-    fld = S.field
     relations = []
-    for j in range(X.D.ncols):
-        col = {}  # minus column j, so that its lift expresses column j
-        for (rr, cc), p in X.D.entries.items():
-            if cc == j:
-                for m, co in p.terms.items():
-                    col[(rr, m)] = fld.neg(co)
+    # the lift of minus column j expresses column j in the cycles
+    for col in (-X.D).columns_as_vectors():
         if not col:
             continue
         coeffs = gb_z.lift(col)
         if coeffs is None:
             raise AssertionError("boundary does not lie in the cycle span")
         relations.append(coeffs)
-    relations.extend(dict(enumerate(s)) for s in gb_z.syzygies())
-    return (coeffs_to_matrix(S, relations, len(cycles)), gen_degrees)
+    relations.extend(gb_z.syzygies())
+    return (PolyMatrix.from_columns(S, len(cycles), relations), gen_degrees)
 
 
 def s_dual(X: TwistedComplex) -> TwistedComplex:

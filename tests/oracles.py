@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import itertools
 
-from jumploci.groebner import Ideal, ModuleGB, coeffs_to_matrix, vector_of
+from jumploci.groebner import Ideal, ModuleGB, vector_of
 from jumploci.homotopy import (HigherHomotopySystem, _solving_order,
                                dualize_homotopies)
 from jumploci.loci import jump_locus_ideal
@@ -40,8 +40,7 @@ def syzygy_matrix(mat: PolyMatrix) -> PolyMatrix:
     """A matrix K with mat @ K = 0 whose columns generate all syzygies of
     the columns of ``mat``, from one tracked run."""
     gb = ModuleGB(mat.ring, mat.nrows, mat.columns_as_vectors(), track=True)
-    return coeffs_to_matrix(mat.ring, [dict(enumerate(s))
-                                       for s in gb.syzygies()], mat.ncols)
+    return PolyMatrix.from_columns(mat.ring, mat.ncols, gb.syzygies())
 
 
 # -- twisted complexes ------------------------------------------------------
@@ -51,7 +50,7 @@ def normal_form(I: Ideal, p: Polynomial) -> Polynomial:
     """Remainder of ``p`` on division by the reduced basis of ``I``."""
     if p.is_zero():
         return p
-    w = I._basis().normal_form(vector_of([p], I.ring))
+    w = I._basis().normal_form(vector_of(p))
     return Polynomial(I.ring, {m: c for (_, m), c in w.items()})
 
 

@@ -640,6 +640,34 @@ def test_an_option_line_is_an_input_error(capfd, tmp_path, command):
     assert not target.exists()
 
 
+@pytest.mark.parametrize("argv, says", [
+    (["bogus"], "invalid choice: 'bogus'"),
+    (["betti", "--input", FINAL, "--n", "abc"], "invalid int value: 'abc'"),
+    (["compute", "--input", FINAL, "--format", "xml"],
+     "invalid choice: 'xml'"),
+    (["compute", "--input", FINAL, "--verbose"],
+     "unrecognized arguments: --verbose"),
+    ([], "the following arguments are required: command"),
+])
+def test_a_malformed_command_line_is_an_input_error(capfd, argv, says):
+    """argparse's own exit 2 and usage block read as an internal
+    assertion; a malformed command line is one error line and exit 1."""
+    with pytest.raises(SystemExit) as info:
+        main(argv)
+    out, err = capfd.readouterr()
+    assert (info.value.code, out) == (1, "")
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert says in err and "usage" not in err
+
+
+def test_help_exits_zero(capfd):
+    with pytest.raises(SystemExit) as info:
+        main(["--help"])
+    out, err = capfd.readouterr()
+    assert (info.value.code, err) == (0, "")
+    assert out.startswith("usage: jumploci")
+
+
 def test_flag_defaults(capfd):
     """``--n`` and ``--points`` are 20, ``--seed`` 0 and the report goes
     to stdout."""

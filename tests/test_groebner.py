@@ -37,7 +37,7 @@ def test_monomial_run_is_its_own_basis():
     no pair, and the reduced basis in descending order."""
     R = PolyRing(GF101, ("x", "y"))
     before = GBStats.pairs_processed
-    gb = ModuleGB(R, 1, [vector_of([R.parse(g)], R)
+    gb = ModuleGB(R, 1, [vector_of(R.parse(g))
                          for g in ("x^2", "3*x*y", "x^2*y")])
     assert GBStats.pairs_processed == before
     assert gb.basis == [({(0, (2, 0)): 1}, (0, (2, 0))),
@@ -290,8 +290,8 @@ def _reference_radical_contains(I, p):
     gens = [g.map_ring(aux, var_map) for g in I.gens]
     y = aux.gen(aux.nvars - 1)
     gens.append(aux.one() - y * p.map_ring(aux, var_map))
-    gb = ModuleGB(aux, 1, [vector_of([g], aux) for g in gens], track=True)
-    return gb.contains(vector_of([aux.one()], aux))
+    gb = ModuleGB(aux, 1, [vector_of(g) for g in gens], track=True)
+    return gb.contains(vector_of(aux.one()))
 
 
 def _reference_same_variety(I, J):
@@ -350,7 +350,7 @@ def test_monomial_ideal_basis_equals_the_run(field, terms, probes):
     R = PolyRing(field, ("x", "y", "z"), (1, 2, 1))
     gens = [R.monomial(m, c) for m, c in terms]
     I = Ideal(R, gens)
-    run = ModuleGB(R, 1, [vector_of([g], R) for g in gens])
+    run = ModuleGB(R, 1, [vector_of(g) for g in gens])
     assert I._basis().basis == run.basis
     assert all(type(c) is type(field.one())
                for v, _ in I._basis().basis for c in v.values())
@@ -392,7 +392,7 @@ def test_each_stage_of_the_radical_test(gens, expected):
 def test_untracked_ideal_basis_with_a_unit_is_one(gens):
     R = PolyRing(GF101, ("x", "y"))
     before = GBStats.pairs_processed
-    gb = ModuleGB(R, 1, [vector_of([R.parse(g)], R) for g in gens])
+    gb = ModuleGB(R, 1, [vector_of(R.parse(g)) for g in gens])
     assert gb.basis == [({(0, (0, 0)): 1}, (0, (0, 0)))]
     if "3" in gens:
         # the run stops at the constant, before any S-pair
@@ -696,7 +696,7 @@ def test_gebauer_moeller_pairs_are_fewer():
     """The Gebauer-Moeller pairs reduce fewer S-vectors than every pair,
     and count the pairs they skip."""
     R = PolyRing(GF101, ("x", "y", "z", "w"))
-    cols = [vector_of([R.parse(g)], R)
+    cols = [vector_of(R.parse(g))
             for g in ("x*y + z*w", "x*z + 3*y*w", "x^2 - y*z", "y^2 + x*w")]
     before = GBStats.snapshot()
     gb = ModuleGB(R, 1, cols)

@@ -7,7 +7,7 @@ import re
 import pytest
 
 from jumploci import GF, PolyRing
-from jumploci.groebner import ModuleGB
+from jumploci.groebner import ModuleGB, _vec_add, vector_of
 from jumploci.matrix import PolyMatrix
 from jumploci.resolution import (RingData, FreeResolution, PipelineError,
                                  resolve_over_a, dualize_over_a)
@@ -148,8 +148,8 @@ def test_a_bad_lift_fails_the_identity_it_solves(flag_pipeline, monkeypatch):
 
         def off_by_x(self, v, n=n):
             coeffs = lift(self, v)
-            if len(seen) == n:
-                coeffs[0] = coeffs.get(0, rd.ring.zero()) + x
+            if len(seen) == n:  # x more at column 0
+                coeffs = _vec_add(rd.ring.field, coeffs, vector_of(x))
             seen.append(v)
             return coeffs
 
@@ -210,9 +210,7 @@ def _every_block_sigma(res, rd):
             coeffs = bases[t].lift(v)
             assert coeffs is not None
             cols.append(coeffs)
-        return PolyMatrix(ring, ranks[t], target.ncols,
-                          {(r, j): p for j, coeffs in enumerate(cols)
-                           for r, p in coeffs.items()})
+        return PolyMatrix.from_columns(ring, ranks[t], cols)
 
     sigma = {}
 

@@ -5,10 +5,12 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from jumploci import GF, QQ, PolyRing
 from jumploci import matrix
 from jumploci.matrix import PolyMatrix, _dedupe_monic
+from jumploci.poly import Polynomial
 from jumploci.resolution import PipelineError
 from jumploci.session import parse_session, build_pipeline
 from jumploci.twisted import TwistedComplex
@@ -56,6 +58,93 @@ def test_rank_matches_largest_nonvanishing_minor():
                 if any(m.evaluate(a) != 0 for m in minors[t]):
                     expected = t
             assert P.rank_at(a) == expected
+
+
+def _dense_rank_at(P, point):
+    """The rank at ``point`` by the route ``rank_at`` took before: the
+    values in a dense scalar matrix, then Gaussian elimination over the
+    field."""
+    fld = P.ring.field
+    m = [[fld.zero()] * P.ncols for _ in range(P.nrows)]
+    for (r, c), p in P.entries.items():
+        m[r][c] = p.evaluate(point)
+    rank = 0
+    for pc in range(P.ncols):
+        piv = next((r for r in range(rank, P.nrows) if m[r][pc]), None)
+        if piv is None:
+            continue
+        m[rank], m[piv] = m[piv], m[rank]
+        inv = fld.inv(m[rank][pc])
+        for r in range(rank + 1, P.nrows):
+            if m[r][pc]:
+                f = fld.mul(m[r][pc], inv)
+                for c in range(pc, P.ncols):
+                    m[r][c] = fld.sub(m[r][c], fld.mul(f, m[rank][c]))
+        rank += 1
+    return rank
+
+
+def test_rank_at_equals_the_dense_elimination():
+    """Random sparse matrices up to 5 x 6 over GF(5), GF(101) and QQ with
+    binomial entries, and products A @ B of rank at most 2, at points on
+    the coordinate axes, at random points and at points that zero an
+    entry, where the rank drops."""
+    rng = random.Random(29)
+    drops = 0
+    for field in (GF(5), GF101, QQ):
+        R = PolyRing(field, ("chi1", "chi2"), (2, 2))
+        words = ["chi1", "chi2", "chi1 - chi2", "chi1^2 + 2*chi2",
+                 "3*chi1*chi2 - 1", "chi2^2 - chi1", "2", "0", "0", "0"]
+        for trial in range(12):
+            shape = rng.randrange(1, 6), rng.randrange(1, 7)
+            rows = [[rng.choice(words) for _ in range(shape[1])]
+                    for _ in range(shape[0])]
+            P = matrix_of(R, rows)
+            if trial % 3 == 0:
+                A = matrix_of(R, [[rng.choice(words) for _ in range(2)]
+                                  for _ in range(shape[0])])
+                P = A @ matrix_of(R, [[rng.choice(words)
+                                       for _ in range(shape[1])]
+                                      for _ in range(2)])
+            points = [[0, 0], [1, 0], [0, 3], [1, 1], [2, 1]]
+            points += [[rng.randrange(-3, 4), rng.randrange(-3, 4)]
+                       for _ in range(4)]
+            generic = P.generic_rank()
+            for a in points:
+                rank = P.rank_at(a)
+                assert rank == _dense_rank_at(P, a), (rows, a)
+                drops += rank < generic
+    assert drops > 20
+
+
+def _polynomials(field):
+    coeffs = (st.integers(1, 100) if field.p
+              else st.fractions(-5, 5, max_denominator=4).filter(bool))
+    return st.dictionaries(st.tuples(st.integers(0, 2), st.integers(0, 2)),
+                           coeffs, max_size=3)
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(data=st.data(), field=st.sampled_from([GF(7), GF101, QQ]),
+       nrows=st.integers(0, 3), filled=st.integers(0, 3),
+       empty=st.integers(0, 2))
+def test_from_columns_inverts_columns_as_vectors(data, field, nrows, filled,
+                                                 empty):
+    """``from_columns`` rebuilds a matrix from ``columns_as_vectors``,
+    over GF(p) and QQ, its ``empty`` trailing columns with no entry
+    included."""
+    R = PolyRing(field, ("x", "y"))
+    entries = {}
+    for r in range(nrows):
+        for c in range(filled):
+            terms = {m: field.coerce(co) for m, co in
+                     data.draw(_polynomials(field)).items()}
+            entries[(r, c)] = Polynomial(R, {m: co for m, co in terms.items()
+                                             if co})
+    M = PolyMatrix(R, nrows, filled + empty, entries)
+    cols = M.columns_as_vectors()
+    assert len(cols) == M.ncols
+    assert PolyMatrix.from_columns(R, nrows, cols) == M
 
 
 def test_generic_rank_certifies_evaluation_bound():
@@ -161,7 +250,7 @@ def _per_t_minors(mat, t, memo=None):
         return []
     memo = {} if memo is None else memo
     acc = {0: [mat.ring.one()]}
-    for rows, cols in mat._components():
+    for rows, cols in matrix._components(mat.entries):
         sizes = {}
         for s in range(1, min(len(rows), len(cols), t) + 1):
             key = (min(rows), s)
@@ -321,7 +410,7 @@ def test_block_minors_are_the_signed_determinants(monkeypatch):
     monkeypatch.setattr(matrix, "_dedupe_monic", list)
     sizes = set()
     for P in _kernel_matrices(random.Random(9)):
-        for rows, cols in P._components():
+        for rows, cols in matrix._components(P.entries):
             table = matrix._component_minor_table(P, rows, cols,
                                                    lambda units: None)
             for t in range(1, min(len(rows), len(cols)) + 2):
@@ -411,7 +500,7 @@ def test_generic_rank_equals_the_whole_matrix_elimination():
     for P in matrices:
         rank = _whole_matrix_rank(P)
         assert P.generic_rank() == rank, P.entries
-        blocks = P._components()
+        blocks = matrix._components(P.entries)
         deficient += rank < sum(min(len(r), len(c)) for r, c in blocks)
     assert deficient >= 3
 

@@ -11,13 +11,12 @@ from jumploci import GF, PolyRing
 from jumploci import resolution
 from jumploci.matrix import PolyMatrix
 from jumploci.poly import Polynomial
-from jumploci.groebner import (Ideal, ModuleGB, _vec_add, module_hilbert_data,
-                               vector_of)
+from jumploci.groebner import Ideal, ModuleGB, _vec_add, module_hilbert_data
 from jumploci.resolution import (RingData, PipelineError, TruncationNeeded,
                                  FreeResolution, resolve_over_a, resolve_over_b,
                                  dualize_over_a, _check_concentration,
                                  fit_quasi_polynomial, column_degree,
-                                 columns_to_matrix, split_unit_entries)
+                                 split_unit_entries)
 
 from jumploci.homotopy import compute_higher_homotopies
 from jumploci.loci import crk_at
@@ -238,20 +237,24 @@ def test_graded_run_settles_one_degree_at_a_time():
 
 
 def _column_times(syzygy, cols):
-    """sum_i s_i * cols[i] as a module vector."""
+    """sum_i s_i * cols[i] as a module vector, for a module vector s."""
     out = {}
-    for s, col in zip(syzygy, cols):
-        for m, c in s.terms.items():
-            out = _vec_add(GF101, out, col, c, m)
+    for (i, m), c in syzygy.items():
+        out = _vec_add(GF101, out, cols[i], c, m)
     return out
 
 
+def _first(v, n):
+    """The terms of the module vector ``v`` in its first ``n`` components."""
+    return {(i, m): c for (i, m), c in v.items() if i < n}
+
+
 def _check_stage_syzygies(row_degrees, quotient, seed):
-    """Each syzygy of a tracked graded run has one entry per kept column
-    and maps the kept columns into the span of the ``quotient`` columns;
-    together they generate the same module as the syzygies of a separate
-    tracked basis of the kept columns and the quotient columns, cut to the
-    kept coordinates."""
+    """Each syzygy of a tracked graded run lies in the coordinates of the
+    kept columns and maps the kept columns into the span of the
+    ``quotient`` columns; together they generate the same module as the
+    syzygies of a separate tracked basis of the kept columns and the
+    quotient columns, cut to the kept coordinates."""
     rank = len(row_degrees)
     span = ModuleGB(A3, rank, quotient)
     rng = random.Random(seed)
@@ -260,11 +263,10 @@ def _check_stage_syzygies(row_degrees, quotient, seed):
         gb = ModuleGB(A3, rank, cols, True, row_degrees, quotient)
         kept = [cols[j] for j in gb.kept]
         new = gb.syzygies()
-        assert all(len(s) == len(kept) for s in new)
+        assert all(i < len(kept) for s in new for i, _ in s)
         assert all(span.contains(_column_times(s, kept)) for s in new)
         old = ModuleGB(A3, rank, kept + quotient, track=True).syzygies()
-        old = [vector_of(s[:len(kept)], A3) for s in old]
-        new = [vector_of(s, A3) for s in new]
+        old = [_first(s, len(kept)) for s in old]
         for these, those in ((old, new), (new, old)):
             gb = ModuleGB(A3, len(kept), those)
             assert all(gb.contains(v) for v in these)
@@ -284,6 +286,82 @@ def test_stage_syzygies_are_the_kernel_over_a(row_degrees):
     """The stage syzygies of a run with no quotient columns, as over A:
     they map the kept columns to zero."""
     _check_stage_syzygies(row_degrees, [], f"kernel over A{row_degrees}")
+
+
+def _old_syzygies(gb):
+    """The syzygies as ``ModuleGB.syzygies`` gave them before they were
+    module vectors: per syzygy, one polynomial per kept column."""
+    out = []
+    for v in gb._syzygies:
+        per = [dict() for _ in range(gb.ncols)]
+        for (comp, m), c in v.items():
+            per[comp - gb.rank][m] = c
+        out.append([Polynomial(gb.ring, per[j]) for j in gb.kept])
+    return out
+
+
+def _old_lift(gb, v):
+    """The lift as ``ModuleGB.lift`` gave it before it was a module
+    vector: its nonzero polynomials keyed by kept position, or None."""
+    w, lead = gb._reduce_full({k: c for k, c in v.items() if k[0] < gb.rank})
+    if lead is not None:
+        return None
+    per = {}
+    for (comp, m), c in w.items():
+        per.setdefault(comp - gb.rank, {})[m] = c
+    at = {j: p for p, j in enumerate(gb.kept)}
+    return {at[j]: Polynomial(gb.ring, terms) for j, terms in per.items()}
+
+
+def _as_vector(polys):
+    """The module vector of a mapping component -> polynomial."""
+    return {(i, m): c for i, p in polys.items() for m, c in p.terms.items()}
+
+
+def test_syzygies_and_lifts_are_the_old_coefficients():
+    """``syzygies()`` and ``lift()`` give, as module vectors, the
+    polynomials they gave before, in the coordinates of the kept columns:
+    graded tracked runs that drop columns, with no ``modulo`` and with the
+    f_k e_j, and ungraded runs with a zero column, in ranks 1 and 2.  Each
+    syzygy s, and each lift c of a vector v, puts sum s_i kept_i, and
+    v + sum c_i kept_i, in the span of ``modulo``."""
+    ci = RingData(A3, [A3.parse("x^3"), A3.parse("y^3")])
+    rng = random.Random(71)
+    moved = zero_columns = lifted = missed = 0
+    for row_degrees in [(0,), (0, 1), (2, 0)] * 2:
+        rank = len(row_degrees)
+        quotient = ci.quotient_columns(rank)
+        in_span = {(): lambda v: not v,
+                   "quotient": ModuleGB(A3, rank, quotient).contains}
+        cols = _column_set(rng, row_degrees)
+        runs = [(ModuleGB(A3, rank, cols, True, row_degrees), ()),
+                (ModuleGB(A3, rank, cols, True, row_degrees, quotient),
+                 "quotient"),
+                (ModuleGB(A3, rank, cols, track=True), ())]
+        for gb, modulo in runs:
+            kept = [cols[j] for j in gb.kept]
+            moved += any(p != j for p, j in enumerate(gb.kept))
+            zero_columns += {} in kept
+            assert gb.syzygies() == [_as_vector(dict(enumerate(s)))
+                                     for s in _old_syzygies(gb)]
+            assert all(in_span[modulo](_column_times(s, kept))
+                       for s in gb.syzygies())
+            targets = [_vec_add(GF101, {}, rng.choice(cols),
+                                rng.randrange(1, 101)) for _ in range(3)]
+            targets += [_vec_add(GF101, rng.choice(cols), rng.choice(cols)),
+                        _random_column(rng, max(row_degrees) + 1,
+                                       row_degrees)]
+            for v in targets:
+                c, old = gb.lift(v), _old_lift(gb, v)
+                if old is None:
+                    assert c is None
+                    missed += 1
+                    continue
+                assert c == _as_vector(old)
+                assert in_span[modulo](
+                    _vec_add(GF101, v, _column_times(c, kept)))
+                lifted += 1
+    assert moved and zero_columns and lifted and missed
 
 
 def _extend_echelon(fld, echelon, v) -> bool:
@@ -356,7 +434,7 @@ def _two_run_resolution_over_b(rd, pres, truncation):
             return degrees, False
         gb = ModuleGB(ring, rank, cols + rd.quotient_columns(rank),
                       track=True)
-        cols = [_reduce_column(vector_of(s[:len(cols)], ring), nf, ring)
+        cols = [_reduce_column(_first(s, len(cols)), nf, ring)
                 for s in gb.syzygies()]
 
 
@@ -401,10 +479,10 @@ def _two_run_resolution_over_a(rd, pres):
         if not cols:
             return FreeResolution(rd, diffs, degrees, complete=True,
                                   image_bases=bases)
-        diffs.append(columns_to_matrix(ring, cols, rank))
+        diffs.append(PolyMatrix.from_columns(ring, rank, cols))
         degrees.append([column_degree(ring, c, degrees[-1]) for c in cols])
         gb = bases[len(diffs)] = ModuleGB(ring, rank, cols, track=True)
-        cols = [vector_of(s, ring) for s in gb.syzygies()]
+        cols = gb.syzygies()
 
 
 @functools.cache
@@ -559,7 +637,7 @@ def test_unit_split_keeps_the_hilbert_data():
             if col:
                 cols.append(col)
         nrows = len(row_degrees)
-        before = columns_to_matrix(A3, cols, nrows)
+        before = PolyMatrix.from_columns(A3, nrows, cols)
         out, degrees = split_unit_entries(before, row_degrees)
         old, _, old_degrees = _old_split_unit_entries(cols, nrows,
                                                       row_degrees, GF101)
@@ -569,8 +647,8 @@ def test_unit_split_keeps_the_hilbert_data():
         fitting = [_reduced_minor_ideal(before, t + nrows - len(degrees))
                    for t in range(1, len(degrees) + 1)]
         for cols_after in (out, old):
-            after = columns_to_matrix(A3, [c for c in cols_after if c],
-                                      len(degrees))
+            after = PolyMatrix.from_columns(
+                A3, len(degrees), [c for c in cols_after if c])
             assert module_hilbert_data(after, degrees) == want
             assert [_reduced_minor_ideal(after, t)
                     for t in range(1, len(degrees) + 1)] == fitting

@@ -5,7 +5,7 @@ import random
 import pytest
 
 from jumploci import GF, PolyRing
-from jumploci.groebner import module_hilbert_data
+from jumploci.groebner import ModuleGB, module_hilbert_data
 from jumploci.matrix import PolyMatrix, least_unit
 from jumploci.resolution import RingData, PipelineError, resolve_over_a
 from jumploci.homotopy import compute_higher_homotopies, ingest_dg_structure
@@ -232,6 +232,37 @@ def test_koszul_object_rejects_mixed_internal_degree():
     assert_twisted_complex(koszul_object(X, S.parse("chi2")))
     with pytest.raises(PipelineError, match="one internal degree"):
         koszul_object(X, S.parse("chi1 + chi2"))
+
+
+def test_homology_relations_express_the_boundaries(nonregular_action):
+    """With Z the cycle generators as columns, Z times the presentation is
+    the nonzero columns of D, in order, and then zero columns: the first
+    relations express the boundaries in the cycles, and the rest are the
+    syzygies of the cycles.  Checked on the nonregular model, on random
+    complexes over GF(5), and on D = (chi1 chi2 chi3) in one row, whose
+    three Koszul cycles have a syzygy."""
+    rng = random.Random(23)
+    S = PolyRing(GF5, ("chi1", "chi2"), (2, 2))
+    complexes = [minimalize(nonregular_action[3])]
+    complexes += [random_twisted_complex(S, rng) for _ in range(6)]
+    S3 = PolyRing(GF101, ("chi1", "chi2", "chi3"), (2, 2, 2))
+    complexes.append(TwistedComplex(
+        S3, [(0, 0)] + [(1, 0)] * 3,
+        PolyMatrix(S3, 4, 4, {(0, j + 1): S3.gen(j) for j in range(3)})))
+    syzygies = 0
+    for X in complexes:
+        mat, degs = homology_presentation(X)
+        cycles = ModuleGB(X.S, X.rank, X.D.columns_as_vectors(),
+                          track=True).syzygies()
+        assert len(degs) == len(cycles) == mat.nrows
+        if not cycles:
+            continue
+        Z = PolyMatrix.from_columns(X.S, X.rank, cycles)
+        boundaries = [v for v in X.D.columns_as_vectors() if v]
+        want = boundaries + [{}] * (mat.ncols - len(boundaries))
+        assert (Z @ mat).columns_as_vectors() == want
+        syzygies += mat.ncols - len(boundaries)
+    assert syzygies > 0
 
 
 def test_minimalize_preserves_hilbert_series_of_homology():
