@@ -51,7 +51,7 @@ class PolyMatrix:
             for (r, c), p in entries.items():
                 if not (0 <= r < nrows and 0 <= c < ncols):
                     raise IndexError("entry out of range")
-                if isinstance(p, Polynomial) and not p.is_zero():
+                if not p.is_zero():
                     self.entries[(r, c)] = p
         self._minor_table = None  # t -> minors, built by the first minors()
 
@@ -59,21 +59,14 @@ class PolyMatrix:
 
     @classmethod
     def from_rows(cls, ring: PolyRing, rows):
-        """Build from a list of lists of polynomials (or parseable strings)."""
+        """Build from a list of lists of polynomials."""
         nrows = len(rows)
         ncols = len(rows[0]) if nrows else 0
-        entries = {}
-        for r, row in enumerate(rows):
-            if len(row) != ncols:
-                raise ValueError("ragged matrix rows")
-            for c, p in enumerate(row):
-                if isinstance(p, str):
-                    p = ring.parse(p)
-                elif not isinstance(p, Polynomial):
-                    p = ring.const(p)
-                if not p.is_zero():
-                    entries[(r, c)] = p
-        return cls(ring, nrows, ncols, entries)
+        if any(len(row) != ncols for row in rows):
+            raise ValueError("ragged matrix rows")
+        return cls(ring, nrows, ncols, {(r, c): p
+                                        for r, row in enumerate(rows)
+                                        for c, p in enumerate(row)})
 
     @classmethod
     def from_columns(cls, ring: PolyRing, nrows: int, cols):
@@ -98,9 +91,6 @@ class PolyMatrix:
 
     # -- basic access ---------------------------------------------------
 
-    def get(self, r: int, c: int) -> Polynomial:
-        return self.entries.get((r, c), self.ring.zero())
-
     def columns_as_vectors(self):
         """Each column as {(component, monomial): coeff} over free module rows."""
         cols = [dict() for _ in range(self.ncols)]
@@ -122,31 +112,9 @@ class PolyMatrix:
 
     # -- arithmetic -----------------------------------------------------
 
-    def __add__(self, other):
-        if (self.nrows, self.ncols) != (other.nrows, other.ncols):
-            raise ValueError("shape mismatch")
-        out = dict(self.entries)
-        for k, p in other.entries.items():
-            s = out.get(k)
-            s = p if s is None else s + p
-            if s.is_zero():
-                out.pop(k, None)
-            else:
-                out[k] = s
-        return PolyMatrix(self.ring, self.nrows, self.ncols, out)
-
     def __neg__(self):
         return PolyMatrix(self.ring, self.nrows, self.ncols,
                           {k: -p for k, p in self.entries.items()})
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def scale(self, p: Polynomial):
-        if isinstance(p, (int,)) or not isinstance(p, Polynomial):
-            p = self.ring.const(p)
-        return PolyMatrix(self.ring, self.nrows, self.ncols,
-                          {k: v * p for k, v in self.entries.items()})
 
     def __matmul__(self, other: "PolyMatrix") -> "PolyMatrix":
         if self.ncols != other.nrows:

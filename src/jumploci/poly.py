@@ -62,9 +62,6 @@ class PolyRing:
         exp[i] = 1
         return Polynomial(self, {tuple(exp): self.field.one()})
 
-    def gens(self):
-        return [self.gen(i) for i in range(self.nvars)]
-
     def const(self, c) -> "Polynomial":
         c = self.field.coerce(c)
         if not c:
@@ -172,15 +169,10 @@ class Polynomial:
         return self + (-other)
 
     def __mul__(self, other):
-        if not isinstance(other, Polynomial):
-            return self.scale(other)
         self._check(other)
         return Polynomial(self.ring,
                           product_terms(self.ring.field, self.terms,
                                         other.terms))
-
-    def __rmul__(self, other):
-        return self.scale(other)
 
     def scale(self, c):
         c = self.ring.field.coerce(c)
@@ -188,17 +180,6 @@ class Polynomial:
             return self.ring.zero()
         fld = self.ring.field
         return Polynomial(self.ring, {m: fld.mul(v, c) for m, v in self.terms.items()})
-
-    def __pow__(self, n: int):
-        out = self.ring.one()
-        base = self
-        while n > 0:
-            if n & 1:
-                out = out * base
-            n >>= 1
-            if n:
-                base = base * base
-        return out
 
     def monic(self) -> "Polynomial":
         if not self.terms:

@@ -279,16 +279,12 @@ def _check_concentration(res: FreeResolution) -> bool:
     grade M = n - dim M and not at grade M or at pd M (Bruns-Herzog,
     Cohen-Macaulay Rings, 1.3.3).  So the dual is concentrated exactly
     when L = 0 or n - dim M = L, with dim M read off the leading monomials
-    of a basis of im d_1: the tracked one ``resolve_over_a`` kept, or else
-    one untracked run of the columns of d_1, which needs no syzygies.
+    of the basis of im d_1 that ``resolve_over_a`` kept (``image_bases``).
     """
     L = res.length
     if L == 0:
         return True
-    d1 = res.differentials[0]
-    gb = res.image_bases.get(1) or ModuleGB(d1.ring, d1.nrows,
-                                            d1.columns_as_vectors())
-    return L == res.ring_data.n - gb.dimension()
+    return L == res.ring_data.n - res.image_bases[1].dimension()
 
 
 # -- Betti tables and quasi-polynomial tails -------------------------------

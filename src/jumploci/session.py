@@ -436,7 +436,8 @@ class Pipeline:
     @cached_property
     def dual_is_module(self) -> bool:
         """Whether M has a dual module M*, whose Betti numbers ``betti``
-        prints: Hom_A(F, A) is concentrated.  A resolution of length 0
+        prints: Hom_A(F, A) is concentrated.  Read for a cokernel only,
+        whose resolution keeps its stage-1 run.  A resolution of length 0
         resolves the zero module here (f annihilates no nonzero free
         module), and ``betti`` prints no dual for it."""
         return (self.resolution.length > 0

@@ -28,6 +28,16 @@ def matrix_of(ring, rows):
                                        for row in rows])
 
 
+def matrix_sum(a: PolyMatrix, b: PolyMatrix) -> PolyMatrix:
+    """a + b, entry by entry with polynomial arithmetic; a zero sum is
+    not stored.  ``matrix_sum(a, -b)`` is a - b."""
+    assert (a.nrows, a.ncols) == (b.nrows, b.ncols), "shape mismatch"
+    entries = dict(a.entries)
+    for key, p in b.entries.items():
+        entries[key] = entries[key] + p if key in entries else p
+    return PolyMatrix(a.ring, a.nrows, a.ncols, entries)
+
+
 def assert_twisted_complex(X: TwistedComplex) -> TwistedComplex:
     """The contract every constructor of a twisted complex keeps, checked
     from scratch: D is square of size rank, D^2 = 0, and each entry at

@@ -261,7 +261,8 @@ def _fmt_matrix(rows) -> str:
 
 
 def _matrix_rows(mat: PolyMatrix):
-    return [[mat.get(i, j) for j in range(mat.ncols)]
+    zero = mat.ring.zero()
+    return [[mat.entries.get((i, j), zero) for j in range(mat.ncols)]
             for i in range(mat.nrows)]
 
 

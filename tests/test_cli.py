@@ -332,6 +332,22 @@ def test_realize_needs_chain(capfd):
     assert code == 1 and "chain" in err
 
 
+@pytest.mark.parametrize("first, second, says", [
+    ("chi1 + chi2", "chi1 - chi2", "chain is not descending"),
+    ("chi1*chi2", "chi1^2*chi2", "chain is not strictly descending"),
+])
+def test_realize_rejects_a_chain_that_does_not_descend(capfd, tmp_path,
+                                                       first, second, says):
+    """V(chi1 - chi2) does not lie in V(chi1 + chi2), which only the
+    Rabinowitsch stage of the radical test decides; chi1*chi2 and
+    chi1^2*chi2 have one radical, so their varieties are equal."""
+    chain = tmp_path / "bad.chain"
+    chain.write_text("field GF(101)\nring chi1, chi2\nmember 0\n"
+                     f"member {first}\nmember {second}\nmember 1\n")
+    code, out, err = _run(capfd, ["realize", "--chain", str(chain)])
+    assert (code, out, err) == (1, "", f"error: {says}\n")
+
+
 # -- error handling ---------------------------------------------------------
 
 

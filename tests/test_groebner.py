@@ -81,7 +81,7 @@ def test_koszul_syzygy_of_two_variables():
     syz = syzygy_matrix(P)
     assert syz.ncols == 1
     assert (P @ syz).is_zero()
-    col = [syz.get(0, 0), syz.get(1, 0)]
+    col = [syz.entries[0, 0], syz.entries[1, 0]]
     assert sorted(str(p.monic()) for p in col) == ["x", "y"]
 
 

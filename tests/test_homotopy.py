@@ -17,7 +17,7 @@ from jumploci.session import parse_session
 from jumploci.twisted import build_twisted_complex
 
 from conftest import (REPO, SESSIONS, PAIR_BLOCK_SESSION, matrix_of,
-                      random_monomial_rows, random_monomial_rows_3)
+                      matrix_sum, random_monomial_rows, random_monomial_rows_3)
 from oracles import _splittings, dualize_and_verify, verify_system
 
 GF101 = GF(101)
@@ -31,7 +31,7 @@ def test_single_hypersurface_homotopy_is_identity():
     sys = compute_higher_homotopies(res, rd)
     sigma = sys.sigma[(1,)][0]
     assert sigma.nrows == sigma.ncols == 1
-    assert str(sigma.get(0, 0)) == "1"
+    assert str(sigma.entries[0, 0]) == "1"
 
 
 def test_residue_field_system_verifies():
@@ -101,7 +101,7 @@ def test_perturbing_one_block_breaks_verification(flag_pipeline):
             bump = PolyMatrix(rd.ring, ranks[t + deg], ranks[t], {(0, 0): x})
             block = blocks.get(t)
             sigma = {K: dict(b) for K, b in sys.sigma.items()}
-            sigma[J][t] = bump if block is None else block + bump
+            sigma[J][t] = bump if block is None else matrix_sum(block, bump)
             broken = HigherHomotopySystem(res, sigma)
             with pytest.raises(AssertionError,
                                match=rf"fails for J={re.escape(str(J))} "
@@ -220,7 +220,8 @@ def _every_block_sigma(res, rd):
         for t in range(0, L - deg + 1):
             target = rhs(t)
             if t >= 1:
-                target = target - blocks[t - 1] @ res.differentials[t - 1]
+                target = matrix_sum(
+                    target, -(blocks[t - 1] @ res.differentials[t - 1]))
             blocks[t] = lift_through(t + deg, target)
         sigma[J] = blocks
 
@@ -237,7 +238,7 @@ def _every_block_sigma(res, rd):
                     a = sigma[Jp].get(t + 2 * sum(Jpp) - 1)
                     b = sigma[Jpp].get(t)
                     if a is not None and b is not None:
-                        out = out - a @ b
+                        out = matrix_sum(out, -(a @ b))
                 return out
             solve_for(J, rhs)
     return sigma
@@ -353,8 +354,8 @@ def _two_loop_dg_check(res, actions, rd):
     for i in range(rd.c):
         for j in range(i, rd.c):
             for t in range(L - 1):
-                total = (actions[i][t + 1] @ actions[j][t]
-                         + actions[j][t + 1] @ actions[i][t])
+                total = matrix_sum(actions[i][t + 1] @ actions[j][t],
+                                   actions[j][t + 1] @ actions[i][t])
                 if not total.is_zero():
                     return (f"e{i + 1}*e{j + 1} + e{j + 1}*e{i + 1} != 0 "
                             f"at block {t}, entry {min(total.entries)}")
@@ -362,9 +363,10 @@ def _two_loop_dg_check(res, actions, rd):
         for t in range(L + 1):
             acc = PolyMatrix.identity(rd.ring, ranks[t], scalar=-rd.ci[i])
             if t < L:
-                acc = acc + res.differentials[t] @ actions[i][t]
+                acc = matrix_sum(acc, res.differentials[t] @ actions[i][t])
             if t >= 1:
-                acc = acc + actions[i][t - 1] @ res.differentials[t - 1]
+                acc = matrix_sum(acc,
+                                 actions[i][t - 1] @ res.differentials[t - 1])
             if not acc.is_zero():
                 return (f"d*e{i + 1} + e{i + 1}*d != f_{i + 1}*id "
                         f"at block {t}, entry {min(acc.entries)}")
@@ -428,20 +430,22 @@ def _perturbed(rng, rd, res, actions):
         b = out[i][t]
         bump = {(rng.randrange(b.nrows), rng.randrange(b.ncols)):
                 _random_term(rng, rd.ring)}
-        out[i][t] = b + PolyMatrix(rd.ring, b.nrows, b.ncols, bump)
+        out[i][t] = matrix_sum(b, PolyMatrix(rd.ring, b.nrows, b.ncols, bump))
     elif kind == "scale":
         g = _random_term(rng, rd.ring)
         while g == rd.ring.one():
             g = _random_term(rng, rd.ring)
-        out[i] = [b.scale(g) for b in out[i]]
+        out[i] = [b @ PolyMatrix.identity(rd.ring, b.ncols, scalar=g)
+                  for b in out[i]]
     else:
         for t in range(L - 1):
             s = PolyMatrix(rd.ring, ranks[t + 2], ranks[t],
                            {(r, c): _random_term(rng, rd.ring)
                             for r in range(ranks[t + 2])
                             for c in range(ranks[t]) if rng.random() < 0.6})
-            out[i][t] = out[i][t] + res.differentials[t + 1] @ s
-            out[i][t + 1] = out[i][t + 1] - s @ res.differentials[t]
+            out[i][t] = matrix_sum(out[i][t], res.differentials[t + 1] @ s)
+            out[i][t + 1] = matrix_sum(out[i][t + 1],
+                                       -(s @ res.differentials[t]))
     return out
 
 

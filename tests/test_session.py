@@ -281,11 +281,13 @@ def test_build_pipeline_complex_route_with_dual():
 def test_dual_is_module_equals_the_syzygy_route():
     """``dual_is_module`` (Auslander-Buchsbaum on the minimal resolution)
     says what the syzygies of the transposed differentials say, on every
-    session and benchmark input, on the zero module (no dual printed) and
-    on a module of depth 0 and dimension 1 (not concentrated)."""
+    cokernel session and benchmark input, on the zero module (no dual
+    printed) and on a module of depth 0 and dimension 1 (not
+    concentrated).  Its one reader, ``betti``, takes cokernels only."""
     texts = [p.read_text() for p in
              sorted(SESSIONS.glob("*.session"))
              + sorted((REPO / "perfbench" / "inputs").glob("*.session"))]
+    texts = [text for text in texts if "module coker" in text]
     texts += ["field GF(101)\nring x, y\nci x^2, y^2\nmodule coker [[1]]\n",
               "field GF(101)\nring x, y, z\nci x^3, y^3\n"
               "module coker [[x^3, y^3, x*z]]\n"]

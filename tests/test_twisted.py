@@ -17,7 +17,7 @@ from jumploci.twisted import (TwistedComplex, build_twisted_complex,
 from jumploci.loci import crk_at, jump_locus_ideal
 
 from conftest import (REPO, SESSIONS, assert_twisted_complex, matrix_of,
-                      koszul_action_pipeline, random_homogeneous,
+                      matrix_sum, koszul_action_pipeline, random_homogeneous,
                       random_twisted_complex, random_monomial_rows)
 from oracles import explicit_dual, shift
 
@@ -347,7 +347,8 @@ def _conjugate(X: TwistedComplex, rng) -> TwistedComplex:
     s = random_homogeneous(X.S, rng, coh[j] - coh[i])
     one = PolyMatrix.identity(X.S, X.rank)
     N = PolyMatrix(X.S, X.rank, X.rank, {(i, j): s})
-    return TwistedComplex(X.S, X.basis_degrees, (one + N) @ X.D @ (one - N),
+    return TwistedComplex(X.S, X.basis_degrees,
+                          matrix_sum(one, N) @ X.D @ matrix_sum(one, -N),
                           X.chi_internal)
 
 
