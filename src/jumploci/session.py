@@ -436,10 +436,15 @@ class Pipeline:
     @cached_property
     def dual_is_module(self) -> bool:
         """Whether M has a dual module M*, whose Betti numbers ``betti``
-        prints: Hom_A(F, A) is concentrated.  Read for a cokernel only,
-        whose resolution keeps its stage-1 run.  A resolution of length 0
-        resolves the zero module here (f annihilates no nonzero free
-        module), and ``betti`` prints no dual for it."""
+        prints: Hom_A(F, A) is concentrated.  Decided for a cokernel only,
+        whose resolution keeps its stage-1 run; a pipeline built from a
+        complex raises PipelineError.  A resolution of length 0 resolves
+        the zero module here (f annihilates no nonzero free module), and
+        ``betti`` prints no dual for it."""
+        if self.presentation is None:
+            raise PipelineError(
+                "the dual module is decided for a module given as a "
+                "cokernel only")
         return (self.resolution.length > 0
                 and _check_concentration(self.resolution))
 

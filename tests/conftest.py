@@ -23,6 +23,22 @@ SESSIONS = REPO / "sessions"
 CHAINS = REPO / "chains"
 
 
+# Chains that ``realize`` rejects, with the error output it prints.
+# V(chi1 - chi2) does not lie in V(chi1 + chi2), which only the
+# Rabinowitsch stage of the radical test decides; chi1*chi2 and
+# chi1^2*chi2 have one radical, so their varieties are equal.
+NON_DESCENDING_CHAINS = {
+    "ascending.chain": (
+        "field GF(101)\nring chi1, chi2\n"
+        "member 0\nmember chi1 + chi2\nmember chi1 - chi2\nmember 1\n",
+        "error: chain is not descending\n"),
+    "flat.chain": (
+        "field GF(101)\nring chi1, chi2\n"
+        "member 0\nmember chi1*chi2\nmember chi1^2*chi2\nmember 1\n",
+        "error: chain is not strictly descending\n"),
+}
+
+
 def matrix_of(ring, rows):
     return PolyMatrix.from_rows(ring, [[ring.parse(e) for e in row]
                                        for row in rows])

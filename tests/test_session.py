@@ -5,6 +5,7 @@ import re
 import pytest
 
 from jumploci.groebner import ModuleGB
+from jumploci.resolution import PipelineError
 from jumploci.session import (Session, SessionError, parse_session,
                               build_pipeline)
 from jumploci.cli import parse_chain_file
@@ -283,22 +284,28 @@ def test_dual_is_module_equals_the_syzygy_route():
     says what the syzygies of the transposed differentials say, on every
     cokernel session and benchmark input, on the zero module (no dual
     printed) and on a module of depth 0 and dimension 1 (not
-    concentrated).  Its one reader, ``betti``, takes cokernels only."""
+    concentrated).  On a session given as a complex, whose resolution
+    keeps no stage-1 run, it raises PipelineError."""
     texts = [p.read_text() for p in
              sorted(SESSIONS.glob("*.session"))
              + sorted((REPO / "perfbench" / "inputs").glob("*.session"))]
-    texts = [text for text in texts if "module coker" in text]
     texts += ["field GF(101)\nring x, y\nci x^2, y^2\nmodule coker [[1]]\n",
               "field GF(101)\nring x, y, z\nci x^3, y^3\n"
               "module coker [[x^3, y^3, x*z]]\n"]
     outcomes = set()
     for text in texts:
-        pipeline = build_pipeline(parse_session(text))
+        session = parse_session(text)
+        pipeline = build_pipeline(session)
         assert "dual_is_module" not in vars(pipeline)
+        if session.module.kind == "complex":
+            with pytest.raises(PipelineError, match="cokernel only"):
+                pipeline.dual_is_module
+            outcomes.add(None)
+            continue
         expected = dual_presentation(pipeline.resolution) is not None
         assert pipeline.dual_is_module == expected, text
         outcomes.add(expected)
-    assert outcomes == {True, False}
+    assert outcomes == {True, False, None}
 
 
 # -- the README's examples ------------------------------------------------

@@ -19,7 +19,7 @@ import sys
 
 from jumploci.session import parse_session
 
-from conftest import REPO
+from conftest import NON_DESCENDING_CHAINS, REPO
 
 SRC = REPO / "src" / "jumploci"
 EXEMPT = {"__init__", "__post_init__", "__repr__", "__str__", "__eq__",
@@ -90,14 +90,7 @@ _BAD = {
     "free.session": (
         "field GF(101)\nring x, y\nci x^2, y^2\nmodule coker [[0]]\n",
         "error: f_1 = x^2 does not annihilate the module\n"),
-    "ascending.chain": (
-        "field GF(101)\nring chi1, chi2\n"
-        "member 0\nmember chi1 + chi2\nmember chi1 - chi2\nmember 1\n",
-        "error: chain is not descending\n"),
-    "flat.chain": (
-        "field GF(101)\nring chi1, chi2\n"
-        "member 0\nmember chi1*chi2\nmember chi1^2*chi2\nmember 1\n",
-        "error: chain is not strictly descending\n"),
+    **NON_DESCENDING_CHAINS,
 }
 
 
