@@ -37,12 +37,15 @@ def main() -> int:
         pipe = build_pipeline(session)
         p = session.ring.field.p
         print(f"== {path.name} ==")
+        points = []
         for _ in range(args.points):
             while True:
                 a = [rng.randrange(p) for _ in range(pipe.rd.c)]
                 if any(a):
                     break
-            stable = stable_betti_oracle(pipe.rd, pipe.presentation, a)
+            points.append(a)
+        stables = stable_betti_oracle(pipe.rd, pipe.resolution, points)
+        for a, stable in zip(points, stables):
             crk = crk_at(pipe.X, a)
             total += 1
             equal += stable == crk

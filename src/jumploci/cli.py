@@ -51,8 +51,10 @@ from .session import (Session, SessionError, parse_session, build_pipeline,
 # session takes a few seconds, and the list of Betti numbers grows with n.
 MAX_TRUNCATION = 100_000
 
-# Most points ``oracle`` samples: each resolves M over one hypersurface,
-# about 2.4 ms on the flag session, so 1,000 points take a few seconds.
+# Most points ``oracle`` samples: past one basis of M per command, a point
+# costs the eliminations of its Tate complex and of D at the point, about
+# 0.4 ms on the flag session (1,000 points in 0.42 s, in process, on a
+# shared 2-vCPU VM), so 1,000 points take well under a second.
 MAX_POINTS = 1_000
 
 
@@ -234,13 +236,16 @@ def cmd_oracle(session: Session, args) -> dict:
             f"--points must be at most {MAX_POINTS}, not {count}")
     pipe = build_pipeline(session)
     rng = random.Random(args.seed)
-    results = []
+    points = []
     for _ in range(count):
         while True:
             a = [rng.randrange(fld.p) for _ in range(pipe.rd.c)]
             if any(a):
                 break
-        stable = stable_betti_oracle(pipe.rd, pipe.presentation, a)
+        points.append(a)
+    stables = stable_betti_oracle(pipe.rd, pipe.resolution, points)
+    results = []
+    for a, stable in zip(points, stables):
         crk = crk_at(pipe.X, a)
         results.append({"point": a, "stable_betti": stable, "crk": crk,
                         "equal": stable == crk})

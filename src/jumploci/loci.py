@@ -22,6 +22,19 @@ A-free resolution of M, as ``build_pipeline`` builds it for a cokernel.
 X(M*) is s_dual(X), a transpose with the minor ideals of X, so M and M*
 have the same jump loci by construction.
 
+The point oracle checks crk_a against the stable Betti number of M over
+the hypersurface B_a = A/(sum a_i f_i), through a route that reads no
+homotopy of M.  It is dim H_(n+1)(M (x)_A K(x)<y>), where K(x)<y> is
+Tate's resolution of k over B_a (Illinois J. Math. 1, 1957): the Koszul
+complex on the variables with one divided-power variable y of degree 2.
+Over B_a the Betti numbers are constant from step n on (Eisenbud, Trans.
+AMS 260, 1980).  The complex splits by internal degree, and Tor_i lives
+in the degrees of step i of Shamash's resolution built from F, so one
+basis of M through the top of them, one untracked Groebner run per
+command, serves every point; a point costs eliminations over k only.
+The variables in no relation of M and no f_k are dropped first, and a
+piece of the complex larger than ``MAX_TATE_DIM`` is refused.
+
 ``complexity_of`` (through ``homology_presentation``) and
 ``duality_check`` run in no command.  They are test oracles, kept here
 only because the benchmark tracer wraps them by name.
@@ -31,12 +44,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from operator import add, le
 
 from .poly import PolyRing
-from .matrix import PolyMatrix
-from .groebner import (Ideal, module_hilbert_data,
+from .matrix import scalar_rank
+from .groebner import (Ideal, ModuleGB, module_hilbert_data,
                        dimension_and_multiplicity)
-from .resolution import RingData, PipelineError, resolve_over_b
+from .resolution import RingData, PipelineError, FreeResolution
 from .twisted import (TwistedComplex, minimalize, homology_presentation,
                       direct_sum, koszul_object_list, free_complex)
 
@@ -288,33 +302,310 @@ def realize(S: PolyRing, chain):
 # -- stable Betti oracle --------------------------------------------------
 
 
-def stable_betti_oracle(rd: RingData, presentation: PolyMatrix, a) -> int:
-    """Stable Betti number of M over B_a = A/(g), g = sum a_i f_i.
+def stable_betti_oracle(rd: RingData, resolution: FreeResolution,
+                        points) -> list:
+    """The stable Betti number of M over B_a = A/(g), g = sum a_i f_i, at
+    each point a of ``points``.
 
-    The f_i must share one degree, so that g is a form (``cmd_oracle``
-    checks this), and must annihilate M = coker(presentation), so that g
-    does (``build_pipeline`` checks this); the presentation is resolved
-    as it stands, with no basis of its columns built here.  For a nonzero
-    g in the domain A, syzygy n - 1 of M over B_a is maximal
+    ``resolution`` is the minimal free resolution F of M over A, as
+    ``build_pipeline`` builds it: M = coker d_1.  The f_i must annihilate
+    M, so that g does (``build_pipeline`` checks this), and share one
+    degree, so that g is a form (``cmd_oracle`` checks this before the
+    pipeline is built, and each point is checked here).  For a
+    nonzero g in the domain A, syzygy n - 1 of M over B_a is maximal
     Cohen-Macaulay, so by Eisenbud's matrix factorizations (Trans. AMS
-    260, 1980) beta_i is constant for i >= n and a finite resolution ends
-    by step n.  M is resolved through N = n + 1: 0 when complete, else
-    beta_N; beta_n != beta_N is an internal error.
+    260, 1980) beta_i is constant for i >= n; the value is beta_(n+1),
+    and beta_n != beta_(n+1) is an internal error.
+
+    beta_i = dim Tor_i^B(M, k) is read off Tate's resolution of k over
+    B = B_a (Illinois J. Math. 1, 1957): the Koszul complex K(x) with one
+    divided-power variable y, dy = sum_s h_s e_s, where g = sum_s h_s x_s.
+    So beta_i = dim H_i(M (x)_A K(x)<y>), linear algebra over k on a basis
+    of M (``_TateComplex``); only the y-part depends on a.  The complex
+    splits by internal degree, and Tor_i lives in the degrees of the
+    generators of any free B-resolution at step i, here Shamash's,
+    G_i = sum_j F_(i-2j)(-j deg g) (``_shamash_degrees``).  So M is needed
+    only through the top of them, and a module of infinite length is
+    handled exactly too.  This route reads no homotopy of M, so it checks
+    crk independently; ``resolve_over_b`` is the tests' reference for it.
     """
+    degrees = [_section_degree(rd, a) for a in points]
+    tate = _TateComplex(rd, resolution)
+    return [tate.stable_betti(a, d) for a, d in zip(points, degrees)]
+
+
+def _section_degree(rd: RingData, a) -> int:
+    """The degree of g = sum a_i f_i, after the arity, zero and
+    homogeneity checks; the f_i with a_i != 0 must share one degree."""
     if len(a) != rd.c:
         raise PipelineError("point arity mismatch")
     fld = rd.ring.field
-    fa = rd.ring.zero()
+    g = rd.ring.zero()
     for ai, f in zip(a, rd.ci):
-        fa = fa + f.scale(fld.coerce(ai))
-    if fa.is_zero():
+        g = g + f.scale(fld.coerce(ai))
+    if g.is_zero():
         raise PipelineError("the section sum a_i f_i vanishes")
-    N = rd.n + 1
-    res = resolve_over_b(RingData(rd.ring, [fa]), presentation, N)
-    if res.complete:
-        return 0
-    beta = res.betti()
-    if beta[N - 1] != beta[N]:
-        raise AssertionError(f"hypersurface Betti numbers {beta[N - 1]} and "
-                             f"{beta[N]} at steps {N - 1} and {N} differ")
-    return beta[N]
+    degrees = {f.degree() for ai, f in zip(a, rd.ci) if fld.coerce(ai)}
+    if len(degrees) > 1:
+        raise PipelineError("the section sum a_i f_i is not homogeneous")
+    return g.degree()
+
+
+def _shamash_degrees(res: FreeResolution, i: int, d: int) -> list:
+    """The internal degrees of the generators of G_i = sum_j F_(i-2j)(-jd),
+    step i of the Shamash resolution of M over a hypersurface of degree d:
+    the only degrees where Tor_i(M, k) can be nonzero."""
+    return sorted({e + j * d for j in range(i // 2 + 1)
+                   if i - 2 * j < len(res.degrees)
+                   for e in res.degrees[i - 2 * j]})
+
+
+def _cofactors(terms, n: int) -> list:
+    """h_0..h_(n-1) with f = sum_s h_s x_s, for f given by its terms: each
+    term goes to the first variable it contains.  Linear in f, and f has
+    no constant term."""
+    parts = [{} for _ in range(n)]
+    for m, c in terms.items():
+        s = next(s for s, e in enumerate(m) if e)
+        parts[s][m[:s] + (m[s] - 1,) + m[s + 1:]] = c
+    return parts
+
+
+# Largest piece of the point oracle's Tate complex in one internal degree:
+# the bench inputs need at most 416, and an elimination of 50,000 sparse
+# columns takes a few seconds.  A module of large dimension in many
+# variables, under high-degree f, can need millions; it is refused with a
+# PipelineError before its memory runs out.
+MAX_TATE_DIM = 50_000
+
+
+def _check_size(dim: int):
+    if dim > MAX_TATE_DIM:
+        raise PipelineError(
+            f"the oracle's Tate complex has {dim} basis elements in one "
+            f"internal degree, more than {MAX_TATE_DIM}")
+
+
+class _TateComplex:
+    """M (x)_A K(x)<y> for M = coker d_1 of a free resolution over A, one
+    internal degree at a time.  What no point changes is built on first
+    use and kept: a basis of M, the matrices of the x_s and of the
+    cofactors h_ks of f_k = sum_s h_ks x_s on it, and the Koszul part of
+    each differential.
+
+    A variable in no entry of d_1 and no f_k is a polynomial extension of
+    both M and B_a, which Tor^(B_a)(M, k) does not see, so it is dropped:
+    the x_s below are the variables left, n of them.  M_mu has the basis
+    of the standard monomials (j, alpha) of degree mu of one untracked
+    ``ModuleGB`` run of the columns of d_1 plus the f_k e_j.  A piece of
+    the complex in one internal degree larger than ``MAX_TATE_DIM`` is
+    refused.  A summand M_mu e_S y^(j) sits in homological degree
+    |S| + 2j and internal degree mu + w(S) + j deg g, and
+    d(m e_S y^(j)) = sum_(s in S) +-x_s m e_(S - s) y^(j)
+                     + (-1)^|S| sum_(s not in S) h_s m e_S e_s y^(j-1).
+    """
+
+    def __init__(self, rd: RingData, res: FreeResolution):
+        ring = rd.ring
+        self.field = ring.field
+        self.res = res
+        self.row_degrees = res.degrees[0]
+        rank = len(self.row_degrees)
+        cols = (res.differentials[0].columns_as_vectors() if res.length
+                else []) + rd.quotient_columns(rank)
+        monos = [m for f in rd.ci for m in f.terms]
+        monos += [m for v in cols for _, m in v]
+        used = [s for s in range(ring.nvars) if any(m[s] for m in monos)]
+        self.n = n = len(used)
+        self.weights = tuple(ring.weights[s] for s in used)
+        ring = PolyRing(ring.field, tuple(ring.variables[s] for s in used),
+                        self.weights)
+        cols = [{(r, tuple(m[s] for s in used)): c for (r, m), c in v.items()}
+                for v in cols]
+        self.gb = ModuleGB(ring, rank, cols)
+        self.leads = [[] for _ in range(rank)]
+        for _, (comp, mono) in self.gb.basis:
+            self.leads[comp].append(mono)
+        # multiplier n * (k + 1) + s is h_ks, multiplier s is x_s
+        self.multipliers = [
+            ({tuple(int(t == s) for t in range(n)): self.field.one()},
+             self.weights[s])
+            for s in range(n)]
+        for f in rd.ci:
+            terms = {tuple(m[s] for s in used): c for m, c in f.terms.items()}
+            self.multipliers += [(h, f.degree() - self.weights[s])
+                                 for s, h in enumerate(_cofactors(terms, n))]
+        self.subsets = []
+        for mask in range(1 << n):
+            members = [s for s in range(n) if mask >> s & 1]
+            self.subsets.append(
+                (mask, members, sum(self.weights[s] for s in members)))
+        self._basis = {}
+        self._top = min(self.row_degrees, default=0) - 1
+        self._index = {}
+        self._matrices = {}
+        self._cells = {}
+        self._koszul = {}
+
+    # -- the basis of M and the multiplications on it ----------------------
+
+    def basis(self, mu: int) -> list:
+        """The standard monomials (j, alpha) of degree mu, in sorted order.
+        Every divisor of a standard monomial is standard, so each is x_s
+        times one of degree mu - w_s, or a generator e_j: the degrees are
+        filled in ascending order, from the least generator degree."""
+        zero = (0,) * self.n
+        while self._top < mu:
+            nu = self._top = self._top + 1
+            found = {(j, zero) for j, e in enumerate(self.row_degrees)
+                     if e == nu}
+            for s, w in enumerate(self.weights):
+                for j, alpha in self._basis.get(nu - w, ()):
+                    found.add((j, alpha[:s] + (alpha[s] + 1,) + alpha[s + 1:]))
+            out = sorted((j, alpha) for j, alpha in found
+                         if not any(all(map(le, lead, alpha))
+                                    for lead in self.leads[j]))
+            _check_size(len(out))
+            self._basis[nu] = out
+            self._index.update((b, q) for q, b in enumerate(out))
+        return self._basis.get(mu, [])
+
+    def matrix(self, m: int, mu: int) -> list:
+        """Multiplier m on M_mu, one sparse vector {position: scalar} in
+        the basis of its target degree per basis element of M_mu."""
+        key = (m, mu)
+        out = self._matrices.get(key)
+        if out is None:
+            terms, shift = self.multipliers[m]
+            self.basis(mu + shift)
+            index = self._index
+            out = []
+            for j, alpha in self.basis(mu):
+                v = {(j, tuple(map(add, alpha, beta))): c
+                     for beta, c in terms.items()}
+                out.append({index[t]: c
+                            for t, c in self.gb.normal_form(v).items()})
+            self._matrices[key] = out
+        return out
+
+    # -- the complex ---------------------------------------------------------
+
+    def cells(self, i: int, delta: int, d: int):
+        """The summands M_mu e_S y^(j) of homological degree i and internal
+        degree delta: {(mask, j): (offset, mu)} and the dimension."""
+        key = (i, delta, d)
+        out = self._cells.get(key)
+        if out is None:
+            offsets, dim = {}, 0
+            for mask, members, w in self.subsets:
+                if len(members) > i or (i - len(members)) % 2:
+                    continue
+                j = (i - len(members)) // 2
+                mu = delta - w - j * d
+                size = len(self.basis(mu))
+                if size:
+                    offsets[mask, j] = (dim, mu)
+                    dim += size
+            _check_size(dim)
+            out = self._cells[key] = (offsets, dim)
+        return out
+
+    def koszul(self, i: int, delta: int, d: int) -> list:
+        """d_i in internal degree delta, one entry per summand of its
+        source: the Koszul part of its columns (sparse vectors) and the
+        places (offset, sign, s, mu) of its y-part, h_s on M_mu.  Each
+        s of a column hits a summand of its own, so no two parts of a
+        column share a position."""
+        key = (i, delta, d)
+        out = self._koszul.get(key)
+        if out is not None:
+            return out
+        fld = self.field
+        source, _ = self.cells(i, delta, d)
+        target, _ = self.cells(i - 1, delta, d)
+        out = []
+        for (mask, j), (_, mu) in source.items():
+            members = self.subsets[mask][1]
+            columns = [{} for _ in self.basis(mu)]
+            for pos, s in enumerate(members):
+                place = target.get((mask ^ 1 << s, j))
+                if place is None:
+                    continue
+                for v, image in zip(columns, self.matrix(s, mu)):
+                    for t, c in image.items():
+                        v[place[0] + t] = fld.neg(c) if pos % 2 else c
+            links = []
+            for s in range(self.n if j else 0):
+                place = target.get((mask | 1 << s, j - 1))
+                if mask >> s & 1 or place is None:
+                    continue
+                above = sum(1 for t in members if t > s)
+                sign = -1 if (len(members) + above) % 2 else 1
+                links.append((place[0], sign, s, mu))
+            out.append((columns, links))
+        self._koszul[key] = out
+        return out
+
+    def cofactor_action(self, a):
+        """h(s, mu, sign): sign * h_s on M_mu, with h_s = sum_k a_k h_ks
+        the cofactors of g = sum a_k f_k, one sparse vector with no zero
+        entry per basis element of M_mu; each is formed on first call."""
+        fld = self.field
+        active = [(k, fld.coerce(ak)) for k, ak in enumerate(a)
+                  if fld.coerce(ak)]
+        formed = {}
+
+        def h(s, mu, sign):
+            out = formed.get((s, mu, sign))
+            if out is None:
+                out = []
+                for parts in zip(*(self.matrix(self.n * (k + 1) + s, mu)
+                                   for k, _ in active)):
+                    v = {}
+                    for (_, ak), part in zip(active, parts):
+                        ak = ak if sign > 0 else fld.neg(ak)
+                        for t, c in part.items():
+                            v[t] = fld.add(v.get(t, fld.zero()),
+                                           fld.mul(ak, c))
+                    out.append({t: c for t, c in v.items() if c})
+                formed[s, mu, sign] = out
+            return out
+        return h
+
+    def columns(self, i: int, delta: int, d: int, h) -> list:
+        """The columns of d_i in internal degree delta at the point whose
+        ``cofactor_action`` is h, as sparse vectors."""
+        vectors = []
+        for columns, links in self.koszul(i, delta, d):
+            parts = [(offset, h(s, mu, sign))
+                     for offset, sign, s, mu in links]
+            for q, column in enumerate(columns):
+                v = dict(column)
+                for offset, image in parts:
+                    for t, c in image[q].items():
+                        v[offset + t] = c
+                vectors.append(v)
+        return vectors
+
+    def stable_betti(self, a, d: int) -> int:
+        """beta_n = beta_(n+1) of M over B_a, where g = sum a_k f_k is a
+        nonzero form of degree d."""
+        n = self.n
+        h = self.cofactor_action(a)
+        ranks = {}
+
+        def rank(i, delta):
+            if (i, delta) not in ranks:
+                ranks[i, delta] = scalar_rank(self.columns(i, delta, d, h),
+                                              self.field)
+            return ranks[i, delta]
+
+        beta = [sum(self.cells(i, delta, d)[1] - rank(i, delta)
+                    - rank(i + 1, delta)
+                    for delta in _shamash_degrees(self.res, i, d))
+                for i in (n, n + 1)]
+        if beta[0] != beta[1]:
+            raise AssertionError(f"hypersurface Betti numbers {beta[0]} and "
+                                 f"{beta[1]} at steps {n} and {n + 1} "
+                                 f"differ")
+        return beta[1]

@@ -10,9 +10,10 @@ into the connected components of its support graph, and inside a component
 the nonzero minors of each size grow from those of the size below, one
 Laplace expansion each (``_component_minor_table``).  The minors of every
 size are built together on the first request and cached on the matrix (see
-``PolyMatrix.minors``).  The rank, generic or at a point, is one
-fraction-free elimination per block of a support graph (``_rank``): that
-of the entries, or that of their nonzero values at the point.
+``PolyMatrix.minors``).  The generic rank is one fraction-free
+elimination per block of the support graph (``_rank``); the rank at a
+point eliminates the values there as field scalars (``scalar_rank``), as
+the point oracle eliminates its complexes.
 
 Module vectors ``{(row, monomial): coeff}``, the Groebner engine's format,
 are the columns of a matrix (``columns_as_vectors``) and build one back
@@ -179,17 +180,16 @@ class PolyMatrix:
     # -- rank -----------------------------------------------------------
 
     def rank_at(self, point) -> int:
-        """Rank of the values at ``point``, by the elimination of
-        ``generic_rank`` on the nonzero values as constants."""
+        """Rank of the values at ``point``: the nonzero values, one sparse
+        row per row, eliminated as field scalars by ``scalar_rank``."""
         if len(point) != self.ring.nvars:
             raise ValueError("point arity mismatch")
-        const = self.ring.const
-        values = {}
-        for k, p in self.entries.items():
-            c = p.evaluate(point)
-            if c:
-                values[k] = const(c)
-        return _rank(values, self.ring.one())
+        rows = {}
+        for (r, c), p in self.entries.items():
+            value = p.evaluate(point)
+            if value:
+                rows.setdefault(r, {})[c] = value
+        return scalar_rank(rows.values(), self.ring.field)
 
     def generic_rank(self) -> int:
         """Rank over the fraction field (``_rank``)."""
@@ -342,6 +342,34 @@ def _bareiss_rank(work, one) -> int:
         live_rows = set(r for r, _ in work)
         live_cols = set(c for _, c in work)
     return rank
+
+
+def scalar_rank(vectors, field) -> int:
+    """Rank over ``field`` of sparse vectors ({index: nonzero scalar}, ints
+    mod p or Fractions) by Gaussian elimination: each vector is reduced on
+    its least index by the pivot stored there, until it vanishes or takes
+    that index as a new pivot, scaled to lead with 1."""
+    p = field.p
+    pivots = {}
+    for v in vectors:
+        v = dict(v)
+        while v:
+            lead = min(v)
+            pivot = pivots.get(lead)
+            if pivot is None:
+                inv = field.inv(v[lead])
+                pivots[lead] = {k: field.mul(c, inv) for k, c in v.items()}
+                break
+            factor = v[lead]
+            for k, c in pivot.items():
+                c = v.get(k, 0) - factor * c
+                if p:
+                    c %= p
+                if c:
+                    v[k] = c
+                else:
+                    del v[k]
+    return len(pivots)
 
 
 def least_unit(entries):

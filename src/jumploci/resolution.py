@@ -15,11 +15,12 @@ Resolutions over A are finite, and each run stays on the resolution as
 the basis the higher homotopies lift through d_t.  Resolutions over B are
 truncated and emulate module arithmetic over B inside A by adjoining the
 columns f_k e_j to each run, which is all the reduction modulo (f) there
-is; their last stage takes no syzygies.  ``resolve_over_b`` is the oracle
-route: the Betti numbers the command line prints come from
-H(X) = Ext_B(M, k) (see ``loci.betti_numbers``); it drives the
-hypersurface point oracle and serves as the independent check of that
-closed form in the tests.
+is; their last stage takes no syzygies.  No command resolves over B:
+the Betti numbers the command line prints come from H(X) = Ext_B(M, k)
+(see ``loci.betti_numbers``), and the point oracle reads Tate's complex
+(``loci.stable_betti_oracle``).  ``resolve_over_b`` is the tests'
+reference for both, kept in ``src/`` only because the benchmark tracer
+wraps it by name.
 """
 
 from __future__ import annotations
@@ -179,8 +180,9 @@ def resolve_over_b(rd: RingData, presentation: PolyMatrix, truncation: int,
     not resolved past it: complete exactly when it has fewer stages.  The
     rows of the presentation lie in ``row_degrees``, all 0 by default.
 
-    f must annihilate the cokernel; this is not checked here (the one
-    caller, the point oracle, resolves modules the pipeline has checked).
+    The tests' reference for the Betti numbers and the point oracle, run
+    by no command and kept here only because the benchmark tracer wraps
+    it by name.  f must annihilate the cokernel; this is not checked.
     Each stage is one graded ``ModuleGB`` run over its candidate columns
     modulo the f_k e_j, which keeps a minimal generating set over B.  The
     candidates are taken as they stand, not reduced modulo (f), and the

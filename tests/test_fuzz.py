@@ -1,10 +1,12 @@
 """Fuzzing the input grammars.
 
 Mutated copies of the example session and chain files either parse or
-raise a SessionError.  ``crk`` on small generated coker sessions,
-``compute``, ``dual``, ``crk`` and ``betti`` on small generated complex
-sessions and ``realize`` on mutated chain files exit 0, 1 or 2 with no
-traceback, and print one ``error:`` line exactly when they do not exit 0.
+raise a SessionError.  ``oracle --points 2`` on mutated session files,
+``crk`` and ``oracle --points 2`` on small generated coker sessions,
+``compute``, ``dual``, ``crk``, ``betti`` and ``oracle --points 2`` on
+small generated complex sessions and ``realize`` on mutated chain files
+exit 0, 1 or 2 with no traceback, and print one ``error:`` line exactly
+when they do not exit 0.
 """
 
 import re
@@ -29,13 +31,19 @@ _ENTRY_LINES = ("ci", "module", "complex", "action", "member")
 EDITS = st.lists(st.tuples(st.sampled_from(["drop", "dup", "swap", "zero"]),
                            st.integers(0, 999), st.integers(0, 999)),
                  min_size=1, max_size=4)
+COKER_FILES = sorted(name for name, text in FILES.items()
+                     if "module coker" in text)
+TRADES = st.lists(st.tuples(st.just("trade"), st.integers(0, 999),
+                            st.integers(0, 999)), min_size=1, max_size=3)
 
 
 def _mutate(text: str, over_qq: bool, edits) -> str:
     """``text`` without comments, over QQ when ``over_qq``, with each edit
     (op, i, j) applied to its i-th word: dropped, written twice, swapped
     with the j-th word, or, for op "zero", the i-th polynomial entry word
-    given a coefficient a/0.  No edit moves another word's position."""
+    given a coefficient a/0, and for op "trade", swapped with the j-th
+    when both are variables or both are numbers.  No edit moves another
+    word's position."""
     text = re.sub(r"#.*", "", text)
     if over_qq:
         text = re.sub(r"GF\(\s*\d+\s*\)", "QQ", text)
@@ -59,6 +67,10 @@ def _mutate(text: str, over_qq: bool, edits) -> str:
             pieces[a] *= 2
         elif op == "swap":
             pieces[a], pieces[b] = pieces[b], pieces[a]
+        elif entries and op == "trade":
+            k, m = entries[i % len(entries)], entries[j % len(entries)]
+            if pieces[k].isdigit() == pieces[m].isdigit():
+                pieces[k], pieces[m] = pieces[m], pieces[k]
         elif entries:
             k = entries[i % len(entries)]
             pieces[k] = f"{j % 9 + 1}/0*{pieces[k]}"
@@ -75,6 +87,20 @@ def test_mutated_inputs_raise_only_session_errors(name, over_qq, edits):
         parse(_mutate(FILES[name], over_qq, edits))
     except SessionError:
         pass
+
+
+@settings(max_examples=40, deadline=10000, database=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(st.sampled_from(COKER_FILES), TRADES)
+@example("flag.session", [("trade", 3, 4)])
+def test_oracle_on_mutated_sessions_exits_cleanly(capfd, tmp_path, name,
+                                                  edits):
+    """Variables and numbers traded between the entries of a cokernel
+    session keep it readable, so these sessions reach the pipeline, and
+    those whose f still annihilates M reach the oracle itself."""
+    path = tmp_path / "mutated.session"
+    path.write_text(_mutate(FILES[name], False, edits))
+    _run(capfd, ["oracle", "--input", str(path), "--points", "2"])
 
 
 def _run(capfd, argv):
@@ -151,6 +177,16 @@ def test_crk_on_small_sessions_exits_cleanly(capfd, tmp_path, case):
     _run(capfd, argv)
 
 
+@settings(max_examples=40, deadline=10000, database=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(small_sessions())
+def test_oracle_on_small_sessions_exits_cleanly(capfd, tmp_path, case):
+    text, _ = case
+    path = tmp_path / "small.session"
+    path.write_text(text)
+    _run(capfd, ["oracle", "--input", str(path), "--points", "2"])
+
+
 @st.composite
 def complex_sessions(draw):
     """A session over k[x, y] whose module is the Koszul complex on forms
@@ -196,6 +232,7 @@ def test_commands_on_small_complex_sessions_exit_cleanly(capfd, tmp_path,
     path.write_text(text)
     for command in ("compute", "dual", "crk", "betti"):
         _run(capfd, [command, "--input", str(path)])
+    _run(capfd, ["oracle", "--input", str(path), "--points", "2"])
 
 
 @settings(max_examples=60, deadline=5000, database=None,

@@ -1,10 +1,12 @@
 """Jump loci, complexity, Betti/Bass degrees, duality, realizability."""
 
+import itertools
 import random
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
-from jumploci import GF, PolyRing, loci, twisted
+from jumploci import GF, PolyRing, cli, loci, twisted
 from jumploci.cli import parse_chain_file
 from jumploci.groebner import Ideal, ModuleGB, module_hilbert_data
 from jumploci.matrix import PolyMatrix
@@ -626,15 +628,18 @@ def test_oracle_vanishes_on_perfect_module():
     A = PolyRing(GF101, ("x", "y"))
     rd = RingData(A, [A.parse("x^2"), A.parse("y^2")])
     pres = PolyMatrix.from_rows(A, [[A.parse("x^2"), A.parse("y^2")]])
-    assert stable_betti_oracle(rd, pres, (1, 1)) == 0
+    assert stable_betti_oracle(rd, resolve_over_a(rd, pres), [(1, 1)]) == [0]
 
 
 def test_oracle_rejects_vanishing_section():
     A = PolyRing(GF101, ("x", "y"))
     rd = RingData(A, [A.parse("x^2"), A.parse("y^2")])
     pres = PolyMatrix.from_rows(A, [[A.parse("x")]])
-    with pytest.raises(PipelineError):
-        stable_betti_oracle(rd, pres, (0, 0))
+    res = resolve_over_a(rd, pres)
+    with pytest.raises(PipelineError, match="vanishes"):
+        stable_betti_oracle(rd, res, [(1, 0), (0, 0)])
+    with pytest.raises(PipelineError, match="arity"):
+        stable_betti_oracle(rd, res, [(1, 0, 0)])
 
 
 def test_oracle_is_half_of_crk(final_pipeline):
@@ -642,11 +647,10 @@ def test_oracle_is_half_of_crk(final_pipeline):
     half of the cohomological rank at the same point, on every sample."""
     rd, pres, res, sys, X = final_pipeline
     rng = random.Random(2)
-    for _ in range(6):
-        a = [rng.randrange(101), rng.randrange(101)]
-        if not any(a):
-            continue
-        assert 2 * stable_betti_oracle(rd, pres, a) == crk_at(X, a)
+    points = [a for a in ([rng.randrange(101), rng.randrange(101)]
+                          for _ in range(6)) if any(a)]
+    assert [2 * s for s in stable_betti_oracle(rd, res, points)] == \
+        [crk_at(X, a) for a in points]
 
 
 # -- stable Betti oracle: resolved through n + 1 ----------------------------
@@ -753,9 +757,9 @@ def _points(rd, rng, count):
 def test_oracle_equals_the_doubling_loop_it_replaces():
     rng = random.Random(43)
     for label, rd, pres in _oracle_cases():
-        for a in _points(rd, rng, 2):
-            assert stable_betti_oracle(rd, pres, a) == \
-                _doubling_oracle(rd, pres, a), (label, a)
+        points = _points(rd, rng, 2)
+        assert stable_betti_oracle(rd, resolve_over_a(rd, pres), points) == \
+            [_doubling_oracle(rd, pres, a) for a in points], label
 
 
 def test_hypersurface_betti_numbers_are_constant_from_step_n():
@@ -814,29 +818,171 @@ def test_truncation_at_the_length_of_a_finite_resolution():
     assert not short.complete
     _assert_prefix(short, long, 2)
     assert resolve_over_b(rd, pres, 3).complete
-    assert stable_betti_oracle(rd, pres, (1,)) == 0
+    assert stable_betti_oracle(rd, resolve_over_a(rd, pres), [(1,)]) == [0]
 
 
-def test_oracle_builds_no_basis_of_the_presentation(monkeypatch):
-    """Every run the point oracle makes is a graded stage of its
-    resolution over the section, with the f_k e_j as ``modulo`` columns.
-    It builds no basis of the presentation's own columns: only the check
-    that f annihilates M needed one, and ``build_pipeline`` makes that
-    check once, on the basis the resolution over A keeps."""
+def test_oracle_makes_one_basis_of_m_per_command(monkeypatch, capsys):
+    """An ``oracle`` command makes exactly one ``ModuleGB`` run beyond
+    those of ``build_pipeline``, whatever ``--points`` is: the basis of M
+    that every point shares.  A point adds only linear algebra."""
     runs = []
     init = ModuleGB.__init__
 
-    def counting(self, ring, rank, columns, track=False, row_degrees=None,
-                 modulo=()):
-        runs.append((row_degrees is not None, bool(modulo)))
-        init(self, ring, rank, columns, track, row_degrees, modulo)
+    def counting(self, *args, **kwargs):
+        runs.append(args[1])
+        init(self, *args, **kwargs)
 
     monkeypatch.setattr(ModuleGB, "__init__", counting)
-    rng = random.Random(59)
-    for label, rd, pres in _oracle_cases():
-        for a in _points(rd, rng, 1):
-            fresh = PolyMatrix(pres.ring, pres.nrows, pres.ncols,
-                               pres.entries)
+    paths = [p for p in sorted(SESSIONS.glob("*.session"))
+             if "module coker" in p.read_text()]
+    paths += [BENCH_INPUTS / f"{name}.session"
+              for name in ("m2_n3_e2", "res_n3_e2")]
+    for path in paths:
+        runs.clear()
+        build_pipeline(parse_session(path.read_text()))
+        pipeline_runs = len(runs)
+        for count in (1, 2, 10):
             runs.clear()
-            stable_betti_oracle(rd, fresh, a)
-            assert runs and set(runs) == {(True, True)}, (label, a)
+            assert cli.main(["oracle", "--input", str(path),
+                             "--points", str(count)]) == 0
+            capsys.readouterr()
+            assert len(runs) == pipeline_runs + 1, (path.name, count)
+
+
+def test_oracle_refuses_a_tate_complex_past_its_size_limit(monkeypatch,
+                                                           capsys):
+    """A piece of the Tate complex in one internal degree larger than
+    ``MAX_TATE_DIM`` is an input error, before its elimination; the
+    largest piece of the flag session has 18 basis elements."""
+    monkeypatch.setattr(loci, "MAX_TATE_DIM", 17)
+    assert cli.main(["oracle", "--input", str(SESSIONS / "flag.session"),
+                     "--points", "2"]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: the oracle's Tate complex")
+    assert err.endswith("more than 17\n") and err.count("\n") == 1
+    monkeypatch.setattr(loci, "MAX_TATE_DIM", 18)
+    assert cli.main(["oracle", "--input", str(SESSIONS / "flag.session"),
+                     "--points", "2"]) == 0
+
+
+def test_oracle_fills_the_basis_of_m_up_to_degree_2000():
+    """With f of degree 1000 the Shamash degrees reach 2000, far past the
+    recursion limit; the basis of M is filled degree by degree."""
+    A = PolyRing(GF101, ("x", "y"))
+    rd = RingData(A, [A.parse("x^1000"), A.parse("y^1000")])
+    for row in (["x", "y"], ["x^999", "y"]):
+        pres = PolyMatrix.from_rows(A, [[A.parse(e) for e in row]])
+        points = [(1, 2), (3, 0)]
+        assert stable_betti_oracle(rd, resolve_over_a(rd, pres), points) == \
+            [_resolved_oracle(rd, pres, a) for a in points], row
+
+
+# -- stable Betti oracle: differential test against resolve_over_b ---------
+
+
+def _resolved_oracle(rd, pres, a):
+    """beta_(n+1) of M over the section through ``resolve_over_b``, the
+    route the Tate complex replaced: 0 when the resolution ends first."""
+    N = rd.n + 1
+    res = resolve_over_b(RingData(rd.ring, [_section(rd, a)]), pres, N)
+    if res.complete:
+        return 0
+    beta = res.betti()
+    assert beta[N - 1] == beta[N]
+    return beta[N]
+
+
+def _assert_tate_is_a_complex(rd, res, a):
+    """d_(i-1) d_i = 0 on M (x) K(x)<y> at the point a, for 2 <= i <= n + 2
+    and in every internal degree up to the top one of step n + 2.  The
+    ranks the oracle reads stay the same under a change of sign of whole
+    summands, so only this check sees a sign rule that breaks d^2 = 0."""
+    fld = rd.ring.field
+    tate = loci._TateComplex(rd, res)
+    d = loci._section_degree(rd, a)
+    h = tate.cofactor_action(a)
+    top = max(loci._shamash_degrees(res, rd.n + 2, d), default=-1)
+    for i in range(2, rd.n + 3):
+        for delta in range(top + 1):
+            later = tate.columns(i - 1, delta, d, h)
+            for v in tate.columns(i, delta, d, h):
+                image = {}
+                for t, c in v.items():
+                    for u, e in later[t].items():
+                        image[u] = fld.add(image.get(u, fld.zero()),
+                                           fld.mul(c, e))
+                assert not any(image.values()), (i, delta)
+
+
+def _forms(A, degree):
+    """The monomials of A of weighted degree ``degree``."""
+    return [m for m in itertools.product(range(degree + 1), repeat=A.nvars)
+            if A.wdeg(m) == degree]
+
+
+@st.composite
+def _oracle_inputs(draw):
+    """(p, weights, ci, rows, points) over GF(p)[x, y] or GF(p)[x, y, z]
+    with weights 1 or 2: c <= n ci generators f_k = x_k^e + (other terms)
+    of one weighted degree, linearly independent through their pure
+    powers; one or two rows holding every f_k e_j, so that f annihilates
+    M, and up to three random columns, of degree 0 (unit entries) to 3;
+    and two nonzero points.  With c < n, M has infinite length unless
+    the random columns cut it down."""
+    p = draw(st.sampled_from([3, 5, 101]))
+    n = draw(st.integers(2, 3))
+    weights = tuple(draw(st.sampled_from([1, 1, 2])) for _ in range(n))
+    A = PolyRing(GF(p), ("x", "y", "z")[:n], weights)
+    degree = max(weights) * draw(st.integers(2, 3 if max(weights) == 1
+                                             else 2))
+    c = draw(st.integers(1, n))
+    pure = [tuple(degree // weights[k] * (t == k) for t in range(n))
+            for k in range(n)]
+
+    def form(deg, exclude=()):
+        monos = [m for m in _forms(A, deg) if m not in exclude]
+        chosen = draw(st.lists(st.sampled_from(monos), max_size=3,
+                               unique=True)) if monos else []
+        terms = [(m, draw(st.integers(1, p - 1))) for m in chosen]
+        return " + ".join(f"{c}*{A.monomial(m, 1)}" for m, c in terms) \
+            or "0"
+
+    ci = []
+    for k in range(c):
+        ci.append(f"{A.monomial(pure[k], 1)} + {form(degree, pure[:c])}")
+    r = draw(st.integers(1, 2))
+    cols = [[f if j == row else "0" for row in range(r)]
+            for f in ci for j in range(r)]
+    for _ in range(draw(st.integers(0, 3))):
+        deg = draw(st.integers(0, 3))
+        cols.append([form(deg) for _ in range(r)])
+    cols = draw(st.permutations(cols))
+    rows = [[col[j] for col in cols] for j in range(r)]
+    points = [draw(st.lists(st.integers(0, p - 1), min_size=c, max_size=c)
+                   .filter(any)) for _ in range(2)]
+    return p, weights, ci, rows, points
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(_oracle_inputs())
+# c < n, M of infinite length: stable = 2
+@example((101, (1, 1, 1), ["x^2", "y^2"], [["x*y", "x^2", "y^2"]],
+          [(1, 1), (2, 3)]))
+# two rows, a unit column and a column of degree 1
+@example((5, (1, 1), ["x^2", "y^2"],
+          [["1", "x", "x^2", "y^2", "0", "0"],
+           ["2", "y", "0", "0", "x^2", "y^2"]], [(1, 0), (1, 4)]))
+# weighted variables, ci of one weighted degree with two terms
+@example((7, (1, 2), ["x^4 + 3*x^2*y", "y^2"],
+          [["x^2 + y", "x^4 + 3*x^2*y", "y^2"]], [(1, 1), (0, 2)]))
+def test_oracle_equals_the_resolution_over_the_section(case):
+    p, weights, ci, rows, points = case
+    names = ("x", "y", "z")[:len(weights)]
+    A = PolyRing(GF(p), names, weights)
+    rd = RingData(A, [A.parse(f) for f in ci])
+    pres = PolyMatrix.from_rows(A, [[A.parse(e) for e in row]
+                                    for row in rows])
+    res = resolve_over_a(rd, pres)
+    assert stable_betti_oracle(rd, res, points) == \
+        [_resolved_oracle(rd, pres, a) for a in points]
+    _assert_tate_is_a_complex(rd, res, points[0])

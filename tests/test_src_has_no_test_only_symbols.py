@@ -2,8 +2,10 @@
 
 ``test_every_src_function_is_entered`` runs the program in one child
 process, with a profile hook set before ``import jumploci``: ``cli.main``
-over the jobs of ``_jobs``, then the five routes that no command runs but
+over the jobs of ``_jobs``, then the six routes that no command runs but
 the benchmark tracer wraps by name (``perfbench/tracer.py``), once each.
+``resolve_over_b`` is one of them, read through ``FreeResolution.betti``,
+as the tests read it.
 A ``def`` in the package that none of them entered serves only the tests,
 and belongs in ``tests/oracles.py``.  It is found whatever its name, also
 when another part of ``src/`` uses the same name.  Only the dunders that
@@ -57,7 +59,7 @@ sys.stdout, sys.stderr = out, sys.__stderr__
 
 from jumploci.homotopy import compute_higher_homotopies, dualize_homotopies
 from jumploci.loci import complexity_of, duality_check, jump_loci_report
-from jumploci.resolution import dualize_over_a
+from jumploci.resolution import dualize_over_a, resolve_over_b
 from jumploci.session import build_pipeline, parse_session
 from jumploci.twisted import build_twisted_complex, homology_presentation
 
@@ -68,6 +70,7 @@ homology_presentation(pipe.X)
 complexity_of(pipe.X)
 duality_check(jump_loci_report(pipe.X),
               jump_loci_report(build_twisted_complex(dual, pipe.rd)))
+resolve_over_b(pipe.rd, pipe.presentation, 2).betti()
 sys.setprofile(None)
 
 package = os.path.dirname(jumploci.__file__)
