@@ -44,7 +44,8 @@ def main() -> int:
                 if any(a):
                     break
             points.append(a)
-        stables = stable_betti_oracle(pipe.rd, pipe.resolution, points)
+        stables = stable_betti_oracle(pipe.rd, pipe.resolution,
+                                      pipe.presentation, points)
         for a, stable in zip(points, stables):
             crk = crk_at(pipe.X, a)
             total += 1

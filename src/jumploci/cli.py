@@ -54,7 +54,9 @@ MAX_TRUNCATION = 100_000
 # Most points ``oracle`` samples: past one basis of M per command, a point
 # costs the eliminations of its Tate complex and of D at the point, about
 # 0.4 ms on the flag session (1,000 points in 0.42 s, in process, on a
-# shared 2-vCPU VM), so 1,000 points take well under a second.
+# shared 2-vCPU VM) and up to about 7 ms at ``loci.MAX_TATE_DIM``; past
+# it a point resolves M over its section, 0.2-70 ms on the sessions and
+# bench inputs.
 MAX_POINTS = 1_000
 
 
@@ -243,7 +245,8 @@ def cmd_oracle(session: Session, args) -> dict:
             if any(a):
                 break
         points.append(a)
-    stables = stable_betti_oracle(pipe.rd, pipe.resolution, points)
+    stables = stable_betti_oracle(pipe.rd, pipe.resolution, pipe.presentation,
+                                  points)
     results = []
     for a, stable in zip(points, stables):
         crk = crk_at(pipe.X, a)

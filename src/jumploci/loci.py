@@ -32,8 +32,11 @@ AMS 260, 1980).  The complex splits by internal degree, and Tor_i lives
 in the degrees of step i of Shamash's resolution built from F, so one
 basis of M through the top of them, one untracked Groebner run per
 command, serves every point; a point costs eliminations over k only.
-The variables in no relation of M and no f_k are dropped first, and a
-piece of the complex larger than ``MAX_TATE_DIM`` is refused.
+The variables in no relation of M and no f_k are dropped first.  The
+cost of a point grows with dim_k M through those degrees, so when the
+pieces it eliminates hold more than ``MAX_TATE_DIM`` basis elements, M
+is resolved over each B_a through step n + 1 instead
+(``resolve_over_b``), whose cost does not grow that way.
 
 ``complexity_of`` (through ``homology_presentation``) and
 ``duality_check`` run in no command.  They are test oracles, kept here
@@ -47,10 +50,11 @@ from functools import cached_property
 from operator import add, le
 
 from .poly import PolyRing
-from .matrix import scalar_rank
+from .matrix import PolyMatrix, scalar_rank
 from .groebner import (Ideal, ModuleGB, module_hilbert_data,
                        dimension_and_multiplicity)
-from .resolution import RingData, PipelineError, FreeResolution
+from .resolution import (RingData, PipelineError, FreeResolution,
+                         resolve_over_b)
 from .twisted import (TwistedComplex, minimalize, homology_presentation,
                       direct_sum, koszul_object_list, free_complex)
 
@@ -303,15 +307,16 @@ def realize(S: PolyRing, chain):
 
 
 def stable_betti_oracle(rd: RingData, resolution: FreeResolution,
-                        points) -> list:
+                        presentation: PolyMatrix, points) -> list:
     """The stable Betti number of M over B_a = A/(g), g = sum a_i f_i, at
     each point a of ``points``.
 
     ``resolution`` is the minimal free resolution F of M over A, as
-    ``build_pipeline`` builds it: M = coker d_1.  The f_i must annihilate
-    M, so that g does (``build_pipeline`` checks this), and share one
-    degree, so that g is a form (``cmd_oracle`` checks this before the
-    pipeline is built, and each point is checked here).  For a
+    ``build_pipeline`` builds it, and ``presentation`` the matrix it
+    resolves: M = coker d_1 = coker(presentation).  The f_i must
+    annihilate M, so that g does (``build_pipeline`` checks this), and
+    share one degree, so that g is a form (``cmd_oracle`` checks this
+    before the pipeline is built, and each point is checked here).  For a
     nonzero g in the domain A, syzygy n - 1 of M over B_a is maximal
     Cohen-Macaulay, so by Eisenbud's matrix factorizations (Trans. AMS
     260, 1980) beta_i is constant for i >= n; the value is beta_(n+1),
@@ -327,16 +332,24 @@ def stable_betti_oracle(rd: RingData, resolution: FreeResolution,
     G_i = sum_j F_(i-2j)(-j deg g) (``_shamash_degrees``).  So M is needed
     only through the top of them, and a module of infinite length is
     handled exactly too.  This route reads no homotopy of M, so it checks
-    crk independently; ``resolve_over_b`` is the tests' reference for it.
+    crk independently.
+
+    A point costs the eliminations of the pieces it reads, which grow with
+    dim_k M through the Shamash degrees.  When they hold more than
+    ``MAX_TATE_DIM`` basis elements, M is resolved over B_a through step
+    n + 1 at each point instead (``_resolved_stable_betti``), a Groebner
+    route that reads no homotopy of M either.
     """
     degrees = [_section_degree(rd, a) for a in points]
     tate = _TateComplex(rd, resolution)
-    return [tate.stable_betti(a, d) for a, d in zip(points, degrees)]
+    fits = {d: tate.fits(d) for d in set(degrees)}
+    return [tate.stable_betti(a, d) if fits[d]
+            else _resolved_stable_betti(rd, presentation, a)
+            for a, d in zip(points, degrees)]
 
 
-def _section_degree(rd: RingData, a) -> int:
-    """The degree of g = sum a_i f_i, after the arity, zero and
-    homogeneity checks; the f_i with a_i != 0 must share one degree."""
+def _section(rd: RingData, a):
+    """g = sum a_i f_i, after the arity and zero checks."""
     if len(a) != rd.c:
         raise PipelineError("point arity mismatch")
     fld = rd.ring.field
@@ -345,10 +358,37 @@ def _section_degree(rd: RingData, a) -> int:
         g = g + f.scale(fld.coerce(ai))
     if g.is_zero():
         raise PipelineError("the section sum a_i f_i vanishes")
+    return g
+
+
+def _section_degree(rd: RingData, a) -> int:
+    """The degree of g = sum a_i f_i, after the arity, zero and
+    homogeneity checks; the f_i with a_i != 0 must share one degree."""
+    g = _section(rd, a)
+    fld = rd.ring.field
     degrees = {f.degree() for ai, f in zip(a, rd.ci) if fld.coerce(ai)}
     if len(degrees) > 1:
         raise PipelineError("the section sum a_i f_i is not homogeneous")
     return g.degree()
+
+
+def _resolved_stable_betti(rd: RingData, presentation: PolyMatrix,
+                           a) -> int:
+    """beta_(n+1) of M = coker(presentation) over B_a, resolved there
+    through N = n + 1 (``resolve_over_b``): 0 when the resolution ends
+    first; beta_n != beta_N is an internal error.  n + 1 graded Groebner
+    runs per point, whose cost does not grow with dim_k M the way the
+    Tate complex's does."""
+    N = rd.n + 1
+    res = resolve_over_b(RingData(rd.ring, [_section(rd, a)]), presentation,
+                         N)
+    if res.complete:
+        return 0
+    beta = res.betti()
+    if beta[N - 1] != beta[N]:
+        raise AssertionError(f"hypersurface Betti numbers {beta[N - 1]} and "
+                             f"{beta[N]} at steps {N - 1} and {N} differ")
+    return beta[N]
 
 
 def _shamash_degrees(res: FreeResolution, i: int, d: int) -> list:
@@ -371,19 +411,19 @@ def _cofactors(terms, n: int) -> list:
     return parts
 
 
-# Largest piece of the point oracle's Tate complex in one internal degree:
-# the bench inputs need at most 416, and an elimination of 50,000 sparse
-# columns takes a few seconds.  A module of large dimension in many
-# variables, under high-degree f, can need millions; it is refused with a
-# PipelineError before its memory runs out.
-MAX_TATE_DIM = 50_000
+# Most basis elements of M (x) K(x)<y> over the pieces one point of the
+# oracle eliminates, and of the basis of M they read, for which the Tate
+# route runs; past it each point is resolved over its section.  A point
+# of the Tate route costs about 5 us a basis element: 1 ms at 200, 6.5 ms
+# at 976, 87 ms at 18,000 and 1.2 s at 362,000, where ``resolve_over_b``
+# takes 0.2-70 ms a point on the same inputs (in process, on a shared
+# 2-vCPU VM).  Every ``coker`` session and bench input has at most 192,
+# except ``sq_n6_e2`` (4,448).
+MAX_TATE_DIM = 1_000
 
 
-def _check_size(dim: int):
-    if dim > MAX_TATE_DIM:
-        raise PipelineError(
-            f"the oracle's Tate complex has {dim} basis elements in one "
-            f"internal degree, more than {MAX_TATE_DIM}")
+class _TooLarge(Exception):
+    """The Tate complex outgrows ``MAX_TATE_DIM``."""
 
 
 class _TateComplex:
@@ -397,10 +437,10 @@ class _TateComplex:
     both M and B_a, which Tor^(B_a)(M, k) does not see, so it is dropped:
     the x_s below are the variables left, n of them.  M_mu has the basis
     of the standard monomials (j, alpha) of degree mu of one untracked
-    ``ModuleGB`` run of the columns of d_1 plus the f_k e_j.  A piece of
-    the complex in one internal degree larger than ``MAX_TATE_DIM`` is
-    refused.  A summand M_mu e_S y^(j) sits in homological degree
-    |S| + 2j and internal degree mu + w(S) + j deg g, and
+    ``ModuleGB`` run of the columns of d_1 plus the f_k e_j, filled only
+    while it has at most ``MAX_TATE_DIM`` elements.  A summand
+    M_mu e_S y^(j) sits in homological degree |S| + 2j and internal
+    degree mu + w(S) + j deg g, and
     d(m e_S y^(j)) = sum_(s in S) +-x_s m e_(S - s) y^(j)
                      + (-1)^|S| sum_(s not in S) h_s m e_S e_s y^(j-1).
     """
@@ -456,7 +496,7 @@ class _TateComplex:
         filled in ascending order, from the least generator degree."""
         zero = (0,) * self.n
         while self._top < mu:
-            nu = self._top = self._top + 1
+            nu = self._top + 1
             found = {(j, zero) for j, e in enumerate(self.row_degrees)
                      if e == nu}
             for s, w in enumerate(self.weights):
@@ -465,9 +505,11 @@ class _TateComplex:
             out = sorted((j, alpha) for j, alpha in found
                          if not any(all(map(le, lead, alpha))
                                     for lead in self.leads[j]))
-            _check_size(len(out))
+            if len(self._index) + len(out) > MAX_TATE_DIM:
+                raise _TooLarge
             self._basis[nu] = out
             self._index.update((b, q) for q, b in enumerate(out))
+            self._top = nu
         return self._basis.get(mu, [])
 
     def matrix(self, m: int, mu: int) -> list:
@@ -506,7 +548,6 @@ class _TateComplex:
                 if size:
                     offsets[mask, j] = (dim, mu)
                     dim += size
-            _check_size(dim)
             out = self._cells[key] = (offsets, dim)
         return out
 
@@ -586,6 +627,26 @@ class _TateComplex:
                         v[offset + t] = c
                 vectors.append(v)
         return vectors
+
+    def fits(self, d: int) -> bool:
+        """Whether the pieces a point of degree d eliminates hold at most
+        ``MAX_TATE_DIM`` basis elements together: steps n - 1 to n + 1 in
+        the Shamash degrees of step n, and steps n to n + 2 in those of
+        step n + 1.  They are built in ascending internal degree, and the
+        count stops at the first piece past the limit."""
+        n = self.n
+        pieces = {(delta, i + k) for i in (n, n + 1)
+                  for delta in _shamash_degrees(self.res, i, d)
+                  for k in (-1, 0, 1)}
+        total = 0
+        try:
+            for delta, i in sorted(pieces):
+                total += self.cells(i, delta, d)[1]
+                if total > MAX_TATE_DIM:
+                    return False
+        except _TooLarge:
+            return False
+        return True
 
     def stable_betti(self, a, d: int) -> int:
         """beta_n = beta_(n+1) of M over B_a, where g = sum a_k f_k is a

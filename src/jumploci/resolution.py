@@ -15,12 +15,12 @@ Resolutions over A are finite, and each run stays on the resolution as
 the basis the higher homotopies lift through d_t.  Resolutions over B are
 truncated and emulate module arithmetic over B inside A by adjoining the
 columns f_k e_j to each run, which is all the reduction modulo (f) there
-is; their last stage takes no syzygies.  No command resolves over B:
-the Betti numbers the command line prints come from H(X) = Ext_B(M, k)
-(see ``loci.betti_numbers``), and the point oracle reads Tate's complex
-(``loci.stable_betti_oracle``).  ``resolve_over_b`` is the tests'
-reference for both, kept in ``src/`` only because the benchmark tracer
-wraps it by name.
+is; their last stage takes no syzygies.  The Betti numbers the command
+line prints come from H(X) = Ext_B(M, k) (see ``loci.betti_numbers``),
+and the point oracle reads Tate's complex (``loci.stable_betti_oracle``)
+unless it is too large: then it resolves M over each hypersurface
+section with ``resolve_over_b``, which is also the tests' reference for
+the Betti numbers and the Tate route.
 """
 
 from __future__ import annotations
@@ -180,9 +180,10 @@ def resolve_over_b(rd: RingData, presentation: PolyMatrix, truncation: int,
     not resolved past it: complete exactly when it has fewer stages.  The
     rows of the presentation lie in ``row_degrees``, all 0 by default.
 
-    The tests' reference for the Betti numbers and the point oracle, run
-    by no command and kept here only because the benchmark tracer wraps
-    it by name.  f must annihilate the cokernel; this is not checked.
+    The point oracle's route past the size limit of its Tate complex,
+    and the tests' reference for the Betti numbers and the Tate route.
+    f must annihilate the cokernel; this is not checked (the oracle
+    resolves modules the pipeline has checked).
     Each stage is one graded ``ModuleGB`` run over its candidate columns
     modulo the f_k e_j, which keeps a minimal generating set over B.  The
     candidates are taken as they stand, not reduced modulo (f), and the

@@ -162,7 +162,8 @@ def test_criterion_6_point_oracle_equals_crk():
                 a = [rng.randrange(101) for _ in range(rd.c)]
                 if any(a):
                     break
-            assert stable_betti_oracle(rd, res, [a])[0] == crk_at(X, a), a
+            assert stable_betti_oracle(rd, res, pres, [a])[0] == \
+                crk_at(X, a), a
             checked += 1
     assert checked >= 20
 
@@ -261,4 +262,5 @@ def test_point_oracle_is_exactly_half_of_crk():
                 a = [rng.randrange(101) for _ in range(rd.c)]
                 if any(a):
                     break
-            assert 2 * stable_betti_oracle(rd, res, [a])[0] == crk_at(X, a), a
+            assert 2 * stable_betti_oracle(rd, res, pres, [a])[0] == \
+                crk_at(X, a), a

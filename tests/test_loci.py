@@ -1,6 +1,7 @@
 """Jump loci, complexity, Betti/Bass degrees, duality, realizability."""
 
 import itertools
+import json
 import random
 
 import pytest
@@ -628,7 +629,8 @@ def test_oracle_vanishes_on_perfect_module():
     A = PolyRing(GF101, ("x", "y"))
     rd = RingData(A, [A.parse("x^2"), A.parse("y^2")])
     pres = PolyMatrix.from_rows(A, [[A.parse("x^2"), A.parse("y^2")]])
-    assert stable_betti_oracle(rd, resolve_over_a(rd, pres), [(1, 1)]) == [0]
+    assert stable_betti_oracle(rd, resolve_over_a(rd, pres), pres,
+                               [(1, 1)]) == [0]
 
 
 def test_oracle_rejects_vanishing_section():
@@ -637,9 +639,9 @@ def test_oracle_rejects_vanishing_section():
     pres = PolyMatrix.from_rows(A, [[A.parse("x")]])
     res = resolve_over_a(rd, pres)
     with pytest.raises(PipelineError, match="vanishes"):
-        stable_betti_oracle(rd, res, [(1, 0), (0, 0)])
+        stable_betti_oracle(rd, res, pres, [(1, 0), (0, 0)])
     with pytest.raises(PipelineError, match="arity"):
-        stable_betti_oracle(rd, res, [(1, 0, 0)])
+        stable_betti_oracle(rd, res, pres, [(1, 0, 0)])
 
 
 def test_oracle_is_half_of_crk(final_pipeline):
@@ -649,7 +651,7 @@ def test_oracle_is_half_of_crk(final_pipeline):
     rng = random.Random(2)
     points = [a for a in ([rng.randrange(101), rng.randrange(101)]
                           for _ in range(6)) if any(a)]
-    assert [2 * s for s in stable_betti_oracle(rd, res, points)] == \
+    assert [2 * s for s in stable_betti_oracle(rd, res, pres, points)] == \
         [crk_at(X, a) for a in points]
 
 
@@ -758,7 +760,8 @@ def test_oracle_equals_the_doubling_loop_it_replaces():
     rng = random.Random(43)
     for label, rd, pres in _oracle_cases():
         points = _points(rd, rng, 2)
-        assert stable_betti_oracle(rd, resolve_over_a(rd, pres), points) == \
+        assert stable_betti_oracle(rd, resolve_over_a(rd, pres), pres,
+                                   points) == \
             [_doubling_oracle(rd, pres, a) for a in points], label
 
 
@@ -818,7 +821,8 @@ def test_truncation_at_the_length_of_a_finite_resolution():
     assert not short.complete
     _assert_prefix(short, long, 2)
     assert resolve_over_b(rd, pres, 3).complete
-    assert stable_betti_oracle(rd, resolve_over_a(rd, pres), [(1,)]) == [0]
+    assert stable_betti_oracle(rd, resolve_over_a(rd, pres), pres,
+                               [(1,)]) == [0]
 
 
 def test_oracle_makes_one_basis_of_m_per_command(monkeypatch, capsys):
@@ -849,20 +853,68 @@ def test_oracle_makes_one_basis_of_m_per_command(monkeypatch, capsys):
             assert len(runs) == pipeline_runs + 1, (path.name, count)
 
 
-def test_oracle_refuses_a_tate_complex_past_its_size_limit(monkeypatch,
-                                                           capsys):
-    """A piece of the Tate complex in one internal degree larger than
-    ``MAX_TATE_DIM`` is an input error, before its elimination; the
-    largest piece of the flag session has 18 basis elements."""
-    monkeypatch.setattr(loci, "MAX_TATE_DIM", 17)
-    assert cli.main(["oracle", "--input", str(SESSIONS / "flag.session"),
-                     "--points", "2"]) == 1
-    out, err = capsys.readouterr()
-    assert out == "" and err.startswith("error: the oracle's Tate complex")
-    assert err.endswith("more than 17\n") and err.count("\n") == 1
-    monkeypatch.setattr(loci, "MAX_TATE_DIM", 18)
-    assert cli.main(["oracle", "--input", str(SESSIONS / "flag.session"),
-                     "--points", "2"]) == 0
+def _count_resolutions_over_sections(monkeypatch) -> list:
+    """The truncations of the calls the oracle makes to
+    ``resolve_over_b``, one per point it resolves over its section."""
+    calls = []
+    real = loci.resolve_over_b
+
+    def counting(rd, presentation, truncation, *rest):
+        calls.append(truncation)
+        return real(rd, presentation, truncation, *rest)
+
+    monkeypatch.setattr(loci, "resolve_over_b", counting)
+    return calls
+
+
+def test_oracle_takes_the_tate_route_up_to_its_size_limit(monkeypatch,
+                                                          capsys):
+    """The pieces one point of the flag session eliminates hold 156 basis
+    elements.  With ``MAX_TATE_DIM`` at 156 the oracle reads the Tate
+    complex and resolves nothing over a section; at 155 it resolves M over
+    each of the three sections through n + 1 = 4.  Both print the report
+    of the default limit."""
+    argv = ["oracle", "--input", str(SESSIONS / "flag.session"),
+            "--points", "3"]
+    assert cli.main(argv) == 0
+    expected = capsys.readouterr()
+    calls = _count_resolutions_over_sections(monkeypatch)
+    for limit, resolved in ((156, []), (155, [4, 4, 4])):
+        monkeypatch.setattr(loci, "MAX_TATE_DIM", limit)
+        calls.clear()
+        assert cli.main(argv) == 0
+        assert capsys.readouterr() == expected, limit
+        assert calls == resolved, limit
+
+
+@pytest.mark.parametrize("ring, ci, row", [
+    # dim M = 4: one piece of 80,960 basis elements, 49,427 of them of M
+    ("x0, x1, x2, x3, x4, x5", "x0^6", "x0^6, x1*x2 - x3*x4 + x5^2"),
+    # dim M = 3: about 57,000 basis elements over the pieces of a point
+    ("x0, x1, x2, x3, x4, x5", "x0^4, x1^4",
+     "x0^4, x1^4, x2*x3 - x4*x5 + x0*x1"),
+])
+def test_oracle_resolves_over_the_sections_past_the_size_limit(
+        monkeypatch, capsys, tmp_path, ring, ci, row):
+    """M of infinite length in many variables: the Tate complex is far
+    past ``MAX_TATE_DIM``, so the basis of M stops filling at the limit
+    and every point is resolved over its section, with the values of
+    ``resolve_over_b``."""
+    text = f"field GF(101)\nring {ring}\nci {ci}\nmodule coker [[{row}]]\n"
+    pipe = build_pipeline(parse_session(text))
+    rd = pipe.rd
+    tate = loci._TateComplex(rd, pipe.resolution)
+    assert not tate.fits(rd.ci_degrees[0])
+    assert len(tate._index) <= loci.MAX_TATE_DIM
+    calls = _count_resolutions_over_sections(monkeypatch)
+    path = tmp_path / "big.session"
+    path.write_text(text)
+    assert cli.main(["oracle", "--input", str(path), "--points", "3"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert calls == [rd.n + 1] * 3
+    assert [p["stable_betti"] for p in report["points"]] == \
+        [_resolved_oracle(rd, pipe.presentation, p["point"])
+         for p in report["points"]]
 
 
 def test_oracle_fills_the_basis_of_m_up_to_degree_2000():
@@ -873,7 +925,8 @@ def test_oracle_fills_the_basis_of_m_up_to_degree_2000():
     for row in (["x", "y"], ["x^999", "y"]):
         pres = PolyMatrix.from_rows(A, [[A.parse(e) for e in row]])
         points = [(1, 2), (3, 0)]
-        assert stable_betti_oracle(rd, resolve_over_a(rd, pres), points) == \
+        assert stable_betti_oracle(rd, resolve_over_a(rd, pres), pres,
+                                   points) == \
             [_resolved_oracle(rd, pres, a) for a in points], row
 
 
@@ -983,6 +1036,8 @@ def test_oracle_equals_the_resolution_over_the_section(case):
     pres = PolyMatrix.from_rows(A, [[A.parse(e) for e in row]
                                     for row in rows])
     res = resolve_over_a(rd, pres)
-    assert stable_betti_oracle(rd, res, points) == \
+    # the Tate route answers: its pieces are within the size limit
+    assert loci._TateComplex(rd, res).fits(loci._section_degree(rd, points[0]))
+    assert stable_betti_oracle(rd, res, pres, points) == \
         [_resolved_oracle(rd, pres, a) for a in points]
     _assert_tate_is_a_complex(rd, res, points[0])

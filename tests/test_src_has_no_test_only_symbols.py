@@ -2,10 +2,8 @@
 
 ``test_every_src_function_is_entered`` runs the program in one child
 process, with a profile hook set before ``import jumploci``: ``cli.main``
-over the jobs of ``_jobs``, then the six routes that no command runs but
+over the jobs of ``_jobs``, then the five routes that no command runs but
 the benchmark tracer wraps by name (``perfbench/tracer.py``), once each.
-``resolve_over_b`` is one of them, read through ``FreeResolution.betti``,
-as the tests read it.
 A ``def`` in the package that none of them entered serves only the tests,
 and belongs in ``tests/oracles.py``.  It is found whatever its name, also
 when another part of ``src/`` uses the same name.  Only the dunders that
@@ -59,7 +57,7 @@ sys.stdout, sys.stderr = out, sys.__stderr__
 
 from jumploci.homotopy import compute_higher_homotopies, dualize_homotopies
 from jumploci.loci import complexity_of, duality_check, jump_loci_report
-from jumploci.resolution import dualize_over_a, resolve_over_b
+from jumploci.resolution import dualize_over_a
 from jumploci.session import build_pipeline, parse_session
 from jumploci.twisted import build_twisted_complex, homology_presentation
 
@@ -70,7 +68,6 @@ homology_presentation(pipe.X)
 complexity_of(pipe.X)
 duality_check(jump_loci_report(pipe.X),
               jump_loci_report(build_twisted_complex(dual, pipe.rd)))
-resolve_over_b(pipe.rd, pipe.presentation, 2).betti()
 sys.setprofile(None)
 
 package = os.path.dirname(jumploci.__file__)
@@ -121,6 +118,12 @@ def _jobs(tmp_path):
         argv = (["realize", "--chain", str(path)] if name.endswith(".chain")
                 else ["compute", "--input", str(path)])
         jobs.append((argv, False, says))
+    # M of dimension 1,024, past ``loci.MAX_TATE_DIM``: the oracle resolves
+    # M over each section, where its resolution does not end.
+    big = tmp_path / "big_tate.session"
+    big.write_text("field GF(101)\nring x, y\nci x^64, y^64\n"
+                   "module coker [[x^32, y^32]]\n")
+    jobs.append((["oracle", "--input", str(big), "--points", "2"], False, ""))
     return jobs
 
 
