@@ -56,9 +56,6 @@ class Field:
     def add(self, a, b):
         return (a + b) % self.p if self.p else a + b
 
-    def sub(self, a, b):
-        return (a - b) % self.p if self.p else a - b
-
     def mul(self, a, b):
         return (a * b) % self.p if self.p else a * b
 
@@ -69,9 +66,6 @@ class Field:
         if not a:
             raise ZeroDivisionError("inverse of zero field element")
         return pow(a, -1, self.p) if self.p else 1 / a
-
-    def div(self, a, b):
-        return self.mul(a, self.inv(b))
 
     def __repr__(self):
         return f"GF({self.p})" if self.p else "QQ"

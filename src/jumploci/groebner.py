@@ -49,8 +49,9 @@ dim F/in(U), the largest dimension of S/J_r over the components r of
 in(U) = sum J_r e_r, and dim S/J is the size of the largest set of
 variables containing the support of no minimal generator of J
 (Kredel-Weispfenning, J. Symb. Comp. 6, 1988).  Hilbert numerators, which
-``module_hilbert_data`` needs for the multiplicity and the Betti numbers,
-come from Bigatti's pivot recursion (J. Pure Appl. Algebra 119, 1997).
+``module_hilbert_data`` needs for the multiplicity, the Betti numbers and
+the generic rank of a matrix, come from Bigatti's pivot recursion (J. Pure
+Appl. Algebra 119, 1997).
 """
 
 from __future__ import annotations
@@ -60,7 +61,6 @@ from functools import cached_property
 from operator import add, le, sub
 
 from .poly import Polynomial, PolyRing
-from .matrix import PolyMatrix
 
 
 class GBStats:
@@ -613,7 +613,7 @@ class Ideal:
         return self._basis().dimension()
 
 
-def module_hilbert_data(mat: PolyMatrix, row_shifts=None, weights=None):
+def module_hilbert_data(mat, row_shifts=None, weights=None):
     """Hilbert data of coker(mat) as a graded module over mat.ring.
 
     ``row_shifts`` are integer degree shifts of the target generators in

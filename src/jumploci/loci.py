@@ -17,6 +17,8 @@ where the complexity is c.
 h is read off the numerator h_C of coker D, one untracked column basis:
 D raises the cohomological degree u by one and D^2 = 0, so
 h = (1 + 1/t) h_C - (1/t) sum_i t^{u_i} for any D, minimal or not.
+The generic crk is rank_S H(X) = h(1): ``PolyMatrix.generic_rank``
+reads rank D = r - h_C(1) off the same kind of numerator.
 These are invariants of M when X = X(M) is built from the minimal
 A-free resolution of M, as ``build_pipeline`` builds it for a cokernel.
 X(M*) is s_dual(X), a transpose with the minor ideals of X, so M and M*
@@ -31,7 +33,9 @@ Over B_a the Betti numbers are constant from step n on (Eisenbud, Trans.
 AMS 260, 1980).  The complex splits by internal degree, and Tor_i lives
 in the degrees of step i of Shamash's resolution built from F, so one
 basis of M through the top of them, one untracked Groebner run per
-command, serves every point; a point costs eliminations over k only.
+command, serves every point.  Tate's differential is linear in a, so
+each of its maps is one pencil K + sum_k a_k Y_k built once per command,
+and a point costs one linear combination and eliminations over k.
 The variables in no relation of M and no f_k are dropped first.  The
 cost of a point grows with dim_k M through those degrees, so when the
 pieces it eliminates hold more than ``MAX_TATE_DIM`` basis elements, M
@@ -340,16 +344,17 @@ def stable_betti_oracle(rd: RingData, resolution: FreeResolution,
     n + 1 at each point instead (``_resolved_stable_betti``), a Groebner
     route that reads no homotopy of M either.
     """
-    degrees = [_section_degree(rd, a) for a in points]
+    sections = [_section(rd, a) for a in points]
     tate = _TateComplex(rd, resolution)
-    fits = {d: tate.fits(d) for d in set(degrees)}
-    return [tate.stable_betti(a, d) if fits[d]
-            else _resolved_stable_betti(rd, presentation, a)
-            for a, d in zip(points, degrees)]
+    fits = {d: tate.fits(d) for d in {g.degree() for g in sections}}
+    return [tate.stable_betti(a, g.degree()) if fits[g.degree()]
+            else _resolved_stable_betti(rd, presentation, g)
+            for a, g in zip(points, sections)]
 
 
 def _section(rd: RingData, a):
-    """g = sum a_i f_i, after the arity and zero checks."""
+    """g = sum a_i f_i, after the arity, zero and homogeneity checks; the
+    f_i with a_i != 0 must share one degree."""
     if len(a) != rd.c:
         raise PipelineError("point arity mismatch")
     fld = rd.ring.field
@@ -358,30 +363,20 @@ def _section(rd: RingData, a):
         g = g + f.scale(fld.coerce(ai))
     if g.is_zero():
         raise PipelineError("the section sum a_i f_i vanishes")
+    if len({f.degree() for ai, f in zip(a, rd.ci) if fld.coerce(ai)}) > 1:
+        raise PipelineError("the section sum a_i f_i is not homogeneous")
     return g
 
 
-def _section_degree(rd: RingData, a) -> int:
-    """The degree of g = sum a_i f_i, after the arity, zero and
-    homogeneity checks; the f_i with a_i != 0 must share one degree."""
-    g = _section(rd, a)
-    fld = rd.ring.field
-    degrees = {f.degree() for ai, f in zip(a, rd.ci) if fld.coerce(ai)}
-    if len(degrees) > 1:
-        raise PipelineError("the section sum a_i f_i is not homogeneous")
-    return g.degree()
-
-
 def _resolved_stable_betti(rd: RingData, presentation: PolyMatrix,
-                           a) -> int:
-    """beta_(n+1) of M = coker(presentation) over B_a, resolved there
-    through N = n + 1 (``resolve_over_b``): 0 when the resolution ends
-    first; beta_n != beta_N is an internal error.  n + 1 graded Groebner
-    runs per point, whose cost does not grow with dim_k M the way the
-    Tate complex's does."""
+                           g) -> int:
+    """beta_(n+1) of M = coker(presentation) over B = A/(g), resolved
+    there through N = n + 1 (``resolve_over_b``): 0 when the resolution
+    ends first; beta_n != beta_N is an internal error.  n + 1 graded
+    Groebner runs per point, whose cost does not grow with dim_k M the
+    way the Tate complex's does."""
     N = rd.n + 1
-    res = resolve_over_b(RingData(rd.ring, [_section(rd, a)]), presentation,
-                         N)
+    res = resolve_over_b(RingData(rd.ring, [g]), presentation, N)
     if res.complete:
         return 0
     beta = res.betti()
@@ -430,8 +425,11 @@ class _TateComplex:
     """M (x)_A K(x)<y> for M = coker d_1 of a free resolution over A, one
     internal degree at a time.  What no point changes is built on first
     use and kept: a basis of M, the matrices of the x_s and of the
-    cofactors h_ks of f_k = sum_s h_ks x_s on it, and the Koszul part of
-    each differential.
+    cofactors h_ks of f_k = sum_s h_ks x_s on it, and each differential
+    as a pencil.  The differential is linear in a: d_i at the point a is
+    K + sum_k a_k Y_k, where K is the Koszul part and Y_k holds the
+    signed h_ks on each M_mu (``pencil``), so a point only forms that
+    combination (``columns``).
 
     A variable in no entry of d_1 and no f_k is a polynomial extension of
     both M and B_a, which Tor^(B_a)(M, k) does not see, so it is dropped:
@@ -457,6 +455,7 @@ class _TateComplex:
         monos += [m for v in cols for _, m in v]
         used = [s for s in range(ring.nvars) if any(m[s] for m in monos)]
         self.n = n = len(used)
+        self.c = rd.c
         self.weights = tuple(ring.weights[s] for s in used)
         ring = PolyRing(ring.field, tuple(ring.variables[s] for s in used),
                         self.weights)
@@ -485,7 +484,7 @@ class _TateComplex:
         self._index = {}
         self._matrices = {}
         self._cells = {}
-        self._koszul = {}
+        self._pencils = {}
 
     # -- the basis of M and the multiplications on it ----------------------
 
@@ -551,14 +550,15 @@ class _TateComplex:
             out = self._cells[key] = (offsets, dim)
         return out
 
-    def koszul(self, i: int, delta: int, d: int) -> list:
-        """d_i in internal degree delta, one entry per summand of its
-        source: the Koszul part of its columns (sparse vectors) and the
-        places (offset, sign, s, mu) of its y-part, h_s on M_mu.  Each
-        s of a column hits a summand of its own, so no two parts of a
-        column share a position."""
+    def pencil(self, i: int, delta: int, d: int) -> list:
+        """d_i in internal degree delta as the pencil K + sum_k a_k Y_k,
+        one pair per column of its source: the Koszul part, a sparse
+        vector, and the y-part {position: ((k, scalar), ...)}, the signed
+        cofactors h_ks of each f_k on M_mu.  Each s of a column hits a
+        summand of its own, so no two parts of a column share a
+        position."""
         key = (i, delta, d)
-        out = self._koszul.get(key)
+        out = self._pencils.get(key)
         if out is not None:
             return out
         fld = self.field
@@ -567,65 +567,47 @@ class _TateComplex:
         out = []
         for (mask, j), (_, mu) in source.items():
             members = self.subsets[mask][1]
-            columns = [{} for _ in self.basis(mu)]
+            koszul = [{} for _ in self.basis(mu)]
             for pos, s in enumerate(members):
                 place = target.get((mask ^ 1 << s, j))
                 if place is None:
                     continue
-                for v, image in zip(columns, self.matrix(s, mu)):
+                for v, image in zip(koszul, self.matrix(s, mu)):
                     for t, c in image.items():
                         v[place[0] + t] = fld.neg(c) if pos % 2 else c
-            links = []
+            ys = [{} for _ in koszul]
             for s in range(self.n if j else 0):
                 place = target.get((mask | 1 << s, j - 1))
                 if mask >> s & 1 or place is None:
                     continue
                 above = sum(1 for t in members if t > s)
-                sign = -1 if (len(members) + above) % 2 else 1
-                links.append((place[0], sign, s, mu))
-            out.append((columns, links))
-        self._koszul[key] = out
+                negate = (len(members) + above) % 2
+                for k in range(self.c):
+                    h = self.matrix(self.n * (k + 1) + s, mu)
+                    for y, image in zip(ys, h):
+                        for t, c in image.items():
+                            y.setdefault(place[0] + t, []).append(
+                                (k, fld.neg(c) if negate else c))
+            out += zip(koszul, ys)
+        self._pencils[key] = out
         return out
 
-    def cofactor_action(self, a):
-        """h(s, mu, sign): sign * h_s on M_mu, with h_s = sum_k a_k h_ks
-        the cofactors of g = sum a_k f_k, one sparse vector with no zero
-        entry per basis element of M_mu; each is formed on first call."""
+    def columns(self, i: int, delta: int, d: int, a) -> list:
+        """The columns of d_i in internal degree delta at the point a,
+        K + sum_k a_k Y_k, as sparse vectors."""
         fld = self.field
-        active = [(k, fld.coerce(ak)) for k, ak in enumerate(a)
-                  if fld.coerce(ak)]
-        formed = {}
-
-        def h(s, mu, sign):
-            out = formed.get((s, mu, sign))
-            if out is None:
-                out = []
-                for parts in zip(*(self.matrix(self.n * (k + 1) + s, mu)
-                                   for k, _ in active)):
-                    v = {}
-                    for (_, ak), part in zip(active, parts):
-                        ak = ak if sign > 0 else fld.neg(ak)
-                        for t, c in part.items():
-                            v[t] = fld.add(v.get(t, fld.zero()),
-                                           fld.mul(ak, c))
-                    out.append({t: c for t, c in v.items() if c})
-                formed[s, mu, sign] = out
-            return out
-        return h
-
-    def columns(self, i: int, delta: int, d: int, h) -> list:
-        """The columns of d_i in internal degree delta at the point whose
-        ``cofactor_action`` is h, as sparse vectors."""
+        p = fld.p
+        a = [fld.coerce(ak) for ak in a]
         vectors = []
-        for columns, links in self.koszul(i, delta, d):
-            parts = [(offset, h(s, mu, sign))
-                     for offset, sign, s, mu in links]
-            for q, column in enumerate(columns):
-                v = dict(column)
-                for offset, image in parts:
-                    for t, c in image[q].items():
-                        v[offset + t] = c
-                vectors.append(v)
+        for koszul, y in self.pencil(i, delta, d):
+            v = dict(koszul)
+            for t, parts in y.items():
+                value = sum(a[k] * c for k, c in parts)
+                if p:
+                    value %= p
+                if value:
+                    v[t] = value
+            vectors.append(v)
         return vectors
 
     def fits(self, d: int) -> bool:
@@ -652,12 +634,11 @@ class _TateComplex:
         """beta_n = beta_(n+1) of M over B_a, where g = sum a_k f_k is a
         nonzero form of degree d."""
         n = self.n
-        h = self.cofactor_action(a)
         ranks = {}
 
         def rank(i, delta):
             if (i, delta) not in ranks:
-                ranks[i, delta] = scalar_rank(self.columns(i, delta, d, h),
+                ranks[i, delta] = scalar_rank(self.columns(i, delta, d, a),
                                               self.field)
             return ranks[i, delta]
 

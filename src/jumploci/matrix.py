@@ -10,10 +10,12 @@ into the connected components of its support graph, and inside a component
 the nonzero minors of each size grow from those of the size below, one
 Laplace expansion each (``_component_minor_table``).  The minors of every
 size are built together on the first request and cached on the matrix (see
-``PolyMatrix.minors``).  The generic rank is one fraction-free
-elimination per block of the support graph (``_rank``); the rank at a
-point eliminates the values there as field scalars (``scalar_rank``), as
-the point oracle eliminates its complexes.
+``PolyMatrix.minors``).  The generic rank, over the fraction field, is
+read off the Hilbert numerator of the cokernel: the rank of a graded
+module is the value at t = 1 of its numerator.  No polynomial matrix is
+eliminated fraction-free; the tests keep that route as their oracle.
+The rank at a point eliminates the values there as field scalars
+(``scalar_rank``), as the point oracle eliminates its complexes.
 
 Module vectors ``{(row, monomial): coeff}``, the Groebner engine's format,
 are the columns of a matrix (``columns_as_vectors``) and build one back
@@ -25,6 +27,7 @@ from __future__ import annotations
 from operator import add
 
 from .poly import Polynomial, PolyRing, product_terms
+from .groebner import module_hilbert_data
 
 
 # Most units of work, one per determinant expansion and one per pair of
@@ -192,8 +195,13 @@ class PolyMatrix:
         return scalar_rank(rows.values(), self.ring.field)
 
     def generic_rank(self) -> int:
-        """Rank over the fraction field (``_rank``)."""
-        return _rank(self.entries, self.ring.one())
+        """Rank over the fraction field: nrows minus the rank of coker,
+        which is the value at t = 1 of its Hilbert numerator, 0 when coker
+        has dimension below nvars.  The Groebner order is degree-compatible,
+        so coker and its initial module share their affine Hilbert function
+        and this holds for inhomogeneous entries too."""
+        _, _, numerator = module_hilbert_data(self)
+        return self.nrows - sum(numerator.values())
 
     # -- minors ----------------------------------------------------------
 
@@ -293,55 +301,6 @@ def _components(entries):
         rows.add(r)
         cols.add(c)
     return [comps[k] for k in sorted(comps, key=str)]
-
-
-def _rank(entries, one) -> int:
-    """Rank of ``entries`` ({(r, c): poly}): the sum of the ranks of the
-    blocks of its support graph (``_components``), as for the minor table,
-    each eliminated on its own by ``_bareiss_rank``, so no pivot
-    multiplies entries of another block."""
-    return sum(_bareiss_rank({k: p for k, p in entries.items()
-                              if k[0] in rows}, one)
-               for rows, _ in _components(entries))
-
-
-def _bareiss_rank(work, one) -> int:
-    """Rank of the sparse matrix ``work`` ({(r, c): poly}) by fraction-free
-    Gaussian elimination."""
-    prev = one
-    rank = 0
-    live_rows = set(r for r, _ in work)
-    live_cols = set(c for _, c in work)
-    while work:
-        (pr, pc) = min(work, key=lambda k: (len(work[k].terms), k))
-        pivot = work[pr, pc]
-        rank += 1
-        live_rows.discard(pr)
-        live_cols.discard(pc)
-        col_entries = {r: work[r, pc] for r in live_rows if (r, pc) in work}
-        row_entries = {c: work[pr, c] for c in live_cols if (pr, c) in work}
-        nxt = {}
-        for (r, c), a in work.items():
-            if r == pr or c == pc:
-                continue
-            b = col_entries.get(r)
-            d = row_entries.get(c)
-            num = pivot * a
-            if b is not None and d is not None:
-                num = num - b * d
-            if not num.is_zero():
-                nxt[(r, c)] = num.exact_divide(prev)
-        # fill-in where a was zero but b*d is not
-        for r, b in col_entries.items():
-            for c, d in row_entries.items():
-                if (r, c) not in work:
-                    num = -(b * d)
-                    nxt[(r, c)] = num.exact_divide(prev)
-        work = nxt
-        prev = pivot
-        live_rows = set(r for r, _ in work)
-        live_cols = set(c for _, c in work)
-    return rank
 
 
 def scalar_rank(vectors, field) -> int:

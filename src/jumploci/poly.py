@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field as _field
-from operator import add, mul, sub
+from operator import add, mul
 
 from .field import Field
 
@@ -224,33 +224,6 @@ class Polynomial:
                     exp[var_map[i]] += e
             out[tuple(exp)] = fld.coerce(c)
         return Polynomial._make(ring, out)
-
-    def exact_divide(self, divisor: "Polynomial") -> "Polynomial":
-        """Quotient self/divisor, assuming the division is exact."""
-        self._check(divisor)
-        if divisor.is_zero():
-            raise ZeroDivisionError("division by zero polynomial")
-        fld = self.ring.field
-        rem = dict(self.terms)
-        out = {}
-        dlm = divisor.lead_monomial()
-        dlc = divisor.lead_coeff()
-        key = self.ring.mono_key
-        while rem:
-            lm = max(rem, key=key)
-            quot = tuple(map(sub, lm, dlm))
-            if any(e < 0 for e in quot):
-                raise ArithmeticError("division is not exact")
-            qc = fld.div(rem[lm], dlc)
-            out[quot] = qc
-            for m, c in divisor.terms.items():
-                mm = tuple(map(add, quot, m))
-                s = fld.sub(rem.get(mm, fld.zero()), fld.mul(qc, c))
-                if s:
-                    rem[mm] = s
-                else:
-                    rem.pop(mm, None)
-        return Polynomial(self.ring, out)
 
     # -- comparison / hashing -------------------------------------------
 

@@ -4,6 +4,8 @@ The program computes each quantity one way.  The routes here compute
 some of them another way, or check a property that the program holds by
 construction, and no command runs them:
 
+- the generic rank of a matrix by one fraction-free elimination, where
+  the program reads it off the Hilbert numerator of the cokernel;
 - the jump ideals by the exterior-power Fitting route, and the
   additivity of jump loci over direct sums;
 - every defining identity of a system of higher homotopies, from all
@@ -41,6 +43,56 @@ def syzygy_matrix(mat: PolyMatrix) -> PolyMatrix:
     the columns of ``mat``, from one tracked run."""
     gb = ModuleGB(mat.ring, mat.nrows, mat.columns_as_vectors(), track=True)
     return PolyMatrix.from_columns(mat.ring, mat.ncols, gb.syzygies())
+
+
+def exact_divide(p: Polynomial, divisor: Polynomial) -> Polynomial:
+    """The quotient p / divisor, when the division is exact."""
+    fld = p.ring.field
+    rem = dict(p.terms)
+    out = {}
+    lead = divisor.lead_monomial()
+    inv = fld.inv(divisor.lead_coeff())
+    while rem:
+        m = max(rem, key=p.ring.mono_key)
+        quot = tuple(a - b for a, b in zip(m, lead))
+        if any(e < 0 for e in quot):
+            raise ArithmeticError("division is not exact")
+        qc = out[quot] = fld.mul(rem[m], inv)
+        for mono, c in divisor.terms.items():
+            mono = tuple(a + b for a, b in zip(quot, mono))
+            c = fld.add(rem.get(mono, fld.zero()), fld.neg(fld.mul(qc, c)))
+            if c:
+                rem[mono] = c
+            else:
+                rem.pop(mono, None)
+    return Polynomial(p.ring, out)
+
+
+def whole_matrix_rank(mat: PolyMatrix) -> int:
+    """Rank over the fraction field by one fraction-free (Bareiss)
+    elimination of the whole matrix: each step pivots on a shortest entry,
+    and every new entry is divided exactly by the previous pivot."""
+    zero = mat.ring.zero()
+    work = dict(mat.entries)
+    prev = mat.ring.one()
+    rank = 0
+    while work:
+        (pr, pc) = min(work, key=lambda k: (len(work[k].terms), k))
+        pivot = work[pr, pc]
+        rank += 1
+        col = {r: p for (r, c), p in work.items() if c == pc and r != pr}
+        row = {c: p for (r, c), p in work.items() if r == pr and c != pc}
+        nxt = {}
+        for r in {r for r, _ in work} - {pr}:
+            for c in {c for _, c in work} - {pc}:
+                num = pivot * work.get((r, c), zero)
+                if r in col and c in row:
+                    num = num - col[r] * row[c]
+                if not num.is_zero():
+                    nxt[(r, c)] = exact_divide(num, prev)
+        work = nxt
+        prev = pivot
+    return rank
 
 
 # -- twisted complexes ------------------------------------------------------

@@ -7,7 +7,9 @@ line prints fails the suite, not only the benchmark.  It reads
 ``perfbench/`` and writes nothing there, not even bytecode.
 
 The benchmark checks its ``oracle`` jobs only by crk = 2 * stable Betti
-number, so their output at seed 1 is pinned here, in ``tests/expected/``.
+number, so their output at seed 1 is pinned here, in ``tests/expected/``,
+and so is ``crk`` at the generic point and at one point of every session
+and benchmark input whose output the benchmark does not pin.
 """
 
 import importlib.util
@@ -16,6 +18,7 @@ import sys
 import pytest
 
 from jumploci import cli
+from jumploci.session import parse_session
 
 from conftest import REPO
 
@@ -71,3 +74,34 @@ def test_oracle_prints_its_pinned_output(stem, capsysbinary, monkeypatch):
     assert (code, err) == (0, b"")
     assert out == (REPO / "tests" / "expected"
                    / f"oracle-{stem}.json").read_bytes()
+
+
+def _crk_jobs():
+    """(name, argv) of ``crk`` and of ``crk --point 3,5,7,..`` (the first
+    c of those primes) on every session and benchmark input, but for the
+    benchmark's own exact jobs."""
+    pinned = [job["argv"] for job in JOBS]
+    jobs = []
+    for path in (sorted((REPO / "sessions").glob("*.session"))
+                 + sorted((PERFBENCH / "inputs").glob("*.session"))):
+        argv = ["crk", "--input", str(path.relative_to(REPO))]
+        c = parse_session(path.read_text()).ring_data.c
+        point = ",".join(map(str, (3, 5, 7, 11, 13, 17, 19)[:c]))
+        if argv not in pinned:
+            jobs.append((f"crk-{path.stem}", argv))
+        jobs.append((f"crk_point-{path.stem}", argv + ["--point", point]))
+    return jobs
+
+
+CRK_JOBS = _crk_jobs()
+
+
+@pytest.mark.parametrize("name, argv", CRK_JOBS,
+                         ids=[name for name, _ in CRK_JOBS])
+def test_crk_prints_its_pinned_output(name, argv, capsysbinary,
+                                      monkeypatch):
+    monkeypatch.chdir(REPO)
+    code = cli.main(argv)
+    out, err = capsysbinary.readouterr()
+    assert (code, err) == (0, b"")
+    assert out == (REPO / "tests" / "expected" / f"{name}.json").read_bytes()

@@ -146,7 +146,8 @@ def _graded_piece_membership(R, gens, f):
         for col, w in pivots.items():
             if v[col]:
                 coeff = v[col]
-                v = [fld.sub(a, fld.mul(coeff, b)) for a, b in zip(v, w)]
+                v = [fld.add(a, fld.neg(fld.mul(coeff, b)))
+                     for a, b in zip(v, w)]
         lead = next((i for i, a in enumerate(v) if a), None)
         if lead is not None:
             inv = fld.inv(v[lead])
@@ -154,7 +155,7 @@ def _graded_piece_membership(R, gens, f):
     for col, w in pivots.items():
         if target[col]:
             coeff = target[col]
-            target = [fld.sub(a, fld.mul(coeff, b))
+            target = [fld.add(a, fld.neg(fld.mul(coeff, b)))
                       for a, b in zip(target, w)]
     return not any(target)
 

@@ -434,6 +434,18 @@ def test_ext_numerator_equals_the_presentation_route(monkeypatch):
     assert {} in want
 
 
+def test_generic_crk_is_the_ext_numerator_at_one():
+    """The generic crk is rank_S H(X), the value at t = 1 of the Hilbert
+    numerator of H(X) that the Betti numbers read, on every complex of
+    ``_numerator_inputs``: sessions, benchmark inputs, their duals and
+    shifts, and the ladder sessions over GF(101) and QQ."""
+    complexes = _numerator_inputs()
+    crks = [crk_at(X) for X in complexes]
+    assert crks == [sum(loci._ext_numerator(X)[0].values())
+                    for X in complexes]
+    assert any(crks)
+
+
 def test_betti_degree_is_half_the_generic_crk_at_maximal_complexity():
     """Where the complexity of X is c, H(X) has rank crk_at(X) over S,
     split equally between its even and odd parts, so the Betti degree is
@@ -952,13 +964,12 @@ def _assert_tate_is_a_complex(rd, res, a):
     summands, so only this check sees a sign rule that breaks d^2 = 0."""
     fld = rd.ring.field
     tate = loci._TateComplex(rd, res)
-    d = loci._section_degree(rd, a)
-    h = tate.cofactor_action(a)
+    d = loci._section(rd, a).degree()
     top = max(loci._shamash_degrees(res, rd.n + 2, d), default=-1)
     for i in range(2, rd.n + 3):
         for delta in range(top + 1):
-            later = tate.columns(i - 1, delta, d, h)
-            for v in tate.columns(i, delta, d, h):
+            later = tate.columns(i - 1, delta, d, a)
+            for v in tate.columns(i, delta, d, a):
                 image = {}
                 for t, c in v.items():
                     for u, e in later[t].items():
@@ -1037,7 +1048,8 @@ def test_oracle_equals_the_resolution_over_the_section(case):
                                     for row in rows])
     res = resolve_over_a(rd, pres)
     # the Tate route answers: its pieces are within the size limit
-    assert loci._TateComplex(rd, res).fits(loci._section_degree(rd, points[0]))
+    d = loci._section(rd, points[0]).degree()
+    assert loci._TateComplex(rd, res).fits(d)
     assert stable_betti_oracle(rd, res, pres, points) == \
         [_resolved_oracle(rd, pres, a) for a in points]
     _assert_tate_is_a_complex(rd, res, points[0])

@@ -18,6 +18,7 @@ from jumploci.twisted import TwistedComplex
 from conftest import (REPO, PAIR_BLOCK_SESSION, assert_twisted_complex,
                       matrix_of, matrix_sum, random_monomial_rows,
                       random_monomial_rows_3)
+from oracles import whole_matrix_rank
 
 GF101 = GF(101)
 S2 = PolyRing(GF101, ("chi1", "chi2"), (2, 2))
@@ -80,7 +81,8 @@ def _dense_rank_at(P, point):
             if m[r][pc]:
                 f = fld.mul(m[r][pc], inv)
                 for c in range(pc, P.ncols):
-                    m[r][c] = fld.sub(m[r][c], fld.mul(f, m[rank][c]))
+                    m[r][c] = fld.add(m[r][c],
+                                      fld.neg(fld.mul(f, m[rank][c])))
         rank += 1
     return rank
 
@@ -453,38 +455,14 @@ def test_an_oversized_minor_table_is_refused(monkeypatch):
     assert P.minors(3) == _per_t_minors(P, 3)
 
 
-# -- generic rank summed over the blocks -----------------------------------
-
-
-def _whole_matrix_rank(mat):
-    """Reference: one fraction-free elimination of the whole matrix, the
-    route before the rank was summed over the blocks."""
-    work = dict(mat.entries)
-    prev = mat.ring.one()
-    rank = 0
-    while work:
-        (pr, pc) = min(work, key=lambda k: (len(work[k].terms), k))
-        pivot = work[pr, pc]
-        rank += 1
-        col = {r: p for (r, c), p in work.items() if c == pc and r != pr}
-        row = {c: p for (r, c), p in work.items() if r == pr and c != pc}
-        nxt = {}
-        for r in {r for r, _ in work} - {pr}:
-            for c in {c for _, c in work} - {pc}:
-                num = pivot * work.get((r, c), mat.ring.zero())
-                if r in col and c in row:
-                    num = num - col[r] * row[c]
-                if not num.is_zero():
-                    nxt[(r, c)] = num.exact_divide(prev)
-        work = nxt
-        prev = pivot
-    return rank
+# -- generic rank against the fraction-free elimination ----------------------
 
 
 def test_generic_rank_equals_the_whole_matrix_elimination():
     """Random block matrices with rows and columns in shuffled order, with
     1 x n, n x 1 and rank-deficient blocks, and a zero block of rows and
-    columns without entries placed at random."""
+    columns without entries placed at random: the rank read off the
+    Hilbert numerator of the cokernel equals the elimination's."""
     rng = random.Random(9)
     matrices = [PolyMatrix.zero(S3, 3, 2),
                 matrix_of(S3, [["chi1", "chi2", "chi3"]]),
@@ -499,11 +477,55 @@ def test_generic_rank_equals_the_whole_matrix_elimination():
                                     for (r, c), p in B.entries.items()}))
     deficient = 0
     for P in matrices:
-        rank = _whole_matrix_rank(P)
+        rank = whole_matrix_rank(P)
         assert P.generic_rank() == rank, P.entries
         blocks = matrix._components(P.entries)
         deficient += rank < sum(min(len(r), len(c)) for r, c in blocks)
     assert deficient >= 3
+
+
+@st.composite
+def _rank_inputs(draw):
+    """A matrix over GF(p)[x, y] or QQ[x, y], weights (1, 1) or (1, 2),
+    of shape 0..4 x 0..4: entries of up to three terms of degree 0 to 2,
+    so unit and inhomogeneous entries, and about half of them zero, so
+    zero rows and columns; or a product of two such matrices through one
+    or two columns, of lower rank than its shape."""
+    field = draw(st.sampled_from([GF(2), GF(7), GF101, QQ]))
+    ring = PolyRing(field, ("x", "y"), draw(st.sampled_from([(1, 1),
+                                                             (1, 2)])))
+    coeffs = (st.integers(1, field.p - 1) if field.p
+              else st.fractions(-3, 3, max_denominator=3).filter(bool))
+    monos = [(0, 0), (1, 0), (0, 1), (2, 0), (1, 1), (0, 2)]
+
+    def random_matrix(nrows, ncols):
+        entries = {}
+        for r in range(nrows):
+            for c in range(ncols):
+                if draw(st.booleans()):
+                    terms = draw(st.dictionaries(st.sampled_from(monos),
+                                                 coeffs, min_size=1,
+                                                 max_size=3))
+                    entries[(r, c)] = Polynomial(
+                        ring, {m: field.coerce(co) for m, co in terms.items()})
+        return PolyMatrix(ring, nrows, ncols, entries)
+
+    nrows, ncols = draw(st.integers(0, 4)), draw(st.integers(0, 4))
+    if draw(st.booleans()):
+        return random_matrix(nrows, ncols)
+    inner = draw(st.integers(1, 2))
+    return random_matrix(nrows, inner) @ random_matrix(inner, ncols)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(_rank_inputs())
+def test_generic_rank_equals_the_fraction_free_elimination(P):
+    """The rank read off the Hilbert numerator of coker equals one
+    fraction-free elimination of the whole matrix, over GF(p) and QQ,
+    on inhomogeneous entries and unit entries, with zero rows and
+    columns, and on 0 x n and n x 0 matrices."""
+    assert P.generic_rank() == whole_matrix_rank(P), (P.nrows, P.ncols,
+                                                      P.entries)
 
 
 # -- products and negation against per-entry polynomial arithmetic ---------
