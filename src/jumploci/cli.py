@@ -43,7 +43,8 @@ from fractions import Fraction
 from .groebner import Ideal, GBStats
 from .resolution import PipelineError, TruncationNeeded, fit_quasi_polynomial
 from .loci import (jump_loci_report, betti_degree, betti_numbers, crk_at,
-                   realize, stable_betti_oracle, JumpLociReport)
+                   realize, section_degree, stable_betti_oracle,
+                   JumpLociReport)
 from .session import (Session, SessionError, parse_session, build_pipeline,
                       parse_chain_file)
 
@@ -226,10 +227,7 @@ def cmd_oracle(session: Session, args) -> dict:
     fld = session.ring.field
     if not fld.p:
         raise PipelineError("the oracle sweep needs a finite prime field")
-    degrees = session.ring_data.ci_degrees
-    if len(set(degrees)) > 1:
-        raise PipelineError("the oracle needs ci generators of one degree, "
-                            f"not {', '.join(map(str, degrees))}")
+    section_degree(session.ring_data)
     count = args.points
     if count <= 0:
         raise PipelineError(f"--points must be positive, not {count}")
@@ -245,8 +243,7 @@ def cmd_oracle(session: Session, args) -> dict:
             if any(a):
                 break
         points.append(a)
-    stables = stable_betti_oracle(pipe.rd, pipe.resolution, pipe.presentation,
-                                  points)
+    stables = stable_betti_oracle(pipe.rd, pipe.resolution, points)
     results = []
     for a, stable in zip(points, stables):
         crk = crk_at(pipe.X, a)

@@ -32,7 +32,7 @@ from operator import add
 
 from .matrix import PolyMatrix
 from .resolution import (FreeResolution, RingData, PipelineError,
-                         DualComplex, check_annihilation)
+                         check_annihilation)
 
 
 @dataclass
@@ -228,14 +228,12 @@ def ingest_dg_structure(res: FreeResolution, actions,
     return sys
 
 
-def dualize_homotopies(sys: HigherHomotopySystem, dual: DualComplex,
-                       rd: RingData) -> HigherHomotopySystem:
-    """Transport a system to the dualized complex by blockwise transpose;
-    the tests' explicit route to X(M*), which s_dual must equal."""
-    res = sys.resolution
-    L = res.length
-    dual_res = FreeResolution(rd, dual.matrices, dual.degrees,
-                              complete=True)
+def dualize_homotopies(sys: HigherHomotopySystem,
+                       dual: FreeResolution) -> HigherHomotopySystem:
+    """Transport a system to the dualized resolution ``dualize_over_a``
+    gives by blockwise transpose; the tests' explicit route to X(M*),
+    which s_dual must equal."""
+    L = sys.resolution.length
     sigma = {}
     for J, blocks in sys.sigma.items():
         deg = 2 * sum(J) - 1
@@ -246,4 +244,4 @@ def dualize_homotopies(sys: HigherHomotopySystem, dual: DualComplex,
                 continue
             out[s] = mat.transpose()
         sigma[J] = out
-    return HigherHomotopySystem(dual_res, sigma)
+    return HigherHomotopySystem(dual, sigma)

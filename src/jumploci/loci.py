@@ -37,10 +37,12 @@ command, serves every point.  Tate's differential is linear in a, so
 each of its maps is one pencil K + sum_k a_k Y_k built once per command,
 and a point costs one linear combination and eliminations over k.
 The variables in no relation of M and no f_k are dropped first.  The
-cost of a point grows with dim_k M through those degrees, so when the
-pieces it eliminates hold more than ``MAX_TATE_DIM`` basis elements, M
-is resolved over each B_a through step n + 1 instead
-(``resolve_over_b``), whose cost does not grow that way.
+cost of a point grows with dim_k M through those degrees, so the pieces
+are counted as they are built, and once they hold more than
+``MAX_TATE_DIM`` basis elements M is resolved over each B_a through
+step n + 1 instead (``resolve_over_b`` on d_1 of F), whose cost does not
+grow that way.  Every point reads the same pieces, so the first point
+decides the route for the whole command.
 
 ``complexity_of`` (through ``homology_presentation``) and
 ``duality_check`` run in no command.  They are test oracles, kept here
@@ -54,7 +56,7 @@ from functools import cached_property
 from operator import add, le
 
 from .poly import PolyRing
-from .matrix import PolyMatrix, scalar_rank
+from .matrix import scalar_rank
 from .groebner import (Ideal, ModuleGB, module_hilbert_data,
                        dimension_and_multiplicity)
 from .resolution import (RingData, PipelineError, FreeResolution,
@@ -310,21 +312,29 @@ def realize(S: PolyRing, chain):
 # -- stable Betti oracle --------------------------------------------------
 
 
+def section_degree(rd: RingData) -> int:
+    """The one degree the f_i share, so that every section sum a_i f_i
+    is a form; PipelineError when they do not share one."""
+    degrees = rd.ci_degrees
+    if len(set(degrees)) > 1:
+        raise PipelineError("the oracle needs ci generators of one degree, "
+                            f"not {', '.join(map(str, degrees))}")
+    return degrees[0]
+
+
 def stable_betti_oracle(rd: RingData, resolution: FreeResolution,
-                        presentation: PolyMatrix, points) -> list:
+                        points) -> list:
     """The stable Betti number of M over B_a = A/(g), g = sum a_i f_i, at
     each point a of ``points``.
 
-    ``resolution`` is the minimal free resolution F of M over A, as
-    ``build_pipeline`` builds it, and ``presentation`` the matrix it
-    resolves: M = coker d_1 = coker(presentation).  The f_i must
-    annihilate M, so that g does (``build_pipeline`` checks this), and
-    share one degree, so that g is a form (``cmd_oracle`` checks this
-    before the pipeline is built, and each point is checked here).  For a
-    nonzero g in the domain A, syzygy n - 1 of M over B_a is maximal
-    Cohen-Macaulay, so by Eisenbud's matrix factorizations (Trans. AMS
-    260, 1980) beta_i is constant for i >= n; the value is beta_(n+1),
-    and beta_n != beta_(n+1) is an internal error.
+    ``resolution`` is the minimal free resolution F of M = coker d_1 over
+    A, as ``build_pipeline`` builds it.  The f_i must annihilate M, so
+    that g does (``build_pipeline`` checks this), and share one degree d,
+    so that g is a form (``section_degree``).  For a nonzero g in the
+    domain A, syzygy n - 1 of M over B_a is maximal Cohen-Macaulay, so by
+    Eisenbud's matrix factorizations (Trans. AMS 260, 1980) beta_i is
+    constant for i >= n; the value is beta_(n+1), and beta_n != beta_(n+1)
+    is an internal error.
 
     beta_i = dim Tor_i^B(M, k) is read off Tate's resolution of k over
     B = B_a (Illinois J. Math. 1, 1957): the Koszul complex K(x) with one
@@ -333,28 +343,29 @@ def stable_betti_oracle(rd: RingData, resolution: FreeResolution,
     of M (``_TateComplex``); only the y-part depends on a.  The complex
     splits by internal degree, and Tor_i lives in the degrees of the
     generators of any free B-resolution at step i, here Shamash's,
-    G_i = sum_j F_(i-2j)(-j deg g) (``_shamash_degrees``).  So M is needed
+    G_i = sum_j F_(i-2j)(-j d) (``_shamash_degrees``).  So M is needed
     only through the top of them, and a module of infinite length is
     handled exactly too.  This route reads no homotopy of M, so it checks
     crk independently.
 
     A point costs the eliminations of the pieces it reads, which grow with
-    dim_k M through the Shamash degrees.  When they hold more than
-    ``MAX_TATE_DIM`` basis elements, M is resolved over B_a through step
-    n + 1 at each point instead (``_resolved_stable_betti``), a Groebner
-    route that reads no homotopy of M either.
+    dim_k M through the Shamash degrees.  Every point reads the same
+    pieces, so when the first one's outgrow ``MAX_TATE_DIM`` as they are
+    built (``_TooLarge``), M is resolved over B_a through step n + 1 at
+    every point instead (``_resolved_stable_betti``), a Groebner route
+    that reads no homotopy of M either.
     """
+    d = section_degree(rd)
     sections = [_section(rd, a) for a in points]
-    tate = _TateComplex(rd, resolution)
-    fits = {d: tate.fits(d) for d in {g.degree() for g in sections}}
-    return [tate.stable_betti(a, g.degree()) if fits[g.degree()]
-            else _resolved_stable_betti(rd, presentation, g)
-            for a, g in zip(points, sections)]
+    tate = _TateComplex(rd, resolution, d)
+    try:
+        return [tate.stable_betti(a) for a in points]
+    except _TooLarge:
+        return [_resolved_stable_betti(rd, resolution, g) for g in sections]
 
 
 def _section(rd: RingData, a):
-    """g = sum a_i f_i, after the arity, zero and homogeneity checks; the
-    f_i with a_i != 0 must share one degree."""
+    """g = sum a_i f_i, after the arity and zero checks."""
     if len(a) != rd.c:
         raise PipelineError("point arity mismatch")
     fld = rd.ring.field
@@ -363,27 +374,30 @@ def _section(rd: RingData, a):
         g = g + f.scale(fld.coerce(ai))
     if g.is_zero():
         raise PipelineError("the section sum a_i f_i vanishes")
-    if len({f.degree() for ai, f in zip(a, rd.ci) if fld.coerce(ai)}) > 1:
-        raise PipelineError("the section sum a_i f_i is not homogeneous")
     return g
 
 
-def _resolved_stable_betti(rd: RingData, presentation: PolyMatrix,
-                           g) -> int:
-    """beta_(n+1) of M = coker(presentation) over B = A/(g), resolved
-    there through N = n + 1 (``resolve_over_b``): 0 when the resolution
-    ends first; beta_n != beta_N is an internal error.  n + 1 graded
+def _stable(beta: list, n: int) -> int:
+    """beta_(n+1) of ``beta`` = [beta_n, beta_(n+1)], which must agree."""
+    if beta[0] != beta[1]:
+        raise AssertionError(f"hypersurface Betti numbers {beta[0]} and "
+                             f"{beta[1]} at steps {n} and {n + 1} differ")
+    return beta[1]
+
+
+def _resolved_stable_betti(rd: RingData, res: FreeResolution, g) -> int:
+    """beta_(n+1) of M = coker d_1 of ``res`` over B = A/(g), resolved
+    there through N = n + 1 (``resolve_over_b``) with the rows of d_1 in
+    their degrees: 0 when the resolution ends first.  n + 1 graded
     Groebner runs per point, whose cost does not grow with dim_k M the
     way the Tate complex's does."""
     N = rd.n + 1
-    res = resolve_over_b(RingData(rd.ring, [g]), presentation, N)
-    if res.complete:
+    over_b = resolve_over_b(RingData(rd.ring, [g]), res.differentials[0], N,
+                            res.degrees[0])
+    if over_b.complete:
         return 0
-    beta = res.betti()
-    if beta[N - 1] != beta[N]:
-        raise AssertionError(f"hypersurface Betti numbers {beta[N - 1]} and "
-                             f"{beta[N]} at steps {N - 1} and {N} differ")
-    return beta[N]
+    beta = over_b.betti()
+    return _stable([beta[N - 1], beta[N]], N - 1)
 
 
 def _shamash_degrees(res: FreeResolution, i: int, d: int) -> list:
@@ -406,9 +420,9 @@ def _cofactors(terms, n: int) -> list:
     return parts
 
 
-# Most basis elements of M (x) K(x)<y> over the pieces one point of the
-# oracle eliminates, and of the basis of M they read, for which the Tate
-# route runs; past it each point is resolved over its section.  A point
+# Most basis elements of M (x) K(x)<y> over the pieces the oracle builds,
+# counted as each is built, and of the basis of M they read, for which the
+# Tate route runs; past it each point is resolved over its section.  A point
 # of the Tate route costs about 5 us a basis element: 1 ms at 200, 6.5 ms
 # at 976, 87 ms at 18,000 and 1.2 s at 362,000, where ``resolve_over_b``
 # takes 0.2-70 ms a point on the same inputs (in process, on a shared
@@ -418,18 +432,21 @@ MAX_TATE_DIM = 1_000
 
 
 class _TooLarge(Exception):
-    """The Tate complex outgrows ``MAX_TATE_DIM``."""
+    """The pieces of the Tate complex built so far, or the basis of M,
+    outgrow ``MAX_TATE_DIM``; raised while the first point is read."""
 
 
 class _TateComplex:
-    """M (x)_A K(x)<y> for M = coker d_1 of a free resolution over A, one
-    internal degree at a time.  What no point changes is built on first
-    use and kept: a basis of M, the matrices of the x_s and of the
-    cofactors h_ks of f_k = sum_s h_ks x_s on it, and each differential
-    as a pencil.  The differential is linear in a: d_i at the point a is
-    K + sum_k a_k Y_k, where K is the Koszul part and Y_k holds the
-    signed h_ks on each M_mu (``pencil``), so a point only forms that
-    combination (``columns``).
+    """M (x)_A K(x)<y> for M = coker d_1 of a free resolution over A and
+    sections g of degree d, one internal degree at a time.  What no point
+    changes is built on first use and kept: a basis of M, the matrices
+    of the x_s and of the cofactors h_ks of f_k = sum_s h_ks x_s on it,
+    and each differential as a pencil.  The differential is linear in a:
+    d_i at the point a is K + sum_k a_k Y_k, where K is the Koszul part
+    and Y_k holds the signed h_ks on each M_mu (``pencil``), so a point
+    only forms that combination (``columns``).  The pieces (``cells``)
+    are counted as they are built, and ``_TooLarge`` is raised once they
+    hold more than ``MAX_TATE_DIM`` basis elements.
 
     A variable in no entry of d_1 and no f_k is a polynomial extension of
     both M and B_a, which Tor^(B_a)(M, k) does not see, so it is dropped:
@@ -443,8 +460,9 @@ class _TateComplex:
                      + (-1)^|S| sum_(s not in S) h_s m e_S e_s y^(j-1).
     """
 
-    def __init__(self, rd: RingData, res: FreeResolution):
+    def __init__(self, rd: RingData, res: FreeResolution, d: int):
         ring = rd.ring
+        self.d = d
         self.field = ring.field
         self.res = res
         self.row_degrees = res.degrees[0]
@@ -484,6 +502,7 @@ class _TateComplex:
         self._index = {}
         self._matrices = {}
         self._cells = {}
+        self._size = 0
         self._pencils = {}
 
     # -- the basis of M and the multiplications on it ----------------------
@@ -531,10 +550,11 @@ class _TateComplex:
 
     # -- the complex ---------------------------------------------------------
 
-    def cells(self, i: int, delta: int, d: int):
+    def cells(self, i: int, delta: int):
         """The summands M_mu e_S y^(j) of homological degree i and internal
-        degree delta: {(mask, j): (offset, mu)} and the dimension."""
-        key = (i, delta, d)
+        degree delta: {(mask, j): (offset, mu)} and the dimension, which
+        is added to the count of the pieces built."""
+        key = (i, delta)
         out = self._cells.get(key)
         if out is None:
             offsets, dim = {}, 0
@@ -542,28 +562,31 @@ class _TateComplex:
                 if len(members) > i or (i - len(members)) % 2:
                     continue
                 j = (i - len(members)) // 2
-                mu = delta - w - j * d
+                mu = delta - w - j * self.d
                 size = len(self.basis(mu))
                 if size:
                     offsets[mask, j] = (dim, mu)
                     dim += size
+            self._size += dim
+            if self._size > MAX_TATE_DIM:
+                raise _TooLarge
             out = self._cells[key] = (offsets, dim)
         return out
 
-    def pencil(self, i: int, delta: int, d: int) -> list:
+    def pencil(self, i: int, delta: int) -> list:
         """d_i in internal degree delta as the pencil K + sum_k a_k Y_k,
         one pair per column of its source: the Koszul part, a sparse
         vector, and the y-part {position: ((k, scalar), ...)}, the signed
         cofactors h_ks of each f_k on M_mu.  Each s of a column hits a
         summand of its own, so no two parts of a column share a
         position."""
-        key = (i, delta, d)
+        key = (i, delta)
         out = self._pencils.get(key)
         if out is not None:
             return out
         fld = self.field
-        source, _ = self.cells(i, delta, d)
-        target, _ = self.cells(i - 1, delta, d)
+        source, _ = self.cells(i, delta)
+        target, _ = self.cells(i - 1, delta)
         out = []
         for (mask, j), (_, mu) in source.items():
             members = self.subsets[mask][1]
@@ -592,14 +615,14 @@ class _TateComplex:
         self._pencils[key] = out
         return out
 
-    def columns(self, i: int, delta: int, d: int, a) -> list:
+    def columns(self, i: int, delta: int, a) -> list:
         """The columns of d_i in internal degree delta at the point a,
         K + sum_k a_k Y_k, as sparse vectors."""
         fld = self.field
         p = fld.p
         a = [fld.coerce(ak) for ak in a]
         vectors = []
-        for koszul, y in self.pencil(i, delta, d):
+        for koszul, y in self.pencil(i, delta):
             v = dict(koszul)
             for t, parts in y.items():
                 value = sum(a[k] * c for k, c in parts)
@@ -610,27 +633,7 @@ class _TateComplex:
             vectors.append(v)
         return vectors
 
-    def fits(self, d: int) -> bool:
-        """Whether the pieces a point of degree d eliminates hold at most
-        ``MAX_TATE_DIM`` basis elements together: steps n - 1 to n + 1 in
-        the Shamash degrees of step n, and steps n to n + 2 in those of
-        step n + 1.  They are built in ascending internal degree, and the
-        count stops at the first piece past the limit."""
-        n = self.n
-        pieces = {(delta, i + k) for i in (n, n + 1)
-                  for delta in _shamash_degrees(self.res, i, d)
-                  for k in (-1, 0, 1)}
-        total = 0
-        try:
-            for delta, i in sorted(pieces):
-                total += self.cells(i, delta, d)[1]
-                if total > MAX_TATE_DIM:
-                    return False
-        except _TooLarge:
-            return False
-        return True
-
-    def stable_betti(self, a, d: int) -> int:
+    def stable_betti(self, a) -> int:
         """beta_n = beta_(n+1) of M over B_a, where g = sum a_k f_k is a
         nonzero form of degree d."""
         n = self.n
@@ -638,16 +641,11 @@ class _TateComplex:
 
         def rank(i, delta):
             if (i, delta) not in ranks:
-                ranks[i, delta] = scalar_rank(self.columns(i, delta, d, a),
+                ranks[i, delta] = scalar_rank(self.columns(i, delta, a),
                                               self.field)
             return ranks[i, delta]
 
-        beta = [sum(self.cells(i, delta, d)[1] - rank(i, delta)
-                    - rank(i + 1, delta)
-                    for delta in _shamash_degrees(self.res, i, d))
-                for i in (n, n + 1)]
-        if beta[0] != beta[1]:
-            raise AssertionError(f"hypersurface Betti numbers {beta[0]} and "
-                                 f"{beta[1]} at steps {n} and {n + 1} "
-                                 f"differ")
-        return beta[1]
+        return _stable([sum(self.cells(i, delta)[1] - rank(i, delta)
+                            - rank(i + 1, delta)
+                            for delta in _shamash_degrees(self.res, i, self.d))
+                        for i in (n, n + 1)], n)

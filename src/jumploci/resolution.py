@@ -18,9 +18,9 @@ columns f_k e_j to each run, which is all the reduction modulo (f) there
 is; their last stage takes no syzygies.  The Betti numbers the command
 line prints come from H(X) = Ext_B(M, k) (see ``loci.betti_numbers``),
 and the point oracle reads Tate's complex (``loci.stable_betti_oracle``)
-unless it is too large: then it resolves M over each hypersurface
-section with ``resolve_over_b``, which is also the tests' reference for
-the Betti numbers and the Tate route.
+unless it is too large: then it resolves M = coker d_1 over each
+hypersurface section with ``resolve_over_b``, which is also the tests'
+reference for the Betti numbers and the Tate route.
 """
 
 from __future__ import annotations
@@ -180,8 +180,9 @@ def resolve_over_b(rd: RingData, presentation: PolyMatrix, truncation: int,
     not resolved past it: complete exactly when it has fewer stages.  The
     rows of the presentation lie in ``row_degrees``, all 0 by default.
 
-    The point oracle's route past the size limit of its Tate complex,
-    and the tests' reference for the Betti numbers and the Tate route.
+    The point oracle's route past the size limit of its Tate complex, on
+    d_1 of F with its rows in deg F_0, and the tests' reference for the
+    Betti numbers and the Tate route.
     f must annihilate the cokernel; this is not checked (the oracle
     resolves modules the pipeline has checked).
     Each stage is one graded ``ModuleGB`` run over its candidate columns
@@ -252,23 +253,18 @@ def _resolve(rd: RingData, presentation: PolyMatrix, truncation,
 # -- dualization over A ---------------------------------------------------
 
 
-@dataclass
-class DualComplex:
+def dualize_over_a(res: FreeResolution) -> FreeResolution:
     """Hom_A(F, A) with degrees negated, shifted so it resolves the dual
     when it is concentrated (``_check_concentration``).  No command builds
     it: with ``homotopy.dualize_homotopies`` it is the tests' explicit
-    route to X(M*), kept here only because the benchmark tracer wraps
-    ``dualize_over_a`` by name."""
-
-    matrices: list        # delta_1..delta_L of the reversed complex
-    degrees: list         # degrees of H_0..H_L (negated, reversed)
-
-
-def dualize_over_a(res: FreeResolution) -> DualComplex:
+    route to X(M*), kept here only because the benchmark tracer wraps it
+    by name."""
     L = res.length
-    return DualComplex(
+    return FreeResolution(
+        res.ring_data,
         [res.differentials[L - j].transpose() for j in range(1, L + 1)],
-        [[-d for d in res.degrees[L - j]] for j in range(L + 1)])
+        [[-d for d in res.degrees[L - j]] for j in range(L + 1)],
+        complete=True)
 
 
 def _check_concentration(res: FreeResolution) -> bool:

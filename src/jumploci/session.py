@@ -426,7 +426,6 @@ class Pipeline:
     rd: RingData
     resolution: FreeResolution
     X: TwistedComplex
-    presentation: PolyMatrix = None        # of M over A, coker inputs only
 
     @cached_property
     def X_dual(self) -> TwistedComplex:
@@ -436,31 +435,29 @@ class Pipeline:
     @cached_property
     def dual_is_module(self) -> bool:
         """Whether M has a dual module M*, whose Betti numbers ``betti``
-        prints: Hom_A(F, A) is concentrated.  Decided for a cokernel only,
-        whose resolution keeps its stage-1 run; a pipeline built from a
-        complex raises PipelineError.  A resolution of length 0 resolves
-        the zero module here (f annihilates no nonzero free module), and
-        ``betti`` prints no dual for it."""
-        if self.presentation is None:
+        prints: Hom_A(F, A) is concentrated.  A resolution of length 0
+        resolves the zero module here (f annihilates no nonzero free
+        module), and ``betti`` prints no dual for it.  Otherwise it is
+        decided on the stage-1 run that the resolution of a cokernel
+        keeps; a pipeline built from a complex keeps none and raises
+        PipelineError."""
+        res = self.resolution
+        if res.length and 1 not in res.image_bases:
             raise PipelineError(
                 "the dual module is decided for a module given as a "
                 "cokernel only")
-        return (self.resolution.length > 0
-                and _check_concentration(self.resolution))
+        return res.length > 0 and _check_concentration(res)
 
 
 def build_pipeline(session: Session) -> Pipeline:
     rd = session.ring_data
-    ring = rd.ring
     mod = session.module
     if mod.kind == "coker":
-        pres = PolyMatrix.from_rows(ring, mod.rows)
-        res = resolve_over_a(rd, pres)
+        res = resolve_over_a(rd, PolyMatrix.from_rows(rd.ring, mod.rows))
         sys = compute_higher_homotopies(res, rd)
     else:
         res = FreeResolution(rd, mod.differentials, mod.degrees,
                              complete=True)
         sys = ingest_dg_structure(res, mod.actions, rd)
-        pres = None
     X = build_twisted_complex(sys, rd)
-    return Pipeline(rd, res, X, presentation=pres)
+    return Pipeline(rd, res, X)

@@ -31,8 +31,7 @@ from jumploci.homotopy import (HigherHomotopySystem, _solving_order,
 from jumploci.loci import jump_locus_ideal
 from jumploci.matrix import PolyMatrix
 from jumploci.poly import Polynomial
-from jumploci.resolution import (DualComplex, FreeResolution, RingData,
-                                 dualize_over_a)
+from jumploci.resolution import FreeResolution, RingData, dualize_over_a
 from jumploci.session import Session
 from jumploci.twisted import (TwistedComplex, build_twisted_complex,
                               direct_sum, minimalize)
@@ -231,11 +230,11 @@ def verify_system(sys: HigherHomotopySystem, rd: RingData):
                 f"homotopy identity fails for J={J} at degree {t}")
 
 
-def dualize_and_verify(sys: HigherHomotopySystem, dual: DualComplex,
+def dualize_and_verify(sys: HigherHomotopySystem, dual: FreeResolution,
                        rd: RingData) -> HigherHomotopySystem:
     """``dualize_homotopies``, then every identity of the dual system.  A
     transpose keeps every identity, so this checks the transport."""
-    dual_sys = dualize_homotopies(sys, dual, rd)
+    dual_sys = dualize_homotopies(sys, dual)
     verify_system(dual_sys, rd)
     return dual_sys
 
@@ -301,7 +300,7 @@ def dual_presentation(res: FreeResolution):
     if L < 1 or not syzygy_concentration(res):
         return None
     dual = dualize_over_a(res)
-    return dual.matrices[0], dual.degrees[0]
+    return dual.differentials[0], dual.degrees[0]
 
 
 # -- sessions ---------------------------------------------------------------

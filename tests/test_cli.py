@@ -164,7 +164,8 @@ def test_betti_rejects_complex_input(capfd):
 def _oracle_betti_report(path, n):
     """The betti report with every table taken from resolve_over_b.  The
     fit reads beta_0..beta_n, zeros past a finite resolution included."""
-    pipe = build_pipeline(parse_session(path.read_text()))
+    session = parse_session(path.read_text())
+    pipe = build_pipeline(session)
 
     def block(presentation, row_degrees=None):
         beta = resolve_over_b(pipe.rd, presentation, n, row_degrees).betti()
@@ -177,7 +178,9 @@ def _oracle_betti_report(path, n):
         return out
 
     pres_dual = dual_presentation(pipe.resolution)
-    report = {"n": n, **block(pipe.presentation)}
+    presentation = matrix.PolyMatrix.from_rows(session.ring,
+                                               session.module.rows)
+    report = {"n": n, **block(presentation)}
     report["dual"] = None if pres_dual is None else block(*pres_dual)
     return report
 

@@ -282,31 +282,39 @@ def test_bass_degree_via_dual_pipeline(final_pipeline, flag_pipeline):
 # -- Betti numbers from H(X) -----------------------------------------------
 
 
+def _coker_session(ring, ci, entries):
+    return parse_session(f"field GF(101)\nring {ring}\nci {ci}\n"
+                         f"module coker [[{', '.join(entries)}]]\n")
+
+
 def _coker_pipeline(ring, ci, entries):
-    return build_pipeline(parse_session(
-        f"field GF(101)\nring {ring}\nci {ci}\n"
-        f"module coker [[{', '.join(entries)}]]\n"))
+    return build_pipeline(_coker_session(ring, ci, entries))
 
 
 def _monomial(names, exponents):
     return "*".join(f"{v}^{e}" for v, e in zip(names, exponents) if e)
 
 
-def _assert_betti_routes_agree(pipe, n):
-    """betti_numbers of X and of X_dual equal the B-resolution oracle."""
+def _assert_betti_routes_agree(session, n):
+    """betti_numbers of X and of X_dual equal the B-resolution oracle,
+    which resolves the session's own presentation; returns the
+    pipeline."""
+    pipe = build_pipeline(session)
+    pres = PolyMatrix.from_rows(session.ring, session.module.rows)
     assert betti_numbers(pipe.X, n) == \
-        resolve_over_b(pipe.rd, pipe.presentation, n).betti()
+        resolve_over_b(pipe.rd, pres, n).betti()
     pres_dual = dual_presentation(pipe.resolution)
     if pres_dual is not None:
         assert betti_numbers(pipe.X_dual, n) == \
             resolve_over_b(pipe.rd, pres_dual[0], n, pres_dual[1]).betti()
+    return pipe
 
 
 def test_betti_numbers_match_the_resolution_over_artinian_b():
     rng = random.Random(23)
     for _ in range(6):
         gens = [_monomial("xy", m) for m in random_monomial_rows(rng)]
-        _assert_betti_routes_agree(_coker_pipeline("x, y", "x^3, y^3", gens),
+        _assert_betti_routes_agree(_coker_session("x, y", "x^3, y^3", gens),
                                    7)
 
 
@@ -319,24 +327,23 @@ def test_betti_numbers_match_the_resolution_over_non_artinian_b():
         if rng.random() < 0.5:
             gens.append(f"z^{rng.randrange(1, 3)}")
         _assert_betti_routes_agree(
-            _coker_pipeline("x, y, z", "x^3, y^3", gens), 5)
+            _coker_session("x, y, z", "x^3, y^3", gens), 5)
 
 
 def test_betti_numbers_stop_at_a_finite_projective_dimension():
-    perfect = build_pipeline(
-        parse_session((SESSIONS / "perfect.session").read_text()))
+    perfect = _assert_betti_routes_agree(
+        parse_session((SESSIONS / "perfect.session").read_text()), 6)
     assert betti_numbers(perfect.X, 6) == {0: 1}
-    _assert_betti_routes_agree(perfect, 6)
     # z is regular on k[x,y,z]/(x^2, y^2), so B/(z) has projective dimension 1
-    hyper = _coker_pipeline("x, y, z", "x^2, y^2", ["x^2", "y^2", "z"])
+    hyper = _assert_betti_routes_agree(
+        _coker_session("x, y, z", "x^2, y^2", ["x^2", "y^2", "z"]), 6)
     assert betti_numbers(hyper.X, 6) == {0: 1, 1: 1}
-    _assert_betti_routes_agree(hyper, 6)
 
 
 def test_betti_numbers_of_the_zero_module():
-    pipe = _coker_pipeline("x, y", "x^2, y^2", ["1"])
+    pipe = _assert_betti_routes_agree(
+        _coker_session("x, y", "x^2, y^2", ["1"]), 5)
     assert betti_numbers(pipe.X, 5) == {0: 0}
-    _assert_betti_routes_agree(pipe, 5)
 
 
 # -- the Hilbert numerator of H(X) ------------------------------------------
@@ -641,8 +648,7 @@ def test_oracle_vanishes_on_perfect_module():
     A = PolyRing(GF101, ("x", "y"))
     rd = RingData(A, [A.parse("x^2"), A.parse("y^2")])
     pres = PolyMatrix.from_rows(A, [[A.parse("x^2"), A.parse("y^2")]])
-    assert stable_betti_oracle(rd, resolve_over_a(rd, pres), pres,
-                               [(1, 1)]) == [0]
+    assert stable_betti_oracle(rd, resolve_over_a(rd, pres), [(1, 1)]) == [0]
 
 
 def test_oracle_rejects_vanishing_section():
@@ -651,9 +657,33 @@ def test_oracle_rejects_vanishing_section():
     pres = PolyMatrix.from_rows(A, [[A.parse("x")]])
     res = resolve_over_a(rd, pres)
     with pytest.raises(PipelineError, match="vanishes"):
-        stable_betti_oracle(rd, res, pres, [(1, 0), (0, 0)])
+        stable_betti_oracle(rd, res, [(1, 0), (0, 0)])
     with pytest.raises(PipelineError, match="arity"):
-        stable_betti_oracle(rd, res, pres, [(1, 0, 0)])
+        stable_betti_oracle(rd, res, [(1, 0, 0)])
+
+
+def test_library_oracle_rejects_ci_generators_of_unequal_degree():
+    """f_1, f_2 of degrees 2 and 3 are refused as such, before any point:
+    even the section of the first axis, a form, is not computed."""
+    A = PolyRing(GF101, ("x", "y"))
+    rd = RingData(A, [A.parse("x^2"), A.parse("y^3")])
+    res = resolve_over_a(rd, PolyMatrix.from_rows(A, [[A.parse("x"),
+                                                       A.parse("y")]]))
+    with pytest.raises(PipelineError, match="of one degree, not 2, 3"):
+        stable_betti_oracle(rd, res, [(1, 0)])
+
+
+@pytest.mark.parametrize("limit", [0, 1, loci.MAX_TATE_DIM])
+def test_oracle_answers_0_on_the_zero_module_at_any_limit(monkeypatch,
+                                                          limit):
+    """coker [[1]] is the zero module: F has no d_1 and the Tate complex
+    no piece, so no size limit sends it to ``resolve_over_b``."""
+    monkeypatch.setattr(loci, "MAX_TATE_DIM", limit)
+    calls = _count_resolutions_over_sections(monkeypatch)
+    pipe = _coker_pipeline("x, y", "x^2, y^2", ["1"])
+    assert stable_betti_oracle(pipe.rd, pipe.resolution,
+                               [(1, 0), (2, 3)]) == [0, 0]
+    assert calls == []
 
 
 def test_oracle_is_half_of_crk(final_pipeline):
@@ -663,7 +693,7 @@ def test_oracle_is_half_of_crk(final_pipeline):
     rng = random.Random(2)
     points = [a for a in ([rng.randrange(101), rng.randrange(101)]
                           for _ in range(6)) if any(a)]
-    assert [2 * s for s in stable_betti_oracle(rd, res, pres, points)] == \
+    assert [2 * s for s in stable_betti_oracle(rd, res, points)] == \
         [crk_at(X, a) for a in points]
 
 
@@ -772,8 +802,7 @@ def test_oracle_equals_the_doubling_loop_it_replaces():
     rng = random.Random(43)
     for label, rd, pres in _oracle_cases():
         points = _points(rd, rng, 2)
-        assert stable_betti_oracle(rd, resolve_over_a(rd, pres), pres,
-                                   points) == \
+        assert stable_betti_oracle(rd, resolve_over_a(rd, pres), points) == \
             [_doubling_oracle(rd, pres, a) for a in points], label
 
 
@@ -833,8 +862,7 @@ def test_truncation_at_the_length_of_a_finite_resolution():
     assert not short.complete
     _assert_prefix(short, long, 2)
     assert resolve_over_b(rd, pres, 3).complete
-    assert stable_betti_oracle(rd, resolve_over_a(rd, pres), pres,
-                               [(1,)]) == [0]
+    assert stable_betti_oracle(rd, resolve_over_a(rd, pres), [(1,)]) == [0]
 
 
 def test_oracle_makes_one_basis_of_m_per_command(monkeypatch, capsys):
@@ -909,14 +937,17 @@ def test_oracle_takes_the_tate_route_up_to_its_size_limit(monkeypatch,
 def test_oracle_resolves_over_the_sections_past_the_size_limit(
         monkeypatch, capsys, tmp_path, ring, ci, row):
     """M of infinite length in many variables: the Tate complex is far
-    past ``MAX_TATE_DIM``, so the basis of M stops filling at the limit
-    and every point is resolved over its section, with the values of
-    ``resolve_over_b``."""
+    past ``MAX_TATE_DIM``, so the first point stops building it at the
+    limit, with the basis of M filled no further, and every point is
+    resolved over its section, with the values of ``resolve_over_b``."""
     text = f"field GF(101)\nring {ring}\nci {ci}\nmodule coker [[{row}]]\n"
-    pipe = build_pipeline(parse_session(text))
+    session = parse_session(text)
+    pipe = build_pipeline(session)
     rd = pipe.rd
-    tate = loci._TateComplex(rd, pipe.resolution)
-    assert not tate.fits(rd.ci_degrees[0])
+    pres = PolyMatrix.from_rows(rd.ring, session.module.rows)
+    tate = loci._TateComplex(rd, pipe.resolution, rd.ci_degrees[0])
+    with pytest.raises(loci._TooLarge):
+        tate.stable_betti((1,) * rd.c)
     assert len(tate._index) <= loci.MAX_TATE_DIM
     calls = _count_resolutions_over_sections(monkeypatch)
     path = tmp_path / "big.session"
@@ -925,8 +956,7 @@ def test_oracle_resolves_over_the_sections_past_the_size_limit(
     report = json.loads(capsys.readouterr().out)
     assert calls == [rd.n + 1] * 3
     assert [p["stable_betti"] for p in report["points"]] == \
-        [_resolved_oracle(rd, pipe.presentation, p["point"])
-         for p in report["points"]]
+        [_resolved_oracle(rd, pres, p["point"]) for p in report["points"]]
 
 
 def test_oracle_fills_the_basis_of_m_up_to_degree_2000():
@@ -937,8 +967,7 @@ def test_oracle_fills_the_basis_of_m_up_to_degree_2000():
     for row in (["x", "y"], ["x^999", "y"]):
         pres = PolyMatrix.from_rows(A, [[A.parse(e) for e in row]])
         points = [(1, 2), (3, 0)]
-        assert stable_betti_oracle(rd, resolve_over_a(rd, pres), pres,
-                                   points) == \
+        assert stable_betti_oracle(rd, resolve_over_a(rd, pres), points) == \
             [_resolved_oracle(rd, pres, a) for a in points], row
 
 
@@ -961,15 +990,18 @@ def _assert_tate_is_a_complex(rd, res, a):
     """d_(i-1) d_i = 0 on M (x) K(x)<y> at the point a, for 2 <= i <= n + 2
     and in every internal degree up to the top one of step n + 2.  The
     ranks the oracle reads stay the same under a change of sign of whole
-    summands, so only this check sees a sign rule that breaks d^2 = 0."""
+    summands, so only this check sees a sign rule that breaks d^2 = 0.
+    It builds more pieces than a point reads, so the size limit, which
+    counts every piece built, is lifted."""
     fld = rd.ring.field
-    tate = loci._TateComplex(rd, res)
-    d = loci._section(rd, a).degree()
+    d = loci.section_degree(rd)
+    tate = loci._TateComplex(rd, res, d)
     top = max(loci._shamash_degrees(res, rd.n + 2, d), default=-1)
-    for i in range(2, rd.n + 3):
-        for delta in range(top + 1):
-            later = tate.columns(i - 1, delta, d, a)
-            for v in tate.columns(i, delta, d, a):
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(loci, "MAX_TATE_DIM", float("inf"))
+        for i, delta in itertools.product(range(2, rd.n + 3), range(top + 1)):
+            later = tate.columns(i - 1, delta, a)
+            for v in tate.columns(i, delta, a):
                 image = {}
                 for t, c in v.items():
                     for u, e in later[t].items():
@@ -1047,9 +1079,10 @@ def test_oracle_equals_the_resolution_over_the_section(case):
     pres = PolyMatrix.from_rows(A, [[A.parse(e) for e in row]
                                     for row in rows])
     res = resolve_over_a(rd, pres)
-    # the Tate route answers: its pieces are within the size limit
-    d = loci._section(rd, points[0]).degree()
-    assert loci._TateComplex(rd, res).fits(d)
-    assert stable_betti_oracle(rd, res, pres, points) == \
-        [_resolved_oracle(rd, pres, a) for a in points]
+    with pytest.MonkeyPatch.context() as patch:
+        calls = _count_resolutions_over_sections(patch)
+        stables = stable_betti_oracle(rd, res, points)
+    # the Tate route answered: its pieces are within the size limit
+    assert calls == []
+    assert stables == [_resolved_oracle(rd, pres, a) for a in points]
     _assert_tate_is_a_complex(rd, res, points[0])

@@ -669,8 +669,8 @@ def test_koszul_complex_is_self_dual():
     res = resolve_over_a(rd, _pres(A, ["x", "y"]))
     dc = dualize_over_a(res)
     assert _check_concentration(res)
-    assert [m.nrows for m in dc.matrices] == [1, 2]
-    for j, mat in enumerate(dc.matrices):
+    assert [m.nrows for m in dc.differentials] == [1, 2]
+    for j, mat in enumerate(dc.differentials):
         assert mat.entries == res.differentials[res.length - 1 - j] \
             .transpose().entries
 

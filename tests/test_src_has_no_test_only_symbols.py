@@ -63,7 +63,7 @@ from jumploci.twisted import build_twisted_complex, homology_presentation
 
 pipe = build_pipeline(parse_session(Path(flag).read_text()))
 system = compute_higher_homotopies(pipe.resolution, pipe.rd)
-dual = dualize_homotopies(system, dualize_over_a(pipe.resolution), pipe.rd)
+dual = dualize_homotopies(system, dualize_over_a(pipe.resolution))
 homology_presentation(pipe.X)
 complexity_of(pipe.X)
 duality_check(jump_loci_report(pipe.X),
