@@ -10,10 +10,11 @@ A JumpLociReport holds every jump ideal of one complex, computed once;
 its jump numbers are computed when first read.  It holds no generic
 rank: only ``crk`` prints the generic crk, through ``crk_at``.  Every
 Betti-side invariant comes from one Hilbert numerator h of H(X) over S,
-with P_M(t) = h(t)/(1 - t^2)^c: the Betti numbers expand it, and the
-Betti degree reads the dimension and multiplicity of its even and odd
-parts.  The tests check that twice the Betti degree is the generic crk
-where the complexity is c.
+with P_M(t) = h(t)/(1 - t^2)^c: the Betti numbers expand it, the
+quasi-polynomial of their tail is one binomial sum over h on each
+parity, and the Betti degree reads the dimension and multiplicity of its
+even and odd parts.  The tests check that twice the Betti degree is the
+generic crk where the complexity is c.
 h is read off the numerator h_C of coker D, one untracked column basis:
 D raises the cohomological degree u by one and D^2 = 0, so
 h = (1 + 1/t) h_C - (1/t) sum_i t^{u_i} for any D, minimal or not.
@@ -52,6 +53,7 @@ only because the benchmark tracer wraps them by name.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import cached_property
 from operator import add, le
 
@@ -187,8 +189,9 @@ def _ext_numerator(X: TwistedComplex):
     return {d: v for d, v in h.items() if v}, c
 
 
-def betti_numbers(X: TwistedComplex, n: int) -> dict:
-    """beta_0..beta_n over B of the module M with X = X(M).
+def betti_numbers(X: TwistedComplex, n: int):
+    """(beta, tail): beta_0..beta_n over B of the module M with X = X(M),
+    and the quasi-polynomial that gives them from some index on.
 
     H(X) = Ext_B(M, k) is a finitely generated module over S, so the
     Poincare series of M is h(t)/(1 - t^2)^c, with h the Hilbert numerator
@@ -196,15 +199,52 @@ def betti_numbers(X: TwistedComplex, n: int) -> dict:
     beta_i forces every later one to vanish, so the dict stops at the last
     nonzero entry, as a finite resolution does; the zero module gives
     {0: 0}.
+
+    Expanded, beta_i = sum_{j = i mod 2} h_j C((i - j)/2 + c - 1, c - 1),
+    which on each parity e is one polynomial P_e in i for every
+    i >= deg h - 2c + 2 (Gulliksen, Math. Scand. 34, 1974; Avramov,
+    Infinite free resolutions, 1998): only the indices below that bound
+    are compared.  P_e is a tuple of Fractions in ascending powers of i,
+    the zero polynomial being ().  With s_e the least index of parity e
+    from which beta_i = P_e(i) through n, the tail is
+    (P_0, P_1, max(s_0, s_1)), or None unless each parity has at least
+    deg P_e + 3 indices from s_e through n (the zero polynomial counting
+    as degree 0): deg P_e + 1 numbers fix P_e and two more confirm it.
     """
     h, c = _ext_numerator(X)
     beta = [h.get(i, 0) for i in range(n + 1)]
     for _ in range(c):
         for i in range(2, n + 1):
             beta[i] += beta[i - 2]
+    exact_from = max(h, default=0) - 2 * c + 2
+    branches, starts, confirmed = [], [], True
+    for e in (0, 1):
+        poly = [Fraction(0)] * c
+        for j, v in h.items():
+            if j % 2 != e:
+                continue
+            # h_j times the product of (i - j + 2k)/(2k) over k = 1..c-1
+            term = [Fraction(v)]
+            for k in range(1, c):
+                term = [(a * (2 * k - j) + b) / (2 * k)
+                        for a, b in zip(term + [0], [0] + term)]
+            poly = list(map(add, poly, term))
+        while poly and not poly[-1]:
+            poly.pop()
+        top = n - (n - e) % 2
+        s = top + 2
+        for i in range(top, -1, -2):
+            if i < exact_from and beta[i] != sum(
+                    a * i ** p for p, a in enumerate(poly)):
+                break
+            s = i
+        branches.append(tuple(poly))
+        starts.append(s)
+        confirmed &= len(range(s, n + 1, 2)) >= max(len(poly), 1) + 2
     while len(beta) > 1 and not beta[-1]:
         beta.pop()
-    return dict(enumerate(beta))
+    tail = (*branches, max(starts)) if confirmed else None
+    return dict(enumerate(beta)), tail
 
 
 def betti_degree(X: TwistedComplex) -> int:

@@ -16,8 +16,9 @@ the basis the higher homotopies lift through d_t.  Resolutions over B are
 truncated and emulate module arithmetic over B inside A by adjoining the
 columns f_k e_j to each run, which is all the reduction modulo (f) there
 is; their last stage takes no syzygies.  The Betti numbers the command
-line prints come from H(X) = Ext_B(M, k) (see ``loci.betti_numbers``),
-and the point oracle reads Tate's complex (``loci.stable_betti_oracle``)
+line prints, and the quasi-polynomial of their tail, come from
+H(X) = Ext_B(M, k) in closed form (see ``loci.betti_numbers``), and the
+point oracle reads Tate's complex (``loci.stable_betti_oracle``)
 unless it is too large: then it resolves M = coker d_1 over each
 hypersurface section with ``resolve_over_b``, which is also the tests'
 reference for the Betti numbers and the Tate route.
@@ -26,15 +27,10 @@ reference for the Betti numbers and the Tate route.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 
 from .poly import Polynomial, PolyRing
 from .matrix import PipelineError, PolyMatrix, cancel_unit, least_unit
 from .groebner import Ideal, ModuleGB
-
-
-class TruncationNeeded(Exception):
-    """Raised when a truncated tail is too short to determine the answer."""
 
 
 class RingData:
@@ -284,84 +280,3 @@ def _check_concentration(res: FreeResolution) -> bool:
     if L == 0:
         return True
     return L == res.ring_data.n - res.image_bases[1].dimension()
-
-
-# -- Betti tables and quasi-polynomial tails -------------------------------
-
-
-@dataclass
-class QuasiPoly:
-    """Period-2 quasi-polynomial: separate even and odd branch polynomials."""
-
-    q_ev: tuple          # Fraction coefficients, ascending powers
-    q_odd: tuple
-    valid_from: int
-
-
-def _interpolate(points):
-    """Coefficients (ascending) of the poly through (x, y) pairs, exact."""
-    n = len(points)
-    coeffs = [Fraction(0)] * n
-    for i, (xi, yi) in enumerate(points):
-        basis = [Fraction(1)]
-        denom = Fraction(1)
-        for j, (xj, _) in enumerate(points):
-            if i == j:
-                continue
-            denom *= Fraction(xi - xj)
-            new = [Fraction(0)] * (len(basis) + 1)
-            for e, c in enumerate(basis):
-                new[e] -= c * xj
-                new[e + 1] += c
-            basis = new
-        scale = Fraction(yi) / denom
-        for e, c in enumerate(basis):
-            coeffs[e] += c * scale
-    while len(coeffs) > 1 and coeffs[-1] == 0:
-        coeffs.pop()
-    if coeffs == [Fraction(0)]:
-        return ()
-    return tuple(coeffs)
-
-
-def _fit_branch(points):
-    """Least-degree polynomial fitting a stable tail of the points, whose
-    abscissae are equally spaced.
-
-    The last d + 3 points lie on one polynomial of degree <= d exactly when
-    the last two (d + 1)-th differences vanish, and the fit holds from
-    where the trailing run of zero (d + 1)-th differences starts.  Returns
-    (coeffs, valid_from); raises TruncationNeeded when no degree is
-    confirmed by at least two extra points.
-    """
-    if not points:
-        raise TruncationNeeded("empty tail")
-    diffs = [y for _, y in points]
-    for d in range(len(points) - 2):
-        diffs = [b - a for a, b in zip(diffs, diffs[1:])]
-        if diffs[-1] == diffs[-2] == 0:
-            start = len(diffs)
-            while start and diffs[start - 1] == 0:
-                start -= 1
-            return _interpolate(points[-(d + 1):]), points[start][0]
-    raise TruncationNeeded("tail is not yet quasi-polynomial")
-
-
-def fit_quasi_polynomial(betti: dict, window: int) -> QuasiPoly:
-    """Fit the even/odd tails of a Betti sequence {i: beta_i} by exact
-    interpolation; its indices are consecutive, as ``betti_numbers``
-    gives them."""
-    idx = sorted(betti)
-    if len(idx) < window:
-        raise TruncationNeeded("window exceeds available Betti numbers")
-    tail = idx[-window:]
-    ev = [(i, betti[i]) for i in tail if i % 2 == 0]
-    od = [(i, betti[i]) for i in tail if i % 2 == 1]
-    q_ev, v_ev = _fit_branch(ev)
-    q_odd, v_odd = _fit_branch(od)
-    deg_ev = len(q_ev) - 1 if q_ev else -1
-    deg_odd = len(q_odd) - 1 if q_odd else -1
-    if (q_ev or q_odd) and (deg_ev != deg_odd or
-                            (q_ev and q_odd and q_ev[-1] != q_odd[-1])):
-        raise TruncationNeeded("even and odd branches disagree in degree")
-    return QuasiPoly(q_ev, q_odd, max(v_ev, v_odd))

@@ -1,19 +1,21 @@
 """Command-line interface: commands, exit codes, output formats."""
 
 import json
+import math
 import os
 import time
+from fractions import Fraction
 
 import pytest
 
 from jumploci import cli, matrix
 from jumploci.cli import main
-from jumploci.resolution import (TruncationNeeded, fit_quasi_polynomial,
-                                 resolve_over_b)
+from jumploci.loci import betti_degree
+from jumploci.resolution import resolve_over_b
 from jumploci.session import build_pipeline, parse_session
 
-from conftest import NON_DESCENDING_CHAINS, SESSIONS, CHAINS
-from oracles import dual_presentation
+from conftest import NON_DESCENDING_CHAINS, REPO, SESSIONS, CHAINS
+from oracles import TruncationNeeded, dual_presentation, fit_quasi_polynomial
 
 FLAG = str(SESSIONS / "flag.session")
 FINAL = str(SESSIONS / "final.session")
@@ -23,6 +25,10 @@ PERFECT = str(SESSIONS / "perfect.session")
 CHAIN = str(CHAINS / "complete_flag.chain")
 COKER_SESSIONS = sorted(p.name for p in SESSIONS.glob("*.session")
                         if "module coker" in p.read_text())
+COKER_INPUTS = sorted(p for p in [*SESSIONS.glob("*.session"),
+                                  *(REPO / "perfbench" / "inputs")
+                                  .glob("*.session")]
+                      if "module coker" in p.read_text())
 
 
 def _run(capfd, argv):
@@ -162,8 +168,10 @@ def test_betti_rejects_complex_input(capfd):
 
 
 def _oracle_betti_report(path, n):
-    """The betti report with every table taken from resolve_over_b.  The
-    fit reads beta_0..beta_n, zeros past a finite resolution included."""
+    """The betti report with every table taken from resolve_over_b and
+    every tail from the interpolation fit of ``oracles``, a route that
+    shares nothing with h.  The fit reads beta_0..beta_n, zeros past a
+    finite resolution included."""
     session = parse_session(path.read_text())
     pipe = build_pipeline(session)
 
@@ -171,10 +179,14 @@ def _oracle_betti_report(path, n):
         beta = resolve_over_b(pipe.rd, presentation, n, row_degrees).betti()
         out = {"betti": {str(i): b for i, b in sorted(beta.items())}}
         try:
-            out["quasi"] = cli._quasi_dict(fit_quasi_polynomial(
-                {i: beta.get(i, 0) for i in range(n + 1)}, n + 1))
+            qp = fit_quasi_polynomial({i: beta.get(i, 0)
+                                       for i in range(n + 1)}, n + 1)
         except TruncationNeeded as exc:
             out["quasi"] = {"error": str(exc)}
+        else:
+            out["quasi"] = {"even": [str(c) for c in qp.q_ev],
+                            "odd": [str(c) for c in qp.q_odd],
+                            "valid_from": qp.valid_from}
         return out
 
     pres_dual = dual_presentation(pipe.resolution)
@@ -214,10 +226,47 @@ def test_betti_json_when_b_is_not_artinian(capfd, tmp_path, entries,
                                            "json")
 
 
+@pytest.mark.parametrize("path", COKER_INPUTS, ids=lambda path: path.stem)
+def test_betti_tails_have_the_leading_terms_of_the_theorem(capfd, path):
+    """On the tails of ``betti --n 200``, both branches of M and of M* have
+    degree cx - 1 and leading coefficient e / (2^(cx-1) (cx-1)!), where e
+    is the Betti degree of M and, for M*, its Bass degree: so M and M*
+    have one leading term, the duality of the paper.  cx and both degrees
+    come from ``compute``; where its minors refuse, the degrees come from
+    ``betti_degree`` and the degree of the tails is checked only against
+    each other."""
+    code, out, err = _run(capfd, ["compute", "--input", str(path)])
+    if code == 0:
+        report = json.loads(out)
+        cx = report["complexity"]
+        degrees = report["betti_degree"], report["bass_degree"]
+    else:
+        assert code == 1 and "MAX_MINOR_WORK" in err
+        pipe = build_pipeline(parse_session(path.read_text()))
+        cx = None
+        degrees = betti_degree(pipe.X), betti_degree(pipe.X_dual)
+    data = _run_json(capfd, ["betti", "--input", str(path), "--n", "200"])
+    blocks = [data] if data["dual"] is None else [data, data["dual"]]
+    leading = set()
+    for block, degree in zip(blocks, degrees):
+        assert "error" not in block["quasi"]
+        for branch in (block["quasi"]["even"], block["quasi"]["odd"]):
+            coeffs = [Fraction(c) for c in branch]
+            d = len(coeffs) - 1
+            if cx is not None:
+                assert d == cx - 1
+            if coeffs:
+                assert coeffs[-1] * 2 ** d * math.factorial(d) == degree
+            else:
+                assert degree is None
+            leading.add((d, tuple(coeffs[-1:])))
+    assert len(leading) == 1
+
+
 def test_betti_of_a_module_of_finite_projective_dimension(capfd):
     """B over itself (``sessions/perfect.session``) and its dual B have
     beta_0..beta_20 = 1, 0, ..., 0.  The printed dict stops at beta_0 and
-    the fit reads the zeros as the zero quasi-polynomial; a fit of the cut
+    the tail is the zero quasi-polynomial from beta_2 on; a fit of the cut
     dict reported "window exceeds available Betti numbers" at any --n."""
     block = {"betti": {"0": 1},
              "quasi": {"even": [], "odd": [], "valid_from": 2}}

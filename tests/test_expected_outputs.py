@@ -9,7 +9,8 @@ line prints fails the suite, not only the benchmark.  It reads
 The benchmark checks its ``oracle`` jobs only by crk = 2 * stable Betti
 number, so their output at seed 1 is pinned here, in ``tests/expected/``,
 and so is ``crk`` at the generic point and at one point of every session
-and benchmark input whose output the benchmark does not pin.
+and benchmark input whose output the benchmark does not pin, and
+``betti --n 7`` and ``--n 20`` on every cokernel among them.
 """
 
 import importlib.util
@@ -76,14 +77,17 @@ def test_oracle_prints_its_pinned_output(stem, capsysbinary, monkeypatch):
                    / f"oracle-{stem}.json").read_bytes()
 
 
+INPUTS = (sorted((REPO / "sessions").glob("*.session"))
+          + sorted((PERFBENCH / "inputs").glob("*.session")))
+
+
 def _crk_jobs():
     """(name, argv) of ``crk`` and of ``crk --point 3,5,7,..`` (the first
     c of those primes) on every session and benchmark input, but for the
     benchmark's own exact jobs."""
     pinned = [job["argv"] for job in JOBS]
     jobs = []
-    for path in (sorted((REPO / "sessions").glob("*.session"))
-                 + sorted((PERFBENCH / "inputs").glob("*.session"))):
+    for path in INPUTS:
         argv = ["crk", "--input", str(path.relative_to(REPO))]
         c = parse_session(path.read_text()).ring_data.c
         point = ",".join(map(str, (3, 5, 7, 11, 13, 17, 19)[:c]))
@@ -93,15 +97,44 @@ def _crk_jobs():
     return jobs
 
 
+def _betti_jobs():
+    """(name, argv) of ``betti --n 7`` and ``betti --n 20`` on every
+    cokernel session and benchmark input, but for the benchmark's own
+    exact jobs."""
+    pinned = [job["argv"] for job in JOBS]
+    jobs = []
+    for path in INPUTS:
+        if parse_session(path.read_text()).module.kind != "coker":
+            continue
+        for n in ("7", "20"):
+            argv = ["betti", "--input", str(path.relative_to(REPO)),
+                    "--n", n]
+            if argv not in pinned:
+                jobs.append((f"betti_n{n}-{path.stem}", argv))
+    return jobs
+
+
 CRK_JOBS = _crk_jobs()
+BETTI_JOBS = _betti_jobs()
+
+
+def _assert_pinned(name, argv, capsysbinary, monkeypatch):
+    monkeypatch.chdir(REPO)
+    code = cli.main(argv)
+    out, err = capsysbinary.readouterr()
+    assert (code, err) == (0, b"")
+    assert out == (REPO / "tests" / "expected" / f"{name}.json").read_bytes()
 
 
 @pytest.mark.parametrize("name, argv", CRK_JOBS,
                          ids=[name for name, _ in CRK_JOBS])
 def test_crk_prints_its_pinned_output(name, argv, capsysbinary,
                                       monkeypatch):
-    monkeypatch.chdir(REPO)
-    code = cli.main(argv)
-    out, err = capsysbinary.readouterr()
-    assert (code, err) == (0, b"")
-    assert out == (REPO / "tests" / "expected" / f"{name}.json").read_bytes()
+    _assert_pinned(name, argv, capsysbinary, monkeypatch)
+
+
+@pytest.mark.parametrize("name, argv", BETTI_JOBS,
+                         ids=[name for name, _ in BETTI_JOBS])
+def test_betti_prints_its_pinned_output(name, argv, capsysbinary,
+                                        monkeypatch):
+    _assert_pinned(name, argv, capsysbinary, monkeypatch)

@@ -23,10 +23,12 @@ from jumploci.loci import (crk_at, jump_locus_ideal, jump_loci_report,
                            duality_check, realize,
                            stable_betti_oracle, RouteDisagreement)
 
-from conftest import (SESSIONS, PAIR_BLOCK_SESSION, assert_twisted_complex,
-                      koszul_block, matrix_of, random_monomial_rows,
-                      random_homogeneous, random_twisted_complex)
-from oracles import (additivity_check, dual_presentation, explicit_dual,
+from conftest import (REPO, SESSIONS, PAIR_BLOCK_SESSION,
+                      assert_twisted_complex, koszul_block, matrix_of,
+                      random_monomial_rows, random_homogeneous,
+                      random_twisted_complex)
+from oracles import (TruncationNeeded, additivity_check, dual_presentation,
+                     explicit_dual, fit_quasi_polynomial,
                      jump_locus_via_exterior_power, shift)
 
 GF101 = GF(101)
@@ -301,11 +303,11 @@ def _assert_betti_routes_agree(session, n):
     pipeline."""
     pipe = build_pipeline(session)
     pres = PolyMatrix.from_rows(session.ring, session.module.rows)
-    assert betti_numbers(pipe.X, n) == \
+    assert betti_numbers(pipe.X, n)[0] == \
         resolve_over_b(pipe.rd, pres, n).betti()
     pres_dual = dual_presentation(pipe.resolution)
     if pres_dual is not None:
-        assert betti_numbers(pipe.X_dual, n) == \
+        assert betti_numbers(pipe.X_dual, n)[0] == \
             resolve_over_b(pipe.rd, pres_dual[0], n, pres_dual[1]).betti()
     return pipe
 
@@ -333,17 +335,71 @@ def test_betti_numbers_match_the_resolution_over_non_artinian_b():
 def test_betti_numbers_stop_at_a_finite_projective_dimension():
     perfect = _assert_betti_routes_agree(
         parse_session((SESSIONS / "perfect.session").read_text()), 6)
-    assert betti_numbers(perfect.X, 6) == {0: 1}
+    assert betti_numbers(perfect.X, 6)[0] == {0: 1}
     # z is regular on k[x,y,z]/(x^2, y^2), so B/(z) has projective dimension 1
     hyper = _assert_betti_routes_agree(
         _coker_session("x, y, z", "x^2, y^2", ["x^2", "y^2", "z"]), 6)
-    assert betti_numbers(hyper.X, 6) == {0: 1, 1: 1}
+    assert betti_numbers(hyper.X, 6)[0] == {0: 1, 1: 1}
 
 
 def test_betti_numbers_of_the_zero_module():
     pipe = _assert_betti_routes_agree(
         _coker_session("x, y", "x^2, y^2", ["1"]), 5)
-    assert betti_numbers(pipe.X, 5) == {0: 0}
+    assert betti_numbers(pipe.X, 5)[0] == {0: 0}
+
+
+@st.composite
+def _cyclic_module_sessions(draw):
+    """A cyclic module over k[x0..x(m-1)]/(x0^e0, .., x(c-1)^e(c-1)), with
+    c = 1..4, m = c or c + 1 (at most 4) variables of weight 1 or 2, each
+    e_k 2 or 3, and one to three random homogeneous relations of one or
+    two terms next to the f_k, over GF(2), GF(7), GF(101) or QQ."""
+    field = draw(st.sampled_from(["GF(2)", "GF(7)", "GF(101)", "QQ"]))
+    c = draw(st.integers(1, 4))
+    m = draw(st.integers(c, min(c + 1, 4)))
+    names = [f"x{i}" for i in range(m)]
+    weights = [draw(st.sampled_from([1, 2])) for _ in names]
+    A = PolyRing(GF101, names, weights)  # lists the monomials only
+    ci = [f"{v}^{draw(st.integers(2, 3))}" for v in names[:c]]
+    top = 1 if field == "GF(2)" else 6
+    relations = []
+    for _ in range(draw(st.integers(1, 3))):
+        monos = _forms(A, draw(st.integers(1, 3)))
+        if not monos:
+            continue
+        chosen = draw(st.lists(st.sampled_from(monos), min_size=1,
+                               max_size=2, unique=True))
+        relations.append(" + ".join(
+            f"{draw(st.integers(1, top))}*{A.monomial(mono, 1)}"
+            for mono in chosen))
+    return (f"field {field}\nring {', '.join(names)} weights "
+            f"{', '.join(map(str, weights))}\nci {', '.join(ci)}\n"
+            f"module coker [[{', '.join(ci + relations)}]]\n")
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(text=_cyclic_module_sessions(), n=st.integers(1, 25))
+# res_n4_e2 at --n 10: the tail is not yet confirmed on M and on M*
+@example(text=(REPO / "perfbench" / "inputs" / "res_n4_e2.session")
+         .read_text(), n=10)
+# B over itself: the zero quasi-polynomial from beta_2 on
+@example(text=(SESSIONS / "perfect.session").read_text(), n=20)
+def test_betti_tail_equals_the_interpolation_fit(text, n):
+    """The closed-form tail of ``betti_numbers`` equals the interpolation
+    fit of its own beta_0..beta_n, for M and for M*: the same
+    polynomials and valid_from, or None where the fit finds the tail not
+    yet quasi-polynomial."""
+    pipe = build_pipeline(parse_session(text))
+    for X in (pipe.X, pipe.X_dual) if pipe.dual_is_module else (pipe.X,):
+        beta, tail = betti_numbers(X, n)
+        try:
+            qp = fit_quasi_polynomial({i: beta.get(i, 0)
+                                       for i in range(n + 1)}, n + 1)
+        except TruncationNeeded as exc:
+            assert str(exc) == "tail is not yet quasi-polynomial"
+            assert tail is None
+        else:
+            assert tail == (qp.q_ev, qp.q_odd, qp.valid_from)
 
 
 # -- the Hilbert numerator of H(X) ------------------------------------------

@@ -8,15 +8,13 @@ from fractions import Fraction
 import pytest
 
 from jumploci import GF, PolyRing
-from jumploci import resolution
 from jumploci.matrix import PolyMatrix
 from jumploci.poly import Polynomial
 from jumploci.groebner import Ideal, ModuleGB, _vec_add, module_hilbert_data
-from jumploci.resolution import (RingData, PipelineError, TruncationNeeded,
-                                 FreeResolution, resolve_over_a, resolve_over_b,
+from jumploci.resolution import (RingData, PipelineError, FreeResolution,
+                                 resolve_over_a, resolve_over_b,
                                  dualize_over_a, _check_concentration,
-                                 fit_quasi_polynomial, column_degree,
-                                 split_unit_entries)
+                                 column_degree, split_unit_entries)
 
 from jumploci.homotopy import compute_higher_homotopies
 from jumploci.loci import crk_at
@@ -24,9 +22,10 @@ from jumploci.session import parse_session
 from jumploci.twisted import build_twisted_complex
 
 from conftest import REPO, SESSIONS, matrix_of, random_monomial_rows
-from oracles import (check_complex, dual_presentation, is_minimal,
-                     normal_form, resolution_euler_numerator,
-                     syzygy_concentration)
+import oracles
+from oracles import (TruncationNeeded, check_complex, dual_presentation,
+                     fit_quasi_polynomial, is_minimal, normal_form,
+                     resolution_euler_numerator, syzygy_concentration)
 
 GF101 = GF(101)
 A3 = PolyRing(GF101, ("x", "y", "z"))
@@ -774,12 +773,12 @@ def test_fit_rejects_unstable_tail():
 
 
 def _interpolation_fit_branch(points):
-    """Reference for resolution._fit_branch: interpolate each degree in
+    """Reference for oracles._fit_branch: interpolate each degree in
     turn and evaluate the polynomial at every point of the tail."""
     if not points:
         raise TruncationNeeded("empty tail")
     for d in range(0, len(points) - 2):
-        coeffs = resolution._interpolate(points[-(d + 1):])
+        coeffs = oracles._interpolate(points[-(d + 1):])
         poly = lambda x: sum((c * Fraction(x) ** e
                               for e, c in enumerate(coeffs)), Fraction(0))
         if not all(poly(x) == y for x, y in points[-(d + 3):]):
@@ -831,7 +830,7 @@ def test_branch_fit_equals_the_interpolation_route(monkeypatch):
         beta = _random_betti_sequence(rng)
         cases.append((beta, max(1, len(beta) + rng.randrange(-12, 3))))
     got = [_fit_or_error(beta, window) for beta, window in cases]
-    monkeypatch.setattr(resolution, "_fit_branch", _interpolation_fit_branch)
+    monkeypatch.setattr(oracles, "_fit_branch", _interpolation_fit_branch)
     assert got == [_fit_or_error(beta, window) for beta, window in cases]
     messages = {r for r in got if isinstance(r, str)}
     assert messages == {"empty tail", "tail is not yet quasi-polynomial",
