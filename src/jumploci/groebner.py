@@ -554,17 +554,17 @@ class Ideal:
     def radical_contains(self, p: Polynomial) -> bool:
         """Membership of ``p`` in the radical of the ideal, decided in stages.
 
-        The first three stages work on the ideal's cached Groebner basis:
+        The first two stages work on the ideal's cached Groebner basis:
 
         1. The basis is monomial, so the ideal is: its radical is generated
            by the squarefree parts of the basis monomials, and ``p`` lies in
            that monomial ideal exactly when each of its terms does.  This
            stage decides both ways, and needs no division: ``p`` in the
            ideal puts each of its terms in it.
-        2. ``p`` lies in the ideal: True.
-        3. One of ``p^2, p^4, p^8`` lies in the ideal: True.  This is a
-           certificate only; failing it proves nothing.
-        4. Otherwise the Rabinowitsch trick decides: ``p`` is in the radical
+        2. One of ``p^2, p^4, p^8`` lies in the ideal: True.  This is a
+           certificate only; failing it proves nothing.  ``p`` itself is
+           not tried: ``p`` in the ideal puts ``p^2`` there too.
+        3. Otherwise the Rabinowitsch trick decides: ``p`` is in the radical
            exactly when the ideal and ``1 - y*p`` generate the unit ideal
            of the ring with one more variable ``y``.
         """
@@ -572,8 +572,6 @@ class Ideal:
         if roots is not None:
             return all(any(all(map(le, r, m)) for r in roots)
                        for m in p.terms)
-        if self.contains(p):
-            return True
         q = p
         for _ in range(3):
             q = q * q

@@ -10,10 +10,14 @@ of F of homological degree 2|J| - 1, subject to (with sigma_empty := d)
 Blocks are stored per source homological degree: ``sigma[J][t]`` maps
 F_t -> F_{t + 2|J| - 1}.  Zero blocks are not stored: an absent block is
 the zero block, and ``sigma[J]`` may be empty.  Construction solves the
-defining relations degreewise by lifting through the acyclic complex,
-column by column, and lifts no zero target and no zero column.  It walks
-only the identities whose residual can be nonzero, with products of
-stored blocks only (``_walk``), and checks each exactly as it is solved.
+defining relations degreewise on module vectors (``_walk``): each block
+is kept as its list of columns while the system is solved, the residual
+of an identity on each basis vector of F_t is summed from them, and a
+nonzero one is lifted through the tracked run d came from.  Only the
+identities whose residual can be nonzero are walked.  The lift contract
+v + d c = 0 makes each solved identity hold, so none is formed again;
+checked at run time are that each lift exists and that the identities
+at the top vanish.
 Dualization along Hom_A(-, A) is plain blockwise transposition, which
 preserves all identities because each relation is symmetric in the
 compositions being transposed, so the dual system is not checked again.
@@ -31,8 +35,8 @@ from dataclasses import dataclass
 from operator import add
 
 from .matrix import PolyMatrix
-from .resolution import (FreeResolution, RingData, PipelineError,
-                         check_annihilation)
+from .poly import Polynomial
+from .resolution import FreeResolution, RingData, PipelineError
 
 
 @dataclass
@@ -70,25 +74,39 @@ def _solving_order(c, L):
                       else list(_multi_indices(c, total)))
 
 
-def _walk(sys: HigherHomotopySystem, rd: RingData):
-    """(J, t, r) for every identity whose residual r can be nonzero, in
-    solving order.  r is the identity of J at degree t, a map F_t ->
-    F_{t + 2|J| - 2}: the sum over J' + J'' = J of sigma_J' o sigma_J''
-    (sigma_empty = d), minus f_i * id when J = e_i, formed from the
-    blocks stored so far; the caller may store sigma_J[t] before the walk
-    goes on.
+def _apply(block, v, acc):
+    """Add to ``acc`` ({(row, monomial): coefficient}, not yet reduced) the
+    image of the module vector ``v`` under the map with the columns
+    ``block``: each term (k, m) * a of v adds a * x^m times column k."""
+    for (k, m), a in v.items():
+        for (r, n), b in block[k].items():
+            key = (r, tuple(map(add, m, n)))
+            acc[key] = acc.get(key, 0) + a * b
+
+
+def _walk(res: FreeResolution, rd: RingData, blocks, given):
+    """(J, t, cols) for every identity whose residual can be nonzero, in
+    solving order; ``cols`` are the columns of the identity of J at degree
+    t, F_t -> F_{t + 2|J| - 2}, as module vectors.  Column c is the sum
+    over J' + J'' = J of sigma_J'(sigma_J''[t] e_c) (sigma_empty = d),
+    minus f_i e_c when J = e_i, summed in one dict from the columns in
+    ``blocks`` ({J: {t: columns}}, given an empty dict for each J it
+    lacks) and reduced mod p once.  Unless ``given``, the caller solves:
+    it may store blocks[J][t] before the walk goes on, and a block stored
+    before the walk is not visited.  A ``given`` block enters its identity
+    as d o sigma_J[t].
 
     Before the multi-indices of one total are walked, the products
     sigma_J'[t + 2|J''| - 1] o sigma_J''[t] are paired up over the stored
     nonzero blocks of lower totals only, grouped by (J' + J'', t).  An
     identity is visited when it has such a product, when sigma_J[t - 1]
-    or sigma_J[t] is stored (the terms with d), or when |J| = 1 (the term
-    f_i * id); every other residual is zero by construction.
+    or (given) sigma_J[t] is stored (the terms with d), or when |J| = 1
+    (the term f_i * id); every other residual is zero by construction.
     """
-    res = sys.resolution
     L = res.length
     ranks = _ranks(res)
-    d = res.differentials
+    p = rd.ring.field.p
+    d = [None] + [m.columns_as_vectors() for m in res.differentials]
     levels = [None]  # levels[s]: t -> [(J, sigma_J[t])] for |J| = s
     for total, Js in _solving_order(rd.c, L):
         deg = 2 * total - 1
@@ -102,84 +120,92 @@ def _walk(sys: HigherHomotopySystem, rd: RingData):
                             (tuple(map(add, Jp, Jpp)), t), []).append((a, b))
         level = {}
         for J in Js:
-            blocks = sys.sigma.get(J, {})
+            own = blocks.setdefault(J, {})
+            f = rd.ci[J.index(1)].terms if total == 1 else {}
             for t in range(0, L - deg + 2):
-                pairs = products.get((J, t), [])
-                if t - 1 in blocks:
-                    pairs.append((blocks[t - 1], d[t - 1]))
-                if t in blocks:
-                    pairs.append((d[t + deg - 1], blocks[t]))
-                if total == 1:
-                    base = PolyMatrix.identity(rd.ring, ranks[t],
-                                               scalar=-rd.ci[J.index(1)])
-                elif pairs:
-                    base = PolyMatrix.zero(rd.ring, ranks[t + deg - 1],
-                                           ranks[t])
-                else:
+                if t in own and not given:
                     continue
-                yield J, t, PolyMatrix.sum_of_products(base, pairs)
-            for t, b in blocks.items():
-                if not b.is_zero():
-                    level.setdefault(t, []).append((J, b))
+                pairs = products.get((J, t), [])
+                if t - 1 in own:
+                    pairs.append((own[t - 1], d[t]))
+                if t in own:
+                    pairs.append((d[t + deg], own[t]))
+                if not (pairs or f):
+                    continue
+                accs = [{(c, m): -a for m, a in f.items()} if f else {}
+                        for c in range(ranks[t])]
+                for a, b in pairs:
+                    for v, acc in zip(b, accs):
+                        if v:
+                            _apply(a, v, acc)
+                yield J, t, [acc and {k: r for k, v in acc.items()
+                                      if (r := v % p if p else v)}
+                             for acc in accs]
+            for t, b in own.items():
+                level.setdefault(t, []).append((J, b))
         levels.append(level)
+
+
+def _brief(p: Polynomial) -> str:
+    """``p`` in full, or its leading term and term count when it prints
+    longer than 60 characters."""
+    text = str(p)
+    if len(text) <= 60:
+        return text
+    lead = p.lead_monomial()
+    return (f"{p.ring.monomial(lead, p.terms[lead])} + ... "
+            f"({len(p.terms)} terms)")
 
 
 def compute_higher_homotopies(res: FreeResolution,
                               rd: RingData) -> HigherHomotopySystem:
     """Solve for a full homotopy system on a resolution over A.
 
-    Each identity the walk visits is solved and checked in one step: with
-    r its residual while sigma_J(t) is still absent, sigma_J(t) = h lifts
-    -r through d, and r + d o h must vanish.  Where sigma_J(t) would leave
-    F, r itself must vanish.  A resolution of length zero has the empty
-    system only when F_0, the module itself, is zero: f annihilates no
-    nonzero free module.
+    The t = 0 identities of the e_i come first: sigma_{e_i}[0] lifts
+    -f_i e_j through d_1, which exists exactly when f_i e_j lies in im d_1.
+    So they check that f annihilates M = coker d_1, before the costlier
+    regular-sequence test, naming the first f_i e_j that fails in
+    ``RingData.quotient_columns`` order; with L = 0 only M = 0 passes.
+    Each further identity the walk visits is solved column by column, and
+    its lift makes it hold (``ModuleGB.lift``: v + d c = 0).  A lift that
+    does not exist, or a nonzero identity at the top, where sigma_J[t]
+    would leave F, is an AssertionError.
     """
     ring = rd.ring
     L = res.length
     ranks = _ranks(res)
-    # f_i must annihilate H_0(F) = coker d_1, checked on the basis d_1 was
-    # taken from; this input check comes before the costlier
-    # regular-sequence test
-    check_annihilation(rd, ranks[0], res.image_bases[1] if L else None)
+    blocks = {}
+    d1 = res.image_bases.get(1)  # None when L = 0
+    for i, f in enumerate(rd.ci):
+        cols = []
+        for j in range(ranks[0]):
+            h = d1 and d1.lift(
+                {(j, m): ring.field.neg(a) for m, a in f.terms.items()})
+            if not h:
+                raise PipelineError(f"f_{i + 1} = {_brief(f)} does not "
+                                    f"annihilate the module")
+            cols.append(h)
+        blocks[_unit(rd.c, i)] = {0: cols}
     if L == 0:
         return HigherHomotopySystem(res, {})
     if not rd.is_regular_sequence():
         raise PipelineError(
             "f is not a regular sequence; supply an explicit complex "
             "with dg actions instead")
-    def lift_through(t, target_mat):
-        """h with d_t o h = -target_mat, via tracked division.
-
-        None for a zero target: the zero block, which is not stored.  The
-        lift of a column v is the module vector c with v + d_t c = 0, so
-        it is h's column as it stands (``PolyMatrix.from_columns``).  A
-        zero column is not lifted, and a column not in the image of d_t
-        is left zero, so the identity check fails on it.  The tracked
-        basis of d_t is the run ``resolve_over_a`` took d_t from, in d_t's
-        own coordinates.
-        """
-        if target_mat.is_zero():
-            return None
-        gb = res.image_bases[t]
-        return PolyMatrix.from_columns(
-            ring, ranks[t], [v and (gb.lift(v) or {})
-                             for v in target_mat.columns_as_vectors()])
-
-    sys = HigherHomotopySystem(res, {J: {} for _, Js in
-                                     _solving_order(rd.c, L) for J in Js})
-    for J, t, r in _walk(sys, rd):
+    for J, t, cols in _walk(res, rd, blocks, False):
+        if not any(cols):
+            continue
         up = t + 2 * sum(J) - 1
-        if up <= L:
-            h = lift_through(up, r)
-            if h is not None:
-                sys.sigma[J][t] = h
-                r = PolyMatrix.sum_of_products(
-                    r, [(res.differentials[up - 1], h)])
-        if not r.is_zero():
+        gb = res.image_bases.get(up)  # None past the top: v must vanish
+        lifted = [v and (gb.lift(v) if gb else None) for v in cols]
+        if None in lifted:
             raise AssertionError(
                 f"homotopy identity fails for J={J} at degree {t}")
-    return sys
+        blocks[J][t] = lifted
+    return HigherHomotopySystem(res, {
+        J: {t: PolyMatrix.from_columns(ring, ranks[t + 2 * sum(J) - 1], cols)
+            for t, cols in own.items()}
+        for J, own in blocks.items()})
 
 
 def _dg_identity(J):
@@ -219,13 +245,17 @@ def ingest_dg_structure(res: FreeResolution, actions,
                 raise PipelineError(
                     f"action e{i + 1} block {t}: shape "
                     f"{(b.nrows, b.ncols)} != {(ranks[t + 1], ranks[t])}")
-    sys = HigherHomotopySystem(res, {_unit(rd.c, i): dict(enumerate(blocks))
-                                     for i, blocks in enumerate(actions)})
-    for J, t, r in _walk(sys, rd):
-        if not r.is_zero():
+    columns = {_unit(rd.c, i): {t: b.columns_as_vectors()
+                                for t, b in enumerate(blocks)
+                                if not b.is_zero()}
+               for i, blocks in enumerate(actions)}
+    for J, t, cols in _walk(res, rd, columns, True):
+        entries = [(r, c) for c, v in enumerate(cols) for r, _ in v]
+        if entries:
             raise PipelineError(f"{_dg_identity(J)} at block {t}, "
-                                f"entry {min(r.entries)}")
-    return sys
+                                f"entry {min(entries)}")
+    return HigherHomotopySystem(res, {_unit(rd.c, i): dict(enumerate(blocks))
+                                      for i, blocks in enumerate(actions)})
 
 
 def dualize_homotopies(sys: HigherHomotopySystem,

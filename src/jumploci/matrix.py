@@ -85,11 +85,6 @@ class PolyMatrix:
                     for k, terms in per_entry.items()})
 
     @classmethod
-    def identity(cls, ring: PolyRing, n: int, scalar=None):
-        p = ring.one() if scalar is None else scalar
-        return cls(ring, n, n, {(i, i): p for i in range(n)})
-
-    @classmethod
     def zero(cls, ring: PolyRing, nrows: int, ncols: int):
         return cls(ring, nrows, ncols, {})
 

@@ -28,7 +28,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .poly import Polynomial, PolyRing
+from .poly import PolyRing
 from .matrix import PipelineError, PolyMatrix, cancel_unit, least_unit
 from .groebner import Ideal, ModuleGB
 
@@ -144,30 +144,6 @@ def resolve_over_a(rd: RingData, presentation: PolyMatrix) -> FreeResolution:
     in ``image_bases``, lifts through d_t in d_t's own coordinates.
     """
     return _resolve(rd, presentation, None)
-
-
-def check_annihilation(rd: RingData, rank: int, gb: ModuleGB = None):
-    """Verify f_i . A^rank / U = 0, with U the span of the Groebner basis
-    ``gb`` (None for U = 0): every f_i e_j of ``rd.quotient_columns`` lies
-    in U.  Raise naming the f_i of the first that does not.  f
-    annihilates no nonzero free module, so U = 0 needs no run."""
-    for k, v in enumerate(rd.quotient_columns(rank)):
-        if gb is None or not gb.contains(v):
-            f = rd.ci[k // rank]
-            raise PipelineError(
-                f"f_{k // rank + 1} = {_brief(f)} does not annihilate "
-                f"the module")
-
-
-def _brief(p: Polynomial) -> str:
-    """``p`` in full, or its leading term and term count when it prints
-    longer than 60 characters."""
-    text = str(p)
-    if len(text) <= 60:
-        return text
-    lead = p.lead_monomial()
-    return (f"{p.ring.monomial(lead, p.terms[lead])} + ... "
-            f"({len(p.terms)} terms)")
 
 
 def resolve_over_b(rd: RingData, presentation: PolyMatrix, truncation: int,

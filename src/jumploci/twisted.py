@@ -11,11 +11,12 @@ and internal degree colint_j - rowint_i (chi_i has the internal degree of
 f_i).
 
 D^2 = 0 and the degrees hold by construction and are not checked again:
-the homotopy identities, checked exactly as they are solved or ingested,
-give D^2 = 0 modulo the irrelevant ideal, and sigma_J maps F_t to
-F_{t+2|J|-1}.  Minimalization (a Schur complement per contractible pair,
-``matrix.cancel_unit``), the S-dual, sums and Koszul objects on a
-homogeneous eta keep both.  The tests check them on every constructor.
+the homotopy identities give D^2 = 0 modulo the irrelevant ideal (a
+solved system keeps them by the lift contract, and ingested actions are
+checked exactly), and sigma_J maps F_t to F_{t+2|J|-1}.  Minimalization
+(a Schur complement per contractible pair, ``matrix.cancel_unit``), the
+S-dual, sums and Koszul objects on a homogeneous eta keep both.  The
+tests check them on every constructor.
 
 Duality (``s_dual``) is transposition with all basis degrees negated and
 shifted back by the length of F, and it is the one route to X(M*).

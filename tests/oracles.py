@@ -171,6 +171,12 @@ def additivity_check(X: TwistedComplex, Y: TwistedComplex) -> bool:
 # -- higher homotopies ------------------------------------------------------
 
 
+def identity_matrix(ring, n: int, scalar=None) -> PolyMatrix:
+    """The n x n matrix scalar * id, the identity when ``scalar`` is None."""
+    p = ring.one() if scalar is None else scalar
+    return PolyMatrix(ring, n, n, {(i, i): p for i in range(n)})
+
+
 def _diff(res: FreeResolution, t: int):
     """d_t: F_t -> F_{t-1}, or None when out of range."""
     if 1 <= t <= res.length:
@@ -217,8 +223,8 @@ def _residual(sys: HigherHomotopySystem, rd: RingData, J, splits, t):
     pairs += [(_block(sys, Jp, t + 2 * sum(Jpp) - 1), _block(sys, Jpp, t))
               for Jp, Jpp in splits]
     if deg == 1:
-        base = PolyMatrix.identity(rd.ring, ranks[t],
-                                   scalar=-rd.ci[J.index(1)])
+        base = identity_matrix(rd.ring, ranks[t],
+                               scalar=-rd.ci[J.index(1)])
     else:
         base = PolyMatrix.zero(rd.ring, ranks[t + deg - 1], ranks[t])
     return PolyMatrix.sum_of_products(

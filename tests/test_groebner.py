@@ -16,7 +16,7 @@ from jumploci.poly import Polynomial
 from jumploci.matrix import PolyMatrix
 
 from conftest import matrix_of
-from oracles import normal_form, syzygy_matrix
+from oracles import identity_matrix, normal_form, syzygy_matrix
 
 GF5 = GF(5)
 GF101 = GF(101)
@@ -87,7 +87,7 @@ def test_koszul_syzygy_of_two_variables():
 
 def test_identity_has_no_syzygies():
     R = PolyRing(GF101, ("x", "y"))
-    P = PolyMatrix.identity(R, 3)
+    P = identity_matrix(R, 3)
     assert syzygy_matrix(P).ncols == 0
 
 
@@ -384,6 +384,26 @@ def test_each_stage_of_the_radical_test(gens, expected):
         p = S3.parse(text)
         assert _reference_radical_contains(I, p) == answer
         assert I.radical_contains(p) == answer
+
+
+def test_a_member_is_certified_by_its_square(monkeypatch):
+    """p in I puts p^2 in I, so the power stage answers True for a member
+    of an ideal whose basis is not monomial: p^2 is the one membership
+    test made, and p itself is never tried."""
+    I = Ideal(S3, [S3.parse("chi1^2 + chi2*chi3"), S3.parse("chi2^3")])
+    p = S3.parse("chi1^3 + chi1*chi2*chi3")
+    assert I.contains(p) and I._squarefree_roots is None
+    asked = []
+    contains = Ideal.contains
+
+    def recording(self, q):
+        asked.append(q)
+        return contains(self, q)
+
+    monkeypatch.setattr(Ideal, "contains", recording)
+    assert I.radical_contains(p)
+    assert asked == [p * p]
+    assert _reference_radical_contains(I, p)
 
 
 @pytest.mark.parametrize("gens", [

@@ -1,10 +1,12 @@
 """Higher homotopy systems: construction, validation, dualization."""
 
 import ast
+import itertools
 import random
 import re
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from jumploci import GF, PolyRing
 from jumploci.groebner import ModuleGB, _vec_add, vector_of
@@ -18,7 +20,8 @@ from jumploci.twisted import build_twisted_complex
 
 from conftest import (REPO, SESSIONS, PAIR_BLOCK_SESSION, matrix_of,
                       matrix_sum, random_monomial_rows, random_monomial_rows_3)
-from oracles import _splittings, dualize_and_verify, verify_system
+from oracles import (_identities, _splittings, dualize_and_verify,
+                     identity_matrix, verify_system)
 
 GF101 = GF(101)
 
@@ -125,25 +128,56 @@ def test_verification_checks_the_top_of_the_complex():
         verify_system(sys, rd)
 
 
+def _named_identity(error):
+    """(J, t) of a "homotopy identity fails" message."""
+    m = re.fullmatch(r"homotopy identity fails for J=(\(.*\)) "
+                     r"at degree (\d+)", str(error))
+    assert m, error
+    return ast.literal_eval(m[1]), int(m[2])
+
+
 def test_a_bad_lift_fails_the_identity_it_solves(flag_pipeline, monkeypatch):
-    """No verification pass follows the construction: each identity is
-    checked as it is solved.  A lift with its coefficient at column 0 of
-    d off by x, stored or absent from the sparse result (d has no zero
-    column, so d o h changes), must fail the identity of the very slot
-    (J, t) it solves, whichever of the lifts it is."""
+    """No identity is formed again once it is solved: the construction
+    stores each lift as it stands, on the lift contract v + d c = 0.  Each
+    nonzero column of a stored block is one lift, made in the walk's order
+    (the t = 0 columns of every e_i first, then solving order, t and the
+    column upwards), and nothing else is lifted.  A lift with its
+    coefficient at column 0 of d off by x (d has no zero column, so
+    d o sigma_J[t] changes), whichever of the lifts it is, must make
+    ``verify_system`` fail at the very slot (J, t) it solves, on the
+    system with that lift and the other blocks as built.  Built with that
+    lift for real, the construction stops at a later identity that reads
+    the bad block, which can no longer be lifted or, at the top, vanish."""
     rd, pres, res, sys, X = flag_pipeline
     x = rd.ring.gen(0)
     lift = ModuleGB.lift
     calls = []
 
     def counting(self, v):
-        calls.append(v)
-        return lift(self, v)
+        calls.append(lift(self, v))
+        return calls[-1]
 
     monkeypatch.setattr(ModuleGB, "lift", counting)
     compute_higher_homotopies(res, rd)
+    order = [(J, t) for J, _, t in _identities(rd.c, res.length)]
+    firsts = [(J, 0) for J in sys.sigma if sum(J) == 1]
+    slots = [(J, t, c) for J, t in firsts + [k for k in order
+                                              if k not in firsts]
+             if t in sys.sigma.get(J, {})
+             for c, col in enumerate(sys.sigma[J][t].columns_as_vectors())
+             if col]
+    assert calls == [sys.sigma[J][t].columns_as_vectors()[c]
+                     for J, t, c in slots]
     named = set()
-    for n in range(len(calls)):
+    for n, (J, t, c) in enumerate(slots):
+        block = sys.sigma[J][t]
+        sigma = {K: dict(b) for K, b in sys.sigma.items()}
+        sigma[J][t] = matrix_sum(block, PolyMatrix(
+            rd.ring, block.nrows, block.ncols, {(0, c): x}))
+        with pytest.raises(AssertionError) as info:
+            verify_system(HigherHomotopySystem(res, sigma), rd)
+        assert _named_identity(info.value) == (J, t)
+        named.add((J, t))
         seen = []
 
         def off_by_x(self, v, n=n):
@@ -156,10 +190,7 @@ def test_a_bad_lift_fails_the_identity_it_solves(flag_pipeline, monkeypatch):
         monkeypatch.setattr(ModuleGB, "lift", off_by_x)
         with pytest.raises(AssertionError) as info:
             compute_higher_homotopies(res, rd)
-        m = re.fullmatch(r"homotopy identity fails for J=(\(.*\)) "
-                         r"at degree (\d+)", str(info.value))
-        assert m, info.value
-        named.add((ast.literal_eval(m[1]), int(m[2])))
+        assert order.index(_named_identity(info.value)) > order.index((J, t))
     stored = {(J, t) for J, blocks in sys.sigma.items() for t in blocks}
     assert len(calls) > len(stored) > 0
     assert named == stored
@@ -228,7 +259,7 @@ def _every_block_sigma(res, rd):
     for i in range(rd.c):
         J = tuple(int(a == i) for a in range(rd.c))
         solve_for(J, lambda t, f=rd.ci[i]:
-                  PolyMatrix.identity(ring, ranks[t], scalar=f))
+                  identity_matrix(ring, ranks[t], scalar=f))
     for total in range(2, L // 2 + 2):
         for J in _multi_indices(rd.c, total):
             def rhs(t, J=J):
@@ -309,6 +340,65 @@ def test_no_zero_block_is_stored_and_the_rest_are_unchanged():
     assert pair_blocks >= 10
 
 
+# Rings and ci for the generated modules: one generator; mixed degrees;
+# a regular sequence that is not monomial; three generators.
+_CI_RINGS = [("x, y", "x^2"), ("x, y", "x^2, y^3"), ("x, y", "x^2 - y^2, x*y"),
+             ("x, y, z", "x^2, y^2, z^3")]
+
+
+@st.composite
+def _coker_sessions(draw):
+    """A cokernel session over GF(2), GF(3), GF(101) or QQ on one or two
+    rows in degree 0: the columns f_k e_j, so that f annihilates M, and up
+    to three random homogeneous columns of degree 0 to 2, where a
+    constant entry is a unit to cancel."""
+    field = draw(st.sampled_from(["GF(2)", "GF(3)", "GF(101)", "QQ"]))
+    names, ci = draw(st.sampled_from(_CI_RINGS))
+    n = names.count(",") + 1
+    nrows = draw(st.integers(1, 2))
+    cols = [[f if r == j else "0" for r in range(nrows)]
+            for f in ci.split(", ") for j in range(nrows)]
+    for _ in range(draw(st.integers(0, 3))):
+        degree = draw(st.integers(0, 2))
+        monos = [m for m in itertools.product(range(degree + 1), repeat=n)
+                 if sum(m) == degree]
+        col = []
+        for _ in range(nrows):
+            terms = draw(st.lists(st.tuples(st.sampled_from(["1", "2", "-1"]),
+                                            st.sampled_from(monos)),
+                                  max_size=2))
+            col.append(" + ".join(
+                "*".join([c] + [f"{v}^{e}" for v, e in
+                                zip(names.split(", "), m) if e])
+                for c, m in terms) or "0")
+        cols.append(col)
+    rows = ", ".join("[" + ", ".join(col[r] for col in cols) + "]"
+                     for r in range(nrows))
+    return (f"field {field}\nring {names}\nci {ci}\n"
+            f"module coker [{rows}]\n")
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(_coker_sessions())
+@example(f"field GF(101)\n{PAIR_BLOCK_SESSION}")
+@example(f"field GF(3)\n{PAIR_BLOCK_SESSION}")
+@example(f"field QQ\n{PAIR_BLOCK_SESSION}")
+def test_column_walk_equals_the_every_block_loop(text):
+    """The blocks the column walk solves are the nonzero blocks of the
+    every-block loop, entry for entry, and the system verifies."""
+    session = parse_session(text)
+    rd = session.ring_data
+    res = resolve_over_a(rd, PolyMatrix.from_rows(rd.ring,
+                                                  session.module.rows))
+    sys = compute_higher_homotopies(res, rd)
+    verify_system(sys, rd)
+    every = _every_block_sigma(res, rd)
+    assert {(J, t): m.entries for J, blocks in sys.sigma.items()
+            for t, m in blocks.items()} == \
+        {(J, t): m.entries for J, blocks in every.items()
+         for t, m in blocks.items() if not m.is_zero()}
+
+
 def test_strict_action_accepted(koszul_action):
     rd, res, sys, X = koszul_action
     assert set(sys.sigma) == {(1, 0), (0, 1)}
@@ -361,7 +451,7 @@ def _two_loop_dg_check(res, actions, rd):
                             f"at block {t}, entry {min(total.entries)}")
     for i in range(rd.c):
         for t in range(L + 1):
-            acc = PolyMatrix.identity(rd.ring, ranks[t], scalar=-rd.ci[i])
+            acc = identity_matrix(rd.ring, ranks[t], scalar=-rd.ci[i])
             if t < L:
                 acc = matrix_sum(acc, res.differentials[t] @ actions[i][t])
             if t >= 1:
@@ -435,7 +525,7 @@ def _perturbed(rng, rd, res, actions):
         g = _random_term(rng, rd.ring)
         while g == rd.ring.one():
             g = _random_term(rng, rd.ring)
-        out[i] = [b @ PolyMatrix.identity(rd.ring, b.ncols, scalar=g)
+        out[i] = [b @ identity_matrix(rd.ring, b.ncols, scalar=g)
                   for b in out[i]]
     else:
         for t in range(L - 1):

@@ -11,14 +11,15 @@ from jumploci import GF, QQ, PolyRing
 from jumploci import matrix
 from jumploci.matrix import PolyMatrix, _dedupe_monic
 from jumploci.poly import Polynomial
-from jumploci.resolution import PipelineError
-from jumploci.session import parse_session, build_pipeline
+from jumploci.homotopy import compute_higher_homotopies
+from jumploci.resolution import PipelineError, resolve_over_a
+from jumploci.session import parse_session
 from jumploci.twisted import TwistedComplex
 
 from conftest import (REPO, PAIR_BLOCK_SESSION, assert_twisted_complex,
                       matrix_of, matrix_sum, random_monomial_rows,
                       random_monomial_rows_3)
-from oracles import whole_matrix_rank
+from oracles import identity_matrix, verify_system, whole_matrix_rank
 
 GF101 = GF(101)
 S2 = PolyRing(GF101, ("chi1", "chi2"), (2, 2))
@@ -625,7 +626,7 @@ def test_sum_of_products_equals_the_per_pair_sum():
                 pairs.append((_random_sparse(rng, ring, n, k),
                               _random_sparse(rng, ring, k, m)))
             _assert_equals_per_pair_sum(base, pairs)
-            A, B = pairs[0] if pairs else (base, PolyMatrix.identity(ring, m))
+            A, B = pairs[0] if pairs else (base, identity_matrix(ring, m))
             zero = PolyMatrix.zero(ring, n, m)
             assert _assert_equals_per_pair_sum(zero, [(A, B), (-A, B)]) \
                 .is_zero()
@@ -654,11 +655,13 @@ def _checking_every_sum(monkeypatch):
 
 
 def test_homotopy_systems_sum_as_the_per_pair_sum(monkeypatch):
-    """Every residual, correction and product formed while building the
-    pipelines of the three ``build`` inputs of the benchmark, of the
-    module with nonzero blocks at |J| = 2, and of random monomial modules
-    in two and three variables over GF(3) and QQ, equals the per-pair
-    sum."""
+    """The homotopy systems of the three ``build`` inputs of the
+    benchmark, of the module with nonzero blocks at |J| = 2, and of random
+    monomial modules in two and three variables over GF(3) and QQ verify:
+    every identity ``verify_system`` forms, from all splittings of J,
+    vanishes, and each of its sums of products equals the per-pair sum.
+    The construction itself sums its residuals column by column and forms
+    no matrix product."""
     calls = _checking_every_sum(monkeypatch)
     texts = [(REPO / "perfbench" / "inputs" / f"{stem}.session").read_text()
              for stem in ("res_n7_e2", "m2_n5_e2", "sq_n6_e2")]
@@ -676,5 +679,12 @@ def test_homotopy_systems_sum_as_the_per_pair_sum(monkeypatch):
             texts.append(f"field {field}\nring x, y, z\n"
                          f"ci x^3, y^3, z^3\nmodule coker [[{gens}]]\n")
     for text in texts:
-        build_pipeline(parse_session(text))
+        session = parse_session(text)
+        rd = session.ring_data
+        res = resolve_over_a(rd, PolyMatrix.from_rows(rd.ring,
+                                                      session.module.rows))
+        before = calls[0]
+        sys = compute_higher_homotopies(res, rd)
+        assert calls[0] == before
+        verify_system(sys, rd)
     assert calls[0] > 1000

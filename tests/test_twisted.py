@@ -19,7 +19,7 @@ from jumploci.loci import crk_at, jump_locus_ideal
 from conftest import (REPO, SESSIONS, assert_twisted_complex, matrix_of,
                       matrix_sum, koszul_action_pipeline, random_homogeneous,
                       random_twisted_complex, random_monomial_rows)
-from oracles import explicit_dual, shift
+from oracles import explicit_dual, identity_matrix, shift
 
 GF101 = GF(101)
 GF5 = GF(5)
@@ -345,7 +345,7 @@ def _conjugate(X: TwistedComplex, rng) -> TwistedComplex:
         return X
     i, j = rng.choice(pairs)
     s = random_homogeneous(X.S, rng, coh[j] - coh[i])
-    one = PolyMatrix.identity(X.S, X.rank)
+    one = identity_matrix(X.S, X.rank)
     N = PolyMatrix(X.S, X.rank, X.rank, {(i, j): s})
     return TwistedComplex(X.S, X.basis_degrees,
                           matrix_sum(one, N) @ X.D @ matrix_sum(one, -N),
