@@ -12,7 +12,8 @@ F_t -> F_{t + 2|J| - 1}.  Zero blocks are not stored: an absent block is
 the zero block, and ``sigma[J]`` may be empty.  Construction solves the
 defining relations degreewise on module vectors (``_walk``): each block
 is kept as its list of columns while the system is solved, the residual
-of an identity on each basis vector of F_t is summed from them, and a
+of an identity on each basis vector of F_t is summed from them by the
+product kernel of ``matrix`` (``add_image``, then ``reduced``), and a
 nonzero one is lifted through the tracked run d came from.  Only the
 identities whose residual can be nonzero are walked.  The lift contract
 v + d c = 0 makes each solved identity hold, so none is formed again;
@@ -34,7 +35,7 @@ import itertools
 from dataclasses import dataclass
 from operator import add
 
-from .matrix import PolyMatrix
+from .matrix import PolyMatrix, add_image, reduced
 from .poly import Polynomial
 from .resolution import FreeResolution, RingData, PipelineError
 
@@ -74,16 +75,6 @@ def _solving_order(c, L):
                       else list(_multi_indices(c, total)))
 
 
-def _apply(block, v, acc):
-    """Add to ``acc`` ({(row, monomial): coefficient}, not yet reduced) the
-    image of the module vector ``v`` under the map with the columns
-    ``block``: each term (k, m) * a of v adds a * x^m times column k."""
-    for (k, m), a in v.items():
-        for (r, n), b in block[k].items():
-            key = (r, tuple(map(add, m, n)))
-            acc[key] = acc.get(key, 0) + a * b
-
-
 def _walk(res: FreeResolution, rd: RingData, blocks, given):
     """(J, t, cols) for every identity whose residual can be nonzero, in
     solving order; ``cols`` are the columns of the identity of J at degree
@@ -91,10 +82,10 @@ def _walk(res: FreeResolution, rd: RingData, blocks, given):
     over J' + J'' = J of sigma_J'(sigma_J''[t] e_c) (sigma_empty = d),
     minus f_i e_c when J = e_i, summed in one dict from the columns in
     ``blocks`` ({J: {t: columns}}, given an empty dict for each J it
-    lacks) and reduced mod p once.  Unless ``given``, the caller solves:
-    it may store blocks[J][t] before the walk goes on, and a block stored
-    before the walk is not visited.  A ``given`` block enters its identity
-    as d o sigma_J[t].
+    lacks) by ``add_image`` and reduced mod p once.  Unless ``given``, the
+    caller solves: it may store blocks[J][t] before the walk goes on, and
+    a block stored before the walk is not visited.  A ``given`` block
+    enters its identity as d o sigma_J[t].
 
     Before the multi-indices of one total are walked, the products
     sigma_J'[t + 2|J''| - 1] o sigma_J''[t] are paired up over the stored
@@ -137,10 +128,8 @@ def _walk(res: FreeResolution, rd: RingData, blocks, given):
                 for a, b in pairs:
                     for v, acc in zip(b, accs):
                         if v:
-                            _apply(a, v, acc)
-                yield J, t, [acc and {k: r for k, v in acc.items()
-                                      if (r := v % p if p else v)}
-                             for acc in accs]
+                            add_image(a, v, acc)
+                yield J, t, [acc and reduced(acc, p) for acc in accs]
             for t, b in own.items():
                 level.setdefault(t, []).append((J, b))
         levels.append(level)

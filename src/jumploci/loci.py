@@ -22,6 +22,8 @@ The generic crk is rank_S H(X) = h(1): ``PolyMatrix.generic_rank``
 reads rank D = r - h_C(1) off the same kind of numerator.
 These are invariants of M when X = X(M) is built from the minimal
 A-free resolution of M, as ``build_pipeline`` builds it for a cokernel.
+The reports read X as given, minimal as ``build_twisted_complex``
+returns it and as s_dual, sums and Koszul objects keep it.
 X(M*) is s_dual(X), a transpose with the minor ideals of X, so M and M*
 have the same jump loci by construction.
 
@@ -88,9 +90,8 @@ def crk_at(X: TwistedComplex, point=None) -> int:
 
 
 def jump_locus_ideal(X: TwistedComplex, i: int) -> Ideal:
-    """I_t(D) with t = floor((r - i)/2) + 1; V^i = V(result).  Above the
-    generic rank of D every t-minor vanishes and the ideal is zero."""
-    X = minimalize(X)
+    """I_t(D) with t = floor((r - i)/2) + 1; V^i = V(result), X minimal.
+    Above the generic rank of D every t-minor vanishes: the zero ideal."""
     S = X.S
     if i == 0:
         return Ideal(S, [])
@@ -137,7 +138,6 @@ class JumpLociReport:
 
 
 def jump_loci_report(X: TwistedComplex) -> JumpLociReport:
-    X = minimalize(X)
     r = X.rank
     if r == 0:
         return JumpLociReport(0, [], 0, None)
@@ -174,9 +174,8 @@ def _ext_numerator(X: TwistedComplex):
     HS(X) - HS(coker D) this is h = (1 + 1/t) h_C - (1/t) sum_i t^{u_i},
     where h_C is the numerator of coker D and u_i are the basis degrees.
     Only D^2 = 0 is used, so the identity holds for any D, minimal or not;
-    the minimalized D is the smaller matrix to take the basis of.
+    the reports pass a minimal one, the smaller matrix to take a basis of.
     """
-    X = minimalize(X)
     c = X.S.nvars
     u = [coh for coh, _ in X.basis_degrees]
     _, _, h_c = module_hilbert_data(X.D, u, (2,) * c)

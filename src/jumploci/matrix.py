@@ -19,7 +19,10 @@ The rank at a point eliminates the values there as field scalars
 
 Module vectors ``{(row, monomial): coeff}``, the Groebner engine's format,
 are the columns of a matrix (``columns_as_vectors``) and build one back
-(``PolyMatrix.from_columns``).
+(``PolyMatrix.from_columns``).  The one sparse product applies a map given
+by its columns to a module vector (``add_image``) and reduces the sum once
+(``reduced``): the homotopy walk and ``@`` both run on it.  Deduplication
+is a dict in order of first occurrence, keyed by term set or polynomial.
 """
 
 from __future__ import annotations
@@ -116,46 +119,17 @@ class PolyMatrix:
                           {k: -p for k, p in self.entries.items()})
 
     def __matmul__(self, other: "PolyMatrix") -> "PolyMatrix":
+        """Column by column, through ``add_image`` and ``reduced``."""
         if self.ncols != other.nrows:
             raise ValueError("composition shape mismatch")
-        return PolyMatrix.sum_of_products(
-            PolyMatrix.zero(self.ring, self.nrows, other.ncols),
-            [(self, other)])
-
-    @staticmethod
-    def sum_of_products(base: "PolyMatrix", pairs) -> "PolyMatrix":
-        """base + the sum of a @ b over ``pairs``, shaped as base.  Each
-        entry sums the term products of every pair in one dict of plain
-        coefficients; one pass at the end reduces them mod p (over QQ the
-        sums are already Fractions), drops the zero terms and stores the
-        nonzero entries as they stand, all in range by construction."""
-        acc = {key: dict(p.terms) for key, p in base.entries.items()}
-        for a, b in pairs:
-            if (a.nrows, a.ncols, b.ncols) != (base.nrows, b.nrows,
-                                               base.ncols):
-                raise ValueError("composition shape mismatch")
-            by_row = {}
-            for (r, c), q in b.entries.items():
-                by_row.setdefault(r, []).append((c, q.terms))
-            for (r, k), p in a.entries.items():
-                for c, q in by_row.get(k, ()):
-                    terms = acc.setdefault((r, c), {})
-                    for m1, c1 in p.terms.items():
-                        for m2, c2 in q.items():
-                            m = tuple(map(add, m1, m2))
-                            terms[m] = terms.get(m, 0) + c1 * c2
-        ring = base.ring
-        char = ring.field.p
-        out = PolyMatrix(ring, base.nrows, base.ncols)
-        entries = out.entries
-        for key, terms in acc.items():
-            if char:
-                terms = {m: r for m, v in terms.items() if (r := v % char)}
-            else:
-                terms = {m: v for m, v in terms.items() if v}
-            if terms:
-                entries[key] = Polynomial(ring, terms)
-        return out
+        cols = self.columns_as_vectors()
+        p = self.ring.field.p
+        out = []
+        for v in other.columns_as_vectors():
+            acc = {}
+            add_image(cols, v, acc)
+            out.append(reduced(acc, p))
+        return PolyMatrix.from_columns(self.ring, self.nrows, out)
 
     def transpose(self) -> "PolyMatrix":
         return PolyMatrix(self.ring, self.ncols, self.nrows,
@@ -240,20 +214,19 @@ class PolyMatrix:
                     f"more than {MAX_MINOR_WORK} determinant expansions and "
                     f"term products (MAX_MINOR_WORK)")
 
-        # size -> {slot: minor}, in order of first occurrence (see _slot)
+        # size -> {term set: minor}, in order of first occurrence; a
+        # product becomes a Polynomial only when its term set is new
         ring = self.ring
         one = ring.one()
-        acc = {0: {(hash(frozenset(one.terms.items())), 0): one}}
+        acc = {0: {frozenset(one.terms.items()): one}}
         for rows, cols in _components(self.entries):
             sizes = _component_minor_table(self, rows, cols, spend)
             nxt = {}
             for got, polys in acc.items():
                 # size-0 contribution from this component
                 bucket = nxt.setdefault(got, {})
-                for (h, _), p in polys.items():
-                    slot = _slot(bucket, h, p.terms)
-                    if slot is not None:
-                        bucket[slot] = p
+                for key, p in polys.items():
+                    bucket.setdefault(key, p)
                 for s, ms in sizes.items():
                     bucket = nxt.setdefault(got + s, {})
                     for p in polys.values():
@@ -261,10 +234,9 @@ class PolyMatrix:
                             spend(len(p.terms) * len(q.terms))
                             # products of monic minors are monic and nonzero
                             terms = product_terms(ring.field, p.terms, q.terms)
-                            h = hash(frozenset(terms.items()))
-                            slot = _slot(bucket, h, terms)
-                            if slot is not None:
-                                bucket[slot] = Polynomial(ring, terms)
+                            key = frozenset(terms.items())
+                            if key not in bucket:
+                                bucket[key] = Polynomial(ring, terms)
             acc = nxt
         return {t: list(bucket.values()) for t, bucket in acc.items()}
 
@@ -353,31 +325,25 @@ def cancel_unit(entries, r, c, field):
                 entries[i, j] = s
 
 
-def _slot(bucket, h, terms):
-    """Where the polynomial with ``terms`` goes in ``bucket``, or None when
-    it is there already.  A bucket keys its polynomials by (h, i): h is the
-    hash of the term set, and i counts the distinct polynomials before it
-    that share h.  So a product is compared with a stored polynomial only
-    on equal hashes, and no polynomial is built for a duplicate."""
-    i = 0
-    while (have := bucket.get((h, i))) is not None:
-        if have.terms == terms:
-            return None
-        i += 1
-    return h, i
+def add_image(columns, v, acc):
+    """Add to ``acc`` ({(row, monomial): coefficient}, not yet reduced) the
+    image of the module vector ``v`` under the map with the columns
+    ``columns``: each term (k, m) * a of v adds a * x^m times column k."""
+    for (k, m), a in v.items():
+        for (r, n), b in columns[k].items():
+            key = (r, tuple(map(add, m, n)))
+            acc[key] = acc.get(key, 0) + a * b
+
+
+def reduced(acc, p):
+    """``acc`` as a module vector: each coefficient reduced mod p once (over
+    QQ, p = 0, the sums are already Fractions), the zero terms dropped."""
+    return {k: r for k, v in acc.items() if (r := v % p if p else v)}
 
 
 def _dedupe_monic(polys):
-    seen = set()
-    out = []
-    for p in polys:
-        if p.is_zero():
-            continue
-        p = p.monic()
-        if p not in seen:
-            seen.add(p)
-            out.append(p)
-    return out
+    """The nonzero ``polys`` made monic, each kept at its first occurrence."""
+    return list(dict.fromkeys(p.monic() for p in polys))
 
 
 def _component_minor_table(mat: PolyMatrix, rows, cols, spend):

@@ -209,7 +209,7 @@ def _resolve(rd: RingData, presentation: PolyMatrix, truncation,
             break
         cols = [cols[j] for j in gb.kept]
         diffs.append(PolyMatrix.from_columns(ring, rank, cols))
-        degrees.append([column_degree(ring, c, degrees[-1]) for c in cols])
+        degrees.append([gb._degree(c) for c in cols])  # homogeneous
         if last:
             break
         if not over_b:

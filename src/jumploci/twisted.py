@@ -15,8 +15,10 @@ the homotopy identities give D^2 = 0 modulo the irrelevant ideal (a
 solved system keeps them by the lift contract, and ingested actions are
 checked exactly), and sigma_J maps F_t to F_{t+2|J|-1}.  Minimalization
 (a Schur complement per contractible pair, ``matrix.cancel_unit``), the
-S-dual, sums and Koszul objects on a homogeneous eta keep both.  The
-tests check them on every constructor.
+S-dual, sums and Koszul objects on a homogeneous eta keep both; the
+tests check them on every constructor.  The last three, on a nonconstant
+eta, keep a complex minimal too, so ``build_twisted_complex`` minimalizes
+once and the reports read X as given.
 
 Duality (``s_dual``) is transposition with all basis degrees negated and
 shifted back by the length of F, and it is the one route to X(M*).
@@ -51,7 +53,8 @@ class TwistedComplex:
 def build_twisted_complex(sys: HigherHomotopySystem,
                           rd: RingData) -> TwistedComplex:
     """Assemble D = sum_J (sigma_J mod m)^T chi^J on the duals of F, the
-    resolution that carries ``sys``."""
+    resolution that carries ``sys``, minimalized once, for the reports:
+    F of a cokernel is minimal and so is D; dg input may not be."""
     res = sys.resolution
     S = rd.operator_ring()
     L = res.length
@@ -83,7 +86,7 @@ def build_twisted_complex(sys: HigherHomotopySystem,
             add_block(mat, t, m, J)
     entries = {k: v for k, v in entries.items() if not v.is_zero()}
     D = PolyMatrix(S, len(basis), len(basis), entries)
-    return TwistedComplex(S, basis, D, rd.ci_degrees)
+    return minimalize(TwistedComplex(S, basis, D, rd.ci_degrees))
 
 
 def minimalize(X: TwistedComplex) -> TwistedComplex:

@@ -16,7 +16,7 @@ from jumploci.twisted import (TwistedComplex, build_twisted_complex,
                               free_complex, koszul_object, koszul_object_list,
                               direct_sum)
 
-from oracles import shift
+from oracles import matrix_sum, shift
 
 REPO = Path(__file__).resolve().parent.parent
 SESSIONS = REPO / "sessions"
@@ -42,16 +42,6 @@ NON_DESCENDING_CHAINS = {
 def matrix_of(ring, rows):
     return PolyMatrix.from_rows(ring, [[ring.parse(e) for e in row]
                                        for row in rows])
-
-
-def matrix_sum(a: PolyMatrix, b: PolyMatrix) -> PolyMatrix:
-    """a + b, entry by entry with polynomial arithmetic; a zero sum is
-    not stored.  ``matrix_sum(a, -b)`` is a - b."""
-    assert (a.nrows, a.ncols) == (b.nrows, b.ncols), "shape mismatch"
-    entries = dict(a.entries)
-    for key, p in b.entries.items():
-        entries[key] = entries[key] + p if key in entries else p
-    return PolyMatrix(a.ring, a.nrows, a.ncols, entries)
 
 
 def assert_twisted_complex(X: TwistedComplex) -> TwistedComplex:

@@ -17,7 +17,8 @@ construction, and no command runs them:
   the syzygies of the transposed differentials rather than from
   Auslander-Buchsbaum as ``Pipeline.dual_is_module`` decides it;
 - properties of a resolution (a complex, minimal, its Euler
-  characteristic), syzygy matrices, shifted complexes, the normal form of
+  characteristic), syzygy matrices, entrywise matrix sums (``matrix_sum``;
+  the program forms none), shifted complexes, the normal form of
   a polynomial modulo an ideal and the canonical printing of a session;
 - the quasi-polynomial tail of a Betti sequence by exact interpolation of
   its last numbers, where ``betti`` reads it off the Hilbert numerator of
@@ -40,6 +41,16 @@ from jumploci.resolution import FreeResolution, RingData, dualize_over_a
 from jumploci.session import Session
 from jumploci.twisted import (TwistedComplex, build_twisted_complex,
                               direct_sum, minimalize)
+
+
+def matrix_sum(a: PolyMatrix, b: PolyMatrix) -> PolyMatrix:
+    """a + b, entry by entry with polynomial arithmetic; a zero sum is
+    not stored.  ``matrix_sum(a, -b)`` is a - b."""
+    assert (a.nrows, a.ncols) == (b.nrows, b.ncols), "shape mismatch"
+    entries = dict(a.entries)
+    for key, p in b.entries.items():
+        entries[key] = entries[key] + p if key in entries else p
+    return PolyMatrix(a.ring, a.nrows, a.ncols, entries)
 
 
 def syzygy_matrix(mat: PolyMatrix) -> PolyMatrix:
@@ -223,12 +234,14 @@ def _residual(sys: HigherHomotopySystem, rd: RingData, J, splits, t):
     pairs += [(_block(sys, Jp, t + 2 * sum(Jpp) - 1), _block(sys, Jpp, t))
               for Jp, Jpp in splits]
     if deg == 1:
-        base = identity_matrix(rd.ring, ranks[t],
-                               scalar=-rd.ci[J.index(1)])
+        total = identity_matrix(rd.ring, ranks[t],
+                                scalar=-rd.ci[J.index(1)])
     else:
-        base = PolyMatrix.zero(rd.ring, ranks[t + deg - 1], ranks[t])
-    return PolyMatrix.sum_of_products(
-        base, [(a, b) for a, b in pairs if a is not None and b is not None])
+        total = PolyMatrix.zero(rd.ring, ranks[t + deg - 1], ranks[t])
+    for a, b in pairs:
+        if a is not None and b is not None:
+            total = matrix_sum(total, a @ b)
+    return total
 
 
 def verify_system(sys: HigherHomotopySystem, rd: RingData):

@@ -390,12 +390,17 @@ def _coinciding_blocks(rng, ring):
 def test_minor_table_equals_the_per_size_enumeration():
     """Every t from 1 to min(rows, cols) + 1, asked in ascending and in
     descending order: same minors in the same order, over GF(101) and QQ,
-    and for blocks whose products coincide."""
+    for blocks whose products coincide, and for block_diag([P, P]), where
+    every product of minors from the two copies occurs twice and is kept
+    at its first occurrence."""
     rng = random.Random(8)
     deficient = 0
     matrices = _kernel_matrices(rng)
     matrices += [_coinciding_blocks(rng, ring) for ring in (S3, S3_QQ)
                  for _ in range(2)]
+    matrices += [PolyMatrix.block_diag([P, P])
+                 for P in (matrices[0], matrices[2], matrices[7],
+                           matrices[18])]
     for P in matrices:
         top = min(P.nrows, P.ncols) + 1
         memo = {}
@@ -581,13 +586,14 @@ def test_product_and_negation_equal_per_entry_arithmetic():
     assert cancelled >= 5
 
 
-# -- sums of products against a per-pair sum --------------------------------
+# -- products against a per-pair sum ----------------------------------------
 
 
 def _per_pair_sum(base, pairs):
-    """Test-local reference for ``sum_of_products``: each product formed
-    with polynomial arithmetic and added to base with ``+``, one pair at
-    a time."""
+    """Test-local reference for ``@`` and for the column kernel
+    (``matrix.add_image``, ``matrix.reduced``): each product formed with
+    polynomial arithmetic and added to base with ``+``, one pair at a
+    time."""
     ring = base.ring
     acc = base
     for a, b in pairs:
@@ -602,8 +608,21 @@ def _per_pair_sum(base, pairs):
     return acc
 
 
-def _assert_equals_per_pair_sum(base, pairs):
-    got = PolyMatrix.sum_of_products(base, pairs)
+def _kernel_sum(base, pairs):
+    """base + the sum of a @ b over ``pairs`` as the homotopy walk sums a
+    residual: each column of every product added into one dict per column
+    by ``matrix.add_image``, and reduced once by ``matrix.reduced``."""
+    ring = base.ring
+    accs = base.columns_as_vectors()
+    for a, b in pairs:
+        cols = a.columns_as_vectors()
+        for v, acc in zip(b.columns_as_vectors(), accs):
+            matrix.add_image(cols, v, acc)
+    return PolyMatrix.from_columns(
+        ring, base.nrows, [matrix.reduced(acc, ring.field.p) for acc in accs])
+
+
+def _assert_equals_per_pair_sum(got, base, pairs):
     want = _per_pair_sum(base, pairs)
     assert got.entries == want.entries
     assert (got.nrows, got.ncols) == (base.nrows, base.ncols)
@@ -611,46 +630,83 @@ def _assert_equals_per_pair_sum(base, pairs):
     return got
 
 
-def test_sum_of_products_equals_the_per_pair_sum():
-    """Over GF(3) and QQ, on random sums of up to four products, and on
-    sums built to cancel: A B + (-A) B, and -(A B) + A B as base and pair."""
-    rng = random.Random(31)
-    for field in (GF(3), QQ):
-        ring = PolyRing(field, ("a", "b"))
-        for _ in range(30):
-            n, m = rng.randrange(1, 5), rng.randrange(1, 5)
-            base = _random_sparse(rng, ring, n, m)
-            pairs = []
-            for _ in range(rng.randrange(0, 5)):
-                k = rng.randrange(1, 4)
-                pairs.append((_random_sparse(rng, ring, n, k),
-                              _random_sparse(rng, ring, k, m)))
-            _assert_equals_per_pair_sum(base, pairs)
-            A, B = pairs[0] if pairs else (base, identity_matrix(ring, m))
-            zero = PolyMatrix.zero(ring, n, m)
-            assert _assert_equals_per_pair_sum(zero, [(A, B), (-A, B)]) \
-                .is_zero()
-            assert _assert_equals_per_pair_sum(-(A @ B), [(A, B)]).is_zero()
-        with pytest.raises(ValueError, match="composition shape mismatch"):
-            PolyMatrix.sum_of_products(PolyMatrix.zero(ring, 2, 2),
-                                       [(PolyMatrix.zero(ring, 2, 3),
-                                         PolyMatrix.zero(ring, 2, 2))])
+@st.composite
+def _product_inputs(draw):
+    """A base of shape 0..4 x 0..4 over GF(2), GF(3), GF(101) or QQ[a, b]
+    and up to four pairs (A, B) that compose to its shape through 0..4
+    columns; entries of one or two terms from 1, a, b, ab with
+    coefficients 1, -1 or 2, and about half of them zero, so empty rows
+    and columns."""
+    field = draw(st.sampled_from([GF(2), GF(3), GF101, QQ]))
+    ring = PolyRing(field, ("a", "b"))
+    monos = st.sampled_from([(0, 0), (1, 0), (0, 1), (1, 1)])
+    coeffs = st.sampled_from([1, -1, 2])
+
+    def sparse(nrows, ncols):
+        entries = {}
+        for r in range(nrows):
+            for c in range(ncols):
+                if draw(st.booleans()):
+                    terms = {}
+                    for _ in range(draw(st.integers(1, 2))):
+                        m = draw(monos)
+                        terms[m] = terms.get(m, 0) + draw(coeffs)
+                    entries[(r, c)] = Polynomial._make(
+                        ring, {m: field.coerce(co) for m, co in terms.items()})
+        return PolyMatrix(ring, nrows, ncols, entries)
+
+    n, m = draw(st.integers(0, 4)), draw(st.integers(0, 4))
+    pairs = []
+    for _ in range(draw(st.integers(0, 4))):
+        k = draw(st.integers(0, 4))
+        pairs.append((sparse(n, k), sparse(k, m)))
+    return sparse(n, m), pairs
 
 
-def _checking_every_sum(monkeypatch):
-    """Make every ``sum_of_products`` call, ``@`` included, compare its
-    result with the per-pair sum; return the list of call counts."""
-    real = PolyMatrix.sum_of_products
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(_product_inputs())
+def test_products_equal_the_per_pair_sum(case):
+    """Over GF(2), GF(3), GF(101) and QQ, with shapes from 0 to 4: each
+    A @ B, their sum with the base, and the sum the column kernel
+    accumulates in one dict, equal the per-pair sum; so do the sums built
+    to cancel, A B + (-A) B and -(A B) + A B, which are zero.  A product
+    of mismatched shapes is refused."""
+    base, pairs = case
+    ring = base.ring
+    total = base
+    for a, b in pairs:
+        got = _assert_equals_per_pair_sum(
+            a @ b, PolyMatrix.zero(ring, a.nrows, b.ncols), [(a, b)])
+        total = matrix_sum(total, got)
+    _assert_equals_per_pair_sum(total, base, pairs)
+    _assert_equals_per_pair_sum(_kernel_sum(base, pairs), base, pairs)
+    A, B = pairs[0] if pairs else (base, identity_matrix(ring, base.ncols))
+    zero = PolyMatrix.zero(ring, base.nrows, base.ncols)
+    assert matrix_sum(A @ B, (-A) @ B).is_zero()
+    assert matrix_sum(-(A @ B), A @ B).is_zero()
+    assert _assert_equals_per_pair_sum(
+        _kernel_sum(zero, [(A, B), (-A, B)]), zero, [(A, B), (-A, B)]) \
+        .is_zero()
+    assert _assert_equals_per_pair_sum(
+        _kernel_sum(-(A @ B), [(A, B)]), -(A @ B), [(A, B)]).is_zero()
+    with pytest.raises(ValueError, match="composition shape mismatch"):
+        A @ PolyMatrix.zero(ring, A.ncols + 1, B.ncols)
+
+
+def _checking_every_product(monkeypatch):
+    """Make every ``@`` compare its result with the per-pair sum; return
+    the list of call counts."""
+    real = PolyMatrix.__matmul__
     calls = [0]
 
-    def checked(base, pairs):
-        pairs = list(pairs)
-        got = real(base, pairs)
-        assert got.entries == _per_pair_sum(base, pairs).entries
+    def checked(a, b):
+        got = real(a, b)
+        assert got.entries == _per_pair_sum(
+            PolyMatrix.zero(a.ring, a.nrows, b.ncols), [(a, b)]).entries
         calls[0] += 1
         return got
 
-    monkeypatch.setattr(PolyMatrix, "sum_of_products", staticmethod(checked))
+    monkeypatch.setattr(PolyMatrix, "__matmul__", checked)
     return calls
 
 
@@ -659,10 +715,10 @@ def test_homotopy_systems_sum_as_the_per_pair_sum(monkeypatch):
     benchmark, of the module with nonzero blocks at |J| = 2, and of random
     monomial modules in two and three variables over GF(3) and QQ verify:
     every identity ``verify_system`` forms, from all splittings of J,
-    vanishes, and each of its sums of products equals the per-pair sum.
-    The construction itself sums its residuals column by column and forms
-    no matrix product."""
-    calls = _checking_every_sum(monkeypatch)
+    vanishes, and each of its products equals the per-pair sum.  The
+    construction itself sums its residuals column by column and forms no
+    matrix product."""
+    calls = _checking_every_product(monkeypatch)
     texts = [(REPO / "perfbench" / "inputs" / f"{stem}.session").read_text()
              for stem in ("res_n7_e2", "m2_n5_e2", "sq_n6_e2")]
     rng = random.Random(41)

@@ -27,8 +27,9 @@ EXEMPT = {"__init__", "__post_init__", "__repr__", "__str__", "__eq__",
 
 # The child: it reads the jobs as JSON on stdin, runs each through
 # ``cli.main`` with its output captured, calls the pinned routes on the
-# flag session, and prints the exit codes, the error output and the
-# (file, first line) of every code object of the package it entered.
+# flag session, and prints the exit codes, the error and standard output,
+# and the (file, first line) of every code object of the package it
+# entered.
 _CHILD = r"""
 import io, json, os, sys
 from pathlib import Path
@@ -52,7 +53,9 @@ for argv, verbose in jobs:
         os.environ["JUMPLOCI_VERBOSE"] = "1"
     code = cli.main(argv)
     os.environ.pop("JUMPLOCI_VERBOSE", None)
-    results.append([code, sys.stderr.getvalue()])
+    sys.stdout.flush()
+    results.append([code, sys.stderr.getvalue(),
+                    sys.stdout.buffer.getvalue().decode()])
 sys.stdout, sys.stderr = out, sys.__stderr__
 
 from jumploci.homotopy import compute_higher_homotopies, dualize_homotopies
@@ -94,6 +97,15 @@ _BAD = {
 }
 
 
+CONTRACTIBLE_PAIR_SESSION = """field GF(101)
+ring x, y
+ci x^2, y^2
+complex d1 [[x, y, 0], [0, 0, 1]] d2 [[-y], [x], [0]]
+action e1 [[x, 0], [0, 0], [0, x^2]] [[0, x, 0]]
+action e2 [[0, 0], [y, 0], [0, y^2]] [[-y, 0, 0]]
+"""
+
+
 def _jobs(tmp_path):
     """(argv, verbose, says) for every job: ``says`` is the error output
     the job must end with, exit 1, or "" for a clean exit 0, or None when
@@ -124,6 +136,13 @@ def _jobs(tmp_path):
     big.write_text("field GF(101)\nring x, y\nci x^64, y^64\n"
                    "module coker [[x^32, y^32]]\n")
     jobs.append((["oracle", "--input", str(big), "--points", "2"], False, ""))
+    # The Koszul complex of koszul_residue plus a contractible pair: the one
+    # input whose twisted complex is not minimal as built, so the body of
+    # ``twisted.minimalize`` runs.
+    pair = tmp_path / "contractible_pair.session"
+    pair.write_text(CONTRACTIBLE_PAIR_SESSION)
+    for command in ("compute", "dual", "crk"):
+        jobs.append(([command, "--input", str(pair)], False, ""))
     return jobs
 
 
@@ -162,10 +181,18 @@ def test_every_src_function_is_entered(tmp_path):
         capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     report = json.loads(proc.stdout)
-    for (argv, _, says), (code, err) in zip(jobs, report["results"]):
+    printed = {}
+    for (argv, _, says), (code, err, out) in zip(jobs, report["results"]):
         assert code in (0, 1), (argv, err)
         if says is not None:
             assert (code, err) == (1 if says else 0, says), argv
+        printed[tuple(argv)] = out
+    # cancelling the contractible pair changes nothing that is printed
+    residue = str(REPO / "sessions" / "koszul_residue.session")
+    pair = str(tmp_path / "contractible_pair.session")
+    for command in ("compute", "dual", "crk"):
+        assert printed[command, "--input", pair] \
+            == printed[command, "--input", residue] != "", command
     entered = {tuple(key) for key in report["entered"]}
     never = [name for key, name in sorted(_defs().items())
              if key not in entered]
