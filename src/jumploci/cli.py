@@ -1,11 +1,18 @@
 """Command line front end.
 
-Usage::
+::
 
-    jumploci <compute|betti|dual|realize|crk|oracle> --input FILE
-             [--n INT] [--seed INT] [--format json|text] [--output FILE]
-             [--point a1,..,ac] [--points K] [--chain FILE]
+    usage: jumploci <compute|betti|dual|crk|oracle> --input FILE
+                    [--n INT] [--seed INT] [--format json|text]
+                    [--output FILE] [--point a1,..,ac] [--points K]
+           jumploci realize --chain FILE [--format json|text]
+                    [--output FILE]
+           jumploci -h | --help
 
+Flags come before or after the command, as ``--flag value`` or
+``--flag=value``, spelled in full; the last of a repeated flag wins, and
+a word after a bare ``--`` is never a flag.  ``-h`` and ``--help`` print
+the usage block above and exit 0.
 Exit codes: 0 on success, 1 on input error (a malformed command line
 too), 2 on an internal assertion failure (for example, the even and odd
 parts of Ext disagreeing on the Betti degree).  ``--seed`` (default 0)
@@ -33,12 +40,12 @@ degrees agree; X(M*) = s_dual(X) has the minor ideals of X, so a printed
 
 from __future__ import annotations
 
-import argparse
 import json
 import os
 import random
 import sys
 from fractions import Fraction
+from types import SimpleNamespace
 
 from .groebner import Ideal, GBStats
 from .resolution import PipelineError
@@ -263,35 +270,106 @@ def cmd_realize(args) -> dict:
 # -- dispatch --------------------------------------------------------------
 
 
-def build_argument_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="jumploci",
-        description="Cohomological jump loci of modules over "
-                    "complete-intersection quotients.")
-    parser.add_argument("command",
-                        choices=["compute", "betti", "dual", "realize",
-                                 "crk", "oracle"])
-    parser.add_argument("--input", help="session file")
-    parser.add_argument("--n", type=int, default=20,
-                        help="last Betti number to compute (betti)")
-    parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--format", choices=["json", "text"], default="json")
-    parser.add_argument("--output", default=None)
-    parser.add_argument("--point", default=None,
-                        help="comma-separated coordinates (crk)")
-    parser.add_argument("--points", type=int, default=20,
-                        help="number of sample points (oracle)")
-    parser.add_argument("--chain", default=None,
-                        help="chain file (realize)")
-    # a malformed command line is an input error: one ``error:`` line and
-    # exit 1, with no usage block
-    parser.error = lambda message: parser.exit(1, f"error: {message}\n")
-    return parser
+COMMANDS = ("compute", "betti", "dual", "realize", "crk", "oracle")
+
+# flag -> (default, how its value is read: int, a tuple of the choices, or
+# None for the text as given)
+FLAGS = {"--input": (None, None), "--n": (20, int), "--seed": (0, int),
+         "--format": ("json", ("json", "text")), "--output": (None, None),
+         "--point": (None, None), "--points": (20, int),
+         "--chain": (None, None)}
+_HELP = ("-h", "--help")
+
+
+def _refuse(message: str):
+    """A malformed command line: one ``error:`` line and exit 1, with the
+    wording argparse used."""
+    print(f"error: {message}", file=sys.stderr)
+    raise SystemExit(1)
+
+
+def _is_flag(word: str) -> bool:
+    """Whether ``word`` names a flag rather than a value, as argparse read
+    it: it starts with ``-`` and is not ``-`` alone, a negative number or
+    a word with a space, unless a flag comes before its ``=``."""
+    if word[:1] != "-" or word == "-":
+        return False
+    if word.partition("=")[0] in (*FLAGS, *_HELP):
+        return True
+    # ``^-\d+$|^-\d*\.\d+$``: ``$`` matches before a final newline too,
+    # and ``\d`` is str.isdecimal
+    whole, dot, frac = word[1:].removesuffix("\n").partition(".")
+    if (frac if dot else whole).isdecimal() and (
+            not dot or not whole or whole.isdecimal()):
+        return False
+    return " " not in word
+
+
+def _read(name: str, kind, value: str):
+    """The value of a flag (or of the command) as ``kind`` reads it."""
+    if kind is int:
+        try:
+            return int(value)
+        except ValueError:
+            _refuse(f"argument {name}: invalid int value: {value!r}")
+    if kind and value not in kind:
+        _refuse(f"argument {name}: invalid choice: {value!r} (choose from "
+                + ", ".join(map(repr, kind)) + ")")
+    return value
+
+
+def parse_command_line(argv) -> SimpleNamespace:
+    """The command and the flag values of ``argv``, with the defaults of
+    ``FLAGS`` for the flags it does not give."""
+    words = list(argv)
+    cut = words.index("--") if "--" in words else len(words)
+    # each word is a flag (True) or a value (False); every word after a
+    # bare ``--`` is a value, and the ``--`` itself (None) is extra unless
+    # the command word is next to it
+    marked = list(zip(words, [_is_flag(w) for w in words[:cut]] + [None]
+                      + [False] * len(words)))
+    values = {"command": None, **{f[2:]: d for f, (d, _) in FLAGS.items()}}
+    extras = []
+    i, at = 0, None
+    while i < len(marked):
+        word, flag = marked[i]
+        i += 1
+        name, eq, value = word.partition("=")
+        if flag is None:
+            if at != i - 1 and (values["command"] or i == len(marked)):
+                extras.append(word)
+        elif not flag:
+            if values["command"] is None:
+                values["command"] = _read("command", COMMANDS, word)
+                at = i
+            else:
+                extras.append(word)
+        elif name in _HELP:
+            if eq:
+                _refuse(f"argument -h/--help: ignored explicit argument "
+                        f"{value!r}")
+            doc = __doc__ or "usage: jumploci\n\n"  # -OO drops docstrings
+            usage = doc[doc.index("usage: jumploci"):]
+            print(usage[:usage.index("\n\n")].replace("\n    ", "\n"))
+            raise SystemExit(0)
+        elif name not in FLAGS:
+            extras.append(word)
+        else:
+            if not eq:
+                if i == len(marked) or marked[i][1] is not False:
+                    _refuse(f"argument {name}: expected one argument")
+                value = marked[i][0]
+                i += 1
+            values[name[2:]] = _read(name, FLAGS[name][1], value)
+    if values["command"] is None:
+        _refuse("the following arguments are required: command")
+    if extras:
+        _refuse("unrecognized arguments: " + " ".join(extras))
+    return SimpleNamespace(**values)
 
 
 def main(argv=None) -> int:
-    parser = build_argument_parser()
-    args = parser.parse_args(argv)
+    args = parse_command_line(sys.argv[1:] if argv is None else argv)
     verbose = os.environ.get("JUMPLOCI_VERBOSE") == "1"
     if verbose:
         GBStats.reset()

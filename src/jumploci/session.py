@@ -118,13 +118,32 @@ def parse_field(text: str, line_no: int) -> Field:
     """The argument of a ``field`` line: ``QQ`` or ``GF(p)``."""
     if text == "QQ":
         return QQ
-    gm = re.fullmatch(r"GF\(\s*(\d+)\s*\)", text)
-    if not gm:
+    # ``GF(p)``, with space allowed around the decimal digits of p
+    digits = text[3:-1].strip()
+    if text[:3] != "GF(" or text[-1:] != ")" or not digits.isdecimal():
         raise SessionError(f"unknown field '{text}'", line_no)
     try:
-        return GF(int(gm.group(1)))
+        return GF(int(digits))
     except ValueError as exc:
         raise SessionError(str(exc), line_no) from exc
+
+
+def _split_at_weights(text: str) -> list:
+    """``text`` cut at its first ``weights`` that is a word of its own
+    (``myweights`` is a name): one piece, or the names and the weights."""
+    at = text.find("weights")
+    while at >= 0:
+        end = at + len("weights")
+        if ((at == 0 or text[at - 1].isspace())
+                and (end == len(text) or text[end].isspace())):
+            return [text[:at], text[end:]]
+        at = text.find("weights", at + 1)
+    return [text]
+
+
+def _is_label(word: str, letter: str) -> bool:
+    """Whether ``word`` is ``letter`` followed by decimal digits (``d2``)."""
+    return word[:1] == letter and word[1:].isdecimal()
 
 
 def parse_variable_names(text: str, line_no: int) -> tuple:
@@ -242,8 +261,7 @@ def parse_session(text: str) -> Session:
             fld = parse_field(rest, line_no)
 
         elif directive == "ring":
-            # the keyword only as a word of its own: ``myweights`` is a name
-            parts = re.split(r"(?<!\S)weights(?!\S)", rest, maxsplit=1)
+            parts = _split_at_weights(rest)
             names = parse_variable_names(parts[0], line_no)
             weights = ()
             if len(parts) == 2:
@@ -287,7 +305,7 @@ def parse_session(text: str) -> Session:
             pos = line.find(directive) + len(directive)
             while line[pos:].strip():
                 lm = _NAME.match(line[pos:].lstrip())
-                if lm is None or not re.fullmatch(r"d\d+", lm.group(0)):
+                if lm is None or not _is_label(lm.group(0), "d"):
                     raise SessionError("expected a differential label dK",
                                        line_no, pos + 1)
                 label = lm.group(0)
@@ -303,7 +321,7 @@ def parse_session(text: str) -> Session:
         else:  # action
             pos = line.find(directive) + len(directive)
             lm = _NAME.match(line[pos:].lstrip())
-            if lm is None or not re.fullmatch(r"e\d+", lm.group(0)):
+            if lm is None or not _is_label(lm.group(0), "e"):
                 raise SessionError("expected an action label eI",
                                    line_no, pos + 1)
             label = lm.group(0)

@@ -187,7 +187,9 @@ def koszul_object(X: TwistedComplex, eta: Polynomial) -> TwistedComplex:
     if not eta.is_homogeneous():
         raise PipelineError("Koszul element must be homogeneous")
     w = eta.degree()
-    if w >= 0 and w % 2 != 0:
+    if w == 0:  # a unit: its cone is contractible, so not minimal
+        raise PipelineError("Koszul element must have positive degree")
+    if w > 0 and w % 2 != 0:
         raise PipelineError("Koszul element must have even degree")
     int_shift = 0
     if X.chi_internal and not eta.is_zero():

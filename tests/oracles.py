@@ -22,11 +22,14 @@ construction, and no command runs them:
   a polynomial modulo an ideal and the canonical printing of a session;
 - the quasi-polynomial tail of a Betti sequence by exact interpolation of
   its last numbers, where ``betti`` reads it off the Hilbert numerator of
-  Ext in closed form (``loci.betti_numbers``).
+  Ext in closed form (``loci.betti_numbers``);
+- the argparse parser the command line was read with, which
+  ``cli.parse_command_line`` must agree with.
 """
 
 from __future__ import annotations
 
+import argparse
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
@@ -451,3 +454,29 @@ def fit_quasi_polynomial(betti: dict, window: int) -> QuasiPoly:
                             (q_ev and q_odd and q_ev[-1] != q_odd[-1])):
         raise TruncationNeeded("even and odd branches disagree in degree")
     return QuasiPoly(q_ev, q_odd, max(v_ev, v_odd))
+
+
+def build_argument_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(
+        prog="jumploci",
+        description="Cohomological jump loci of modules over "
+                    "complete-intersection quotients.")
+    parser.add_argument("command",
+                        choices=["compute", "betti", "dual", "realize",
+                                 "crk", "oracle"])
+    parser.add_argument("--input", help="session file")
+    parser.add_argument("--n", type=int, default=20,
+                        help="last Betti number to compute (betti)")
+    parser.add_argument("--seed", type=int, default=0)
+    parser.add_argument("--format", choices=["json", "text"], default="json")
+    parser.add_argument("--output", default=None)
+    parser.add_argument("--point", default=None,
+                        help="comma-separated coordinates (crk)")
+    parser.add_argument("--points", type=int, default=20,
+                        help="number of sample points (oracle)")
+    parser.add_argument("--chain", default=None,
+                        help="chain file (realize)")
+    # a malformed command line is an input error: one ``error:`` line and
+    # exit 1, with no usage block
+    parser.error = lambda message: parser.exit(1, f"error: {message}\n")
+    return parser

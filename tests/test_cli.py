@@ -710,10 +710,11 @@ def test_an_option_line_is_an_input_error(capfd, tmp_path, command):
     (["compute", "--input", FINAL, "--verbose"],
      "unrecognized arguments: --verbose"),
     ([], "the following arguments are required: command"),
+    (["betti", "--input", FINAL, "--n=--"], "invalid int value: '--'"),
 ])
 def test_a_malformed_command_line_is_an_input_error(capfd, argv, says):
-    """argparse's own exit 2 and usage block read as an internal
-    assertion; a malformed command line is one error line and exit 1."""
+    """An exit 2 and a usage block would read as an internal assertion; a
+    malformed command line is one error line and exit 1."""
     with pytest.raises(SystemExit) as info:
         main(argv)
     out, err = capfd.readouterr()
@@ -733,7 +734,7 @@ def test_help_exits_zero(capfd):
 def test_flag_defaults(capfd):
     """``--n`` and ``--points`` are 20, ``--seed`` 0 and the report goes
     to stdout."""
-    args = cli.build_argument_parser().parse_args(["betti"])
+    args = cli.parse_command_line(["betti"])
     assert (args.n, args.points, args.seed, args.output) == (20, 20, 0, None)
     assert _run_json(capfd, ["betti", "--input", FINAL])["n"] == 20
 

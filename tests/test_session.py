@@ -3,11 +3,16 @@
 import re
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from jumploci.field import GF, QQ
 from jumploci.groebner import ModuleGB
+from jumploci.poly import _TOKEN
 from jumploci.resolution import PipelineError
 from jumploci.session import (Session, SessionError, parse_session,
-                              build_pipeline)
+                              build_pipeline, parse_field, _is_label,
+                              _split_at_weights)
 from jumploci.cli import parse_chain_file
 
 from conftest import REPO, SESSIONS, CHAINS
@@ -375,3 +380,97 @@ def test_chain_field_line_is_parsed_like_a_session():
         assert S.field.p == (101 if field != "QQ" else 0)
     with pytest.raises(SessionError, match=r"unknown field 'GF\(-5\)'"):
         parse_chain_file("field GF(-5)\nring chi1\nmember 0\n")
+
+
+# -- string tests in place of inline patterns --------------------------------
+#
+# The session reader once matched these with ``re`` patterns compiled on
+# first use; the patterns stay here as the oracle.  ``\d`` is
+# ``str.isdecimal`` (``١٠١`` is 101; ``²`` is no digit, and ``int``
+# rejects it) and ``\s`` is ``str.isspace``.
+
+_SPACE = " \t\n\x1c\x85\u00a0\u2028\u3000\u200b"
+_DIGITS = "0123456789١٠٣۳²³"
+
+
+def _field_by_pattern(text: str):
+    if text == "QQ":
+        return QQ
+    gm = re.fullmatch(r"GF\(\s*(\d+)\s*\)", text)
+    if not gm:
+        raise SessionError(f"unknown field '{text}'", 1)
+    try:
+        return GF(int(gm.group(1)))
+    except ValueError as exc:
+        raise SessionError(str(exc), 1) from exc
+
+
+def _outcome(read, *args):
+    try:
+        return read(*args)
+    except SessionError as exc:
+        return str(exc)
+
+
+@settings(max_examples=400, deadline=None, database=None)
+@given(st.one_of(
+    st.builds("GF({}{}{}){}".format, st.text(_SPACE, max_size=2),
+              st.text(_DIGITS, max_size=4), st.text(_SPACE, max_size=2),
+              st.sampled_from(["", ")", " "])),
+    st.text("GF()QQ " + _DIGITS + _SPACE, max_size=9)))
+@example("GF(١٠١)")
+@example("GF(²)")
+@example("GF(\t101 )")
+@example("GF( 1 01 )")
+@example("GF()")
+def test_the_field_is_read_as_the_pattern_read_it(text):
+    assert _outcome(parse_field, text, 1) == _outcome(_field_by_pattern, text)
+
+
+@settings(max_examples=400, deadline=None, database=None)
+@given(st.lists(st.sampled_from(
+    ["weights", "myweights", "weights2", "x", "y", ", ", ",", "1", "w",
+     "s", " ", "\t", "\u00a0", "\x85", "\u200b"]), max_size=8).map("".join))
+@example("myweights, y")
+@example("weights 1")
+@example("x, y weights")
+@example("x weights 1, 2 weights 3")
+@example("x\tweights\t1")
+def test_the_weights_word_is_found_as_the_pattern_found_it(text):
+    assert _split_at_weights(text) == re.split(r"(?<!\S)weights(?!\S)",
+                                                text, maxsplit=1)
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(st.sampled_from("de"), st.text("dex_" + _DIGITS, max_size=4))
+@example("d", "")
+@example("d", "x")
+@example("d", "12")
+@example("e", "٣")
+@example("d", "²")
+def test_a_label_is_read_as_the_pattern_read_it(letter, rest):
+    word = letter + rest
+    assert _is_label(word, letter) == bool(re.fullmatch(letter + r"\d+", word))
+
+
+@pytest.mark.parametrize("label", ["d", "dx", "e٣", "d1x"])
+def test_a_label_without_decimal_digits_is_an_input_error(label):
+    body = "field GF(101)\nring x\nci x^2\n"
+    line = (f"complex {label} [[x]]" if label[0] == "d"
+            else f"complex d1 [[x]]\naction {label} [[x]]")
+    err = _err(body + line + "\n")
+    assert str(err).startswith("expected a differential label dK"
+                               if label[0] == "d"
+                               else "expected an action label eI")
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(st.text("0123456789١٠²/ xy^*+-()'_", max_size=12))
+@example("1/2*x")
+@example("١/٢ + x")
+def test_a_fraction_token_is_the_one_with_a_slash(text):
+    pos = 0
+    while (m := _TOKEN.match(text, pos)) and m.end() > pos:
+        t = m.group(1)
+        assert ("/" in t) == bool(re.fullmatch(r"\d+/\d+", t)), t
+        pos = m.end()

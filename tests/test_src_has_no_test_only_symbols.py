@@ -51,7 +51,10 @@ for argv, verbose in jobs:
     sys.stderr = io.StringIO()
     if verbose:
         os.environ["JUMPLOCI_VERBOSE"] = "1"
-    code = cli.main(argv)
+    try:
+        code = cli.main(argv)
+    except SystemExit as exc:  # a malformed command line, or --help
+        code = exc.code
     os.environ.pop("JUMPLOCI_VERBOSE", None)
     sys.stdout.flush()
     results.append([code, sys.stderr.getvalue(),
@@ -124,6 +127,9 @@ def _jobs(tmp_path):
     jobs.append((["compute", "--input", flag], True, None))
     jobs.append((["realize", "--chain",
                   str(REPO / "chains" / "complete_flag.chain")], False, ""))
+    jobs.append((["--help"], False, ""))
+    jobs.append((["compute", "--input", flag, "--n", "x"], False,
+                 "error: argument --n: invalid int value: 'x'\n"))
     for name, (text, says) in _BAD.items():
         path = tmp_path / name
         path.write_text(text)

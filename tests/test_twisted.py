@@ -223,6 +223,19 @@ def test_koszul_object_rejects_odd_degree():
         koszul_object(X, bad)
 
 
+def test_koszul_object_rejects_a_nonzero_constant():
+    """A nonzero constant has degree 0, which is even, but its cone is
+    contractible: the complex would not be minimal, and its reports
+    would read rank 4 where minimalizing leaves rank 0."""
+    S = PolyRing(GF101, ("chi1", "chi2"), (2, 2))
+    X = free_complex(S, 2, degrees=[(0, 0), (1, 0)])
+    for c in (1, 7):
+        with pytest.raises(PipelineError,
+                           match="Koszul element must have positive degree"):
+            koszul_object(X, S.const(c))
+    assert koszul_object(X, S.zero()).rank == 4
+
+
 def test_koszul_object_rejects_mixed_internal_degree():
     """With chi1, chi2 of internal degrees 2 and 3, chi1 + chi2 has one
     cohomological degree but two internal ones, so its cone would not be
