@@ -6,7 +6,6 @@ GF(p)) or ``fractions.Fraction`` for QQ.  All arithmetic is exact.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 
@@ -23,22 +22,31 @@ def _is_prime(n: int) -> bool:
     return True
 
 
-@dataclass(frozen=True)
 class Field:
-    """GF(p) when ``p > 0``, the rationals when ``p == 0``."""
+    """GF(p) when ``p > 0``, the rationals when ``p == 0``.  A value: equal,
+    with one hash, when ``p`` is."""
 
-    p: int
+    __slots__ = ("p",)
 
-    def __post_init__(self):
-        if self.p < 0:
+    def __init__(self, p: int):
+        if p < 0:
             raise ValueError("characteristic must be nonnegative")
-        if self.p > 0:
+        if p > 0:
             # the size check comes first: trial division of a huge
             # number would not finish
-            if self.p >= 1 << 31:
+            if p >= 1 << 31:
                 raise ValueError("prime must be < 2^31")
-            if not _is_prime(self.p):
-                raise ValueError(f"{self.p} is not prime")
+            if not _is_prime(p):
+                raise ValueError(f"{p} is not prime")
+        self.p = p
+
+    def __eq__(self, other):
+        if other.__class__ is not Field:
+            return NotImplemented
+        return self.p == other.p
+
+    def __hash__(self):
+        return hash(self.p)
 
     def coerce(self, x):
         if self.p:

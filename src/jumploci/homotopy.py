@@ -32,7 +32,6 @@ of J (``tests/oracles.py``).
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from operator import add
 
 from .matrix import PolyMatrix, add_image, reduced
@@ -40,10 +39,10 @@ from .poly import Polynomial
 from .resolution import FreeResolution, RingData, PipelineError
 
 
-@dataclass
 class HigherHomotopySystem:
-    resolution: FreeResolution
-    sigma: dict            # multi-index tuple J -> {t: PolyMatrix}
+    def __init__(self, resolution: FreeResolution, sigma: dict):
+        self.resolution = resolution
+        self.sigma = sigma  # multi-index tuple J -> {t: PolyMatrix}
 
 
 def _ranks(res: FreeResolution):

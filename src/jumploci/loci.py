@@ -54,7 +54,6 @@ only because the benchmark tracer wraps them by name.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from operator import add, le
@@ -106,12 +105,13 @@ def jump_locus_ideal(X: TwistedComplex, i: int) -> Ideal:
 # -- reports --------------------------------------------------------------
 
 
-@dataclass
 class JumpLociReport:
-    rank: int
-    per_index: list         # (i, Ideal, dimension of V^i)
-    complexity: int
-    betti_degree: int       # None when complexity is 0
+    def __init__(self, rank: int, per_index: list, complexity: int,
+                 betti_degree: int):
+        self.rank = rank
+        self.per_index = per_index  # (i, Ideal, dimension of V^i)
+        self.complexity = complexity
+        self.betti_degree = betti_degree  # None when complexity is 0
 
     def ideal_at(self, i: int):
         """The jump ideal of V^i for i >= 1, or None (the unit ideal)

@@ -9,7 +9,6 @@ graded reverse lexicographic.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field as _field
 from operator import add, mul
 
 from .field import Field
@@ -17,35 +16,44 @@ from .field import Field
 Monomial = tuple  # exponent tuple, one entry per ring variable
 
 
-def _cache():
-    """A per-ring memo that takes no part in equality, hashing or repr."""
-    return _field(default_factory=dict, init=False, compare=False,
-                  hash=False, repr=False)
-
-
-@dataclass(frozen=True)
 class PolyRing:
-    field: Field
-    variables: tuple
-    weights: tuple = ()
-    # monomial -> mono_key / mono_key_desc, filled on first use
-    _keys: dict = _cache()
-    _desc_keys: dict = _cache()
-    _unit_weights: bool = _field(default=False, init=False, compare=False,
-                                 hash=False, repr=False)
+    """A value: equal, with one hash and one repr, when the field, the
+    variables and the weights are; the key caches take no part."""
 
-    def __post_init__(self):
-        if not self.weights:
-            object.__setattr__(self, "weights", (1,) * len(self.variables))
-        if len(self.weights) != len(self.variables):
+    __slots__ = ("field", "variables", "weights", "_keys", "_desc_keys",
+                 "_unit_weights")
+
+    def __init__(self, field: Field, variables: tuple, weights: tuple = ()):
+        if not weights:
+            weights = (1,) * len(variables)
+        if len(weights) != len(variables):
             raise ValueError("weights/variables length mismatch")
-        if any(w <= 0 for w in self.weights):
+        if any(w <= 0 for w in weights):
             raise ValueError("weights must be positive")
-        object.__setattr__(self, "_unit_weights",
-                           all(w == 1 for w in self.weights))
-        for i, name in enumerate(self.variables):
-            if name in self.variables[:i]:
+        for i, name in enumerate(variables):
+            if name in variables[:i]:
                 raise ValueError(f"duplicate variable name '{name}'")
+        self.field = field
+        self.variables = variables
+        self.weights = weights
+        # monomial -> mono_key / mono_key_desc, filled on first use
+        self._keys = {}
+        self._desc_keys = {}
+        self._unit_weights = all(w == 1 for w in weights)
+
+    def __eq__(self, other):
+        if other.__class__ is not PolyRing:
+            return NotImplemented
+        return self is other or (
+            (self.field, self.variables, self.weights)
+            == (other.field, other.variables, other.weights))
+
+    def __hash__(self):
+        return hash((self.field, self.variables, self.weights))
+
+    def __repr__(self):
+        return (f"PolyRing(field={self.field!r}, "
+                f"variables={self.variables!r}, weights={self.weights!r})")
 
     @property
     def nvars(self) -> int:

@@ -26,8 +26,6 @@ reference for the Betti numbers and the Tate route.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 from .poly import PolyRing
 from .matrix import PipelineError, PolyMatrix, cancel_unit, least_unit
 from .groebner import Ideal, ModuleGB
@@ -98,16 +96,16 @@ def column_degree(ring: PolyRing, col, row_degrees) -> int:
 # -- resolutions ----------------------------------------------------------
 
 
-@dataclass
 class FreeResolution:
-    ring_data: RingData
-    differentials: list          # d_1..d_L as PolyMatrix
-    degrees: list                # internal degrees of F_0..F_L generators
-    complete: bool               # kernel exhausted at the last stage
-    # t -> the tracked run d_t was taken from, whose coordinates are the
-    # columns of d_t in order; the higher homotopies lift through it
-    image_bases: dict = field(default_factory=dict, repr=False,
-                              compare=False)
+    def __init__(self, ring_data: RingData, differentials: list,
+                 degrees: list, complete: bool, image_bases: dict = None):
+        self.ring_data = ring_data
+        self.differentials = differentials  # d_1..d_L as PolyMatrix
+        self.degrees = degrees  # internal degrees of F_0..F_L generators
+        self.complete = complete  # kernel exhausted at the last stage
+        # t -> the tracked run d_t was taken from, whose coordinates are
+        # the columns of d_t in order; the higher homotopies lift through it
+        self.image_bases = {} if image_bases is None else image_bases
 
     @property
     def length(self) -> int:

@@ -28,7 +28,6 @@ and column of the offending token.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from functools import cached_property
 
 from .field import Field, GF, QQ
@@ -56,19 +55,21 @@ class SessionError(ValueError):
         super().__init__(message + where)
 
 
-@dataclass
 class ModuleInput:
-    kind: str                     # "coker" or "complex"
-    rows: list = None             # coker: rows of the presentation matrix
-    differentials: list = None    # complex: d_1..d_L as PolyMatrix
-    actions: list = None          # complex: per e_i, list of L blocks
-    degrees: list = None          # complex: inferred generator degrees
+    def __init__(self, kind: str, rows: list = None,
+                 differentials: list = None, actions: list = None,
+                 degrees: list = None):
+        self.kind = kind  # "coker" or "complex"
+        self.rows = rows  # coker: rows of the presentation matrix
+        self.differentials = differentials  # complex: d_1..d_L as PolyMatrix
+        self.actions = actions  # complex: per e_i, list of L blocks
+        self.degrees = degrees  # complex: inferred generator degrees
 
 
-@dataclass
 class Session:
-    ring_data: RingData
-    module: ModuleInput
+    def __init__(self, ring_data: RingData, module: ModuleInput):
+        self.ring_data = ring_data
+        self.module = module
 
     @property
     def ring(self) -> PolyRing:
@@ -437,13 +438,14 @@ def _assemble_complex(ring: PolyRing, diff_rows):
 # -- pipeline glue ---------------------------------------------------------
 
 
-@dataclass
 class Pipeline:
     """Everything the commands need, built once from a session."""
 
-    rd: RingData
-    resolution: FreeResolution
-    X: TwistedComplex
+    def __init__(self, rd: RingData, resolution: FreeResolution,
+                 X: TwistedComplex):
+        self.rd = rd
+        self.resolution = resolution
+        self.X = X
 
     @cached_property
     def X_dual(self) -> TwistedComplex:

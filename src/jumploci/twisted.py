@@ -26,8 +26,6 @@ shifted back by the length of F, and it is the one route to X(M*).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .poly import Polynomial, PolyRing
 from .matrix import PolyMatrix, cancel_unit, least_unit
 from .groebner import ModuleGB
@@ -35,12 +33,14 @@ from .resolution import RingData, PipelineError
 from .homotopy import HigherHomotopySystem
 
 
-@dataclass
 class TwistedComplex:
-    S: PolyRing
-    basis_degrees: list        # per generator: (cohomological, internal)
-    D: PolyMatrix              # square of size rank, over S
-    chi_internal: tuple = None  # internal degrees of the chi variables
+    def __init__(self, S: PolyRing, basis_degrees: list, D: PolyMatrix,
+                 chi_internal: tuple = None):
+        self.S = S
+        # per generator: (cohomological, internal)
+        self.basis_degrees = basis_degrees
+        self.D = D  # square of size rank, over S
+        self.chi_internal = chi_internal  # internal degrees of the chis
 
     @property
     def rank(self) -> int:

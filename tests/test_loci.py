@@ -12,7 +12,7 @@ from jumploci.cli import parse_chain_file
 from jumploci.groebner import Ideal, ModuleGB, module_hilbert_data
 from jumploci.matrix import PolyMatrix
 from jumploci.resolution import (RingData, resolve_over_a, resolve_over_b,
-                                 PipelineError)
+                                 PipelineError, _resolve)
 from jumploci.session import parse_session, build_pipeline
 from jumploci.homotopy import compute_higher_homotopies
 from jumploci.twisted import (build_twisted_complex, minimalize,
@@ -524,6 +524,43 @@ def test_betti_degree_is_half_the_generic_crk_at_maximal_complexity():
 
 
 # -- duality ---------------------------------------------------------------
+
+
+_COKERS = sorted(p for d in (SESSIONS, REPO / "perfbench" / "inputs")
+                 for p in d.glob("*.session") if "coker" in p.read_text())
+
+
+def test_the_coker_inputs_are_the_thirteen_files():
+    assert len(_COKERS) == 13
+
+
+@pytest.mark.parametrize("path", _COKERS, ids=lambda p: p.stem)
+def test_x_of_m_star_from_its_own_presentation_is_the_s_dual(path):
+    """M* = coker(d_L^T), its rows in -deg F_L, resolved and run through
+    the ordinary pipeline, gives an X(M*) that does not read X(M).  Its
+    fresh resolution is F's dual, and X(M*) agrees with s_dual(X(M)) on
+    the basis degrees, beta_0..beta_12 with the tail, the Betti degree,
+    and crk at the generic point and at five points."""
+    pipe = build_pipeline(parse_session(path.read_text()))
+    assert pipe.dual_is_module
+    rd, res = pipe.rd, pipe.resolution
+    L = res.length
+    fresh = _resolve(rd, res.differentials[L - 1].transpose(), None,
+                     [-d for d in res.degrees[L]])
+    assert [sorted(degs) for degs in fresh.degrees] \
+        == [sorted(-d for d in degs) for degs in reversed(res.degrees)]
+    X_star = build_twisted_complex(compute_higher_homotopies(fresh, rd), rd)
+    X_dual = s_dual(pipe.X)
+    assert sorted(X_star.basis_degrees) == sorted(X_dual.basis_degrees)
+    assert X_star.chi_internal == X_dual.chi_internal
+    assert betti_numbers(X_star, 12) == betti_numbers(X_dual, 12)
+    assert betti_degree(X_star) == betti_degree(X_dual)
+    assert crk_at(X_star) == crk_at(X_dual)
+    rng = random.Random(path.stem)
+    for _ in range(5):
+        point = [rng.randrange(1, rd.ring.field.p or 50)
+                 for _ in range(rd.c)]
+        assert crk_at(X_star, point) == crk_at(X_dual, point), point
 
 
 def test_duality_on_final_example(final_pipeline):

@@ -7,7 +7,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from jumploci import GF, QQ, PolyRing
+from jumploci.field import Field
+from jumploci.groebner import ModuleGB
+from jumploci.matrix import PolyMatrix
 from jumploci.poly import MAX_EXPONENT, MAX_PARSE_WORK
+from jumploci.resolution import FreeResolution, RingData
+from jumploci.session import ModuleInput
+from jumploci.twisted import TwistedComplex
 
 
 GF5 = GF(5)
@@ -248,6 +254,87 @@ def test_key_caches_cannot_be_observed():
         assert p * q == q * p == r2.parse(str(p)) * r1.parse(str(q))
         assert (p + q) - q == p and hash(p + q) == hash(q + p)
         assert (p * q).lead_monomial() == (q * p).lead_monomial()
+
+
+# -- records ---------------------------------------------------------------
+
+
+def test_fields_and_rings_print_as_before():
+    assert repr(GF101) == "GF(101)" and repr(QQ) == "QQ"
+    assert (repr(PolyRing(GF101, ("x", "y"), (1, 2)))
+            == "PolyRing(field=GF(101), variables=('x', 'y'), weights=(1, 2))")
+    assert (repr(PolyRing(QQ, ("x",)))
+            == "PolyRing(field=QQ, variables=('x',), weights=(1,))")
+
+
+def test_fields_and_rings_are_values():
+    """Equal when built alike, with one hash; a different prime, name or
+    weight, or another type, is unequal."""
+    assert Field(101) == GF101 and hash(Field(101)) == hash(GF101)
+    assert Field(0) == QQ and GF5 != GF101 and GF5 != 5 and QQ != 0
+    ring = PolyRing(GF101, ("x", "y"))
+    assert ring == PolyRing(Field(101), ("x", "y"), (1, 1))
+    assert hash(ring) == hash(PolyRing(Field(101), ("x", "y"), (1, 1)))
+    for other in (PolyRing(GF5, ("x", "y")), PolyRing(GF101, ("x", "z")),
+                  PolyRing(GF101, ("x", "y"), (1, 2)),
+                  PolyRing(GF101, ("x",)), ("x", "y")):
+        assert ring != other and not ring == other
+
+
+@pytest.mark.parametrize("n", range(4))
+def test_default_weights_are_one(n):
+    names = tuple(f"x{i}" for i in range(n))
+    assert PolyRing(GF5, names).weights == (1,) * n
+    assert PolyRing(GF5, names) == PolyRing(GF5, names, (1,) * n)
+
+
+@pytest.mark.parametrize("make, message", [
+    (lambda: Field(4), "4 is not prime"),
+    (lambda: Field(1), "1 is not prime"),
+    (lambda: Field(-3), "characteristic must be nonnegative"),
+    (lambda: Field(1 << 31), "prime must be < 2^31"),
+    (lambda: Field((1 << 61) - 1), "prime must be < 2^31"),
+    (lambda: GF(0), "0 is not prime"),
+    (lambda: PolyRing(GF5, ("x", "y"), (1,)),
+     "weights/variables length mismatch"),
+    (lambda: PolyRing(GF5, ("x",), (1, 1)),
+     "weights/variables length mismatch"),
+    (lambda: PolyRing(GF5, ("x", "y"), (1, 0)), "weights must be positive"),
+    (lambda: PolyRing(GF5, ("x", "y"), (-1, 2)), "weights must be positive"),
+    (lambda: PolyRing(GF5, ("x", "y", "x")), "duplicate variable name 'x'"),
+])
+def test_constructor_refusals_keep_their_messages(make, message):
+    with pytest.raises(ValueError) as err:
+        make()
+    assert str(err.value) == message
+
+
+def test_records_take_their_keyword_forms():
+    """The records keep their positional order, keyword names and
+    defaults; a resolution built without tracked runs gets a dict of its
+    own."""
+    A = PolyRing(GF101, ("x",))
+    rd = RingData(A, [A.parse("x^2")])
+    d1 = PolyMatrix.from_rows(A, [[A.parse("x")]])
+    bases = {1: ModuleGB(A, 1, d1.columns_as_vectors(), track=True)}
+    res = FreeResolution(rd, [d1], [[0], [1]], complete=True,
+                         image_bases=bases)
+    assert (res.ring_data, res.differentials, res.degrees, res.complete,
+            res.image_bases) == (rd, [d1], [[0], [1]], True, bases)
+    bare, other = (FreeResolution(rd, [d1], [[0], [1]], False)
+                   for _ in range(2))
+    assert bare.image_bases == {} and bare.image_bases is not \
+        other.image_bases
+    module = ModuleInput("coker", rows=[["x"]])
+    assert (module.kind, module.rows, module.differentials, module.actions,
+            module.degrees) == ("coker", [["x"]], None, None, None)
+    S = PolyRing(GF101, ("chi1",))
+    D = PolyMatrix.from_rows(S, [[S.zero()]])
+    X = TwistedComplex(S, [(0, 0)], D)
+    assert (X.S, X.basis_degrees, X.D, X.chi_internal, X.rank) \
+        == (S, [(0, 0)], D, None, 1)
+    assert TwistedComplex(S, [(0, 0)], D, chi_internal=(2,)).chi_internal \
+        == (2,)
 
 
 def test_no_zero_coefficients_stored():

@@ -16,6 +16,7 @@ from conftest import REPO
     ("realizability_demo.py", ["--chains", "2"]),
     ("run_examples.py", []),
     ("oracle_vs_crk.py", ["--points", "2"]),
+    ("startup_time.py", ["--n", "1"]),
 ])
 def test_script_runs(script, args):
     proc = subprocess.run([sys.executable, str(REPO / "scripts" / script),

@@ -8,7 +8,7 @@ A ``def`` in the package that none of them entered serves only the tests,
 and belongs in ``tests/oracles.py``.  It is found whatever its name, also
 when another part of ``src/`` uses the same name.  Only the dunders that
 Python may call implicitly are exempt (``EXEMPT``).  Likewise every field
-of a dataclass in ``src/jumploci`` is read somewhere in the repo.
+that an ``__init__`` in ``src/jumploci`` sets is read somewhere in the repo.
 """
 
 import ast
@@ -22,8 +22,7 @@ from jumploci.session import parse_session
 from conftest import NON_DESCENDING_CHAINS, REPO
 
 SRC = REPO / "src" / "jumploci"
-EXEMPT = {"__init__", "__post_init__", "__repr__", "__str__", "__eq__",
-          "__hash__"}
+EXEMPT = {"__init__", "__repr__", "__str__", "__eq__", "__hash__"}
 
 # The child: it reads the jobs as JSON on stdin, runs each through
 # ``cli.main`` with its output captured, calls the pinned routes on the
@@ -205,10 +204,11 @@ def test_every_src_function_is_entered(tmp_path):
     assert not never, "never entered by a command: " + ", ".join(never)
 
 
-def test_every_dataclass_field_is_read():
-    """A field of a dataclass in ``src/`` is read, by its name as an
-    attribute, somewhere in ``src/``, ``tests/``, ``scripts/`` or
-    ``perfbench/``; one that is only ever written is work nothing needs."""
+def test_every_record_field_is_read():
+    """A field that the ``__init__`` of a class in ``src/`` sets on
+    ``self`` is read, by its name as an attribute, somewhere in ``src/``,
+    ``tests/``, ``scripts/`` or ``perfbench/``; one that is only ever
+    written is work nothing needs."""
     paths = sorted(p for d in ("src", "tests", "scripts", "perfbench")
                    for p in (REPO / d).rglob("*.py"))
     read = {node.attr for path in paths
@@ -218,10 +218,15 @@ def test_every_dataclass_field_is_read():
     unread = []
     for path in sorted(SRC.glob("*.py")):
         for cls in ast.walk(ast.parse(path.read_text())):
-            if isinstance(cls, ast.ClassDef) and any(
-                    "dataclass" in ast.unparse(d) for d in cls.decorator_list):
-                unread += [f"{cls.name}.{stmt.target.id}"
-                           for stmt in cls.body
-                           if isinstance(stmt, ast.AnnAssign)
-                           and stmt.target.id not in read]
+            if not isinstance(cls, ast.ClassDef):
+                continue
+            for init in cls.body:
+                if isinstance(init, ast.FunctionDef) \
+                        and init.name == "__init__":
+                    unread += [f"{cls.name}.{node.attr}"
+                               for node in ast.walk(init)
+                               if isinstance(node, ast.Attribute)
+                               and isinstance(node.ctx, ast.Store)
+                               and ast.unparse(node.value) == "self"
+                               and node.attr not in read]
     assert not unread, "never read: " + ", ".join(unread)
