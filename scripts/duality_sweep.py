@@ -1,10 +1,12 @@
 #!/usr/bin/env python3
 """Duality sweep over random monomial-ideal modules.
 
-For each trial, draw a random monomial module over GF(101)[x,y]/(x^3,y^3),
-build the twisted complex and its explicit dual, compute one jump-loci
-report for each, and compare every jump variety and the Betti degree of
-the module with that of its dual (the Bass degree of the module).
+For each trial, draw a random monomial module M over
+GF(101)[x,y]/(x^3,y^3), build X(M), and build X(M*) from M* itself:
+M* = coker(d_L^T), resolved afresh and run through the same pipeline,
+with none of M's homotopies (``oracles.x_of_m_star``).  Compute one
+jump-loci report for each, and compare every jump variety, and the Betti
+degree of M with that of M*, as the paper's duality theorem states them.
 
 Usage: python scripts/duality_sweep.py [--trials N] [--seed N]
 """
@@ -25,9 +27,10 @@ from jumploci.homotopy import compute_higher_homotopies  # noqa: E402
 from jumploci.twisted import build_twisted_complex  # noqa: E402
 from jumploci.loci import (duality_check, jump_loci_report,  # noqa: E402
                            RouteDisagreement)
+from jumploci.session import Pipeline  # noqa: E402
 
 from conftest import random_monomial_rows  # noqa: E402
-from oracles import explicit_dual  # noqa: E402
+from oracles import x_of_m_star  # noqa: E402
 
 
 def main() -> int:
@@ -46,11 +49,11 @@ def main() -> int:
         start = time.perf_counter()
         res = resolve_over_a(rd, pres)
         sys_ = compute_higher_homotopies(res, rd)
-        X = build_twisted_complex(sys_, rd)
-        X_dual = explicit_dual(res, sys_, rd)
+        pipe = Pipeline(rd, res, build_twisted_complex(sys_, rd))
+        _, X_star = x_of_m_star(pipe)
         try:
-            bdeg_equal = duality_check(jump_loci_report(X),
-                                       jump_loci_report(X_dual))
+            bdeg_equal = duality_check(jump_loci_report(pipe.X),
+                                       jump_loci_report(X_star))
             label = "ok" if bdeg_equal else "MISMATCH (Betti degrees)"
         except RouteDisagreement as exc:
             bdeg_equal = False

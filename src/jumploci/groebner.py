@@ -5,13 +5,19 @@ exponent_tuple)`` to a nonzero field scalar.  The module term order is
 term-over-position: terms are compared first by the ring's weighted grevlex
 key on the monomial, then by preferring smaller component index.
 
+The one sparse product of module vectors lives here: ``add_image`` adds
+the image of a vector under a map given by its columns, and ``reduced``
+reduces the sum once.  S-vectors, ``@`` and the homotopy walk run on it.
+
 Division (``ModuleGB._reduce_full``) never scans.  A basis indexes its
-leads by component, in basis order, so a term looks for its reducer only
-among the leads of its own component and takes the first that divides
-it: the reducer a scan of the whole basis would pick.  The terms wait in
-a heap keyed by the grevlex keys that the ring caches per monomial, and
-the division returns the lead of its remainder, the first term it moved
-there, so no caller rescans the remainder for it.
+leads by component, in basis order (``ModuleGB.leads``, where the Hilbert
+data, the Krull dimension and the Tate basis read them too), so a term
+looks for its reducer only among the leads of its own component and
+takes the first that divides it: the reducer a scan of the whole basis
+would pick.  The terms wait in a heap keyed by the grevlex keys that the
+ring caches per monomial, and the division returns the lead of its
+remainder, the first term it moved there, so no caller rescans the
+remainder for it.
 
 Syzygies and lifting are computed by the annihilator-column device: each
 input column is augmented with a unit vector in a shadow block of
@@ -90,24 +96,20 @@ class GBStats:
             setattr(cls, name, 0)
 
 
-def _vec_add(fld, a, b, coeff=None, shift=None):
-    """a + coeff * x^shift * b, in place on a copy of a."""
-    out = dict(a)
-    for (comp, m), c in b.items():
-        if shift is not None:
-            m = tuple(map(add, m, shift))
-        if coeff is not None:
-            c = fld.mul(c, coeff)
-        s = fld.add(out.get((comp, m), fld.zero()), c)
-        if s:
-            out[(comp, m)] = s
-        else:
-            out.pop((comp, m), None)
-    return out
+def add_image(columns, v, acc):
+    """Add to ``acc`` ({(row, monomial): coefficient}, not yet reduced) the
+    image of the module vector ``v`` under the map with the columns
+    ``columns``: each term (k, m) * a of v adds a * x^m times column k."""
+    for (k, m), a in v.items():
+        for (r, n), b in columns[k].items():
+            key = (r, tuple(map(add, m, n)))
+            acc[key] = acc.get(key, 0) + a * b
 
 
-def _vec_scale(fld, a, c):
-    return {k: fld.mul(v, c) for k, v in a.items()}
+def reduced(acc, p):
+    """``acc`` as a module vector: each coefficient reduced mod p once (over
+    QQ, p = 0, the sums are already Fractions), the zero terms dropped."""
+    return {k: r for k, v in acc.items() if (r := v % p if p else v)}
 
 
 class ModuleGB:
@@ -132,6 +134,10 @@ class ModuleGB:
     graded run then processes the remaining pairs, but an untracked one
     stops once its top column degree is settled: its basis is a Groebner
     basis through that degree only.
+
+    ``leads[r]`` lists the (lead monomial, vector) pairs of component r,
+    in basis order.  After an ungraded, untracked run (``_interreduce``)
+    its monomials are minimal and distinct.
     """
 
     def __init__(self, ring: PolyRing, rank: int, columns, track: bool = False,
@@ -174,17 +180,15 @@ class ModuleGB:
     # -- basis and lead index ----------------------------------------------
 
     def _set_basis(self, basis):
-        """Replace the basis, and index its leads: ``_leads[r]`` lists the
-        (lead monomial, vector) of the elements with lead in component r,
-        in basis order."""
+        """Replace the basis, and index its leads (``leads``)."""
         self.basis = []
-        self._leads = [[] for _ in range(self.rank)]
+        self.leads = [[] for _ in range(self.rank)]
         for v, lead in basis:
             self._append(v, lead)
 
     def _append(self, v, lead):
         self.basis.append((v, lead))
-        self._leads[lead[0]].append((lead[1], v))
+        self.leads[lead[0]].append((lead[1], v))
 
     # -- term order ------------------------------------------------------
 
@@ -211,7 +215,7 @@ class ModuleGB:
         """
         fld = self.ring.field
         rank = self.rank
-        leads = self._leads
+        leads = self.leads
         desc = self.ring.mono_key_desc
         v = dict(v)
         heap = [(desc(m), comp, m) for comp, m in v if comp < rank]
@@ -254,10 +258,11 @@ class ModuleGB:
         return remainder, lead
 
     def _monic(self, v, lead):
-        c = v[lead]
-        if c == self.ring.field.one():
+        fld = self.ring.field
+        inv = fld.inv(v[lead])
+        if inv == fld.one():
             return v
-        return _vec_scale(self.ring.field, v, self.ring.field.inv(c))
+        return {k: fld.mul(a, inv) for k, a in v.items()}
 
     # -- Buchberger ------------------------------------------------------
 
@@ -298,7 +303,7 @@ class ModuleGB:
             if not zero:
                 self._queue(pairs, comp, j, idx, lcm)
                 queued += 1
-        GBStats.pairs_skipped += len(self._leads[comp]) - 1 - queued
+        GBStats.pairs_skipped += len(self.leads[comp]) - 1 - queued
 
     def _queue(self, pairs, comp, j, idx, lcm):
         key = self.ring.mono_key(lcm)
@@ -318,7 +323,6 @@ class ModuleGB:
     def _next_pair(self, pairs) -> bool:
         """Reduce the S-vector of the least queued pair and take it, unless
         the run is untracked and the pair is superseded."""
-        fld = self.ring.field
         _, i, j, lcm = heapq.heappop(pairs)
         if not self.track and self._superseded(i, j, lcm):
             GBStats.pairs_skipped += 1
@@ -327,8 +331,9 @@ class ModuleGB:
         (gi, li), (gj, lj) = self.basis[i], self.basis[j]
         si = tuple(map(sub, lcm, li[1]))
         sj = tuple(map(sub, lcm, lj[1]))
-        s = _vec_add(fld, {}, gi, fld.one(), si)
-        s = _vec_add(fld, s, gj, fld.neg(fld.one()), sj)
+        acc = {}
+        add_image((gi, gj), {(0, si): 1, (1, sj): -1}, acc)
+        s = reduced(acc, self.ring.field.p)
         return self._take(*self._reduce_full(s), pairs)
 
     def _superseded(self, i, j, lcm) -> bool:
@@ -418,7 +423,7 @@ class ModuleGB:
         divides (of equal leads, all but the first), then tail-reduce, in
         ascending lead order, for the unique reduced basis."""
         keep = []
-        for comp, leads in enumerate(self._leads):
+        for comp, leads in enumerate(self.leads):
             for i, (mono, g) in enumerate(leads):
                 if not any(all(map(le, m2, mono)) and (j < i or m2 != mono)
                            for j, (m2, _) in enumerate(leads) if j != i):
@@ -454,9 +459,8 @@ class ModuleGB:
         in(U).
         """
         n = self.ring.nvars
-        supports = [set() for _ in range(self.rank)]
-        for _, (comp, mono) in self.basis:
-            supports[comp].add(sum(1 << i for i, e in enumerate(mono) if e))
+        supports = [{sum(1 << i for i, e in enumerate(mono) if e)
+                     for mono, _ in leads} for leads in self.leads]
         return max((n - _min_transversal(s) for s in supports
                     if 0 not in s), default=-1)
 
@@ -578,10 +582,9 @@ class Ideal:
             if self.contains(q):
                 return True
         aux = self.ring.extend(_fresh_name(self.ring))
-        var_map = list(range(self.ring.nvars))
-        gens = [g.map_ring(aux, var_map) for g in self.gens]
+        gens = [g.map_ring(aux) for g in self.gens]
         y = aux.gen(aux.nvars - 1)
-        gens.append(aux.one() - y * p.map_ring(aux, var_map))
+        gens.append(aux.one() - y * p.map_ring(aux))
         return Ideal(aux, gens).is_unit_ideal()
 
     @cached_property
@@ -618,7 +621,9 @@ def module_hilbert_data(mat, row_shifts=None, weights=None):
     the chosen regrading; ``weights`` regrade the variables (defaults to
     the ring weights).  Returns ``(dimension, multiplicity, numerator)``,
     the numerator keyed by degree, below 0 too when a shift is negative;
-    the zero module reports ``(-1, None, {})``.
+    the zero module reports ``(-1, None, {})``.  The leads of each
+    component (``ModuleGB.leads``) are minimal and distinct after the
+    untracked run, so they are the generators ``_hilbert_num`` takes.
     """
     ring = mat.ring
     if weights is None:
@@ -626,12 +631,9 @@ def module_hilbert_data(mat, row_shifts=None, weights=None):
     if row_shifts is None:
         row_shifts = [0] * mat.nrows
     gb = ModuleGB(ring, mat.nrows, mat.columns_as_vectors())
-    per_comp = {r: [] for r in range(mat.nrows)}
-    for _, (comp, mono) in gb.basis:
-        per_comp[comp].append(mono)
     total = {}
-    for r in range(mat.nrows):
-        num = _hilbert_num(_minimalize(per_comp[r]), tuple(weights))
+    for r, leads in enumerate(gb.leads):
+        num = _hilbert_num(tuple(m for m, _ in leads), tuple(weights))
         shift = row_shifts[r]
         for d, c in num.items():
             total[d + shift] = total.get(d + shift, 0) + c

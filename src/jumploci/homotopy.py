@@ -13,7 +13,7 @@ the zero block, and ``sigma[J]`` may be empty.  Construction solves the
 defining relations degreewise on module vectors (``_walk``): each block
 is kept as its list of columns while the system is solved, the residual
 of an identity on each basis vector of F_t is summed from them by the
-product kernel of ``matrix`` (``add_image``, then ``reduced``), and a
+product kernel of ``groebner`` (``add_image``, then ``reduced``), and a
 nonzero one is lifted through the tracked run d came from.  Only the
 identities whose residual can be nonzero are walked.  The lift contract
 v + d c = 0 makes each solved identity hold, so none is formed again;
@@ -34,7 +34,8 @@ from __future__ import annotations
 import itertools
 from operator import add
 
-from .matrix import PolyMatrix, add_image, reduced
+from .groebner import add_image, reduced
+from .matrix import PolyMatrix
 from .poly import Polynomial
 from .resolution import FreeResolution, RingData, PipelineError
 

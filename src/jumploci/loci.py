@@ -519,9 +519,6 @@ class _TateComplex:
         cols = [{(r, tuple(m[s] for s in used)): c for (r, m), c in v.items()}
                 for v in cols]
         self.gb = ModuleGB(ring, rank, cols)
-        self.leads = [[] for _ in range(rank)]
-        for _, (comp, mono) in self.gb.basis:
-            self.leads[comp].append(mono)
         # multiplier n * (k + 1) + s is h_ks, multiplier s is x_s
         self.multipliers = [
             ({tuple(int(t == s) for t in range(n)): self.field.one()},
@@ -561,7 +558,7 @@ class _TateComplex:
                     found.add((j, alpha[:s] + (alpha[s] + 1,) + alpha[s + 1:]))
             out = sorted((j, alpha) for j, alpha in found
                          if not any(all(map(le, lead, alpha))
-                                    for lead in self.leads[j]))
+                                    for lead, _ in self.gb.leads[j]))
             if len(self._index) + len(out) > MAX_TATE_DIM:
                 raise _TooLarge
             self._basis[nu] = out

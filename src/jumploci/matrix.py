@@ -19,18 +19,16 @@ The rank at a point eliminates the values there as field scalars
 
 Module vectors ``{(row, monomial): coeff}``, the Groebner engine's format,
 are the columns of a matrix (``columns_as_vectors``) and build one back
-(``PolyMatrix.from_columns``).  The one sparse product applies a map given
-by its columns to a module vector (``add_image``) and reduces the sum once
-(``reduced``): the homotopy walk and ``@`` both run on it.  Deduplication
+(``PolyMatrix.from_columns``).  ``@`` runs on the one sparse product of
+``groebner``, which applies a map given by its columns to a module vector
+(``add_image``) and reduces the sum once (``reduced``).  Deduplication
 is a dict in order of first occurrence, keyed by term set or polynomial.
 """
 
 from __future__ import annotations
 
-from operator import add
-
 from .poly import Polynomial, PolyRing, product_terms
-from .groebner import module_hilbert_data
+from .groebner import add_image, module_hilbert_data, reduced
 
 
 # Most units of work, one per determinant expansion and one per pair of
@@ -323,22 +321,6 @@ def cancel_unit(entries, r, c, field):
                 del entries[i, j]
             else:
                 entries[i, j] = s
-
-
-def add_image(columns, v, acc):
-    """Add to ``acc`` ({(row, monomial): coefficient}, not yet reduced) the
-    image of the module vector ``v`` under the map with the columns
-    ``columns``: each term (k, m) * a of v adds a * x^m times column k."""
-    for (k, m), a in v.items():
-        for (r, n), b in columns[k].items():
-            key = (r, tuple(map(add, m, n)))
-            acc[key] = acc.get(key, 0) + a * b
-
-
-def reduced(acc, p):
-    """``acc`` as a module vector: each coefficient reduced mod p once (over
-    QQ, p = 0, the sums are already Fractions), the zero terms dropped."""
-    return {k: r for k, v in acc.items() if (r := v % p if p else v)}
 
 
 def _dedupe_monic(polys):

@@ -104,10 +104,11 @@ class PolyRing:
                                            tuple(reversed(mono)))
         return key
 
-    def extend(self, extra_var: str, weight: int = 1) -> "PolyRing":
-        """Ring with one auxiliary variable appended (radical-membership trick)."""
+    def extend(self, extra_var: str) -> "PolyRing":
+        """Ring with one auxiliary variable of weight 1 appended
+        (radical-membership trick)."""
         return PolyRing(self.field, self.variables + (extra_var,),
-                        self.weights + (weight,))
+                        self.weights + (1,))
 
     def parse(self, text: str) -> "Polynomial":
         return _parse_polynomial(self, text)
@@ -122,12 +123,6 @@ class Polynomial:
         self.ring = ring
         self.terms = terms
         self._hash = None
-
-    # -- constructors ---------------------------------------------------
-
-    @staticmethod
-    def _make(ring, terms):
-        return Polynomial(ring, {m: c for m, c in terms.items() if c})
 
     # -- predicates -----------------------------------------------------
 
@@ -219,19 +214,12 @@ class Polynomial:
             total = fld.add(total, v)
         return total
 
-    def map_ring(self, ring: PolyRing, var_map=None) -> "Polynomial":
-        """Reinterpret in ``ring``; ``var_map[i]`` = index of old variable i."""
-        if var_map is None:
-            var_map = list(range(self.ring.nvars))
-        out = {}
-        fld = ring.field
-        for m, c in self.terms.items():
-            exp = [0] * ring.nvars
-            for i, e in enumerate(m):
-                if e:
-                    exp[var_map[i]] += e
-            out[tuple(exp)] = fld.coerce(c)
-        return Polynomial._make(ring, out)
+    def map_ring(self, ring: PolyRing) -> "Polynomial":
+        """The polynomial in ``ring``, which appends variables to its own
+        ring over the same field (``PolyRing.extend``): each exponent is
+        padded with zeros."""
+        pad = (0,) * (ring.nvars - self.ring.nvars)
+        return Polynomial(ring, {m + pad: c for m, c in self.terms.items()})
 
     # -- comparison / hashing -------------------------------------------
 

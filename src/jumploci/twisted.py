@@ -84,7 +84,6 @@ def build_twisted_complex(sys: HigherHomotopySystem,
         m = 2 * sum(J) - 1
         for t, mat in blocks.items():
             add_block(mat, t, m, J)
-    entries = {k: v for k, v in entries.items() if not v.is_zero()}
     D = PolyMatrix(S, len(basis), len(basis), entries)
     return minimalize(TwistedComplex(S, basis, D, rd.ci_degrees))
 

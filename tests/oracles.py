@@ -13,6 +13,11 @@ construction, and no command runs them:
   identities its walk visits);
 - the explicit dual X(M*), built from Hom_A(F, A) and the transposed
   homotopies, which ``twisted.s_dual`` must equal;
+- X(M*) from M* = coker(d_L^T) itself, by the ordinary pipeline and
+  with none of M's homotopies (``x_of_m_star``): the paper's duality
+  theorem compares its invariants with those of X(M);
+- the sum of two module vectors term by term (``vec_add``), where the
+  program forms S-vectors with ``groebner.add_image``;
 - the presentation of the dual module, with concentration decided from
   the syzygies of the transposed differentials rather than from
   Auslander-Buchsbaum as ``Pipeline.dual_is_module`` decides it;
@@ -33,14 +38,16 @@ import argparse
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import add
 
 from jumploci.groebner import Ideal, ModuleGB, vector_of
 from jumploci.homotopy import (HigherHomotopySystem, _solving_order,
-                               dualize_homotopies)
+                               compute_higher_homotopies, dualize_homotopies)
 from jumploci.loci import jump_locus_ideal
 from jumploci.matrix import PolyMatrix
 from jumploci.poly import Polynomial
-from jumploci.resolution import FreeResolution, RingData, dualize_over_a
+from jumploci.resolution import (FreeResolution, RingData, _resolve,
+                                 dualize_over_a)
 from jumploci.session import Session
 from jumploci.twisted import (TwistedComplex, build_twisted_complex,
                               direct_sum, minimalize)
@@ -54,6 +61,22 @@ def matrix_sum(a: PolyMatrix, b: PolyMatrix) -> PolyMatrix:
     for key, p in b.entries.items():
         entries[key] = entries[key] + p if key in entries else p
     return PolyMatrix(a.ring, a.nrows, a.ncols, entries)
+
+
+def vec_add(fld, a, b, coeff=None, shift=None):
+    """a + coeff * x^shift * b, in place on a copy of a."""
+    out = dict(a)
+    for (comp, m), c in b.items():
+        if shift is not None:
+            m = tuple(map(add, m, shift))
+        if coeff is not None:
+            c = fld.mul(c, coeff)
+        s = fld.add(out.get((comp, m), fld.zero()), c)
+        if s:
+            out[(comp, m)] = s
+        else:
+            out.pop((comp, m), None)
+    return out
 
 
 def syzygy_matrix(mat: PolyMatrix) -> PolyMatrix:
@@ -275,6 +298,19 @@ def explicit_dual(res: FreeResolution, sys: HigherHomotopySystem,
 
 
 # -- resolutions ------------------------------------------------------------
+
+
+def x_of_m_star(pipe):
+    """(F*, X(M*)) for a pipeline whose M has a dual module
+    (``pipe.dual_is_module``): M* = coker(d_L^T), its rows in -deg F_L,
+    resolved afresh (F*), then the higher homotopies and the twisted
+    complex of the ordinary pipeline, which never read X(M)."""
+    rd, res = pipe.rd, pipe.resolution
+    L = res.length
+    fresh = _resolve(rd, res.differentials[L - 1].transpose(), None,
+                     [-d for d in res.degrees[L]])
+    return fresh, build_twisted_complex(compute_higher_homotopies(fresh, rd),
+                                        rd)
 
 
 def is_minimal(res: FreeResolution) -> bool:

@@ -9,14 +9,13 @@ from hypothesis import example, given, settings, strategies as st
 
 from jumploci import GF, QQ, PolyRing
 from jumploci.groebner import (GBStats, Ideal, ModuleGB, _hilbert_num,
-                               _minimalize, _vec_add,
-                               dimension_and_multiplicity, module_hilbert_data,
-                               vector_of)
+                               _minimalize, dimension_and_multiplicity,
+                               module_hilbert_data, vector_of)
 from jumploci.poly import Polynomial
 from jumploci.matrix import PolyMatrix
 
 from conftest import matrix_of
-from oracles import identity_matrix, normal_form, syzygy_matrix
+from oracles import identity_matrix, normal_form, syzygy_matrix, vec_add
 
 GF5 = GF(5)
 GF101 = GF(101)
@@ -287,10 +286,9 @@ def _reference_radical_contains(I, p):
     if p.is_zero():
         return True
     aux = I.ring.extend("y_ref")
-    var_map = list(range(I.ring.nvars))
-    gens = [g.map_ring(aux, var_map) for g in I.gens]
+    gens = [g.map_ring(aux) for g in I.gens]
     y = aux.gen(aux.nvars - 1)
-    gens.append(aux.one() - y * p.map_ring(aux, var_map))
+    gens.append(aux.one() - y * p.map_ring(aux))
     gb = ModuleGB(aux, 1, [vector_of(g) for g in gens], track=True)
     return gb.contains(vector_of(aux.one()))
 
@@ -614,7 +612,7 @@ def _scanning_reduce_full(gb, v):
             continue
         g, gm = reducer
         shift = tuple(a - b for a, b in zip(mono, gm))
-        v = _vec_add(fld, v, g, fld.neg(v[lt]), shift)
+        v = vec_add(fld, v, g, fld.neg(v[lt]), shift)
     for k, c in v.items():
         remainder[k] = c
     return remainder, _real_lead(gb, remainder)
@@ -759,3 +757,83 @@ def test_heap_reduction_equals_the_scanning_reduction():
                         ref_rem, ref_lead = _scanning_reduce_full(gb, v)
                         assert list(rem.items()) == list(ref_rem.items())
                         assert lead == ref_lead == _real_lead(gb, rem)
+
+
+# -- S-vectors on the sparse product, and the leads the Hilbert data reads
+
+
+_EXPONENTS3 = st.tuples(*[st.integers(min_value=0, max_value=2)] * 3)
+
+
+@st.composite
+def _s_vector_inputs(draw):
+    """A field, a rank, two module vectors with terms in shadow components
+    (index >= rank) too, nonzero coefficients, and two shifts."""
+    field = draw(st.sampled_from([GF(2), GF101, QQ]))
+    rank = draw(st.integers(min_value=1, max_value=3))
+
+    def vector():
+        out = {}
+        for comp, m, n, den in draw(st.lists(st.tuples(
+                st.integers(0, rank + 1), _EXPONENTS3,
+                st.integers(-50, 50), st.integers(1, 5)), max_size=5)):
+            c = field.coerce(n) if field.p else field.coerce(n) / den
+            if c:
+                out[(comp, m)] = c
+        return out
+
+    return field, rank, vector(), vector(), draw(_EXPONENTS3), \
+        draw(_EXPONENTS3)
+
+
+def _s_vector(field, rank, gi, si, gj, sj):
+    """The S-vector ``ModuleGB._next_pair`` reduces for a pair whose two
+    elements are ``gi`` and ``gj`` and whose shifts are ``si`` and ``sj``."""
+    lcm = tuple(map(max, si, sj))
+    gb = ModuleGB(PolyRing(field, ("x", "y", "z")), rank, [], track=True)
+    gb.basis = [(gi, (0, tuple(a - b for a, b in zip(lcm, si)))),
+                (gj, (0, tuple(a - b for a, b in zip(lcm, sj))))]
+    seen = []
+    gb._reduce_full = lambda v: (seen.append(v), ({}, None))[1]
+    gb._next_pair([(None, 0, 1, lcm)])
+    return seen[0]
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(_s_vector_inputs())
+def test_s_vector_on_the_sparse_product_equals_the_termwise_sum(drawn):
+    """x^si gi - x^sj gj formed by ``add_image`` and ``reduced`` equals
+    the term-by-term sum of the tests' ``vec_add``, term for term and in
+    the same order, over GF(2), GF(101) and QQ, shadow terms included;
+    and equal shifted vectors cancel to {}."""
+    field, rank, gi, gj, si, sj = drawn
+    one = field.one()
+    want = vec_add(field, vec_add(field, {}, gi, one, si), gj,
+                   field.neg(one), sj)
+    got = _s_vector(field, rank, gi, si, gj, sj)
+    assert list(got.items()) == list(want.items())
+    assert _s_vector(field, rank, gi, si, gi, si) == {}
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(field=st.sampled_from([GF(2), GF101, QQ]),
+       rank=st.integers(min_value=1, max_value=3), columns=_COLUMNS4)
+def test_an_untracked_run_leaves_minimal_distinct_leads(field, rank, columns):
+    """The premise on which ``module_hilbert_data`` takes each component's
+    leads as they stand: after an ungraded, untracked run the leads of a
+    component are distinct and ``_minimalize`` keeps them all.  The
+    interreduction that ensures it drops the later copies of an equal
+    lead: the basis installed twice over interreduces to itself."""
+    R = PolyRing(field, ("x", "y", "z", "w"), (1, 2, 1, 3))
+    cols = [{(comp % rank, m): field.coerce(c) for (comp, m), c in col.items()
+             if field.coerce(c)} for col in columns]
+    gb = ModuleGB(R, rank, cols)
+    for leads in gb.leads:
+        monos = [m for m, _ in leads]
+        assert len(set(monos)) == len(monos)
+        assert sorted(_minimalize(monos)) == sorted(monos)
+    assert gb.leads == [[(lead[1], v) for v, lead in gb.basis if lead[0] == r]
+                        for r in range(rank)]
+    twice = ModuleGB.of_basis(R, rank, gb.basis + gb.basis)
+    twice._interreduce()
+    assert twice.basis == gb.basis

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from jumploci import GF, PolyRing
-from jumploci.groebner import ModuleGB, _vec_add, vector_of
+from jumploci.groebner import ModuleGB, vector_of
 from jumploci.matrix import PolyMatrix
 from jumploci.resolution import (RingData, FreeResolution, PipelineError,
                                  resolve_over_a, dualize_over_a)
@@ -21,7 +21,7 @@ from jumploci.twisted import build_twisted_complex
 from conftest import (REPO, SESSIONS, PAIR_BLOCK_SESSION, matrix_of,
                       matrix_sum, random_monomial_rows, random_monomial_rows_3)
 from oracles import (_identities, _splittings, dualize_and_verify,
-                     identity_matrix, verify_system)
+                     identity_matrix, vec_add, verify_system)
 
 GF101 = GF(101)
 
@@ -183,7 +183,7 @@ def test_a_bad_lift_fails_the_identity_it_solves(flag_pipeline, monkeypatch):
         def off_by_x(self, v, n=n):
             coeffs = lift(self, v)
             if len(seen) == n:  # x more at column 0
-                coeffs = _vec_add(rd.ring.field, coeffs, vector_of(x))
+                coeffs = vec_add(rd.ring.field, coeffs, vector_of(x))
             seen.append(v)
             return coeffs
 

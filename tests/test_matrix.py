@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from jumploci import GF, QQ, PolyRing
 from jumploci import matrix
+from jumploci.groebner import add_image, reduced
 from jumploci.matrix import PolyMatrix, _dedupe_monic
 from jumploci.poly import Polynomial
 from jumploci.homotopy import compute_higher_homotopies
@@ -591,7 +592,7 @@ def test_product_and_negation_equal_per_entry_arithmetic():
 
 def _per_pair_sum(base, pairs):
     """Test-local reference for ``@`` and for the column kernel
-    (``matrix.add_image``, ``matrix.reduced``): each product formed with
+    (``groebner.add_image``, ``groebner.reduced``): each product formed with
     polynomial arithmetic and added to base with ``+``, one pair at a
     time."""
     ring = base.ring
@@ -611,15 +612,15 @@ def _per_pair_sum(base, pairs):
 def _kernel_sum(base, pairs):
     """base + the sum of a @ b over ``pairs`` as the homotopy walk sums a
     residual: each column of every product added into one dict per column
-    by ``matrix.add_image``, and reduced once by ``matrix.reduced``."""
+    by ``groebner.add_image``, and reduced once by ``groebner.reduced``."""
     ring = base.ring
     accs = base.columns_as_vectors()
     for a, b in pairs:
         cols = a.columns_as_vectors()
         for v, acc in zip(b.columns_as_vectors(), accs):
-            matrix.add_image(cols, v, acc)
+            add_image(cols, v, acc)
     return PolyMatrix.from_columns(
-        ring, base.nrows, [matrix.reduced(acc, ring.field.p) for acc in accs])
+        ring, base.nrows, [reduced(acc, ring.field.p) for acc in accs])
 
 
 def _assert_equals_per_pair_sum(got, base, pairs):
@@ -651,8 +652,9 @@ def _product_inputs(draw):
                     for _ in range(draw(st.integers(1, 2))):
                         m = draw(monos)
                         terms[m] = terms.get(m, 0) + draw(coeffs)
-                    entries[(r, c)] = Polynomial._make(
-                        ring, {m: field.coerce(co) for m, co in terms.items()})
+                    terms = {m: field.coerce(co) for m, co in terms.items()}
+                    entries[(r, c)] = Polynomial(
+                        ring, {m: co for m, co in terms.items() if co})
         return PolyMatrix(ring, nrows, ncols, entries)
 
     n, m = draw(st.integers(0, 4)), draw(st.integers(0, 4))

@@ -10,7 +10,7 @@ import pytest
 from jumploci import GF, PolyRing
 from jumploci.matrix import PolyMatrix
 from jumploci.poly import Polynomial
-from jumploci.groebner import Ideal, ModuleGB, _vec_add, module_hilbert_data
+from jumploci.groebner import Ideal, ModuleGB, module_hilbert_data
 from jumploci.resolution import (RingData, PipelineError, FreeResolution,
                                  resolve_over_a, resolve_over_b,
                                  dualize_over_a, _check_concentration,
@@ -25,7 +25,8 @@ from conftest import REPO, SESSIONS, matrix_of, random_monomial_rows
 import oracles
 from oracles import (TruncationNeeded, check_complex, dual_presentation,
                      fit_quasi_polynomial, is_minimal, normal_form,
-                     resolution_euler_numerator, syzygy_concentration)
+                     resolution_euler_numerator, syzygy_concentration,
+                     vec_add)
 
 GF101 = GF(101)
 A3 = PolyRing(GF101, ("x", "y", "z"))
@@ -170,13 +171,13 @@ def _column_set(rng, row_degrees):
         if choice == 0:
             cols.append(dict(a))                                # duplicate
         elif choice == 1:
-            cols.append(_vec_add(GF101, {}, a, rng.randrange(2, 101)))
+            cols.append(vec_add(GF101, {}, a, rng.randrange(2, 101)))
         elif choice == 2 and same:
-            cols.append(_vec_add(GF101, a, rng.choice(same)))   # a sum
+            cols.append(vec_add(GF101, a, rng.choice(same)))   # a sum
         else:
             multiple = {}                      # a linear form times a
             for m, c in _random_form(rng, 1).items():
-                multiple = _vec_add(GF101, multiple, a, c, m)
+                multiple = vec_add(GF101, multiple, a, c, m)
             cols.append(multiple)
     cols.append({})
     rng.shuffle(cols)
@@ -239,7 +240,7 @@ def _column_times(syzygy, cols):
     """sum_i s_i * cols[i] as a module vector, for a module vector s."""
     out = {}
     for (i, m), c in syzygy.items():
-        out = _vec_add(GF101, out, cols[i], c, m)
+        out = vec_add(GF101, out, cols[i], c, m)
     return out
 
 
@@ -345,9 +346,9 @@ def test_syzygies_and_lifts_are_the_old_coefficients():
                                      for s in _old_syzygies(gb)]
             assert all(in_span[modulo](_column_times(s, kept))
                        for s in gb.syzygies())
-            targets = [_vec_add(GF101, {}, rng.choice(cols),
+            targets = [vec_add(GF101, {}, rng.choice(cols),
                                 rng.randrange(1, 101)) for _ in range(3)]
-            targets += [_vec_add(GF101, rng.choice(cols), rng.choice(cols)),
+            targets += [vec_add(GF101, rng.choice(cols), rng.choice(cols)),
                         _random_column(rng, max(row_degrees) + 1,
                                        row_degrees)]
             for v in targets:
@@ -358,7 +359,7 @@ def test_syzygies_and_lifts_are_the_old_coefficients():
                     continue
                 assert c == _as_vector(old)
                 assert in_span[modulo](
-                    _vec_add(GF101, v, _column_times(c, kept)))
+                    vec_add(GF101, v, _column_times(c, kept)))
                 lifted += 1
     assert moved and zero_columns and lifted and missed
 
@@ -374,7 +375,7 @@ def _extend_echelon(fld, echelon, v) -> bool:
             inv = fld.inv(v[pivot])
             echelon[pivot] = {k: fld.mul(c, inv) for k, c in v.items()}
             return True
-        v = _vec_add(fld, v, row, fld.neg(v[pivot]))
+        v = vec_add(fld, v, row, fld.neg(v[pivot]))
     return False
 
 
@@ -581,7 +582,7 @@ def _old_split_unit_entries(cols, rank: int, row_degrees, field):
         inv = field.neg(field.inv(u))
         for k, col in enumerate(cols):
             for m, c in [(m, c) for (rr, m), c in col.items() if rr == r]:
-                col = _vec_add(field, col, pivot_col, field.mul(c, inv), m)
+                col = vec_add(field, col, pivot_col, field.mul(c, inv), m)
             cols[k] = col
         live_rows.remove(r)
     remap = {r: i for i, r in enumerate(live_rows)}
