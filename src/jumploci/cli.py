@@ -214,7 +214,7 @@ def _parse_point(text: str, session: Session):
 
 def cmd_crk(session: Session, args) -> dict:
     pipe = build_pipeline(session)
-    if args.point:
+    if args.point is not None:
         point = _parse_point(args.point, session)
         value = crk_at(pipe.X, point)
         return {"point": [str(a) for a in point], "crk": value}
@@ -385,7 +385,7 @@ def main(argv=None) -> int:
                        "oracle": cmd_oracle}[args.command]
             report = handler(session, args)
         payload = emit_report(report, args.format)
-        if args.output:
+        if args.output is not None:
             with open(args.output, "wb") as fh:
                 fh.write(payload)
         else:

@@ -7,18 +7,19 @@ of F of homological degree 2|J| - 1, subject to (with sigma_empty := d)
     sum over J' + J'' = J of sigma_J' o sigma_J''  =  f_i * id   (J = e_i)
                                                   =  0           (|J| >= 2).
 
-Blocks are stored per source homological degree: ``sigma[J][t]`` maps
-F_t -> F_{t + 2|J| - 1}.  Zero blocks are not stored: an absent block is
-the zero block, and ``sigma[J]`` may be empty.  Construction solves the
-defining relations degreewise on module vectors (``_walk``): each block
-is kept as its list of columns while the system is solved, the residual
-of an identity on each basis vector of F_t is summed from them by the
-product kernel of ``groebner`` (``add_image``, then ``reduced``), and a
-nonzero one is lifted through the tracked run d came from.  Only the
-identities whose residual can be nonzero are walked.  The lift contract
-v + d c = 0 makes each solved identity hold, so none is formed again;
-checked at run time are that each lift exists and that the identities
-at the top vanish.
+Blocks are stored per source homological degree, as the columns the
+construction solves: ``sigma[J][t]`` is the list of module vectors
+{(row, monomial): coeff}, one per basis vector of F_t, of the map
+F_t -> F_{t + 2|J| - 1}.  Zero blocks are not stored, also of a system
+given by dg actions: an absent block is the zero block, and ``sigma[J]``
+may be empty.  Construction solves the defining relations degreewise
+(``_walk``): the residual of an identity on each basis vector of F_t is
+summed from the stored columns by the product kernel of ``groebner``
+(``add_image``, then ``reduced``), and a nonzero one is lifted through
+the tracked run d came from.  Only the identities whose residual can be
+nonzero are walked.  The lift contract v + d c = 0 makes each solved
+identity hold, so none is formed again; checked at run time are that
+each lift exists and that the identities at the top vanish.
 Dualization along Hom_A(-, A) is plain blockwise transposition, which
 preserves all identities because each relation is symmetric in the
 compositions being transposed, so the dual system is not checked again.
@@ -35,7 +36,6 @@ import itertools
 from operator import add
 
 from .groebner import add_image, reduced
-from .matrix import PolyMatrix
 from .poly import Polynomial
 from .resolution import FreeResolution, RingData, PipelineError
 
@@ -43,7 +43,7 @@ from .resolution import FreeResolution, RingData, PipelineError
 class HigherHomotopySystem:
     def __init__(self, resolution: FreeResolution, sigma: dict):
         self.resolution = resolution
-        self.sigma = sigma  # multi-index tuple J -> {t: PolyMatrix}
+        self.sigma = sigma  # J -> {t: the columns of sigma_J on F_t}
 
 
 def _ranks(res: FreeResolution):
@@ -191,10 +191,7 @@ def compute_higher_homotopies(res: FreeResolution,
             raise AssertionError(
                 f"homotopy identity fails for J={J} at degree {t}")
         blocks[J][t] = lifted
-    return HigherHomotopySystem(res, {
-        J: {t: PolyMatrix.from_columns(ring, ranks[t + 2 * sum(J) - 1], cols)
-            for t, cols in own.items()}
-        for J, own in blocks.items()})
+    return HigherHomotopySystem(res, blocks)
 
 
 def _dg_identity(J):
@@ -243,24 +240,24 @@ def ingest_dg_structure(res: FreeResolution, actions,
         if entries:
             raise PipelineError(f"{_dg_identity(J)} at block {t}, "
                                 f"entry {min(entries)}")
-    return HigherHomotopySystem(res, {_unit(rd.c, i): dict(enumerate(blocks))
-                                      for i, blocks in enumerate(actions)})
+    return HigherHomotopySystem(res, columns)
 
 
 def dualize_homotopies(sys: HigherHomotopySystem,
                        dual: FreeResolution) -> HigherHomotopySystem:
     """Transport a system to the dualized resolution ``dualize_over_a``
-    gives by blockwise transpose; the tests' explicit route to X(M*),
-    which s_dual must equal."""
+    gives by blockwise transpose, sigma_J on F_t becoming the block on
+    F*_{L - t - 2|J| + 1}; the tests' explicit route to X(M*), which
+    s_dual must equal."""
     L = sys.resolution.length
+    ranks = _ranks(sys.resolution)
     sigma = {}
     for J, blocks in sys.sigma.items():
         deg = 2 * sum(J) - 1
-        out = {}
-        for t, mat in blocks.items():
-            s = L - t - deg
-            if s < 0:
-                continue
-            out[s] = mat.transpose()
-        sigma[J] = out
+        out = sigma[J] = {}
+        for t, cols in blocks.items():
+            rows = out[L - t - deg] = [{} for _ in range(ranks[t + deg])]
+            for c, col in enumerate(cols):
+                for (r, m), a in col.items():
+                    rows[r][(c, m)] = a
     return HigherHomotopySystem(dual, sigma)

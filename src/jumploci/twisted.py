@@ -2,7 +2,8 @@
 
 The twisted complex of a module M is Hom_A(F, k) tensored with
 S = k[chi_1..chi_c], with differential D = sum over J of (sigma_J reduced
-modulo the irrelevant ideal) tensor chi^J, including sigma_empty = d.  The
+modulo the irrelevant ideal)^T tensor chi^J, including sigma_empty = d,
+read in one pass off the columns the homotopy system stores.  The
 basis consists of the duals of the free generators of F; the basis entry
 for a generator of F_t in internal degree a is recorded as the pair
 (t, a), and every entry of D in position (row i, col j) is bihomogeneous
@@ -54,37 +55,29 @@ def build_twisted_complex(sys: HigherHomotopySystem,
                           rd: RingData) -> TwistedComplex:
     """Assemble D = sum_J (sigma_J mod m)^T chi^J on the duals of F, the
     resolution that carries ``sys``, minimalized once, for the reports:
-    F of a cokernel is minimal and so is D; dg input may not be."""
+    F of a cokernel is minimal and so is D; dg input may not be.
+
+    One pass reads D off the stored columns, with d as the block of
+    J = 0: the constant term c at row b of column a of sigma_J on F_t is
+    the term c chi^J of D at row (t, a) and column (t + 2|J| - 1, b).  No
+    two terms share a row and a chi^J in one column of D, so none is
+    summed."""
     res = sys.resolution
     S = rd.operator_ring()
-    L = res.length
-    index = {}
-    basis = []
-    for t in range(L + 1):
-        for a, deg in enumerate(res.degrees[t]):
-            index[(t, a)] = len(basis)
-            basis.append((t, deg))
-    entries = {}
-
-    def add_block(mat, t, m, chi_mono):
-        # mat: F_t -> F_{t+m}; contributes columns at the duals of F_{t+m}
-        for (b, a), p in mat.entries.items():
-            c0 = p.constant_term()
-            if not c0:
-                continue
-            row = index[(t, a)]
-            col = index[(t + m, b)]
-            key = (row, col)
-            term = S.monomial(chi_mono, c0)
-            entries[key] = entries.get(key, S.zero()) + term
-
-    for t in range(1, L + 1):
-        add_block(res.differentials[t - 1], t, -1, (0,) * S.nvars)
-    for J, blocks in sys.sigma.items():
-        m = 2 * sum(J) - 1
-        for t, mat in blocks.items():
-            add_block(mat, t, m, J)
-    D = PolyMatrix(S, len(basis), len(basis), entries)
+    basis = [(t, deg) for t, degs in enumerate(res.degrees) for deg in degs]
+    start = [0]
+    for degs in res.degrees:
+        start.append(start[-1] + len(degs))
+    cols = [{} for _ in basis]
+    d = {t: m.columns_as_vectors() for t, m in enumerate(res.differentials, 1)}
+    for J, blocks in [((0,) * S.nvars, d), *sys.sigma.items()]:
+        shift = 2 * sum(J) - 1
+        for t, block in blocks.items():
+            for a, col in enumerate(block, start[t]):
+                for (b, mono), c in col.items():
+                    if not any(mono):
+                        cols[start[t + shift] + b][(a, J)] = c
+    D = PolyMatrix.from_columns(S, len(basis), cols)
     return minimalize(TwistedComplex(S, basis, D, rd.ci_degrees))
 
 

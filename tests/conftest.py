@@ -143,6 +143,17 @@ ci x^3, y^3, z^3
 module coker [[x^3, y^3, z^3, 19*x^2 + 100*y^2 + 20*x*y, 89*x*z + 86*z^2 + 39*x*y, 11*y*z + 86*x*z + 16*y^2]]
 """
 
+# The Koszul complex of koszul_residue plus a contractible pair: the one
+# input whose twisted complex is not minimal as built, and whose d has a
+# unit entry.
+CONTRACTIBLE_PAIR_SESSION = """field GF(101)
+ring x, y
+ci x^2, y^2
+complex d1 [[x, y, 0], [0, 0, 1]] d2 [[-y], [x], [0]]
+action e1 [[x, 0], [0, 0], [0, x^2]] [[0, x, 0]]
+action e2 [[0, 0], [y, 0], [0, y^2]] [[-y, 0, 0]]
+"""
+
 
 def random_homogeneous(S: PolyRing, rng: random.Random, coh_degree: int):
     """Random homogeneous element of S of the given (even) degree; the

@@ -13,6 +13,9 @@ construction, and no command runs them:
   identities its walk visits);
 - the explicit dual X(M*), built from Hom_A(F, A) and the transposed
   homotopies, which ``twisted.s_dual`` must equal;
+- D of X(M) summed entry by entry from matrix blocks
+  (``twisted_from_matrices``), where the program reads it off the stored
+  columns in one pass;
 - X(M*) from M* = coker(d_L^T) itself, by the ordinary pipeline and
   with none of M's homotopies (``x_of_m_star``): the paper's duality
   theorem compares its invariants with those of X(M);
@@ -222,9 +225,14 @@ def _diff(res: FreeResolution, t: int):
 
 
 def _block(sys: HigherHomotopySystem, J, t):
-    """sigma_J on F_t; None is the zero block (zero blocks are not
-    stored)."""
-    return sys.sigma.get(tuple(J), {}).get(t)
+    """sigma_J on F_t as a matrix, from the columns the system stores;
+    None is the zero block (zero blocks are not stored)."""
+    cols = sys.sigma.get(tuple(J), {}).get(t)
+    if cols is None:
+        return None
+    res = sys.resolution
+    return PolyMatrix.from_columns(res.ring_data.ring,
+                                   len(res.degrees[t + 2 * sum(J) - 1]), cols)
 
 
 def _splittings(J):
@@ -295,6 +303,41 @@ def explicit_dual(res: FreeResolution, sys: HigherHomotopySystem,
     with the transposed, verified homotopies."""
     return build_twisted_complex(
         dualize_and_verify(sys, dualize_over_a(res), rd), rd)
+
+
+def twisted_from_matrices(res: FreeResolution, sigma: dict,
+                          rd: RingData) -> TwistedComplex:
+    """X(M) assembled entry by entry from matrix blocks, where
+    ``twisted.build_twisted_complex`` reads D off the stored columns in one
+    pass: ``sigma`` maps J to {t: sigma_J on F_t as a PolyMatrix}, and the
+    constant term of each entry of d and of every sigma_J is added as a
+    polynomial to the entry of D it lands on; minimalized as built."""
+    S = rd.operator_ring()
+    index = {}
+    basis = []
+    for t in range(res.length + 1):
+        for a, deg in enumerate(res.degrees[t]):
+            index[(t, a)] = len(basis)
+            basis.append((t, deg))
+    entries = {}
+
+    def add_block(mat, t, m, chi_mono):
+        # mat: F_t -> F_{t+m}; contributes columns at the duals of F_{t+m}
+        for (b, a), p in mat.entries.items():
+            c0 = p.constant_term()
+            if not c0:
+                continue
+            key = (index[(t, a)], index[(t + m, b)])
+            entries[key] = entries.get(key, S.zero()) + S.monomial(chi_mono,
+                                                                    c0)
+
+    for t in range(1, res.length + 1):
+        add_block(res.differentials[t - 1], t, -1, (0,) * S.nvars)
+    for J, blocks in sigma.items():
+        for t, mat in blocks.items():
+            add_block(mat, t, 2 * sum(J) - 1, J)
+    D = PolyMatrix(S, len(basis), len(basis), entries)
+    return minimalize(TwistedComplex(S, basis, D, rd.ci_degrees))
 
 
 # -- resolutions ------------------------------------------------------------

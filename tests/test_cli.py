@@ -305,6 +305,13 @@ def test_crk_bad_point(capfd):
     assert code == 1 and "zebra" in err
 
 
+@pytest.mark.parametrize("flag", [["--point", ""], ["--point="]])
+def test_an_empty_point_is_an_error(capfd, flag):
+    """An empty ``--point`` used to give the generic crk with exit 0."""
+    code, out, err = _run(capfd, ["crk", "--input", NONREG, *flag])
+    assert (code, out, err) == (1, "", "error: bad point coordinate ''\n")
+
+
 # -- oracle -----------------------------------------------------------------
 
 
@@ -682,6 +689,14 @@ def test_an_unwritable_output_path_is_an_input_error(capfd, tmp_path, via,
     assert code == 1 and out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
     assert str(path) in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("flag", [["--output", ""], ["--output="]])
+def test_an_empty_output_path_is_an_error(capfd, flag):
+    """An empty ``--output`` used to send the report to standard output."""
+    code, out, err = _run(capfd, ["crk", "--input", NONREG, *flag])
+    assert code == 1 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
 
 
 @pytest.mark.parametrize("command", ["compute", "oracle"])

@@ -540,7 +540,8 @@ def test_x_of_m_star_from_its_own_presentation_is_the_s_dual(path):
     the ordinary pipeline, gives an X(M*) that does not read X(M)
     (``x_of_m_star``).  Its fresh resolution is F's dual, and X(M*) agrees
     with s_dual(X(M)) on the basis degrees, beta_0..beta_12 with the tail,
-    the Betti degree, and crk at the generic point and at five points."""
+    the Betti degree, and crk at the generic point and at five points; M
+    and M* have the same complexity."""
     pipe = build_pipeline(parse_session(path.read_text()))
     assert pipe.dual_is_module
     rd, res = pipe.rd, pipe.resolution
@@ -552,6 +553,8 @@ def test_x_of_m_star_from_its_own_presentation_is_the_s_dual(path):
     assert X_star.chi_internal == X_dual.chi_internal
     assert betti_numbers(X_star, 12) == betti_numbers(X_dual, 12)
     assert betti_degree(X_star) == betti_degree(X_dual)
+    assert complexity_of(X_star) == complexity_of(X_dual) \
+        == complexity_of(pipe.X)
     assert crk_at(X_star) == crk_at(X_dual)
     rng = random.Random(path.stem)
     for _ in range(5):
@@ -605,8 +608,8 @@ def test_x_of_m_star_agrees_with_the_s_dual_on_random_cyclic_modules(drawn):
     weights: the fresh resolution of M* has F's Betti numbers reversed,
     and X(M*) from it (``x_of_m_star``) agrees with s_dual(X(M)) on
     beta_0..beta_10 with the tail, the Betti degree, the generic crk and
-    crk at three points; where both minor tables finish, on the jump loci
-    too (``duality_check``)."""
+    crk at three points, and M and M* have the same complexity; where both
+    minor tables finish, on the jump loci too (``duality_check``)."""
     pipe, points = drawn
     assume(pipe.dual_is_module and pipe.resolution.length)
     fresh, X_star = x_of_m_star(pipe)
@@ -615,6 +618,8 @@ def test_x_of_m_star_agrees_with_the_s_dual_on_random_cyclic_modules(drawn):
     X_dual = s_dual(pipe.X)
     assert betti_numbers(X_star, 10) == betti_numbers(X_dual, 10)
     assert betti_degree(X_star) == betti_degree(X_dual)
+    assert complexity_of(X_star) == complexity_of(X_dual) \
+        == complexity_of(pipe.X)
     assert crk_at(X_star) == crk_at(X_dual)
     for point in points:
         assert crk_at(X_star, point) == crk_at(X_dual, point), point

@@ -19,7 +19,8 @@ import sys
 
 from jumploci.session import parse_session
 
-from conftest import NON_DESCENDING_CHAINS, REPO
+from conftest import (CONTRACTIBLE_PAIR_SESSION, NON_DESCENDING_CHAINS,
+                      REPO)
 
 SRC = REPO / "src" / "jumploci"
 EXEMPT = {"__init__", "__repr__", "__str__", "__eq__", "__hash__"}
@@ -95,17 +96,13 @@ _BAD = {
     "free.session": (
         "field GF(101)\nring x, y\nci x^2, y^2\nmodule coker [[0]]\n",
         "error: f_1 = x^2 does not annihilate the module\n"),
+    # a ci element too long to print, named by its leading term
+    "long.session": (
+        "field GF(101)\nring x, y\nci x^2, (x+y)^800\nmodule coker [[x]]\n",
+        "error: f_2 = x^800 + ... (752 terms) does not annihilate the "
+        "module\n"),
     **NON_DESCENDING_CHAINS,
 }
-
-
-CONTRACTIBLE_PAIR_SESSION = """field GF(101)
-ring x, y
-ci x^2, y^2
-complex d1 [[x, y, 0], [0, 0, 1]] d2 [[-y], [x], [0]]
-action e1 [[x, 0], [0, 0], [0, x^2]] [[0, x, 0]]
-action e2 [[0, 0], [y, 0], [0, y^2]] [[-y, 0, 0]]
-"""
 
 
 def _jobs(tmp_path):

@@ -3,11 +3,13 @@
 import random
 
 import pytest
+from hypothesis import example, given, settings
 
 from jumploci import GF, PolyRing
 from jumploci.groebner import ModuleGB, module_hilbert_data
 from jumploci.matrix import PolyMatrix, least_unit
-from jumploci.resolution import RingData, PipelineError, resolve_over_a
+from jumploci.resolution import (FreeResolution, RingData, PipelineError,
+                                 resolve_over_a)
 from jumploci.homotopy import compute_higher_homotopies, ingest_dg_structure
 from jumploci.session import parse_session, build_pipeline
 from jumploci.twisted import (TwistedComplex, build_twisted_complex,
@@ -16,10 +18,13 @@ from jumploci.twisted import (TwistedComplex, build_twisted_complex,
                               koszul_object_list, free_complex)
 from jumploci.loci import crk_at, jump_locus_ideal
 
-from conftest import (REPO, SESSIONS, assert_twisted_complex, matrix_of,
-                      matrix_sum, koszul_action_pipeline, random_homogeneous,
+from conftest import (CONTRACTIBLE_PAIR_SESSION, REPO, SESSIONS,
+                      assert_twisted_complex, matrix_of, matrix_sum,
+                      koszul_action_pipeline, random_homogeneous,
                       random_twisted_complex, random_monomial_rows)
-from oracles import explicit_dual, identity_matrix, shift
+from oracles import (_block, explicit_dual, identity_matrix, shift,
+                     twisted_from_matrices)
+from test_homotopy import _coker_sessions
 
 GF101 = GF(101)
 GF5 = GF(5)
@@ -403,3 +408,38 @@ def test_minimalize_equals_the_old_elimination():
         mixed += (any(c == q and r != p for r, c in X.D.entries)
                   and any(r == p and c != q for r, c in X.D.entries))
     assert cancelled >= 40 and mixed >= 10
+
+
+# -- D read off the columns against the entry-by-entry assembly ------------
+
+
+def _system(text):
+    """(rd, the homotopy system of a session) as ``build_pipeline`` makes
+    it: solved for a cokernel, ingested for a complex with dg actions."""
+    session = parse_session(text)
+    rd, mod = session.ring_data, session.module
+    if mod.kind == "coker":
+        res = resolve_over_a(rd, PolyMatrix.from_rows(rd.ring, mod.rows))
+        return rd, compute_higher_homotopies(res, rd)
+    res = FreeResolution(rd, mod.differentials, mod.degrees, complete=True)
+    return rd, ingest_dg_structure(res, mod.actions, rd)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(_coker_sessions())
+@example((SESSIONS / "koszul_residue.session").read_text())
+@example((SESSIONS / "dg_nonregular.session").read_text())
+@example(CONTRACTIBLE_PAIR_SESSION)
+def test_d_read_off_the_columns_equals_the_entrywise_assembly(text):
+    """``build_twisted_complex`` gives the D and the basis degrees of the
+    assembly that sums the constant terms of matrix blocks as polynomials,
+    on cokernels over GF(2), GF(3), GF(101) and QQ (unit entries
+    included), on the dg sessions, and on the complex with a contractible
+    pair, whose d has a unit entry and whose D is minimalized."""
+    rd, sys = _system(text)
+    sigma = {J: {t: _block(sys, J, t) for t in blocks}
+             for J, blocks in sys.sigma.items()}
+    new = build_twisted_complex(sys, rd)
+    old = twisted_from_matrices(sys.resolution, sigma, rd)
+    assert new.basis_degrees == old.basis_degrees
+    assert new.D.entries == old.D.entries
