@@ -47,7 +47,7 @@ import sys
 from fractions import Fraction
 from types import SimpleNamespace
 
-from .groebner import Ideal, GBStats
+from .groebner import GBStats
 from .resolution import PipelineError
 from .loci import (jump_loci_report, betti_degree, betti_numbers, crk_at,
                    realize, section_degree, stable_betti_oracle,
@@ -72,24 +72,20 @@ MAX_POINTS = 1_000
 # -- report assembly -------------------------------------------------------
 
 
-def _ideal_strings(I: Ideal):
-    """The generators of a jump ideal, which ``jump_locus_ideal`` reduced."""
-    if I.is_unit_ideal():
-        return ["1"]
-    if I.is_zero_ideal():
-        return []
-    return [str(g) for g in I.gens]
-
-
 def _loci_entries(rep: JumpLociReport):
-    """Plateau list: one entry per jump number plus the final empty set."""
+    """Plateau list: one entry per jump number plus the final empty set.
+
+    A plateau prints the generators of its jump ideal, which
+    ``jump_locus_ideal`` reduced: the zero ideal has none, and no jump
+    ideal is the unit ideal, since V^j = V^{j+2} = {} when V^j is empty.
+    """
     entries = []
     by_index = {i: (I, d) for i, I, d in rep.per_index}
     prev = 0
     for j in rep.jump_numbers:
         I, dim = by_index[j]
         entries.append({"i_from": prev + 1, "i_to": j,
-                        "ideal": _ideal_strings(I), "dim": dim})
+                        "ideal": [str(g) for g in I.gens], "dim": dim})
         prev = j
     entries.append({"i_from": prev + 1, "i_to": prev + 1,
                     "ideal": ["1"], "dim": -1})

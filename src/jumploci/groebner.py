@@ -47,8 +47,10 @@ module degree and settles the columns one degree at a time, keeping only
 minimal generators (see ``ModuleGB``); each stage of a resolution, over A
 or over B, is one such run.
 
-A monomial ideal needs no run: its reduced basis is its set of minimal
-generators, monic (``Ideal._basis``).
+A reduced basis is formed in one place, ``ModuleGB._interreduce``: after
+an ungraded, untracked run, and in ``ModuleGB.of_basis`` for the monic
+generators of a monomial ideal (``Ideal._basis``).  ``_minimalize`` picks
+minimal monomials there, in the pair queue and in the Hilbert colons.
 
 Krull dimensions are read off the leading monomials alone: dim F/U =
 dim F/in(U), the largest dimension of S/J_r over the components r of
@@ -169,12 +171,12 @@ class ModuleGB:
 
     @classmethod
     def of_basis(cls, ring: PolyRing, rank: int, basis):
-        """An untracked, ungraded basis installed as it stands, with no
-        run: ``basis`` lists monic (vector, lead) pairs in the order a run
-        leaves them."""
+        """An untracked, ungraded Groebner basis installed with no run
+        and interreduced: ``basis`` lists its monic (vector, lead) pairs."""
         gb = cls.__new__(cls)
         gb.ring, gb.rank, gb.track = ring, rank, False
         gb._set_basis(basis)
+        gb._interreduce()
         return gb
 
     # -- basis and lead index ----------------------------------------------
@@ -294,11 +296,7 @@ class ModuleGB:
             first, known = by_lcm.get(lcm, (j, False))
             by_lcm[lcm] = (first, known or zero)
         queued = 0
-        minimal = []
-        for lcm in sorted(by_lcm, key=self.ring.wdeg):
-            if any(all(map(le, m, lcm)) for m in minimal):
-                continue
-            minimal.append(lcm)
+        for lcm in _minimalize(by_lcm):
             j, zero = by_lcm[lcm]
             if not zero:
                 self._queue(pairs, comp, j, idx, lcm)
@@ -314,19 +312,17 @@ class ModuleGB:
     def _run_buchberger(self, seeded):
         pairs = []
         for v in seeded:
-            if self._take(*self._reduce_full(v), pairs):
-                return
+            self._take(*self._reduce_full(v), pairs)
         while pairs:
-            if self._next_pair(pairs):
-                return
+            self._next_pair(pairs)
 
-    def _next_pair(self, pairs) -> bool:
+    def _next_pair(self, pairs):
         """Reduce the S-vector of the least queued pair and take it, unless
         the run is untracked and the pair is superseded."""
         _, i, j, lcm = heapq.heappop(pairs)
         if not self.track and self._superseded(i, j, lcm):
             GBStats.pairs_skipped += 1
-            return False
+            return
         GBStats.pairs_processed += 1
         (gi, li), (gj, lj) = self.basis[i], self.basis[j]
         si = tuple(map(sub, lcm, li[1]))
@@ -334,7 +330,7 @@ class ModuleGB:
         acc = {}
         add_image((gi, gj), {(0, si): 1, (1, sj): -1}, acc)
         s = reduced(acc, self.ring.field.p)
-        return self._take(*self._reduce_full(s), pairs)
+        self._take(*self._reduce_full(s), pairs)
 
     def _superseded(self, i, j, lcm) -> bool:
         """Whether an element k of the component, added after the pair
@@ -396,20 +392,16 @@ class ModuleGB:
         comp, mono = next(iter(v))
         return self.ring.wdeg(mono) + self.row_degrees[comp]
 
-    def _take(self, w, lead, pairs) -> bool:
+    def _take(self, w, lead, pairs):
         """Add a reduced element with real lead ``lead`` to the basis, or
-        record it as zero when ``lead`` is None.
-
-        Returns True when the run can stop: an untracked rank-one run has
-        met a constant, so the ideal is the unit ideal, and interreduction
-        leaves the reduced basis ``[1]`` whatever the remaining pairs
-        would add.
-        """
+        record it as zero when ``lead`` is None.  An untracked rank-one run
+        that meets a constant runs on: the constant queues no pair (coprime
+        leads), the queued pairs it does not supersede reduce to zero, and
+        interreduction leaves ``[1]``."""
         if lead is None:
             self._record_zero(w)
-            return False
-        self._add_element(w, lead, pairs)
-        return not (self.track or self.rank != 1 or any(lead[1]))
+        else:
+            self._add_element(w, lead, pairs)
 
     def _record_zero(self, v):
         GBStats.zero_reductions += 1
@@ -419,22 +411,20 @@ class ModuleGB:
                 self._syzygies.append(shadow)
 
     def _interreduce(self):
-        """Drop the elements whose lead another lead of their component
-        divides (of equal leads, all but the first), then tail-reduce, in
-        ascending lead order, for the unique reduced basis."""
-        keep = []
+        """Keep, per component, the first element for each minimal lead
+        (``_minimalize``), then tail-reduce, in ascending lead order, for
+        the unique reduced basis, left in descending order."""
+        keep = {}
         for comp, leads in enumerate(self.leads):
-            for i, (mono, g) in enumerate(leads):
-                if not any(all(map(le, m2, mono)) and (j < i or m2 != mono)
-                           for j, (m2, _) in enumerate(leads) if j != i):
-                    keep.append((g, (comp, mono)))
-        keep.sort(key=lambda t: self._term_key(t[1]))
+            first = dict(reversed(leads))  # lead -> its first element
+            keep.update(((comp, m), first[m]) for m in _minimalize(first))
         self._set_basis([])
-        for g, lead in keep:
-            tail = {k: c for k, c in g.items() if k != lead}
-            red, _ = self._reduce_full(tail)
-            red[lead] = g[lead]
-            self._append(red, lead)
+        for lead in sorted(keep, key=self._term_key):
+            g = keep[lead]
+            if len(g) > 1:  # a one-term element has no tail
+                tail = {k: c for k, c in g.items() if k != lead}
+                g = {**self._reduce_full(tail)[0], lead: g[lead]}
+            self._append(g, lead)
         self._set_basis(self.basis[::-1])
 
     # -- public API ------------------------------------------------------
@@ -514,18 +504,15 @@ class Ideal:
 
     def _basis(self) -> ModuleGB:
         """The reduced Groebner basis, computed once.  A monomial ideal
-        takes no run: its reduced basis is its minimal generators, monic,
-        in descending term order as ``ModuleGB._interreduce`` leaves it."""
+        takes no run: its generators, monic, are a Groebner basis, and
+        ``ModuleGB.of_basis`` interreduces them."""
         if self._gb is None:
             ring = self.ring
             if all(len(g.terms) == 1 for g in self.gens):
                 GBStats.monomial_bases += 1
-                one = ring.field.one()
-                monos = sorted(_minimalize(m for g in self.gens
-                                           for m in g.terms),
-                               key=ring.mono_key, reverse=True)
-                self._gb = ModuleGB.of_basis(
-                    ring, 1, [({(0, m): one}, (0, m)) for m in monos])
+                self._gb = ModuleGB.of_basis(ring, 1, [
+                    ({(0, m): ring.field.one()}, (0, m))
+                    for g in self.gens for m in g.terms])
             else:
                 self._gb = ModuleGB(ring, 1,
                                     [vector_of(g) for g in self.gens])

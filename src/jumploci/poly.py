@@ -270,6 +270,10 @@ class Polynomial:
 
 # Largest exponent the parser accepts; larger ones are input errors.
 MAX_EXPONENT = 1000
+# Deepest nesting of parentheses the parser accepts.  Each level costs the
+# recursive descent three frames, so a deeper one is an input error rather
+# than a RecursionError.
+MAX_NESTING = 100
 # Most term products (pairs of terms multiplied, a few microseconds each)
 # the parser spends expanding one polynomial; a power of a sum such as
 # (x + y + z + w)^28 needs more and is an input error.
@@ -321,6 +325,7 @@ def _parse_polynomial(ring: PolyRing, text: str) -> Polynomial:
 
     var_index = {name: i for i, name in enumerate(ring.variables)}
     work = [0]
+    depth = [0]
 
     def mul(a: Polynomial, b: Polynomial) -> Polynomial:
         work[0] += len(a.terms) * len(b.terms)
@@ -344,9 +349,14 @@ def _parse_polynomial(ring: PolyRing, text: str) -> Polynomial:
         if t is None:
             raise ValueError("unexpected end of polynomial")
         if t == "(":
+            depth[0] += 1
+            if depth[0] > MAX_NESTING:
+                raise ValueError(f"parentheses nest deeper than the limit "
+                                 f"{MAX_NESTING}")
             e = parse_sum()
             if take() != ")":
                 raise ValueError("unbalanced parenthesis")
+            depth[0] -= 1
             base = e
         elif "/" in t:  # the one token with a slash is a fraction
             if ring.field.p:

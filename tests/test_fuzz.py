@@ -11,10 +11,12 @@ when they do not exit 0.
 
 import re
 
+import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from jumploci.cli import main, parse_chain_file
+from jumploci.poly import MAX_NESTING
 from jumploci.session import SessionError, parse_session
 
 from conftest import CHAINS, SESSIONS
@@ -244,3 +246,18 @@ def test_realize_on_mutated_chains_exits_cleanly(capfd, tmp_path, over_qq,
     path = tmp_path / "mutated.chain"
     path.write_text(_mutate(FILES["complete_flag.chain"], over_qq, edits))
     _run(capfd, ["realize", "--chain", str(path)])
+
+
+@pytest.mark.parametrize("depth", [100, 101, 400, 5000])
+def test_deep_parentheses_exit_cleanly(capfd, tmp_path, depth):
+    """A ``ci`` element nested in ``depth`` parentheses: up to
+    ``MAX_NESTING`` levels it computes, and past it the run ends in one
+    ``error:`` line with exit 1, not in the RecursionError of a recursive
+    descent deeper than the interpreter allows."""
+    path = tmp_path / "deep.session"
+    path.write_text(f"field GF(101)\nring x, y\n"
+                    f"ci {'(' * depth}x{')' * depth}^2, y^2\n"
+                    f"module coker [[x, y]]\n")
+    code, _, err = _run(capfd, ["compute", "--input", str(path)])
+    assert code == (0 if depth <= MAX_NESTING else 1)
+    assert code == 0 or "nest deeper than the limit" in err

@@ -3,6 +3,7 @@
 import itertools
 import random
 import time
+from operator import le
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -41,6 +42,31 @@ def test_monomial_run_is_its_own_basis():
     assert GBStats.pairs_processed == before
     assert gb.basis == [({(0, (2, 0)): 1}, (0, (2, 0))),
                         ({(0, (1, 1)): 1}, (0, (1, 1)))]
+
+
+def test_a_run_that_meets_a_constant_leaves_the_unit_basis():
+    """x - y lies in the radical of ((x - y)^16), but none of p^2, p^4,
+    p^8 lies in the ideal, so the Rabinowitsch run decides.  That run
+    meets a constant with pairs still queued and has no stop of its own:
+    the queued pairs are superseded or reduce to zero, and interreduction
+    leaves the basis [1], over GF(101) and QQ."""
+    for field in (GF101, QQ):
+        R = PolyRing(field, ("x", "y"))
+        p = R.parse("x - y")
+        I = Ideal(R, [R.parse("(x - y)^16")])
+        q = p
+        for _ in range(3):
+            q = q * q
+            assert not I.contains(q)
+        assert I.radical_contains(p)
+        aux = R.extend("t")
+        J = Ideal(aux, [g.map_ring(aux) for g in I.gens]
+                  + [aux.one() - aux.gen(2) * p.map_ring(aux)])
+        zeros = GBStats.zero_reductions
+        assert J._basis().basis == [({(0, (0, 0, 0)): field.one()},
+                                     (0, (0, 0, 0)))]
+        assert GBStats.zero_reductions > zeros
+        assert J.is_unit_ideal()
 
 
 def test_hand_buchberger_fixture_over_rationals():
@@ -341,16 +367,25 @@ _TERMS = st.lists(st.tuples(st.tuples(*[st.integers(0, 2)] * 3),
 @example(field=QQ, terms=[((1, 1, 0), 2), ((1, 1, 0), -3), ((2, 1, 0), 1)],
          probes=[{(1, 0, 0): 1, (0, 1, 0): 1}])
 def test_monomial_ideal_basis_equals_the_run(field, terms, probes):
-    """A monomial ideal's installed basis against a forced run of
-    ``ModuleGB`` on its generators, in weights (1, 2, 1): the same
-    vectors in the same order, the same dimension, and the radical test
-    of the Rabinowitsch reference.  The generators repeat monomials, carry
-    coefficients other than 1, and may be the constant 1 or none."""
+    """A monomial ideal's installed basis (``ModuleGB.of_basis``) against
+    a forced run of ``ModuleGB`` on its generators, in weights (1, 2, 1):
+    the same vectors and leads in the same order, both the minimal
+    monomials of the generators found pairwise, monic and in descending
+    term order; the same dimension, and the radical test of the
+    Rabinowitsch reference.  The generators repeat monomials, carry
+    multiples of one another and coefficients other than 1, and may be
+    the constant 1 or none."""
     R = PolyRing(field, ("x", "y", "z"), (1, 2, 1))
     gens = [R.monomial(m, c) for m, c in terms]
     I = Ideal(R, gens)
     run = ModuleGB(R, 1, [vector_of(g) for g in gens])
-    assert I._basis().basis == run.basis
+    monos = {m for g in gens for m in g.terms}
+    minimal = sorted((m for m in monos if not any(
+        n != m and all(map(le, n, m)) for n in monos)),
+        key=R.mono_key, reverse=True)
+    want = [({(0, m): field.one()}, (0, m)) for m in minimal]
+    assert I._basis().basis == run.basis == want
+    assert I._basis().leads == run.leads == [[(m, v) for v, (_, m) in want]]
     assert all(type(c) is type(field.one())
                for v, _ in I._basis().basis for c in v.values())
     assert I.dimension() == run.dimension()

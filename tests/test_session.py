@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from jumploci.field import GF, QQ
 from jumploci.groebner import ModuleGB
-from jumploci.poly import _TOKEN
+from jumploci.poly import MAX_NESTING, _TOKEN
 from jumploci.resolution import PipelineError
 from jumploci.session import (Session, SessionError, parse_session,
                               build_pipeline, parse_field, _is_label,
@@ -115,6 +115,23 @@ def test_oversized_exponent_located():
                "module coker [[x, y^1001]]\n")
     assert "exceeds the limit" in str(err) and err.line == 4
     assert err.column == 19
+
+
+def test_parentheses_nest_up_to_the_limit():
+    """``MAX_NESTING`` levels of parentheses parse; one more is an input
+    error located at its entry, not a RecursionError."""
+    text = "field GF(101)\nring x, y\nci {}^2, y^2\nmodule coker [[x, y]]\n"
+
+    def nested(depth):
+        return text.format("(" * depth + "x" + ")" * depth)
+
+    assert parse_session(nested(MAX_NESTING)).ring_data.ci == \
+        parse_session(nested(0)).ring_data.ci
+    for depth in (MAX_NESTING + 1, 5000):
+        err = _err(nested(depth))
+        assert f"nest deeper than the limit {MAX_NESTING}" in str(err)
+        assert "bad element" in str(err)
+        assert err.line == 3 and err.column == 4
 
 
 def test_duplicate_variable_rejected():
