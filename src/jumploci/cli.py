@@ -110,24 +110,31 @@ def emit_report(report: dict, fmt: str) -> bytes:
     return (_report_text(report) + "\n").encode("utf-8")
 
 
+def _text(value) -> str:
+    """A scalar, with JSON's true, false and null, or a list of them."""
+    if isinstance(value, list):
+        return ", ".join(map(_text, value))
+    return (json.dumps(value) if value is None or isinstance(value, bool)
+            else str(value))
+
+
 def _report_text(report: dict, indent: str = "") -> str:
     lines = []
     for key, value in report.items():
-        if key == "loci" and isinstance(value, list):
-            lines.append(f"{indent}loci:")
-            for entry in value:
-                ideal = ", ".join(entry["ideal"]) or "0"
-                lines.append(
-                    f"{indent}  i = {entry['i_from']}..{entry['i_to']}: "
-                    f"({ideal})  dim {entry['dim']}")
-        elif isinstance(value, dict):
+        if isinstance(value, dict):
             lines.append(f"{indent}{key}:")
             lines.append(_report_text(value, indent + "  "))
-        elif isinstance(value, list):
-            lines.append(f"{indent}{key}: "
-                         + ", ".join(str(v) for v in value))
+        elif isinstance(value, list) and any(isinstance(v, dict)
+                                             for v in value):
+            lines.append(f"{indent}{key}:")
+            for e in value:
+                lines.append(f"{indent}  " + (
+                    f"i = {e['i_from']}..{e['i_to']}: "
+                    f"({', '.join(e['ideal']) or '0'})  dim {e['dim']}"
+                    if key == "loci" else
+                    "; ".join(f"{k}: {_text(v)}" for k, v in e.items())))
         else:
-            lines.append(f"{indent}{key}: {value}")
+            lines.append(f"{indent}{key}: {_text(value)}")
     return "\n".join(lines)
 
 

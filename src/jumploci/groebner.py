@@ -7,7 +7,8 @@ key on the monomial, then by preferring smaller component index.
 
 The one sparse product of module vectors lives here: ``add_image`` adds
 the image of a vector under a map given by its columns, and ``reduced``
-reduces the sum once.  S-vectors, ``@`` and the homotopy walk run on it.
+reduces the sum once.  S-vectors, ``@`` and the homotopy walk run on it,
+and the duals of F and its homotopies on ``transposed``.
 
 Division (``ModuleGB._reduce_full``) never scans.  A basis indexes its
 leads by component, in basis order (``ModuleGB.leads``, where the Hilbert
@@ -27,8 +28,8 @@ a syzygy of the input columns; reducing an augmented inclusion ``v + 0``
 to zero real part yields the coefficients expressing ``v`` in the columns.
 Both leave the engine as they go in, as module vectors: the shadow terms
 keyed by the position of their column in ``kept`` (``ModuleGB._rekey``),
-which a next stage takes as its columns and ``PolyMatrix.from_columns``
-turns into a matrix.
+which a next stage of a resolution takes as its columns, and whose kept
+columns are its differential as they stand.
 For completeness of the syzygy generators, tracked runs process every
 S-pair and apply no pair-discarding criteria.  Untracked runs install
 their pairs the Gebauer-Moeller way (J. Symb. Comp. 6, 1988), within each
@@ -112,6 +113,15 @@ def reduced(acc, p):
     """``acc`` as a module vector: each coefficient reduced mod p once (over
     QQ, p = 0, the sums are already Fractions), the zero terms dropped."""
     return {k: r for k, v in acc.items() if (r := v % p if p else v)}
+
+
+def transposed(columns, nrows):
+    """The columns of the transpose of the map with ``nrows`` rows."""
+    out = [{} for _ in range(nrows)]
+    for c, col in enumerate(columns):
+        for (r, m), a in col.items():
+            out[r][(c, m)] = a
+    return out
 
 
 class ModuleGB:

@@ -10,16 +10,16 @@ of F of homological degree 2|J| - 1, subject to (with sigma_empty := d)
 Blocks are stored per source homological degree, as the columns the
 construction solves: ``sigma[J][t]`` is the list of module vectors
 {(row, monomial): coeff}, one per basis vector of F_t, of the map
-F_t -> F_{t + 2|J| - 1}.  Zero blocks are not stored, also of a system
-given by dg actions: an absent block is the zero block, and ``sigma[J]``
-may be empty.  Construction solves the defining relations degreewise
-(``_walk``): the residual of an identity on each basis vector of F_t is
-summed from the stored columns by the product kernel of ``groebner``
-(``add_image``, then ``reduced``), and a nonzero one is lifted through
-the tracked run d came from.  Only the identities whose residual can be
-nonzero are walked.  The lift contract v + d c = 0 makes each solved
-identity hold, so none is formed again; checked at run time are that
-each lift exists and that the identities at the top vanish.
+F_t -> F_{t + 2|J| - 1}, as F stores each d_t.  Zero blocks are not stored,
+also of a system given by dg actions: an absent block is the zero block,
+and ``sigma[J]`` may be empty.  Construction solves the defining relations
+degreewise (``_walk``): the residual of an identity on each basis vector of
+F_t is summed from these columns and d's by the product kernel of
+``groebner`` (``add_image``, then ``reduced``), and a nonzero one is lifted
+through the tracked run d came from.  Only the identities whose residual
+can be nonzero are walked.  The lift contract v + d c = 0 makes each
+solved identity hold, so none is formed again; checked at run time are
+that each lift exists and that the identities at the top vanish.
 Dualization along Hom_A(-, A) is plain blockwise transposition, which
 preserves all identities because each relation is symmetric in the
 compositions being transposed, so the dual system is not checked again.
@@ -35,7 +35,7 @@ from __future__ import annotations
 import itertools
 from operator import add
 
-from .groebner import add_image, reduced
+from .groebner import add_image, reduced, transposed
 from .poly import Polynomial
 from .resolution import FreeResolution, RingData, PipelineError
 
@@ -44,10 +44,6 @@ class HigherHomotopySystem:
     def __init__(self, resolution: FreeResolution, sigma: dict):
         self.resolution = resolution
         self.sigma = sigma  # J -> {t: the columns of sigma_J on F_t}
-
-
-def _ranks(res: FreeResolution):
-    return [len(d) for d in res.degrees]
 
 
 def _unit(c, i):
@@ -95,9 +91,9 @@ def _walk(res: FreeResolution, rd: RingData, blocks, given):
     (the term f_i * id); every other residual is zero by construction.
     """
     L = res.length
-    ranks = _ranks(res)
+    ranks = res.betti()
     p = rd.ring.field.p
-    d = [None] + [m.columns_as_vectors() for m in res.differentials]
+    d = [None] + res.differentials
     levels = [None]  # levels[s]: t -> [(J, sigma_J[t])] for |J| = s
     for total, Js in _solving_order(rd.c, L):
         deg = 2 * total - 1
@@ -162,7 +158,7 @@ def compute_higher_homotopies(res: FreeResolution,
     """
     ring = rd.ring
     L = res.length
-    ranks = _ranks(res)
+    ranks = res.betti()
     blocks = {}
     d1 = res.image_bases.get(1)  # None when L = 0
     for i, f in enumerate(rd.ci):
@@ -217,7 +213,7 @@ def ingest_dg_structure(res: FreeResolution, actions,
     characteristic.  They are walked as the construction walks them, with
     no lift; the first that fails is reported with its indices.
     """
-    ranks = _ranks(res)
+    ranks = res.betti()
     L = res.length
     if len(actions) != rd.c:
         raise PipelineError(
@@ -250,14 +246,10 @@ def dualize_homotopies(sys: HigherHomotopySystem,
     F*_{L - t - 2|J| + 1}; the tests' explicit route to X(M*), which
     s_dual must equal."""
     L = sys.resolution.length
-    ranks = _ranks(sys.resolution)
+    ranks = sys.resolution.betti()
     sigma = {}
     for J, blocks in sys.sigma.items():
         deg = 2 * sum(J) - 1
-        out = sigma[J] = {}
-        for t, cols in blocks.items():
-            rows = out[L - t - deg] = [{} for _ in range(ranks[t + deg])]
-            for c, col in enumerate(cols):
-                for (r, m), a in col.items():
-                    rows[r][(c, m)] = a
+        sigma[J] = {L - t - deg: transposed(cols, ranks[t + deg])
+                    for t, cols in blocks.items()}
     return HigherHomotopySystem(dual, sigma)

@@ -27,25 +27,11 @@ returns it and as s_dual, sums and Koszul objects keep it.
 X(M*) is s_dual(X), a transpose with the minor ideals of X, so M and M*
 have the same jump loci by construction.
 
-The point oracle checks crk_a against the stable Betti number of M over
-the hypersurface B_a = A/(sum a_i f_i), through a route that reads no
-homotopy of M.  It is dim H_(n+1)(M (x)_A K(x)<y>), where K(x)<y> is
-Tate's resolution of k over B_a (Illinois J. Math. 1, 1957): the Koszul
-complex on the variables with one divided-power variable y of degree 2.
-Over B_a the Betti numbers are constant from step n on (Eisenbud, Trans.
-AMS 260, 1980).  The complex splits by internal degree, and Tor_i lives
-in the degrees of step i of Shamash's resolution built from F, so one
-basis of M through the top of them, one untracked Groebner run per
-command, serves every point.  Tate's differential is linear in a, so
-each of its maps is one pencil K + sum_k a_k Y_k built once per command,
-and a point costs one linear combination and eliminations over k.
-The variables in no relation of M and no f_k are dropped first.  The
-cost of a point grows with dim_k M through those degrees, so the pieces
-are counted as they are built, and once they hold more than
-``MAX_TATE_DIM`` basis elements M is resolved over each B_a through
-step n + 1 instead (``resolve_over_b`` on d_1 of F), whose cost does not
-grow that way.  Every point reads the same pieces, so the first point
-decides the route for the whole command.
+The point oracle (``stable_betti_oracle``) checks crk_a against the
+stable Betti number of M over the hypersurface B_a = A/(sum a_i f_i),
+read off Tate's resolution of k over B_a (``_TateComplex``) or, past
+``MAX_TATE_DIM``, off a resolution of M over B_a: routes that read no
+homotopy of M.
 
 ``complexity_of`` (through ``homology_presentation``) and
 ``duality_check`` run in no command.  They are test oracles, kept here
@@ -59,7 +45,7 @@ from functools import cached_property
 from operator import add, le
 
 from .poly import PolyRing
-from .matrix import scalar_rank
+from .matrix import PolyMatrix, scalar_rank
 from .groebner import (Ideal, ModuleGB, module_hilbert_data,
                        dimension_and_multiplicity)
 from .resolution import (RingData, PipelineError, FreeResolution,
@@ -392,7 +378,8 @@ def stable_betti_oracle(rd: RingData, resolution: FreeResolution,
     pieces, so when the first one's outgrow ``MAX_TATE_DIM`` as they are
     built (``_TooLarge``), M is resolved over B_a through step n + 1 at
     every point instead (``_resolved_stable_betti``), a Groebner route
-    that reads no homotopy of M either.
+    that reads no homotopy of M either, on d_1 of F as a matrix, formed
+    from its columns once per command and not once per point.
     """
     d = section_degree(rd)
     sections = [_section(rd, a) for a in points]
@@ -400,7 +387,10 @@ def stable_betti_oracle(rd: RingData, resolution: FreeResolution,
     try:
         return [tate.stable_betti(a) for a in points]
     except _TooLarge:
-        return [_resolved_stable_betti(rd, resolution, g) for g in sections]
+        rows = resolution.degrees[0]
+        d1 = PolyMatrix.from_columns(rd.ring, len(rows),
+                                     resolution.differentials[0])
+        return [_resolved_stable_betti(rd, d1, rows, g) for g in sections]
 
 
 def _section(rd: RingData, a):
@@ -424,15 +414,14 @@ def _stable(beta: list, n: int) -> int:
     return beta[1]
 
 
-def _resolved_stable_betti(rd: RingData, res: FreeResolution, g) -> int:
-    """beta_(n+1) of M = coker d_1 of ``res`` over B = A/(g), resolved
-    there through N = n + 1 (``resolve_over_b``) with the rows of d_1 in
-    their degrees: 0 when the resolution ends first.  n + 1 graded
-    Groebner runs per point, whose cost does not grow with dim_k M the
-    way the Tate complex's does."""
+def _resolved_stable_betti(rd: RingData, d1: PolyMatrix, rows, g) -> int:
+    """beta_(n+1) of M = coker d1 over B = A/(g), resolved there through
+    N = n + 1 (``resolve_over_b``) with the rows of d1 in degrees ``rows``:
+    0 when the resolution ends first.  n + 1 graded Groebner runs per
+    point, whose cost does not grow with dim_k M the way the Tate
+    complex's does."""
     N = rd.n + 1
-    over_b = resolve_over_b(RingData(rd.ring, [g]), res.differentials[0], N,
-                            res.degrees[0])
+    over_b = resolve_over_b(RingData(rd.ring, [g]), d1, N, rows)
     if over_b.complete:
         return 0
     beta = over_b.betti()
@@ -466,7 +455,9 @@ def _cofactors(terms, n: int) -> list:
 # at 976, 87 ms at 18,000 and 1.2 s at 362,000, where ``resolve_over_b``
 # takes 0.2-70 ms a point on the same inputs (in process, on a shared
 # 2-vCPU VM).  Every ``coker`` session and bench input has at most 192,
-# except ``sq_n6_e2`` (4,448).
+# except ``sq_n6_e2`` (4,448), which this size proxy, not a cost model,
+# sends to ``resolve_over_b``: 0.82-0.84 s for 10 points, against 0.26-0.27 s
+# on the Tate route with the limit raised.
 MAX_TATE_DIM = 1_000
 
 
@@ -506,8 +497,8 @@ class _TateComplex:
         self.res = res
         self.row_degrees = res.degrees[0]
         rank = len(self.row_degrees)
-        cols = (res.differentials[0].columns_as_vectors() if res.length
-                else []) + rd.quotient_columns(rank)
+        cols = ((res.differentials[0] if res.length else [])
+                + rd.quotient_columns(rank))
         monos = [m for f in rd.ci for m in f.terms]
         monos += [m for v in cols for _, m in v]
         used = [s for s in range(ring.nvars) if any(m[s] for m in monos)]

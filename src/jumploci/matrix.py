@@ -19,10 +19,13 @@ The rank at a point eliminates the values there as field scalars
 
 Module vectors ``{(row, monomial): coeff}``, the Groebner engine's format,
 are the columns of a matrix (``columns_as_vectors``) and build one back
-(``PolyMatrix.from_columns``).  ``@`` runs on the one sparse product of
-``groebner``, which applies a map given by its columns to a module vector
-(``add_image``) and reduces the sum once (``reduced``).  Deduplication
-is a dict in order of first occurrence, keyed by term set or polynomial.
+(``PolyMatrix.from_columns``).  The maps of a free resolution and its
+higher homotopies stay module vectors; a matrix holds what is read as
+one: a presentation, the differentials of ``complex`` input and D.
+``@`` runs on the one sparse product of ``groebner``, which applies a map
+given by its columns to a module vector (``add_image``) and reduces the
+sum once (``reduced``).  Deduplication is a dict in order of first
+occurrence, keyed by term set or polynomial.
 """
 
 from __future__ import annotations
@@ -128,10 +131,6 @@ class PolyMatrix:
             add_image(cols, v, acc)
             out.append(reduced(acc, p))
         return PolyMatrix.from_columns(self.ring, self.nrows, out)
-
-    def transpose(self) -> "PolyMatrix":
-        return PolyMatrix(self.ring, self.ncols, self.nrows,
-                          {(c, r): p for (r, c), p in self.entries.items()})
 
     @staticmethod
     def block_diag(blocks):

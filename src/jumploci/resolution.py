@@ -28,7 +28,7 @@ from __future__ import annotations
 
 from .poly import PolyRing
 from .matrix import PipelineError, PolyMatrix, cancel_unit, least_unit
-from .groebner import Ideal, ModuleGB
+from .groebner import Ideal, ModuleGB, transposed
 
 
 class RingData:
@@ -100,7 +100,7 @@ class FreeResolution:
     def __init__(self, ring_data: RingData, differentials: list,
                  degrees: list, complete: bool, image_bases: dict = None):
         self.ring_data = ring_data
-        self.differentials = differentials  # d_1..d_L as PolyMatrix
+        self.differentials = differentials  # d_1..d_L as module-vector columns
         self.degrees = degrees  # internal degrees of F_0..F_L generators
         self.complete = complete  # kernel exhausted at the last stage
         # t -> the tracked run d_t was taken from, whose coordinates are
@@ -118,7 +118,7 @@ class FreeResolution:
 def split_unit_entries(presentation: PolyMatrix, row_degrees):
     """Cancel the unit entries of a presentation by ``cancel_unit``, the
     least (row, column) first; the cokernel is unchanged.  Returns the
-    surviving columns as vectors and the degrees of the surviving rows."""
+    surviving columns as module vectors and the surviving rows' degrees."""
     entries = dict(presentation.entries)
     rows = list(range(presentation.nrows))
     cols = list(range(presentation.ncols))
@@ -127,11 +127,11 @@ def split_unit_entries(presentation: PolyMatrix, row_degrees):
         rows.remove(unit[0])
         cols.remove(unit[1])
     row_at = {r: i for i, r in enumerate(rows)}
-    col_at = {c: j for j, c in enumerate(cols)}
-    left = PolyMatrix(presentation.ring, len(rows), len(cols),
-                      {(row_at[r], col_at[c]): p
-                       for (r, c), p in entries.items()})
-    return left.columns_as_vectors(), [row_degrees[r] for r in rows]
+    out = {c: {} for c in cols}
+    for (r, c), p in entries.items():
+        for m, a in p.terms.items():
+            out[c][(row_at[r], m)] = a
+    return list(out.values()), [row_degrees[r] for r in rows]
 
 
 def resolve_over_a(rd: RingData, presentation: PolyMatrix) -> FreeResolution:
@@ -182,8 +182,8 @@ def _resolve(rd: RingData, presentation: PolyMatrix, truncation,
     so do the syzygies, whose f_k e_j coordinates are dropped: no
     candidate needs reducing modulo (f) first.  A stage's syzygies are
     module vectors in the coordinates of its kept columns, so they are the
-    next stage's candidates as they stand, and d_t is its kept columns
-    (``PolyMatrix.from_columns``).
+    next stage's candidates as they stand, and d_t is its kept columns as
+    they stand too.
     """
     over_b = truncation is not None
     ring = rd.ring
@@ -206,7 +206,7 @@ def _resolve(rd: RingData, presentation: PolyMatrix, truncation,
         if not gb.kept:
             break
         cols = [cols[j] for j in gb.kept]
-        diffs.append(PolyMatrix.from_columns(ring, rank, cols))
+        diffs.append(cols)
         degrees.append([gb._degree(c) for c in cols])  # homogeneous
         if last:
             break
@@ -232,7 +232,8 @@ def dualize_over_a(res: FreeResolution) -> FreeResolution:
     L = res.length
     return FreeResolution(
         res.ring_data,
-        [res.differentials[L - j].transpose() for j in range(1, L + 1)],
+        [transposed(res.differentials[L - j], len(res.degrees[L - j]))
+         for j in range(1, L + 1)],
         [[-d for d in res.degrees[L - j]] for j in range(L + 1)],
         complete=True)
 

@@ -476,8 +476,8 @@ def build_pipeline(session: Session) -> Pipeline:
         res = resolve_over_a(rd, PolyMatrix.from_rows(rd.ring, mod.rows))
         sys = compute_higher_homotopies(res, rd)
     else:
-        res = FreeResolution(rd, mod.differentials, mod.degrees,
-                             complete=True)
+        diffs = [d.columns_as_vectors() for d in mod.differentials]
+        res = FreeResolution(rd, diffs, mod.degrees, complete=True)
         sys = ingest_dg_structure(res, mod.actions, rd)
     X = build_twisted_complex(sys, rd)
     return Pipeline(rd, res, X)

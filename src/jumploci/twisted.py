@@ -3,13 +3,13 @@
 The twisted complex of a module M is Hom_A(F, k) tensored with
 S = k[chi_1..chi_c], with differential D = sum over J of (sigma_J reduced
 modulo the irrelevant ideal)^T tensor chi^J, including sigma_empty = d,
-read in one pass off the columns the homotopy system stores.  The
-basis consists of the duals of the free generators of F; the basis entry
-for a generator of F_t in internal degree a is recorded as the pair
-(t, a), and every entry of D in position (row i, col j) is bihomogeneous
-with chi-degree colcoh_j - rowcoh_i + 1 (chi_i has cohomological weight 2)
-and internal degree colint_j - rowint_i (chi_i has the internal degree of
-f_i).
+read in one pass off the module-vector columns F stores for d and the
+homotopy system for each sigma_J.  The basis consists of the duals of
+the free generators of F; the basis entry for a generator of F_t in
+internal degree a is recorded as the pair (t, a), and every entry of D
+in position (row i, col j) is bihomogeneous with chi-degree
+colcoh_j - rowcoh_i + 1 (chi_i has cohomological weight 2) and internal
+degree colint_j - rowint_i (chi_i has the internal degree of f_i).
 
 D^2 = 0 and the degrees hold by construction and are not checked again:
 the homotopy identities give D^2 = 0 modulo the irrelevant ideal (a
@@ -69,7 +69,7 @@ def build_twisted_complex(sys: HigherHomotopySystem,
     for degs in res.degrees:
         start.append(start[-1] + len(degs))
     cols = [{} for _ in basis]
-    d = {t: m.columns_as_vectors() for t, m in enumerate(res.differentials, 1)}
+    d = dict(enumerate(res.differentials, 1))
     for J, blocks in [((0,) * S.nvars, d), *sys.sigma.items()]:
         shift = 2 * sum(J) - 1
         for t, block in blocks.items():

@@ -99,7 +99,8 @@ def koszul_action_pipeline():
     rd = RingData(A, [A.parse("x^2"), A.parse("y^2")])
     d1 = matrix_of(A, [["x", "y"]])
     d2 = matrix_of(A, [["-y"], ["x"]])
-    res = FreeResolution(rd, [d1, d2], [[0], [1, 1], [2]], complete=True)
+    res = FreeResolution(rd, [d.columns_as_vectors() for d in (d1, d2)],
+                         [[0], [1, 1], [2]], complete=True)
     e1 = [matrix_of(A, [["x"], ["0"]]), matrix_of(A, [["0", "x"]])]
     e2 = [matrix_of(A, [["0"], ["y"]]), matrix_of(A, [["-y", "0"]])]
     sys = ingest_dg_structure(res, [e1, e2], rd)
@@ -114,7 +115,8 @@ def nonregular_action_pipeline():
     rd = RingData(A, [A.parse("x^2*y"), A.parse("x*y^2")])
     d1 = matrix_of(A, [["x^2*y", "x*y^2"]])
     d2 = matrix_of(A, [["-y"], ["x"]])
-    res = FreeResolution(rd, [d1, d2], [[0], [3, 3], [4]], complete=True)
+    res = FreeResolution(rd, [d.columns_as_vectors() for d in (d1, d2)],
+                         [[0], [3, 3], [4]], complete=True)
     e1 = [matrix_of(A, [["1"], ["0"]]), matrix_of(A, [["0", "x*y"]])]
     e2 = [matrix_of(A, [["0"], ["1"]]), matrix_of(A, [["-x*y", "0"]])]
     sys = ingest_dg_structure(res, [e1, e2], rd)

@@ -24,6 +24,10 @@ construction, and no command runs them:
 - the presentation of the dual module, with concentration decided from
   the syzygies of the transposed differentials rather than from
   Auslander-Buchsbaum as ``Pipeline.dual_is_module`` decides it;
+- a differential of a resolution as a matrix (``d_matrix``) and the
+  transpose of a matrix (``transpose``), where the program keeps the
+  maps of F as module-vector columns and transposes those
+  (``groebner.transposed``);
 - properties of a resolution (a complex, minimal, its Euler
   characteristic), syzygy matrices, entrywise matrix sums (``matrix_sum``;
   the program forms none), shifted complexes, the normal form of
@@ -64,6 +68,18 @@ def matrix_sum(a: PolyMatrix, b: PolyMatrix) -> PolyMatrix:
     for key, p in b.entries.items():
         entries[key] = entries[key] + p if key in entries else p
     return PolyMatrix(a.ring, a.nrows, a.ncols, entries)
+
+
+def d_matrix(res: FreeResolution, t: int) -> PolyMatrix:
+    """d_t: F_t -> F_(t-1) of ``res`` as a matrix, from its columns."""
+    return PolyMatrix.from_columns(res.ring_data.ring, len(res.degrees[t - 1]),
+                                   res.differentials[t - 1])
+
+
+def transpose(m: PolyMatrix) -> PolyMatrix:
+    """The transpose of ``m``, entry by entry."""
+    return PolyMatrix(m.ring, m.ncols, m.nrows,
+                      {(c, r): p for (r, c), p in m.entries.items()})
 
 
 def vec_add(fld, a, b, coeff=None, shift=None):
@@ -220,7 +236,7 @@ def identity_matrix(ring, n: int, scalar=None) -> PolyMatrix:
 def _diff(res: FreeResolution, t: int):
     """d_t: F_t -> F_{t-1}, or None when out of range."""
     if 1 <= t <= res.length:
-        return res.differentials[t - 1]
+        return d_matrix(res, t)
     return None
 
 
@@ -332,7 +348,7 @@ def twisted_from_matrices(res: FreeResolution, sigma: dict,
                                                                     c0)
 
     for t in range(1, res.length + 1):
-        add_block(res.differentials[t - 1], t, -1, (0,) * S.nvars)
+        add_block(d_matrix(res, t), t, -1, (0,) * S.nvars)
     for J, blocks in sigma.items():
         for t, mat in blocks.items():
             add_block(mat, t, 2 * sum(J) - 1, J)
@@ -350,7 +366,7 @@ def x_of_m_star(pipe):
     complex of the ordinary pipeline, which never read X(M)."""
     rd, res = pipe.rd, pipe.resolution
     L = res.length
-    fresh = _resolve(rd, res.differentials[L - 1].transpose(), None,
+    fresh = _resolve(rd, transpose(d_matrix(res, L)), None,
                      [-d for d in res.degrees[L]])
     return fresh, build_twisted_complex(compute_higher_homotopies(fresh, rd),
                                         rd)
@@ -359,13 +375,14 @@ def x_of_m_star(pipe):
 def is_minimal(res: FreeResolution) -> bool:
     """No differential has an entry with a nonzero constant term."""
     return all(not p.constant_term()
-               for d in res.differentials for p in d.entries.values())
+               for t in range(1, res.length + 1)
+               for p in d_matrix(res, t).entries.values())
 
 
 def check_complex(res: FreeResolution) -> bool:
     """Consecutive differentials compose to zero."""
-    return all((res.differentials[i] @ res.differentials[i + 1]).is_zero()
-               for i in range(res.length - 1))
+    return all((d_matrix(res, t) @ d_matrix(res, t + 1)).is_zero()
+               for t in range(1, res.length))
 
 
 def resolution_euler_numerator(res: FreeResolution):
@@ -386,12 +403,12 @@ def syzygy_concentration(res: FreeResolution) -> bool:
     of the previous one."""
     ring = res.ring_data.ring
     for j in range(res.length):
-        syz = syzygy_matrix(res.differentials[j].transpose())
+        syz = syzygy_matrix(transpose(d_matrix(res, j + 1)))
         if j == 0:
             if syz.ncols != 0:
                 return False
             continue
-        down = res.differentials[j - 1].transpose()
+        down = transpose(d_matrix(res, j))
         gb = ModuleGB(ring, down.nrows, down.columns_as_vectors())
         if not all(gb.contains(col) for col in syz.columns_as_vectors()):
             return False
@@ -406,7 +423,7 @@ def dual_presentation(res: FreeResolution):
     if L < 1 or not syzygy_concentration(res):
         return None
     dual = dualize_over_a(res)
-    return dual.differentials[0], dual.degrees[0]
+    return d_matrix(dual, 1), dual.degrees[0]
 
 
 # -- sessions ---------------------------------------------------------------

@@ -94,6 +94,35 @@ def test_text_format(capfd):
     assert "jump_numbers: 4" in out
 
 
+@pytest.mark.parametrize("argv", [
+    ["compute", "--input", FLAG], ["compute", "--input", PERFECT],
+    ["dual", "--input", FLAG], ["crk", "--input", FLAG],
+    ["betti", "--n", "4", "--input", FINAL],
+    ["oracle", "--input", FLAG, "--points", "2"],
+    ["oracle", "--input", PERFECT, "--points", "2"],
+    ["realize", "--chain", CHAIN]])
+def test_text_format_prints_no_python_repr(capfd, argv):
+    """The text report spells true, false and null as JSON does, and
+    prints no dict or list as Python would."""
+    code, out, err = _run(capfd, argv + ["--format", "text"])
+    assert code == 0, err
+    for word in ("{'", "['", "True", "False", "None"):
+        assert word not in out, (word, out)
+
+
+def test_text_format_prints_one_line_a_record(capfd):
+    """Each oracle point is one line under ``points``, its fields in the
+    order of the JSON report."""
+    data = _run_json(capfd, ["oracle", "--input", FINAL, "--points", "3"])
+    code, out, err = _run(capfd, ["oracle", "--input", FINAL, "--points",
+                                  "3", "--format", "text"])
+    assert code == 0, err
+    assert out.splitlines() == ["points:"] + [
+        f"  point: {', '.join(map(str, p['point']))}; "
+        f"stable_betti: {p['stable_betti']}; crk: {p['crk']}; equal: false"
+        for p in data["points"]] + ["all_equal: false"]
+
+
 def test_output_file(capfd, tmp_path):
     target = tmp_path / "report.json"
     code, out, err = _run(capfd, ["compute", "--input", KOSZUL,

@@ -20,8 +20,9 @@ from jumploci.twisted import build_twisted_complex
 
 from conftest import (REPO, SESSIONS, PAIR_BLOCK_SESSION, matrix_of,
                       matrix_sum, random_monomial_rows, random_monomial_rows_3)
-from oracles import (_block, _identities, _splittings, dualize_and_verify,
-                     identity_matrix, vec_add, verify_system)
+from oracles import (_block, _identities, _splittings, d_matrix,
+                     dualize_and_verify, identity_matrix, vec_add,
+                     verify_system)
 
 GF101 = GF(101)
 
@@ -121,7 +122,7 @@ def test_verification_checks_the_top_of_the_complex():
     top, sigma o d_1 = x^2 * id on F_1, fails; no block is solved there."""
     A = PolyRing(GF101, ("x",))
     rd = RingData(A, [A.parse("x^2")])
-    res = FreeResolution(rd, [matrix_of(A, [["x", "0"]])],
+    res = FreeResolution(rd, [matrix_of(A, [["x", "0"]]).columns_as_vectors()],
                          [[0], [1, 1]], complete=True)
     sys = HigherHomotopySystem(
         res, {(1,): {0: matrix_of(A, [["x"], ["0"]]).columns_as_vectors()}})
@@ -205,9 +206,9 @@ def test_construction_checks_the_top_of_the_complex():
     A = PolyRing(GF101, ("x",))
     rd = RingData(A, [A.parse("x^2")])
     d1 = matrix_of(A, [["x", "0"]])
+    d1 = d1.columns_as_vectors()
     res = FreeResolution(rd, [d1], [[0], [1, 1]], complete=True,
-                         image_bases={1: ModuleGB(A, 1, d1.columns_as_vectors(),
-                                                  track=True)})
+                         image_bases={1: ModuleGB(A, 1, d1, track=True)})
     with pytest.raises(AssertionError,
                        match=r"fails for J=\(1,\) at degree 1$"):
         compute_higher_homotopies(res, rd)
@@ -229,7 +230,7 @@ def _every_block_sigma(res, rd):
 
     def lift_through(t, target):
         if t not in bases:
-            dt = res.differentials[t - 1]
+            dt = d_matrix(res, t)
             bases[t] = ModuleGB(ring, dt.nrows, dt.columns_as_vectors(),
                                 True, res.degrees[t - 1])
         cols = []
@@ -253,7 +254,7 @@ def _every_block_sigma(res, rd):
             target = rhs(t)
             if t >= 1:
                 target = matrix_sum(
-                    target, -(blocks[t - 1] @ res.differentials[t - 1]))
+                    target, -(blocks[t - 1] @ d_matrix(res, t)))
             blocks[t] = lift_through(t + deg, target)
         sigma[J] = blocks
 
@@ -413,8 +414,8 @@ def test_perturbed_action_rejected():
     rd = RingData(A, [A.parse("x^2"), A.parse("y^2")])
     d1 = matrix_of(A, [["x", "y"]])
     d2 = matrix_of(A, [["-y"], ["x"]])
-    res = FreeResolution(rd, [d1, d2], [[0], [1, 1], [2]],
-                         complete=True)
+    res = FreeResolution(rd, [d.columns_as_vectors() for d in (d1, d2)],
+                         [[0], [1, 1], [2]], complete=True)
     e1 = [matrix_of(A, [["x"], ["x"]]), matrix_of(A, [["0", "x"]])]
     e2 = [matrix_of(A, [["0"], ["y"]]), matrix_of(A, [["-y", "0"]])]
     with pytest.raises(PipelineError):
@@ -426,8 +427,8 @@ def test_wrong_block_shape_rejected():
     rd = RingData(A, [A.parse("x^2"), A.parse("y^2")])
     d1 = matrix_of(A, [["x", "y"]])
     d2 = matrix_of(A, [["-y"], ["x"]])
-    res = FreeResolution(rd, [d1, d2], [[0], [1, 1], [2]],
-                         complete=True)
+    res = FreeResolution(rd, [d.columns_as_vectors() for d in (d1, d2)],
+                         [[0], [1, 1], [2]], complete=True)
     e1 = [matrix_of(A, [["x"]]), matrix_of(A, [["0", "x"]])]
     e2 = [matrix_of(A, [["0"], ["y"]]), matrix_of(A, [["-y", "0"]])]
     with pytest.raises(PipelineError, match="shape"):
@@ -456,10 +457,10 @@ def _two_loop_dg_check(res, actions, rd):
         for t in range(L + 1):
             acc = identity_matrix(rd.ring, ranks[t], scalar=-rd.ci[i])
             if t < L:
-                acc = matrix_sum(acc, res.differentials[t] @ actions[i][t])
+                acc = matrix_sum(acc, d_matrix(res, t + 1) @ actions[i][t])
             if t >= 1:
                 acc = matrix_sum(acc,
-                                 actions[i][t - 1] @ res.differentials[t - 1])
+                                 actions[i][t - 1] @ d_matrix(res, t))
             if not acc.is_zero():
                 return (f"d*e{i + 1} + e{i + 1}*d != f_{i + 1}*id "
                         f"at block {t}, entry {min(acc.entries)}")
@@ -495,8 +496,9 @@ def _dg_inputs(texts):
     for text in texts:
         session = parse_session(text)
         rd, mod = session.ring_data, session.module
-        res = FreeResolution(rd, mod.differentials, mod.degrees,
-                             complete=True)
+        res = FreeResolution(
+            rd, [d.columns_as_vectors() for d in mod.differentials],
+            mod.degrees, complete=True)
         out.append((rd, res, mod.actions))
     return out
 
@@ -536,9 +538,9 @@ def _perturbed(rng, rd, res, actions):
                            {(r, c): _random_term(rng, rd.ring)
                             for r in range(ranks[t + 2])
                             for c in range(ranks[t]) if rng.random() < 0.6})
-            out[i][t] = matrix_sum(out[i][t], res.differentials[t + 1] @ s)
+            out[i][t] = matrix_sum(out[i][t], d_matrix(res, t + 2) @ s)
             out[i][t + 1] = matrix_sum(out[i][t + 1],
-                                       -(s @ res.differentials[t]))
+                                       -(s @ d_matrix(res, t + 1)))
     return out
 
 

@@ -20,7 +20,8 @@ from jumploci.twisted import TwistedComplex
 from conftest import (REPO, PAIR_BLOCK_SESSION, assert_twisted_complex,
                       matrix_of, matrix_sum, random_monomial_rows,
                       random_monomial_rows_3)
-from oracles import identity_matrix, verify_system, whole_matrix_rank
+from oracles import (identity_matrix, transpose, verify_system,
+                     whole_matrix_rank)
 
 GF101 = GF(101)
 S2 = PolyRing(GF101, ("chi1", "chi2"), (2, 2))
@@ -164,7 +165,7 @@ def test_composition_and_transpose():
     B = matrix_of(S2, [["chi2"], ["chi1"]])
     C = A @ B
     assert str(C.entries[0, 0]) == "chi1*chi2"
-    T = A.transpose()
+    T = transpose(A)
     assert T.entries[0, 1] == A.entries[1, 0]
 
 

@@ -315,8 +315,8 @@ def test_records_take_their_keyword_forms():
     own."""
     A = PolyRing(GF101, ("x",))
     rd = RingData(A, [A.parse("x^2")])
-    d1 = PolyMatrix.from_rows(A, [[A.parse("x")]])
-    bases = {1: ModuleGB(A, 1, d1.columns_as_vectors(), track=True)}
+    d1 = PolyMatrix.from_rows(A, [[A.parse("x")]]).columns_as_vectors()
+    bases = {1: ModuleGB(A, 1, d1, track=True)}
     res = FreeResolution(rd, [d1], [[0], [1]], complete=True,
                          image_bases=bases)
     assert (res.ring_data, res.differentials, res.degrees, res.complete,

@@ -6,11 +6,13 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
 
 from jumploci import GF, PolyRing
 from jumploci.matrix import PolyMatrix
 from jumploci.poly import Polynomial
-from jumploci.groebner import Ideal, ModuleGB, module_hilbert_data
+from jumploci.groebner import (Ideal, ModuleGB, add_image,
+                               module_hilbert_data, reduced)
 from jumploci.resolution import (RingData, PipelineError, FreeResolution,
                                  resolve_over_a, resolve_over_b,
                                  dualize_over_a, _check_concentration,
@@ -18,15 +20,16 @@ from jumploci.resolution import (RingData, PipelineError, FreeResolution,
 
 from jumploci.homotopy import compute_higher_homotopies
 from jumploci.loci import crk_at
-from jumploci.session import parse_session
+from jumploci.session import build_pipeline, parse_session
 from jumploci.twisted import build_twisted_complex
 
 from conftest import REPO, SESSIONS, matrix_of, random_monomial_rows
+from test_homotopy import _coker_sessions
 import oracles
-from oracles import (TruncationNeeded, check_complex, dual_presentation,
-                     fit_quasi_polynomial, is_minimal, normal_form,
-                     resolution_euler_numerator, syzygy_concentration,
-                     vec_add)
+from oracles import (TruncationNeeded, check_complex, d_matrix,
+                     dual_presentation, fit_quasi_polynomial, is_minimal,
+                     normal_form, resolution_euler_numerator,
+                     syzygy_concentration, transpose, vec_add)
 
 GF101 = GF(101)
 A3 = PolyRing(GF101, ("x", "y", "z"))
@@ -479,7 +482,7 @@ def _two_run_resolution_over_a(rd, pres):
         if not cols:
             return FreeResolution(rd, diffs, degrees, complete=True,
                                   image_bases=bases)
-        diffs.append(PolyMatrix.from_columns(ring, rank, cols))
+        diffs.append(cols)
         degrees.append([column_degree(ring, c, degrees[-1]) for c in cols])
         gb = bases[len(diffs)] = ModuleGB(ring, rank, cols, track=True)
         cols = gb.syzygies()
@@ -669,10 +672,10 @@ def test_koszul_complex_is_self_dual():
     res = resolve_over_a(rd, _pres(A, ["x", "y"]))
     dc = dualize_over_a(res)
     assert _check_concentration(res)
-    assert [m.nrows for m in dc.differentials] == [1, 2]
-    for j, mat in enumerate(dc.differentials):
-        assert mat.entries == res.differentials[res.length - 1 - j] \
-            .transpose().entries
+    mats = [d_matrix(dc, t) for t in range(1, dc.length + 1)]
+    assert [m.nrows for m in mats] == [1, 2]
+    for j, mat in enumerate(mats):
+        assert mat.entries == transpose(d_matrix(res, res.length - j)).entries
 
 
 def test_dual_of_final_module_has_length_three():
@@ -841,3 +844,47 @@ def test_branch_fit_equals_the_interpolation_route(monkeypatch):
     assert len(fits) >= 200
     assert {len(q) for q, _, _ in fits} == {0, 1, 2, 3}
     assert len({v for _, _, v in fits}) >= 8
+
+
+# -- the stored columns -----------------------------------------------------
+
+
+def _assert_maps_of(res, rd=None):
+    """Each d_t of ``res`` is the list of its columns as module vectors:
+    one per generator of F_t, every row index a generator of F_(t-1),
+    each column homogeneous of the degree of its generator, and
+    d_t o d_(t+1) = 0, formed with ``add_image`` and ``reduced``; over
+    B = A/(f) (``rd`` given) it need only lie in the span of the f_k e_j."""
+    ring = res.ring_data.ring
+    for t in range(1, res.length + 1):
+        cols, rows = res.differentials[t - 1], res.degrees[t - 1]
+        assert len(cols) == len(res.degrees[t])
+        for col, deg in zip(cols, res.degrees[t]):
+            assert all(0 <= r < len(rows) for r, _ in col)
+            assert {ring.wdeg(m) + rows[r] for r, m in col} == {deg}
+        if t == res.length:
+            continue
+        zero = ModuleGB(ring, len(rows),
+                        rd.quotient_columns(len(rows)) if rd else [])
+        for v in res.differentials[t]:
+            acc = {}
+            add_image(cols, v, acc)
+            assert zero.contains(reduced(acc, ring.field.p)), (t, v)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(_coker_sessions())
+@example((SESSIONS / "koszul_residue.session").read_text())
+@example((SESSIONS / "dg_nonregular.session").read_text())
+def test_differentials_are_the_columns_of_the_maps(text):
+    """Over A, from a cokernel or from ``complex`` input, and over B at
+    truncation 3: the checks the matrix constructor made of its entries
+    (``PolyMatrix.__init__``), and more, on the bare columns."""
+    session = parse_session(text)
+    rd, mod = session.ring_data, session.module
+    if mod.kind == "complex":
+        _assert_maps_of(build_pipeline(session).resolution)
+        return
+    pres = PolyMatrix.from_rows(rd.ring, mod.rows)
+    _assert_maps_of(resolve_over_a(rd, pres))
+    _assert_maps_of(resolve_over_b(rd, pres, 3), rd)

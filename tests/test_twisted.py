@@ -421,7 +421,9 @@ def _system(text):
     if mod.kind == "coker":
         res = resolve_over_a(rd, PolyMatrix.from_rows(rd.ring, mod.rows))
         return rd, compute_higher_homotopies(res, rd)
-    res = FreeResolution(rd, mod.differentials, mod.degrees, complete=True)
+    res = FreeResolution(rd, [d.columns_as_vectors()
+                              for d in mod.differentials],
+                         mod.degrees, complete=True)
     return rd, ingest_dg_structure(res, mod.actions, rd)
 
 
