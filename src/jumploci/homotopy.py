@@ -12,28 +12,41 @@ construction solves: ``sigma[J][t]`` is the list of module vectors
 {(row, monomial): coeff}, one per basis vector of F_t, of the map
 F_t -> F_{t + 2|J| - 1}, as F stores each d_t.  Zero blocks are not stored,
 also of a system given by dg actions: an absent block is the zero block,
-and ``sigma[J]`` may be empty.  Construction solves the defining relations
-degreewise (``_walk``): the residual of an identity on each basis vector of
-F_t is summed from these columns and d's by the product kernel of
-``groebner`` (``add_image``, then ``reduced``), and a nonzero one is lifted
-through the tracked run d came from.  Only the identities whose residual
-can be nonzero are walked.  The lift contract v + d c = 0 makes each
-solved identity hold, so none is formed again; checked at run time are
-that each lift exists and that the identities at the top vanish.
+and ``sigma[J]`` may be empty.  The twisted complex reads only the
+constant terms of the blocks, and sigma_J is homogeneous of degree
+deg f_J, so a block can have one only where some generator a of F_t and
+b of F_{t + 2|J| - 1} have deg b - deg a = deg f_J.  Construction solves
+the identities of those blocks and of every block they are solved from
+(``_needed``), and no other: a block it leaves out has no constant term,
+by degrees, and a block it solves is the one a solve of every identity
+would give, read off the same residual through the same tracked run.
+It solves the defining relations degreewise (``_walk``): the residual of
+an identity on each basis vector of F_t is summed from these columns and
+d's by the product kernel of ``groebner`` (``add_image``, then
+``reduced``), and a nonzero one is lifted through the tracked run d came
+from.  Only the identities whose residual can be nonzero are walked.
+The lift contract v + d c = 0 makes each solved identity hold, so none
+is formed again; checked at run time is that each lift exists.  No
+identity at the top, where sigma_J[t] would leave F, is formed: a full
+system exists when f is a regular sequence that annihilates M, so they
+hold.
+
 Dualization along Hom_A(-, A) is plain blockwise transposition, which
 preserves all identities because each relation is symmetric in the
 compositions being transposed, so the dual system is not checked again.
 ``dualize_homotopies`` runs in no command: it is the tests' explicit
 route to X(M*), which ``twisted.s_dual`` must equal, kept here only
 because the benchmark tracer wraps it by name.  The tests check every
-identity, of a constructed system and of its dual, from all splittings
-of J (``tests/oracles.py``).
+identity from all splittings of J, of a system that solves every
+identity and of its dual, and compare the blocks constructed here with
+that system's (``tests/oracles.py``).
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
-from operator import add
+from operator import add, mul
 
 from .groebner import add_image, reduced, transposed
 from .poly import Polynomial
@@ -61,27 +74,31 @@ def _multi_indices(c, total):
         yield tuple(J)
 
 
+@functools.cache
 def _solving_order(c, L):
-    """(total, the multi-indices J with |J| = total) in an order in which
-    the identities can be solved: e_1..e_c, then each higher total in the
-    order of ``_multi_indices``.  The identity of J at degree t lands in
-    F_{t + 2|J| - 2}, so identities exist only for 2|J| - 2 <= L."""
-    for total in range(1, L // 2 + 2):
-        yield total, ([_unit(c, i) for i in range(c)] if total == 1
-                      else list(_multi_indices(c, total)))
+    """((total, the multi-indices J with |J| = total), ...) in an order in
+    which the identities can be solved: e_1..e_c, then each higher total
+    in the order of ``_multi_indices``.  The identity of J at degree t
+    lands in F_{t + 2|J| - 2}, so identities exist only for
+    2|J| - 2 <= L.  Cached: the need set and the walk both read it."""
+    return tuple((total, tuple(_unit(c, i) for i in range(c)) if total == 1
+                  else tuple(_multi_indices(c, total)))
+                 for total in range(1, L // 2 + 2))
 
 
-def _walk(res: FreeResolution, rd: RingData, blocks, given):
-    """(J, t, cols) for every identity whose residual can be nonzero, in
-    solving order; ``cols`` are the columns of the identity of J at degree
-    t, F_t -> F_{t + 2|J| - 2}, as module vectors.  Column c is the sum
-    over J' + J'' = J of sigma_J'(sigma_J''[t] e_c) (sigma_empty = d),
-    minus f_i e_c when J = e_i, summed in one dict from the columns in
+def _walk(res: FreeResolution, rd: RingData, blocks, need=None):
+    """(J, t, cols) for every identity to walk whose residual can be
+    nonzero, in solving order; ``cols`` are the columns of the identity of
+    J at degree t, F_t -> F_{t + 2|J| - 2}, as module vectors.  Column c is
+    the sum over J' + J'' = J of sigma_J'(sigma_J''[t] e_c) (sigma_empty =
+    d), minus f_i e_c when J = e_i, summed in one dict from the columns in
     ``blocks`` ({J: {t: columns}}, given an empty dict for each J it
-    lacks) by ``add_image`` and reduced mod p once.  Unless ``given``, the
-    caller solves: it may store blocks[J][t] before the walk goes on, and
-    a block stored before the walk is not visited.  A ``given`` block
-    enters its identity as d o sigma_J[t].
+    lacks) by ``add_image`` and reduced mod p once.  ``need`` names the
+    identities the caller solves, (J, t) for t up to ``need[J]``
+    (``_needed``): it may store blocks[J][t] before the walk goes on, and
+    a block stored before the walk is not visited.  With ``need`` None the
+    blocks are given: every identity is walked, the top ones too, and a
+    given block enters its identity as d o sigma_J[t].
 
     Before the multi-indices of one total are walked, the products
     sigma_J'[t + 2|J''| - 1] o sigma_J''[t] are paired up over the stored
@@ -90,6 +107,7 @@ def _walk(res: FreeResolution, rd: RingData, blocks, given):
     or (given) sigma_J[t] is stored (the terms with d), or when |J| = 1
     (the term f_i * id); every other residual is zero by construction.
     """
+    given = need is None
     L = res.length
     ranks = res.betti()
     p = rd.ring.field.p
@@ -109,7 +127,7 @@ def _walk(res: FreeResolution, rd: RingData, blocks, given):
         for J in Js:
             own = blocks.setdefault(J, {})
             f = rd.ci[J.index(1)].terms if total == 1 else {}
-            for t in range(0, L - deg + 2):
+            for t in range(L - deg + 2 if given else need.get(J, -1) + 1):
                 if t in own and not given:
                     continue
                 pairs = products.get((J, t), [])
@@ -131,6 +149,43 @@ def _walk(res: FreeResolution, rd: RingData, blocks, given):
         levels.append(level)
 
 
+def _needed(res: FreeResolution, rd: RingData) -> dict:
+    """The identities (J, t) whose blocks sigma_J[t] X(M) reads, and those
+    whose blocks they are solved from, as {J: top t}: the set is closed
+    under t -> t - 1, so it holds (J, 0..top).  sigma_J[t] is homogeneous
+    of degree deg f_J, so it has a constant term only if some generator a
+    of F_t and b of F_{t + 2|J| - 1} have deg b - deg a = deg f_J: those
+    are the seeds.  The set is their closure under the blocks an identity
+    reads: solving (J, t) reads sigma_J[t - 1], and sigma_J''[t] and
+    sigma_J'[t + 2|J''| - 1] for each splitting J' + J'' = J.  The first
+    is in the set as it stands, and so is the second once the third is,
+    since J'' is the J' of the splitting J'' + J' at t + 2|J'| - 1 >= t.
+    The third is of lower total, so one pass over the totals from the top
+    down closes the set.  Every identity in it has its block inside F."""
+    L = res.length
+    degrees = [set(degs) for degs in res.degrees]
+    fdeg = rd.ci_degrees
+    order = _solving_order(rd.c, L)
+    top = {}
+    for total, Js in order:
+        deg = 2 * total - 1
+        seeds = {}  # deg f_J -> the top t at which a block can be constant
+        for t in range(0, L - deg + 1):
+            seeds.update(dict.fromkeys(
+                {b - a for a in degrees[t] for b in degrees[t + deg]}, t))
+        for J in Js:
+            t = seeds.get(sum(map(mul, J, fdeg)))
+            if t is not None:
+                top[J] = t
+    for total in range(len(order), 1, -1):
+        for J in [J for J in top if sum(J) == total]:
+            for Jp in itertools.product(*(range(a + 1) for a in J)):
+                s = total - sum(Jp)  # |J''|
+                if s and s < total:
+                    top[Jp] = max(top.get(Jp, -1), top[J] + 2 * s - 1)
+    return top
+
+
 def _brief(p: Polynomial) -> str:
     """``p`` in full, or its leading term and term count when it prints
     longer than 60 characters."""
@@ -144,7 +199,8 @@ def _brief(p: Polynomial) -> str:
 
 def compute_higher_homotopies(res: FreeResolution,
                               rd: RingData) -> HigherHomotopySystem:
-    """Solve for a full homotopy system on a resolution over A.
+    """Solve the blocks of a homotopy system on a resolution over A that
+    X(M) reads, and every block they are solved from (``_needed``).
 
     The t = 0 identities of the e_i come first: sigma_{e_i}[0] lifts
     -f_i e_j through d_1, which exists exactly when f_i e_j lies in im d_1.
@@ -153,8 +209,7 @@ def compute_higher_homotopies(res: FreeResolution,
     ``RingData.quotient_columns`` order; with L = 0 only M = 0 passes.
     Each further identity the walk visits is solved column by column, and
     its lift makes it hold (``ModuleGB.lift``: v + d c = 0).  A lift that
-    does not exist, or a nonzero identity at the top, where sigma_J[t]
-    would leave F, is an AssertionError.
+    does not exist is an AssertionError.
     """
     ring = rd.ring
     L = res.length
@@ -177,12 +232,11 @@ def compute_higher_homotopies(res: FreeResolution,
         raise PipelineError(
             "f is not a regular sequence; supply an explicit complex "
             "with dg actions instead")
-    for J, t, cols in _walk(res, rd, blocks, False):
+    for J, t, cols in _walk(res, rd, blocks, _needed(res, rd)):
         if not any(cols):
             continue
-        up = t + 2 * sum(J) - 1
-        gb = res.image_bases.get(up)  # None past the top: v must vanish
-        lifted = [v and (gb.lift(v) if gb else None) for v in cols]
+        gb = res.image_bases[t + 2 * sum(J) - 1]
+        lifted = [v and gb.lift(v) for v in cols]
         if None in lifted:
             raise AssertionError(
                 f"homotopy identity fails for J={J} at degree {t}")
@@ -231,7 +285,7 @@ def ingest_dg_structure(res: FreeResolution, actions,
                                 for t, b in enumerate(blocks)
                                 if not b.is_zero()}
                for i, blocks in enumerate(actions)}
-    for J, t, cols in _walk(res, rd, columns, True):
+    for J, t, cols in _walk(res, rd, columns):
         entries = [(r, c) for c, v in enumerate(cols) for r, _ in v]
         if entries:
             raise PipelineError(f"{_dg_identity(J)} at block {t}, "

@@ -13,8 +13,10 @@ degree colint_j - rowint_i (chi_i has the internal degree of f_i).
 
 D^2 = 0 and the degrees hold by construction and are not checked again:
 the homotopy identities give D^2 = 0 modulo the irrelevant ideal (a
-solved system keeps them by the lift contract, and ingested actions are
-checked exactly), and sigma_J maps F_t to F_{t+2|J|-1}.  Minimalization
+solved system holds the blocks D reads, each the block of a full system
+by the lift contract, and the blocks it leaves out have no constant
+term, so D is that system's; ingested actions are checked exactly), and
+sigma_J maps F_t to F_{t+2|J|-1}.  Minimalization
 (a Schur complement per contractible pair, ``matrix.cancel_unit``), the
 S-dual, sums and Koszul objects on a homogeneous eta keep both; the
 tests check them on every constructor.  The last three, on a nonconstant

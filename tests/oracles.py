@@ -8,9 +8,11 @@ construction, and no command runs them:
   the program reads it off the Hilbert numerator of the cokernel;
 - the jump ideals by the exterior-power Fitting route, and the
   additivity of jump loci over direct sums;
-- every defining identity of a system of higher homotopies, from all
-  splittings of each multi-index (the construction checks only the
-  identities its walk visits);
+- a system of higher homotopies that solves every identity
+  (``every_block_system``), where the construction solves only the blocks
+  X(M) reads and those they are solved from, and every defining identity
+  of a system, from all splittings of each multi-index (the construction
+  checks only that each lift it makes exists);
 - the explicit dual X(M*), built from Hom_A(F, A) and the transposed
   homotopies, which ``twisted.s_dual`` must equal;
 - D of X(M) summed entry by entry from matrix blocks
@@ -48,8 +50,9 @@ from fractions import Fraction
 from operator import add
 
 from jumploci.groebner import Ideal, ModuleGB, vector_of
-from jumploci.homotopy import (HigherHomotopySystem, _solving_order,
-                               compute_higher_homotopies, dualize_homotopies)
+from jumploci.homotopy import (HigherHomotopySystem, _multi_indices,
+                               _solving_order, compute_higher_homotopies,
+                               dualize_homotopies)
 from jumploci.loci import jump_locus_ideal
 from jumploci.matrix import PolyMatrix
 from jumploci.poly import Polynomial
@@ -249,6 +252,97 @@ def _block(sys: HigherHomotopySystem, J, t):
     res = sys.resolution
     return PolyMatrix.from_columns(res.ring_data.ring,
                                    len(res.degrees[t + 2 * sum(J) - 1]), cols)
+
+
+def _every_block_sigma(res, rd):
+    """The every-block solve: {J: {t: sigma_J on F_t as a PolyMatrix}}
+    for every identity inside F, zero blocks included.  It lifts every
+    target, zero or not, one column at a time from a scan of all entries,
+    through fresh bases built as the resolution builds its stages: graded
+    tracked runs over the columns of d_t."""
+    ring = rd.ring
+    L = res.length
+    ranks = [len(d) for d in res.degrees]
+    bases = {}
+
+    def lift_through(t, target):
+        if t not in bases:
+            dt = d_matrix(res, t)
+            bases[t] = ModuleGB(ring, dt.nrows, dt.columns_as_vectors(),
+                                True, res.degrees[t - 1])
+        cols = []
+        for j in range(target.ncols):
+            v = {}  # minus column j: its lift c solves d_t c = column j
+            for (r, c), p in target.entries.items():
+                if c == j:
+                    for m, co in p.terms.items():
+                        v[(r, m)] = ring.field.neg(co)
+            coeffs = bases[t].lift(v)
+            assert coeffs is not None
+            cols.append(coeffs)
+        return PolyMatrix.from_columns(ring, ranks[t], cols)
+
+    sigma = {}
+
+    def solve_for(J, rhs):
+        deg = 2 * sum(J) - 1
+        blocks = {}
+        for t in range(0, L - deg + 1):
+            target = rhs(t)
+            if t >= 1:
+                target = matrix_sum(
+                    target, -(blocks[t - 1] @ d_matrix(res, t)))
+            blocks[t] = lift_through(t + deg, target)
+        sigma[J] = blocks
+
+    for i in range(rd.c):
+        J = tuple(int(a == i) for a in range(rd.c))
+        solve_for(J, lambda t, f=rd.ci[i]:
+                  identity_matrix(ring, ranks[t], scalar=f))
+    for total in range(2, L // 2 + 2):
+        for J in _multi_indices(rd.c, total):
+            def rhs(t, J=J):
+                out = PolyMatrix.zero(ring, ranks[t + 2 * sum(J) - 2],
+                                      ranks[t])
+                for Jp, Jpp in _splittings(J):
+                    a = sigma[Jp].get(t + 2 * sum(Jpp) - 1)
+                    b = sigma[Jpp].get(t)
+                    if a is not None and b is not None:
+                        out = matrix_sum(out, -(a @ b))
+                return out
+            solve_for(J, rhs)
+    return sigma
+
+
+def every_block_system(res: FreeResolution,
+                       rd: RingData) -> HigherHomotopySystem:
+    """The full system of ``_every_block_sigma`` as the construction
+    stores a system: the nonzero blocks as columns, and a (possibly empty)
+    dict for every J."""
+    return HigherHomotopySystem(
+        res, {J: {t: m.columns_as_vectors() for t, m in blocks.items()
+                  if not m.is_zero()}
+              for J, blocks in _every_block_sigma(res, rd).items()})
+
+
+def full_system(sys: HigherHomotopySystem,
+                rd: RingData) -> HigherHomotopySystem:
+    """The full system on the resolution of a constructed ``sys``
+    (``every_block_system``), once it is asserted that ``sys`` has the
+    same multi-indices, that each block it stores is the full system's
+    block entry for entry, and that both give the same D.  The
+    construction solves only the blocks X(M) reads and those they are
+    solved from, so the identities and the explicit dual are checked on
+    the full system."""
+    res = sys.resolution
+    full = every_block_system(res, rd)
+    assert set(sys.sigma) == set(full.sigma)
+    for J, blocks in sys.sigma.items():
+        for t, cols in blocks.items():
+            assert full.sigma[J].get(t) == cols, (J, t)
+    assert build_twisted_complex(sys, rd).D.entries == \
+        build_twisted_complex(full, rd).D.entries
+    return full
 
 
 def _splittings(J):

@@ -27,8 +27,8 @@ from jumploci.loci import (jump_locus_ideal, jump_loci_report, crk_at,
 
 from conftest import (koszul_action_pipeline, nonregular_action_pipeline,
                       matrix_of, random_monomial_rows)
-from oracles import (dual_presentation, explicit_dual, normal_form,
-                     syzygy_matrix)
+from oracles import (dual_presentation, explicit_dual, full_system,
+                     normal_form, syzygy_matrix)
 from test_properties import RANDOMS, run_invariant_suite
 
 GF101 = GF(101)
@@ -123,7 +123,7 @@ def test_criterion_4_betti_growth_and_degrees():
             assert beta_dual[i] == (3 * i + 3) // 2, i
     assert complexity_of(X) == 2
     assert betti_degree(X) == 3
-    X_dual = explicit_dual(res, sys, rd)
+    X_dual = explicit_dual(res, full_system(sys, rd), rd)
     assert betti_degree(X_dual) == 3  # Bass degree of the module itself
 
 
@@ -132,7 +132,7 @@ def test_criterion_5_duality():
     rd, pres, res, sys, X = _coker_pipeline(
         ("x", "y", "z"), ("x^3", "y^3", "z^3"),
         ("x^3", "y^3", "z^3", "x*z", "y*z^2"))
-    X_dual = explicit_dual(res, sys, rd)
+    X_dual = explicit_dual(res, full_system(sys, rd), rd)
     assert duality_check(jump_loci_report(X), jump_loci_report(X_dual))
     rng = random.Random(7)
     A = PolyRing(GF101, ("x", "y"))
@@ -143,7 +143,7 @@ def test_criterion_5_duality():
         res2 = resolve_over_a(rd2, pres2)
         sys2 = compute_higher_homotopies(res2, rd2)
         Y = build_twisted_complex(sys2, rd2)
-        Y_dual = explicit_dual(res2, sys2, rd2)
+        Y_dual = explicit_dual(res2, full_system(sys2, rd2), rd2)
         assert duality_check(jump_loci_report(Y), jump_loci_report(Y_dual))
 
 

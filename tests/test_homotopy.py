@@ -14,15 +14,17 @@ from jumploci.matrix import PolyMatrix
 from jumploci.resolution import (RingData, FreeResolution, PipelineError,
                                  resolve_over_a, dualize_over_a)
 from jumploci.homotopy import (HigherHomotopySystem, compute_higher_homotopies,
-                               ingest_dg_structure, _multi_indices)
+                               dualize_homotopies, ingest_dg_structure,
+                               _needed)
 from jumploci.session import parse_session
 from jumploci.twisted import build_twisted_complex
 
 from conftest import (REPO, SESSIONS, PAIR_BLOCK_SESSION, matrix_of,
                       matrix_sum, random_monomial_rows, random_monomial_rows_3)
-from oracles import (_block, _identities, _splittings, d_matrix,
-                     dualize_and_verify, identity_matrix, vec_add,
-                     verify_system)
+from oracles import (_block, _every_block_sigma, _identities, _splittings,
+                     d_matrix, dualize_and_verify, full_system,
+                     identity_matrix, vec_add, verify_system)
+from test_loci import _slow_loci_session
 
 GF101 = GF(101)
 
@@ -44,7 +46,7 @@ def test_residue_field_system_verifies():
     pres = PolyMatrix.from_rows(A, [[A.parse("x"), A.parse("y")]])
     res = resolve_over_a(rd, pres)
     sys = compute_higher_homotopies(res, rd)
-    verify_system(sys, rd)
+    verify_system(full_system(sys, rd), rd)
     assert (1, 0) in sys.sigma and (0, 1) in sys.sigma
 
 
@@ -139,6 +141,20 @@ def _named_identity(error):
     return ast.literal_eval(m[1]), int(m[2])
 
 
+def _readers(need, J, t):
+    """The identities in ``need`` ({K: top t}, as ``_needed`` gives it)
+    whose residual reads sigma_J[t]: (J, t + 1), through sigma_J o d, and
+    (J + K, u) for a nonzero K, through sigma_J o sigma_K at u = t or
+    sigma_K o sigma_J at u = t - 2|K| + 1."""
+    out = [(J, t + 1)] if t + 1 <= need.get(J, -1) else []
+    for I, top in need.items():
+        K = tuple(a - b for a, b in zip(I, J))
+        if min(K) < 0 or not any(K):
+            continue
+        out += [(I, u) for u in (t, t - 2 * sum(K) + 1) if 0 <= u <= top]
+    return out
+
+
 def test_a_bad_lift_fails_the_identity_it_solves(flag_pipeline, monkeypatch):
     """No identity is formed again once it is solved: the construction
     stores each lift as it stands, on the lift contract v + d c = 0.  Each
@@ -147,11 +163,15 @@ def test_a_bad_lift_fails_the_identity_it_solves(flag_pipeline, monkeypatch):
     column upwards), and nothing else is lifted.  A lift with its
     coefficient at column 0 of d off by x (d has no zero column, so
     d o sigma_J[t] changes), whichever of the lifts it is, must make
-    ``verify_system`` fail at the very slot (J, t) it solves, on the
-    system with that lift and the other blocks as built.  Built with that
+    ``verify_system`` fail at the very slot (J, t) it solves, on the full
+    system (``full_system``) with that lift in its block.  Built with that
     lift for real, the construction stops at a later identity that reads
-    the bad block, which can no longer be lifted or, at the top, vanish."""
+    the bad block, which can no longer be lifted, when a later identity it
+    solves reads the block; when none does, it finishes with the bad lift
+    stored and every other block as built."""
     rd, pres, res, sys, X = flag_pipeline
+    full = full_system(sys, rd)
+    need = _needed(res, rd)
     x = rd.ring.gen(0)
     lift = ModuleGB.lift
     calls = []
@@ -170,9 +190,10 @@ def test_a_bad_lift_fails_the_identity_it_solves(flag_pipeline, monkeypatch):
              for c, col in enumerate(sys.sigma[J][t]) if col]
     assert calls == [sys.sigma[J][t][c] for J, t, c in slots]
     named = set()
+    kinds = {"read": 0, "unread": 0}
     for n, (J, t, c) in enumerate(slots):
-        block = _block(sys, J, t)
-        sigma = {K: dict(b) for K, b in sys.sigma.items()}
+        block = _block(full, J, t)
+        sigma = {K: dict(b) for K, b in full.sigma.items()}
         sigma[J][t] = matrix_sum(block, PolyMatrix(
             rd.ring, block.nrows, block.ncols,
             {(0, c): x})).columns_as_vectors()
@@ -190,105 +211,94 @@ def test_a_bad_lift_fails_the_identity_it_solves(flag_pipeline, monkeypatch):
             return coeffs
 
         monkeypatch.setattr(ModuleGB, "lift", off_by_x)
-        with pytest.raises(AssertionError) as info:
-            compute_higher_homotopies(res, rd)
-        assert order.index(_named_identity(info.value)) > order.index((J, t))
+        if _readers(need, J, t):
+            with pytest.raises(AssertionError) as info:
+                compute_higher_homotopies(res, rd)
+            assert order.index(_named_identity(info.value)) \
+                > order.index((J, t))
+            kinds["read"] += 1
+        else:
+            bad = {K: dict(b) for K, b in sys.sigma.items()}
+            bad[J][t] = list(bad[J][t])
+            bad[J][t][c] = vec_add(rd.ring.field, bad[J][t][c],
+                                   vector_of(x))
+            assert compute_higher_homotopies(res, rd).sigma == bad
+            kinds["unread"] += 1
     stored = {(J, t) for J, blocks in sys.sigma.items() for t in blocks}
     assert len(calls) > len(stored) > 0
     assert named == stored
+    assert min(kinds.values()) > 0, kinds
 
 
-def test_construction_checks_the_top_of_the_complex():
-    """The same complex as above, given to the construction: sigma = [x; 0]
-    solves the identity at degree 0, and at the top, where there is no
-    block left to solve for, the identity itself must hold; it does not.
-    The lift goes through a tracked run of d_1's columns, in order."""
-    A = PolyRing(GF101, ("x",))
-    rd = RingData(A, [A.parse("x^2")])
-    d1 = matrix_of(A, [["x", "0"]])
-    d1 = d1.columns_as_vectors()
-    res = FreeResolution(rd, [d1], [[0], [1, 1]], complete=True,
-                         image_bases={1: ModuleGB(A, 1, d1, track=True)})
-    with pytest.raises(AssertionError,
-                       match=r"fails for J=\(1,\) at degree 1$"):
-        compute_higher_homotopies(res, rd)
+# -- the blocks D reads against the every-block solve ----------------------
 
 
-# -- zero blocks against the construction that stores every block ---------
-
-
-def _every_block_sigma(res, rd):
-    """Reference: the solve loop before zero blocks were skipped.  It lifts
-    every target, zero or not, one column at a time from a scan of all
-    entries, and stores every block it solves, zero blocks included.  It
-    lifts through fresh bases built as the resolution builds its stages:
-    graded tracked runs over the columns of d_t."""
-    ring = rd.ring
+def _needed_slots(res, rd):
+    """Test-local need set, as a set of slots (J, t): the seeds, found
+    generator pair by generator pair, are the blocks sigma_J[t] with some
+    a in deg F_t and b in deg F_{t + 2|J| - 1} at b - a = deg f_J; a
+    worklist closes them under (J, t - 1), (J'', t) and
+    (J', t + 2|J''| - 1) for every splitting J' + J'' = J."""
     L = res.length
-    ranks = [len(d) for d in res.degrees]
-    bases = {}
+    todo = []
+    for total in range(1, L // 2 + 2):
+        deg = 2 * total - 1
+        for J in itertools.product(range(total + 1), repeat=rd.c):
+            w = sum(j * f.degree() for j, f in zip(J, rd.ci))
+            todo += [(J, t) for t in range(L - deg + 1) if sum(J) == total
+                     and any(b - a == w for a in res.degrees[t]
+                             for b in res.degrees[t + deg])]
+    need = set()
+    while todo:
+        J, t = slot = todo.pop()
+        if slot in need:
+            continue
+        need.add(slot)
+        if t:
+            todo.append((J, t - 1))
+        for Jp, Jpp in _splittings(J):
+            todo += [(Jpp, t), (Jp, t + 2 * sum(Jpp) - 1)]
+    return need
 
-    def lift_through(t, target):
-        if t not in bases:
-            dt = d_matrix(res, t)
-            bases[t] = ModuleGB(ring, dt.nrows, dt.columns_as_vectors(),
-                                True, res.degrees[t - 1])
-        cols = []
-        for j in range(target.ncols):
-            v = {}  # minus column j: its lift c solves d_t c = column j
-            for (r, c), p in target.entries.items():
-                if c == j:
-                    for m, co in p.terms.items():
-                        v[(r, m)] = ring.field.neg(co)
-            coeffs = bases[t].lift(v)
-            assert coeffs is not None
-            cols.append(coeffs)
-        return PolyMatrix.from_columns(ring, ranks[t], cols)
 
-    sigma = {}
-
-    def solve_for(J, rhs):
-        deg = 2 * sum(J) - 1
-        blocks = {}
-        for t in range(0, L - deg + 1):
-            target = rhs(t)
-            if t >= 1:
-                target = matrix_sum(
-                    target, -(blocks[t - 1] @ d_matrix(res, t)))
-            blocks[t] = lift_through(t + deg, target)
-        sigma[J] = blocks
-
-    for i in range(rd.c):
-        J = tuple(int(a == i) for a in range(rd.c))
-        solve_for(J, lambda t, f=rd.ci[i]:
-                  identity_matrix(ring, ranks[t], scalar=f))
-    for total in range(2, L // 2 + 2):
-        for J in _multi_indices(rd.c, total):
-            def rhs(t, J=J):
-                out = PolyMatrix.zero(ring, ranks[t + 2 * sum(J) - 2],
-                                      ranks[t])
-                for Jp, Jpp in _splittings(J):
-                    a = sigma[Jp].get(t + 2 * sum(Jpp) - 1)
-                    b = sigma[Jpp].get(t)
-                    if a is not None and b is not None:
-                        out = matrix_sum(out, -(a @ b))
-                return out
-            solve_for(J, rhs)
-    return sigma
+def _assert_the_needed_blocks_are_solved(res, rd):
+    """The construction against the every-block solve: it stores, entry
+    for entry, exactly the nonzero blocks of the every-block solve at the
+    slots of ``_needed_slots`` and at t = 0 of every e_i, and a (possibly
+    empty) dict for every multi-index unless F has length 0; X(M) has the
+    same D as the full system's; and every identity of the full system
+    holds.  Returns the every-block solve and the constructed system."""
+    sys = compute_higher_homotopies(res, rd)
+    every = _every_block_sigma(res, rd)
+    need = _needed_slots(res, rd) | {(J, 0) for J in every if sum(J) == 1}
+    assert set(sys.sigma) == (set(every) if res.length else set())
+    assert {(J, t): cols for J, blocks in sys.sigma.items()
+            for t, cols in blocks.items()} == \
+        {(J, t): m.columns_as_vectors() for J, blocks in every.items()
+         for t, m in blocks.items() if (J, t) in need and not m.is_zero()}
+    full = HigherHomotopySystem(
+        res, {J: {t: m.columns_as_vectors() for t, m in blocks.items()
+                  if not m.is_zero()} for J, blocks in every.items()})
+    assert build_twisted_complex(sys, rd).D.entries == \
+        build_twisted_complex(full, rd).D.entries
+    verify_system(full, rd)
+    return every, sys
 
 
 def _homotopy_inputs():
     """(rd, presentation) for every coker session of the examples and of the
     benchmark ladder, for the module with nonzero blocks at |J| = 2 over
-    GF(101) and QQ, for random monomial modules over GF(101)[x,y] /
-    (x^3, y^3), and for random ones in three variables, whose systems have
-    zero blocks."""
+    GF(101) and QQ, for ``nm_n4_e2`` and ``nm_n5_e2`` (``test_loci``),
+    whose blocks at |J| = 2 have constant terms, for random monomial
+    modules over GF(101)[x,y] / (x^3, y^3), and for random ones in three
+    variables, whose systems have zero blocks."""
     out = []
     paths = sorted(SESSIONS.glob("*.session")) + \
         sorted((REPO / "perfbench" / "inputs").glob("*.session"))
     texts = [path.read_text() for path in paths]
     texts += [f"field {field}\n{PAIR_BLOCK_SESSION}"
               for field in ("GF(101)", "QQ")]
+    texts += [_slow_loci_session(name) for name in ("nm_n4_e2", "nm_n5_e2")]
     for text in texts:
         session = parse_session(text)
         if session.module.kind == "coker":
@@ -311,75 +321,92 @@ def _homotopy_inputs():
 
 
 def test_no_zero_block_is_stored_and_the_rest_are_unchanged():
-    """Every nonzero block equals the one the every-block loop solves,
-    entry for entry; no zero block is stored; every solved multi-index
-    keeps its (possibly empty) dict; and X(M) has the same differential.
-    The construction lifts through the graded runs that
+    """The construction stores no zero block and solves only the blocks
+    X(M) reads and those they are solved from
+    (``_assert_the_needed_blocks_are_solved``), each equal to the
+    every-block solve's.  It lifts through the graded runs that
     ``resolve_over_a`` took each d_t from, and builds no other; the
-    every-block loop builds fresh graded runs over d_t's columns.  Some
-    inputs have nonzero blocks at |J| = 2, so that the walk's pair
-    products are compared too."""
+    every-block solve builds fresh graded runs over d_t's columns.  Some
+    inputs have zero blocks, some have nonzero blocks at |J| = 2, so that
+    the walk's pair products are compared too, and some have nonzero
+    blocks that D does not read, which are not solved."""
     skipped = 0
     pair_blocks = 0
+    unread = 0
     for rd, pres in _homotopy_inputs():
         res = resolve_over_a(rd, pres)
         kept = dict(res.image_bases)
         assert set(kept) == set(range(1, res.length + 1))
-        sys = compute_higher_homotopies(res, rd)
+        every, sys = _assert_the_needed_blocks_are_solved(res, rd)
         assert res.image_bases == kept
-        every = _every_block_sigma(res, rd)
-        assert set(sys.sigma) == set(every)
         for J, blocks in every.items():
-            nonzero = {t: m.columns_as_vectors() for t, m in blocks.items()
-                       if not m.is_zero()}
-            assert sys.sigma[J] == nonzero
+            nonzero = [t for t, m in blocks.items() if not m.is_zero()]
             skipped += len(blocks) - len(nonzero)
-            pair_blocks += len(nonzero) if sum(J) >= 2 else 0
-        reference = HigherHomotopySystem(
-            res, {J: {t: m.columns_as_vectors() for t, m in blocks.items()}
-                  for J, blocks in every.items()})
-        assert build_twisted_complex(sys, rd).D.entries == \
-            build_twisted_complex(reference, rd).D.entries
+            unread += len(set(nonzero) - set(sys.sigma[J]))
+            pair_blocks += len(sys.sigma[J]) if sum(J) >= 2 else 0
     assert skipped > 0
+    assert unread > 0
     assert pair_blocks >= 10
 
 
-# Rings and ci for the generated modules: one generator; mixed degrees;
-# a regular sequence that is not monomial; three generators.
-_CI_RINGS = [("x, y", "x^2"), ("x, y", "x^2, y^3"), ("x, y", "x^2 - y^2, x*y"),
-             ("x, y, z", "x^2, y^2, z^3")]
+# Rings and ci for the generated modules, as (variables, ci, weights):
+# one generator; mixed degrees; a regular sequence that is not monomial;
+# three generators.  The weighted ones have ci of mixed degrees
+# throughout, and the third and the last are not monomial.
+_CI_RINGS = [("x, y", "x^2", ""), ("x, y", "x^2, y^3", ""),
+             ("x, y", "x^2 - y^2, x*y", ""),
+             ("x, y, z", "x^2, y^2, z^3", "")]
+_WEIGHTED_CI_RINGS = [("x, y", "x^2, y^2", "1, 2"),
+                      ("x, y", "x^3, y^2", "2, 1"),
+                      ("x, y", "x^2 - y, y^2", "1, 2"),
+                      ("x, y, z", "x^2, y^3, z^2", "1, 1, 2"),
+                      ("x, y, z", "x^3 - z, y^2", "1, 2, 3")]
 
 
 @st.composite
-def _coker_sessions(draw):
-    """A cokernel session over GF(2), GF(3), GF(101) or QQ on one or two
-    rows in degree 0: the columns f_k e_j, so that f annihilates M, and up
-    to three random homogeneous columns of degree 0 to 2, where a
-    constant entry is a unit to cancel."""
+def _coker_sessions(draw, rings=_CI_RINGS, top=2):
+    """A cokernel session over GF(2), GF(3), GF(101) or QQ on one of
+    ``rings``, on one or two rows in degree 0: the columns f_k e_j, so
+    that f annihilates M, and up to three random homogeneous columns of
+    (weighted) degree 0 to ``top``, where a constant entry is a unit to
+    cancel."""
     field = draw(st.sampled_from(["GF(2)", "GF(3)", "GF(101)", "QQ"]))
-    names, ci = draw(st.sampled_from(_CI_RINGS))
-    n = names.count(",") + 1
+    names, ci, weights = draw(st.sampled_from(rings))
+    names = names.split(", ")
+    ws = [int(w) for w in weights.split(", ")] if weights else [1] * len(names)
     nrows = draw(st.integers(1, 2))
     cols = [[f if r == j else "0" for r in range(nrows)]
             for f in ci.split(", ") for j in range(nrows)]
     for _ in range(draw(st.integers(0, 3))):
-        degree = draw(st.integers(0, 2))
-        monos = [m for m in itertools.product(range(degree + 1), repeat=n)
-                 if sum(m) == degree]
+        degree = draw(st.integers(0, top))
+        monos = [m for m in itertools.product(range(degree + 1),
+                                              repeat=len(ws))
+                 if sum(e * w for e, w in zip(m, ws)) == degree]
+        if not monos:  # no monomial of this weighted degree
+            continue
         col = []
         for _ in range(nrows):
             terms = draw(st.lists(st.tuples(st.sampled_from(["1", "2", "-1"]),
                                             st.sampled_from(monos)),
                                   max_size=2))
             col.append(" + ".join(
-                "*".join([c] + [f"{v}^{e}" for v, e in
-                                zip(names.split(", "), m) if e])
+                "*".join([c] + [f"{v}^{e}" for v, e in zip(names, m) if e])
                 for c, m in terms) or "0")
         cols.append(col)
     rows = ", ".join("[" + ", ".join(col[r] for col in cols) + "]"
                      for r in range(nrows))
-    return (f"field {field}\nring {names}\nci {ci}\n"
+    ring = ", ".join(names) + (f" weights {weights}" if weights else "")
+    return (f"field {field}\nring {ring}\nci {ci}\n"
             f"module coker [{rows}]\n")
+
+
+def _solved_session(text):
+    """``_assert_the_needed_blocks_are_solved`` on a cokernel session."""
+    session = parse_session(text)
+    rd = session.ring_data
+    res = resolve_over_a(rd, PolyMatrix.from_rows(rd.ring,
+                                                  session.module.rows))
+    _assert_the_needed_blocks_are_solved(res, rd)
 
 
 @settings(max_examples=100, deadline=None, derandomize=True)
@@ -389,18 +416,18 @@ def _coker_sessions(draw):
 @example(f"field QQ\n{PAIR_BLOCK_SESSION}")
 def test_column_walk_equals_the_every_block_loop(text):
     """The blocks the column walk solves are the nonzero blocks of the
-    every-block loop, entry for entry, and the system verifies."""
-    session = parse_session(text)
-    rd = session.ring_data
-    res = resolve_over_a(rd, PolyMatrix.from_rows(rd.ring,
-                                                  session.module.rows))
-    sys = compute_higher_homotopies(res, rd)
-    verify_system(sys, rd)
-    every = _every_block_sigma(res, rd)
-    assert {(J, t): cols for J, blocks in sys.sigma.items()
-            for t, cols in blocks.items()} == \
-        {(J, t): m.columns_as_vectors() for J, blocks in every.items()
-         for t, m in blocks.items() if not m.is_zero()}
+    every-block loop at the slots D reads and those they are solved from,
+    entry for entry; D is the same; and the full system verifies."""
+    _solved_session(text)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(_coker_sessions(_WEIGHTED_CI_RINGS, 4))
+def test_the_solved_blocks_on_weighted_rings_and_mixed_degrees(text):
+    """As above on weighted rings with ci of mixed degrees, some of them
+    not monomial, over GF(2), GF(3), GF(101) and QQ, where the seeds of
+    the need set read weighted degrees."""
+    _solved_session(text)
 
 
 def test_strict_action_accepted(koszul_action):
@@ -606,15 +633,21 @@ def test_over_gf2_a_square_that_is_not_zero_is_rejected():
 
 
 def test_dualized_system_verifies(final_pipeline):
+    """The transpose of the full system that the constructed one is a part
+    of (``full_system``) keeps every identity."""
     rd, pres, res, sys, X = final_pipeline
-    dualize_and_verify(sys, dualize_over_a(res), rd)
+    dualize_and_verify(full_system(sys, rd), dualize_over_a(res), rd)
 
 
 def test_dualize_twice_restores_blocks(final_pipeline):
     rd, pres, res, sys, X = final_pipeline
-    dual_sys = dualize_and_verify(sys, dualize_over_a(res), rd)
+    full = full_system(sys, rd)
+    dual_sys = dualize_and_verify(full, dualize_over_a(res), rd)
     back = dualize_and_verify(dual_sys, dualize_over_a(dual_sys.resolution),
                               rd)
-    for J, blocks in sys.sigma.items():
+    for J, blocks in full.sigma.items():
         for t, cols in blocks.items():
             assert back.sigma[J][t] == cols
+    once = dualize_homotopies(sys, dualize_over_a(res))
+    twice = dualize_homotopies(once, dualize_over_a(once.resolution))
+    assert twice.sigma == sys.sigma

@@ -9,7 +9,8 @@ from hypothesis import assume, example, given, settings, strategies as st
 
 from jumploci import GF, QQ, PolyRing, cli, loci, twisted
 from jumploci.cli import parse_chain_file
-from jumploci.groebner import Ideal, ModuleGB, module_hilbert_data
+from jumploci.groebner import (Ideal, ModuleGB, dimension_and_multiplicity,
+                               module_hilbert_data)
 from jumploci.matrix import PolyMatrix
 from jumploci.resolution import (RingData, resolve_over_a, resolve_over_b,
                                  PipelineError)
@@ -28,7 +29,7 @@ from conftest import (REPO, SESSIONS, PAIR_BLOCK_SESSION,
                       random_monomial_rows, random_homogeneous,
                       random_twisted_complex)
 from oracles import (TruncationNeeded, additivity_check, dual_presentation,
-                     explicit_dual, fit_quasi_polynomial,
+                     explicit_dual, fit_quasi_polynomial, full_system,
                      jump_locus_via_exterior_power, shift, x_of_m_star)
 
 GF101 = GF(101)
@@ -278,7 +279,8 @@ def test_betti_degree_equals_the_parity_split_route():
 def test_bass_degree_via_dual_pipeline(final_pipeline, flag_pipeline):
     for pipeline, expected in ((final_pipeline, 3), (flag_pipeline, 4)):
         rd, pres, res, sys, X = pipeline
-        assert betti_degree(explicit_dual(res, sys, rd)) == expected
+        assert betti_degree(explicit_dual(
+            res, full_system(sys, rd), rd)) == expected
 
 
 # -- Betti numbers from H(X) -----------------------------------------------
@@ -563,6 +565,52 @@ def test_x_of_m_star_from_its_own_presentation_is_the_s_dual(path):
         assert crk_at(X_star, point) == crk_at(X_dual, point), point
 
 
+# Inputs on which ``compute`` and ``dual`` stop at ``MAX_MINOR_WORK``;
+# the complexity and the Betti degree need no minors.  (name, session,
+# (cx, Betti degree)); ``nm_n6_e2`` and ``lin_n6_e2`` are cokernels over
+# GF(101)[x0..x5] / (x_i^2) as in ``_slow_loci_session``.
+_PAST_THE_MINOR_WALL = [
+    ("nm_n6_e2", "x0*x1 + x2*x3, x1*x2 + 2*x3*x4, x4*x5 + x0*x2", (6, 128)),
+    ("sq_n6_e2", None, (4, 8)),
+    ("lin_n6_e2", "x0 + x1 + x2, x3 + 2*x4 + 3*x5", (6, 32)),
+]
+
+
+def _cx_and_betti_degree(X):
+    """(complexity, Betti degree) read off the Hilbert numerator h of H(X)
+    alone: the complexity is the larger dimension of the even and odd
+    parts of h(t)/(1 - t^2)^c, and the Betti degree the multiplicity of a
+    part of that dimension, the same for both parts that have it."""
+    h, c = loci._ext_numerator(X)
+    parts = [dimension_and_multiplicity(
+        {j // 2: v for j, v in h.items() if j % 2 == e}, c) for e in (0, 1)]
+    cx = max(dim for dim, _ in parts)
+    mults = {mult for dim, mult in parts if dim == cx}
+    assert len(mults) == 1, parts
+    return cx, mults.pop()
+
+
+@pytest.mark.parametrize("name, entries, expected", _PAST_THE_MINOR_WALL,
+                         ids=[name for name, _, _ in _PAST_THE_MINOR_WALL])
+def test_x_of_m_star_past_the_minor_wall(name, entries, expected):
+    """The paper's duality theorem where the jump loci are out of reach:
+    X(M), X(M*) built afresh from M* = coker(d_L^T) (``x_of_m_star``) and
+    s_dual(X(M)) agree on (complexity, Betti degree), read off h alone."""
+    if entries is None:
+        text = (REPO / "perfbench" / "inputs" / f"{name}.session").read_text()
+    else:
+        names = ", ".join(f"x{i}" for i in range(6))
+        squares = ", ".join(f"x{i}^2" for i in range(6))
+        text = (f"field GF(101)\nring {names}\nci {squares}\n"
+                f"module coker [[{entries}, {squares}]]\n")
+    pipe = build_pipeline(parse_session(text))
+    assert pipe.dual_is_module
+    _, X_star = x_of_m_star(pipe)
+    assert _cx_and_betti_degree(pipe.X) == expected
+    assert _cx_and_betti_degree(X_star) == expected
+    assert _cx_and_betti_degree(s_dual(pipe.X)) == expected
+
+
 def _weighted_monomials(weights, degree):
     """The exponents of the monomials of weighted degree ``degree``."""
     return [m for m in itertools.product(range(degree + 1),
@@ -633,7 +681,8 @@ def test_x_of_m_star_agrees_with_the_s_dual_on_random_cyclic_modules(drawn):
 def test_duality_on_final_example(final_pipeline):
     rd, pres, res, sys, X = final_pipeline
     assert duality_check(jump_loci_report(X),
-                         jump_loci_report(explicit_dual(res, sys, rd)))
+                         jump_loci_report(explicit_dual(
+                             res, full_system(sys, rd), rd)))
 
 
 def test_duality_on_nonregular_model(nonregular_action):
@@ -644,7 +693,8 @@ def test_duality_on_nonregular_model(nonregular_action):
 
 def test_duality_rejects_a_complex_that_is_not_the_dual(final_pipeline):
     rd, pres, res, sys, X = final_pipeline
-    wrong = direct_sum(explicit_dual(res, sys, rd), koszul_block(X))
+    wrong = direct_sum(explicit_dual(res, full_system(sys, rd), rd),
+                       koszul_block(X))
     assert minimalize(wrong).rank != minimalize(X).rank
     rep, rep_wrong = jump_loci_report(X), jump_loci_report(wrong)
     for pair in ((rep, rep_wrong), (rep_wrong, rep)):
@@ -664,7 +714,7 @@ def test_duality_on_random_monomial_modules():
         res = resolve_over_a(rd, pres)
         sys = compute_higher_homotopies(res, rd)
         X = build_twisted_complex(sys, rd)
-        X_dual = explicit_dual(res, sys, rd)
+        X_dual = explicit_dual(res, full_system(sys, rd), rd)
         assert duality_check(jump_loci_report(X), jump_loci_report(X_dual))
         done += 1
 

@@ -20,8 +20,8 @@ from jumploci.twisted import TwistedComplex
 from conftest import (REPO, PAIR_BLOCK_SESSION, assert_twisted_complex,
                       matrix_of, matrix_sum, random_monomial_rows,
                       random_monomial_rows_3)
-from oracles import (identity_matrix, transpose, verify_system,
-                     whole_matrix_rank)
+from oracles import (full_system, identity_matrix, transpose,
+                     verify_system, whole_matrix_rank)
 
 GF101 = GF(101)
 S2 = PolyRing(GF101, ("chi1", "chi2"), (2, 2))
@@ -717,10 +717,11 @@ def test_homotopy_systems_sum_as_the_per_pair_sum(monkeypatch):
     """The homotopy systems of the three ``build`` inputs of the
     benchmark, of the module with nonzero blocks at |J| = 2, and of random
     monomial modules in two and three variables over GF(3) and QQ verify:
-    every identity ``verify_system`` forms, from all splittings of J,
-    vanishes, and each of its products equals the per-pair sum.  The
-    construction itself sums its residuals column by column and forms no
-    matrix product."""
+    every identity ``verify_system`` forms, from all splittings of J, on
+    the full system that the constructed one is a part of
+    (``full_system``), vanishes, and each of its products equals the
+    per-pair sum.  The construction itself sums its residuals column by
+    column and forms no matrix product."""
     calls = _checking_every_product(monkeypatch)
     texts = [(REPO / "perfbench" / "inputs" / f"{stem}.session").read_text()
              for stem in ("res_n7_e2", "m2_n5_e2", "sq_n6_e2")]
@@ -745,5 +746,5 @@ def test_homotopy_systems_sum_as_the_per_pair_sum(monkeypatch):
         before = calls[0]
         sys = compute_higher_homotopies(res, rd)
         assert calls[0] == before
-        verify_system(sys, rd)
+        verify_system(full_system(sys, rd), rd)
     assert calls[0] > 1000
