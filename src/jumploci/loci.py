@@ -18,8 +18,11 @@ generic crk where the complexity is c.
 h is read off the numerator h_C of coker D, one untracked column basis:
 D raises the cohomological degree u by one and D^2 = 0, so
 h = (1 + 1/t) h_C - (1/t) sum_i t^{u_i} for any D, minimal or not.
-The generic crk is rank_S H(X) = h(1): ``PolyMatrix.generic_rank``
-reads rank D = r - h_C(1) off the same kind of numerator.
+The generic crk is rank_S H(X) = h(1) = r - 2 rank D, and
+``PolyMatrix.generic_rank`` gives rank D: for a fine-graded D (each entry
+one monomial, with row and column potentials, as every D of the example
+sessions and the benchmark inputs is) the rank of its coefficients, and
+for any other D, r - h_C(1) off the same kind of numerator as h.
 These are invariants of M when X = X(M) is built from the minimal
 A-free resolution of M, as ``build_pipeline`` builds it for a cokernel.
 The reports read X as given, minimal as ``build_twisted_complex``

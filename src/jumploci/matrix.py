@@ -10,10 +10,17 @@ into the connected components of its support graph, and inside a component
 the nonzero minors of each size grow from those of the size below, one
 Laplace expansion each (``_component_minor_table``).  The minors of every
 size are built together on the first request and cached on the matrix (see
-``PolyMatrix.minors``).  The generic rank, over the fraction field, is
-read off the Hilbert numerator of the cokernel: the rank of a graded
-module is the value at t = 1 of its numerator.  No polynomial matrix is
-eliminated fraction-free; the tests keep that route as their oracle.
+``PolyMatrix.minors``).  The generic rank, over the fraction field, has
+two routes.  A fine-graded matrix P, each entry one term and rows and
+columns with potentials r and c in Z^nvars such that entry (i, j) has
+exponent c_j - r_i (``fine_grading``, one pass over the support graph
+with every cycle checked), is diag(x^-r) P(1) diag(x^c) over the Laurent
+ring k[x^+-1], and the diagonal factors are units there, so its rank
+over k(x) is the rank of its coefficients, eliminated as field scalars
+(``scalar_rank``).  Every other matrix has its rank read off the Hilbert
+numerator of the cokernel: the rank of a graded module is the value at
+t = 1 of its numerator.  No polynomial matrix is eliminated
+fraction-free; the tests keep that route as their oracle.
 The rank at a point eliminates the values there as field scalars
 (``scalar_rank``), as the point oracle eliminates its complexes.
 
@@ -38,8 +45,9 @@ from .groebner import add_image, module_hilbert_data, reduced
 # terms multiplied, that the minor table of one matrix may take (a few
 # seconds and about 100 MB); a matrix whose table needs more is refused
 # with a PipelineError before its memory runs out.  The largest table of
-# the example sessions takes 31 units, of the benchmark inputs 756, and of
-# the scripts about 20,000 (``realizability_demo.py``).
+# the example sessions takes 31 units, of the benchmark inputs other than
+# sq_n6_e2 855 (loci_a), and of the scripts 20,354 (``realizability_demo.py``
+# with its defaults).
 MAX_MINOR_WORK = 500_000
 
 
@@ -161,11 +169,19 @@ class PolyMatrix:
         return scalar_rank(rows.values(), self.ring.field)
 
     def generic_rank(self) -> int:
-        """Rank over the fraction field: nrows minus the rank of coker,
-        which is the value at t = 1 of its Hilbert numerator, 0 when coker
-        has dimension below nvars.  The Groebner order is degree-compatible,
-        so coker and its initial module share their affine Hilbert function
-        and this holds for inhomogeneous entries too."""
+        """Rank over the fraction field.  A fine-graded matrix P
+        (``fine_grading``) is diag(x^-r) P(1) diag(x^c) over the Laurent
+        ring, so its rank is that of its coefficients, by ``scalar_rank``.
+        Any other is nrows minus the rank of coker, which is the value at
+        t = 1 of its Hilbert numerator, 0 when coker has dimension below
+        nvars.  The Groebner order is degree-compatible, so coker and its
+        initial module share their affine Hilbert function and this holds
+        for inhomogeneous entries too."""
+        if fine_grading(self.entries) is not None:
+            rows = {}
+            for (r, c), p in self.entries.items():
+                rows.setdefault(r, {})[c] = next(iter(p.terms.values()))
+            return scalar_rank(rows.values(), self.ring.field)
         _, _, numerator = module_hilbert_data(self)
         return self.nrows - sum(numerator.values())
 
@@ -265,6 +281,43 @@ def _components(entries):
         rows.add(r)
         cols.add(c)
     return [comps[k] for k in sorted(comps, key=str)]
+
+
+def fine_grading(entries):
+    """Potentials (rows, columns), each {index: exponent vector}, with
+    entry (r, c) of ``entries`` ({(r, c): poly}) the one term of exponent
+    columns[c] - rows[r], or None when there are none: some entry has two
+    terms, or two paths between a row and a column of the support graph
+    disagree.  One pass over the graph, component by component: its
+    first node at 0, each step across an entry fixing the potential at
+    its other end, and each entry that closes a cycle checked."""
+    links = {}  # node -> [(the other end, exponent, +1 from a row)]
+    for (r, c), p in entries.items():
+        if len(p.terms) != 1:
+            return None
+        m = next(iter(p.terms))
+        links.setdefault(("r", r), []).append((("c", c), m, 1))
+        links.setdefault(("c", c), []).append((("r", r), m, -1))
+    potential = {}
+    for start in links:
+        if start in potential:
+            continue
+        potential[start] = (0,) * len(links[start][0][1])
+        todo = [start]
+        while todo:
+            node = todo.pop()
+            here = potential[node]
+            for other, m, sign in links[node]:
+                there = tuple(a + sign * e for a, e in zip(here, m))
+                if other not in potential:
+                    potential[other] = there
+                    todo.append(other)
+                elif potential[other] != there:
+                    return None
+    rows, cols = {}, {}
+    for (kind, i), v in potential.items():
+        (rows if kind == "r" else cols)[i] = v
+    return rows, cols
 
 
 def scalar_rank(vectors, field) -> int:

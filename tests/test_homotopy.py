@@ -4,6 +4,7 @@ import ast
 import itertools
 import random
 import re
+from fractions import Fraction
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -12,18 +13,18 @@ from jumploci import GF, PolyRing
 from jumploci.groebner import ModuleGB, vector_of
 from jumploci.matrix import PolyMatrix
 from jumploci.resolution import (RingData, FreeResolution, PipelineError,
-                                 resolve_over_a, dualize_over_a)
+                                 resolve_over_a, dualize_over_a, _resolve)
 from jumploci.homotopy import (HigherHomotopySystem, compute_higher_homotopies,
                                dualize_homotopies, ingest_dg_structure,
-                               _needed)
+                               _grading, _needed)
 from jumploci.session import parse_session
 from jumploci.twisted import build_twisted_complex
 
 from conftest import (REPO, SESSIONS, PAIR_BLOCK_SESSION, matrix_of,
                       matrix_sum, random_monomial_rows, random_monomial_rows_3)
-from oracles import (_block, _every_block_sigma, _identities, _splittings,
-                     d_matrix, dualize_and_verify, full_system,
-                     identity_matrix, vec_add, verify_system)
+from oracles import (_block, _identities, _splittings, d_matrix,
+                     dualize_and_verify, every_block_system, full_system,
+                     identity_matrix, transpose, vec_add, verify_system)
 from test_loci import _slow_loci_session
 
 GF101 = GF(101)
@@ -85,28 +86,35 @@ def test_nonregular_sequence_rejected():
 
 
 def test_flag_system_verifies(flag_pipeline):
+    """The constructed blocks are the full system's at the slots of the
+    test-local need set (``_solved_full_system``), and the full system
+    verifies."""
     rd, pres, res, sys, X = flag_pipeline
-    verify_system(sys, rd)
-    assert (1, 1, 0) in sys.sigma  # some quadratic coherence block exists
+    full = _solved_full_system(sys, rd)
+    verify_system(full, rd)
+    # a dict for every J, also where no block of it is stored or nonzero
+    assert (1, 1, 0) in sys.sigma
 
 
 def test_perturbing_one_block_breaks_verification(flag_pipeline):
-    """Adding x to one entry of sigma_J on F_t breaks the identity of J at
-    degree t: d o sigma_J changes, as d is injective on x times a basis
-    vector of a free module.  Zero blocks are not stored, so every slot
-    (J, t) with 0 <= t <= L - (2|J| - 1) is perturbed, stored or not; an
-    absent slot gets the one-entry block x."""
+    """Adding x to one entry of sigma_J on F_t of the full system that the
+    constructed one is a part of (``_solved_full_system``) breaks the
+    identity of J at degree t: d o sigma_J changes, as d is injective on x
+    times a basis vector of a free module.  Zero blocks are not stored, so
+    every slot (J, t) with 0 <= t <= L - (2|J| - 1) is perturbed, stored
+    or not; an absent slot gets the one-entry block x."""
     rd, pres, res, sys, X = flag_pipeline
+    full = _solved_full_system(sys, rd)
     x = rd.ring.gen(0)
     ranks = [len(d) for d in res.degrees]
     L = res.length
     seen = {"stored": 0, "absent": 0}
-    for J in sys.sigma:
+    for J in full.sigma:
         deg = 2 * sum(J) - 1
         for t in range(0, L - deg + 1):
             bump = PolyMatrix(rd.ring, ranks[t + deg], ranks[t], {(0, 0): x})
-            block = _block(sys, J, t)
-            sigma = {K: dict(b) for K, b in sys.sigma.items()}
+            block = _block(full, J, t)
+            sigma = {K: dict(b) for K, b in full.sigma.items()}
             sigma[J][t] = (bump if block is None
                            else matrix_sum(block, bump)).columns_as_vectors()
             broken = HigherHomotopySystem(res, sigma)
@@ -233,21 +241,88 @@ def test_a_bad_lift_fails_the_identity_it_solves(flag_pipeline, monkeypatch):
 # -- the blocks D reads against the every-block solve ----------------------
 
 
+def _span_reducer(vectors, n):
+    """A map taking an integer vector of length n to its normal form
+    modulo the Q-span of ``vectors``, by Fraction elimination: two vectors
+    have the same normal form exactly when their difference lies in the
+    span."""
+    echelon = []  # (pivot, row with 1 at the pivot)
+    for v in vectors:
+        v = [Fraction(a) for a in v]
+        for j, row in echelon:
+            v = [a - v[j] * b for a, b in zip(v, row)]
+        lead = next((j for j, a in enumerate(v) if a), None)
+        if lead is not None:
+            echelon.append((lead, [a / v[lead] for a in v]))
+
+    def reduce(v):
+        v = [Fraction(a) for a in v]
+        for j, row in echelon:
+            v = [a - v[j] * b for a, b in zip(v, row)]
+        return tuple(v)
+
+    return reduce
+
+
+def _row_vector(rows, r, m):
+    """The term m at row r of F_0 as a vector of Z^n + Z^rows, r = None
+    for a term of the ring."""
+    return tuple(m) + tuple(int(i == r) for i in range(rows))
+
+
+def _lattice(res, rd):
+    """L: the differences of the terms inside each f_i and inside each
+    column of d_1, as integer vectors (``_row_vector``)."""
+    rows = len(res.degrees[0])
+    out = []
+    for vs in [[_row_vector(rows, None, m) for m in f.terms]
+               for f in rd.ci] + [[_row_vector(rows, r, m) for r, m in col]
+                                  for col in res.differentials[0]]:
+        out += [tuple(a - b for a, b in zip(v, vs[0])) for v in vs]
+    return out
+
+
+def _mdegrees(res):
+    """A vector of Z^n + Z^(rank F_0) for each generator of F_0..F_L,
+    read down F off the first term of each column, row r of F_0 at
+    (0, e_r)."""
+    rows = len(res.degrees[0])
+    mdeg = [[_row_vector(rows, r, (0,) * res.ring_data.n)
+             for r in range(rows)]]
+    for cols in res.differentials:
+        mdeg.append([tuple(a + b for a, b in zip(mdeg[-1][r], m + (0,) * rows))
+                     for r, m in (next(iter(col)) for col in cols)])
+    return mdeg
+
+
 def _needed_slots(res, rd):
     """Test-local need set, as a set of slots (J, t): the seeds, found
     generator pair by generator pair, are the blocks sigma_J[t] with some
-    a in deg F_t and b in deg F_{t + 2|J| - 1} at b - a = deg f_J; a
-    worklist closes them under (J, t - 1), (J'', t) and
-    (J', t + 2|J''| - 1) for every splitting J' + J'' = J."""
+    a in F_t and b in F_{t + 2|J| - 1} at deg b - deg a = deg f_J in Z
+    and with mdeg b - mdeg a - mdeg f_J in the Q-span of ``_lattice``,
+    where mdeg is a vector read down F off the first term of each column
+    (``_mdegrees``; of f_i its first term, at no row); a worklist closes
+    them under (J, t - 1), (J'', t) and (J', t + 2|J''| - 1) for every
+    splitting J' + J'' = J."""
     L = res.length
+    n = rd.ring.nvars + len(res.degrees[0])
+    mdeg = _mdegrees(res)
+    fmdeg = [_row_vector(len(res.degrees[0]), None, next(iter(f.terms)))
+             for f in rd.ci]
+    reduce = _span_reducer(_lattice(res, rd), n) if L else None
     todo = []
     for total in range(1, L // 2 + 2):
         deg = 2 * total - 1
         for J in itertools.product(range(total + 1), repeat=rd.c):
             w = sum(j * f.degree() for j, f in zip(J, rd.ci))
+            fJ = [sum(j * m[k] for j, m in zip(J, fmdeg)) for k in range(n)]
             todo += [(J, t) for t in range(L - deg + 1) if sum(J) == total
-                     and any(b - a == w for a in res.degrees[t]
-                             for b in res.degrees[t + deg])]
+                     and any(res.degrees[t + deg][b] - res.degrees[t][a] == w
+                             and not any(reduce([
+                                 x - y - z for x, y, z in zip(
+                                     mdeg[t + deg][b], mdeg[t][a], fJ)]))
+                             for a in range(len(res.degrees[t]))
+                             for b in range(len(res.degrees[t + deg])))]
     need = set()
     while todo:
         J, t = slot = todo.pop()
@@ -261,37 +336,50 @@ def _needed_slots(res, rd):
     return need
 
 
+def _solved_full_system(sys, rd):
+    """``full_system`` of a constructed ``sys``, once it is asserted that
+    ``sys`` stores exactly the nonzero blocks of the full system at the
+    slots of ``_needed_slots`` and at t = 0 of every e_i."""
+    full = full_system(sys, rd)
+    need = _needed_slots(sys.resolution, rd) | {
+        (J, 0) for J in full.sigma if sum(J) == 1}
+    assert {(J, t) for J, blocks in sys.sigma.items() for t in blocks} == \
+        {(J, t) for J, blocks in full.sigma.items() for t in blocks
+         if (J, t) in need}
+    return full
+
+
 def _assert_the_needed_blocks_are_solved(res, rd):
     """The construction against the every-block solve: it stores, entry
     for entry, exactly the nonzero blocks of the every-block solve at the
     slots of ``_needed_slots`` and at t = 0 of every e_i, and a (possibly
-    empty) dict for every multi-index unless F has length 0; X(M) has the
-    same D as the full system's; and every identity of the full system
-    holds.  Returns the every-block solve and the constructed system."""
+    empty) dict for every multi-index unless F has length 0
+    (``_solved_full_system``); X(M) has the same D as the full system's;
+    and every identity of the full system holds.  Returns the full system
+    and the constructed system."""
     sys = compute_higher_homotopies(res, rd)
-    every = _every_block_sigma(res, rd)
-    need = _needed_slots(res, rd) | {(J, 0) for J in every if sum(J) == 1}
-    assert set(sys.sigma) == (set(every) if res.length else set())
-    assert {(J, t): cols for J, blocks in sys.sigma.items()
-            for t, cols in blocks.items()} == \
-        {(J, t): m.columns_as_vectors() for J, blocks in every.items()
-         for t, m in blocks.items() if (J, t) in need and not m.is_zero()}
-    full = HigherHomotopySystem(
-        res, {J: {t: m.columns_as_vectors() for t, m in blocks.items()
-                  if not m.is_zero()} for J, blocks in every.items()})
-    assert build_twisted_complex(sys, rd).D.entries == \
-        build_twisted_complex(full, rd).D.entries
+    if res.length:
+        full = _solved_full_system(sys, rd)
+    else:
+        full = every_block_system(res, rd)
+        assert sys.sigma == {}
     verify_system(full, rd)
-    return every, sys
+    return full, sys
+
+
+_BINOMIAL_MODULES = ["x0*x1 + x2*x3, x1*x2 + 2*x0*x3", "x0 + x1 + x2, x3"]
 
 
 def _homotopy_inputs():
     """(rd, presentation) for every coker session of the examples and of the
     benchmark ladder, for the module with nonzero blocks at |J| = 2 over
     GF(101) and QQ, for ``nm_n4_e2`` and ``nm_n5_e2`` (``test_loci``),
-    whose blocks at |J| = 2 have constant terms, for random monomial
-    modules over GF(101)[x,y] / (x^3, y^3), and for random ones in three
-    variables, whose systems have zero blocks."""
+    whose blocks at |J| = 2 have constant terms, for two binomial modules
+    over GF(101)[x0..x3] / (x0^2, .., x3^2) whose need sets hold blocks
+    at |J| = 2 and whose finest grading is coarser than Z^4 but finer
+    than Z (``_BINOMIAL_MODULES``), for random monomial modules over
+    GF(101)[x,y] / (x^3, y^3), and for random ones in three variables,
+    whose systems have zero blocks."""
     out = []
     paths = sorted(SESSIONS.glob("*.session")) + \
         sorted((REPO / "perfbench" / "inputs").glob("*.session"))
@@ -299,6 +387,10 @@ def _homotopy_inputs():
     texts += [f"field {field}\n{PAIR_BLOCK_SESSION}"
               for field in ("GF(101)", "QQ")]
     texts += [_slow_loci_session(name) for name in ("nm_n4_e2", "nm_n5_e2")]
+    squares = "x0^2, x1^2, x2^2, x3^2"
+    texts += [f"field GF(101)\nring x0, x1, x2, x3\nci {squares}\n"
+              f"module coker [[{entries}, {squares}]]\n"
+              for entries in _BINOMIAL_MODULES]
     for text in texts:
         session = parse_session(text)
         if session.module.kind == "coker":
@@ -324,7 +416,7 @@ def test_no_zero_block_is_stored_and_the_rest_are_unchanged():
     """The construction stores no zero block and solves only the blocks
     X(M) reads and those they are solved from
     (``_assert_the_needed_blocks_are_solved``), each equal to the
-    every-block solve's.  It lifts through the graded runs that
+    full system's.  It lifts through the graded runs that
     ``resolve_over_a`` took each d_t from, and builds no other; the
     every-block solve builds fresh graded runs over d_t's columns.  Some
     inputs have zero blocks, some have nonzero blocks at |J| = 2, so that
@@ -337,16 +429,133 @@ def test_no_zero_block_is_stored_and_the_rest_are_unchanged():
         res = resolve_over_a(rd, pres)
         kept = dict(res.image_bases)
         assert set(kept) == set(range(1, res.length + 1))
-        every, sys = _assert_the_needed_blocks_are_solved(res, rd)
+        full, sys = _assert_the_needed_blocks_are_solved(res, rd)
         assert res.image_bases == kept
-        for J, blocks in every.items():
-            nonzero = [t for t, m in blocks.items() if not m.is_zero()]
-            skipped += len(blocks) - len(nonzero)
-            unread += len(set(nonzero) - set(sys.sigma[J]))
+        for J, blocks in full.sigma.items():
+            skipped += res.length - 2 * sum(J) + 2 - len(blocks)
+            unread += len(set(blocks) - set(sys.sigma[J]))
             pair_blocks += len(sys.sigma[J]) if sum(J) >= 2 else 0
     assert skipped > 0
     assert unread > 0
     assert pair_blocks >= 10
+
+
+def _m_star_resolution(res, rd):
+    """A fresh resolution of coker(d_L^T), its rows in -deg F_L, as
+    ``oracles.x_of_m_star`` makes it: the rows of its F_0 lie in several
+    degrees and multidegrees."""
+    L = res.length
+    return _resolve(rd, transpose(d_matrix(res, L)), None,
+                    [-d for d in res.degrees[L]])
+
+
+def _ring_rank(W, n):
+    """The rank of W's first n columns: of the grading of the ring."""
+    ring = [w[:n] for w in W]
+    return sum(1 for i, v in enumerate(ring)
+               if any(_span_reducer(ring[:i], n)(v)))
+
+
+def test_the_finest_grading_of_the_inputs():
+    """On every monomial input of the examples and the ladder, and on M*
+    of each example and benchmark input with a nonzero F, whose rows of
+    F_0 lie in several multidegrees, W grades the ring by the
+    multidegree: its first n columns have rank n, and W is the identity
+    where no column of d_1 has two terms.  W grades the ring with rank 3
+    on ``nm_n5_e2`` (two binomials in five variables) and with rank 1,
+    the total degree, on ``lin2_n5_e2``.  Everywhere the degrees read down
+    F are W times ``_mdegrees``, and ``res.degrees`` is a function of
+    them."""
+    def check(res, rd):
+        W, fdeg, degrees = _grading(res, rd)
+
+        def at(v):
+            return tuple(sum(a * b for a, b in zip(w, v)) for w in W)
+
+        rows = len(res.degrees[0])
+        assert fdeg == [at(_row_vector(rows, None, next(iter(f.terms))))
+                        for f in rd.ci]
+        assert degrees == [[at(v) for v in vs] for vs in _mdegrees(res)]
+        z = {}
+        for fine, coarse in zip(degrees, res.degrees):
+            for a, b in zip(fine, coarse):
+                assert z.setdefault(a, b) == b
+        return W
+
+    monomial = stars = 0
+    for rd, pres in _homotopy_inputs():
+        res = resolve_over_a(rd, pres)
+        if not res.length:
+            continue
+        single = all(len(col) == 1 for col in res.differentials[0])
+        if all(len(p.terms) == 1 for p in pres.entries.values()) and \
+                all(len(f.terms) == 1 for f in rd.ci):
+            W = check(res, rd)
+            assert _ring_rank(W, rd.n) == rd.n
+            if single:
+                size = rd.n + len(res.degrees[0])
+                assert W == [[int(i == j) for j in range(size)]
+                             for i in range(size)]
+            monomial += 1
+            star = _m_star_resolution(res, rd)
+            if star.length and len(star.degrees[0]) > 1:
+                assert _ring_rank(check(star, rd), rd.n) == rd.n
+                stars += 1
+    assert monomial >= 20 and stars >= 5
+    for name, rank in (("nm_n5_e2", 3), ("lin2_n5_e2", 1)):
+        session = parse_session(_slow_loci_session(name))
+        rd = session.ring_data
+        res = resolve_over_a(rd, PolyMatrix.from_rows(rd.ring,
+                                                      session.module.rows))
+        W = check(res, rd)
+        assert _ring_rank(W, rd.n) == rank
+        if rank == 1:  # the total degree, up to sign
+            assert [w[:rd.n] for w in W if any(w[:rd.n])] in (
+                [[1] * rd.n], [[-1] * rd.n])
+
+
+def test_the_blocks_of_m_star_by_its_finest_grading():
+    """On M* of the flag, ``loci_a``, ``loci_b`` and ``m2_n3_e2``, whose
+    rows of F_0 lie in several multidegrees (and, on two or more of them,
+    in several degrees), the construction solves exactly the nonzero
+    blocks of the every-block solve at the slots of ``_needed_slots``,
+    whose seed test reads both Z and the lattice, while ``_needed`` reads
+    the finest grading alone."""
+    several_z = 0
+    for name in ("flag", "loci_a", "loci_b", "m2_n3_e2"):
+        path = SESSIONS / f"{name}.session"
+        if not path.exists():
+            path = REPO / "perfbench" / "inputs" / f"{name}.session"
+        session = parse_session(path.read_text())
+        rd = session.ring_data
+        res = resolve_over_a(rd, PolyMatrix.from_rows(rd.ring,
+                                                      session.module.rows))
+        star = _m_star_resolution(res, rd)
+        assert len(set(_grading(star, rd)[2][0])) > 1
+        several_z += len(set(star.degrees[0])) > 1
+        _assert_the_needed_blocks_are_solved(star, rd)
+    assert several_z >= 2
+
+
+def test_a_map_of_f_that_is_not_homogeneous_is_an_assertion_error():
+    """Over k[x, y] / (x^2, y^2) with d_1 = [x, y], W is I_3 (x, y and the
+    row of F_0); a column of d_2 whose two terms have different
+    multidegrees, -y e_0 + y e_1, is refused, and the Koszul column
+    -y e_0 + x e_1 is read as (1, 1, 1)."""
+    A = PolyRing(GF101, ("x", "y"))
+    rd = RingData(A, [A.parse("x^2"), A.parse("y^2")])
+    d1 = matrix_of(A, [["x", "y"]]).columns_as_vectors()
+    good = FreeResolution(rd, [d1, matrix_of(A, [["-y"], ["x"]])
+                               .columns_as_vectors()],
+                          [[0], [1, 1], [2]], complete=True)
+    assert _grading(good, rd) == (
+        [[1, 0, 0], [0, 1, 0], [0, 0, 1]], [(2, 0, 0), (0, 2, 0)],
+        [[(0, 0, 1)], [(1, 0, 1), (0, 1, 1)], [(1, 1, 1)]])
+    bad = FreeResolution(rd, [d1, matrix_of(A, [["-y"], ["y"]])
+                              .columns_as_vectors()],
+                         [[0], [1, 1], [2]], complete=True)
+    with pytest.raises(AssertionError, match="not homogeneous"):
+        _grading(bad, rd)
 
 
 # Rings and ci for the generated modules, as (variables, ci, weights):
@@ -364,12 +573,14 @@ _WEIGHTED_CI_RINGS = [("x, y", "x^2, y^2", "1, 2"),
 
 
 @st.composite
-def _coker_sessions(draw, rings=_CI_RINGS, top=2):
+def _coker_sessions(draw, rings=_CI_RINGS, top=2, binomials=False):
     """A cokernel session over GF(2), GF(3), GF(101) or QQ on one of
     ``rings``, on one or two rows in degree 0: the columns f_k e_j, so
     that f annihilates M, and up to three random homogeneous columns of
     (weighted) degree 0 to ``top``, where a constant entry is a unit to
-    cancel."""
+    cancel.  With ``binomials`` every entry of a random column of a degree
+    with two monomials or more is drawn as two terms, so that the finest
+    grading of the input is often coarser than Z^n."""
     field = draw(st.sampled_from(["GF(2)", "GF(3)", "GF(101)", "QQ"]))
     names, ci, weights = draw(st.sampled_from(rings))
     names = names.split(", ")
@@ -386,9 +597,12 @@ def _coker_sessions(draw, rings=_CI_RINGS, top=2):
             continue
         col = []
         for _ in range(nrows):
+            two = 2 if binomials and len(monos) > 1 else 0
             terms = draw(st.lists(st.tuples(st.sampled_from(["1", "2", "-1"]),
                                             st.sampled_from(monos)),
-                                  max_size=2))
+                                  min_size=two, max_size=2,
+                                  unique_by=(lambda term: term[1]) if two
+                                  else None))
             col.append(" + ".join(
                 "*".join([c] + [f"{v}^{e}" for v, e in zip(names, m) if e])
                 for c, m in terms) or "0")
@@ -410,14 +624,16 @@ def _solved_session(text):
 
 
 @settings(max_examples=100, deadline=None, derandomize=True)
-@given(_coker_sessions())
+@given(st.one_of(_coker_sessions(), _coker_sessions(binomials=True)))
 @example(f"field GF(101)\n{PAIR_BLOCK_SESSION}")
 @example(f"field GF(3)\n{PAIR_BLOCK_SESSION}")
 @example(f"field QQ\n{PAIR_BLOCK_SESSION}")
 def test_column_walk_equals_the_every_block_loop(text):
     """The blocks the column walk solves are the nonzero blocks of the
     every-block loop at the slots D reads and those they are solved from,
-    entry for entry; D is the same; and the full system verifies."""
+    entry for entry; D is the same; and the full system verifies.  Half
+    the draws have binomial presentations, whose finest grading is often
+    coarser than Z^n."""
     _solved_session(text)
 
 

@@ -14,14 +14,15 @@ from jumploci.matrix import PolyMatrix, _dedupe_monic
 from jumploci.poly import Polynomial
 from jumploci.homotopy import compute_higher_homotopies
 from jumploci.resolution import PipelineError, resolve_over_a
-from jumploci.session import parse_session
-from jumploci.twisted import TwistedComplex
+from jumploci.session import build_pipeline, parse_session
+from jumploci.twisted import TwistedComplex, s_dual
 
 from conftest import (REPO, PAIR_BLOCK_SESSION, assert_twisted_complex,
                       matrix_of, matrix_sum, random_monomial_rows,
                       random_monomial_rows_3)
 from oracles import (full_system, identity_matrix, transpose,
                      verify_system, whole_matrix_rank)
+from test_loci import _slow_loci_session
 
 GF101 = GF(101)
 S2 = PolyRing(GF101, ("chi1", "chi2"), (2, 2))
@@ -466,11 +467,14 @@ def test_an_oversized_minor_table_is_refused(monkeypatch):
 # -- generic rank against the fraction-free elimination ----------------------
 
 
-def test_generic_rank_equals_the_whole_matrix_elimination():
+def test_generic_rank_equals_the_whole_matrix_elimination(monkeypatch):
     """Random block matrices with rows and columns in shuffled order, with
     1 x n, n x 1 and rank-deficient blocks, and a zero block of rows and
     columns without entries placed at random: the rank read off the
-    Hilbert numerator of the cokernel equals the elimination's."""
+    Hilbert numerator of the cokernel equals the elimination's.  Every
+    matrix takes that route, fine or not: ``fine_grading`` is patched to
+    find no potentials (the scalar route has tests of its own below)."""
+    monkeypatch.setattr(matrix, "fine_grading", lambda entries: None)
     rng = random.Random(9)
     matrices = [PolyMatrix.zero(S3, 3, 2),
                 matrix_of(S3, [["chi1", "chi2", "chi3"]]),
@@ -531,7 +535,123 @@ def test_generic_rank_equals_the_fraction_free_elimination(P):
     """The rank read off the Hilbert numerator of coker equals one
     fraction-free elimination of the whole matrix, over GF(p) and QQ,
     on inhomogeneous entries and unit entries, with zero rows and
-    columns, and on 0 x n and n x 0 matrices."""
+    columns, and on 0 x n and n x 0 matrices.  Every draw takes that
+    route, fine or not: ``fine_grading`` is patched to find no
+    potentials."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(matrix, "fine_grading", lambda entries: None)
+        assert P.generic_rank() == whole_matrix_rank(P), (P.nrows, P.ncols,
+                                                          P.entries)
+
+
+# -- the route a fine-graded matrix takes -----------------------------------
+
+
+def _ds_of(texts):
+    """D of X(M) and of s_dual(X(M)) for each session text."""
+    out = []
+    for text in texts:
+        X = build_pipeline(parse_session(text)).X
+        out += [X.D, s_dual(X).D]
+    return out
+
+
+def _assert_potentials_reproduce_exponents(P):
+    rows, cols = matrix.fine_grading(P.entries)
+    for (r, c), p in P.entries.items():
+        assert list(p.terms) == [tuple(a - b for a, b in
+                                       zip(cols[c], rows[r]))], (r, c)
+
+
+def test_every_d_of_the_sessions_and_the_ladder_is_fine(monkeypatch):
+    """The 30 D's of ``sessions/`` and ``perfbench/inputs/`` (X and its
+    dual) take the scalar route of ``generic_rank``: each is fine, its
+    potentials reproduce every entry's exponent, and its rank, with no
+    Hilbert numerator formed, is nrows minus the rank of coker read off
+    one."""
+    paths = sorted((REPO / "sessions").glob("*.session")) + \
+        sorted((REPO / "perfbench" / "inputs").glob("*.session"))
+    Ds = _ds_of(path.read_text() for path in paths)
+    assert len(Ds) == 30
+    ranks = [D.nrows - sum(matrix.module_hilbert_data(D)[2].values())
+             for D in Ds]
+
+    def not_called(mat):
+        raise AssertionError("a fine matrix formed a Hilbert numerator")
+
+    monkeypatch.setattr(matrix, "module_hilbert_data", not_called)
+    for D, rank in zip(Ds, ranks):
+        _assert_potentials_reproduce_exponents(D)
+        assert D.generic_rank() == rank
+    assert sum(len(D.entries) for D in Ds) > 200
+    assert sum(ranks) > 100
+
+
+def test_a_d_that_is_not_fine_keeps_the_hilbert_route(monkeypatch):
+    """The D's of ``nm_n4_e2`` and ``lin2_n5_e2`` (X and its dual),
+    [[chi1, chi2], [chi2, chi1]], whose cycle disagrees, and two matrices
+    of rank 2 whose two-term entry, read as either of its terms, would
+    close a consistent cycle of rank 1 are not fine; the Hilbert numerator
+    gives their rank, which equals the elimination's."""
+    mats = _ds_of(_slow_loci_session(name)
+                  for name in ("nm_n4_e2", "lin2_n5_e2"))
+    mats += [matrix_of(S2, rows) for rows in (
+        [["chi1", "chi2"], ["chi2", "chi1"]],
+        [["chi1 + chi2", "chi1"], ["chi1", "chi1"]],
+        [["chi1 + chi2", "chi2"], ["chi2", "chi2"]])]
+    numerators = []
+    hilbert = matrix.module_hilbert_data
+
+    def counting(mat):
+        numerators.append(mat)
+        return hilbert(mat)
+
+    monkeypatch.setattr(matrix, "module_hilbert_data", counting)
+    for P in mats:
+        assert matrix.fine_grading(P.entries) is None
+        assert P.generic_rank() == whole_matrix_rank(P)
+    assert numerators == mats
+
+
+@st.composite
+def _fine_matrices(draw):
+    """A fine-graded matrix over GF(2), GF(101) or QQ[chi1, chi2], of
+    shape 0..5 x 0..5: row potentials in {0, -1, -2}^2 and column ones in
+    {0, 1, 2}^2, so the entries at rows and columns both at 0 are units,
+    and each entry the monomial of exponent column - row with a nonzero
+    coefficient, about two thirds of them present.  Optionally the first
+    two rows are made proportional on the columns where both have an
+    entry, so that every 2 x 2 minor on them cancels."""
+    field = draw(st.sampled_from([GF(2), GF101, QQ]))
+    ring = PolyRing(field, ("chi1", "chi2"), (2, 2))
+    coeffs = (st.integers(1, field.p - 1) if field.p
+              else st.fractions(-3, 3, max_denominator=3).filter(bool))
+    nrows, ncols = draw(st.integers(0, 5)), draw(st.integers(0, 5))
+    pot = st.tuples(st.integers(0, 2), st.integers(0, 2))
+    rows = [draw(pot) for _ in range(nrows)]
+    cols = [draw(pot) for _ in range(ncols)]
+    scalars = {(r, c): field.coerce(draw(coeffs))
+               for r in range(nrows) for c in range(ncols)
+               if draw(st.integers(0, 2))}
+    if nrows >= 2 and draw(st.booleans()):
+        k = field.coerce(draw(coeffs))
+        for c in range(ncols):
+            if (0, c) in scalars and (1, c) in scalars:
+                scalars[1, c] = field.mul(k, scalars[0, c])
+    return PolyMatrix(ring, nrows, ncols, {
+        (r, c): ring.monomial(tuple(a + b for a, b in zip(rows[r], cols[c])),
+                              co)
+        for (r, c), co in scalars.items()})
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(_fine_matrices())
+def test_the_rank_of_a_fine_matrix_equals_the_fraction_free_elimination(P):
+    """A fine-graded matrix, with unit entries and cancelling 2 x 2
+    patterns, is found fine, with potentials that reproduce every
+    exponent, and its rank from the coefficients alone equals one
+    fraction-free elimination of the whole matrix."""
+    _assert_potentials_reproduce_exponents(P)
     assert P.generic_rank() == whole_matrix_rank(P), (P.nrows, P.ncols,
                                                       P.entries)
 
