@@ -30,18 +30,21 @@ Both leave the engine as they go in, as module vectors: the shadow terms
 keyed by the position of their column in ``kept`` (``ModuleGB._rekey``),
 which a next stage of a resolution takes as its columns, and whose kept
 columns are its differential as they stand.
-For completeness of the syzygy generators, tracked runs process every
-S-pair and apply no pair-discarding criteria.  Untracked runs install
-their pairs the Gebauer-Moeller way (J. Symb. Comp. 6, 1988), within each
-component.  Of the new pairs of an element h, only those whose lcm no
-other new lcm properly divides are queued, one per lcm; a queued pair
-(i, j) is dropped when an element k added after it has a lead dividing
-lcm(i, j) while lcm(i, k) and lcm(j, k) both differ from it, a test made
-when the pair leaves the queue.  Among the pairs with one lcm, none is
-queued when one of them is known to reduce to zero: in rank one a pair
-with coprime leads (Buchberger's first criterion), and in any rank a pair
-of two single-term vectors, whose S-vector is identically zero.  So a
-monomial input processes no pair at all.
+Every run, tracked or not, installs its pairs the Gebauer-Moeller way
+(J. Symb. Comp. 6, 1988), within each component.  Of the new pairs of an
+element h, only those whose lcm no other new lcm properly divides are
+queued, one per lcm; a queued pair (i, j) is dropped when an element k
+added after it has a lead dividing lcm(i, j) while lcm(i, k) and
+lcm(j, k) both differ from it, a test made when the pair leaves the
+queue.  Their lead syzygies generate those of the leads, so by
+Schreyer's theorem, as Moeller, Mora and Traverso use it (ISSAC 1992),
+the syzygies their reductions to zero carry, with those of the columns
+that reduce to zero, generate the syzygies of the columns.  None of the
+pairs with one lcm is queued when one is known to reduce to zero: two
+single-term vectors, whose S-vector is zero and carries no syzygy (in a
+tracked run a single-term vector has no shadow terms), and, untracked in
+rank one, coprime leads, whose Koszul syzygy a tracked run needs.  So an
+untracked run of a monomial input processes no pair at all.
 
 A graded run, given the degrees of the free generators, keys its pairs by
 module degree and settles the columns one degree at a time, keeping only
@@ -76,7 +79,7 @@ class GBStats:
     """Cumulative engine counters, reported when verbose mode is on.
 
     ``pairs_processed`` counts the S-vectors reduced and ``pairs_skipped``
-    the pairs of one component that untracked runs never reduce;
+    the pairs of one component that a run, tracked or not, never reduces;
     ``monomial_bases`` counts the ideals settled with no run."""
 
     pairs_processed = 0
@@ -128,7 +131,7 @@ class ModuleGB:
     """Groebner basis of the column span of a list of module vectors.
 
     ``track=True`` enables the shadow block, making :meth:`syzygies` and
-    :meth:`lift` available at the cost of processing all S-pairs.
+    :meth:`lift` available.
 
     Given ``row_degrees``, the degrees of the free generators, the run is
     graded and keeps only minimal generators of the columns plus
@@ -279,22 +282,16 @@ class ModuleGB:
     # -- Buchberger ------------------------------------------------------
 
     def _add_element(self, v, lead, pairs):
-        """Append ``v`` to the basis and queue its pairs: in a tracked run
-        every pair of its component, in an untracked one the
-        Gebauer-Moeller pairs of the module docstring, one per minimal
-        lcm, and none for an lcm that a pair reducing to zero shares."""
+        """Append ``v`` to the basis and queue its pairs (module docstring):
+        one per minimal lcm, none for an lcm that a pair known to reduce to
+        zero shares, coprime leads counting only in an untracked run."""
         idx = len(self.basis)
         v = self._monic(v, lead)
         self._append(v, lead)
         GBStats.basis_elements += 1
         comp, mono = lead
-        if self.track:
-            for j, (_, (jc, jm)) in enumerate(self.basis[:-1]):
-                if jc == comp:
-                    self._queue(pairs, comp, j, idx, tuple(map(max, jm, mono)))
-            return
         single = len(v) == 1
-        rank_one = self.rank == 1
+        rank_one = self.rank == 1 and not self.track
         by_lcm = {}  # lcm -> (first partner, whether a pair reduces to 0)
         for j, (g, (jc, jm)) in enumerate(self.basis[:-1]):
             if jc != comp:
@@ -328,9 +325,9 @@ class ModuleGB:
 
     def _next_pair(self, pairs):
         """Reduce the S-vector of the least queued pair and take it, unless
-        the run is untracked and the pair is superseded."""
+        the pair is superseded."""
         _, i, j, lcm = heapq.heappop(pairs)
-        if not self.track and self._superseded(i, j, lcm):
+        if self._superseded(i, j, lcm):
             GBStats.pairs_skipped += 1
             return
         GBStats.pairs_processed += 1

@@ -14,14 +14,15 @@ F_t -> F_{t + 2|J| - 1}, as F stores each d_t.  Zero blocks are not stored,
 also of a system given by dg actions: an absent block is the zero block,
 and ``sigma[J]`` may be empty.  The twisted complex reads only the
 constant terms of the blocks, and sigma_J is homogeneous of degree
-deg f_J in the input's finest grading (``_grading``: the multidegree on
-monomial input, each row of F_0 graded as finely as d_1 allows), so a
-block can have one only where some generator a of F_t and b of
-F_{t + 2|J| - 1} have deg b - deg a = deg f_J there.  Construction solves
-the identities of those blocks and of every block they are solved from
-(``_needed``), and no other: a block it leaves out has no constant term,
-by degrees, and a block it solves is the one a solve of every identity
-would give, read off the same residual through the same tracked run.
+deg f_J in the input's finest grading (``_grading``: each row of F_0
+graded as finely as d_1 allows, and the identity on monomial input whose
+columns of d_1 are single terms), so a block can have one only where some
+generator a of F_t and b of F_{t + 2|J| - 1} have deg b - deg a = deg f_J
+there.  Construction solves the identities of those blocks and of every
+block they are solved from (``_needed``), and no other: a block it leaves
+out has no constant term, by degrees, and a block it solves is the one a
+solve of every identity would give, read off the same residual through the
+same tracked run.
 It solves the defining relations degreewise (``_walk``): the residual of
 an identity on each basis vector of F_t is summed from these columns and
 d's by the product kernel of ``groebner`` (``add_image``, then

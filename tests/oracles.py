@@ -23,6 +23,10 @@ construction, and no command runs them:
   theorem compares its invariants with those of X(M);
 - the sum of two module vectors term by term (``vec_add``), where the
   program forms S-vectors with ``groebner.add_image``;
+- a Groebner run that reduces the S-vector of every pair of one
+  component (``EveryPairGB``), where the program queues one pair per
+  minimal lcm and drops pairs by Gebauer-Moeller's chain test, tracked
+  or not;
 - the presentation of the dual module, with concentration decided from
   the syzygies of the transposed differentials rather than from
   Auslander-Buchsbaum as ``Pipeline.dual_is_module`` decides it;
@@ -49,7 +53,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from operator import add
 
-from jumploci.groebner import Ideal, ModuleGB, vector_of
+from jumploci.groebner import GBStats, Ideal, ModuleGB, vector_of
 from jumploci.homotopy import (HigherHomotopySystem, _multi_indices,
                                _solving_order, compute_higher_homotopies,
                                dualize_homotopies)
@@ -99,6 +103,23 @@ def vec_add(fld, a, b, coeff=None, shift=None):
         else:
             out.pop((comp, m), None)
     return out
+
+
+class EveryPairGB(ModuleGB):
+    """Reduces every pair of one component, tracked or not: no coprime or
+    single-term skip, and no Gebauer-Moeller pruning."""
+
+    def _add_element(self, v, lead, pairs):
+        idx = len(self.basis)
+        self._append(self._monic(v, lead), lead)
+        GBStats.basis_elements += 1
+        for j, (_, jlead) in enumerate(self.basis[:-1]):
+            if jlead[0] == lead[0]:
+                lcm = tuple(max(a, b) for a, b in zip(jlead[1], lead[1]))
+                self._queue(pairs, lead[0], j, idx, lcm)
+
+    def _superseded(self, i, j, lcm):
+        return False
 
 
 def syzygy_matrix(mat: PolyMatrix) -> PolyMatrix:

@@ -10,13 +10,15 @@ from hypothesis import example, given, settings, strategies as st
 
 from jumploci import GF, QQ, PolyRing
 from jumploci.groebner import (GBStats, Ideal, ModuleGB, _hilbert_num,
-                               _minimalize, dimension_and_multiplicity,
-                               module_hilbert_data, vector_of)
+                               _minimalize, add_image,
+                               dimension_and_multiplicity,
+                               module_hilbert_data, reduced, vector_of)
 from jumploci.poly import Polynomial
 from jumploci.matrix import PolyMatrix
 
 from conftest import matrix_of
-from oracles import identity_matrix, normal_form, syzygy_matrix, vec_add
+from oracles import (EveryPairGB, identity_matrix, normal_form, syzygy_matrix,
+                     vec_add)
 
 GF5 = GF(5)
 GF101 = GF(101)
@@ -602,23 +604,6 @@ def test_pivot_numerator_of_a_long_staircase(N, limit_s):
 # -- single-term pairs and heap-ordered reduction --------------------------
 
 
-class _EveryPairGB(ModuleGB):
-    """Reduces every pair of one component, tracked or not: no coprime or
-    single-term skip, and no Gebauer-Moeller pruning."""
-
-    def _add_element(self, v, lead, pairs):
-        idx = len(self.basis)
-        self._append(self._monic(v, lead), lead)
-        GBStats.basis_elements += 1
-        for j, (_, jlead) in enumerate(self.basis[:-1]):
-            if jlead[0] == lead[0]:
-                lcm = tuple(max(a, b) for a, b in zip(jlead[1], lead[1]))
-                self._queue(pairs, lead[0], j, idx, lcm)
-
-    def _superseded(self, i, j, lcm):
-        return False
-
-
 def _real_lead(gb, v):
     """The largest real term of ``v``, found by a scan, or None."""
     real = [term for term in v if term[0] < gb.rank]
@@ -683,7 +668,7 @@ def test_skipping_single_term_pairs_keeps_the_reduced_basis():
             for _ in range(8):
                 cols = _random_columns(rng, R, rank, kind)
                 assert (ModuleGB(R, rank, cols).basis
-                        == _EveryPairGB(R, rank, cols).basis), cols
+                        == EveryPairGB(R, rank, cols).basis), cols
 
 
 def test_monomial_input_processes_no_pair():
@@ -694,56 +679,109 @@ def test_monomial_input_processes_no_pair():
     gb = ModuleGB(R, 2, cols)
     assert GBStats.pairs_processed == before
     assert len(gb.basis) == 5
-    _EveryPairGB(R, 2, cols)
+    EveryPairGB(R, 2, cols)
     assert GBStats.pairs_processed > before
 
 
-R3W = PolyRing(GF101, ("x", "y", "z"), (1, 2, 1))
+_RINGS3W = [PolyRing(field, ("x", "y", "z"), (1, 2, 1))
+            for field in (GF(2), GF101, QQ)]
 _EXPONENTS3 = st.tuples(*[st.integers(min_value=0, max_value=2)] * 3)
 
 
 @st.composite
 def _pair_criteria_input(draw):
-    """Rank 1 to 3 over x, y, z of weights (1, 2, 1), and columns of one
-    to three terms; graded inputs get row degrees, homogeneous columns
-    and ``modulo`` vectors."""
+    """A ring x, y, z of weights (1, 2, 1) over GF(2), GF(101) or QQ, rank
+    1 to 3, columns of one to three terms, unit entries among them, and
+    probes for ``lift``: vectors in and out of the span of the columns.
+    Graded inputs get row degrees, homogeneous columns and ``modulo``
+    vectors."""
+    R = draw(st.sampled_from(_RINGS3W))
+    fld = R.field
     rank = draw(st.integers(min_value=1, max_value=3))
     graded = draw(st.booleans())
     row_degrees = ([draw(st.integers(min_value=0, max_value=2))
                     for _ in range(rank)] if graded else None)
 
+    def scalar():
+        n, den = draw(st.integers(1, 100)), draw(st.integers(1, 3))
+        return fld.coerce(n) if fld.p else fld.coerce(n) / den
+
     def vector():
         terms = draw(st.lists(st.tuples(
-            st.integers(min_value=0, max_value=rank - 1), _EXPONENTS3,
-            st.integers(min_value=1, max_value=100)), min_size=1, max_size=3))
+            st.integers(min_value=0, max_value=rank - 1), _EXPONENTS3),
+            min_size=1, max_size=3))
         if graded:  # keep the terms of the first term's degree
-            deg = [R3W.wdeg(m) + row_degrees[c] for c, m, _ in terms]
+            deg = [R.wdeg(m) + row_degrees[c] for c, m in terms]
             terms = [t for t, d in zip(terms, deg) if d == deg[0]]
-        return {(c, m): a for c, m, a in terms}
+        return {t: c for t in terms if (c := scalar())}
 
     columns = [vector() for _ in range(draw(st.integers(0, 6)))]
-    modulo = ([vector() for _ in range(draw(st.integers(0, 2)))]
+    modulo = ([v for _ in range(draw(st.integers(0, 2))) if (v := vector())]
               if graded else ())
-    return rank, columns, row_degrees, modulo
+    probes = [vector() for _ in range(draw(st.integers(0, 2)))]
+    if columns:  # a combination of monomial multiples of the columns
+        acc = {}
+        add_image(columns, {(draw(st.integers(0, len(columns) - 1)),
+                             draw(_EXPONENTS3)): scalar()
+                            for _ in range(draw(st.integers(1, 3)))}, acc)
+        probes.append(reduced(acc, fld.p))
+    return R, rank, columns, row_degrees, modulo, probes
 
 
-@settings(max_examples=200, deadline=None, derandomize=True)
-@given(case=_pair_criteria_input())
-def test_gebauer_moeller_pairs_keep_the_basis(case):
-    """Untracked runs with the Gebauer-Moeller pairs against the run that
-    reduces every pair: the same reduced basis, and for a graded run the
-    same ``kept`` and two bases that reduce each other's elements to zero
-    (both are Groebner bases through the top column degree)."""
-    rank, columns, row_degrees, modulo = case
-    gb = ModuleGB(R3W, rank, columns, row_degrees=row_degrees, modulo=modulo)
-    ref = _EveryPairGB(R3W, rank, columns, row_degrees=row_degrees,
-                       modulo=modulo)
-    if row_degrees is None:
+def _monomial_columns(*monos):
+    """An ungraded case of rank one whose columns are ``monos``."""
+    R = _RINGS3W[1]
+    return R, 1, [vector_of(R.parse(m)) for m in monos], None, (), []
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(case=_pair_criteria_input(), track=st.booleans())
+@example(case=_monomial_columns("x*y", "y*z", "x*z"), track=True)
+@example(case=_monomial_columns("x^2*z", "y*z^2", "x^2"), track=True)
+@example(case=_monomial_columns("y*z^2", "x^2*z", "x^2"), track=True)
+def test_gebauer_moeller_pairs_keep_the_basis(case, track):
+    """Runs with the Gebauer-Moeller pairs against the run that reduces
+    every pair (``oracles.EveryPairGB``), tracked or not.  An ungraded,
+    untracked run leaves the same reduced basis.  Otherwise the two runs
+    keep the same columns, and their bases reduce each other's elements to
+    zero: both are Groebner bases, through the top column degree for a
+    graded untracked run.  The syzygies of a tracked run lie in the span
+    of the reference's and back, and its lifts exist where the
+    reference's do, each solving v + sum_i c_i * column_i = 0 modulo
+    ``modulo``, over the kept columns.
+
+    On monomial columns the syzygies are the lead syzygies, so a pair the
+    chain test drops wrongly loses one.  The examples: three leads whose
+    pairwise lcms are all x*y*z, where no lead makes a pair of the other
+    two redundant; and x^2*z, y*z^2, x^2, with the first two in either
+    order: x^2 divides the lcm L of the first pair and its lcm with y*z^2
+    is L, so that pair of x^2 is not queued (its lcm is not minimal) and
+    the chain test must keep the first pair."""
+    R, rank, columns, row_degrees, modulo, probes = case
+    runs = [cls(R, rank, columns, track=track, row_degrees=row_degrees,
+                modulo=modulo) for cls in (ModuleGB, EveryPairGB)]
+    gb, ref = runs
+    if row_degrees is None and not track:
         assert gb.basis == ref.basis
         return
     assert list(gb.kept) == list(ref.kept)
-    for a, b in ((gb, ref), (ref, gb)):
+    for a, b in (runs, runs[::-1]):
         assert all(not a.normal_form(v) for v, _ in b.basis)
+    if not track:
+        return
+    kept = [columns[j] for j in gb.kept]
+    syzygies = [run.syzygies() for run in runs]
+    for a, b in (syzygies, syzygies[::-1]):
+        span = ModuleGB(R, len(kept), a)
+        assert all(span.contains(s) for s in b)
+    quotient = ModuleGB(R, rank, list(modulo))
+    for v in columns + probes:
+        c = gb.lift(v)
+        assert (c is None) == (ref.lift(v) is None)
+        if c is not None:
+            acc = dict(v)
+            add_image(kept, c, acc)
+            assert quotient.contains(reduced(acc, R.field.p))
 
 
 def test_gebauer_moeller_pairs_are_fewer():
@@ -755,7 +793,7 @@ def test_gebauer_moeller_pairs_are_fewer():
     before = GBStats.snapshot()
     gb = ModuleGB(R, 1, cols)
     mid = GBStats.snapshot()
-    ref = _EveryPairGB(R, 1, cols)
+    ref = EveryPairGB(R, 1, cols)
     after = GBStats.snapshot()
     assert gb.basis == ref.basis
     processed = mid["pairs_processed"] - before["pairs_processed"]

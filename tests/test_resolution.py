@@ -11,7 +11,7 @@ from hypothesis import example, given, settings
 from jumploci import GF, PolyRing
 from jumploci.matrix import PolyMatrix
 from jumploci.poly import Polynomial
-from jumploci.groebner import (Ideal, ModuleGB, add_image,
+from jumploci.groebner import (GBStats, Ideal, ModuleGB, add_image,
                                module_hilbert_data, reduced)
 from jumploci.resolution import (RingData, PipelineError, FreeResolution,
                                  resolve_over_a, resolve_over_b,
@@ -564,6 +564,33 @@ def test_resolution_over_a_builds_one_tracked_run_per_stage(monkeypatch):
         assert all(res.image_bases[t] is gb
                    for t, (gb, *_) in enumerate(runs, 1))
     assert 0 in lengths and max(lengths) >= 3
+
+
+# ``nm_n7_e2``: three binomial relations over A = k[x0..x6]/(x0^2..x6^2)
+_NM_N7_E2 = """field GF(101)
+ring x0, x1, x2, x3, x4, x5, x6
+ci x0^2, x1^2, x2^2, x3^2, x4^2, x5^2, x6^2
+module coker [[x0*x1 + x2*x3, x1*x2 + 2*x3*x4, x4*x5 + x0*x6, x0^2, x1^2, \
+x2^2, x3^2, x4^2, x5^2, x6^2]]
+"""
+
+
+def test_tracked_runs_drop_the_pairs_that_reduce_to_zero():
+    """A guard on the resolution of ``nm_n7_e2``, by counts.  Its tracked
+    runs install pairs as the untracked runs do, so it reduces at most
+    2,500 S-vectors (7,128 when every pair of a component was reduced)
+    and still has the Betti numbers below.  Over B = A, with no f,
+    ``resolve_over_b`` through the same length takes the same stages, its
+    last one untracked, and finds the same degrees."""
+    session = parse_session(_NM_N7_E2)
+    rd = session.ring_data
+    pres = PolyMatrix.from_rows(rd.ring, session.module.rows)
+    before = GBStats.pairs_processed
+    res = resolve_over_a(rd, pres)
+    assert GBStats.pairs_processed - before <= 2500
+    assert list(res.betti().values()) == [1, 10, 65, 176, 246, 189, 75, 12]
+    over_b = resolve_over_b(RingData(rd.ring, ()), pres, res.length)
+    assert over_b.degrees == res.degrees
 
 
 def _old_split_unit_entries(cols, rank: int, row_degrees, field):
