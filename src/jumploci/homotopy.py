@@ -26,13 +26,14 @@ same tracked run.
 It solves the defining relations degreewise (``_walk``): the residual of
 an identity on each basis vector of F_t is summed from these columns and
 d's by the product kernel of ``groebner`` (``add_image``, then
-``reduced``), and a nonzero one is lifted through the tracked run d came
-from.  Only the identities whose residual can be nonzero are walked.
-The lift contract v + d c = 0 makes each solved identity hold, so none
-is formed again; checked at run time is that each lift exists.  No
-identity at the top, where sigma_J[t] would leave F, is formed: a full
-system exists when f is a regular sequence that annihilates M, so they
-hold.
+``reduced``), with sigma_J' o sigma_J'' for each splitting of J whose
+blocks are stored (``_splittings``), and a nonzero one is lifted through
+the tracked run d came from.  Only the identities whose residual can be
+nonzero are walked.  The lift contract v + d c = 0 makes each solved
+identity hold, so none is formed again; checked at run time is that each
+lift exists.  No identity at the top, where sigma_J[t] would leave F, is
+formed: a full system exists when f is a regular sequence that
+annihilates M, so they hold.
 
 Dualization along Hom_A(-, A) is plain blockwise transposition, which
 preserves all identities because each relation is symmetric in the
@@ -51,7 +52,7 @@ import functools
 import itertools
 import math
 from fractions import Fraction
-from operator import add, mul
+from operator import add, le, mul, sub
 
 from .groebner import add_image, reduced, transposed
 from .poly import Polynomial
@@ -85,10 +86,21 @@ def _solving_order(c, L):
     which the identities can be solved: e_1..e_c, then each higher total
     in the order of ``_multi_indices``.  The identity of J at degree t
     lands in F_{t + 2|J| - 2}, so identities exist only for
-    2|J| - 2 <= L.  Cached: the need set and the walk both read it."""
+    2|J| - 2 <= L.  Cached: the need set, the walk and ``_splittings``
+    read it."""
     return tuple((total, tuple(_unit(c, i) for i in range(c)) if total == 1
                   else tuple(_multi_indices(c, total)))
                  for total in range(1, L // 2 + 2))
+
+
+@functools.cache
+def _splittings(J):
+    """(J', J'', |J''|) for every splitting J' + J'' = J into nonzero
+    parts, by |J''| ascending, then J' in solving order."""
+    total = sum(J)
+    order = dict(_solving_order(len(J), 2 * total - 2))  # totals 1..|J|
+    return tuple((Jp, tuple(map(sub, J, Jp)), s) for s in range(1, total)
+                 for Jp in order[total - s] if all(map(le, Jp, J)))
 
 
 def _walk(res: FreeResolution, rd: RingData, blocks, need=None):
@@ -105,37 +117,29 @@ def _walk(res: FreeResolution, rd: RingData, blocks, need=None):
     blocks are given: every identity is walked, the top ones too, and a
     given block enters its identity as d o sigma_J[t].
 
-    Before the multi-indices of one total are walked, the products
-    sigma_J'[t + 2|J''| - 1] o sigma_J''[t] are paired up over the stored
-    nonzero blocks of lower totals only, grouped by (J' + J'', t).  An
-    identity is visited when it has such a product, when sigma_J[t - 1]
-    or (given) sigma_J[t] is stored (the terms with d), or when |J| = 1
-    (the term f_i * id); every other residual is zero by construction.
+    An identity reads the products sigma_J'[t + 2|J''| - 1] o sigma_J''[t]
+    of ``_splittings(J)`` straight from ``blocks``, in that order, where
+    the blocks of lower totals are final.  It is visited when one of them
+    has both blocks stored, when sigma_J[t - 1] or (given) sigma_J[t] is
+    stored (the terms with d), or when |J| = 1 (the term f_i * id); every
+    other residual is zero by construction.
     """
     given = need is None
     L = res.length
     ranks = res.betti()
     p = rd.ring.field.p
     d = [None] + res.differentials
-    levels = [None]  # levels[s]: t -> [(J, sigma_J[t])] for |J| = s
     for total, Js in _solving_order(rd.c, L):
         deg = 2 * total - 1
-        products = {}
-        for s in range(1, total):  # s = |J''|, total - s = |J'|
-            highs = levels[total - s]
-            for t, lows in levels[s].items():
-                for Jp, a in highs.get(t + 2 * s - 1, ()):
-                    for Jpp, b in lows:
-                        products.setdefault(
-                            (tuple(map(add, Jp, Jpp)), t), []).append((a, b))
-        level = {}
         for J in Js:
             own = blocks.setdefault(J, {})
             f = rd.ci[J.index(1)].terms if total == 1 else {}
             for t in range(L - deg + 2 if given else need.get(J, -1) + 1):
                 if t in own and not given:
                     continue
-                pairs = products.get((J, t), [])
+                pairs = [(blocks[Jp][t + 2 * s - 1], blocks[Jpp][t])
+                         for Jp, Jpp, s in _splittings(J)
+                         if t + 2 * s - 1 in blocks[Jp] and t in blocks[Jpp]]
                 if t - 1 in own:
                     pairs.append((own[t - 1], d[t]))
                 if t in own:
@@ -149,9 +153,6 @@ def _walk(res: FreeResolution, rd: RingData, blocks, need=None):
                         if v:
                             add_image(a, v, acc)
                 yield J, t, [acc and reduced(acc, p) for acc in accs]
-            for t, b in own.items():
-                level.setdefault(t, []).append((J, b))
-        levels.append(level)
 
 
 def _grading(res: FreeResolution, rd: RingData):
@@ -231,11 +232,11 @@ def _needed(res: FreeResolution, rd: RingData) -> dict:
     to 35 multidegrees in one F_t, and no seed).  The set is the closure
     of the seeds under the blocks an identity reads: solving (J, t) reads
     sigma_J[t - 1], and sigma_J''[t] and sigma_J'[t + 2|J''| - 1] for each
-    splitting J' + J'' = J.  The first is in the set as it stands, and so
-    is the second once the third is, since J'' is the J' of the splitting
-    J'' + J' at t + 2|J'| - 1 >= t.  The third is of lower total, so one
-    pass over the totals from the top down closes the set.  Every identity
-    in it has its block inside F."""
+    splitting J' + J'' = J (``_splittings``, the walk's list).  The first
+    is in the set as it stands, and so is the second once the third is,
+    since J'' is the J' of the splitting J'' + J' at t + 2|J'| - 1 >= t.
+    The third is of lower total, so one pass over the totals from the top
+    down closes the set.  Every identity in it has its block inside F."""
     L = res.length
     degrees = [set(degs) for degs in res.degrees]
     fdeg = rd.ci_degrees
@@ -258,10 +259,8 @@ def _needed(res: FreeResolution, rd: RingData) -> dict:
                     top[J] = t
     for total in range(len(order), 1, -1):
         for J in [J for J in top if sum(J) == total]:
-            for Jp in itertools.product(*(range(a + 1) for a in J)):
-                s = total - sum(Jp)  # |J''|
-                if s and s < total:
-                    top[Jp] = max(top.get(Jp, -1), top[J] + 2 * s - 1)
+            for Jp, _, s in _splittings(J):
+                top[Jp] = max(top.get(Jp, -1), top[J] + 2 * s - 1)
     return top
 
 

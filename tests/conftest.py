@@ -39,6 +39,36 @@ NON_DESCENDING_CHAINS = {
 }
 
 
+def _squares_session(n, entries, field="GF(101)"):
+    """coker [[entries, x0^2, .., x(n-1)^2]] over k[x0..x(n-1)]/(x_i^2)."""
+    names = [f"x{i}" for i in range(n)]
+    squares = ", ".join(f"{v}^2" for v in names)
+    return (f"field {field}\nring {', '.join(names)}\nci {squares}\n"
+            f"module coker [[{entries}, {squares}]]\n")
+
+
+# The session texts of the ladder of ROADMAP "Measurements", by name
+# (``past_tate`` is its past-Tate module); ``sq_n6_e2`` is a file of
+# ``perfbench/inputs``.
+LADDER = {
+    "nm_n4_e2": _squares_session(4, "x0*x1 + x2*x3, x0*x2 + 3*x1*x3"),
+    "nm_n4_qq": _squares_session(4, "x0*x1 + x2*x3, x0*x2 + 3*x1*x3", "QQ"),
+    "lin2_n5_e2": _squares_session(
+        5, "x0 + x1 + x2, x1 + 2*x3 + 5*x4, x2*x3 + x0*x4"),
+    "nm_n5_e2": _squares_session(5, "x0*x1 + x2*x3, x1*x2 + 2*x3*x4"),
+    "lin_n6_e2": _squares_session(6, "x0 + x1 + x2, x3 + 2*x4 + 3*x5"),
+    "nm_n6_e2": _squares_session(
+        6, "x0*x1 + x2*x3, x1*x2 + 2*x3*x4, x4*x5 + x0*x2"),
+    "nm_n7_e2": _squares_session(
+        7, "x0*x1 + x2*x3, x1*x2 + 2*x3*x4, x4*x5 + x0*x6"),
+    "nm_n8_e2": _squares_session(
+        8, "x0*x1 + x2*x3, x1*x2 + 2*x3*x4, x4*x5 + x6*x7"),
+    "past_tate": "field GF(101)\nring x0, x1, x2, x3, x4, x5\n"
+                 "ci x0^4, x1^4\n"
+                 "module coker [[x0^4, x1^4, x2*x3 - x4*x5 + x0*x1]]\n",
+}
+
+
 def matrix_of(ring, rows):
     return PolyMatrix.from_rows(ring, [[ring.parse(e) for e in row]
                                        for row in rows])

@@ -20,12 +20,12 @@ from jumploci.homotopy import (HigherHomotopySystem, compute_higher_homotopies,
 from jumploci.session import parse_session
 from jumploci.twisted import build_twisted_complex
 
-from conftest import (REPO, SESSIONS, PAIR_BLOCK_SESSION, matrix_of,
-                      matrix_sum, random_monomial_rows, random_monomial_rows_3)
+from conftest import (LADDER, REPO, SESSIONS, PAIR_BLOCK_SESSION,
+                      matrix_of, matrix_sum, random_monomial_rows,
+                      random_monomial_rows_3)
 from oracles import (_block, _identities, _splittings, d_matrix,
                      dualize_and_verify, every_block_system, full_system,
                      identity_matrix, transpose, vec_add, verify_system)
-from test_loci import _slow_loci_session
 
 GF101 = GF(101)
 
@@ -373,8 +373,9 @@ _BINOMIAL_MODULES = ["x0*x1 + x2*x3, x1*x2 + 2*x0*x3", "x0 + x1 + x2, x3"]
 def _homotopy_inputs():
     """(rd, presentation) for every coker session of the examples and of the
     benchmark ladder, for the module with nonzero blocks at |J| = 2 over
-    GF(101) and QQ, for ``nm_n4_e2`` and ``nm_n5_e2`` (``test_loci``),
-    whose blocks at |J| = 2 have constant terms, for two binomial modules
+    GF(101) and QQ, for ``nm_n4_e2`` and ``nm_n5_e2`` (``LADDER``), whose
+    blocks at |J| = 2 have constant terms, for ``lin_n6_e2``, whose need
+    set stores nonzero blocks at |J| = 3, for two binomial modules
     over GF(101)[x0..x3] / (x0^2, .., x3^2) whose need sets hold blocks
     at |J| = 2 and whose finest grading is coarser than Z^4 but finer
     than Z (``_BINOMIAL_MODULES``), for random monomial modules over
@@ -386,7 +387,7 @@ def _homotopy_inputs():
     texts = [path.read_text() for path in paths]
     texts += [f"field {field}\n{PAIR_BLOCK_SESSION}"
               for field in ("GF(101)", "QQ")]
-    texts += [_slow_loci_session(name) for name in ("nm_n4_e2", "nm_n5_e2")]
+    texts += [LADDER[name] for name in ("nm_n4_e2", "nm_n5_e2", "lin_n6_e2")]
     squares = "x0^2, x1^2, x2^2, x3^2"
     texts += [f"field GF(101)\nring x0, x1, x2, x3\nci {squares}\n"
               f"module coker [[{entries}, {squares}]]\n"
@@ -420,10 +421,12 @@ def test_no_zero_block_is_stored_and_the_rest_are_unchanged():
     ``resolve_over_a`` took each d_t from, and builds no other; the
     every-block solve builds fresh graded runs over d_t's columns.  Some
     inputs have zero blocks, some have nonzero blocks at |J| = 2, so that
-    the walk's pair products are compared too, and some have nonzero
-    blocks that D does not read, which are not solved."""
+    the walk's pair products are compared too, one has them at |J| = 3,
+    whose products have a factor of |J| = 2, and some have nonzero blocks
+    that D does not read, which are not solved."""
     skipped = 0
     pair_blocks = 0
+    triple_blocks = 0
     unread = 0
     for rd, pres in _homotopy_inputs():
         res = resolve_over_a(rd, pres)
@@ -435,9 +438,11 @@ def test_no_zero_block_is_stored_and_the_rest_are_unchanged():
             skipped += res.length - 2 * sum(J) + 2 - len(blocks)
             unread += len(set(blocks) - set(sys.sigma[J]))
             pair_blocks += len(sys.sigma[J]) if sum(J) >= 2 else 0
+            triple_blocks += len(sys.sigma[J]) if sum(J) >= 3 else 0
     assert skipped > 0
     assert unread > 0
     assert pair_blocks >= 10
+    assert triple_blocks > 0
 
 
 def _m_star_resolution(res, rd):
@@ -503,7 +508,7 @@ def test_the_finest_grading_of_the_inputs():
                 stars += 1
     assert monomial >= 20 and stars >= 5
     for name, rank in (("nm_n5_e2", 3), ("lin2_n5_e2", 1)):
-        session = parse_session(_slow_loci_session(name))
+        session = parse_session(LADDER[name])
         rd = session.ring_data
         res = resolve_over_a(rd, PolyMatrix.from_rows(rd.ring,
                                                       session.module.rows))

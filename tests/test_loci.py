@@ -24,7 +24,7 @@ from jumploci.loci import (crk_at, jump_locus_ideal, jump_loci_report,
                            duality_check, realize,
                            stable_betti_oracle, RouteDisagreement)
 
-from conftest import (REPO, SESSIONS, PAIR_BLOCK_SESSION,
+from conftest import (LADDER, REPO, SESSIONS, PAIR_BLOCK_SESSION,
                       assert_twisted_complex, koszul_block, matrix_of,
                       random_monomial_rows, random_homogeneous,
                       random_twisted_complex)
@@ -407,23 +407,6 @@ def test_betti_tail_equals_the_interpolation_fit(text, n):
 # -- the Hilbert numerator of H(X) ------------------------------------------
 
 
-# Non-monomial inputs whose jump loci take seconds to minutes; their
-# Betti-side data takes well under a second.
-_SLOW_LOCI_SESSIONS = {
-    "nm_n4_e2": (4, "x0*x1 + x2*x3, x0*x2 + 3*x1*x3"),
-    "lin2_n5_e2": (5, "x0 + x1 + x2, x1 + 2*x3 + 5*x4, x2*x3 + x0*x4"),
-    "nm_n5_e2": (5, "x0*x1 + x2*x3, x1*x2 + 2*x3*x4"),
-}
-
-
-def _slow_loci_session(name):
-    n, entries = _SLOW_LOCI_SESSIONS[name]
-    names = [f"x{i}" for i in range(n)]
-    squares = ", ".join(f"{v}^2" for v in names)
-    return (f"field GF(101)\nring {', '.join(names)}\nci {squares}\n"
-            f"module coker [[{entries}, {squares}]]\n")
-
-
 def _random_module_session(rng, field, binomials):
     """A cyclic module over k[x,y,z]/(x^3, y^3, z^3) or k[x,y,z]/(x^2, y^2)
     with one to three random homogeneous relations of degree 1 to 3, each
@@ -448,7 +431,9 @@ def _numerator_inputs():
              + sorted(BENCH_INPUTS.glob("*.session"))]
     texts += [f"field {field}\n{PAIR_BLOCK_SESSION}"
               for field in ("GF(101)", "QQ")]
-    texts += [_slow_loci_session(name) for name in _SLOW_LOCI_SESSIONS]
+    # non-monomial inputs whose jump loci take seconds to minutes; their
+    # Betti-side data takes well under a second
+    texts += [LADDER[name] for name in ("nm_n4_e2", "lin2_n5_e2", "nm_n5_e2")]
     rng = random.Random(83)
     texts += [_random_module_session(rng, field, binomials)
               for field in ("GF(101)", "QQ") for binomials in (0.0, 0.6)
@@ -566,13 +551,13 @@ def test_x_of_m_star_from_its_own_presentation_is_the_s_dual(path):
 
 
 # Inputs on which ``compute`` and ``dual`` stop at ``MAX_MINOR_WORK``;
-# the complexity and the Betti degree need no minors.  (name, session,
-# (cx, Betti degree)); ``nm_n6_e2`` and ``lin_n6_e2`` are cokernels over
-# GF(101)[x0..x5] / (x_i^2) as in ``_slow_loci_session``.
+# the complexity and the Betti degree need no minors.  (name of a
+# ``LADDER`` session or of a file of ``perfbench/inputs``, (cx, Betti
+# degree)).
 _PAST_THE_MINOR_WALL = [
-    ("nm_n6_e2", "x0*x1 + x2*x3, x1*x2 + 2*x3*x4, x4*x5 + x0*x2", (6, 128)),
-    ("sq_n6_e2", None, (4, 8)),
-    ("lin_n6_e2", "x0 + x1 + x2, x3 + 2*x4 + 3*x5", (6, 32)),
+    ("nm_n6_e2", (6, 128)),
+    ("sq_n6_e2", (4, 8)),
+    ("lin_n6_e2", (6, 32)),
 ]
 
 
@@ -590,19 +575,14 @@ def _cx_and_betti_degree(X):
     return cx, mults.pop()
 
 
-@pytest.mark.parametrize("name, entries, expected", _PAST_THE_MINOR_WALL,
-                         ids=[name for name, _, _ in _PAST_THE_MINOR_WALL])
-def test_x_of_m_star_past_the_minor_wall(name, entries, expected):
+@pytest.mark.parametrize("name, expected", _PAST_THE_MINOR_WALL,
+                         ids=[name for name, _ in _PAST_THE_MINOR_WALL])
+def test_x_of_m_star_past_the_minor_wall(name, expected):
     """The paper's duality theorem where the jump loci are out of reach:
     X(M), X(M*) built afresh from M* = coker(d_L^T) (``x_of_m_star``) and
     s_dual(X(M)) agree on (complexity, Betti degree), read off h alone."""
-    if entries is None:
-        text = (REPO / "perfbench" / "inputs" / f"{name}.session").read_text()
-    else:
-        names = ", ".join(f"x{i}" for i in range(6))
-        squares = ", ".join(f"x{i}^2" for i in range(6))
-        text = (f"field GF(101)\nring {names}\nci {squares}\n"
-                f"module coker [[{entries}, {squares}]]\n")
+    text = LADDER.get(name) or (
+        REPO / "perfbench" / "inputs" / f"{name}.session").read_text()
     pipe = build_pipeline(parse_session(text))
     assert pipe.dual_is_module
     _, X_star = x_of_m_star(pipe)
@@ -1137,20 +1117,26 @@ def test_oracle_takes_the_tate_route_up_to_its_size_limit(monkeypatch,
         assert calls == resolved, limit
 
 
-@pytest.mark.parametrize("ring, ci, row", [
+def _ring_ci_row(text):
+    """The test id of a one-row cokernel session: ring, ci and row."""
+    ring, ci, module = text.splitlines()[1:]
+    return f"{ring[len('ring '):]}-{ci[len('ci '):]}-" \
+        f"{module[len('module coker [['):-2]}"
+
+
+@pytest.mark.parametrize("text", [
     # dim M = 4: one piece of 80,960 basis elements, 49,427 of them of M
-    ("x0, x1, x2, x3, x4, x5", "x0^6", "x0^6, x1*x2 - x3*x4 + x5^2"),
+    "field GF(101)\nring x0, x1, x2, x3, x4, x5\nci x0^6\n"
+    "module coker [[x0^6, x1*x2 - x3*x4 + x5^2]]\n",
     # dim M = 3: about 57,000 basis elements over the pieces of a point
-    ("x0, x1, x2, x3, x4, x5", "x0^4, x1^4",
-     "x0^4, x1^4, x2*x3 - x4*x5 + x0*x1"),
-])
+    LADDER["past_tate"],
+], ids=_ring_ci_row)
 def test_oracle_resolves_over_the_sections_past_the_size_limit(
-        monkeypatch, capsys, tmp_path, ring, ci, row):
+        monkeypatch, capsys, tmp_path, text):
     """M of infinite length in many variables: the Tate complex is far
     past ``MAX_TATE_DIM``, so the first point stops building it at the
     limit, with the basis of M filled no further, and every point is
     resolved over its section, with the values of ``resolve_over_b``."""
-    text = f"field GF(101)\nring {ring}\nci {ci}\nmodule coker [[{row}]]\n"
     session = parse_session(text)
     pipe = build_pipeline(session)
     rd = pipe.rd

@@ -17,12 +17,11 @@ from jumploci.resolution import PipelineError, resolve_over_a
 from jumploci.session import build_pipeline, parse_session
 from jumploci.twisted import TwistedComplex, s_dual
 
-from conftest import (REPO, PAIR_BLOCK_SESSION, assert_twisted_complex,
-                      matrix_of, matrix_sum, random_monomial_rows,
-                      random_monomial_rows_3)
+from conftest import (LADDER, REPO, PAIR_BLOCK_SESSION,
+                      assert_twisted_complex, matrix_of, matrix_sum,
+                      random_monomial_rows, random_monomial_rows_3)
 from oracles import (full_system, identity_matrix, transpose,
                      verify_system, whole_matrix_rank)
-from test_loci import _slow_loci_session
 
 GF101 = GF(101)
 S2 = PolyRing(GF101, ("chi1", "chi2"), (2, 2))
@@ -593,8 +592,7 @@ def test_a_d_that_is_not_fine_keeps_the_hilbert_route(monkeypatch):
     of rank 2 whose two-term entry, read as either of its terms, would
     close a consistent cycle of rank 1 are not fine; the Hilbert numerator
     gives their rank, which equals the elimination's."""
-    mats = _ds_of(_slow_loci_session(name)
-                  for name in ("nm_n4_e2", "lin2_n5_e2"))
+    mats = _ds_of(LADDER[name] for name in ("nm_n4_e2", "lin2_n5_e2"))
     mats += [matrix_of(S2, rows) for rows in (
         [["chi1", "chi2"], ["chi2", "chi1"]],
         [["chi1 + chi2", "chi1"], ["chi1", "chi1"]],

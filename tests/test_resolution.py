@@ -23,7 +23,8 @@ from jumploci.loci import crk_at
 from jumploci.session import build_pipeline, parse_session
 from jumploci.twisted import build_twisted_complex
 
-from conftest import REPO, SESSIONS, matrix_of, random_monomial_rows
+from conftest import (LADDER, REPO, SESSIONS, matrix_of,
+                      random_monomial_rows)
 from test_homotopy import _coker_sessions
 import oracles
 from oracles import (TruncationNeeded, check_complex, d_matrix,
@@ -566,23 +567,15 @@ def test_resolution_over_a_builds_one_tracked_run_per_stage(monkeypatch):
     assert 0 in lengths and max(lengths) >= 3
 
 
-# ``nm_n7_e2``: three binomial relations over A = k[x0..x6]/(x0^2..x6^2)
-_NM_N7_E2 = """field GF(101)
-ring x0, x1, x2, x3, x4, x5, x6
-ci x0^2, x1^2, x2^2, x3^2, x4^2, x5^2, x6^2
-module coker [[x0*x1 + x2*x3, x1*x2 + 2*x3*x4, x4*x5 + x0*x6, x0^2, x1^2, \
-x2^2, x3^2, x4^2, x5^2, x6^2]]
-"""
-
-
 def test_tracked_runs_drop_the_pairs_that_reduce_to_zero():
-    """A guard on the resolution of ``nm_n7_e2``, by counts.  Its tracked
-    runs install pairs as the untracked runs do, so it reduces at most
+    """A guard on the resolution of ``nm_n7_e2`` (``LADDER``: three
+    binomial relations over k[x0..x6] / (x0^2..x6^2)), by counts.  Its
+    tracked runs install pairs as the untracked runs do, so it reduces at most
     2,500 S-vectors (7,128 when every pair of a component was reduced)
     and still has the Betti numbers below.  Over B = A, with no f,
     ``resolve_over_b`` through the same length takes the same stages, its
     last one untracked, and finds the same degrees."""
-    session = parse_session(_NM_N7_E2)
+    session = parse_session(LADDER["nm_n7_e2"])
     rd = session.ring_data
     pres = PolyMatrix.from_rows(rd.ring, session.module.rows)
     before = GBStats.pairs_processed
