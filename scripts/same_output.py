@@ -1,0 +1,79 @@
+#!/usr/bin/env python3
+"""Check that two source trees print the same thing for the same inputs.
+
+For each session file, the commands ``compute``, ``dual``, ``crk``,
+``betti --n 12`` and ``oracle --points 3 --seed 1`` run in fresh
+interpreters (``python -m jumploci.cli``) with ``PYTHONDONTWRITEBYTECODE=1``
+and ``PYTHONPATH`` set to the tree's ``src``, every job of TREE_A first,
+then every job of TREE_B.  Each job whose standard output, standard error
+or exit code differs between the trees is reported, and the script exits 1
+if any does.  ``--commands`` runs a subset of the five, such as ``crk``
+alone on inputs whose other commands are slow.
+
+Usage: python scripts/same_output.py TREE_A TREE_B FILE...
+           [--commands compute,dual,crk,betti,oracle]
+"""
+
+import argparse
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+JOBS = {
+    "compute": ["compute"],
+    "dual": ["dual"],
+    "crk": ["crk"],
+    "betti": ["betti", "--n", "12"],
+    "oracle": ["oracle", "--points", "3", "--seed", "1"],
+}
+
+
+def run_tree(tree, files, commands):
+    """{(file, command): (exit code, stdout, stderr)} for one tree."""
+    env = dict(os.environ, PYTHONPATH=str(tree / "src"),
+               PYTHONDONTWRITEBYTECODE="1")
+    out = {}
+    for path in files:
+        for name in commands:
+            proc = subprocess.run(
+                [sys.executable, "-m", "jumploci.cli", *JOBS[name],
+                 "--input", str(path)],
+                cwd=tree, env=env, capture_output=True)
+            out[(path, name)] = (proc.returncode, proc.stdout, proc.stderr)
+    return out
+
+
+def main() -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
+    parser.add_argument("tree_a", type=Path)
+    parser.add_argument("tree_b", type=Path)
+    parser.add_argument("files", type=Path, nargs="+")
+    parser.add_argument("--commands", default=",".join(JOBS))
+    args = parser.parse_args()
+    commands = args.commands.split(",")
+    unknown = [c for c in commands if c not in JOBS]
+    if unknown:
+        parser.error(f"unknown command(s): {', '.join(unknown)}")
+    files = [f.resolve() for f in args.files]
+    a = run_tree(args.tree_a.resolve(), files, commands)
+    b = run_tree(args.tree_b.resolve(), files, commands)
+    differ = 0
+    for job, (code_a, out_a, err_a) in a.items():
+        code_b, out_b, err_b = b[job]
+        parts = [name for name, same in (("stdout", out_a == out_b),
+                                         ("stderr", err_a == err_b),
+                                         ("exit code", code_a == code_b))
+                 if not same]
+        if parts:
+            differ += 1
+            print(f"DIFFER {job[0].name} {job[1]}: {', '.join(parts)} "
+                  f"(exit {code_a} vs {code_b})")
+    failing = sum(code != 0 for code, _, _ in a.values())
+    print(f"{len(a)} jobs, {differ} differ; {failing} exit nonzero "
+          f"in {args.tree_a}")
+    return 1 if differ else 0
+
+
+if __name__ == "__main__":
+    raise SystemExit(main())

@@ -10,12 +10,13 @@ the image of a vector under a map given by its columns, and ``reduced``
 reduces the sum once.  S-vectors, ``@`` and the homotopy walk run on it,
 and the duals of F and its homotopies on ``transposed``.
 
-Division (``ModuleGB._reduce_full``) never scans.  A basis indexes its
-leads by component, in basis order (``ModuleGB.leads``, where the Hilbert
-data, the Krull dimension and the Tate basis read them too), so a term
-looks for its reducer only among the leads of its own component and
-takes the first that divides it: the reducer a scan of the whole basis
-would pick.  The terms wait in a heap keyed by the grevlex keys that the
+A basis is stored once, by component: ``ModuleGB.leads[r]`` lists the
+(lead monomial, element) pairs whose lead lies in component r, in the
+order they were added.  Division, pairs, the Hilbert data, the Krull
+dimension and the Tate basis all read it.  Division
+(``ModuleGB._reduce_full``) never scans: a term looks for its reducer
+only among the leads of its own component and takes the first that
+divides it.  The terms wait in a heap keyed by the grevlex keys that the
 ring caches per monomial, and the division returns the lead of its
 remainder, the first term it moved there, so no caller rescans the
 remainder for it.
@@ -31,9 +32,11 @@ keyed by the position of their column in ``kept`` (``ModuleGB._rekey``),
 which a next stage of a resolution takes as its columns, and whose kept
 columns are its differential as they stand.
 Every run, tracked or not, installs its pairs the Gebauer-Moeller way
-(J. Symb. Comp. 6, 1988), within each component.  Of the new pairs of an
-element h, only those whose lcm no other new lcm properly divides are
-queued, one per lcm; a queued pair (i, j) is dropped when an element k
+(J. Symb. Comp. 6, 1988), within each component: a pair is named by its
+component r and the positions i < j of its elements in ``leads[r]``, and
+only that list is scanned for it.  Of the new pairs of an element h, only
+those whose lcm no other new lcm properly divides are queued, one per
+lcm; a queued pair (i, j) is dropped when an element k of its component
 added after it has a lead dividing lcm(i, j) while lcm(i, k) and
 lcm(j, k) both differ from it, a test made when the pair leaves the
 queue.  Their lead syzygies generate those of the leads, so by
@@ -79,8 +82,10 @@ class GBStats:
     """Cumulative engine counters, reported when verbose mode is on.
 
     ``pairs_processed`` counts the S-vectors reduced and ``pairs_skipped``
-    the pairs of one component that a run, tracked or not, never reduces;
-    ``monomial_bases`` counts the ideals settled with no run."""
+    the pairs that a run, tracked or not, never reduces, each pair of two
+    elements of one component's ``ModuleGB.leads``; ``basis_elements``
+    counts the elements added to those lists; ``monomial_bases`` counts
+    the ideals settled with no run."""
 
     pairs_processed = 0
     pairs_skipped = 0
@@ -151,8 +156,10 @@ class ModuleGB:
     basis through that degree only.
 
     ``leads[r]`` lists the (lead monomial, vector) pairs of component r,
-    in basis order.  After an ungraded, untracked run (``_interreduce``)
-    its monomials are minimal and distinct.
+    in the order they were added; it is the one store of the basis, and a
+    queued pair is named by r and two positions in it.  After an
+    ungraded, untracked run (``_interreduce``) its monomials are minimal
+    and distinct, in descending term order.
     """
 
     def __init__(self, ring: PolyRing, rank: int, columns, track: bool = False,
@@ -163,7 +170,7 @@ class ModuleGB:
         self.track = track
         self.row_degrees = row_degrees
         self._syzygies = []
-        self._set_basis([])
+        self.leads = [[] for _ in range(rank)]
         if row_degrees is not None:
             self.kept = self._run_by_degree(columns, modulo)
             return
@@ -188,22 +195,11 @@ class ModuleGB:
         and interreduced: ``basis`` lists its monic (vector, lead) pairs."""
         gb = cls.__new__(cls)
         gb.ring, gb.rank, gb.track = ring, rank, False
-        gb._set_basis(basis)
+        gb.leads = [[] for _ in range(rank)]
+        for v, (comp, mono) in basis:
+            gb.leads[comp].append((mono, v))
         gb._interreduce()
         return gb
-
-    # -- basis and lead index ----------------------------------------------
-
-    def _set_basis(self, basis):
-        """Replace the basis, and index its leads (``leads``)."""
-        self.basis = []
-        self.leads = [[] for _ in range(self.rank)]
-        for v, lead in basis:
-            self._append(v, lead)
-
-    def _append(self, v, lead):
-        self.basis.append((v, lead))
-        self.leads[lead[0]].append((lead[1], v))
 
     # -- term order ------------------------------------------------------
 
@@ -223,10 +219,10 @@ class ModuleGB:
         only the terms it creates, and a popped term that has since
         cancelled is skipped, so each step reduces the largest live term,
         with no rescan of the vector.  The reducer of a term is the first
-        divisor of its monomial in the lead index of its own component,
-        that is, the first in basis order.  A term with no reducer moves
-        to the remainder, and no later step creates a term above it, so
-        the first term moved is the lead of the remainder.
+        divisor of its monomial in ``leads`` of its own component.  A term
+        with no reducer moves to the remainder, and no later step creates
+        a term above it, so the first term moved is the lead of the
+        remainder.
         """
         fld = self.ring.field
         rank = self.rank
@@ -282,39 +278,39 @@ class ModuleGB:
     # -- Buchberger ------------------------------------------------------
 
     def _add_element(self, v, lead, pairs):
-        """Append ``v`` to the basis and queue its pairs (module docstring):
-        one per minimal lcm, none for an lcm that a pair known to reduce to
-        zero shares, coprime leads counting only in an untracked run."""
-        idx = len(self.basis)
+        """Append ``v`` to the leads of its component and queue its pairs
+        with the earlier elements there (module docstring): one per
+        minimal lcm, none for an lcm that a pair known to reduce to zero
+        shares, coprime leads counting only in an untracked run."""
         v = self._monic(v, lead)
-        self._append(v, lead)
         GBStats.basis_elements += 1
         comp, mono = lead
+        own = self.leads[comp]
+        idx = len(own)
         single = len(v) == 1
         rank_one = self.rank == 1 and not self.track
         by_lcm = {}  # lcm -> (first partner, whether a pair reduces to 0)
-        for j, (g, (jc, jm)) in enumerate(self.basis[:-1]):
-            if jc != comp:
-                continue
+        for j, (jm, g) in enumerate(own):
             lcm = tuple(map(max, jm, mono))
             # a zero S-vector, or coprime leads (rank one only)
             zero = ((single and len(g) == 1)
                     or (rank_one and not any(map(min, jm, mono))))
             first, known = by_lcm.get(lcm, (j, False))
             by_lcm[lcm] = (first, known or zero)
+        own.append((mono, v))
         queued = 0
         for lcm in _minimalize(by_lcm):
             j, zero = by_lcm[lcm]
             if not zero:
                 self._queue(pairs, comp, j, idx, lcm)
                 queued += 1
-        GBStats.pairs_skipped += len(self.leads[comp]) - 1 - queued
+        GBStats.pairs_skipped += idx - queued
 
     def _queue(self, pairs, comp, j, idx, lcm):
         key = self.ring.mono_key(lcm)
         if self.row_degrees is not None:
             key = (key[0] + self.row_degrees[comp], key)
-        heapq.heappush(pairs, (key, j, idx, lcm))
+        heapq.heappush(pairs, (key, comp, j, idx, lcm))
 
     def _run_buchberger(self, seeded):
         pairs = []
@@ -324,29 +320,32 @@ class ModuleGB:
             self._next_pair(pairs)
 
     def _next_pair(self, pairs):
-        """Reduce the S-vector of the least queued pair and take it, unless
-        the pair is superseded."""
-        _, i, j, lcm = heapq.heappop(pairs)
-        if self._superseded(i, j, lcm):
+        """Reduce the S-vector of the least queued pair, elements i and j
+        of the leads of its component, and take it, unless the pair is
+        superseded."""
+        _, comp, i, j, lcm = heapq.heappop(pairs)
+        own = self.leads[comp]
+        if self._superseded(own, i, j, lcm):
             GBStats.pairs_skipped += 1
             return
         GBStats.pairs_processed += 1
-        (gi, li), (gj, lj) = self.basis[i], self.basis[j]
-        si = tuple(map(sub, lcm, li[1]))
-        sj = tuple(map(sub, lcm, lj[1]))
+        (mi, gi), (mj, gj) = own[i], own[j]
+        si = tuple(map(sub, lcm, mi))
+        sj = tuple(map(sub, lcm, mj))
         acc = {}
         add_image((gi, gj), {(0, si): 1, (1, sj): -1}, acc)
         s = reduced(acc, self.ring.field.p)
         self._take(*self._reduce_full(s), pairs)
 
-    def _superseded(self, i, j, lcm) -> bool:
-        """Whether an element k of the component, added after the pair
-        (i, j) was queued, has a lead dividing its lcm that neither
-        lcm(i, k) nor lcm(j, k) equals (the module docstring)."""
-        comp, mi = self.basis[i][1]
-        mj = self.basis[j][1][1]
-        for _, (kc, km) in self.basis[j + 1:]:
-            if (kc == comp and all(map(le, km, lcm))
+    @staticmethod
+    def _superseded(own, i, j, lcm) -> bool:
+        """Whether an element k of the leads ``own`` of the pair's
+        component, added after the pair (i, j) was queued, has a lead
+        dividing its lcm that neither lcm(i, k) nor lcm(j, k) equals (the
+        module docstring)."""
+        mi, mj = own[i][0], own[j][0]
+        for km, _ in own[j + 1:]:
+            if (all(map(le, km, lcm))
                     and tuple(map(max, km, mi)) != lcm
                     and tuple(map(max, km, mj)) != lcm):
                 return True
@@ -419,20 +418,22 @@ class ModuleGB:
 
     def _interreduce(self):
         """Keep, per component, the first element for each minimal lead
-        (``_minimalize``), then tail-reduce, in ascending lead order, for
-        the unique reduced basis, left in descending order."""
+        (``_minimalize``), then tail-reduce, in ascending term order, for
+        the unique reduced basis, each component's leads left in
+        descending order."""
         keep = {}
         for comp, leads in enumerate(self.leads):
             first = dict(reversed(leads))  # lead -> its first element
             keep.update(((comp, m), first[m]) for m in _minimalize(first))
-        self._set_basis([])
+        self.leads = [[] for _ in range(self.rank)]
         for lead in sorted(keep, key=self._term_key):
             g = keep[lead]
             if len(g) > 1:  # a one-term element has no tail
                 tail = {k: c for k, c in g.items() if k != lead}
                 g = {**self._reduce_full(tail)[0], lead: g[lead]}
-            self._append(g, lead)
-        self._set_basis(self.basis[::-1])
+            self.leads[lead[0]].append((lead[1], g))
+        for own in self.leads:
+            own.reverse()
 
     # -- public API ------------------------------------------------------
 
@@ -526,11 +527,8 @@ class Ideal:
         return self._gb
 
     def groebner_generators(self):
-        out = []
-        for v, _ in self._basis().basis:
-            terms = {m: c for (_, m), c in v.items()}
-            out.append(Polynomial(self.ring, terms))
-        return out
+        return [Polynomial(self.ring, {m: c for (_, m), c in v.items()})
+                for _, v in self._basis().leads[0]]
 
     def reduced(self) -> "Ideal":
         """Same ideal, regenerated by its reduced Groebner basis."""
@@ -585,9 +583,9 @@ class Ideal:
     def _squarefree_roots(self):
         """The squarefree parts of the basis monomials, which generate the
         radical, or None when the basis is not monomial."""
-        basis = self._basis().basis
-        if all(len(v) == 1 for v, _ in basis):
-            return [tuple(min(e, 1) for e in lead[1]) for _, lead in basis]
+        leads = self._basis().leads[0]
+        if all(len(v) == 1 for _, v in leads):
+            return [tuple(min(e, 1) for e in m) for m, _ in leads]
         return None
 
     def radical_contains_ideal(self, other: "Ideal") -> bool:
@@ -595,7 +593,7 @@ class Ideal:
 
     def same_variety(self, other: "Ideal") -> bool:
         # equal reduced bases mean equal ideals
-        if self._basis().basis == other._basis().basis:
+        if self._basis().leads == other._basis().leads:
             return True
         return (self.radical_contains_ideal(other)
                 and other.radical_contains_ideal(self))

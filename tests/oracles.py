@@ -110,15 +110,16 @@ class EveryPairGB(ModuleGB):
     single-term skip, and no Gebauer-Moeller pruning."""
 
     def _add_element(self, v, lead, pairs):
-        idx = len(self.basis)
-        self._append(self._monic(v, lead), lead)
+        comp, mono = lead
+        own = self.leads[comp]
+        for j, (jm, _) in enumerate(own):
+            lcm = tuple(max(a, b) for a, b in zip(jm, mono))
+            self._queue(pairs, comp, j, len(own), lcm)
+        own.append((mono, self._monic(v, lead)))
         GBStats.basis_elements += 1
-        for j, (_, jlead) in enumerate(self.basis[:-1]):
-            if jlead[0] == lead[0]:
-                lcm = tuple(max(a, b) for a, b in zip(jlead[1], lead[1]))
-                self._queue(pairs, lead[0], j, idx, lcm)
 
-    def _superseded(self, i, j, lcm):
+    @staticmethod
+    def _superseded(own, i, j, lcm):
         return False
 
 

@@ -216,6 +216,19 @@ def _module_degree(vector, row_degrees):
     return A3.wdeg(mono) + row_degrees[comp]
 
 
+class _AddOrderGB(ModuleGB):
+    """A run that records its elements in the order it adds them, across
+    components."""
+
+    def __init__(self, *args):
+        self.added = []
+        super().__init__(*args)
+
+    def _add_element(self, v, lead, pairs):
+        self.added.append(v)
+        super()._add_element(v, lead, pairs)
+
+
 def test_graded_run_settles_one_degree_at_a_time():
     """The basis of a graded run grows in ascending module degree, so no
     pair above degree d is processed before the degree-d columns are
@@ -229,9 +242,9 @@ def test_graded_run_settles_one_degree_at_a_time():
         cols = _column_set(rng, row_degrees)
         top = max(_module_degree(c, row_degrees) for c in cols if c)
         for track in (False, True):
-            gb = ModuleGB(A3, rank, cols, track, row_degrees,
-                          rd.quotient_columns(rank))
-            degrees = [_module_degree(g, row_degrees) for g, _ in gb.basis]
+            gb = _AddOrderGB(A3, rank, cols, track, row_degrees,
+                             rd.quotient_columns(rank))
+            degrees = [_module_degree(g, row_degrees) for g in gb.added]
             assert degrees == sorted(degrees)
             if track:
                 above_top |= degrees[-1] > top

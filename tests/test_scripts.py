@@ -18,6 +18,7 @@ from conftest import REPO
     ("oracle_vs_crk.py", ["--points", "2"]),
     ("startup_time.py", ["--n", "1"]),
     ("statement_census.py", ["sessions/final.session"]),
+    ("same_output.py", [".", ".", "sessions/final.session"]),
 ])
 def test_script_runs(script, args):
     proc = subprocess.run([sys.executable, str(REPO / "scripts" / script),

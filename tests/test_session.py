@@ -286,7 +286,7 @@ def test_build_pipeline_makes_one_run_per_stage_and_the_ci_ideals(
     if ci_runs:
         assert runs[-1][0] is ci_basis
     else:
-        assert all(len(v) == 1 for v, _ in ci_basis.basis)
+        assert all(len(v) == 1 for _, v in ci_basis.leads[0])
 
 
 def test_build_pipeline_complex_route():
