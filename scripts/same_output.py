@@ -2,13 +2,14 @@
 """Check that two source trees print the same thing for the same inputs.
 
 For each session file, the commands ``compute``, ``dual``, ``crk``,
-``betti --n 12`` and ``oracle --points 3 --seed 1`` run in fresh
-interpreters (``python -m jumploci.cli``) with ``PYTHONDONTWRITEBYTECODE=1``
-and ``PYTHONPATH`` set to the tree's ``src``, every job of TREE_A first,
-then every job of TREE_B.  Each job whose standard output, standard error
-or exit code differs between the trees is reported, and the script exits 1
-if any does.  ``--commands`` runs a subset of the five, such as ``crk``
-alone on inputs whose other commands are slow.
+``betti --n 12`` and ``oracle --points 3 --seed 1`` run, and for each
+chain file (``.chain``) the command ``realize``, in fresh interpreters
+(``python -m jumploci.cli``) with ``PYTHONDONTWRITEBYTECODE=1`` and
+``PYTHONPATH`` set to the tree's ``src``, every job of TREE_A first, then
+every job of TREE_B.  Each job whose standard output, standard error or
+exit code differs between the trees is reported, and the script exits 1
+if any does.  ``--commands`` runs a subset of the five on the session
+files, such as ``crk`` alone on inputs whose other commands are slow.
 
 Usage: python scripts/same_output.py TREE_A TREE_B FILE...
            [--commands compute,dual,crk,betti,oracle]
@@ -29,16 +30,23 @@ JOBS = {
 }
 
 
+def jobs_of(path, commands):
+    """{command: argv} for one file: ``realize`` on a chain file, the
+    chosen commands on a session file."""
+    if path.suffix == ".chain":
+        return {"realize": ["realize", "--chain", str(path)]}
+    return {name: [*JOBS[name], "--input", str(path)] for name in commands}
+
+
 def run_tree(tree, files, commands):
     """{(file, command): (exit code, stdout, stderr)} for one tree."""
     env = dict(os.environ, PYTHONPATH=str(tree / "src"),
                PYTHONDONTWRITEBYTECODE="1")
     out = {}
     for path in files:
-        for name in commands:
+        for name, argv in jobs_of(path, commands).items():
             proc = subprocess.run(
-                [sys.executable, "-m", "jumploci.cli", *JOBS[name],
-                 "--input", str(path)],
+                [sys.executable, "-m", "jumploci.cli", *argv],
                 cwd=tree, env=env, capture_output=True)
             out[(path, name)] = (proc.returncode, proc.stdout, proc.stderr)
     return out

@@ -156,7 +156,7 @@ def _read_text(path: str) -> str:
 def cmd_compute(session: Session, args) -> dict:
     pipe = build_pipeline(session)
     rep = jump_loci_report(pipe.X)
-    return report_dict(rep, bass_degree=betti_degree(pipe.X_dual))
+    return report_dict(rep, bass_degree=betti_degree(pipe.X_dual)[1])
 
 
 def cmd_dual(session: Session, args) -> dict:

@@ -63,9 +63,9 @@ Krull dimensions are read off the leading monomials alone: dim F/U =
 dim F/in(U), the largest dimension of S/J_r over the components r of
 in(U) = sum J_r e_r, and dim S/J is the size of the largest set of
 variables containing the support of no minimal generator of J
-(Kredel-Weispfenning, J. Symb. Comp. 6, 1988).  Hilbert numerators, which
-``module_hilbert_data`` needs for the multiplicity, the Betti numbers and
-the generic rank of a matrix, come from Bigatti's pivot recursion (J. Pure
+(Kredel-Weispfenning, J. Symb. Comp. 6, 1988).  Hilbert numerators, off
+which the complexity, Betti degree and Betti numbers are read, and the
+generic rank of a matrix, come from Bigatti's pivot recursion (J. Pure
 Appl. Algebra 119, 1997).
 """
 
@@ -607,13 +607,11 @@ class Ideal:
 
 
 def module_hilbert_data(mat, row_shifts=None, weights=None):
-    """Hilbert data of coker(mat) as a graded module over mat.ring.
-
-    ``row_shifts`` are integer degree shifts of the target generators in
-    the chosen regrading; ``weights`` regrade the variables (defaults to
-    the ring weights).  Returns ``(dimension, multiplicity, numerator)``,
-    the numerator keyed by degree, below 0 too when a shift is negative;
-    the zero module reports ``(-1, None, {})``.  The leads of each
+    """The Hilbert numerator of coker(mat) as a graded module over
+    mat.ring, keyed by degree, below 0 too when a shift is negative; the
+    zero module gives {}.  ``row_shifts`` are integer degree shifts of the
+    target generators in the chosen regrading; ``weights`` regrade the
+    variables (defaults to the ring weights).  The leads of each
     component (``ModuleGB.leads``) are minimal and distinct after the
     untracked run, so they are the generators ``_hilbert_num`` takes.
     """
@@ -631,8 +629,7 @@ def module_hilbert_data(mat, row_shifts=None, weights=None):
             total[d + shift] = total.get(d + shift, 0) + c
             if not total[d + shift]:
                 del total[d + shift]
-    dim, mult = dimension_and_multiplicity(total, ring.nvars)
-    return (dim, mult, total)
+    return total
 
 
 def dimension_and_multiplicity(num, nvars: int):

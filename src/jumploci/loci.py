@@ -12,9 +12,11 @@ rank: only ``crk`` prints the generic crk, through ``crk_at``.  Every
 Betti-side invariant comes from one Hilbert numerator h of H(X) over S,
 with P_M(t) = h(t)/(1 - t^2)^c: the Betti numbers expand it, the
 quasi-polynomial of their tail is one binomial sum over h on each
-parity, and the Betti degree reads the dimension and multiplicity of its
-even and odd parts.  The tests check that twice the Betti degree is the
-generic crk where the complexity is c.
+parity, and the complexity and the Betti degree are the dimension and
+multiplicity of its even and odd parts.  The tests check the complexity
+against dim V^1, off the minors (Avramov-Buchweitz, Invent. Math. 142,
+2000), and twice the Betti degree against the generic crk where the
+complexity is c.
 h is read off the numerator h_C of coker D, one untracked column basis:
 D raises the cohomological degree u by one and D^2 = 0, so
 h = (1 + 1/t) h_C - (1/t) sum_i t^{u_i} for any D, minimal or not.
@@ -95,6 +97,9 @@ def jump_locus_ideal(X: TwistedComplex, i: int) -> Ideal:
 
 
 class JumpLociReport:
+    """The jump loci of one complex, off the minors of D, and its
+    complexity and Betti degree, off h (``betti_degree``)."""
+
     def __init__(self, rank: int, per_index: list, complexity: int,
                  betti_degree: int):
         self.rank = rank
@@ -128,29 +133,21 @@ class JumpLociReport:
 
 def jump_loci_report(X: TwistedComplex) -> JumpLociReport:
     r = X.rank
-    if r == 0:
-        return JumpLociReport(0, [], 0, None)
     # only indices of the rank's parity can jump
-    start = 2 if r % 2 == 0 else 1
     per_index = []
-    for i in range(start, r + 1, 2):
+    for i in range(2 - r % 2, r + 1, 2):
         I = jump_locus_ideal(X, i)
         per_index.append((i, I, I.dimension()))
-    # the complexity is dim V^1, and V^1 = V^2 when the rank is even
-    cx = per_index[0][2]
-    bdeg = betti_degree(X) if cx >= 1 else None
-    return JumpLociReport(r, per_index, cx, bdeg)
+    return JumpLociReport(r, per_index, *betti_degree(X))
 
 
 def complexity_of(X: TwistedComplex) -> int:
-    """Krull dimension of H(X) = Ext, from its homology presentation.
-
-    The reports read the complexity as dim V^1 and ``betti_degree`` from
-    the parts of H(X); this independent route is the tests' oracle.
-    """
+    """Krull dimension of H(X) = Ext, off the leads of one Groebner run
+    of its homology presentation (``ModuleGB.dimension``): the tests'
+    oracle of the complexity that ``betti_degree`` reads off h."""
     mat, _ = homology_presentation(minimalize(X))
-    dim, _, _ = module_hilbert_data(mat, [0] * mat.nrows, (1,) * X.S.nvars)
-    return max(dim, 0)
+    gb = ModuleGB(mat.ring, mat.nrows, mat.columns_as_vectors())
+    return max(gb.dimension(), 0)
 
 
 def _ext_numerator(X: TwistedComplex):
@@ -167,7 +164,7 @@ def _ext_numerator(X: TwistedComplex):
     """
     c = X.S.nvars
     u = [coh for coh, _ in X.basis_degrees]
-    _, _, h_c = module_hilbert_data(X.D, u, (2,) * c)
+    h_c = module_hilbert_data(X.D, u, (2,) * c)
     h = {}
     for d, v in h_c.items():
         h[d] = h.get(d, 0) + v
@@ -235,8 +232,9 @@ def betti_numbers(X: TwistedComplex, n: int):
     return dict(enumerate(beta)), tail
 
 
-def betti_degree(X: TwistedComplex) -> int:
-    """Multiplicity of the even part of Ext in the degree-1 regrading, or
+def betti_degree(X: TwistedComplex) -> tuple:
+    """(complexity, Betti degree): the Krull dimension of Ext, at least 0,
+    and the multiplicity of its even part in the degree-1 regrading, or
     None when the complexity is 0.
 
     H(X) = Ext is the direct sum of its even and odd parts, S-modules whose
@@ -247,7 +245,7 @@ def betti_degree(X: TwistedComplex) -> int:
     complexity is the larger of the two dimensions, and only a part of that
     dimension carries a multiplicity.  Cross-checked against the odd part.
     For X = X(M) from the minimal resolution of M these are the complexity
-    and the Betti degree of M.
+    and the Betti degree of M (Avramov, Infinite free resolutions, 1998).
     """
     h, c = _ext_numerator(X)
     parts = []
@@ -256,12 +254,12 @@ def betti_degree(X: TwistedComplex) -> int:
         parts.append(dimension_and_multiplicity(part, c))
     complexity = max(dim for dim, _ in parts)
     if complexity <= 0:
-        return None
+        return max(complexity, 0), None
     e_even, e_odd = (mult if dim == complexity else 0 for dim, mult in parts)
     if e_even != e_odd:
         raise AssertionError(
             f"even/odd multiplicities disagree: {e_even} != {e_odd}")
-    return e_even
+    return complexity, e_even
 
 
 # -- duality --------------------------------------------------------------

@@ -182,8 +182,7 @@ class PolyMatrix:
             for (r, c), p in self.entries.items():
                 rows.setdefault(r, {})[c] = next(iter(p.terms.values()))
             return scalar_rank(rows.values(), self.ring.field)
-        _, _, numerator = module_hilbert_data(self)
-        return self.nrows - sum(numerator.values())
+        return self.nrows - sum(module_hilbert_data(self).values())
 
     # -- minors ----------------------------------------------------------
 

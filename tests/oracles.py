@@ -6,6 +6,9 @@ construction, and no command runs them:
 
 - the generic rank of a matrix by one fraction-free elimination, where
   the program reads it off the Hilbert numerator of the cokernel;
+- the dimension and multiplicity of a cokernel with its Hilbert
+  numerator (``hilbert_data``), which the program reads only for the
+  parts of Ext;
 - the jump ideals by the exterior-power Fitting route, and the
   additivity of jump loci over direct sums;
 - a system of higher homotopies that solves every identity
@@ -53,7 +56,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from operator import add
 
-from jumploci.groebner import GBStats, Ideal, ModuleGB, vector_of
+from jumploci.groebner import (GBStats, Ideal, ModuleGB,
+                               dimension_and_multiplicity,
+                               module_hilbert_data, vector_of)
 from jumploci.homotopy import (HigherHomotopySystem, _multi_indices,
                                _solving_order, compute_higher_homotopies,
                                dualize_homotopies)
@@ -151,6 +156,15 @@ def exact_divide(p: Polynomial, divisor: Polynomial) -> Polynomial:
             else:
                 rem.pop(mono, None)
     return Polynomial(p.ring, out)
+
+
+def hilbert_data(mat: PolyMatrix, row_shifts=None, weights=None):
+    """(dimension, multiplicity, numerator) of coker(mat): the numerator
+    of ``module_hilbert_data`` and what ``dimension_and_multiplicity``
+    reads off it in the ring's number of variables; the zero module gives
+    ``(-1, None, {})``."""
+    num = module_hilbert_data(mat, row_shifts, weights)
+    return (*dimension_and_multiplicity(num, mat.ring.nvars), num)
 
 
 def whole_matrix_rank(mat: PolyMatrix) -> int:

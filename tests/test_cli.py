@@ -273,7 +273,7 @@ def test_betti_tails_have_the_leading_terms_of_the_theorem(capfd, path):
         assert code == 1 and "MAX_MINOR_WORK" in err
         pipe = build_pipeline(parse_session(path.read_text()))
         cx = None
-        degrees = betti_degree(pipe.X), betti_degree(pipe.X_dual)
+        degrees = betti_degree(pipe.X)[1], betti_degree(pipe.X_dual)[1]
     data = _run_json(capfd, ["betti", "--input", str(path), "--n", "200"])
     blocks = [data] if data["dual"] is None else [data, data["dual"]]
     leading = set()
@@ -813,8 +813,10 @@ def test_a_zero_ci_generator_is_named_as_zero(capfd, tmp_path, field, ci,
 def test_verbose_prints_engine_stats(capfd, monkeypatch):
     """Every ideal of the Koszul session is monomial, so it runs no
     Groebner basis at all.  The perfect session's ideals are monomial
-    too; its one untracked run, the Hilbert data of Ext in rank 4, skips
-    the pair of two single-term vectors."""
+    too.  Its complexity, 0, is read off the Hilbert numerator of Ext, so
+    ``compute`` makes two untracked runs in rank 4, for X and for its dual
+    (the Bass degree); each adds three elements and skips the pair of two
+    single-term vectors."""
     monkeypatch.setenv("JUMPLOCI_VERBOSE", "1")
     code, out, err = _run(capfd, ["compute", "--input", KOSZUL])
     assert code == 0
@@ -822,5 +824,5 @@ def test_verbose_prints_engine_stats(capfd, monkeypatch):
                    "zero_reductions=0, basis_elements=0, monomial_bases=2\n")
     code, out, err = _run(capfd, ["compute", "--input", PERFECT])
     assert code == 0
-    assert err == ("engine: pairs_processed=1, pairs_skipped=1, "
-                   "zero_reductions=1, basis_elements=6, monomial_bases=3\n")
+    assert err == ("engine: pairs_processed=1, pairs_skipped=2, "
+                   "zero_reductions=1, basis_elements=9, monomial_bases=3\n")

@@ -11,14 +11,14 @@ from hypothesis import example, given, settings, strategies as st
 from jumploci import GF, QQ, PolyRing
 from jumploci.groebner import (GBStats, Ideal, ModuleGB, _hilbert_num,
                                _minimalize, add_image,
-                               dimension_and_multiplicity,
-                               module_hilbert_data, reduced, vector_of)
+                               dimension_and_multiplicity, reduced,
+                               vector_of)
 from jumploci.poly import Polynomial
 from jumploci.matrix import PolyMatrix
 
 from conftest import matrix_of
-from oracles import (EveryPairGB, identity_matrix, normal_form, syzygy_matrix,
-                     vec_add)
+from oracles import (EveryPairGB, hilbert_data, identity_matrix, normal_form,
+                     syzygy_matrix, vec_add)
 
 GF5 = GF(5)
 GF101 = GF(101)
@@ -220,14 +220,14 @@ def test_membership_agrees_with_linear_algebra():
 def test_hilbert_free_rank_one_three_variables():
     S = PolyRing(GF101, ("chi1", "chi2", "chi3"))
     mat = PolyMatrix.zero(S, 1, 0)
-    dim, mult, num = module_hilbert_data(mat, [0], (1, 1, 1))
+    dim, mult, num = hilbert_data(mat, [0], (1, 1, 1))
     assert (dim, mult) == (3, 1)
 
 
 def test_hilbert_hypersurface():
     S = PolyRing(GF101, ("chi1", "chi2", "chi3"))
     mat = matrix_of(S, [["chi1"]])
-    dim, mult, _ = module_hilbert_data(mat, [0], (1, 1, 1))
+    dim, mult, _ = hilbert_data(mat, [0], (1, 1, 1))
     assert (dim, mult) == (2, 1)
 
 
@@ -235,22 +235,21 @@ def test_hilbert_two_point_module():
     S = PolyRing(GF101, ("chi1", "chi2"))
     mat = PolyMatrix.block_diag([matrix_of(S, [["chi1", "chi2"]]),
                                  matrix_of(S, [["chi1", "chi2"]])])
-    dim, mult, _ = module_hilbert_data(mat, [0, 0], (1, 1))
+    dim, mult, _ = hilbert_data(mat, [0, 0], (1, 1))
     assert (dim, mult) == (0, 2)
 
 
 def test_hilbert_zero_module():
     S = PolyRing(GF101, ("chi1",))
     mat = matrix_of(S, [["1"]])
-    dim, mult, _ = module_hilbert_data(mat, [0], (1,))
-    assert dim == -1
+    assert hilbert_data(mat, [0], (1,)) == (-1, None, {})
 
 
 def test_hilbert_monomial_ideal_against_direct_count():
     S = PolyRing(GF5, ("chi1", "chi2"))
     gens = [S.parse("chi1^2"), S.parse("chi1*chi2^2")]
     mat = matrix_of(S, [[str(g) for g in gens]])
-    dim, mult, num = module_hilbert_data(mat, [0], (1, 1))
+    dim, mult, num = hilbert_data(mat, [0], (1, 1))
     # count standard monomials degree by degree
     counts = []
     for d in range(11):
@@ -527,10 +526,10 @@ def test_module_dimension_from_leads_equals_the_hilbert_dimension(
 @given(gens=_GENERATORS)
 def test_ideal_dimension_from_leads_equals_the_hilbert_dimension(gens):
     """Monomial, mixed, zero and unit ideals of S3, against the Hilbert
-    dimension that ``module_hilbert_data`` reads off the one-row matrix of
-    the generators."""
+    dimension that ``hilbert_data`` reads off the Hilbert numerator of the
+    one-row matrix of the generators."""
     I = Ideal(S3, gens)
-    want, _, _ = module_hilbert_data(PolyMatrix.from_rows(S3, [gens]))
+    want, _, _ = hilbert_data(PolyMatrix.from_rows(S3, [gens]))
     assert I.dimension() == want
 
 

@@ -9,8 +9,7 @@ from hypothesis import assume, example, given, settings, strategies as st
 
 from jumploci import GF, QQ, PolyRing, cli, loci, twisted
 from jumploci.cli import parse_chain_file
-from jumploci.groebner import (Ideal, ModuleGB, dimension_and_multiplicity,
-                               module_hilbert_data)
+from jumploci.groebner import Ideal, ModuleGB, module_hilbert_data
 from jumploci.matrix import PolyMatrix
 from jumploci.resolution import (RingData, resolve_over_a, resolve_over_b,
                                  PipelineError)
@@ -30,7 +29,8 @@ from conftest import (LADDER, REPO, SESSIONS, PAIR_BLOCK_SESSION,
                       random_twisted_complex)
 from oracles import (TruncationNeeded, additivity_check, dual_presentation,
                      explicit_dual, fit_quasi_polynomial, full_system,
-                     jump_locus_via_exterior_power, shift, x_of_m_star)
+                     hilbert_data, jump_locus_via_exterior_power, shift,
+                     x_of_m_star)
 
 GF101 = GF(101)
 
@@ -178,10 +178,12 @@ def test_complexity_examples(flag_pipeline, final_pipeline):
 
 
 def test_betti_degree_examples(flag_pipeline, final_pipeline, koszul_action):
-    assert betti_degree(flag_pipeline[4]) == 4
-    assert betti_degree(final_pipeline[4]) == 3
-    assert betti_degree(koszul_action[3]) == 2
-    assert betti_degree(_b_module_pipeline()[1]) is None
+    assert betti_degree(flag_pipeline[4]) == (3, 4)
+    assert betti_degree(final_pipeline[4]) == (2, 3)
+    assert betti_degree(koszul_action[3]) == (2, 2)
+    assert betti_degree(_b_module_pipeline()[1]) == (0, None)
+    assert betti_degree(free_complex(PolyRing(GF101, ("chi1",), (2,)), 0)) \
+        == (0, None)
 
 
 def test_betti_degree_cross_checks_the_even_and_odd_parts():
@@ -201,9 +203,9 @@ def test_betti_degree_cross_checks_the_even_and_odd_parts():
 
 
 def _parity_split_betti_degree(X):
-    """Test-local reference for betti_degree: split the presentation of
-    H(X) into the submatrices of its even and odd rows and read each part's
-    Hilbert data with chi in degree 1."""
+    """Test-local reference for betti_degree, (complexity, Betti degree):
+    split the presentation of H(X) into the submatrices of its even and odd
+    rows and read each part's Hilbert data with chi in degree 1."""
     X = minimalize(X)
     S = X.S
     mat, degs = homology_presentation(X)
@@ -227,16 +229,16 @@ def _parity_split_betti_degree(X):
                           for (r, c), p in mat.entries.items()
                           if r in rmap and c in cmap})
         shifts = [degs[idx][0] // 2 for idx in rows]
-        dim, mult, _ = module_hilbert_data(sub, shifts, (1,) * S.nvars)
+        dim, mult, _ = hilbert_data(sub, shifts, (1,) * S.nvars)
         parts.append((dim, mult))
     complexity = max(dim for dim, _ in parts)
     if complexity <= 0:
-        return None
+        return max(complexity, 0), None
     e_even, e_odd = (mult if dim == complexity else 0 for dim, mult in parts)
     if e_even != e_odd:
         raise AssertionError(
             f"even/odd multiplicities disagree: {e_even} != {e_odd}")
-    return e_even
+    return complexity, e_even
 
 
 def _outcome(route, X):
@@ -271,7 +273,8 @@ def test_betti_degree_equals_the_parity_split_route():
         want = _outcome(_parity_split_betti_degree, X)
         assert _outcome(betti_degree, X) == want
         values.append(want)
-    assert any(isinstance(v, int) and v > 1 for v in values)
+    assert any(isinstance(v, tuple) and (v[1] or 0) > 1 for v in values)
+    assert any(v == (0, None) for v in values)
     assert any(isinstance(v, str) and v.endswith(" != 0") for v in values)
     assert any(isinstance(v, str) and " 0 != " in v for v in values)
 
@@ -280,7 +283,7 @@ def test_bass_degree_via_dual_pipeline(final_pipeline, flag_pipeline):
     for pipeline, expected in ((final_pipeline, 3), (flag_pipeline, 4)):
         rd, pres, res, sys, X = pipeline
         assert betti_degree(explicit_dual(
-            res, full_system(sys, rd), rd)) == expected
+            res, full_system(sys, rd), rd))[1] == expected
 
 
 # -- Betti numbers from H(X) -----------------------------------------------
@@ -457,9 +460,8 @@ def _presentation_numerator(X):
     """The route ``_ext_numerator`` replaced: the Hilbert numerator of a
     presentation of H(X), keyed by cohomological degree."""
     mat, degs = homology_presentation(minimalize(X))
-    _, _, num = module_hilbert_data(mat, [coh for coh, _ in degs],
-                                    (2,) * X.S.nvars)
-    return num
+    return module_hilbert_data(mat, [coh for coh, _ in degs],
+                               (2,) * X.S.nvars)
 
 
 def test_ext_numerator_equals_the_presentation_route(monkeypatch):
@@ -497,15 +499,17 @@ def test_generic_crk_is_the_ext_numerator_at_one():
 
 
 def test_betti_degree_is_half_the_generic_crk_at_maximal_complexity():
-    """Where the complexity of X is c, H(X) has rank crk_at(X) over S,
-    split equally between its even and odd parts, so the Betti degree is
-    half the generic crk.  The complexity comes from the homology
-    presentation (``complexity_of``), a route apart from the Hilbert
-    numerator that ``betti_degree`` reads."""
+    """The complexity ``betti_degree`` reads off the Hilbert numerator is
+    the one the homology presentation gives (``complexity_of``), a route
+    apart from it.  Where it is c, H(X) has rank crk_at(X) over S, split
+    equally between its even and odd parts, so the Betti degree is half
+    the generic crk."""
     maximal = 0
     for X in _numerator_inputs():
-        if complexity_of(X) == X.S.nvars:
-            assert 2 * betti_degree(X) == crk_at(X)
+        cx, bdeg = betti_degree(X)
+        assert cx == complexity_of(X)
+        if cx == X.S.nvars:
+            assert 2 * bdeg == crk_at(X)
             maximal += 1
     assert maximal >= 100
 
@@ -561,20 +565,6 @@ _PAST_THE_MINOR_WALL = [
 ]
 
 
-def _cx_and_betti_degree(X):
-    """(complexity, Betti degree) read off the Hilbert numerator h of H(X)
-    alone: the complexity is the larger dimension of the even and odd
-    parts of h(t)/(1 - t^2)^c, and the Betti degree the multiplicity of a
-    part of that dimension, the same for both parts that have it."""
-    h, c = loci._ext_numerator(X)
-    parts = [dimension_and_multiplicity(
-        {j // 2: v for j, v in h.items() if j % 2 == e}, c) for e in (0, 1)]
-    cx = max(dim for dim, _ in parts)
-    mults = {mult for dim, mult in parts if dim == cx}
-    assert len(mults) == 1, parts
-    return cx, mults.pop()
-
-
 @pytest.mark.parametrize("name, expected", _PAST_THE_MINOR_WALL,
                          ids=[name for name, _ in _PAST_THE_MINOR_WALL])
 def test_x_of_m_star_past_the_minor_wall(name, expected):
@@ -586,9 +576,9 @@ def test_x_of_m_star_past_the_minor_wall(name, expected):
     pipe = build_pipeline(parse_session(text))
     assert pipe.dual_is_module
     _, X_star = x_of_m_star(pipe)
-    assert _cx_and_betti_degree(pipe.X) == expected
-    assert _cx_and_betti_degree(X_star) == expected
-    assert _cx_and_betti_degree(s_dual(pipe.X)) == expected
+    assert betti_degree(pipe.X) == expected
+    assert betti_degree(X_star) == expected
+    assert betti_degree(s_dual(pipe.X)) == expected
 
 
 def _weighted_monomials(weights, degree):
@@ -727,7 +717,7 @@ def test_report_duality_check_matches_a_per_index_comparison():
         rep, rep_dual = jump_loci_report(pipe.X), jump_loci_report(pipe.X_dual)
         assert _per_index_agree(pipe.X, pipe.X_dual)
         assert duality_check(rep, rep_dual) == \
-            (betti_degree(pipe.X) == betti_degree(pipe.X_dual))
+            (betti_degree(pipe.X)[1] == betti_degree(pipe.X_dual)[1])
         pool += [pipe.X, pipe.X_dual]
     assert minimalize(pool[0]).rank == 0
     reports = [jump_loci_report(X) for X in pool]
@@ -752,6 +742,77 @@ def test_duality_check_returns_whether_the_betti_degrees_agree():
     assert (rep_x.betti_degree, rep_y.betti_degree) == (1, 2)
     assert duality_check(rep_x, rep_y) is False
     assert duality_check(rep_x, rep_x) is True
+
+
+# -- the complexity is dim V^1 ----------------------------------------------
+
+
+# The files of ``sessions/`` and ``perfbench/inputs/`` whose minor tables
+# finish (all but ``sq_n6_e2``), and the ``LADDER`` sessions whose X does
+# in about a second, with their complexity.
+_MINORS_FINISH = [p for d in (SESSIONS, REPO / "perfbench" / "inputs")
+                  for p in sorted(d.glob("*.session")) if p.stem != "sq_n6_e2"]
+_LADDER_MINORS_FINISH = [("nm_n4_e2", 4), ("lin2_n5_e2", 5), ("past_tate", 0)]
+
+
+def _assert_cx_is_dim_v1(X):
+    """The report's complexity, read off the Hilbert numerator h of H(X),
+    is dim V^1, read off the minors of D: V^1 is where X (x) k(p) is not
+    exact, the support of H(X) (Avramov-Buchweitz, Invent. Math. 142,
+    2000, for X = X(M)).  V^1 = V^2 when the rank is even, so the first
+    index of the report is V^1 on either parity.  Returns the report."""
+    rep = jump_loci_report(X)
+    assert rep.per_index[0][2] == rep.complexity
+    assert (rep.betti_degree is None) == (rep.complexity == 0)
+    return rep
+
+
+def test_the_theorem_inputs_are_the_fourteen_files():
+    assert len(_MINORS_FINISH) == 14
+
+
+@pytest.mark.parametrize("path", _MINORS_FINISH, ids=lambda p: p.stem)
+def test_complexity_is_dim_v1_on_the_input_files(path):
+    """On X(M) and its dual of every session and benchmark input whose
+    minors finish, complexity 0 (``perfect``) included."""
+    pipe = build_pipeline(parse_session(path.read_text()))
+    reps = [_assert_cx_is_dim_v1(X) for X in (pipe.X, pipe.X_dual)]
+    assert reps[0].complexity == reps[1].complexity
+
+
+@pytest.mark.parametrize("name, cx", _LADDER_MINORS_FINISH,
+                         ids=[name for name, _ in _LADDER_MINORS_FINISH])
+def test_complexity_is_dim_v1_on_the_ladder(name, cx):
+    """On X(M) of the ladder sessions whose minors finish: D not fine
+    (``nm_n4_e2``, ``lin2_n5_e2``) and a module of complexity 0 past the
+    Tate limit (``past_tate``)."""
+    X = build_pipeline(parse_session(LADDER[name])).X
+    assert _assert_cx_is_dim_v1(X).complexity == cx
+
+
+@settings(max_examples=20, deadline=None, derandomize=True)
+@given(_cyclic_pipelines())
+def test_complexity_is_dim_v1_on_random_cyclic_modules(drawn):
+    """On X(M) and s_dual(X(M)) of random cyclic modules over GF(101) and
+    QQ, weighted or not, where the minor tables finish."""
+    pipe, _ = drawn
+    for X in (pipe.X, s_dual(pipe.X)):
+        try:
+            _assert_cx_is_dim_v1(X)
+        except PipelineError:
+            return  # a minor table too large: dim V^1 is out of reach
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(p=st.sampled_from([2, 5, 101]), seed=st.integers(0, 2 ** 16),
+       s=st.integers(-3, 3))
+def test_complexity_is_dim_v1_on_random_twisted_complexes(p, seed, s):
+    """On random twisted complexes (``random_twisted_complex``), shifted:
+    no X(M), but a bounded complex of free S-modules, so V^1 is still the
+    support of H(X), whose parts may differ in dimension."""
+    S = PolyRing(GF(p), ("chi1", "chi2"), (2, 2))
+    _assert_cx_is_dim_v1(shift(random_twisted_complex(S, random.Random(seed)),
+                               s))
 
 
 # -- additivity ------------------------------------------------------------

@@ -572,7 +572,7 @@ def test_every_d_of_the_sessions_and_the_ladder_is_fine(monkeypatch):
         sorted((REPO / "perfbench" / "inputs").glob("*.session"))
     Ds = _ds_of(path.read_text() for path in paths)
     assert len(Ds) == 30
-    ranks = [D.nrows - sum(matrix.module_hilbert_data(D)[2].values())
+    ranks = [D.nrows - sum(matrix.module_hilbert_data(D).values())
              for D in Ds]
 
     def not_called(mat):

@@ -105,9 +105,11 @@ def check_dual_has_the_jump_ideals(X):
 def check_degree_counts(X):
     """Computing the Betti degree must never produce mismatched parity
     counts; it either returns a nonnegative integer or declines because
-    the complexity is too small."""
-    bdeg = betti_degree(X)
-    if complexity_of(X) >= 1:
+    the complexity is too small.  The complexity it reads off the Hilbert
+    numerator is the one of the homology presentation."""
+    cx, bdeg = betti_degree(X)
+    assert cx == complexity_of(X)
+    if cx >= 1:
         assert bdeg is not None and bdeg >= 0
     else:
         assert bdeg is None

@@ -28,8 +28,8 @@ from conftest import (LADDER, REPO, SESSIONS, matrix_of,
 from test_homotopy import _coker_sessions
 import oracles
 from oracles import (TruncationNeeded, check_complex, d_matrix,
-                     dual_presentation, fit_quasi_polynomial, is_minimal,
-                     normal_form, resolution_euler_numerator,
+                     dual_presentation, fit_quasi_polynomial, hilbert_data,
+                     is_minimal, normal_form, resolution_euler_numerator,
                      syzygy_concentration, transpose, vec_add)
 
 GF101 = GF(101)
@@ -72,7 +72,7 @@ def test_euler_characteristic_reproduces_hilbert_numerator(flag_pipeline):
     Hilbert series of the module (free-resolution Euler characteristic)."""
     rd, pres, res, sys, X = flag_pipeline
     row = ["x^3", "y^3", "z^3", "x*z", "y*z^2"]
-    _, _, num = module_hilbert_data(matrix_of(rd.ring, [row]))
+    num = module_hilbert_data(matrix_of(rd.ring, [row]))
     assert resolution_euler_numerator(res) == num
 
 
@@ -719,7 +719,7 @@ def test_dual_of_final_module_has_length_three():
     res = resolve_over_a(rd, pres)
     assert _check_concentration(res)
     mat, row_degrees = dual_presentation(res)
-    dim, mult, num = module_hilbert_data(mat, row_degrees, A.weights)
+    dim, mult, _ = hilbert_data(mat, row_degrees, A.weights)
     assert (dim, mult) == (0, 3)
 
 

@@ -19,6 +19,7 @@ from conftest import REPO
     ("startup_time.py", ["--n", "1"]),
     ("statement_census.py", ["sessions/final.session"]),
     ("same_output.py", [".", ".", "sessions/final.session"]),
+    ("same_output.py", [".", ".", "chains/complete_flag.chain"]),
 ])
 def test_script_runs(script, args):
     proc = subprocess.run([sys.executable, str(REPO / "scripts" / script),

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 
 from jumploci import GF, PolyRing
-from jumploci.groebner import ModuleGB, module_hilbert_data
+from jumploci.groebner import ModuleGB
 from jumploci.matrix import PolyMatrix, least_unit
 from jumploci.resolution import (FreeResolution, RingData, PipelineError,
                                  resolve_over_a)
@@ -22,8 +22,8 @@ from conftest import (CONTRACTIBLE_PAIR_SESSION, REPO, SESSIONS,
                       assert_twisted_complex, matrix_of, matrix_sum,
                       koszul_action_pipeline, random_homogeneous,
                       random_twisted_complex, random_monomial_rows)
-from oracles import (_block, explicit_dual, full_system, identity_matrix,
-                     shift, twisted_from_matrices)
+from oracles import (_block, explicit_dual, full_system, hilbert_data,
+                     identity_matrix, shift, twisted_from_matrices)
 from test_homotopy import _coker_sessions
 
 GF101 = GF(101)
@@ -64,8 +64,7 @@ def test_quotient_ring_model_is_operator_koszul():
     assert minimalize(X).rank == 4
     # homology is the residue field of the operator ring
     mat, degs = homology_presentation(Xm)
-    dim, mult, _ = module_hilbert_data(mat, [0] * mat.nrows,
-                                       (1,) * Xm.S.nvars)
+    dim, mult, _ = hilbert_data(mat, [0] * mat.nrows, (1,) * Xm.S.nvars)
     assert (dim, mult) == (0, 1)
 
 
@@ -112,8 +111,7 @@ def test_homology_of_zero_differential_is_free(koszul_action):
 def test_homology_of_nonregular_model(nonregular_action):
     rd, res, sys, X = nonregular_action
     mat, degs = homology_presentation(minimalize(X))
-    dim, mult, _ = module_hilbert_data(mat, [0] * mat.nrows,
-                                       (1,) * X.S.nvars)
+    dim, mult, _ = hilbert_data(mat, [0] * mat.nrows, (1,) * X.S.nvars)
     assert dim == 2  # complexity two: a free part survives
 
 
@@ -294,9 +292,9 @@ def test_minimalize_preserves_hilbert_series_of_homology():
         h1, d1 = homology_presentation(X)
         h2, d2 = homology_presentation(minimalize(X))
         w = (1,) * S.nvars
-        out1 = module_hilbert_data(h1, [deg[0] for deg in d1], w)
-        out2 = module_hilbert_data(h2, [deg[0] for deg in d2], w)
-        assert out1[:2] == out2[:2]
+        out1 = hilbert_data(h1, [deg[0] for deg in d1], w)
+        out2 = hilbert_data(h2, [deg[0] for deg in d2], w)
+        assert out1 == out2
 
 
 def test_tbetti_examples(flag_pipeline):
