@@ -10,9 +10,12 @@ every job of TREE_B.  Each job whose standard output, standard error or
 exit code differs between the trees is reported, and the script exits 1
 if any does.  ``--commands`` runs a subset of the five on the session
 files, such as ``crk`` alone on inputs whose other commands are slow.
+``--verbose`` runs both trees with ``JUMPLOCI_VERBOSE=1``, so that the
+engine statistics on standard error are compared too; without it, both
+run with the variable empty.
 
 Usage: python scripts/same_output.py TREE_A TREE_B FILE...
-           [--commands compute,dual,crk,betti,oracle]
+           [--commands compute,dual,crk,betti,oracle] [--verbose]
 """
 
 import argparse
@@ -38,10 +41,11 @@ def jobs_of(path, commands):
     return {name: [*JOBS[name], "--input", str(path)] for name in commands}
 
 
-def run_tree(tree, files, commands):
+def run_tree(tree, files, commands, verbose):
     """{(file, command): (exit code, stdout, stderr)} for one tree."""
     env = dict(os.environ, PYTHONPATH=str(tree / "src"),
-               PYTHONDONTWRITEBYTECODE="1")
+               PYTHONDONTWRITEBYTECODE="1",
+               JUMPLOCI_VERBOSE="1" if verbose else "")
     out = {}
     for path in files:
         for name, argv in jobs_of(path, commands).items():
@@ -58,14 +62,16 @@ def main() -> int:
     parser.add_argument("tree_b", type=Path)
     parser.add_argument("files", type=Path, nargs="+")
     parser.add_argument("--commands", default=",".join(JOBS))
+    parser.add_argument("--verbose", action="store_true",
+                        help="run both trees with JUMPLOCI_VERBOSE=1")
     args = parser.parse_args()
     commands = args.commands.split(",")
     unknown = [c for c in commands if c not in JOBS]
     if unknown:
         parser.error(f"unknown command(s): {', '.join(unknown)}")
     files = [f.resolve() for f in args.files]
-    a = run_tree(args.tree_a.resolve(), files, commands)
-    b = run_tree(args.tree_b.resolve(), files, commands)
+    a = run_tree(args.tree_a.resolve(), files, commands, args.verbose)
+    b = run_tree(args.tree_b.resolve(), files, commands, args.verbose)
     differ = 0
     for job, (code_a, out_a, err_a) in a.items():
         code_b, out_b, err_b = b[job]

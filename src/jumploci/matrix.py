@@ -5,22 +5,25 @@ on what holds the matrix (``FreeResolution.degrees``, ``basis_degrees``).
 the presentations of modules and the minimalization of twisted complexes:
 the cokernel and its Fitting ideals stay the same.
 
-The determinantal kernel finds the nonzero minors only: the matrix is split
-into the connected components of its support graph, and inside a component
-the nonzero minors of each size grow from those of the size below, one
-Laplace expansion each (``_component_minor_table``).  The minors of every
-size are built together on the first request and cached on the matrix (see
-``PolyMatrix.minors``).  The generic rank, over the fraction field, has
-two routes.  A fine-graded matrix P, each entry one term and rows and
-columns with potentials r and c in Z^nvars such that entry (i, j) has
-exponent c_j - r_i (``fine_grading``, one pass over the support graph
-with every cycle checked), is diag(x^-r) P(1) diag(x^c) over the Laurent
-ring k[x^+-1], and the diagonal factors are units there, so its rank
-over k(x) is the rank of its coefficients, eliminated as field scalars
-(``scalar_rank``).  Every other matrix has its rank read off the Hilbert
-numerator of the cokernel: the rank of a graded module is the value at
-t = 1 of its numerator.  No polynomial matrix is eliminated
-fraction-free; the tests keep that route as their oracle.
+The support graph of a matrix is walked once, by ``_blocks``: one
+union-find pass that carries exponent offsets yields its connected
+components, the blocks, in a fixed order, and whether each is fine: each
+entry one term, and rows and columns with potentials r and c in Z^nvars
+such that entry (i, j) has exponent c_j - r_i, every cycle checked.  The
+determinantal kernel finds the nonzero minors only: inside a block the
+nonzero minors of each size grow from those of the size below, one
+Laplace expansion each (``_component_minor_table``), and the blocks are
+convolved in that order, on which the work depends.  The minors of every
+size are built together on the first request and cached on the matrix
+(see ``PolyMatrix.minors``).  The generic rank, over the fraction field,
+has two routes.  A matrix P with every block fine is
+diag(x^-r) P(1) diag(x^c) over the Laurent ring k[x^+-1], and the
+diagonal factors are units there, so its rank over k(x) is the rank of
+its coefficients, eliminated as field scalars (``scalar_rank``).  Every
+other matrix has its rank read off the Hilbert numerator of the
+cokernel: the rank of a graded module is the value at t = 1 of its
+numerator.  No polynomial matrix is eliminated fraction-free; the tests
+keep that route as their oracle.
 The rank at a point eliminates the values there as field scalars
 (``scalar_rank``), as the point oracle eliminates its complexes.
 
@@ -46,8 +49,9 @@ from .groebner import add_image, module_hilbert_data, reduced
 # seconds and about 100 MB); a matrix whose table needs more is refused
 # with a PipelineError before its memory runs out.  The largest table of
 # the example sessions takes 31 units, of the benchmark inputs other than
-# sq_n6_e2 855 (loci_a), and of the scripts 20,354 (``realizability_demo.py``
-# with its defaults).
+# sq_n6_e2 855 (loci_a), of the scripts 20,354 (``realizability_demo.py``
+# with its defaults), and the ladder's nm_n4_e2 214,100, each with its
+# blocks in the order of ``_blocks``, on which the work depends.
 MAX_MINOR_WORK = 500_000
 
 
@@ -169,15 +173,15 @@ class PolyMatrix:
         return scalar_rank(rows.values(), self.ring.field)
 
     def generic_rank(self) -> int:
-        """Rank over the fraction field.  A fine-graded matrix P
-        (``fine_grading``) is diag(x^-r) P(1) diag(x^c) over the Laurent
+        """Rank over the fraction field.  A matrix P whose blocks are all
+        fine (``_blocks``) is diag(x^-r) P(1) diag(x^c) over the Laurent
         ring, so its rank is that of its coefficients, by ``scalar_rank``.
         Any other is nrows minus the rank of coker, which is the value at
         t = 1 of its Hilbert numerator, 0 when coker has dimension below
         nvars.  The Groebner order is degree-compatible, so coker and its
         initial module share their affine Hilbert function and this holds
         for inhomogeneous entries too."""
-        if fine_grading(self.entries) is not None:
+        if all(fine for _, _, fine in _blocks(self.entries)):
             rows = {}
             for (r, c), p in self.entries.items():
                 rows.setdefault(r, {})[c] = next(iter(p.terms.values()))
@@ -189,18 +193,20 @@ class PolyMatrix:
     def minors(self, t: int):
         """All structurally nonzero t x t minors, monic, deduplicated.
 
-        Deterministic output order.  Connected components of the support
-        graph are processed independently and recombined by minor products
-        (a minor meeting several components factors block-diagonally, so
-        I_t = sum over s_1 + ... + s_m = t of prod_k I_{s_k}(C_k)).
+        Deterministic output order.  The blocks C_k of the support graph,
+        from ``_blocks`` and in its order, are processed independently and
+        recombined by minor products (a minor meeting several blocks
+        factors block-diagonally, so I_t = sum over s_1 + ... + s_m = t of
+        prod_k I_{s_k}(C_k)).  Any order of the blocks gives the same
+        minors, but their listing and the work depend on it.
 
         The first call builds the table t -> minors for every t at once and
         caches it on the matrix; every later call reads from it.  Its
         premise is that the entries of a PolyMatrix are set in ``__init__``
         and never changed afterwards; every operation builds a new matrix.
-        Inside a component, sizes grow upwards and stop at the first size
+        Inside a block, sizes grow upwards and stop at the first size
         without a nonzero minor: by Laplace expansion every larger minor of
-        that component vanishes too.  The components are convolved once,
+        that block vanishes too.  The blocks are convolved once,
         with no cut at t.  Bucket t of the convolution only receives
         products from buckets below it, and deduplication keeps the first
         occurrence, so each bucket holds the same minors in the same order
@@ -231,11 +237,11 @@ class PolyMatrix:
         ring = self.ring
         one = ring.one()
         acc = {0: {frozenset(one.terms.items()): one}}
-        for rows, cols in _components(self.entries):
+        for rows, cols, _ in _blocks(self.entries):
             sizes = _component_minor_table(self, rows, cols, spend)
             nxt = {}
             for got, polys in acc.items():
-                # size-0 contribution from this component
+                # size-0 contribution from this block
                 bucket = nxt.setdefault(got, {})
                 for key, p in polys.items():
                     bucket.setdefault(key, p)
@@ -253,70 +259,60 @@ class PolyMatrix:
         return {t: list(bucket.values()) for t, bucket in acc.items()}
 
 
-def _components(entries):
-    """Connected components of the bipartite support graph of ``entries``
-    ({(r, c): entry}), as (rows, columns) pairs."""
-    parent = {}
+def _blocks(entries):
+    """The blocks of ``entries`` ({(r, c): entry}), the connected
+    components of their bipartite support graph, as (rows, columns, fine).
+    A block is fine when its entries are single terms and its rows and
+    columns have potentials in Z^nvars with entry (r, c) of exponent
+    column c - row r.  One union-find pass: each node keeps its potential
+    less its parent's, and ``find`` hangs the whole path from the root,
+    summing offsets on the way.  An entry that joins two blocks hangs the
+    row's root under the column's root with the offset its exponent asks
+    for, and a root that is not fine passes that on; an entry inside a
+    block is checked against the potentials of its ends.  A multi-term
+    entry or a disagreeing cycle makes its block not fine."""
+    parent, offset, bad = {}, {}, set()
 
     def find(x):
+        path = []
         while parent[x] != x:
-            parent[x] = parent[parent[x]]
+            path.append(x)
             x = parent[x]
+        for node, up in zip(path[-2::-1], path[:0:-1]):
+            offset[node] = tuple(a + b for a, b in
+                                 zip(offset[node], offset[up]))
+            parent[node] = x
         return x
 
-    def union(a, b):
-        ra, rb = find(a), find(b)
-        if ra != rb:
-            parent[ra] = rb
-
-    for (r, c) in entries:
-        for node in (("r", r), ("c", c)):
+    for (r, c), p in entries.items():
+        row, col = ("r", r), ("c", c)
+        m = next(iter(p.terms))
+        for node in (row, col):
             parent.setdefault(node, node)
-        union(("r", r), ("c", c))
-    comps = {}
+            offset.setdefault(node, (0,) * len(m))
+        root, into = find(row), find(col)
+        # potential(root) - potential(into) if entry (r, c) has exponent m
+        gap = tuple(b - a - e for a, b, e in zip(offset[row], offset[col], m))
+        if root != into:
+            parent[root], offset[root] = into, gap
+            if root in bad:
+                bad.add(into)
+        if len(p.terms) > 1 or (root == into and any(gap)):
+            bad.add(into)
+    blocks = {}
     for (r, c) in entries:
-        root = find(("r", r))
-        rows, cols = comps.setdefault(root, (set(), set()))
+        rows, cols = blocks.setdefault(find(("r", r)), (set(), set()))
         rows.add(r)
         cols.add(c)
-    return [comps[k] for k in sorted(comps, key=str)]
-
-
-def fine_grading(entries):
-    """Potentials (rows, columns), each {index: exponent vector}, with
-    entry (r, c) of ``entries`` ({(r, c): poly}) the one term of exponent
-    columns[c] - rows[r], or None when there are none: some entry has two
-    terms, or two paths between a row and a column of the support graph
-    disagree.  One pass over the graph, component by component: its
-    first node at 0, each step across an entry fixing the potential at
-    its other end, and each entry that closes a cycle checked."""
-    links = {}  # node -> [(the other end, exponent, +1 from a row)]
-    for (r, c), p in entries.items():
-        if len(p.terms) != 1:
-            return None
-        m = next(iter(p.terms))
-        links.setdefault(("r", r), []).append((("c", c), m, 1))
-        links.setdefault(("c", c), []).append((("r", r), m, -1))
-    potential = {}
-    for start in links:
-        if start in potential:
-            continue
-        potential[start] = (0,) * len(links[start][0][1])
-        todo = [start]
-        while todo:
-            node = todo.pop()
-            here = potential[node]
-            for other, m, sign in links[node]:
-                there = tuple(a + sign * e for a, e in zip(here, m))
-                if other not in potential:
-                    potential[other] = there
-                    todo.append(other)
-                elif potential[other] != there:
-                    return None
-    rows, cols = {}, {}
-    for (kind, i), v in potential.items():
-        (rows if kind == "r" else cols)[i] = v
-    return rows, cols
+    # Sorted by str of the root, a row's root always hanging under a
+    # column's: the minor table convolves the blocks in this order, and
+    # its cost depends on it.  First-entry order gives the same minors
+    # but took 423,368 units of work on the ladder's nm_n4_e2 against
+    # 214,100, and no simple key (minors, terms, size, least row or
+    # column) matched this order on loci_a, loci_b, nm_n4_e2 and
+    # lin2_n5_e2.
+    return [(*blocks[root], root not in bad)
+            for root in sorted(blocks, key=str)]
 
 
 def scalar_rank(vectors, field) -> int:

@@ -6,6 +6,11 @@ construction, and no command runs them:
 
 - the generic rank of a matrix by one fraction-free elimination, where
   the program reads it off the Hilbert numerator of the cokernel;
+- the blocks of a matrix by a plain union-find (``_components``) and the
+  potentials of a fine-graded matrix by a search of its support graph
+  (``fine_grading``), where the program finds both, and whether each
+  block is fine, in one union-find pass that carries exponent offsets
+  (``matrix._blocks``);
 - the dimension and multiplicity of a cokernel with its Hilbert
   numerator (``hilbert_data``), which the program reads only for the
   parts of Ext;
@@ -165,6 +170,73 @@ def hilbert_data(mat: PolyMatrix, row_shifts=None, weights=None):
     ``(-1, None, {})``."""
     num = module_hilbert_data(mat, row_shifts, weights)
     return (*dimension_and_multiplicity(num, mat.ring.nvars), num)
+
+
+def _components(entries):
+    """Connected components of the bipartite support graph of ``entries``
+    ({(r, c): entry}), as (rows, columns) pairs."""
+    parent = {}
+
+    def find(x):
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    def union(a, b):
+        ra, rb = find(a), find(b)
+        if ra != rb:
+            parent[ra] = rb
+
+    for (r, c) in entries:
+        for node in (("r", r), ("c", c)):
+            parent.setdefault(node, node)
+        union(("r", r), ("c", c))
+    comps = {}
+    for (r, c) in entries:
+        root = find(("r", r))
+        rows, cols = comps.setdefault(root, (set(), set()))
+        rows.add(r)
+        cols.add(c)
+    return [comps[k] for k in sorted(comps, key=str)]
+
+
+def fine_grading(entries):
+    """Potentials (rows, columns), each {index: exponent vector}, with
+    entry (r, c) of ``entries`` ({(r, c): poly}) the one term of exponent
+    columns[c] - rows[r], or None when there are none: some entry has two
+    terms, or two paths between a row and a column of the support graph
+    disagree.  One pass over the graph, component by component: its
+    first node at 0, each step across an entry fixing the potential at
+    its other end, and each entry that closes a cycle checked."""
+    links = {}  # node -> [(the other end, exponent, +1 from a row)]
+    for (r, c), p in entries.items():
+        if len(p.terms) != 1:
+            return None
+        m = next(iter(p.terms))
+        links.setdefault(("r", r), []).append((("c", c), m, 1))
+        links.setdefault(("c", c), []).append((("r", r), m, -1))
+    potential = {}
+    for start in links:
+        if start in potential:
+            continue
+        potential[start] = (0,) * len(links[start][0][1])
+        todo = [start]
+        while todo:
+            node = todo.pop()
+            here = potential[node]
+            for other, m, sign in links[node]:
+                there = tuple(a + sign * e for a, e in zip(here, m))
+                if other not in potential:
+                    potential[other] = there
+                    todo.append(other)
+                elif potential[other] != there:
+                    return None
+    rows, cols = {}, {}
+    for (kind, i), v in potential.items():
+        (rows if kind == "r" else cols)[i] = v
+    return rows, cols
+
 
 
 def whole_matrix_rank(mat: PolyMatrix) -> int:

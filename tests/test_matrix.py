@@ -20,8 +20,9 @@ from jumploci.twisted import TwistedComplex, s_dual
 from conftest import (LADDER, REPO, PAIR_BLOCK_SESSION,
                       assert_twisted_complex, matrix_of, matrix_sum,
                       random_monomial_rows, random_monomial_rows_3)
-from oracles import (full_system, identity_matrix, transpose,
-                     verify_system, whole_matrix_rank)
+from oracles import (_components, fine_grading, full_system,
+                     identity_matrix, transpose, verify_system,
+                     whole_matrix_rank)
 
 GF101 = GF(101)
 S2 = PolyRing(GF101, ("chi1", "chi2"), (2, 2))
@@ -249,14 +250,16 @@ S3 = PolyRing(GF101, ("chi1", "chi2", "chi3"), (2, 2, 2))
 
 def _per_t_minors(mat, t, memo=None):
     """Reference: the t x t minors enumerated for this t alone, every
-    component to every size up to t, convolved with a cut at t.  ``memo``
-    may keep the minors of each component and size across calls on the
-    same matrix."""
+    component to every size up to t, convolved with a cut at t.  The
+    components and their order come from the reference union-find
+    (``oracles._components``), so the minor table must list its blocks in
+    that order too.  ``memo`` may keep the minors of each component and
+    size across calls on the same matrix."""
     if t > min(mat.nrows, mat.ncols):
         return []
     memo = {} if memo is None else memo
     acc = {0: [mat.ring.one()]}
-    for rows, cols in matrix._components(mat.entries):
+    for rows, cols in _components(mat.entries):
         sizes = {}
         for s in range(1, min(len(rows), len(cols), t) + 1):
             key = (min(rows), s)
@@ -421,7 +424,7 @@ def test_block_minors_are_the_signed_determinants(monkeypatch):
     monkeypatch.setattr(matrix, "_dedupe_monic", list)
     sizes = set()
     for P in _kernel_matrices(random.Random(9)):
-        for rows, cols in matrix._components(P.entries):
+        for rows, cols, _ in matrix._blocks(P.entries):
             table = matrix._component_minor_table(P, rows, cols,
                                                    lambda units: None)
             for t in range(1, min(len(rows), len(cols)) + 2):
@@ -466,14 +469,23 @@ def test_an_oversized_minor_table_is_refused(monkeypatch):
 # -- generic rank against the fraction-free elimination ----------------------
 
 
+_real_blocks = matrix._blocks
+
+
+def _none_fine(entries):
+    """``matrix._blocks`` with every block reported not fine: patched in
+    for it, it sends ``generic_rank`` down the Hilbert route."""
+    return [(rows, cols, False) for rows, cols, _ in _real_blocks(entries)]
+
+
 def test_generic_rank_equals_the_whole_matrix_elimination(monkeypatch):
     """Random block matrices with rows and columns in shuffled order, with
     1 x n, n x 1 and rank-deficient blocks, and a zero block of rows and
     columns without entries placed at random: the rank read off the
     Hilbert numerator of the cokernel equals the elimination's.  Every
-    matrix takes that route, fine or not: ``fine_grading`` is patched to
-    find no potentials (the scalar route has tests of its own below)."""
-    monkeypatch.setattr(matrix, "fine_grading", lambda entries: None)
+    matrix takes that route, fine or not: ``_blocks`` is patched to report
+    no block fine (the scalar route has tests of its own below)."""
+    monkeypatch.setattr(matrix, "_blocks", _none_fine)
     rng = random.Random(9)
     matrices = [PolyMatrix.zero(S3, 3, 2),
                 matrix_of(S3, [["chi1", "chi2", "chi3"]]),
@@ -490,7 +502,7 @@ def test_generic_rank_equals_the_whole_matrix_elimination(monkeypatch):
     for P in matrices:
         rank = whole_matrix_rank(P)
         assert P.generic_rank() == rank, P.entries
-        blocks = matrix._components(P.entries)
+        blocks = _components(P.entries)
         deficient += rank < sum(min(len(r), len(c)) for r, c in blocks)
     assert deficient >= 3
 
@@ -535,10 +547,10 @@ def test_generic_rank_equals_the_fraction_free_elimination(P):
     fraction-free elimination of the whole matrix, over GF(p) and QQ,
     on inhomogeneous entries and unit entries, with zero rows and
     columns, and on 0 x n and n x 0 matrices.  Every draw takes that
-    route, fine or not: ``fine_grading`` is patched to find no
-    potentials."""
+    route, fine or not: ``_blocks`` is patched to report no block
+    fine."""
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(matrix, "fine_grading", lambda entries: None)
+        mp.setattr(matrix, "_blocks", _none_fine)
         assert P.generic_rank() == whole_matrix_rank(P), (P.nrows, P.ncols,
                                                           P.entries)
 
@@ -555,18 +567,21 @@ def _ds_of(texts):
     return out
 
 
-def _assert_potentials_reproduce_exponents(P):
-    rows, cols = matrix.fine_grading(P.entries)
+def _assert_fine(P):
+    """Every block of P is fine, and the potentials of the reference
+    search (``oracles.fine_grading``) reproduce every entry's exponent."""
+    assert all(fine for _, _, fine in matrix._blocks(P.entries))
+    rows, cols = fine_grading(P.entries)
     for (r, c), p in P.entries.items():
         assert list(p.terms) == [tuple(a - b for a, b in
                                        zip(cols[c], rows[r]))], (r, c)
 
 
-def test_every_d_of_the_sessions_and_the_ladder_is_fine(monkeypatch):
+def test_every_d_of_the_sessions_and_the_bench_inputs_is_fine(monkeypatch):
     """The 30 D's of ``sessions/`` and ``perfbench/inputs/`` (X and its
-    dual) take the scalar route of ``generic_rank``: each is fine, its
-    potentials reproduce every entry's exponent, and its rank, with no
-    Hilbert numerator formed, is nrows minus the rank of coker read off
+    dual) take the scalar route of ``generic_rank``: each block of each is
+    fine, potentials reproduce every entry's exponent, and its rank, with
+    no Hilbert numerator formed, is nrows minus the rank of coker read off
     one."""
     paths = sorted((REPO / "sessions").glob("*.session")) + \
         sorted((REPO / "perfbench" / "inputs").glob("*.session"))
@@ -580,7 +595,7 @@ def test_every_d_of_the_sessions_and_the_ladder_is_fine(monkeypatch):
 
     monkeypatch.setattr(matrix, "module_hilbert_data", not_called)
     for D, rank in zip(Ds, ranks):
-        _assert_potentials_reproduce_exponents(D)
+        _assert_fine(D)
         assert D.generic_rank() == rank
     assert sum(len(D.entries) for D in Ds) > 200
     assert sum(ranks) > 100
@@ -606,7 +621,8 @@ def test_a_d_that_is_not_fine_keeps_the_hilbert_route(monkeypatch):
 
     monkeypatch.setattr(matrix, "module_hilbert_data", counting)
     for P in mats:
-        assert matrix.fine_grading(P.entries) is None
+        assert not all(fine for _, _, fine in matrix._blocks(P.entries))
+        assert fine_grading(P.entries) is None
         assert P.generic_rank() == whole_matrix_rank(P)
     assert numerators == mats
 
@@ -649,9 +665,135 @@ def test_the_rank_of_a_fine_matrix_equals_the_fraction_free_elimination(P):
     patterns, is found fine, with potentials that reproduce every
     exponent, and its rank from the coefficients alone equals one
     fraction-free elimination of the whole matrix."""
-    _assert_potentials_reproduce_exponents(P)
+    _assert_fine(P)
     assert P.generic_rank() == whole_matrix_rank(P), (P.nrows, P.ncols,
                                                       P.entries)
+
+
+# -- the one walk of the support graph against its reference routes ---------
+
+
+_MONOS = [(0, 0), (1, 0), (0, 1), (2, 0), (1, 1), (0, 2)]
+
+
+@st.composite
+def _block_matrices(draw):
+    """A matrix over GF(2), GF(7), GF(101) or QQ[chi1, chi2] of up to four
+    diagonal blocks of shape 1..4 x 1..4, its rows and columns then
+    scrambled, empty rows and columns added, and its entries stored in a
+    drawn order, so that a join may hang either end's root.  Each block is
+    a grid of monomials of exponent column - row potential, about two
+    thirds present, unit entries included: as it is (fine), with its first
+    two rows proportional (a cancelling cycle), with one entry given a
+    second term, or with one entry's exponent moved, which disagrees with
+    any cycle through it.  A block may fall apart into several, and no
+    block at all is a matrix without entries."""
+    field = draw(st.sampled_from([GF(2), GF(7), GF101, QQ]))
+    ring = PolyRing(field, ("chi1", "chi2"), (2, 2))
+    coeffs = (st.integers(1, field.p - 1) if field.p
+              else st.fractions(-3, 3, max_denominator=3).filter(bool))
+    pot = st.tuples(st.integers(0, 1), st.integers(0, 1))
+    terms = {}
+    nrows = ncols = 0
+    for _ in range(draw(st.integers(0, 4))):
+        h, w = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+        rows = [draw(pot) for _ in range(h)]
+        cols = [draw(pot) for _ in range(w)]
+        block = {(r, c): {tuple(a + b for a, b in zip(rows[r], cols[c])):
+                          field.coerce(draw(coeffs))}
+                 for r in range(h) for c in range(w)
+                 if draw(st.integers(0, 2))}
+        kind = draw(st.sampled_from(["fine", "cancelling", "two terms",
+                                     "moved"]))
+        if kind == "cancelling" and h >= 2:
+            k = field.coerce(draw(coeffs))
+            for c in range(w):
+                if (0, c) in block and (1, c) in block:
+                    (m, co), = block[0, c].items()
+                    (n, _), = block[1, c].items()
+                    block[1, c] = {n: field.mul(k, co)}
+        elif kind in ("two terms", "moved") and block:
+            key = draw(st.sampled_from(sorted(block)))
+            (m, co), = block[key].items()
+            other = draw(st.sampled_from([n for n in _MONOS if n != m]))
+            block[key] = ({m: co, other: co} if kind == "two terms"
+                          else {other: co})
+        for (r, c), t in block.items():
+            terms[nrows + r, ncols + c] = t
+        nrows, ncols = nrows + h, ncols + w
+    nrows += draw(st.integers(0, 2))
+    ncols += draw(st.integers(0, 2))
+    rperm = draw(st.permutations(range(nrows)))
+    cperm = draw(st.permutations(range(ncols)))
+    return PolyMatrix(ring, nrows, ncols, {
+        (rperm[r], cperm[c]): Polynomial(ring, terms[r, c])
+        for r, c in draw(st.permutations(sorted(terms)))})
+
+
+def _assert_blocks_equal_the_references(P):
+    got = matrix._blocks(P.entries)
+    assert [(rows, cols) for rows, cols, _ in got] == \
+        _components(P.entries), P.entries
+    for rows, cols, fine in got:
+        own = {k: p for k, p in P.entries.items() if k[0] in rows}
+        assert fine == (fine_grading(own) is not None), (P.entries, rows)
+    return [fine for _, _, fine in got]
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(_block_matrices())
+def test_blocks_equal_the_reference_walks(P):
+    """``_blocks`` gives the blocks of the reference union-find
+    (``oracles._components``), in its order, and flags each one fine
+    exactly when the reference search finds potentials for that block's
+    own entries (``oracles.fine_grading``), over GF(p) and QQ, with
+    multi-term entries, cancelling and disagreeing cycles, fine and
+    non-fine blocks side by side, and 1 x n and n x 1 blocks."""
+    _assert_blocks_equal_the_references(P)
+
+
+def test_blocks_of_small_matrices():
+    """The flags of a few matrices by hand: no block of a matrix without
+    entries; one fine block of a row with a unit; a disagreeing and a
+    cancelling 2 x 2 cycle; a two-term entry beside a fine block; and a
+    path of seven nodes whose last entry closes a cycle, consistent or
+    not, so that ``find`` walks and compresses a long path."""
+    S2_QQ = PolyRing(QQ, ("chi1", "chi2"), (2, 2))
+    path = [["chi1", "chi2", "0", "0"], ["0", "chi1", "chi2", "0"],
+            ["0", "0", "chi1", "chi2"]]
+    cases = [
+        (PolyMatrix.zero(S2, 0, 0), []),
+        (PolyMatrix.zero(S2, 2, 3), []),
+        (matrix_of(S2, [["chi1", "2*chi2", "1"]]), [True]),
+        (matrix_of(S2, [["chi1"], ["chi2"]]), [True]),
+        (matrix_of(S2_QQ, [["chi1", "chi2"], ["chi2", "chi1"]]), [False]),
+        (matrix_of(S2_QQ, [["chi1", "chi2"], ["3*chi1", "3*chi2"]]),
+         [True]),
+        (matrix_of(S2, [["chi1 + chi2", "0"], ["0", "chi2"]]),
+         [False, True]),
+        (matrix_of(S2, path + [["chi1^3", "0", "0", "chi2^3"]]), [True]),
+        (matrix_of(S2, path + [["chi2^3", "0", "0", "chi1^3"]]), [False]),
+    ]
+    for P, flags in cases:
+        assert _assert_blocks_equal_the_references(P) == flags, P.entries
+
+
+@pytest.mark.parametrize("name, units", [("flag", 31), ("loci_a", 855),
+                                         ("lin2_n5_e2", 27_550),
+                                         ("nm_n4_e2", 214_100)])
+def test_the_minor_tables_fit_the_work_of_their_block_order(monkeypatch,
+                                                             name, units):
+    """The minor table of D of X(M) fits in the units of work it takes
+    with its blocks in the order of ``_blocks``, ``MAX_MINOR_WORK`` set
+    to exactly that.  The order of the blocks changes the work but not
+    the minors, so nothing else would see a reordering: in first-entry
+    order these tables take 35, 942, 33,186 and 423,368 units."""
+    path = {"flag": REPO / "sessions" / "flag.session",
+            "loci_a": REPO / "perfbench" / "inputs" / "loci_a.session"}
+    text = path[name].read_text() if name in path else LADDER[name]
+    D = build_pipeline(parse_session(text)).X.D
+    monkeypatch.setattr(matrix, "MAX_MINOR_WORK", units)
+    assert D.minors(1)
 
 
 # -- products and negation against per-entry polynomial arithmetic ---------

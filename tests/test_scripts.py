@@ -20,6 +20,8 @@ from conftest import REPO
     ("statement_census.py", ["sessions/final.session"]),
     ("same_output.py", [".", ".", "sessions/final.session"]),
     ("same_output.py", [".", ".", "chains/complete_flag.chain"]),
+    ("same_output.py", [".", ".", "sessions/flag.session", "--commands",
+                        "compute,crk", "--verbose"]),
 ])
 def test_script_runs(script, args):
     proc = subprocess.run([sys.executable, str(REPO / "scripts" / script),
