@@ -216,13 +216,11 @@ def _parse_point(text: str, session: Session):
 
 
 def cmd_crk(session: Session, args) -> dict:
-    pipe = build_pipeline(session)
-    if args.point is not None:
-        point = _parse_point(args.point, session)
-        value = crk_at(pipe.X, point)
-        return {"point": [str(a) for a in point], "crk": value}
-    value = crk_at(pipe.X, None)
-    return {"point": None, "crk": value}
+    if args.point is None:
+        return {"point": None, "crk": crk_at(build_pipeline(session).X)}
+    point = _parse_point(args.point, session)  # before the pipeline is built
+    return {"point": [str(a) for a in point],
+            "crk": crk_at(build_pipeline(session).X, point)}
 
 
 def cmd_oracle(session: Session, args) -> dict:

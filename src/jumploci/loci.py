@@ -355,12 +355,14 @@ def stable_betti_oracle(rd: RingData, resolution: FreeResolution,
 
     ``resolution`` is the minimal free resolution F of M = coker d_1 over
     A, as ``build_pipeline`` builds it.  The f_i must annihilate M, so
-    that g does (``build_pipeline`` checks this), and share one degree d,
-    so that g is a form (``section_degree``).  For a nonzero g in the
-    domain A, syzygy n - 1 of M over B_a is maximal Cohen-Macaulay, so by
-    Eisenbud's matrix factorizations (Trans. AMS 260, 1980) beta_i is
-    constant for i >= n; the value is beta_(n+1), and beta_n != beta_(n+1)
-    is an internal error.
+    that g does and the columns of d_1 alone span every f_k e_j, from
+    which the Tate route reads its basis of M (``build_pipeline`` checks
+    this, in the t = 0 lifts of ``compute_higher_homotopies``), and share
+    one degree d, so that g is a form (``section_degree``).  For a nonzero
+    g in the domain A, syzygy n - 1 of M over B_a is maximal
+    Cohen-Macaulay, so by Eisenbud's matrix factorizations (Trans. AMS
+    260, 1980) beta_i is constant for i >= n; the value is beta_(n+1),
+    and beta_n != beta_(n+1) is an internal error.
 
     beta_i = dim Tor_i^B(M, k) is read off Tate's resolution of k over
     B = B_a (Illinois J. Math. 1, 1957): the Koszul complex K(x) with one
@@ -483,8 +485,10 @@ class _TateComplex:
     both M and B_a, which Tor^(B_a)(M, k) does not see, so it is dropped:
     the x_s below are the variables left, n of them.  M_mu has the basis
     of the standard monomials (j, alpha) of degree mu of one untracked
-    ``ModuleGB`` run of the columns of d_1 plus the f_k e_j, filled only
-    while it has at most ``MAX_TATE_DIM`` elements.  A summand
+    ``ModuleGB`` run of the columns of d_1, filled only while it has at
+    most ``MAX_TATE_DIM`` elements.  No f_k e_j is adjoined: f
+    annihilates M, so each lies in im d_1 already, as the t = 0 lifts of
+    ``compute_higher_homotopies`` prove before any point is read.  A summand
     M_mu e_S y^(j) sits in homological degree |S| + 2j and internal
     degree mu + w(S) + j deg g, and
     d(m e_S y^(j)) = sum_(s in S) +-x_s m e_(S - s) y^(j)
@@ -498,8 +502,7 @@ class _TateComplex:
         self.res = res
         self.row_degrees = res.degrees[0]
         rank = len(self.row_degrees)
-        cols = ((res.differentials[0] if res.length else [])
-                + rd.quotient_columns(rank))
+        cols = res.differentials[0] if res.length else []
         monos = [m for f in rd.ci for m in f.terms]
         monos += [m for v in cols for _, m in v]
         used = [s for s in range(ring.nvars) if any(m[s] for m in monos)]

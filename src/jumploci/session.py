@@ -35,7 +35,7 @@ from .poly import PolyRing
 from .matrix import PolyMatrix
 from .groebner import Ideal
 from .resolution import (RingData, FreeResolution, PipelineError,
-                         resolve_over_a, _check_concentration)
+                         resolve_over_a, column_degree, _check_concentration)
 from .homotopy import compute_higher_homotopies, ingest_dg_structure
 from .twisted import TwistedComplex, build_twisted_complex, s_dual
 
@@ -343,10 +343,7 @@ def parse_session(text: str) -> Session:
         raise SessionError("missing ring declaration")
     if ci is None:
         raise SessionError("missing ci declaration")
-    try:
-        rd = RingData(ring, ci)
-    except (ValueError, PipelineError) as exc:
-        raise SessionError(str(exc))
+    rd = RingData(ring, ci)
 
     if coker_rows is not None and diffs:
         raise SessionError("give either a coker module or a complex, not both")
@@ -399,7 +396,9 @@ def _assemble_complex(ring: PolyRing, diff_rows):
     """Build PolyMatrix differentials and infer the generator degrees.
 
     Generators of the 0-th free module sit in internal degree 0; each
-    later degree is forced by homogeneity of the matrix columns.
+    later degree is that of its column, read by ``column_degree`` as a
+    presentation's is, so a zero column or one whose terms disagree on
+    it is an input error naming the column.
     """
     matrices = []
     degrees = [[0] * len(diff_rows[0])]
@@ -410,23 +409,15 @@ def _assemble_complex(ring: PolyRing, diff_rows):
                 f"d{k} has {mat.nrows} rows but the target has "
                 f"{len(degrees[-1])} generators")
         col_degs = []
-        for j in range(mat.ncols):
-            deg = None
-            for (r, c), p in mat.entries.items():
-                if c != j or p.is_zero():
-                    continue
-                if not p.is_homogeneous():
-                    raise SessionError(f"inhomogeneous entry in d{k}")
-                d = degrees[-1][r] + p.degree()
-                if deg is None:
-                    deg = d
-                elif deg != d:
-                    raise SessionError(f"column {j + 1} of d{k} is not "
-                                       "homogeneous")
-            if deg is None:
-                raise SessionError(f"column {j + 1} of d{k} is zero; its "
+        for j, col in enumerate(mat.columns_as_vectors(), start=1):
+            if not col:
+                raise SessionError(f"column {j} of d{k} is zero; its "
                                    "degree cannot be inferred")
-            col_degs.append(deg)
+            try:
+                col_degs.append(column_degree(ring, col, degrees[-1]))
+            except PipelineError:
+                raise SessionError(f"column {j} of d{k} is not "
+                                   "homogeneous") from None
         matrices.append(mat)
         degrees.append(col_degs)
     for a, b in zip(matrices, matrices[1:]):

@@ -341,6 +341,22 @@ def test_an_empty_point_is_an_error(capfd, flag):
     assert (code, out, err) == (1, "", "error: bad point coordinate ''\n")
 
 
+@pytest.mark.parametrize("point, message", [
+    ("0,zebra", "bad point coordinate 'zebra'"),
+    ("1,2", "point has 2 coordinates, expected 3"),
+])
+def test_crk_checks_the_point_before_the_pipeline(capfd, monkeypatch, point,
+                                                  message):
+    """A malformed ``--point`` is an input error before any resolution is
+    built, as ``oracle`` and ``betti`` check their flags first."""
+    def not_called(session):
+        raise AssertionError("the pipeline was built")
+
+    monkeypatch.setattr(cli, "build_pipeline", not_called)
+    code, out, err = _run(capfd, ["crk", "--input", FLAG, "--point", point])
+    assert (code, out, err) == (1, "", f"error: {message}\n")
+
+
 # -- oracle -----------------------------------------------------------------
 
 

@@ -521,8 +521,8 @@ _COKERS = sorted(p for d in (SESSIONS, REPO / "perfbench" / "inputs")
                  for p in d.glob("*.session") if "coker" in p.read_text())
 
 
-def test_the_coker_inputs_are_the_thirteen_files():
-    assert len(_COKERS) == 13
+def test_the_coker_inputs_are_the_fourteen_files():
+    assert len(_COKERS) == 14
 
 
 @pytest.mark.parametrize("path", _COKERS, ids=lambda p: p.stem)
@@ -767,8 +767,8 @@ def _assert_cx_is_dim_v1(X):
     return rep
 
 
-def test_the_theorem_inputs_are_the_fourteen_files():
-    assert len(_MINORS_FINISH) == 14
+def test_the_theorem_inputs_are_the_sixteen_files():
+    assert len(_MINORS_FINISH) == 16
 
 
 @pytest.mark.parametrize("path", _MINORS_FINISH, ids=lambda p: p.stem)
@@ -1343,3 +1343,40 @@ def test_oracle_equals_the_resolution_over_the_section(case):
     assert calls == []
     assert stables == [_resolved_oracle(rd, pres, a) for a in points]
     _assert_tate_is_a_complex(rd, res, points[0])
+
+
+# -- the Tate basis of M: d_1 spans every f_k e_j ---------------------------
+
+
+def _assert_the_tate_basis_needs_no_f_e(rd, pres):
+    """The reduced basis ``_TateComplex`` reads M off, that of the columns
+    of d_1 alone, equals the one of the route it replaced, the columns of
+    d_1 plus every f_k e_j, in the variables the Tate complex keeps: f
+    annihilates M = coker d_1, so d_1 spans the f_k e_j already."""
+    res = resolve_over_a(rd, pres)
+    tate = loci._TateComplex(rd, res, rd.ci_degrees[0])
+    ring = tate.gb.ring
+    used = [rd.ring.variables.index(v) for v in ring.variables]
+    rank = len(res.degrees[0])
+    d1 = res.differentials[0] if res.length else []
+    with_f = [{(r, tuple(m[s] for s in used)): c for (r, m), c in v.items()}
+              for v in d1 + rd.quotient_columns(rank)]
+    assert tate.gb.leads == ModuleGB(ring, rank, with_f).leads
+
+
+@pytest.mark.parametrize("path", _COKERS, ids=lambda p: p.stem)
+def test_the_tate_basis_needs_no_f_e_on_the_input_files(path):
+    _, rd, pres = _session_case(path)
+    _assert_the_tate_basis_needs_no_f_e(rd, pres)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(_oracle_inputs())
+def test_the_tate_basis_needs_no_f_e_on_random_modules(case):
+    """Random modules that f annihilates, each f_k e_j among the columns
+    of the presentation, with unit entries and weighted variables."""
+    p, weights, ci, rows, _ = case
+    A = PolyRing(GF(p), ("x", "y", "z")[:len(weights)], weights)
+    _assert_the_tate_basis_needs_no_f_e(
+        RingData(A, [A.parse(f) for f in ci]),
+        PolyMatrix.from_rows(A, [[A.parse(e) for e in row] for row in rows]))

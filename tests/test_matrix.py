@@ -578,7 +578,7 @@ def _assert_fine(P):
 
 
 def test_every_d_of_the_sessions_and_the_bench_inputs_is_fine(monkeypatch):
-    """The 30 D's of ``sessions/`` and ``perfbench/inputs/`` (X and its
+    """The 34 D's of ``sessions/`` and ``perfbench/inputs/`` (X and its
     dual) take the scalar route of ``generic_rank``: each block of each is
     fine, potentials reproduce every entry's exponent, and its rank, with
     no Hilbert numerator formed, is nrows minus the rank of coker read off
@@ -586,7 +586,7 @@ def test_every_d_of_the_sessions_and_the_bench_inputs_is_fine(monkeypatch):
     paths = sorted((REPO / "sessions").glob("*.session")) + \
         sorted((REPO / "perfbench" / "inputs").glob("*.session"))
     Ds = _ds_of(path.read_text() for path in paths)
-    assert len(Ds) == 30
+    assert len(Ds) == 34
     ranks = [D.nrows - sum(matrix.module_hilbert_data(D).values())
              for D in Ds]
 

@@ -22,6 +22,8 @@ from conftest import REPO
     ("same_output.py", [".", ".", "chains/complete_flag.chain"]),
     ("same_output.py", [".", ".", "sessions/flag.session", "--commands",
                         "compute,crk", "--verbose"]),
+    ("statement_census.py", ["sessions/final_unit.session"]),
+    ("statement_census.py", ["sessions/koszul_summand.session"]),
 ])
 def test_script_runs(script, args):
     proc = subprocess.run([sys.executable, str(REPO / "scripts" / script),

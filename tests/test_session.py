@@ -6,6 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from jumploci import resolution, twisted
 from jumploci.field import GF, QQ
 from jumploci.groebner import ModuleGB
 from jumploci.poly import MAX_NESTING, _TOKEN
@@ -178,6 +179,19 @@ def test_constant_ci_element_rejected():
     assert "irrelevant maximal ideal" in str(err)
 
 
+@pytest.mark.parametrize("ci, message", [
+    ("x^2, x + y^2", "inhomogeneous element 'x + y^2' (line 3, column 9)"),
+    ("x^2, 5", "'5' is not in the irrelevant maximal ideal "
+               "(line 3, column 9)"),
+])
+def test_the_parser_is_the_one_check_of_the_ci_generators(ci, message):
+    """``RingData`` checks nothing: the parser refuses an inhomogeneous or
+    a constant ci generator and names its line and column (a zero one is
+    pinned in ``tests/test_cli.py``)."""
+    err = _err(f"field GF(101)\nring x, y\nci {ci}\nmodule coker [[x, y]]\n")
+    assert str(err) == message
+
+
 def test_both_module_kinds_rejected():
     err = _err("field GF(101)\nring x, y\nci x^2, y^2\n"
                "module coker [[x, y]]\n"
@@ -214,6 +228,34 @@ def test_zero_column_rejected():
     assert "zero" in str(err)
 
 
+@pytest.mark.parametrize("complex_, message", [
+    ("d1 [[x, x + y^2]]", "column 2 of d1 is not homogeneous"),
+    ("d1 [[x, y], [y^2, x]]", "column 1 of d1 is not homogeneous"),
+    ("d1 [[x, y^2]] d2 [[y], [x]]", "column 1 of d2 is not homogeneous"),
+    ("d1 [[x, 0]]", "column 2 of d1 is zero; its degree cannot be inferred"),
+    ("d1 [[x, y]] d2 [[0], [0]]",
+     "column 1 of d2 is zero; its degree cannot be inferred"),
+])
+def test_a_dg_column_is_read_as_a_presentation_column(complex_, message):
+    """Each column of a dg differential has the one degree of its terms,
+    each read in the degree of its row (``column_degree``): an
+    inhomogeneous entry and terms whose degrees disagree across rows are
+    the same error, naming the column."""
+    err = _err(f"field GF(101)\nring x, y\nci x^2, y^2\ncomplex {complex_}\n")
+    assert str(err) == message
+
+
+@pytest.mark.parametrize("name, degrees", [
+    ("koszul_residue.session", [[0], [1, 1], [2]]),
+    ("dg_nonregular.session", [[0], [3, 3], [4]]),
+    ("koszul_summand.session", [[0, 0], [1, 1, 0], [2]]),
+])
+def test_the_generator_degrees_of_a_complex_are_inferred(name, degrees):
+    """F_0 sits in degree 0, and each later generator in the degree of its
+    column."""
+    assert parse_session(_read(name)).module.degrees == degrees
+
+
 def test_unterminated_matrix_rejected():
     err = _err("field GF(101)\nring x\nci x^2\nmodule coker [[x\n")
     assert "unterminated" in str(err)
@@ -248,6 +290,29 @@ def test_build_pipeline_coker_with_dual():
     assert pipeline.X_dual.rank == pipeline.X.rank
     assert pipeline.dual_is_module
     assert dual_presentation(pipeline.resolution) is not None
+
+
+@pytest.mark.parametrize("name, twin, module, unit", [
+    ("final_unit.session", "final.session", resolution, (0, 3)),
+    ("koszul_summand.session", "koszul_residue.session", twisted, (4, 1)),
+])
+def test_an_example_enters_each_unit_cancelling_loop(monkeypatch, name, twin,
+                                                      module, unit):
+    """``final_unit`` cancels the one unit of its presentation
+    (``split_unit_entries``) and ``koszul_summand`` the one unit of its
+    X (``minimalize``); each then has the X of its twin."""
+    Y = build_pipeline(parse_session(_read(twin))).X
+    cancelled = []
+    cancel = module.cancel_unit
+
+    def counting(entries, r, c, field):
+        cancelled.append((r, c))
+        cancel(entries, r, c, field)
+
+    monkeypatch.setattr(module, "cancel_unit", counting)
+    X = build_pipeline(parse_session(_read(name))).X
+    assert cancelled == [unit]
+    assert (X.basis_degrees, X.D) == (Y.basis_degrees, Y.D)
 
 
 # x^2 - y^2, x*y is a regular sequence whose ideal is not monomial
