@@ -7,9 +7,11 @@ chain file (``.chain``) the command ``realize``, in fresh interpreters
 (``python -m jumploci.cli``) with ``PYTHONDONTWRITEBYTECODE=1`` and
 ``PYTHONPATH`` set to the tree's ``src``, every job of TREE_A first, then
 every job of TREE_B.  Each job whose standard output, standard error or
-exit code differs between the trees is reported, and the script exits 1
-if any does.  ``--commands`` runs a subset of the five on the session
-files, such as ``crk`` alone on inputs whose other commands are slow.
+exit code differs between the trees is reported, with the standard-error
+lines that differ, those of TREE_A marked ``-`` and those of TREE_B
+``+``, and the script exits 1 if any job differs.  ``--commands`` runs a
+subset of the five on the session files, such as ``crk`` alone on inputs
+whose other commands are slow.
 ``--verbose`` runs both trees with ``JUMPLOCI_VERBOSE=1``, so that the
 engine statistics on standard error are compared too; without it, both
 run with the variable empty.
@@ -19,6 +21,7 @@ Usage: python scripts/same_output.py TREE_A TREE_B FILE...
 """
 
 import argparse
+import difflib
 import os
 import subprocess
 import sys
@@ -56,6 +59,29 @@ def run_tree(tree, files, commands, verbose):
     return out
 
 
+def differences(job, result_a, result_b):
+    """The report lines of one (file, command) job, given its
+    (exit code, stdout, stderr) in each tree: [] when they agree, else a
+    DIFFER line naming what differs, followed, when the standard errors
+    differ, by the lines of each that the other lacks."""
+    (code_a, out_a, err_a), (code_b, out_b, err_b) = result_a, result_b
+    parts = [name for name, same in (("stdout", out_a == out_b),
+                                     ("stderr", err_a == err_b),
+                                     ("exit code", code_a == code_b))
+             if not same]
+    if not parts:
+        return []
+    lines = [f"DIFFER {job[0].name} {job[1]}: {', '.join(parts)} "
+             f"(exit {code_a} vs {code_b})"]
+    diff = difflib.unified_diff(
+        err_a.decode(errors="replace").splitlines(),
+        err_b.decode(errors="replace").splitlines(), lineterm="", n=0)
+    # past the two file headers, each hunk is an @@ line and its lines
+    lines += [f"    {line}" for line in list(diff)[2:]
+              if not line.startswith("@@")]
+    return lines
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("tree_a", type=Path)
@@ -73,16 +99,11 @@ def main() -> int:
     a = run_tree(args.tree_a.resolve(), files, commands, args.verbose)
     b = run_tree(args.tree_b.resolve(), files, commands, args.verbose)
     differ = 0
-    for job, (code_a, out_a, err_a) in a.items():
-        code_b, out_b, err_b = b[job]
-        parts = [name for name, same in (("stdout", out_a == out_b),
-                                         ("stderr", err_a == err_b),
-                                         ("exit code", code_a == code_b))
-                 if not same]
-        if parts:
+    for job, result in a.items():
+        lines = differences(job, result, b[job])
+        if lines:
             differ += 1
-            print(f"DIFFER {job[0].name} {job[1]}: {', '.join(parts)} "
-                  f"(exit {code_a} vs {code_b})")
+            print("\n".join(lines))
     failing = sum(code != 0 for code, _, _ in a.values())
     print(f"{len(a)} jobs, {differ} differ; {failing} exit nonzero "
           f"in {args.tree_a}")

@@ -63,10 +63,10 @@ Krull dimensions are read off the leading monomials alone: dim F/U =
 dim F/in(U), the largest dimension of S/J_r over the components r of
 in(U) = sum J_r e_r, and dim S/J is the size of the largest set of
 variables containing the support of no minimal generator of J
-(Kredel-Weispfenning, J. Symb. Comp. 6, 1988).  Hilbert numerators, off
-which the complexity, Betti degree and Betti numbers are read, and the
-generic rank of a matrix, come from Bigatti's pivot recursion (J. Pure
-Appl. Algebra 119, 1997).
+(Kredel-Weispfenning, J. Symb. Comp. 6, 1988).  Hilbert numerators,
+among them that of H(X) which ``loci`` expands, and the generic rank of
+a matrix come from Bigatti's pivot recursion (J. Pure Appl. Algebra 119,
+1997).
 """
 
 from __future__ import annotations
@@ -632,26 +632,6 @@ def module_hilbert_data(mat, row_shifts=None, weights=None):
     return total
 
 
-def dimension_and_multiplicity(num, nvars: int):
-    """Dimension and multiplicity read off a Hilbert numerator.
-
-    ``num`` (dict deg -> int, degrees of either sign) is the numerator of
-    the Hilbert series num / prod_i (1 - t^{w_i}) of a graded module over
-    a ring in ``nvars`` variables of positive weights.  Writing
-    num = (1 - t)^s * Q with Q(1) != 0, the dimension is nvars - s and the
-    multiplicity is Q(1).  A zero numerator (the zero module) gives
-    ``(-1, None)``.
-    """
-    if not any(num.values()):
-        return (-1, None)
-    order = 0
-    q = dict(num)
-    while sum(q.values()) == 0:
-        q = _divide_by_one_minus_t(q)
-        order += 1
-    return (nvars - order, sum(q.values()))
-
-
 def _fresh_name(ring: PolyRing) -> str:
     base = "t_rad"
     name = base
@@ -753,18 +733,3 @@ def _times_one_minus(num, d):
     for k, c in num.items():
         out[k + d] = out.get(k + d, 0) - c
     return {k: c for k, c in out.items() if c}
-
-
-def _divide_by_one_minus_t(num):
-    """Exact quotient num / (1 - t) for integer coefficient dicts, whose
-    keys may lie below 0."""
-    # (1 - t) * q = num  =>  q_d = num_d + q_{d-1}
-    q = {}
-    carry = 0
-    for d in range(min(num), max(num) + 1):
-        carry += num.get(d, 0)
-        if carry:
-            q[d] = carry
-    if carry:
-        raise ArithmeticError("division by (1 - t) is not exact")
-    return q

@@ -9,11 +9,12 @@ additivity of the loci over direct sums (``tests/oracles.py``).
 A JumpLociReport holds every jump ideal of one complex, computed once;
 its jump numbers are computed when first read.  It holds no generic
 rank: only ``crk`` prints the generic crk, through ``crk_at``.  Every
-Betti-side invariant comes from one Hilbert numerator h of H(X) over S,
-with P_M(t) = h(t)/(1 - t^2)^c: the Betti numbers expand it, the
-quasi-polynomial of their tail is one binomial sum over h on each
-parity, and the complexity and the Betti degree are the dimension and
-multiplicity of its even and odd parts.  The tests check the complexity
+Betti-side invariant is read off one quasi-polynomial (P_0, P_1), a
+binomial sum on each parity over the Hilbert numerator h of H(X) over S,
+with P_M(t) = h(t)/(1 - t^2)^c (``_quasi_polynomial``): ``betti`` prints
+it as the tail of the Betti numbers that expand h, and the complexity
+and the Betti degree are the degree + 1 and the scaled leading
+coefficient of its leading term.  The tests check the complexity
 against dim V^1, off the minors (Avramov-Buchweitz, Invent. Math. 142,
 2000), and twice the Betti degree against the generic crk where the
 complexity is c.
@@ -47,12 +48,12 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import cached_property
+from math import prod
 from operator import add, le
 
 from .poly import PolyRing
 from .matrix import PolyMatrix, scalar_rank
-from .groebner import (Ideal, ModuleGB, module_hilbert_data,
-                       dimension_and_multiplicity)
+from .groebner import Ideal, ModuleGB, module_hilbert_data
 from .resolution import (RingData, PipelineError, FreeResolution,
                          resolve_over_b)
 from .twisted import (TwistedComplex, minimalize, homology_presentation,
@@ -174,6 +175,35 @@ def _ext_numerator(X: TwistedComplex):
     return {d: v for d, v in h.items() if v}, c
 
 
+def _quasi_polynomial(h, c: int):
+    """(P_0, P_1): the polynomials in i that give the coefficient of t^i
+    in h(t)/(1 - t^2)^c for every large i of parity e, each a tuple of
+    Fractions in ascending powers of i, the zero polynomial being ().
+
+    That coefficient is sum_{j = i mod 2} h_j C((i - j)/2 + c - 1, c - 1),
+    and the binomial is the product of (i - j + 2k)/(2k) over
+    k = 1..c-1, so P_e = N_e / (2^(c-1) (c-1)!) with the integer
+    polynomial N_e(i) = sum_{j = e mod 2} h_j prod_k (i - j + 2k).
+    """
+    scale = prod(range(2, 2 * c - 1, 2))  # 2^(c-1) (c-1)!
+    out = []
+    for e in (0, 1):
+        num = [0] * c
+        for j, v in h.items():
+            if j % 2 != e:
+                continue
+            term = [v]
+            for k in range(1, c):
+                # times (i + 2k - j)
+                term = [a * (2 * k - j) + b
+                        for a, b in zip(term + [0], [0] + term)]
+            num = [a + b for a, b in zip(num, term)]
+        while num and not num[-1]:
+            num.pop()
+        out.append(tuple(Fraction(a, scale) for a in num))
+    return out
+
+
 def betti_numbers(X: TwistedComplex, n: int):
     """(beta, tail): beta_0..beta_n over B of the module M with X = X(M),
     and the quasi-polynomial that gives them from some index on.
@@ -185,16 +215,16 @@ def betti_numbers(X: TwistedComplex, n: int):
     nonzero entry, as a finite resolution does; the zero module gives
     {0: 0}.
 
-    Expanded, beta_i = sum_{j = i mod 2} h_j C((i - j)/2 + c - 1, c - 1),
-    which on each parity e is one polynomial P_e in i for every
-    i >= deg h - 2c + 2 (Gulliksen, Math. Scand. 34, 1974; Avramov,
-    Infinite free resolutions, 1998): only the indices below that bound
-    are compared.  P_e is a tuple of Fractions in ascending powers of i,
-    the zero polynomial being ().  With s_e the least index of parity e
-    from which beta_i = P_e(i) through n, the tail is
-    (P_0, P_1, max(s_0, s_1)), or None unless each parity has at least
-    deg P_e + 3 indices from s_e through n (the zero polynomial counting
-    as degree 0): deg P_e + 1 numbers fix P_e and two more confirm it.
+    On each parity e, beta_i is the one polynomial P_e(i) of
+    ``_quasi_polynomial``, the same that ``betti_degree`` reads the
+    complexity and the Betti degree off, for every i >= deg h - 2c + 2
+    (Gulliksen, Math. Scand. 34, 1974; Avramov, Infinite free
+    resolutions, 1998): only the indices below that bound are compared.
+    With s_e the least index of parity e from which beta_i = P_e(i)
+    through n, the tail is (P_0, P_1, max(s_0, s_1)), or None unless each
+    parity has at least deg P_e + 3 indices from s_e through n (the zero
+    polynomial counting as degree 0): deg P_e + 1 numbers fix P_e and two
+    more confirm it.
     """
     h, c = _ext_numerator(X)
     beta = [h.get(i, 0) for i in range(n + 1)]
@@ -202,20 +232,9 @@ def betti_numbers(X: TwistedComplex, n: int):
         for i in range(2, n + 1):
             beta[i] += beta[i - 2]
     exact_from = max(h, default=0) - 2 * c + 2
-    branches, starts, confirmed = [], [], True
-    for e in (0, 1):
-        poly = [Fraction(0)] * c
-        for j, v in h.items():
-            if j % 2 != e:
-                continue
-            # h_j times the product of (i - j + 2k)/(2k) over k = 1..c-1
-            term = [Fraction(v)]
-            for k in range(1, c):
-                term = [(a * (2 * k - j) + b) / (2 * k)
-                        for a, b in zip(term + [0], [0] + term)]
-            poly = list(map(add, poly, term))
-        while poly and not poly[-1]:
-            poly.pop()
+    branches = _quasi_polynomial(h, c)
+    starts, confirmed = [], True
+    for e, poly in enumerate(branches):
         top = n - (n - e) % 2
         s = top + 2
         for i in range(top, -1, -2):
@@ -223,7 +242,6 @@ def betti_numbers(X: TwistedComplex, n: int):
                     a * i ** p for p, a in enumerate(poly)):
                 break
             s = i
-        branches.append(tuple(poly))
         starts.append(s)
         confirmed &= len(range(s, n + 1, 2)) >= max(len(poly), 1) + 2
     while len(beta) > 1 and not beta[-1]:
@@ -233,29 +251,29 @@ def betti_numbers(X: TwistedComplex, n: int):
 
 
 def betti_degree(X: TwistedComplex) -> tuple:
-    """(complexity, Betti degree): the Krull dimension of Ext, at least 0,
-    and the multiplicity of its even part in the degree-1 regrading, or
-    None when the complexity is 0.
+    """(complexity, Betti degree), read off the leading term of the
+    quasi-polynomial (P_0, P_1) of ``_quasi_polynomial`` that ``betti``
+    prints: the complexity is 1 + the larger degree of P_0 and P_1, or 0
+    when both are zero, and the Betti degree is
+    lead(P_e) 2^(cx-1) (cx-1)! for a parity e whose P_e has that degree,
+    or None when the complexity is 0.
 
-    H(X) = Ext is the direct sum of its even and odd parts, S-modules whose
-    Hilbert series are the parts of h(t)/(1 - t^2)^c of that parity (the
-    denominator is even).  With u = t^2 the part of parity e is
-    t^e * h_e(u)/(1 - u)^c, where h_e collects the h_j with j = e mod 2, so
-    its dimension and multiplicity are read off h_e over k[u].  The
-    complexity is the larger of the two dimensions, and only a part of that
-    dimension carries a multiplicity.  Cross-checked against the odd part.
-    For X = X(M) from the minimal resolution of M these are the complexity
-    and the Betti degree of M (Avramov, Infinite free resolutions, 1998).
+    H(X) = Ext is the direct sum of its even and odd parts, S-modules
+    whose Hilbert functions are P_0 and P_1 in large degrees, so these
+    are the Krull dimension of Ext and the multiplicity of its part of
+    top dimension in the degree-1 regrading (u = t^2).  A part of lower
+    dimension carries multiplicity 0, and the two parities are
+    cross-checked.  For X = X(M) from the minimal resolution of M these
+    are the complexity and the Betti degree of M (Avramov, Infinite free
+    resolutions, 1998).
     """
-    h, c = _ext_numerator(X)
-    parts = []
-    for parity in (0, 1):
-        part = {j // 2: v for j, v in h.items() if j % 2 == parity}
-        parts.append(dimension_and_multiplicity(part, c))
-    complexity = max(dim for dim, _ in parts)
-    if complexity <= 0:
-        return max(complexity, 0), None
-    e_even, e_odd = (mult if dim == complexity else 0 for dim, mult in parts)
+    branches = _quasi_polynomial(*_ext_numerator(X))
+    complexity = max(map(len, branches))
+    if not complexity:
+        return 0, None
+    scale = prod(range(2, 2 * complexity - 1, 2))  # 2^(cx-1) (cx-1)!
+    e_even, e_odd = (int(poly[-1] * scale) if len(poly) == complexity
+                     else 0 for poly in branches)
     if e_even != e_odd:
         raise AssertionError(
             f"even/odd multiplicities disagree: {e_even} != {e_odd}")

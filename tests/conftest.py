@@ -22,6 +22,17 @@ REPO = Path(__file__).resolve().parent.parent
 SESSIONS = REPO / "sessions"
 CHAINS = REPO / "chains"
 
+# The example inputs, listed once: the tests that pin the example files
+# compare a glob of ``sessions/`` or ``perfbench/inputs/`` with these
+# stems, so a file added to either directory, or missing from it, fails
+# them.  The DG sessions give the module by an action, not as a cokernel.
+SESSION_STEMS = ("dg_nonregular", "final", "final_unit", "flag",
+                 "koszul_residue", "koszul_summand", "perfect")
+BENCH_INPUT_STEMS = ("loci_a", "loci_b", "loci_c", "m2_n3_e2", "m2_n3_e3",
+                     "m2_n5_e2", "res_n3_e2", "res_n4_e2", "res_n7_e2",
+                     "sq_n6_e2")
+DG_SESSION_STEMS = ("dg_nonregular", "koszul_residue", "koszul_summand")
+
 
 # Chains that ``realize`` rejects, with the error output it prints.
 # V(chi1 - chi2) does not lie in V(chi1 + chi2), which only the

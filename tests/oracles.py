@@ -5,15 +5,19 @@ some of them another way, or check a property that the program holds by
 construction, and no command runs them:
 
 - the generic rank of a matrix by one fraction-free elimination, where
-  the program reads it off the Hilbert numerator of the cokernel;
+  the program eliminates the scalars of each block of a fine-graded
+  matrix and reads it off the Hilbert numerator of the cokernel only for
+  any other matrix;
 - the blocks of a matrix by a plain union-find (``_components``) and the
   potentials of a fine-graded matrix by a search of its support graph
   (``fine_grading``), where the program finds both, and whether each
   block is fine, in one union-find pass that carries exponent offsets
   (``matrix._blocks``);
-- the dimension and multiplicity of a cokernel with its Hilbert
-  numerator (``hilbert_data``), which the program reads only for the
-  parts of Ext;
+- the dimension and multiplicity of a graded module, read off its
+  Hilbert numerator by dividing by (1 - t) (``dimension_and_multiplicity``,
+  and ``hilbert_data`` for a cokernel): the oracle of ``betti_degree``,
+  which reads the complexity and the Betti degree off the leading term of
+  the Betti quasi-polynomial;
 - the jump ideals by the exterior-power Fitting route, and the
   additivity of jump loci over direct sums;
 - a system of higher homotopies that solves every identity
@@ -48,7 +52,10 @@ construction, and no command runs them:
   a polynomial modulo an ideal and the canonical printing of a session;
 - the quasi-polynomial tail of a Betti sequence by exact interpolation of
   its last numbers, where ``betti`` reads it off the Hilbert numerator of
-  Ext in closed form (``loci.betti_numbers``);
+  Ext in closed form (``loci.betti_numbers``), and that closed form by a
+  recurrence over Fractions (``fraction_quasi_polynomial``), where the
+  program sums integer numerators over one denominator
+  (``loci._quasi_polynomial``);
 - the argparse parser the command line was read with, which
   ``cli.parse_command_line`` must agree with.
 """
@@ -62,7 +69,6 @@ from fractions import Fraction
 from operator import add
 
 from jumploci.groebner import (GBStats, Ideal, ModuleGB,
-                               dimension_and_multiplicity,
                                module_hilbert_data, vector_of)
 from jumploci.homotopy import (HigherHomotopySystem, _multi_indices,
                                _solving_order, compute_higher_homotopies,
@@ -161,6 +167,41 @@ def exact_divide(p: Polynomial, divisor: Polynomial) -> Polynomial:
             else:
                 rem.pop(mono, None)
     return Polynomial(p.ring, out)
+
+
+def dimension_and_multiplicity(num, nvars: int):
+    """Dimension and multiplicity read off a Hilbert numerator.
+
+    ``num`` (dict deg -> int, degrees of either sign) is the numerator of
+    the Hilbert series num / prod_i (1 - t^{w_i}) of a graded module over
+    a ring in ``nvars`` variables of positive weights.  Writing
+    num = (1 - t)^s * Q with Q(1) != 0, the dimension is nvars - s and the
+    multiplicity is Q(1).  A zero numerator (the zero module) gives
+    ``(-1, None)``.
+    """
+    if not any(num.values()):
+        return (-1, None)
+    order = 0
+    q = dict(num)
+    while sum(q.values()) == 0:
+        q = _divide_by_one_minus_t(q)
+        order += 1
+    return (nvars - order, sum(q.values()))
+
+
+def _divide_by_one_minus_t(num):
+    """Exact quotient num / (1 - t) for integer coefficient dicts, whose
+    keys may lie below 0."""
+    # (1 - t) * q = num  =>  q_d = num_d + q_{d-1}
+    q = {}
+    carry = 0
+    for d in range(min(num), max(num) + 1):
+        carry += num.get(d, 0)
+        if carry:
+            q[d] = carry
+    if carry:
+        raise ArithmeticError("division by (1 - t) is not exact")
+    return q
 
 
 def hilbert_data(mat: PolyMatrix, row_shifts=None, weights=None):
@@ -732,6 +773,27 @@ def _fit_branch(points):
                 start -= 1
             return _interpolate(points[-(d + 1):]), points[start][0]
     raise TruncationNeeded("tail is not yet quasi-polynomial")
+
+
+def fraction_quasi_polynomial(h, c: int):
+    """(P_0, P_1) of ``loci._quasi_polynomial``, the polynomial in i on
+    each parity e of sum_{j = e mod 2} h_j C((i - j)/2 + c - 1, c - 1),
+    built one factor (i - j + 2k)/(2k) at a time over Fractions."""
+    out = []
+    for e in (0, 1):
+        poly = [Fraction(0)] * c
+        for j, v in h.items():
+            if j % 2 != e:
+                continue
+            term = [Fraction(v)]
+            for k in range(1, c):
+                term = [(a * (2 * k - j) + b) / (2 * k)
+                        for a, b in zip(term + [0], [0] + term)]
+            poly = list(map(add, poly, term))
+        while poly and not poly[-1]:
+            poly.pop()
+        out.append(tuple(poly))
+    return out
 
 
 def fit_quasi_polynomial(betti: dict, window: int) -> QuasiPoly:

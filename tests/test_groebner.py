@@ -10,15 +10,13 @@ from hypothesis import example, given, settings, strategies as st
 
 from jumploci import GF, QQ, PolyRing
 from jumploci.groebner import (GBStats, Ideal, ModuleGB, _hilbert_num,
-                               _minimalize, add_image,
-                               dimension_and_multiplicity, reduced,
-                               vector_of)
+                               _minimalize, add_image, reduced, vector_of)
 from jumploci.poly import Polynomial
 from jumploci.matrix import PolyMatrix
 
 from conftest import matrix_of
-from oracles import (EveryPairGB, hilbert_data, identity_matrix, normal_form,
-                     syzygy_matrix, vec_add)
+from oracles import (EveryPairGB, dimension_and_multiplicity, hilbert_data,
+                     identity_matrix, normal_form, syzygy_matrix, vec_add)
 
 GF5 = GF(5)
 GF101 = GF(101)

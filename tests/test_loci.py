@@ -2,7 +2,9 @@
 
 import itertools
 import json
+import math
 import random
+from unittest import mock
 
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
@@ -23,14 +25,16 @@ from jumploci.loci import (crk_at, jump_locus_ideal, jump_loci_report,
                            duality_check, realize,
                            stable_betti_oracle, RouteDisagreement)
 
-from conftest import (LADDER, REPO, SESSIONS, PAIR_BLOCK_SESSION,
+from conftest import (BENCH_INPUT_STEMS, DG_SESSION_STEMS, LADDER, REPO,
+                      SESSION_STEMS, SESSIONS, PAIR_BLOCK_SESSION,
                       assert_twisted_complex, koszul_block, matrix_of,
                       random_monomial_rows, random_homogeneous,
                       random_twisted_complex)
-from oracles import (TruncationNeeded, additivity_check, dual_presentation,
-                     explicit_dual, fit_quasi_polynomial, full_system,
-                     hilbert_data, jump_locus_via_exterior_power, shift,
-                     x_of_m_star)
+from oracles import (TruncationNeeded, additivity_check,
+                     dimension_and_multiplicity, dual_presentation,
+                     explicit_dual, fit_quasi_polynomial,
+                     fraction_quasi_polynomial, full_system, hilbert_data,
+                     jump_locus_via_exterior_power, shift, x_of_m_star)
 
 GF101 = GF(101)
 
@@ -231,9 +235,17 @@ def _parity_split_betti_degree(X):
         shifts = [degs[idx][0] // 2 for idx in rows]
         dim, mult, _ = hilbert_data(sub, shifts, (1,) * S.nvars)
         parts.append((dim, mult))
+    return _read_parts(parts)
+
+
+def _read_parts(parts):
+    """(complexity, Betti degree) off the (dimension, multiplicity) of the
+    even and odd parts of Ext: the larger dimension, at least 0, and the
+    multiplicity of a part of that dimension, each part of lower
+    dimension counting 0; an AssertionError when the parts disagree."""
     complexity = max(dim for dim, _ in parts)
     if complexity <= 0:
-        return max(complexity, 0), None
+        return 0, None
     e_even, e_odd = (mult if dim == complexity else 0 for dim, mult in parts)
     if e_even != e_odd:
         raise AssertionError(
@@ -277,6 +289,54 @@ def test_betti_degree_equals_the_parity_split_route():
     assert any(v == (0, None) for v in values)
     assert any(isinstance(v, str) and v.endswith(" != 0") for v in values)
     assert any(isinstance(v, str) and " 0 != " in v for v in values)
+
+
+@st.composite
+def _ext_numerators(draw):
+    """(h, c): an integer numerator keyed from -1 upward, of both signs,
+    and c = 1..5.  Each parity part is u^o g(u) (1 - u)^s, with s up to
+    c + 1, so its dimension c - s (at most) runs from c to below zero;
+    at times the odd part is the even part under another u^o, so the two
+    parts have one dimension and one multiplicity."""
+    c = draw(st.integers(1, 5))
+    coeffs = st.lists(st.integers(-4, 4), min_size=1, max_size=4)
+    parts, same = [], draw(st.booleans())
+    for e in (0, 1):
+        if not (e and same):
+            g, s = draw(coeffs), draw(st.integers(0, c + 1))
+            for _ in range(s):
+                g = [a - b for a, b in zip(g + [0], [0] + g)]
+        parts.append((draw(st.integers(-e, 2)), g))
+    h = {2 * (o + m) + e: v for e, (o, g) in enumerate(parts)
+         for m, v in enumerate(g) if v}
+    return h, c
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(_ext_numerators())
+@example(({-1: 1, 0: -1, 2: 1}, 1))
+@example(({0: 1, 1: 1, 2: -2, 3: -2, 4: 1, 5: 1}, 3))
+def test_the_quasi_polynomial_leads_with_the_dimension_and_multiplicity(
+        drawn):
+    """On each parity, P_e of ``loci._quasi_polynomial`` is the polynomial
+    of the Fraction recurrence, and (deg P_e + 1, lead(P_e) 2^deg deg!)
+    is the (dimension, multiplicity) of that part of h over k[u],
+    u = t^2, read by division by (1 - u), or (0, None) for a part of
+    dimension at most 0; ``betti_degree`` on h returns or raises what
+    those parts give."""
+    h, c = drawn
+    branches = loci._quasi_polynomial(h, c)
+    assert branches == fraction_quasi_polynomial(h, c)
+    parts = []
+    for e, poly in enumerate(branches):
+        dim, mult = dimension_and_multiplicity(
+            {j // 2: v for j, v in h.items() if j % 2 == e}, c)
+        lead = (poly[-1] * 2 ** (len(poly) - 1) * math.factorial(
+            len(poly) - 1) if poly else None)
+        assert (len(poly), lead) == ((dim, mult) if dim > 0 else (0, None))
+        parts.append((dim, mult))
+    with mock.patch.object(loci, "_ext_numerator", lambda X: (h, c)):
+        assert _outcome(betti_degree, None) == _outcome(_read_parts, parts)
 
 
 def test_bass_degree_via_dual_pipeline(final_pipeline, flag_pipeline):
@@ -521,8 +581,10 @@ _COKERS = sorted(p for d in (SESSIONS, REPO / "perfbench" / "inputs")
                  for p in d.glob("*.session") if "coker" in p.read_text())
 
 
-def test_the_coker_inputs_are_the_fourteen_files():
-    assert len(_COKERS) == 14
+def test_the_coker_inputs_are_the_listed_files():
+    assert sorted(p.stem for p in _COKERS) == sorted(
+        s for s in SESSION_STEMS + BENCH_INPUT_STEMS
+        if s not in DG_SESSION_STEMS)
 
 
 @pytest.mark.parametrize("path", _COKERS, ids=lambda p: p.stem)
@@ -767,8 +829,9 @@ def _assert_cx_is_dim_v1(X):
     return rep
 
 
-def test_the_theorem_inputs_are_the_sixteen_files():
-    assert len(_MINORS_FINISH) == 16
+def test_the_theorem_inputs_are_the_listed_files():
+    assert sorted(p.stem for p in _MINORS_FINISH) == sorted(
+        s for s in SESSION_STEMS + BENCH_INPUT_STEMS if s != "sq_n6_e2")
 
 
 @pytest.mark.parametrize("path", _MINORS_FINISH, ids=lambda p: p.stem)

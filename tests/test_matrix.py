@@ -17,9 +17,10 @@ from jumploci.resolution import PipelineError, resolve_over_a
 from jumploci.session import build_pipeline, parse_session
 from jumploci.twisted import TwistedComplex, s_dual
 
-from conftest import (LADDER, REPO, PAIR_BLOCK_SESSION,
-                      assert_twisted_complex, matrix_of, matrix_sum,
-                      random_monomial_rows, random_monomial_rows_3)
+from conftest import (BENCH_INPUT_STEMS, LADDER, REPO, PAIR_BLOCK_SESSION,
+                      SESSION_STEMS, assert_twisted_complex, matrix_of,
+                      matrix_sum, random_monomial_rows,
+                      random_monomial_rows_3)
 from oracles import (_components, fine_grading, full_system,
                      identity_matrix, transpose, verify_system,
                      whole_matrix_rank)
@@ -578,15 +579,16 @@ def _assert_fine(P):
 
 
 def test_every_d_of_the_sessions_and_the_bench_inputs_is_fine(monkeypatch):
-    """The 34 D's of ``sessions/`` and ``perfbench/inputs/`` (X and its
-    dual) take the scalar route of ``generic_rank``: each block of each is
-    fine, potentials reproduce every entry's exponent, and its rank, with
-    no Hilbert numerator formed, is nrows minus the rank of coker read off
-    one."""
+    """The D's of the listed files of ``sessions/`` and
+    ``perfbench/inputs/`` (X and its dual) take the scalar route of
+    ``generic_rank``: each block of each is fine, potentials reproduce
+    every entry's exponent, and its rank, with no Hilbert numerator
+    formed, is nrows minus the rank of coker read off one."""
     paths = sorted((REPO / "sessions").glob("*.session")) + \
         sorted((REPO / "perfbench" / "inputs").glob("*.session"))
+    assert [p.stem for p in paths] == [*sorted(SESSION_STEMS),
+                                       *sorted(BENCH_INPUT_STEMS)]
     Ds = _ds_of(path.read_text() for path in paths)
-    assert len(Ds) == 34
     ranks = [D.nrows - sum(matrix.module_hilbert_data(D).values())
              for D in Ds]
 

@@ -2,9 +2,11 @@
 arguments: each exits 0 and prints no traceback.  The README's test
 command collects the suite with no ``PYTHONPATH`` set."""
 
+import importlib.util
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -43,3 +45,31 @@ def test_pytest_finds_the_package_without_pythonpath():
                            "tests/test_poly.py"], cwd=REPO, env=env,
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stdout + proc.stderr
+
+
+def _same_output():
+    spec = importlib.util.spec_from_file_location(
+        "same_output", REPO / "scripts" / "same_output.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_same_output_prints_the_stderr_lines_that_differ():
+    """A job whose engine line moved is reported with the line of each
+    tree, TREE_A's marked ``-`` and TREE_B's ``+``; the lines both trees
+    print, and a job that agrees, are not."""
+    differences = _same_output().differences
+    job = (Path("sessions/flag.session"), "oracle")
+    a = (0, b"{}\n", b"time 1\nzero_reductions=15\nend\n")
+    b = (0, b"{}\n", b"time 1\nzero_reductions=12\nend\n")
+    assert differences(job, a, b) == [
+        "DIFFER flag.session oracle: stderr (exit 0 vs 0)",
+        "    -zero_reductions=15", "    +zero_reductions=12"]
+    assert differences(job, a, a) == []
+    c = (1, b"", b"--- a line that looks like a header\n")
+    assert differences(job, a, c) == [
+        "DIFFER flag.session oracle: stdout, stderr, exit code "
+        "(exit 0 vs 1)",
+        "    -time 1", "    -zero_reductions=15", "    -end",
+        "    +--- a line that looks like a header"]
