@@ -14,10 +14,14 @@ subset of the five on the session files, such as ``crk`` alone on inputs
 whose other commands are slow.
 ``--verbose`` runs both trees with ``JUMPLOCI_VERBOSE=1``, so that the
 engine statistics on standard error are compared too; without it, both
-run with the variable empty.
+run with the variable empty.  ``--ladder`` adds the ladder sessions, the
+texts of ``tests/conftest.py::LADDER`` in this checkout, written to a
+temporary directory as ``NAME.session``: the entries named, or every
+entry when none is.
 
-Usage: python scripts/same_output.py TREE_A TREE_B FILE...
-           [--commands compute,dual,crk,betti,oracle] [--verbose]
+Usage: python scripts/same_output.py TREE_A TREE_B [FILE...]
+           [--ladder [NAME...]] [--commands compute,dual,crk,betti,oracle]
+           [--verbose]
 """
 
 import argparse
@@ -25,7 +29,10 @@ import difflib
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
+
+REPO = Path(__file__).resolve().parent.parent
 
 JOBS = {
     "compute": ["compute"],
@@ -42,6 +49,13 @@ def jobs_of(path, commands):
     if path.suffix == ".chain":
         return {"realize": ["realize", "--chain", str(path)]}
     return {name: [*JOBS[name], "--input", str(path)] for name in commands}
+
+
+def ladder():
+    """{name: session text} of ``tests/conftest.py::LADDER``."""
+    sys.path[:0] = [str(REPO / "src"), str(REPO / "tests")]
+    from conftest import LADDER
+    return LADDER
 
 
 def run_tree(tree, files, commands, verbose):
@@ -86,7 +100,9 @@ def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("tree_a", type=Path)
     parser.add_argument("tree_b", type=Path)
-    parser.add_argument("files", type=Path, nargs="+")
+    parser.add_argument("files", type=Path, nargs="*")
+    parser.add_argument("--ladder", nargs="*", metavar="NAME",
+                        help="also the LADDER sessions named, or all")
     parser.add_argument("--commands", default=",".join(JOBS))
     parser.add_argument("--verbose", action="store_true",
                         help="run both trees with JUMPLOCI_VERBOSE=1")
@@ -95,9 +111,23 @@ def main() -> int:
     unknown = [c for c in commands if c not in JOBS]
     if unknown:
         parser.error(f"unknown command(s): {', '.join(unknown)}")
-    files = [f.resolve() for f in args.files]
-    a = run_tree(args.tree_a.resolve(), files, commands, args.verbose)
-    b = run_tree(args.tree_b.resolve(), files, commands, args.verbose)
+    texts = {}
+    if args.ladder is not None:
+        texts = ladder()
+        names = args.ladder or list(texts)
+        unknown = [name for name in names if name not in texts]
+        if unknown:
+            parser.error(f"unknown ladder entries: {', '.join(unknown)}")
+        texts = {name: texts[name] for name in names}
+    if not (args.files or texts):
+        parser.error("no FILE and no --ladder")
+    with tempfile.TemporaryDirectory() as tmp:
+        files = [f.resolve() for f in args.files]
+        for name, text in texts.items():
+            files.append(Path(tmp) / f"{name}.session")
+            files[-1].write_text(text)
+        a = run_tree(args.tree_a.resolve(), files, commands, args.verbose)
+        b = run_tree(args.tree_b.resolve(), files, commands, args.verbose)
     differ = 0
     for job, result in a.items():
         lines = differences(job, result, b[job])

@@ -52,7 +52,8 @@ untracked run of a monomial input processes no pair at all.
 A graded run, given the degrees of the free generators, keys its pairs by
 module degree and settles the columns one degree at a time, keeping only
 minimal generators (see ``ModuleGB``); each stage of a resolution, over A
-or over B, is one such run.
+or over B, is one such run.  ``column_degree`` is the one reader of the
+degree of a module vector.
 
 A reduced basis is formed in one place, ``ModuleGB._interreduce``: after
 an ungraded, untracked run, and in ``ModuleGB.of_basis`` for the monic
@@ -107,6 +108,22 @@ class GBStats:
             setattr(cls, name, 0)
 
 
+class PipelineError(ValueError):
+    """Domain-level rejection (bad ring data, failed precondition)."""
+
+
+def column_degree(ring: PolyRing, col, row_degrees) -> int:
+    """Internal degree of a homogeneous module vector, each term (r, m) of
+    degree deg m + ``row_degrees[r]``; one whose terms disagree is a
+    PipelineError.  Graded runs group their columns by it, and
+    resolutions and dg input read the degrees of their generators with
+    it."""
+    degs = {ring.wdeg(m) + row_degrees[comp] for (comp, m) in col}
+    if len(degs) != 1:
+        raise PipelineError("inhomogeneous module column")
+    return degs.pop()
+
+
 def add_image(columns, v, acc):
     """Add to ``acc`` ({(row, monomial): coefficient}, not yet reduced) the
     image of the module vector ``v`` under the map with the columns
@@ -140,20 +157,21 @@ class ModuleGB:
 
     Given ``row_degrees``, the degrees of the free generators, the run is
     graded and keeps only minimal generators of the columns plus
-    ``modulo``.  It settles one module degree d at a time: every pair of
-    degree <= d is processed, the ``modulo`` vectors of degree d are
-    added, and the degree-d columns are walked from the last to the
-    first.  A column whose reduction has a nonzero real part is added to
-    the basis; one that reduces to zero is dropped and gets no shadow
-    coordinate.  The basis is then a Groebner basis through degree d, so
-    a column is kept exactly when it lies outside the span of the kept
-    columns of lower degree, the later columns of its degree and
-    ``modulo``.  ``kept`` lists the positions of the kept columns in
-    ascending (degree, position) order, and syzygies and lifts are given
-    in those coordinates; the ``modulo`` vectors have none.  A tracked
-    graded run then processes the remaining pairs, but an untracked one
-    stops once its top column degree is settled: its basis is a Groebner
-    basis through that degree only.
+    ``modulo``, each read in its degree by ``column_degree`` (an
+    inhomogeneous one is a ``PipelineError``).  It settles one module
+    degree d at a time: every pair of degree <= d is processed, the
+    ``modulo`` vectors of degree d are added, and the degree-d columns
+    are walked from the last to the first.  A column whose reduction has
+    a nonzero real part is added to the basis; one that reduces to zero
+    is dropped and gets no shadow coordinate.  The basis is then a
+    Groebner basis through degree d, so a column is kept exactly when it
+    lies outside the span of the kept columns of lower degree, the later
+    columns of its degree and ``modulo``.  ``kept`` lists the positions of
+    the kept columns in ascending (degree, position) order, and syzygies
+    and lifts are given in those coordinates; the ``modulo`` vectors have
+    none.  A tracked graded run then processes the remaining pairs, but
+    an untracked one stops once its top column degree is settled: its
+    basis is a Groebner basis through that degree only.
 
     ``leads[r]`` lists the (lead monomial, vector) pairs of component r,
     in the order they were added; it is the one store of the basis, and a
@@ -362,10 +380,12 @@ class ModuleGB:
         ring = self.ring
         groups = {}
         for v in modulo:
-            groups.setdefault(self._degree(v), ([], []))[0].append(v)
+            d = column_degree(ring, v, self.row_degrees)
+            groups.setdefault(d, ([], []))[0].append(v)
         for j, col in enumerate(columns):
             if col:
-                groups.setdefault(self._degree(col), ([], []))[1].append(j)
+                d = column_degree(ring, col, self.row_degrees)
+                groups.setdefault(d, ([], []))[1].append(j)
         top = max((d for d, (_, cols) in groups.items() if cols), default=None)
         if top is None:
             return []
@@ -392,11 +412,6 @@ class ModuleGB:
         while self.track and pairs:
             self._next_pair(pairs)
         return kept
-
-    def _degree(self, v) -> int:
-        """Module degree of a homogeneous vector, read off one term."""
-        comp, mono = next(iter(v))
-        return self.ring.wdeg(mono) + self.row_degrees[comp]
 
     def _take(self, w, lead, pairs):
         """Add a reduced element with real lead ``lead`` to the basis, or

@@ -16,7 +16,9 @@ and ``sigma[J]`` may be empty.  The twisted complex reads only the
 constant terms of the blocks, and sigma_J is homogeneous of degree
 deg f_J in the input's finest grading (``_grading``: each row of F_0
 graded as finely as d_1 allows, and the identity on monomial input whose
-columns of d_1 are single terms), so a block can have one only where some
+columns of d_1 are single terms; its lattice is the kernel of the term
+differences, back-substituted on the pivot rows of ``matrix.echelon``,
+the one elimination over k), so a block can have one only where some
 generator a of F_t and b of F_{t + 2|J| - 1} have deg b - deg a = deg f_J
 there.  Construction solves the identities of those blocks and of every
 block they are solved from (``_needed``), and no other: a block it leaves
@@ -54,7 +56,9 @@ import math
 from fractions import Fraction
 from operator import add, le, mul, sub
 
+from .field import QQ
 from .groebner import add_image, reduced, transposed
+from .matrix import echelon
 from .poly import Polynomial
 from .resolution import FreeResolution, RingData, PipelineError
 
@@ -161,46 +165,43 @@ def _grading(res: FreeResolution, rd: RingData):
     (exponent, e_row) of Z^n + Z^(rank F_0), and a term of a ring element
     (exponent, 0).  W is an integer basis, as rows, of the vectors
     orthogonal to the differences of the terms inside each f_i and inside
-    each column of d_1, and the degree of a term is W times its vector: so
-    each row of F_0 has a degree of its own, as finely as d_1 allows, and
-    on monomial input whose columns of d_1 are single terms W is the
-    identity and a degree is a multidegree.  Every grading of the input
-    factors through W, the one in ``res.degrees`` too, so two degrees that
-    agree in W agree there.  A degree is read down F: a column of d_t has
-    the degree of each of its terms, and one whose terms disagree is an
-    AssertionError.  So every map of F and every f_i is homogeneous, and
-    so is every block sigma_J, of degree W f_J: S-vectors, reductions and
-    lifts of homogeneous vectors are homogeneous in any grading that makes
-    the columns they start from homogeneous."""
+    each column of d_1: ``matrix.echelon`` over QQ takes the differences
+    to pivot rows, and for each free column, in ascending order, the
+    kernel vector that is 1 there and 0 at the other free columns is
+    solved pivot by pivot, in descending lead order, and scaled by the lcm
+    of its denominators.  That vector is unique, so W is the one the
+    reduced echelon form gives.  The degree of a term is W times its
+    vector: so each row of F_0 has a degree of its own, as finely as d_1
+    allows, and on monomial input whose columns of d_1 are single terms W
+    is the identity and a degree is a multidegree.  Every grading of the
+    input factors through W, the one in ``res.degrees`` too, so two
+    degrees that agree in W agree there.  A degree is read down F: a
+    column of d_t has the degree of each of its terms, and one whose terms
+    disagree is an AssertionError.  So every map of F and every f_i is
+    homogeneous, and so is every block sigma_J, of degree W f_J:
+    S-vectors, reductions and lifts of homogeneous vectors are homogeneous
+    in any grading that makes the columns they start from homogeneous."""
     n, rows = rd.n, len(res.degrees[0])
 
     def vector(r, m):  # the term m at row r of F_0, r = None in the ring
         return [*m, *(int(i == r) for i in range(rows))]
 
-    pivots = {}  # column -> echelon row, 1 there and 0 at the other pivots
+    diffs = []
     for terms in [[vector(None, m) for m in f.terms] for f in rd.ci] + [
             [vector(r, m) for r, m in col] for col in res.differentials[0]]:
         first, *rest = terms
-        for u in rest:
-            v = [Fraction(a - b) for a, b in zip(u, first)]
-            for j, row in pivots.items():
-                if v[j]:
-                    v = [a - v[j] * b for a, b in zip(v, row)]
-            lead = next((j for j, a in enumerate(v) if a), None)
-            if lead is None:
-                continue
-            v = [a / v[lead] for a in v]
-            for j, row in pivots.items():
-                if row[lead]:
-                    pivots[j] = [a - row[lead] * b for a, b in zip(row, v)]
-            pivots[lead] = v
+        diffs += [{j: Fraction(a - b) for j, (a, b) in
+                   enumerate(zip(u, first)) if a != b} for u in rest]
+    pivots = echelon(diffs, QQ)
     W = []
     for free in range(n + rows):
-        if free not in pivots:
-            w = [-pivots[j][free] if j in pivots else Fraction(j == free)
-                 for j in range(n + rows)]
-            scale = math.lcm(*(a.denominator for a in w))
-            W.append([int(a * scale) for a in w])
+        if free in pivots:
+            continue
+        w = {free: Fraction(1)}
+        for j in sorted(pivots, reverse=True):  # w has no j yet
+            w[j] = -sum(a * w.get(k, 0) for k, a in pivots[j].items())
+        scale = math.lcm(*(a.denominator for a in w.values()))
+        W.append([int(w.get(j, 0) * scale) for j in range(n + rows)])
     # W's first n columns grade the ring: zip stops at the exponent's end
     degree = functools.cache(lambda m: tuple(sum(map(mul, w, m)) for w in W))
     fine = [[tuple(w[n + r] for w in W) for r in range(rows)]]

@@ -52,7 +52,7 @@ from math import prod
 from operator import add, le
 
 from .poly import PolyRing
-from .matrix import PolyMatrix, scalar_rank
+from .matrix import PolyMatrix, echelon
 from .groebner import Ideal, ModuleGB, module_hilbert_data
 from .resolution import (RingData, PipelineError, FreeResolution,
                          resolve_over_b)
@@ -690,8 +690,8 @@ class _TateComplex:
 
         def rank(i, delta):
             if (i, delta) not in ranks:
-                ranks[i, delta] = scalar_rank(self.columns(i, delta, a),
-                                              self.field)
+                ranks[i, delta] = len(echelon(self.columns(i, delta, a),
+                                              self.field))
             return ranks[i, delta]
 
         return _stable([sum(self.cells(i, delta)[1] - rank(i, delta)

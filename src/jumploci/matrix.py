@@ -1,9 +1,13 @@
 """Sparse matrices over a polynomial ring, entries only: the degrees live
 on what holds the matrix (``FreeResolution.degrees``, ``basis_degrees``).
 
-``cancel_unit`` is the one Gaussian elimination of a unit entry, shared by
-the presentations of modules and the minimalization of twisted complexes:
-the cokernel and its Fitting ideals stay the same.
+``echelon`` is the one Gaussian elimination over the field, read by the
+generic rank of a fine matrix, the rank at a point, the Tate ranks of the
+point oracle and the finest grading (``homotopy._grading``).
+``cancel_units`` is the one loop over unit entries (nonzero constants,
+the least first), shared by ``resolution.split_unit_entries`` and
+``twisted.minimalize``: each unit goes by one Schur complement
+(``cancel_unit``), and the cokernel and its Fitting ideals stay the same.
 
 The support graph of a matrix is walked once, by ``_blocks``: one
 union-find pass that carries exponent offsets yields its connected
@@ -19,13 +23,13 @@ size are built together on the first request and cached on the matrix
 has two routes.  A matrix P with every block fine is
 diag(x^-r) P(1) diag(x^c) over the Laurent ring k[x^+-1], and the
 diagonal factors are units there, so its rank over k(x) is the rank of
-its coefficients, eliminated as field scalars (``scalar_rank``).  Every
+its coefficients, eliminated as field scalars (``echelon``).  Every
 other matrix has its rank read off the Hilbert numerator of the
 cokernel: the rank of a graded module is the value at t = 1 of its
 numerator.  No polynomial matrix is eliminated fraction-free; the tests
 keep that route as their oracle.
 The rank at a point eliminates the values there as field scalars
-(``scalar_rank``), as the point oracle eliminates its complexes.
+(``echelon``), as the point oracle eliminates its complexes.
 
 Module vectors ``{(row, monomial): coeff}``, the Groebner engine's format,
 are the columns of a matrix (``columns_as_vectors``) and build one back
@@ -41,7 +45,7 @@ occurrence, keyed by term set or polynomial.
 from __future__ import annotations
 
 from .poly import Polynomial, PolyRing, product_terms
-from .groebner import add_image, module_hilbert_data, reduced
+from .groebner import PipelineError, add_image, module_hilbert_data, reduced
 
 
 # Most units of work, one per determinant expansion and one per pair of
@@ -53,10 +57,6 @@ from .groebner import add_image, module_hilbert_data, reduced
 # with its defaults), and the ladder's nm_n4_e2 214,100, each with its
 # blocks in the order of ``_blocks``, on which the work depends.
 MAX_MINOR_WORK = 500_000
-
-
-class PipelineError(ValueError):
-    """Domain-level rejection (bad ring data, failed precondition)."""
 
 
 class PolyMatrix:
@@ -162,7 +162,7 @@ class PolyMatrix:
 
     def rank_at(self, point) -> int:
         """Rank of the values at ``point``: the nonzero values, one sparse
-        row per row, eliminated as field scalars by ``scalar_rank``."""
+        row per row, eliminated as field scalars by ``echelon``."""
         if len(point) != self.ring.nvars:
             raise ValueError("point arity mismatch")
         rows = {}
@@ -170,12 +170,12 @@ class PolyMatrix:
             value = p.evaluate(point)
             if value:
                 rows.setdefault(r, {})[c] = value
-        return scalar_rank(rows.values(), self.ring.field)
+        return len(echelon(rows.values(), self.ring.field))
 
     def generic_rank(self) -> int:
         """Rank over the fraction field.  A matrix P whose blocks are all
         fine (``_blocks``) is diag(x^-r) P(1) diag(x^c) over the Laurent
-        ring, so its rank is that of its coefficients, by ``scalar_rank``.
+        ring, so its rank is that of its coefficients, by ``echelon``.
         Any other is nrows minus the rank of coker, which is the value at
         t = 1 of its Hilbert numerator, 0 when coker has dimension below
         nvars.  The Groebner order is degree-compatible, so coker and its
@@ -185,7 +185,7 @@ class PolyMatrix:
             rows = {}
             for (r, c), p in self.entries.items():
                 rows.setdefault(r, {})[c] = next(iter(p.terms.values()))
-            return scalar_rank(rows.values(), self.ring.field)
+            return len(echelon(rows.values(), self.ring.field))
         return self.nrows - sum(module_hilbert_data(self).values())
 
     # -- minors ----------------------------------------------------------
@@ -315,11 +315,13 @@ def _blocks(entries):
             for root in sorted(blocks, key=str)]
 
 
-def scalar_rank(vectors, field) -> int:
-    """Rank over ``field`` of sparse vectors ({index: nonzero scalar}, ints
-    mod p or Fractions) by Gaussian elimination: each vector is reduced on
-    its least index by the pivot stored there, until it vanishes or takes
-    that index as a new pivot, scaled to lead with 1."""
+def echelon(vectors, field) -> dict:
+    """An echelon basis over ``field`` of the span of sparse vectors
+    ({index: nonzero scalar}, ints mod p or Fractions), as {lead: pivot
+    row}, by Gaussian elimination: each vector is reduced on its least
+    index by the pivot stored there, until it vanishes or takes that
+    index as a new pivot, scaled to lead with 1.  A pivot row has no index
+    below its lead, and its length is the rank."""
     p = field.p
     pivots = {}
     for v in vectors:
@@ -340,14 +342,19 @@ def scalar_rank(vectors, field) -> int:
                     v[k] = c
                 else:
                     del v[k]
-    return len(pivots)
+    return pivots
 
 
-def least_unit(entries):
-    """The least (row, column) of ``entries`` ({(r, c): poly}) whose entry
-    is a nonzero constant, or None; 1 + x is not a unit."""
-    return min((k for k, p in entries.items() if p.is_constant()),
-               default=None)
+def cancel_units(entries, field):
+    """Cancel the unit entries of ``entries`` ({(r, c): poly}) in place and
+    yield each (r, c) once it is cancelled: the least (row, column) whose
+    entry is a nonzero constant (1 + x is not a unit) goes by
+    ``cancel_unit``, and the next is searched for only when the caller
+    asks, so it may drop more of ``entries`` first."""
+    while (unit := min((k for k, p in entries.items() if p.is_constant()),
+                       default=None)) is not None:
+        cancel_unit(entries, *unit, field)
+        yield unit
 
 
 def cancel_unit(entries, r, c, field):

@@ -3,14 +3,17 @@
 A is a weighted polynomial ring; B is its quotient by the declared
 homogeneous elements f_1..f_c.  Both are built by one loop, after the
 unit entries of the presentation are cancelled (``split_unit_entries``,
-one ``matrix.cancel_unit`` each): each stage is one Groebner run over
-its candidate columns (the presentation, then the previous run's
-syzygies) that goes degree by degree.  It settles the degree-d columns
-once every pair of degree <= d is processed, keeps a minimal generating
-set of their span (over a graded ring this yields the minimal
-resolution), and its syzygies, in the coordinates of the kept columns,
-are the next stage's candidates, as in the degree by degree construction
-of La Scala and Stillman (J. Symb. Comp. 26, 1998).
+on ``matrix.cancel_units``, the one unit loop): each stage is one
+Groebner run over its candidate columns (the presentation, then the
+previous run's syzygies) that goes degree by degree.  The run reads
+each candidate's degree with ``groebner.column_degree``, which refuses
+an inhomogeneous one, and the degrees of F are read with it too.  It
+settles the degree-d columns once every pair of degree <= d is
+processed, keeps a minimal generating set of their span (over a graded
+ring this yields the minimal resolution), and its syzygies, in the
+coordinates of the kept columns, are the next stage's candidates, as in
+the degree by degree construction of La Scala and Stillman (J. Symb.
+Comp. 26, 1998).
 Resolutions over A are finite, and each run stays on the resolution as
 the basis the higher homotopies lift through d_t.  Resolutions over B are
 truncated and emulate module arithmetic over B inside A by adjoining the
@@ -27,8 +30,9 @@ reference for the Betti numbers and the Tate route.
 from __future__ import annotations
 
 from .poly import PolyRing
-from .matrix import PipelineError, PolyMatrix, cancel_unit, least_unit
-from .groebner import Ideal, ModuleGB, transposed
+from .matrix import PolyMatrix, cancel_units
+from .groebner import (Ideal, ModuleGB, PipelineError, column_degree,
+                       transposed)
 
 
 class RingData:
@@ -82,17 +86,6 @@ class RingData:
         return cols
 
 
-# -- graded bookkeeping --------------------------------------------------
-
-
-def column_degree(ring: PolyRing, col, row_degrees) -> int:
-    """Internal degree of a homogeneous module vector; asserts homogeneity."""
-    degs = {ring.wdeg(m) + row_degrees[comp] for (comp, m) in col}
-    if len(degs) != 1:
-        raise PipelineError("inhomogeneous module column")
-    return degs.pop()
-
-
 # -- resolutions ----------------------------------------------------------
 
 
@@ -116,16 +109,15 @@ class FreeResolution:
 
 
 def split_unit_entries(presentation: PolyMatrix, row_degrees):
-    """Cancel the unit entries of a presentation by ``cancel_unit``, the
+    """Cancel the unit entries of a presentation by ``cancel_units``, the
     least (row, column) first; the cokernel is unchanged.  Returns the
     surviving columns as module vectors and the surviving rows' degrees."""
     entries = dict(presentation.entries)
     rows = list(range(presentation.nrows))
     cols = list(range(presentation.ncols))
-    while (unit := least_unit(entries)) is not None:
-        cancel_unit(entries, *unit, presentation.ring.field)
-        rows.remove(unit[0])
-        cols.remove(unit[1])
+    for r, c in cancel_units(entries, presentation.ring.field):
+        rows.remove(r)
+        cols.remove(c)
     row_at = {r: i for i, r in enumerate(rows)}
     out = {c: {} for c in cols}
     for (r, c), p in entries.items():
@@ -190,8 +182,6 @@ def _resolve(rd: RingData, presentation: PolyMatrix, truncation,
     cols, row_degrees = split_unit_entries(
         presentation, row_degrees or [0] * presentation.nrows)
     cols = [c for c in cols if c]
-    for c in cols:  # a graded run reads a column's degree off one term
-        column_degree(ring, c, row_degrees)
     degrees = [list(row_degrees)]
     diffs = []
     bases = {}
@@ -207,7 +197,7 @@ def _resolve(rd: RingData, presentation: PolyMatrix, truncation,
             break
         cols = [cols[j] for j in gb.kept]
         diffs.append(cols)
-        degrees.append([gb._degree(c) for c in cols])  # homogeneous
+        degrees.append([column_degree(ring, c, degrees[-1]) for c in cols])
         if last:
             break
         if not over_b:

@@ -16,12 +16,13 @@ the homotopy identities give D^2 = 0 modulo the irrelevant ideal (a
 solved system holds the blocks D reads, each the block of a full system
 by the lift contract, and the blocks it leaves out have no constant
 term, so D is that system's; ingested actions are checked exactly), and
-sigma_J maps F_t to F_{t+2|J|-1}.  Minimalization
-(a Schur complement per contractible pair, ``matrix.cancel_unit``), the
-S-dual, sums and Koszul objects on a homogeneous eta keep both; the
-tests check them on every constructor.  The last three, on a nonconstant
-eta, keep a complex minimal too, so ``build_twisted_complex`` minimalizes
-once and the reports read X as given.
+sigma_J maps F_t to F_{t+2|J|-1}.  Minimalization (a Schur complement
+per contractible pair, by ``matrix.cancel_units``, the unit loop that
+presentations share), the S-dual, sums and Koszul objects on a
+homogeneous eta keep both; the tests check them on every constructor.
+The last three, on a nonconstant eta, keep a complex minimal too, so
+``build_twisted_complex`` minimalizes once and the reports read X as
+given.
 
 Duality (``s_dual``) is transposition with all basis degrees negated and
 shifted back by the length of F, and it is the one route to X(M*).
@@ -30,7 +31,7 @@ shifted back by the length of F, and it is the one route to X(M*).
 from __future__ import annotations
 
 from .poly import Polynomial, PolyRing
-from .matrix import PolyMatrix, cancel_unit, least_unit
+from .matrix import PolyMatrix, cancel_units
 from .groebner import ModuleGB
 from .resolution import RingData, PipelineError
 from .homotopy import HigherHomotopySystem
@@ -48,9 +49,6 @@ class TwistedComplex:
     @property
     def rank(self) -> int:
         return len(self.basis_degrees)
-
-    def is_minimal(self) -> bool:
-        return all(not p.constant_term() for p in self.D.entries.values())
 
 
 def build_twisted_complex(sys: HigherHomotopySystem,
@@ -84,20 +82,20 @@ def build_twisted_complex(sys: HigherHomotopySystem,
 
 
 def minimalize(X: TwistedComplex) -> TwistedComplex:
-    """Cancel the contractible pairs: for the least unit entry (p, q) a
-    Schur complement (``cancel_unit``), then basis elements p and q go;
-    jump-locus data is unchanged.  A complex that is already minimal is
+    """Cancel the contractible pairs: for the least unit entry (p, q)
+    (``cancel_units``: a nonzero constant entry) a Schur complement, which
+    drops row p and column q, then row q and column p go too, before the
+    next unit is searched for, so basis elements p and q are gone;
+    jump-locus data is unchanged.  A complex with no unit entry is
     returned as it is."""
-    if X.is_minimal():
-        return X
     entries = dict(X.D.entries)
     live = set(range(X.rank))
-    while (unit := least_unit(entries)) is not None:
-        p, q = unit
-        cancel_unit(entries, p, q, X.S.field)
-        entries = {(r, c): poly for (r, c), poly in entries.items()
-                   if r != q and c != p}
+    for p, q in cancel_units(entries, X.S.field):
+        for key in [k for k in entries if k[0] == q or k[1] == p]:
+            del entries[key]
         live -= {p, q}
+    if len(live) == X.rank:
+        return X
     live = sorted(live)
     remap = {old: new for new, old in enumerate(live)}
     degs = [X.basis_degrees[i] for i in live]

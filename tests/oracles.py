@@ -13,6 +13,10 @@ construction, and no command runs them:
   (``fine_grading``), where the program finds both, and whether each
   block is fine, in one union-find pass that carries exponent offsets
   (``matrix._blocks``);
+- the input's finest grading with W read off a dense reduced echelon
+  form of the differences of the terms (``reduced_echelon_grading``),
+  where ``homotopy._grading`` back-substitutes on the pivot rows of
+  ``matrix.echelon``;
 - the dimension and multiplicity of a graded module, read off its
   Hilbert numerator by dividing by (1 - t) (``dimension_and_multiplicity``,
   and ``hilbert_data`` for a cokernel): the oracle of ``betti_degree``,
@@ -64,9 +68,10 @@ from __future__ import annotations
 
 import argparse
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import add
+from operator import add, mul
 
 from jumploci.groebner import (GBStats, Ideal, ModuleGB,
                                module_hilbert_data, vector_of)
@@ -278,6 +283,61 @@ def fine_grading(entries):
         (rows if kind == "r" else cols)[i] = v
     return rows, cols
 
+
+
+def reduced_echelon_grading(res: FreeResolution, rd: RingData):
+    """``homotopy._grading`` by the route it replaced: each difference of
+    two terms of one f_i or one column of d_1, as a dense row of
+    Fractions, is reduced by the pivot rows and, when it survives, made a
+    pivot row that clears its lead from the others, so the pivot rows are
+    a reduced echelon form.  Row w of W, for each free column in
+    ascending order, is 1 there, minus pivot row j's entry there at each
+    pivot column j and 0 elsewhere, scaled by the lcm of its
+    denominators; the degrees are read as ``_grading`` reads them."""
+    n, rows = rd.n, len(res.degrees[0])
+
+    def vector(r, m):
+        return [*m, *(int(i == r) for i in range(rows))]
+
+    pivots = {}
+    for terms in [[vector(None, m) for m in f.terms] for f in rd.ci] + [
+            [vector(r, m) for r, m in col] for col in res.differentials[0]]:
+        first, *rest = terms
+        for u in rest:
+            v = [Fraction(a - b) for a, b in zip(u, first)]
+            for j, row in pivots.items():
+                if v[j]:
+                    v = [a - v[j] * b for a, b in zip(v, row)]
+            lead = next((j for j, a in enumerate(v) if a), None)
+            if lead is None:
+                continue
+            v = [a / v[lead] for a in v]
+            for j, row in pivots.items():
+                if row[lead]:
+                    pivots[j] = [a - row[lead] * b for a, b in zip(row, v)]
+            pivots[lead] = v
+    W = []
+    for free in range(n + rows):
+        if free not in pivots:
+            w = [-pivots[j][free] if j in pivots else Fraction(j == free)
+                 for j in range(n + rows)]
+            scale = math.lcm(*(a.denominator for a in w))
+            W.append([int(a * scale) for a in w])
+
+    def degree(m):
+        return tuple(sum(map(mul, w, m)) for w in W)
+
+    fine = [[tuple(w[n + r] for w in W) for r in range(rows)]]
+    for cols in res.differentials:
+        degs = []
+        for col in cols:
+            got = {tuple(map(add, fine[-1][r], degree(m))) for r, m in col}
+            if len(got) != 1:
+                raise AssertionError("a map of F is not homogeneous in the "
+                                     "grading of its input")
+            degs += got
+        fine.append(degs)
+    return W, [degree(next(iter(f.terms))) for f in rd.ci], fine
 
 
 def whole_matrix_rank(mat: PolyMatrix) -> int:

@@ -261,14 +261,20 @@ def test_betti_tails_have_the_leading_terms_of_the_theorem(capfd, path):
     degree cx - 1 and leading coefficient e / (2^(cx-1) (cx-1)!), where e
     is the Betti degree of M and, for M*, its Bass degree: so M and M*
     have one leading term, the duality of the paper.  cx and both degrees
-    come from ``compute``; where its minors refuse, the degrees come from
-    ``betti_degree`` and the degree of the tails is checked only against
-    each other."""
+    come from ``compute``, and cx is dim V^1 there, the dimension of the
+    first locus that ``compute`` prints, read off the minors of D and not
+    off the quasi-polynomial; where its minors refuse, the degrees come
+    from ``betti_degree`` and the degree of the tails is checked only
+    against each other."""
     code, out, err = _run(capfd, ["compute", "--input", str(path)])
     if code == 0:
         report = json.loads(out)
         cx = report["complexity"]
         degrees = report["betti_degree"], report["bass_degree"]
+        v1 = report["loci"][0]
+        assert v1["i_from"] == 1
+        if v1["dim"] >= 0:  # V^1 is not empty: cx = dim V^1, off the minors
+            assert cx == v1["dim"]
     else:
         assert code == 1 and "MAX_MINOR_WORK" in err
         pipe = build_pipeline(parse_session(path.read_text()))

@@ -9,9 +9,10 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from jumploci import GF, PolyRing
+from jumploci import GF, QQ, PolyRing
 from jumploci.groebner import ModuleGB, vector_of
 from jumploci.matrix import PolyMatrix
+from jumploci.poly import Polynomial
 from jumploci.resolution import (RingData, FreeResolution, PipelineError,
                                  resolve_over_a, dualize_over_a, _resolve)
 from jumploci.homotopy import (HigherHomotopySystem, compute_higher_homotopies,
@@ -25,7 +26,8 @@ from conftest import (LADDER, REPO, SESSIONS, PAIR_BLOCK_SESSION,
                       random_monomial_rows_3)
 from oracles import (_block, _identities, _splittings, d_matrix,
                      dualize_and_verify, every_block_system, full_system,
-                     identity_matrix, transpose, vec_add, verify_system)
+                     identity_matrix, reduced_echelon_grading, transpose,
+                     vec_add, verify_system)
 
 GF101 = GF(101)
 
@@ -561,6 +563,56 @@ def test_a_map_of_f_that_is_not_homogeneous_is_an_assertion_error():
                          [[0], [1, 1], [2]], complete=True)
     with pytest.raises(AssertionError, match="not homogeneous"):
         _grading(bad, rd)
+
+
+def test_the_finest_grading_equals_the_reduced_echelon_route():
+    """(W, deg f, degrees) of ``_grading`` equal those of the dense reduced
+    echelon form on every file of ``sessions/`` and ``perfbench/inputs/``
+    (a dg session with F as given), on every ``LADDER`` session, and on
+    M* of each (``_m_star_resolution``)."""
+    paths = sorted(SESSIONS.glob("*.session")) + \
+        sorted((REPO / "perfbench" / "inputs").glob("*.session"))
+    for text in [path.read_text() for path in paths] + list(LADDER.values()):
+        session = parse_session(text)
+        rd, mod = session.ring_data, session.module
+        if mod.kind == "coker":
+            res = resolve_over_a(rd, PolyMatrix.from_rows(rd.ring, mod.rows))
+        else:
+            res = FreeResolution(rd, [d.columns_as_vectors()
+                                      for d in mod.differentials],
+                                 mod.degrees, complete=True)
+        for F in (res, _m_star_resolution(res, rd)):
+            assert _grading(F, rd) == reduced_echelon_grading(F, rd)
+
+
+@st.composite
+def _difference_sets(draw):
+    """(res, rd) whose f_i and columns of d_1 are random sets of distinct
+    terms in up to four variables and three rows, exponents up to 4, over
+    GF(101) or QQ: the differences of their terms are random integer
+    vectors, and F stops at d_1."""
+    n = draw(st.integers(1, 4))
+    rows = draw(st.integers(1, 3))
+    ring = PolyRing(draw(st.sampled_from([GF101, QQ])),
+                    tuple(f"x{i}" for i in range(n)))
+    mono = st.tuples(*[st.integers(0, 4)] * n)
+    ci = [Polynomial(ring, {m: 1 for m in ms}) for ms in draw(st.lists(
+        st.lists(mono, min_size=1, max_size=4, unique=True), max_size=3))]
+    d1 = [{t: 1 for t in ts} for ts in draw(st.lists(st.lists(
+        st.tuples(st.integers(0, rows - 1), mono), min_size=1, max_size=4,
+        unique=True), max_size=4))]
+    rd = RingData(ring, ci)
+    return FreeResolution(rd, [d1], [[0] * rows, [0] * len(d1)],
+                          complete=True), rd
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(_difference_sets())
+def test_the_finest_grading_of_random_difference_sets(case):
+    """On random integer difference sets, ``_grading`` gives the reduced
+    echelon route's W, row for row and in its scale, and its degrees."""
+    res, rd = case
+    assert _grading(res, rd) == reduced_echelon_grading(res, rd)
 
 
 # Rings and ci for the generated modules, as (variables, ci, weights):

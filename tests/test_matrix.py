@@ -233,6 +233,64 @@ def test_cancel_unit_is_the_schur_complement():
     assert filled > 30
 
 
+def test_cancel_units_yields_each_unit_once_it_is_cancelled():
+    """A unit is a nonzero constant entry: 1 + x at (0, 0) is not one,
+    though its constant term is nonzero and it comes first.  The least
+    unit is cancelled before it is yielded, and the next is searched for
+    only when the caller asks, on what the caller left of the entries."""
+    A = PolyRing(GF101, ("x", "y"))
+    p = A.parse
+    schur = p("x") - (p("y") * p("1 + x")).scale(GF101.inv(3))
+    for drop in (False, True):
+        entries = {(0, 0): p("1 + x"), (0, 1): p("3"), (1, 0): p("x"),
+                   (1, 1): p("y"), (2, 2): p("5")}
+        units = matrix.cancel_units(entries, GF101)
+        assert next(units) == (0, 1)
+        assert entries == {(1, 0): schur, (2, 2): p("5")}
+        if drop:
+            del entries[2, 2]
+        assert list(units) == ([] if drop else [(2, 2)])
+        assert entries == {(1, 0): schur}
+
+
+def test_echelon_is_an_echelon_basis_of_the_span():
+    """On random sparse vectors over GF(5), GF(101) and QQ, each pivot row
+    leads with 1 at its key and has no index below it, every vector
+    reduces to zero on the pivots at its least index, and there are as
+    many pivots as the rank of the dense elimination."""
+    rng = random.Random(41)
+    for field in (GF(5), GF101, QQ):
+        ring = PolyRing(field, ("x",))
+        for _ in range(40):
+            n, m = rng.randrange(1, 6), rng.randrange(1, 7)
+            vectors = [{j: field.coerce(rng.randrange(1, 5))
+                        for j in range(m) if rng.random() < 0.4}
+                       for _ in range(n)]
+            if rng.random() < 0.5 and vectors[0]:  # a dependent vector
+                vectors.append({j: field.mul(a, field.coerce(2))
+                                for j, a in vectors[0].items()})
+            pivots = matrix.echelon(vectors, field)
+            for lead, row in pivots.items():
+                assert min(row) == lead and row[lead] == 1
+            for v in vectors:
+                v = dict(v)
+                while v:
+                    lead = min(v)
+                    factor = v[lead]
+                    for k, a in pivots[lead].items():
+                        c = field.add(v.get(k, field.zero()),
+                                      field.neg(field.mul(factor, a)))
+                        if c:
+                            v[k] = c
+                        else:
+                            del v[k]
+            P = PolyMatrix(ring, len(vectors), m,
+                           {(i, j): ring.const(a)
+                            for i, v in enumerate(vectors)
+                            for j, a in v.items()})
+            assert len(pivots) == _dense_rank_at(P, [0])
+
+
 def test_block_diag_shapes():
     A = matrix_of(S2, [["chi1"]])
     B = matrix_of(S2, [["chi2", "0"], ["0", "chi2"]])

@@ -26,6 +26,8 @@ from conftest import REPO
                         "compute,crk", "--verbose"]),
     ("statement_census.py", ["sessions/final_unit.session"]),
     ("statement_census.py", ["sessions/koszul_summand.session"]),
+    ("same_output.py", [".", ".", "--ladder", "nm_n4_e2", "--commands",
+                        "crk"]),
 ])
 def test_script_runs(script, args):
     proc = subprocess.run([sys.executable, str(REPO / "scripts" / script),

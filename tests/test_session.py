@@ -292,26 +292,33 @@ def test_build_pipeline_coker_with_dual():
     assert dual_presentation(pipeline.resolution) is not None
 
 
-@pytest.mark.parametrize("name, twin, module, unit", [
-    ("final_unit.session", "final.session", resolution, (0, 3)),
-    ("koszul_summand.session", "koszul_residue.session", twisted, (4, 1)),
+@pytest.mark.parametrize("name, twin, caller, unit", [
+    ("final_unit.session", "final.session", "split_unit_entries", (0, 3)),
+    ("koszul_summand.session", "koszul_residue.session", "minimalize",
+     (4, 1)),
 ])
 def test_an_example_enters_each_unit_cancelling_loop(monkeypatch, name, twin,
-                                                      module, unit):
-    """``final_unit`` cancels the one unit of its presentation
-    (``split_unit_entries``) and ``koszul_summand`` the one unit of its
-    X (``minimalize``); each then has the X of its twin."""
+                                                      caller, unit):
+    """``final_unit`` cancels the one unit of its presentation and
+    ``koszul_summand`` the one unit of its X, each through the one loop
+    ``matrix.cancel_units``: the first from ``split_unit_entries``, the
+    second from ``minimalize``, and each (r, c) is yielded with its row
+    and column already gone.  Each then has the X of its twin."""
     Y = build_pipeline(parse_session(_read(twin))).X
-    cancelled = []
-    cancel = module.cancel_unit
+    cancelled = {"split_unit_entries": [], "minimalize": []}
+    for module, who in ((resolution, "split_unit_entries"),
+                        (twisted, "minimalize")):
+        def counting(entries, field, loop=module.cancel_units,
+                     got=cancelled[who]):
+            for r, c in loop(entries, field):
+                assert not [k for k in entries if k[0] == r or k[1] == c]
+                got.append((r, c))
+                yield r, c
 
-    def counting(entries, r, c, field):
-        cancelled.append((r, c))
-        cancel(entries, r, c, field)
-
-    monkeypatch.setattr(module, "cancel_unit", counting)
+        monkeypatch.setattr(module, "cancel_units", counting)
     X = build_pipeline(parse_session(_read(name))).X
-    assert cancelled == [unit]
+    assert cancelled == {"split_unit_entries": [], "minimalize": [],
+                         caller: [unit]}
     assert (X.basis_degrees, X.D) == (Y.basis_degrees, Y.D)
 
 

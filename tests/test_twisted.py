@@ -7,7 +7,7 @@ from hypothesis import example, given, settings
 
 from jumploci import GF, PolyRing
 from jumploci.groebner import ModuleGB
-from jumploci.matrix import PolyMatrix, least_unit
+from jumploci.matrix import PolyMatrix
 from jumploci.resolution import (FreeResolution, RingData, PipelineError,
                                  resolve_over_a)
 from jumploci.homotopy import compute_higher_homotopies, ingest_dg_structure
@@ -78,12 +78,28 @@ def test_minimalize_removes_contractible_summand():
     assert Xm.D.is_zero()
 
 
+def test_minimalize_drops_each_pair_before_the_next_search():
+    """D on cohomological degrees 2, 1, 0, 1 with the units (0, 1),
+    (0, 3), (1, 2) and (3, 2) (D^2 = 0) is contractible: cancelling (0, 1)
+    drops basis elements 0 and 1, row 1 too, so (1, 2) is no unit any
+    more and (3, 2) cancels the rest.  Searched before row 1 goes, (1, 2)
+    would be cancelled instead and leave a basis element behind."""
+    S = PolyRing(GF101, ("chi1",), (2,))
+    one = S.one()
+    D = PolyMatrix(S, 4, 4, {(0, 1): one, (1, 2): one, (0, 3): -one,
+                             (3, 2): one})
+    X = assert_twisted_complex(
+        TwistedComplex(S, [(2, 0), (1, 0), (0, 0), (1, 0)], D, (2,)))
+    assert minimalize(X).rank == _old_minimalize(X).rank == 0
+
+
 def test_minimalize_is_idempotent(nonregular_action):
     rd, res, sys, X = nonregular_action
     Xm = minimalize(X)
     again = minimalize(Xm)
     assert again.rank == Xm.rank
     assert again.D.entries == Xm.D.entries
+    assert again is Xm  # nothing to cancel: X itself
 
 
 def test_nonminimal_build_gives_same_jump_ideals():
@@ -317,7 +333,7 @@ def _old_minimalize(X: TwistedComplex) -> TwistedComplex:
     """``minimalize`` before it was a loop of ``matrix.cancel_unit``: the
     first entry with a nonzero constant term in sorted order, its update
     written out, then both basis elements dropped."""
-    if X.is_minimal():
+    if not any(p.constant_term() for p in X.D.entries.values()):
         return X
     fld = X.S.field
     entries = dict(X.D.entries)
@@ -405,7 +421,7 @@ def test_minimalize_equals_the_old_elimination():
                 set(jump_locus_ideal(old, i).gens)
         cancelled += (X.rank - new.rank) // 2
         # the first unit shares its row and its column with other entries
-        p, q = least_unit(X.D.entries)
+        p, q = min(k for k, poly in X.D.entries.items() if poly.is_constant())
         mixed += (any(c == q and r != p for r, c in X.D.entries)
                   and any(r == p and c != q for r, c in X.D.entries))
     assert cancelled >= 40 and mixed >= 10
