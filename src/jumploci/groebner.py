@@ -51,9 +51,10 @@ untracked run of a monomial input processes no pair at all.
 
 A graded run, given the degrees of the free generators, keys its pairs by
 module degree and settles the columns one degree at a time, keeping only
-minimal generators (see ``ModuleGB``); each stage of a resolution, over A
-or over B, is one such run.  ``column_degree`` is the one reader of the
-degree of a module vector.
+minimal generators (see ``ModuleGB``); each stage of a resolution, over
+the ring or a quotient of it, is one such run.  ``column_degree`` is the
+one reader of the degree of a module vector, and a graded run records
+the degree of each column it keeps.
 
 A reduced basis is formed in one place, ``ModuleGB._interreduce``: after
 an ungraded, untracked run, and in ``ModuleGB.of_basis`` for the monic
@@ -167,11 +168,12 @@ class ModuleGB:
     Groebner basis through degree d, so a column is kept exactly when it
     lies outside the span of the kept columns of lower degree, the later
     columns of its degree and ``modulo``.  ``kept`` lists the positions of
-    the kept columns in ascending (degree, position) order, and syzygies
-    and lifts are given in those coordinates; the ``modulo`` vectors have
-    none.  A tracked graded run then processes the remaining pairs, but
-    an untracked one stops once its top column degree is settled: its
-    basis is a Groebner basis through that degree only.
+    the kept columns in ascending (degree, position) order, and
+    ``kept_degrees`` their degrees in the same order; syzygies and lifts
+    are given in those coordinates, and the ``modulo`` vectors have none.
+    A tracked graded run then processes the remaining pairs, but an
+    untracked one stops once its top column degree is settled: its basis
+    is a Groebner basis through that degree only.
 
     ``leads[r]`` lists the (lead monomial, vector) pairs of component r,
     in the order they were added; it is the one store of the basis, and a
@@ -370,7 +372,8 @@ class ModuleGB:
         return False
 
     def _run_by_degree(self, columns, modulo):
-        """The graded run of the class docstring; returns ``kept``.
+        """The graded run of the class docstring; returns ``kept`` and
+        records ``kept_degrees``.
 
         Pairs are keyed by module degree, so the pairs of degree <= d are
         the least queued ones.  An element added at degree d forms no
@@ -378,6 +381,7 @@ class ModuleGB:
         no later lead of degree d divides it.
         """
         ring = self.ring
+        self.kept_degrees = []
         groups = {}
         for v in modulo:
             d = column_degree(ring, v, self.row_degrees)
@@ -409,6 +413,7 @@ class ModuleGB:
                     self._add_element(w, lead, pairs)
                     kept_d.append(j)
             kept.extend(reversed(kept_d))
+            self.kept_degrees += [d] * len(kept_d)
         while self.track and pairs:
             self._next_pair(pairs)
         return kept

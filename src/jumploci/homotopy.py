@@ -285,7 +285,7 @@ def compute_higher_homotopies(res: FreeResolution,
     -f_i e_j through d_1, which exists exactly when f_i e_j lies in im d_1.
     So they check that f annihilates M = coker d_1, before the costlier
     regular-sequence test, naming the first f_i e_j that fails in
-    ``RingData.quotient_columns`` order; with L = 0 only M = 0 passes.
+    ``resolution.quotient_columns`` order; with L = 0 only M = 0 passes.
     The Tate route of the point oracle takes this as given, and reads its
     basis of M off the columns of d_1 alone.
     Each further identity the walk visits is solved column by column, and

@@ -442,10 +442,10 @@ def _resolved_stable_betti(rd: RingData, d1: PolyMatrix, rows, g) -> int:
     point, whose cost does not grow with dim_k M the way the Tate
     complex's does."""
     N = rd.n + 1
-    over_b = resolve_over_b(RingData(rd.ring, [g]), d1, N, rows)
-    if over_b.complete:
+    res = resolve_over_b(RingData(rd.ring, [g]), d1, N, rows)
+    if res.complete:
         return 0
-    beta = over_b.betti()
+    beta = res.betti()
     return _stable([beta[N - 1], beta[N]], N - 1)
 
 

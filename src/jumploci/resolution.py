@@ -1,42 +1,45 @@
-"""Minimal graded free resolutions over A and over B = A/(f).
+"""Minimal graded free resolutions over a quotient of A.
 
 A is a weighted polynomial ring; B is its quotient by the declared
-homogeneous elements f_1..f_c.  Both are built by one loop, after the
+homogeneous elements f_1..f_c.  One loop, ``_resolve``, resolves over
+A/(g) for a tuple of forms g: over A, with g = (), by ``resolve_over_a``,
+and over B, with g = f and truncated, by ``resolve_over_b``.  After the
 unit entries of the presentation are cancelled (``split_unit_entries``,
-on ``matrix.cancel_units``, the one unit loop): each stage is one
+on ``matrix.cancel_units``, the one unit loop), each stage is one
 Groebner run over its candidate columns (the presentation, then the
-previous run's syzygies) that goes degree by degree.  The run reads
-each candidate's degree with ``groebner.column_degree``, which refuses
-an inhomogeneous one, and the degrees of F are read with it too.  It
-settles the degree-d columns once every pair of degree <= d is
+previous run's syzygies) that goes degree by degree, with the columns
+g_k e_j (``quotient_columns``) adjoined, which is all the reduction
+modulo (g) there is.  The run reads each candidate's degree with
+``groebner.column_degree``, which refuses an inhomogeneous one, and
+records the degree of each column it keeps: those are the degrees of F.
+It settles the degree-d columns once every pair of degree <= d is
 processed, keeps a minimal generating set of their span (over a graded
 ring this yields the minimal resolution), and its syzygies, in the
 coordinates of the kept columns, are the next stage's candidates, as in
 the degree by degree construction of La Scala and Stillman (J. Symb.
 Comp. 26, 1998).
-Resolutions over A are finite, and each run stays on the resolution as
-the basis the higher homotopies lift through d_t.  Resolutions over B are
-truncated and emulate module arithmetic over B inside A by adjoining the
-columns f_k e_j to each run, which is all the reduction modulo (f) there
-is; their last stage takes no syzygies.  The Betti numbers the command
-line prints, and the quasi-polynomial of their tail, come from
-H(X) = Ext_B(M, k) in closed form (see ``loci.betti_numbers``), and the
-point oracle reads Tate's complex (``loci.stable_betti_oracle``)
-unless it is too large: then it resolves M = coker d_1 over each
-hypersurface section with ``resolve_over_b``, which is also the tests'
-reference for the Betti numbers and the Tate route.
+Each run stays on the resolution (``image_bases``).  Resolutions over A
+are finite, and there the run is the basis the higher homotopies lift
+through d_t.  Resolutions over B are truncated, and their last stage
+takes no syzygies.  The Betti numbers the command line prints, and the
+quasi-polynomial of their tail, come from H(X) = Ext_B(M, k) in closed
+form (see ``loci.betti_numbers``), and the point oracle reads Tate's
+complex (``loci.stable_betti_oracle``) unless it is too large: then it
+resolves M = coker d_1 over each hypersurface section with
+``resolve_over_b``, which is also the tests' reference for the Betti
+numbers and the Tate route.
 """
 
 from __future__ import annotations
 
 from .poly import PolyRing
 from .matrix import PolyMatrix, cancel_units
-from .groebner import (Ideal, ModuleGB, PipelineError, column_degree,
-                       transposed)
+from .groebner import Ideal, ModuleGB, PipelineError, transposed
 
 
 class RingData:
-    """The ambient ring A with the complete-intersection generators f.
+    """The ambient ring A with the complete-intersection generators f,
+    which ``resolve_over_b`` takes as its quotient.
 
     Each f_i must be a nonzero form of positive degree; this is not
     checked here.  The session parser refuses any other ``ci`` element
@@ -77,13 +80,13 @@ class RingData:
         names = tuple(f"chi{i + 1}" for i in range(self.c))
         return PolyRing(self.ring.field, names, (2,) * self.c)
 
-    def quotient_columns(self, rank: int):
-        """Module vectors f_k e_j, adjoined to emulate computations over B."""
-        cols = []
-        for f in self.ci:
-            for j in range(rank):
-                cols.append({(j, m): c for m, c in f.terms.items()})
-        return cols
+
+def quotient_columns(generators, rank: int):
+    """The module vectors g_k e_j of rank ``rank``, for g_k in
+    ``generators`` and then j ascending: a run that adjoins them computes
+    modulo (g)."""
+    return [{(j, m): c for m, c in g.terms.items()}
+            for g in generators for j in range(rank)]
 
 
 # -- resolutions ----------------------------------------------------------
@@ -96,8 +99,9 @@ class FreeResolution:
         self.differentials = differentials  # d_1..d_L as module-vector columns
         self.degrees = degrees  # internal degrees of F_0..F_L generators
         self.complete = complete  # kernel exhausted at the last stage
-        # t -> the tracked run d_t was taken from, whose coordinates are
-        # the columns of d_t in order; the higher homotopies lift through it
+        # t -> the run d_t was taken from, whose coordinates are the
+        # columns of d_t in order; over A the higher homotopies lift
+        # through it
         self.image_bases = {} if image_bases is None else image_bases
 
     @property
@@ -133,7 +137,7 @@ def resolve_over_a(rd: RingData, presentation: PolyMatrix) -> FreeResolution:
     columns; d_t is its kept columns, in ``kept`` order, so the run, kept
     in ``image_bases``, lifts through d_t in d_t's own coordinates.
     """
-    return _resolve(rd, presentation, None)
+    return _resolve(rd, (), presentation)
 
 
 def resolve_over_b(rd: RingData, presentation: PolyMatrix, truncation: int,
@@ -155,29 +159,37 @@ def resolve_over_b(rd: RingData, presentation: PolyMatrix, truncation: int,
     """
     if truncation < 1:
         raise PipelineError("truncation bound must be >= 1")
-    return _resolve(rd, presentation, truncation, row_degrees)
+    return _resolve(rd, rd.ci, presentation, truncation, row_degrees)
 
 
-def _resolve(rd: RingData, presentation: PolyMatrix, truncation,
-             row_degrees=None) -> FreeResolution:
-    """The stages of a resolution over A (``truncation`` None) or over B.
+def _resolve(rd: RingData, quotient, presentation: PolyMatrix,
+             truncation=None, row_degrees=None) -> FreeResolution:
+    """The stages of a minimal resolution over A/(g), g the forms in
+    ``quotient`` (none over A), through homological degree ``truncation``
+    when it is given.  The rows of the presentation lie in
+    ``row_degrees``, all 0 by default.
 
     A stage's run keeps a column exactly when it lies outside the span of
     the kept columns of lower degree, the later columns of its degree and
-    (over B) the f_k e_j (see ``ModuleGB``).  That is the rule that goes
+    the g_k e_j (see ``ModuleGB``).  That is the rule that goes
     through the columns in ascending (degree, index) order and drops each
     one in the span of the columns not yet dropped: had it dropped j, with
     v_j a combination of kept earlier columns and later ones in which some
     earlier i has a nonzero coefficient, then the earliest such i lies in
     the span of the columns after it and would have been dropped in turn.
-    Over B the rule reads only the classes of the columns modulo (f), and
-    so do the syzygies, whose f_k e_j coordinates are dropped: no
-    candidate needs reducing modulo (f) first.  A stage's syzygies are
-    module vectors in the coordinates of its kept columns, so they are the
-    next stage's candidates as they stand, and d_t is its kept columns as
-    they stand too.
+    The rule reads only the classes of the columns modulo (g), and so do
+    the syzygies, whose g_k e_j coordinates are dropped: no candidate
+    needs reducing modulo (g) first.  A stage's syzygies are module
+    vectors in the coordinates of its kept columns, so they are the next
+    stage's candidates as they stand, and d_t is its kept columns as they
+    stand too, in the degrees its run recorded.
+
+    Each stage's run is tracked except the one at the truncation, which
+    takes no syzygies, and ``image_bases`` keeps every stage's run.  The
+    resolution is complete unless it reaches the truncation.  An
+    untruncated one must end by stage n + 1, as over A (Hilbert's syzygy
+    theorem); a stage past it is an AssertionError.
     """
-    over_b = truncation is not None
     ring = rd.ring
     cols, row_degrees = split_unit_entries(
         presentation, row_degrees or [0] * presentation.nrows)
@@ -185,29 +197,23 @@ def _resolve(rd: RingData, presentation: PolyMatrix, truncation,
     degrees = [list(row_degrees)]
     diffs = []
     bases = {}
-    while cols:
-        rank = len(degrees[-1])
+    while cols and (truncation is None or len(diffs) < truncation):
         hom = len(diffs) + 1
-        if not over_b and hom > rd.n + 1:
-            raise AssertionError("resolution over A exceeded the ring dimension")
-        last = hom == truncation
-        gb = ModuleGB(ring, rank, cols, not last, degrees[-1],
-                      rd.quotient_columns(rank) if over_b else ())
+        if truncation is None and hom > rd.n + 1:
+            raise AssertionError("untruncated resolution past stage n + 1")
+        rank = len(degrees[-1])
+        gb = ModuleGB(ring, rank, cols, hom != truncation, degrees[-1],
+                      quotient_columns(quotient, rank))
         if not gb.kept:
             break
-        cols = [cols[j] for j in gb.kept]
-        diffs.append(cols)
-        degrees.append([column_degree(ring, c, degrees[-1]) for c in cols])
-        if last:
-            break
-        if not over_b:
-            bases[hom] = gb
-        cols = gb.syzygies()
-    if over_b:
-        return FreeResolution(rd, diffs, degrees,
-                              complete=len(diffs) < truncation)
-    return FreeResolution(rd, diffs, degrees, complete=True,
-                          image_bases=bases)
+        diffs.append([cols[j] for j in gb.kept])
+        degrees.append(gb.kept_degrees)
+        bases[hom] = gb
+        cols = gb.syzygies() if gb.track else ()
+    return FreeResolution(
+        rd, diffs, degrees,
+        complete=truncation is None or len(diffs) < truncation,
+        image_bases=bases)
 
 
 # -- dualization over A ---------------------------------------------------

@@ -33,9 +33,9 @@ from functools import cached_property
 from .field import Field, GF, QQ
 from .poly import PolyRing
 from .matrix import PolyMatrix
-from .groebner import Ideal
+from .groebner import Ideal, column_degree
 from .resolution import (RingData, FreeResolution, PipelineError,
-                         resolve_over_a, column_degree, _check_concentration)
+                         resolve_over_a, _check_concentration)
 from .homotopy import compute_higher_homotopies, ingest_dg_structure
 from .twisted import TwistedComplex, build_twisted_complex, s_dual
 

@@ -669,7 +669,7 @@ def x_of_m_star(pipe):
     complex of the ordinary pipeline, which never read X(M)."""
     rd, res = pipe.rd, pipe.resolution
     L = res.length
-    fresh = _resolve(rd, transpose(d_matrix(res, L)), None,
+    fresh = _resolve(rd, (), transpose(d_matrix(res, L)), None,
                      [-d for d in res.degrees[L]])
     return fresh, build_twisted_complex(compute_higher_homotopies(fresh, rd),
                                         rd)

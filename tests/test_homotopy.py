@@ -452,7 +452,7 @@ def _m_star_resolution(res, rd):
     ``oracles.x_of_m_star`` makes it: the rows of its F_0 lie in several
     degrees and multidegrees."""
     L = res.length
-    return _resolve(rd, transpose(d_matrix(res, L)), None,
+    return _resolve(rd, (), transpose(d_matrix(res, L)), None,
                     [-d for d in res.degrees[L]])
 
 

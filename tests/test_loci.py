@@ -14,7 +14,7 @@ from jumploci.cli import parse_chain_file
 from jumploci.groebner import Ideal, ModuleGB, module_hilbert_data
 from jumploci.matrix import PolyMatrix
 from jumploci.resolution import (RingData, resolve_over_a, resolve_over_b,
-                                 PipelineError)
+                                 PipelineError, quotient_columns)
 from jumploci.session import Pipeline, parse_session, build_pipeline
 from jumploci.homotopy import compute_higher_homotopies
 from jumploci.twisted import (build_twisted_complex, minimalize,
@@ -1423,7 +1423,7 @@ def _assert_the_tate_basis_needs_no_f_e(rd, pres):
     rank = len(res.degrees[0])
     d1 = res.differentials[0] if res.length else []
     with_f = [{(r, tuple(m[s] for s in used)): c for (r, m), c in v.items()}
-              for v in d1 + rd.quotient_columns(rank)]
+              for v in d1 + quotient_columns(rd.ci, rank)]
     assert tate.gb.leads == ModuleGB(ring, rank, with_f).leads
 
 

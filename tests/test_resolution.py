@@ -12,11 +12,11 @@ from jumploci import GF, PolyRing
 from jumploci.matrix import PolyMatrix
 from jumploci.poly import Polynomial
 from jumploci.groebner import (GBStats, Ideal, ModuleGB, add_image,
-                               module_hilbert_data, reduced)
+                               column_degree, module_hilbert_data, reduced)
 from jumploci.resolution import (RingData, PipelineError, FreeResolution,
                                  resolve_over_a, resolve_over_b,
                                  dualize_over_a, _check_concentration,
-                                 column_degree, split_unit_entries)
+                                 quotient_columns, split_unit_entries)
 
 from jumploci.homotopy import compute_higher_homotopies
 from jumploci.loci import crk_at
@@ -136,7 +136,7 @@ def _per_column_pruning(ring, rank, cols, row_degrees, over_b=None):
     kept = sorted(range(len(cols)), key=lambda j: (degs[j], j))
     for j in list(kept):
         test = [cols[i] for i in kept if i != j]
-        test += over_b.quotient_columns(rank) if over_b else []
+        test += quotient_columns(over_b.ci, rank) if over_b else []
         if test and ModuleGB(ring, rank, test).contains(cols[j]):
             kept.remove(j)
     return [cols[i] for i in kept]
@@ -199,7 +199,7 @@ def test_pruning_per_degree_equals_pruning_per_column(over_b, row_degrees):
     with no ``modulo`` columns, over B modulo the f_k e_j."""
     rd = RingData(A3, [A3.parse("x^3"), A3.parse("y^3")]) if over_b else None
     rank = len(row_degrees)
-    modulo = rd.quotient_columns(rank) if over_b else ()
+    modulo = quotient_columns(rd.ci, rank) if over_b else ()
     rng = random.Random(f"{over_b}{row_degrees}")
     for _ in range(12):
         cols = _column_set(rng, row_degrees)
@@ -243,7 +243,7 @@ def test_graded_run_settles_one_degree_at_a_time():
         top = max(_module_degree(c, row_degrees) for c in cols if c)
         for track in (False, True):
             gb = _AddOrderGB(A3, rank, cols, track, row_degrees,
-                             rd.quotient_columns(rank))
+                             quotient_columns(rd.ci, rank))
             degrees = [_module_degree(g, row_degrees) for g in gb.added]
             assert degrees == sorted(degrees)
             if track:
@@ -294,7 +294,8 @@ def test_stage_syzygies_are_the_kernel_over_b(row_degrees):
     """The stage syzygies of a run modulo the f_k e_j (see
     ``_check_stage_syzygies``)."""
     rd = RingData(A3, [A3.parse("x^3"), A3.parse("y^3")])
-    _check_stage_syzygies(row_degrees, rd.quotient_columns(len(row_degrees)),
+    _check_stage_syzygies(row_degrees,
+                          quotient_columns(rd.ci, len(row_degrees)),
                           f"kernel{row_degrees}")
 
 
@@ -347,7 +348,7 @@ def test_syzygies_and_lifts_are_the_old_coefficients():
     moved = zero_columns = lifted = missed = 0
     for row_degrees in [(0,), (0, 1), (2, 0)] * 2:
         rank = len(row_degrees)
-        quotient = ci.quotient_columns(rank)
+        quotient = quotient_columns(ci.ci, rank)
         in_span = {(): lambda v: not v,
                    "quotient": ModuleGB(A3, rank, quotient).contains}
         cols = _column_set(rng, row_degrees)
@@ -443,13 +444,13 @@ def _two_run_resolution_over_b(rd, pres, truncation):
     while True:
         rank = len(degrees[-1])
         cols = _per_degree_pruning(ring, rank, cols, degrees[-1],
-                                   rd.quotient_columns(rank))
+                                   quotient_columns(rd.ci, rank))
         if not cols:
             return degrees, True
         degrees.append([column_degree(ring, c, degrees[-1]) for c in cols])
         if len(degrees) > truncation:
             return degrees, False
-        gb = ModuleGB(ring, rank, cols + rd.quotient_columns(rank),
+        gb = ModuleGB(ring, rank, cols + quotient_columns(rd.ci, rank),
                       track=True)
         cols = [_reduce_column(_first(s, len(cols)), nf, ring)
                 for s in gb.syzygies()]
@@ -578,6 +579,69 @@ def test_resolution_over_a_builds_one_tracked_run_per_stage(monkeypatch):
         assert all(res.image_bases[t] is gb
                    for t, (gb, *_) in enumerate(runs, 1))
     assert 0 in lengths and max(lengths) >= 3
+
+
+def test_resolution_over_b_builds_one_run_per_stage(monkeypatch):
+    """``resolve_over_b`` at truncations 1, 2 and n + 1 constructs one
+    graded ``ModuleGB`` per stage of its result, each with the f_k e_j as
+    ``modulo`` and tracked except the one at the truncation, and these
+    are the runs it keeps in ``image_bases``.  It makes no run past the
+    truncation or for a stage with no nonzero candidate; one more run,
+    which keeps nothing, can only end a complete resolution.  Complete
+    means fewer stages than the truncation.  Each run records the degrees
+    of its kept columns, as ``column_degree`` reads them, and those are
+    the degrees of F; a graded run with no nonzero column records none.
+    The inputs are those of ``_coker_inputs`` with n <= 6 (the resolution
+    of ``res_n7_e2`` through stage 8 takes seconds), the two free ones,
+    and two over k[x,y,z] / (x^3, y^3) whose resolutions end: M = B, and
+    M = B/(z), which has a free resolution of length 1."""
+    runs = []
+    init = ModuleGB.__init__
+
+    def counting(self, ring, rank, columns, track=False, row_degrees=None,
+                 modulo=()):
+        runs.append((self, track, row_degrees is not None, list(modulo),
+                     all(columns)))
+        init(self, ring, rank, columns, track, row_degrees, modulo)
+
+    monkeypatch.setattr(ModuleGB, "__init__", counting)
+    A = PolyRing(GF101, ("x", "y"))
+    rd = RingData(A, [A.parse("x^2"), A.parse("y^2")])
+    rd3 = RingData(A3, [A3.parse("x^3"), A3.parse("y^3")])
+    ends = [(rd, PolyMatrix.from_rows(A, [[]])),
+            (rd, PolyMatrix.from_rows(A, [[A.zero(), A.zero()]])),
+            (rd3, PolyMatrix.from_rows(A3, [[A3.parse("x^3")]])),
+            (rd3, PolyMatrix.from_rows(A3, [[A3.parse("z")]]))]
+    seen = set()
+    for rd, pres in [c for c in _coker_inputs() if c[0].n <= 6] + ends:
+        for truncation in (1, 2, rd.n + 1):
+            runs.clear()
+            res = resolve_over_b(rd, pres, truncation)
+            L = res.length
+            assert res.complete == (L < truncation)
+            assert [r[1:] for r in runs[:L]] == [
+                (t < truncation, True,
+                 quotient_columns(rd.ci, len(res.degrees[t - 1])), True)
+                for t in range(1, L + 1)]
+            assert res.image_bases.keys() == set(range(1, L + 1))
+            assert all(res.image_bases[t] is gb
+                       for t, (gb, *_) in enumerate(runs[:L], 1))
+            extra = runs[L:]
+            assert len(extra) <= 1
+            for gb, *_, nonzero in extra:
+                assert res.complete and nonzero and not gb.kept
+                assert gb.kept_degrees == []
+            for t in range(1, L + 1):
+                want = [column_degree(rd.ring, c, res.degrees[t - 1])
+                        for c in res.differentials[t - 1]]
+                assert runs[t - 1][0].kept_degrees == want
+                assert res.degrees[t] == want
+            seen.add((L, res.complete, len(extra)))
+    assert {(0, True, 0), (0, True, 1), (1, True, 1), (1, False, 0)} <= seen
+    assert max(L for L, *_ in seen) >= 5
+    for modulo in ((), quotient_columns(rd3.ci, 2)):
+        gb = ModuleGB(A3, 2, [{}, {}], True, [0, 1], modulo)
+        assert gb.kept == [] and gb.kept_degrees == []
 
 
 def test_tracked_runs_drop_the_pairs_that_reduce_to_zero():
@@ -898,7 +962,7 @@ def _assert_maps_of(res, rd=None):
         if t == res.length:
             continue
         zero = ModuleGB(ring, len(rows),
-                        rd.quotient_columns(len(rows)) if rd else [])
+                        quotient_columns(rd.ci, len(rows)) if rd else [])
         for v in res.differentials[t]:
             acc = {}
             add_image(cols, v, acc)
