@@ -52,9 +52,13 @@ untracked run of a monomial input processes no pair at all.
 A graded run, given the degrees of the free generators, keys its pairs by
 module degree and settles the columns one degree at a time, keeping only
 minimal generators (see ``ModuleGB``); each stage of a resolution, over
-the ring or a quotient of it, is one such run.  ``column_degree`` is the
-one reader of the degree of a module vector, and a graded run records
-the degree of each column it keeps.
+the ring or a quotient of it, is one such run.  Its columns and
+``modulo`` vectors must be homogeneous, and it reads each one's degree
+off a single term; it records the degree of each column it keeps.
+``column_degree`` reads every term and refuses an inhomogeneous vector:
+it is the one homogeneity check, made where columns enter from outside
+a resolution (a presentation, dg input).  Later stages are syzygies of
+homogeneous columns, homogeneous by construction.
 
 A reduced basis is formed in one place, ``ModuleGB._interreduce``: after
 an ungraded, untracked run, and in ``ModuleGB.of_basis`` for the monic
@@ -116,9 +120,10 @@ class PipelineError(ValueError):
 def column_degree(ring: PolyRing, col, row_degrees) -> int:
     """Internal degree of a homogeneous module vector, each term (r, m) of
     degree deg m + ``row_degrees[r]``; one whose terms disagree is a
-    PipelineError.  Graded runs group their columns by it, and
-    resolutions and dg input read the degrees of their generators with
-    it."""
+    PipelineError.  It is the one homogeneity check, made on the columns
+    that enter from outside a resolution: a presentation's, in
+    ``resolution._resolve``, and dg input's, in
+    ``session._assemble_complex``."""
     degs = {ring.wdeg(m) + row_degrees[comp] for (comp, m) in col}
     if len(degs) != 1:
         raise PipelineError("inhomogeneous module column")
@@ -158,13 +163,16 @@ class ModuleGB:
 
     Given ``row_degrees``, the degrees of the free generators, the run is
     graded and keeps only minimal generators of the columns plus
-    ``modulo``, each read in its degree by ``column_degree`` (an
-    inhomogeneous one is a ``PipelineError``).  It settles one module
-    degree d at a time: every pair of degree <= d is processed, the
-    ``modulo`` vectors of degree d are added, and the degree-d columns
-    are walked from the last to the first.  A column whose reduction has
-    a nonzero real part is added to the basis; one that reduces to zero
-    is dropped and gets no shadow coordinate.  The basis is then a
+    ``modulo``.  Each must be homogeneous, and is read in the degree of
+    one of its terms: the caller checks (``column_degree``) the columns
+    that do not come from a graded run, such as a presentation's, and a
+    run's syzygies and the forms times basis vectors g e_j are homogeneous
+    by construction.  It settles one module degree d at a time: every
+    pair of degree <= d is processed, the ``modulo`` vectors of degree d
+    are added, and the degree-d columns are walked from the last to the
+    first.  A column whose reduction has a nonzero real part is added to
+    the basis; one that reduces to zero is dropped and gets no shadow
+    coordinate.  The basis is then a
     Groebner basis through degree d, so a column is kept exactly when it
     lies outside the span of the kept columns of lower degree, the later
     columns of its degree and ``modulo``.  ``kept`` lists the positions of
@@ -380,15 +388,18 @@ class ModuleGB:
         pair of degree d: its lead is divisible by no earlier lead, and
         no later lead of degree d divides it.
         """
-        ring = self.ring
+        ring, rows = self.ring, self.row_degrees
         self.kept_degrees = []
         groups = {}
+        # every vector is homogeneous (class docstring): one term's degree
         for v in modulo:
-            d = column_degree(ring, v, self.row_degrees)
+            r, m = next(iter(v))
+            d = ring.wdeg(m) + rows[r]
             groups.setdefault(d, ([], []))[0].append(v)
         for j, col in enumerate(columns):
             if col:
-                d = column_degree(ring, col, self.row_degrees)
+                r, m = next(iter(col))
+                d = ring.wdeg(m) + rows[r]
                 groups.setdefault(d, ([], []))[1].append(j)
         top = max((d for d, (_, cols) in groups.items() if cols), default=None)
         if top is None:

@@ -175,12 +175,13 @@ def _grading(res: FreeResolution, rd: RingData):
     allows, and on monomial input whose columns of d_1 are single terms W
     is the identity and a degree is a multidegree.  Every grading of the
     input factors through W, the one in ``res.degrees`` too, so two
-    degrees that agree in W agree there.  A degree is read down F: a
-    column of d_t has the degree of each of its terms, and one whose terms
-    disagree is an AssertionError.  So every map of F and every f_i is
-    homogeneous, and so is every block sigma_J, of degree W f_J:
-    S-vectors, reductions and lifts of homogeneous vectors are homogeneous
-    in any grading that makes the columns they start from homogeneous."""
+    degrees that agree in W agree there.  A degree is read down F, a
+    column of d_t in the degree of one of its terms: every f_i and every
+    column of d_1 is homogeneous in W by its construction, and S-vectors,
+    reductions and lifts of homogeneous vectors are homogeneous in any
+    grading that makes the columns they start from homogeneous.  So every
+    map of F is homogeneous, and so is every block sigma_J, of degree
+    W f_J."""
     n, rows = rd.n, len(res.degrees[0])
 
     def vector(r, m):  # the term m at row r of F_0, r = None in the ring
@@ -206,14 +207,8 @@ def _grading(res: FreeResolution, rd: RingData):
     degree = functools.cache(lambda m: tuple(sum(map(mul, w, m)) for w in W))
     fine = [[tuple(w[n + r] for w in W) for r in range(rows)]]
     for cols in res.differentials:
-        degs = []
-        for col in cols:
-            got = {tuple(map(add, fine[-1][r], degree(m))) for r, m in col}
-            if len(got) != 1:
-                raise AssertionError("a map of F is not homogeneous in the "
-                                     "grading of its input")
-            degs += got
-        fine.append(degs)
+        fine.append([tuple(map(add, fine[-1][r], degree(m)))
+                     for r, m in (next(iter(col)) for col in cols)])
     return W, [degree(next(iter(f.terms))) for f in rd.ci], fine
 
 
@@ -287,7 +282,10 @@ def compute_higher_homotopies(res: FreeResolution,
     regular-sequence test, naming the first f_i e_j that fails in
     ``resolution.quotient_columns`` order; with L = 0 only M = 0 passes.
     The Tate route of the point oracle takes this as given, and reads its
-    basis of M off the columns of d_1 alone.
+    basis of M off the columns of d_1 alone.  The regular-sequence test
+    comes next, for M = 0 too.  ``res`` must be untruncated, as
+    ``resolve_over_a`` builds it: the lifts go through the runs it keeps
+    in ``image_bases``, which a truncated resolution does not keep.
     Each further identity the walk visits is solved column by column, and
     its lift makes it hold (``ModuleGB.lift``: v + d c = 0).  A lift that
     does not exist is an AssertionError.
@@ -307,12 +305,12 @@ def compute_higher_homotopies(res: FreeResolution,
                                     f"annihilate the module")
             cols.append(h)
         blocks[_unit(rd.c, i)] = {0: cols}
-    if L == 0:
-        return HigherHomotopySystem(res, {})
     if not rd.is_regular_sequence():
         raise PipelineError(
             "f is not a regular sequence; supply an explicit complex "
             "with dg actions instead")
+    if L == 0:
+        return HigherHomotopySystem(res, {})
     for J, t, cols in _walk(res, rd, blocks, _needed(res, rd)):
         if not any(cols):
             continue

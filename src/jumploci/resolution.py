@@ -9,32 +9,34 @@ on ``matrix.cancel_units``, the one unit loop), each stage is one
 Groebner run over its candidate columns (the presentation, then the
 previous run's syzygies) that goes degree by degree, with the columns
 g_k e_j (``quotient_columns``) adjoined, which is all the reduction
-modulo (g) there is.  The run reads each candidate's degree with
-``groebner.column_degree``, which refuses an inhomogeneous one, and
-records the degree of each column it keeps: those are the degrees of F.
+modulo (g) there is.  Homogeneity is checked once, on the presentation's
+columns (``groebner.column_degree``, which refuses an inhomogeneous one):
+each later stage's candidates are syzygies of homogeneous columns, so
+homogeneous too, and the run reads each candidate's degree off one term.
+It records the degree of each column it keeps: those are the degrees of F.
 It settles the degree-d columns once every pair of degree <= d is
 processed, keeps a minimal generating set of their span (over a graded
 ring this yields the minimal resolution), and its syzygies, in the
 coordinates of the kept columns, are the next stage's candidates, as in
 the degree by degree construction of La Scala and Stillman (J. Symb.
 Comp. 26, 1998).
-Each run stays on the resolution (``image_bases``).  Resolutions over A
-are finite, and there the run is the basis the higher homotopies lift
-through d_t.  Resolutions over B are truncated, and their last stage
-takes no syzygies.  The Betti numbers the command line prints, and the
-quasi-polynomial of their tail, come from H(X) = Ext_B(M, k) in closed
-form (see ``loci.betti_numbers``), and the point oracle reads Tate's
-complex (``loci.stable_betti_oracle``) unless it is too large: then it
-resolves M = coker d_1 over each hypersurface section with
-``resolve_over_b``, which is also the tests' reference for the Betti
-numbers and the Tate route.
+Resolutions over A are finite and untruncated, and each stage's run
+stays on the resolution (``image_bases``): it is the basis the higher
+homotopies lift through d_t.  Resolutions over B are truncated, keep no
+run, and their last stage takes no syzygies.  The Betti numbers the
+command line prints, and the quasi-polynomial of their tail, come from
+H(X) = Ext_B(M, k) in closed form (see ``loci.betti_numbers``), and the
+point oracle reads Tate's complex (``loci.stable_betti_oracle``) unless
+it is too large: then it resolves M = coker d_1 over each hypersurface
+section with ``resolve_over_b``, which is also the tests' reference for
+the Betti numbers and the Tate route.
 """
 
 from __future__ import annotations
 
 from .poly import PolyRing
 from .matrix import PolyMatrix, cancel_units
-from .groebner import Ideal, ModuleGB, PipelineError, transposed
+from .groebner import Ideal, ModuleGB, PipelineError, column_degree, transposed
 
 
 class RingData:
@@ -93,6 +95,13 @@ def quotient_columns(generators, rank: int):
 
 
 class FreeResolution:
+    """The differentials d_1..d_L of a graded free resolution F, as
+    module-vector columns, with the degrees of the generators of
+    F_0..F_L.  ``image_bases`` maps t to the run d_t was taken from; an
+    untruncated resolution (over A) keeps every stage's run, since the
+    higher homotopies lift through them, and a truncated one keeps
+    none."""
+
     def __init__(self, ring_data: RingData, differentials: list,
                  degrees: list, complete: bool, image_bases: dict = None):
         self.ring_data = ring_data
@@ -100,8 +109,7 @@ class FreeResolution:
         self.degrees = degrees  # internal degrees of F_0..F_L generators
         self.complete = complete  # kernel exhausted at the last stage
         # t -> the run d_t was taken from, whose coordinates are the
-        # columns of d_t in order; over A the higher homotopies lift
-        # through it
+        # columns of d_t in order (untruncated resolutions only)
         self.image_bases = {} if image_bases is None else image_bases
 
     @property
@@ -155,7 +163,8 @@ def resolve_over_b(rd: RingData, presentation: PolyMatrix, truncation: int,
     modulo the f_k e_j, which keeps a minimal generating set over B.  The
     candidates are taken as they stand, not reduced modulo (f), and the
     last stage's run, which takes no syzygies, is untracked and stops at
-    its top column degree.
+    its top column degree.  No run is kept (``image_bases`` is empty):
+    each is freed once its syzygies are taken.
     """
     if truncation < 1:
         raise PipelineError("truncation bound must be >= 1")
@@ -184,16 +193,24 @@ def _resolve(rd: RingData, quotient, presentation: PolyMatrix,
     stage's candidates as they stand, and d_t is its kept columns as they
     stand too, in the degrees its run recorded.
 
+    The nonzero columns of the presentation, after ``split_unit_entries``,
+    are the only ones checked for homogeneity (``column_degree``, a
+    PipelineError); every later candidate is a syzygy of homogeneous
+    columns, and the runs read degrees off one term.
     Each stage's run is tracked except the one at the truncation, which
-    takes no syzygies, and ``image_bases`` keeps every stage's run.  The
-    resolution is complete unless it reaches the truncation.  An
-    untruncated one must end by stage n + 1, as over A (Hilbert's syzygy
-    theorem); a stage past it is an AssertionError.
+    takes no syzygies.  ``image_bases`` keeps every stage's run when the
+    resolution is untruncated, the one the higher homotopies lift
+    through, and no run otherwise.  The resolution is complete unless it
+    reaches the truncation.  An untruncated one must end by stage n + 1,
+    as over A (Hilbert's syzygy theorem); a stage past it is an
+    AssertionError.
     """
     ring = rd.ring
     cols, row_degrees = split_unit_entries(
         presentation, row_degrees or [0] * presentation.nrows)
     cols = [c for c in cols if c]
+    for c in cols:
+        column_degree(ring, c, row_degrees)
     degrees = [list(row_degrees)]
     diffs = []
     bases = {}
@@ -208,7 +225,8 @@ def _resolve(rd: RingData, quotient, presentation: PolyMatrix,
             break
         diffs.append([cols[j] for j in gb.kept])
         degrees.append(gb.kept_degrees)
-        bases[hom] = gb
+        if truncation is None:
+            bases[hom] = gb
         cols = gb.syzygies() if gb.track else ()
     return FreeResolution(
         rd, diffs, degrees,

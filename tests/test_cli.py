@@ -563,6 +563,21 @@ def test_dg_action_that_squares_to_nonzero_is_an_input_error(capfd,
         assert err == "error: e1*e1 != 0 at block 0, entry (0, 0)\n"
 
 
+def test_zero_module_over_a_nonregular_sequence_is_an_input_error(
+        capfd, tmp_path):
+    """M = coker [[1]] = 0 is annihilated by every f, but x^2, x^2 is not
+    a regular sequence, so every command refuses it, as it refuses each
+    nonzero module over the same f."""
+    session = tmp_path / "zero.session"
+    session.write_text("field GF(101)\nring x, y\nci x^2, x^2\n"
+                       "module coker [[1]]\n")
+    for command in ("compute", "crk", "dual", "betti", "oracle"):
+        code, out, err = _run(capfd, [command, "--input", str(session)])
+        assert code == 1 and out == ""
+        assert err == ("error: f is not a regular sequence; supply an "
+                       "explicit complex with dg actions instead\n")
+
+
 def test_huge_exponent_is_an_input_error(capfd, tmp_path):
     session = tmp_path / "huge.session"
     session.write_text("field GF(101)\nring x\nci x^2\n"

@@ -544,25 +544,19 @@ def test_the_blocks_of_m_star_by_its_finest_grading():
     assert several_z >= 2
 
 
-def test_a_map_of_f_that_is_not_homogeneous_is_an_assertion_error():
+def test_the_finest_grading_of_the_koszul_complex_of_x_and_y():
     """Over k[x, y] / (x^2, y^2) with d_1 = [x, y], W is I_3 (x, y and the
-    row of F_0); a column of d_2 whose two terms have different
-    multidegrees, -y e_0 + y e_1, is refused, and the Koszul column
-    -y e_0 + x e_1 is read as (1, 1, 1)."""
+    row of F_0), and the Koszul column -y e_0 + x e_1 of d_2 is read as
+    (1, 1, 1)."""
     A = PolyRing(GF101, ("x", "y"))
     rd = RingData(A, [A.parse("x^2"), A.parse("y^2")])
     d1 = matrix_of(A, [["x", "y"]]).columns_as_vectors()
-    good = FreeResolution(rd, [d1, matrix_of(A, [["-y"], ["x"]])
-                               .columns_as_vectors()],
-                          [[0], [1, 1], [2]], complete=True)
-    assert _grading(good, rd) == (
+    koszul = FreeResolution(rd, [d1, matrix_of(A, [["-y"], ["x"]])
+                                 .columns_as_vectors()],
+                            [[0], [1, 1], [2]], complete=True)
+    assert _grading(koszul, rd) == (
         [[1, 0, 0], [0, 1, 0], [0, 0, 1]], [(2, 0, 0), (0, 2, 0)],
         [[(0, 0, 1)], [(1, 0, 1), (0, 1, 1)], [(1, 1, 1)]])
-    bad = FreeResolution(rd, [d1, matrix_of(A, [["-y"], ["y"]])
-                              .columns_as_vectors()],
-                         [[0], [1, 1], [2]], complete=True)
-    with pytest.raises(AssertionError, match="not homogeneous"):
-        _grading(bad, rd)
 
 
 def test_the_finest_grading_equals_the_reduced_echelon_route():

@@ -1,14 +1,18 @@
 """Resolutions over the polynomial ring and its quotients, duals, tails."""
 
 import functools
+import gc
 import itertools
 import random
+import weakref
 from fractions import Fraction
 
 import pytest
 from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from jumploci import GF, PolyRing
+from jumploci import GF, QQ, PolyRing, groebner, resolution
+from jumploci import session as session_module
 from jumploci.matrix import PolyMatrix
 from jumploci.poly import Polynomial
 from jumploci.groebner import (GBStats, Ideal, ModuleGB, add_image,
@@ -16,7 +20,8 @@ from jumploci.groebner import (GBStats, Ideal, ModuleGB, add_image,
 from jumploci.resolution import (RingData, PipelineError, FreeResolution,
                                  resolve_over_a, resolve_over_b,
                                  dualize_over_a, _check_concentration,
-                                 quotient_columns, split_unit_entries)
+                                 _resolve, quotient_columns,
+                                 split_unit_entries)
 
 from jumploci.homotopy import compute_higher_homotopies
 from jumploci.loci import crk_at
@@ -114,6 +119,47 @@ def test_columns_are_homogeneous_over_a_before_their_degree_is_read():
         with pytest.raises(PipelineError,
                            match="inhomogeneous module column"):
             resolve_over_b(rd, _pres(A, entries), 4)
+
+
+def test_homogeneity_is_checked_once_per_column_that_enters(monkeypatch):
+    """``column_degree`` reads every term of a column and refuses an
+    inhomogeneous one; it is called only on the columns that enter from
+    outside a resolution, wherever ``groebner``, ``resolution`` and
+    ``session`` bind it.  A presentation's nonzero columns after unit
+    cancellation are checked once each, in order, by ``resolve_over_a``
+    and by ``resolve_over_b`` alike, and dg input's columns once each by
+    ``parse_session``; the graded runs read degrees off one term.  On
+    every file of ``sessions/`` and ``perfbench/inputs/``."""
+    calls = []
+
+    def counting(ring, col, row_degrees):
+        calls.append(col)
+        return column_degree(ring, col, row_degrees)
+
+    for module in (groebner, resolution, session_module):
+        monkeypatch.setattr(module, "column_degree", counting)
+    paths = sorted(SESSIONS.glob("*.session")) + \
+        sorted((REPO / "perfbench" / "inputs").glob("*.session"))
+    kinds = set()
+    for path in paths:
+        calls.clear()
+        session = parse_session(path.read_text())
+        rd, mod = session.ring_data, session.module
+        kinds.add(mod.kind)
+        if mod.kind == "complex":
+            assert calls == [c for d in mod.differentials
+                             for c in d.columns_as_vectors()], path.name
+            continue
+        assert calls == [], path.name
+        pres = PolyMatrix.from_rows(rd.ring, mod.rows)
+        cols = [c for c in split_unit_entries(pres, [0] * pres.nrows)[0]
+                if c]
+        resolve_over_a(rd, pres)
+        assert calls == cols, path.name
+        calls.clear()
+        resolve_over_b(rd, pres, 2)
+        assert calls == cols, path.name
+    assert kinds == {"coker", "complex"}
 
 
 def test_annihilation_precondition_names_the_offender():
@@ -584,14 +630,15 @@ def test_resolution_over_a_builds_one_tracked_run_per_stage(monkeypatch):
 def test_resolution_over_b_builds_one_run_per_stage(monkeypatch):
     """``resolve_over_b`` at truncations 1, 2 and n + 1 constructs one
     graded ``ModuleGB`` per stage of its result, each with the f_k e_j as
-    ``modulo`` and tracked except the one at the truncation, and these
-    are the runs it keeps in ``image_bases``.  It makes no run past the
-    truncation or for a stage with no nonzero candidate; one more run,
-    which keeps nothing, can only end a complete resolution.  Complete
-    means fewer stages than the truncation.  Each run records the degrees
-    of its kept columns, as ``column_degree`` reads them, and those are
-    the degrees of F; a graded run with no nonzero column records none.
-    The inputs are those of ``_coker_inputs`` with n <= 6 (the resolution
+    ``modulo`` and tracked except the one at the truncation.  It makes no
+    run past the truncation or for a stage with no nonzero candidate; one
+    more run, which keeps nothing, can only end a complete resolution.
+    Complete means fewer stages than the truncation.  Each run records
+    the degrees of its kept columns, as ``column_degree`` reads them, and
+    those are the degrees of F; a graded run with no nonzero column
+    records none.  The runs are read from a wrapper of ``ModuleGB``: the
+    resolution keeps none of them
+    (``test_a_truncated_resolution_keeps_no_run``).  The inputs are those of ``_coker_inputs`` with n <= 6 (the resolution
     of ``res_n7_e2`` through stage 8 takes seconds), the two free ones,
     and two over k[x,y,z] / (x^3, y^3) whose resolutions end: M = B, and
     M = B/(z), which has a free resolution of length 1."""
@@ -623,9 +670,6 @@ def test_resolution_over_b_builds_one_run_per_stage(monkeypatch):
                 (t < truncation, True,
                  quotient_columns(rd.ci, len(res.degrees[t - 1])), True)
                 for t in range(1, L + 1)]
-            assert res.image_bases.keys() == set(range(1, L + 1))
-            assert all(res.image_bases[t] is gb
-                       for t, (gb, *_) in enumerate(runs[:L], 1))
             extra = runs[L:]
             assert len(extra) <= 1
             for gb, *_, nonzero in extra:
@@ -642,6 +686,38 @@ def test_resolution_over_b_builds_one_run_per_stage(monkeypatch):
     for modulo in ((), quotient_columns(rd3.ci, 2)):
         gb = ModuleGB(A3, 2, [{}, {}], True, [0, 1], modulo)
         assert gb.kept == [] and gb.kept_degrees == []
+
+
+def test_a_truncated_resolution_keeps_no_run(monkeypatch):
+    """``resolve_over_b`` at truncations 1, 2 and n + 1 keeps no run in
+    ``image_bases``, and every ``ModuleGB`` built during the call is freed
+    once it returns, while the resolution is still held.  Over A, which
+    the higher homotopies lift through, ``image_bases`` holds the one run
+    of each stage, and those are all the runs built.  On the inputs of
+    ``_coker_inputs`` with n <= 5."""
+    built = []
+    init = ModuleGB.__init__
+
+    def recording(self, *args, **kwargs):
+        built.append(weakref.ref(self))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(ModuleGB, "__init__", recording)
+    freed = 0
+    for rd, pres in [c for c in _coker_inputs() if c[0].n <= 5]:
+        for truncation in (1, 2, rd.n + 1):
+            built.clear()
+            res = resolve_over_b(rd, pres, truncation)
+            gc.collect()
+            assert res.image_bases == {}
+            assert all(ref() is None for ref in built)
+            freed += len(built)
+        built.clear()
+        res = resolve_over_a(rd, pres)
+        gc.collect()
+        assert [ref() for ref in built] == [
+            res.image_bases[t] for t in range(1, res.length + 1)]
+    assert freed >= 100
 
 
 def test_tracked_runs_drop_the_pairs_that_reduce_to_zero():
@@ -985,3 +1061,49 @@ def test_differentials_are_the_columns_of_the_maps(text):
     pres = PolyMatrix.from_rows(rd.ring, mod.rows)
     _assert_maps_of(resolve_over_a(rd, pres))
     _assert_maps_of(resolve_over_b(rd, pres, 3), rd)
+
+
+_GRADED_RINGS = (((1, 1, 1), "x^3, y^3"), ((1, 2, 1), "x^2, y^2"))
+
+
+@st.composite
+def _homogeneous_presentations(draw):
+    """(rd, presentation, row degrees) over GF(101) or QQ, on k[x, y, z]
+    with weights 1, 1, 1 or 1, 2, 1: one to three rows in degrees 0 to 2,
+    and one to four columns, each of a degree from the top row degree to
+    two above it, with up to two terms per entry, so homogeneous."""
+    field = draw(st.sampled_from([GF101, QQ]))
+    weights, ci = draw(st.sampled_from(_GRADED_RINGS))
+    A = PolyRing(field, ("x", "y", "z"), weights)
+    rows = draw(st.lists(st.integers(0, 2), min_size=1, max_size=3))
+    entries = [[] for _ in rows]
+    for _ in range(draw(st.integers(1, 4))):
+        degree = max(rows) + draw(st.integers(0, 2))
+        for r, shift in enumerate(rows):
+            monos = [m for m in itertools.product(range(5), repeat=3)
+                     if A.wdeg(m) == degree - shift]
+            terms = draw(st.lists(st.tuples(st.sampled_from([1, 2, -1]),
+                                            st.sampled_from(monos)),
+                                  max_size=2))
+            entries[r].append(sum((A.monomial(m, c) for c, m in terms),
+                                  A.zero()))
+    rd = RingData(A, [A.parse(f) for f in ci.split(", ")])
+    return rd, PolyMatrix.from_rows(A, entries), rows
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(_homogeneous_presentations())
+def test_every_map_of_a_resolution_is_homogeneous(case):
+    """The check the graded runs and ``homotopy._grading`` no longer make,
+    kept here: over A and over B at truncation 3, with the rows of the
+    presentation in their drawn degrees, every column of every d_t passes
+    ``column_degree`` in the degrees of F_(t-1), and its degree is the one
+    ``res.degrees[t]`` gives its generator.  Unlike the sessions of
+    ``test_differentials_are_the_columns_of_the_maps``, the rows lie in
+    several degrees and the ring can be weighted."""
+    rd, pres, rows = case
+    for res in (_resolve(rd, (), pres, None, rows),
+                resolve_over_b(rd, pres, 3, rows)):
+        for t in range(1, res.length + 1):
+            assert [column_degree(rd.ring, c, res.degrees[t - 1])
+                    for c in res.differentials[t - 1]] == res.degrees[t]
