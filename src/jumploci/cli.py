@@ -92,7 +92,8 @@ def _loci_entries(rep: JumpLociReport):
     return entries
 
 
-def report_dict(rep: JumpLociReport, bass_degree=None, duality=None):
+def report_dict(rep: JumpLociReport, bass_degree=None):
+    """The JSON report; ``dual`` fills in its ``duality`` key."""
     return {
         "rank": rep.rank,
         "jump_numbers": list(rep.jump_numbers),
@@ -100,7 +101,7 @@ def report_dict(rep: JumpLociReport, bass_degree=None, duality=None):
         "complexity": rep.complexity,
         "betti_degree": rep.betti_degree,
         "bass_degree": bass_degree,
-        "duality": duality,
+        "duality": None,
     }
 
 

@@ -593,7 +593,9 @@ class Ideal:
            not tried: ``p`` in the ideal puts ``p^2`` there too.
         3. Otherwise the Rabinowitsch trick decides: ``p`` is in the radical
            exactly when the ideal and ``1 - y*p`` generate the unit ideal
-           of the ring with one more variable ``y``.
+           of the ring with one more variable ``y``, named after the
+           longest variable name with a prime appended, so that it is
+           longer than every name of the ring and clashes with none.
         """
         roots = self._squarefree_roots
         if roots is not None:
@@ -604,7 +606,7 @@ class Ideal:
             q = q * q
             if self.contains(q):
                 return True
-        aux = self.ring.extend(_fresh_name(self.ring))
+        aux = self.ring.extend(max(self.ring.variables, key=len) + "'")
         gens = [g.map_ring(aux) for g in self.gens]
         y = aux.gen(aux.nvars - 1)
         gens.append(aux.one() - y * p.map_ring(aux))
@@ -661,16 +663,6 @@ def module_hilbert_data(mat, row_shifts=None, weights=None):
             if not total[d + shift]:
                 del total[d + shift]
     return total
-
-
-def _fresh_name(ring: PolyRing) -> str:
-    base = "t_rad"
-    name = base
-    i = 0
-    while name in ring.variables:
-        i += 1
-        name = f"{base}{i}"
-    return name
 
 
 def _min_transversal(supports) -> int:

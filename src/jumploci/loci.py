@@ -2,14 +2,18 @@
 
 Every prime p of S assigns to a twisted complex X the cohomological rank
 crk_p = r - 2 rank D(p); the jump locus V^i is the closed set where
-crk >= i, cut out by the minor ideal I_t(D) with t = floor((r-i)/2) + 1.
-The tests check it against the exterior-power Fitting route and the
+crk >= i, cut out by the minor ideal I_t(D) with t = floor((r-i)/2) + 1
+at every integer i, under the two determinantal conventions: I_t = (1)
+for t <= 0, so V^i is empty for i > r, and I_t = 0 above the rank of D,
+so V^i is all of Spec S for i <= 0 (``PolyMatrix.minors`` reads both off
+its table).  The tests check it against the exterior-power Fitting
+route, the route with a case for each index outside 1..r, and the
 additivity of the loci over direct sums (``tests/oracles.py``).
 
-A JumpLociReport holds every jump ideal of one complex, computed once;
-its jump numbers are computed when first read.  It holds no generic
-rank: only ``crk`` prints the generic crk, through ``crk_at``.  Every
-Betti-side invariant is read off one quasi-polynomial (P_0, P_1), a
+A JumpLociReport holds every jump ideal of one complex and its jump
+numbers, all computed together by ``jump_loci_report``.  It holds no
+generic rank: only ``crk`` prints the generic crk, through ``crk_at``.
+Every Betti-side invariant is read off one quasi-polynomial (P_0, P_1), a
 binomial sum on each parity over the Hilbert numerator h of H(X) over S,
 with P_M(t) = h(t)/(1 - t^2)^c (``_quasi_polynomial``): ``betti`` prints
 it as the tail of the Betti numbers that expand h, and the complexity
@@ -47,7 +51,6 @@ only because the benchmark tracer wraps them by name.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import cached_property
 from math import prod
 from operator import add, le
 
@@ -71,8 +74,6 @@ def crk_at(X: TwistedComplex, point=None) -> int:
     """crk at a closed point of k^c, or at the generic point when
     ``point`` is None."""
     if point is not None:
-        if len(point) != X.S.nvars:
-            raise PipelineError("point arity mismatch")
         return X.rank - 2 * X.D.rank_at(point)
     return X.rank - 2 * X.D.generic_rank()
 
@@ -81,30 +82,27 @@ def crk_at(X: TwistedComplex, point=None) -> int:
 
 
 def jump_locus_ideal(X: TwistedComplex, i: int) -> Ideal:
-    """I_t(D) with t = floor((r - i)/2) + 1; V^i = V(result), X minimal.
-    Above the generic rank of D every t-minor vanishes: the zero ideal."""
-    S = X.S
-    if i == 0:
-        return Ideal(S, [])
-    if i < 0:
-        raise PipelineError("jump index must be nonnegative")
-    r = X.rank
-    if i > r:
-        return Ideal(S, [S.one()])
-    return Ideal(S, X.D.minors((r - i) // 2 + 1)).reduced()
+    """The reduced I_t(D) with t = floor((r - i)/2) + 1, so that
+    V^i = V(result) for X minimal, at every integer i: I_t = (1) for
+    t <= 0 (i > r, V^i empty) and I_t = 0 above the rank of D (i <= 0
+    among others, V^i all of Spec S), as ``PolyMatrix.minors`` reads its
+    table."""
+    return Ideal(X.S, X.D.minors((X.rank - i) // 2 + 1)).reduced()
 
 
 # -- reports --------------------------------------------------------------
 
 
 class JumpLociReport:
-    """The jump loci of one complex, off the minors of D, and its
-    complexity and Betti degree, off h (``betti_degree``)."""
+    """The jump loci of one complex, off the minors of D, with its jump
+    numbers as ``jump_loci_report`` found them, and its complexity and
+    Betti degree, off h (``betti_degree``)."""
 
-    def __init__(self, rank: int, per_index: list, complexity: int,
-                 betti_degree: int):
+    def __init__(self, rank: int, per_index: list, jump_numbers: list,
+                 complexity: int, betti_degree: int):
         self.rank = rank
         self.per_index = per_index  # (i, Ideal, dimension of V^i)
+        self.jump_numbers = jump_numbers  # the i with V^i != V^{i+2}
         self.complexity = complexity
         self.betti_degree = betti_degree  # None when complexity is 0
 
@@ -115,31 +113,21 @@ class JumpLociReport:
         i += (self.rank - i) % 2
         return next((I for j, I, _ in self.per_index if j == i), None)
 
-    @cached_property
-    def jump_numbers(self) -> list:
-        """The indices i with V^i != V^{i+2}, computed on first read."""
-        out = []
-        for pos, (i, I, _) in enumerate(self.per_index):
-            # minor ideals are nested, I_t(D) <= I_{t-1}(D), so V^i contains
-            # V^{i+2} by construction and only the other inclusion needs a
-            # test; above the last index V^{i+2} is empty
-            if pos + 1 < len(self.per_index):
-                same = I.radical_contains_ideal(self.per_index[pos + 1][1])
-            else:
-                same = I.is_unit_ideal()
-            if not same:
-                out.append(i)
-        return out
-
 
 def jump_loci_report(X: TwistedComplex) -> JumpLociReport:
+    """The ideal and dimension of V^i at each index 1 <= i <= r of the
+    rank's parity, the only indices that can jump, and the jump numbers:
+    the i with V^i != V^{i+2}.  Minor ideals are nested,
+    I_t(D) <= I_{t-1}(D), so V^i contains V^{i+2} and only the other
+    inclusion is tested; past the last index V^{i+2} is empty, given by
+    the unit ideal unreduced."""
     r = X.rank
-    # only indices of the rank's parity can jump
-    per_index = []
-    for i in range(2 - r % 2, r + 1, 2):
-        I = jump_locus_ideal(X, i)
-        per_index.append((i, I, I.dimension()))
-    return JumpLociReport(r, per_index, *betti_degree(X))
+    ideals = [(i, jump_locus_ideal(X, i)) for i in range(2 - r % 2, r + 1, 2)]
+    nxt = [I for _, I in ideals[1:]] + [Ideal(X.S, [X.S.one()])]
+    per_index = [(i, I, I.dimension()) for i, I in ideals]
+    jumps = [i for (i, I), J in zip(ideals, nxt)
+             if not I.radical_contains_ideal(J)]
+    return JumpLociReport(r, per_index, jumps, *betti_degree(X))
 
 
 def complexity_of(X: TwistedComplex) -> int:

@@ -191,7 +191,10 @@ class PolyMatrix:
     # -- minors ----------------------------------------------------------
 
     def minors(self, t: int):
-        """All structurally nonzero t x t minors, monic, deduplicated.
+        """All structurally nonzero t x t minors, monic, deduplicated,
+        for every integer t: the size-0 minor 1, ``[1]``, for t <= 0, as
+        the determinantal convention I_t = (1) asks, and ``[]`` for t
+        above the rank, where every t-minor vanishes.
 
         Deterministic output order.  The blocks C_k of the support graph,
         from ``_blocks`` and in its order, are processed independently and
@@ -214,11 +217,9 @@ class PolyMatrix:
         ``MAX_MINOR_WORK`` is refused with a ``PipelineError``, and nothing
         is cached.
         """
-        if t < 1:
-            raise ValueError("minor size must be >= 1")
         if self._minor_table is None:
             self._minor_table = self._build_minor_table()
-        return list(self._minor_table.get(t, ()))
+        return list(self._minor_table.get(max(t, 0), ()))
 
     def _build_minor_table(self):
         work = 0

@@ -24,6 +24,12 @@ construction, and no command runs them:
   the Betti quasi-polynomial;
 - the jump ideals by the exterior-power Fitting route, and the
   additivity of jump loci over direct sums;
+- the jump ideals with a case for each index outside 1..r
+  (``jump_locus_ideal_by_cases``) and the jump numbers by a walk of the
+  report's indices (``jump_numbers_by_position``), where
+  ``loci.jump_locus_ideal`` reads I_t(D) at every index and
+  ``loci.jump_loci_report`` tests each index against the next one or
+  the empty set;
 - a system of higher homotopies that solves every identity
   (``every_block_system``), where the construction solves only the blocks
   X(M) reads and those they are solved from, and every defining identity
@@ -81,8 +87,8 @@ from jumploci.homotopy import (HigherHomotopySystem, _multi_indices,
 from jumploci.loci import jump_locus_ideal
 from jumploci.matrix import PolyMatrix
 from jumploci.poly import Polynomial
-from jumploci.resolution import (FreeResolution, RingData, _resolve,
-                                 dualize_over_a)
+from jumploci.resolution import (FreeResolution, PipelineError, RingData,
+                                 _resolve, dualize_over_a)
 from jumploci.session import Session
 from jumploci.twisted import (TwistedComplex, build_twisted_complex,
                               direct_sum, minimalize)
@@ -416,6 +422,38 @@ def jump_locus_via_exterior_power(X: TwistedComplex, i: int) -> Ideal:
                     seen.add(p)
                     gens.append(p)
     return Ideal(S, gens).reduced()
+
+
+def jump_locus_ideal_by_cases(X: TwistedComplex, i: int) -> Ideal:
+    """I_t(D) with t = floor((r - i)/2) + 1, V^i = V(result), X minimal,
+    with the zero ideal at i = 0, an error below it and the unit ideal
+    above the rank: the route ``loci.jump_locus_ideal`` replaced."""
+    S = X.S
+    if i == 0:
+        return Ideal(S, [])
+    if i < 0:
+        raise PipelineError("jump index must be nonnegative")
+    r = X.rank
+    if i > r:
+        return Ideal(S, [S.one()])
+    return Ideal(S, X.D.minors((r - i) // 2 + 1)).reduced()
+
+
+def jump_numbers_by_position(per_index) -> list:
+    """The indices i with V^i != V^{i+2}, off a report's ``per_index``
+    list, by position: the loop ``JumpLociReport`` ran on first read."""
+    out = []
+    for pos, (i, I, _) in enumerate(per_index):
+        # minor ideals are nested, I_t(D) <= I_{t-1}(D), so V^i contains
+        # V^{i+2} by construction and only the other inclusion needs a
+        # test; above the last index V^{i+2} is empty
+        if pos + 1 < len(per_index):
+            same = I.radical_contains_ideal(per_index[pos + 1][1])
+        else:
+            same = I.is_unit_ideal()
+        if not same:
+            out.append(i)
+    return out
 
 
 def additivity_check(X: TwistedComplex, Y: TwistedComplex) -> bool:

@@ -392,6 +392,26 @@ def test_monomial_ideal_basis_equals_the_run(field, terms, probes):
         assert I.radical_contains(p) == _reference_radical_contains(I, p)
 
 
+def test_the_rabinowitsch_variable_clashes_with_no_variable(monkeypatch):
+    """x - y lies in the radical of ((x - y)^16) and x does not, which only
+    the Rabinowitsch stage decides, in a ring whose variables include the
+    names ``t_rad`` and ``t_rad1``: its extra variable is named after the
+    longest name with a prime appended, over GF(101) and QQ."""
+    names = []
+    extend = PolyRing.extend
+    monkeypatch.setattr(PolyRing, "extend",
+                        lambda self, name: names.append(name)
+                        or extend(self, name))
+    for field in (GF101, QQ):
+        R = PolyRing(field, ("x", "y", "t_rad", "t_rad1"))
+        I = Ideal(R, [R.parse("(x - y)^16")])
+        assert I._squarefree_roots is None
+        names.clear()
+        assert I.radical_contains(R.parse("x - y"))
+        assert not I.radical_contains(R.parse("x"))
+        assert names == ["t_rad1'", "t_rad1'"]
+
+
 def test_radical_of_zero_and_unit_ideals():
     zero, unit = Ideal(S3, []), Ideal(S3, [S3.one()])
     chi1 = S3.parse("chi1")

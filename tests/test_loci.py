@@ -34,7 +34,8 @@ from oracles import (TruncationNeeded, additivity_check,
                      dimension_and_multiplicity, dual_presentation,
                      explicit_dual, fit_quasi_polynomial,
                      fraction_quasi_polynomial, full_system, hilbert_data,
-                     jump_locus_via_exterior_power, shift, x_of_m_star)
+                     jump_locus_ideal_by_cases, jump_locus_via_exterior_power,
+                     jump_numbers_by_position, shift, x_of_m_star)
 
 GF101 = GF(101)
 
@@ -132,6 +133,57 @@ def test_two_routes_agree_on_random_minimal_matrices():
         for i in range(1, 6):
             assert jump_locus_ideal(X, i).same_variety(
                 jump_locus_via_exterior_power(X, i))
+
+
+# The files of ``sessions/`` and ``perfbench/inputs/`` whose minor tables
+# finish (all but ``sq_n6_e2``): the coker files and the DG sessions.
+_MINORS_FINISH = [p for d in (SESSIONS, REPO / "perfbench" / "inputs")
+                  for p in sorted(d.glob("*.session")) if p.stem != "sq_n6_e2"]
+
+
+def _assert_one_formula_at_every_index(X):
+    """``jump_locus_ideal`` has the reduced generators of the route it
+    replaced (``jump_locus_ideal_by_cases``) at every index from -3 to
+    r + 3, and the zero ideal below 0, where that route raised; the
+    report has that route's ideals and dimensions, and the jump numbers of
+    the positional walk over them (``jump_numbers_by_position``)."""
+    r = X.rank
+    for i in range(-3, r + 4):
+        got = jump_locus_ideal(X, i).gens
+        want = [] if i < 0 else jump_locus_ideal_by_cases(X, i).reduced().gens
+        assert got == want, (i, [str(g) for g in got])
+    old = []
+    for i in range(2 - r % 2, r + 1, 2):
+        I = jump_locus_ideal_by_cases(X, i)
+        old.append((i, I, I.dimension()))
+    rep = jump_loci_report(X)
+    assert [(i, I.gens, d) for i, I, d in rep.per_index] \
+        == [(i, I.gens, d) for i, I, d in old]
+    assert rep.jump_numbers == jump_numbers_by_position(old)
+
+
+@pytest.mark.parametrize("path", _MINORS_FINISH, ids=lambda p: p.stem)
+def test_one_formula_at_every_index_on_the_input_files(path):
+    """On X(M) and X(M*) of every session and benchmark input whose minor
+    table finishes."""
+    pipe = build_pipeline(parse_session(path.read_text()))
+    for X in (pipe.X, pipe.X_dual):
+        _assert_one_formula_at_every_index(X)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(p=st.sampled_from([2, 5, 101]), nvars=st.integers(1, 3),
+       seeds=st.tuples(st.integers(0, 2 ** 16), st.integers(0, 2 ** 16)))
+def test_one_formula_at_every_index_on_sums_of_koszul_objects(p, nvars,
+                                                              seeds):
+    """On direct sums of two random Koszul objects
+    (``random_twisted_complex``) and their S-duals, in one to three
+    variables."""
+    S = PolyRing(GF(p), ("chi1", "chi2", "chi3")[:nvars], (2,) * nvars)
+    X = direct_sum(*(random_twisted_complex(S, random.Random(seed))
+                     for seed in seeds))
+    for Y in (X, s_dual(X)):
+        _assert_one_formula_at_every_index(Y)
 
 
 # -- reports ---------------------------------------------------------------
@@ -809,11 +861,8 @@ def test_duality_check_returns_whether_the_betti_degrees_agree():
 # -- the complexity is dim V^1 ----------------------------------------------
 
 
-# The files of ``sessions/`` and ``perfbench/inputs/`` whose minor tables
-# finish (all but ``sq_n6_e2``), and the ``LADDER`` sessions whose X does
-# in about a second, with their complexity.
-_MINORS_FINISH = [p for d in (SESSIONS, REPO / "perfbench" / "inputs")
-                  for p in sorted(d.glob("*.session")) if p.stem != "sq_n6_e2"]
+# The ``LADDER`` sessions whose X finishes its minors in about a second,
+# with their complexity.
 _LADDER_MINORS_FINISH = [("nm_n4_e2", 4), ("lin2_n5_e2", 5), ("past_tate", 0)]
 
 

@@ -498,6 +498,8 @@ def test_block_minors_are_the_signed_determinants(monkeypatch):
 
 
 def test_minor_table_is_built_once_per_matrix(monkeypatch):
+    """Every size is read off the one table: the size-0 minor 1 at t <= 0,
+    and no minor above the rank."""
     P = matrix_of(S3, [["chi1", "chi2"], ["chi3", "0"]])
     calls = []
     build = PolyMatrix._build_minor_table
@@ -505,9 +507,8 @@ def test_minor_table_is_built_once_per_matrix(monkeypatch):
                         lambda self: calls.append(1) or build(self))
     assert [P.minors(t) for t in (2, 1, 3, 2)] == \
         [P.minors(2), P.minors(1), [], P.minors(2)]
+    assert P.minors(0) == P.minors(-2) == [S3.one()]
     assert len(calls) == 1
-    with pytest.raises(ValueError):
-        P.minors(0)
 
 
 def test_an_oversized_minor_table_is_refused(monkeypatch):

@@ -28,6 +28,7 @@ from conftest import REPO
     ("statement_census.py", ["sessions/koszul_summand.session"]),
     ("same_output.py", [".", ".", "--ladder", "nm_n4_e2", "--commands",
                         "crk"]),
+    ("code_lines.py", ["."]),
 ])
 def test_script_runs(script, args):
     proc = subprocess.run([sys.executable, str(REPO / "scripts" / script),
@@ -49,9 +50,10 @@ def test_pytest_finds_the_package_without_pythonpath():
     assert proc.returncode == 0, proc.stdout + proc.stderr
 
 
-def _same_output():
+def _script(name):
+    """The module of ``scripts/NAME.py``."""
     spec = importlib.util.spec_from_file_location(
-        "same_output", REPO / "scripts" / "same_output.py")
+        name, REPO / "scripts" / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
@@ -61,7 +63,7 @@ def test_same_output_prints_the_stderr_lines_that_differ():
     """A job whose engine line moved is reported with the line of each
     tree, TREE_A's marked ``-`` and TREE_B's ``+``; the lines both trees
     print, and a job that agrees, are not."""
-    differences = _same_output().differences
+    differences = _script("same_output").differences
     job = (Path("sessions/flag.session"), "oracle")
     a = (0, b"{}\n", b"time 1\nzero_reductions=15\nend\n")
     b = (0, b"{}\n", b"time 1\nzero_reductions=12\nend\n")
@@ -75,3 +77,18 @@ def test_same_output_prints_the_stderr_lines_that_differ():
         "(exit 0 vs 1)",
         "    -time 1", "    -zero_reductions=15", "    -end",
         "    +--- a line that looks like a header"]
+
+
+def test_code_lines_counts_no_docstring_comment_or_blank_line():
+    """Of a module docstring, a comment line, a blank line, a function
+    with a docstring and a line of code with a comment, and a string over
+    two lines that is no docstring, five lines are code."""
+    source = ('"""A module\n    docstring."""\n'
+              "# a comment\n"
+              "\n"
+              "def f(x):\n"
+              '    """One line."""\n'
+              "    y = x  # a comment after code\n"
+              '    return """two\n    lines"""\n'
+              "X = 1\n")
+    assert _script("code_lines").code_lines(source) == 5
