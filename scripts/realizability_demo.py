@@ -68,9 +68,8 @@ def main() -> int:
             failures += 1
         print(f"  rank {X.rank}, jump numbers {report.jump_numbers}, "
               f"realized={ok} ({elapsed:.2f} s)")
-        for i, ideal, dim in report.per_index:
-            if i in report.jump_numbers:
-                print(f"    V^{i} = {describe(ideal)} (dim {dim})")
+        for _, i, ideal, dim in report.plateaus[:-1]:
+            print(f"    V^{i} = {describe(ideal)} (dim {dim})")
     return 1 if failures else 0
 
 

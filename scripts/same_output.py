@@ -18,18 +18,29 @@ run with the variable empty.  ``--ladder`` adds the ladder sessions, the
 texts of ``tests/conftest.py::LADDER`` in this checkout, written to a
 temporary directory as ``NAME.session``: the entries named, or every
 entry when none is.
+``--rounds N`` runs every job N times, TREE_A's jobs first in rounds 1,
+3, 5, ... and TREE_B's first in rounds 2, 4, ..., compares the outputs
+of round 1, and then prints one TIME line per job: each tree's median
+wall time, their ratio TREE_B/TREE_A, and each tree's largest peak
+resident set (``ru_maxrss`` of the job's own process, read with
+``os.wait4``).  Linux carries the peak of the process that starts a job
+into the job's figure, so a last line prints this script's own peak,
+below which a job's figure says nothing.
 
 Usage: python scripts/same_output.py TREE_A TREE_B [FILE...]
            [--ladder [NAME...]] [--commands compute,dual,crk,betti,oracle]
-           [--verbose]
+           [--verbose] [--rounds N]
 """
 
 import argparse
 import difflib
 import os
+import resource
+import statistics
 import subprocess
 import sys
 import tempfile
+import time
 from pathlib import Path
 
 REPO = Path(__file__).resolve().parent.parent
@@ -58,19 +69,45 @@ def ladder():
     return LADDER
 
 
+def run_job(tree, argv, env):
+    """((exit code, stdout, stderr), wall seconds, peak resident set in
+    KiB) of one job in a fresh interpreter.  The outputs go to temporary
+    files and the peak is the job's own, from ``os.wait4`` on its
+    process."""
+    with tempfile.TemporaryFile() as out, tempfile.TemporaryFile() as err:
+        start = time.perf_counter()
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "jumploci.cli", *argv],
+            cwd=tree, env=env, stdout=out, stderr=err)
+        _, status, usage = os.wait4(proc.pid, 0)
+        wall = time.perf_counter() - start
+        proc.returncode = os.waitstatus_to_exitcode(status)
+        out.seek(0)
+        err.seek(0)
+        return (proc.returncode, out.read(), err.read()), wall, \
+            usage.ru_maxrss
+
+
 def run_tree(tree, files, commands, verbose):
-    """{(file, command): (exit code, stdout, stderr)} for one tree."""
+    """{(file, command): run_job's triple} for one tree."""
     env = dict(os.environ, PYTHONPATH=str(tree / "src"),
                PYTHONDONTWRITEBYTECODE="1",
                JUMPLOCI_VERBOSE="1" if verbose else "")
-    out = {}
-    for path in files:
-        for name, argv in jobs_of(path, commands).items():
-            proc = subprocess.run(
-                [sys.executable, "-m", "jumploci.cli", *argv],
-                cwd=tree, env=env, capture_output=True)
-            out[(path, name)] = (proc.returncode, proc.stdout, proc.stderr)
-    return out
+    return {(path, name): run_job(tree, argv, env)
+            for path in files
+            for name, argv in jobs_of(path, commands).items()}
+
+
+def timing_line(job, runs_a, runs_b):
+    """The TIME line of one job, given its run_job triples of each round
+    in each tree."""
+    wall_a, wall_b = (statistics.median(wall for _, wall, _ in runs)
+                      for runs in (runs_a, runs_b))
+    rss_a, rss_b = (max(rss for _, _, rss in runs) / 1024
+                    for runs in (runs_a, runs_b))
+    return (f"TIME {job[0].name} {job[1]}: median {wall_a:.3f} s vs "
+            f"{wall_b:.3f} s (x{wall_b / wall_a:.2f}); max rss "
+            f"{rss_a:.1f} MiB vs {rss_b:.1f} MiB")
 
 
 def differences(job, result_a, result_b):
@@ -106,7 +143,11 @@ def main() -> int:
     parser.add_argument("--commands", default=",".join(JOBS))
     parser.add_argument("--verbose", action="store_true",
                         help="run both trees with JUMPLOCI_VERBOSE=1")
+    parser.add_argument("--rounds", type=int, metavar="N",
+                        help="run every job N times and print its timings")
     args = parser.parse_args()
+    if args.rounds is not None and args.rounds < 1:
+        parser.error(f"--rounds must be positive, not {args.rounds}")
     commands = args.commands.split(",")
     unknown = [c for c in commands if c not in JOBS]
     if unknown:
@@ -126,17 +167,29 @@ def main() -> int:
         for name, text in texts.items():
             files.append(Path(tmp) / f"{name}.session")
             files[-1].write_text(text)
-        a = run_tree(args.tree_a.resolve(), files, commands, args.verbose)
-        b = run_tree(args.tree_b.resolve(), files, commands, args.verbose)
+        trees = [args.tree_a.resolve(), args.tree_b.resolve()]
+        runs = [[], []]  # each tree's run_tree result, round by round
+        for r in range(args.rounds or 1):
+            for k in ((0, 1) if r % 2 == 0 else (1, 0)):
+                runs[k].append(run_tree(trees[k], files, commands,
+                                        args.verbose))
+    a, b = runs[0][0], runs[1][0]
     differ = 0
-    for job, result in a.items():
-        lines = differences(job, result, b[job])
+    for job, (result, _, _) in a.items():
+        lines = differences(job, result, b[job][0])
         if lines:
             differ += 1
             print("\n".join(lines))
-    failing = sum(code != 0 for code, _, _ in a.values())
+    failing = sum(code != 0 for (code, _, _), _, _ in a.values())
     print(f"{len(a)} jobs, {differ} differ; {failing} exit nonzero "
           f"in {args.tree_a}")
+    if args.rounds:
+        for job in a:
+            print(timing_line(job, [run[job] for run in runs[0]],
+                              [run[job] for run in runs[1]]))
+        own = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+        print(f"max rss floor {own:.1f} MiB: this script's own peak, "
+              "which every job's figure includes")
     return 1 if differ else 0
 
 

@@ -30,9 +30,11 @@ The JSON report uses a stable key order::
      "complexity": int, "betti_degree": int|null, "bass_degree": int|null,
      "duality": {"per_index_equal": bool, "bdeg_equal": bool}|null}
 
-The unit ideal (empty variety) serializes as ``["1"]`` and the zero
-ideal (all of Spec S) as ``[]``; the final unbounded plateau of empty
-loci is recorded with ``i_to`` equal to ``i_from`` and dimension -1.
+Each ``loci`` entry is a plateau of the report (``JumpLociReport``):
+V^i for i_from <= i <= i_to, with the generators of its jump ideal.  The
+zero ideal (all of Spec S) serializes as ``[]``; the final plateau, the
+empty set from one past the last jump number on, is recorded with
+``i_to`` equal to ``i_from``, the unit ideal ``["1"]`` and dimension -1.
 ``dual`` adds to the ``compute`` report whether the Betti and Bass
 degrees agree; X(M*) = s_dual(X) has the minor ideals of X, so a printed
 ``per_index_equal`` is always true.
@@ -73,23 +75,16 @@ MAX_POINTS = 1_000
 
 
 def _loci_entries(rep: JumpLociReport):
-    """Plateau list: one entry per jump number plus the final empty set.
+    """The report's plateaus as JSON entries.
 
     A plateau prints the generators of its jump ideal, which
     ``jump_locus_ideal`` reduced: the zero ideal has none, and no jump
-    ideal is the unit ideal, since V^j = V^{j+2} = {} when V^j is empty.
+    ideal is the unit ideal, since V^j = V^{j+2} = {} when V^j is empty;
+    the final plateau's unit ideal prints as ``["1"]``.
     """
-    entries = []
-    by_index = {i: (I, d) for i, I, d in rep.per_index}
-    prev = 0
-    for j in rep.jump_numbers:
-        I, dim = by_index[j]
-        entries.append({"i_from": prev + 1, "i_to": j,
-                        "ideal": [str(g) for g in I.gens], "dim": dim})
-        prev = j
-    entries.append({"i_from": prev + 1, "i_to": prev + 1,
-                    "ideal": ["1"], "dim": -1})
-    return entries
+    return [{"i_from": i_from, "i_to": i_to,
+             "ideal": [str(g) for g in I.gens], "dim": dim}
+            for i_from, i_to, I, dim in rep.plateaus]
 
 
 def report_dict(rep: JumpLociReport, bass_degree=None):
@@ -143,10 +138,11 @@ def _report_text(report: dict, indent: str = "") -> str:
 
 
 def _read_text(path: str) -> str:
-    """A session or chain file as text; bytes that are not UTF-8 are an
-    input error naming their line."""
+    """A session or chain file as text, without one leading UTF-8 byte
+    order mark; bytes that are not UTF-8 are an input error naming their
+    line, counted in the file as given."""
     with open(path, "rb") as fh:
-        data = fh.read()
+        data = fh.read().removeprefix(b"\xef\xbb\xbf")
     try:
         return data.decode("utf-8")
     except UnicodeDecodeError as exc:

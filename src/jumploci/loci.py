@@ -10,9 +10,12 @@ its table).  The tests check it against the exterior-power Fitting
 route, the route with a case for each index outside 1..r, and the
 additivity of the loci over direct sums (``tests/oracles.py``).
 
-A JumpLociReport holds every jump ideal of one complex and its jump
-numbers, all computed together by ``jump_loci_report``.  It holds no
-generic rank: only ``crk`` prints the generic crk, through ``crk_at``.
+A JumpLociReport holds the jump loci of one complex as its plateaus,
+the runs of indices between two jump numbers on which V^i does not
+change, each with its jump ideal and dimension, decided once by
+``jump_loci_report``; ``compute``, ``dual``, ``realize`` and
+``duality_check`` read them as they are.  It holds no generic rank: only
+``crk`` prints the generic crk, through ``crk_at``.
 Every Betti-side invariant is read off one quasi-polynomial (P_0, P_1), a
 binomial sum on each parity over the Hilbert numerator h of H(X) over S,
 with P_M(t) = h(t)/(1 - t^2)^c (``_quasi_polynomial``): ``betti`` prints
@@ -94,40 +97,44 @@ def jump_locus_ideal(X: TwistedComplex, i: int) -> Ideal:
 
 
 class JumpLociReport:
-    """The jump loci of one complex, off the minors of D, with its jump
-    numbers as ``jump_loci_report`` found them, and its complexity and
-    Betti degree, off h (``betti_degree``)."""
+    """The jump loci of one complex as plateaus, off the minors of D, and
+    its complexity and Betti degree, off h (``betti_degree``).
 
-    def __init__(self, rank: int, per_index: list, jump_numbers: list,
-                 complexity: int, betti_degree: int):
+    A plateau (i_from, i_to, I, dim) says that V^i = V(I), of dimension
+    dim, for i_from <= i <= i_to; i_to is a jump number, an index with
+    V^i != V^{i+2}, and i_from is 1 or one past the jump number before.
+    The last plateau is the empty set from one past the last jump number
+    on, (j + 1, j + 1, the unit ideal, -1), with j = 0 when there is no
+    jump number."""
+
+    def __init__(self, rank: int, plateaus: list, complexity: int,
+                 betti_degree: int):
         self.rank = rank
-        self.per_index = per_index  # (i, Ideal, dimension of V^i)
-        self.jump_numbers = jump_numbers  # the i with V^i != V^{i+2}
+        self.plateaus = plateaus
+        self.jump_numbers = [i_to for _, i_to, _, _ in plateaus[:-1]]
         self.complexity = complexity
         self.betti_degree = betti_degree  # None when complexity is 0
 
-    def ideal_at(self, i: int):
-        """The jump ideal of V^i for i >= 1, or None (the unit ideal)
-        above the rank.  An index of the other parity than the rank has
-        the ideal of i + 1.  Read only by ``duality_check``."""
-        i += (self.rank - i) % 2
-        return next((I for j, I, _ in self.per_index if j == i), None)
-
 
 def jump_loci_report(X: TwistedComplex) -> JumpLociReport:
-    """The ideal and dimension of V^i at each index 1 <= i <= r of the
-    rank's parity, the only indices that can jump, and the jump numbers:
-    the i with V^i != V^{i+2}.  Minor ideals are nested,
+    """The plateaus of the jump loci of X, found at the indices
+    1 <= i <= r of the rank's parity, the only ones that can jump: V^i on
+    the other parity is V^{i+1}.  Minor ideals are nested,
     I_t(D) <= I_{t-1}(D), so V^i contains V^{i+2} and only the other
     inclusion is tested; past the last index V^{i+2} is empty, given by
-    the unit ideal unreduced."""
+    the unit ideal unreduced.  Each index where the test fails ends a
+    plateau, and only that plateau's ideal has its dimension read."""
     r = X.rank
-    ideals = [(i, jump_locus_ideal(X, i)) for i in range(2 - r % 2, r + 1, 2)]
-    nxt = [I for _, I in ideals[1:]] + [Ideal(X.S, [X.S.one()])]
-    per_index = [(i, I, I.dimension()) for i, I in ideals]
-    jumps = [i for (i, I), J in zip(ideals, nxt)
-             if not I.radical_contains_ideal(J)]
-    return JumpLociReport(r, per_index, jumps, *betti_degree(X))
+    indices = range(2 - r % 2, r + 1, 2)
+    ideals = [jump_locus_ideal(X, i) for i in indices]
+    unit = Ideal(X.S, [X.S.one()])
+    plateaus, start = [], 1
+    for i, I, J in zip(indices, ideals, ideals[1:] + [unit]):
+        if not I.radical_contains_ideal(J):
+            plateaus.append((start, i, I, I.dimension()))
+            start = i + 1
+    plateaus.append((start, start, unit, -1))
+    return JumpLociReport(r, plateaus, *betti_degree(X))
 
 
 def complexity_of(X: TwistedComplex) -> int:
@@ -272,26 +279,22 @@ def betti_degree(X: TwistedComplex) -> tuple:
 
 
 def duality_check(rep: JumpLociReport, rep_dual: JumpLociReport) -> bool:
-    """Compare the jump loci of two reports, raising RouteDisagreement at
-    the first index where they differ; return whether their Betti degrees
-    agree.  A test oracle: the tests pass X and the dual built from the
-    dualized resolution and homotopies."""
-    # the jump ideal at i >= 1 depends only on t = floor((rank - i)/2) + 1,
-    # so indices sharing both minor sizes share one comparison
-    checked = set()
-    for i in range(1, max(rep.rank, rep_dual.rank) + 1):
-        key = ((rep.rank - i) // 2, (rep_dual.rank - i) // 2)
-        if key in checked:
-            continue
-        checked.add(key)
-        I, J = rep.ideal_at(i), rep_dual.ideal_at(i)
-        if I is None or J is None:
-            same = (J if I is None else I).is_unit_ideal()
-        else:
-            same = I.same_variety(J)
-        if not same:
+    """Compare the jump loci of two reports plateau by plateau, raising
+    RouteDisagreement where they differ; return whether their Betti
+    degrees agree.  The plateaus give V^i at every i >= 1, so two reports
+    have the same loci exactly when their plateaus share (i_from, i_to),
+    that is their jump numbers, and the varieties of their non-final
+    plateaus agree.  A test oracle: the tests pass X and the dual built
+    from the dualized resolution and homotopies."""
+    if rep.jump_numbers != rep_dual.jump_numbers:
+        raise RouteDisagreement(
+            f"X jumps at {rep.jump_numbers} and its explicit dual at "
+            f"{rep_dual.jump_numbers}")
+    for (i, j, I, _), (_, _, J, _) in zip(rep.plateaus[:-1],
+                                          rep_dual.plateaus[:-1]):
+        if not I.same_variety(J):
             raise RouteDisagreement(
-                f"X and its explicit dual disagree at jump index {i}")
+                f"X and its explicit dual disagree at jump indices {i}..{j}")
     return rep.betti_degree == rep_dual.betti_degree
 
 
@@ -303,8 +306,9 @@ def realize(S: PolyRing, chain):
 
     ``chain`` is a list of IdealS starting with the zero ideal (Spec S),
     strictly descending as varieties, ending with the unit ideal (empty
-    set).  Returns (X, report, ok): for every proper chain member there
-    must be a plateau of the report realizing it.
+    set).  Returns (X, report, ok): ok says whether every proper chain
+    member has the variety of a non-final plateau of the report.  Every
+    member is compared, also after one fails.
     """
     if not chain or not chain[0].is_zero_ideal():
         raise PipelineError("chain must start at the zero ideal (Spec S)")
@@ -329,15 +333,11 @@ def realize(S: PolyRing, chain):
     for Y in blocks[1:]:
         X = direct_sum(X, Y)
     report = jump_loci_report(X)
-    # each proper chain member must appear as a plateau variety; the zero
-    # ideal is always realized by V^0 = Spec S
-    plateau_ideals = [ideal for (_, ideal, _) in report.per_index]
-    ok = True
-    for member in chain[:-1]:
-        if member.is_zero_ideal():
-            continue
-        if not any(member.same_variety(p) for p in plateau_ideals):
-            ok = False
+    # the zero ideal is always realized by V^0 = Spec S
+    ok = all([member.is_zero_ideal()
+              or any(member.same_variety(I) for _, _, I, _ in
+                     report.plateaus[:-1])
+              for member in chain[:-1]])
     return X, report, ok
 
 

@@ -236,32 +236,24 @@ class Polynomial:
     # -- printing -------------------------------------------------------
 
     def __str__(self):
+        """The terms from the leading one down, each its sign, its
+        coefficient unless it is 1 and the term has a factor, and its
+        factors, joined by ``*``; over QQ the sign prints apart from the
+        magnitude."""
         if not self.terms:
             return "0"
-        names = self.ring.variables
+        signed = not self.ring.field.p
         parts = []
         for m in sorted(self.terms, key=self.ring.mono_key, reverse=True):
             c = self.terms[m]
-            factors = []
-            for name, e in zip(names, m):
-                if e == 1:
-                    factors.append(name)
-                elif e > 1:
-                    factors.append(f"{name}^{e}")
-            if not factors:
-                body = str(abs(c) if not self.ring.field.p else c)
-            else:
-                cc = c
-                mag = abs(cc) if not self.ring.field.p else cc
-                if mag == 1:
-                    body = "*".join(factors)
-                else:
-                    body = str(mag) + "*" + "*".join(factors)
-            neg = (not self.ring.field.p) and c < 0
-            if not parts:
-                parts.append(("-" if neg else "") + body)
-            else:
-                parts.append(("- " if neg else "+ ") + body)
+            neg = signed and c < 0
+            mag = -c if neg else c
+            factors = [name if e == 1 else f"{name}^{e}"
+                       for name, e in zip(self.ring.variables, m) if e]
+            if mag != 1 or not factors:
+                factors.insert(0, str(mag))
+            sign = ("- " if neg else "+ ") if parts else ("-" if neg else "")
+            parts.append(sign + "*".join(factors))
         return " ".join(parts)
 
     def __repr__(self):

@@ -25,11 +25,17 @@ construction, and no command runs them:
 - the jump ideals by the exterior-power Fitting route, and the
   additivity of jump loci over direct sums;
 - the jump ideals with a case for each index outside 1..r
-  (``jump_locus_ideal_by_cases``) and the jump numbers by a walk of the
-  report's indices (``jump_numbers_by_position``), where
+  (``jump_locus_ideal_by_cases``), the ideal and dimension at every
+  index of the rank's parity (``per_index``), the jump numbers by a walk
+  of those indices (``jump_numbers_by_position``) and the plateaus read
+  off them by the jump numbers (``plateaus_by_index``), where
   ``loci.jump_locus_ideal`` reads I_t(D) at every index and
   ``loci.jump_loci_report`` tests each index against the next one or
-  the empty set;
+  the empty set, and ends a plateau, reading its dimension, where the
+  test fails;
+- the comparison of two complexes' jump ideals at every index
+  (``duality_check_by_index``), where ``loci.duality_check`` compares
+  their plateaus;
 - a system of higher homotopies that solves every identity
   (``every_block_system``), where the construction solves only the blocks
   X(M) reads and those they are solved from, and every defining identity
@@ -67,7 +73,10 @@ construction, and no command runs them:
   program sums integer numerators over one denominator
   (``loci._quasi_polynomial``);
 - the argparse parser the command line was read with, which
-  ``cli.parse_command_line`` must agree with.
+  ``cli.parse_command_line`` must agree with;
+- the polynomial printer with a branch for constants and one for terms
+  with factors (``polynomial_str_by_cases``), where ``Polynomial``
+  prints every term one way.
 """
 
 from __future__ import annotations
@@ -84,7 +93,8 @@ from jumploci.groebner import (GBStats, Ideal, ModuleGB,
 from jumploci.homotopy import (HigherHomotopySystem, _multi_indices,
                                _solving_order, compute_higher_homotopies,
                                dualize_homotopies)
-from jumploci.loci import jump_locus_ideal
+from jumploci.loci import (RouteDisagreement, betti_degree,
+                           jump_locus_ideal)
 from jumploci.matrix import PolyMatrix
 from jumploci.poly import Polynomial
 from jumploci.resolution import (FreeResolution, PipelineError, RingData,
@@ -454,6 +464,61 @@ def jump_numbers_by_position(per_index) -> list:
         if not same:
             out.append(i)
     return out
+
+
+def per_index(X: TwistedComplex) -> list:
+    """(i, the jump ideal of V^i, dim V^i) at each index 1 <= i <= r of
+    the rank's parity: the list ``JumpLociReport`` held before it held
+    plateaus, with a dimension read at every index."""
+    out = []
+    for i in range(2 - X.rank % 2, X.rank + 1, 2):
+        I = jump_locus_ideal(X, i)
+        out.append((i, I, I.dimension()))
+    return out
+
+
+def plateaus_by_index(X: TwistedComplex) -> list:
+    """(i_from, i_to, generators, dim) of each plateau of the jump loci of
+    X, and the final empty one, read off ``per_index`` by the jump numbers
+    of ``jump_numbers_by_position``: the derivation the command line ran
+    on the per-index list."""
+    rows = per_index(X)
+    by_index = {i: (I, d) for i, I, d in rows}
+    entries, prev = [], 0
+    for j in jump_numbers_by_position(rows):
+        I, dim = by_index[j]
+        entries.append((prev + 1, j, I.gens, dim))
+        prev = j
+    entries.append((prev + 1, prev + 1, [X.S.one()], -1))
+    return entries
+
+
+def duality_check_by_index(X: TwistedComplex, Y: TwistedComplex) -> bool:
+    """``loci.duality_check`` on the reports of X and Y as it ran on their
+    per-index lists: the jump ideals are compared at each index
+    1 <= i <= the larger rank, an index of the other parity than a rank
+    reading the ideal of i + 1 and an index above it the unit ideal, one
+    comparison for each pair of minor sizes; RouteDisagreement at the
+    first that differs, else whether the Betti degrees agree."""
+    ideals = [{i: I for i, I, _ in per_index(Z)} for Z in (X, Y)]
+    checked = set()
+    for i in range(1, max(X.rank, Y.rank) + 1):
+        # the jump ideal at i >= 1 depends only on
+        # t = floor((rank - i)/2) + 1
+        key = ((X.rank - i) // 2, (Y.rank - i) // 2)
+        if key in checked:
+            continue
+        checked.add(key)
+        I, J = (at.get(i + (Z.rank - i) % 2)
+                for Z, at in zip((X, Y), ideals))
+        if I is None or J is None:
+            same = (J if I is None else I).is_unit_ideal()
+        else:
+            same = I.same_variety(J)
+        if not same:
+            raise RouteDisagreement(
+                f"X and its explicit dual disagree at jump index {i}")
+    return betti_degree(X)[1] == betti_degree(Y)[1]
 
 
 def additivity_check(X: TwistedComplex, Y: TwistedComplex) -> bool:
@@ -938,3 +1003,35 @@ def build_argument_parser() -> argparse.ArgumentParser:
     # exit 1, with no usage block
     parser.error = lambda message: parser.exit(1, f"error: {message}\n")
     return parser
+
+
+def polynomial_str_by_cases(p: Polynomial) -> str:
+    """``str(p)`` as ``Polynomial`` printed it with a branch for a
+    constant term and one for a term with factors."""
+    if not p.terms:
+        return "0"
+    names = p.ring.variables
+    parts = []
+    for m in sorted(p.terms, key=p.ring.mono_key, reverse=True):
+        c = p.terms[m]
+        factors = []
+        for name, e in zip(names, m):
+            if e == 1:
+                factors.append(name)
+            elif e > 1:
+                factors.append(f"{name}^{e}")
+        if not factors:
+            body = str(abs(c) if not p.ring.field.p else c)
+        else:
+            cc = c
+            mag = abs(cc) if not p.ring.field.p else cc
+            if mag == 1:
+                body = "*".join(factors)
+            else:
+                body = str(mag) + "*" + "*".join(factors)
+        neg = (not p.ring.field.p) and c < 0
+        if not parts:
+            parts.append(("-" if neg else "") + body)
+        else:
+            parts.append(("- " if neg else "+ ") + body)
+    return " ".join(parts)

@@ -95,14 +95,16 @@ def test_criterion_3_flag_module():
     assert rep.betti_degree == 4
     S = X.S
     chis = [S.parse(v) for v in ("chi1", "chi2", "chi3")]
-    by_index = {i: I for i, I, _ in rep.per_index}
+    assert [(a, b) for a, b, _, _ in rep.plateaus] \
+        == [(1, 8), (9, 12), (13, 14), (15, 16), (17, 17)]
+    by_index = {i: I for _, i, I, _ in rep.plateaus}
     assert by_index[8].is_zero_ideal()
     # one coordinate hyperplane, up to permuting the chi variables
     assert any(by_index[12].same_variety(Ideal(S, [a])) for a in chis)
     assert any(by_index[14].same_variety(Ideal(S, [a, b]))
                for a, b in itertools.combinations(chis, 2))
     assert by_index[16].same_variety(Ideal(S, chis))
-    dims = {i: d for i, _, d in rep.per_index}
+    dims = {i: d for _, i, _, d in rep.plateaus}
     assert (dims[8], dims[12], dims[14], dims[16]) == (3, 2, 1, 0)
 
 

@@ -702,6 +702,30 @@ def test_input_that_is_not_utf8_is_an_input_error(capfd, tmp_path):
         assert err == "error: the file is not valid UTF-8 (line 2)\n"
 
 
+def test_a_leading_byte_order_mark_is_read_past(capfd, tmp_path):
+    """A session or chain file that starts with a UTF-8 byte order mark
+    prints the report of the same file without it."""
+    for argv, path in ((["compute", "--input"], FLAG),
+                       (["realize", "--chain"], CHAIN)):
+        marked = tmp_path / ("bom" + os.path.splitext(path)[1])
+        marked.write_bytes(b"\xef\xbb\xbf" + open(path, "rb").read())
+        code, out, err = _run(capfd, [*argv, str(marked)])
+        assert code == 0 and err == ""
+        assert (code, out, err) == _run(capfd, [*argv, path])
+
+
+def test_an_invalid_byte_after_a_byte_order_mark_names_its_line(capfd,
+                                                                  tmp_path):
+    """A byte that is not UTF-8 at the start of line 3 is named at line
+    3: an offset counted past the byte order mark, as ``utf-8-sig``
+    reports it, would fall three bytes short, on line 2."""
+    session = tmp_path / "bom.session"
+    session.write_bytes(b"\xef\xbb\xbffield GF(101)\nring x\n\xffci x^2\n")
+    code, out, err = _run(capfd, ["compute", "--input", str(session)])
+    assert (code, out) == (1, "")
+    assert err == "error: the file is not valid UTF-8 (line 3)\n"
+
+
 _QQ_KOSZUL = ("field QQ\nring x, y\nci x^2, y^2\n"
               "complex d1 [[x, y]] d2 [[-y], [x]]\n"
               "action e1 [[x], [0]] [[0, x]]\n"

@@ -34,8 +34,9 @@ from oracles import (TruncationNeeded, additivity_check,
                      dimension_and_multiplicity, dual_presentation,
                      explicit_dual, fit_quasi_polynomial,
                      fraction_quasi_polynomial, full_system, hilbert_data,
-                     jump_locus_ideal_by_cases, jump_locus_via_exterior_power,
-                     jump_numbers_by_position, shift, x_of_m_star)
+                     duality_check_by_index, jump_locus_ideal_by_cases,
+                     jump_locus_via_exterior_power, jump_numbers_by_position,
+                     per_index, plateaus_by_index, shift, x_of_m_star)
 
 GF101 = GF(101)
 
@@ -145,8 +146,11 @@ def _assert_one_formula_at_every_index(X):
     """``jump_locus_ideal`` has the reduced generators of the route it
     replaced (``jump_locus_ideal_by_cases``) at every index from -3 to
     r + 3, and the zero ideal below 0, where that route raised; the
-    report has that route's ideals and dimensions, and the jump numbers of
-    the positional walk over them (``jump_numbers_by_position``)."""
+    per-index list of the report before it held plateaus (``per_index``)
+    has that route's ideals and dimensions, and the report has the jump
+    numbers of the positional walk over them (``jump_numbers_by_position``)
+    and the plateaus read off them (``plateaus_by_index``), reading one
+    dimension per plateau, of its own ideal, and none of the final one."""
     r = X.rank
     for i in range(-3, r + 4):
         got = jump_locus_ideal(X, i).gens
@@ -156,10 +160,16 @@ def _assert_one_formula_at_every_index(X):
     for i in range(2 - r % 2, r + 1, 2):
         I = jump_locus_ideal_by_cases(X, i)
         old.append((i, I, I.dimension()))
-    rep = jump_loci_report(X)
-    assert [(i, I.gens, d) for i, I, d in rep.per_index] \
+    assert [(i, I.gens, d) for i, I, d in per_index(X)] \
         == [(i, I.gens, d) for i, I, d in old]
+    with mock.patch.object(Ideal, "dimension", autospec=True,
+                           side_effect=Ideal.dimension) as dimension:
+        rep = jump_loci_report(X)
     assert rep.jump_numbers == jump_numbers_by_position(old)
+    assert [(a, b, I.gens, d) for a, b, I, d in rep.plateaus] \
+        == plateaus_by_index(X)
+    assert [c.args[0] for c in dimension.call_args_list] \
+        == [I for _, _, I, _ in rep.plateaus[:-1]]
 
 
 @pytest.mark.parametrize("path", _MINORS_FINISH, ids=lambda p: p.stem)
@@ -194,7 +204,10 @@ def test_report_of_koszul_action(koszul_action):
     rep = jump_loci_report(X)
     assert rep.rank == 4
     assert rep.jump_numbers == [4]
-    assert all(I.is_zero_ideal() for _, I, _ in rep.per_index)
+    assert all(I.is_zero_ideal() for _, I, _ in per_index(X))
+    S = X.S
+    assert [(a, b, I.gens, d) for a, b, I, d in rep.plateaus] \
+        == [(1, 4, [], 2), (5, 5, [S.one()], -1)]
     assert rep.complexity == 2 and rep.betti_degree == 2
 
 
@@ -213,7 +226,9 @@ def test_flag_report(flag_pipeline):
     assert rep.complexity == 3
     assert rep.betti_degree == 4
     assert rep.jump_numbers[-1] == minimalize(X).rank
-    dims = {i: d for i, _, d in rep.per_index}
+    assert [(a, b, d) for a, b, _, d in rep.plateaus] \
+        == [(1, 8, 3), (9, 12, 2), (13, 14, 1), (15, 16, 0), (17, 17, -1)]
+    dims = {i: d for i, _, d in per_index(X)}
     assert dims[8] == 3 and dims[12] == 2 and dims[14] == 1 and dims[16] == 0
 
 
@@ -305,9 +320,11 @@ def _read_parts(parts):
     return complexity, e_even
 
 
-def _outcome(route, X):
+def _outcome(route, *args):
+    """What ``route(*args)`` returns, or the message of the AssertionError
+    it raises (a RouteDisagreement among them)."""
     try:
-        return route(X)
+        return route(*args)
     except AssertionError as exc:
         return str(exc)
 
@@ -811,18 +828,13 @@ def _per_index_agree(X, Y):
                for i in range(1, top + 1))
 
 
-def _report_disagrees(rep, rep_other):
-    try:
-        duality_check(rep, rep_other)
-    except RouteDisagreement:
-        return True
-    return False
-
-
 def test_report_duality_check_matches_a_per_index_comparison():
     """On every pair from a pool of random monomial modules, their explicit
     duals and the zero module (rank 0), the report-based check raises
-    exactly when the per-index comparison finds a differing jump ideal."""
+    exactly when the per-index comparison finds a differing jump ideal,
+    and it raises on the same pairs as the check by index that it
+    replaced (``duality_check_by_index``) and returns the same value on
+    the others."""
     rng = random.Random(37)
     pool = [_coker_pipeline("x, y", "x^2, y^2", ["1"]).X]
     for _ in range(4):
@@ -839,9 +851,15 @@ def test_report_duality_check_matches_a_per_index_comparison():
     for a, X in enumerate(pool):
         for b, Y in enumerate(pool):
             expected = not _per_index_agree(X, Y)
-            assert _report_disagrees(reports[a], reports[b]) == expected
+            got = _outcome(duality_check, reports[a], reports[b])
+            want = _outcome(duality_check_by_index, X, Y)
+            assert isinstance(got, str) == isinstance(want, str) == expected
+            assert expected or got == want, (a, b)
             disagreeing += expected
     assert disagreeing > 0
+    # the zero module has only the final plateau, (1, 1), which no other
+    # complex of the pool has first
+    assert reports[0].plateaus[0][:2] == (1, 1) != reports[1].plateaus[0][:2]
 
 
 def test_duality_check_returns_whether_the_betti_degrees_agree():
@@ -870,10 +888,11 @@ def _assert_cx_is_dim_v1(X):
     """The report's complexity, read off the Hilbert numerator h of H(X),
     is dim V^1, read off the minors of D: V^1 is where X (x) k(p) is not
     exact, the support of H(X) (Avramov-Buchweitz, Invent. Math. 142,
-    2000, for X = X(M)).  V^1 = V^2 when the rank is even, so the first
-    index of the report is V^1 on either parity.  Returns the report."""
+    2000, for X = X(M)).  The first plateau of the report starts at
+    i = 1, so its dimension is dim V^1 on either parity.  Returns the
+    report."""
     rep = jump_loci_report(X)
-    assert rep.per_index[0][2] == rep.complexity
+    assert rep.plateaus[0][3] == rep.complexity
     assert (rep.betti_degree is None) == (rep.complexity == 0)
     return rep
 
@@ -988,7 +1007,7 @@ def test_realize_three_variable_chain():
     X, rep, ok = realize(S, chain)
     assert ok
     assert_twisted_complex(X)
-    plateau_varieties = [I for _, I, _ in rep.per_index]
+    plateau_varieties = [I for _, _, I, _ in rep.plateaus[:-1]]
     for member in chain[1:-1]:
         assert any(member.same_variety(I) for I in plateau_varieties)
 

@@ -10,10 +10,12 @@ from jumploci import GF, QQ, PolyRing
 from jumploci.field import Field
 from jumploci.groebner import ModuleGB
 from jumploci.matrix import PolyMatrix
-from jumploci.poly import MAX_EXPONENT, MAX_PARSE_WORK
+from jumploci.poly import MAX_EXPONENT, MAX_PARSE_WORK, Polynomial
 from jumploci.resolution import FreeResolution, RingData
 from jumploci.session import ModuleInput
 from jumploci.twisted import TwistedComplex
+
+from oracles import polynomial_str_by_cases
 
 
 GF5 = GF(5)
@@ -161,6 +163,34 @@ def test_parse_print_round_trip():
     for text in ("x^3 - 2*x*y^2", "x*z + y*z^2", "1", "x - y + z"):
         p = ring.parse(text)
         assert ring.parse(str(p)) == p
+
+
+# Coefficients the printer has a case for: +-1, negative ones and, over
+# QQ, fractional ones (over GF(p), their numerators).
+_PRINTED_COEFFICIENTS = st.sampled_from(
+    [1, -1, 2, -2, 100, Fraction(1, 2), Fraction(-3, 4), Fraction(7, 3)])
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(p=st.sampled_from([2, 3, 101, 0]),
+       terms=st.dictionaries(
+           st.tuples(*[st.integers(0, 3)] * 3), _PRINTED_COEFFICIENTS,
+           max_size=5))
+def test_printer_matches_the_one_with_a_case_per_term_shape(p, terms):
+    """Over GF(2), GF(3), GF(101) and QQ in a weighted ring, on
+    polynomials with constants, zero, and coefficients +-1, negative and
+    fractional: ``str`` prints what the printer with a branch for
+    constants and one for terms with factors printed
+    (``polynomial_str_by_cases``)."""
+    ring = PolyRing(QQ if p == 0 else GF(p), ("x", "y", "z'"), (1, 2, 3))
+    fld = ring.field
+    coerced = {}
+    for m, c in terms.items():
+        c = fld.coerce(c if p == 0 else Fraction(c).numerator)
+        if c:
+            coerced[m] = c
+    poly = Polynomial(ring, coerced)
+    assert str(poly) == polynomial_str_by_cases(poly)
 
 
 def test_parse_rejects_unknown_variable():

@@ -4,6 +4,7 @@ command collects the suite with no ``PYTHONPATH`` set."""
 
 import importlib.util
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -37,6 +38,25 @@ def test_script_runs(script, args):
     assert proc.returncode == 0, proc.stderr
     assert "Traceback" not in proc.stdout + proc.stderr
     assert proc.stdout
+
+
+def test_same_output_rounds_prints_a_timing_line_a_job():
+    """``--rounds 2`` compares the outputs as without it, then prints one
+    TIME line for the job, with each tree's median wall time, their
+    ratio and each tree's peak resident set, and the script's own peak,
+    which the jobs' figures include."""
+    proc = subprocess.run(
+        [sys.executable, str(REPO / "scripts" / "same_output.py"), ".", ".",
+         "sessions/final.session", "--commands", "crk", "--rounds", "2"],
+        cwd=REPO, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    summary, timing, floor = proc.stdout.splitlines()
+    assert summary == "1 jobs, 0 differ; 0 exit nonzero in ."
+    assert re.fullmatch(r"TIME final\.session crk: median [\d.]+ s vs "
+                        r"[\d.]+ s \(x[\d.]+\); max rss [\d.]+ MiB vs "
+                        r"[\d.]+ MiB", timing), timing
+    assert re.fullmatch(r"max rss floor [\d.]+ MiB: this script's own "
+                        r"peak, which every job's figure includes", floor)
 
 
 def test_pytest_finds_the_package_without_pythonpath():
