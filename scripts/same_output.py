@@ -18,6 +18,14 @@ run with the variable empty.  ``--ladder`` adds the ladder sessions, the
 texts of ``tests/conftest.py::LADDER`` in this checkout, written to a
 temporary directory as ``NAME.session``: the entries named, or every
 entry when none is.
+``--mutants N`` adds N mutated copies of each FILE, written to a
+temporary directory as ``NAME.mK.session`` (or ``.chain``), K = 0..N-1:
+the edits of ``tests/test_fuzz.py::_mutate``, 1 to 4 of them, each a
+drop, dup, swap or zero of a word, and whether the field becomes QQ,
+all drawn from ``random.Random(f"{NAME}-{K}")``, NAME the file's name.
+They run and compare like any other file; ``--commands crk`` is the
+cheap choice, and a grammar change is checked this way on texts that
+the parser refuses as well as on those it reads.
 ``--rounds N`` runs every job N times, TREE_A's jobs first in rounds 1,
 3, 5, ... and TREE_B's first in rounds 2, 4, ..., compares the outputs
 of round 1, and then prints one TIME line per job: each tree's median
@@ -29,12 +37,13 @@ below which a job's figure says nothing.
 
 Usage: python scripts/same_output.py TREE_A TREE_B [FILE...]
            [--ladder [NAME...]] [--commands compute,dual,crk,betti,oracle]
-           [--verbose] [--rounds N]
+           [--verbose] [--rounds N] [--mutants N]
 """
 
 import argparse
 import difflib
 import os
+import random
 import resource
 import statistics
 import subprocess
@@ -53,6 +62,9 @@ JOBS = {
     "oracle": ["oracle", "--points", "3", "--seed", "1"],
 }
 
+# the edits of ``tests/test_fuzz.py::EDITS``
+MUTATIONS = ("drop", "dup", "swap", "zero")
+
 
 def jobs_of(path, commands):
     """{command: argv} for one file: ``realize`` on a chain file, the
@@ -62,11 +74,31 @@ def jobs_of(path, commands):
     return {name: [*JOBS[name], "--input", str(path)] for name in commands}
 
 
+def _tests_on_path():
+    """Make ``tests/`` and the ``src`` it imports importable."""
+    sys.path[:0] = [str(REPO / "src"), str(REPO / "tests")]
+
+
 def ladder():
     """{name: session text} of ``tests/conftest.py::LADDER``."""
-    sys.path[:0] = [str(REPO / "src"), str(REPO / "tests")]
+    _tests_on_path()
     from conftest import LADDER
     return LADDER
+
+
+def mutants(name, text, count):
+    """The ``count`` mutated copies of the file ``name`` with ``text``
+    (``--mutants``), each from its own ``random.Random``."""
+    _tests_on_path()
+    from test_fuzz import _mutate
+    out = []
+    for k in range(count):
+        rng = random.Random(f"{name}-{k}")
+        over_qq = rng.random() < 0.5
+        edits = [(rng.choice(MUTATIONS), rng.randrange(1000),
+                  rng.randrange(1000)) for _ in range(rng.randint(1, 4))]
+        out.append(_mutate(text, over_qq, edits))
+    return out
 
 
 def run_job(tree, argv, env):
@@ -145,9 +177,13 @@ def main() -> int:
                         help="run both trees with JUMPLOCI_VERBOSE=1")
     parser.add_argument("--rounds", type=int, metavar="N",
                         help="run every job N times and print its timings")
+    parser.add_argument("--mutants", type=int, default=0, metavar="N",
+                        help="also N mutated copies of each FILE")
     args = parser.parse_args()
     if args.rounds is not None and args.rounds < 1:
         parser.error(f"--rounds must be positive, not {args.rounds}")
+    if args.mutants < 0:
+        parser.error(f"--mutants must not be negative, not {args.mutants}")
     commands = args.commands.split(",")
     unknown = [c for c in commands if c not in JOBS]
     if unknown:
@@ -167,6 +203,13 @@ def main() -> int:
         for name, text in texts.items():
             files.append(Path(tmp) / f"{name}.session")
             files[-1].write_text(text)
+        for i, path in enumerate(files[:len(args.files)]):
+            (Path(tmp) / str(i)).mkdir()
+            for k, text in enumerate(mutants(path.name, path.read_text(),
+                                             args.mutants)):
+                files.append(Path(tmp) / str(i)
+                             / f"{path.stem}.m{k}{path.suffix}")
+                files[-1].write_text(text)
         trees = [args.tree_a.resolve(), args.tree_b.resolve()]
         runs = [[], []]  # each tree's run_tree result, round by round
         for r in range(args.rounds or 1):

@@ -345,12 +345,11 @@ def ingest_dg_structure(res: FreeResolution, actions,
     e_i e_j + e_j e_i = 0 (i != j) and e_i e_i = 0, in every
     characteristic.  They are walked as the construction walks them, with
     no lift; the first that fails is reported with its indices.
+    There are c actions: ``build_pipeline`` passes those of a session,
+    which ``parse_session`` refuses unless they are e1..ec.
     """
     ranks = res.betti()
     L = res.length
-    if len(actions) != rd.c:
-        raise PipelineError(
-            f"expected {rd.c} dg actions, got {len(actions)}")
     for i, blocks in enumerate(actions):
         if len(blocks) != L:
             raise PipelineError(

@@ -382,17 +382,14 @@ def _parse_polynomial(ring: PolyRing, text: str) -> Polynomial:
         return p
 
     def parse_sum() -> Polynomial:
-        sign = 1
-        while peek() in ("+", "-"):
-            if take() == "-":
-                sign = -sign
-        p = parse_product().scale(sign)
-        while peek() in ("+", "-"):
+        p = None
+        while p is None or peek() in ("+", "-"):
             sign = 1
             while peek() in ("+", "-"):
                 if take() == "-":
                     sign = -sign
-            p = p + parse_product().scale(sign)
+            q = parse_product().scale(sign)
+            p = q if p is None else p + q
         return p
 
     out = parse_sum()

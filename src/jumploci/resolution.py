@@ -73,8 +73,8 @@ class RingData:
         return self._ci_ideal
 
     def is_regular_sequence(self) -> bool:
-        if self.c > self.n:
-            return False
+        """dim A/(f) = n - c; when c > n it is False, since no f_i of a
+        session is a unit and so dim A/(f) >= 0 > n - c."""
         return self.ci_ideal().dimension() == self.n - self.c
 
     def operator_ring(self) -> PolyRing:
@@ -157,8 +157,9 @@ def resolve_over_b(rd: RingData, presentation: PolyMatrix, truncation: int,
     The point oracle's route past the size limit of its Tate complex, on
     d_1 of F with its rows in deg F_0, and the tests' reference for the
     Betti numbers and the Tate route.
-    f must annihilate the cokernel; this is not checked (the oracle
-    resolves modules the pipeline has checked).
+    f must annihilate the cokernel and ``truncation`` be at least 1; this
+    is not checked: the oracle (``loci._resolved_stable_betti``) resolves
+    modules the pipeline has checked, through n + 1 >= 2.
     Each stage is one graded ``ModuleGB`` run over its candidate columns
     modulo the f_k e_j, which keeps a minimal generating set over B.  The
     candidates are taken as they stand, not reduced modulo (f), and the
@@ -166,8 +167,6 @@ def resolve_over_b(rd: RingData, presentation: PolyMatrix, truncation: int,
     its top column degree.  No run is kept (``image_bases`` is empty):
     each is freed once its syzygies are taken.
     """
-    if truncation < 1:
-        raise PipelineError("truncation bound must be >= 1")
     return _resolve(rd, rd.ci, presentation, truncation, row_degrees)
 
 
@@ -262,10 +261,9 @@ def _check_concentration(res: FreeResolution) -> bool:
     cohomology of Hom_A(F, A) is Ext_A^i(M, A), which vanishes below
     grade M = n - dim M and not at grade M or at pd M (Bruns-Herzog,
     Cohen-Macaulay Rings, 1.3.3).  So the dual is concentrated exactly
-    when L = 0 or n - dim M = L, with dim M read off the leading monomials
-    of the basis of im d_1 that ``resolve_over_a`` kept (``image_bases``).
+    when n - dim M = L, with dim M read off the leading monomials of the
+    basis of im d_1 that ``resolve_over_a`` kept (``image_bases``).  L is
+    at least 1: ``Pipeline.dual_is_module`` decides L = 0 (the zero module)
+    before it calls this.
     """
-    L = res.length
-    if L == 0:
-        return True
-    return L == res.ring_data.n - res.image_bases[1].dimension()
+    return res.length == res.ring_data.n - res.image_bases[1].dimension()

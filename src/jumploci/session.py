@@ -147,6 +147,17 @@ def _is_label(word: str, letter: str) -> bool:
     return word[:1] == letter and word[1:].isdecimal()
 
 
+def _label(line: str, pos: int, letter: str, what: str, line_no: int):
+    """The label ``letter``K that is the first word of ``line`` from
+    ``pos`` on, as (K, the label, the index just past it); anything else
+    there is an input error that expects ``what``."""
+    lm = _NAME.match(line[pos:].lstrip())
+    if lm is None or not _is_label(lm.group(0), letter):
+        raise SessionError(f"expected {what}", line_no, pos + 1)
+    label = lm.group(0)
+    return int(label[1:]), label, line.index(label, pos) + len(label)
+
+
 def parse_variable_names(text: str, line_no: int) -> tuple:
     """The comma-separated variable names of a ``ring`` line."""
     if not text.strip():
@@ -253,7 +264,7 @@ def _parse_entries(ring: PolyRing, rows, line_no, require_homogeneous=True):
 
 
 def parse_session(text: str) -> Session:
-    fld = ring = ci = coker_rows = None
+    fld = ring = ci = coker_rows = action_line = None
     diffs = {}           # label index -> rows (as polynomials)
     actions = {}         # label index -> list of matrices (as rows)
     for line_no, directive, rest, rest_col, line in _directives(text,
@@ -305,13 +316,8 @@ def parse_session(text: str) -> Session:
         elif directive == "complex":
             pos = line.find(directive) + len(directive)
             while line[pos:].strip():
-                lm = _NAME.match(line[pos:].lstrip())
-                if lm is None or not _is_label(lm.group(0), "d"):
-                    raise SessionError("expected a differential label dK",
-                                       line_no, pos + 1)
-                label = lm.group(0)
-                k = int(label[1:])
-                pos = line.index(label, pos) + len(label)
+                k, label, pos = _label(line, pos, "d",
+                                       "a differential label dK", line_no)
                 rows, pos = _parse_matrix_text(line, pos, line_no)
                 if k in diffs:
                     raise SessionError(f"duplicate differential {label}",
@@ -320,14 +326,10 @@ def parse_session(text: str) -> Session:
                                           require_homogeneous=False)
 
         else:  # action
+            action_line = action_line or line_no
             pos = line.find(directive) + len(directive)
-            lm = _NAME.match(line[pos:].lstrip())
-            if lm is None or not _is_label(lm.group(0), "e"):
-                raise SessionError("expected an action label eI",
-                                   line_no, pos + 1)
-            label = lm.group(0)
-            idx = int(label[1:])
-            pos = line.index(label, pos) + len(label)
+            idx, label, pos = _label(line, pos, "e", "an action label eI",
+                                     line_no)
             blocks = []
             while line[pos:].strip():
                 rows, pos = _parse_matrix_text(line, pos, line_no)
@@ -347,6 +349,9 @@ def parse_session(text: str) -> Session:
 
     if coker_rows is not None and diffs:
         raise SessionError("give either a coker module or a complex, not both")
+    if coker_rows is not None and actions:
+        raise SessionError("action lines need a module given as a complex",
+                           action_line)
     if coker_rows is not None:
         module = ModuleInput("coker", rows=coker_rows)
     elif diffs:

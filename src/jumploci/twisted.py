@@ -163,8 +163,8 @@ def s_dual(X: TwistedComplex) -> TwistedComplex:
 
 
 def direct_sum(X: TwistedComplex, Y: TwistedComplex) -> TwistedComplex:
-    if X.S != Y.S:
-        raise PipelineError("direct sum over different operator rings")
+    """X + Y, over the one operator ring S of both: ``realize`` builds
+    every block it sums on the S of its chain file."""
     D = PolyMatrix.block_diag([X.D, Y.D])
     degs = list(X.basis_degrees) + list(Y.basis_degrees)
     chi_int = X.chi_internal or Y.chi_internal
@@ -172,10 +172,10 @@ def direct_sum(X: TwistedComplex, Y: TwistedComplex) -> TwistedComplex:
 
 
 def koszul_object(X: TwistedComplex, eta: Polynomial) -> TwistedComplex:
-    """Kos^S(eta) tensor X: the cone on multiplication by eta."""
+    """Kos^S(eta) tensor X: the cone on multiplication by eta, for eta in
+    the ring S of X: ``realize`` parses every chain member in the S of its
+    chain file and builds X on that S."""
     S = X.S
-    if eta.ring != S:
-        raise PipelineError("Koszul element lives in the wrong ring")
     if not eta.is_homogeneous():
         raise PipelineError("Koszul element must be homogeneous")
     w = eta.degree()

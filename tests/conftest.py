@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from jumploci import GF, QQ, PolyRing
+from jumploci import GF, PolyRing
 from jumploci.resolution import RingData, resolve_over_a
 from jumploci.homotopy import compute_higher_homotopies, ingest_dg_structure
 from jumploci.matrix import PolyMatrix

@@ -12,8 +12,6 @@ import itertools
 import random
 import time
 
-import pytest
-
 from jumploci import GF, QQ, PolyRing
 from jumploci.groebner import Ideal
 from jumploci.matrix import PolyMatrix

@@ -9,6 +9,7 @@ from fractions import Fraction
 import pytest
 
 from jumploci import cli, matrix
+from jumploci import session as session_module
 from jumploci.cli import main
 from jumploci.loci import betti_degree
 from jumploci.resolution import resolve_over_b
@@ -854,6 +855,49 @@ def test_an_action_with_too_few_blocks_is_an_input_error(capfd, tmp_path):
     code, out, err = _run(capfd, ["compute", "--input", str(session)])
     assert (code, out) == (1, "")
     assert err == "error: action e2: expected 2 blocks, got 1\n"
+
+
+def test_action_lines_with_a_coker_module_are_an_input_error(capfd,
+                                                             tmp_path):
+    """``compute`` used to exit 0 with the cokernel's report, the two
+    ``action`` lines read and then ignored."""
+    session = tmp_path / "coker_actions.session"
+    session.write_text("field GF(101)\nring x, y\nci x^2, y^2\n"
+                       "module coker [[x, y]]\naction e1 [[1]]\n"
+                       "action e7 [[x, y]]\n")
+    code, out, err = _run(capfd, ["compute", "--input", str(session)])
+    assert (code, out) == (1, "")
+    assert err == ("error: action lines need a module given as a complex "
+                   "(line 5)\n")
+
+
+def test_a_complex_with_too_few_actions_stops_in_the_parser(capfd, tmp_path,
+                                                            monkeypatch):
+    """With c = 2 and only ``action e1``, the parser's e1..ec check is the
+    one that refuses the session: the dg actions are never validated."""
+    def not_reached(*args):
+        raise AssertionError("ingest_dg_structure was reached")
+
+    monkeypatch.setattr(session_module, "ingest_dg_structure", not_reached)
+    session = tmp_path / "one_action.session"
+    session.write_text((SESSIONS / "koszul_residue.session").read_text()
+                       .replace("action e2 [[0], [y]] [[-y, 0]]", ""))
+    for command in ("compute", "crk"):
+        code, out, err = _run(capfd, [command, "--input", str(session)])
+        assert (code, out) == (1, "")
+        assert err == "error: a complex module needs actions e1..e2\n"
+
+
+def test_more_ci_elements_than_variables_is_not_a_regular_sequence(
+        capfd, tmp_path):
+    """c > n: x^2, x^3 in k[x] is refused by the dimension test alone."""
+    session = tmp_path / "c_above_n.session"
+    session.write_text("field GF(101)\nring x\nci x^2, x^3\n"
+                       "module coker [[x]]\n")
+    code, out, err = _run(capfd, ["crk", "--input", str(session)])
+    assert (code, out) == (1, "")
+    assert err == ("error: f is not a regular sequence; supply an explicit "
+                   "complex with dg actions instead\n")
 
 
 @pytest.mark.parametrize("field", ["GF(101)", "QQ"])

@@ -19,7 +19,6 @@ from jumploci.homotopy import (HigherHomotopySystem, compute_higher_homotopies,
                                dualize_homotopies, ingest_dg_structure,
                                _grading, _needed)
 from jumploci.session import parse_session
-from jumploci.twisted import build_twisted_complex
 
 from conftest import (LADDER, REPO, SESSIONS, PAIR_BLOCK_SESSION,
                       matrix_of, matrix_sum, random_monomial_rows,

@@ -27,7 +27,7 @@ from jumploci.loci import (crk_at, jump_locus_ideal, jump_loci_report,
 
 from conftest import (BENCH_INPUT_STEMS, DG_SESSION_STEMS, LADDER, REPO,
                       SESSION_STEMS, SESSIONS, PAIR_BLOCK_SESSION,
-                      assert_twisted_complex, koszul_block, matrix_of,
+                      assert_twisted_complex, koszul_block,
                       random_monomial_rows, random_homogeneous,
                       random_twisted_complex)
 from oracles import (TruncationNeeded, additivity_check,

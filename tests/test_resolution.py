@@ -918,6 +918,9 @@ def test_regular_sequence_detection():
                             A.parse("x*y^2")]).is_regular_sequence()
     A1 = PolyRing(GF101, ("x",))
     assert RingData(A1, [A1.parse("x")]).is_regular_sequence()
+    # c > n: the dimension test alone refuses it
+    assert not RingData(A1, [A1.parse("x^2"),
+                             A1.parse("x^3")]).is_regular_sequence()
 
 
 # -- quasi-polynomial tails ------------------------------------------------

@@ -30,6 +30,9 @@ from conftest import REPO
     ("same_output.py", [".", ".", "--ladder", "nm_n4_e2", "--commands",
                         "crk"]),
     ("code_lines.py", ["."]),
+    ("same_output.py", [".", ".", "sessions/final.session",
+                        "chains/complete_flag.chain", "--mutants", "2",
+                        "--commands", "crk"]),
 ])
 def test_script_runs(script, args):
     proc = subprocess.run([sys.executable, str(REPO / "scripts" / script),
@@ -97,6 +100,18 @@ def test_same_output_prints_the_stderr_lines_that_differ():
         "(exit 0 vs 1)",
         "    -time 1", "    -zero_reductions=15", "    -end",
         "    +--- a line that looks like a header"]
+
+
+def test_same_output_mutants_are_fixed_by_the_file_name():
+    """``--mutants`` draws each copy from a generator seeded by the file's
+    name and the copy's index, so both trees, and every later run, read
+    the same texts; a copy depends on the name, not on the directory."""
+    mutants = _script("same_output").mutants
+    text = (REPO / "sessions" / "flag.session").read_text()
+    first = mutants("flag.session", text, 4)
+    assert len(first) == 4 and len(set(first)) > 1
+    assert mutants("flag.session", text, 4) == first
+    assert mutants("flag.session", text, 2) == first[:2]
 
 
 def test_code_lines_counts_no_docstring_comment_or_blank_line():

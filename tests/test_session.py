@@ -199,6 +199,20 @@ def test_both_module_kinds_rejected():
     assert "not both" in str(err)
 
 
+def test_action_lines_next_to_a_coker_module_are_rejected():
+    """``action`` lines beside a ``module coker`` line were read and then
+    dropped, so the session printed the cokernel's report; they are an
+    input error at the first of them, and "not both" still comes first."""
+    body = ("field GF(101)\nring x, y\nci x^2, y^2\n"
+            "module coker [[x, y]]\n")
+    err = _err(body + "action e1 [[1]]\naction e7 [[x, y]]\n")
+    assert str(err) == ("action lines need a module given as a complex "
+                        "(line 5)")
+    assert (err.line, err.column) == (5, None)
+    err = _err(body + "complex d1 [[x, y]]\naction e1 [[1]]\n")
+    assert str(err) == "give either a coker module or a complex, not both"
+
+
 def test_duplicate_differential_rejected():
     err = _err("field GF(101)\nring x, y\nci x^2, y^2\n"
                "complex d1 [[x, y]]\ncomplex d1 [[x, y]]\n")

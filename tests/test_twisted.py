@@ -15,11 +15,11 @@ from jumploci.session import parse_session, build_pipeline
 from jumploci.twisted import (TwistedComplex, build_twisted_complex,
                               minimalize, homology_presentation,
                               s_dual, direct_sum, koszul_object,
-                              koszul_object_list, free_complex)
+                              free_complex)
 from jumploci.loci import crk_at, jump_locus_ideal
 
 from conftest import (CONTRACTIBLE_PAIR_SESSION, REPO, SESSIONS,
-                      assert_twisted_complex, matrix_of, matrix_sum,
+                      assert_twisted_complex, matrix_sum,
                       koszul_action_pipeline, random_homogeneous,
                       random_twisted_complex, random_monomial_rows)
 from oracles import (_block, explicit_dual, full_system, hilbert_data,
