@@ -30,9 +30,11 @@ D raises the cohomological degree u by one and D^2 = 0, so
 h = (1 + 1/t) h_C - (1/t) sum_i t^{u_i} for any D, minimal or not.
 The generic crk is rank_S H(X) = h(1) = r - 2 rank D, and
 ``PolyMatrix.generic_rank`` gives rank D: for a fine-graded D (each entry
-one monomial, with row and column potentials, as every D of the example
-sessions and the benchmark inputs is) the rank of its coefficients, and
-for any other D, r - h_C(1) off the same kind of numerator as h.
+one monomial, with row and column potentials) its rank at the 0/1 point
+(1, ..., 1), and for any other D, r - h_C(1) off the same kind of
+numerator as h.  D of every example file is fine, its ci degrees being
+independent in the finest grading, but for the sessions ``lin_n2``,
+``cubes_lin``, ``nm_n3`` and ``nm_n3_qq``.
 These are invariants of M when X = X(M) is built from the minimal
 A-free resolution of M, as ``build_pipeline`` builds it for a cokernel.
 The reports read X as given, minimal as ``build_twisted_complex``
@@ -75,7 +77,10 @@ class RouteDisagreement(AssertionError):
 
 def crk_at(X: TwistedComplex, point=None) -> int:
     """crk at a closed point of k^c, or at the generic point when
-    ``point`` is None."""
+    ``point`` is None.  For a fine D both are ranks at 0/1 points: crk is
+    constant on the torus of each coordinate subspace L_Z, where it is
+    crk at e_Z, the point 1 on Z and 0 off it, and the generic crk is crk
+    at (1, ..., 1) (``matrix``)."""
     if point is not None:
         return X.rank - 2 * X.D.rank_at(point)
     return X.rank - 2 * X.D.generic_rank()

@@ -2,8 +2,8 @@
 on what holds the matrix (``FreeResolution.degrees``, ``basis_degrees``).
 
 ``echelon`` is the one Gaussian elimination over the field, read by the
-generic rank of a fine matrix, the rank at a point, the Tate ranks of the
-point oracle and the finest grading (``homotopy._grading``).
+rank at a point, and so by the generic rank of a fine matrix, the Tate
+ranks of the point oracle and the finest grading (``homotopy._grading``).
 ``cancel_units`` is the one loop over unit entries (nonzero constants,
 the least first), shared by ``resolution.split_unit_entries`` and
 ``twisted.minimalize``: each unit goes by one Schur complement
@@ -19,15 +19,26 @@ nonzero minors of each size grow from those of the size below, one
 Laplace expansion each (``_component_minor_table``), and the blocks are
 convolved in that order, on which the work depends.  The minors of every
 size are built together on the first request and cached on the matrix
-(see ``PolyMatrix.minors``).  The generic rank, over the fraction field,
-has two routes.  A matrix P with every block fine is
-diag(x^-r) P(1) diag(x^c) over the Laurent ring k[x^+-1], and the
-diagonal factors are units there, so its rank over k(x) is the rank of
-its coefficients, eliminated as field scalars (``echelon``).  Every
-other matrix has its rank read off the Hilbert numerator of the
-cokernel: the rank of a graded module is the value at t = 1 of its
-numerator.  No polynomial matrix is eliminated fraction-free; the tests
-keep that route as their oracle.
+(see ``PolyMatrix.minors``).
+Every rank of a matrix P with every block fine is a rank at a 0/1 point.
+At a point x whose nonzero coordinates are exactly Z, P(x) is
+diag(x^-r) P(e_Z) diag(x^c), the potentials read on the coordinates of
+Z and e_Z the point 1 on Z and 0 off it: the diagonal factors are units
+on the torus of L_Z = {x : x_j = 0 for j not in Z}, so rank P(x) is
+rank P(e_Z) there, and over the Laurent ring k[x^+-1] the rank over
+k(x) is rank P(1, ..., 1).  So ``generic_rank`` of a fine matrix is
+``rank_at`` (1, ..., 1), and the rank of a fine D on each stratum L_Z,
+which decides its jump loci, is ``rank_at`` e_Z; the tests read the
+plateaus off those ranks as their oracle (``tests/oracles.py``,
+``crk_table``).  D of every example file is fine but for the sessions
+``lin_n2``, ``cubes_lin``, ``nm_n3`` and ``nm_n3_qq``: D of a cokernel
+is fine where the degrees of the ci generators in the finest grading W
+(``homotopy._grading``) are linearly independent, and only those four
+presentations tie them.
+Every other matrix has its generic rank read off the Hilbert numerator
+of the cokernel: the rank of a graded module is the value at t = 1 of
+its numerator.  No polynomial matrix is eliminated fraction-free; the
+tests keep that route as their oracle.
 The rank at a point eliminates the values there as field scalars
 (``echelon``), as the point oracle eliminates its complexes.
 
@@ -174,18 +185,17 @@ class PolyMatrix:
 
     def generic_rank(self) -> int:
         """Rank over the fraction field.  A matrix P whose blocks are all
-        fine (``_blocks``) is diag(x^-r) P(1) diag(x^c) over the Laurent
-        ring, so its rank is that of its coefficients, by ``echelon``.
-        Any other is nrows minus the rank of coker, which is the value at
-        t = 1 of its Hilbert numerator, 0 when coker has dimension below
-        nvars.  The Groebner order is degree-compatible, so coker and its
-        initial module share their affine Hilbert function and this holds
-        for inhomogeneous entries too."""
+        fine (``_blocks``) is diag(x^-r) P(1, ..., 1) diag(x^c) over the
+        Laurent ring, so its rank is ``rank_at`` the point (1, ..., 1),
+        where each entry is its one coefficient; every fine rank is a rank
+        at a 0/1 point (module docstring).  Any other is nrows minus the
+        rank of coker, which is the value at t = 1 of its Hilbert
+        numerator, 0 when coker has dimension below nvars.  The Groebner
+        order is degree-compatible, so coker and its initial module share
+        their affine Hilbert function and this holds for inhomogeneous
+        entries too."""
         if all(fine for _, _, fine in _blocks(self.entries)):
-            rows = {}
-            for (r, c), p in self.entries.items():
-                rows.setdefault(r, {})[c] = next(iter(p.terms.values()))
-            return len(echelon(rows.values(), self.ring.field))
+            return self.rank_at((1,) * self.ring.nvars)
         return self.nrows - sum(module_hilbert_data(self).values())
 
     # -- minors ----------------------------------------------------------

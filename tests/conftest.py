@@ -26,12 +26,16 @@ CHAINS = REPO / "chains"
 # compare a glob of ``sessions/`` or ``perfbench/inputs/`` with these
 # stems, so a file added to either directory, or missing from it, fails
 # them.  The DG sessions give the module by an action, not as a cokernel.
-SESSION_STEMS = ("dg_nonregular", "final", "final_unit", "flag",
-                 "koszul_residue", "koszul_summand", "perfect")
+# D of every input is fine but for the non-fine sessions, whose
+# presentations tie the degrees of the f_i in the finest grading.
+SESSION_STEMS = ("cubes_lin", "dg_nonregular", "final", "final_unit", "flag",
+                 "koszul_residue", "koszul_summand", "lin_n2", "nm_n3",
+                 "nm_n3_qq", "perfect")
 BENCH_INPUT_STEMS = ("loci_a", "loci_b", "loci_c", "m2_n3_e2", "m2_n3_e3",
                      "m2_n5_e2", "res_n3_e2", "res_n4_e2", "res_n7_e2",
                      "sq_n6_e2")
 DG_SESSION_STEMS = ("dg_nonregular", "koszul_residue", "koszul_summand")
+NON_FINE_SESSION_STEMS = ("cubes_lin", "lin_n2", "nm_n3", "nm_n3_qq")
 
 
 # Chains that ``realize`` rejects, with the error output it prints.

@@ -33,6 +33,9 @@ construction, and no command runs them:
   ``loci.jump_loci_report`` tests each index against the next one or
   the empty set, and ends a plateau, reading its dimension, where the
   test fails;
+- the plateaus of a fine D off its rank at each 0/1 point e_Z
+  (``crk_table``, ``plateaus_by_table``), where ``jump_loci_report``
+  tests the radicals of its minor ideals;
 - the comparison of two complexes' jump ideals at every index
   (``duality_check_by_index``), where ``loci.duality_check`` compares
   their plateaus;
@@ -491,6 +494,42 @@ def plateaus_by_index(X: TwistedComplex) -> list:
         prev = j
     entries.append((prev + 1, prev + 1, [X.S.one()], -1))
     return entries
+
+
+def crk_table(X: TwistedComplex) -> dict:
+    """{Z: r - 2 rank D(e_Z)} for every Z, a tuple of chi indices in
+    ascending order, e_Z the point that is 1 on Z and 0 off it.  A fine D
+    at a point a whose nonzero coordinates are exactly Z is
+    diag(a^-r) D(e_Z) diag(a^c) (``matrix``), so crk_Z is crk on the
+    whole torus of L_Z, the chi's off Z at 0; for any other D it is crk at
+    the 0/1 points only."""
+    c = X.S.nvars
+    return {Z: X.rank - 2 * X.D.rank_at([int(j in Z) for j in range(c)])
+            for k in range(c + 1) for Z in itertools.combinations(range(c), k)}
+
+
+def plateaus_by_table(X: TwistedComplex) -> list:
+    """(i_from, i_to, dim) of each plateau of the jump loci of X, and the
+    final empty one, off ``crk_table``, for a fine D: V^i is the union of
+    the L_Z with crk_Z >= i, a set of Z closed under subsets, since crk
+    only rises where a point specializes.  The tori are disjoint, so
+    V^i = V^{i+2} exactly when the two sets agree, and dim V^i is the
+    largest |Z| in its set.  The indices are those of
+    ``loci.jump_loci_report``: 1 <= i <= r of the rank's parity."""
+    table = crk_table(X)
+
+    def strata(i):
+        return {Z for Z, crk in table.items() if crk >= i}
+
+    r = X.rank
+    out, start = [], 1
+    for i in range(2 - r % 2, r + 1, 2):
+        here = strata(i)
+        if here != strata(i + 2):
+            out.append((start, i, max(map(len, here))))
+            start = i + 1
+    out.append((start, start, -1))
+    return out
 
 
 def duality_check_by_index(X: TwistedComplex, Y: TwistedComplex) -> bool:

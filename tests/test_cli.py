@@ -900,6 +900,16 @@ def test_more_ci_elements_than_variables_is_not_a_regular_sequence(
                    "complex with dg actions instead\n")
 
 
+def test_the_oracle_refuses_a_session_over_qq(capfd):
+    """The stable Betti numbers need a finite prime field to draw points
+    from, so ``oracle`` on ``sessions/nm_n3_qq.session`` is an input
+    error."""
+    code, out, err = _run(capfd, ["oracle", "--input",
+                                  str(SESSIONS / "nm_n3_qq.session")])
+    assert (code, out) == (1, "")
+    assert err == "error: the oracle sweep needs a finite prime field\n"
+
+
 @pytest.mark.parametrize("field", ["GF(101)", "QQ"])
 @pytest.mark.parametrize("ci, column", [("0", 4), ("x^2, 0", 9)])
 def test_a_zero_ci_generator_is_named_as_zero(capfd, tmp_path, field, ci,

@@ -9,8 +9,10 @@ line prints fails the suite, not only the benchmark.  It reads
 The benchmark checks its ``oracle`` jobs only by crk = 2 * stable Betti
 number, so their output at seed 1 is pinned here, in ``tests/expected/``,
 and so is ``crk`` at the generic point and at one point of every session
-and benchmark input whose output the benchmark does not pin, and
-``betti --n 7`` and ``--n 20`` on every cokernel among them.
+and benchmark input whose output the benchmark does not pin,
+``betti --n 7`` and ``--n 20`` on every cokernel among them, and
+``compute`` and ``dual`` on every one whose minor table fits (all but
+``sq_n6_e2``).
 """
 
 import importlib.util
@@ -114,8 +116,25 @@ def _betti_jobs():
     return jobs
 
 
+def _loci_jobs():
+    """(name, argv) of ``compute`` and ``dual`` on every session and
+    benchmark input but ``sq_n6_e2``, whose minor table passes
+    ``MAX_MINOR_WORK``, and but for the benchmark's own exact jobs."""
+    pinned = [job["argv"] for job in JOBS]
+    jobs = []
+    for path in INPUTS:
+        if path.stem == "sq_n6_e2":
+            continue
+        for cmd in ("compute", "dual"):
+            argv = [cmd, "--input", str(path.relative_to(REPO))]
+            if argv not in pinned:
+                jobs.append((f"{cmd}-{path.stem}", argv))
+    return jobs
+
+
 CRK_JOBS = _crk_jobs()
 BETTI_JOBS = _betti_jobs()
+LOCI_JOBS = _loci_jobs()
 
 
 def _assert_pinned(name, argv, capsysbinary, monkeypatch):
@@ -137,4 +156,11 @@ def test_crk_prints_its_pinned_output(name, argv, capsysbinary,
                          ids=[name for name, _ in BETTI_JOBS])
 def test_betti_prints_its_pinned_output(name, argv, capsysbinary,
                                         monkeypatch):
+    _assert_pinned(name, argv, capsysbinary, monkeypatch)
+
+
+@pytest.mark.parametrize("name, argv", LOCI_JOBS,
+                         ids=[name for name, _ in LOCI_JOBS])
+def test_compute_and_dual_print_their_pinned_output(name, argv, capsysbinary,
+                                                    monkeypatch):
     _assert_pinned(name, argv, capsysbinary, monkeypatch)

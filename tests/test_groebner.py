@@ -12,9 +12,11 @@ from jumploci import GF, QQ, PolyRing
 from jumploci.groebner import (GBStats, Ideal, ModuleGB, _hilbert_num,
                                _minimalize, add_image, reduced, vector_of)
 from jumploci.poly import Polynomial
+from jumploci.loci import jump_loci_report
 from jumploci.matrix import PolyMatrix
+from jumploci.session import build_pipeline, parse_session
 
-from conftest import matrix_of
+from conftest import SESSIONS, matrix_of
 from oracles import (EveryPairGB, dimension_and_multiplicity, hilbert_data,
                      identity_matrix, normal_form, syzygy_matrix, vec_add)
 
@@ -455,6 +457,35 @@ def test_a_member_is_certified_by_its_square(monkeypatch):
     assert I.radical_contains(p)
     assert asked == [p * p]
     assert _reference_radical_contains(I, p)
+
+
+def test_the_certificate_spares_rabinowitsch_runs_on_nm_n3(monkeypatch):
+    """The reports of X and X* of ``sessions/nm_n3.session``, a D that is
+    not fine, make 46 radical tests.  38 meet an ideal whose basis is not
+    monomial, and the certificate (p^2, p^4 or p^8 in the ideal) decides
+    all but two of them: at most two Groebner runs in one more variable
+    (Rabinowitsch), each counted by the ring it extends.  Without the
+    certificate there are 38."""
+    pipe = build_pipeline(parse_session(
+        (SESSIONS / "nm_n3.session").read_text()))
+    Xs = (pipe.X, pipe.X_dual)
+    tests, runs = [], []
+    radical_contains, extend = Ideal.radical_contains, PolyRing.extend
+
+    def testing(self, p):
+        tests.append(self._squarefree_roots is None)
+        return radical_contains(self, p)
+
+    def extending(self, name):
+        runs.append(name)
+        return extend(self, name)
+
+    monkeypatch.setattr(Ideal, "radical_contains", testing)
+    monkeypatch.setattr(PolyRing, "extend", extending)
+    for X in Xs:
+        jump_loci_report(X)
+    assert (len(tests), sum(tests)) == (46, 38)
+    assert len(runs) <= 2
 
 
 @pytest.mark.parametrize("gens", [

@@ -3,24 +3,26 @@ bihomogeneity contract of twisted complexes."""
 
 import itertools
 import random
+from fractions import Fraction
+from operator import mul
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from jumploci import GF, QQ, PolyRing
 from jumploci import matrix
 from jumploci.groebner import add_image, reduced
 from jumploci.matrix import PolyMatrix, _dedupe_monic
 from jumploci.poly import Polynomial
-from jumploci.homotopy import compute_higher_homotopies
+from jumploci.homotopy import _grading, compute_higher_homotopies
 from jumploci.resolution import PipelineError, resolve_over_a
 from jumploci.session import build_pipeline, parse_session
 from jumploci.twisted import TwistedComplex, s_dual
 
-from conftest import (BENCH_INPUT_STEMS, LADDER, REPO, PAIR_BLOCK_SESSION,
-                      SESSION_STEMS, assert_twisted_complex, matrix_of,
-                      matrix_sum, random_monomial_rows,
-                      random_monomial_rows_3)
+from conftest import (BENCH_INPUT_STEMS, LADDER, NON_FINE_SESSION_STEMS,
+                      REPO, PAIR_BLOCK_SESSION, SESSION_STEMS,
+                      assert_twisted_complex, matrix_of, matrix_sum,
+                      random_monomial_rows, random_monomial_rows_3)
 from oracles import (_components, fine_grading, full_system,
                      identity_matrix, transpose, verify_system,
                      whole_matrix_rank)
@@ -637,17 +639,25 @@ def _assert_fine(P):
                                        zip(cols[c], rows[r]))], (r, c)
 
 
-def test_every_d_of_the_sessions_and_the_bench_inputs_is_fine(monkeypatch):
-    """The D's of the listed files of ``sessions/`` and
-    ``perfbench/inputs/`` (X and its dual) take the scalar route of
-    ``generic_rank``: each block of each is fine, potentials reproduce
-    every entry's exponent, and its rank, with no Hilbert numerator
-    formed, is nrows minus the rank of coker read off one."""
+def _example_paths():
+    """The files of ``sessions/`` and ``perfbench/inputs/``, checked to be
+    the listed ones."""
     paths = sorted((REPO / "sessions").glob("*.session")) + \
         sorted((REPO / "perfbench" / "inputs").glob("*.session"))
     assert [p.stem for p in paths] == [*sorted(SESSION_STEMS),
                                        *sorted(BENCH_INPUT_STEMS)]
-    Ds = _ds_of(path.read_text() for path in paths)
+    return paths
+
+
+def test_every_d_of_the_sessions_and_the_bench_inputs_is_fine(monkeypatch):
+    """The D's of the listed files of ``sessions/`` and
+    ``perfbench/inputs/`` (X and its dual), but for the non-fine sessions,
+    take the scalar route of ``generic_rank``: each block of each is fine,
+    potentials reproduce every entry's exponent, and its rank, with no
+    Hilbert numerator formed, is nrows minus the rank of coker read off
+    one."""
+    Ds = _ds_of(path.read_text() for path in _example_paths()
+                if path.stem not in NON_FINE_SESSION_STEMS)
     ranks = [D.nrows - sum(matrix.module_hilbert_data(D).values())
              for D in Ds]
 
@@ -663,12 +673,16 @@ def test_every_d_of_the_sessions_and_the_bench_inputs_is_fine(monkeypatch):
 
 
 def test_a_d_that_is_not_fine_keeps_the_hilbert_route(monkeypatch):
-    """The D's of ``nm_n4_e2`` and ``lin2_n5_e2`` (X and its dual),
-    [[chi1, chi2], [chi2, chi1]], whose cycle disagrees, and two matrices
-    of rank 2 whose two-term entry, read as either of its terms, would
-    close a consistent cycle of rank 1 are not fine; the Hilbert numerator
-    gives their rank, which equals the elimination's."""
-    mats = _ds_of(LADDER[name] for name in ("nm_n4_e2", "lin2_n5_e2"))
+    """The D's of the non-fine sessions and of ``nm_n4_e2`` and
+    ``lin2_n5_e2`` (X and its dual), [[chi1, chi2], [chi2, chi1]], whose
+    cycle disagrees, and two matrices of rank 2 whose two-term entry, read
+    as either of its terms, would close a consistent cycle of rank 1 are
+    not fine; the Hilbert numerator gives their rank, which equals the
+    elimination's."""
+    paths = [p for p in _example_paths() if p.stem in NON_FINE_SESSION_STEMS]
+    assert sorted(p.stem for p in paths) == sorted(NON_FINE_SESSION_STEMS)
+    mats = _ds_of(path.read_text() for path in paths)
+    mats += _ds_of(LADDER[name] for name in ("nm_n4_e2", "lin2_n5_e2"))
     mats += [matrix_of(S2, rows) for rows in (
         [["chi1", "chi2"], ["chi2", "chi1"]],
         [["chi1 + chi2", "chi1"], ["chi1", "chi1"]],
@@ -729,6 +743,83 @@ def test_the_rank_of_a_fine_matrix_equals_the_fraction_free_elimination(P):
     _assert_fine(P)
     assert P.generic_rank() == whole_matrix_rank(P), (P.nrows, P.ncols,
                                                       P.entries)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(_fine_matrices(), st.data())
+def test_a_fine_matrix_has_the_rank_of_a_0_1_point_on_each_torus(P, data):
+    """At a point a whose nonzero coordinates are exactly Z, a fine P(a) is
+    diag(a^-r) P(e_Z) diag(a^c), so its rank is ``rank_at(e_Z)``, on
+    every coordinate stratum, the origin and the torus included."""
+    field = P.ring.field
+    nonzero = (st.integers(1, field.p - 1) if field.p
+               else st.fractions(-3, 3, max_denominator=3).filter(bool))
+    for Z in itertools.product((0, 1), repeat=2):
+        a = [field.coerce(data.draw(nonzero)) if z else 0 for z in Z]
+        assert P.rank_at(a) == P.rank_at(Z), (a, P.entries)
+
+
+@st.composite
+def _graded_presentations(draw):
+    """The text of a session over GF(101) or QQ in 2 or 3 variables of
+    weight 1 or 2.  Its ci is f = T g, with g_i = x_i^(e_i) of weighted
+    degree 2 or 4 and T unitriangular: f_i may gain k g_j for a j > i of
+    g_i's degree, so f is a regular sequence.  Its module is
+    coker [[f, m_1, .., m_s]], each m a monomial with every exponent below
+    g's, or a binomial of two such of one degree."""
+    field = draw(st.sampled_from(["GF(101)", "QQ"]))
+    n = draw(st.integers(2, 3))
+    weights = draw(st.lists(st.integers(1, 2), min_size=n, max_size=n))
+    powers = [draw(st.sampled_from([2, 4])) // w for w in weights]
+    names = [f"x{i}" for i in range(n)]
+
+    def text(m):
+        return "*".join(f"{v}^{e}" for v, e in zip(names, m) if e)
+
+    def degree(m):
+        return sum(map(mul, weights, m))
+
+    def plus(m, others):
+        """m, or m plus k times one of ``others``, as drawn."""
+        if not others or not draw(st.booleans()):
+            return text(m)
+        k = draw(st.integers(1, 6))
+        return f"{text(m)} + {k}*{text(draw(st.sampled_from(others)))}"
+
+    g = [tuple(e * (j == i) for j in range(n)) for i, e in enumerate(powers)]
+    f = [plus(g[i], [u for u in g[i + 1:] if degree(u) == degree(g[i])])
+         for i in range(n)]
+    below = [m for m in itertools.product(*map(range, powers)) if any(m)]
+    cols = []
+    for _ in range(draw(st.integers(1, 3)) if below else 0):
+        m = draw(st.sampled_from(below))
+        cols.append(plus(m, [u for u in below
+                             if u != m and degree(u) == degree(m)]))
+    return (f"field {field}\nring {', '.join(names)} weights "
+            f"{', '.join(map(str, weights))}\nci {', '.join(f)}\n"
+            f"module coker [[{', '.join(f + cols)}]]\n")
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(_graded_presentations())
+@example("field GF(101)\nring x0, x1 weights 1, 1\nci x0^4 + 2*x1^4, x1^4\n"
+         "module coker [[x0^4 + 2*x1^4, x1^4, x0]]\n")
+def test_independent_ci_degrees_make_every_block_of_d_fine(text):
+    """If the degrees of f_1..f_c in the finest grading W
+    (``homotopy._grading``) are linearly independent, every block of D is
+    fine, for X and its dual.  An entry of D, from generator a to b, is
+    the constant part of sigma_J times chi^J, and sigma_J is homogeneous
+    of degree sum J_j deg f_j, so deg b - deg a fixes J: each entry is one
+    term, and a linear map taking deg f_j to e_j gives potentials that
+    close every cycle.  The example's f_1 has two terms, so it is
+    dependent only in a grading that reads f's terms: there its D is not
+    fine."""
+    pipe = build_pipeline(parse_session(text))
+    _, fdeg, _ = _grading(pipe.resolution, pipe.rd)
+    assume(len(matrix.echelon([{j: Fraction(a) for j, a in enumerate(d) if a}
+                                for d in fdeg], QQ)) == len(fdeg))
+    for X in (pipe.X, s_dual(pipe.X)):
+        assert all(fine for _, _, fine in matrix._blocks(X.D.entries)), text
 
 
 # -- the one walk of the support graph against its reference routes ---------
