@@ -2,10 +2,12 @@
 """List the statements of ``src/jumploci`` that no command entered.
 
 Every command runs in process on each session file given (``compute``,
-``dual``, ``crk``, ``betti --n 12``, ``oracle --points 3`` and ``compute
---format text``), and ``realize`` on each chain file (``*.chain``).  A
-line tracer is set with ``sys.settrace`` before ``jumploci`` is imported,
-so the module-level statements count too.  Then, per file of the package,
+``dual``, ``crk``, ``betti --n 12``, ``oracle --points 3``, ``compute
+--format text`` and ``dual --format text``, whose nested ``duality``
+block the text report of ``compute`` has not), and ``realize`` on each
+chain file (``*.chain``).  A line tracer is set with ``sys.settrace``
+before ``jumploci`` is imported, so the module-level statements count
+too.  Then, per file of the package,
 the script prints the statements (``ast`` statement nodes, docstrings
 and ``global``/``nonlocal`` left out, as they run no code) whose lines saw
 no line event: code that none of these runs reached, a candidate for a
@@ -26,7 +28,8 @@ REPO = Path(__file__).resolve().parents[1]
 PACKAGE = REPO / "src" / "jumploci"
 
 COMMANDS = (["compute"], ["dual"], ["crk"], ["betti", "--n", "12"],
-            ["oracle", "--points", "3"], ["compute", "--format", "text"])
+            ["oracle", "--points", "3"], ["compute", "--format", "text"],
+            ["dual", "--format", "text"])
 
 
 def _tracer():

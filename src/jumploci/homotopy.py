@@ -282,8 +282,8 @@ def compute_higher_homotopies(res: FreeResolution,
     regular-sequence test, naming the first f_i e_j that fails in
     ``resolution.quotient_columns`` order; with L = 0 only M = 0 passes.
     The Tate route of the point oracle takes this as given, and reads its
-    basis of M off the columns of d_1 alone.  The regular-sequence test
-    comes next, for M = 0 too.  ``res`` must be untruncated, as
+    basis of M off the run of d_1 alone that these lifts go through.  The
+    regular-sequence test comes next, for M = 0 too.  ``res`` must be untruncated, as
     ``resolve_over_a`` builds it: the lifts go through the runs it keeps
     in ``image_bases``, which a truncated resolution does not keep.
     Each further identity the walk visits is solved column by column, and

@@ -44,9 +44,10 @@ have the same jump loci by construction.
 
 The point oracle (``stable_betti_oracle``) checks crk_a against the
 stable Betti number of M over the hypersurface B_a = A/(sum a_i f_i),
-read off Tate's resolution of k over B_a (``_TateComplex``) or, past
-``MAX_TATE_DIM``, off a resolution of M over B_a: routes that read no
-homotopy of M.
+read off Tate's resolution of k over B_a (``_TateComplex``), on the
+standard monomials of the stage-1 run the resolution keeps, with no
+Groebner run of its own, or, past ``MAX_TATE_DIM``, off a resolution of
+M over B_a: routes that read no homotopy of M.
 
 ``complexity_of`` (through ``homology_presentation``) and
 ``duality_check`` run in no command.  They are test oracles, kept here
@@ -365,10 +366,12 @@ def stable_betti_oracle(rd: RingData, resolution: FreeResolution,
     each point a of ``points``.
 
     ``resolution`` is the minimal free resolution F of M = coker d_1 over
-    A, as ``build_pipeline`` builds it.  The f_i must annihilate M, so
-    that g does and the columns of d_1 alone span every f_k e_j, from
-    which the Tate route reads its basis of M (``build_pipeline`` checks
-    this, in the t = 0 lifts of ``compute_higher_homotopies``), and share
+    A, as ``build_pipeline`` builds it for a cokernel.  The f_i must
+    annihilate M, so that g does and the columns of d_1 alone span every
+    f_k e_j: the Tate route reads its basis of M off the stage-1 run of
+    F, the Groebner basis of im d_1 that ``resolve_over_a`` keeps
+    (``build_pipeline`` checks this, in the t = 0 lifts of
+    ``compute_higher_homotopies``), and share
     one degree d, so that g is a form (``section_degree``).  For a nonzero
     g in the domain A, syzygy n - 1 of M over B_a is maximal
     Cohen-Macaulay, so by Eisenbud's matrix factorizations (Trans. AMS
@@ -493,11 +496,19 @@ class _TateComplex:
     hold more than ``MAX_TATE_DIM`` basis elements.
 
     A variable in no entry of d_1 and no f_k is a polynomial extension of
-    both M and B_a, which Tor^(B_a)(M, k) does not see, so it is dropped:
-    the x_s below are the variables left, n of them.  M_mu has the basis
-    of the standard monomials (j, alpha) of degree mu of one untracked
-    ``ModuleGB`` run of the columns of d_1, filled only while it has at
-    most ``MAX_TATE_DIM`` elements.  No f_k e_j is adjoined: f
+    both M and B_a, which Tor^(B_a)(M, k) does not see, so it is left
+    out: the x_s below are the variables at the indices ``used`` of A,
+    n of them, and the basis of M, the multipliers and the subsets S run
+    over those alone.  M_mu has the basis of the standard monomials
+    (j, alpha) of degree mu, alpha zero off ``used``, of the stage-1 run
+    that ``resolve_over_a`` keeps (``res.image_bases[1]``), the Groebner
+    basis of im d_1 that d_1 was taken from: a normal form is the same
+    whatever Groebner basis divides, and the leads of a basis of columns
+    in the ``used`` variables generate no monomial outside them.  The
+    basis is filled only while it has at most ``MAX_TATE_DIM`` elements;
+    the zero module has no d_1 and reads none, and a resolution of
+    positive length with no stage-1 run, built from a complex, is a
+    PipelineError.  No f_k e_j is adjoined: f
     annihilates M, so each lies in im d_1 already, as the t = 0 lifts of
     ``compute_higher_homotopies`` prove before any point is read.  A summand
     M_mu e_S y^(j) sits in homological degree |S| + 2j and internal
@@ -512,28 +523,28 @@ class _TateComplex:
         self.field = ring.field
         self.res = res
         self.row_degrees = res.degrees[0]
-        rank = len(self.row_degrees)
+        self.gb = res.image_bases.get(1)  # None when L = 0
+        if res.length and self.gb is None:
+            raise PipelineError(
+                "the stable Betti numbers are read for a module given as a "
+                "cokernel only")
         cols = res.differentials[0] if res.length else []
         monos = [m for f in rd.ci for m in f.terms]
         monos += [m for v in cols for _, m in v]
-        used = [s for s in range(ring.nvars) if any(m[s] for m in monos)]
-        self.n = n = len(used)
+        self.used = [s for s in range(ring.nvars) if any(m[s] for m in monos)]
+        self.n = n = len(self.used)
         self.c = rd.c
-        self.weights = tuple(ring.weights[s] for s in used)
-        ring = PolyRing(ring.field, tuple(ring.variables[s] for s in used),
-                        self.weights)
-        cols = [{(r, tuple(m[s] for s in used)): c for (r, m), c in v.items()}
-                for v in cols]
-        self.gb = ModuleGB(ring, rank, cols)
+        self.weights = tuple(ring.weights[s] for s in self.used)
+        self.zero = (0,) * ring.nvars
         # multiplier n * (k + 1) + s is h_ks, multiplier s is x_s
         self.multipliers = [
-            ({tuple(int(t == s) for t in range(n)): self.field.one()},
+            ({tuple(int(t == v) for t in range(ring.nvars)): self.field.one()},
              self.weights[s])
-            for s in range(n)]
+            for s, v in enumerate(self.used)]
         for f in rd.ci:
-            terms = {tuple(m[s] for s in used): c for m, c in f.terms.items()}
-            self.multipliers += [(h, f.degree() - self.weights[s])
-                                 for s, h in enumerate(_cofactors(terms, n))]
+            parts = _cofactors(f.terms, ring.nvars)
+            self.multipliers += [(parts[v], f.degree() - self.weights[s])
+                                 for s, v in enumerate(self.used)]
         self.subsets = []
         for mask in range(1 << n):
             members = [s for s in range(n) if mask >> s & 1]
@@ -554,12 +565,11 @@ class _TateComplex:
         Every divisor of a standard monomial is standard, so each is x_s
         times one of degree mu - w_s, or a generator e_j: the degrees are
         filled in ascending order, from the least generator degree."""
-        zero = (0,) * self.n
         while self._top < mu:
             nu = self._top + 1
-            found = {(j, zero) for j, e in enumerate(self.row_degrees)
+            found = {(j, self.zero) for j, e in enumerate(self.row_degrees)
                      if e == nu}
-            for s, w in enumerate(self.weights):
+            for s, w in zip(self.used, self.weights):
                 for j, alpha in self._basis.get(nu - w, ()):
                     found.add((j, alpha[:s] + (alpha[s] + 1,) + alpha[s + 1:]))
             out = sorted((j, alpha) for j, alpha in found

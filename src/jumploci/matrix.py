@@ -173,9 +173,11 @@ class PolyMatrix:
 
     def rank_at(self, point) -> int:
         """Rank of the values at ``point``: the nonzero values, one sparse
-        row per row, eliminated as field scalars by ``echelon``."""
+        row per row, eliminated as field scalars by ``echelon``.  The point
+        is coerced to field scalars once, for every entry."""
         if len(point) != self.ring.nvars:
             raise ValueError("point arity mismatch")
+        point = [self.ring.field.coerce(a) for a in point]
         rows = {}
         for (r, c), p in self.entries.items():
             value = p.evaluate(point)

@@ -200,11 +200,12 @@ class Polynomial:
     # -- substitution ---------------------------------------------------
 
     def evaluate(self, point):
-        """Evaluate at a tuple of field scalars."""
+        """Evaluate at a tuple of field scalars, as ``Field.coerce`` gives
+        them; an integer outside 0..p-1 serves too over GF(p), since every
+        product and sum is reduced mod p."""
         if len(point) != self.ring.nvars:
             raise ValueError("point arity mismatch")
         fld = self.ring.field
-        point = [fld.coerce(a) for a in point]
         total = fld.zero()
         for m, c in self.terms.items():
             v = c

@@ -22,8 +22,12 @@ the degree by degree construction of La Scala and Stillman (J. Symb.
 Comp. 26, 1998).
 Resolutions over A are finite and untruncated, and each stage's run
 stays on the resolution (``image_bases``): it is the basis the higher
-homotopies lift through d_t.  Resolutions over B are truncated, keep no
-run, and their last stage takes no syzygies.  The Betti numbers the
+homotopies lift through d_t.  The stage-1 run, the Groebner basis of
+im d_1, has three readers: the t = 0 lifts of the homotopies,
+``Pipeline.dual_is_module`` (dim M, off its leads) and the Tate complex
+of the point oracle (its basis of M, the standard monomials).
+Resolutions over B are truncated, keep no run, and their last stage
+takes no syzygies.  The Betti numbers the
 command line prints, and the quasi-polynomial of their tail, come from
 H(X) = Ext_B(M, k) in closed form (see ``loci.betti_numbers``), and the
 point oracle reads Tate's complex (``loci.stable_betti_oracle``) unless

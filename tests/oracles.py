@@ -36,6 +36,10 @@ construction, and no command runs them:
 - the plateaus of a fine D off its rank at each 0/1 point e_Z
   (``crk_table``, ``plateaus_by_table``), where ``jump_loci_report``
   tests the radicals of its minor ideals;
+- the Betti degree off the top-dimensional cycle of V^1, the crk at a
+  point of each component of top dimension (``top_cycle_betti_degree``),
+  where ``loci.betti_degree`` reads the leading term of the Betti
+  quasi-polynomial;
 - the comparison of two complexes' jump ideals at every index
   (``duality_check_by_index``), where ``loci.duality_check`` compares
   their plateaus;
@@ -530,6 +534,52 @@ def plateaus_by_table(X: TwistedComplex) -> list:
             start = i + 1
     out.append((start, start, -1))
     return out
+
+
+def point_on_hyperplane(form: Polynomial, rng) -> list:
+    """A point of the hyperplane ``form`` = 0 with every coordinate
+    nonzero, ``form`` a nonzero linear form: random nonzero coordinates
+    (below p, or below 100 over QQ), the last variable of ``form`` solved
+    for, drawn again until it is nonzero too."""
+    fld = form.ring.field
+    coeffs = {m.index(1): a for m, a in form.terms.items()}
+    last = max(coeffs)
+    while True:
+        point = [fld.coerce(rng.randrange(1, fld.p or 100))
+                 for _ in range(form.ring.nvars)]
+        rest = fld.zero()
+        for j, a in coeffs.items():
+            if j != last:
+                rest = fld.add(rest, fld.mul(a, point[j]))
+        point[last] = fld.mul(fld.neg(rest), fld.inv(coeffs[last]))
+        if point[last]:
+            return point
+
+
+def top_cycle_betti_degree(X: TwistedComplex, hyperplanes=None, rng=None):
+    """The Betti degree off the top cycle of V^1: the sum, over the
+    components Z of V^1 of dimension cx = dim V^1, of
+    deg Z * crk_Z / 2^(c - cx + 1), crk_Z the crk at a general point of Z;
+    None when cx is 0, as ``loci.betti_degree`` gives it.
+
+    For a fine D the components are the L_Z of ``crk_table`` with
+    |Z| = cx and crk_Z > 0, each of degree 1.  For any other D,
+    ``hyperplanes`` names the components, linear forms of S whose zero
+    sets, of dimension c - 1 = cx and degree 1, make up the top of V^1,
+    and crk_Z is crk at a point of each (``point_on_hyperplane``) drawn
+    from ``rng``."""
+    c = X.S.nvars
+    if hyperplanes is None:
+        table = crk_table(X)
+        cx = max((len(Z) for Z, crk in table.items() if crk > 0), default=0)
+        crks = [crk for Z, crk in table.items() if len(Z) == cx and crk > 0]
+    else:
+        cx = c - 1
+        crks = [X.rank - 2 * X.D.rank_at(point_on_hyperplane(form, rng))
+                for form in hyperplanes]
+    if not cx:
+        return None
+    return Fraction(sum(crks), 2 ** (c - cx + 1))
 
 
 def duality_check_by_index(X: TwistedComplex, Y: TwistedComplex) -> bool:

@@ -11,7 +11,8 @@ from hypothesis import assume, example, given, settings, strategies as st
 
 from jumploci import GF, QQ, PolyRing, cli, loci, twisted
 from jumploci.cli import parse_chain_file
-from jumploci.groebner import Ideal, ModuleGB, module_hilbert_data
+from jumploci.groebner import (Ideal, ModuleGB, _minimalize,
+                               module_hilbert_data)
 from jumploci.matrix import PolyMatrix, _blocks
 from jumploci.resolution import (RingData, resolve_over_a, resolve_over_b,
                                  PipelineError, quotient_columns)
@@ -36,7 +37,8 @@ from oracles import (TruncationNeeded, additivity_check, crk_table,
                      fraction_quasi_polynomial, full_system, hilbert_data,
                      duality_check_by_index, jump_locus_ideal_by_cases,
                      jump_locus_via_exterior_power, jump_numbers_by_position,
-                     per_index, plateaus_by_index, plateaus_by_table, shift,
+                     per_index, plateaus_by_index, plateaus_by_table,
+                     point_on_hyperplane, shift, top_cycle_betti_degree,
                      x_of_m_star)
 
 GF101 = GF(101)
@@ -282,27 +284,41 @@ def _components_of_the_table(X):
             for Z in _maximal([Z for Z, crk in table.items() if crk >= i_to])]
 
 
-def _assert_crk_on_the_components(pipe, components, rng):
-    """At one point of each component L_Z of X and X* (``components``
-    maps each to its list), drawn with nonzero coordinates exactly on Z:
-    crk is at least the plateau's i_to, exactly i_to where L_Z is not in
-    the next plateau's variety, and twice the stable Betti number of M
-    over the hypersurface of the point (``stable_betti_oracle``), which
-    reads no homotopy of M.  X* = s_dual(X) has D transposed, so its crk
-    at a point is M's too.  The origin has no hypersurface, so Z = () is
-    checked against the plateaus only.  Returns the number of points."""
+def _point_on(where, c, p, rng):
+    """A point of the component ``where`` with nonzero coordinates drawn
+    below p (below 100 over QQ, p = 0): on L_Z, for a tuple Z of chi
+    indices, nonzero exactly on Z; on a hyperplane, a linear form of S,
+    nonzero everywhere (``point_on_hyperplane``)."""
+    if isinstance(where, tuple):
+        return [rng.randrange(1, p or 100) if j in where else 0
+                for j in range(c)]
+    return point_on_hyperplane(where, rng)
+
+
+def _assert_crk_on_the_components(pipe, components, rng, oracle=True):
+    """At one point of each component of X and X* (``components`` maps
+    each to its list of (i_to, where, in_next)), drawn with nonzero
+    coordinates on it (``_point_on``): crk is at least the plateau's
+    i_to, exactly i_to where the component is not in the next plateau's
+    variety, and, with ``oracle``, twice the stable Betti number of M
+    over the hypersurface of the point (``stable_betti_oracle``, over a
+    finite field only), which reads no homotopy of M.  X* = s_dual(X) has
+    D transposed, so its crk at a point is M's too.  The origin, Z = (),
+    has no hypersurface, so it is checked against the plateaus only.
+    Returns the number of points."""
     c, p = pipe.rd.c, pipe.rd.ring.field.p
-    points = {Z: [rng.randrange(1, p) if j in Z else 0 for j in range(c)]
-              for comps in components.values() for _, Z, _ in comps}
-    sections = [Z for Z in points if Z]
+    points = {where: _point_on(where, c, p, rng)
+              for comps in components.values() for _, where, _ in comps}
+    sections = [w for w in points if w != ()] if oracle else []
     stable = dict(zip(sections, stable_betti_oracle(
-        pipe.rd, pipe.resolution, [points[Z] for Z in sections])))
+        pipe.rd, pipe.resolution, [points[w] for w in sections])))
     for X, comps in components.items():
-        for i_to, Z, in_next in comps:
-            crk = crk_at(X, points[Z])
-            assert crk >= i_to, (Z, crk)
-            assert in_next or crk == i_to, (Z, crk)
-            assert not Z or 2 * stable[Z] == crk, (Z, crk)
+        for i_to, where, in_next in comps:
+            crk = crk_at(X, points[where])
+            assert crk >= i_to, (where, crk)
+            assert in_next or crk == i_to, (where, crk)
+            assert where not in stable or 2 * stable[where] == crk, \
+                (where, crk)
     return len(points)
 
 
@@ -326,6 +342,95 @@ def test_the_loci_of_sq_n6_e2_hold_at_their_own_points():
                   for X in (pipe.X, pipe.X_dual)}
     assert _assert_crk_on_the_components(pipe, components,
                                          random.Random("sq_n6_e2")) > 3
+
+
+# The components of each plateau but the last of the sessions with a D
+# that is not fine, by the plateau's i_to: a linear form of S names a
+# hyperplane, and () the origin.  The first is the top of V^1.
+_NAMED_COMPONENTS = {
+    "lin_n2": {4: "chi1 + chi2"},
+    "cubes_lin": {8: "chi1 + 100*chi2"},
+    "nm_n3": {8: "chi1 + 4*chi2 + chi3", 12: ()},
+    "nm_n3_qq": {8: "chi1 + 4*chi2 + chi3", 12: ()},
+}
+
+
+def _named_components(X, named):
+    """(i_to, where, in_next) for each plateau but the last of X, off
+    ``named`` (``_NAMED_COMPONENTS``), each text parsed in S.  The
+    plateau's variety is checked to be the named component, and in_next,
+    whether the component lies in the next plateau's variety, is read off
+    the next ideal by radical membership."""
+    S = X.S
+    plateaus = jump_loci_report(X).plateaus
+    out = []
+    for (_, i_to, I, _), (_, _, J, _) in zip(plateaus, plateaus[1:]):
+        where = named[i_to]
+        if where == ():
+            component = Ideal(S, [S.gen(j) for j in range(S.nvars)])
+        else:
+            where = S.parse(where)
+            component = Ideal(S, [where])
+        assert I.same_variety(component), i_to
+        out.append((i_to, where, component.radical_contains_ideal(J)))
+    return out
+
+
+@pytest.mark.parametrize("stem", NON_FINE_SESSION_STEMS)
+def test_the_loci_of_the_non_fine_sessions_hold_at_their_own_points(stem):
+    """On X and X* of each session whose D is not fine, at one point with
+    nonzero coordinates on each named component of each plateau but the
+    last: the planes and lines off the coordinate subspaces that the 0/1
+    points miss.  ``nm_n3_qq`` is over QQ, so without the point oracle,
+    which needs a finite field."""
+    pipe = build_pipeline(parse_session(
+        (SESSIONS / f"{stem}.session").read_text()))
+    components = {X: _named_components(X, _NAMED_COMPONENTS[stem])
+                  for X in (pipe.X, pipe.X_dual)}
+    assert _assert_crk_on_the_components(
+        pipe, components, random.Random(stem),
+        oracle=pipe.rd.ring.field.p > 0) == len(_NAMED_COMPONENTS[stem])
+
+
+# -- the plateaus of random fine complexes off the rank table ---------------
+
+
+def _nonconstant(m):
+    """The exponent tuple ``m``, or x_1 when it is the constant."""
+    return m if any(m) else (1,) + m[1:]
+
+
+@st.composite
+def _fine_koszul_sums(draw):
+    """A direct sum of one or two Koszul objects over the parity-split
+    base, each on one or two monomial eta with nonzero scalars, some
+    taken as their S-dual, over GF(2), GF(101) or QQ in c = 1..3
+    operators.  Every entry of D is one term and every cycle closes, so
+    D is fine."""
+    p = draw(st.sampled_from([2, 101, 0]))
+    c = draw(st.integers(1, 3))
+    S = PolyRing(GF(p) if p else QQ, ("chi1", "chi2", "chi3")[:c], (2,) * c)
+    scalars = st.integers(1, p - 1) if p else st.sampled_from([1, -1, 2, -3])
+    exponents = st.tuples(*[st.integers(0, 2)] * c).map(_nonconstant)
+    blocks = []
+    for _ in range(draw(st.integers(1, 2))):
+        etas = [S.monomial(draw(exponents), draw(scalars))
+                for _ in range(draw(st.integers(1, 2)))]
+        base = free_complex(S, 2, degrees=[(0, 0), (1, 0)])
+        X = koszul_object_list(base, etas)
+        blocks.append(s_dual(X) if draw(st.booleans()) else X)
+    return direct_sum(*blocks) if len(blocks) > 1 else blocks[0]
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(_fine_koszul_sums())
+def test_the_rank_table_gives_the_plateaus_of_random_fine_complexes(X):
+    """On random fine complexes and their S-duals, over GF(p) and QQ, the
+    plateaus read off the ranks of D at the 0/1 points
+    (``plateaus_by_table``) are the report's, off the minors."""
+    for Y in (X, s_dual(X)):
+        assert all(fine for _, _, fine in _blocks(Y.D.entries))
+        assert plateaus_by_table(Y) == _bounds(jump_loci_report(Y))
 
 
 # -- reports ---------------------------------------------------------------
@@ -387,6 +492,65 @@ def test_betti_degree_examples(flag_pipeline, final_pipeline, koszul_action):
     assert betti_degree(_b_module_pipeline()[1]) == (0, None)
     assert betti_degree(free_complex(PolyRing(GF101, ("chi1",), (2,)), 0)) \
         == (0, None)
+
+
+@pytest.mark.parametrize("path", _FINE_MINORS_FINISH + [_SQ_N6_E2],
+                         ids=lambda p: p.stem)
+def test_the_top_cycle_of_v1_gives_the_betti_degree(path):
+    """On X and X* of every input with a fine D, ``sq_n6_e2`` past the
+    minor wall included, the Betti degree off the crk of the components
+    of V^1 of top dimension (``top_cycle_betti_degree``) is the one off
+    the leading term of the Betti quasi-polynomial."""
+    pipe = build_pipeline(parse_session(path.read_text()))
+    for X in (pipe.X, pipe.X_dual):
+        assert top_cycle_betti_degree(X) == betti_degree(X)[1]
+
+
+@pytest.mark.parametrize("stem", NON_FINE_SESSION_STEMS)
+def test_the_top_cycle_of_v1_gives_the_betti_degree_off_named_planes(stem):
+    """On X and X* of each session whose D is not fine, V^1 is one named
+    hyperplane (``_NAMED_COMPONENTS``), and crk is read at a random point
+    of it."""
+    named = _NAMED_COMPONENTS[stem]
+    pipe = build_pipeline(parse_session(
+        (SESSIONS / f"{stem}.session").read_text()))
+    for X in (pipe.X, pipe.X_dual):
+        plane = X.S.parse(named[min(named)])
+        assert top_cycle_betti_degree(X, [plane], random.Random(stem)) == \
+            betti_degree(X)[1]
+
+
+@st.composite
+def _cyclic_module_sums(draw):
+    """X(M) for M a direct sum of one or two cyclic modules over
+    GF(p)[x, y] or GF(p)[x, y, z] modulo the pure powers x_k^e, each
+    coker [[x_k^e, ..., m_1, ..., m_s]] with one to three monomials m_i
+    of exponents below e.  The ci degrees are independent in the finest
+    grading, so D is fine."""
+    p = draw(st.sampled_from([5, 101]))
+    n = draw(st.integers(2, 3))
+    e = draw(st.integers(2, 3))
+    A = PolyRing(GF(p), ("x", "y", "z")[:n])
+    rd = RingData(A, [A.monomial([e * (t == k) for t in range(n)])
+                      for k in range(n)])
+    exponents = st.tuples(*[st.integers(0, e - 1)] * n).map(_nonconstant)
+    blocks = []
+    for _ in range(draw(st.integers(1, 2))):
+        monos = draw(st.lists(exponents, min_size=1, max_size=3, unique=True))
+        pres = PolyMatrix.from_rows(
+            A, [list(rd.ci) + [A.monomial(m) for m in monos]])
+        res = resolve_over_a(rd, pres)
+        blocks.append(build_twisted_complex(
+            compute_higher_homotopies(res, rd), rd))
+    return direct_sum(*blocks) if len(blocks) > 1 else blocks[0]
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(_cyclic_module_sums())
+def test_the_top_cycle_of_v1_gives_the_betti_degree_of_cyclic_sums(X):
+    for Y in (X, s_dual(X)):
+        assert all(fine for _, _, fine in _blocks(Y.D.entries))
+        assert top_cycle_betti_degree(Y) == betti_degree(Y)[1]
 
 
 def test_betti_degree_cross_checks_the_even_and_odd_parts():
@@ -1380,9 +1544,10 @@ def test_truncation_at_the_length_of_a_finite_resolution():
 
 
 def test_oracle_makes_one_basis_of_m_per_command(monkeypatch, capsys):
-    """An ``oracle`` command makes exactly one ``ModuleGB`` run beyond
-    those of ``build_pipeline``, whatever ``--points`` is: the basis of M
-    that every point shares.  A point adds only linear algebra."""
+    """An ``oracle`` command makes no ``ModuleGB`` run beyond those of
+    ``build_pipeline``, whatever ``--points`` is: the one basis of M that
+    every point shares is the stage-1 run the resolution keeps.  A point
+    adds only linear algebra."""
     runs = []
     init = ModuleGB.__init__
 
@@ -1405,7 +1570,7 @@ def test_oracle_makes_one_basis_of_m_per_command(monkeypatch, capsys):
             assert cli.main(["oracle", "--input", str(path),
                              "--points", str(count)]) == 0
             capsys.readouterr()
-            assert len(runs) == pipeline_runs + 1, (path.name, count)
+            assert len(runs) == pipeline_runs, (path.name, count)
 
 
 def _count_resolutions_over_sections(monkeypatch) -> list:
@@ -1609,23 +1774,71 @@ def test_oracle_equals_the_resolution_over_the_section(case):
     _assert_tate_is_a_complex(rd, res, points[0])
 
 
+def _unused_case(names):
+    """ci x^3, y^3 and coker [[x^2, y^2, x*y]] over GF(101)[names]: the
+    variables past x, y are in no f_k and no entry of d_1."""
+    A = PolyRing(GF101, names)
+    rd = RingData(A, [A.parse("x^3"), A.parse("y^3")])
+    pres = PolyMatrix.from_rows(
+        A, [[A.parse(e) for e in ("x^2", "y^2", "x*y")]])
+    return rd, pres
+
+
+@pytest.mark.parametrize("unused", [1, 2, 3])
+def test_the_tate_route_leaves_out_unused_variables(unused):
+    """One to three variables that no f_k and no entry of d_1 holds are
+    a polynomial extension that Tor does not see: the Tate route answers,
+    with no call to ``resolve_over_b``, with the values of the resolution
+    over the section, and builds exactly the pieces it builds over
+    k[x, y], although the basis of M it reads is a run over all of A."""
+    points = [(1, 2), (3, 0), (5, 7)]
+    names = ("x", "y", "z", "u", "v")[:2 + unused]
+    rd, pres = _unused_case(names)
+    res = resolve_over_a(rd, pres)
+    with pytest.MonkeyPatch.context() as patch:
+        calls = _count_resolutions_over_sections(patch)
+        stables = stable_betti_oracle(rd, res, points)
+    assert calls == []
+    assert stables == [_resolved_oracle(rd, pres, a) for a in points]
+    sizes = []
+    for ring_names in (("x", "y"), names):
+        rd, pres = _unused_case(ring_names)
+        tate = loci._TateComplex(rd, resolve_over_a(rd, pres), 3)
+        assert [tate.stable_betti(a) for a in points] == stables
+        sizes.append(tate._size)
+    assert sizes[0] == sizes[1]
+
+
+@pytest.mark.parametrize("stem", DG_SESSION_STEMS)
+def test_the_oracle_refuses_a_pipeline_built_from_a_complex(stem):
+    """A pipeline built from a complex keeps no stage-1 run, so the Tate
+    route has no basis of M to read: a PipelineError before any point, in
+    the words of ``Pipeline.dual_is_module``.  The ``oracle`` command
+    refuses such a session before it gets here."""
+    pipe = build_pipeline(parse_session(
+        (SESSIONS / f"{stem}.session").read_text()))
+    with pytest.raises(PipelineError, match="given as a cokernel only"):
+        stable_betti_oracle(pipe.rd, pipe.resolution, [(1,) * pipe.rd.c])
+
+
 # -- the Tate basis of M: d_1 spans every f_k e_j ---------------------------
 
 
 def _assert_the_tate_basis_needs_no_f_e(rd, pres):
-    """The reduced basis ``_TateComplex`` reads M off, that of the columns
-    of d_1 alone, equals the one of the route it replaced, the columns of
-    d_1 plus every f_k e_j, in the variables the Tate complex keeps: f
-    annihilates M = coker d_1, so d_1 spans the f_k e_j already."""
+    """The basis ``_TateComplex`` reads M off, the stage-1 run of the
+    resolution, of the columns of d_1 alone, has in each component the
+    minimal leads of the reduced basis of the columns of d_1 plus every
+    f_k e_j: f annihilates M = coker d_1, so d_1 spans the f_k e_j already.
+    Those leads fix the standard monomials the Tate complex reads."""
     res = resolve_over_a(rd, pres)
     tate = loci._TateComplex(rd, res, rd.ci_degrees[0])
-    ring = tate.gb.ring
-    used = [rd.ring.variables.index(v) for v in ring.variables]
+    assert tate.gb is res.image_bases.get(1)
     rank = len(res.degrees[0])
     d1 = res.differentials[0] if res.length else []
-    with_f = [{(r, tuple(m[s] for s in used)): c for (r, m), c in v.items()}
-              for v in d1 + quotient_columns(rd.ci, rank)]
-    assert tate.gb.leads == ModuleGB(ring, rank, with_f).leads
+    with_f = ModuleGB(rd.ring, rank, d1 + quotient_columns(rd.ci, rank))
+    kept = tate.gb.leads if tate.gb else [[] for _ in range(rank)]
+    assert [_minimalize(m for m, _ in own) for own in kept] == \
+        [_minimalize(m for m, _ in own) for own in with_f.leads]
 
 
 @pytest.mark.parametrize("path", _COKERS, ids=lambda p: p.stem)

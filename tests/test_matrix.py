@@ -52,6 +52,21 @@ def test_evaluate_and_rank_at_points():
     assert P.rank_at([0, 0]) == 0
 
 
+def test_rank_at_coerces_the_point_once_for_every_entry():
+    """``rank_at`` reads 101 and -202 over GF(101) as 0, as ``Field.coerce``
+    does, and ``evaluate`` at integers outside 0..100 reduces every
+    product and sum mod 101; over QQ a point of integers is exact."""
+    P = matrix_of(S2, [["chi1", "chi2"], ["chi1^2", "chi1*chi2"]])
+    assert P.rank_at([101, -202]) == 0
+    assert P.rank_at([102, 5]) == P.rank_at([1, 5]) == 1
+    f = S2.parse("3*chi1^2*chi2 + chi2 + 7")
+    assert f.evaluate((-1, 205)) == f.evaluate((100, 3)) == 19
+    x = PolyRing(QQ, ("x",)).gen(0)
+    assert (x * x).scale(Fraction(1, 2)).evaluate((3,)) == Fraction(9, 2)
+    with pytest.raises(ValueError, match="arity"):
+        P.rank_at([1])
+
+
 def test_rank_matches_largest_nonvanishing_minor():
     """100 random points on random sparse 4x4 matrices."""
     rng = random.Random(7)
